@@ -67,6 +67,8 @@ pub struct BarcelonaTopology {
     fog1: Vec<NodeId>,
     /// District index (0..10) of each fog-1 node.
     fog1_district: Vec<usize>,
+    /// Fog-1 node positions of each district, ascending.
+    district_members: Vec<Vec<usize>>,
     profile: LatencyProfile,
 }
 
@@ -78,6 +80,7 @@ impl BarcelonaTopology {
         let mut fog2 = Vec::with_capacity(DISTRICTS.len());
         let mut fog1 = Vec::new();
         let mut fog1_district = Vec::new();
+        let mut district_members = Vec::with_capacity(DISTRICTS.len());
 
         for (d_idx, (district, sections)) in DISTRICTS.iter().enumerate() {
             let f2 = topo.add_node(format!("fog2/{district}"));
@@ -102,6 +105,7 @@ impl BarcelonaTopology {
                 fog1.push(f1);
                 fog1_district.push(d_idx);
             }
+            district_members.push((fog1.len() - sections..fog1.len()).collect());
             // Ring-connect sections within the district (neighbor access).
             if district_fog1.len() >= 2 {
                 for w in 0..district_fog1.len() {
@@ -141,6 +145,7 @@ impl BarcelonaTopology {
             fog2,
             fog1,
             fog1_district,
+            district_members,
             profile: *profile,
         }
     }
@@ -172,11 +177,10 @@ impl BarcelonaTopology {
         self.fog2[self.fog1_district[fog1_index]]
     }
 
-    /// Fog-1 node positions belonging to district `d`.
-    pub fn fog1_in_district(&self, d: usize) -> Vec<usize> {
-        (0..self.fog1.len())
-            .filter(|&i| self.fog1_district[i] == d)
-            .collect()
+    /// Fog-1 node positions belonging to district `d`, ascending
+    /// (listed once at build time: sections are district-contiguous).
+    pub fn fog1_in_district(&self, d: usize) -> &[usize] {
+        &self.district_members[d]
     }
 
     /// The link profile the topology was built with.
@@ -271,7 +275,7 @@ mod tests {
         for (d, district) in DISTRICTS.iter().enumerate() {
             let members = city.fog1_in_district(d);
             assert_eq!(members.len(), district.1);
-            for m in members {
+            for &m in members {
                 assert_eq!(city.district_of(m), d);
                 assert_eq!(city.parent_of(m), city.fog2_nodes()[d]);
                 seen += 1;

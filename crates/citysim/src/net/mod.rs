@@ -5,9 +5,9 @@
 //! * [`TrafficMeter`] — per-link and per-node byte/message accounting (the
 //!   raw data behind every traffic table in the experiments),
 //! * [`FailurePlan`] — deterministic link outages and packet loss,
-//! * [`Network`] — the combination: `send` routes a message, checks
-//!   failures, accumulates latency + serialization delay, and meters every
-//!   traversed link.
+//! * [`Network`] — the combination: `send` looks the route up in a table
+//!   built once from the topology, checks failures, accumulates latency +
+//!   serialization delay, and meters every traversed link.
 
 mod failure;
 mod link;
@@ -21,6 +21,7 @@ pub use topology::{LinkId, NodeId, Topology};
 
 use std::collections::HashMap;
 
+use self::topology::RouteTable;
 use crate::time::{Duration, SimTime};
 use crate::{Error, Result};
 
@@ -72,6 +73,11 @@ pub struct Delivery {
 
 /// A routed, metered, failure-aware network over a [`Topology`].
 ///
+/// The topology is fixed once wrapped, so every shortest path is computed
+/// at construction ([`Network::path`]) and a send allocates nothing for
+/// routing. The failure plan never reroutes: outages are checked hop by
+/// hop along the fixed path.
+///
 /// # Examples
 ///
 /// ```
@@ -91,16 +97,20 @@ pub struct Delivery {
 #[derive(Debug)]
 pub struct Network {
     topo: Topology,
+    routes: RouteTable,
     meter: TrafficMeter,
     failures: FailurePlan,
 }
 
 impl Network {
-    /// Wraps a topology with fresh meters and no failures.
+    /// Wraps a topology with fresh meters and no failures, and computes
+    /// its route table (one Dijkstra tree per node).
     pub fn new(topo: Topology) -> Self {
         let meter = TrafficMeter::for_topology(&topo);
+        let routes = RouteTable::build(&topo);
         Self {
             topo,
+            routes,
             meter,
             failures: FailurePlan::none(),
         }
@@ -129,10 +139,21 @@ impl Network {
         if self.failures.node_is_down(from, at) || self.failures.node_is_down(to, at) {
             return false;
         }
-        match self.topo.route(from, to) {
+        match self.routes.path(from, to) {
             Ok(path) => path.iter().all(|&l| !self.failures.is_down(l, at)),
             Err(_) => false,
         }
+    }
+
+    /// The fixed shortest path (by total latency) from `from` to `to`, as
+    /// link ids in traversal order — exactly what [`Topology::route`]
+    /// computes, read from the table. Empty means `from == to`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnknownNode`] or [`Error::NoRoute`].
+    pub fn path(&self, from: NodeId, to: NodeId) -> Result<&[LinkId]> {
+        self.routes.path(from, to)
     }
 
     /// The underlying topology.
@@ -163,10 +184,10 @@ impl Network {
     /// * [`Error::LinkDown`] if a hop's link is in an outage window,
     /// * [`Error::MessageLost`] if injected packet loss drops the message.
     pub fn send(&mut self, from: NodeId, to: NodeId, bytes: u64, now: SimTime) -> Result<Delivery> {
-        let path = self.topo.route(from, to)?;
+        let path = self.routes.path(from, to)?;
         let mut at = now;
         let mut path_latency = Duration::ZERO;
-        for (hop_index, &link_id) in path.iter().enumerate() {
+        for &link_id in path {
             let link = self.topo.link(link_id);
             let (a, b) = self.topo.link_endpoints(link_id);
             if self.failures.is_down(link_id, at) {
@@ -178,10 +199,8 @@ impl Network {
             if self.failures.drops(link_id) {
                 return Err(Error::MessageLost { a, b });
             }
-            let hop_time = link.latency() + link.transfer_time(bytes);
-            at += hop_time;
+            at += link.latency() + link.transfer_time(bytes);
             path_latency += link.latency();
-            let _ = hop_index;
         }
         Ok(Delivery {
             arrival: at,
@@ -206,10 +225,10 @@ impl Network {
         bytes: u64,
         now: SimTime,
     ) -> Result<Delivery> {
-        let path = self.topo.route(from, to)?;
+        let path = self.routes.path(from, to)?;
         let mut at = now;
         let mut path_latency = Duration::ZERO;
-        for &link_id in &path {
+        for &link_id in path {
             let link = self.topo.link(link_id);
             let (a, b) = self.topo.link_endpoints(link_id);
             if self.failures.is_down(link_id, at) {

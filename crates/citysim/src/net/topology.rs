@@ -1,4 +1,5 @@
-//! Labelled undirected graph with Dijkstra routing.
+//! Labelled undirected graph with Dijkstra routing, and the all-pairs
+//! [`RouteTable`] a [`super::Network`] builds from it once.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -55,9 +56,11 @@ struct LinkEntry {
 
 /// An undirected graph of labelled nodes and [`Link`]s.
 ///
-/// Routing is shortest-path by propagation latency (Dijkstra). The graphs
-/// in this workspace are small (dozens to hundreds of nodes), so routes are
-/// computed on demand without caching.
+/// Routing is shortest-path by propagation latency (Dijkstra).
+/// [`Topology::route`] runs one search per call; it is the reference a
+/// [`super::Network`]'s route table is built from and tested against, and
+/// nothing on a send path calls it — a network owns its topology, so it
+/// computes every route once at construction and sends read the table.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     labels: Vec<String>,
@@ -154,9 +157,29 @@ impl Topology {
     pub fn route(&self, from: NodeId, to: NodeId) -> Result<Vec<LinkId>> {
         self.check_node(from)?;
         self.check_node(to)?;
-        if from == to {
-            return Ok(Vec::new());
+        let mut path = Vec::new();
+        if from != to {
+            let prev = self.shortest_path_tree(from, Some(to));
+            if !trace_back(&prev, from, to, &mut path) {
+                return Err(Error::NoRoute { from, to });
+            }
         }
+        Ok(path)
+    }
+
+    /// Dijkstra from `from`: every settled node's predecessor `(node,
+    /// link)` on its shortest path (`None` for `from` itself and for
+    /// unreachable nodes). With `stop_at` the search ends once that node
+    /// is settled and only its ancestors' entries are final.
+    ///
+    /// A node's entry is final when it is popped, and pops are ordered by
+    /// `(distance, NodeId)` whether or not the search stops early — so the
+    /// full tree and a stopped search agree on every path, ties included.
+    fn shortest_path_tree(
+        &self,
+        from: NodeId,
+        stop_at: Option<NodeId>,
+    ) -> Vec<Option<(NodeId, LinkId)>> {
         let n = self.node_count();
         let mut dist = vec![u64::MAX; n];
         let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
@@ -167,7 +190,7 @@ impl Topology {
             if d > dist[u.index()] {
                 continue;
             }
-            if u == to {
+            if Some(u) == stop_at {
                 break;
             }
             for &(v, lid) in &self.adj[u.index()] {
@@ -180,17 +203,87 @@ impl Topology {
                 }
             }
         }
-        if dist[to.index()] == u64::MAX {
+        prev
+    }
+}
+
+/// Appends the links of the tree path `from → to` to `out` in traversal
+/// order; `false` (nothing appended) when `to` is unreachable.
+fn trace_back(
+    prev: &[Option<(NodeId, LinkId)>],
+    from: NodeId,
+    to: NodeId,
+    out: &mut Vec<LinkId>,
+) -> bool {
+    let start = out.len();
+    let mut cur = to;
+    while cur != from {
+        let Some((p, lid)) = prev[cur.index()] else {
+            out.truncate(start);
+            return false;
+        };
+        out.push(lid);
+        cur = p;
+    }
+    out[start..].reverse();
+    true
+}
+
+/// Every shortest path of a [`Topology`], computed once: one Dijkstra
+/// tree per source (n searches, not n²), flattened into one `LinkId` run
+/// per ordered pair. A topology cannot change once a [`super::Network`]
+/// owns it, and routing ignores the failure plan (outages are checked per
+/// hop on the fixed path), so the table never needs invalidating.
+///
+/// Space is n² offsets plus the summed path lengths — about 145 KB for the
+/// 84-node Barcelona graph; this is a table for city-sized graphs.
+#[derive(Debug)]
+pub(super) struct RouteTable {
+    nodes: usize,
+    /// Pair `(from, to)` owns `links[offsets[i]..offsets[i + 1]]` with
+    /// `i = from * nodes + to`; empty for `from == to` and for pairs with
+    /// no route.
+    offsets: Vec<u32>,
+    links: Vec<LinkId>,
+}
+
+impl RouteTable {
+    /// The table of `topo`: exactly the paths [`Topology::route`] returns.
+    pub(super) fn build(topo: &Topology) -> Self {
+        let nodes = topo.node_count();
+        let mut offsets = Vec::with_capacity(nodes * nodes + 1);
+        let mut links = Vec::new();
+        offsets.push(0);
+        for from in (0..nodes as u32).map(NodeId) {
+            let prev = topo.shortest_path_tree(from, None);
+            for to in (0..nodes as u32).map(NodeId) {
+                trace_back(&prev, from, to, &mut links);
+                offsets.push(links.len() as u32);
+            }
+        }
+        Self {
+            nodes,
+            offsets,
+            links,
+        }
+    }
+
+    /// The path [`Topology::route`] computes for the pair, borrowed.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnknownNode`] or [`Error::NoRoute`], as [`Topology::route`].
+    pub(super) fn path(&self, from: NodeId, to: NodeId) -> Result<&[LinkId]> {
+        for node in [from, to] {
+            if node.index() >= self.nodes {
+                return Err(Error::UnknownNode { node });
+            }
+        }
+        let i = from.index() * self.nodes + to.index();
+        let path = &self.links[self.offsets[i] as usize..self.offsets[i + 1] as usize];
+        if path.is_empty() && from != to {
             return Err(Error::NoRoute { from, to });
         }
-        let mut path = Vec::new();
-        let mut cur = to;
-        while cur != from {
-            let (p, lid) = prev[cur.index()].expect("reachable node has predecessor");
-            path.push(lid);
-            cur = p;
-        }
-        path.reverse();
         Ok(path)
     }
 }

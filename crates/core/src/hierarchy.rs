@@ -507,8 +507,8 @@ impl F2cCity {
         self.city.district_of(section)
     }
 
-    /// The section indices of a district's fog-1 nodes.
-    pub fn sections_in_district(&self, district: usize) -> Vec<usize> {
+    /// The section indices of a district's fog-1 nodes, ascending.
+    pub fn sections_in_district(&self, district: usize) -> &[usize] {
         self.city.fog1_in_district(district)
     }
 
@@ -1246,7 +1246,7 @@ impl F2cCity {
         // 2. Candidates elsewhere.
         let district = self.city.district_of(section);
         let mut candidates: Vec<(AccessOption, DataSource, Vec<DataRecord>)> = Vec::new();
-        for neighbor in self.city.fog1_in_district(district) {
+        for &neighbor in self.city.fog1_in_district(district) {
             if neighbor == section {
                 continue;
             }
@@ -1852,8 +1852,8 @@ mod tests {
     fn ring_hops_are_symmetric_and_bounded() {
         let city = F2cCity::barcelona().unwrap();
         let members = city.city.fog1_in_district(7); // Nou Barris, 13 sections
-        for &a in &members {
-            for &b in &members {
+        for &a in members {
+            for &b in members {
                 let h1 = city.ring_hops(a, b);
                 let h2 = city.ring_hops(b, a);
                 assert_eq!(h1, h2);

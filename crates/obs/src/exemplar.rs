@@ -47,6 +47,11 @@ impl ExemplarStore {
     /// tree for the overwhelming majority of queries that are not their
     /// bucket's slowest.
     ///
+    /// An observation made into a scratch store must clear the gate of
+    /// the store it will be [`absorb`](Self::absorb)ed into as well: a
+    /// scratch drained after every observation is always empty and admits
+    /// everything.
+    ///
     /// Equal latencies answer `true`: the tie breaks on trace bytes,
     /// which only exist after rendering.
     pub fn would_admit(&self, latency_us: u64) -> bool {
@@ -56,16 +61,17 @@ impl ExemplarStore {
         }
     }
 
-    /// Counts an observation and retains it if it is its bucket's slowest
-    /// (keep-max latency; on ties, smallest trace bytes). `render` runs
-    /// only when [`Self::would_admit`] holds.
-    pub fn observe(&mut self, latency_us: u64, render: impl FnOnce() -> String) {
+    /// Counts one observation. `trace` carries the caller's gate
+    /// decision: the rendered span tree, or `None` when
+    /// [`Self::would_admit`] already ruled it out and nothing was
+    /// rendered — counted, not built. A rendered observation is retained
+    /// if it is its bucket's slowest (keep-max latency; on ties, smallest
+    /// trace bytes).
+    pub fn observe(&mut self, latency_us: u64, trace: Option<String>) {
         self.seen += 1;
-        if !self.would_admit(latency_us) {
-            return;
+        if let Some(trace) = trace {
+            self.observe_rendered(latency_us, trace);
         }
-        let trace = render();
-        self.observe_rendered(latency_us, trace);
     }
 
     fn observe_rendered(&mut self, latency_us: u64, trace: String) {
@@ -144,9 +150,9 @@ mod tests {
     fn keeps_the_slowest_per_bucket() {
         let mut s = ExemplarStore::new();
         // 1100 and 1400 share the [1024, 1536) bucket; 100 lives elsewhere.
-        s.observe(1_100, || "fast".to_string());
-        s.observe(1_400, || "slow".to_string());
-        s.observe(100, || "other".to_string());
+        s.observe(1_100, Some("fast".to_string()));
+        s.observe(1_400, Some("slow".to_string()));
+        s.observe(100, Some("other".to_string()));
         assert_eq!(s.seen(), 3);
         assert_eq!(s.kept(), 2);
         assert_eq!(s.exemplar_for(1_100).unwrap().trace, "slow");
@@ -156,11 +162,46 @@ mod tests {
     #[test]
     fn would_admit_gates_rendering() {
         let mut s = ExemplarStore::new();
-        s.observe(1_400, || "slowest".to_string());
+        s.observe(1_400, Some("slowest".to_string()));
         assert!(!s.would_admit(1_100));
-        s.observe(1_100, || panic!("observe must not render a losing trace"));
-        assert_eq!(s.seen(), 2);
+        assert!(
+            s.would_admit(1_400),
+            "equal latency must render to tie-break"
+        );
+        s.observe(1_100, None);
+        assert_eq!(s.seen(), 2, "a skipped observation is still counted");
+        assert_eq!(s.kept(), 1);
         assert_eq!(s.exemplar_for(1_400).unwrap().trace, "slowest");
+    }
+
+    #[test]
+    fn a_gate_on_scratch_and_destination_exports_what_no_gate_exports() {
+        // Same discipline as the explain reservoir: a scratch drained
+        // into the destination after every observation gates nothing by
+        // itself; gating on both skips losers and exports the same bytes.
+        let obs: [(u64, &str); 6] = [
+            (1_100, "a"),
+            (1_400, "c"),
+            (1_200, "d"),
+            (1_400, "b"),
+            (30, "e"),
+            (20, "f"),
+        ];
+        let mut ungated = ExemplarStore::new();
+        let mut city = ExemplarStore::new();
+        let mut scratch = ExemplarStore::new();
+        let mut rendered = 0;
+        for (us, t) in obs {
+            ungated.observe(us, Some(t.to_string()));
+            assert!(scratch.would_admit(us), "a drained scratch gates nothing");
+            let admit = city.would_admit(us);
+            rendered += usize::from(admit);
+            scratch.observe(us, admit.then(|| t.to_string()));
+            city.absorb(&mut scratch);
+        }
+        assert_eq!(city.export().to_pretty(), ungated.export().to_pretty());
+        assert_eq!(city.seen(), obs.len() as u64);
+        assert!(rendered < obs.len(), "the destination gate skipped losers");
     }
 
     #[test]
@@ -168,14 +209,14 @@ mod tests {
         let obs: [(u64, &str); 4] = [(900, "a"), (1_400, "b"), (1_400, "c"), (30, "d")];
         let mut whole = ExemplarStore::new();
         for (us, t) in obs {
-            whole.observe(us, || t.to_string());
+            whole.observe(us, Some(t.to_string()));
         }
         for split_at in 0..obs.len() {
             let mut left = ExemplarStore::new();
             let mut right = ExemplarStore::new();
             for (i, (us, t)) in obs.iter().enumerate() {
                 let dst = if i < split_at { &mut left } else { &mut right };
-                dst.observe(*us, || t.to_string());
+                dst.observe(*us, Some(t.to_string()));
             }
             let mut merged = ExemplarStore::new();
             merged.absorb(&mut right);

@@ -54,6 +54,10 @@ impl ExplainStore {
     /// expensive) explain transcript for queries that would lose anyway —
     /// the common case is one modulo and one compare per query.
     ///
+    /// A record offered to a scratch store must clear the gate of the
+    /// store it will be [`absorb`](Self::absorb)ed into as well: a scratch
+    /// drained after every offer is always empty and admits everything.
+    ///
     /// Equal hashes answer `true`: the tie is broken on record bytes,
     /// which only exist after building.
     pub fn would_admit(&self, hash: u64) -> bool {
@@ -63,17 +67,16 @@ impl ExplainStore {
         }
     }
 
-    /// Counts an offered record and retains it if it wins its slot
-    /// (smallest hash; on equal hash, smallest record bytes — both
-    /// order-insensitive). `build` runs only when [`Self::would_admit`]
-    /// holds.
-    pub fn offer(&mut self, hash: u64, build: impl FnOnce() -> Json) {
+    /// Counts one offered record. `record` carries the caller's gate
+    /// decision: the built transcript, or `None` when [`Self::would_admit`]
+    /// already ruled it out and nothing was built — counted, not built.
+    /// A built record is retained if it wins its slot (smallest hash; on
+    /// equal hash, smallest record bytes — both order-insensitive).
+    pub fn offer(&mut self, hash: u64, record: Option<Json>) {
         self.seen += 1;
-        if !self.would_admit(hash) {
-            return;
+        if let Some(record) = record {
+            self.offer_rendered(hash, record.to_pretty());
         }
-        let text = build().to_pretty();
-        self.offer_rendered(hash, text);
     }
 
     fn offer_rendered(&mut self, hash: u64, text: String) {
@@ -154,9 +157,9 @@ mod tests {
     #[test]
     fn keeps_the_min_hash_record_per_slot() {
         let mut s = ExplainStore::with_slots(4);
-        s.offer(8, || record("first")); // slot 0
-        s.offer(4, || record("smaller")); // slot 0, wins
-        s.offer(12, || record("larger")); // slot 0, loses
+        s.offer(8, Some(record("first"))); // slot 0
+        s.offer(4, Some(record("smaller"))); // slot 0, wins
+        s.offer(12, Some(record("larger"))); // slot 0, loses
         assert_eq!(s.seen(), 3);
         assert_eq!(s.kept(), 1);
         let out = s.export();
@@ -170,12 +173,45 @@ mod tests {
     #[test]
     fn would_admit_gates_building() {
         let mut s = ExplainStore::with_slots(2);
-        s.offer(2, || record("keep"));
+        s.offer(2, Some(record("keep")));
         assert!(!s.would_admit(6), "bigger hash in an occupied slot loses");
         assert!(s.would_admit(2), "equal hash must build to tie-break");
         assert!(s.would_admit(1));
-        s.offer(6, || panic!("offer must not build a losing record"));
-        assert_eq!(s.seen(), 2);
+        s.offer(6, None);
+        assert_eq!(s.seen(), 2, "a skipped record is still counted");
+        assert_eq!(s.kept(), 1);
+    }
+
+    #[test]
+    fn a_gate_on_scratch_and_destination_exports_what_no_gate_exports() {
+        // The engine's discipline: offer into a scratch that is drained
+        // into the destination after every offer. Gating on the scratch
+        // alone is vacuous (it is always empty); gating on both must
+        // still export exactly what building every record exports.
+        let offers: [(u64, &str); 7] = [
+            (9, "a"),
+            (3, "b"),
+            (7, "c"),
+            (3, "a"),
+            (5, "d"),
+            (1, "e"),
+            (11, "f"),
+        ];
+        let mut ungated = ExplainStore::with_slots(2);
+        let mut city = ExplainStore::with_slots(2);
+        let mut scratch = ExplainStore::with_slots(2);
+        let mut built = 0;
+        for (h, t) in offers {
+            ungated.offer(h, Some(record(t)));
+            assert!(scratch.would_admit(h), "a drained scratch gates nothing");
+            let admit = city.would_admit(h);
+            built += usize::from(admit);
+            scratch.offer(h, admit.then(|| record(t)));
+            city.absorb(&mut scratch);
+        }
+        assert_eq!(city.export().to_pretty(), ungated.export().to_pretty());
+        assert_eq!(city.seen(), offers.len() as u64);
+        assert!(built < offers.len(), "the destination gate skipped losers");
     }
 
     #[test]
@@ -185,14 +221,14 @@ mod tests {
         // merge in either order. All three exports must agree.
         let mut whole = ExplainStore::with_slots(2);
         for (h, t) in offers {
-            whole.offer(h, || record(t));
+            whole.offer(h, Some(record(t)));
         }
         for split_at in 0..offers.len() {
             let mut left = ExplainStore::with_slots(2);
             let mut right = ExplainStore::with_slots(2);
             for (i, (h, t)) in offers.iter().enumerate() {
                 let dst = if i < split_at { &mut left } else { &mut right };
-                dst.offer(*h, || record(t));
+                dst.offer(*h, Some(record(t)));
             }
             let mut merged = ExplainStore::with_slots(2);
             merged.absorb(&mut right);
@@ -206,11 +242,11 @@ mod tests {
     #[test]
     fn equal_hashes_tie_break_on_bytes() {
         let mut a = ExplainStore::with_slots(1);
-        a.offer(5, || record("zz"));
-        a.offer(5, || record("aa"));
+        a.offer(5, Some(record("zz")));
+        a.offer(5, Some(record("aa")));
         let mut b = ExplainStore::with_slots(1);
-        b.offer(5, || record("aa"));
-        b.offer(5, || record("zz"));
+        b.offer(5, Some(record("aa")));
+        b.offer(5, Some(record("zz")));
         assert_eq!(a.export().to_pretty(), b.export().to_pretty());
     }
 }

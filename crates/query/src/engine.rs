@@ -28,6 +28,9 @@
 //! per-record scan cost, so a warm cache hit is strictly cheaper than the
 //! cold path that computed it.
 
+use std::fmt::{self, Write as _};
+use std::ops::Range;
+
 use citysim::time::Duration;
 use f2c_core::cost::AccessOption;
 use f2c_core::node::IngestOutcome;
@@ -819,16 +822,15 @@ impl ServeCore {
         if let Ok(Outcome::Answered(resp)) = &result {
             // Trace exemplar: the span tree of the slowest answered query
             // per latency bucket. Rendering walks the ring log, so it is
-            // gated on admission — most serves pay only a bucket compare.
+            // gated on admission — most serves pay two bucket compares.
+            // The scratch alone cannot gate: an owner that drains it
+            // after every serve leaves it empty, so the city's retained
+            // slot (fixed between barriers) is consulted too.
             let latency_us = resp.est_latency.as_micros();
-            let rendered = if self.obs.exemplars_mut().would_admit(latency_us) {
-                Some(self.obs.tracer_mut().spans_since(&mark))
-            } else {
-                None
-            };
-            self.obs
-                .exemplars_mut()
-                .observe(latency_us, || rendered.unwrap_or_default());
+            let admit = self.obs.exemplars_mut().would_admit(latency_us)
+                && city.exemplars().would_admit(latency_us);
+            let trace = admit.then(|| self.obs.tracer_mut().spans_since(&mark));
+            self.obs.exemplars_mut().observe(latency_us, trace);
         }
         result
     }
@@ -837,10 +839,21 @@ impl ServeCore {
     /// decision, for explain-reservoir sampling. Hashing the full query
     /// content plus the serve time means two shards offering the same
     /// decision produce the same key — absorption stays order-free.
+    /// The `Debug` rendering streams straight into the hash: FNV-1a folds
+    /// byte by byte, so no intermediate `String` is needed.
     fn explain_hash(query: &Query, now_s: u64) -> u64 {
-        let mut h = crate::workload::FNV_OFFSET;
-        crate::workload::fnv1a(&mut h, format!("{query:?}@{now_s}").as_bytes());
-        h
+        struct Fnv(u64);
+        impl fmt::Write for Fnv {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                crate::workload::fnv1a(&mut self.0, s.as_bytes());
+                Ok(())
+            }
+        }
+        let mut h = Fnv(crate::workload::FNV_OFFSET);
+        // `Fnv::write_str` never fails, and neither do the derived
+        // `Debug` impls it is handed.
+        let _ = write!(h, "{query:?}@{now_s}");
+        h.0
     }
 
     fn serve_inner(
@@ -889,25 +902,26 @@ impl ServeCore {
 
         // 2. Route: one complete source, or a fan-out over the member
         // fog nodes — whichever the cost model prices cheaper. Queries
-        // whose hash wins a reservoir slot plan through the explaining
+        // whose hash can win a reservoir slot plan through the explaining
         // path and deposit their decision transcript; everything else
         // takes the plain planner (identical decisions, no transcript).
+        // "Can win" means against the scratch *and* the city's retained
+        // set: the record ends up in the city's store, and a scratch that
+        // its owner drains after every serve is empty and admits all.
         let qhash = Self::explain_hash(query, now_s);
-        let planned = if self.obs.explains_mut().would_admit(qhash) {
+        let explain =
+            self.obs.explains_mut().would_admit(qhash) && city.explains().would_admit(qhash);
+        let planned = if explain {
             planner::plan_explained(city, query).map(|(route, doc)| (route, Some(doc)))
         } else {
             planner::plan(city, query).map(|route| (route, None))
         };
         let route = match planned {
             Ok((route, doc)) => {
-                // `seen` counts every *planned* query in both paths, so
-                // the tally is independent of which path the shard-local
-                // reservoir state happened to pick. The build closure
-                // only runs when the hash is admitted — exactly the
-                // queries that planned through the explaining path.
-                self.obs.explains_mut().offer(qhash, move || {
-                    doc.expect("admitted explains carry their transcript")
-                });
+                // `seen` counts every *planned* query whether or not its
+                // transcript was built, so the tally is independent of
+                // what the reservoirs happened to hold.
+                self.obs.explains_mut().offer(qhash, doc);
                 route
             }
             Err(e @ Error::Unanswerable { .. }) => {
@@ -1645,24 +1659,24 @@ fn execute_range(store: &TieredStore, query: &Query) -> (QueryAnswer, u64) {
 }
 
 /// The sections of `query`'s scope whose records `node` can hold — the
-/// decomposition the sketch plane keys its ledgers by.
-fn scope_sections(city: &F2cCity, query: &Query, node: NodeKey) -> Vec<u16> {
+/// decomposition the sketch plane keys its ledgers by. Always one run of
+/// consecutive section indices, because a district's sections are
+/// contiguous in the city's numbering.
+fn scope_sections(city: &F2cCity, query: &Query, node: NodeKey) -> Range<u16> {
+    let district = |d: usize| {
+        let members = city.sections_in_district(d);
+        debug_assert!(members.windows(2).all(|w| w[1] == w[0] + 1));
+        let first = members.first().map_or(0, |&s| s as u16);
+        first..first + members.len() as u16
+    };
     match query.scope {
-        Scope::Section(s) => vec![s as u16],
-        Scope::District(d) => city
-            .sections_in_district(d)
-            .into_iter()
-            .map(|s| s as u16)
-            .collect(),
+        Scope::Section(s) => s as u16..s as u16 + 1,
+        Scope::District(d) => district(d),
         Scope::City => match node {
             // Only the cloud is ever a single source for a city window.
-            NodeKey::Cloud => (0..city.section_count() as u16).collect(),
-            NodeKey::Fog1(s) => vec![s],
-            NodeKey::Fog2(d) => city
-                .sections_in_district(d as usize)
-                .into_iter()
-                .map(|s| s as u16)
-                .collect(),
+            NodeKey::Cloud => 0..city.section_count() as u16,
+            NodeKey::Fog1(s) => s..s + 1,
+            NodeKey::Fog2(d) => district(d as usize),
         },
     }
 }
@@ -1673,7 +1687,7 @@ fn scope_sections(city: &F2cCity, query: &Query, node: NodeKey) -> Vec<u16> {
 /// the archive.
 struct PrefoldCtx<'a> {
     ledger: &'a SketchLedger,
-    sections: Vec<u16>,
+    sections: Range<u16>,
     /// Buckets ending past this cannot prefold. Fog-1 ledgers lag their
     /// pending queue (folds happen at flush), so there it is the pending
     /// frontier; fog-2/cloud ledgers fold at receive time and never lag
@@ -1723,13 +1737,13 @@ impl<'a> PrefoldCtx<'a> {
         }
         if !self
             .sections
-            .iter()
-            .all(|&s| self.ledger.covers(s, bucket_start_s, bucket_end_s))
+            .clone()
+            .all(|s| self.ledger.covers(s, bucket_start_s, bucket_end_s))
         {
             return None;
         }
         let mut part = AggPartial::empty();
-        for &section in &self.sections {
+        for section in self.sections.clone() {
             merge_selected(
                 self.ledger,
                 section,
@@ -2587,5 +2601,46 @@ mod tests {
         let q = aggregate_query(5, Scope::District(district), 0, 3_000);
         answered(e.serve_sync(&q, 4_100).unwrap());
         assert!(e.city().network_bytes() > before);
+    }
+
+    #[test]
+    fn explain_hash_streams_the_bytes_the_formatted_string_had() {
+        // The reservoir keys on these values: streaming the `Debug`
+        // rendering into FNV-1a must equal hashing the built string.
+        let formatted = |q: &Query, now_s: u64| {
+            let mut h = crate::workload::FNV_OFFSET;
+            crate::workload::fnv1a(&mut h, format!("{q:?}@{now_s}").as_bytes());
+            h
+        };
+        let mut queries = vec![
+            aggregate_query(5, Scope::Section(5), 0, 3_600),
+            aggregate_query(72, Scope::District(9), 900, 86_400),
+            city_query(0),
+        ];
+        queries.push(Query {
+            class: ServiceClass::RealTime,
+            selector: Selector::Type(SensorType::Traffic),
+            kind: QueryKind::Point,
+            ..queries[0]
+        });
+        queries.push(Query {
+            class: ServiceClass::Analytics,
+            kind: QueryKind::Range,
+            window: TimeWindow::new(u64::MAX - 1, u64::MAX),
+            ..queries[1]
+        });
+        let mut seen = std::collections::BTreeSet::new();
+        for q in &queries {
+            for now_s in [0, 4_000, u64::MAX] {
+                let h = ServeCore::explain_hash(q, now_s);
+                assert_eq!(h, formatted(q, now_s), "{q:?}@{now_s}");
+                seen.insert(h);
+            }
+        }
+        assert_eq!(
+            seen.len(),
+            queries.len() * 3,
+            "distinct decisions, distinct keys"
+        );
     }
 }

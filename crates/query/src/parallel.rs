@@ -328,7 +328,7 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
             let mut core = ServeCore::new(cfg, section_count);
             core.last_flush_s = config.start_s;
             Shard {
-                sections: city.sections_in_district(d),
+                sections: city.sections_in_district(d).to_vec(),
                 core,
                 // Each shard owns an independent stream derived from the
                 // master seed and its district index.
@@ -672,5 +672,98 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn gated_reservoirs_equal_brute_force_under_the_barrier_discipline() {
+        // The sharded discipline without the threads: three cores serve
+        // a seeded stream against the shared city and are absorbed in
+        // order only at barriers, so a request meets *both* gates — its
+        // core's undrained scratch and the city's retained set. The
+        // oracle explains every planned query and reduces by hand:
+        // keep-min `(hash, bytes)` per slot, keep-max latency per bucket.
+        use crate::model::Query;
+        use crate::planner::plan_explained;
+        use f2c_obs::{ExplainStore, Json};
+        use std::collections::BTreeMap;
+
+        let mut city = F2cCity::barcelona().unwrap();
+        populate_city(&mut city, 50_000, 11, 3_600, 900).unwrap();
+        let mut cores: Vec<ServeCore> = (0..3)
+            .map(|_| {
+                let mut core = ServeCore::new(EngineConfig::default(), city.section_count());
+                core.last_flush_s = 3_600;
+                core
+            })
+            .collect();
+        let decision_hash = |query: &Query, now_s: u64| {
+            let mut h = FNV_OFFSET;
+            fnv1a(&mut h, format!("{query:?}@{now_s}").as_bytes());
+            h
+        };
+        let mix = crate::workload::Mix::default();
+        let mut rng = SmallRng::seed_from_u64(2017);
+        let mut explains: BTreeMap<u64, (u64, String)> = BTreeMap::new();
+        let mut slowest: BTreeMap<usize, u64> = BTreeMap::new();
+        let (mut planned, mut answered) = (0u64, 0u64);
+        for i in 0..1_500u64 {
+            let now_s = 3_600 + i / 10;
+            let class = mix.sample(&mut rng);
+            let origin = rng.gen_range(0..73usize);
+            let query = gen_query_at(class, now_s, origin, 3_600, &city, &mut rng);
+            let transcript = plan_explained(&city, &query)
+                .ok()
+                .map(|(_, doc)| doc.to_pretty());
+            let core = &mut cores[(i % 3) as usize];
+            let was_planned = match core.serve(&city, &query, now_s) {
+                Ok(Outcome::Answered(resp)) => {
+                    core.ledger.release(resp.held.class(), resp.held.slots());
+                    answered += 1;
+                    let latency_us = resp.est_latency.as_micros();
+                    let kept = slowest
+                        .entry(citysim::metrics::bucket_index(latency_us))
+                        .or_default();
+                    *kept = (*kept).max(latency_us);
+                    resp.via != ServedVia::EdgeCache
+                }
+                Ok(Outcome::Shed { .. }) => true,
+                Err(Error::Unanswerable { .. }) => false,
+                Err(e) => panic!("{e}"),
+            };
+            if was_planned {
+                planned += 1;
+                let hash = decision_hash(&query, now_s);
+                let offered = (hash, transcript.expect("planned queries explain"));
+                let slot = hash % ExplainStore::DEFAULT_SLOTS as u64;
+                if explains.get(&slot).is_none_or(|kept| offered < *kept) {
+                    explains.insert(slot, offered);
+                }
+            }
+            // Three long phases: scratches fill up between barriers, so
+            // the scratch-side gate decides as often as the city's.
+            if i % 500 == 499 {
+                for core in &mut cores {
+                    city.absorb_scratch(&mut core.obs);
+                }
+            }
+        }
+        assert!(planned > 500 && slowest.len() >= 3, "{planned} planned");
+
+        let mut want = Json::obj();
+        want.set("seen", Json::Num(planned as f64));
+        want.set("kept", Json::Num(explains.len() as f64));
+        let records = explains
+            .values()
+            .map(|(_, text)| Json::parse(text).unwrap())
+            .collect();
+        want.set("records", Json::Arr(records));
+        assert_eq!(city.explains().export().to_pretty(), want.to_pretty());
+
+        assert_eq!(city.exemplars().seen(), answered);
+        assert_eq!(city.exemplars().kept(), slowest.len());
+        for (bucket, latency_us) in slowest {
+            let kept = city.exemplars().exemplar_for(latency_us).unwrap();
+            assert_eq!(kept.latency_us, latency_us, "bucket {bucket}");
+        }
     }
 }

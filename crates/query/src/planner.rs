@@ -403,8 +403,8 @@ fn district_legs(
     }
     let member_legs = |via_sketch: bool| {
         city.sections_in_district(d)
-            .into_iter()
-            .map(|s| ScatterLeg {
+            .iter()
+            .map(|&s| ScatterLeg {
                 node: FanoutLeg::Fog1(s),
                 scope: Scope::Section(s),
                 path: FanoutPath::MemberFog1 { hops },

@@ -217,8 +217,8 @@ proptest! {
             assert_ledger_matches(city.fog2(d), &truth)?;
             let members: Vec<u16> = city
                 .sections_in_district(d)
-                .into_iter()
-                .map(|s| s as u16)
+                .iter()
+                .map(|&s| s as u16)
                 .collect();
             assert_ledger_complete(city.fog2(d), &truth, &members)?;
         }

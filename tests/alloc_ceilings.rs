@@ -1,0 +1,190 @@
+//! Allocation ceilings on the three serving shapes the benchmark leans on:
+//! a warm edge-cache hit, a local point read, and a 22-leg scatter.
+//!
+//! This binary installs its own counting `#[global_allocator]`, so the
+//! counts are exact and repeat on any machine — a regression guard that
+//! needs no clock. The city's diagnosis reservoirs are first filled with
+//! records no request can beat (the steady state of any long run), so a
+//! serve pays its own work only. Each ceiling is roughly twice what the
+//! engine needs today; the two bugs it was written after (a Dijkstra
+//! search per send, and an EXPLAIN transcript plus a rendered span tree
+//! per request whatever the reservoirs held) each blew through it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use f2c_smartcity::citysim::metrics::{bucket_index, bucket_upper_micros, NUM_BUCKETS};
+use f2c_smartcity::core::runtime::populate_city;
+use f2c_smartcity::core::{DataSource, F2cCity, Parallelism};
+use f2c_smartcity::obs::{ExplainStore, Json};
+use f2c_smartcity::query::{
+    EngineConfig, Outcome, Query, QueryEngine, QueryKind, Scope, Selector, ServedVia, ServiceClass,
+    TimeWindow,
+};
+use f2c_smartcity::sensors::{Category, ReadingGenerator, SensorType};
+
+thread_local! {
+    /// Allocations made by this thread (the test harness runs other
+    /// threads; they must not leak into a measurement).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn count() {
+    // `try_with`: allocations during thread teardown find the slot gone.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
+// integer and touches no memory the allocator hands out.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's `layout` obligations pass through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const REPEATS: u64 = 64;
+
+// Measured when the ceilings were set: 3, 4 and 55 (the commit before
+// measured 7, 138 and 788 on this same test).
+const EDGE_HIT_CEILING: u64 = 6;
+const LOCAL_POINT_CEILING: u64 = 8;
+const SCATTER_CEILING: u64 = 110;
+
+/// Fills every slot of the city's EXPLAIN reservoir with the smallest
+/// hash that maps to it, and every exemplar bucket with the largest
+/// latency it can hold: no later request can win a slot, so none has a
+/// reason to build a transcript or render its span tree.
+fn saturate_reservoirs(city: &mut F2cCity) {
+    for slot in 0..ExplainStore::DEFAULT_SLOTS as u64 {
+        city.explains_mut().offer(slot, Some(Json::Null));
+    }
+    for bucket in 0..NUM_BUCKETS {
+        let slowest = bucket_upper_micros(bucket).saturating_sub(1);
+        if bucket_index(slowest) == bucket {
+            city.exemplars_mut().observe(slowest, Some(String::new()));
+        }
+    }
+}
+
+/// Heap allocations per `serve_sync` call, averaged over [`REPEATS`]
+/// calls after a warm-up that lets every buffer, ring and map reach its
+/// steady size. `query(i)` is the `i`-th request; `check` sees every
+/// outcome.
+fn allocs_per_serve(
+    engine: &mut QueryEngine,
+    now_s: u64,
+    query: impl Fn(u64) -> Query,
+    check: impl Fn(&ServedVia),
+) -> u64 {
+    let serve =
+        |engine: &mut QueryEngine, i: u64| match engine.serve_sync(&query(i), now_s).unwrap() {
+            Outcome::Answered(resp) => check(&resp.via),
+            shed @ Outcome::Shed { .. } => panic!("fault-free serve was shed: {shed:?}"),
+        };
+    for i in 0..REPEATS {
+        serve(engine, i);
+    }
+    let before = ALLOCS.with(Cell::get);
+    for i in REPEATS..2 * REPEATS {
+        serve(engine, i);
+    }
+    (ALLOCS.with(Cell::get) - before).div_ceil(REPEATS)
+}
+
+#[test]
+fn serving_stays_under_its_allocation_ceilings() {
+    const WARM_S: u64 = 3_600;
+    let mut city = F2cCity::barcelona().unwrap();
+    city.set_parallelism(Parallelism::SEQUENTIAL);
+    populate_city(&mut city, 2_000, 2017, WARM_S, 900).unwrap();
+    // One unflushed wave in Nou Barris (district 7, 13 sections): its
+    // fog-2 can no longer prove the open window, so a city-wide read
+    // fans out to the 13 members there and to the 9 other fog-2 nodes.
+    let straggler = city.sections_in_district(7)[0];
+    let mut gen = ReadingGenerator::for_population(SensorType::Traffic, 5, 7);
+    city.ingest(straggler, gen.wave(WARM_S + 10), WARM_S + 11)
+        .unwrap();
+    saturate_reservoirs(&mut city);
+    let mut engine = QueryEngine::new(city, EngineConfig::default());
+    let now_s = WARM_S + 60;
+    let origin = 5;
+
+    // 1. Edge-cache hit: a closed district panel, served once to fill the
+    // caches; every later serve is answered at the requester's fog-1.
+    let panel = Query {
+        origin,
+        class: ServiceClass::Dashboard,
+        selector: Selector::Category(Category::Urban),
+        scope: Scope::District(engine.city().district_of(origin)),
+        window: TimeWindow::new(0, WARM_S),
+        kind: QueryKind::Aggregate,
+    };
+    engine.serve_sync(&panel, now_s).unwrap();
+    let edge_hit = allocs_per_serve(
+        &mut engine,
+        now_s,
+        |_| panel,
+        |via| assert_eq!(*via, ServedVia::EdgeCache),
+    );
+
+    // 2. Local point read: an open window is never cached, so every
+    // serve plans, admits and scans the requester's own fog-1 store.
+    let point = |i: u64| Query {
+        origin,
+        class: ServiceClass::RealTime,
+        selector: Selector::Type(SensorType::Traffic),
+        scope: Scope::Section(origin),
+        window: TimeWindow::new(now_s - 1_800 - i, now_s + 1),
+        kind: QueryKind::Point,
+    };
+    let local_point = allocs_per_serve(&mut engine, now_s, point, |via| {
+        assert_eq!(*via, ServedVia::Store(DataSource::Local));
+    });
+
+    // 3. The 22-leg scatter: city-wide, open window, planned and executed
+    // on every serve (22 legs, 44 leg sends, the gather hop and back).
+    let city_wide = |i: u64| Query {
+        origin,
+        class: ServiceClass::CityWide,
+        selector: Selector::Category(Category::Urban),
+        scope: Scope::City,
+        window: TimeWindow::new(i, now_s + 1),
+        kind: QueryKind::Aggregate,
+    };
+    let scatter = allocs_per_serve(&mut engine, now_s, city_wide, |via| {
+        assert_eq!(*via, ServedVia::Scatter { legs: 22 });
+    });
+
+    println!("allocations per serve: edge hit {edge_hit}, local point {local_point}, 22-leg scatter {scatter}");
+    assert!(edge_hit <= EDGE_HIT_CEILING, "edge-cache hit: {edge_hit}");
+    assert!(
+        local_point <= LOCAL_POINT_CEILING,
+        "local point read: {local_point}"
+    );
+    assert!(scatter <= SCATTER_CEILING, "22-leg scatter: {scatter}");
+}

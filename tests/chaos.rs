@@ -208,7 +208,7 @@ fn district_crash_blocks_children_and_recovery_converges() {
     // (their uplink dead-ends at the crashed parent), then catch up.
     let sections = {
         let city = F2cCity::barcelona().unwrap();
-        city.sections_in_district(2)
+        city.sections_in_district(2).to_vec()
     };
     let waves: Vec<(usize, u64)> = sections
         .iter()
