@@ -10,6 +10,12 @@
 //! (depth + 1), and a close must name the *innermost* open span; anything
 //! else is counted as malformed rather than silently reshuffled, so the
 //! well-formedness property is checkable (and property-tested).
+//!
+//! Cost model: `open`, `close` and [`Tracer::mark`] are O(1) in the number
+//! of sites (one log lookup, no allocation once the ring is full);
+//! [`Tracer::absorb`] and [`Tracer::spans_since`] visit only the sites
+//! touched since the source tracer was last drained — a request pays for
+//! the sites it traced, not for every site that ever traced.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -90,12 +96,16 @@ struct OpenSpan {
 #[derive(Debug, Clone)]
 pub struct TraceLog {
     capacity: usize,
-    done: VecDeque<Span>,
+    /// Completed spans, each beside the tracer-wide completion ordinal it
+    /// was stamped with — increasing along the ring (see [`Tracer::mark`]).
+    done: VecDeque<(u64, Span)>,
     open: Vec<OpenSpan>,
     next_seq: u64,
     dropped: u64,
     dropped_by_phase: BTreeMap<&'static str, u64>,
     malformed: u64,
+    /// Whether the owning tracer's dirty list already names this log.
+    listed: bool,
 }
 
 impl TraceLog {
@@ -110,12 +120,15 @@ impl TraceLog {
             dropped: 0,
             dropped_by_phase: BTreeMap::new(),
             malformed: 0,
+            listed: false,
         }
     }
 
     fn evict_for_room(&mut self) {
-        if self.done.len() == self.capacity {
-            let evicted = self.done.pop_front().expect("capacity >= 1");
+        if self.done.len() < self.capacity {
+            return;
+        }
+        if let Some((_, evicted)) = self.done.pop_front() {
             self.dropped += 1;
             *self.dropped_by_phase.entry(evicted.name).or_default() += 1;
         }
@@ -133,21 +146,20 @@ impl TraceLog {
         seq
     }
 
-    fn close(&mut self, seq: u64, at_us: u64, attr: u64) -> bool {
-        match self.open.last() {
-            Some(top) if top.seq == seq => {
-                let top = self.open.pop().expect("just matched");
-                self.evict_for_room();
-                self.done.push_back(Span {
+    fn close(&mut self, seq: u64, at_us: u64, attr: u64, ord: u64) -> bool {
+        match self.open.pop_if(|top| top.seq == seq) {
+            Some(top) => {
+                let span = Span {
                     name: top.name,
                     start_us: top.start_us,
                     end_us: at_us.max(top.start_us),
                     depth: top.depth,
                     attr,
-                });
+                };
+                self.push_completed(ord, span);
                 true
             }
-            _ => {
+            None => {
                 // Closing anything but the innermost open span (or a span
                 // never opened here) is a structural bug in the caller;
                 // count it, drop the entry if present, record nothing.
@@ -162,14 +174,14 @@ impl TraceLog {
     /// is the merge path: a shard's scratch log drains into the global
     /// one span by span, so eviction and drop accounting behave exactly
     /// as if the span had been closed here.
-    fn push_completed(&mut self, span: Span) {
+    fn push_completed(&mut self, ord: u64, span: Span) {
         self.evict_for_room();
-        self.done.push_back(span);
+        self.done.push_back((ord, span));
     }
 
     /// Completed spans, oldest first.
     pub fn completed(&self) -> impl Iterator<Item = &Span> {
-        self.done.iter()
+        self.done.iter().map(|(_, span)| span)
     }
 
     /// Number of spans currently open (0 in a well-formed quiescent log).
@@ -195,14 +207,9 @@ impl TraceLog {
     }
 }
 
-/// A snapshot of every site's log position at one instant; see
-/// [`Tracer::mark`].
-#[derive(Debug, Clone)]
-pub struct TracerMark {
-    /// Per site: (completed-span count, cumulative drop count) at mark
-    /// time.
-    per_site: BTreeMap<Site, (usize, u64)>,
-}
+/// A position in one tracer's completion order; see [`Tracer::mark`].
+#[derive(Debug, Clone, Copy)]
+pub struct TracerMark(u64);
 
 /// The per-run tracer: one [`TraceLog`] per [`Site`], key-ordered so the
 /// encoded transcript is byte-stable across replicas.
@@ -210,6 +217,19 @@ pub struct TracerMark {
 pub struct Tracer {
     capacity: usize,
     logs: BTreeMap<Site, TraceLog>,
+    /// The ordinal the next completed span is stamped with.
+    next_ord: u64,
+    /// The sites touched since this tracer was last drained by
+    /// [`Tracer::absorb`], each named once (`TraceLog::listed`).
+    dirty: Vec<Site>,
+}
+
+/// Enters `site` in `dirty` unless its `log` is already listed there.
+fn list(log: &mut TraceLog, dirty: &mut Vec<Site>, site: Site) {
+    if !log.listed {
+        log.listed = true;
+        dirty.push(site);
+    }
 }
 
 impl Default for Tracer {
@@ -234,18 +254,23 @@ impl Tracer {
         Self {
             capacity,
             logs: BTreeMap::new(),
+            next_ord: 0,
+            dirty: Vec::new(),
         }
+    }
+
+    /// The log of `site`, created on first use and listed as dirty.
+    fn touch(&mut self, site: Site) -> &mut TraceLog {
+        let cap = self.capacity;
+        let log = self.logs.entry(site).or_insert_with(|| TraceLog::new(cap));
+        list(log, &mut self.dirty, site);
+        log
     }
 
     /// Opens a span at `site` at simulated instant `at_us`; it nests under
     /// any span already open there.
     pub fn open(&mut self, site: Site, name: &'static str, at_us: u64) -> SpanToken {
-        let cap = self.capacity;
-        let seq = self
-            .logs
-            .entry(site)
-            .or_insert_with(|| TraceLog::new(cap))
-            .open(name, at_us);
+        let seq = self.touch(site).open(name, at_us);
         SpanToken { site, seq }
     }
 
@@ -258,7 +283,12 @@ impl Tracer {
     /// Closes a span recording one free attribute.
     pub fn close_with(&mut self, token: SpanToken, at_us: u64, attr: u64) -> bool {
         match self.logs.get_mut(&token.site) {
-            Some(log) => log.close(token.seq, at_us, attr),
+            Some(log) => {
+                list(log, &mut self.dirty, token.site);
+                let ord = self.next_ord;
+                self.next_ord += 1;
+                log.close(token.seq, at_us, attr, ord)
+            }
             None => false,
         }
     }
@@ -284,26 +314,32 @@ impl Tracer {
     }
 
     /// Moves every completed span (and ring/malformed accounting) of
-    /// `other` into `self`, per site in key order, preserving each
-    /// site's span order. Open spans stay behind in `other` — a scratch
-    /// tracer is only absorbed at quiescent points, where a well-formed
-    /// caller has closed everything it opened. Called per shard in
-    /// canonical shard order at barriers, the merged transcript is a
-    /// pure function of the shard schedule, never of thread timing.
+    /// `other` into `self`, preserving each site's span order. Only the
+    /// sites `other` touched since it was last drained are visited (in
+    /// any order: a site's log depends on no other's), so draining a
+    /// scratch after one request costs what that request traced. Open
+    /// spans stay behind in `other` — a scratch tracer is only absorbed
+    /// at quiescent points, where a well-formed caller has closed
+    /// everything it opened. Called per shard in canonical shard order at
+    /// barriers, the merged transcript is a pure function of the shard
+    /// schedule, never of thread timing.
     pub fn absorb(&mut self, other: &mut Tracer) {
-        let cap = self.capacity;
-        for (site, log) in &mut other.logs {
-            let dst = self.logs.entry(*site).or_insert_with(|| TraceLog::new(cap));
-            while let Some(span) = log.done.pop_front() {
-                dst.push_completed(span);
+        for site in other.dirty.drain(..) {
+            let Some(log) = other.logs.get_mut(&site) else {
+                continue;
+            };
+            log.listed = false;
+            let first_ord = self.next_ord;
+            self.next_ord += log.done.len() as u64;
+            let dst = self.touch(site);
+            for (ord, (_, span)) in (first_ord..).zip(log.done.drain(..)) {
+                dst.push_completed(ord, span);
             }
-            dst.dropped += log.dropped;
-            log.dropped = 0;
+            dst.dropped += std::mem::take(&mut log.dropped);
             for (phase, n) in std::mem::take(&mut log.dropped_by_phase) {
                 *dst.dropped_by_phase.entry(phase).or_default() += n;
             }
-            dst.malformed += log.malformed;
-            log.malformed = 0;
+            dst.malformed += std::mem::take(&mut log.malformed);
         }
     }
 
@@ -318,29 +354,32 @@ impl Tracer {
         out
     }
 
-    /// A position marker into every site's log at one instant, for
-    /// carving out the spans one operation appended ([`Tracer::spans_since`]).
+    /// The current position in this tracer's completion order, for
+    /// carving out the spans one operation appended
+    /// ([`Tracer::spans_since`]). O(1): every completed span is stamped
+    /// with a tracer-wide ordinal and the mark is the next one to be
+    /// handed out. A mark is valid until its tracer is next drained by
+    /// [`Tracer::absorb`] (as the source); the serving path marks, serves
+    /// and renders inside one call.
     pub fn mark(&self) -> TracerMark {
-        TracerMark {
-            per_site: self
-                .logs
-                .iter()
-                .map(|(site, log)| (*site, (log.done.len(), log.dropped)))
-                .collect(),
-        }
+        TracerMark(self.next_ord)
     }
 
     /// Renders every span completed since `mark`, site-ordered, oldest
-    /// first per site — ring eviction between mark and now is accounted
-    /// for, so the suffix is exact. This is how a query's own span tree
-    /// is carved out of the shared log for an exemplar slot.
+    /// first per site. Ordinals increase along each ring, so the suffix
+    /// is exact whatever the ring evicted in between, and only the sites
+    /// touched since the last drain can hold one. This is how a query's
+    /// own span tree is carved out of the shared log for an exemplar slot.
     pub fn spans_since(&self, mark: &TracerMark) -> String {
+        let mut sites = self.dirty.clone();
+        sites.sort_unstable();
         let mut out = String::new();
-        for (site, log) in &self.logs {
-            let (mark_len, mark_dropped) = mark.per_site.get(site).copied().unwrap_or((0, 0));
-            let evicted_since = (log.dropped - mark_dropped) as usize;
-            let start = mark_len.saturating_sub(evicted_since);
-            for span in log.completed().skip(start) {
+        for site in sites {
+            let Some(log) = self.logs.get(&site) else {
+                continue;
+            };
+            let start = log.done.partition_point(|&(ord, _)| ord < mark.0);
+            for (_, span) in log.done.range(start..) {
                 let _ = writeln!(
                     out,
                     "{site} {} {}..{} d={} a={}",
@@ -581,5 +620,362 @@ mod tests {
         let h = &phases["flush-hop"];
         assert_eq!(h.count(), 2);
         assert_eq!(h.mean(), Duration::from_micros(200));
+    }
+
+    #[test]
+    fn absorbing_the_same_scratch_twice_moves_nothing_the_second_time() {
+        let mut scratch = Tracer::with_capacity(2);
+        for i in 0..3u64 {
+            let s = scratch.open(S, "shard-work", i);
+            scratch.close(s, i + 1);
+        }
+        let stale = scratch.open(S, "never-closed", 9);
+        scratch.close(stale, 10);
+        scratch.close(stale, 11);
+        let mut city = Tracer::new();
+        city.absorb(&mut scratch);
+        let once = city.encode();
+        city.absorb(&mut scratch);
+        assert_eq!(city.encode(), once);
+        assert_eq!(scratch.span_count(), 0);
+        assert_eq!(scratch.malformed(), 0);
+    }
+
+    #[test]
+    fn a_destination_clean_before_an_absorb_is_absorbed_onward() {
+        let idle = Site::new("fog2", 1);
+        let mut scratch = Tracer::new();
+        let mut shard = Tracer::new();
+        let mut city = Tracer::new();
+        // Round one creates the shard's and the city's logs; round two
+        // finds them clean and must still carry the span all the way up.
+        for round in 0..2u64 {
+            let s = scratch.open(S, "query", round * 10);
+            scratch.close_with(s, round * 10 + 5, round);
+            if round == 0 {
+                // A site that only ever opens still gets its header line.
+                let _ = scratch.open(idle, "stuck", 0);
+            }
+            shard.absorb(&mut scratch);
+            assert_eq!(city.span_count(), round as usize);
+            city.absorb(&mut shard);
+            assert_eq!(shard.span_count(), 0);
+        }
+        assert_eq!(
+            String::from_utf8(city.encode()).unwrap(),
+            "@fog1/0 kept=2 dropped=0 open=0 malformed=0\n\
+             query 0..5 a=0\n\
+             query 10..15 a=1\n\
+             @fog2/1 kept=0 dropped=0 open=0 malformed=0\n"
+        );
+    }
+
+    #[test]
+    fn a_mark_on_a_destination_is_exact_across_an_absorb_that_carries_drops() {
+        // The snapshot mark subtracted the *source's* evictions from the
+        // destination's position and rendered spans older than the mark;
+        // ordinals do not care whose ring dropped what.
+        let mut scratch = Tracer::with_capacity(1);
+        for i in 0..3u64 {
+            let s = scratch.open(S, "shard-work", i);
+            scratch.close(s, i + 1);
+        }
+        let mut city = Tracer::new();
+        let before = city.open(S, "before", 0);
+        city.close(before, 1);
+        let mark = city.mark();
+        city.absorb(&mut scratch);
+        assert_eq!(city.spans_since(&mark), "fog1/0 shard-work 2..3 d=0 a=0\n");
+        let mark = city.mark();
+        let after = city.open(S, "after", 5);
+        city.close(after, 6);
+        assert_eq!(city.spans_since(&mark), "fog1/0 after 5..6 d=0 a=0\n");
+    }
+
+    /// The tracer as it was before completion ordinals and the dirty
+    /// list, kept as the reference model: `mark` snapshots every log,
+    /// `absorb` walks every log, `spans_since` recovers each suffix from
+    /// `(len, dropped)` arithmetic. Tokens are shared with the real
+    /// tracer — both number a site's opens from 0.
+    mod model {
+        use super::*;
+
+        #[derive(Default)]
+        struct Log {
+            done: VecDeque<Span>,
+            open: Vec<OpenSpan>,
+            next_seq: u64,
+            dropped: u64,
+            dropped_by_phase: BTreeMap<&'static str, u64>,
+            malformed: u64,
+        }
+
+        pub struct Mark {
+            per_site: BTreeMap<Site, (usize, u64)>,
+        }
+
+        pub struct Tracer {
+            capacity: usize,
+            logs: BTreeMap<Site, Log>,
+        }
+
+        impl Log {
+            fn push_completed(&mut self, capacity: usize, span: Span) {
+                if self.done.len() == capacity {
+                    let evicted = self.done.pop_front().unwrap();
+                    self.dropped += 1;
+                    *self.dropped_by_phase.entry(evicted.name).or_default() += 1;
+                }
+                self.done.push_back(span);
+            }
+        }
+
+        impl Tracer {
+            pub fn with_capacity(capacity: usize) -> Self {
+                Self {
+                    capacity,
+                    logs: BTreeMap::new(),
+                }
+            }
+
+            pub fn open(&mut self, site: Site, name: &'static str, at_us: u64) {
+                let log = self.logs.entry(site).or_default();
+                log.open.push(OpenSpan {
+                    seq: log.next_seq,
+                    name,
+                    start_us: at_us,
+                    depth: log.open.len() as u16,
+                });
+                log.next_seq += 1;
+            }
+
+            pub fn close_with(&mut self, token: SpanToken, at_us: u64, attr: u64) -> bool {
+                let Some(log) = self.logs.get_mut(&token.site) else {
+                    return false;
+                };
+                match log.open.last() {
+                    Some(top) if top.seq == token.seq => {
+                        let top = log.open.pop().unwrap();
+                        let span = Span {
+                            name: top.name,
+                            start_us: top.start_us,
+                            end_us: at_us.max(top.start_us),
+                            depth: top.depth,
+                            attr,
+                        };
+                        log.push_completed(self.capacity, span);
+                        true
+                    }
+                    _ => {
+                        log.open.retain(|o| o.seq != token.seq);
+                        log.malformed += 1;
+                        false
+                    }
+                }
+            }
+
+            pub fn absorb(&mut self, other: &mut Tracer) {
+                for (site, log) in &mut other.logs {
+                    let dst = self.logs.entry(*site).or_default();
+                    while let Some(span) = log.done.pop_front() {
+                        dst.push_completed(self.capacity, span);
+                    }
+                    dst.dropped += std::mem::take(&mut log.dropped);
+                    for (phase, n) in std::mem::take(&mut log.dropped_by_phase) {
+                        *dst.dropped_by_phase.entry(phase).or_default() += n;
+                    }
+                    dst.malformed += std::mem::take(&mut log.malformed);
+                }
+            }
+
+            pub fn mark(&self) -> Mark {
+                Mark {
+                    per_site: self
+                        .logs
+                        .iter()
+                        .map(|(site, log)| (*site, (log.done.len(), log.dropped)))
+                        .collect(),
+                }
+            }
+
+            pub fn spans_since(&self, mark: &Mark) -> String {
+                let mut out = String::new();
+                for (site, log) in &self.logs {
+                    let (mark_len, mark_dropped) =
+                        mark.per_site.get(site).copied().unwrap_or((0, 0));
+                    let evicted_since = (log.dropped - mark_dropped) as usize;
+                    let start = mark_len.saturating_sub(evicted_since);
+                    for span in log.done.iter().skip(start) {
+                        let _ = writeln!(
+                            out,
+                            "{site} {} {}..{} d={} a={}",
+                            span.name, span.start_us, span.end_us, span.depth, span.attr
+                        );
+                    }
+                }
+                out
+            }
+
+            pub fn span_count(&self) -> usize {
+                self.logs.values().map(|l| l.done.len()).sum()
+            }
+
+            pub fn malformed(&self) -> u64 {
+                self.logs.values().map(|l| l.malformed).sum()
+            }
+
+            pub fn dropped_by_phase(&self) -> BTreeMap<&'static str, u64> {
+                let mut out: BTreeMap<&'static str, u64> = BTreeMap::new();
+                for log in self.logs.values() {
+                    for (&phase, &n) in &log.dropped_by_phase {
+                        *out.entry(phase).or_default() += n;
+                    }
+                }
+                out
+            }
+
+            pub fn encode(&self) -> Vec<u8> {
+                let mut out = String::new();
+                for (site, log) in &self.logs {
+                    let _ = writeln!(
+                        out,
+                        "@{site} kept={} dropped={} open={} malformed={}",
+                        log.done.len(),
+                        log.dropped,
+                        log.open.len(),
+                        log.malformed,
+                    );
+                    for span in &log.done {
+                        out.push_str(&".".repeat(span.depth as usize));
+                        let _ = writeln!(
+                            out,
+                            "{} {}..{} a={}",
+                            span.name, span.start_us, span.end_us, span.attr
+                        );
+                    }
+                }
+                out.into_bytes()
+            }
+        }
+    }
+
+    /// Six sites in two tiers; the last one only ever opens.
+    const SITES: [Site; 6] = [
+        Site::new("fog1", 0),
+        Site::new("fog1", 1),
+        Site::new("fog1", 2),
+        Site::new("fog1", 3),
+        Site::new("fog2", 0),
+        Site::new("fog2", 1),
+    ];
+    const OPEN_ONLY: usize = 5;
+    const NAMES: [&str; 3] = ["query", "flush-hop", "heal-round"];
+
+    /// The real tracer and the model side by side, fed the same calls.
+    struct Pair {
+        real: Tracer,
+        model: model::Tracer,
+        /// Tokens still open, per site, innermost last.
+        open: [Vec<SpanToken>; 6],
+        /// The token closed last (for double closes).
+        closed: Option<SpanToken>,
+        /// The marks still valid, as each side took them.
+        marks: Vec<(TracerMark, model::Mark)>,
+    }
+
+    impl Pair {
+        fn with_capacity(capacity: usize) -> Self {
+            Self {
+                real: Tracer::with_capacity(capacity),
+                model: model::Tracer::with_capacity(capacity),
+                open: Default::default(),
+                closed: None,
+                marks: Vec::new(),
+            }
+        }
+
+        fn open(&mut self, site: usize, name: &'static str, at_us: u64) {
+            self.open[site].push(self.real.open(SITES[site], name, at_us));
+            self.model.open(SITES[site], name, at_us);
+        }
+
+        fn close(&mut self, token: SpanToken, at_us: u64) {
+            let ok = self.real.close_with(token, at_us, at_us);
+            assert_eq!(ok, self.model.close_with(token, at_us, at_us));
+            self.closed = Some(token);
+        }
+
+        /// Drains `other` into `self`. That ends `other`'s marks; it
+        /// ends `self`'s too if `other` carries ring drops, because the
+        /// model books the source's evictions against the destination's
+        /// positions (`a_mark_on_a_destination_is_exact_…` pins the
+        /// real tracer there).
+        fn absorb(&mut self, other: &mut Pair) {
+            if !other.model.dropped_by_phase().is_empty() {
+                self.marks.clear();
+            }
+            other.marks.clear();
+            self.real.absorb(&mut other.real);
+            self.model.absorb(&mut other.model);
+        }
+
+        fn agree(&self) -> Result<(), proptest::test_runner::TestCaseError> {
+            use proptest::prelude::*;
+            prop_assert_eq!(
+                String::from_utf8(self.real.encode()),
+                String::from_utf8(self.model.encode())
+            );
+            prop_assert_eq!(self.real.dropped_by_phase(), self.model.dropped_by_phase());
+            prop_assert_eq!(self.real.malformed(), self.model.malformed());
+            prop_assert_eq!(self.real.span_count(), self.model.span_count());
+            for (real, model) in &self.marks {
+                prop_assert_eq!(self.real.spans_since(real), self.model.spans_since(model));
+            }
+            Ok(())
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(192))]
+
+        /// One step is `(kind, tracer, site, name)`: open, close the
+        /// innermost, close the outermost of two (out of order), close
+        /// the last-closed token again, mark, or drain the scratch into
+        /// the city.
+        #[test]
+        fn ordinal_tracer_equals_the_snapshot_model(
+            scratch_cap in 1usize..=4,
+            city_cap in 1usize..=4,
+            ops in proptest::collection::vec((0u8..14, 0u8..2, 0usize..6, 0usize..3), 1..160),
+        ) {
+            let mut scratch = Pair::with_capacity(scratch_cap);
+            let mut city = Pair::with_capacity(city_cap);
+            for (step, &(kind, on_city, site, name)) in ops.iter().enumerate() {
+                let at_us = step as u64;
+                let pair = if on_city == 1 { &mut city } else { &mut scratch };
+                match kind {
+                    0..=4 => pair.open(site, NAMES[name], at_us),
+                    5..=8 if site != OPEN_ONLY => {
+                        if let Some(token) = pair.open[site].pop() {
+                            pair.close(token, at_us);
+                        }
+                    }
+                    9 if site != OPEN_ONLY && pair.open[site].len() >= 2 => {
+                        let token = pair.open[site].remove(0);
+                        pair.close(token, at_us);
+                    }
+                    10 => {
+                        if let Some(token) = pair.closed {
+                            pair.close(token, at_us);
+                        }
+                    }
+                    11 => pair.marks.push((pair.real.mark(), pair.model.mark())),
+                    12 | 13 => city.absorb(&mut scratch),
+                    _ => {}
+                }
+                scratch.agree()?;
+                city.agree()?;
+            }
+        }
     }
 }

@@ -5,10 +5,13 @@
 //! counts are exact and repeat on any machine — a regression guard that
 //! needs no clock. The city's diagnosis reservoirs are first filled with
 //! records no request can beat (the steady state of any long run), so a
-//! serve pays its own work only. Each ceiling is roughly twice what the
-//! engine needs today; the two bugs it was written after (a Dijkstra
-//! search per send, and an EXPLAIN transcript plus a rendered span tree
-//! per request whatever the reservoirs held) each blew through it.
+//! serve pays its own work only. Each ceiling is twice what the engine
+//! needs today; the bugs it was written after (a Dijkstra search per
+//! send, an EXPLAIN transcript plus a rendered span tree per request
+//! whatever the reservoirs held, and a tracer mark that snapshotted every
+//! site that had ever traced) each blew through it. The last one grew
+//! with the city, so the two cheap shapes are measured twice — with one
+//! site traced and with all 84 — and must count the same.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,7 +19,7 @@ use std::cell::Cell;
 use f2c_smartcity::citysim::metrics::{bucket_index, bucket_upper_micros, NUM_BUCKETS};
 use f2c_smartcity::core::runtime::populate_city;
 use f2c_smartcity::core::{DataSource, F2cCity, Parallelism};
-use f2c_smartcity::obs::{ExplainStore, Json};
+use f2c_smartcity::obs::{ExplainStore, Json, Tracer};
 use f2c_smartcity::query::{
     EngineConfig, Outcome, Query, QueryEngine, QueryKind, Scope, Selector, ServedVia, ServiceClass,
     TimeWindow,
@@ -69,11 +72,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const REPEATS: u64 = 64;
 
-// Measured when the ceilings were set: 3, 4 and 55 (the commit before
-// measured 7, 138 and 788 on this same test).
-const EDGE_HIT_CEILING: u64 = 6;
-const LOCAL_POINT_CEILING: u64 = 8;
-const SCATTER_CEILING: u64 = 110;
+// Measured when the ceilings were set: 0, 1 and 50 (the commit before
+// measured 2, 3 with one site traced and 9, 10, 59 with all 84). Twice
+// that, and one where there is nothing to double.
+const EDGE_HIT_CEILING: u64 = 1;
+const LOCAL_POINT_CEILING: u64 = 2;
+const SCATTER_CEILING: u64 = 100;
 
 /// Fills every slot of the city's EXPLAIN reservoir with the smallest
 /// hash that maps to it, and every exemplar bucket with the largest
@@ -93,8 +97,9 @@ fn saturate_reservoirs(city: &mut F2cCity) {
 
 /// Heap allocations per `serve_sync` call, averaged over [`REPEATS`]
 /// calls after a warm-up that lets every buffer, ring and map reach its
-/// steady size. `query(i)` is the `i`-th request; `check` sees every
-/// outcome.
+/// steady size — one call per slot of the requester's span ring, which
+/// otherwise doubles somewhere inside the measured calls. `query(i)` is
+/// the `i`-th request; `check` sees every outcome.
 fn allocs_per_serve(
     engine: &mut QueryEngine,
     now_s: u64,
@@ -106,11 +111,12 @@ fn allocs_per_serve(
             Outcome::Answered(resp) => check(&resp.via),
             shed @ Outcome::Shed { .. } => panic!("fault-free serve was shed: {shed:?}"),
         };
-    for i in 0..REPEATS {
+    const WARM_UP: u64 = Tracer::DEFAULT_CAPACITY as u64;
+    for i in 0..WARM_UP {
         serve(engine, i);
     }
     let before = ALLOCS.with(Cell::get);
-    for i in REPEATS..2 * REPEATS {
+    for i in WARM_UP..WARM_UP + REPEATS {
         serve(engine, i);
     }
     (ALLOCS.with(Cell::get) - before).div_ceil(REPEATS)
@@ -145,30 +151,37 @@ fn serving_stays_under_its_allocation_ceilings() {
         kind: QueryKind::Aggregate,
     };
     engine.serve_sync(&panel, now_s).unwrap();
-    let edge_hit = allocs_per_serve(
-        &mut engine,
-        now_s,
-        |_| panel,
-        |via| assert_eq!(*via, ServedVia::EdgeCache),
-    );
+    let edge_hit = |engine: &mut QueryEngine| {
+        allocs_per_serve(
+            engine,
+            now_s,
+            |_| panel,
+            |via| assert_eq!(*via, ServedVia::EdgeCache),
+        )
+    };
 
     // 2. Local point read: an open window is never cached, so every
     // serve plans, admits and scans the requester's own fog-1 store.
-    let point = |i: u64| Query {
+    let point = |origin: usize, i: u64| Query {
         origin,
         class: ServiceClass::RealTime,
         selector: Selector::Type(SensorType::Traffic),
         scope: Scope::Section(origin),
-        window: TimeWindow::new(now_s - 1_800 - i, now_s + 1),
+        window: TimeWindow::new(now_s - 1_800 - i % 1_800, now_s + 1),
         kind: QueryKind::Point,
     };
-    let local_point = allocs_per_serve(&mut engine, now_s, point, |via| {
-        assert_eq!(*via, ServedVia::Store(DataSource::Local));
-    });
+    let local_point = |engine: &mut QueryEngine| {
+        allocs_per_serve(
+            engine,
+            now_s,
+            |i| point(origin, i),
+            |via| assert_eq!(*via, ServedVia::Store(DataSource::Local)),
+        )
+    };
 
     // 3. The 22-leg scatter: city-wide, open window, planned and executed
     // on every serve (22 legs, 44 leg sends, the gather hop and back).
-    let city_wide = |i: u64| Query {
+    let city_wide = |origin: usize, i: u64| Query {
         origin,
         class: ServiceClass::CityWide,
         selector: Selector::Category(Category::Urban),
@@ -176,11 +189,35 @@ fn serving_stays_under_its_allocation_ceilings() {
         window: TimeWindow::new(i, now_s + 1),
         kind: QueryKind::Aggregate,
     };
-    let scatter = allocs_per_serve(&mut engine, now_s, city_wide, |via| {
-        assert_eq!(*via, ServedVia::Scatter { legs: 22 });
-    });
+
+    // One site has traced in the engine's scratch so far: the requester's.
+    let (edge_hit_fresh, local_point_fresh) = (edge_hit(&mut engine), local_point(&mut engine));
+
+    // Now every site traces: a point read at each of the 73 fog-1 nodes
+    // and a city-wide gather from each district (its legs run at all ten
+    // fog-2 nodes); `populate_city`'s flush waves already traced at the cloud.
+    for section in 0..engine.city().section_count() {
+        engine.serve_sync(&point(section, 0), now_s).unwrap();
+    }
+    for district in 0..engine.city().district_count() {
+        let requester = engine.city().sections_in_district(district)[0];
+        engine.serve_sync(&city_wide(requester, 0), now_s).unwrap();
+    }
+    assert_eq!(engine.city().tracer().sites().count(), 84);
+    let (edge_hit, local_point) = (edge_hit(&mut engine), local_point(&mut engine));
+    let scatter = allocs_per_serve(
+        &mut engine,
+        now_s,
+        |i| city_wide(origin, i),
+        |via| assert_eq!(*via, ServedVia::Scatter { legs: 22 }),
+    );
 
     println!("allocations per serve: edge hit {edge_hit}, local point {local_point}, 22-leg scatter {scatter}");
+    assert_eq!(
+        (edge_hit, local_point),
+        (edge_hit_fresh, local_point_fresh),
+        "a serve's allocations grew with the number of sites that have traced"
+    );
     assert!(edge_hit <= EDGE_HIT_CEILING, "edge-cache hit: {edge_hit}");
     assert!(
         local_point <= LOCAL_POINT_CEILING,
