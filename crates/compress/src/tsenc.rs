@@ -1156,7 +1156,7 @@ mod tests {
             vec![7; 100],
             (0..100u64).map(|i| 900 * i).collect(),
             vec![u64::MAX, 0, u64::MAX, 1],
-            (0..50u64).map(|i| i * i ^ 0xABCD).collect(),
+            (0..50u64).map(|i| (i * i) ^ 0xABCD).collect(),
         ];
         for technique in Technique::ALL {
             for values in &shapes {

@@ -407,9 +407,8 @@ impl F2cCity {
     /// site's most recent spans; the matching
     /// [`IncidentKind::AlertResolved`] lands when the fast window
     /// clears. [`F2cCity::flush_all`] calls this after every wave, so
-    /// both the sequential and the sharded drivers evaluate on the same
-    /// schedule — alerts are byte-identical artifacts at any thread
-    /// count.
+    /// every driver evaluates on the flush schedule — alerts are
+    /// byte-identical artifacts at any thread count.
     pub fn evaluate_alerts(&mut self, now_s: u64) {
         let q = Labels::new().service("query");
         let good = self.metrics.counter_named("query_answered", q).unwrap_or(0);
@@ -570,13 +569,18 @@ impl F2cCity {
 
     /// Meters one consumer request/response on the simulated network:
     /// `request_bytes` from `section`'s fog-1 node to the `source`, and
-    /// `response_bytes` back. Local serves never touch the network.
+    /// `response_bytes` back. Local serves never touch the network. The
+    /// traffic and the loss-coin draws are buffered in the caller's
+    /// [`NetScratch`] until it is absorbed ([`F2cCity::absorb_scratch`]);
+    /// `&self` lets shards meter concurrently against the shared network
+    /// snapshot.
     ///
     /// # Errors
     ///
     /// Network errors (e.g. injected outages on the chosen path).
-    pub fn meter_query(
-        &mut self,
+    pub fn meter_query_scratch(
+        &self,
+        net: &mut NetScratch,
         section: usize,
         source: DataSource,
         request_bytes: u64,
@@ -595,7 +599,8 @@ impl F2cCity {
             DataSource::RemoteFog2(d) => self.city.fog2_nodes()[d],
             DataSource::Cloud => self.city.cloud(),
         };
-        self.city.network_mut().request_response(
+        self.city.network().request_response_scratch(
+            net,
             requester,
             source_node,
             request_bytes,
@@ -610,84 +615,7 @@ impl F2cCity {
     /// fog-2) to every leg with each leg's partial result shipped back,
     /// then the merged `response_bytes` delivered over the last
     /// fog-2 → fog-1 hop. Legs colocated with the gather node are free.
-    ///
-    /// # Errors
-    ///
-    /// Network errors (e.g. injected outages on a leg's path).
-    pub fn meter_fanout(
-        &mut self,
-        section: usize,
-        legs: &[(FanoutLeg, u64)],
-        request_bytes: u64,
-        response_bytes: u64,
-        now_s: u64,
-    ) -> Result<()> {
-        let gather_district = self.city.district_of(section);
-        let gather = self.city.fog2_nodes()[gather_district];
-        let at = SimTime::from_secs(now_s);
-        for &(leg, leg_bytes) in legs {
-            let node = match leg {
-                FanoutLeg::Fog1(s) => self.city.fog1_nodes()[s],
-                FanoutLeg::Fog2(d) => self.city.fog2_nodes()[d],
-            };
-            if node == gather {
-                continue;
-            }
-            self.city
-                .network_mut()
-                .request_response(gather, node, request_bytes, leg_bytes, at)?;
-        }
-        let requester = self.city.fog1_nodes()[section];
-        self.city.network_mut().request_response(
-            requester,
-            gather,
-            request_bytes,
-            response_bytes,
-            at,
-        )?;
-        Ok(())
-    }
-
-    /// [`F2cCity::meter_query`] against a shard's [`NetScratch`]: same
-    /// routing, metering and loss verdicts, but the traffic and the
-    /// loss-coin draws are buffered in the scratch until the coordinator
-    /// absorbs it at a barrier. Takes `&self`, so shards can meter
-    /// concurrently against the shared network snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Network errors (e.g. injected outages on the chosen path).
-    pub fn meter_query_scratch(
-        &self,
-        net: &mut NetScratch,
-        section: usize,
-        source: DataSource,
-        request_bytes: u64,
-        response_bytes: u64,
-        now_s: u64,
-    ) -> Result<()> {
-        let requester = self.city.fog1_nodes()[section];
-        let source_node = match source {
-            DataSource::Local => return Ok(()),
-            DataSource::WarmSketch(s) if s == section => return Ok(()),
-            DataSource::Neighbor(n) | DataSource::WarmSketch(n) => self.city.fog1_nodes()[n],
-            DataSource::Parent => self.city.fog2_nodes()[self.city.district_of(section)],
-            DataSource::RemoteFog2(d) => self.city.fog2_nodes()[d],
-            DataSource::Cloud => self.city.cloud(),
-        };
-        self.city.network().request_response_scratch(
-            net,
-            requester,
-            source_node,
-            request_bytes,
-            response_bytes,
-            SimTime::from_secs(now_s),
-        )?;
-        Ok(())
-    }
-
-    /// [`F2cCity::meter_fanout`] against a shard's [`NetScratch`] — see
-    /// [`F2cCity::meter_query_scratch`].
+    /// Buffered in `net` like [`F2cCity::meter_query_scratch`].
     ///
     /// # Errors
     ///
@@ -787,8 +715,8 @@ impl F2cCity {
     /// stays with the caller, one slot per section); a crashed node
     /// loses its wave exactly as [`F2cCity::ingest`] does. Per-shard
     /// scratches absorb in district order and sections are
-    /// district-contiguous, so incidents land in section order — the
-    /// sequential loop's byte stream at every thread count.
+    /// district-contiguous, so incidents land in section order — one
+    /// byte stream at every thread count.
     ///
     /// # Errors
     ///
@@ -899,8 +827,8 @@ impl F2cCity {
     /// coin per district in parallel, then folds into the cloud at the
     /// coordinator. Both phases merge in canonical district order, and
     /// sections are district-contiguous, so the byte streams (traces,
-    /// incidents, meter, snapshots) are those of the sequential
-    /// section-order loop at every thread count.
+    /// incidents, meter, snapshots) are those of a plain section-order
+    /// loop at every thread count.
     ///
     /// # Errors
     ///
@@ -1061,9 +989,8 @@ impl F2cCity {
         self.cloud.compact_sketches(now_s);
         self.tracer.close(compact, now_us);
         self.anti_entropy(now_s);
-        // Every flush instant is also an alert evaluation instant: both
-        // the sequential and the sharded drivers flush on the same event
-        // clock, so the burn-rate monitor sees one schedule everywhere.
+        // Every flush instant is also an alert evaluation instant, so
+        // the burn-rate monitor sees one schedule under every driver.
         self.evaluate_alerts(now_s);
         Ok((fog1_bytes, fog2_bytes))
     }
@@ -1752,11 +1679,14 @@ mod tests {
         assert_eq!(city.flush_epoch(), 2);
 
         let before = city.network_bytes();
-        city.meter_query(0, DataSource::Local, 200, 10_000, 2_000)
+        let mut obs = ObsScratch::new();
+        city.meter_query_scratch(obs.net_mut(), 0, DataSource::Local, 200, 10_000, 2_000)
             .unwrap();
+        city.absorb_scratch(&mut obs);
         assert_eq!(city.network_bytes(), before, "local serves are free");
-        city.meter_query(0, DataSource::Parent, 200, 10_000, 2_000)
+        city.meter_query_scratch(obs.net_mut(), 0, DataSource::Parent, 200, 10_000, 2_000)
             .unwrap();
+        city.absorb_scratch(&mut obs);
         assert!(city.network_bytes() > before, "parent serves are metered");
     }
 
@@ -1812,7 +1742,9 @@ mod tests {
         let mut city = F2cCity::barcelona().unwrap();
         let before = city.network_bytes();
         // Gather at section 0's district (0); district-0 leg is free.
-        city.meter_fanout(
+        let mut obs = ObsScratch::new();
+        city.meter_fanout_scratch(
+            obs.net_mut(),
             0,
             &[
                 (FanoutLeg::Fog2(0), 1_000),
@@ -1824,14 +1756,17 @@ mod tests {
             100,
         )
         .unwrap();
+        city.absorb_scratch(&mut obs);
         let fanout = city.network_bytes() - before;
         // Two remote legs (request + partial back, multi-hop) plus the
         // final fog-2 -> fog-1 delivery; the colocated leg costs nothing.
         assert!(fanout > 2 * (200 + 1_000) + 200 + 2_000);
 
         let before = city.network_bytes();
-        city.meter_fanout(0, &[(FanoutLeg::Fog2(0), 1_000)], 200, 2_000, 100)
+        let legs = [(FanoutLeg::Fog2(0), 1_000)];
+        city.meter_fanout_scratch(obs.net_mut(), 0, &legs, 200, 2_000, 100)
             .unwrap();
+        city.absorb_scratch(&mut obs);
         assert_eq!(
             city.network_bytes() - before,
             200 + 2_000,
@@ -1843,8 +1778,10 @@ mod tests {
     fn remote_fog2_queries_are_metered_over_the_ring() {
         let mut city = F2cCity::barcelona().unwrap();
         let before = city.network_bytes();
-        city.meter_query(0, DataSource::RemoteFog2(5), 200, 1_000, 100)
+        let mut obs = ObsScratch::new();
+        city.meter_query_scratch(obs.net_mut(), 0, DataSource::RemoteFog2(5), 200, 1_000, 100)
             .unwrap();
+        city.absorb_scratch(&mut obs);
         assert!(city.network_bytes() > before);
     }
 

@@ -24,6 +24,10 @@
 //!    bucket partials (cached per flush epoch); fan-out legs merge
 //!    through [`crate::scatter`].
 //!
+//! Steps 3–5 are one skeleton for both route shapes, with the route as
+//! data; only slot counting, the execution itself and a fan-out's
+//! partial completeness are per shape.
+//!
 //! Estimated latency composes the cost model's transfer time with a
 //! per-record scan cost, so a warm cache hit is strictly cheaper than the
 //! cold path that computed it.
@@ -49,7 +53,7 @@ use crate::cache::{CacheKey, NodeKey, PartialCache, PartialKey, ResultCache};
 use crate::model::{
     absorb_record, finalize, AggPartial, PointSample, Query, QueryAnswer, QueryKind, Scope,
 };
-use crate::planner::{self, Choice, QueryPlan, ScatterPlan};
+use crate::planner::{self, Choice, QueryPlan, ScatterLeg, ScatterPlan};
 use crate::{Error, Result};
 
 /// Per-layer in-flight request caps (admission control).
@@ -521,14 +525,29 @@ struct FoldTally {
     partial_fills: u64,
 }
 
+/// What executing and metering an admitted route produced — the part of
+/// serving whose shape the route decides.
+struct Ran {
+    answer: QueryAnswer,
+    via: ServedVia,
+    /// The answer's response size, as metered.
+    bytes: u64,
+    /// Modeled time ahead of the delivery hop: the scan for a single
+    /// source, the slowest leg plus the merge overhead for a fan-out.
+    busy: Duration,
+    /// How much of the plan the answer covers (a fan-out that lost legs
+    /// to faults is `Partial`).
+    completeness: Completeness,
+}
+
 /// The serving core: everything [`QueryEngine::serve`] mutates *except*
 /// the city itself — caches, the admission ledger, the invalidation
 /// frontier, and an [`ObsScratch`] of buffered observability.
 ///
 /// Serving only ever *reads* the city (`&F2cCity`): metrics, spans,
 /// incidents and network metering land in the scratch, which the owner
-/// absorbs into the city at a barrier (the sequential engine drains
-/// after every serve, so its observables are indistinguishable from
+/// absorbs into the city at a barrier ([`QueryEngine::serve`] drains
+/// after every call, so its observables are indistinguishable from
 /// direct publication). That split is what lets district shards serve
 /// concurrently against a shared city snapshot and still merge into a
 /// byte-identical global view in canonical shard order.
@@ -557,7 +576,7 @@ pub(crate) struct ServeCore {
 /// The consumer-facing query engine over an assembled city: a
 /// `ServeCore` plus the city it serves, drained after every call so
 /// the city's unified registry/tracer/timeline stay the one source of
-/// truth for sequential callers.
+/// truth for callers that serve one query at a time.
 #[derive(Debug)]
 pub struct QueryEngine {
     city: F2cCity,
@@ -730,8 +749,8 @@ impl QueryEngine {
     }
 
     /// Serves one query at `now_s`, then absorbs the core's buffered
-    /// observability into the city — so sequential callers observe
-    /// exactly what direct publication produced before the core split.
+    /// observability into the city — so the caller observes exactly what
+    /// direct publication would have produced.
     ///
     /// # Errors
     ///
@@ -1028,7 +1047,8 @@ impl ServeCore {
         }
     }
 
-    /// Serves one already-planned route shape. Returns capacity sheds
+    /// Serves one already-planned route shape: the one skeleton a single
+    /// source and a fan-out share, with the route as data. Returns sheds
     /// *without* recording them — the caller accounts the terminal
     /// outcome, so a successful reroute is not double-counted.
     fn serve_choice(
@@ -1040,10 +1060,142 @@ impl ServeCore {
         epoch: u64,
         now_s: u64,
     ) -> Result<Outcome> {
-        match choice {
-            Choice::Single(plan) => self.serve_single(city, query, plan, key, epoch, now_s),
-            Choice::Scatter(plan) => self.serve_scatter(city, query, plan, key, epoch, now_s),
+        let class = query.class;
+        let origin = query.origin;
+        // The route as data: the node whose result cache fronts it and
+        // whose hop delivers the answer (a fan-out gathers at the
+        // requester's fog-2), and the layer its sheds are charged to.
+        let (source, layer, option) = match choice {
+            Choice::Single(plan) => (plan.source, plan.layer, plan.option),
+            Choice::Scatter(_) => (DataSource::Parent, Layer::Fog2, AccessOption::Parent),
+        };
+        let shed = |layer, cause| {
+            Ok(Outcome::Shed {
+                layer,
+                class,
+                cause,
+            })
+        };
+        // Chaos gate: a crashed or unreachable source — or gather node,
+        // which every leg and the final delivery route through — can
+        // serve nothing, not even its result cache. Shed as a fault; the
+        // caller may still rescue the query onto the fallback route.
+        if !city.source_available(origin, source, now_s) {
+            return shed(layer, ShedCause::Fault);
         }
+        // 3. Source cache at the planned (or gather) node: pays the
+        // route, skips the scan or the whole fan-out.
+        if let Some(answer) = self
+            .source_cache(city, source, origin)
+            .get(&key, now_s, epoch)
+        {
+            self.obs.metrics_mut().inc(self.ids.source_hits);
+            let bytes = answer.response_bytes();
+            if city
+                .meter_query_scratch(
+                    self.obs.net_mut(),
+                    origin,
+                    source,
+                    self.cfg.request_bytes,
+                    bytes,
+                    now_s,
+                )
+                .is_err()
+            {
+                // The transfer was lost in flight (loss coin): degrade
+                // to a fault shed instead of surfacing an error.
+                return shed(layer, ShedCause::Fault);
+            }
+            if self.cacheable(query, now_s, bytes) {
+                self.edge[origin].put(key, answer.clone(), now_s, epoch);
+            }
+            let est_latency = city.cost_model().cost(option, bytes);
+            self.record_answered(class, est_latency);
+            return Ok(Outcome::Answered(QueryResponse {
+                est_latency,
+                layer,
+                via: ServedVia::SourceCache(source),
+                response_bytes: bytes,
+                held: HeldSlots::none(),
+                completeness: Completeness::Complete,
+                answer,
+            }));
+        }
+
+        // 4. Admission control: which slots the route needs is its own
+        // business; acquiring them is atomic — a refusal at any layer
+        // rolls back the slots already taken at the layers below, so a
+        // shed route never leaks in-flight accounting.
+        let (acquired, live) = match choice {
+            Choice::Single(plan) => (self.acquire_single(class, plan), Vec::new()),
+            Choice::Scatter(plan) => {
+                let live = self.live_legs(city, query, plan, now_s);
+                if live.is_empty() {
+                    // Every leg is down: nothing survives to answer from.
+                    return shed(layer, ShedCause::Fault);
+                }
+                // One class-tagged slot per surviving leg at each leg's
+                // layer.
+                let mut held = HeldSlots::empty(class);
+                for leg in &live {
+                    held.add(leg.layer, 1);
+                }
+                let acquired = self.ledger.try_acquire(class, held.slots());
+                (acquired.map(|()| held), live)
+            }
+        };
+        let held = match acquired {
+            Ok(held) => held,
+            Err(layer) => return shed(layer, ShedCause::Capacity),
+        };
+        let site = Site::new("fog1", origin as u32);
+        let now_us = now_s.saturating_mul(1_000_000);
+        let admit = self.obs.tracer_mut().open(site, "query-admit", now_us);
+        let charged = u64::from(held.slots().iter().sum::<u32>());
+        self.obs.tracer_mut().close_with(admit, now_us, charged);
+
+        // 5. Execute against the source store, or every surviving leg
+        // merged at the gather node, and meter the transfer(s).
+        let ran = match choice {
+            Choice::Single(plan) => self.run_single(city, query, plan, now_s, epoch),
+            Choice::Scatter(plan) => self.run_scatter(city, query, plan, &live, now_s, epoch),
+        };
+        let Some(Ran {
+            answer,
+            via,
+            bytes,
+            busy,
+            completeness,
+        }) = ran
+        else {
+            // The response was lost in flight (loss coin): give the
+            // slots back and degrade to a fault shed instead of an error.
+            self.ledger.release(class, held.slots());
+            return shed(layer, ShedCause::Fault);
+        };
+        let est_latency = busy + city.cost_model().cost(option, bytes);
+        // Partial answers never enter a cache: a later healthy serve of
+        // the same window must not inherit a degraded one.
+        if completeness.is_complete() && self.cacheable(query, now_s, bytes) {
+            self.source_cache(city, source, origin)
+                .put(key, answer.clone(), now_s, epoch);
+            self.edge[origin].put(key, answer.clone(), now_s, epoch);
+        }
+        self.obs.metrics_mut().inc(self.ids.store_served);
+        let deliver = self.obs.tracer_mut().open(site, "query-deliver", now_us);
+        self.obs
+            .tracer_mut()
+            .close_with(deliver, now_us + est_latency.as_micros(), bytes);
+        self.record_answered(class, est_latency);
+        Ok(Outcome::Answered(QueryResponse {
+            answer,
+            via,
+            layer,
+            est_latency,
+            response_bytes: bytes,
+            held,
+            completeness,
+        }))
     }
 
     /// Records an answered query, scoring its latency estimate against
@@ -1059,348 +1211,94 @@ impl ServeCore {
         }
     }
 
-    fn serve_single(
+    /// A single source's admission: one class-tagged slot at the
+    /// source's layer — except warm-sketch reads, which merge a handful
+    /// of pre-folded partials instead of scanning an archive and so admit
+    /// at the QoS policy's reduced cost (one charged slot per
+    /// `sketch_divisor` reads). `Err` names the refusing layer.
+    fn acquire_single(
+        &mut self,
+        class: ServiceClass,
+        plan: &QueryPlan,
+    ) -> std::result::Result<HeldSlots, Layer> {
+        if matches!(plan.source, DataSource::WarmSketch(_)) {
+            let slots = self.ledger.try_acquire_sketch(class, plan.layer)?;
+            Ok(HeldSlots::from_slots(class, slots))
+        } else {
+            let held = HeldSlots::single(plan.layer, class);
+            self.ledger.try_acquire(class, held.slots())?;
+            Ok(held)
+        }
+    }
+
+    /// Executes an admitted single-source route and meters its transfer;
+    /// `None` when the response was lost in flight.
+    fn run_single(
         &mut self,
         city: &F2cCity,
         query: &Query,
         plan: &QueryPlan,
-        key: CacheKey,
-        epoch: u64,
         now_s: u64,
-    ) -> Result<Outcome> {
-        let class = query.class;
-        // Chaos gate: a crashed or unreachable source can serve nothing
-        // — not even its result cache. Shed as a fault; the caller may
-        // still rescue the query onto the fallback route.
-        if !city.source_available(query.origin, plan.source, now_s) {
-            return Ok(Outcome::Shed {
-                layer: plan.layer,
-                class,
-                cause: ShedCause::Fault,
-            });
-        }
-        // 3. Source cache at the planned node: pays the route, skips the scan.
-        if let Some(answer) = self
-            .source_cache(city, plan.source, query.origin)
-            .get(&key, now_s, epoch)
-        {
-            self.obs.metrics_mut().inc(self.ids.source_hits);
-            let bytes = answer.response_bytes();
-            if city
-                .meter_query_scratch(
-                    self.obs.net_mut(),
-                    query.origin,
-                    plan.source,
-                    self.cfg.request_bytes,
-                    bytes,
-                    now_s,
-                )
-                .is_err()
-            {
-                // The transfer was lost in flight (loss coin): degrade
-                // to a fault shed instead of surfacing an error.
-                return Ok(Outcome::Shed {
-                    layer: plan.layer,
-                    class,
-                    cause: ShedCause::Fault,
-                });
-            }
-            if self.cacheable(query, now_s, bytes) {
-                self.edge[query.origin].put(key, answer.clone(), now_s, epoch);
-            }
-            let est_latency = city.cost_model().cost(plan.option, bytes);
-            self.record_answered(class, est_latency);
-            return Ok(Outcome::Answered(QueryResponse {
-                est_latency,
-                layer: plan.layer,
-                via: ServedVia::SourceCache(plan.source),
-                response_bytes: bytes,
-                held: HeldSlots::none(),
-                completeness: Completeness::Complete,
-                answer,
-            }));
-        }
-
-        // 4. Admission control: one class-tagged slot at the source's
-        // layer — except warm-sketch reads, which merge a handful of
-        // pre-folded partials instead of scanning an archive and so
-        // admit at the QoS policy's reduced cost (one charged slot per
-        // `sketch_divisor` reads).
-        let held = if matches!(plan.source, DataSource::WarmSketch(_)) {
-            match self.ledger.try_acquire_sketch(class, plan.layer) {
-                Ok(slots) => HeldSlots::from_slots(class, slots),
-                Err(layer) => {
-                    return Ok(Outcome::Shed {
-                        layer,
-                        class,
-                        cause: ShedCause::Capacity,
-                    })
-                }
-            }
-        } else {
-            let held = HeldSlots::single(plan.layer, class);
-            if let Err(layer) = self.ledger.try_acquire(class, held.slots()) {
-                return Ok(Outcome::Shed {
-                    layer,
-                    class,
-                    cause: ShedCause::Capacity,
-                });
-            }
-            held
-        };
+        epoch: u64,
+    ) -> Option<Ran> {
         let site = Site::new("fog1", query.origin as u32);
         let now_us = now_s.saturating_mul(1_000_000);
-        let admit = self.obs.tracer_mut().open(site, "query-admit", now_us);
-        let charged = u64::from(held.slots().iter().sum::<u32>());
-        self.obs.tracer_mut().close_with(admit, now_us, charged);
-
-        // 5. Execute against the source store.
         let exec = self.obs.tracer_mut().open(site, "query-execute", now_us);
         let (answer, visited) = self.execute(city, query, plan, now_s, epoch);
-        let scan_us = self.cfg.scan_cost_per_record_us * visited;
+        let scan = Duration::from_micros(self.cfg.scan_cost_per_record_us * visited);
         self.obs
             .tracer_mut()
-            .close_with(exec, now_us + scan_us, visited);
+            .close_with(exec, now_us + scan.as_micros(), visited);
         self.obs
             .metrics_mut()
             .add(self.ids.records_scanned, visited);
         let bytes = answer.response_bytes();
-        let est_latency = city.cost_model().cost(plan.option, bytes)
-            + Duration::from_micros(self.cfg.scan_cost_per_record_us * visited);
-        if city
-            .meter_query_scratch(
-                self.obs.net_mut(),
-                query.origin,
-                plan.source,
-                self.cfg.request_bytes,
-                bytes,
-                now_s,
-            )
-            .is_err()
-        {
-            // The response was lost in flight (loss coin): give the slot
-            // back and degrade to a fault shed instead of an error.
-            self.ledger.release(class, held.slots());
-            return Ok(Outcome::Shed {
-                layer: plan.layer,
-                class,
-                cause: ShedCause::Fault,
-            });
-        }
-        if self.cacheable(query, now_s, bytes) {
-            self.source_cache(city, plan.source, query.origin).put(
-                key,
-                answer.clone(),
-                now_s,
-                epoch,
-            );
-            self.edge[query.origin].put(key, answer.clone(), now_s, epoch);
-        }
-        self.obs.metrics_mut().inc(self.ids.store_served);
-        let deliver = self.obs.tracer_mut().open(site, "query-deliver", now_us);
-        self.obs
-            .tracer_mut()
-            .close_with(deliver, now_us + est_latency.as_micros(), bytes);
-        self.record_answered(class, est_latency);
-        Ok(Outcome::Answered(QueryResponse {
+        city.meter_query_scratch(
+            self.obs.net_mut(),
+            query.origin,
+            plan.source,
+            self.cfg.request_bytes,
+            bytes,
+            now_s,
+        )
+        .ok()?;
+        Some(Ran {
             answer,
             via: ServedVia::Store(plan.source),
-            layer: plan.layer,
-            est_latency,
-            response_bytes: bytes,
-            held,
+            bytes,
+            busy: scan,
             completeness: Completeness::Complete,
-        }))
+        })
     }
 
-    fn serve_scatter(
+    /// The per-leg chaos gate: legs whose node is crashed or unreachable
+    /// from the gather node are shed from the fan-out *before* admission
+    /// — degraded answers never hold slots for work that cannot run.
+    /// Surviving legs still produce an exact answer over their shards;
+    /// the response is annotated `Partial` so the consumer knows which
+    /// fraction of the plan it covers.
+    fn live_legs(
         &mut self,
         city: &F2cCity,
         query: &Query,
         plan: &ScatterPlan,
-        key: CacheKey,
-        epoch: u64,
         now_s: u64,
-    ) -> Result<Outcome> {
-        let class = query.class;
-        // Chaos gate at the gather node (the requester's fog-2): every
-        // leg and the final delivery route through it, so a crashed or
-        // unreachable gather sheds the whole fan-out as a fault.
-        if !city.source_available(query.origin, DataSource::Parent, now_s) {
-            return Ok(Outcome::Shed {
-                layer: Layer::Fog2,
-                class,
-                cause: ShedCause::Fault,
-            });
-        }
-        // 3. Result cache at the gather node (the requester's fog-2):
-        // pays the parent hop, skips the whole fan-out.
-        let gather = plan.gather_district;
-        if let Some(answer) = self.src_fog2[gather].get(&key, now_s, epoch) {
-            self.obs.metrics_mut().inc(self.ids.source_hits);
-            let bytes = answer.response_bytes();
-            if city
-                .meter_query_scratch(
-                    self.obs.net_mut(),
-                    query.origin,
-                    DataSource::Parent,
-                    self.cfg.request_bytes,
-                    bytes,
-                    now_s,
-                )
-                .is_err()
-            {
-                return Ok(Outcome::Shed {
-                    layer: Layer::Fog2,
-                    class,
-                    cause: ShedCause::Fault,
-                });
-            }
-            if self.cacheable(query, now_s, bytes) {
-                self.edge[query.origin].put(key, answer.clone(), now_s, epoch);
-            }
-            let est_latency = city.cost_model().cost(AccessOption::Parent, bytes);
-            self.record_answered(class, est_latency);
-            return Ok(Outcome::Answered(QueryResponse {
-                est_latency,
-                layer: Layer::Fog2,
-                via: ServedVia::SourceCache(DataSource::Parent),
-                response_bytes: bytes,
-                held: HeldSlots::none(),
-                completeness: Completeness::Complete,
-                answer,
-            }));
-        }
-
-        // Chaos gate per leg: legs whose node is crashed or unreachable
-        // from the gather node are shed from the fan-out *before*
-        // admission — degraded answers never hold slots for work that
-        // cannot run. Surviving legs still produce an exact answer over
-        // their shards; the response is annotated `Partial` so the
-        // consumer knows which fraction of the plan it covers.
-        let legs_total = plan.legs.len() as u32;
-        let live: Vec<crate::planner::ScatterLeg> = plan
-            .legs
-            .iter()
-            .filter(|leg| city.leg_available(query.origin, leg.node, now_s))
-            .copied()
-            .collect();
-        let legs_shed = legs_total - live.len() as u32;
-        if legs_shed > 0 {
-            self.obs
-                .metrics_mut()
-                .add(self.ids.legs_shed, u64::from(legs_shed));
-            for leg in plan.legs.iter() {
-                if !city.leg_available(query.origin, leg.node, now_s) {
-                    let site = match leg.node {
-                        FanoutLeg::Fog1(s) => ChaosSite::Fog1(s),
-                        FanoutLeg::Fog2(d) => ChaosSite::Fog2(d),
-                    };
-                    self.obs.record_incident(now_s, site, IncidentKind::LegShed);
-                }
+    ) -> Vec<ScatterLeg> {
+        let mut live = Vec::with_capacity(plan.legs.len());
+        for leg in &plan.legs {
+            if city.leg_available(query.origin, leg.node, now_s) {
+                live.push(*leg);
+            } else {
+                let site = match leg.node {
+                    FanoutLeg::Fog1(s) => ChaosSite::Fog1(s),
+                    FanoutLeg::Fog2(d) => ChaosSite::Fog2(d),
+                };
+                self.obs.record_incident(now_s, site, IncidentKind::LegShed);
             }
         }
-        if live.is_empty() {
-            // Every leg is down: nothing survives to answer from.
-            return Ok(Outcome::Shed {
-                layer: Layer::Fog2,
-                class,
-                cause: ShedCause::Fault,
-            });
-        }
-
-        // 4. Admission control: one class-tagged slot per surviving leg
-        // at each leg's layer, acquired atomically — a refusal at any
-        // layer rolls back the slots already taken at the layers below,
-        // so a shed fan-out never leaks in-flight accounting.
-        let mut held = HeldSlots::empty(class);
-        for leg in &live {
-            held.add(leg.layer, 1);
-        }
-        if let Err(layer) = self.ledger.try_acquire(class, held.slots()) {
-            return Ok(Outcome::Shed {
-                layer,
-                class,
-                cause: ShedCause::Capacity,
-            });
-        }
-        let site = Site::new("fog1", query.origin as u32);
-        let now_us = now_s.saturating_mul(1_000_000);
-        let admit = self.obs.tracer_mut().open(site, "query-admit", now_us);
-        let charged = u64::from(held.slots().iter().sum::<u32>());
-        self.obs.tracer_mut().close_with(admit, now_us, charged);
-
-        // 5. Execute every surviving leg and merge at the gather node.
-        let exec = self.obs.tracer_mut().open(site, "query-execute", now_us);
-        let (answer, leg_reports, slowest) = self.execute_scatter(city, query, &live, now_s, epoch);
-        self.obs
-            .tracer_mut()
-            .close_with(exec, now_us + slowest.as_micros(), live.len() as u64);
-        let visited: u64 = leg_reports.iter().map(|&(_, _, v)| v).sum();
-        self.obs
-            .metrics_mut()
-            .add(self.ids.records_scanned, visited);
-        let bytes = answer.response_bytes();
-        let est_latency = slowest
-            + city.cost_model().fanout_overhead(live.len())
-            + city.cost_model().cost(AccessOption::Parent, bytes);
-        let metered: Vec<(FanoutLeg, u64)> = leg_reports
-            .iter()
-            .map(|&(node, leg_bytes, _)| (node, leg_bytes))
-            .collect();
-        if city
-            .meter_fanout_scratch(
-                self.obs.net_mut(),
-                query.origin,
-                &metered,
-                self.cfg.request_bytes,
-                bytes,
-                now_s,
-            )
-            .is_err()
-        {
-            self.ledger.release(class, held.slots());
-            return Ok(Outcome::Shed {
-                layer: Layer::Fog2,
-                class,
-                cause: ShedCause::Fault,
-            });
-        }
-        let completeness = if legs_shed == 0 {
-            Completeness::Complete
-        } else {
-            self.obs.metrics_mut().inc(self.ids.degraded);
-            Completeness::Partial {
-                legs_shed,
-                legs_total,
-            }
-        };
-        // Partial answers never enter a cache: a later healthy serve of
-        // the same window must not inherit a degraded one.
-        if completeness.is_complete() && self.cacheable(query, now_s, bytes) {
-            self.src_fog2[gather].put(key, answer.clone(), now_s, epoch);
-            self.edge[query.origin].put(key, answer.clone(), now_s, epoch);
-        }
-        let m = self.obs.metrics_mut();
-        m.inc(self.ids.store_served);
-        m.inc(self.ids.scatter_served);
-        m.add(self.ids.scatter_legs, live.len() as u64);
-        let deliver = self.obs.tracer_mut().open(site, "query-deliver", now_us);
-        self.obs
-            .tracer_mut()
-            .close_with(deliver, now_us + est_latency.as_micros(), bytes);
-        self.record_answered(class, est_latency);
-        Ok(Outcome::Answered(QueryResponse {
-            answer,
-            via: ServedVia::Scatter {
-                legs: live.len() as u32,
-            },
-            layer: Layer::Fog2,
-            est_latency,
-            response_bytes: bytes,
-            held,
-            completeness,
-        }))
+        let legs_shed = (plan.legs.len() - live.len()) as u64;
+        self.obs.metrics_mut().add(self.ids.legs_shed, legs_shed);
+        live
     }
 
     fn source_cache(
@@ -1489,20 +1387,22 @@ impl ServeCore {
         m.add(self.ids.partial_fills, tally.partial_fills);
     }
 
-    /// Executes every given fan-out leg (the plan's legs, minus any the
-    /// chaos gate shed) against its shard and merges the partial results
-    /// ([`crate::scatter`]). Returns the merged answer, a per-leg
-    /// `(node, partial bytes, records visited)` report for metering, and
-    /// the slowest leg's transport + scan estimate.
-    fn execute_scatter(
+    /// Executes every surviving leg of an admitted fan-out (the plan's
+    /// legs, minus any the chaos gate shed) against its shard, merges the
+    /// partial results at the gather node ([`crate::scatter`]) and meters
+    /// every transfer; `None` when one was lost in flight.
+    fn run_scatter(
         &mut self,
         city: &F2cCity,
         query: &Query,
-        legs: &[crate::planner::ScatterLeg],
+        plan: &ScatterPlan,
+        legs: &[ScatterLeg],
         now_s: u64,
         epoch: u64,
-    ) -> (QueryAnswer, Vec<(FanoutLeg, u64, u64)>, Duration) {
+    ) -> Option<Ran> {
+        // Per-leg `(node, partial bytes)`, for metering.
         let mut reports = Vec::with_capacity(legs.len());
+        let mut visited_total = 0u64;
         let mut slowest = Duration::ZERO;
         let mut points = Vec::new();
         let mut ranges = Vec::new();
@@ -1511,6 +1411,8 @@ impl ServeCore {
         let mut sketch_legs = 0u64;
         let mut sketch_hits = 0u64;
         let now_us = now_s.saturating_mul(1_000_000);
+        let site = Site::new("fog1", query.origin as u32);
+        let exec = self.obs.tracer_mut().open(site, "query-execute", now_us);
         for leg in legs {
             let shard = Query {
                 scope: leg.scope,
@@ -1582,7 +1484,8 @@ impl ServeCore {
             self.obs
                 .tracer_mut()
                 .close_with(span, now_us + leg_time.as_micros(), leg_bytes);
-            reports.push((leg.node, leg_bytes, visited));
+            reports.push((leg.node, leg_bytes));
+            visited_total += visited;
         }
         self.apply_fold_tally(tally);
         let m = self.obs.metrics_mut();
@@ -1593,7 +1496,45 @@ impl ServeCore {
             QueryKind::Range => crate::scatter::merge_ranges(ranges),
             QueryKind::Aggregate => crate::scatter::merge_aggregates(partial_legs),
         };
-        (answer, reports, slowest)
+        self.obs
+            .tracer_mut()
+            .close_with(exec, now_us + slowest.as_micros(), legs.len() as u64);
+        self.obs
+            .metrics_mut()
+            .add(self.ids.records_scanned, visited_total);
+        let bytes = answer.response_bytes();
+        city.meter_fanout_scratch(
+            self.obs.net_mut(),
+            query.origin,
+            &reports,
+            self.cfg.request_bytes,
+            bytes,
+            now_s,
+        )
+        .ok()?;
+        let m = self.obs.metrics_mut();
+        m.inc(self.ids.scatter_served);
+        m.add(self.ids.scatter_legs, legs.len() as u64);
+        let legs_total = plan.legs.len() as u32;
+        let legs_shed = legs_total - legs.len() as u32;
+        let completeness = if legs_shed == 0 {
+            Completeness::Complete
+        } else {
+            m.inc(self.ids.degraded);
+            Completeness::Partial {
+                legs_shed,
+                legs_total,
+            }
+        };
+        Some(Ran {
+            answer,
+            via: ServedVia::Scatter {
+                legs: legs.len() as u32,
+            },
+            bytes,
+            busy: slowest + city.cost_model().fanout_overhead(legs.len()),
+            completeness,
+        })
     }
 }
 

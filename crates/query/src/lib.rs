@@ -32,14 +32,16 @@
 //!   HyperLogLog distinct-sensor sketch) — served from the partial
 //!   cache, assembled from the flush-shipped sketch ledger
 //!   (`prefold`), or scanned, in that order,
-//! * [`workload`] — deterministic, seeded closed-loop workloads
-//!   (dashboard / analytics / real-time / city-wide mixes) on the
-//!   event-driven clock, with diurnal day-curves and per-class flash
-//!   crowds, for driving millions of simulated requests reproducibly,
-//! * [`parallel`] — the same closed loop sharded by district onto
-//!   worker threads ([`f2c_core::Parallelism`]), with deterministic
-//!   barriers at flush/ingest waves and canonical-order merges, so
-//!   every run artifact is byte-identical at any thread count.
+//! * [`workload`] — what a deterministic, seeded closed-loop workload
+//!   is: dashboard / analytics / real-time / city-wide mixes, diurnal
+//!   day-curves and per-class flash crowds, the per-class query
+//!   generator and the run report,
+//! * [`parallel`] — the one closed loop that drives it on the
+//!   event-driven clock, sharded by district onto worker threads
+//!   ([`f2c_core::Parallelism`]; one thread runs the same schedule
+//!   inline), with deterministic barriers at flush/ingest waves and
+//!   canonical-order merges, so every run artifact is byte-identical
+//!   at any thread count.
 //!
 //! # Quickstart
 //!

@@ -1,5 +1,6 @@
-//! The sharded workload runtime: the closed loop of [`crate::workload`]
-//! partitioned by district onto worker threads.
+//! The closed loop: the workload of [`crate::workload`] partitioned by
+//! district onto worker threads. This is the only loop that drives the
+//! engine — one thread runs the same shard schedule inline.
 //!
 //! The city is split into one **logical shard per district** — a fixed
 //! decomposition, independent of the thread count — and each shard owns
@@ -65,11 +66,10 @@ use crate::{Error, Result};
 /// serve district- and city-scoped queries whose fan-outs hold one
 /// slot per *leg* (a 10-district scatter needs 10 fog-2 slots at
 /// once; a tenth-sized slice could never admit it). Each shard thus
-/// runs the exact admission arithmetic the sequential engine would
-/// run if only that shard's users existed; the aggregate in-flight
-/// bound relaxes to per-shard, which is the documented cost of
-/// shard-local admission (no cross-shard slot traffic, no ordering
-/// dependence).
+/// runs the exact admission arithmetic a [`QueryEngine`] would run if
+/// only that shard's users existed; the aggregate in-flight bound
+/// relaxes to per-shard, which is the documented cost of shard-local
+/// admission (no cross-shard slot traffic, no ordering dependence).
 pub(crate) fn partition_caps(total: LayerCaps, section_counts: &[usize]) -> Vec<LayerCaps> {
     let total_sections: u64 = section_counts.iter().map(|&c| c as u64).sum::<u64>().max(1);
     let mut fog1: Vec<u32> = Vec::with_capacity(section_counts.len());
@@ -110,9 +110,8 @@ enum Ev {
     Release(crate::engine::HeldSlots),
 }
 
-/// A user's next think time (identical arithmetic to the sequential
-/// loop): class nominal, scaled by the diurnal intensity, then by the
-/// flash-crowd divisor.
+/// A user's next think time: class nominal, scaled by the diurnal
+/// intensity, then by the flash-crowd divisor.
 fn next_think(
     user: &User,
     now_s: u64,
@@ -212,13 +211,13 @@ impl Shard {
                             if !resp.held.is_empty() {
                                 self.queue.schedule_at(done, Ev::Release(resp.held));
                             }
-                            write!(
+                            // `fmt::Write for String` never fails.
+                            let _ = write!(
                                 self.line,
                                 "{issued};{class:?};A;{:?};{}",
                                 resp.via,
                                 resp.est_latency.as_micros()
-                            )
-                            .expect("writing to a String cannot fail");
+                            );
                             done + next_think(&user, now_s, config.diurnal, &mut self.rng)
                         }
                         Ok(Outcome::Shed {
@@ -230,13 +229,14 @@ impl Shard {
                             if in_flash && cause == ShedCause::Capacity {
                                 self.shed_during_flash[shed_class.index()] += 1;
                             }
-                            write!(
+                            let _ = write!(
                                 self.line,
                                 "{issued};{shed_class:?};S;{layer};{};0",
                                 cause.label()
-                            )
-                            .expect("writing to a String cannot fail");
+                            );
                             match cause {
+                                // Quota pressure drains as in-flight work
+                                // completes: retry after half a think.
                                 ShedCause::Capacity => {
                                     at + Duration::from_micros(
                                         next_think(&user, now_s, config.diurnal, &mut self.rng)
@@ -244,6 +244,11 @@ impl Shard {
                                             / 2,
                                     )
                                 }
+                                // A deadline shed cannot succeed until
+                                // the hierarchy state changes (a flush, an
+                                // eviction), a fault shed until the outage
+                                // window ends: abandon, come back after a
+                                // full think.
                                 ShedCause::Deadline | ShedCause::Fault => {
                                     at + next_think(&user, now_s, config.diurnal, &mut self.rng)
                                 }
@@ -251,8 +256,7 @@ impl Shard {
                         }
                         Err(Error::Unanswerable { .. }) => {
                             self.unanswerable += 1;
-                            write!(self.line, "{issued};{class:?};U;;0")
-                                .expect("writing to a String cannot fail");
+                            let _ = write!(self.line, "{issued};{class:?};U;;0");
                             at + next_think(&user, now_s, config.diurnal, &mut self.rng)
                         }
                         Err(e) => {
@@ -277,15 +281,16 @@ impl Shard {
 /// Runs one closed-loop workload against `engine`, sharded by district
 /// onto the city's configured [`f2c_core::Parallelism`] worker threads.
 ///
-/// Semantics follow [`crate::workload::run`] — the same per-class think
-/// times, retry policies, diurnal scaling, flash crowds, background
-/// flush/ingest cadence and transcript line format — but the population
-/// is dealt round-robin across the ten district shards, each user's
-/// queries originate from their home district, and every shard draws
-/// from its own seeded RNG and ledger slice. The report (and every city
-/// observable) is therefore a *different* deterministic run than the
-/// sequential loop's, yet byte-identical to itself at **any** thread
-/// count.
+/// The run opens with a settling flush at `start_s` (stamping the
+/// settled frontier), then interleaves user requests with the
+/// background ingest and flush barriers on one deterministic event clock
+/// until `requests` have been issued and the in-flight tail has drained.
+/// Users think per class, retry per shed cause, join and leave with
+/// their flash crowd, and scale every think time by the diurnal curve.
+/// The population is dealt round-robin across the district shards, each
+/// user's queries originate from their home district, and every shard
+/// draws from its own seeded RNG and ledger slice — so the report (and
+/// every city observable) is byte-identical at **any** thread count.
 ///
 /// The per-request transcript numbers requests *per shard* and the
 /// report concatenates shard transcripts in district order;
@@ -294,9 +299,8 @@ impl Shard {
 ///
 /// # Errors
 ///
-/// [`Error::BadQuery`] on a degenerate configuration (exactly as the
-/// sequential loop); hierarchy/network errors from serving or the
-/// background waves.
+/// [`Error::BadQuery`] on a degenerate configuration; hierarchy/network
+/// errors from serving or the background waves.
 pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<WorkloadReport> {
     let crowds = validate(config)?;
     let threads = engine.city().parallelism();
@@ -355,8 +359,8 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
         })
         .collect();
 
-    // Deal the steady population round-robin across districts, with the
-    // same arrival staggering as the sequential loop; then the flash
+    // Deal the steady population round-robin across districts, arrivals
+    // staggered so users do not tick in lockstep forever; then the flash
     // crowds' temporary members.
     let start = SimTime::from_secs(config.start_s);
     for u in 0..config.users {
@@ -450,10 +454,7 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
             }
             next_flush = unfinished.then(|| at + Duration::from_secs(config.flush_period_s));
         }
-        if next_ingest == Some(at) {
-            let gens = ingest_gens
-                .as_mut()
-                .expect("ingest barrier implies generators");
+        if let Some(gens) = ingest_gens.as_mut().filter(|_| next_ingest == Some(at)) {
             // The cache-frontier invariant, hierarchy-wide: a wave
             // backdated behind *any* shard's served frontier bumps
             // every shard's epoch identically.
@@ -482,9 +483,9 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
         }
     }
 
-    // Keep the engine's own (sequential) core coherent with what the
-    // run did to the city, so post-run serving and gauge syncs see the
-    // same frontier and epoch the shards saw.
+    // Keep the engine's own core coherent with what the run did to the
+    // city, so post-run serving and gauge syncs see the same frontier
+    // and epoch the shards saw.
     engine_core.last_flush_s = last_flush_s;
     engine_core.extra_epochs += epoch_bumps;
     engine_core.served_frontier_s = engine_core.served_frontier_s.max(
@@ -530,7 +531,9 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
     }
 
     // Publish the merged latency distributions into the city's unified
-    // registry, exactly as the sequential loop does.
+    // registry (merged, not moved — the typed report keeps its own
+    // copies), and sync the point-in-time gauges, so a bench export after
+    // the run sees the same series the report prints.
     {
         let m = city.metrics_mut();
         let q = f2c_obs::Labels::new().service("query");
@@ -654,24 +657,6 @@ mod tests {
         let replay = run_once(1);
         assert_eq!(report.transcript, replay.transcript);
         assert_eq!(report.transcript_hash, replay.transcript_hash);
-    }
-
-    #[test]
-    fn degenerate_configs_are_rejected_like_the_sequential_loop() {
-        let mut city = F2cCity::barcelona().unwrap();
-        populate_city(&mut city, 100_000, 3, 1_800, 900).unwrap();
-        let mut engine = QueryEngine::new(city, EngineConfig::default());
-        let bad = WorkloadConfig {
-            users: 0,
-            ..WorkloadConfig::default()
-        };
-        assert!(matches!(
-            run(&mut engine, &bad),
-            Err(Error::BadQuery {
-                field: "workload",
-                ..
-            })
-        ));
     }
 
     #[test]

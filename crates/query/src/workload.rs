@@ -1,4 +1,7 @@
-//! Deterministic closed-loop query workloads.
+//! What a deterministic closed-loop query workload *is*: its shape
+//! ([`WorkloadConfig`]), its per-class query and think-time generators,
+//! and what a run reports ([`WorkloadReport`]). The loop that drives it
+//! is [`crate::parallel::run`] — the only closed loop in the workspace.
 //!
 //! A fixed population of simulated users (each assigned a service class)
 //! drives the engine through the event-driven clock: every user issues a
@@ -21,21 +24,17 @@
 //!   makes per-class quotas earn their keep: the burst class sheds
 //!   while the real-time guarantee stays untouched.
 
-use std::fmt::Write as _;
-
-use citysim::event::EventQueue;
-use citysim::time::{Duration, SimTime};
+use citysim::time::Duration;
 use citysim::Histogram;
-use f2c_core::runtime::section_generators;
 use f2c_core::{F2cCity, Layer};
-use f2c_qos::{ShedCause, CLASS_COUNT};
+use f2c_qos::CLASS_COUNT;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use scc_sensors::{Category, SensorType};
 
 pub use f2c_qos::ServiceClass;
 
-use crate::engine::{ClassStats, HeldSlots, Outcome, QueryEngine, ServedVia};
+use crate::engine::ClassStats;
 use crate::model::{Query, QueryKind, Scope, Selector, TimeWindow};
 use crate::{Error, Result};
 
@@ -298,19 +297,6 @@ impl WorkloadReport {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ev {
-    /// User `u` issues their next request.
-    Tick(u32),
-    /// A store execution's simulated response completed: release the
-    /// admission slots it held (one per fan-out leg for scatter-gather).
-    Release(HeldSlots),
-    /// Hierarchy-wide flush.
-    Flush,
-    /// Background sensor waves at every section.
-    Ingest,
-}
-
 pub(crate) fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *hash ^= u64::from(b);
@@ -340,22 +326,10 @@ pub(crate) struct User {
     pub(crate) retires_at_s: Option<u64>,
 }
 
-fn gen_query(class: ServiceClass, now_s: u64, engine: &QueryEngine, rng: &mut SmallRng) -> Query {
-    let origin = rng.gen_range(0..73usize);
-    gen_query_at(
-        class,
-        now_s,
-        origin,
-        engine.last_flush_s(),
-        engine.city(),
-        rng,
-    )
-}
-
-/// [`gen_query`] with the origin section and settled frontier supplied by
-/// the caller — the form the sharded runtime uses, where each district
-/// shard draws origins from its own sections and serving only ever holds
-/// `&F2cCity`.
+/// One request of `class` at `now_s`, from `origin`, over windows settled
+/// up to `settled`. The caller supplies the origin section and the
+/// settled frontier: each district shard draws origins from its own
+/// sections, and serving only ever holds `&F2cCity`.
 pub(crate) fn gen_query_at(
     class: ServiceClass,
     now_s: u64,
@@ -445,9 +419,7 @@ pub(crate) fn gen_query_at(
 }
 
 /// Rejects degenerate workload shapes; returns the flattened flash-crowd
-/// list on success. Shared by the sequential loop and the sharded
-/// runtime in [`crate::parallel`], so both reject exactly the same
-/// configurations.
+/// list on success.
 pub(crate) fn validate(config: &WorkloadConfig) -> Result<Vec<FlashCrowd>> {
     if config.users == 0 || config.requests == 0 || config.mix.total() == 0 {
         return Err(Error::BadQuery {
@@ -476,292 +448,12 @@ pub(crate) fn validate(config: &WorkloadConfig) -> Result<Vec<FlashCrowd>> {
     Ok(crowds)
 }
 
-/// Runs one closed-loop workload against `engine`.
-///
-/// The run opens with a settling flush at `start_s` (stamping the
-/// engine's settled frontier), then interleaves user requests, background
-/// ingest and periodic flushes on one deterministic event clock until
-/// `requests` have been issued and the in-flight tail has drained. Flash
-/// crowds join (and leave) as scheduled, and the diurnal curve scales
-/// every think time.
-///
-/// # Errors
-///
-/// [`Error::BadQuery`] on a degenerate configuration; hierarchy/network
-/// errors from serving.
-pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<WorkloadReport> {
-    let crowds = validate(config)?;
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    engine.flush_all(config.start_s)?;
-    let stats0 = engine.stats();
-
-    let mut ingest_gens = (config.ingest_period_s > 0).then(|| {
-        section_generators(
-            &engine
-                .city()
-                .catalog()
-                .scaled_down(config.ingest_scale.max(1)),
-            config.seed ^ 0x9E37_79B9_7F4A_7C15,
-        )
-    });
-
-    // The steady population, then the flash crowds' temporary members.
-    let mut users: Vec<User> = (0..config.users)
-        .map(|_| User {
-            class: config.mix.sample(&mut rng),
-            think_divisor: 1,
-            retires_at_s: None,
-        })
-        .collect();
-
-    let start = SimTime::from_secs(config.start_s);
-    let mut queue: EventQueue<Ev> = EventQueue::new();
-    for u in 0..config.users {
-        // Stagger arrivals so users do not tick in lockstep forever.
-        queue.schedule_at(
-            start + Duration::from_millis(u64::from(u) * 31),
-            Ev::Tick(u),
-        );
-    }
-    for crowd in &crowds {
-        let arrive = SimTime::from_secs(crowd.start_s.max(config.start_s));
-        let leaves = crowd.start_s.saturating_add(crowd.duration_s);
-        for i in 0..crowd.users {
-            let u = users.len() as u32;
-            users.push(User {
-                class: crowd.class,
-                think_divisor: crowd.think_divisor,
-                retires_at_s: Some(leaves),
-            });
-            queue.schedule_at(
-                arrive + Duration::from_millis(u64::from(i) * 17),
-                Ev::Tick(u),
-            );
-        }
-    }
-    if config.flush_period_s > 0 {
-        queue.schedule_at(
-            start + Duration::from_secs(config.flush_period_s),
-            Ev::Flush,
-        );
-    }
-    if ingest_gens.is_some() {
-        queue.schedule_at(
-            start + Duration::from_secs(config.ingest_period_s),
-            Ev::Ingest,
-        );
-    }
-
-    // A user's next think time: class nominal, scaled by the diurnal
-    // intensity, then by the flash-crowd divisor.
-    let next_think = |user: &User, now_s: u64, rng: &mut SmallRng| -> Duration {
-        let base = think(user.class, rng);
-        let milli = config
-            .diurnal
-            .map_or(1_000, |curve| curve.intensity_milli(now_s));
-        let scaled = base.as_micros() * 1_000 / milli;
-        Duration::from_micros((scaled / u64::from(user.think_divisor)).max(1))
-    };
-
-    let mut issued = 0u64;
-    let mut answered = 0u64;
-    let mut shed = 0u64;
-    let mut unanswerable = 0u64;
-    let mut shed_during_flash = [0u64; CLASS_COUNT];
-    let mut hists = [Histogram::new(), Histogram::new(), Histogram::new()];
-    let mut class_hists: [Histogram; CLASS_COUNT] = Default::default();
-    let mut scatter_latency = Histogram::new();
-    let mut sim_end_s = config.start_s;
-    let mut transcript = Vec::new();
-    let mut transcript_hash = FNV_OFFSET;
-    let mut line = String::new();
-
-    while let Some((at, ev)) = queue.pop() {
-        let now_s = at.as_secs();
-        match ev {
-            Ev::Flush => {
-                engine.flush_all(now_s)?;
-                if issued < config.requests {
-                    queue.schedule_at(at + Duration::from_secs(config.flush_period_s), Ev::Flush);
-                }
-            }
-            Ev::Ingest => {
-                if let Some(gens) = ingest_gens.as_mut() {
-                    for (section, per_section) in gens.iter_mut().enumerate() {
-                        for gen in per_section.values_mut() {
-                            engine.ingest(section, gen.wave(now_s), now_s)?;
-                        }
-                    }
-                    if issued < config.requests {
-                        queue.schedule_at(
-                            at + Duration::from_secs(config.ingest_period_s),
-                            Ev::Ingest,
-                        );
-                    }
-                }
-            }
-            Ev::Release(held) => engine.release_held(held),
-            Ev::Tick(u) => {
-                if issued >= config.requests {
-                    continue;
-                }
-                let user = users[u as usize];
-                if user.retires_at_s.is_some_and(|end| now_s >= end) {
-                    // The flash crowd left: this user stops ticking.
-                    continue;
-                }
-                issued += 1;
-                sim_end_s = now_s;
-                let class = user.class;
-                let in_flash = crowds.iter().any(|c| c.active_at(now_s));
-                let query = gen_query(class, now_s, engine, &mut rng);
-                line.clear();
-                let next_at = match engine.serve(&query, now_s) {
-                    Ok(Outcome::Answered(resp)) => {
-                        answered += 1;
-                        hists[resp.layer.index()].record(resp.est_latency);
-                        class_hists[class.index()].record(resp.est_latency);
-                        if matches!(resp.via, ServedVia::Scatter { .. }) {
-                            scatter_latency.record(resp.est_latency);
-                        }
-                        let done = at + resp.est_latency;
-                        if !resp.held.is_empty() {
-                            queue.schedule_at(done, Ev::Release(resp.held));
-                        }
-                        write!(
-                            line,
-                            "{issued};{class:?};A;{:?};{}",
-                            resp.via,
-                            resp.est_latency.as_micros()
-                        )
-                        .expect("writing to a String cannot fail");
-                        done + next_think(&user, now_s, &mut rng)
-                    }
-                    Ok(Outcome::Shed {
-                        layer,
-                        class: shed_class,
-                        cause,
-                    }) => {
-                        // The outcome carries the requester's context, so
-                        // accounting and retry policy need not re-derive
-                        // it from the query (per-class shed counts come
-                        // from the engine's own ledger stats).
-                        shed += 1;
-                        if in_flash && cause == ShedCause::Capacity {
-                            shed_during_flash[shed_class.index()] += 1;
-                        }
-                        write!(
-                            line,
-                            "{issued};{shed_class:?};S;{layer};{};0",
-                            cause.label()
-                        )
-                        .expect("writing to a String cannot fail");
-                        match cause {
-                            // Quota pressure drains as in-flight work
-                            // completes: retry after half a think.
-                            ShedCause::Capacity => {
-                                at + Duration::from_micros(
-                                    next_think(&user, now_s, &mut rng).as_micros() / 2,
-                                )
-                            }
-                            // A deadline shed cannot succeed until the
-                            // hierarchy state changes (a flush, an
-                            // eviction): abandon and come back later.
-                            ShedCause::Deadline => at + next_think(&user, now_s, &mut rng),
-                            // A fault shed clears when the injected
-                            // outage window ends: abandon and retry
-                            // after a full think, like a deadline shed.
-                            ShedCause::Fault => at + next_think(&user, now_s, &mut rng),
-                        }
-                    }
-                    Err(Error::Unanswerable { .. }) => {
-                        unanswerable += 1;
-                        write!(line, "{issued};{class:?};U;;0")
-                            .expect("writing to a String cannot fail");
-                        at + next_think(&user, now_s, &mut rng)
-                    }
-                    Err(e) => return Err(e),
-                };
-                line.push('\n');
-                fnv1a(&mut transcript_hash, line.as_bytes());
-                if config.record_transcript {
-                    transcript.extend_from_slice(line.as_bytes());
-                }
-                if issued < config.requests {
-                    queue.schedule_at(next_at, Ev::Tick(u));
-                }
-            }
-        }
-    }
-
-    // Publish the run's estimated-latency distributions into the city's
-    // unified registry (merged, not moved — the typed report below keeps
-    // its own copies), and sync the point-in-time gauges, so a bench
-    // export after the run sees the same series the report prints.
-    {
-        let m = engine.city_mut().metrics_mut();
-        let q = f2c_obs::Labels::new().service("query");
-        for layer in Layer::ALL {
-            let id = m.histogram(
-                "query_latency_us",
-                q.layer(crate::engine::layer_label(layer)),
-            );
-            m.merge_histogram(id, &hists[layer.index()]);
-        }
-        for class in ServiceClass::ALL {
-            let id = m.histogram("query_latency_us", q.class(class.label()));
-            m.merge_histogram(id, &class_hists[class.index()]);
-        }
-        let id = m.histogram("query_latency_us", q.kind("scatter"));
-        m.merge_histogram(id, &scatter_latency);
-    }
-    engine.sync_gauges();
-
-    let stats = engine.stats();
-    // Per-class counters are the engine's own ledger accounting, scoped
-    // to this run by delta — one source of truth for sheds, reroutes
-    // and SLO attainment.
-    let mut per_class = [ClassStats::default(); CLASS_COUNT];
-    for class in ServiceClass::ALL {
-        let i = class.index();
-        per_class[i] = stats.per_class[i].delta_since(&stats0.per_class[i]);
-    }
-    Ok(WorkloadReport {
-        issued,
-        answered,
-        shed,
-        unanswerable,
-        edge_hits: stats.edge_hits - stats0.edge_hits,
-        source_hits: stats.source_hits - stats0.source_hits,
-        store_served: stats.store_served - stats0.store_served,
-        scatter_served: stats.scatter_served - stats0.scatter_served,
-        scatter_legs: stats.scatter_legs - stats0.scatter_legs,
-        scatter_wins: stats.scatter_wins - stats0.scatter_wins,
-        cloud_wins: stats.cloud_wins - stats0.cloud_wins,
-        prefold_hits: stats.prefold_hits - stats0.prefold_hits,
-        partial_fills: stats.partial_fills - stats0.partial_fills,
-        sketch_served: stats.sketch_served - stats0.sketch_served,
-        sketch_legs: stats.sketch_legs - stats0.sketch_legs,
-        fault_shed: stats.fault_shed - stats0.fault_shed,
-        legs_shed: stats.legs_shed - stats0.legs_shed,
-        degraded: stats.degraded - stats0.degraded,
-        latency_by_layer: hists,
-        latency_by_class: class_hists,
-        per_class,
-        shed_during_flash,
-        scatter_latency,
-        sim_end_s,
-        transcript_hash,
-        transcript,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineConfig, LayerCaps};
+    use crate::engine::{EngineConfig, LayerCaps, QueryEngine};
+    use crate::parallel::run;
     use f2c_core::runtime::populate_city;
-    use f2c_core::F2cCity;
 
     fn warm_engine() -> QueryEngine {
         let mut city = F2cCity::barcelona().unwrap();
@@ -997,7 +689,13 @@ mod tests {
         let mut engine = warm_engine();
         let mut config = small_config();
         config.users = 0;
-        assert!(run(&mut engine, &config).is_err());
+        assert!(matches!(
+            run(&mut engine, &config),
+            Err(Error::BadQuery {
+                field: "workload",
+                ..
+            })
+        ));
         let mut config = small_config();
         config.mix = Mix {
             dashboard: 0,

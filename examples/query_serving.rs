@@ -9,7 +9,8 @@
 
 use f2c_smartcity::core::runtime::populate_city;
 use f2c_smartcity::core::{F2cCity, Layer};
-use f2c_smartcity::query::workload::{self, ServiceClass, WorkloadConfig};
+use f2c_smartcity::query::parallel;
+use f2c_smartcity::query::workload::{ServiceClass, WorkloadConfig};
 use f2c_smartcity::query::{
     EngineConfig, Outcome, Query, QueryAnswer, QueryEngine, QueryKind, Scope, Selector, TimeWindow,
 };
@@ -122,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     show("urban city-wide panel", &engine.serve_sync(&citywide, now)?);
 
     // A seeded closed-loop mini-workload over the same engine.
-    let report = workload::run(
+    let report = parallel::run(
         &mut engine,
         &WorkloadConfig {
             seed: 42,

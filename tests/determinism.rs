@@ -14,7 +14,7 @@ use f2c_smartcity::compress;
 use f2c_smartcity::core::runtime::populate_city;
 use f2c_smartcity::core::{ChaosSite, F2cCity, F2cNode, FlushPolicy, Parallelism, RetentionPolicy};
 use f2c_smartcity::query::parallel;
-use f2c_smartcity::query::workload::{self, WorkloadConfig};
+use f2c_smartcity::query::workload::WorkloadConfig;
 use f2c_smartcity::query::{EngineConfig, QueryEngine};
 use f2c_smartcity::sensors::{wire, Catalog, ReadingGenerator, SensorType};
 
@@ -119,46 +119,10 @@ fn distinct_seeds_produce_distinct_transcripts() {
 /// One full serving replica: warm a small city through the event-driven
 /// runtime, then drive a seeded closed-loop query workload (dashboard /
 /// analytics / real-time mix, background ingest and flushes included)
-/// and return its per-request transcript.
-fn query_replica(seed: u64) -> Vec<u8> {
-    let mut city = F2cCity::barcelona().expect("city builds");
-    populate_city(&mut city, 20_000, seed, 3_600, 900).expect("warm-up runs");
-    let mut engine = QueryEngine::new(city, EngineConfig::default());
-    let config = WorkloadConfig {
-        seed,
-        requests: 2_000,
-        users: 24,
-        start_s: 3_600,
-        record_transcript: true,
-        ..WorkloadConfig::default()
-    };
-    let report = workload::run(&mut engine, &config).expect("workload runs");
-    report.transcript
-}
-
-#[test]
-fn query_workload_replays_are_transcript_identical() {
-    let first = query_replica(2017);
-    let second = query_replica(2017);
-    assert!(
-        first.len() > 10_000,
-        "transcript suspiciously small ({} bytes) — workload issued nothing",
-        first.len()
-    );
-    assert_byte_identical(&first, &second, "query replica 1 vs 2");
-    // And the seed must matter, exactly as for the ingest pipeline.
-    let other = query_replica(2018);
-    assert_ne!(
-        first, other,
-        "different seeds must change the serving transcript"
-    );
-}
-
-/// One *sharded* serving replica: the same warm city and closed-loop
-/// shape as [`query_replica`], driven through the district-sharded
-/// runtime at `threads` worker threads. Returns the concatenated
-/// per-shard transcript plus the report's rolling hash.
-fn sharded_query_replica(seed: u64, threads: usize) -> Vec<u8> {
+/// through the district-sharded loop at `threads` worker threads.
+/// Returns the concatenated per-shard transcript plus the report's
+/// rolling hash.
+fn query_replica(seed: u64, threads: usize) -> Vec<u8> {
     let mut city = F2cCity::barcelona().expect("city builds");
     city.set_parallelism(Parallelism::new(threads));
     populate_city(&mut city, 20_000, seed, 3_600, 900).expect("warm-up runs");
@@ -171,10 +135,28 @@ fn sharded_query_replica(seed: u64, threads: usize) -> Vec<u8> {
         record_transcript: true,
         ..WorkloadConfig::default()
     };
-    let report = parallel::run(&mut engine, &config).expect("sharded workload runs");
+    let report = parallel::run(&mut engine, &config).expect("workload runs");
     let mut out = report.transcript;
     out.extend_from_slice(format!("hash={:016x}\n", report.transcript_hash).as_bytes());
     out
+}
+
+#[test]
+fn query_workload_replays_are_transcript_identical() {
+    let first = query_replica(2017, 1);
+    let second = query_replica(2017, 1);
+    assert!(
+        first.len() > 10_000,
+        "transcript suspiciously small ({} bytes) — workload issued nothing",
+        first.len()
+    );
+    assert_byte_identical(&first, &second, "query replica 1 vs 2");
+    // And the seed must matter, exactly as for the ingest pipeline.
+    let other = query_replica(2018, 1);
+    assert_ne!(
+        first, other,
+        "different seeds must change the serving transcript"
+    );
 }
 
 #[test]
@@ -183,21 +165,21 @@ fn sharded_query_workload_is_thread_count_invariant() {
     // closed loop's transcript and hash must be identical at every
     // worker-thread count (tests/parallel.rs holds the full-artifact
     // oracle; this pins the per-request stream itself).
-    let baseline = sharded_query_replica(2017, 1);
+    let baseline = query_replica(2017, 1);
     assert!(
         baseline.len() > 10_000,
         "transcript suspiciously small ({} bytes) — sharded workload issued nothing",
         baseline.len()
     );
     for threads in [2usize, 4, 8] {
-        let other = sharded_query_replica(2017, threads);
+        let other = query_replica(2017, threads);
         assert_byte_identical(
             &baseline,
             &other,
             &format!("sharded query workload, threads=1 vs threads={threads}"),
         );
     }
-    let other_seed = sharded_query_replica(2018, 1);
+    let other_seed = query_replica(2018, 1);
     assert_ne!(
         baseline, other_seed,
         "different seeds must change the sharded transcript"
@@ -231,7 +213,7 @@ fn trace_replica_at(seed: u64, threads: usize) -> Vec<u8> {
         ingest_scale: 5_000,
         ..WorkloadConfig::default()
     };
-    workload::run(&mut engine, &config).expect("storm workload runs");
+    parallel::run(&mut engine, &config).expect("storm workload runs");
     let mut out = engine.city().tracer().encode();
     let snapshot = engine.city().metrics().snapshot();
     for (key, value) in &snapshot.counters {

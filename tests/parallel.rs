@@ -14,7 +14,9 @@
 use f2c_smartcity::citysim::net::FailurePlan;
 use f2c_smartcity::core::runtime::populate_city;
 use f2c_smartcity::core::{ChaosSite, F2cCity, Parallelism};
-use f2c_smartcity::query::{parallel, EngineConfig, QueryEngine, WorkloadConfig};
+use f2c_smartcity::query::{
+    parallel, DiurnalCurve, EngineConfig, FlashCrowd, QueryEngine, ServiceClass, WorkloadConfig,
+};
 use f2c_smartcity::sensors::wire;
 
 /// Asserts two replica byte streams are identical, reporting the first
@@ -139,6 +141,21 @@ fn run_artifacts(engine: &QueryEngine, transcript: &[u8], summary: &str) -> Vec<
     out
 }
 
+/// The two load shapes only this loop carries, as oracle inputs: the
+/// paper's day curve, and an analytics stampede (48 users thinking 32×
+/// faster for 120 s) shortly after the run starts.
+fn shaped(mut config: WorkloadConfig, diurnal: bool, flash: bool) -> WorkloadConfig {
+    config.diurnal = diurnal.then(DiurnalCurve::paper_day);
+    config.flash_crowds[0] = flash.then_some(FlashCrowd {
+        class: ServiceClass::Analytics,
+        start_s: config.start_s + 10,
+        duration_s: 120,
+        users: 48,
+        think_divisor: 32,
+    });
+    config
+}
+
 /// One sharded-workload replica at `threads` worker threads: warm a
 /// seeded city, optionally install a fault storm, drive the sharded
 /// closed loop, and return every run artifact as one byte stream.
@@ -178,18 +195,22 @@ fn shard_replica(config: &WorkloadConfig, threads: usize, storm: bool) -> Vec<u8
 #[test]
 fn sharded_workload_is_thread_count_invariant() {
     // The tentpole conformance sweep, query-serving plane: live flush
-    // and ingest barriers, every artifact byte-identical at 1/2/4/8
-    // worker threads.
-    let config = WorkloadConfig {
-        seed: 2017,
-        requests: 1_200,
-        users: 24,
-        start_s: 3_600,
-        flush_period_s: 300,
-        ingest_period_s: 300,
-        ingest_scale: 5_000,
-        ..WorkloadConfig::default()
-    };
+    // and ingest barriers under the day curve and a flash crowd, every
+    // artifact byte-identical at 1/2/4/8 worker threads.
+    let config = shaped(
+        WorkloadConfig {
+            seed: 2017,
+            requests: 1_200,
+            users: 24,
+            start_s: 3_600,
+            flush_period_s: 300,
+            ingest_period_s: 300,
+            ingest_scale: 5_000,
+            ..WorkloadConfig::default()
+        },
+        true,
+        true,
+    );
     let baseline = shard_replica(&config, 1, false);
     assert!(
         baseline.len() > 10_000,
@@ -234,7 +255,7 @@ mod properties {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         /// The satellite oracle: for *arbitrary* seeds, population
-        /// shapes, barrier cadences and thread counts, the sharded
+        /// shapes, load shapes, barrier cadences and thread counts, the sharded
         /// runtime's full artifact stream equals the single-thread
         /// run's byte-for-byte.
         #[test]
@@ -245,17 +266,23 @@ mod properties {
             threads in 2usize..9,
             flush_period_s in proptest::sample::select(vec![0u64, 300, 900]),
             ingest_period_s in proptest::sample::select(vec![0u64, 300]),
+            diurnal in any::<bool>(),
+            flash in any::<bool>(),
         ) {
-            let config = WorkloadConfig {
-                seed,
-                requests,
-                users,
-                start_s: 3_600,
-                flush_period_s,
-                ingest_period_s,
-                ingest_scale: 5_000,
-                ..WorkloadConfig::default()
-            };
+            let config = shaped(
+                WorkloadConfig {
+                    seed,
+                    requests,
+                    users,
+                    start_s: 3_600,
+                    flush_period_s,
+                    ingest_period_s,
+                    ingest_scale: 5_000,
+                    ..WorkloadConfig::default()
+                },
+                diurnal,
+                flash,
+            );
             let baseline = shard_replica(&config, 1, false);
             let other = shard_replica(&config, threads, false);
             prop_assert_eq!(
