@@ -15,11 +15,11 @@
 //!           bit-packed tokens, terminated by the end-of-block symbol
 //! ```
 //!
-//! Code lengths fit in 4 bits because [`code_lengths`] is called with a
-//! 15-bit limit... no — 15 needs 4 bits exactly (0–15), which is why the
-//! header stores raw 4-bit nibbles instead of DEFLATE's run-length-coded
-//! header. Streams where coding would expand the payload fall back to
-//! method 0, so `compress` never loses more than the 17-byte header.
+//! [`code_lengths`] is called with a 15-bit limit, so every code length
+//! is 0–15 and fits a 4-bit nibble exactly — which is why the header
+//! stores raw nibbles instead of DEFLATE's run-length-coded header.
+//! Streams where coding would expand the payload fall back to method 0,
+//! so `compress` never loses more than the 17-byte header.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::crc32;

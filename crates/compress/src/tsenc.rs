@@ -6,7 +6,9 @@
 //! values follow one of five narrow models. This module splits a batch
 //! into columns and encodes each with the cheapest of six integer
 //! [`Technique`]s, chosen by a per-column cost probe and tagged in the
-//! column's frame header:
+//! column's frame header. The probe is size-only — it computes each
+//! technique's exact body length from varint lengths, builds no
+//! candidate, and writes the winner once:
 //!
 //! | tag | technique        | wins when …                                |
 //! |-----|------------------|--------------------------------------------|
@@ -27,10 +29,16 @@
 //! nothing on either side).
 //!
 //! When regularity breaks — a value variant that contradicts its type's
-//! model, oversized composites, or a batch the columns cannot beat — the
-//! encoder falls back to DEFLATE over a verbatim record serialization
-//! and tags the stream `MODE_FALLBACK`; the envelope overhead of that
-//! escape hatch is [`FALLBACK_OVERHEAD`] bytes.
+//! model, or composites beyond the columnar limits — the encoder falls
+//! back to DEFLATE over a verbatim record serialization and tags the
+//! stream `MODE_FALLBACK`; the envelope overhead of that escape hatch is
+//! [`FALLBACK_OVERHEAD`] bytes. The batch's shape alone decides the
+//! mode: a regular batch always ships columnar, so DEFLATE runs only
+//! when its bytes are shipped. Every column can fall back to raw
+//! varints, which bounds a columnar payload by the verbatim record
+//! bytes plus one frame per column; that it also beats DEFLATE on real
+//! flush traffic is held by a test oracle over captured shipments
+//! (`tests/flush_codec.rs`), not re-proved per batch.
 //!
 //! # Stream envelope
 //!
@@ -63,6 +71,12 @@ pub const MAGIC: [u8; 4] = *b"TSF1";
 pub const MODE_COLUMNAR: u8 = 0;
 /// Mode byte: DEFLATE-compressed verbatim body follows.
 pub const MODE_FALLBACK: u8 = 1;
+
+/// The mode byte of an encoded stream, read without decoding it (`None`
+/// when the stream is too short to carry one).
+pub fn stream_mode(stream: &[u8]) -> Option<u8> {
+    stream.get(MAGIC.len()).copied()
+}
 
 /// Fixed envelope cost of a stream: magic (4) + mode (1) + CRC-32 (4).
 /// This is the most a fallback-tagged stream can lose to raw DEFLATE of
@@ -200,49 +214,70 @@ impl Technique {
     }
 }
 
-fn body_raw(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len());
+/// Bytes [`put_varint`] writes for `v`: seven payload bits per byte, and
+/// zero still takes one.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros()).div_ceil(7) as usize
+}
+
+/// Where a technique's varints go: into the stream, or into a byte
+/// count. Every technique is written once against this, so the length a
+/// probe computes and the body written later cannot disagree.
+trait VarintSink {
+    fn put(&mut self, v: u64);
+}
+
+impl VarintSink for Vec<u8> {
+    fn put(&mut self, v: u64) {
+        put_varint(self, v);
+    }
+}
+
+/// The size-only sink: the bytes a body would take, without the body.
+struct ByteCount(usize);
+
+impl VarintSink for ByteCount {
+    fn put(&mut self, v: u64) {
+        self.0 += varint_len(v);
+    }
+}
+
+fn emit_raw(values: &[u64], sink: &mut impl VarintSink) {
     for &v in values {
-        put_varint(&mut out, v);
+        sink.put(v);
     }
-    out
 }
 
-fn body_delta(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len());
+fn emit_delta(values: &[u64], sink: &mut impl VarintSink) {
     let Some(&first) = values.first() else {
-        return out;
+        return;
     };
-    put_varint(&mut out, first);
+    sink.put(first);
     for w in values.windows(2) {
-        put_varint(&mut out, zigzag(w[1].wrapping_sub(w[0]) as i64));
+        sink.put(zigzag(w[1].wrapping_sub(w[0]) as i64));
     }
-    out
 }
 
-fn body_dod(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len());
+fn emit_dod(values: &[u64], sink: &mut impl VarintSink) {
     let Some(&first) = values.first() else {
-        return out;
+        return;
     };
-    put_varint(&mut out, first);
+    sink.put(first);
     if values.len() == 1 {
-        return out;
+        return;
     }
     let mut prev_delta = values[1].wrapping_sub(values[0]) as i64;
-    put_varint(&mut out, zigzag(prev_delta));
+    sink.put(zigzag(prev_delta));
     for w in values[1..].windows(2) {
         let delta = w[1].wrapping_sub(w[0]) as i64;
-        put_varint(&mut out, zigzag(delta.wrapping_sub(prev_delta)));
+        sink.put(zigzag(delta.wrapping_sub(prev_delta)));
         prev_delta = delta;
     }
-    out
 }
 
-fn body_rle(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::new();
+fn emit_rle(values: &[u64], sink: &mut impl VarintSink) {
     let Some(&first) = values.first() else {
-        return out;
+        return;
     };
     let mut current = first;
     let mut run = 1u64;
@@ -250,88 +285,153 @@ fn body_rle(values: &[u64]) -> Vec<u8> {
         if v == current {
             run += 1;
         } else {
-            put_varint(&mut out, current);
-            put_varint(&mut out, run);
+            sink.put(current);
+            sink.put(run);
             current = v;
             run = 1;
         }
     }
-    put_varint(&mut out, current);
-    put_varint(&mut out, run);
-    out
+    sink.put(current);
+    sink.put(run);
 }
 
-fn body_dict(values: &[u64]) -> Vec<u8> {
-    let mut distinct: Vec<u64> = Vec::new();
-    let mut index: HashMap<u64, u64> = HashMap::new();
-    let mut codes: Vec<u64> = Vec::with_capacity(values.len());
-    for &v in values {
-        let code = *index.entry(v).or_insert_with(|| {
-            distinct.push(v);
-            distinct.len() as u64 - 1
-        });
-        codes.push(code);
-    }
-    let mut out = Vec::new();
-    put_varint(&mut out, distinct.len() as u64);
-    for v in distinct {
-        put_varint(&mut out, v);
-    }
-    for c in codes {
-        put_varint(&mut out, c);
-    }
-    out
-}
-
-fn body_xor(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len());
+fn emit_xor(values: &[u64], sink: &mut impl VarintSink) {
     let Some(&first) = values.first() else {
-        return out;
+        return;
     };
-    put_varint(&mut out, first);
+    sink.put(first);
     for w in values.windows(2) {
-        put_varint(&mut out, w[0] ^ w[1]);
+        sink.put(w[0] ^ w[1]);
     }
-    out
 }
 
-fn encode_body(technique: Technique, values: &[u64]) -> Vec<u8> {
-    match technique {
-        Technique::Raw => body_raw(values),
-        Technique::Delta => body_delta(values),
-        Technique::DeltaOfDelta => body_dod(values),
-        Technique::Rle => body_rle(values),
-        Technique::Dict => body_dict(values),
-        Technique::Xor => body_xor(values),
+/// The dictionary technique's working state: the local dictionary of
+/// the column last probed. Kept between columns so a warm encoder
+/// probes without allocating.
+#[derive(Debug, Default)]
+struct DictProbe {
+    index: HashMap<u64, u64>,
+    /// Distinct values, first-appearance order.
+    distinct: Vec<u64>,
+    /// One dictionary index per column value.
+    codes: Vec<u64>,
+}
+
+impl DictProbe {
+    /// Builds the local dictionary of `values` and returns the length of
+    /// its body — exact whenever that is below `limit`. Otherwise the
+    /// probe stops as soon as its running lower bound (the bytes so far
+    /// plus one byte per code still to come) reaches `limit`, and
+    /// returns that bound: the body cannot be strictly smaller than
+    /// `limit`, so the dictionary is left incomplete.
+    fn probe(&mut self, values: &[u64], limit: usize) -> usize {
+        self.index.clear();
+        self.distinct.clear();
+        self.codes.clear();
+        // Distinct values and codes so far; the count varint rides on top.
+        let mut bytes = 0usize;
+        for (i, &v) in values.iter().enumerate() {
+            let next = self.distinct.len() as u64;
+            let code = *self.index.entry(v).or_insert(next);
+            if code == next {
+                self.distinct.push(v);
+                bytes += varint_len(v);
+            }
+            self.codes.push(code);
+            bytes += varint_len(code);
+            let bound = varint_len(self.distinct.len() as u64) + bytes + (values.len() - i - 1);
+            if bound >= limit {
+                return bound;
+            }
+        }
+        varint_len(self.distinct.len() as u64) + bytes
     }
+
+    /// The body of the (completely) probed column.
+    fn emit(&self, sink: &mut impl VarintSink) {
+        sink.put(self.distinct.len() as u64);
+        emit_raw(&self.distinct, sink);
+        emit_raw(&self.codes, sink);
+    }
+}
+
+/// `technique`'s body over `values`, into either sink; for `Dict`,
+/// `dict` must hold the completed probe of `values`.
+fn emit_body(technique: Technique, values: &[u64], dict: &DictProbe, sink: &mut impl VarintSink) {
+    match technique {
+        Technique::Raw => emit_raw(values, sink),
+        Technique::Delta => emit_delta(values, sink),
+        Technique::DeltaOfDelta => emit_dod(values, sink),
+        Technique::Rle => emit_rle(values, sink),
+        Technique::Dict => dict.emit(sink),
+        Technique::Xor => emit_xor(values, sink),
+    }
+}
+
+/// The length of `technique`'s body over `values`, computed from varint
+/// lengths alone. `Dict` leaves its dictionary in `dict` for
+/// [`write_frame`] and may stop early against `limit` (see
+/// [`DictProbe::probe`]); every other technique is exact regardless.
+fn body_len(technique: Technique, values: &[u64], dict: &mut DictProbe, limit: usize) -> usize {
+    if technique == Technique::Dict {
+        return dict.probe(values, limit);
+    }
+    let mut count = ByteCount(0);
+    emit_body(technique, values, dict, &mut count);
+    count.0
+}
+
+/// Writes one column frame whose body length is already known.
+fn write_frame(
+    technique: Technique,
+    body_len: usize,
+    values: &[u64],
+    dict: &DictProbe,
+    out: &mut Vec<u8>,
+) {
+    out.push(technique.tag());
+    put_varint(out, body_len as u64);
+    let body_start = out.len();
+    emit_body(technique, values, dict, out);
+    debug_assert_eq!(
+        out.len() - body_start,
+        body_len,
+        "{technique:?}: computed cost disagrees with the body written"
+    );
 }
 
 /// Encodes `values` as one framed column with a forced `technique`
 /// (the composed encoder uses [`encode_column`]; this entry point lets
 /// tests exercise each technique in isolation).
 pub fn encode_column_as(technique: Technique, values: &[u64], out: &mut Vec<u8>) {
-    let body = encode_body(technique, values);
-    out.push(technique.tag());
-    put_varint(out, body.len() as u64);
-    out.extend_from_slice(&body);
+    let mut dict = DictProbe::default();
+    let len = body_len(technique, values, &mut dict, usize::MAX);
+    write_frame(technique, len, values, &dict, out);
 }
 
 /// Encodes `values` as one framed column, probing every technique and
 /// keeping the cheapest (ties go to the earlier entry of
-/// [`Technique::ALL`], so the choice is deterministic).
+/// [`Technique::ALL`], so the choice is deterministic). The probe is
+/// size-only: no candidate body is built, and only the winner is
+/// written.
 pub fn encode_column(values: &[u64], out: &mut Vec<u8>) -> Technique {
+    probe_column(values, &mut DictProbe::default(), out)
+}
+
+/// [`encode_column`] over caller-owned dictionary-probe scratch.
+fn probe_column(values: &[u64], dict: &mut DictProbe, out: &mut Vec<u8>) -> Technique {
     let mut best = Technique::Raw;
-    let mut best_body = body_raw(values);
-    for technique in &Technique::ALL[1..] {
-        let body = encode_body(*technique, values);
-        if body.len() < best_body.len() {
-            best = *technique;
-            best_body = body;
+    let mut best_len = body_len(best, values, dict, usize::MAX);
+    for &technique in &Technique::ALL[1..] {
+        // `Dict` is probed once, so a win leaves its dictionary intact
+        // for `write_frame` whatever is probed after it.
+        let len = body_len(technique, values, dict, best_len);
+        if len < best_len {
+            best = technique;
+            best_len = len;
         }
     }
-    out.push(best.tag());
-    put_varint(out, best_body.len() as u64);
-    out.extend_from_slice(&best_body);
+    write_frame(best, best_len, values, dict, out);
     best
 }
 
@@ -575,22 +675,8 @@ fn value_model(ty: SensorType) -> ValueModel {
     }
 }
 
-fn value_matches(ty: SensorType, value: &Value) -> bool {
-    matches!(
-        (value_model(ty), value),
-        (ValueModel::Scalar, Value::Scalar(_))
-            | (ValueModel::Counter, Value::Counter(_))
-            | (ValueModel::Flag, Value::Flag(_))
-            | (ValueModel::Level, Value::Level(_))
-            | (ValueModel::Composite, Value::Composite(_))
-    )
-}
-
 fn type_code(ty: SensorType) -> u8 {
-    SensorType::ALL
-        .iter()
-        .position(|&t| t == ty)
-        .expect("every sensor type is in ALL") as u8
+    ty.ordinal() as u8
 }
 
 fn type_from_code(code: u8) -> Option<SensorType> {
@@ -730,6 +816,93 @@ fn verbatim_decode(data: &[u8]) -> Result<Vec<Reading>> {
 #[derive(Debug, Default)]
 pub struct StreamEncoder {
     dict: SensorDict,
+    columns: ColumnScratch,
+}
+
+/// The transposed batch: column vectors the encoder owns and reuses
+/// across batches, so a warm stream encodes into them without
+/// allocating.
+#[derive(Debug, Default)]
+struct ColumnScratch {
+    codes: Vec<u64>,
+    timestamps: Vec<u64>,
+    /// One value column per sensor type, in `SensorType::ALL` order
+    /// (for a composite type: its records' field counts).
+    values: [Vec<u64>; SensorType::ALL.len()],
+    /// The flattened zigzag fields of each composite type.
+    fields: [Vec<u64>; SensorType::ALL.len()],
+    /// Sensors this batch adds to the dictionary, first-appearance
+    /// order; committed only if the batch ships columnar.
+    staged: Vec<SensorId>,
+    staged_index: HashMap<SensorId, u64>,
+    probe: DictProbe,
+}
+
+impl ColumnScratch {
+    /// Transposes `readings` into the columns in one pass, staging the
+    /// sensors `dict` has not committed. Returns `false` when the batch
+    /// is irregular: a value variant contradicting its type's model, or
+    /// composites beyond the columnar limits.
+    fn transpose(&mut self, dict: &SensorDict, readings: &[Reading]) -> bool {
+        self.codes.clear();
+        self.timestamps.clear();
+        self.values.iter_mut().for_each(Vec::clear);
+        self.fields.iter_mut().for_each(Vec::clear);
+        self.staged.clear();
+        self.staged_index.clear();
+        let committed = dict.len() as u64;
+        for r in readings {
+            let id = r.sensor();
+            let t = id.sensor_type().ordinal();
+            let column = &mut self.values[t];
+            match (value_model(id.sensor_type()), r.value()) {
+                (ValueModel::Scalar, Value::Scalar(v)) => column.push(zigzag(*v)),
+                (ValueModel::Counter, Value::Counter(c)) => column.push(*c),
+                (ValueModel::Flag, Value::Flag(b)) => column.push(u64::from(*b)),
+                (ValueModel::Level, Value::Level(l)) => column.push(u64::from(*l)),
+                (ValueModel::Composite, Value::Composite(fs))
+                    if fs.len() as u64 <= MAX_COMPOSITE_FIELDS =>
+                {
+                    column.push(fs.len() as u64);
+                    self.fields[t].extend(fs.iter().map(|&f| zigzag(f)));
+                }
+                _ => return false,
+            }
+            let code = dict.code_of(id).unwrap_or_else(|| {
+                *self.staged_index.entry(id).or_insert_with(|| {
+                    self.staged.push(id);
+                    committed + self.staged.len() as u64 - 1
+                })
+            });
+            self.codes.push(code);
+            self.timestamps.push(r.timestamp_s());
+        }
+        self.fields
+            .iter()
+            .all(|fields| fields.len() as u64 <= MAX_COLUMN_INTS)
+    }
+
+    /// Writes the columnar body of the transposed batch.
+    fn write_body(&mut self, out: &mut Vec<u8>) {
+        put_varint(out, self.codes.len() as u64);
+        put_varint(out, self.staged.len() as u64);
+        for id in &self.staged {
+            out.push(type_code(id.sensor_type()));
+            put_varint(out, u64::from(id.index()));
+        }
+        probe_column(&self.codes, &mut self.probe, out);
+        probe_column(&self.timestamps, &mut self.probe, out);
+        for ty in SensorType::ALL {
+            let t = ty.ordinal();
+            if self.values[t].is_empty() {
+                continue;
+            }
+            probe_column(&self.values[t], &mut self.probe, out);
+            if value_model(ty) == ValueModel::Composite {
+                probe_column(&self.fields[t], &mut self.probe, out);
+            }
+        }
+    }
 }
 
 impl StreamEncoder {
@@ -743,9 +916,13 @@ impl StreamEncoder {
         self.dict.len()
     }
 
-    /// Encodes one batch, advancing the persistent dictionary only if
-    /// the batch ships columnar (the fallback path carries no additions,
-    /// so the decoder stays in step either way).
+    /// Encodes one batch. A regular batch — every value in its type's
+    /// model, composites within the columnar limits — ships
+    /// [`MODE_COLUMNAR`] and commits its dictionary additions; an
+    /// irregular one ships [`MODE_FALLBACK`], DEFLATE over the verbatim
+    /// records, and commits nothing, so the decoder stays in step either
+    /// way. The mode is decided by the batch's shape alone: DEFLATE runs
+    /// only when its bytes are shipped.
     ///
     /// # Errors
     ///
@@ -758,130 +935,23 @@ impl StreamEncoder {
                 limit: MAX_RECORDS,
             });
         }
-        let columnar = self.plan_columnar(readings);
-        let fallback = deflate::compress(&verbatim_encode(readings))?;
-        let (mode, body, staged) = match columnar {
-            Some((body, staged)) if body.len() <= fallback.len() => (MODE_COLUMNAR, body, staged),
-            _ => (MODE_FALLBACK, fallback, Vec::new()),
-        };
-        for id in staged {
-            self.dict.push(id);
-        }
-        let mut out = Vec::with_capacity(FALLBACK_OVERHEAD + body.len());
+        // A reserve, not a bound: warm flush traffic runs at three to
+        // five bytes a record.
+        let mut out = Vec::with_capacity(FALLBACK_OVERHEAD + 16 + 4 * readings.len());
         out.extend_from_slice(&MAGIC);
-        out.push(mode);
-        out.extend_from_slice(&body);
+        if self.columns.transpose(&self.dict, readings) {
+            out.push(MODE_COLUMNAR);
+            self.columns.write_body(&mut out);
+            for &id in &self.columns.staged {
+                self.dict.push(id);
+            }
+        } else {
+            out.push(MODE_FALLBACK);
+            out.extend_from_slice(&deflate::compress(&verbatim_encode(readings))?);
+        }
         let crc = crc32::checksum(&out[MAGIC.len()..]);
         out.extend_from_slice(&crc.to_le_bytes());
         Ok(out)
-    }
-
-    /// Builds the columnar body and the staged dictionary additions, or
-    /// `None` when the batch is irregular (value variants contradicting
-    /// their types' models, oversized composites).
-    fn plan_columnar(&self, readings: &[Reading]) -> Option<(Vec<u8>, Vec<SensorId>)> {
-        for r in readings {
-            if !value_matches(r.sensor_type(), r.value()) {
-                return None;
-            }
-            if let Value::Composite(fields) = r.value() {
-                if fields.len() as u64 > MAX_COMPOSITE_FIELDS {
-                    return None;
-                }
-            }
-        }
-        let mut staged: Vec<SensorId> = Vec::new();
-        let mut staged_index: HashMap<SensorId, u64> = HashMap::new();
-        let committed = self.dict.len() as u64;
-        let mut codes: Vec<u64> = Vec::with_capacity(readings.len());
-        for r in readings {
-            let id = r.sensor();
-            let code = self.dict.code_of(id).unwrap_or_else(|| {
-                *staged_index.entry(id).or_insert_with(|| {
-                    staged.push(id);
-                    committed + staged.len() as u64 - 1
-                })
-            });
-            codes.push(code);
-        }
-        let mut body = Vec::new();
-        put_varint(&mut body, readings.len() as u64);
-        put_varint(&mut body, staged.len() as u64);
-        for id in &staged {
-            body.push(type_code(id.sensor_type()));
-            put_varint(&mut body, u64::from(id.index()));
-        }
-        encode_column(&codes, &mut body);
-        let timestamps: Vec<u64> = readings.iter().map(Reading::timestamp_s).collect();
-        encode_column(&timestamps, &mut body);
-        for ty in SensorType::ALL {
-            let of_type: Vec<&Reading> =
-                readings.iter().filter(|r| r.sensor_type() == ty).collect();
-            if of_type.is_empty() {
-                continue;
-            }
-            match value_model(ty) {
-                ValueModel::Scalar => {
-                    let col: Vec<u64> = of_type
-                        .iter()
-                        .map(|r| match r.value() {
-                            Value::Scalar(v) => zigzag(*v),
-                            _ => unreachable!("regularity checked above"),
-                        })
-                        .collect();
-                    encode_column(&col, &mut body);
-                }
-                ValueModel::Counter => {
-                    let col: Vec<u64> = of_type
-                        .iter()
-                        .map(|r| match r.value() {
-                            Value::Counter(c) => *c,
-                            _ => unreachable!("regularity checked above"),
-                        })
-                        .collect();
-                    encode_column(&col, &mut body);
-                }
-                ValueModel::Flag => {
-                    let col: Vec<u64> = of_type
-                        .iter()
-                        .map(|r| match r.value() {
-                            Value::Flag(b) => u64::from(*b),
-                            _ => unreachable!("regularity checked above"),
-                        })
-                        .collect();
-                    encode_column(&col, &mut body);
-                }
-                ValueModel::Level => {
-                    let col: Vec<u64> = of_type
-                        .iter()
-                        .map(|r| match r.value() {
-                            Value::Level(l) => u64::from(*l),
-                            _ => unreachable!("regularity checked above"),
-                        })
-                        .collect();
-                    encode_column(&col, &mut body);
-                }
-                ValueModel::Composite => {
-                    let mut counts: Vec<u64> = Vec::with_capacity(of_type.len());
-                    let mut fields: Vec<u64> = Vec::new();
-                    for r in &of_type {
-                        match r.value() {
-                            Value::Composite(fs) => {
-                                counts.push(fs.len() as u64);
-                                fields.extend(fs.iter().map(|&f| zigzag(f)));
-                            }
-                            _ => unreachable!("regularity checked above"),
-                        }
-                    }
-                    if fields.len() as u64 > MAX_COLUMN_INTS {
-                        return None;
-                    }
-                    encode_column(&counts, &mut body);
-                    encode_column(&fields, &mut body);
-                }
-            }
-        }
-        Some((body, staged))
     }
 }
 
@@ -1102,6 +1172,7 @@ pub fn decode_once(data: &[u8]) -> Result<Vec<Reading>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn scalar(idx: u32, ts: u64, v: f64) -> Reading {
         Reading::new(
@@ -1168,6 +1239,74 @@ mod tests {
                 assert_eq!(t, technique);
                 assert_eq!(&back, values, "{technique:?}");
                 assert_eq!(pos, buf.len());
+            }
+        }
+    }
+
+    /// The frame `encode_column_as` writes is `tag | varint body_len | body`.
+    fn forced_body_len(technique: Technique, values: &[u64]) -> usize {
+        let mut frame = Vec::new();
+        encode_column_as(technique, values, &mut frame);
+        let mut pos = 1;
+        let declared = get_varint(&frame, &mut pos).unwrap() as usize;
+        assert_eq!(frame.len() - pos, declared, "{technique:?} frame header");
+        declared
+    }
+
+    fn assert_costs_match_bodies(values: &[u64]) {
+        let mut dict = DictProbe::default();
+        for technique in Technique::ALL {
+            assert_eq!(
+                body_len(technique, values, &mut dict, usize::MAX),
+                forced_body_len(technique, values),
+                "{technique:?} over {values:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn size_only_costs_match_bodies_on_edge_columns() {
+        assert_costs_match_bodies(&[]);
+        for v in [0, 1, 127, 128, u64::MAX] {
+            assert_eq!(varint_len(v), forced_body_len(Technique::Raw, &[v]));
+            assert_costs_match_bodies(&[v]);
+        }
+        assert_costs_match_bodies(&[u64::MAX, 0, u64::MAX, 1]);
+    }
+
+    proptest! {
+        #[test]
+        fn size_only_costs_match_bodies_on_arbitrary_columns(
+            wide in proptest::collection::vec(any::<u64>(), 0..200),
+            narrow in proptest::collection::vec(0u64..6, 0..200),
+        ) {
+            assert_costs_match_bodies(&wide);
+            assert_costs_match_bodies(&narrow);
+        }
+
+        #[test]
+        fn a_dictionary_probe_that_bails_out_would_not_have_won(
+            pool in proptest::collection::vec(any::<u64>(), 1..12),
+            picks in proptest::collection::vec(0usize..1024, 0..200),
+            noise in proptest::collection::vec(any::<u64>(), 0..8),
+            limit in 0usize..600,
+        ) {
+            // Mostly repeats from a small pool (where the dictionary is
+            // in contention), a little noise, and any limit.
+            let mut values: Vec<u64> = picks.iter().map(|&i| pool[i % pool.len()]).collect();
+            values.extend(noise);
+            let mut dict = DictProbe::default();
+            let exact = dict.probe(&values, usize::MAX);
+            let bounded = dict.probe(&values, limit);
+            prop_assert!(bounded <= exact, "a bound above the body: {} > {}", bounded, exact);
+            if exact < limit {
+                // It would have won: the probe must run to the end.
+                prop_assert_eq!(bounded, exact);
+                let mut body = Vec::new();
+                dict.emit(&mut body);
+                prop_assert_eq!(body.len(), exact);
+            } else {
+                prop_assert!(bounded >= limit, "bailed below the limit: {} < {}", bounded, limit);
             }
         }
     }

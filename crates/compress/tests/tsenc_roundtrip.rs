@@ -169,6 +169,37 @@ proptest! {
     }
 
     #[test]
+    fn incompressible_regular_batches_ship_columnar_in_dictionary_lock_step(
+        raws in proptest::collection::vec((0u32..500, any::<u64>(), any::<u64>()), 2..200),
+        cut in 0usize..200,
+    ) {
+        // Uniform random counters at random instants over many sensors:
+        // regular, but with nothing for a column technique to find. The
+        // mode follows the batch's shape, not a size contest with
+        // DEFLATE, so the stream stays columnar and both dictionaries
+        // take every sensor.
+        let readings: Vec<Reading> = raws
+            .iter()
+            .map(|&(idx, ts, count)| {
+                Reading::new(SensorId::new(SensorType::Traffic, idx), ts, Value::Counter(count))
+            })
+            .collect();
+        let mut sensors: Vec<u32> = raws.iter().map(|r| r.0).collect();
+        sensors.sort_unstable();
+        sensors.dedup();
+        let mut enc = StreamEncoder::new();
+        let mut dec = StreamDecoder::new();
+        let (first, second) = readings.split_at(cut.min(readings.len()));
+        for batch in [first, second] {
+            let payload = enc.encode_batch(batch).unwrap();
+            prop_assert_eq!(tsenc::stream_mode(&payload), Some(MODE_COLUMNAR));
+            prop_assert_eq!(dec.decode_batch(&payload).unwrap(), batch.to_vec());
+            prop_assert_eq!(enc.dict_len(), dec.dict_len());
+        }
+        prop_assert_eq!(enc.dict_len(), sensors.len());
+    }
+
+    #[test]
     fn constant_runs_compress_hard_and_roundtrip(
         n in 1usize..400,
         ts in 0u64..1_000_000,

@@ -9,6 +9,7 @@ use citysim::net::FailurePlan;
 use citysim::time::{Duration, SimTime};
 use citysim::{NetScratch, Network, NodeId};
 use f2c_aggregate::sketch::SketchKey;
+use f2c_compress::tsenc;
 use f2c_obs::{
     AlertTransition, BurnRateMonitor, CounterId, ExemplarStore, ExplainStore, Labels,
     MetricsRegistry, Site, SloSpec, Tracer,
@@ -102,6 +103,9 @@ struct CityMetricIds {
     /// `tsenc` payload when the policy compresses, accounting bytes
     /// otherwise. The `flush.bytes_per_record` budget gates on these.
     uplink_flush_bytes: [CounterId; 2],
+    /// Encoded payloads shipped, both hops together, by `tsenc` stream
+    /// mode: `[columnar, fallback]`, indexed by the mode byte.
+    flush_batches: [CounterId; 2],
     /// Flush waves run.
     flush_waves: CounterId,
     /// Anti-entropy outcomes: holes healed / carried / unhealable.
@@ -127,11 +131,22 @@ impl CityMetricIds {
                 metrics.counter("flush_uplink_bytes", flush.layer("fog1")),
                 metrics.counter("flush_uplink_bytes", flush.layer("fog2")),
             ],
+            flush_batches: [
+                metrics.counter("flush_batches", flush.kind("columnar")),
+                metrics.counter("flush_batches", flush.kind("fallback")),
+            ],
             flush_waves: metrics.counter("flush_waves", flush),
             heal_healed: metrics.counter("heal_outcomes", sketch.kind("healed")),
             heal_blocked: metrics.counter("heal_outcomes", sketch.kind("blocked")),
             heal_impossible: metrics.counter("heal_outcomes", sketch.kind("impossible")),
         }
+    }
+
+    /// The `flush_batches` series `batch` counts under: read off its
+    /// payload's mode byte (`None` when the policy ships no payload).
+    fn batch_mode(&self, batch: &FlushBatch) -> Option<CounterId> {
+        let mode = tsenc::stream_mode(batch.payload.as_deref()?)?;
+        self.flush_batches.get(usize::from(mode)).copied()
     }
 }
 
@@ -567,6 +582,17 @@ impl F2cCity {
         )
     }
 
+    /// Encoded flush payloads shipped so far, both hops together, by
+    /// `tsenc` stream mode: `(columnar, fallback)`. The codec picks the
+    /// mode from the batch's shape, so fault-free generator traffic —
+    /// every value in its type's model — must never count a fallback.
+    pub fn flush_batches(&self) -> (u64, u64) {
+        (
+            self.metrics.counter_value(self.ids.flush_batches[0]),
+            self.metrics.counter_value(self.ids.flush_batches[1]),
+        )
+    }
+
     /// Meters one consumer request/response on the simulated network:
     /// `request_bytes` from `section`'s fog-1 node to the `source`, and
     /// `response_bytes` back. Local serves never touch the network. The
@@ -964,6 +990,9 @@ impl F2cCity {
             cloud_shipped += 1;
             self.metrics
                 .add(self.ids.uplink_flush_bytes[1], batch.uplink_bytes());
+            if let Some(mode) = self.ids.batch_mode(&batch) {
+                self.metrics.inc(mode);
+            }
             if self.capture_shipments {
                 if let Some(payload) = batch.payload.clone() {
                     let readings: Vec<Reading> =
@@ -1384,6 +1413,9 @@ impl FlushShard<'_> {
             self.obs
                 .reg
                 .add(self.ids.uplink_flush_bytes[0], batch.uplink_bytes());
+            if let Some(mode) = self.ids.batch_mode(&batch) {
+                self.obs.reg.inc(mode);
+            }
             if self.capture {
                 if let Some(payload) = batch.payload.clone() {
                     let readings: Vec<Reading> =
@@ -1539,7 +1571,7 @@ impl HealShard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scc_sensors::ReadingGenerator;
+    use scc_sensors::{ReadingGenerator, SensorId, Value};
 
     fn waves_into(city: &mut F2cCity, section: usize, ty: SensorType, waves: u64) {
         let mut gen = ReadingGenerator::for_population(ty, 10, section as u64 + 1);
@@ -1647,6 +1679,27 @@ mod tests {
         assert_eq!(city.cloud().store().len(), {
             city.fog1(0).store().len() + city.fog1(40).store().len()
         });
+    }
+
+    #[test]
+    fn flush_batches_count_shipped_payloads_by_stream_mode() {
+        let mut city = F2cCity::barcelona().unwrap();
+        waves_into(&mut city, 0, SensorType::Weather, 3);
+        waves_into(&mut city, 40, SensorType::Weather, 3);
+        assert_ne!(city.district_of(0), city.district_of(40));
+        city.flush_all(3_000).unwrap();
+        // Two fog-1 shipments, then one per district's fog-2.
+        assert_eq!(city.flush_batches(), (4, 0));
+        // A traffic counter reporting a flag contradicts its type's
+        // model: the batch is irregular on both hops.
+        let odd = Reading::new(
+            SensorId::new(SensorType::Traffic, 0),
+            3_100,
+            Value::Flag(true),
+        );
+        assert_eq!(city.ingest(0, vec![odd], 3_101).unwrap().stored, 1);
+        city.flush_all(4_000).unwrap();
+        assert_eq!(city.flush_batches(), (4, 2));
     }
 
     #[test]

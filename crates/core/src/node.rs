@@ -21,7 +21,7 @@ use scc_dlc::acquisition::AcquisitionBlock;
 use scc_dlc::phase::{Phase, PhaseContext};
 use scc_dlc::preservation::ClassificationPhase;
 use scc_dlc::DataRecord;
-use scc_sensors::{wire, Catalog, Reading};
+use scc_sensors::{Catalog, Reading};
 
 use crate::layer::Layer;
 use crate::policy::{FlushPolicy, RetentionPolicy};
@@ -59,7 +59,7 @@ pub struct FlushBatch {
     pub records: Vec<DataRecord>,
     /// Table-I accounting bytes (Σ per-type transaction sizes).
     pub acct_bytes: u64,
-    /// Actual wire-encoded size of the batch.
+    /// Wire-text size of the batch (Σ `DataRecord::wire_len`).
     pub wire_bytes: u64,
     /// Compressed size of the shipped payload, when the policy
     /// compresses (always `payload.len()` when `payload` is `Some`).
@@ -522,9 +522,7 @@ impl F2cNode {
             .iter()
             .map(|rec| acct_bytes_for(rec.sensor_type(), catalog))
             .sum();
-        let readings: Vec<Reading> = records.iter().map(|r| r.reading().clone()).collect();
-        let encoded = wire::encode_batch(&readings);
-        let wire_bytes = encoded.len() as u64;
+        let wire_bytes: u64 = records.iter().map(DataRecord::wire_len).sum();
         // The shipped payload rides the columnar time-series codec, not
         // byte-oriented DEFLATE of the wire text: the stream encoder's
         // sensor dictionary persists across this node's flushes, so the
@@ -532,6 +530,7 @@ impl F2cNode {
         // in order — guaranteed because a deferred wave never reaches
         // this point (the chaos gate runs before `flush()`).
         let payload = if self.flush_policy.compress {
+            let readings: Vec<Reading> = records.iter().map(|r| r.reading().clone()).collect();
             Some(self.codec.encode_batch(&readings)?)
         } else {
             None

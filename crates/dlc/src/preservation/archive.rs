@@ -39,7 +39,6 @@ use crate::{Error, Result};
 pub struct ArchiveStore {
     records: BTreeMap<(u64, u64), DataRecord>,
     seq: u64,
-    wire_bytes: u64,
 }
 
 impl ArchiveStore {
@@ -52,7 +51,6 @@ impl ArchiveStore {
     pub fn insert(&mut self, record: DataRecord) {
         let key = (record.descriptor().created_s(), self.seq);
         self.seq += 1;
-        self.wire_bytes += record.wire_len();
         self.records.insert(key, record);
     }
 
@@ -66,9 +64,10 @@ impl ArchiveStore {
         self.records.is_empty()
     }
 
-    /// Total wire-encoded size of the stored records.
+    /// Total wire-encoded size of the stored records, summed over the
+    /// store on demand (nothing on the insert or eviction path reads it).
     pub fn wire_bytes(&self) -> u64 {
-        self.wire_bytes
+        self.records.values().map(DataRecord::wire_len).sum()
     }
 
     /// Creation time of the oldest stored record.
@@ -117,18 +116,13 @@ impl ArchiveStore {
     /// `deadline_s`, oldest first — the upward-migration primitive.
     pub fn evict_older_than(&mut self, deadline_s: u64) -> Vec<DataRecord> {
         let keep = self.records.split_off(&(deadline_s, 0));
-        let evicted: Vec<DataRecord> = std::mem::replace(&mut self.records, keep)
+        std::mem::replace(&mut self.records, keep)
             .into_values()
-            .collect();
-        for r in &evicted {
-            self.wire_bytes -= r.wire_len();
-        }
-        evicted
+            .collect()
     }
 
     /// Removes everything, returning it oldest first.
     pub fn drain(&mut self) -> Vec<DataRecord> {
-        self.wire_bytes = 0;
         std::mem::take(&mut self.records).into_values().collect()
     }
 

@@ -77,7 +77,7 @@ impl DataRecord {
     /// Approximate wire size of this record in bytes (its Sentilo text
     /// encoding) — used for traffic accounting of record batches.
     pub fn wire_len(&self) -> u64 {
-        scc_sensors::wire::encode(&self.reading).len() as u64 + 1
+        scc_sensors::wire::encoded_len(&self.reading) as u64 + 1
     }
 }
 

@@ -54,6 +54,39 @@ proptest! {
     }
 
     #[test]
+    fn wire_bytes_is_the_sum_over_held_records_under_any_interleaving(
+        ops in proptest::collection::vec((0u8..8, 0u64..10_000, any::<i64>()), 0..120),
+    ) {
+        // Mostly inserts, some evictions, the odd drain — against a plain
+        // vector of what the store must still hold.
+        let mut store = ArchiveStore::new();
+        let mut held: Vec<DataRecord> = Vec::new();
+        for (i, &(op, t, v)) in ops.iter().enumerate() {
+            match op {
+                0 => {
+                    let gone = store.evict_older_than(t);
+                    held.retain(|r| r.descriptor().created_s() >= t);
+                    prop_assert!(gone.iter().all(|r| r.descriptor().created_s() < t));
+                }
+                1 if t % 7 == 0 => {
+                    prop_assert_eq!(store.drain().len(), held.len());
+                    held.clear();
+                }
+                _ => {
+                    let rec = record(i as u32, t, v);
+                    held.push(rec.clone());
+                    store.insert(rec);
+                }
+            }
+            prop_assert_eq!(store.len(), held.len());
+            prop_assert_eq!(
+                store.wire_bytes(),
+                held.iter().map(DataRecord::wire_len).sum::<u64>()
+            );
+        }
+    }
+
+    #[test]
     fn eviction_plus_survivors_equals_total(
         times in proptest::collection::vec(0u64..10_000, 0..200),
         deadline in 0u64..12_000,

@@ -44,11 +44,7 @@ impl SensorId {
     /// A stable 64-bit hash of the id, used to derive per-sensor RNG seeds.
     pub fn seed_material(self) -> u64 {
         // Position in SensorType::ALL is stable by construction.
-        let ty_ord = SensorType::ALL
-            .iter()
-            .position(|&t| t == self.ty)
-            .expect("type present in ALL") as u64;
-        (ty_ord << 40) ^ u64::from(self.index)
+        ((self.ty.ordinal() as u64) << 40) ^ u64::from(self.index)
     }
 }
 

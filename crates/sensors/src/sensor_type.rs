@@ -91,6 +91,12 @@ impl SensorType {
         SensorType::Weather,
     ];
 
+    /// Position in [`SensorType::ALL`]: variants are declared in Table I
+    /// order, so the discriminant *is* the index.
+    pub const fn ordinal(self) -> usize {
+        self as usize
+    }
+
     /// The category this type belongs to.
     pub fn category(self) -> Category {
         use SensorType::*;
@@ -187,6 +193,13 @@ mod tests {
         assert_eq!(per_cat(Category::Garbage), 5);
         assert_eq!(per_cat(Category::Parking), 1);
         assert_eq!(per_cat(Category::Urban), 5);
+    }
+
+    #[test]
+    fn ordinal_is_the_position_in_all() {
+        for (i, t) in SensorType::ALL.into_iter().enumerate() {
+            assert_eq!(t.ordinal(), i, "{t}");
+        }
     }
 
     #[test]

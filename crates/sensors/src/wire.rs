@@ -11,7 +11,23 @@
 //! PROVIDER.type-slug.index;timestamp;value
 //! ```
 
+use std::fmt::{self, Write};
+
 use crate::{Error, Reading, Result, SensorId, SensorType, Value};
+
+/// The one definition of a wire line, for any sink.
+fn write_line(out: &mut impl Write, reading: &Reading) -> fmt::Result {
+    let ty = reading.sensor_type();
+    write!(
+        out,
+        "{}.{}.{};{};{}",
+        ty.category().provider(),
+        ty.slug(),
+        reading.sensor().index(),
+        reading.timestamp_s(),
+        reading.value()
+    )
+}
 
 /// Encodes one reading as a wire line (no trailing newline).
 ///
@@ -24,18 +40,43 @@ use crate::{Error, Reading, Result, SensorId, SensorType, Value};
 /// assert_eq!(wire::encode(&r), "ENERGY.temp.7;900;21.50");
 /// ```
 pub fn encode(reading: &Reading) -> String {
-    let ty = reading.sensor_type();
-    format!(
-        "{}.{}.{};{};{}",
-        ty.category().provider(),
-        ty.slug(),
-        reading.sensor().index(),
-        reading.timestamp_s(),
-        reading.value()
-    )
+    let mut line = String::new();
+    // Only a sink can fail a line, and `String` never does.
+    let _ = write_line(&mut line, reading);
+    line
+}
+
+/// `encode(reading).len()` without building the line: the same
+/// formatting runs into a sink that only counts, so sizing a record
+/// allocates nothing.
+///
+/// # Examples
+///
+/// ```
+/// use scc_sensors::{wire, Reading, SensorId, SensorType, Value};
+///
+/// let r = Reading::new(SensorId::new(SensorType::Temperature, 7), 900, Value::from_f64(21.5));
+/// assert_eq!(wire::encoded_len(&r), "ENERGY.temp.7;900;21.50".len());
+/// ```
+pub fn encoded_len(reading: &Reading) -> usize {
+    struct ByteCount(usize);
+    impl Write for ByteCount {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut count = ByteCount(0);
+    // Only a sink can fail a line, and counting never does.
+    let _ = write_line(&mut count, reading);
+    count.0
 }
 
 /// Encodes a batch of readings, one line each, newline-terminated.
+///
+/// This is the text the compression experiments and the shipment capture
+/// tap work on; the live flush path only *sizes* its batches
+/// ([`encoded_len`] per record) and never builds it.
 pub fn encode_batch(readings: &[Reading]) -> Vec<u8> {
     let mut out = Vec::with_capacity(readings.len() * 32);
     for r in readings {
@@ -187,6 +228,29 @@ mod tests {
         );
         let line = encode(&r);
         assert!(line.len() <= 40, "line too long: {line}");
+    }
+
+    #[test]
+    fn encoded_len_matches_encode_at_the_extremes() {
+        let values = [
+            Value::Scalar(i64::MIN),
+            Value::Scalar(-1),
+            Value::Scalar(i64::MAX),
+            Value::Counter(0),
+            Value::Counter(u64::MAX),
+            Value::Flag(true),
+            Value::Level(u8::MAX),
+            Value::Composite(Vec::new()),
+            Value::Composite(vec![i64::MIN, -1, 0, 1, 99, 100, 12_345, i64::MAX]),
+        ];
+        for ty in SensorType::ALL {
+            for (index, ts) in [(0, 0), (u32::MAX, u64::MAX)] {
+                for value in &values {
+                    let r = Reading::new(SensorId::new(ty, index), ts, value.clone());
+                    assert_eq!(encoded_len(&r), encode(&r).len(), "{}", encode(&r));
+                }
+            }
+        }
     }
 
     #[test]

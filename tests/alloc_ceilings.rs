@@ -1,5 +1,7 @@
-//! Allocation ceilings on the three serving shapes the benchmark leans on:
-//! a warm edge-cache hit, a local point read, and a 22-leg scatter.
+//! Allocation ceilings on the three serving shapes the benchmark leans on
+//! — a warm edge-cache hit, a local point read, and a 22-leg scatter — and
+//! on the write path: a flush wave per stored reading, and the stream
+//! encoder per reading of a warm stream.
 //!
 //! This binary installs its own counting `#[global_allocator]`, so the
 //! counts are exact and repeat on any machine — a regression guard that
@@ -11,13 +13,18 @@
 //! whatever the reservoirs held, and a tracer mark that snapshotted every
 //! site that had ever traced) each blew through it. The last one grew
 //! with the city, so the two cheap shapes are measured twice — with one
-//! site traced and with all 84 — and must count the same.
+//! site traced and with all 84 — and must count the same. The write-path
+//! ceilings were written after an encoder that ran a trial DEFLATE and
+//! built six candidate bodies per column for every batch (22 allocations
+//! per reading) and a store that formatted each record's wire line on
+//! insert.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use f2c_smartcity::citysim::metrics::{bucket_index, bucket_upper_micros, NUM_BUCKETS};
-use f2c_smartcity::core::runtime::populate_city;
+use f2c_smartcity::compress::tsenc::StreamEncoder;
+use f2c_smartcity::core::runtime::{populate_city, section_generators};
 use f2c_smartcity::core::{DataSource, F2cCity, Parallelism};
 use f2c_smartcity::obs::{ExplainStore, Json, Tracer};
 use f2c_smartcity::query::{
@@ -79,6 +86,20 @@ const EDGE_HIT_CEILING: u64 = 1;
 const LOCAL_POINT_CEILING: u64 = 2;
 const SCATTER_CEILING: u64 = 100;
 
+// Measured when the ceilings were set: 8 per stored reading for a flush
+// wave (two hops: take, clone, encode, decode, verify, insert) and 1 per
+// reading — 2 per *batch*, rounded up — for a warm encoder; the commit
+// before measured 49 and 25. Twice that.
+const FLUSH_PER_STORED_CEILING: u64 = 16;
+const ENCODE_PER_READING_CEILING: u64 = 2;
+
+/// Heap allocations this thread makes while `f` runs.
+fn allocs_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
 /// Fills every slot of the city's EXPLAIN reservoir with the smallest
 /// hash that maps to it, and every exemplar bucket with the largest
 /// latency it can hold: no later request can win a slot, so none has a
@@ -115,11 +136,12 @@ fn allocs_per_serve(
     for i in 0..WARM_UP {
         serve(engine, i);
     }
-    let before = ALLOCS.with(Cell::get);
-    for i in WARM_UP..WARM_UP + REPEATS {
-        serve(engine, i);
-    }
-    (ALLOCS.with(Cell::get) - before).div_ceil(REPEATS)
+    allocs_in(|| {
+        for i in WARM_UP..WARM_UP + REPEATS {
+            serve(engine, i);
+        }
+    })
+    .div_ceil(REPEATS)
 }
 
 #[test]
@@ -224,4 +246,75 @@ fn serving_stays_under_its_allocation_ceilings() {
         "local point read: {local_point}"
     );
     assert!(scatter <= SCATTER_CEILING, "22-leg scatter: {scatter}");
+}
+
+#[test]
+fn a_flush_wave_stays_under_its_allocation_ceiling_per_stored_reading() {
+    // The benchmark's `city-write` shape: a scale-50 city, warmed so every
+    // stream dictionary, column scratch and ledger bucket exists, then one
+    // flush period of every type's waves and the wave that ships them.
+    const WARM_S: u64 = 1_800;
+    const PERIOD_S: u64 = 900;
+    let mut city = F2cCity::barcelona().unwrap();
+    city.set_parallelism(Parallelism::SEQUENTIAL);
+    populate_city(&mut city, 50, 2017, WARM_S, PERIOD_S).unwrap();
+    let scaled = city.catalog().scaled_down(50);
+    let mut gens = section_generators(&scaled, 2017);
+    let mut stored = 0;
+    for spec in scaled.iter() {
+        let every = spec.tx_interval_secs().max(1.0) as u64;
+        for now_s in (WARM_S + every..=WARM_S + PERIOD_S).step_by(every as usize) {
+            for (section, per_section) in gens.iter_mut().enumerate() {
+                if let Some(gen) = per_section.get_mut(&spec.sensor_type()) {
+                    stored += city.ingest(section, gen.wave(now_s), now_s).unwrap().stored;
+                }
+            }
+        }
+    }
+    assert!(stored > 10_000, "the period stored only {stored} readings");
+    let in_cloud = city.cloud().store().len() as u64;
+    let allocs = allocs_in(|| {
+        city.flush_all(WARM_S + PERIOD_S).unwrap();
+    });
+    assert_eq!(city.cloud().store().len() as u64 - in_cloud, stored);
+    assert_eq!(city.flush_batches().1, 0, "generator traffic fell back");
+    let per_stored = allocs.div_ceil(stored);
+    println!("allocations per stored reading, one flush wave: {per_stored} ({allocs} / {stored})");
+    assert!(
+        per_stored <= FLUSH_PER_STORED_CEILING,
+        "flush wave: {per_stored} allocations per stored reading"
+    );
+}
+
+#[test]
+fn a_warm_stream_encoder_stays_under_its_allocation_ceiling_per_reading() {
+    // One section's whole sensor mix, wave after wave down one stream: the
+    // first batch pays for the dictionary and the column scratch, the
+    // second is what every later flush costs.
+    let catalog = F2cCity::barcelona().unwrap().catalog().scaled_down(50);
+    let mut gens = section_generators(&catalog, 2017).swap_remove(0);
+    let mut batch =
+        |now_s: u64| -> Vec<_> { gens.values_mut().flat_map(|gen| gen.wave(now_s)).collect() };
+    let mut enc = StreamEncoder::new();
+    let first = batch(900);
+    enc.encode_batch(&first).unwrap();
+    let second = batch(1_800);
+    assert_eq!(second.len(), first.len());
+    let allocs = allocs_in(|| {
+        enc.encode_batch(&second).unwrap();
+    });
+    assert_eq!(
+        enc.dict_len(),
+        second.len(),
+        "one dictionary entry per sensor"
+    );
+    let per_reading = allocs.div_ceil(second.len() as u64);
+    println!(
+        "allocations per reading, warm stream encoder: {per_reading} ({allocs} / {})",
+        second.len()
+    );
+    assert!(
+        per_reading <= ENCODE_PER_READING_CEILING,
+        "warm encode_batch: {per_reading} allocations per reading"
+    );
 }

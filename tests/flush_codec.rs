@@ -39,15 +39,23 @@ fn corpus(seed: u64, threads: usize) -> Vec<ShipmentRecord> {
 
 #[test]
 fn captured_shipments_decode_and_beat_deflate() {
-    let corpus = corpus(2017, 4);
+    // Two seeds: the encoder no longer runs a trial DEFLATE per batch, so
+    // oracle 2 below is the tripwire for "columnar never loses on real
+    // traffic" and should see more than one city's worth of it.
+    for seed in [2017, 4711] {
+        check_corpus(seed, &corpus(seed, 4));
+    }
+}
+
+fn check_corpus(seed: u64, corpus: &[ShipmentRecord]) {
     assert!(
         corpus.len() > 50,
-        "corpus suspiciously small ({} shipments) — the tap captured nothing",
+        "seed {seed}: corpus suspiciously small ({} shipments) — the tap captured nothing",
         corpus.len()
     );
     assert!(
         corpus.iter().any(|s| s.hop == 1) && corpus.iter().any(|s| s.hop == 2),
-        "corpus must cover both flush hops"
+        "seed {seed}: corpus must cover both flush hops"
     );
 
     // Oracle 1: a fresh decoder per (hop, origin) stream, fed in capture
@@ -63,10 +71,10 @@ fn captured_shipments_decode_and_beat_deflate() {
         let decoder = decoders.entry((shipment.hop, shipment.origin)).or_default();
         let decoded = decoder
             .decode_batch(&shipment.payload)
-            .unwrap_or_else(|e| panic!("shipment {i} fails to decode: {e}"));
+            .unwrap_or_else(|e| panic!("seed {seed} shipment {i} fails to decode: {e}"));
         assert_eq!(
             decoded, expected,
-            "shipment {i} (hop {} origin {}) decodes to different records",
+            "seed {seed} shipment {i} (hop {} origin {}) decodes to different records",
             shipment.hop, shipment.origin
         );
 
@@ -75,7 +83,7 @@ fn captured_shipments_decode_and_beat_deflate() {
         let packed = deflate::compress(&shipment.wire).expect("wire text deflates");
         assert!(
             shipment.payload.len() <= packed.len() + tsenc::FALLBACK_OVERHEAD,
-            "shipment {i} (hop {} origin {}): tsenc {} B > deflate {} B + {} B framing",
+            "seed {seed} shipment {i} (hop {} origin {}): tsenc {} B > deflate {} B + {} B framing",
             shipment.hop,
             shipment.origin,
             shipment.payload.len(),
@@ -91,10 +99,10 @@ fn captured_shipments_decode_and_beat_deflate() {
     // plain DEFLATE by a wide margin, not merely tie it — this is the
     // win `flush.bytes_per_record` gates in CI, reproduced from first
     // principles.
-    assert!(records > 0, "corpus carried no records");
+    assert!(records > 0, "seed {seed}: corpus carried no records");
     assert!(
         (uplink as f64) < 0.75 * verbatim_deflate as f64,
-        "corpus uplink {uplink} B is not meaningfully below deflate {verbatim_deflate} B"
+        "seed {seed}: corpus uplink {uplink} B is not meaningfully below deflate {verbatim_deflate} B"
     );
 }
 

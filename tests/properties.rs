@@ -5,7 +5,9 @@ use f2c_smartcity::aggregate::functions::{fold, Decomposable, Moments, SumCount}
 use f2c_smartcity::aggregate::RedundancyFilter;
 use f2c_smartcity::compress;
 use f2c_smartcity::core::{F2cNode, FlushPolicy, RetentionPolicy};
-use f2c_smartcity::sensors::{wire, Catalog, ReadingGenerator, SensorId, SensorType, Value};
+use f2c_smartcity::sensors::{
+    wire, Catalog, Reading, ReadingGenerator, SensorId, SensorType, Value,
+};
 use proptest::prelude::*;
 
 fn sensor_type_strategy() -> impl Strategy<Value = SensorType> {
@@ -29,6 +31,28 @@ proptest! {
                 prop_assert_eq!(wire::parse(&line).unwrap(), r);
             }
         }
+    }
+
+    #[test]
+    fn wire_encoded_len_is_the_length_of_the_encoding(
+        ty in sensor_type_strategy(),
+        index in any::<u32>(),
+        ts in any::<u64>(),
+        model in 0u8..5,
+        raw in any::<u64>(),
+        fields in proptest::collection::vec(any::<i64>(), 0..9),
+    ) {
+        // Every value model under every type: the line grammar does not
+        // care whether the two agree, and neither may the counter.
+        let value = match model {
+            0 => Value::Scalar(raw as i64),
+            1 => Value::Counter(raw),
+            2 => Value::Flag(raw & 1 == 1),
+            3 => Value::Level(raw as u8),
+            _ => Value::Composite(fields),
+        };
+        let r = Reading::new(SensorId::new(ty, index), ts, value);
+        prop_assert_eq!(wire::encoded_len(&r), wire::encode(&r).len());
     }
 
     #[test]
@@ -139,7 +163,6 @@ proptest! {
         t2 in 0u64..1000,
         v in -100.0f64..100.0,
     ) {
-        use f2c_smartcity::sensors::Reading;
         let a = Reading::new(SensorId::new(SensorType::Temperature, idx), t1, Value::from_f64(v));
         let b = Reading::new(SensorId::new(SensorType::Temperature, idx), t2, Value::from_f64(v));
         prop_assert!(a.is_redundant_with(&b));
