@@ -1,8 +1,29 @@
 //! HyperLogLog: approximate distinct counting in fixed memory — the
 //! "randomized counting" class of the paper's taxonomy.
+//!
+//! Registers are held sparse-first (see [`Registers`]): a sketch that
+//! saw a handful of sensors costs a handful of entries, not `2^p` bytes.
+
+// Lint ratchet: this module parses register blocks it did not write.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use super::hash64;
 use crate::{Error, Result};
+
+/// The register block of a [`HyperLogLog`], in one of two forms picked
+/// by occupancy alone: sparse while `3 * occupied < 2^precision` —
+/// exactly when the partial wire's 3-byte entries beat its
+/// byte-per-register block — and dense from then on. Occupancy only
+/// grows, so promotion is one-way, and because equal register values
+/// always take the same form, derived equality is register equality.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Registers {
+    /// The occupied registers only, as `(index, rank)` with strictly
+    /// ascending indices and non-zero ranks.
+    Sparse(Vec<(u16, u8)>),
+    /// Every register, by index; length `2^precision`.
+    Dense(Vec<u8>),
+}
 
 /// A HyperLogLog cardinality estimator with `2^precision` registers.
 ///
@@ -25,50 +46,123 @@ use crate::{Error, Result};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HyperLogLog {
     precision: u32,
-    registers: Vec<u8>,
+    registers: Registers,
+}
+
+/// Whether a sketch can be built at `precision`.
+pub(super) const fn is_valid_precision(precision: u32) -> bool {
+    4 <= precision && precision <= 16
+}
+
+/// Whether `occupied` registers out of `2^precision` are held sparse.
+fn is_sparse(occupied: usize, precision: u32) -> bool {
+    occupied * 3 < 1 << precision
+}
+
+/// `2^-rank`, built from the exponent bits (exact for every `u8` rank).
+fn pow2_neg(rank: u8) -> f64 {
+    f64::from_bits((1023 - u64::from(rank)) << 52)
 }
 
 impl HyperLogLog {
     /// Creates an estimator with `2^precision` registers, `4 <= precision <= 16`.
+    /// Allocates nothing until the first [`HyperLogLog::add`].
     ///
     /// # Errors
     ///
     /// [`Error::DegenerateSketch`] if `precision` is outside `4..=16`.
     pub fn new(precision: u32) -> Result<Self> {
-        if !(4..=16).contains(&precision) {
+        if !is_valid_precision(precision) {
             return Err(Error::DegenerateSketch {
                 parameter: "precision",
             });
         }
-        Ok(Self {
-            precision,
-            registers: vec![0; 1 << precision],
-        })
+        Ok(Self::with_valid_precision(precision))
     }
 
-    /// Rebuilds an estimator from raw register values (the wire form of
-    /// a shipped partial). `registers` must be exactly `2^precision`
-    /// long.
+    /// [`HyperLogLog::new`] for a precision the caller has already
+    /// proved to lie in `4..=16`.
+    pub(super) const fn with_valid_precision(precision: u32) -> Self {
+        Self {
+            precision,
+            registers: Registers::Sparse(Vec::new()),
+        }
+    }
+
+    /// Rebuilds an estimator from all `2^precision` raw register values
+    /// (the dense wire form of a shipped partial).
     ///
     /// # Errors
     ///
     /// [`Error::DegenerateSketch`] if `precision` is outside `4..=16` or
     /// the register block has the wrong length.
     pub fn from_registers(precision: u32, registers: Vec<u8>) -> Result<Self> {
-        if !(4..=16).contains(&precision) || registers.len() != 1 << precision {
+        if !is_valid_precision(precision) || registers.len() != 1 << precision {
             return Err(Error::DegenerateSketch {
                 parameter: "registers",
             });
         }
+        let occupied = registers.iter().filter(|&&r| r != 0).count();
+        let registers = if is_sparse(occupied, precision) {
+            let mut entries = Vec::with_capacity(occupied);
+            entries.extend(
+                (0u16..=u16::MAX)
+                    .zip(&registers)
+                    .filter(|&(_, &r)| r != 0)
+                    .map(|(i, &r)| (i, r)),
+            );
+            Registers::Sparse(entries)
+        } else {
+            Registers::Dense(registers)
+        };
         Ok(Self {
             precision,
             registers,
         })
     }
 
+    /// Rebuilds an estimator from `(index, rank)` entries (the sparse
+    /// wire form of a shipped partial). The list this crate writes —
+    /// strictly ascending indices, no zero rank, few enough entries to
+    /// stay sparse — is adopted as is; any other list means what writing
+    /// its entries in order into a zeroed register block means (the last
+    /// write to an index wins).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::DegenerateSketch`] if `precision` is outside `4..=16` or
+    /// an index is `2^precision` or more.
+    pub fn from_sparse(precision: u32, entries: Vec<(u16, u8)>) -> Result<Self> {
+        if !is_valid_precision(precision) {
+            return Err(Error::DegenerateSketch {
+                parameter: "precision",
+            });
+        }
+        let m = 1usize << precision;
+        if entries.iter().any(|&(i, _)| usize::from(i) >= m) {
+            return Err(Error::DegenerateSketch {
+                parameter: "registers",
+            });
+        }
+        let canonical = is_sparse(entries.len(), precision)
+            && entries.iter().all(|&(_, r)| r != 0)
+            && entries.windows(2).all(|w| w[0].0 < w[1].0);
+        if canonical {
+            return Ok(Self {
+                precision,
+                registers: Registers::Sparse(entries),
+            });
+        }
+        let mut registers = vec![0u8; m];
+        for (i, r) in entries {
+            registers[usize::from(i)] = r;
+        }
+        Self::from_registers(precision, registers)
+    }
+
     /// Number of registers.
     pub fn register_count(&self) -> usize {
-        self.registers.len()
+        1 << self.precision
     }
 
     /// The sketch's precision.
@@ -76,41 +170,76 @@ impl HyperLogLog {
         self.precision
     }
 
-    /// The raw register values (for wire encoding; merging two sketches
-    /// is a register-wise max over these).
-    pub fn registers(&self) -> &[u8] {
+    /// The register block (for wire encoding; merging two sketches is a
+    /// register-wise max over these).
+    pub fn registers(&self) -> &Registers {
         &self.registers
     }
 
     /// Adds one element.
     pub fn add(&mut self, key: &[u8]) {
         let h = hash64(key, HLL_SEED);
-        let idx = (h >> (64 - self.precision)) as usize;
+        let idx = (h >> (64 - self.precision)) as u16;
         let rest = h << self.precision;
         // Rank: position of the first 1-bit in the remaining bits, 1-based.
         let rank = (rest.leading_zeros() + 1).min(64 - self.precision + 1) as u8;
-        if rank > self.registers[idx] {
-            self.registers[idx] = rank;
+        match &mut self.registers {
+            Registers::Sparse(entries) => match entries.binary_search_by_key(&idx, |e| e.0) {
+                Ok(at) => entries[at].1 = entries[at].1.max(rank),
+                Err(at) => {
+                    entries.insert(at, (idx, rank));
+                    if !is_sparse(entries.len(), self.precision) {
+                        self.registers = Registers::Dense(to_dense(entries, self.precision));
+                    }
+                }
+            },
+            Registers::Dense(registers) => {
+                let slot = &mut registers[usize::from(idx)];
+                *slot = (*slot).max(rank);
+            }
         }
     }
 
     /// Estimated number of distinct elements added.
     pub fn estimate(&self) -> u64 {
-        let m = self.registers.len() as f64;
-        let alpha = match self.registers.len() {
+        let count = self.register_count();
+        let m = count as f64;
+        let alpha = match count {
             16 => 0.673,
             32 => 0.697,
             64 => 0.709,
             _ => 0.7213 / (1.0 + 1.079 / m),
         };
-        let sum: f64 = self
-            .registers
-            .iter()
-            .map(|&r| 2f64.powi(-i32::from(r)))
-            .sum();
+        // `sum` is the sum of `2^-rank` over all registers in index order.
+        let (sum, zeros) = match &self.registers {
+            Registers::Dense(registers) => (
+                registers.iter().map(|&r| pow2_neg(r)).sum::<f64>(),
+                registers.iter().filter(|&&r| r == 0).count(),
+            ),
+            Registers::Sparse(entries) => {
+                let zeros = count - entries.len();
+                // With every rank at most `52 - p`, each term is a
+                // multiple of `2^-(52 - p)` and the total is at most
+                // `2^p`, so every partial sum in any order is an integer
+                // below `2^53` times that unit — exactly representable.
+                // The empty registers' `1.0`s can then be added at once.
+                let exact_rank = (52 - self.precision) as u8;
+                let sum = if entries.iter().all(|&(_, r)| r <= exact_rank) {
+                    zeros as f64 + entries.iter().map(|&(_, r)| pow2_neg(r)).sum::<f64>()
+                } else {
+                    let mut occupied = entries.iter().peekable();
+                    (0..count)
+                        .map(|i| match occupied.next_if(|e| usize::from(e.0) == i) {
+                            Some(&(_, r)) => pow2_neg(r),
+                            None => 1.0,
+                        })
+                        .sum()
+                };
+                (sum, zeros)
+            }
+        };
         let raw = alpha * m * m / sum;
         // Small-range correction: linear counting.
-        let zeros = self.registers.iter().filter(|&&r| r == 0).count();
         let corrected = if raw <= 2.5 * m && zeros > 0 {
             m * (m / zeros as f64).ln()
         } else {
@@ -119,7 +248,10 @@ impl HyperLogLog {
         corrected.round() as u64
     }
 
-    /// Merges another estimator with the same precision (register-wise max).
+    /// Merges another estimator with the same precision (register-wise
+    /// max). Sparse into sparse merges in place — no allocation beyond
+    /// the list's amortised growth; a dense block is allocated only by
+    /// the one-way promotion.
     ///
     /// # Panics
     ///
@@ -127,12 +259,93 @@ impl HyperLogLog {
     pub fn merge(&mut self, other: &HyperLogLog) {
         assert_eq!(
             self.precision, other.precision,
-            "cannot merge HLLs of different precisions"
+            "cannot merge HLLs of different precisions (a caller's bug: \
+             every `AggPartial` is built at the one `PARTIAL_HLL_PRECISION`)"
         );
-        for (a, b) in self.registers.iter_mut().zip(&other.registers) {
-            *a = (*a).max(*b);
+        match (&mut self.registers, &other.registers) {
+            (Registers::Sparse(mine), Registers::Sparse(theirs)) => {
+                if !merge_sparse(mine, theirs, self.precision) {
+                    let mut merged = to_dense(mine, self.precision);
+                    raise(&mut merged, theirs);
+                    self.registers = Registers::Dense(merged);
+                }
+            }
+            (Registers::Dense(mine), Registers::Sparse(theirs)) => raise(mine, theirs),
+            (Registers::Dense(mine), Registers::Dense(theirs)) => {
+                for (a, b) in mine.iter_mut().zip(theirs) {
+                    *a = (*a).max(*b);
+                }
+            }
+            (Registers::Sparse(mine), Registers::Dense(theirs)) => {
+                let mut merged = theirs.clone();
+                raise(&mut merged, mine);
+                self.registers = Registers::Dense(merged);
+            }
         }
     }
+}
+
+/// Register-wise max of the sparse `entries` into a dense block.
+fn raise(registers: &mut [u8], entries: &[(u16, u8)]) {
+    for &(i, r) in entries {
+        let slot = &mut registers[usize::from(i)];
+        *slot = (*slot).max(r);
+    }
+}
+
+/// The dense block holding exactly the sparse `entries`.
+fn to_dense(entries: &[(u16, u8)], precision: u32) -> Vec<u8> {
+    let mut registers = vec![0u8; 1 << precision];
+    raise(&mut registers, entries);
+    registers
+}
+
+/// Merges the sparse list `theirs` into `mine` (register-wise max), in
+/// place, if the union stays sparse at `precision`. Otherwise returns
+/// `false` with `mine` holding the registers it held, except that ranks
+/// of indices both lists hold may already be raised.
+///
+/// A settled bucket merged into an accumulator that already knows its
+/// sensors costs `|theirs| * log |mine|` comparisons and moves nothing;
+/// a new index shifts the entries above it, once.
+fn merge_sparse(mine: &mut Vec<(u16, u8)>, theirs: &[(u16, u8)], precision: u32) -> bool {
+    // Forward: raise the ranks of shared indices, count the new ones.
+    let mut at = 0;
+    let mut fresh = 0;
+    for &(i, r) in theirs {
+        at += mine[at..].partition_point(|e| e.0 < i);
+        match mine.get_mut(at) {
+            Some(e) if e.0 == i => e.1 = e.1.max(r),
+            _ => fresh += 1,
+        }
+    }
+    let union = mine.len() + fresh;
+    if !is_sparse(union, precision) {
+        return false;
+    }
+    // Backward: open the gaps from the top, so nothing is read after it
+    // is overwritten and nothing is allocated but the list's growth.
+    // `mine[..read]` is still to be placed, `mine[write..]` is final;
+    // once they meet, every new index is in and the rest is in place.
+    let mut read = mine.len();
+    mine.resize(union, (0, 0));
+    let mut write = union;
+    for &(i, r) in theirs.iter().rev() {
+        if read == write {
+            break;
+        }
+        while read > 0 && mine[read - 1].0 > i {
+            read -= 1;
+            write -= 1;
+            mine[write] = mine[read];
+        }
+        if read == 0 || mine[read - 1].0 != i {
+            write -= 1;
+            mine[write] = (i, r);
+        }
+    }
+    debug_assert_eq!(read, write, "one gap per new index");
+    true
 }
 
 /// Hash seed for HLL (ASCII "HLL" — distinct from the count-min row seeds).

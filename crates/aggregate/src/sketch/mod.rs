@@ -47,7 +47,7 @@ mod partial;
 mod qdigest;
 
 pub use countmin::CountMinSketch;
-pub use hyperloglog::HyperLogLog;
+pub use hyperloglog::{HyperLogLog, Registers};
 pub use ledger::{SketchKey, SketchLedger};
 pub use partial::{AggPartial, PARTIAL_HLL_PRECISION};
 pub use qdigest::QDigest;

@@ -13,19 +13,30 @@
 //! fixed little-endian layout with a sparse-or-dense register encoding
 //! for the HyperLogLog and a trailing CRC-32 over everything before it,
 //! so a corrupted shipment is detected at the receiving tier instead of
-//! silently skewing a city-wide aggregate.
+//! silently skewing a city-wide aggregate. The sketch's in-memory form
+//! follows the same sparse-or-dense rule ([`Registers`]), so encoding
+//! copies the registers out and decoding adopts them as they arrive.
+
+// Lint ratchet: this module parses bytes it did not write.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::functions::{Decomposable, MinMax, Moments};
-use crate::sketch::HyperLogLog;
+use crate::sketch::hyperloglog::is_valid_precision;
+use crate::sketch::{HyperLogLog, Registers};
 use crate::{Error, Result};
 
 /// HyperLogLog precision used by every [`AggPartial`] (1024 registers,
 /// ~3% standard error — plenty for per-district sensor populations).
 /// One fixed precision keeps every partial in the system mergeable.
 pub const PARTIAL_HLL_PRECISION: u32 = 10;
+const _: () = assert!(is_valid_precision(PARTIAL_HLL_PRECISION));
 
 /// Wire magic of an encoded partial (`b"AGP1"`).
 const MAGIC: [u8; 4] = *b"AGP1";
+
+/// Bytes before the register block: magic, precision, extremes flag,
+/// five 8-byte words (count, sum, sum of squares, min, max), mode.
+const HEADER_LEN: usize = 4 + 2 + 5 * 8 + 1;
 
 /// A mergeable partial aggregation state over a slice of observations —
 /// moments + extremes + a distinct-sensor sketch, all of which merge
@@ -61,12 +72,12 @@ pub struct AggPartial {
 }
 
 impl AggPartial {
-    /// The identity partial.
+    /// The identity partial. Allocates nothing.
     pub fn empty() -> Self {
         Self {
             moments: Moments::empty(),
             minmax: MinMax::empty(),
-            distinct: HyperLogLog::new(PARTIAL_HLL_PRECISION).expect("precision 10 is valid"),
+            distinct: HyperLogLog::with_valid_precision(PARTIAL_HLL_PRECISION),
         }
     }
 
@@ -118,13 +129,11 @@ impl AggPartial {
     /// otherwise), and a trailing CRC-32 over everything before it.
     pub fn encode(&self) -> Vec<u8> {
         let registers = self.distinct.registers();
-        let occupied: Vec<(u16, u8)> = registers
-            .iter()
-            .enumerate()
-            .filter(|&(_, &r)| r != 0)
-            .map(|(i, &r)| (i as u16, r))
-            .collect();
-        let mut out = Vec::with_capacity(64 + occupied.len() * 3);
+        let block_len = match registers {
+            Registers::Sparse(entries) => 2 + entries.len() * 3,
+            Registers::Dense(block) => block.len(),
+        };
+        let mut out = Vec::with_capacity(HEADER_LEN + block_len + 4);
         out.extend_from_slice(&MAGIC);
         out.push(PARTIAL_HLL_PRECISION as u8);
         out.push(u8::from(self.minmax.min.is_some()));
@@ -134,17 +143,21 @@ impl AggPartial {
         out.extend_from_slice(&self.minmax.min.unwrap_or(0.0).to_bits().to_le_bytes());
         out.extend_from_slice(&self.minmax.max.unwrap_or(0.0).to_bits().to_le_bytes());
         // Sparse beats dense while fewer than a third of the registers
-        // are occupied (3 bytes per entry vs 1 byte per register).
-        if occupied.len() * 3 < registers.len() {
-            out.push(1);
-            out.extend_from_slice(&(occupied.len() as u16).to_le_bytes());
-            for (idx, rank) in occupied {
-                out.extend_from_slice(&idx.to_le_bytes());
-                out.push(rank);
+        // are occupied (3 bytes per entry vs 1 byte per register) — the
+        // rule the sketch already holds its registers by.
+        match registers {
+            Registers::Sparse(entries) => {
+                out.push(1);
+                out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
+                for &(idx, rank) in entries {
+                    out.extend_from_slice(&idx.to_le_bytes());
+                    out.push(rank);
+                }
             }
-        } else {
-            out.push(0);
-            out.extend_from_slice(registers);
+            Registers::Dense(block) => {
+                out.push(0);
+                out.extend_from_slice(block);
+            }
         }
         let crc = f2c_compress::crc32::checksum(&out);
         out.extend_from_slice(&crc.to_le_bytes());
@@ -159,58 +172,57 @@ impl AggPartial {
     /// mismatch, malformed register block, or checksum failure.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let corrupt = |reason: &'static str| Error::CorruptPartial { reason };
-        if bytes.len() < 4 + 2 + 5 * 8 + 1 + 4 {
+        if bytes.len() < HEADER_LEN + 4 {
             return Err(corrupt("short buffer"));
         }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let want = u32::from_le_bytes(crc_bytes.try_into().expect("4-byte split"));
-        if f2c_compress::crc32::checksum(body) != want {
+        let (mut rest, crc) = bytes
+            .split_last_chunk::<4>()
+            .ok_or(corrupt("short buffer"))?;
+        if f2c_compress::crc32::checksum(rest) != u32::from_le_bytes(*crc) {
             return Err(corrupt("checksum mismatch"));
         }
-        if body[0..4] != MAGIC {
+        if take::<4>(&mut rest)? != MAGIC {
             return Err(corrupt("bad magic"));
         }
-        if u32::from(body[4]) != PARTIAL_HLL_PRECISION {
+        let [precision, extremes] = take(&mut rest)?;
+        if u32::from(precision) != PARTIAL_HLL_PRECISION {
             return Err(corrupt("precision mismatch"));
         }
-        let has_minmax = match body[5] {
+        let has_minmax = match extremes {
             0 => false,
             1 => true,
             _ => return Err(corrupt("bad extremes flag")),
         };
-        let u64_at = |off: usize| u64::from_le_bytes(body[off..off + 8].try_into().expect("8"));
-        let count = u64_at(6);
-        let sum = f64::from_bits(u64_at(14));
-        let sum_sq = f64::from_bits(u64_at(22));
-        let min = f64::from_bits(u64_at(30));
-        let max = f64::from_bits(u64_at(38));
-        let mut registers = vec![0u8; 1 << PARTIAL_HLL_PRECISION];
-        let regs = &body[47..];
-        match body[46] {
+        let count = u64::from_le_bytes(take(&mut rest)?);
+        let sum = f64::from_bits(u64::from_le_bytes(take(&mut rest)?));
+        let sum_sq = f64::from_bits(u64::from_le_bytes(take(&mut rest)?));
+        let min = f64::from_bits(u64::from_le_bytes(take(&mut rest)?));
+        let max = f64::from_bits(u64::from_le_bytes(take(&mut rest)?));
+        let [mode] = take(&mut rest)?;
+        let regs = rest;
+        let distinct = match mode {
             0 => {
-                if regs.len() != registers.len() {
+                if regs.len() != 1 << PARTIAL_HLL_PRECISION {
                     return Err(corrupt("dense register block length"));
                 }
-                registers.copy_from_slice(regs);
+                HyperLogLog::from_registers(PARTIAL_HLL_PRECISION, regs.to_vec())?
             }
             1 => {
-                if regs.len() < 2 {
-                    return Err(corrupt("sparse register header"));
-                }
-                let n = usize::from(u16::from_le_bytes([regs[0], regs[1]]));
-                if regs.len() != 2 + n * 3 {
+                let (n, entries) = regs
+                    .split_first_chunk::<2>()
+                    .ok_or(corrupt("sparse register header"))?;
+                if entries.len() != usize::from(u16::from_le_bytes(*n)) * 3 {
                     return Err(corrupt("sparse register block length"));
                 }
-                for entry in regs[2..].chunks_exact(3) {
-                    let idx = usize::from(u16::from_le_bytes([entry[0], entry[1]]));
-                    if idx >= registers.len() {
-                        return Err(corrupt("sparse register index out of range"));
-                    }
-                    registers[idx] = entry[2];
-                }
+                let entries = entries
+                    .chunks_exact(3)
+                    .map(|e| (u16::from_le_bytes([e[0], e[1]]), e[2]))
+                    .collect();
+                HyperLogLog::from_sparse(PARTIAL_HLL_PRECISION, entries)
+                    .map_err(|_| corrupt("sparse register index out of range"))?
             }
             _ => return Err(corrupt("bad register mode")),
-        }
+        };
         Ok(Self {
             moments: Moments { sum, sum_sq, count },
             minmax: if has_minmax {
@@ -221,9 +233,18 @@ impl AggPartial {
             } else {
                 MinMax::empty()
             },
-            distinct: HyperLogLog::from_registers(PARTIAL_HLL_PRECISION, registers)?,
+            distinct,
         })
     }
+}
+
+/// Splits the next `N` bytes off the front of `rest`.
+fn take<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N]> {
+    let (head, tail) = rest.split_first_chunk::<N>().ok_or(Error::CorruptPartial {
+        reason: "short buffer",
+    })?;
+    *rest = tail;
+    Ok(*head)
 }
 
 impl Default for AggPartial {

@@ -15,8 +15,9 @@
 //! for buckets that end at or before the instant they were computed (the
 //! engine bumps its epoch if a backdated ingest breaks that assumption).
 
+use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::model::{AggPartial, Query, QueryAnswer, QueryKind, Scope, Selector, TimeWindow};
 
@@ -29,7 +30,7 @@ use crate::model::{AggPartial, Query, QueryAnswer, QueryKind, Scope, Selector, T
 /// Memory is therefore O(capacity) no matter the churn pattern.
 #[derive(Debug, Clone)]
 struct BoundedFifo<K, V> {
-    map: HashMap<K, Slot<V>>,
+    map: HashMap<K, Slot<V>, BuildHasherDefault<KeyHasher>>,
     order: VecDeque<(u64, K)>,
     capacity: usize,
     next_seq: u64,
@@ -41,10 +42,40 @@ struct Slot<V> {
     seq: u64,
 }
 
+/// Multiply-rotate hasher for the caches' keys: a few small integers
+/// and enum tags each, built by this program from queries it planned.
+/// The map is capacity-bounded and never iterated, so a fixed hash
+/// function costs neither determinism nor worst-case size; SipHash's
+/// resistance to chosen keys bought nothing here and cost two probes'
+/// worth of every cached-bucket merge.
+#[derive(Debug, Clone, Copy, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // A product's low bits see only its factors' low bits (bucket
+        // starts are multiples of 900); fold the high half down, where
+        // the table takes its index from.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 impl<K: Copy + Eq + Hash, V> BoundedFifo<K, V> {
     fn new(capacity: usize) -> Self {
         Self {
-            map: HashMap::new(),
+            map: HashMap::default(),
             order: VecDeque::new(),
             capacity: capacity.max(1),
             next_seq: 0,
@@ -55,14 +86,18 @@ impl<K: Copy + Eq + Hash, V> BoundedFifo<K, V> {
         self.map.len()
     }
 
-    fn get(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|s| &s.value)
-    }
-
-    fn remove(&mut self, key: &K) {
-        // The order slot stays behind; eviction/compaction skips it via
-        // the sequence check.
-        self.map.remove(key);
+    /// The value at `key` if `valid` accepts it, in one probe; a value
+    /// it rejects is dropped. The order slot of a dropped entry stays
+    /// behind; eviction/compaction skips it via the sequence check.
+    fn get_valid(&mut self, key: &K, valid: impl FnOnce(&V) -> bool) -> Option<&V> {
+        match self.map.entry(*key) {
+            MapEntry::Occupied(slot) if valid(&slot.get().value) => Some(&slot.into_mut().value),
+            MapEntry::Occupied(slot) => {
+                slot.remove();
+                None
+            }
+            MapEntry::Vacant(_) => None,
+        }
     }
 
     fn insert(&mut self, key: K, value: V) {
@@ -157,15 +192,11 @@ impl ResultCache {
     /// Returns the cached answer if it is still valid at `now_s` under
     /// `epoch`; drops it otherwise.
     pub fn get(&mut self, key: &CacheKey, now_s: u64, epoch: u64) -> Option<QueryAnswer> {
-        let valid = match self.inner.get(key) {
-            Some(e) => e.epoch == epoch && now_s.saturating_sub(e.stored_at_s) < self.ttl_s,
-            None => return None,
-        };
-        if !valid {
-            self.inner.remove(key);
-            return None;
-        }
-        self.inner.get(key).map(|e| e.answer.clone())
+        self.inner
+            .get_valid(key, |e| {
+                e.epoch == epoch && now_s.saturating_sub(e.stored_at_s) < self.ttl_s
+            })
+            .map(|e| e.answer.clone())
     }
 
     /// Stores an answer, evicting oldest-inserted entries when full.
@@ -240,17 +271,13 @@ impl PartialCache {
     /// Merges the cached partial for `key` into `acc` if one is valid
     /// under `epoch`; reports whether it was a hit.
     pub fn merge_into(&mut self, key: &PartialKey, epoch: u64, acc: &mut AggPartial) -> bool {
-        let valid = match self.inner.get(key) {
-            Some(e) => e.epoch == epoch,
-            None => return false,
-        };
-        if !valid {
-            self.inner.remove(key);
-            return false;
+        match self.inner.get_valid(key, |e| e.epoch == epoch) {
+            Some(entry) => {
+                acc.merge(&entry.partial);
+                true
+            }
+            None => false,
         }
-        let entry = self.inner.get(key).expect("checked above");
-        acc.merge(&entry.partial);
-        true
     }
 
     /// Stores a freshly folded bucket partial.
@@ -356,6 +383,30 @@ mod tests {
         assert!(
             c.get(&key(2, 3), 0, 2).is_some(),
             "newest insert must survive"
+        );
+    }
+
+    #[test]
+    fn key_hash_spreads_bucket_starts_over_the_low_bits() {
+        // Keys that differ only in a bucket start (a multiple of 900):
+        // the table indexes by the low bits, and 4 096 keys thrown at
+        // 4 096 slots fill ≈63 % of them when the hash is any good. The
+        // raw product would reach a quarter at most.
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<KeyHasher>::default();
+        let slots: std::collections::HashSet<u64> = (0..4_096u64)
+            .map(|k| PartialKey {
+                node: NodeKey::Fog2(3),
+                selector: Selector::Type(SensorType::Traffic),
+                scope: Scope::City,
+                bucket_start_s: k * 900,
+            })
+            .map(|key| build.hash_one(key) & 0xfff)
+            .collect();
+        assert!(
+            slots.len() > 2_300,
+            "only {} of 4096 slots hit",
+            slots.len()
         );
     }
 
