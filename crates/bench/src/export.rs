@@ -116,6 +116,14 @@ pub fn budget_rules() -> &'static [BudgetRule] {
         BudgetRule::band("workload.cache_hit_rate", 0.15, 0.01),
         BudgetRule::ceiling("workload.shed_total", 0.25, 32.0),
         BudgetRule::ceiling("workload.unanswerable", 0.25, 8.0),
+        // Pure functions of the seed, and what a scan is priced by: an
+        // index may make a read cheaper to run, never cheaper to model.
+        BudgetRule::band("workload.records_scanned", 0.0, 0.0),
+        BudgetRule::band(
+            "registry.counters.query_records_scanned{service=query}",
+            0.0,
+            0.0,
+        ),
         // Simulated-time latency budgets, per traced phase.
         BudgetRule::ceiling("phases.query.p99_us", 0.35, 250.0),
         BudgetRule::ceiling("phases.query-execute.p99_us", 0.35, 250.0),

@@ -5,6 +5,8 @@
 //! previous flush to its parent, and evicts what has outlived its
 //! retention.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use scc_dlc::preservation::ArchiveStore;
 use scc_dlc::DataRecord;
 
@@ -68,21 +70,29 @@ impl TieredStore {
     /// Inserts one record.
     pub fn insert(&mut self, record: DataRecord) {
         if !self.is_root {
-            let created = record.descriptor().created_s();
-            self.pending_earliest_s = Some(match self.pending_earliest_s {
-                Some(e) => e.min(created),
-                None => created,
-            });
+            self.note_pending(record.descriptor().created_s());
             self.pending.push(record.clone());
         }
         self.archive.insert(record);
     }
 
-    /// Inserts a batch.
+    /// Inserts a batch, in any creation-time order, as one merge into
+    /// the archive's run.
     pub fn insert_batch(&mut self, records: Vec<DataRecord>) {
-        for r in records {
-            self.insert(r);
+        if !self.is_root {
+            if let Some(oldest) = records.iter().map(|r| r.descriptor().created_s()).min() {
+                self.note_pending(oldest);
+            }
+            self.pending.extend_from_slice(&records);
         }
+        self.archive.insert_batch(records);
+    }
+
+    fn note_pending(&mut self, created_s: u64) {
+        self.pending_earliest_s = Some(
+            self.pending_earliest_s
+                .map_or(created_s, |e| e.min(created_s)),
+        );
     }
 
     /// Number of locally stored records.
@@ -162,7 +172,7 @@ impl TieredStore {
         match self.retention.and_then(|r| r.eviction_deadline(now_s)) {
             Some(deadline) => {
                 self.evicted_before_s = self.evicted_before_s.max(deadline);
-                self.archive.evict_older_than(deadline).len()
+                self.archive.discard_older_than(deadline)
             }
             None => 0,
         }

@@ -43,6 +43,7 @@ use f2c_core::{
 };
 use f2c_obs::{CounterId, Labels, MetricsRegistry, Site};
 use f2c_qos::{ClassLedger, QosPolicy, ServiceClass, ShedCause, CLASS_COUNT};
+use scc_dlc::preservation::ArchiveStore;
 use scc_dlc::DataRecord;
 use scc_sensors::Reading;
 
@@ -52,6 +53,7 @@ use scc_sensors::SensorType;
 use crate::cache::{CacheKey, NodeKey, PartialCache, PartialKey, ResultCache};
 use crate::model::{
     absorb_record, finalize, AggPartial, PointSample, Query, QueryAnswer, QueryKind, Scope,
+    Selector,
 };
 use crate::planner::{self, Choice, QueryPlan, ScatterLeg, ScatterPlan};
 use crate::{Error, Result};
@@ -1542,38 +1544,65 @@ impl ServeCore {
 /// envelope plus the 1024-register HyperLogLog sketch.
 const AGG_PARTIAL_WIRE_BYTES: u64 = 1_152;
 
-/// Latest matching observation: reverse range scan with canonical
-/// tie-breaking by sensor identity at equal creation times, so every
-/// complete source yields the same point.
+/// Latest matching observation, with canonical tie-breaking by sensor
+/// identity at equal creation times so every complete source yields the
+/// same point. The archive's type columns name the newest second `T*` in
+/// the window at which a selected type reported; only the records *at*
+/// `T*` are examined (stepping to the next older candidate when none of
+/// them is in scope — a fog-2 store holds more sections than a section
+/// query asks for).
+///
+/// `visited` is what a newest-first walk of the window would have
+/// counted: every record created at or after `T*`, plus the first older
+/// one that ends the walk if the window holds any — or the whole window
+/// when nothing matches. It prices the read (`scan_cost_per_record_us`),
+/// so it comes from ranks in the time column rather than from the few
+/// records actually touched.
 fn scan_point(store: &TieredStore, query: &Query) -> (Option<PointSample>, u64) {
+    let archive = store.archive();
     let w = query.window;
-    let mut visited = 0u64;
-    let mut best: Option<(u64, u64, PointSample)> = None;
-    for rec in store.range(w.from_s, w.until_s).rev() {
-        visited += 1;
-        let created = rec.descriptor().created_s();
-        if let Some((best_created, _, _)) = best {
-            if created < best_created {
-                break;
+    let first = archive.rank(w.from_s);
+    let end = archive.rank(w.until_s).max(first);
+    let mut before_s = w.until_s;
+    while let Some(at_s) = latest_report(archive, query.selector, w.from_s, before_s) {
+        let mut best: Option<(u64, &DataRecord)> = None;
+        for rec in archive.range(at_s, at_s + 1).rev() {
+            let seed = rec.reading().sensor().seed_material();
+            if query.matches(rec) && best.is_none_or(|(s, _)| seed > s) {
+                best = Some((seed, rec));
             }
         }
-        if query.matches(rec) {
-            let sensor = rec.reading().sensor();
-            let rank = (created, sensor.seed_material());
-            if best.is_none_or(|(c, s, _)| rank > (c, s)) {
-                best = Some((
-                    created,
-                    sensor.seed_material(),
-                    PointSample {
-                        created_s: created,
-                        sensor,
-                        value: rec.reading().value().magnitude(),
-                    },
-                ));
-            }
+        if let Some((_, rec)) = best {
+            let start = archive.rank(at_s);
+            let visited = end - start + usize::from(start > first);
+            let point = PointSample {
+                created_s: at_s,
+                sensor: rec.reading().sensor(),
+                value: rec.reading().value().magnitude(),
+            };
+            return (Some(point), visited as u64);
         }
+        before_s = at_s;
     }
-    (best.map(|(_, _, p)| p), visited)
+    (None, (end - first) as u64)
+}
+
+/// The newest second in `[from_s, before_s)` at which any type the
+/// selector covers has a stored record.
+fn latest_report(
+    archive: &ArchiveStore,
+    selector: Selector,
+    from_s: u64,
+    before_s: u64,
+) -> Option<u64> {
+    match selector {
+        Selector::Type(ty) => archive.latest_of_type(ty, from_s, before_s),
+        Selector::Category(_) => SensorType::ALL
+            .iter()
+            .filter(|&&ty| selector.matches(ty))
+            .filter_map(|&ty| archive.latest_of_type(ty, from_s, before_s))
+            .max(),
+    }
 }
 
 fn execute_point(store: &TieredStore, query: &Query) -> (QueryAnswer, u64) {
@@ -1823,7 +1852,7 @@ fn fold_segment(
     acc: &mut AggPartial,
 ) -> u64 {
     // A bucket-aligned window has empty head and tail segments: most
-    // calls. Setting up a B-tree range scan to find that out is not free.
+    // calls. Two binary searches to find that out are not free.
     if from_s >= until_s {
         return 0;
     }
@@ -2588,5 +2617,174 @@ mod tests {
             queries.len() * 3,
             "distinct decisions, distinct keys"
         );
+    }
+
+    /// The newest-first walk `scan_point` replaced, kept as its oracle:
+    /// the answer and the `visited` count it produced are the contract
+    /// (`visited` prices the read, so it reaches `est_latency`).
+    fn scan_point_by_walk(store: &TieredStore, query: &Query) -> (Option<PointSample>, u64) {
+        let w = query.window;
+        let mut visited = 0u64;
+        let mut best: Option<(u64, u64, PointSample)> = None;
+        for rec in store.range(w.from_s, w.until_s).rev() {
+            visited += 1;
+            let created = rec.descriptor().created_s();
+            if best.is_some_and(|(best_created, _, _)| created < best_created) {
+                break;
+            }
+            if query.matches(rec) {
+                let sensor = rec.reading().sensor();
+                let rank = (created, sensor.seed_material());
+                if best.is_none_or(|(c, s, _)| rank > (c, s)) {
+                    let value = rec.reading().value().magnitude();
+                    let point = PointSample {
+                        created_s: created,
+                        sensor,
+                        value,
+                    };
+                    best = Some((created, sensor.seed_material(), point));
+                }
+            }
+        }
+        (best.map(|(_, _, p)| p), visited)
+    }
+
+    /// A record of `ty` from sensor `idx`, created at `t` in `section`
+    /// (two sections per district), reading `value`.
+    fn located(ty: SensorType, idx: u32, t: u64, section: u16, value: u64) -> DataRecord {
+        let reading = Reading::new(
+            scc_sensors::SensorId::new(ty, idx),
+            t,
+            scc_sensors::Value::Counter(value),
+        );
+        let mut rec = DataRecord::from_reading(reading);
+        rec.descriptor_mut()
+            .set_location("Barcelona", section / 2, section);
+        rec
+    }
+
+    fn point_query(selector: Selector, scope: Scope, from: u64, until: u64) -> Query {
+        Query {
+            origin: 0,
+            class: ServiceClass::RealTime,
+            selector,
+            scope,
+            window: TimeWindow::new(from, until),
+            kind: QueryKind::Point,
+        }
+    }
+
+    #[test]
+    fn point_reads_by_rank_count_what_the_walk_counted() {
+        use SensorType::{BicycleFlow, ParkingSpot, Traffic, Weather};
+        // A fog-2-shaped store: sections 0..4 interleaved, second by
+        // second; Weather reports once, at the oldest second.
+        let mut store = TieredStore::permanent();
+        let mut batch = vec![located(Weather, 0, 10, 1, 0)];
+        for t in 10..20u64 {
+            for section in 0..4u16 {
+                if section != 3 || t < 13 {
+                    batch.push(located(Traffic, u32::from(section), t, section, t));
+                    batch.push(located(Traffic, 9 - u32::from(section), t, section, t));
+                }
+                batch.push(located(BicycleFlow, u32::from(section), t, section, t));
+            }
+        }
+        store.insert_batch(batch);
+        // 107 records: 13 at second 10, 12 at 11 and at 12, 10 from 13 on.
+        let (traffic, weather) = (Selector::Type(Traffic), Selector::Type(Weather));
+        let urban = Selector::Category(Category::Urban);
+        let q = point_query;
+        let cases = [
+            // A type absent from the window: `None`, the whole window.
+            (
+                q(Selector::Type(ParkingSpot), Scope::City, 0, 100),
+                None,
+                107,
+            ),
+            (q(weather, Scope::City, 11, 100), None, 94),
+            // Ties at `T*` across sensors: the larger identity wins; the
+            // ten records at 19 plus the one older that ends the walk.
+            (q(traffic, Scope::City, 0, 100), Some((19, 9)), 11),
+            // A match only at the window's oldest second: nothing older
+            // is left to end the walk, so no `+ 1`.
+            (q(weather, Scope::City, 10, 100), Some((10, 0)), 107),
+            (q(weather, Scope::City, 0, 11), Some((10, 0)), 13),
+            // Section 3 stopped reporting Traffic after 12: every newer
+            // second holds Traffic, none of it in scope — step older.
+            (q(traffic, Scope::Section(3), 0, 100), Some((12, 6)), 83),
+            (q(traffic, Scope::Section(3), 13, 100), None, 70),
+            (q(traffic, Scope::District(1), 0, 100), Some((19, 7)), 11),
+            // A category spans types; the newest of any of them is `T*`.
+            (q(urban, Scope::Section(3), 0, 100), Some((19, 3)), 11),
+            // Empty and inverted windows.
+            (q(traffic, Scope::City, 15, 15), None, 0),
+            (q(traffic, Scope::City, 18, 12), None, 0),
+            (q(traffic, Scope::City, 20, u64::MAX), None, 0),
+        ];
+        for (q, want, visited) in cases {
+            let (point, seen) = scan_point(&store, &q);
+            assert_eq!(
+                point.map(|p| (p.created_s, p.sensor.index())),
+                want,
+                "{q:?}"
+            );
+            assert_eq!(seen, visited, "{q:?}");
+            assert_eq!((point, seen), scan_point_by_walk(&store, &q), "{q:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn scan_point_equals_the_walk_it_replaced(
+            // (type pick, sensor index, creation second, section)
+            records in proptest::collection::vec((0usize..5, 0u32..3, 0u64..24, 0u16..4), 0..80),
+            evict_before in 0u64..12,
+            // (selector pick, scope pick, from, length or inversion)
+            queries in proptest::collection::vec((0usize..7, 0usize..8, 0u64..26, 0u64..30), 1..24),
+        ) {
+            const TYPES: [SensorType; 5] = [
+                SensorType::Traffic,
+                SensorType::Weather,
+                SensorType::BicycleFlow,
+                SensorType::ParkingSpot,
+                SensorType::NoiseAmbient,
+            ];
+            // Arrival order is the generated order: late records, equal
+            // seconds and repeated sensors (told apart by value) all occur.
+            let mut store = TieredStore::new(f2c_core::RetentionPolicy::keep(100));
+            let mut arrivals = records
+                .iter()
+                .zip(0u64..)
+                .map(|(&(ty, idx, t, section), nth)| located(TYPES[ty], idx, t, section, nth));
+            for rec in arrivals.by_ref().take(records.len() / 3) {
+                store.insert(rec);
+            }
+            store.insert_batch(arrivals.collect());
+            store.evict_expired(100 + evict_before);
+            for &(selector, scope, from, len) in &queries {
+                let selector = match selector {
+                    5 => Selector::Category(Category::Urban),
+                    6 => Selector::Category(Category::Energy),
+                    ty => Selector::Type(TYPES[ty]),
+                };
+                let scope = match scope {
+                    s @ 0..=3 => Scope::Section(s),
+                    d @ 4..=5 => Scope::District(d - 4),
+                    6 => Scope::Section(60),
+                    _ => Scope::City,
+                };
+                // Lengths past 26 invert the window instead.
+                let until = if len > 26 { from.saturating_sub(len - 26) } else { from + len };
+                let q = point_query(selector, scope, from, until);
+                proptest::prop_assert_eq!(
+                    scan_point(&store, &q),
+                    scan_point_by_walk(&store, &q),
+                    "{:?}", q
+                );
+            }
+        }
     }
 }

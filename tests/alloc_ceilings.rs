@@ -98,8 +98,10 @@ const SETTLED_SCATTER_CEILING: u64 = 72;
 // Measured when the ceilings were set: 8 per stored reading for a flush
 // wave (two hops: take, clone, encode, decode, verify, insert) and 1 per
 // reading — 2 per *batch*, rounded up — for a warm encoder; the commit
-// before measured 49 and 25. Twice that.
-const FLUSH_PER_STORED_CEILING: u64 = 16;
+// before measured 49 and 25. Twice that. Re-measured when the archive
+// became a sorted run: 7 for the flush wave (6.9; the B-tree's nodes were
+// the rest, and a batch merges into the run with one scratch buffer).
+const FLUSH_PER_STORED_CEILING: u64 = 14;
 const ENCODE_PER_READING_CEILING: u64 = 2;
 
 /// Heap allocations this thread makes while `f` runs.
