@@ -12,10 +12,17 @@
 //! `(seed, sender, flush epoch)` — so reordering unrelated sends (a
 //! future sharded runtime, replay from a different entry point) never
 //! changes which messages drop. Replays are bit-identical per seed.
+//!
+//! A [`LinkId`] is a dense index a topology hands out, so everything kept
+//! per link — outage windows, loss probability, coin sequence — is a `Vec`
+//! indexed by it, grown on first write. A [`NodeId`] can be forged
+//! (`NodeId::from_raw`), so node crash windows stay a map.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::HashMap;
 
-use super::{LinkId, NodeId};
+use super::{entry, LinkId, NodeId};
 use crate::time::SimTime;
 
 /// A scheduled outage window `[from, until)` on one link or node.
@@ -66,11 +73,13 @@ const DOMAIN_PAYLOAD_CORRUPT: u64 = 0x44;
 #[derive(Debug, Clone)]
 pub struct FailurePlan {
     seed: u64,
-    outages: HashMap<LinkId, Vec<Outage>>,
+    /// Outage windows by link index.
+    outages: Vec<Vec<Outage>>,
     node_outages: HashMap<NodeId, Vec<Outage>>,
-    loss: HashMap<LinkId, f64>,
-    /// Per-link message sequence counters keying the loss coin.
-    seq: HashMap<LinkId, u64>,
+    /// Message-loss probability by link index (0 = lossless).
+    loss: Vec<f64>,
+    /// Message sequence counters keying the loss coin, by link index.
+    seq: Vec<u64>,
     /// Probability one flush-wave shipment is lost in transit (the
     /// sender detects the failure and retries next flush).
     shipment_loss: f64,
@@ -92,10 +101,10 @@ impl FailurePlan {
     pub fn with_seed(seed: u64) -> Self {
         Self {
             seed,
-            outages: HashMap::new(),
+            outages: Vec::new(),
             node_outages: HashMap::new(),
-            loss: HashMap::new(),
-            seq: HashMap::new(),
+            loss: Vec::new(),
+            seq: Vec::new(),
             shipment_loss: 0.0,
             shipment_corruption: 0.0,
             payload_corruption: 0.0,
@@ -109,10 +118,7 @@ impl FailurePlan {
     /// Panics if `until <= from`.
     pub fn add_outage(&mut self, link: LinkId, from: SimTime, until: SimTime) {
         assert!(until > from, "outage window must be non-empty");
-        self.outages
-            .entry(link)
-            .or_default()
-            .push(Outage { from, until });
+        entry(&mut self.outages, link).push(Outage { from, until });
     }
 
     /// Schedules a crash window on `node` for `[from, until)`: while
@@ -136,11 +142,7 @@ impl FailurePlan {
     /// Panics if `p` is not in `[0, 1]`.
     pub fn set_loss(&mut self, link: LinkId, p: f64) {
         assert!((0.0..=1.0).contains(&p), "loss probability out of range");
-        if p > 0.0 {
-            self.loss.insert(link, p);
-        } else {
-            self.loss.remove(&link);
-        }
+        *entry(&mut self.loss, link) = p;
     }
 
     /// Sets the i.i.d. probability that a whole flush-wave shipment is
@@ -181,7 +183,7 @@ impl FailurePlan {
 
     /// Whether `link` is inside an outage window at `at`.
     pub fn is_down(&self, link: LinkId, at: SimTime) -> bool {
-        in_any(self.outages.get(&link), at)
+        in_any(self.outages.get(link.index()), at)
     }
 
     /// Whether `node` is inside a crash window at `at`.
@@ -194,7 +196,7 @@ impl FailurePlan {
     /// n-th message of a link is fixed per seed no matter how sends on
     /// other links interleave.
     pub fn drops(&mut self, link: LinkId) -> bool {
-        let n = self.seq.entry(link).or_insert(0);
+        let n = entry(&mut self.seq, link);
         let seq = *n;
         *n += 1;
         self.loss_verdict(link, seq)
@@ -205,25 +207,25 @@ impl FailurePlan {
     /// draw against an explicit sequence (base + their local count) so a
     /// read-only phase can toss coins without mutating the plan.
     pub fn loss_verdict(&self, link: LinkId, seq: u64) -> bool {
-        match self.loss.get(&link) {
-            Some(&p) => coin(
+        match self.loss.get(link.index()) {
+            Some(&p) if p > 0.0 => coin(
                 keyed(self.seed, DOMAIN_LINK_LOSS, link.index() as u64, seq),
                 p,
             ),
-            None => false,
+            _ => false,
         }
     }
 
     /// The next unused loss-coin sequence number of `link`.
     pub fn loss_seq(&self, link: LinkId) -> u64 {
-        self.seq.get(&link).copied().unwrap_or(0)
+        self.seq.get(link.index()).copied().unwrap_or(0)
     }
 
     /// Advances `link`'s loss-coin sequence by `n` draws — how a shard's
     /// buffered sends are folded back into the plan at a barrier.
     pub fn advance_loss_seq(&mut self, link: LinkId, n: u64) {
         if n > 0 {
-            *self.seq.entry(link).or_insert(0) += n;
+            *entry(&mut self.seq, link) += n;
         }
     }
 
@@ -268,9 +270,9 @@ impl FailurePlan {
 
     /// Whether the plan injects any failures at all.
     pub fn is_trivial(&self) -> bool {
-        self.outages.is_empty()
+        self.outages.iter().all(Vec::is_empty)
             && self.node_outages.is_empty()
-            && self.loss.is_empty()
+            && self.loss.iter().all(|&p| p == 0.0)
             && self.shipment_loss == 0.0
             && self.shipment_corruption == 0.0
             && self.payload_corruption == 0.0

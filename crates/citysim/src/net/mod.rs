@@ -9,6 +9,8 @@
 //!   built once from the topology, checks failures, accumulates latency +
 //!   serialization delay, and meters every traversed link.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod failure;
 mod link;
 mod meter;
@@ -19,11 +21,20 @@ pub use link::Link;
 pub use meter::{LinkTraffic, TrafficMeter};
 pub use topology::{LinkId, NodeId, Topology};
 
-use std::collections::HashMap;
-
 use self::topology::RouteTable;
 use crate::time::{Duration, SimTime};
 use crate::{Error, Result};
+
+/// `link`'s entry in a table indexed by [`LinkId::index`], the table grown
+/// with defaults to hold it. Link ids are handed out densely by a
+/// [`Topology`], so a table is at most as long as the topology has links.
+fn entry<T: Clone + Default>(table: &mut Vec<T>, link: LinkId) -> &mut T {
+    let index = link.index();
+    if table.len() <= index {
+        table.resize(index + 1, T::default());
+    }
+    &mut table[index]
+}
 
 /// Buffered network effects of one shard's read-only phase.
 ///
@@ -39,8 +50,11 @@ use crate::{Error, Result};
 pub struct NetScratch {
     /// Metering events in send order: `(link, src, dst, bytes, at)`.
     events: Vec<(LinkId, NodeId, NodeId, u64, SimTime)>,
-    /// Per-link `(base sequence at first use, draws made here)`.
-    seq: HashMap<LinkId, (u64, u64)>,
+    /// By link index, `(base sequence at first use, draws made here)`;
+    /// zero draws means the link is untouched and its base is stale.
+    seq: Vec<(u64, u64)>,
+    /// The links drawn on since the last drain, each named once.
+    touched: Vec<LinkId>,
 }
 
 impl NetScratch {
@@ -51,12 +65,25 @@ impl NetScratch {
 
     /// Whether nothing has been buffered.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.seq.is_empty()
+        self.events.is_empty() && self.touched.is_empty()
     }
 
     /// Buffered metering events.
     pub fn event_count(&self) -> usize {
         self.events.len()
+    }
+
+    /// The sequence number of the next loss coin on `link`: the plan's
+    /// counter as of this scratch's first draw there, plus the draws made
+    /// here since.
+    fn next_seq(&mut self, link: LinkId, plan: &FailurePlan) -> u64 {
+        let (base, drawn) = entry(&mut self.seq, link);
+        if *drawn == 0 {
+            *base = plan.loss_seq(link);
+            self.touched.push(link);
+        }
+        *drawn += 1;
+        *base + *drawn - 1
     }
 }
 
@@ -235,12 +262,7 @@ impl Network {
                 return Err(Error::LinkDown { a, b, at });
             }
             scratch.events.push((link_id, a, b, bytes, at));
-            let entry = scratch
-                .seq
-                .entry(link_id)
-                .or_insert((self.failures.loss_seq(link_id), 0));
-            let seq = entry.0 + entry.1;
-            entry.1 += 1;
+            let seq = scratch.next_seq(link_id, &self.failures);
             if self.failures.loss_verdict(link_id, seq) {
                 return Err(Error::MessageLost { a, b });
             }
@@ -279,15 +301,15 @@ impl Network {
 
     /// Folds a shard's buffered sends back into the network: meter events
     /// replay in their send order and each link's loss-coin counter jumps
-    /// by the draws made. Called at barriers in canonical shard order, so
-    /// the merged meter and sequences are schedule-independent.
+    /// by the draws made (per-link counters, so the order links are
+    /// visited in does not matter). Called at barriers in canonical shard
+    /// order, so the merged meter and sequences are schedule-independent.
     pub fn absorb_scratch(&mut self, scratch: &mut NetScratch) {
         for (link, a, b, bytes, at) in scratch.events.drain(..) {
             self.meter.record(link, a, b, bytes, at);
         }
-        let mut seqs: Vec<(LinkId, (u64, u64))> = scratch.seq.drain().collect();
-        seqs.sort_by_key(|(link, _)| link.index());
-        for (link, (_, drawn)) in seqs {
+        for link in scratch.touched.drain(..) {
+            let (_, drawn) = std::mem::take(entry(&mut scratch.seq, link));
             self.failures.advance_loss_seq(link, drawn);
         }
     }
@@ -315,6 +337,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn line3() -> (Network, NodeId, NodeId, NodeId) {
         let mut topo = Topology::new();
@@ -384,5 +407,145 @@ mod tests {
         assert!(net.meter().total_bytes() > 0);
         net.reset_meter();
         assert_eq!(net.meter().total_bytes(), 0);
+    }
+
+    #[test]
+    fn a_link_beyond_the_table_grows_it_and_an_untouched_one_does_not() {
+        let (mut net, a, _, c) = line3();
+        let links: Vec<LinkId> = net.path(a, c).unwrap().to_vec();
+        let (first, second) = (links[0], links[1]);
+        assert_eq!(net.failures.loss_seq(second), 0, "reads never grow");
+        net.failures.advance_loss_seq(second, 3);
+        assert_eq!(net.failures.loss_seq(second), 3);
+        assert_eq!(net.failures.loss_seq(first), 0);
+        let mut scratch = NetScratch::new();
+        assert!(scratch.is_empty());
+        net.send_scratch(&mut scratch, a, c, 10, SimTime::ZERO)
+            .unwrap();
+        assert!(!scratch.is_empty());
+        assert_eq!(scratch.seq, [(0, 1), (3, 1)], "base is the plan's counter");
+        net.absorb_scratch(&mut scratch);
+        assert!(scratch.is_empty());
+        assert_eq!(scratch.seq, [(0, 0), (0, 0)], "drained entries reset");
+        assert_eq!(net.failures.loss_seq(first), 1);
+        assert_eq!(net.failures.loss_seq(second), 4);
+    }
+
+    /// The per-link sequences as they were kept before the dense tables:
+    /// SipHash maps keyed by `LinkId`, the scratch drained in link order.
+    #[derive(Default)]
+    struct SeqModel {
+        plan: HashMap<LinkId, u64>,
+        scratch: [HashMap<LinkId, (u64, u64)>; 2],
+    }
+
+    impl SeqModel {
+        /// The verdicts `send_scratch` must reach along `path`: one coin
+        /// per hop until the first loss.
+        fn send_scratch(&mut self, which: usize, path: &[LinkId], plan: &FailurePlan) -> bool {
+            for &link in path {
+                let base = self.plan.get(&link).copied().unwrap_or(0);
+                let entry = self.scratch[which].entry(link).or_insert((base, 0));
+                let seq = entry.0 + entry.1;
+                entry.1 += 1;
+                if plan.loss_verdict(link, seq) {
+                    return false;
+                }
+            }
+            true
+        }
+
+        fn send(&mut self, path: &[LinkId], plan: &FailurePlan) -> bool {
+            for &link in path {
+                let n = self.plan.entry(link).or_insert(0);
+                let seq = *n;
+                *n += 1;
+                if plan.loss_verdict(link, seq) {
+                    return false;
+                }
+            }
+            true
+        }
+
+        fn absorb(&mut self, which: usize) {
+            let mut seqs: Vec<(LinkId, (u64, u64))> = self.scratch[which].drain().collect();
+            seqs.sort_by_key(|(link, _)| link.index());
+            for (link, (_, drawn)) in seqs {
+                *self.plan.entry(link).or_insert(0) += drawn;
+            }
+        }
+    }
+
+    /// A six-node line with every link lossy, so every hop tosses a coin
+    /// that can come up either way.
+    fn lossy_line() -> (Network, Vec<NodeId>, Vec<LinkId>) {
+        let mut topo = Topology::new();
+        let nodes: Vec<NodeId> = (0..6).map(|i| topo.add_node(format!("n{i}"))).collect();
+        let links: Vec<LinkId> = nodes
+            .windows(2)
+            .map(|w| {
+                topo.add_link(w[0], w[1], Link::new(Duration::from_millis(1), 1_000_000))
+                    .unwrap()
+            })
+            .collect();
+        let mut plan = FailurePlan::with_seed(2017);
+        for &link in &links {
+            plan.set_loss(link, 0.3);
+        }
+        let mut net = Network::new(topo);
+        net.set_failures(plan);
+        (net, nodes, links)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// One step is `(kind, scratch, from, to, n)`: a buffered send, a
+        /// direct send (which draws through `FailurePlan::drops`), a
+        /// drain of one scratch, or a bare `advance_loss_seq`. Two
+        /// scratches interleave, as two shards' do between barriers.
+        #[test]
+        fn dense_loss_sequences_equal_the_hash_map_model(
+            ops in proptest::collection::vec((0u8..10, 0usize..2, 0usize..6, 0usize..6, 0u64..4), 1..120),
+        ) {
+            use proptest::prelude::*;
+            let (mut net, nodes, links) = lossy_line();
+            let mut scratch = [NetScratch::new(), NetScratch::new()];
+            let mut model = SeqModel::default();
+            for &(kind, which, from, to, n) in &ops {
+                let path = net.path(nodes[from], nodes[to]).unwrap().to_vec();
+                match kind {
+                    0..=4 => {
+                        let sent = net
+                            .send_scratch(&mut scratch[which], nodes[from], nodes[to], 64, SimTime::ZERO)
+                            .is_ok();
+                        prop_assert_eq!(sent, model.send_scratch(which, &path, net.failures()));
+                    }
+                    5 | 6 => {
+                        let sent = net.send(nodes[from], nodes[to], 64, SimTime::ZERO).is_ok();
+                        prop_assert_eq!(sent, model.send(&path, &net.failures));
+                    }
+                    7 | 8 => {
+                        net.absorb_scratch(&mut scratch[which]);
+                        model.absorb(which);
+                        prop_assert!(scratch[which].is_empty());
+                    }
+                    _ => {
+                        let link = links[from.min(links.len() - 1)];
+                        net.failures_mut().advance_loss_seq(link, n);
+                        *model.plan.entry(link).or_insert(0) += n;
+                    }
+                }
+                for &link in &links {
+                    prop_assert_eq!(
+                        net.failures().loss_seq(link),
+                        model.plan.get(&link).copied().unwrap_or(0)
+                    );
+                }
+                for (real, model) in scratch.iter().zip(&model.scratch) {
+                    prop_assert_eq!(real.is_empty(), model.is_empty() && real.events.is_empty());
+                }
+            }
+        }
     }
 }

@@ -1,6 +1,8 @@
 //! Data description: tags records with location, authoring and privacy
 //! according to the city business model (§IV.A).
 
+use std::sync::Arc;
+
 use scc_sensors::Category;
 
 use crate::descriptor::PrivacyLevel;
@@ -10,7 +12,8 @@ use crate::record::DataRecord;
 /// Fills location/authoring/privacy tags for every record.
 #[derive(Debug, Clone)]
 pub struct DescriptionPhase {
-    city: String,
+    /// Made once here; every tagged record shares it.
+    city: Arc<str>,
     district: u16,
     section: u16,
 }
@@ -19,7 +22,7 @@ impl DescriptionPhase {
     /// Tags for a fog node covering `section` of `district` in `city`.
     pub fn new(city: &str, district: u16, section: u16) -> Self {
         Self {
-            city: city.to_owned(),
+            city: Arc::from(city),
             district,
             section,
         }
@@ -49,8 +52,8 @@ impl Phase for DescriptionPhase {
         for rec in &mut batch {
             let category = rec.sensor_type().category();
             let d = rec.descriptor_mut();
-            d.set_location(&self.city, self.district, self.section);
-            d.set_authoring(category.provider());
+            d.set_location(Arc::clone(&self.city), self.district, self.section);
+            d.set_authoring(category);
             d.set_privacy(Self::privacy_for(category));
         }
         batch
@@ -77,6 +80,27 @@ mod tests {
         assert_eq!(d.section(), Some(33));
         assert_eq!(d.authoring(), Some("ENERGY"));
         assert_eq!(d.privacy(), Some(PrivacyLevel::Restricted));
+    }
+
+    #[test]
+    fn every_tagged_record_and_every_clone_shares_one_city_name() {
+        let recs: Vec<DataRecord> = (0..3)
+            .map(|i| {
+                DataRecord::from_reading(Reading::new(
+                    SensorId::new(SensorType::Weather, i),
+                    0,
+                    Value::from_f64(18.0),
+                ))
+            })
+            .collect();
+        let mut phase = DescriptionPhase::new("Barcelona", 4, 33);
+        let out = phase.run(recs, &PhaseContext::at(0));
+        let name = |rec: &DataRecord| rec.descriptor().city().unwrap().as_ptr();
+        assert!(out.iter().all(|rec| name(rec) == name(&out[0])));
+        assert_eq!(name(&out[0].clone()), name(&out[0]));
+        // A later batch from the same phase still shares it.
+        let later = phase.run(vec![out[0].clone()], &PhaseContext::at(1));
+        assert_eq!(name(&later[0]), name(&out[0]));
     }
 
     #[test]

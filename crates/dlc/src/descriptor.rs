@@ -4,6 +4,9 @@
 //! location positioning (city, country, GPS coordinates), authoring,
 //! privacy, and so on."
 
+use std::sync::Arc;
+
+use scc_sensors::Category;
 use serde::{Deserialize, Serialize};
 
 /// Privacy classification attached by the description phase.
@@ -23,15 +26,20 @@ pub enum PrivacyLevel {
 /// location/authoring/privacy. Missing tags are `None` — a record that
 /// skipped the description phase is visibly untagged rather than silently
 /// defaulted.
+///
+/// A record is copied at every tier it reaches, so the tags are shared,
+/// never copied: the city name is one `Arc<str>` per tagging phase and
+/// the authoring entity is the Sentilo provider of a [`Category`], held
+/// as the category. Cloning a descriptor allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Descriptor {
     created_s: u64,
     collected_s: Option<u64>,
     modified_s: Option<u64>,
-    city: Option<String>,
+    city: Option<Arc<str>>,
     district: Option<u16>,
     section: Option<u16>,
-    authoring: Option<String>,
+    authoring: Option<Category>,
     privacy: Option<PrivacyLevel>,
 }
 
@@ -82,7 +90,7 @@ impl Descriptor {
 
     /// Authoring entity (provider).
     pub fn authoring(&self) -> Option<&str> {
-        self.authoring.as_deref()
+        self.authoring.map(Category::provider)
     }
 
     /// Privacy classification.
@@ -100,16 +108,17 @@ impl Descriptor {
         self.modified_s = Some(at_s);
     }
 
-    /// Sets the location tags.
-    pub fn set_location(&mut self, city: &str, district: u16, section: u16) {
-        self.city = Some(city.to_owned());
+    /// Sets the location tags. The city name is shared, not copied: a
+    /// tagging phase hands every record a clone of one `Arc`.
+    pub fn set_location(&mut self, city: Arc<str>, district: u16, section: u16) {
+        self.city = Some(city);
         self.district = Some(district);
         self.section = Some(section);
     }
 
-    /// Sets the authoring tag.
-    pub fn set_authoring(&mut self, who: &str) {
-        self.authoring = Some(who.to_owned());
+    /// Sets the authoring tag to `category`'s provider.
+    pub fn set_authoring(&mut self, category: Category) {
+        self.authoring = Some(category);
     }
 
     /// Sets the privacy tag.
@@ -145,8 +154,8 @@ mod tests {
     fn full_tagging_roundtrip() {
         let mut d = Descriptor::created_at(100);
         d.stamp_collected(105);
-        d.set_location("Barcelona", 3, 21);
-        d.set_authoring("ENERGY");
+        d.set_location("Barcelona".into(), 3, 21);
+        d.set_authoring(Category::Energy);
         d.set_privacy(PrivacyLevel::Public);
         assert!(d.is_fully_described());
         assert_eq!(d.collected_s(), Some(105));

@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn descriptor_and_quality_are_preserved() {
         let mut r = rec(1.0);
-        r.descriptor_mut().set_location("Barcelona", 1, 2);
+        r.descriptor_mut().set_location("Barcelona".into(), 1, 2);
         r.set_quality(crate::quality::QualityReport::perfect());
         let mut phase = ProcessPhase::new(vec![]);
         let out = phase.run(vec![r], &PhaseContext::at(5));

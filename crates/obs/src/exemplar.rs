@@ -12,6 +12,8 @@
 //! bytes at any thread count, same discipline as the rest of the
 //! observability plane.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use citysim::metrics::{bucket_index, bucket_upper_micros, NUM_BUCKETS};
 
 use crate::json::Json;
@@ -30,14 +32,21 @@ pub struct Exemplar {
 #[derive(Debug, Clone)]
 pub struct ExemplarStore {
     slots: Vec<Option<Exemplar>>,
+    /// Bit `i` set ⇔ `slots[i]` is occupied, so a drain visits what is
+    /// held rather than every bucket.
+    occupied: u64,
     seen: u64,
 }
+
+// One mask bit per bucket.
+const _: () = assert!(NUM_BUCKETS <= u64::BITS as usize);
 
 impl ExemplarStore {
     /// An empty store, one slot per histogram bucket.
     pub fn new() -> Self {
         Self {
             slots: vec![None; NUM_BUCKETS],
+            occupied: 0,
             seen: 0,
         }
     }
@@ -85,6 +94,7 @@ impl ExemplarStore {
         };
         if admit {
             self.slots[slot] = Some(Exemplar { latency_us, trace });
+            self.occupied |= 1 << slot;
         }
     }
 
@@ -95,7 +105,7 @@ impl ExemplarStore {
 
     /// Buckets currently holding an exemplar.
     pub fn kept(&self) -> usize {
-        self.slots.iter().flatten().count()
+        self.occupied.count_ones() as usize
     }
 
     /// The exemplar of the bucket that `latency_us` falls in, if any.
@@ -106,10 +116,12 @@ impl ExemplarStore {
     /// Drains `other` into `self` under the keep-max rule; seen counts
     /// add. Bucket layouts are identical by construction.
     pub fn absorb(&mut self, other: &mut ExemplarStore) {
-        self.seen += other.seen;
-        other.seen = 0;
-        for slot in &mut other.slots {
-            if let Some(e) = slot.take() {
+        self.seen += std::mem::take(&mut other.seen);
+        let mut held = std::mem::take(&mut other.occupied);
+        while held != 0 {
+            let slot = held.trailing_zeros() as usize;
+            held &= held - 1;
+            if let Some(e) = other.slots.get_mut(slot).and_then(Option::take) {
                 self.observe_rendered(e.latency_us, e.trace);
             }
         }
@@ -223,6 +235,29 @@ mod tests {
             merged.absorb(&mut left);
             assert_eq!(merged.export().to_pretty(), whole.export().to_pretty());
             assert_eq!(left.seen(), 0, "absorb drains the source");
+            assert_eq!(left.kept(), 0);
+            assert_eq!(merged.kept(), whole.kept());
         }
+    }
+
+    #[test]
+    fn a_drained_store_fills_and_drains_again() {
+        // The occupancy mask must track the slots across drains, or a
+        // second round's exemplars would be stranded in the scratch.
+        let mut city = ExemplarStore::new();
+        let mut scratch = ExemplarStore::new();
+        for (round, us) in [(0, 100), (1, 100_000), (2, u64::MAX)] {
+            scratch.observe(us, Some(format!("round {round}")));
+            assert_eq!(scratch.kept(), 1);
+            city.absorb(&mut scratch);
+            assert_eq!(scratch.kept(), 0);
+            assert!(scratch.exemplar_for(us).is_none());
+            assert_eq!(
+                city.exemplar_for(us).unwrap().trace,
+                format!("round {round}")
+            );
+        }
+        assert_eq!(city.kept(), 3);
+        assert_eq!(city.seen(), 3);
     }
 }

@@ -13,6 +13,8 @@
 //! Records are [`Json`] values — the store is generic over what an
 //! explain says; the query crate decides the schema.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::json::Json;
 
 /// One retained explain record.
@@ -28,6 +30,8 @@ struct Kept {
 #[derive(Debug, Clone)]
 pub struct ExplainStore {
     slots: Vec<Option<Kept>>,
+    /// Occupied slots, so draining an empty store visits none.
+    kept: usize,
     seen: u64,
 }
 
@@ -45,6 +49,7 @@ impl ExplainStore {
     pub fn with_slots(slots: usize) -> Self {
         Self {
             slots: vec![None; slots.max(1)],
+            kept: 0,
             seen: 0,
         }
     }
@@ -82,7 +87,10 @@ impl ExplainStore {
     fn offer_rendered(&mut self, hash: u64, text: String) {
         let slot = (hash % self.slots.len() as u64) as usize;
         let admit = match &self.slots[slot] {
-            None => true,
+            None => {
+                self.kept += 1;
+                true
+            }
             Some(kept) => (hash, text.as_str()) < (kept.hash, kept.text.as_str()),
         };
         if admit {
@@ -97,7 +105,7 @@ impl ExplainStore {
 
     /// Slots currently holding a record.
     pub fn kept(&self) -> usize {
-        self.slots.iter().flatten().count()
+        self.kept
     }
 
     /// Drains `other` into `self`: seen counts add, every retained record
@@ -114,8 +122,10 @@ impl ExplainStore {
             other.slots.len(),
             "explain stores with different slot counts cannot merge"
         );
-        self.seen += other.seen;
-        other.seen = 0;
+        self.seen += std::mem::take(&mut other.seen);
+        if std::mem::take(&mut other.kept) == 0 {
+            return;
+        }
         for slot in &mut other.slots {
             if let Some(kept) = slot.take() {
                 self.offer_rendered(kept.hash, kept.text);
@@ -124,14 +134,16 @@ impl ExplainStore {
     }
 
     /// The retained records as a Json export: slot-ordered, with the
-    /// reservoir accounting. Byte-stable for a given retained set.
+    /// reservoir accounting. Byte-stable for a given retained set. A
+    /// record is kept as the text [`Json::to_pretty`] rendered, which
+    /// parses back; were one ever not to, it is exported as that text.
     pub fn export(&self) -> Json {
         let mut doc = Json::obj();
         doc.set("seen", Json::Num(self.seen as f64));
         doc.set("kept", Json::Num(self.kept() as f64));
         let mut records = Vec::new();
         for kept in self.slots.iter().flatten() {
-            records.push(Json::parse(&kept.text).expect("store holds rendered Json"));
+            records.push(Json::parse(&kept.text).unwrap_or_else(|_| Json::Str(kept.text.clone())));
         }
         doc.set("records", Json::Arr(records));
         doc

@@ -16,6 +16,18 @@
 //! [`Tracer::absorb`] and [`Tracer::spans_since`] visit only the sites
 //! touched since the source tracer was last drained — a request pays for
 //! the sites it traced, not for every site that ever traced.
+//!
+//! A site is a small integer and is addressed as one: logs live in a
+//! `Vec`, and the three city tiers (`cloud` / `fog1` / `fog2`) resolve a
+//! site to its slot through a dense per-tier `index → slot` table — two
+//! loads, no string compare through a tree. The tables are bounded
+//! (`DENSE_LIMIT` indices per tier): an index past the bound, or a tier
+//! the tables do not know, resolves through the ordered `Site → slot` map
+//! instead, so `Site::new("fog1", u32::MAX)` costs one map entry, not a
+//! 4-billion-entry table. That map is otherwise only walked by the
+//! key-ordered readers (`encode`, `sites`, `flight_record`).
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -102,10 +114,27 @@ pub struct TraceLog {
     open: Vec<OpenSpan>,
     next_seq: u64,
     dropped: u64,
-    dropped_by_phase: BTreeMap<&'static str, u64>,
+    /// Ring evictions per evicted phase name: a short list (a run names
+    /// about a dozen phases), one entry per name, in first-eviction order.
+    dropped_by_phase: Vec<(&'static str, u64)>,
     malformed: u64,
     /// Whether the owning tracer's dirty list already names this log.
     listed: bool,
+}
+
+/// Adds `n` evictions of `phase` to a per-phase drop list. Phase names
+/// are literals, so the same phase almost always arrives as the same
+/// pointer and matches without a byte compare; the string compare behind
+/// it keeps one entry per *name* whatever the linker did with the
+/// literals.
+fn count_dropped(list: &mut Vec<(&'static str, u64)>, phase: &'static str, n: u64) {
+    match list
+        .iter_mut()
+        .find(|(name, _)| std::ptr::eq(*name, phase) || *name == phase)
+    {
+        Some((_, count)) => *count += n,
+        None => list.push((phase, n)),
+    }
 }
 
 impl TraceLog {
@@ -118,7 +147,7 @@ impl TraceLog {
             open: Vec::new(),
             next_seq: 0,
             dropped: 0,
-            dropped_by_phase: BTreeMap::new(),
+            dropped_by_phase: Vec::new(),
             malformed: 0,
             listed: false,
         }
@@ -130,7 +159,7 @@ impl TraceLog {
         }
         if let Some((_, evicted)) = self.done.pop_front() {
             self.dropped += 1;
-            *self.dropped_by_phase.entry(evicted.name).or_default() += 1;
+            count_dropped(&mut self.dropped_by_phase, evicted.name, 1);
         }
     }
 
@@ -197,8 +226,8 @@ impl TraceLog {
     /// Ring evictions broken down by the evicted span's phase name.
     /// `phase_histograms()` only sees retained spans, so a saturated ring
     /// would silently skew a phase's p99 — this map names who got lost.
-    pub fn dropped_by_phase(&self) -> &BTreeMap<&'static str, u64> {
-        &self.dropped_by_phase
+    pub fn dropped_by_phase(&self) -> BTreeMap<&'static str, u64> {
+        self.dropped_by_phase.iter().copied().collect()
     }
 
     /// Structurally invalid closes observed (0 in a well-formed log).
@@ -211,25 +240,44 @@ impl TraceLog {
 #[derive(Debug, Clone, Copy)]
 pub struct TracerMark(u64);
 
-/// The per-run tracer: one [`TraceLog`] per [`Site`], key-ordered so the
-/// encoded transcript is byte-stable across replicas.
+/// The tiers whose sites resolve through a dense `index → slot` table.
+const DENSE_TIERS: [&str; 3] = ["cloud", "fog1", "fog2"];
+
+/// Indices a dense tier table may hold; a site at or past this resolves
+/// through the ordered map instead, so a table never outgrows 4 KiB.
+const DENSE_LIMIT: u32 = 1_024;
+
+/// A dense-table entry naming no slot.
+const VACANT: u32 = u32::MAX;
+
+/// Where `site` sits in the dense tables — `(tier table, index)` — if its
+/// tier has one and its index is under `DENSE_LIMIT`.
+fn dense_key(site: Site) -> Option<(usize, usize)> {
+    if site.index >= DENSE_LIMIT {
+        return None;
+    }
+    let tier = DENSE_TIERS.iter().position(|t| *t == site.tier)?;
+    Some((tier, site.index as usize))
+}
+
+/// The per-run tracer: one [`TraceLog`] per [`Site`], encoded key-ordered
+/// so the transcript is byte-stable across replicas.
 #[derive(Debug, Clone)]
 pub struct Tracer {
     capacity: usize,
-    logs: BTreeMap<Site, TraceLog>,
+    /// Every site's log, in first-touch order; a *slot* is an index here.
+    logs: Vec<(Site, TraceLog)>,
+    /// Per dense tier, `index → slot` ([`VACANT`] where no log exists yet),
+    /// grown on demand up to `DENSE_LIMIT` entries.
+    dense: [Vec<u32>; DENSE_TIERS.len()],
+    /// Every site's slot, key-ordered: the lookup for sites off the dense
+    /// tables and the iteration order of every encoded artifact.
+    by_key: BTreeMap<Site, u32>,
     /// The ordinal the next completed span is stamped with.
     next_ord: u64,
-    /// The sites touched since this tracer was last drained by
+    /// The slots touched since this tracer was last drained by
     /// [`Tracer::absorb`], each named once (`TraceLog::listed`).
-    dirty: Vec<Site>,
-}
-
-/// Enters `site` in `dirty` unless its `log` is already listed there.
-fn list(log: &mut TraceLog, dirty: &mut Vec<Site>, site: Site) {
-    if !log.listed {
-        log.listed = true;
-        dirty.push(site);
-    }
+    dirty: Vec<u32>,
 }
 
 impl Default for Tracer {
@@ -253,18 +301,65 @@ impl Tracer {
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             capacity,
-            logs: BTreeMap::new(),
+            logs: Vec::new(),
+            dense: Default::default(),
+            by_key: BTreeMap::new(),
             next_ord: 0,
             dirty: Vec::new(),
         }
     }
 
+    /// The slot of `site`'s log, if it has one.
+    fn slot_of(&self, site: Site) -> Option<u32> {
+        match dense_key(site) {
+            Some((tier, index)) => self.dense[tier]
+                .get(index)
+                .copied()
+                .filter(|&slot| slot != VACANT),
+            None => self.by_key.get(&site).copied(),
+        }
+    }
+
+    /// Gives `site` an empty log and returns its slot.
+    fn add_site(&mut self, site: Site) -> u32 {
+        let slot = self.logs.len() as u32;
+        self.logs.push((site, TraceLog::new(self.capacity)));
+        self.by_key.insert(site, slot);
+        if let Some((tier, index)) = dense_key(site) {
+            let table = &mut self.dense[tier];
+            if table.len() <= index {
+                table.resize(index + 1, VACANT);
+            }
+            table[index] = slot;
+        }
+        slot
+    }
+
+    /// The log in `slot` (one `slot_of` or `add_site` returned), entered
+    /// in the dirty list unless already there.
+    fn listed_log(&mut self, slot: u32) -> &mut TraceLog {
+        let (_, log) = &mut self.logs[slot as usize];
+        if !log.listed {
+            log.listed = true;
+            self.dirty.push(slot);
+        }
+        log
+    }
+
     /// The log of `site`, created on first use and listed as dirty.
     fn touch(&mut self, site: Site) -> &mut TraceLog {
-        let cap = self.capacity;
-        let log = self.logs.entry(site).or_insert_with(|| TraceLog::new(cap));
-        list(log, &mut self.dirty, site);
-        log
+        let slot = match self.slot_of(site) {
+            Some(slot) => slot,
+            None => self.add_site(site),
+        };
+        self.listed_log(slot)
+    }
+
+    /// Every site's log, key-ordered.
+    fn ordered(&self) -> impl Iterator<Item = (Site, &TraceLog)> {
+        self.by_key
+            .iter()
+            .map(|(&site, &slot)| (site, &self.logs[slot as usize].1))
     }
 
     /// Opens a span at `site` at simulated instant `at_us`; it nests under
@@ -282,35 +377,33 @@ impl Tracer {
 
     /// Closes a span recording one free attribute.
     pub fn close_with(&mut self, token: SpanToken, at_us: u64, attr: u64) -> bool {
-        match self.logs.get_mut(&token.site) {
-            Some(log) => {
-                list(log, &mut self.dirty, token.site);
-                let ord = self.next_ord;
-                self.next_ord += 1;
-                log.close(token.seq, at_us, attr, ord)
-            }
-            None => false,
-        }
+        let Some(slot) = self.slot_of(token.site) else {
+            return false;
+        };
+        let ord = self.next_ord;
+        self.next_ord += 1;
+        self.listed_log(slot).close(token.seq, at_us, attr, ord)
     }
 
     /// The log of one site, if it ever opened a span.
     pub fn log(&self, site: Site) -> Option<&TraceLog> {
-        self.logs.get(&site)
+        let (_, log) = self.logs.get(self.slot_of(site)? as usize)?;
+        Some(log)
     }
 
     /// All traced sites, key-ordered.
     pub fn sites(&self) -> impl Iterator<Item = Site> + '_ {
-        self.logs.keys().copied()
+        self.by_key.keys().copied()
     }
 
     /// Total completed spans currently retained across all sites.
     pub fn span_count(&self) -> usize {
-        self.logs.values().map(|l| l.done.len()).sum()
+        self.logs.iter().map(|(_, l)| l.done.len()).sum()
     }
 
     /// Total malformed closes across all sites (0 in a well-formed run).
     pub fn malformed(&self) -> u64 {
-        self.logs.values().map(|l| l.malformed).sum()
+        self.logs.iter().map(|(_, l)| l.malformed).sum()
     }
 
     /// Moves every completed span (and ring/malformed accounting) of
@@ -324,20 +417,20 @@ impl Tracer {
     /// barriers, the merged transcript is a pure function of the shard
     /// schedule, never of thread timing.
     pub fn absorb(&mut self, other: &mut Tracer) {
-        for site in other.dirty.drain(..) {
-            let Some(log) = other.logs.get_mut(&site) else {
+        for slot in other.dirty.drain(..) {
+            let Some((site, log)) = other.logs.get_mut(slot as usize) else {
                 continue;
             };
             log.listed = false;
             let first_ord = self.next_ord;
             self.next_ord += log.done.len() as u64;
-            let dst = self.touch(site);
+            let dst = self.touch(*site);
             for (ord, (_, span)) in (first_ord..).zip(log.done.drain(..)) {
                 dst.push_completed(ord, span);
             }
             dst.dropped += std::mem::take(&mut log.dropped);
-            for (phase, n) in std::mem::take(&mut log.dropped_by_phase) {
-                *dst.dropped_by_phase.entry(phase).or_default() += n;
+            for (phase, n) in log.dropped_by_phase.drain(..) {
+                count_dropped(&mut dst.dropped_by_phase, phase, n);
             }
             dst.malformed += std::mem::take(&mut log.malformed);
         }
@@ -346,8 +439,8 @@ impl Tracer {
     /// Ring evictions across all sites, by the evicted span's phase name.
     pub fn dropped_by_phase(&self) -> BTreeMap<&'static str, u64> {
         let mut out: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for log in self.logs.values() {
-            for (&phase, &n) in &log.dropped_by_phase {
+        for (_, log) in &self.logs {
+            for &(phase, n) in &log.dropped_by_phase {
                 *out.entry(phase).or_default() += n;
             }
         }
@@ -371,13 +464,14 @@ impl Tracer {
     /// touched since the last drain can hold one. This is how a query's
     /// own span tree is carved out of the shared log for an exemplar slot.
     pub fn spans_since(&self, mark: &TracerMark) -> String {
-        let mut sites = self.dirty.clone();
-        sites.sort_unstable();
+        let mut touched: Vec<&(Site, TraceLog)> = self
+            .dirty
+            .iter()
+            .filter_map(|&slot| self.logs.get(slot as usize))
+            .collect();
+        touched.sort_unstable_by_key(|(site, _)| *site);
         let mut out = String::new();
-        for site in sites {
-            let Some(log) = self.logs.get(&site) else {
-                continue;
-            };
+        for (site, log) in touched {
             let start = log.done.partition_point(|&(ord, _)| ord < mark.0);
             for (_, span) in log.done.range(start..) {
                 let _ = writeln!(
@@ -396,7 +490,7 @@ impl Tracer {
     /// — a bounded look at what the city was doing when the SLO burned.
     pub fn flight_record(&self, per_site: usize) -> String {
         let mut out = String::new();
-        for (site, log) in &self.logs {
+        for (site, log) in self.ordered() {
             let skip = log.done.len().saturating_sub(per_site);
             for span in log.completed().skip(skip) {
                 let _ = writeln!(
@@ -413,7 +507,7 @@ impl Tracer {
     /// This is where the export's per-phase p50/p99 come from.
     pub fn phase_histograms(&self) -> BTreeMap<&'static str, Histogram> {
         let mut out: BTreeMap<&'static str, Histogram> = BTreeMap::new();
-        for log in self.logs.values() {
+        for (_, log) in self.ordered() {
             for span in log.completed() {
                 out.entry(span.name).or_default().record(span.duration());
             }
@@ -428,7 +522,7 @@ impl Tracer {
     /// same oracle as the simulation's flush transcripts.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = String::new();
-        for (site, log) in &self.logs {
+        for (site, log) in self.ordered() {
             let _ = writeln!(
                 out,
                 "@{site} kept={} dropped={} open={} malformed={}",
@@ -692,6 +786,61 @@ mod tests {
         assert_eq!(city.spans_since(&mark), "fog1/0 after 5..6 d=0 a=0\n");
     }
 
+    #[test]
+    fn a_site_past_the_dense_bound_takes_the_ordered_map_not_a_table() {
+        let mut t = Tracer::new();
+        let far = Site::new("fog1", u32::MAX);
+        let edge = Site::new("fog1", DENSE_LIMIT);
+        let odd = Site::new("edge", 7);
+        for (i, site) in [far, S, edge, odd, Site::cloud()].into_iter().enumerate() {
+            let s = t.open(site, "q", i as u64);
+            assert!(t.close(s, i as u64 + 1));
+        }
+        // Only the in-bound city sites sized a table, and only to their index.
+        assert_eq!(t.dense.iter().map(Vec::len).collect::<Vec<_>>(), [1, 1, 0]);
+        for site in [far, edge, odd] {
+            assert_eq!(t.log(site).unwrap().completed().count(), 1);
+        }
+        assert_eq!(t.log(Site::new("fog1", DENSE_LIMIT + 1)).map(|_| ()), None);
+        assert_eq!(t.log(Site::new("fog2", 0)).map(|_| ()), None);
+        let sites: Vec<String> = t.sites().map(|s| s.to_string()).collect();
+        assert_eq!(
+            sites,
+            [
+                "cloud/0",
+                "edge/7",
+                "fog1/0",
+                "fog1/1024",
+                "fog1/4294967295"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_token_from_a_tracer_that_knows_more_sites_closes_nowhere() {
+        let mut knows = Tracer::new();
+        let token = knows.open(Site::new("fog2", 3), "q", 0);
+        let mut other = Tracer::new();
+        assert!(!other.close(token, 1));
+        assert_eq!(other.malformed(), 0, "no log, nothing to count against");
+        assert_eq!(other.sites().count(), 0);
+    }
+
+    #[test]
+    fn per_phase_drops_keep_one_entry_per_name_whatever_the_pointer() {
+        // Two equal names at different addresses must share an entry.
+        let a: &'static str = "tick";
+        let b: &'static str = String::from("tick").leak();
+        assert!(!std::ptr::eq(a, b));
+        let mut t = Tracer::with_capacity(1);
+        for name in [a, b, a, b] {
+            let s = t.open(S, name, 0);
+            t.close(s, 1);
+        }
+        let by_phase = t.log(S).unwrap().dropped_by_phase();
+        assert_eq!(by_phase.into_iter().collect::<Vec<_>>(), [("tick", 3)]);
+    }
+
     /// The tracer as it was before completion ordinals and the dirty
     /// list, kept as the reference model: `mark` snapshots every log,
     /// `absorb` walks every log, `spans_since` recovers each suffix from
@@ -824,6 +973,29 @@ mod tests {
                 self.logs.values().map(|l| l.malformed).sum()
             }
 
+            pub fn sites(&self) -> impl Iterator<Item = Site> + '_ {
+                self.logs.keys().copied()
+            }
+
+            pub fn log_dropped_by_phase(&self, site: Site) -> Option<BTreeMap<&'static str, u64>> {
+                self.logs.get(&site).map(|l| l.dropped_by_phase.clone())
+            }
+
+            pub fn flight_record(&self, per_site: usize) -> String {
+                let mut out = String::new();
+                for (site, log) in &self.logs {
+                    let skip = log.done.len().saturating_sub(per_site);
+                    for span in log.done.iter().skip(skip) {
+                        let _ = writeln!(
+                            out,
+                            "{site} {} {}..{} d={} a={}",
+                            span.name, span.start_us, span.end_us, span.depth, span.attr
+                        );
+                    }
+                }
+                out
+            }
+
             pub fn dropped_by_phase(&self) -> BTreeMap<&'static str, u64> {
                 let mut out: BTreeMap<&'static str, u64> = BTreeMap::new();
                 for log in self.logs.values() {
@@ -859,16 +1031,26 @@ mod tests {
         }
     }
 
-    /// Six sites in two tiers; the last one only ever opens.
-    const SITES: [Site; 6] = [
+    /// Sites on every lookup path: each dense tier (dense, sparse and
+    /// last-under-the-bound indices), indices at and far past the bound
+    /// (ordered map), and two tiers the tables do not know — one sorting
+    /// before `cloud`, one between `fog1` and `fog2`. The last site only
+    /// ever opens.
+    const SITES: [Site; 12] = [
         Site::new("fog1", 0),
         Site::new("fog1", 1),
-        Site::new("fog1", 2),
-        Site::new("fog1", 3),
+        Site::new("fog1", 72),
+        Site::new("fog1", DENSE_LIMIT - 1),
+        Site::new("fog1", DENSE_LIMIT),
+        Site::new("fog1", u32::MAX),
+        Site::new("fog2", 9),
+        Site::new("fog2", u32::MAX),
+        Site::cloud(),
+        Site::new("fog1x", 3),
+        Site::new("branch", 0),
         Site::new("fog2", 0),
-        Site::new("fog2", 1),
     ];
-    const OPEN_ONLY: usize = 5;
+    const OPEN_ONLY: usize = 11;
     const NAMES: [&str; 3] = ["query", "flush-hop", "heal-round"];
 
     /// The real tracer and the model side by side, fed the same calls.
@@ -876,7 +1058,7 @@ mod tests {
         real: Tracer,
         model: model::Tracer,
         /// Tokens still open, per site, innermost last.
-        open: [Vec<SpanToken>; 6],
+        open: [Vec<SpanToken>; SITES.len()],
         /// The token closed last (for double closes).
         closed: Option<SpanToken>,
         /// The marks still valid, as each side took them.
@@ -926,6 +1108,17 @@ mod tests {
                 String::from_utf8(self.model.encode())
             );
             prop_assert_eq!(self.real.dropped_by_phase(), self.model.dropped_by_phase());
+            prop_assert_eq!(
+                self.real.sites().collect::<Vec<_>>(),
+                self.model.sites().collect::<Vec<_>>()
+            );
+            for site in self.real.sites() {
+                prop_assert_eq!(
+                    self.real.log(site).map(TraceLog::dropped_by_phase),
+                    self.model.log_dropped_by_phase(site)
+                );
+            }
+            prop_assert_eq!(self.real.flight_record(2), self.model.flight_record(2));
             prop_assert_eq!(self.real.malformed(), self.model.malformed());
             prop_assert_eq!(self.real.span_count(), self.model.span_count());
             for (real, model) in &self.marks {
@@ -946,7 +1139,7 @@ mod tests {
         fn ordinal_tracer_equals_the_snapshot_model(
             scratch_cap in 1usize..=4,
             city_cap in 1usize..=4,
-            ops in proptest::collection::vec((0u8..14, 0u8..2, 0usize..6, 0usize..3), 1..160),
+            ops in proptest::collection::vec((0u8..14, 0u8..2, 0usize..SITES.len(), 0usize..3), 1..160),
         ) {
             let mut scratch = Pair::with_capacity(scratch_cap);
             let mut city = Pair::with_capacity(city_cap);

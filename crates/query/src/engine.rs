@@ -32,7 +32,6 @@
 //! per-record scan cost, so a warm cache hit is strictly cheaper than the
 //! cold path that computed it.
 
-use std::fmt::{self, Write as _};
 use std::ops::Range;
 
 use citysim::time::Duration;
@@ -57,6 +56,67 @@ use crate::model::{
 };
 use crate::planner::{self, Choice, QueryPlan, ScatterLeg, ScatterPlan};
 use crate::{Error, Result};
+
+// The `Debug` names of the fieldless enums a `Query` holds, each table
+// indexed by its enum's dense index, for `ServeCore::explain_hash`. The
+// `explain_hash_streams_the_bytes_the_formatted_string_had` test ties
+// every entry to the derived `Debug` — a renamed or reordered variant
+// fails there.
+
+/// Indexed by [`ServiceClass::index`].
+const CLASS_NAMES: [&str; CLASS_COUNT] = ["RealTime", "Dashboard", "CityWide", "Analytics"];
+/// Indexed by `QueryKind as usize`.
+const KIND_NAMES: [&str; 3] = ["Point", "Range", "Aggregate"];
+/// Indexed by `Category as usize`.
+const CATEGORY_NAMES: [&str; 5] = ["Energy", "Noise", "Garbage", "Parking", "Urban"];
+/// Indexed by [`SensorType::ordinal`].
+const SENSOR_TYPE_NAMES: [&str; 21] = [
+    "ElectricityMeter",
+    "ExternalAmbientConditions",
+    "GasMeter",
+    "InternalAmbientConditions",
+    "NetworkAnalyzer",
+    "SolarThermalInstallation",
+    "Temperature",
+    "NoiseAmbient",
+    "NoiseTrafficZone",
+    "NoiseLeisureZone",
+    "ContainerGlass",
+    "ContainerOrganic",
+    "ContainerPaper",
+    "ContainerPlastic",
+    "ContainerRefuse",
+    "ParkingSpot",
+    "AirQuality",
+    "BicycleFlow",
+    "PeopleFlow",
+    "Traffic",
+    "Weather",
+];
+
+/// A running FNV-1a hash fed text and decimal numbers.
+struct Fnv(u64);
+
+impl Fnv {
+    fn text(&mut self, s: &str) {
+        crate::workload::fnv1a(&mut self.0, s.as_bytes());
+    }
+
+    /// Feeds `n` as the decimal digits `Display` would write.
+    fn num(&mut self, mut n: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        crate::workload::fnv1a(&mut self.0, &digits[at..]);
+    }
+}
 
 /// Per-layer in-flight request caps (admission control).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -860,20 +920,53 @@ impl ServeCore {
     /// decision, for explain-reservoir sampling. Hashing the full query
     /// content plus the serve time means two shards offering the same
     /// decision produce the same key — absorption stays order-free.
-    /// The `Debug` rendering streams straight into the hash: FNV-1a folds
-    /// byte by byte, so no intermediate `String` is needed.
+    ///
+    /// The key is FNV-1a over the bytes of `{query:?}@{now_s}`, and every
+    /// exported explain depends on it, so those bytes are reproduced
+    /// exactly — but streamed piece by piece (literal punctuation, variant
+    /// names from the `*_NAMES` tables, hand-rolled decimals) instead of
+    /// being driven through `core::fmt`. The
+    /// `explain_hash_streams_the_bytes_the_formatted_string_had` test
+    /// holds every shape of query to the formatted string.
     fn explain_hash(query: &Query, now_s: u64) -> u64 {
-        struct Fnv(u64);
-        impl fmt::Write for Fnv {
-            fn write_str(&mut self, s: &str) -> fmt::Result {
-                crate::workload::fnv1a(&mut self.0, s.as_bytes());
-                Ok(())
+        let mut h = Fnv(crate::workload::FNV_OFFSET);
+        h.text("Query { origin: ");
+        h.num(query.origin as u64);
+        h.text(", class: ");
+        h.text(CLASS_NAMES[query.class.index()]);
+        h.text(", selector: ");
+        match query.selector {
+            Selector::Type(ty) => {
+                h.text("Type(");
+                h.text(SENSOR_TYPE_NAMES[ty.ordinal()]);
+            }
+            Selector::Category(category) => {
+                h.text("Category(");
+                h.text(CATEGORY_NAMES[category as usize]);
             }
         }
-        let mut h = Fnv(crate::workload::FNV_OFFSET);
-        // `Fnv::write_str` never fails, and neither do the derived
-        // `Debug` impls it is handed.
-        let _ = write!(h, "{query:?}@{now_s}");
+        h.text("), scope: ");
+        match query.scope {
+            Scope::Section(section) => {
+                h.text("Section(");
+                h.num(section as u64);
+                h.text(")");
+            }
+            Scope::District(district) => {
+                h.text("District(");
+                h.num(district as u64);
+                h.text(")");
+            }
+            Scope::City => h.text("City"),
+        }
+        h.text(", window: TimeWindow { from_s: ");
+        h.num(query.window.from_s);
+        h.text(", until_s: ");
+        h.num(query.window.until_s);
+        h.text(" }, kind: ");
+        h.text(KIND_NAMES[query.kind as usize]);
+        h.text(" }@");
+        h.num(now_s);
         h.0
     }
 
@@ -2580,43 +2673,63 @@ mod tests {
 
     #[test]
     fn explain_hash_streams_the_bytes_the_formatted_string_had() {
-        // The reservoir keys on these values: streaming the `Debug`
-        // rendering into FNV-1a must equal hashing the built string.
+        // The reservoir keys on these values, and every exported explain
+        // with them: the streamed pieces must hash as the `Debug`
+        // rendering did, for every variant of every enum a query holds
+        // (this is what ties the `*_NAMES` tables to `Debug`), every
+        // scope shape, and numbers at both ends of their range.
         let formatted = |q: &Query, now_s: u64| {
             let mut h = crate::workload::FNV_OFFSET;
             crate::workload::fnv1a(&mut h, format!("{q:?}@{now_s}").as_bytes());
             h
         };
-        let mut queries = vec![
-            aggregate_query(5, Scope::Section(5), 0, 3_600),
-            aggregate_query(72, Scope::District(9), 900, 86_400),
-            city_query(0),
+        let selectors = SensorType::ALL.into_iter().map(Selector::Type).chain(
+            scc_sensors::Category::ALL
+                .into_iter()
+                .map(Selector::Category),
+        );
+        let scopes = [
+            Scope::Section(0),
+            Scope::Section(usize::MAX),
+            Scope::District(0),
+            Scope::District(usize::MAX),
+            Scope::City,
         ];
-        queries.push(Query {
-            class: ServiceClass::RealTime,
-            selector: Selector::Type(SensorType::Traffic),
-            kind: QueryKind::Point,
-            ..queries[0]
-        });
-        queries.push(Query {
-            class: ServiceClass::Analytics,
-            kind: QueryKind::Range,
-            window: TimeWindow::new(u64::MAX - 1, u64::MAX),
-            ..queries[1]
-        });
+        let windows = [
+            TimeWindow::new(0, 0),
+            TimeWindow::new(0, u64::MAX),
+            TimeWindow::new(u64::MAX, 0),
+            TimeWindow::new(900, 86_400),
+        ];
+        let kinds = [QueryKind::Point, QueryKind::Range, QueryKind::Aggregate];
         let mut seen = std::collections::BTreeSet::new();
-        for q in &queries {
-            for now_s in [0, 4_000, u64::MAX] {
-                let h = ServeCore::explain_hash(q, now_s);
-                assert_eq!(h, formatted(q, now_s), "{q:?}@{now_s}");
-                seen.insert(h);
+        let mut decisions = 0;
+        for selector in selectors {
+            for class in ServiceClass::ALL {
+                for scope in scopes {
+                    for window in windows {
+                        for kind in kinds {
+                            for (origin, now_s) in [(0, 0), (72, 4_000), (usize::MAX, u64::MAX)] {
+                                let q = Query {
+                                    origin,
+                                    class,
+                                    selector,
+                                    scope,
+                                    window,
+                                    kind,
+                                };
+                                let h = ServeCore::explain_hash(&q, now_s);
+                                assert_eq!(h, formatted(&q, now_s), "{q:?}@{now_s}");
+                                seen.insert(h);
+                                decisions += 1;
+                            }
+                        }
+                    }
+                }
             }
         }
-        assert_eq!(
-            seen.len(),
-            queries.len() * 3,
-            "distinct decisions, distinct keys"
-        );
+        assert_eq!(decisions, 26 * 4 * 5 * 4 * 3 * 3);
+        assert_eq!(seen.len(), decisions, "distinct decisions, distinct keys");
     }
 
     /// The newest-first walk `scan_point` replaced, kept as its oracle:
@@ -2659,7 +2772,7 @@ mod tests {
         );
         let mut rec = DataRecord::from_reading(reading);
         rec.descriptor_mut()
-            .set_location("Barcelona", section / 2, section);
+            .set_location("Barcelona".into(), section / 2, section);
         rec
     }
 

@@ -54,10 +54,48 @@ impl Value {
     }
 }
 
+/// Writes `raw` hundredths as the two-decimal number they are
+/// (`-?int.frac`, e.g. `2157` → `21.57`, `-5` → `-0.05`): integer digits
+/// into a stack buffer, one `write_str` — no float, no `core::fmt`
+/// machinery. Byte for byte what `{:.2}` prints for `raw as f64 / 100.0`
+/// while that float still resolves hundredths; from `|raw| ≥ 2^52` on the
+/// float's spacing exceeds a hundredth and its printout stops being the
+/// stored value, so the float form — which is what the wire has always
+/// carried out there — is kept for that range.
+fn write_hundredths(f: &mut fmt::Formatter<'_>, raw: i64) -> fmt::Result {
+    const FLOAT_FORM_FROM: u64 = 1 << 52;
+    let abs = raw.unsigned_abs();
+    if abs >= FLOAT_FORM_FROM {
+        return write!(f, "{:.2}", raw as f64 / 100.0);
+    }
+    // '-', at most 14 integer digits below 2^52 / 100, '.', two decimals.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut push = |byte: u8| {
+        at -= 1;
+        buf[at] = byte;
+    };
+    let (mut int, frac) = (abs / 100, (abs % 100) as u8);
+    push(b'0' + frac % 10);
+    push(b'0' + frac / 10);
+    push(b'.');
+    loop {
+        push(b'0' + (int % 10) as u8);
+        int /= 10;
+        if int == 0 {
+            break;
+        }
+    }
+    if raw < 0 {
+        push(b'-');
+    }
+    f.write_str(std::str::from_utf8(&buf[at..]).map_err(|_| fmt::Error)?)
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Scalar(raw) => write!(f, "{:.2}", *raw as f64 / 100.0),
+            Value::Scalar(raw) => write_hundredths(f, *raw),
             Value::Counter(c) => write!(f, "{c}"),
             Value::Flag(b) => write!(f, "{}", u8::from(*b)),
             Value::Level(l) => write!(f, "{l}%"),
@@ -67,7 +105,7 @@ impl fmt::Display for Value {
                     if !first {
                         f.write_str("|")?;
                     }
-                    write!(f, "{:.2}", *v as f64 / 100.0)?;
+                    write_hundredths(f, *v)?;
                     first = false;
                 }
                 Ok(())
@@ -102,6 +140,38 @@ mod tests {
         assert_eq!(Value::Level(73).magnitude(), 73.0);
         assert_eq!(Value::Composite(vec![250, 100]).magnitude(), 2.5);
         assert_eq!(Value::Composite(vec![]).magnitude(), 0.0);
+    }
+
+    #[test]
+    fn hundredths_print_what_the_float_form_printed() {
+        let float_form = |raw: i64| format!("{:.2}", raw as f64 / 100.0);
+        let check = |raw: i64| {
+            assert_eq!(Value::Scalar(raw).to_string(), float_form(raw), "raw {raw}");
+        };
+        for raw in -200_000..=200_000 {
+            check(raw);
+        }
+        // Both sides of the switch to the float form, and the ends.
+        let switch = 1i64 << 52;
+        for delta in -2_000..=2_000 {
+            check(switch + delta);
+            check(-switch + delta);
+        }
+        for raw in [i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX] {
+            check(raw);
+        }
+        // Pseudo-random values across every magnitude: a xorshift stream,
+        // each draw shifted down by 0..=63 bits and given either sign.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..2_100_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            check((x as i64) >> (i % 64));
+        }
+        let fields = vec![-5, 0, 7, switch - 1, switch, i64::MIN];
+        let joined: Vec<String> = fields.iter().map(|&v| float_form(v)).collect();
+        assert_eq!(Value::Composite(fields).to_string(), joined.join("|"));
     }
 
     #[test]

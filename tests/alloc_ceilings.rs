@@ -1,8 +1,8 @@
 //! Allocation ceilings on the serving shapes the benchmark leans on — a
 //! warm edge-cache hit, a local point read, a 22-leg scatter over an open
-//! window and a 10-leg one over settled buckets — and on the write path: a
-//! flush wave per stored reading, and the stream encoder per reading of a
-//! warm stream.
+//! window and a 10-leg one over settled buckets — and on the write path:
+//! the ingest waves and the flush wave of one period per stored reading,
+//! and the stream encoder per reading of a warm stream.
 //!
 //! This binary installs its own counting `#[global_allocator]`, so the
 //! counts are exact and repeat on any machine — a regression guard that
@@ -20,7 +20,9 @@
 //! per reading) and a store that formatted each record's wire line on
 //! insert. The settled-bucket scatter was added when every partial — the
 //! accumulator of each leg, of each bucket, of the gather — stopped
-//! carrying a 1 KiB register block.
+//! carrying a 1 KiB register block. The ingest ceiling, the tighter flush
+//! ceiling and the record-size assertion were added when a record's tags
+//! (city, provider) became shared instead of two heap strings per copy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -30,6 +32,7 @@ use f2c_smartcity::citysim::metrics::{bucket_index, bucket_upper_micros, NUM_BUC
 use f2c_smartcity::compress::tsenc::StreamEncoder;
 use f2c_smartcity::core::runtime::{populate_city, section_generators};
 use f2c_smartcity::core::{DataSource, F2cCity, Parallelism};
+use f2c_smartcity::dlc::DataRecord;
 use f2c_smartcity::obs::{ExplainStore, Json, Tracer};
 use f2c_smartcity::query::{
     EngineConfig, Outcome, Query, QueryEngine, QueryKind, Scope, Selector, ServedVia, ServiceClass,
@@ -101,8 +104,18 @@ const SETTLED_SCATTER_CEILING: u64 = 72;
 // before measured 49 and 25. Twice that. Re-measured when the archive
 // became a sorted run: 7 for the flush wave (6.9; the B-tree's nodes were
 // the rest, and a batch merges into the run with one scratch buffer).
-const FLUSH_PER_STORED_CEILING: u64 = 14;
+// Re-measured when record tags became shared: 5 (4.9) for the flush wave
+// — every copy of a record cloned two tag strings — and, first measured
+// then, 1 (0.85) per stored reading for the period's ingest waves (4.85
+// with the strings, which were made for every offered reading, kept or
+// deduplicated away). Twice that.
+const FLUSH_PER_STORED_CEILING: u64 = 10;
+const INGEST_PER_STORED_CEILING: u64 = 2;
 const ENCODE_PER_READING_CEILING: u64 = 2;
+
+// A record is copied into every tier it reaches and a scan strides over
+// them: 176 bytes while the tags were strings, 144 since.
+const _: () = assert!(std::mem::size_of::<DataRecord>() <= 160);
 
 /// Heap allocations this thread makes while `f` runs.
 fn allocs_in(f: impl FnOnce()) -> u64 {
@@ -271,18 +284,30 @@ fn a_flush_wave_stays_under_its_allocation_ceiling_per_stored_reading() {
     populate_city(&mut city, 50, 2017, WARM_S, PERIOD_S).unwrap();
     let scaled = city.catalog().scaled_down(50);
     let mut gens = section_generators(&scaled, 2017);
-    let mut stored = 0;
+    let (mut stored, mut ingest_allocs) = (0, 0);
     for spec in scaled.iter() {
         let every = spec.tx_interval_secs().max(1.0) as u64;
         for now_s in (WARM_S + every..=WARM_S + PERIOD_S).step_by(every as usize) {
             for (section, per_section) in gens.iter_mut().enumerate() {
                 if let Some(gen) = per_section.get_mut(&spec.sensor_type()) {
-                    stored += city.ingest(section, gen.wave(now_s), now_s).unwrap().stored;
+                    // The generator's own vectors are not the city's cost.
+                    let wave = gen.wave(now_s);
+                    ingest_allocs += allocs_in(|| {
+                        stored += city.ingest(section, wave, now_s).unwrap().stored;
+                    });
                 }
             }
         }
     }
     assert!(stored > 10_000, "the period stored only {stored} readings");
+    let ingest_per_stored = ingest_allocs.div_ceil(stored);
+    println!(
+        "allocations per stored reading, ingest waves: {ingest_per_stored} ({ingest_allocs} / {stored})"
+    );
+    assert!(
+        ingest_per_stored <= INGEST_PER_STORED_CEILING,
+        "ingest waves: {ingest_per_stored} allocations per stored reading"
+    );
     let in_cloud = city.cloud().store().len() as u64;
     let allocs = allocs_in(|| {
         city.flush_all(WARM_S + PERIOD_S).unwrap();
