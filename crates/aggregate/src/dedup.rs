@@ -9,9 +9,9 @@
 //! heartbeat (so downstream consumers can distinguish "unchanged" from
 //! "dead sensor") — disabled by default, matching the paper's accounting.
 
-use std::collections::HashMap;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use scc_sensors::{Reading, SensorId, Value};
+use scc_sensors::{IdMap, Reading, SensorId, Value};
 
 /// Counters describing what a filter did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,7 +59,9 @@ struct LastSeen {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RedundancyFilter {
-    last: HashMap<SensorId, LastSeen>,
+    /// Keyed by the ids of the sensors this node serves; probed once per
+    /// offered reading and never iterated.
+    last: IdMap<SensorId, LastSeen>,
     max_suppress_secs: Option<u64>,
     stats: DedupStats,
 }
@@ -74,7 +76,7 @@ impl RedundancyFilter {
     /// passed since the last admission for that sensor.
     pub fn with_heartbeat(max_secs: u64) -> Self {
         Self {
-            last: HashMap::new(),
+            last: IdMap::default(),
             max_suppress_secs: Some(max_secs),
             stats: DedupStats::default(),
         }
@@ -89,17 +91,18 @@ impl RedundancyFilter {
                 let expired = self
                     .max_suppress_secs
                     .is_some_and(|max| now.saturating_sub(entry.admitted_at) >= max);
-                if expired {
-                    entry.admitted_at = now;
-                    self.stats.admitted += 1;
-                    self.stats.heartbeats += 1;
-                    true
-                } else {
+                if !expired {
                     self.stats.suppressed += 1;
-                    false
+                    return false;
                 }
+                entry.admitted_at = now;
+                self.stats.heartbeats += 1;
             }
-            _ => {
+            Some(entry) => {
+                entry.value.clone_from(reading.value());
+                entry.admitted_at = now;
+            }
+            None => {
                 self.last.insert(
                     reading.sensor(),
                     LastSeen {
@@ -107,10 +110,10 @@ impl RedundancyFilter {
                         admitted_at: now,
                     },
                 );
-                self.stats.admitted += 1;
-                true
             }
         }
+        self.stats.admitted += 1;
+        true
     }
 
     /// Filters a batch, returning only the admitted readings.
@@ -233,6 +236,73 @@ mod tests {
         assert_eq!(s.seen, 50);
         assert_eq!(s.admitted + s.suppressed, s.seen);
         assert!(s.heartbeats > 0 && s.heartbeats <= s.admitted);
+    }
+
+    /// The filter as it was over a SipHash `HashMap`: get, compare,
+    /// re-insert on change. The reference the `IdMap` form is held to.
+    #[derive(Default)]
+    struct HashMapFilter {
+        last: std::collections::HashMap<SensorId, (Value, u64)>,
+        max_suppress_secs: Option<u64>,
+        stats: DedupStats,
+    }
+
+    impl HashMapFilter {
+        fn admit(&mut self, reading: &Reading) -> bool {
+            self.stats.seen += 1;
+            let now = reading.timestamp_s();
+            match self.last.get_mut(&reading.sensor()) {
+                Some((value, admitted_at)) if value == reading.value() => {
+                    let expired = self
+                        .max_suppress_secs
+                        .is_some_and(|max| now.saturating_sub(*admitted_at) >= max);
+                    if expired {
+                        *admitted_at = now;
+                        self.stats.admitted += 1;
+                        self.stats.heartbeats += 1;
+                    } else {
+                        self.stats.suppressed += 1;
+                    }
+                    expired
+                }
+                _ => {
+                    self.last
+                        .insert(reading.sensor(), (reading.value().clone(), now));
+                    self.stats.admitted += 1;
+                    true
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn id_map_filter_gives_the_hash_map_filters_verdicts(
+            // (type, index, time step, value): few sensors and few values,
+            // so repeats, changes and heartbeats all interleave.
+            offers in proptest::collection::vec((0usize..3, 0u32..6, 0u64..400, 0u64..3), 0..300),
+            bounded in proptest::prelude::any::<bool>(),
+            max_secs in 1u64..2_000,
+        ) {
+            let heartbeat = bounded.then_some(max_secs);
+            let mut filter = match heartbeat {
+                Some(max) => RedundancyFilter::with_heartbeat(max),
+                None => RedundancyFilter::new(),
+            };
+            let mut model = HashMapFilter {
+                max_suppress_secs: heartbeat,
+                ..HashMapFilter::default()
+            };
+            let mut now = 0;
+            for (ty, index, step, value) in offers {
+                now += step;
+                let id = SensorId::new(SensorType::ALL[ty * 7], index);
+                let r = Reading::new(id, now, Value::Counter(value));
+                proptest::prop_assert_eq!(filter.admit(&r), model.admit(&r));
+                proptest::prop_assert_eq!(filter.stats(), model.stats);
+            }
+            proptest::prop_assert_eq!(filter.tracked_sensors(), model.last.len());
+        }
     }
 
     #[test]

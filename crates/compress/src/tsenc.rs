@@ -56,9 +56,14 @@
 //! bit-flipped and length-lying streams fail with an [`Error`] instead
 //! of panicking or over-allocating.
 
-use std::collections::HashMap;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use scc_sensors::{Reading, SensorId, SensorType, Value};
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
+
+use scc_sensors::idhash::BuildIdHasher;
+use scc_sensors::{IdMap, Reading, SensorId, SensorType, Value};
 
 use crate::crc32;
 use crate::deflate;
@@ -310,7 +315,8 @@ fn emit_xor(values: &[u64], sink: &mut impl VarintSink) {
 /// probes without allocating.
 #[derive(Debug, Default)]
 struct DictProbe {
-    index: HashMap<u64, u64>,
+    /// Keyed by column values the encoder itself transposed.
+    index: IdMap<u64, u64>,
     /// Distinct values, first-appearance order.
     distinct: Vec<u64>,
     /// One dictionary index per column value.
@@ -600,18 +606,17 @@ fn rebase(e: Error, base: usize) -> Error {
 /// two sides stay in lock-step as long as batches are applied exactly
 /// once, in order — which is why the chaos plane *defers* a corrupted
 /// shipment instead of dropping it (see `f2c-core`'s flush gate).
+///
+/// The hasher follows who filled the table: the encoder's dictionary
+/// holds ids this program generated ([`BuildIdHasher`]); the decoder's is
+/// filled from payload bytes and keeps the standard keyed hasher.
 #[derive(Debug, Clone, Default)]
-pub struct SensorDict {
+pub struct SensorDict<S = RandomState> {
     ids: Vec<SensorId>,
-    index: HashMap<SensorId, u64>,
+    index: HashMap<SensorId, u64, S>,
 }
 
-impl SensorDict {
-    /// An empty dictionary.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl<S: BuildHasher> SensorDict<S> {
     /// Committed entries.
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -693,10 +698,11 @@ const VTAG_FLAG: u8 = 2;
 const VTAG_LEVEL: u8 = 3;
 const VTAG_COMPOSITE: u8 = 4;
 
-fn verbatim_encode(readings: &[Reading]) -> Vec<u8> {
+fn verbatim_encode<R: AsRef<Reading>>(readings: &[R]) -> Vec<u8> {
     let mut out = Vec::with_capacity(readings.len() * 8 + 4);
     put_varint(&mut out, readings.len() as u64);
     for r in readings {
+        let r = r.as_ref();
         out.push(type_code(r.sensor_type()));
         put_varint(&mut out, u64::from(r.sensor().index()));
         put_varint(&mut out, r.timestamp_s());
@@ -815,7 +821,7 @@ fn verbatim_decode(data: &[u8]) -> Result<Vec<Reading>> {
 /// exactly once, in the same order.
 #[derive(Debug, Default)]
 pub struct StreamEncoder {
-    dict: SensorDict,
+    dict: SensorDict<BuildIdHasher>,
     columns: ColumnScratch,
 }
 
@@ -834,7 +840,7 @@ struct ColumnScratch {
     /// Sensors this batch adds to the dictionary, first-appearance
     /// order; committed only if the batch ships columnar.
     staged: Vec<SensorId>,
-    staged_index: HashMap<SensorId, u64>,
+    staged_index: IdMap<SensorId, u64>,
     probe: DictProbe,
 }
 
@@ -843,7 +849,11 @@ impl ColumnScratch {
     /// sensors `dict` has not committed. Returns `false` when the batch
     /// is irregular: a value variant contradicting its type's model, or
     /// composites beyond the columnar limits.
-    fn transpose(&mut self, dict: &SensorDict, readings: &[Reading]) -> bool {
+    fn transpose<R: AsRef<Reading>>(
+        &mut self,
+        dict: &SensorDict<BuildIdHasher>,
+        readings: &[R],
+    ) -> bool {
         self.codes.clear();
         self.timestamps.clear();
         self.values.iter_mut().for_each(Vec::clear);
@@ -852,6 +862,7 @@ impl ColumnScratch {
         self.staged_index.clear();
         let committed = dict.len() as u64;
         for r in readings {
+            let r = r.as_ref();
             let id = r.sensor();
             let t = id.sensor_type().ordinal();
             let column = &mut self.values[t];
@@ -922,13 +933,15 @@ impl StreamEncoder {
     /// irregular one ships [`MODE_FALLBACK`], DEFLATE over the verbatim
     /// records, and commits nothing, so the decoder stays in step either
     /// way. The mode is decided by the batch's shape alone: DEFLATE runs
-    /// only when its bytes are shipped.
+    /// only when its bytes are shipped. The batch is anything that lends
+    /// readings — `&[Reading]`, or the records that wrap them — so a
+    /// sender never copies its batch to encode it.
     ///
     /// # Errors
     ///
     /// [`Error::SizeLimitExceeded`] on a batch beyond [`MAX_RECORDS`];
     /// DEFLATE errors from the fallback path.
-    pub fn encode_batch(&mut self, readings: &[Reading]) -> Result<Vec<u8>> {
+    pub fn encode_batch<R: AsRef<Reading>>(&mut self, readings: &[R]) -> Result<Vec<u8>> {
         if readings.len() as u64 > MAX_RECORDS {
             return Err(Error::SizeLimitExceeded {
                 declared: readings.len() as u64,
@@ -997,7 +1010,10 @@ impl StreamDecoder {
             return Err(Error::UnexpectedEof { offset: data.len() });
         }
         let crc_start = data.len() - 4;
-        let expected = u32::from_le_bytes(data[crc_start..].try_into().expect("4 bytes"));
+        let trailer = data[crc_start..]
+            .try_into()
+            .map_err(|_| Error::UnexpectedEof { offset: data.len() })?;
+        let expected = u32::from_le_bytes(trailer);
         let actual = crc32::checksum(&data[MAGIC.len()..crc_start]);
         if expected != actual {
             return Err(Error::ChecksumMismatch { expected, actual });
@@ -1031,7 +1047,12 @@ impl StreamDecoder {
         if n_staged > n {
             return Err(err("more dictionary additions than records", pos));
         }
-        let mut staged: Vec<SensorId> = Vec::with_capacity(n_staged as usize);
+        // An addition is at least two bytes, so the payload's own length
+        // bounds both reserves; the re-add check is a set probe, which
+        // keeps decode time linear in the payload whatever it declares.
+        let reserve = (n_staged as usize).min(body.len() / 2);
+        let mut staged: Vec<SensorId> = Vec::with_capacity(reserve);
+        let mut staged_set: HashSet<SensorId> = HashSet::with_capacity(reserve);
         for _ in 0..n_staged {
             let ty_off = pos;
             let code = *body
@@ -1043,7 +1064,7 @@ impl StreamDecoder {
             let index =
                 u32::try_from(index_raw).map_err(|_| err("sensor index exceeds 32 bits", pos))?;
             let id = SensorId::new(ty, index);
-            if self.dict.code_of(id).is_some() || staged.contains(&id) {
+            if self.dict.code_of(id).is_some() || !staged_set.insert(id) {
                 return Err(err("dictionary re-adds a known sensor", ty_off));
             }
             staged.push(id);
@@ -1062,10 +1083,16 @@ impl StreamDecoder {
             sensors.push(sensor_of(code).ok_or(err("sensor code out of range", pos))?);
         }
         let (_, timestamps) = decode_column(body, &mut pos, n).map_err(|e| rebase(e, base))?;
-        // Per-type value columns, in SensorType::ALL order.
-        let mut per_type: HashMap<SensorType, std::vec::IntoIter<Value>> = HashMap::new();
+        // Per-type value columns, in SensorType::ALL order, addressed by
+        // the type's ordinal.
+        let mut counts = [0u64; SensorType::ALL.len()];
+        for sensor in &sensors {
+            counts[sensor.sensor_type().ordinal()] += 1;
+        }
+        let mut per_type: [std::vec::IntoIter<Value>; SensorType::ALL.len()] =
+            std::array::from_fn(|_| Vec::new().into_iter());
         for ty in SensorType::ALL {
-            let count = sensors.iter().filter(|s| s.sensor_type() == ty).count() as u64;
+            let count = counts[ty.ordinal()];
             if count == 0 {
                 continue;
             }
@@ -1130,16 +1157,15 @@ impl StreamDecoder {
                     out
                 }
             };
-            per_type.insert(ty, values.into_iter());
+            per_type[ty.ordinal()] = values.into_iter();
         }
         if pos != body.len() {
             return Err(err("trailing bytes after the last column", pos));
         }
         let mut readings: Vec<Reading> = Vec::with_capacity(sensors.len());
         for (sensor, ts) in sensors.iter().zip(&timestamps) {
-            let value = per_type
-                .get_mut(&sensor.sensor_type())
-                .and_then(Iterator::next)
+            let value = per_type[sensor.sensor_type().ordinal()]
+                .next()
                 .ok_or(err("value column shorter than its records", pos))?;
             readings.push(Reading::new(*sensor, *ts, value));
         }

@@ -267,3 +267,45 @@ fn failed_decodes_leave_the_stream_dictionary_untouched() {
     assert_eq!(dec.decode_batch(&payload_b).unwrap(), second);
     assert_eq!(dec.dict_len(), enc.dict_len());
 }
+
+#[test]
+fn declared_dictionary_additions_cost_linear_time() {
+    // The re-add check runs per declared addition; were it a scan of the
+    // additions so far, this payload's 150 000 of them would take tens of
+    // seconds to refuse or accept. A set probe makes it the payload's size.
+    const ADDITIONS: u32 = 150_000;
+    let additions = |last: u32| {
+        let mut body = Vec::new();
+        put_varint(&mut body, u64::from(ADDITIONS));
+        put_varint(&mut body, u64::from(ADDITIONS));
+        for index in (0..ADDITIONS - 1).chain([last]) {
+            body.push(SensorType::Traffic.ordinal() as u8);
+            put_varint(&mut body, u64::from(index));
+        }
+        body
+    };
+    // All distinct, then no columns: read to the end, refused as truncated.
+    let distinct = seal(MODE_COLUMNAR, &additions(ADDITIONS - 1));
+    let started = std::time::Instant::now();
+    assert!(matches!(
+        tsenc::decode_once(&distinct),
+        Err(Error::UnexpectedEof { .. })
+    ));
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "decode time must follow payload bytes, took {elapsed:?}"
+    );
+
+    // The last addition repeats the first staged one: still refused, at
+    // the repeat's own offset.
+    let body = additions(0);
+    let repeat_at = 5 + body.len() - 2;
+    assert_eq!(
+        tsenc::decode_once(&seal(MODE_COLUMNAR, &body)),
+        Err(Error::Malformed {
+            reason: "dictionary re-adds a known sensor",
+            offset: repeat_at,
+        })
+    );
+}

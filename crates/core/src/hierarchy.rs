@@ -955,7 +955,7 @@ impl F2cCity {
                 self.record_incident(now_s, ChaosSite::Cloud, IncidentKind::HolePunched { key });
             }
             self.metrics
-                .add(self.ids.sketch_flush_bytes[1], batch.sketch_bytes);
+                .add(self.ids.sketch_flush_bytes[1], batch.sketch_bytes());
             self.metrics
                 .add(self.ids.raw_flush_bytes[1], batch.acct_bytes);
             // Holes relayed from below punch again at the cloud.
@@ -995,14 +995,12 @@ impl F2cCity {
             }
             if self.capture_shipments {
                 if let Some(payload) = batch.payload.clone() {
-                    let readings: Vec<Reading> =
-                        batch.records.iter().map(|r| r.reading().clone()).collect();
                     self.shipment_log.push(ShipmentRecord {
                         hop: 2,
                         origin: d as u16,
                         at_s: now_s,
                         payload,
-                        wire: wire::encode_batch(&readings),
+                        wire: wire::encode_batch(&batch.records),
                     });
                 }
             }
@@ -1375,7 +1373,7 @@ impl FlushShard<'_> {
             // traffic cross-validation reproduces.
             self.obs
                 .reg
-                .add(self.ids.sketch_flush_bytes[0], batch.sketch_bytes);
+                .add(self.ids.sketch_flush_bytes[0], batch.sketch_bytes());
             self.obs
                 .reg
                 .add(self.ids.raw_flush_bytes[0], batch.acct_bytes);
@@ -1418,14 +1416,12 @@ impl FlushShard<'_> {
             }
             if self.capture {
                 if let Some(payload) = batch.payload.clone() {
-                    let readings: Vec<Reading> =
-                        batch.records.iter().map(|r| r.reading().clone()).collect();
                     self.obs.shipments.push(ShipmentRecord {
                         hop: 1,
                         origin: i as u16,
                         at_s: now_s,
                         payload,
-                        wire: wire::encode_batch(&readings),
+                        wire: wire::encode_batch(&batch.records),
                     });
                 }
             }

@@ -21,7 +21,7 @@ use scc_dlc::acquisition::AcquisitionBlock;
 use scc_dlc::phase::{Phase, PhaseContext};
 use scc_dlc::preservation::ClassificationPhase;
 use scc_dlc::DataRecord;
-use scc_sensors::{Catalog, Reading};
+use scc_sensors::{Catalog, Reading, SensorType};
 
 use crate::layer::Layer;
 use crate::policy::{FlushPolicy, RetentionPolicy};
@@ -52,18 +52,16 @@ pub const SKETCH_BUCKET_S: u64 = 900;
 /// for a month while the raw archives stay small.
 pub const SKETCH_RETENTION_S: u64 = 30 * 86_400;
 
-/// One upward shipment.
+/// One upward shipment. It carries what ships plus the one tally that
+/// cannot be read back off it — the Table-I accounting bytes, which need
+/// the catalog; every other size is a method over the fields.
 #[derive(Debug, Clone)]
 pub struct FlushBatch {
     /// The shipped records.
     pub records: Vec<DataRecord>,
-    /// Table-I accounting bytes (Σ per-type transaction sizes).
+    /// Table-I accounting bytes (Σ per-type transaction sizes): the
+    /// ground truth every hop meters.
     pub acct_bytes: u64,
-    /// Wire-text size of the batch (Σ `DataRecord::wire_len`).
-    pub wire_bytes: u64,
-    /// Compressed size of the shipped payload, when the policy
-    /// compresses (always `payload.len()` when `payload` is `Some`).
-    pub compressed_bytes: Option<u64>,
     /// The encoded shipment itself (`f2c_compress::tsenc` stream),
     /// present when the policy compresses. The receiver decodes it with
     /// its per-child stream decoder and verifies it against `records` —
@@ -81,17 +79,32 @@ pub struct FlushBatch {
     /// as corrupt somewhere below, so no tier above may ever prove them
     /// complete from its ledger.
     pub holes: Vec<SketchKey>,
-    /// Total wire bytes of the encoded partials (the sketch channel's
-    /// cost, reported next to `acct_bytes` by the benches).
-    pub sketch_bytes: u64,
 }
 
 impl FlushBatch {
-    /// Bytes that actually cross the uplink: compressed size when
+    /// Bytes that actually cross the uplink: the payload's length when
     /// compression is on, accounting bytes otherwise (the paper's Table I
     /// accounts transaction sizes, Fig. 7 adds compression).
     pub fn uplink_bytes(&self) -> u64 {
-        self.compressed_bytes.unwrap_or(self.acct_bytes)
+        self.compressed_bytes().unwrap_or(self.acct_bytes)
+    }
+
+    /// Compressed size of the shipped payload, when the policy
+    /// compresses.
+    pub fn compressed_bytes(&self) -> Option<u64> {
+        self.payload.as_ref().map(|p| p.len() as u64)
+    }
+
+    /// Wire-text size of the batch (Σ `DataRecord::wire_len`), sized on
+    /// demand: reports compare it to the compressed size, no hop reads it.
+    pub fn wire_bytes(&self) -> u64 {
+        self.records.iter().map(DataRecord::wire_len).sum()
+    }
+
+    /// Total wire bytes of the encoded partials (the sketch channel's
+    /// cost, reported next to `acct_bytes` by the benches).
+    pub fn sketch_bytes(&self) -> u64 {
+        self.sketches.iter().map(|(_, b)| b.len() as u64).sum()
     }
 
     /// An empty batch.
@@ -99,13 +112,10 @@ impl FlushBatch {
         Self {
             records: Vec::new(),
             acct_bytes: 0,
-            wire_bytes: 0,
-            compressed_bytes: None,
             payload: None,
             sketches: Vec::new(),
             seals: Vec::new(),
             holes: Vec::new(),
-            sketch_bytes: 0,
         }
     }
 }
@@ -381,16 +391,10 @@ impl F2cNode {
             reason: "only fog-1 nodes ingest sensor waves",
         })?;
         let offered = readings.len() as u64;
-        let raw_bytes: u64 = readings
-            .iter()
-            .map(|r| acct_bytes_for(r.sensor_type(), catalog))
-            .sum();
+        let raw_bytes = acct_bytes_of(readings.iter().map(Reading::sensor_type), catalog);
         let records = acquisition.ingest(readings, &PhaseContext::at(now_s));
         let stored = records.len() as u64;
-        let kept_bytes: u64 = records
-            .iter()
-            .map(|rec| acct_bytes_for(rec.sensor_type(), catalog))
-            .sum();
+        let kept_bytes = acct_bytes_of(records.iter().map(DataRecord::sensor_type), catalog);
         self.store.insert_batch(records);
         Ok(IngestOutcome {
             offered,
@@ -508,57 +512,62 @@ impl F2cNode {
             .into_iter()
             .map(|(key, partial)| (key, partial.encode()))
             .collect();
-        let sketch_bytes = sketches.iter().map(|(_, b)| b.len() as u64).sum();
         if records.is_empty() {
             return Ok(FlushBatch {
                 sketches,
                 seals,
                 holes,
-                sketch_bytes,
                 ..FlushBatch::empty()
             });
         }
-        let acct_bytes: u64 = records
-            .iter()
-            .map(|rec| acct_bytes_for(rec.sensor_type(), catalog))
-            .sum();
-        let wire_bytes: u64 = records.iter().map(DataRecord::wire_len).sum();
+        let acct_bytes = acct_bytes_of(records.iter().map(DataRecord::sensor_type), catalog);
         // The shipped payload rides the columnar time-series codec, not
         // byte-oriented DEFLATE of the wire text: the stream encoder's
         // sensor dictionary persists across this node's flushes, so the
         // parent's mirror decoder must see every payload exactly once,
         // in order — guaranteed because a deferred wave never reaches
-        // this point (the chaos gate runs before `flush()`).
+        // this point (the chaos gate runs before `flush()`). The codec
+        // reads the readings where they sit, inside the records.
         let payload = if self.flush_policy.compress {
-            let readings: Vec<Reading> = records.iter().map(|r| r.reading().clone()).collect();
-            Some(self.codec.encode_batch(&readings)?)
+            Some(self.codec.encode_batch(&records)?)
         } else {
             None
         };
-        let compressed_bytes = payload.as_ref().map(|p| p.len() as u64);
         Ok(FlushBatch {
             records,
             acct_bytes,
-            wire_bytes,
-            compressed_bytes,
             payload,
             sketches,
             seals,
             holes,
-            sketch_bytes,
         })
     }
 }
 
-/// Table-I accounting size of one reading of `ty`.
-fn acct_bytes_for(ty: scc_sensors::SensorType, catalog: &Catalog) -> u64 {
-    catalog.spec(ty).map_or(0, |s| s.tx_bytes())
+/// Table-I accounting size of a batch of readings of these types. A wave
+/// is one type and a shipment a few runs of them, so the catalog is
+/// consulted once per run of equal types, not once per reading.
+fn acct_bytes_of(types: impl Iterator<Item = SensorType>, catalog: &Catalog) -> u64 {
+    let mut total = 0;
+    let mut run: Option<(SensorType, u64)> = None;
+    for ty in types {
+        let tx_bytes = match run {
+            Some((run_ty, tx_bytes)) if run_ty == ty => tx_bytes,
+            _ => {
+                let tx_bytes = catalog.spec(ty).map_or(0, |s| s.tx_bytes());
+                run = Some((ty, tx_bytes));
+                tx_bytes
+            }
+        };
+        total += tx_bytes;
+    }
+    total
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scc_sensors::{ReadingGenerator, SensorType};
+    use scc_sensors::ReadingGenerator;
 
     fn fog1() -> F2cNode {
         F2cNode::fog1(
@@ -637,8 +646,9 @@ mod tests {
             batch.records.len() as u64 * 22,
             "temperature rows are 22 B in Table I"
         );
-        let compressed = batch.compressed_bytes.expect("policy compresses");
-        assert!(compressed < batch.wire_bytes);
+        let compressed = batch.compressed_bytes().expect("policy compresses");
+        assert!(compressed < batch.wire_bytes());
+        assert_eq!(batch.uplink_bytes(), compressed);
         // Second flush at the same instant ships nothing.
         let again = node.flush(3600, &catalog).unwrap();
         assert!(again.records.is_empty());
@@ -677,7 +687,7 @@ mod tests {
         }
         let batch = node.flush(2_700, &catalog).unwrap();
         assert!(!batch.sketches.is_empty(), "partials ride the batch");
-        assert!(batch.sketch_bytes > 0);
+        assert!(batch.sketch_bytes() > 0);
         assert_eq!(batch.seals, vec![(0, 2_700)], "own section seals");
         // The shipped partials and the node's own ledger agree: the sum
         // of shipped counts is the record count of the batch.

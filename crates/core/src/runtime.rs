@@ -534,8 +534,8 @@ fn flush_fog1(
         return Ok(());
     }
     report.fog1_uplink_acct_bytes += batch.acct_bytes;
-    report.fog1_uplink_wire_bytes += batch.wire_bytes;
-    if let Some(c) = batch.compressed_bytes {
+    report.fog1_uplink_wire_bytes += batch.wire_bytes();
+    if let Some(c) = batch.compressed_bytes() {
         report.fog1_uplink_compressed_bytes += c;
     }
     // Per-category wire/compressed accounting.

@@ -2,9 +2,10 @@
 //! eventually implementing the appropriate techniques for data versioning,
 //! data lineage or data provenance" (§IV.B).
 
-use std::collections::HashMap;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use scc_sensors::SensorId;
+use scc_sensors::wire::{self, Sink};
+use scc_sensors::{IdMap, SensorId};
 
 use crate::phase::{Block, Phase, PhaseContext};
 use crate::record::DataRecord;
@@ -18,11 +19,33 @@ pub struct Lineage {
     pub digest: u64,
 }
 
-/// Orders batches canonically (category, type, creation time, sensor) and
+/// Orders batches canonically (creation time, category, type, sensor) and
 /// maintains a per-sensor version counter and provenance hash chain.
+///
+/// Time leads the order because the store this phase feeds is indexed by
+/// time: [`crate::preservation::ArchiveStore::insert_batch`] stably sorts
+/// whatever it is handed by creation time, so of any canonical order only
+/// its time-major refinement survives into the archive. Producing that
+/// refinement here means the batch is sorted once — the archive sees a
+/// run already in order and appends (or merges two runs) — and a sensor's
+/// chain visits its records in creation order, ties in arrival order,
+/// exactly as it would under a category-major sort.
 #[derive(Debug, Clone, Default)]
 pub struct ClassificationPhase {
-    lineage: HashMap<SensorId, Lineage>,
+    /// Keyed by the ids of the city's own sensors; never iterated.
+    lineage: IdMap<SensorId, Lineage>,
+}
+
+/// FNV-1a as a wire-line sink.
+struct Fnv(u64);
+
+impl Sink for Fnv {
+    fn put(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
 }
 
 impl ClassificationPhase {
@@ -37,13 +60,11 @@ impl ClassificationPhase {
     }
 
     fn chain(digest: u64, rec: &DataRecord) -> u64 {
-        // FNV-1a over the record's wire form, seeded with the prior digest.
-        let mut h = digest ^ 0xcbf2_9ce4_8422_2325;
-        for b in scc_sensors::wire::encode(rec.reading()).bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        // FNV-1a over the record's wire form, seeded with the prior
+        // digest; the line streams into the hash and is never built.
+        let mut h = Fnv(digest ^ 0xcbf2_9ce4_8422_2325);
+        wire::write_line(&mut h, rec.reading());
+        h.0
     }
 }
 
@@ -57,11 +78,13 @@ impl Phase for ClassificationPhase {
     }
 
     fn run(&mut self, mut batch: Vec<DataRecord>, _ctx: &PhaseContext) -> Vec<DataRecord> {
-        batch.sort_by_key(|r| {
+        // Stable, with the key computed once per record: the sort moves
+        // small keys, and each 144-byte record moves once.
+        batch.sort_by_cached_key(|r| {
             (
+                r.descriptor().created_s(),
                 r.sensor_type().category(),
                 r.sensor_type(),
-                r.descriptor().created_s(),
                 r.reading().sensor(),
             )
         });
@@ -95,23 +118,118 @@ mod tests {
         let batch = vec![
             rec(SensorType::Weather, 0, 50, 1),
             rec(SensorType::ElectricityMeter, 0, 99, 2),
-            rec(SensorType::ElectricityMeter, 0, 10, 3),
-            rec(SensorType::ParkingSpot, 0, 1, 4),
+            rec(SensorType::ParkingSpot, 1, 50, 3),
+            rec(SensorType::ElectricityMeter, 0, 10, 4),
+            rec(SensorType::ParkingSpot, 0, 50, 5),
+            rec(SensorType::ElectricityMeter, 3, 50, 6),
         ];
         let out = phase.run(batch, &PhaseContext::at(0));
-        let types: Vec<SensorType> = out.iter().map(DataRecord::sensor_type).collect();
-        // Energy < Parking < Urban in category order; within energy by time.
+        let order: Vec<(u64, SensorType, u32)> = out
+            .iter()
+            .map(|r| {
+                let id = r.reading().sensor();
+                (r.descriptor().created_s(), id.sensor_type(), id.index())
+            })
+            .collect();
+        // Time first; within one second Energy < Parking < Urban in
+        // category order, then by sensor.
         assert_eq!(
-            types,
+            order,
             vec![
-                SensorType::ElectricityMeter,
-                SensorType::ElectricityMeter,
-                SensorType::ParkingSpot,
-                SensorType::Weather
+                (10, SensorType::ElectricityMeter, 0),
+                (50, SensorType::ElectricityMeter, 3),
+                (50, SensorType::ParkingSpot, 0),
+                (50, SensorType::ParkingSpot, 1),
+                (50, SensorType::Weather, 0),
+                (99, SensorType::ElectricityMeter, 0),
             ]
         );
-        assert_eq!(out[0].descriptor().created_s(), 10);
-        assert_eq!(out[1].descriptor().created_s(), 99);
+    }
+
+    /// The phase as it was: a category-major stable sort (which the
+    /// archive then stably re-sorted by time), and a chain over the built
+    /// wire line. The reference the single time-major sort is held to.
+    #[derive(Default)]
+    struct CategoryMajorPhase {
+        lineage: std::collections::HashMap<SensorId, Lineage>,
+    }
+
+    impl CategoryMajorPhase {
+        fn run(&mut self, mut batch: Vec<DataRecord>) -> Vec<DataRecord> {
+            batch.sort_by_key(|r| {
+                (
+                    r.sensor_type().category(),
+                    r.sensor_type(),
+                    r.descriptor().created_s(),
+                    r.reading().sensor(),
+                )
+            });
+            for rec in &batch {
+                let entry = self
+                    .lineage
+                    .entry(rec.reading().sensor())
+                    .or_insert(Lineage {
+                        version: 0,
+                        digest: 0,
+                    });
+                entry.version += 1;
+                let mut h = entry.digest ^ 0xcbf2_9ce4_8422_2325;
+                for b in wire::encode(rec.reading()).bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01B3);
+                }
+                entry.digest = h;
+            }
+            batch
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_time_major_sort_archives_what_two_sorts_did(
+            // Shipments of (type, sensor, second, value) from a dozen
+            // seconds and a few sensors: heavy timestamp ties, several
+            // districts' worth of one wave split across `run` calls, and
+            // late arrivals older than what the archive already holds.
+            shipments in proptest::collection::vec(
+                proptest::collection::vec((0usize..21, 0u32..3, 0u64..12, 0u64..4), 0..40),
+                1..8,
+            ),
+        ) {
+            use crate::preservation::ArchiveStore;
+            let mut phase = ClassificationPhase::new();
+            let mut model = CategoryMajorPhase::default();
+            let (mut archive, mut model_archive) = (ArchiveStore::new(), ArchiveStore::new());
+            for shipment in &shipments {
+                let batch: Vec<DataRecord> = shipment
+                    .iter()
+                    .map(|&(ty, idx, t, v)| rec(SensorType::ALL[ty], idx, 900 * t, v))
+                    .collect();
+                archive.insert_batch(phase.run(batch.clone(), &PhaseContext::at(0)));
+                model_archive.insert_batch(model.run(batch));
+                let run: Vec<&DataRecord> = archive.iter().collect();
+                let model_run: Vec<&DataRecord> = model_archive.iter().collect();
+                proptest::prop_assert_eq!(run, model_run);
+                for t in (0..=12).map(|t| 900 * t) {
+                    proptest::prop_assert_eq!(archive.rank(t), model_archive.rank(t));
+                    for ty in SensorType::ALL {
+                        proptest::prop_assert_eq!(
+                            archive.latest_of_type(ty, 0, t),
+                            model_archive.latest_of_type(ty, 0, t)
+                        );
+                    }
+                }
+            }
+            for ty in SensorType::ALL {
+                for idx in 0..3 {
+                    let id = SensorId::new(ty, idx);
+                    proptest::prop_assert_eq!(
+                        phase.lineage_of(id),
+                        model.lineage.get(&id).copied()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -81,6 +81,14 @@ impl DataRecord {
     }
 }
 
+/// A record lends its reading, so a codec over readings takes records
+/// as they are.
+impl AsRef<Reading> for DataRecord {
+    fn as_ref(&self) -> &Reading {
+        &self.reading
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,8 +16,10 @@
 //! engine bumps its epoch if a backdated ingest breaks that assumption).
 
 use std::collections::hash_map::Entry as MapEntry;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::collections::VecDeque;
+use std::hash::Hash;
+
+use scc_sensors::IdMap;
 
 use crate::model::{AggPartial, Query, QueryAnswer, QueryKind, Scope, Selector, TimeWindow};
 
@@ -30,7 +32,9 @@ use crate::model::{AggPartial, Query, QueryAnswer, QueryKind, Scope, Selector, T
 /// Memory is therefore O(capacity) no matter the churn pattern.
 #[derive(Debug, Clone)]
 struct BoundedFifo<K, V> {
-    map: HashMap<K, Slot<V>, BuildHasherDefault<KeyHasher>>,
+    /// Keys are built by this program from queries it planned, and the
+    /// map is capacity-bounded and never iterated: an [`IdMap`].
+    map: IdMap<K, Slot<V>>,
     order: VecDeque<(u64, K)>,
     capacity: usize,
     next_seq: u64,
@@ -42,40 +46,10 @@ struct Slot<V> {
     seq: u64,
 }
 
-/// Multiply-rotate hasher for the caches' keys: a few small integers
-/// and enum tags each, built by this program from queries it planned.
-/// The map is capacity-bounded and never iterated, so a fixed hash
-/// function costs neither determinism nor worst-case size; SipHash's
-/// resistance to chosen keys bought nothing here and cost two probes'
-/// worth of every cached-bucket merge.
-#[derive(Debug, Clone, Copy, Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        // A product's low bits see only its factors' low bits (bucket
-        // starts are multiples of 900); fold the high half down, where
-        // the table takes its index from.
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
 impl<K: Copy + Eq + Hash, V> BoundedFifo<K, V> {
     fn new(capacity: usize) -> Self {
         Self {
-            map: HashMap::default(),
+            map: IdMap::default(),
             order: VecDeque::new(),
             capacity: capacity.max(1),
             next_seq: 0,
@@ -393,7 +367,7 @@ mod tests {
         // 4 096 slots fill ≈63 % of them when the hash is any good. The
         // raw product would reach a quarter at most.
         use std::hash::BuildHasher;
-        let build = BuildHasherDefault::<KeyHasher>::default();
+        let build = scc_sensors::idhash::BuildIdHasher::default();
         let slots: std::collections::HashSet<u64> = (0..4_096u64)
             .map(|k| PartialKey {
                 node: NodeKey::Fog2(3),

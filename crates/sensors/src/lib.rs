@@ -14,6 +14,7 @@
 //!   is Table I),
 //! * [`Reading`] / [`Value`] — one observation,
 //! * [`generator`] — per-sensor value models with tunable redundancy,
+//! * [`idhash`] — the hasher for tables keyed by program-generated ids,
 //! * [`wire`] — Sentilo-style text encoding of observations.
 //!
 //! # Quickstart
@@ -34,6 +35,7 @@ pub mod catalog;
 pub mod category;
 mod error;
 pub mod generator;
+pub mod idhash;
 pub mod ids;
 pub mod reading;
 pub mod rngutil;
@@ -46,6 +48,7 @@ pub use catalog::{Catalog, CatalogBuilder, TypeSpec};
 pub use category::Category;
 pub use error::{Error, Result};
 pub use generator::{ReadingGenerator, SensorStream, TimeCorrelatedStream};
+pub use idhash::IdMap;
 pub use ids::SensorId;
 pub use reading::Reading;
 pub use sensor_type::SensorType;

@@ -57,6 +57,14 @@ impl Reading {
     }
 }
 
+/// Lets a consumer of readings take `&[Reading]` and `&[R]` for any
+/// record type `R` that wraps one, without a copy in between.
+impl AsRef<Reading> for Reading {
+    fn as_ref(&self) -> &Reading {
+        self
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

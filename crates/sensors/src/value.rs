@@ -1,8 +1,12 @@
 //! Observation values.
 
-use std::fmt;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::fmt::{self, Write as _};
 
 use serde::{Deserialize, Serialize};
+
+use crate::wire::{put_decimal, Sink};
 
 /// The measured value carried by one [`crate::Reading`].
 ///
@@ -54,19 +58,51 @@ impl Value {
     }
 }
 
+impl Value {
+    /// Writes the value's wire digits — also what `Display` prints.
+    pub fn write_wire(&self, out: &mut impl Sink) {
+        match self {
+            Value::Scalar(raw) => put_hundredths(out, *raw),
+            Value::Counter(c) => put_decimal(out, *c),
+            Value::Flag(b) => out.put(if *b { b"1" } else { b"0" }),
+            Value::Level(l) => {
+                put_decimal(out, u64::from(*l));
+                out.put(b"%");
+            }
+            Value::Composite(fields) => {
+                for (i, v) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.put(b"|");
+                    }
+                    put_hundredths(out, *v);
+                }
+            }
+        }
+    }
+}
+
 /// Writes `raw` hundredths as the two-decimal number they are
 /// (`-?int.frac`, e.g. `2157` → `21.57`, `-5` → `-0.05`): integer digits
-/// into a stack buffer, one `write_str` — no float, no `core::fmt`
-/// machinery. Byte for byte what `{:.2}` prints for `raw as f64 / 100.0`
-/// while that float still resolves hundredths; from `|raw| ≥ 2^52` on the
-/// float's spacing exceeds a hundredth and its printout stops being the
-/// stored value, so the float form — which is what the wire has always
-/// carried out there — is kept for that range.
-fn write_hundredths(f: &mut fmt::Formatter<'_>, raw: i64) -> fmt::Result {
+/// into a stack buffer, one `put` — no float, no `core::fmt` machinery.
+/// Byte for byte what `{:.2}` prints for `raw as f64 / 100.0` while that
+/// float still resolves hundredths; from `|raw| ≥ 2^52` on the float's
+/// spacing exceeds a hundredth and its printout stops being the stored
+/// value, so the float form — which is what the wire has always carried
+/// out there — is kept for that range.
+fn put_hundredths(out: &mut impl Sink, raw: i64) {
     const FLOAT_FORM_FROM: u64 = 1 << 52;
     let abs = raw.unsigned_abs();
     if abs >= FLOAT_FORM_FROM {
-        return write!(f, "{:.2}", raw as f64 / 100.0);
+        struct AsFmt<'a, S>(&'a mut S);
+        impl<S: Sink> fmt::Write for AsFmt<'_, S> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0.put(s.as_bytes());
+                Ok(())
+            }
+        }
+        // Only a sink can fail a write, and this one never does.
+        let _ = write!(AsFmt(out), "{:.2}", raw as f64 / 100.0);
+        return;
     }
     // '-', at most 14 integer digits below 2^52 / 100, '.', two decimals.
     let mut buf = [0u8; 20];
@@ -89,28 +125,27 @@ fn write_hundredths(f: &mut fmt::Formatter<'_>, raw: i64) -> fmt::Result {
     if raw < 0 {
         push(b'-');
     }
-    f.write_str(std::str::from_utf8(&buf[at..]).map_err(|_| fmt::Error)?)
+    out.put(&buf[at..]);
 }
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Scalar(raw) => write_hundredths(f, *raw),
-            Value::Counter(c) => write!(f, "{c}"),
-            Value::Flag(b) => write!(f, "{}", u8::from(*b)),
-            Value::Level(l) => write!(f, "{l}%"),
-            Value::Composite(fields) => {
-                let mut first = true;
-                for v in fields {
-                    if !first {
-                        f.write_str("|")?;
-                    }
-                    write_hundredths(f, *v)?;
-                    first = false;
+        struct Formatted<'a, 'b> {
+            f: &'a mut fmt::Formatter<'b>,
+            result: fmt::Result,
+        }
+        impl Sink for Formatted<'_, '_> {
+            fn put(&mut self, bytes: &[u8]) {
+                if self.result.is_ok() {
+                    self.result = std::str::from_utf8(bytes)
+                        .map_err(|_| fmt::Error)
+                        .and_then(|s| self.f.write_str(s));
                 }
-                Ok(())
             }
         }
+        let mut out = Formatted { f, result: Ok(()) };
+        self.write_wire(&mut out);
+        out.result
     }
 }
 

@@ -11,22 +11,59 @@
 //! PROVIDER.type-slug.index;timestamp;value
 //! ```
 
-use std::fmt::{self, Write};
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::{Error, Reading, Result, SensorId, SensorType, Value};
 
+/// Where a wire line's bytes go: a buffer, a byte count, a running hash.
+/// A line is written once against this, so the text [`encode`] builds,
+/// the length [`encoded_len`] reports and the digest a lineage chain
+/// folds cannot disagree — and none of them goes through `core::fmt`.
+pub trait Sink {
+    /// Takes the next bytes of the line (always ASCII).
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl Sink for String {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend(bytes.iter().copied().map(char::from));
+    }
+}
+
+/// Writes `v` in decimal: digits into a stack buffer, one `put`.
+pub fn put_decimal(out: &mut impl Sink, mut v: u64) {
+    // u64::MAX has 20 digits.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.put(&buf[at..]);
+}
+
 /// The one definition of a wire line, for any sink.
-fn write_line(out: &mut impl Write, reading: &Reading) -> fmt::Result {
+pub fn write_line(out: &mut impl Sink, reading: &Reading) {
     let ty = reading.sensor_type();
-    write!(
-        out,
-        "{}.{}.{};{};{}",
-        ty.category().provider(),
-        ty.slug(),
-        reading.sensor().index(),
-        reading.timestamp_s(),
-        reading.value()
-    )
+    out.put(ty.category().provider().as_bytes());
+    out.put(b".");
+    out.put(ty.slug().as_bytes());
+    out.put(b".");
+    put_decimal(out, u64::from(reading.sensor().index()));
+    out.put(b";");
+    put_decimal(out, reading.timestamp_s());
+    out.put(b";");
+    reading.value().write_wire(out);
 }
 
 /// Encodes one reading as a wire line (no trailing newline).
@@ -41,14 +78,12 @@ fn write_line(out: &mut impl Write, reading: &Reading) -> fmt::Result {
 /// ```
 pub fn encode(reading: &Reading) -> String {
     let mut line = String::new();
-    // Only a sink can fail a line, and `String` never does.
-    let _ = write_line(&mut line, reading);
+    write_line(&mut line, reading);
     line
 }
 
-/// `encode(reading).len()` without building the line: the same
-/// formatting runs into a sink that only counts, so sizing a record
-/// allocates nothing.
+/// `encode(reading).len()` without building the line: the same bytes run
+/// into a sink that only counts, so sizing a record allocates nothing.
 ///
 /// # Examples
 ///
@@ -60,27 +95,25 @@ pub fn encode(reading: &Reading) -> String {
 /// ```
 pub fn encoded_len(reading: &Reading) -> usize {
     struct ByteCount(usize);
-    impl Write for ByteCount {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            self.0 += s.len();
-            Ok(())
+    impl Sink for ByteCount {
+        fn put(&mut self, bytes: &[u8]) {
+            self.0 += bytes.len();
         }
     }
     let mut count = ByteCount(0);
-    // Only a sink can fail a line, and counting never does.
-    let _ = write_line(&mut count, reading);
+    write_line(&mut count, reading);
     count.0
 }
 
 /// Encodes a batch of readings, one line each, newline-terminated.
 ///
 /// This is the text the compression experiments and the shipment capture
-/// tap work on; the live flush path only *sizes* its batches
-/// ([`encoded_len`] per record) and never builds it.
-pub fn encode_batch(readings: &[Reading]) -> Vec<u8> {
+/// tap work on; the live flush path never builds it. Takes anything that
+/// lends readings, so records are encoded where they sit.
+pub fn encode_batch<R: AsRef<Reading>>(readings: &[R]) -> Vec<u8> {
     let mut out = Vec::with_capacity(readings.len() * 32);
     for r in readings {
-        out.extend_from_slice(encode(r).as_bytes());
+        write_line(&mut out, r.as_ref());
         out.push(b'\n');
     }
     out
@@ -230,26 +263,87 @@ mod tests {
         assert!(line.len() <= 40, "line too long: {line}");
     }
 
-    #[test]
-    fn encoded_len_matches_encode_at_the_extremes() {
-        let values = [
+    fn extreme_values() -> Vec<Value> {
+        let switch = 1i64 << 52;
+        vec![
             Value::Scalar(i64::MIN),
             Value::Scalar(-1),
             Value::Scalar(i64::MAX),
+            Value::Scalar(switch - 1),
+            Value::Scalar(switch),
+            Value::Scalar(-switch),
             Value::Counter(0),
             Value::Counter(u64::MAX),
+            Value::Flag(false),
             Value::Flag(true),
+            Value::Level(0),
             Value::Level(u8::MAX),
             Value::Composite(Vec::new()),
             Value::Composite(vec![i64::MIN, -1, 0, 1, 99, 100, 12_345, i64::MAX]),
-        ];
-        for ty in SensorType::ALL {
-            for (index, ts) in [(0, 0), (u32::MAX, u64::MAX)] {
-                for value in &values {
-                    let r = Reading::new(SensorId::new(ty, index), ts, value.clone());
-                    assert_eq!(encoded_len(&r), encode(&r).len(), "{}", encode(&r));
-                }
+        ]
+    }
+
+    /// Every type, both ends of the index and timestamp ranges, every
+    /// value shape at its extremes.
+    fn extreme_readings() -> impl Iterator<Item = Reading> {
+        SensorType::ALL.into_iter().flat_map(|ty| {
+            [(0, 0), (7, 900), (u32::MAX, u64::MAX)]
+                .into_iter()
+                .flat_map(move |(index, ts)| {
+                    extreme_values()
+                        .into_iter()
+                        .map(move |value| Reading::new(SensorId::new(ty, index), ts, value))
+                })
+        })
+    }
+
+    /// The line as `core::fmt` wrote it before the byte emitter: the
+    /// reference the emitter is held to.
+    fn format_line(reading: &Reading) -> String {
+        let hundredths = |raw: i64| format!("{:.2}", raw as f64 / 100.0);
+        let value = match reading.value() {
+            Value::Scalar(raw) => hundredths(*raw),
+            Value::Counter(c) => format!("{c}"),
+            Value::Flag(b) => format!("{}", u8::from(*b)),
+            Value::Level(l) => format!("{l}%"),
+            Value::Composite(fields) => {
+                let fields: Vec<String> = fields.iter().map(|&v| hundredths(v)).collect();
+                fields.join("|")
             }
+        };
+        let ty = reading.sensor_type();
+        format!(
+            "{}.{}.{};{};{}",
+            ty.category().provider(),
+            ty.slug(),
+            reading.sensor().index(),
+            reading.timestamp_s(),
+            value
+        )
+    }
+
+    #[test]
+    fn byte_emitter_writes_what_format_wrote() {
+        for r in extreme_readings() {
+            let expected = format_line(&r);
+            assert_eq!(encode(&r), expected);
+            let mut bytes = Vec::new();
+            write_line(&mut bytes, &r);
+            assert_eq!(bytes, expected.as_bytes());
+            assert_eq!(r.value().to_string(), expected.rsplit(';').next().unwrap());
+        }
+        // Generated traffic of every type, batch form included.
+        for ty in SensorType::ALL {
+            let wave = ReadingGenerator::for_population(ty, 40, 5).wave(86_399);
+            let lines: Vec<String> = wave.iter().map(|r| format_line(r) + "\n").collect();
+            assert_eq!(encode_batch(&wave), lines.concat().into_bytes(), "{ty}");
+        }
+    }
+
+    #[test]
+    fn encoded_len_matches_encode_at_the_extremes() {
+        for r in extreme_readings() {
+            assert_eq!(encoded_len(&r), encode(&r).len(), "{}", encode(&r));
         }
     }
 

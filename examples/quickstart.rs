@@ -43,8 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nfog1 flush: {} records, {} B accounting, {} B wire, {:?} B compressed",
         batch.records.len(),
         batch.acct_bytes,
-        batch.wire_bytes,
-        batch.compressed_bytes
+        batch.wire_bytes(),
+        batch.compressed_bytes()
     );
     fog2.receive(batch.records, 7200);
     let batch = fog2.flush(7200, &catalog)?;

@@ -31,7 +31,7 @@
 //! let outcome = fog1.ingest_wave(sensors.wave(0), 1, &catalog)?;
 //! assert_eq!(outcome.offered, 50);
 //! let batch = fog1.flush(900, &catalog)?;             // aggregated + compressed
-//! assert!(batch.compressed_bytes.is_some());
+//! assert!(batch.compressed_bytes().is_some());
 //! # Ok::<(), f2c_smartcity::core::Error>(())
 //! ```
 

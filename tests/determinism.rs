@@ -61,8 +61,8 @@ fn replica(seed: u64) -> Vec<u8> {
                     now_s + 2,
                     batch.records.len(),
                     batch.acct_bytes,
-                    batch.wire_bytes,
-                    batch.compressed_bytes,
+                    batch.wire_bytes(),
+                    batch.compressed_bytes(),
                 )
                 .as_bytes(),
             );

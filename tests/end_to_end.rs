@@ -131,12 +131,12 @@ fn compression_reduces_what_crosses_the_uplink() {
         fog1.ingest_wave(gen.wave(t), t + 1, &catalog).unwrap();
     }
     let batch = fog1.flush(600, &catalog).unwrap();
-    let compressed = batch.compressed_bytes.expect("paper policy compresses");
+    let compressed = batch.compressed_bytes().expect("paper policy compresses");
     assert!(
-        compressed * 2 < batch.wire_bytes,
+        compressed * 2 < batch.wire_bytes(),
         "compression should at least halve Sentilo text ({} vs {})",
         compressed,
-        batch.wire_bytes
+        batch.wire_bytes()
     );
     assert_eq!(batch.uplink_bytes(), compressed);
 }

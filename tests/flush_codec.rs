@@ -63,6 +63,7 @@ fn check_corpus(seed: u64, corpus: &[ShipmentRecord]) {
     // receiver's mirror-decode check re-run offline, from nothing but
     // the captured bytes.
     let mut decoders: BTreeMap<(u8, u16), tsenc::StreamDecoder> = BTreeMap::new();
+    let mut encoders: BTreeMap<(u8, u16), tsenc::StreamEncoder> = BTreeMap::new();
     let mut uplink = 0u64;
     let mut verbatim_deflate = 0u64;
     let mut records = 0u64;
@@ -76,6 +77,15 @@ fn check_corpus(seed: u64, corpus: &[ShipmentRecord]) {
             decoded, expected,
             "seed {seed} shipment {i} (hop {} origin {}) decodes to different records",
             shipment.hop, shipment.origin
+        );
+
+        // The live sender encoded its records where they sat; an encoder
+        // fed the same stream as plain cloned readings writes those bytes.
+        let encoder = encoders.entry((shipment.hop, shipment.origin)).or_default();
+        assert_eq!(
+            encoder.encode_batch(&expected).expect("readings encode"),
+            shipment.payload,
+            "seed {seed} shipment {i}: encoding readings differs from encoding records"
         );
 
         // Oracle 2: the codec never loses to its own fallback — DEFLATE
@@ -119,4 +129,40 @@ fn shipment_corpus_is_seed_deterministic_and_thread_invariant() {
     );
     let other = corpus(2018, 1);
     assert_ne!(base, other, "different seeds must change the corpus");
+}
+
+#[test]
+fn irregular_batches_fall_back_identically_from_records_and_readings() {
+    use f2c_smartcity::dlc::DataRecord;
+    use f2c_smartcity::sensors::{Reading, SensorId, SensorType, Value};
+    // A parking spot shipping a scalar contradicts its type's model, so
+    // the whole batch rides the DEFLATE fallback — from either form.
+    let readings: Vec<Reading> = (0..50u32)
+        .map(|i| {
+            let value = if i == 31 {
+                Value::Scalar(200)
+            } else {
+                Value::Flag(i % 2 == 0)
+            };
+            Reading::new(SensorId::new(SensorType::ParkingSpot, i), 900, value)
+        })
+        .collect();
+    let records: Vec<DataRecord> = readings
+        .iter()
+        .cloned()
+        .map(DataRecord::from_reading)
+        .collect();
+    let from_readings = tsenc::encode_once(&readings).expect("readings encode");
+    let from_records = tsenc::StreamEncoder::new()
+        .encode_batch(&records)
+        .expect("records encode");
+    assert_eq!(
+        tsenc::stream_mode(&from_records),
+        Some(tsenc::MODE_FALLBACK)
+    );
+    assert_eq!(from_records, from_readings);
+    assert_eq!(
+        tsenc::decode_once(&from_records).expect("decodes"),
+        readings
+    );
 }
