@@ -60,8 +60,52 @@ fn is_sparse(occupied: usize, precision: u32) -> bool {
 }
 
 /// `2^-rank`, built from the exponent bits (exact for every `u8` rank).
-fn pow2_neg(rank: u8) -> f64 {
+pub(super) fn pow2_neg(rank: u8) -> f64 {
     f64::from_bits((1023 - u64::from(rank)) << 52)
+}
+
+/// The largest rank whose `2^-rank` still sums exactly: with every rank
+/// at most `52 - p`, each term is a multiple of `2^-(52 - p)` and the
+/// total is at most `2^p`, so every partial sum in any order is an
+/// integer below `2^53` times that unit — exactly representable. The
+/// empty registers' `1.0`s can then be added at once, and the occupied
+/// ones in whatever order they are held.
+pub(super) const fn exact_rank(precision: u32) -> u8 {
+    (52 - precision) as u8
+}
+
+/// The register `key` falls in at `precision` and the rank it offers
+/// that register — the one slot arithmetic every sketch form shares.
+#[inline]
+pub(super) fn slot_rank(key: &[u8], precision: u32) -> (u16, u8) {
+    let h = hash64(key, HLL_SEED);
+    let idx = (h >> (64 - precision)) as u16;
+    let rest = h << precision;
+    // Rank: position of the first 1-bit in the remaining bits, 1-based.
+    let rank = (rest.leading_zeros() + 1).min(64 - precision + 1) as u8;
+    (idx, rank)
+}
+
+/// The cardinality estimate of `2^precision` registers of which `zeros`
+/// are empty and whose `2^-rank` sum to `sum` (empty ones counting
+/// `1.0`), with the small-range linear-counting correction.
+pub(super) fn estimate_from(precision: u32, sum: f64, zeros: usize) -> u64 {
+    let count = 1usize << precision;
+    let m = count as f64;
+    let alpha = match count {
+        16 => 0.673,
+        32 => 0.697,
+        64 => 0.709,
+        _ => 0.7213 / (1.0 + 1.079 / m),
+    };
+    let raw = alpha * m * m / sum;
+    // Small-range correction: linear counting.
+    let corrected = if raw <= 2.5 * m && zeros > 0 {
+        m * (m / zeros as f64).ln()
+    } else {
+        raw
+    };
+    corrected.round() as u64
 }
 
 impl HyperLogLog {
@@ -178,11 +222,7 @@ impl HyperLogLog {
 
     /// Adds one element.
     pub fn add(&mut self, key: &[u8]) {
-        let h = hash64(key, HLL_SEED);
-        let idx = (h >> (64 - self.precision)) as u16;
-        let rest = h << self.precision;
-        // Rank: position of the first 1-bit in the remaining bits, 1-based.
-        let rank = (rest.leading_zeros() + 1).min(64 - self.precision + 1) as u8;
+        let (idx, rank) = slot_rank(key, self.precision);
         match &mut self.registers {
             Registers::Sparse(entries) => match entries.binary_search_by_key(&idx, |e| e.0) {
                 Ok(at) => entries[at].1 = entries[at].1.max(rank),
@@ -202,29 +242,25 @@ impl HyperLogLog {
 
     /// Estimated number of distinct elements added.
     pub fn estimate(&self) -> u64 {
+        let (sum, zeros) = self.harmonic_sum();
+        estimate_from(self.precision, sum, zeros)
+    }
+
+    /// The sum of `2^-rank` over all registers in index order, and the
+    /// number of empty registers.
+    pub(super) fn harmonic_sum(&self) -> (f64, usize) {
         let count = self.register_count();
-        let m = count as f64;
-        let alpha = match count {
-            16 => 0.673,
-            32 => 0.697,
-            64 => 0.709,
-            _ => 0.7213 / (1.0 + 1.079 / m),
-        };
-        // `sum` is the sum of `2^-rank` over all registers in index order.
-        let (sum, zeros) = match &self.registers {
+        match &self.registers {
             Registers::Dense(registers) => (
                 registers.iter().map(|&r| pow2_neg(r)).sum::<f64>(),
                 registers.iter().filter(|&&r| r == 0).count(),
             ),
             Registers::Sparse(entries) => {
                 let zeros = count - entries.len();
-                // With every rank at most `52 - p`, each term is a
-                // multiple of `2^-(52 - p)` and the total is at most
-                // `2^p`, so every partial sum in any order is an integer
-                // below `2^53` times that unit — exactly representable.
-                // The empty registers' `1.0`s can then be added at once.
-                let exact_rank = (52 - self.precision) as u8;
-                let sum = if entries.iter().all(|&(_, r)| r <= exact_rank) {
+                // Exact in any order up to `exact_rank`: the empty
+                // registers' `1.0`s can be added at once.
+                let exact = exact_rank(self.precision);
+                let sum = if entries.iter().all(|&(_, r)| r <= exact) {
                     zeros as f64 + entries.iter().map(|&(_, r)| pow2_neg(r)).sum::<f64>()
                 } else {
                     let mut occupied = entries.iter().peekable();
@@ -237,15 +273,7 @@ impl HyperLogLog {
                 };
                 (sum, zeros)
             }
-        };
-        let raw = alpha * m * m / sum;
-        // Small-range correction: linear counting.
-        let corrected = if raw <= 2.5 * m && zeros > 0 {
-            m * (m / zeros as f64).ln()
-        } else {
-            raw
-        };
-        corrected.round() as u64
+        }
     }
 
     /// Merges another estimator with the same precision (register-wise

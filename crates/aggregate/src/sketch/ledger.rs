@@ -30,7 +30,7 @@ use std::collections::{HashMap, HashSet};
 
 use scc_sensors::SensorType;
 
-use super::AggPartial;
+use super::{AggPartial, AggState};
 use crate::{Error, Result};
 
 /// Identity of one folded bucket partial: which section produced the
@@ -303,18 +303,19 @@ impl SketchLedger {
     }
 
     /// Merges every resident bucket of `(section, ty)` inside the
-    /// **bucket-aligned** `[from_s, until_s)` into `acc`; returns how
+    /// **bucket-aligned** `[from_s, until_s)` into `acc` — a partial
+    /// about to be stored, or a request's accumulator; returns how
     /// many partials were merged. Absent buckets are provably empty when
     /// [`SketchLedger::covers`] holds — callers must check it first
     /// (bucket partials cannot be sliced, so an unaligned window would
     /// over-include; debug builds assert the alignment).
-    pub fn merge_range(
+    pub fn merge_range<A: AggState>(
         &self,
         section: u16,
         ty: SensorType,
         from_s: u64,
         until_s: u64,
-        acc: &mut AggPartial,
+        acc: &mut A,
     ) -> u64 {
         debug_assert!(
             from_s.is_multiple_of(self.bucket_s) && until_s.is_multiple_of(self.bucket_s),

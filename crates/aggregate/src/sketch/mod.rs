@@ -40,12 +40,14 @@
 //! # Ok::<(), f2c_aggregate::Error>(())
 //! ```
 
+mod acc;
 mod countmin;
 mod hyperloglog;
 mod ledger;
 mod partial;
 mod qdigest;
 
+pub use acc::{AggAcc, AggState};
 pub use countmin::CountMinSketch;
 pub use hyperloglog::{HyperLogLog, Registers};
 pub use ledger::{SketchKey, SketchLedger};

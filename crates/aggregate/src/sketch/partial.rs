@@ -114,6 +114,24 @@ impl AggPartial {
         &self.minmax
     }
 
+    /// The distinct sketch's register block.
+    pub(super) fn registers(&self) -> &Registers {
+        self.distinct.registers()
+    }
+
+    /// The distinct sketch, for the accumulator's model tests.
+    #[cfg(test)]
+    pub(super) fn sketch(&self) -> &HyperLogLog {
+        &self.distinct
+    }
+
+    /// Merges a bare sketch into the distinct state — how tests hand a
+    /// partial the crafted registers only a wire could deliver.
+    #[cfg(test)]
+    pub(super) fn merge_sketch(&mut self, sketch: &HyperLogLog) {
+        self.distinct.merge(sketch);
+    }
+
     /// HyperLogLog estimate of distinct absorbed sensor keys (0 when
     /// nothing was absorbed).
     pub fn distinct_estimate(&self) -> u64 {
@@ -128,7 +146,7 @@ impl AggPartial {
     /// HyperLogLog registers (sparse when mostly empty, dense
     /// otherwise), and a trailing CRC-32 over everything before it.
     pub fn encode(&self) -> Vec<u8> {
-        let registers = self.distinct.registers();
+        let registers = self.registers();
         let block_len = match registers {
             Registers::Sparse(entries) => 2 + entries.len() * 3,
             Registers::Dense(block) => block.len(),

@@ -158,16 +158,16 @@ impl AccessCostModel {
     /// the requester.
     pub fn scatter_cost(
         &self,
-        legs: &[FanoutPath],
+        legs: impl IntoIterator<Item = FanoutPath>,
         shard_bytes: u64,
         response_bytes: u64,
     ) -> Duration {
-        let slowest = legs
-            .iter()
-            .map(|&p| self.leg_cost(p, shard_bytes))
-            .max()
-            .unwrap_or(Duration::ZERO);
-        slowest + self.fanout_overhead(legs.len()) + self.cost(AccessOption::Parent, response_bytes)
+        let (slowest, count) = legs
+            .into_iter()
+            .fold((Duration::ZERO, 0), |(slowest, count), p| {
+                (slowest.max(self.leg_cost(p, shard_bytes)), count + 1)
+            });
+        slowest + self.fanout_overhead(count) + self.cost(AccessOption::Parent, response_bytes)
     }
 
     /// The gather node's per-leg merge + admission overhead for a
@@ -296,7 +296,7 @@ mod tests {
                 }
             })
             .collect();
-        let scatter = m.scatter_cost(&legs, 1_024, 1_024);
+        let scatter = m.scatter_cost(legs, 1_024, 1_024);
         assert!(scatter < m.cost(AccessOption::Cloud, 1_024));
     }
 
@@ -310,7 +310,7 @@ mod tests {
                 hops: (i % 10).min(10 - i % 10),
             })
             .collect();
-        assert!(m.scatter_cost(&legs, 1_024, 1_024) > m.cost(AccessOption::Cloud, 1_024));
+        assert!(m.scatter_cost(legs, 1_024, 1_024) > m.cost(AccessOption::Cloud, 1_024));
     }
 
     #[test]

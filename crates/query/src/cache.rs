@@ -15,15 +15,21 @@
 //! for buckets that end at or before the instant they were computed (the
 //! engine bumps its epoch if a backdated ingest breaks that assumption).
 
+// Lint ratchet: every aggregate request probes these tables.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::VecDeque;
 use std::hash::Hash;
 
 use scc_sensors::IdMap;
 
-use crate::model::{AggPartial, Query, QueryAnswer, QueryKind, Scope, Selector, TimeWindow};
+use crate::model::{
+    AggPartial, AggState, Query, QueryAnswer, QueryKind, Scope, Selector, TimeWindow,
+};
 
-/// A bounded map with FIFO eviction, shared by both caches.
+/// A bounded map with FIFO eviction — the result caches' store, and the
+/// policy [`PartialCache`] reproduces over its bucket series.
 ///
 /// Entries removed out of band (stale reads) leave their order slot
 /// behind; each slot carries the insertion sequence number, so eviction
@@ -197,66 +203,200 @@ pub enum NodeKey {
     Cloud,
 }
 
+/// Identity of one bucket **series**: every bucket one node folded for
+/// one selection — what an aggregate leg probes once before walking its
+/// window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SeriesKey {
+    /// Where the partials were folded.
+    pub node: NodeKey,
+    /// Data selection they cover.
+    pub selector: Selector,
+    /// Scope they were filtered to.
+    pub scope: Scope,
+}
+
+/// A series of a [`PartialCache`], as [`PartialCache::series`] names it.
+/// Stays valid for the cache's lifetime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeriesId(u32);
+
 /// Cache identity of one aggregation bucket at one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PartialKey {
-    /// Where the partial was folded.
-    pub node: NodeKey,
-    /// Data selection it covers.
-    pub selector: Selector,
-    /// Scope it was filtered to.
-    pub scope: Scope,
+    /// The series the bucket belongs to.
+    pub series: SeriesKey,
     /// Bucket start (a multiple of the bucket width).
     pub bucket_start_s: u64,
 }
 
 #[derive(Debug, Clone)]
-struct PartialEntry {
-    partial: AggPartial,
+struct Bucket {
+    start_s: u64,
+    /// Insertion sequence number, matched against the order queue.
+    seq: u64,
     epoch: u64,
+    partial: AggPartial,
 }
 
 /// A bounded cache of per-bucket mergeable partials, epoch-invalidated.
 /// Aggregate queries merge cached bucket partials instead of rescanning
 /// the archive — the decomposability payoff of §V.A at serving time.
+///
+/// Buckets are held per series, each a short run sorted by bucket start:
+/// a leg pays one table probe for its series and a search of that run
+/// per bucket. Capacity, eviction and staleness are the result caches'
+/// FIFO policy unchanged, over all buckets of all series at once:
+/// `capacity` counts bucket partials, an in-place update keeps its FIFO
+/// position, a stale bucket is dropped when read, and the one order
+/// queue carries sequence numbers and is compacted at twice the
+/// capacity. The series table itself only grows, bounded by the
+/// topology: a node is asked for its own shard or a scope it contains
+/// (73 + 83 + 84 `(node, scope)` pairs) under one of 26 selectors.
 #[derive(Debug, Clone)]
 pub struct PartialCache {
-    inner: BoundedFifo<PartialKey, PartialEntry>,
+    /// Keys are built by this program from queries it planned: an
+    /// [`IdMap`], never iterated.
+    ids: IdMap<SeriesKey, SeriesId>,
+    /// Bucket runs by [`SeriesId`], each sorted by `start_s`.
+    series: Vec<Vec<Bucket>>,
+    /// `(sequence, series, bucket start)` in insertion order.
+    order: VecDeque<(u64, SeriesId, u64)>,
+    capacity: usize,
+    len: usize,
+    next_seq: u64,
+}
+
+/// Where the bucket starting at `start_s` is, or would go, in `run`.
+fn locate(run: &[Bucket], start_s: u64) -> std::result::Result<usize, usize> {
+    run.binary_search_by_key(&start_s, |b| b.start_s)
 }
 
 impl PartialCache {
     /// An empty cache holding at most `capacity` bucket partials.
     pub fn new(capacity: usize) -> Self {
         Self {
-            inner: BoundedFifo::new(capacity),
+            ids: IdMap::default(),
+            series: Vec::new(),
+            order: VecDeque::new(),
+            capacity: capacity.max(1),
+            len: 0,
+            next_seq: 0,
         }
     }
 
     /// Number of resident partials.
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.len
     }
 
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.inner.len() == 0
+        self.len == 0
     }
 
-    /// Merges the cached partial for `key` into `acc` if one is valid
-    /// under `epoch`; reports whether it was a hit.
-    pub fn merge_into(&mut self, key: &PartialKey, epoch: u64, acc: &mut AggPartial) -> bool {
-        match self.inner.get_valid(key, |e| e.epoch == epoch) {
-            Some(entry) => {
-                acc.merge(&entry.partial);
-                true
+    /// The series of `key`, opened empty on first sight.
+    pub fn series(&mut self, key: SeriesKey) -> SeriesId {
+        match self.ids.entry(key) {
+            MapEntry::Occupied(slot) => *slot.get(),
+            MapEntry::Vacant(slot) => {
+                let id = SeriesId(self.series.len() as u32);
+                self.series.push(Vec::new());
+                *slot.insert(id)
             }
-            None => false,
         }
     }
 
-    /// Stores a freshly folded bucket partial.
+    /// Merges the series' cached partial for the bucket at
+    /// `bucket_start_s` into `acc` if one is valid under `epoch`;
+    /// reports whether it was a hit. A stale one is dropped.
+    pub fn merge_at<A: AggState>(
+        &mut self,
+        series: SeriesId,
+        bucket_start_s: u64,
+        epoch: u64,
+        acc: &mut A,
+    ) -> bool {
+        let run = &mut self.series[series.0 as usize];
+        let Ok(at) = locate(run, bucket_start_s) else {
+            return false;
+        };
+        if run[at].epoch == epoch {
+            acc.merge(&run[at].partial);
+            true
+        } else {
+            // The order slot stays behind; eviction and compaction skip
+            // it by its sequence number.
+            run.remove(at);
+            self.len -= 1;
+            false
+        }
+    }
+
+    /// Stores a freshly folded partial for the series' bucket at
+    /// `bucket_start_s`, evicting the oldest-inserted bucket of any
+    /// series when full.
+    pub fn put_at(
+        &mut self,
+        series: SeriesId,
+        bucket_start_s: u64,
+        partial: AggPartial,
+        epoch: u64,
+    ) {
+        let run = &mut self.series[series.0 as usize];
+        if let Ok(at) = locate(run, bucket_start_s) {
+            // In-place update keeps the original FIFO position.
+            run[at].partial = partial;
+            run[at].epoch = epoch;
+            return;
+        }
+        while self.len >= self.capacity {
+            let Some((seq, old, start_s)) = self.order.pop_front() else {
+                break;
+            };
+            let run = &mut self.series[old.0 as usize];
+            if let Ok(at) = locate(run, start_s) {
+                if run[at].seq == seq {
+                    run.remove(at);
+                    self.len -= 1;
+                    break;
+                }
+            }
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.order.push_back((seq, series, bucket_start_s));
+        let run = &mut self.series[series.0 as usize];
+        let at = run.partition_point(|b| b.start_s < bucket_start_s);
+        run.insert(
+            at,
+            Bucket {
+                start_s: bucket_start_s,
+                seq,
+                epoch,
+                partial,
+            },
+        );
+        self.len += 1;
+        if self.order.len() > 2 * self.capacity {
+            let series = &self.series;
+            self.order.retain(|&(seq, id, start_s)| {
+                let run = &series[id.0 as usize];
+                locate(run, start_s).is_ok_and(|at| run[at].seq == seq)
+            });
+        }
+    }
+
+    /// [`PartialCache::merge_at`] for one bucket named in full.
+    pub fn merge_into<A: AggState>(&mut self, key: &PartialKey, epoch: u64, acc: &mut A) -> bool {
+        let series = self.series(key.series);
+        self.merge_at(series, key.bucket_start_s, epoch, acc)
+    }
+
+    /// [`PartialCache::put_at`] for one bucket named in full.
     pub fn put(&mut self, key: PartialKey, partial: AggPartial, epoch: u64) {
-        self.inner.insert(key, PartialEntry { partial, epoch });
+        let series = self.series(key.series);
+        self.put_at(series, key.bucket_start_s, partial, epoch);
     }
 }
 
@@ -362,19 +502,14 @@ mod tests {
 
     #[test]
     fn key_hash_spreads_bucket_starts_over_the_low_bits() {
-        // Keys that differ only in a bucket start (a multiple of 900):
-        // the table indexes by the low bits, and 4 096 keys thrown at
-        // 4 096 slots fill ≈63 % of them when the hash is any good. The
-        // raw product would reach a quarter at most.
+        // Keys that differ only in a bucket-aligned window (multiples of
+        // 900): the table indexes by the low bits, and 4 096 keys thrown
+        // at 4 096 slots fill ≈63 % of them when the hash is any good.
+        // The raw product would reach a quarter at most.
         use std::hash::BuildHasher;
         let build = scc_sensors::idhash::BuildIdHasher::default();
         let slots: std::collections::HashSet<u64> = (0..4_096u64)
-            .map(|k| PartialKey {
-                node: NodeKey::Fog2(3),
-                selector: Selector::Type(SensorType::Traffic),
-                scope: Scope::City,
-                bucket_start_s: k * 900,
-            })
+            .map(|k| key(k * 900, (k + 1) * 900))
             .map(|key| build.hash_one(key) & 0xfff)
             .collect();
         assert!(
@@ -389,9 +524,11 @@ mod tests {
         use crate::model::AggPartial;
         let mut pc = PartialCache::new(8);
         let k = PartialKey {
-            node: NodeKey::Fog2(3),
-            selector: Selector::Type(SensorType::Traffic),
-            scope: Scope::District(3),
+            series: SeriesKey {
+                node: NodeKey::Fog2(3),
+                selector: Selector::Type(SensorType::Traffic),
+                scope: Scope::District(3),
+            },
             bucket_start_s: 900,
         };
         let mut acc = AggPartial::empty();
@@ -400,5 +537,95 @@ mod tests {
         assert!(pc.merge_into(&k, 1, &mut acc), "hit");
         assert!(!pc.merge_into(&k, 2, &mut acc), "epoch invalidates");
         assert!(pc.is_empty());
+    }
+
+    /// The old form of [`PartialCache`], kept as the reference model:
+    /// one flat [`BoundedFifo`] keyed by the whole bucket identity.
+    struct FlatPartialCache(BoundedFifo<PartialKey, (AggPartial, u64)>);
+
+    impl FlatPartialCache {
+        fn merge_into(&mut self, key: &PartialKey, epoch: u64, acc: &mut AggPartial) -> bool {
+            match self.0.get_valid(key, |e| e.1 == epoch) {
+                Some(entry) => {
+                    acc.merge(&entry.0);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn put(&mut self, key: PartialKey, partial: AggPartial, epoch: u64) {
+            self.0.insert(key, (partial, epoch));
+        }
+    }
+
+    impl PartialCache {
+        /// The epoch of the resident bucket at `key`, stale or not.
+        fn resident_epoch(&self, key: &PartialKey) -> Option<u64> {
+            let run = &self.series[self.ids.get(&key.series)?.0 as usize];
+            locate(run, key.bucket_start_s).ok().map(|at| run[at].epoch)
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn series_cache_keeps_the_flat_fifo_policy(
+            capacity in proptest::sample::select(vec![1usize, 2, 7]),
+            ops in proptest::collection::vec((0u8..10, 0u16..3, 0u8..2, 0usize..2, 0u64..6), 1..300),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let universe = |node: u16, sel: u8, scope: usize, bucket: u64| PartialKey {
+                series: SeriesKey {
+                    node: if node == 2 { NodeKey::Cloud } else { NodeKey::Fog2(node) },
+                    selector: Selector::Type(
+                        [SensorType::Traffic, SensorType::Weather][sel as usize],
+                    ),
+                    scope: [Scope::City, Scope::District(3)][scope],
+                },
+                bucket_start_s: bucket * 900,
+            };
+            let mut series = PartialCache::new(capacity);
+            let mut flat = FlatPartialCache(BoundedFifo::new(capacity));
+            let (mut got, mut want) = (AggPartial::empty(), AggPartial::empty());
+            let mut epoch = 1u64;
+            for (step, &(kind, node, sel, scope, bucket)) in ops.iter().enumerate() {
+                let key = universe(node, sel, scope, bucket);
+                match kind {
+                    // A flush wave: everything resident goes stale.
+                    0 => epoch += 1,
+                    1..=5 => prop_assert_eq!(
+                        series.merge_into(&key, epoch, &mut got),
+                        flat.merge_into(&key, epoch, &mut want),
+                        "verdict at step {}", step
+                    ),
+                    _ => {
+                        // A partial that names its put, so a hit merges
+                        // the right one.
+                        let mut part = AggPartial::empty();
+                        part.absorb(step as f64, step as u64);
+                        series.put(key, part.clone(), epoch);
+                        flat.put(key, part, epoch);
+                    }
+                }
+                prop_assert_eq!(series.len(), flat.0.len());
+                prop_assert_eq!(series.order.len(), flat.0.order_len());
+                prop_assert!(series.order.len() <= 2 * capacity);
+            }
+            prop_assert_eq!(&got, &want, "the hits merged the same partials");
+            for node in 0..3 {
+                for sel in 0..2 {
+                    for scope in 0..2 {
+                        for bucket in 0..6 {
+                            let key = universe(node, sel, scope, bucket);
+                            prop_assert_eq!(
+                                series.resident_epoch(&key),
+                                flat.0.map.get(&key).map(|slot| slot.value.1),
+                                "survivor {:?}", key
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

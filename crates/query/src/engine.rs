@@ -49,10 +49,10 @@ use scc_sensors::Reading;
 use f2c_aggregate::sketch::SketchLedger;
 use scc_sensors::SensorType;
 
-use crate::cache::{CacheKey, NodeKey, PartialCache, PartialKey, ResultCache};
+use crate::cache::{CacheKey, NodeKey, PartialCache, ResultCache, SeriesKey};
 use crate::model::{
-    absorb_record, finalize, AggPartial, PointSample, Query, QueryAnswer, QueryKind, Scope,
-    Selector,
+    absorb_record, finalize, AggAcc, AggPartial, AggState, PointSample, Query, QueryAnswer,
+    QueryKind, Scope, Selector,
 };
 use crate::planner::{self, Choice, QueryPlan, ScatterLeg, ScatterPlan};
 use crate::{Error, Result};
@@ -621,6 +621,16 @@ pub(crate) struct ServeCore {
     src_fog2: Vec<ResultCache>,
     src_cloud: ResultCache,
     partials: PartialCache,
+    /// What every aggregate request folds into — cleared, not rebuilt,
+    /// between requests. Cached and ledger partials stay sparse
+    /// [`AggPartial`]s; this is the one dense state.
+    acc: AggAcc,
+    /// Lists a fan-out fills and the next one reuses: the legs that
+    /// survived the chaos gate, their `(node, shipped bytes)` for
+    /// metering, and the per-leg point winners.
+    live: Vec<ScatterLeg>,
+    reports: Vec<(FanoutLeg, u64)>,
+    points: Vec<Option<PointSample>>,
     pub(crate) ledger: ClassLedger,
     pub(crate) last_flush_s: u64,
     /// Latest instant any query was served at — the frontier behind
@@ -655,7 +665,7 @@ impl QueryEngine {
     /// serving core's scratch after every serve).
     pub fn new(mut city: F2cCity, cfg: EngineConfig) -> Self {
         let city_ids = EngineMetricIds::register(city.metrics_mut());
-        let core = ServeCore::new(cfg, city.section_count());
+        let core = ServeCore::new(cfg, city.section_count(), city.district_count());
         Self {
             city,
             core,
@@ -839,20 +849,25 @@ impl QueryEngine {
 }
 
 impl ServeCore {
-    /// A serving core for a `section_count`-section city, with caches
-    /// and admission control per `cfg`. The core's counter ids live in
-    /// its own scratch registry; absorption translates them onto the
-    /// city's by `(name, labels)` key.
-    pub(crate) fn new(cfg: EngineConfig, section_count: usize) -> Self {
+    /// A serving core for a city of `section_count` sections in
+    /// `district_count` districts, with caches and admission control per
+    /// `cfg`. The core's counter ids live in its own scratch registry;
+    /// absorption translates them onto the city's by `(name, labels)`
+    /// key.
+    pub(crate) fn new(cfg: EngineConfig, section_count: usize, district_count: usize) -> Self {
         let cache = || ResultCache::new(cfg.result_ttl_s, cfg.result_capacity);
         let mut obs = ObsScratch::new();
         let ids = EngineMetricIds::register(obs.metrics_mut());
         Self {
             edge: (0..section_count).map(|_| cache()).collect(),
             src_fog1: (0..section_count).map(|_| cache()).collect(),
-            src_fog2: (0..10).map(|_| cache()).collect(),
+            src_fog2: (0..district_count).map(|_| cache()).collect(),
             src_cloud: cache(),
             partials: PartialCache::new(cfg.partial_capacity),
+            acc: AggAcc::new(),
+            live: Vec::new(),
+            reports: Vec::new(),
+            points: Vec::new(),
             ledger: ClassLedger::new([cfg.caps.fog1, cfg.caps.fog2, cfg.caps.cloud], &cfg.qos),
             last_flush_s: 0,
             served_frontier_s: 0,
@@ -1221,22 +1236,22 @@ impl ServeCore {
         // business; acquiring them is atomic — a refusal at any layer
         // rolls back the slots already taken at the layers below, so a
         // shed route never leaks in-flight accounting.
-        let (acquired, live) = match choice {
-            Choice::Single(plan) => (self.acquire_single(class, plan), Vec::new()),
+        let acquired = match choice {
+            Choice::Single(plan) => self.acquire_single(class, plan),
             Choice::Scatter(plan) => {
-                let live = self.live_legs(city, query, plan, now_s);
-                if live.is_empty() {
+                self.live_legs(city, query, plan, now_s);
+                if self.live.is_empty() {
                     // Every leg is down: nothing survives to answer from.
                     return shed(layer, ShedCause::Fault);
                 }
                 // One class-tagged slot per surviving leg at each leg's
                 // layer.
                 let mut held = HeldSlots::empty(class);
-                for leg in &live {
+                for leg in &self.live {
                     held.add(leg.layer, 1);
                 }
                 let acquired = self.ledger.try_acquire(class, held.slots());
-                (acquired.map(|()| held), live)
+                acquired.map(|()| held)
             }
         };
         let held = match acquired {
@@ -1253,7 +1268,7 @@ impl ServeCore {
         // merged at the gather node, and meter the transfer(s).
         let ran = match choice {
             Choice::Single(plan) => self.run_single(city, query, plan, now_s, epoch),
-            Choice::Scatter(plan) => self.run_scatter(city, query, plan, &live, now_s, epoch),
+            Choice::Scatter(plan) => self.run_scatter(city, query, plan, now_s, epoch),
         };
         let Some(Ran {
             answer,
@@ -1371,18 +1386,13 @@ impl ServeCore {
     /// — degraded answers never hold slots for work that cannot run.
     /// Surviving legs still produce an exact answer over their shards;
     /// the response is annotated `Partial` so the consumer knows which
-    /// fraction of the plan it covers.
-    fn live_legs(
-        &mut self,
-        city: &F2cCity,
-        query: &Query,
-        plan: &ScatterPlan,
-        now_s: u64,
-    ) -> Vec<ScatterLeg> {
-        let mut live = Vec::with_capacity(plan.legs.len());
+    /// fraction of the plan it covers. The survivors are left in
+    /// `self.live` for [`ServeCore::run_scatter`].
+    fn live_legs(&mut self, city: &F2cCity, query: &Query, plan: &ScatterPlan, now_s: u64) {
+        self.live.clear();
         for leg in &plan.legs {
             if city.leg_available(query.origin, leg.node, now_s) {
-                live.push(*leg);
+                self.live.push(*leg);
             } else {
                 let site = match leg.node {
                     FanoutLeg::Fog1(s) => ChaosSite::Fog1(s),
@@ -1391,9 +1401,8 @@ impl ServeCore {
                 self.obs.record_incident(now_s, site, IncidentKind::LegShed);
             }
         }
-        let legs_shed = (plan.legs.len() - live.len()) as u64;
+        let legs_shed = (plan.legs.len() - self.live.len()) as u64;
         self.obs.metrics_mut().add(self.ids.legs_shed, legs_shed);
-        live
     }
 
     fn source_cache(
@@ -1427,11 +1436,13 @@ impl ServeCore {
                 // The raw window is evicted; the answer is a pure merge
                 // of the node's pre-folded ledger partials — no store
                 // scan, no partial-cache traffic.
-                let (answer, merged) = warm_sketch_answer(city.fog1(s).sketches(), s, query);
+                self.acc.clear();
+                let merged = merge_warm_sketch(city.fog1(s).sketches(), s, query, &mut self.acc);
+                self.acc.end_leg();
                 let m = self.obs.metrics_mut();
                 m.inc(self.ids.sketch_served);
                 m.add(self.ids.sketch_hits, merged);
-                return (answer, 0);
+                return (QueryAnswer::Aggregate(finalize(&self.acc)), 0);
             }
             DataSource::Local => (
                 city.fog1(query.origin).store(),
@@ -1456,19 +1467,22 @@ impl ServeCore {
             QueryKind::Range => execute_range(store, query),
             QueryKind::Aggregate => {
                 let mut tally = FoldTally::default();
-                let (acc, visited) = fold_aggregate(
+                self.acc.clear();
+                let visited = fold_aggregate(
                     city,
                     store,
                     node,
                     query,
                     &mut self.partials,
+                    &mut self.acc,
                     &mut tally,
                     epoch,
                     now_s,
                     self.cfg.bucket_s,
                 );
+                self.acc.end_leg();
                 self.apply_fold_tally(tally);
-                (QueryAnswer::Aggregate(finalize(&acc)), visited)
+                (QueryAnswer::Aggregate(finalize(&self.acc)), visited)
             }
         }
     }
@@ -1483,32 +1497,36 @@ impl ServeCore {
     }
 
     /// Executes every surviving leg of an admitted fan-out (the plan's
-    /// legs, minus any the chaos gate shed) against its shard, merges the
-    /// partial results at the gather node ([`crate::scatter`]) and meters
-    /// every transfer; `None` when one was lost in flight.
+    /// legs, minus any the chaos gate shed — what
+    /// [`ServeCore::live_legs`] left in `self.live`) against its shard,
+    /// merges the partial results at the gather node: aggregates in the
+    /// core's accumulator, points and ranges through [`crate::scatter`].
+    /// Meters every transfer; `None` when one was lost in flight.
     fn run_scatter(
         &mut self,
         city: &F2cCity,
         query: &Query,
         plan: &ScatterPlan,
-        legs: &[ScatterLeg],
         now_s: u64,
         epoch: u64,
     ) -> Option<Ran> {
+        // The core's lists, borrowed for the length of the fan-out.
+        let legs = std::mem::take(&mut self.live);
         // Per-leg `(node, partial bytes)`, for metering.
-        let mut reports = Vec::with_capacity(legs.len());
+        let mut reports = std::mem::take(&mut self.reports);
+        let mut points = std::mem::take(&mut self.points);
+        let leg_count = legs.len();
         let mut visited_total = 0u64;
         let mut slowest = Duration::ZERO;
-        let mut points = Vec::new();
         let mut ranges = Vec::new();
-        let mut partial_legs = Vec::new();
+        self.acc.clear();
         let mut tally = FoldTally::default();
         let mut sketch_legs = 0u64;
         let mut sketch_hits = 0u64;
         let now_us = now_s.saturating_mul(1_000_000);
         let site = Site::new("fog1", query.origin as u32);
         let exec = self.obs.tracer_mut().open(site, "query-execute", now_us);
-        for leg in legs {
+        for leg in &legs {
             let shard = Query {
                 scope: leg.scope,
                 ..*query
@@ -1530,7 +1548,7 @@ impl ServeCore {
                     (bytes, visited)
                 }
                 QueryKind::Aggregate => {
-                    let (partial, visited) = if leg.via_sketch {
+                    let visited = if leg.via_sketch {
                         // The shard's raw records are evicted; the leg
                         // ships its ledger's pre-folded partials.
                         let section = match leg.node {
@@ -1539,16 +1557,14 @@ impl ServeCore {
                                 unreachable!("sketch legs are always fog-1 members")
                             }
                         };
-                        let mut acc = AggPartial::empty();
-                        let merged = merge_warm_sketch(
+                        sketch_hits += merge_warm_sketch(
                             city.fog1(section).sketches(),
                             section,
                             &shard,
-                            &mut acc,
+                            &mut self.acc,
                         );
                         sketch_legs += 1;
-                        sketch_hits += merged;
-                        (acc, 0)
+                        0
                     } else {
                         fold_aggregate(
                             city,
@@ -1556,13 +1572,16 @@ impl ServeCore {
                             node,
                             &shard,
                             &mut self.partials,
+                            &mut self.acc,
                             &mut tally,
                             epoch,
                             now_s,
                             self.cfg.bucket_s,
                         )
                     };
-                    partial_legs.push(partial);
+                    // The leg's scalars join the gather's total in leg
+                    // order, as its shipped partial's would.
+                    self.acc.end_leg();
                     (AGG_PARTIAL_WIRE_BYTES, visited)
                 }
             };
@@ -1587,31 +1606,33 @@ impl ServeCore {
         m.add(self.ids.sketch_legs, sketch_legs);
         m.add(self.ids.sketch_hits, sketch_hits);
         let answer = match query.kind {
-            QueryKind::Point => crate::scatter::merge_points(points),
+            QueryKind::Point => crate::scatter::merge_points(points.drain(..)),
             QueryKind::Range => crate::scatter::merge_ranges(ranges),
-            QueryKind::Aggregate => crate::scatter::merge_aggregates(partial_legs),
+            QueryKind::Aggregate => QueryAnswer::Aggregate(finalize(&self.acc)),
         };
         self.obs
             .tracer_mut()
-            .close_with(exec, now_us + slowest.as_micros(), legs.len() as u64);
+            .close_with(exec, now_us + slowest.as_micros(), leg_count as u64);
         self.obs
             .metrics_mut()
             .add(self.ids.records_scanned, visited_total);
         let bytes = answer.response_bytes();
-        city.meter_fanout_scratch(
+        let metered = city.meter_fanout_scratch(
             self.obs.net_mut(),
             query.origin,
             &reports,
             self.cfg.request_bytes,
             bytes,
             now_s,
-        )
-        .ok()?;
+        );
+        reports.clear();
+        (self.live, self.reports, self.points) = (legs, reports, points);
+        metered.ok()?;
         let m = self.obs.metrics_mut();
         m.inc(self.ids.scatter_served);
-        m.add(self.ids.scatter_legs, legs.len() as u64);
+        m.add(self.ids.scatter_legs, leg_count as u64);
         let legs_total = plan.legs.len() as u32;
-        let legs_shed = legs_total - legs.len() as u32;
+        let legs_shed = legs_total - leg_count as u32;
         let completeness = if legs_shed == 0 {
             Completeness::Complete
         } else {
@@ -1624,10 +1645,10 @@ impl ServeCore {
         Some(Ran {
             answer,
             via: ServedVia::Scatter {
-                legs: legs.len() as u32,
+                legs: leg_count as u32,
             },
             bytes,
-            busy: slowest + city.cost_model().fanout_overhead(legs.len()),
+            busy: slowest + city.cost_model().fanout_overhead(leg_count),
             completeness,
         })
     }
@@ -1820,23 +1841,15 @@ impl<'a> PrefoldCtx<'a> {
     }
 }
 
-/// Answers an aggregate query from a fog-1 node's warm sketches alone
-/// (the `DataSource::WarmSketch` path — the planner proved coverage, so
-/// absent buckets are provably empty). Returns the answer and how many
-/// ledger partials were merged.
-fn warm_sketch_answer(ledger: &SketchLedger, section: usize, query: &Query) -> (QueryAnswer, u64) {
-    let mut acc = AggPartial::empty();
-    let merged = merge_warm_sketch(ledger, section, query, &mut acc);
-    (QueryAnswer::Aggregate(finalize(&acc)), merged)
-}
-
 /// Merges every ledger partial matching `query`'s selector over its
 /// whole window for `section` into `acc`; returns the number merged.
+/// This is a whole warm-sketch answer or leg: the planner proved
+/// coverage, so absent buckets are provably empty.
 fn merge_warm_sketch(
     ledger: &SketchLedger,
     section: usize,
     query: &Query,
-    acc: &mut AggPartial,
+    acc: &mut AggAcc,
 ) -> u64 {
     let w = query.window;
     merge_selected(ledger, section as u16, query, w.from_s, w.until_s, acc)
@@ -1845,13 +1858,13 @@ fn merge_warm_sketch(
 /// Merges the ledger partials of every sensor type `query`'s selector
 /// matches over `[from_s, until_s)` for `section`; returns the number
 /// merged.
-fn merge_selected(
+fn merge_selected<A: AggState>(
     ledger: &SketchLedger,
     section: u16,
     query: &Query,
     from_s: u64,
     until_s: u64,
-    acc: &mut AggPartial,
+    acc: &mut A,
 ) -> u64 {
     let mut merged = 0;
     for ty in SensorType::ALL {
@@ -1862,11 +1875,13 @@ fn merge_selected(
     merged
 }
 
-/// Folds the window into one mergeable [`AggPartial`] — the shape a
-/// scatter-gather leg ships to the gather node — reusing cached closed
-/// buckets where the epoch allows, and assembling closed buckets from
-/// the node's sketch ledger (the flush-shipped pre-folded partials)
-/// before falling back to an archive scan.
+/// Folds the window into the current leg of `acc` — what a
+/// scatter-gather leg ships to the gather node, or a single source's
+/// whole answer — reusing cached closed buckets where the epoch allows,
+/// and assembling closed buckets from the node's sketch ledger (the
+/// flush-shipped pre-folded partials) before falling back to an archive
+/// scan. Only a bucket about to be cached is ever built as an
+/// [`AggPartial`]. Returns the records visited.
 #[allow(clippy::too_many_arguments)]
 fn fold_aggregate(
     city: &F2cCity,
@@ -1874,75 +1889,77 @@ fn fold_aggregate(
     node: NodeKey,
     query: &Query,
     partials: &mut PartialCache,
+    acc: &mut AggAcc,
     tally: &mut FoldTally,
     epoch: u64,
     now_s: u64,
     bucket_s: u64,
-) -> (AggPartial, u64) {
+) -> u64 {
     let w = query.window;
     let bucket_s = bucket_s.max(1);
-    let mut acc = AggPartial::empty();
     let mut visited = 0u64;
     let first_full = w.from_s.next_multiple_of(bucket_s);
     let last_full = (w.until_s / bucket_s) * bucket_s;
     if first_full >= last_full {
         // No full bucket inside the window: one direct fold.
-        visited += fold_segment(store, query, w.from_s, w.until_s, &mut acc);
-    } else {
-        let prefold = PrefoldCtx::new(city, store, node, query, bucket_s);
-        visited += fold_segment(store, query, w.from_s, first_full, &mut acc);
-        let mut bucket = first_full;
-        while bucket < last_full {
-            let bucket_end = bucket + bucket_s;
-            // Only closed buckets are cacheable: fog-1 ingest appends at
-            // the clock frontier, and tiers above only change on flush
-            // (which bumps the epoch), so a cached closed bucket cannot
-            // drift.
-            if bucket_end <= now_s {
-                let key = PartialKey {
-                    node,
-                    selector: query.selector,
-                    scope: query.scope,
-                    bucket_start_s: bucket,
-                };
-                // A cached-partial merge is O(1) — no records visited,
-                // so it never costs more than folding the bucket (even
-                // an empty one).
-                if partials.merge_into(&key, epoch, &mut acc) {
-                    tally.partial_hits += 1;
-                } else if let Some(part) = prefold
-                    .as_ref()
-                    .and_then(|ctx| ctx.bucket(query, bucket, bucket_end))
-                {
-                    // The flush already folded this bucket: merge the
-                    // shipped partials instead of re-scanning, and cache
-                    // the assembly for the next query.
-                    acc.merge(&part);
-                    partials.put(key, part, epoch);
-                    tally.prefold_hits += 1;
-                } else {
-                    let mut part = AggPartial::empty();
-                    visited += fold_segment(store, query, bucket, bucket_end, &mut part);
-                    acc.merge(&part);
-                    partials.put(key, part, epoch);
-                    tally.partial_fills += 1;
-                }
-            } else {
-                visited += fold_segment(store, query, bucket, bucket_end, &mut acc);
-            }
-            bucket = bucket_end;
-        }
-        visited += fold_segment(store, query, last_full, w.until_s, &mut acc);
+        return fold_segment(store, query, w.from_s, w.until_s, acc);
     }
-    (acc, visited)
+    let prefold = PrefoldCtx::new(city, store, node, query, bucket_s);
+    // One table probe for the whole leg; its buckets are then found by
+    // their start.
+    let series = partials.series(SeriesKey {
+        node,
+        selector: query.selector,
+        scope: query.scope,
+    });
+    visited += fold_segment(store, query, w.from_s, first_full, acc);
+    let mut bucket = first_full;
+    while bucket < last_full {
+        let bucket_end = bucket + bucket_s;
+        // Only closed buckets are cacheable: fog-1 ingest appends at
+        // the clock frontier, and tiers above only change on flush
+        // (which bumps the epoch), so a cached closed bucket cannot
+        // drift.
+        if bucket_end <= now_s {
+            // A cached-partial merge is O(its registers) — no records
+            // visited, so it never costs more than folding the bucket
+            // (even an empty one).
+            if partials.merge_at(series, bucket, epoch, acc) {
+                tally.partial_hits += 1;
+            } else if let Some(part) = prefold
+                .as_ref()
+                .and_then(|ctx| ctx.bucket(query, bucket, bucket_end))
+            {
+                // The flush already folded this bucket: merge the
+                // shipped partials instead of re-scanning, and cache
+                // the assembly for the next query.
+                acc.merge(&part);
+                partials.put_at(series, bucket, part, epoch);
+                tally.prefold_hits += 1;
+            } else {
+                let mut part = AggPartial::empty();
+                visited += fold_segment(store, query, bucket, bucket_end, &mut part);
+                acc.merge(&part);
+                partials.put_at(series, bucket, part, epoch);
+                tally.partial_fills += 1;
+            }
+        } else {
+            visited += fold_segment(store, query, bucket, bucket_end, acc);
+        }
+        bucket = bucket_end;
+    }
+    visited + fold_segment(store, query, last_full, w.until_s, acc)
 }
 
-fn fold_segment(
+/// Folds the matching records created in `[from_s, until_s)` into `acc`
+/// — the request's accumulator, or a bucket partial about to be cached;
+/// returns the records visited.
+fn fold_segment<A: AggState>(
     store: &TieredStore,
     query: &Query,
     from_s: u64,
     until_s: u64,
-    acc: &mut AggPartial,
+    acc: &mut A,
 ) -> u64 {
     // A bucket-aligned window has empty head and tail segments: most
     // calls. Two binary searches to find that out are not free.
@@ -1995,6 +2012,20 @@ mod tests {
                 cause,
             } => panic!("unexpected {class} shed at {layer} ({cause:?})"),
         }
+    }
+
+    #[test]
+    fn per_node_caches_follow_the_topology() {
+        // An eleventh district must get its own gather cache: the fog-2
+        // caches were once sized for Barcelona's ten whatever the city.
+        let core = ServeCore::new(EngineConfig::default(), 80, 11);
+        assert_eq!(core.edge.len(), 80);
+        assert_eq!(core.src_fog1.len(), 80);
+        assert_eq!(core.src_fog2.len(), 11);
+        let city = F2cCity::barcelona().unwrap();
+        let e = QueryEngine::new(city, EngineConfig::default());
+        assert_eq!(e.core.src_fog1.len(), e.city().section_count());
+        assert_eq!(e.core.src_fog2.len(), e.city().district_count());
     }
 
     #[test]

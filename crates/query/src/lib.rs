@@ -31,7 +31,9 @@
 //!   ([`f2c_aggregate::sketch::AggPartial`] moments/extremes plus a
 //!   HyperLogLog distinct-sensor sketch) — served from the partial
 //!   cache, assembled from the flush-shipped sketch ledger
-//!   (`prefold`), or scanned, in that order,
+//!   (`prefold`), or scanned, in that order — and all folded into the
+//!   serving core's one dense accumulator
+//!   ([`f2c_aggregate::sketch::AggAcc`]), never into a per-leg partial,
 //! * [`workload`] — what a deterministic, seeded closed-loop workload
 //!   is: dashboard / analytics / real-time / city-wide mixes, diurnal
 //!   day-curves and per-class flash crowds, the per-class query
@@ -91,8 +93,8 @@ pub use engine::{
 pub use error::{Error, Result};
 pub use f2c_qos::{ClassLedger, ClassPolicy, QosPolicy, ShedCause};
 pub use model::{
-    absorb_record, finalize, AggPartial, AggregateResult, PointSample, Query, QueryAnswer,
-    QueryKind, Scope, Selector, TimeWindow,
+    absorb_record, finalize, AggAcc, AggPartial, AggState, AggregateResult, PointSample, Query,
+    QueryAnswer, QueryKind, Scope, Selector, TimeWindow,
 };
 pub use planner::{plan, Choice, QueryPlan, Route, ScatterLeg, ScatterPlan};
 pub use workload::{

@@ -11,7 +11,7 @@ use f2c_qos::ServiceClass;
 use scc_dlc::DataRecord;
 use scc_sensors::{Category, SensorId, SensorType};
 
-pub use f2c_aggregate::sketch::AggPartial;
+pub use f2c_aggregate::sketch::{AggAcc, AggPartial, AggState};
 
 use crate::{Error, Result};
 
@@ -195,23 +195,23 @@ pub struct AggregateResult {
     pub distinct_sensors: u64,
 }
 
-/// Absorbs one stored record into a partial: its magnitude into the
-/// moments/extremes, its sensor identity into the distinct sketch. (The
-/// [`AggPartial`] itself lives in `f2c_aggregate::sketch`, shared with
-/// the write path's flush shipping — this is the record-shaped door the
-/// serving side uses.)
-pub fn absorb_record(acc: &mut AggPartial, record: &DataRecord) {
+/// Absorbs one stored record into an aggregate state: its magnitude
+/// into the moments/extremes, its sensor identity into the distinct
+/// sketch. (The states themselves live in `f2c_aggregate::sketch`,
+/// shared with the write path's flush shipping — this is the
+/// record-shaped door the serving side uses.)
+pub fn absorb_record<A: AggState>(acc: &mut A, record: &DataRecord) {
     acc.absorb(
         record.reading().value().magnitude(),
         record.reading().sensor().seed_material(),
     );
 }
 
-/// Finalizes a partial into the answer bundle every aggregate query
-/// returns.
-pub fn finalize(partial: &AggPartial) -> AggregateResult {
-    let moments = partial.moments();
-    let minmax = partial.minmax();
+/// Finalizes an aggregate state — a request's accumulator, or a lone
+/// partial — into the answer bundle every aggregate query returns.
+pub fn finalize<A: AggState>(state: &A) -> AggregateResult {
+    let moments = state.moments();
+    let minmax = state.minmax();
     AggregateResult {
         count: moments.count,
         sum: moments.sum,
@@ -219,7 +219,7 @@ pub fn finalize(partial: &AggPartial) -> AggregateResult {
         min: minmax.min,
         max: minmax.max,
         variance: moments.variance(),
-        distinct_sensors: partial.distinct_estimate(),
+        distinct_sensors: state.distinct_estimate(),
     }
 }
 

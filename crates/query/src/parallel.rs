@@ -329,7 +329,7 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
         .map(|d| {
             let mut cfg = engine_core.cfg;
             cfg.caps = slices[d];
-            let mut core = ServeCore::new(cfg, section_count);
+            let mut core = ServeCore::new(cfg, section_count, districts);
             core.last_flush_s = config.start_s;
             Shard {
                 sections: city.sections_in_district(d).to_vec(),
@@ -676,7 +676,11 @@ mod tests {
         populate_city(&mut city, 50_000, 11, 3_600, 900).unwrap();
         let mut cores: Vec<ServeCore> = (0..3)
             .map(|_| {
-                let mut core = ServeCore::new(EngineConfig::default(), city.section_count());
+                let mut core = ServeCore::new(
+                    EngineConfig::default(),
+                    city.section_count(),
+                    city.district_count(),
+                );
                 core.last_flush_s = 3_600;
                 core
             })

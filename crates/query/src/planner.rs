@@ -350,12 +350,12 @@ fn fog1_shards_complete(city: &F2cCity, d: usize, w: TimeWindow) -> bool {
 
 /// Whether the cloud provably holds `w` for the given districts: every
 /// member fog-1 and fog-2 queue below it has settled past the window end.
-fn cloud_complete<'a>(
+fn cloud_complete(
     city: &F2cCity,
-    districts: impl Iterator<Item = &'a usize>,
+    districts: impl IntoIterator<Item = usize>,
     w: TimeWindow,
 ) -> bool {
-    districts.into_iter().all(|&d| {
+    districts.into_iter().all(|d| {
         city.fog2(d).store().settled_through(w.until_s)
             && city
                 .sections_in_district(d)
@@ -364,20 +364,22 @@ fn cloud_complete<'a>(
     })
 }
 
-/// The fan-out legs covering district `d`'s shard, gathered at
-/// `gather`'s fog-2: the district fog-2 when it is provably complete
-/// (one leg), else one leg per member fog-1 node, else — for aggregate
-/// queries — one *warm-sketch* leg per member whose ledger still covers
-/// the window (the raw shards may all be evicted), else `None` — the
-/// shard is not provably held at the fog tiers.
+/// Appends to `legs` the fan-out legs covering district `d`'s shard,
+/// gathered at `gather`'s fog-2: the district fog-2 when it is provably
+/// complete (one leg), else one leg per member fog-1 node, else — for
+/// aggregate queries — one *warm-sketch* leg per member whose ledger
+/// still covers the window (the raw shards may all be evicted). Returns
+/// `false`, appending nothing, when the shard is not provably held at
+/// the fog tiers.
 fn district_legs(
     city: &F2cCity,
     d: usize,
     gather: usize,
     w: TimeWindow,
     kind: QueryKind,
+    legs: &mut Vec<ScatterLeg>,
     cap: &mut Option<Capture>,
-) -> Option<Vec<ScatterLeg>> {
+) -> bool {
     let hops = city.fog2_ring_hops(d, gather);
     if fog2_complete(city, d, w) {
         note(cap, || {
@@ -393,25 +395,23 @@ fn district_legs(
         } else {
             FanoutPath::SiblingFog2 { hops }
         };
-        return Some(vec![ScatterLeg {
+        legs.push(ScatterLeg {
             node: FanoutLeg::Fog2(d),
             scope: Scope::District(d),
             path,
             layer: Layer::Fog2,
             via_sketch: false,
-        }]);
+        });
+        return true;
     }
-    let member_legs = |via_sketch: bool| {
-        city.sections_in_district(d)
-            .iter()
-            .map(|&s| ScatterLeg {
-                node: FanoutLeg::Fog1(s),
-                scope: Scope::Section(s),
-                path: FanoutPath::MemberFog1 { hops },
-                layer: Layer::Fog1,
-                via_sketch,
-            })
-            .collect()
+    let mut member_legs = |via_sketch: bool| {
+        legs.extend(city.sections_in_district(d).iter().map(|&s| ScatterLeg {
+            node: FanoutLeg::Fog1(s),
+            scope: Scope::Section(s),
+            path: FanoutPath::MemberFog1 { hops },
+            layer: Layer::Fog1,
+            via_sketch,
+        }));
     };
     if fog1_shards_complete(city, d, w) {
         note(cap, || {
@@ -420,7 +420,8 @@ fn district_legs(
                 w.from_s
             )
         });
-        return Some(member_legs(false));
+        member_legs(false);
+        return true;
     }
     if kind == QueryKind::Aggregate
         && city
@@ -437,7 +438,8 @@ fn district_legs(
                 w.from_s, w.until_s
             )
         });
-        return Some(member_legs(true));
+        member_legs(true);
+        return true;
     }
     note(cap, || {
         format!(
@@ -445,14 +447,15 @@ fn district_legs(
             w.from_s, w.until_s
         )
     });
-    None
+    false
 }
 
 fn scatter_plan(city: &F2cCity, legs: Vec<ScatterLeg>, gather: usize) -> ScatterPlan {
-    let paths: Vec<FanoutPath> = legs.iter().map(|l| l.path).collect();
-    let est_cost =
-        city.cost_model()
-            .scatter_cost(&paths, NOMINAL_PAYLOAD_BYTES, NOMINAL_PAYLOAD_BYTES);
+    let est_cost = city.cost_model().scatter_cost(
+        legs.iter().map(|l| l.path),
+        NOMINAL_PAYLOAD_BYTES,
+        NOMINAL_PAYLOAD_BYTES,
+    );
     ScatterPlan {
         legs,
         gather_district: gather,
@@ -604,16 +607,14 @@ fn plan_captured(city: &F2cCity, query: &Query, cap: &mut Option<Capture>) -> Re
             // single source — parent or metro-ring sibling); fog-1 legs
             // mean the window lives only at the members (scatter-gather,
             // merged at the requester's fog-2).
-            match district_legs(city, d, origin_district, w, query.kind, cap) {
-                Some(legs)
-                    if matches!(
-                        legs[..],
-                        [ScatterLeg {
-                            layer: Layer::Fog2,
-                            ..
-                        }]
-                    ) =>
-                {
+            let mut legs = Vec::with_capacity(city.sections_in_district(d).len());
+            district_legs(city, d, origin_district, w, query.kind, &mut legs, cap);
+            match legs[..] {
+                // No provable cover at the fog tiers.
+                [] => {}
+                [ScatterLeg {
+                    layer: Layer::Fog2, ..
+                }] => {
                     if d == origin_district {
                         singles.push((AccessOption::Parent, DataSource::Parent, Layer::Fog2));
                     } else {
@@ -628,10 +629,9 @@ fn plan_captured(city: &F2cCity, query: &Query, cap: &mut Option<Capture>) -> Re
                         ));
                     }
                 }
-                Some(legs) => scatter = Some(scatter_plan(city, legs, origin_district)),
-                None => {}
+                _ => scatter = Some(scatter_plan(city, legs, origin_district)),
             }
-            let cloud_ok = cloud_complete(city, [d].iter(), w);
+            let cloud_ok = cloud_complete(city, [d], w);
             note(cap, || {
                 format!(
                     "cloud: district {d} frontiers settled through {} -> {}",
@@ -644,22 +644,15 @@ fn plan_captured(city: &F2cCity, query: &Query, cap: &mut Option<Capture>) -> Re
             }
         }
         Scope::City => {
-            let districts: Vec<usize> = (0..city.district_count()).collect();
-            let mut legs = Vec::new();
-            let mut coverable = true;
-            for &d in &districts {
-                match district_legs(city, d, origin_district, w, query.kind, cap) {
-                    Some(mut shard) => legs.append(&mut shard),
-                    None => {
-                        coverable = false;
-                        break;
-                    }
-                }
-            }
+            // At most one leg per section; the walk stops at the first
+            // district nothing in the fog provably covers.
+            let mut legs = Vec::with_capacity(city.section_count());
+            let coverable = (0..city.district_count())
+                .all(|d| district_legs(city, d, origin_district, w, query.kind, &mut legs, cap));
             if coverable {
                 scatter = Some(scatter_plan(city, legs, origin_district));
             }
-            let cloud_ok = cloud_complete(city, districts.iter(), w);
+            let cloud_ok = cloud_complete(city, 0..city.district_count(), w);
             note(cap, || {
                 format!(
                     "cloud: all-district frontiers settled through {} -> {}",

@@ -5,7 +5,9 @@
 //!
 //! * **aggregates** — [`AggPartial`] merge, exact for count / extremes /
 //!   distinct sketches and within rounding for sums (the §V.A
-//!   decomposability across *nodes* rather than across time buckets),
+//!   decomposability across *nodes* rather than across time buckets);
+//!   the engine's own legs skip the partial and fold straight into the
+//!   accumulator this merge is built on,
 //! * **points** — the per-leg winners race by the engine's canonical
 //!   `(created, sensor)` rank,
 //! * **ranges** — a k-way ordered merge over the per-leg record streams
@@ -21,7 +23,7 @@ use std::collections::BinaryHeap;
 
 use scc_dlc::DataRecord;
 
-use crate::model::{finalize, AggPartial, PointSample, QueryAnswer};
+use crate::model::{finalize, AggAcc, AggPartial, AggState, PointSample, QueryAnswer};
 
 /// `(identity, leg index, position in leg)` — one k-way merge cursor.
 type MergeCursor = ((u64, u64), usize, usize);
@@ -35,11 +37,14 @@ fn identity(rec: &DataRecord) -> (u64, u64) {
     )
 }
 
-/// Merges the per-leg aggregate partials into one finalized bundle.
+/// Merges the per-leg aggregate partials into one finalized bundle —
+/// what the gather does with partials that *arrive*. (The engine's own
+/// legs fold straight into its accumulator and are never materialised.)
 pub fn merge_aggregates(legs: Vec<AggPartial>) -> QueryAnswer {
-    let mut acc = AggPartial::empty();
+    let mut acc = AggAcc::new();
     for leg in &legs {
         acc.merge(leg);
+        acc.end_leg();
     }
     QueryAnswer::Aggregate(finalize(&acc))
 }
@@ -47,7 +52,7 @@ pub fn merge_aggregates(legs: Vec<AggPartial>) -> QueryAnswer {
 /// Merges the per-leg latest observations: the city-wide latest is the
 /// maximum of the shard winners under the canonical `(created, sensor)`
 /// rank every complete source agrees on.
-pub fn merge_points(legs: Vec<Option<PointSample>>) -> QueryAnswer {
+pub fn merge_points(legs: impl IntoIterator<Item = Option<PointSample>>) -> QueryAnswer {
     QueryAnswer::Point(
         legs.into_iter()
             .flatten()
@@ -135,6 +140,49 @@ mod tests {
                 assert_eq!(a.distinct_sensors, f.distinct_sensors);
             }
             other => panic!("expected aggregate, got {other:?}"),
+        }
+    }
+
+    /// The old form of [`merge_aggregates`], kept as the reference
+    /// model: one sparse partial merged per leg.
+    fn merge_aggregates_reference(legs: &[AggPartial]) -> crate::model::AggregateResult {
+        let mut acc = AggPartial::empty();
+        for leg in legs {
+            acc.merge(leg);
+        }
+        finalize(&acc)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn aggregate_merge_keeps_every_bit_of_the_per_leg_partial_merge(
+            legs in proptest::collection::vec(
+                proptest::collection::vec((-1.0e6..1.0e6f64, 0u64..4_000), 0..120),
+                0..24,
+            ),
+        ) {
+            let legs: Vec<AggPartial> = legs
+                .iter()
+                .map(|observations| {
+                    let mut p = AggPartial::empty();
+                    for &(v, key) in observations {
+                        p.absorb(v, key);
+                    }
+                    p
+                })
+                .collect();
+            let want = merge_aggregates_reference(&legs);
+            let QueryAnswer::Aggregate(got) = merge_aggregates(legs) else {
+                panic!("expected aggregate");
+            };
+            let bits = |v: Option<f64>| v.map(f64::to_bits);
+            proptest::prop_assert_eq!(got.count, want.count);
+            proptest::prop_assert_eq!(got.sum.to_bits(), want.sum.to_bits());
+            proptest::prop_assert_eq!(bits(got.mean), bits(want.mean));
+            proptest::prop_assert_eq!(bits(got.variance), bits(want.variance));
+            proptest::prop_assert_eq!(bits(got.min), bits(want.min));
+            proptest::prop_assert_eq!(bits(got.max), bits(want.max));
+            proptest::prop_assert_eq!(got.distinct_sensors, want.distinct_sensors);
         }
     }
 

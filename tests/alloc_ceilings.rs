@@ -20,7 +20,9 @@
 //! per reading) and a store that formatted each record's wire line on
 //! insert. The settled-bucket scatter was added when every partial — the
 //! accumulator of each leg, of each bucket, of the gather — stopped
-//! carrying a 1 KiB register block. The ingest ceiling, the tighter flush
+//! carrying a 1 KiB register block; both scatter ceilings came down to
+//! single digits when the per-leg accumulators went altogether. The
+//! ingest ceiling, the tighter flush
 //! ceiling and the record-size assertion were added when a record's tags
 //! (city, provider) became shared instead of two heap strings per copy.
 
@@ -91,12 +93,19 @@ const REPEATS: u64 = 64;
 // that, and one where there is nothing to double.
 const EDGE_HIT_CEILING: u64 = 1;
 const LOCAL_POINT_CEILING: u64 = 2;
-const SCATTER_CEILING: u64 = 100;
 // Re-measured when registers went sparse-first: the 22-leg scatter 51
 // (46 the commit before — an accumulator now grows its short list by
 // doubling where it allocated one 1 KiB block; far fewer bytes, a few
-// more calls) and the 10-leg settled scatter 36 (33). Twice the latter.
-const SETTLED_SCATTER_CEILING: u64 = 72;
+// more calls) and the 10-leg settled scatter 36 (33). Re-measured when
+// a request came to fold into the serving core's one dense accumulator
+// and to borrow the core's leg, report and point lists: 1 for the
+// 22-leg scatter (the plan's leg list) and 2 for the settled one (the
+// leg list and the candidates of its contest with the cloud) — no leg
+// builds a partial, and the planner appends a district's legs to the
+// one list instead of returning a list per district. The ceilings keep
+// a handful of allocations of headroom rather than double a 1.
+const SCATTER_CEILING: u64 = 8;
+const SETTLED_SCATTER_CEILING: u64 = 8;
 
 // Measured when the ceilings were set: 8 per stored reading for a flush
 // wave (two hops: take, clone, encode, decode, verify, insert) and 1 per
