@@ -26,6 +26,8 @@
 //! exactly when the window end lies at or before the seal frontier
 //! *and* the owner has nothing pending below it (the planner's check).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::{HashMap, HashSet};
 
 use scc_sensors::SensorType;

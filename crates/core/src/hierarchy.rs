@@ -937,13 +937,20 @@ impl F2cCity {
         let mut cloud_wave_end_us = now_us;
         let mut cloud_shipped = 0u64;
         let mut fog2_bytes = 0;
+        // The districts' shipments are verified in turn and stored as one
+        // wave; a failure stores those verified before it.
+        let mut verified = Vec::with_capacity(preps.len());
+        let mut failed: Option<Error> = None;
         for (d, prep) in preps.into_iter().enumerate() {
             let (batch, corrupted) = match prep {
                 CloudPrep::Skip(kind) => {
                     self.record_incident(now_s, ChaosSite::Fog2(d), kind);
                     continue;
                 }
-                CloudPrep::Failed(e) => return Err(e),
+                CloudPrep::Failed(e) => {
+                    failed = Some(e);
+                    break;
+                }
                 CloudPrep::Ship { batch, corrupted } => (batch, corrupted),
             };
             if let Some(key) = corrupted {
@@ -985,7 +992,10 @@ impl F2cCity {
                 Err(_) => now_us,
             };
             self.tracer.close_with(hop, arrival_us, batch.acct_bytes);
-            sent?;
+            if let Err(e) = sent {
+                failed = Some(e.into());
+                break;
+            }
             cloud_wave_end_us = cloud_wave_end_us.max(arrival_us);
             cloud_shipped += 1;
             self.metrics
@@ -1004,8 +1014,18 @@ impl F2cCity {
                     });
                 }
             }
-            self.cloud
-                .receive_flush(d as u16, batch.payload.as_deref(), batch.records, now_s)?;
+            if let Err(e) =
+                self.cloud
+                    .verify_flush(d as u16, batch.payload.as_deref(), &batch.records)
+            {
+                failed = Some(e);
+                break;
+            }
+            verified.push(batch.records);
+        }
+        self.cloud.receive_wave(verified, now_s);
+        if let Some(e) = failed {
+            return Err(e);
         }
         self.tracer
             .close_with(cloud_wave, cloud_wave_end_us, cloud_shipped);
@@ -1344,6 +1364,9 @@ impl FlushShard<'_> {
         let wave = self.obs.tracer.open(site, "flush-wave", now_us);
         let mut wave_end_us = now_us;
         let mut shipped = 0u64;
+        // The children's shipments are verified in turn and stored as one
+        // wave; a failure stores those verified before it.
+        let mut verified = Vec::with_capacity(self.fog1.len());
         for k in 0..self.fog1.len() {
             let i = self.base + k;
             let from = city.fog1_nodes()[i];
@@ -1430,12 +1453,14 @@ impl FlushShard<'_> {
             // decode-equality check runs live, on every hop.
             if let Err(e) =
                 self.fog2
-                    .receive_flush(i as u16, batch.payload.as_deref(), batch.records, now_s)
+                    .verify_flush(i as u16, batch.payload.as_deref(), &batch.records)
             {
                 self.err = Some(e);
                 break;
             }
+            verified.push(batch.records);
         }
+        self.fog2.receive_wave(verified, now_s);
         self.obs.tracer.close_with(wave, wave_end_us, shipped);
     }
 }
@@ -1662,6 +1687,199 @@ mod tests {
         let mut city = F2cCity::barcelona().unwrap();
         let err = city.fetch(0, SensorType::GasMeter, 0, 100, 50).unwrap_err();
         assert!(matches!(err, Error::Unplaceable { .. }));
+    }
+
+    /// The flush wave as it was before each receiving node stored its
+    /// wave once: every shipment verified and stored on its own through
+    /// the node API — fog 1 → fog 2 district by district (a failure ends
+    /// its district's turn), then every fog 2 flushed and each district
+    /// shipped to the cloud in turn (a failure ends the wave). Fault-free,
+    /// so no gate, loss or corruption coin is drawn.
+    fn per_shipment_wave(city: &mut F2cCity, now_s: u64) -> Result<()> {
+        let catalog = &city.catalog;
+        let mut first_err = None;
+        let mut sections = 0..0;
+        for (d, fog2) in city.fog2.iter_mut().enumerate() {
+            sections = sections.end..sections.end + DISTRICTS[d].1;
+            for i in sections.clone() {
+                let batch = city.fog1[i].flush(now_s, catalog)?;
+                fog2.receive_sketches(&batch.sketches, &batch.seals, &batch.holes);
+                if batch.records.is_empty() {
+                    continue;
+                }
+                if let Err(e) =
+                    fog2.verify_flush(i as u16, batch.payload.as_deref(), &batch.records)
+                {
+                    first_err.get_or_insert(e);
+                    break;
+                }
+                fog2.receive(batch.records, now_s);
+            }
+        }
+        if let Some(e) = first_err {
+            return Err(e);
+        }
+        let batches = city
+            .fog2
+            .iter_mut()
+            .map(|fog2| fog2.flush(now_s, catalog))
+            .collect::<Result<Vec<_>>>()?;
+        for (d, batch) in batches.into_iter().enumerate() {
+            city.cloud
+                .receive_sketches(&batch.sketches, &batch.seals, &batch.holes);
+            if batch.records.is_empty() {
+                continue;
+            }
+            city.cloud
+                .verify_flush(d as u16, batch.payload.as_deref(), &batch.records)?;
+            city.cloud.receive(batch.records, now_s);
+        }
+        Ok(())
+    }
+
+    /// Advances `node`'s mirror decoder for the stream `origin` past a
+    /// payload its child never sent, one adding a sensor to the `known`
+    /// the stream has coded so far: the next sensor the child adds then
+    /// decodes as that one, so the child's shipment fails verification —
+    /// the stand-in for a payload damaged in flight.
+    fn desync(node: &mut F2cNode, origin: u16, known: &F2cNode) {
+        let known: std::collections::BTreeSet<_> = known
+            .store()
+            .archive()
+            .iter()
+            .map(|r| r.reading().sensor())
+            .collect();
+        let mut enc = tsenc::StreamEncoder::new();
+        let primer: Vec<Reading> = (0..known.len() as u32)
+            .map(|j| {
+                Reading::new(
+                    SensorId::new(SensorType::Traffic, 50_000 + j),
+                    0,
+                    Value::Counter(1),
+                )
+            })
+            .collect();
+        enc.encode_batch(&primer).unwrap();
+        let foreign = [Reading::new(
+            SensorId::new(SensorType::Weather, 80_000),
+            0,
+            Value::Composite(vec![1, 2, 3, 4, 5]),
+        )];
+        let payload = enc.encode_batch(&foreign).unwrap();
+        assert!(matches!(
+            node.verify_flush(origin, Some(&payload), &[]),
+            Err(Error::CodecMismatch { .. })
+        ));
+    }
+
+    /// One Traffic wave at `t` into each of the first four districts'
+    /// sections; `fresh` also gets sensors no stream has seen yet.
+    fn round(city: &mut F2cCity, t: u64, fresh: Option<usize>) {
+        for section in 0..21 {
+            let mut gen =
+                ReadingGenerator::for_population(SensorType::Traffic, 10, t + section as u64);
+            let mut wave = gen.wave(t);
+            if fresh == Some(section) {
+                wave.extend((0..3).map(|i| {
+                    Reading::new(
+                        SensorId::new(SensorType::Traffic, 90_000 + i),
+                        t,
+                        Value::Counter(7),
+                    )
+                }));
+            }
+            city.ingest(section, wave, t + 1).unwrap();
+        }
+    }
+
+    /// Two cities take the same steps; `break_stream` then breaks one
+    /// stream in both, and the next wave — in which section `fresh` adds
+    /// a sensor — goes through `flush_all` in the first and the
+    /// per-shipment loop in the second. Both must fail.
+    fn twin_failing_waves(break_stream: impl Fn(&mut F2cCity), fresh: usize) -> [F2cCity; 2] {
+        let mut cities = [F2cCity::barcelona().unwrap(), F2cCity::barcelona().unwrap()];
+        for city in &mut cities {
+            round(city, 100, None);
+            round(city, 500, None);
+            city.flush_all(900).unwrap();
+            break_stream(city);
+            round(city, 1_000, Some(fresh));
+            round(city, 1_400, Some(fresh));
+        }
+        let [mut wave, mut per_shipment] = cities;
+        assert!(wave.flush_all(1_800).is_err());
+        assert!(per_shipment_wave(&mut per_shipment, 1_800).is_err());
+        [wave, per_shipment]
+    }
+
+    fn stored(node: &F2cNode) -> Vec<&DataRecord> {
+        node.store().archive().iter().collect()
+    }
+
+    /// Sections whose records created at or after `t` `node` holds.
+    fn sections_since(node: &F2cNode, t: u64) -> Vec<u16> {
+        let sections: std::collections::BTreeSet<u16> = node
+            .store()
+            .range(t, u64::MAX)
+            .filter_map(|r| r.descriptor().section())
+            .collect();
+        sections.into_iter().collect()
+    }
+
+    #[test]
+    fn a_failing_child_leaves_its_siblings_before_it_stored_as_shipment_by_shipment() {
+        // District 0 is sections 0..4; its third child's stream breaks.
+        let [mut wave, mut per_shipment] =
+            twin_failing_waves(|city| desync(&mut city.fog2[0], 2, &city.fog1[2]), 2);
+        for d in 0..DISTRICTS.len() {
+            assert_eq!(
+                stored(&wave.fog2[d]),
+                stored(&per_shipment.fog2[d]),
+                "fog2/d{d}"
+            );
+            let (a, b) = (wave.fog2[d].store(), per_shipment.fog2[d].store());
+            assert_eq!(a.pending_len(), b.pending_len());
+            assert_eq!(a.pending_earliest_s(), b.pending_earliest_s());
+        }
+        // Children 0 and 1 landed; 2 was refused and 3 never shipped.
+        assert_eq!(sections_since(&wave.fog2[0], 1_000), [0, 1]);
+        assert!(wave.fog1(3).store().pending_len() > 0);
+        assert_eq!(
+            sections_since(&wave.fog2[1], 1_000),
+            (4..10).collect::<Vec<u16>>()
+        );
+        // The queues ship on in the same order, through the same codec state.
+        let catalog = wave.catalog.clone();
+        let a = wave.fog2[0].flush(2_700, &catalog).unwrap();
+        let b = per_shipment.fog2[0].flush(2_700, &catalog).unwrap();
+        assert!(!a.records.is_empty());
+        assert_eq!(a.records, b.records);
+        assert_eq!(a.payload, b.payload);
+        assert_eq!(stored(&wave.cloud), stored(&per_shipment.cloud));
+    }
+
+    #[test]
+    fn a_failing_district_leaves_the_districts_before_it_stored_at_the_cloud() {
+        // District 2 is sections 10..18; its stream to the cloud breaks.
+        let [wave, per_shipment] =
+            twin_failing_waves(|city| desync(&mut city.cloud, 2, &city.fog2[2]), 10);
+        assert_eq!(stored(&wave.cloud), stored(&per_shipment.cloud));
+        for d in 0..DISTRICTS.len() {
+            assert_eq!(
+                stored(&wave.fog2[d]),
+                stored(&per_shipment.fog2[d]),
+                "fog2/d{d}"
+            );
+        }
+        // Districts 0 and 1 (sections 0..10) landed; 2 was refused, 3 came after.
+        assert_eq!(
+            sections_since(&wave.cloud, 1_000),
+            (0..10).collect::<Vec<u16>>()
+        );
+        assert_eq!(
+            sections_since(&wave.fog2[3], 1_000),
+            (18..21).collect::<Vec<u16>>()
+        );
     }
 
     #[test]

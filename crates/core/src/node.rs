@@ -404,37 +404,50 @@ impl F2cNode {
         })
     }
 
-    /// Receives a batch shipped from a child node. At the cloud the batch
-    /// additionally passes classification (versioning/lineage) before the
-    /// permanent archive, per §IV.B.
+    /// Receives a batch shipped from a child node — the one-shipment case
+    /// of [`F2cNode::receive_wave`].
     pub fn receive(&mut self, records: Vec<DataRecord>, now_s: u64) {
-        let records = match &mut self.classification {
-            Some(phase) => phase.run(records, &PhaseContext::at(now_s)),
-            None => records,
-        };
-        self.store.insert_batch(records);
+        self.receive_wave([records], now_s);
     }
 
-    /// Receives one flush shipment from the child stream `origin`
-    /// (fog-2: the child's section; cloud: the shipping district).
+    /// Receives one flush wave: the verified shipments of this node's
+    /// children, in shipment order, stored as one merge into the local
+    /// run and queued for the next hop as they arrived. At the cloud each
+    /// shipment additionally passes classification (versioning/lineage),
+    /// shipment by shipment, before the permanent archive, per §IV.B.
+    pub fn receive_wave(
+        &mut self,
+        shipments: impl IntoIterator<Item = Vec<DataRecord>>,
+        now_s: u64,
+    ) {
+        let ctx = PhaseContext::at(now_s);
+        let classification = &mut self.classification;
+        self.store
+            .insert_runs(shipments.into_iter().map(|records| match classification {
+                Some(phase) => phase.run(records, &ctx),
+                None => records,
+            }));
+    }
+
+    /// Verifies one flush shipment from the child stream `origin`
+    /// (fog-2: the child's section; cloud: the shipping district) before
+    /// it joins the wave [`F2cNode::receive_wave`] stores.
     ///
     /// When the shipment carries an encoded payload, the stream's
     /// mirror decoder decodes it and verifies the result against the
     /// plainly-shipped records, reading-for-reading — every flush is a
     /// live decode-equality proof, and the decoder's dictionary
-    /// advances in lock-step with the child's encoder. Only then do the
-    /// records enter the store (via [`F2cNode::receive`]).
+    /// advances in lock-step with the child's encoder.
     ///
     /// # Errors
     ///
     /// Decode failures ([`Error::Compression`]) or a decoded batch that
     /// disagrees with the shipped records ([`Error::CodecMismatch`]).
-    pub fn receive_flush(
+    pub fn verify_flush(
         &mut self,
         origin: u16,
         payload: Option<&[u8]>,
-        records: Vec<DataRecord>,
-        now_s: u64,
+        records: &[DataRecord],
     ) -> Result<()> {
         if let Some(bytes) = payload {
             let decoder = self.decoders.entry(origin).or_default();
@@ -442,13 +455,12 @@ impl F2cNode {
             let matches = decoded.len() == records.len()
                 && decoded
                     .iter()
-                    .zip(&records)
+                    .zip(records)
                     .all(|(reading, record)| reading == record.reading());
             if !matches {
                 return Err(Error::CodecMismatch { origin });
             }
         }
-        self.receive(records, now_s);
         Ok(())
     }
 

@@ -76,16 +76,28 @@ impl TieredStore {
         self.archive.insert(record);
     }
 
-    /// Inserts a batch, in any creation-time order, as one merge into
-    /// the archive's run.
+    /// Inserts a batch, in any creation-time order — the one-shipment
+    /// case of [`TieredStore::insert_runs`].
     pub fn insert_batch(&mut self, records: Vec<DataRecord>) {
-        if !self.is_root {
-            if let Some(oldest) = records.iter().map(|r| r.descriptor().created_s()).min() {
+        self.insert_runs([records]);
+    }
+
+    /// Inserts one flush wave's shipments, each in any creation-time
+    /// order, as one merge into the archive's run
+    /// ([`ArchiveStore::insert_runs`]). The shipments queue for the next
+    /// hop as they arrived: in the order given, each in its own order.
+    pub fn insert_runs(&mut self, runs: impl IntoIterator<Item = Vec<DataRecord>>) {
+        let mut pending = (!self.is_root).then_some(&mut self.pending);
+        let queued = runs.into_iter().inspect(|run| {
+            if let Some(pending) = pending.as_mut() {
+                pending.extend_from_slice(run);
+            }
+        });
+        if let Some(oldest) = self.archive.insert_runs(queued) {
+            if !self.is_root {
                 self.note_pending(oldest);
             }
-            self.pending.extend_from_slice(&records);
         }
-        self.archive.insert_batch(records);
     }
 
     fn note_pending(&mut self, created_s: u64) {
@@ -290,6 +302,81 @@ mod tests {
             .collect();
         assert_eq!(seen, [100, 200, 300]);
         assert_eq!(s.pending_len(), 5, "reads must not consume the queue");
+    }
+
+    #[test]
+    fn a_wave_queues_and_stores_what_batch_after_batch_did() {
+        let rec = |idx: u32, t: u64| {
+            DataRecord::from_reading(Reading::new(
+                SensorId::new(SensorType::Traffic, idx),
+                t,
+                Value::Counter(u64::from(idx)),
+            ))
+        };
+        let mut idx = 0;
+        let mut run = |times: &[u64]| -> Vec<DataRecord> {
+            times
+                .iter()
+                .map(|&t| {
+                    idx += 1;
+                    rec(idx, t)
+                })
+                .collect()
+        };
+        // Sorted, unsorted, older than the store, one-instant ties, empty.
+        let waves = [
+            vec![run(&[500, 600, 700]), run(&[650, 500, 900])],
+            vec![
+                run(&[900, 900, 900]),
+                Vec::new(),
+                run(&[100, 50]),
+                run(&[900]),
+            ],
+            vec![Vec::new()],
+            vec![run(&[1_000]), run(&[300, 1_000, 20])],
+        ];
+        for (root, mut merged, mut sequential) in [
+            (
+                false,
+                TieredStore::new(RetentionPolicy::keep(10_000)),
+                TieredStore::new(RetentionPolicy::keep(10_000)),
+            ),
+            (true, TieredStore::permanent(), TieredStore::permanent()),
+        ] {
+            for (w, wave) in waves.iter().enumerate() {
+                for shipment in wave.clone() {
+                    sequential.insert_batch(shipment);
+                }
+                merged.insert_runs(wave.clone());
+                let order = |s: &TieredStore| -> Vec<u32> {
+                    s.archive()
+                        .iter()
+                        .map(|r| r.reading().sensor().index())
+                        .collect()
+                };
+                assert_eq!(order(&merged), order(&sequential), "wave {w}");
+                assert_eq!(merged.pending_len(), sequential.pending_len());
+                assert_eq!(merged.pending_earliest_s(), sequential.pending_earliest_s());
+                if root {
+                    assert_eq!(merged.pending_len(), 0);
+                    assert_eq!(merged.pending_earliest_s(), None);
+                }
+                if w == 1 {
+                    // The pending queue is arrival order, shipment by shipment.
+                    let (a, b) = (merged.take_flush_batch(0), sequential.take_flush_batch(0));
+                    assert_eq!(a, b);
+                    if !root {
+                        let shipped: Vec<u64> =
+                            a.iter().map(|r| r.descriptor().created_s()).collect();
+                        assert_eq!(
+                            shipped,
+                            [500, 600, 700, 650, 500, 900, 900, 900, 900, 100, 50, 900]
+                        );
+                    }
+                }
+            }
+            assert_eq!(merged.take_flush_batch(0), sequential.take_flush_batch(0));
+        }
     }
 
     #[test]

@@ -14,6 +14,11 @@ impl CollectionPhase {
     pub fn new() -> Self {
         Self
     }
+
+    /// Stamps one record with the collection time.
+    pub fn stamp(&self, rec: &mut DataRecord, ctx: &PhaseContext) {
+        rec.descriptor_mut().stamp_collected(ctx.now_s);
+    }
 }
 
 impl Phase for CollectionPhase {
@@ -27,7 +32,7 @@ impl Phase for CollectionPhase {
 
     fn run(&mut self, mut batch: Vec<DataRecord>, ctx: &PhaseContext) -> Vec<DataRecord> {
         for rec in &mut batch {
-            rec.descriptor_mut().stamp_collected(ctx.now_s);
+            self.stamp(rec, ctx);
         }
         batch
     }

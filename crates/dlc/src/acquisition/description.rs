@@ -37,6 +37,15 @@ impl DescriptionPhase {
             _ => PrivacyLevel::Public,
         }
     }
+
+    /// Tags one record with location, authoring and privacy.
+    pub fn describe(&self, rec: &mut DataRecord) {
+        let category = rec.sensor_type().category();
+        let d = rec.descriptor_mut();
+        d.set_location(Arc::clone(&self.city), self.district, self.section);
+        d.set_authoring(category);
+        d.set_privacy(Self::privacy_for(category));
+    }
 }
 
 impl Phase for DescriptionPhase {
@@ -50,11 +59,7 @@ impl Phase for DescriptionPhase {
 
     fn run(&mut self, mut batch: Vec<DataRecord>, _ctx: &PhaseContext) -> Vec<DataRecord> {
         for rec in &mut batch {
-            let category = rec.sensor_type().category();
-            let d = rec.descriptor_mut();
-            d.set_location(Arc::clone(&self.city), self.district, self.section);
-            d.set_authoring(category);
-            d.set_privacy(Self::privacy_for(category));
+            self.describe(rec);
         }
         batch
     }

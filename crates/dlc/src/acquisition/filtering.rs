@@ -3,6 +3,7 @@
 //! elimination, wrapped here as a phase over records.
 
 use f2c_aggregate::RedundancyFilter;
+use scc_sensors::Reading;
 
 use crate::phase::{Block, Phase, PhaseContext};
 use crate::record::DataRecord;
@@ -29,6 +30,13 @@ impl FilteringPhase {
         }
     }
 
+    /// Decides whether `reading` is forwarded: a repeat of the sensor's
+    /// previous value is not. Runs on the reading, before it is wrapped
+    /// in a record.
+    pub fn admit(&mut self, reading: &Reading) -> bool {
+        self.filter.admit(reading)
+    }
+
     /// Accumulated dedup statistics.
     pub fn stats(&self) -> f2c_aggregate::DedupStats {
         self.filter.stats()
@@ -47,7 +55,7 @@ impl Phase for FilteringPhase {
     fn run(&mut self, batch: Vec<DataRecord>, _ctx: &PhaseContext) -> Vec<DataRecord> {
         batch
             .into_iter()
-            .filter(|rec| self.filter.admit(rec.reading()))
+            .filter(|rec| self.admit(rec.reading()))
             .collect()
     }
 }

@@ -1,6 +1,8 @@
 //! The data acquisition block (Fig. 2): collection → filtering → quality →
 //! description. Runs at fog layer 1 in the F2C mapping (Fig. 5, §IV.A).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod collection;
 mod description;
 mod filtering;
@@ -11,13 +13,18 @@ pub use description::DescriptionPhase;
 pub use filtering::FilteringPhase;
 pub use quality_phase::QualityPhase;
 
-use crate::phase::{Block, PhaseContext};
-use crate::pipeline::Pipeline;
+use crate::phase::{Phase, PhaseContext, PhaseStats};
 use crate::record::DataRecord;
 use scc_sensors::Reading;
 
 /// The full acquisition block as one convenient unit: wraps raw readings
 /// into records and runs them through the four acquisition phases.
+///
+/// The phases are held as themselves, not as a list of boxes, and a wave
+/// visits each offered reading once: a repeat is dropped while it is
+/// still a [`Reading`], and every kept one is wrapped, stamped, assessed
+/// and tagged in one pass, into a vector sized to the wave. Each step is
+/// the phase's own per-record method, the one its [`Phase::run`] calls.
 ///
 /// # Examples
 ///
@@ -35,7 +42,14 @@ use scc_sensors::Reading;
 /// ```
 #[derive(Debug)]
 pub struct AcquisitionBlock {
-    pipeline: Pipeline,
+    collection: CollectionPhase,
+    /// `None` in the centralized-baseline configuration.
+    filtering: Option<FilteringPhase>,
+    quality: QualityPhase,
+    description: DescriptionPhase,
+    /// Per phase, in block order; the filtering slot stays unread when
+    /// the block has no filtering phase.
+    stats: [PhaseStats; 4],
 }
 
 impl AcquisitionBlock {
@@ -43,59 +57,71 @@ impl AcquisitionBlock {
     /// `district` in `city`: collection, redundant-data elimination,
     /// quality (dropping failures), description.
     pub fn new(city: &str, district: u16, section: u16) -> Self {
-        let mut pipeline = Pipeline::new(Block::Acquisition);
-        pipeline
-            .push(Box::new(CollectionPhase::new()))
-            .expect("collection is an acquisition phase");
-        pipeline
-            .push(Box::new(FilteringPhase::paper_default()))
-            .expect("filtering is an acquisition phase");
-        pipeline
-            .push(Box::new(QualityPhase::dropping_failures()))
-            .expect("quality is an acquisition phase");
-        pipeline
-            .push(Box::new(DescriptionPhase::new(city, district, section)))
-            .expect("description is an acquisition phase");
-        Self { pipeline }
-    }
-
-    /// Shorthand used in examples: Barcelona, district derived elsewhere.
-    pub fn paper_default(section: u16) -> Self {
-        Self::new("Barcelona", section / 8, section)
+        Self {
+            filtering: Some(FilteringPhase::paper_default()),
+            ..Self::without_filtering(city, district, section)
+        }
     }
 
     /// A variant *without* the filtering phase — the centralized-baseline
     /// configuration, where no aggregation happens before the cloud.
     pub fn without_filtering(city: &str, district: u16, section: u16) -> Self {
-        let mut pipeline = Pipeline::new(Block::Acquisition);
-        pipeline
-            .push(Box::new(CollectionPhase::new()))
-            .expect("collection is an acquisition phase");
-        pipeline
-            .push(Box::new(QualityPhase::dropping_failures()))
-            .expect("quality is an acquisition phase");
-        pipeline
-            .push(Box::new(DescriptionPhase::new(city, district, section)))
-            .expect("description is an acquisition phase");
-        Self { pipeline }
+        Self {
+            collection: CollectionPhase::new(),
+            filtering: None,
+            quality: QualityPhase::dropping_failures(),
+            description: DescriptionPhase::new(city, district, section),
+            stats: [PhaseStats::default(); 4],
+        }
     }
 
-    /// Ingests raw readings: wrap → collect → filter → quality → describe.
+    /// Ingests raw readings: filter → wrap → collect → quality → describe,
+    /// one reading at a time.
     pub fn ingest(&mut self, readings: Vec<Reading>, ctx: &PhaseContext) -> Vec<DataRecord> {
-        let records = readings.into_iter().map(DataRecord::from_reading).collect();
-        self.pipeline.run(records, ctx)
+        let offered = readings.len();
+        let mut admitted = 0;
+        let mut out = Vec::with_capacity(offered);
+        for reading in readings {
+            if let Some(filtering) = &mut self.filtering {
+                if !filtering.admit(&reading) {
+                    continue;
+                }
+            }
+            admitted += 1;
+            let mut rec = DataRecord::from_reading(reading);
+            self.collection.stamp(&mut rec, ctx);
+            if self.quality.check(&mut rec, ctx) {
+                self.description.describe(&mut rec);
+                out.push(rec);
+            }
+        }
+        let [collection, filtering, quality, description] = &mut self.stats;
+        collection.record_run(offered, offered);
+        if self.filtering.is_some() {
+            filtering.record_run(offered, admitted);
+        }
+        quality.record_run(admitted, out.len());
+        description.record_run(out.len(), out.len());
+        out
     }
 
-    /// Per-phase throughput statistics.
-    pub fn stats(&self) -> Vec<(&'static str, crate::phase::PhaseStats)> {
-        self.pipeline.stats()
+    /// Per-phase throughput statistics, in block order.
+    pub fn stats(&self) -> Vec<(&'static str, PhaseStats)> {
+        let [collection, filtering, quality, description] = self.stats;
+        let mut out = vec![(self.collection.name(), collection)];
+        if let Some(phase) = &self.filtering {
+            out.push((phase.name(), filtering));
+        }
+        out.push((self.quality.name(), quality));
+        out.push((self.description.name(), description));
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scc_sensors::{ReadingGenerator, SensorType};
+    use scc_sensors::{ReadingGenerator, SensorId, SensorType, Value};
 
     #[test]
     fn block_reduces_redundant_traffic_and_tags_everything() {
@@ -135,5 +161,137 @@ mod tests {
                 "data-description"
             ]
         );
+        let unfiltered = AcquisitionBlock::without_filtering("Barcelona", 0, 0);
+        let names: Vec<&str> = unfiltered.stats().iter().map(|(n, _)| *n).collect();
+        assert_eq!(
+            names,
+            vec!["data-collection", "data-quality", "data-description"]
+        );
+    }
+
+    /// The block as it was: every reading wrapped first, then each phase's
+    /// `Phase::run` over the whole wave in turn, counted the way
+    /// `Pipeline::run` counts. The reference the single visit is held to;
+    /// its phases are the same types, held where their own counters can
+    /// be read.
+    struct Model {
+        collection: CollectionPhase,
+        filtering: Option<FilteringPhase>,
+        quality: QualityPhase,
+        description: DescriptionPhase,
+        stats: Vec<(&'static str, PhaseStats)>,
+    }
+
+    impl Model {
+        fn new(filtering: bool) -> Self {
+            Self {
+                collection: CollectionPhase::new(),
+                filtering: filtering.then(FilteringPhase::paper_default),
+                quality: QualityPhase::dropping_failures(),
+                description: DescriptionPhase::new("Barcelona", 4, 33),
+                stats: Vec::new(),
+            }
+        }
+
+        fn ingest(&mut self, readings: Vec<Reading>, ctx: &PhaseContext) -> Vec<DataRecord> {
+            let mut batch: Vec<DataRecord> =
+                readings.into_iter().map(DataRecord::from_reading).collect();
+            let mut phases: Vec<&mut dyn Phase> = vec![&mut self.collection];
+            if let Some(filtering) = &mut self.filtering {
+                phases.push(filtering);
+            }
+            phases.push(&mut self.quality);
+            phases.push(&mut self.description);
+            self.stats.resize(phases.len(), ("", PhaseStats::default()));
+            for (phase, (name, stats)) in phases.into_iter().zip(&mut self.stats) {
+                let before = batch.len();
+                batch = phase.run(batch, ctx);
+                *name = phase.name();
+                stats.record_run(before, batch.len());
+            }
+            batch
+        }
+    }
+
+    /// A wave of `n` readings of `ty` at `t` with every kind of reading
+    /// the block must handle: repeats of the previous wave, stale and
+    /// future timestamps, out-of-range values and malformed composites.
+    fn wave(ty: SensorType, n: u32, t: u64, salt: u64) -> Vec<Reading> {
+        (0..n)
+            .map(|i| {
+                let id = SensorId::new(ty, i);
+                let mix = (u64::from(i) * 7 + salt) % 9;
+                // Mixes 4 and 5 break two rules at once, so quality drops them.
+                let at = match mix {
+                    0 | 4 => t.saturating_sub(10_000), // stale
+                    1 | 5 => t + 500,                  // future
+                    _ => t,
+                };
+                let value = match (ty, mix) {
+                    (SensorType::Weather, 2 | 5) => Value::Composite(vec![100, 200]), // malformed
+                    (SensorType::Weather, 3 | 4) => Value::Composite(vec![90_000, 1, 2, 3, 4]), // out of range
+                    (SensorType::Weather, _) => Value::Composite(vec![
+                        (salt % 3) as i64 * 100 + i64::from(i % 2),
+                        1,
+                        2,
+                        3,
+                        4,
+                    ]),
+                    (_, 3 | 4) => Value::from_f64(900.0), // out of range
+                    // Repeats: most sensors keep last wave's value.
+                    _ => Value::from_f64(f64::from(i % 4) + (salt % 2) as f64),
+                };
+                Reading::new(id, at, value)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_visit_per_reading_matches_the_four_phase_pipeline() {
+        for filtering in [true, false] {
+            let mut block = if filtering {
+                AcquisitionBlock::new("Barcelona", 4, 33)
+            } else {
+                AcquisitionBlock::without_filtering("Barcelona", 4, 33)
+            };
+            let mut model = Model::new(filtering);
+            let mut kept = 0;
+            let types = [
+                SensorType::Temperature,
+                SensorType::Weather,
+                SensorType::Temperature,
+                SensorType::Weather,
+                SensorType::Temperature,
+                SensorType::Temperature,
+            ];
+            for (step, ty) in types.into_iter().enumerate() {
+                let t = 10_000 + step as u64 * 600;
+                let ctx = PhaseContext::at(t + 1);
+                let readings = wave(ty, 40, t, step as u64 / 2);
+                let out = block.ingest(readings.clone(), &ctx);
+                assert_eq!(out, model.ingest(readings, &ctx), "wave {step}");
+                kept += out.len();
+                assert_eq!(block.stats(), model.stats, "wave {step}");
+                assert_eq!(block.quality.dropped(), model.quality.dropped());
+                assert_eq!(
+                    block.filtering.as_ref().map(FilteringPhase::stats),
+                    model.filtering.as_ref().map(FilteringPhase::stats)
+                );
+            }
+            // The waves exercised every path: something dropped as a
+            // repeat (when filtering), something dropped on quality,
+            // something kept.
+            assert!(kept > 0);
+            assert!(block.quality.dropped() > 0);
+            if let Some(phase) = &block.filtering {
+                assert!(phase.stats().suppressed > 0);
+            }
+        }
+        // An empty wave still counts one run per phase.
+        let mut block = AcquisitionBlock::new("Barcelona", 0, 0);
+        let mut model = Model::new(true);
+        block.ingest(Vec::new(), &PhaseContext::at(0));
+        model.ingest(Vec::new(), &PhaseContext::at(0));
+        assert_eq!(block.stats(), model.stats);
     }
 }

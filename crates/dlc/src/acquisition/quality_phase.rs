@@ -45,6 +45,25 @@ impl QualityPhase {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
+
+    /// Assesses one record and attaches the report; returns whether the
+    /// record stays (it passed, or failures are kept). A dropped record
+    /// is counted here.
+    pub fn check(&mut self, rec: &mut DataRecord, ctx: &PhaseContext) -> bool {
+        let collected = rec.descriptor().collected_s().unwrap_or(ctx.now_s);
+        let report = self.policy.assess(
+            rec.sensor_type(),
+            rec.reading().value(),
+            rec.descriptor().created_s(),
+            collected,
+        );
+        let keep = report.passed() || !self.drop_failures;
+        rec.set_quality(report);
+        if !keep {
+            self.dropped += 1;
+        }
+        keep
+    }
 }
 
 impl Phase for QualityPhase {
@@ -59,19 +78,8 @@ impl Phase for QualityPhase {
     fn run(&mut self, batch: Vec<DataRecord>, ctx: &PhaseContext) -> Vec<DataRecord> {
         let mut out = Vec::with_capacity(batch.len());
         for mut rec in batch {
-            let collected = rec.descriptor().collected_s().unwrap_or(ctx.now_s);
-            let report = self.policy.assess(
-                rec.sensor_type(),
-                rec.reading().value(),
-                rec.descriptor().created_s(),
-                collected,
-            );
-            let passed = report.passed();
-            rec.set_quality(report);
-            if passed || !self.drop_failures {
+            if self.check(&mut rec, ctx) {
                 out.push(rec);
-            } else {
-                self.dropped += 1;
             }
         }
         out

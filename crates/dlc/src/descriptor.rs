@@ -4,6 +4,9 @@
 //! location positioning (city, country, GPS coordinates), authoring,
 //! privacy, and so on."
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::fmt;
 use std::sync::Arc;
 
 use scc_sensors::Category;
@@ -23,38 +26,55 @@ pub enum PrivacyLevel {
 /// Tags describing one data record.
 ///
 /// Built incrementally: collection stamps timing, description fills
-/// location/authoring/privacy. Missing tags are `None` — a record that
-/// skipped the description phase is visibly untagged rather than silently
-/// defaulted.
+/// location/authoring/privacy. Missing tags read as `None` — a record
+/// that skipped the description phase is visibly untagged rather than
+/// silently defaulted.
 ///
 /// A record is copied at every tier it reaches, so the tags are shared,
 /// never copied: the city name is one `Arc<str>` per tagging phase and
 /// the authoring entity is the Sentilo provider of a [`Category`], held
 /// as the category. Cloning a descriptor allocates nothing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The tags are held at their final size, 48 bytes: the two optional
+/// instants are plain `u64`s behind a stamp bitset, and district and
+/// section are plain `u16`s present exactly when the city is
+/// ([`Descriptor::set_location`] is their only setter). An absent field
+/// is held at 0, so the derived `==` still means "same tags".
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Descriptor {
     created_s: u64,
-    collected_s: Option<u64>,
-    modified_s: Option<u64>,
+    /// Meaningful when `stamps & COLLECTED`; 0 otherwise.
+    collected_s: u64,
+    /// Meaningful when `stamps & MODIFIED`; 0 otherwise.
+    modified_s: u64,
     city: Option<Arc<str>>,
-    district: Option<u16>,
-    section: Option<u16>,
+    /// Meaningful when `city` is set; 0 otherwise.
+    district: u16,
+    /// Meaningful when `city` is set; 0 otherwise.
+    section: u16,
     authoring: Option<Category>,
     privacy: Option<PrivacyLevel>,
+    stamps: u8,
 }
+
+/// `stamps` bit: the collection time is set.
+const COLLECTED: u8 = 1;
+/// `stamps` bit: a modification time is set.
+const MODIFIED: u8 = 2;
 
 impl Descriptor {
     /// A descriptor knowing only the creation time (sensor timestamp).
     pub fn created_at(created_s: u64) -> Self {
         Self {
             created_s,
-            collected_s: None,
-            modified_s: None,
+            collected_s: 0,
+            modified_s: 0,
             city: None,
-            district: None,
-            section: None,
+            district: 0,
+            section: 0,
             authoring: None,
             privacy: None,
+            stamps: 0,
         }
     }
 
@@ -65,12 +85,12 @@ impl Descriptor {
 
     /// Collection time (when a fog node ingested the record).
     pub fn collected_s(&self) -> Option<u64> {
-        self.collected_s
+        (self.stamps & COLLECTED != 0).then_some(self.collected_s)
     }
 
     /// Last modification time (set by processing phases).
     pub fn modified_s(&self) -> Option<u64> {
-        self.modified_s
+        (self.stamps & MODIFIED != 0).then_some(self.modified_s)
     }
 
     /// City name.
@@ -80,12 +100,12 @@ impl Descriptor {
 
     /// District index.
     pub fn district(&self) -> Option<u16> {
-        self.district
+        self.city.as_ref().map(|_| self.district)
     }
 
     /// Section (fog-1 area) index.
     pub fn section(&self) -> Option<u16> {
-        self.section
+        self.city.as_ref().map(|_| self.section)
     }
 
     /// Authoring entity (provider).
@@ -100,20 +120,22 @@ impl Descriptor {
 
     /// Stamps the collection time.
     pub fn stamp_collected(&mut self, at_s: u64) {
-        self.collected_s = Some(at_s);
+        self.collected_s = at_s;
+        self.stamps |= COLLECTED;
     }
 
     /// Stamps a modification time.
     pub fn stamp_modified(&mut self, at_s: u64) {
-        self.modified_s = Some(at_s);
+        self.modified_s = at_s;
+        self.stamps |= MODIFIED;
     }
 
     /// Sets the location tags. The city name is shared, not copied: a
     /// tagging phase hands every record a clone of one `Arc`.
     pub fn set_location(&mut self, city: Arc<str>, district: u16, section: u16) {
         self.city = Some(city);
-        self.district = Some(district);
-        self.section = Some(section);
+        self.district = district;
+        self.section = section;
     }
 
     /// Sets the authoring tag to `category`'s provider.
@@ -129,12 +151,26 @@ impl Descriptor {
     /// Whether the descriptor carries the full tag set the description
     /// phase is responsible for.
     pub fn is_fully_described(&self) -> bool {
-        self.collected_s.is_some()
+        self.stamps & COLLECTED != 0
             && self.city.is_some()
-            && self.district.is_some()
-            && self.section.is_some()
             && self.authoring.is_some()
             && self.privacy.is_some()
+    }
+}
+
+/// Prints the tags as they read, absent ones as `None`.
+impl fmt::Debug for Descriptor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Descriptor")
+            .field("created_s", &self.created_s)
+            .field("collected_s", &self.collected_s())
+            .field("modified_s", &self.modified_s())
+            .field("city", &self.city)
+            .field("district", &self.district())
+            .field("section", &self.section())
+            .field("authoring", &self.authoring)
+            .field("privacy", &self.privacy)
+            .finish()
     }
 }
 
@@ -178,5 +214,135 @@ mod tests {
         d.stamp_modified(50);
         assert_eq!(d.modified_s(), Some(50));
         assert_eq!(d.collected_s(), None);
+    }
+
+    #[test]
+    fn descriptor_is_48_bytes() {
+        assert!(std::mem::size_of::<Descriptor>() <= 48);
+    }
+
+    /// The descriptor as it was: every tag its own `Option`. The reference
+    /// the compact layout is held to.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Model {
+        created_s: u64,
+        collected_s: Option<u64>,
+        modified_s: Option<u64>,
+        city: Option<Arc<str>>,
+        district: Option<u16>,
+        section: Option<u16>,
+        authoring: Option<Category>,
+        privacy: Option<PrivacyLevel>,
+    }
+
+    impl Model {
+        fn created_at(created_s: u64) -> Self {
+            Self {
+                created_s,
+                collected_s: None,
+                modified_s: None,
+                city: None,
+                district: None,
+                section: None,
+                authoring: None,
+                privacy: None,
+            }
+        }
+
+        fn apply(&mut self, d: &mut Descriptor, op: (u8, u64, u16, u16)) {
+            let (pick, at_s, district, section) = op;
+            let category = Category::ALL[at_s as usize % Category::ALL.len()];
+            let level = [
+                PrivacyLevel::Public,
+                PrivacyLevel::Restricted,
+                PrivacyLevel::Private,
+            ][at_s as usize % 3];
+            match pick {
+                0 => {
+                    self.collected_s = Some(at_s);
+                    d.stamp_collected(at_s);
+                }
+                1 => {
+                    self.modified_s = Some(at_s);
+                    d.stamp_modified(at_s);
+                }
+                2 => {
+                    let city: Arc<str> = ["Barcelona", "Girona"][at_s as usize % 2].into();
+                    self.city = Some(Arc::clone(&city));
+                    (self.district, self.section) = (Some(district), Some(section));
+                    d.set_location(city, district, section);
+                }
+                3 => {
+                    self.authoring = Some(category);
+                    d.set_authoring(category);
+                }
+                _ => {
+                    self.privacy = Some(level);
+                    d.set_privacy(level);
+                }
+            }
+        }
+
+        fn agrees(&self, d: &Descriptor) -> bool {
+            d.created_s() == self.created_s
+                && d.collected_s() == self.collected_s
+                && d.modified_s() == self.modified_s
+                && d.city() == self.city.as_deref()
+                && d.district() == self.district
+                && d.section() == self.section
+                && d.authoring() == self.authoring.map(Category::provider)
+                && d.privacy() == self.privacy
+                && d.is_fully_described()
+                    == (self.collected_s.is_some()
+                        && self.city.is_some()
+                        && self.district.is_some()
+                        && self.section.is_some()
+                        && self.authoring.is_some()
+                        && self.privacy.is_some())
+                && format!("{d:?}") == format!("{self:?}").replacen("Model", "Descriptor", 1)
+        }
+    }
+
+    /// Instants and indices at both ends of their ranges, and a few between.
+    fn edge_u64(raw: u64) -> u64 {
+        [0, 1, 900, u64::MAX - 1, u64::MAX, raw][(raw % 6) as usize]
+    }
+
+    fn edge_u16(raw: u16) -> u16 {
+        [0, 1, u16::MAX, raw][(raw % 4) as usize]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn compact_tags_read_like_the_options_they_replaced(
+            created in proptest::prelude::any::<u64>(),
+            ops in proptest::collection::vec(
+                (0u8..5, proptest::prelude::any::<u64>(), proptest::prelude::any::<u16>(), proptest::prelude::any::<u16>()),
+                0..12,
+            ),
+            others in proptest::collection::vec(
+                (0u8..5, proptest::prelude::any::<u64>(), proptest::prelude::any::<u16>(), proptest::prelude::any::<u16>()),
+                0..12,
+            ),
+        ) {
+            let created = edge_u64(created);
+            let (mut d, mut model) = (Descriptor::created_at(created), Model::created_at(created));
+            let (mut e, mut other) = (Descriptor::created_at(created), Model::created_at(created));
+            proptest::prop_assert!(model.agrees(&d));
+            for (step, &(pick, at, district, section)) in ops.iter().enumerate() {
+                let op = (pick, edge_u64(at), edge_u16(district), edge_u16(section));
+                model.apply(&mut d, op);
+                proptest::prop_assert!(model.agrees(&d), "{:?} vs {:?}", d, model);
+                // A second descriptor walks another sequence, then the
+                // same one: `==` must mean "same tags" throughout.
+                let op = others.get(step).map_or(op, |&(pick, at, district, section)| {
+                    (pick, edge_u64(at), edge_u16(district), edge_u16(section))
+                });
+                other.apply(&mut e, op);
+                proptest::prop_assert!(other.agrees(&e));
+                proptest::prop_assert_eq!(d == e, model == other);
+                proptest::prop_assert!(d.clone() == d);
+            }
+        }
     }
 }

@@ -27,7 +27,8 @@
 //! use scc_dlc::phase::PhaseContext;
 //! use scc_sensors::{ReadingGenerator, SensorType};
 //!
-//! let mut block = AcquisitionBlock::paper_default(7 /* section id */);
+//! // Section 7 of Barcelona lies in district 1 (Eixample).
+//! let mut block = AcquisitionBlock::new("Barcelona", 1, 7);
 //! let mut gen = ReadingGenerator::for_population(SensorType::Temperature, 20, 42);
 //! let out = block.ingest(gen.wave(0), &PhaseContext::at(0));
 //! assert!(!out.is_empty());

@@ -73,57 +73,97 @@ impl ArchiveStore {
         }
     }
 
-    /// Inserts a batch, in any order: the batch is appended to the run,
-    /// and only if that broke the order is the overlapped tail — the
-    /// stored records newer than the batch's oldest, plus the batch —
-    /// stably sorted back. A batch no older than the store is a plain
-    /// append; equal creation times keep stored-before-batch and the
-    /// batch's own order.
+    /// Inserts a batch, in any order — the one-run case of
+    /// [`ArchiveStore::insert_runs`]. Equal creation times keep
+    /// stored-before-batch and the batch's own order.
     pub fn insert_batch(&mut self, batch: Vec<DataRecord>) {
-        let held = self.records.len();
-        let Some(oldest) = self.append(batch) else {
-            return;
-        };
-        let settled = self.times[..held].partition_point(|&t| t <= oldest);
-        let tail = &mut self.records[settled..];
-        tail.sort_by_key(|r| r.descriptor().created_s());
-        for (slot, record) in self.times[settled..].iter_mut().zip(tail.iter()) {
-            *slot = record.descriptor().created_s();
-        }
+        self.insert_runs([batch]);
     }
 
-    /// Appends `batch` to the run and the columns as it comes. Returns the
-    /// batch's oldest creation time if that left the run out of order,
-    /// `None` if the run is still sorted.
-    fn append(&mut self, batch: Vec<DataRecord>) -> Option<u64> {
-        let mut newest = self.times.last().copied().unwrap_or(0);
-        let mut oldest = u64::MAX;
-        let mut in_order = true;
+    /// Inserts one flush wave's shipments, each in any order, as if they
+    /// were inserted one [`ArchiveStore::insert_batch`] after another:
+    /// the run ends up ordered by creation time, and among equals stored
+    /// records come first, then the shipments in the order given, each in
+    /// its own order. Returns the oldest creation time inserted, `None`
+    /// when every shipment was empty.
+    ///
+    /// A shipment out of order is first stably sorted on its own. The
+    /// shipments are then merged by `(creation time, shipment index)`
+    /// straight onto the end of the run — reserved once, every record
+    /// moved once — and only if that merged run starts before the newest
+    /// stored record is the overlapped tail stably sorted back. Stable
+    /// sorts compose, so this is the run sequential batches would leave.
+    pub fn insert_runs(&mut self, runs: impl IntoIterator<Item = Vec<DataRecord>>) -> Option<u64> {
+        let mut runs = runs
+            .into_iter()
+            .filter(|run| !run.is_empty())
+            .map(|mut run| {
+                if !run.is_sorted_by_key(created_s) {
+                    run.sort_by_key(created_s);
+                }
+                run.into_iter()
+            });
+        // The first shipment is held apart, so a lone one needs no list.
+        let mut first = runs.next()?;
+        let mut rest: Vec<std::vec::IntoIter<DataRecord>> = runs.collect();
+        let total = first.len() + rest.iter().map(ExactSizeIterator::len).sum::<usize>();
+        let held = self.records.len();
+        let newest_held = self.times.last().copied();
+        self.records.reserve(total);
+        self.times.reserve(total);
+        // Instant by instant: the oldest time at any head, then every
+        // shipment's records at that time, in shipment order.
         let mut noted = None;
-        for record in &batch {
-            let created = record.descriptor().created_s();
-            in_order &= newest <= created;
-            newest = created;
-            oldest = oldest.min(created);
-            // Waves arrive type by type at one instant: skip the repeats.
-            let key = (record.sensor_type(), created);
-            if noted != Some(key) {
-                self.note_type_time(key.0, created);
-                noted = Some(key);
+        while let Some(t) = std::iter::once(&first)
+            .chain(&rest)
+            .filter_map(|head| head.as_slice().first())
+            .map(created_s)
+            .min()
+        {
+            for head in std::iter::once(&mut first).chain(&mut rest) {
+                let mut n = 0;
+                for record in head.as_slice().iter().take_while(|r| created_s(r) == t) {
+                    // Waves arrive type by type at one instant: skip the repeats.
+                    let key = (record.sensor_type(), t);
+                    if noted != Some(key) {
+                        self.note_type_time(key.0, t);
+                        noted = Some(key);
+                    }
+                    n += 1;
+                }
+                self.times.extend(std::iter::repeat_n(t, n));
+                if n == head.len() {
+                    // The rest of a run moves as one block, the common
+                    // case of an ingest wave (one run, one instant).
+                    self.records.extend(std::mem::take(head));
+                } else {
+                    self.records.extend(head.by_ref().take(n));
+                }
             }
-            self.times.push(created);
         }
-        self.records.extend(batch);
-        (!in_order).then_some(oldest)
+        let oldest = self.times[held];
+        if newest_held.is_some_and(|newest| newest > oldest) {
+            let settled = self.times[..held].partition_point(|&t| t <= oldest);
+            let tail = &mut self.records[settled..];
+            tail.sort_by_key(created_s);
+            for (slot, record) in self.times[settled..].iter_mut().zip(tail.iter()) {
+                *slot = created_s(record);
+            }
+        }
+        Some(oldest)
     }
 
     /// Records that `ty` reported at `created_s`.
     fn note_type_time(&mut self, ty: SensorType, created_s: u64) {
         let column = &mut self.type_times[ty.ordinal()];
-        if column.last().is_none_or(|&newest| newest < created_s) {
-            column.push(created_s);
-        } else if let Err(at) = column.binary_search(&created_s) {
-            column.insert(at, created_s);
+        match column.last() {
+            Some(&newest) if newest == created_s => {}
+            Some(&newest) if newest > created_s => {
+                if let Err(at) = column.binary_search(&created_s) {
+                    column.insert(at, created_s);
+                }
+            }
+            _ => column.push(created_s),
         }
     }
 
@@ -235,6 +275,11 @@ impl ArchiveStore {
     pub fn iter(&self) -> impl Iterator<Item = &DataRecord> {
         self.records.iter()
     }
+}
+
+/// The run's sort key.
+fn created_s(record: &DataRecord) -> u64 {
+    record.descriptor().created_s()
 }
 
 /// Pass-through phase that archives every record it sees.
@@ -384,10 +429,49 @@ mod tests {
             rec(SensorType::Weather, 2, 200),
             rec(SensorType::Weather, 3, 250),
         ];
-        assert_eq!(s.append(newer), None, "nothing to sort back");
+        assert_eq!(s.insert_runs([newer]), Some(200));
         assert_eq!(order(&s), [(100, 0), (200, 1), (200, 2), (250, 3)]);
         assert_eq!(s.latest_of_type(SensorType::Weather, 0, 1_000), Some(250));
-        assert_eq!(s.append(Vec::new()), None);
+        assert_eq!(s.insert_runs([Vec::new(), Vec::new()]), None);
+        assert_eq!(s.insert_runs(Vec::new()), None);
+        assert_eq!(s.len(), 4);
+    }
+
+    #[test]
+    fn a_wave_merges_by_time_then_shipment() {
+        let mut s = ArchiveStore::new();
+        s.insert(rec(SensorType::Traffic, 0, 100));
+        // Three shipments at overlapping instants, one of them unsorted:
+        // time first, then shipment order, then each shipment's own order.
+        let oldest = s.insert_runs([
+            vec![
+                rec(SensorType::Traffic, 1, 100),
+                rec(SensorType::Traffic, 2, 300),
+            ],
+            vec![
+                rec(SensorType::Weather, 3, 300),
+                rec(SensorType::Weather, 4, 200),
+                rec(SensorType::Weather, 5, 100),
+            ],
+            Vec::new(),
+            vec![rec(SensorType::Traffic, 6, 200)],
+        ]);
+        assert_eq!(oldest, Some(100));
+        assert_eq!(
+            order(&s),
+            [
+                (100, 0),
+                (100, 1),
+                (100, 5),
+                (200, 4),
+                (200, 6),
+                (300, 2),
+                (300, 3)
+            ]
+        );
+        assert_eq!(s.latest_of_type(SensorType::Weather, 0, 300), Some(200));
+        assert_eq!(s.latest_of_type(SensorType::Traffic, 101, 300), Some(200));
+        assert_eq!(s.rank(200), 3);
     }
 
     #[test]
@@ -430,6 +514,85 @@ mod tests {
             s.latest_of_type(SensorType::Traffic, 0, u64::MAX),
             Some(400)
         );
+    }
+
+    impl ArchiveStore {
+        /// `insert_batch` as it was before a wave merged in one pass: the
+        /// batch appended as it came, then — only if that broke the order
+        /// — the overlapped tail stably sorted back. The reference
+        /// `insert_runs` is held to, one shipment after another.
+        fn insert_batch_by_tail_sort(&mut self, batch: Vec<DataRecord>) {
+            let held = self.records.len();
+            let mut newest = self.times.last().copied().unwrap_or(0);
+            let (mut oldest, mut in_order) = (u64::MAX, true);
+            for record in &batch {
+                let created = created_s(record);
+                in_order &= newest <= created;
+                newest = created;
+                oldest = oldest.min(created);
+                self.note_type_time(record.sensor_type(), created);
+                self.times.push(created);
+            }
+            self.records.extend(batch);
+            if in_order {
+                return;
+            }
+            let settled = self.times[..held].partition_point(|&t| t <= oldest);
+            let tail = &mut self.records[settled..];
+            tail.sort_by_key(created_s);
+            for (slot, record) in self.times[settled..].iter_mut().zip(tail.iter()) {
+                *slot = created_s(record);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_merge_per_wave_leaves_the_columns_sequential_batches_left(
+            // Per wave, per shipment: (shape, instant, length, salt).
+            waves in proptest::collection::vec(
+                proptest::collection::vec((0u8..5, 0u64..40, 0usize..12, proptest::prelude::any::<u64>()), 0..6),
+                1..6,
+            ),
+            // Past 400 nothing is evicted between waves.
+            evict_at in 0u64..800,
+        ) {
+            let (mut merged, mut sequential) = (ArchiveStore::new(), ArchiveStore::new());
+            let mut next = 0u32;
+            for (w, wave) in waves.iter().enumerate() {
+                let runs: Vec<Vec<DataRecord>> = wave
+                    .iter()
+                    .map(|&(shape, at, n, salt)| {
+                        let base = 100 * w as u64 + at;
+                        (0..n as u64)
+                            .map(|i| {
+                                let t = match shape {
+                                    0 => base + i * (salt % 3),                  // sorted
+                                    1 => (salt.rotate_left(i as u32 * 7) >> 3) % 500, // unsorted
+                                    2 => base.saturating_sub(150 + i),           // older than the store
+                                    _ => base,                                   // one instant
+                                };
+                                next += 1;
+                                let ty = SensorType::ALL[((salt >> (i % 8)) % 3) as usize * 7];
+                                rec(ty, next, t)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let want = runs.iter().flatten().map(created_s).min();
+                for run in runs.clone() {
+                    sequential.insert_batch_by_tail_sort(run);
+                }
+                proptest::prop_assert_eq!(merged.insert_runs(runs), want);
+                proptest::prop_assert!(merged.records == sequential.records);
+                proptest::prop_assert_eq!(&merged.times, &sequential.times);
+                proptest::prop_assert_eq!(&merged.type_times, &sequential.type_times);
+                if evict_at < 400 && w % 2 == 1 {
+                    merged.discard_older_than(evict_at);
+                    sequential.discard_older_than(evict_at);
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,11 +23,11 @@ pub struct Lineage {
 /// maintains a per-sensor version counter and provenance hash chain.
 ///
 /// Time leads the order because the store this phase feeds is indexed by
-/// time: [`crate::preservation::ArchiveStore::insert_batch`] stably sorts
+/// time: [`crate::preservation::ArchiveStore::insert_runs`] stably sorts
 /// whatever it is handed by creation time, so of any canonical order only
 /// its time-major refinement survives into the archive. Producing that
 /// refinement here means the batch is sorted once — the archive sees a
-/// run already in order and appends (or merges two runs) — and a sensor's
+/// run already in order and merges it into its wave — and a sensor's
 /// chain visits its records in creation order, ties in arrival order,
 /// exactly as it would under a category-major sort.
 #[derive(Debug, Clone, Default)]
@@ -79,7 +79,7 @@ impl Phase for ClassificationPhase {
 
     fn run(&mut self, mut batch: Vec<DataRecord>, _ctx: &PhaseContext) -> Vec<DataRecord> {
         // Stable, with the key computed once per record: the sort moves
-        // small keys, and each 144-byte record moves once.
+        // small keys, and each 104-byte record moves once.
         batch.sort_by_cached_key(|r| {
             (
                 r.descriptor().created_s(),

@@ -6,6 +6,10 @@
 //! explicitly notes processing and preservation need no quality phase
 //! because everything reaching them was already checked.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::fmt;
+
 use scc_sensors::{Category, SensorType, Value};
 use serde::{Deserialize, Serialize};
 
@@ -25,11 +29,22 @@ pub enum Violation {
     MalformedComposite,
 }
 
+/// Most violations one assessment can detect: range, arity, and one of
+/// future/stale.
+const MAX_VIOLATIONS: usize = 3;
+
 /// Result of assessing one reading.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The violations sit inline with a count — every stored record carries
+/// its report, and a report with a heap list would carry an empty `Vec`
+/// for almost every one. Slots past the count are held at
+/// [`Violation::OutOfRange`], so the derived `==` still means "same
+/// score, same violations".
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct QualityReport {
     score: f64,
-    violations: Vec<Violation>,
+    violations: [Violation; MAX_VIOLATIONS],
+    len: u8,
 }
 
 impl QualityReport {
@@ -37,7 +52,8 @@ impl QualityReport {
     pub fn perfect() -> Self {
         Self {
             score: 1.0,
-            violations: Vec::new(),
+            violations: [Violation::OutOfRange; MAX_VIOLATIONS],
+            len: 0,
         }
     }
 
@@ -49,12 +65,29 @@ impl QualityReport {
 
     /// Detected violations.
     pub fn violations(&self) -> &[Violation] {
-        &self.violations
+        &self.violations[..usize::from(self.len)]
     }
 
     /// Whether the record passed (score ≥ 0.5 by convention).
     pub fn passed(&self) -> bool {
         self.score >= 0.5
+    }
+
+    fn push(&mut self, violation: Violation) {
+        if let Some(slot) = self.violations.get_mut(usize::from(self.len)) {
+            *slot = violation;
+            self.len += 1;
+        }
+    }
+}
+
+/// Prints the report as it reads: score and the detected violations.
+impl fmt::Debug for QualityReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QualityReport")
+            .field("score", &self.score)
+            .field("violations", &self.violations())
+            .finish()
     }
 }
 
@@ -130,24 +163,24 @@ impl QualityPolicy {
         created_s: u64,
         collected_s: u64,
     ) -> QualityReport {
-        let mut violations = Vec::new();
+        let mut report = QualityReport::perfect();
         let (lo, hi) = Self::bounds_for(ty);
         let mag = value.magnitude();
         if !(lo..=hi).contains(&mag) {
-            violations.push(Violation::OutOfRange);
+            report.push(Violation::OutOfRange);
         }
         if let Value::Composite(fields) = value {
             if Self::composite_arity(ty).is_some_and(|n| n != fields.len()) {
-                violations.push(Violation::MalformedComposite);
+                report.push(Violation::MalformedComposite);
             }
         }
         if created_s > collected_s {
-            violations.push(Violation::FutureTimestamp);
+            report.push(Violation::FutureTimestamp);
         } else if collected_s - created_s > self.max_staleness_s {
-            violations.push(Violation::Stale);
+            report.push(Violation::Stale);
         }
-        let score = (1.0 - self.penalty * violations.len() as f64).max(0.0);
-        QualityReport { score, violations }
+        report.score = (1.0 - self.penalty * f64::from(report.len)).max(0.0);
+        report
     }
 }
 
@@ -247,5 +280,111 @@ mod tests {
         };
         let r = p.assess(SensorType::Temperature, &Value::from_f64(999.0), 0, 100);
         assert_eq!(r.score(), 0.0);
+    }
+
+    /// `assess` as it was: the violations pushed onto a `Vec`. The
+    /// reference the inline report is held to.
+    fn assess_into_vec(
+        p: &QualityPolicy,
+        ty: SensorType,
+        value: &Value,
+        created_s: u64,
+        collected_s: u64,
+    ) -> (f64, Vec<Violation>) {
+        let mut violations = Vec::new();
+        let (lo, hi) = QualityPolicy::bounds_for(ty);
+        if !(lo..=hi).contains(&value.magnitude()) {
+            violations.push(Violation::OutOfRange);
+        }
+        if let Value::Composite(fields) = value {
+            if QualityPolicy::composite_arity(ty).is_some_and(|n| n != fields.len()) {
+                violations.push(Violation::MalformedComposite);
+            }
+        }
+        if created_s > collected_s {
+            violations.push(Violation::FutureTimestamp);
+        } else if collected_s - created_s > p.max_staleness_s {
+            violations.push(Violation::Stale);
+        }
+        let score = (1.0 - p.penalty * violations.len() as f64).max(0.0);
+        (score, violations)
+    }
+
+    #[test]
+    fn inline_report_matches_the_vec_built_one_for_every_rule_combination() {
+        assert!(std::mem::size_of::<Option<QualityReport>>() <= 16);
+        let policies = [
+            QualityPolicy::paper_default(),
+            QualityPolicy {
+                max_staleness_s: 0,
+                penalty: 0.9,
+            },
+            QualityPolicy {
+                max_staleness_s: 10,
+                penalty: 0.0,
+            },
+            QualityPolicy {
+                max_staleness_s: u64::MAX,
+                penalty: 1.0,
+            },
+        ];
+        // In range or not × well-formed, malformed or scalar × fresh,
+        // stale, future, at the edges of the `u64` range.
+        let values = [
+            Value::Composite(vec![100, 200, 300, 400, 500]),
+            Value::Composite(vec![100, 200]),
+            Value::Composite(vec![100_000, 200, 300, 400, 500]),
+            Value::Composite(vec![100_000]),
+            Value::from_f64(10.0),
+            Value::from_f64(-400.0),
+        ];
+        let instants = [
+            (100, 110),
+            (0, 50_000),
+            (500, 100),
+            (0, u64::MAX),
+            (u64::MAX, 0),
+            (u64::MAX, u64::MAX),
+        ];
+        let mut kinds = std::collections::HashSet::new();
+        for p in &policies {
+            for ty in [SensorType::Weather, SensorType::Temperature] {
+                for value in &values {
+                    for &(created, collected) in &instants {
+                        let report = p.assess(ty, value, created, collected);
+                        let (score, violations) = assess_into_vec(p, ty, value, created, collected);
+                        assert_eq!(report.violations(), violations.as_slice());
+                        assert_eq!(report.score().to_bits(), score.to_bits());
+                        assert!(report == report.clone());
+                        assert_eq!(
+                            format!("{report:?}"),
+                            format!(
+                                "QualityReport {{ score: {score:?}, violations: {violations:?} }}"
+                            )
+                        );
+                        kinds.insert(violations);
+                    }
+                }
+            }
+        }
+        // Every subset the rules can produce: 2 (range) × 2 (arity) × 3
+        // (timing) combinations, up to all three at once.
+        assert_eq!(kinds.len(), 12);
+        assert!(kinds.iter().any(|v| v.len() == MAX_VIOLATIONS));
+    }
+
+    #[test]
+    fn equal_reports_are_equal_and_different_ones_are_not() {
+        let p = QualityPolicy::paper_default();
+        let a = p.assess(SensorType::Weather, &Value::from_f64(400.0), 0, 0);
+        let b = p.assess(SensorType::Weather, &Value::from_f64(401.0), 0, 0);
+        let c = p.assess(SensorType::Weather, &Value::from_f64(400.0), 0, 10_000);
+        assert_eq!(a, b, "same score, same violations");
+        assert_ne!(a, c);
+        assert_ne!(a, QualityReport::perfect());
+        assert_eq!(
+            p.assess(SensorType::Weather, &Value::from_f64(20.0), 0, 0),
+            QualityReport::perfect()
+        );
     }
 }

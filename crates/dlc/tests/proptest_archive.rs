@@ -1,8 +1,11 @@
 //! Model equivalence for [`ArchiveStore`]: the time-sorted run with its
 //! time and type columns must behave, call for call, like the ordered map
 //! keyed `(creation time, arrival sequence)` it replaced — under any
-//! interleaving of single inserts, batches of every shape, evictions and
-//! drains.
+//! interleaving of single inserts, batches of every shape, flush waves of
+//! several shipments, evictions and drains. A wave goes into one store as
+//! one [`ArchiveStore::insert_runs`] and into a second as one
+//! [`ArchiveStore::insert_batch`] per shipment; both must read like the
+//! map.
 
 use std::collections::BTreeMap;
 
@@ -61,6 +64,37 @@ fn time_of(raw: u64) -> u64 {
     }
 }
 
+/// One shipment of `n` records in one of four shapes, made by `record`
+/// from a type pick and a creation time.
+fn shipment(
+    record: &mut impl FnMut(u64, u64) -> DataRecord,
+    store: &ArchiveStore,
+    (shape, t, n, raw, salt): (usize, u64, usize, u64, u64),
+) -> Vec<DataRecord> {
+    (0..n as u64)
+        .map(|i| {
+            let created = match shape {
+                // Sorted, starting anywhere.
+                0 => t.saturating_add(i * (salt % 3)),
+                // Unsorted.
+                1 => time_of(salt.rotate_left(i as u32 * 7) ^ raw),
+                // Late: older than the newest held, or than everything held.
+                2 => {
+                    let anchor = if salt.is_multiple_of(2) {
+                        store.latest_s()
+                    } else {
+                        store.earliest_s()
+                    };
+                    anchor.unwrap_or(t).saturating_sub(n as u64 - i)
+                }
+                // One instant.
+                _ => t,
+            };
+            record(salt.wrapping_add(i / 2), created)
+        })
+        .collect()
+}
+
 fn check(store: &ArchiveStore, model: &Model, a: u64, b: u64) -> Result<(), TestCaseError> {
     let held: Vec<&DataRecord> = model.records.values().collect();
     prop_assert_eq!(store.iter().collect::<Vec<_>>(), held.clone());
@@ -106,11 +140,12 @@ proptest! {
     #[test]
     fn the_run_behaves_like_the_ordered_map_it_replaced(
         ops in proptest::collection::vec(
-            (0u8..12, any::<u64>(), 0usize..10, 0usize..4, any::<u64>()),
+            (0u8..15, any::<u64>(), 0usize..10, 0usize..4, any::<u64>()),
             0..60,
         ),
     ) {
         let mut store = ArchiveStore::new();
+        let mut sequential = ArchiveStore::new();
         let mut model = Model::default();
         let mut next_sensor = 0u32;
         let mut record = |ty_pick: u64, created: u64| {
@@ -130,41 +165,43 @@ proptest! {
                 0..=3 => {
                     let rec = record(salt, t);
                     model.insert(rec.clone());
+                    sequential.insert(rec.clone());
                     store.insert(rec);
                 }
                 4..=8 => {
-                    let batch: Vec<DataRecord> = (0..n as u64)
-                        .map(|i| {
-                            let created = match shape {
-                                // Sorted, starting anywhere.
-                                0 => t.saturating_add(i * (salt % 3)),
-                                // Unsorted.
-                                1 => time_of(salt.rotate_left(i as u32 * 7) ^ raw),
-                                // Late: older than the newest held, or
-                                // than everything held.
-                                2 => {
-                                    let anchor = if salt.is_multiple_of(2) {
-                                        store.latest_s()
-                                    } else {
-                                        store.earliest_s()
-                                    };
-                                    anchor.unwrap_or(t).saturating_sub(n as u64 - i)
-                                }
-                                // One instant.
-                                _ => t,
-                            };
-                            record(salt.wrapping_add(i / 2), created)
-                        })
-                        .collect();
+                    let batch = shipment(&mut record, &store, (shape, t, n, raw, salt));
                     for rec in &batch {
                         model.insert(rec.clone());
                     }
+                    sequential.insert_batch(batch.clone());
                     store.insert_batch(batch);
                 }
+                12..=14 => {
+                    // A wave: up to four shipments, each its own shape —
+                    // the fifth shape is an empty shipment.
+                    let runs: Vec<Vec<DataRecord>> = (0..=salt % 4)
+                        .map(|j| {
+                            let shape = (shape + j as usize) % 5;
+                            let n = if shape == 4 { 0 } else { (n + j as usize) % 10 };
+                            shipment(&mut record, &store, (shape, t.saturating_add(j), n, raw ^ j, salt ^ j))
+                        })
+                        .collect();
+                    for rec in runs.iter().flatten() {
+                        model.insert(rec.clone());
+                    }
+                    let oldest = runs.iter().flatten().map(|r| r.descriptor().created_s()).min();
+                    for run in runs.clone() {
+                        sequential.insert_batch(run);
+                    }
+                    prop_assert_eq!(store.insert_runs(runs), oldest);
+                }
                 9 => {
-                    prop_assert_eq!(store.evict_older_than(t), model.evict_older_than(t));
+                    let evicted = model.evict_older_than(t);
+                    prop_assert_eq!(sequential.evict_older_than(t), evicted.clone());
+                    prop_assert_eq!(store.evict_older_than(t), evicted);
                 }
                 10 => {
+                    sequential.discard_older_than(t);
                     prop_assert_eq!(
                         store.discard_older_than(t),
                         model.evict_older_than(t).len()
@@ -172,10 +209,12 @@ proptest! {
                 }
                 _ if salt.is_multiple_of(3) => {
                     let all = std::mem::take(&mut model.records);
+                    sequential.drain();
                     prop_assert_eq!(store.drain(), all.into_values().collect::<Vec<_>>());
                 }
                 _ => {}
             }
+            check(&sequential, &model, t, time_of(salt))?;
             check(&store, &model, t, time_of(salt))?;
         }
     }

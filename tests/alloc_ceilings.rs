@@ -1,7 +1,7 @@
 //! Allocation ceilings on the serving shapes the benchmark leans on — a
 //! warm edge-cache hit, a local point read, a 22-leg scatter over an open
 //! window and a 10-leg one over settled buckets — and on the write path:
-//! the ingest waves and the flush wave of one period per stored reading,
+//! the ingest waves and the flush wave of one period per 100 stored readings,
 //! and the stream encoder per reading of a warm stream.
 //!
 //! This binary installs its own counting `#[global_allocator]`, so the
@@ -24,7 +24,10 @@
 //! single digits when the per-leg accumulators went altogether. The
 //! ingest ceiling, the tighter flush
 //! ceiling and the record-size assertion were added when a record's tags
-//! (city, provider) became shared instead of two heap strings per copy.
+//! (city, provider) became shared instead of two heap strings per copy;
+//! the write-path ceilings went per 100 stored readings, and the size
+//! assertion down to 104 bytes, when a record came to be built once, at
+//! its final size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -34,7 +37,7 @@ use f2c_smartcity::citysim::metrics::{bucket_index, bucket_upper_micros, NUM_BUC
 use f2c_smartcity::compress::tsenc::StreamEncoder;
 use f2c_smartcity::core::runtime::{populate_city, section_generators};
 use f2c_smartcity::core::{DataSource, F2cCity, Parallelism};
-use f2c_smartcity::dlc::DataRecord;
+use f2c_smartcity::dlc::{DataRecord, Descriptor, QualityReport};
 use f2c_smartcity::obs::{ExplainStore, Json, Tracer};
 use f2c_smartcity::query::{
     EngineConfig, Outcome, Query, QueryEngine, QueryKind, Scope, Selector, ServedVia, ServiceClass,
@@ -123,14 +126,25 @@ const SETTLED_SCATTER_CEILING: u64 = 8;
 // records in place instead of cloning each reading, sizes no wire text,
 // and the lineage chain hashes a line it never builds; what is left is
 // the receiver's decoded batch, a `Composite`'s fields per record copy,
-// and per-batch scratch. Twice the 1.37.
-const FLUSH_PER_STORED_CEILING: u64 = 3;
-const INGEST_PER_STORED_CEILING: u64 = 2;
+// and per-batch scratch. Twice the 1.37. Restated per 100 stored readings
+// when a record came to be built once and land once per tier, because at
+// one-per-reading resolution a "1" or a "2" can hide a doubling: 69 for
+// the ingest waves (13 941 / 20 312; 17 329 the commit before — a wave
+// now builds one vector of records where the four-phase pipeline built
+// two, and a lone shipment merges into the run without a list of heads)
+// and 138 for the flush wave (27 885; 27 850
+// before). The ceilings keep about a sixth of headroom over those counts.
+const FLUSH_PER_100_STORED_CEILING: u64 = 160;
+const INGEST_PER_100_STORED_CEILING: u64 = 80;
 const ENCODE_PER_READING_CEILING: u64 = 2;
 
 // A record is copied into every tier it reaches and a scan strides over
-// them: 176 bytes while the tags were strings, 144 since.
-const _: () = assert!(std::mem::size_of::<DataRecord>() <= 160);
+// them: 176 bytes while the tags were strings, 144 while the optional
+// tags were `Option`s and the quality report held a `Vec`, 104 since — a
+// 40-byte reading, 48 bytes of tags, a 16-byte optional report.
+const _: () = assert!(std::mem::size_of::<DataRecord>() <= 104);
+const _: () = assert!(std::mem::size_of::<Descriptor>() <= 48);
+const _: () = assert!(std::mem::size_of::<Option<QualityReport>>() <= 16);
 
 /// Heap allocations this thread makes while `f` runs.
 fn allocs_in(f: impl FnOnce()) -> u64 {
@@ -315,13 +329,13 @@ fn a_flush_wave_stays_under_its_allocation_ceiling_per_stored_reading() {
         }
     }
     assert!(stored > 10_000, "the period stored only {stored} readings");
-    let ingest_per_stored = ingest_allocs.div_ceil(stored);
+    let ingest_per_100 = (100 * ingest_allocs).div_ceil(stored);
     println!(
-        "allocations per stored reading, ingest waves: {ingest_per_stored} ({ingest_allocs} / {stored})"
+        "allocations per 100 stored readings, ingest waves: {ingest_per_100} ({ingest_allocs} / {stored})"
     );
     assert!(
-        ingest_per_stored <= INGEST_PER_STORED_CEILING,
-        "ingest waves: {ingest_per_stored} allocations per stored reading"
+        ingest_per_100 <= INGEST_PER_100_STORED_CEILING,
+        "ingest waves: {ingest_per_100} allocations per 100 stored readings"
     );
     let in_cloud = city.cloud().store().len() as u64;
     let allocs = allocs_in(|| {
@@ -329,11 +343,13 @@ fn a_flush_wave_stays_under_its_allocation_ceiling_per_stored_reading() {
     });
     assert_eq!(city.cloud().store().len() as u64 - in_cloud, stored);
     assert_eq!(city.flush_batches().1, 0, "generator traffic fell back");
-    let per_stored = allocs.div_ceil(stored);
-    println!("allocations per stored reading, one flush wave: {per_stored} ({allocs} / {stored})");
+    let per_100 = (100 * allocs).div_ceil(stored);
+    println!(
+        "allocations per 100 stored readings, one flush wave: {per_100} ({allocs} / {stored})"
+    );
     assert!(
-        per_stored <= FLUSH_PER_STORED_CEILING,
-        "flush wave: {per_stored} allocations per stored reading"
+        per_100 <= FLUSH_PER_100_STORED_CEILING,
+        "flush wave: {per_100} allocations per 100 stored readings"
     );
 }
 
