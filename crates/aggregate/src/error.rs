@@ -7,7 +7,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
-    /// A window length of zero was requested.
+    /// A zero-length window (a sketch ledger's bucket width) was requested.
     EmptyWindow,
     /// A sketch was configured with zero width/depth/registers.
     DegenerateSketch {

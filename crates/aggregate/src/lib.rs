@@ -4,23 +4,20 @@
 //! (communication: structured/unstructured/hybrid; computation:
 //! decomposable/complex/counting) and then evaluates two concrete
 //! techniques at fog layer 1: **redundant-data elimination** and
-//! compression. This crate implements the evaluated techniques plus a
-//! representative slice of the surveyed taxonomy, so the architecture's
-//! "many other aggregation techniques could easily be applied" claim is
-//! backed by working code:
+//! compression. This crate implements the first, the mergeable
+//! aggregate states the query engine's sketch plane ships up the
+//! hierarchy, and a slice of the surveyed taxonomy:
 //!
 //! * [`dedup`] — redundant-data elimination (the paper's technique #1),
-//! * [`window`] — tumbling-window combination (count/min/max/mean),
 //! * [`functions`] — decomposable aggregate functions with mergeable
 //!   partial states (the "hierarchic/averaging" computation class),
-//! * [`sketch`] — count-min and HyperLogLog (the "sketches" and
-//!   "randomized counting" classes), plus the sketch plane's mergeable
-//!   [`sketch::AggPartial`] (CRC-checked wire form) and per-node
-//!   [`sketch::SketchLedger`] of bucketed, compaction-surviving
-//!   partials,
+//! * [`sketch`] — count-min, q-digest and HyperLogLog (the "sketches",
+//!   "digests" and "randomized counting" classes), plus the sketch
+//!   plane's mergeable [`sketch::AggPartial`] (CRC-checked wire form),
+//!   the dense [`sketch::AggAcc`] a request folds into, and the per-node
+//!   [`sketch::SketchLedger`] of bucketed, compaction-surviving partials,
 //! * [`protocol`] — tree (structured/hierarchical), gossip push-sum
-//!   (unstructured), and flooding (unstructured) protocols,
-//! * [`plan`] — composable per-fog-node aggregation pipelines.
+//!   (unstructured), and flooding (unstructured) protocols.
 //!
 //! # Quickstart
 //!
@@ -45,15 +42,10 @@
 //! ```
 
 pub mod dedup;
-pub mod delta;
 mod error;
 pub mod functions;
-pub mod plan;
 pub mod protocol;
 pub mod sketch;
-pub mod window;
 
 pub use dedup::{DedupStats, RedundancyFilter};
 pub use error::{Error, Result};
-pub use plan::{AggregationPlan, PlanReport, Stage};
-pub use window::{WindowCombiner, WindowSummary};

@@ -8,7 +8,7 @@ mod reference;
 use f2c_aggregate::functions::{fold, Decomposable, MinMax, Moments, SumCount};
 use f2c_aggregate::protocol::{flood_max, push_sum, AggregationTree};
 use f2c_aggregate::sketch::{AggPartial, CountMinSketch, HyperLogLog, QDigest, Registers};
-use f2c_aggregate::{delta, RedundancyFilter};
+use f2c_aggregate::RedundancyFilter;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use reference::{DenseHll, RefPartial};
@@ -322,12 +322,6 @@ proptest! {
         for v in &out.values {
             prop_assert_eq!(*v, true_max);
         }
-    }
-
-    #[test]
-    fn delta_varint_roundtrips(values in proptest::collection::vec(any::<i64>(), 0..500)) {
-        let packed = delta::to_varint_bytes(&values);
-        prop_assert_eq!(delta::from_varint_bytes(&packed).unwrap(), values);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Shared measurement harness for the experiment binaries and benches.
 //!
 //! The binaries in `src/bin/` regenerate the paper's tables and figures
-//! (see EXPERIMENTS.md for the index); this library holds the measurement
-//! code they share — chiefly the *measured* compression ratios that replace
-//! the paper's PKWARE-Zip number with this repo's own codec on the same
-//! data shape.
+//! (`table1`, `fig7`, `compression`, `latency`, `placement`, `ablation`)
+//! and run the serving benchmarks (`queries`, gated by `perf_gate`).
+//! This library holds the measurement code they share — chiefly the
+//! *measured* compression ratios that replace the paper's PKWARE-Zip
+//! number with this repo's own codec on the same data shape.
 
 pub mod export;
 

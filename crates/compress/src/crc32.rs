@@ -1,8 +1,8 @@
 //! CRC-32 (IEEE 802.3, the polynomial used by zip/gzip/PNG).
 //!
-//! The archive container stores a CRC-32 of every entry and the deflate-style
-//! stream stores one for its whole payload, so corrupted or truncated data is
-//! detected on decode rather than silently propagated into the experiments.
+//! The deflate-style stream stores a CRC-32 of its whole payload, so
+//! corrupted or truncated data is detected on decode rather than silently
+//! propagated into the experiments.
 //! Every flush payload and every sketch partial is sealed and checked with
 //! it on each hop, so [`Hasher::update`] consumes eight bytes per step
 //! (slicing-by-8) instead of one.

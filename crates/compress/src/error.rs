@@ -48,13 +48,6 @@ pub enum Error {
         /// Maximum size the decoder was willing to produce.
         limit: u64,
     },
-    /// An archive entry name was duplicated or empty.
-    BadEntryName {
-        /// The offending name.
-        name: String,
-    },
-    /// A run-length-encoded stream was truncated mid-run.
-    TruncatedRun,
     /// A structurally invalid `tsenc` stream: internal framing that
     /// contradicts itself (lying lengths, out-of-range codes, trailing
     /// bytes). The CRC may well be valid — this is the decoder's own
@@ -93,10 +86,6 @@ impl fmt::Display for Error {
                 f,
                 "declared payload size {declared} exceeds decoder limit {limit}"
             ),
-            Error::BadEntryName { name } => {
-                write!(f, "invalid archive entry name {name:?}")
-            }
-            Error::TruncatedRun => write!(f, "run-length stream truncated mid-run"),
             Error::Malformed { reason, offset } => {
                 write!(f, "malformed stream at byte {offset}: {reason}")
             }
@@ -129,10 +118,6 @@ mod tests {
                 declared: 10,
                 limit: 5,
             },
-            Error::BadEntryName {
-                name: String::new(),
-            },
-            Error::TruncatedRun,
             Error::Malformed {
                 reason: "probe",
                 offset: 12,

@@ -8,12 +8,9 @@
 //!
 //! * [`bitio`] — LSB-first bit-level reader/writer,
 //! * [`crc32`] — CRC-32 (IEEE 802.3) integrity checksums,
-//! * [`rle`] — byte run-length coding (a cheap baseline codec),
 //! * [`lz77`] — hash-chain LZ77 tokenizer with lazy matching,
 //! * [`huffman`] — length-limited canonical Huffman codes (package-merge),
 //! * [`deflate`] — the combined LZ77+Huffman stream codec,
-//! * [`archive`] — a minimal multi-entry container (the "zip file" role),
-//! * [`ratio`] — compression-ratio bookkeeping used by the experiments,
 //! * [`tsenc`] — the columnar time-series codec the flush path ships
 //!   with: per-column technique probing (raw / delta / delta-of-delta /
 //!   RLE / dict / XOR), a cross-batch sensor dictionary, and a tagged
@@ -34,19 +31,14 @@
 //! The stream format is *not* zlib/zip compatible (the experiment only needs
 //! the ratio class, not interoperability); see [`deflate`] for the layout.
 
-pub mod archive;
 pub mod bitio;
 pub mod crc32;
 pub mod deflate;
 mod error;
 pub mod huffman;
 pub mod lz77;
-pub mod ratio;
-pub mod rle;
 pub mod tsenc;
 
-pub use archive::{Archive, ArchiveEntry, Method};
 pub use deflate::{compress, compress_with, decompress, Level};
 pub use error::{Error, Result};
-pub use ratio::CompressionStats;
 pub use tsenc::{StreamDecoder, StreamEncoder, Technique};

@@ -2,7 +2,7 @@
 //! bijection on arbitrary byte vectors, and decoding must never panic on
 //! arbitrary (mostly invalid) input.
 
-use f2c_compress::{compress_with, decompress, lz77, rle, Archive, Level, Method};
+use f2c_compress::{compress_with, decompress, lz77, Level};
 use proptest::prelude::*;
 
 proptest! {
@@ -30,22 +30,6 @@ proptest! {
     }
 
     #[test]
-    fn rle_roundtrips_arbitrary_bytes(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
-        prop_assert_eq!(rle::decode(&rle::encode(&data)).unwrap(), data);
-    }
-
-    #[test]
-    fn rle_roundtrips_runny_bytes(
-        runs in proptest::collection::vec((any::<u8>(), 1usize..400), 0..50)
-    ) {
-        let mut data = Vec::new();
-        for (byte, len) in runs {
-            data.extend(std::iter::repeat_n(byte, len));
-        }
-        prop_assert_eq!(rle::decode(&rle::encode(&data)).unwrap(), data);
-    }
-
-    #[test]
     fn lz77_roundtrips_arbitrary_bytes(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
         let tokens = lz77::tokenize(&data, &lz77::SearchParams::DEFAULT);
         prop_assert_eq!(lz77::reconstruct(&tokens).unwrap(), data);
@@ -55,37 +39,6 @@ proptest! {
     fn decompress_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..512)) {
         // Any outcome is fine except a panic.
         let _ = decompress(&data);
-    }
-
-    #[test]
-    fn rle_decode_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = rle::decode(&data);
-    }
-
-    #[test]
-    fn archive_parse_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = Archive::from_bytes(&data);
-    }
-
-    #[test]
-    fn archive_roundtrips_entries(
-        entries in proptest::collection::vec(
-            ("[a-z]{1,12}", proptest::collection::vec(any::<u8>(), 0..1024)),
-            0..8
-        )
-    ) {
-        let mut ar = Archive::new();
-        let mut added = std::collections::BTreeMap::new();
-        for (name, data) in entries {
-            if ar.add(&name, &data, Method::Deflate).is_ok() {
-                added.insert(name, data);
-            }
-        }
-        let back = Archive::from_bytes(&ar.to_bytes()).unwrap();
-        prop_assert_eq!(back.len(), added.len());
-        for (name, data) in added {
-            prop_assert_eq!(back.entry(&name).unwrap().extract().unwrap(), data);
-        }
     }
 
     #[test]

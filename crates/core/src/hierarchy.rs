@@ -1,12 +1,12 @@
 //! The assembled city: all 73 fog-1 nodes, 10 fog-2 nodes and the cloud,
-//! wired to the Barcelona topology, with the §IV.C data-fetch logic — when
-//! a fog-1 node lacks a requested dataset, the cost model chooses between
-//! a neighbor fog node, the fog-2 parent, and the cloud, and the transfer
-//! is metered on the simulated network.
+//! wired to the Barcelona topology. It runs the write path (ingest and
+//! the flush wave) and meters the transfers of reads that the query
+//! engine's §IV.C planner routes to a neighbor fog node, a fog-2 node or
+//! the cloud.
 
 use citysim::barcelona::{BarcelonaTopology, LatencyProfile, DISTRICTS};
 use citysim::net::FailurePlan;
-use citysim::time::{Duration, SimTime};
+use citysim::time::SimTime;
 use citysim::{NetScratch, Network, NodeId};
 use f2c_aggregate::sketch::SketchKey;
 use f2c_compress::tsenc;
@@ -14,10 +14,9 @@ use f2c_obs::{
     AlertTransition, BurnRateMonitor, CounterId, ExemplarStore, ExplainStore, Labels,
     MetricsRegistry, Site, SloSpec, Tracer,
 };
-use scc_dlc::DataRecord;
-use scc_sensors::{wire, Catalog, Reading, SensorType};
+use scc_sensors::{wire, Catalog, Reading};
 
-use crate::cost::{AccessCostModel, AccessOption};
+use crate::cost::AccessCostModel;
 use crate::incident::{ChaosSite, IncidentKind, IncidentTimeline};
 use crate::node::{F2cNode, FlushBatch, IngestOutcome};
 use crate::policy::{FlushPolicy, RetentionPolicy};
@@ -75,18 +74,6 @@ impl HealReport {
     pub fn clean(&self) -> bool {
         self.blocked == 0 && self.impossible == 0
     }
-}
-
-/// Result of a data fetch.
-#[derive(Debug, Clone)]
-pub struct FetchOutcome {
-    /// The matching records (clones — data is replicated toward the
-    /// consumer, never removed from its tier).
-    pub records: Vec<DataRecord>,
-    /// Where they came from.
-    pub source: DataSource,
-    /// Completion-time estimate from the cost model.
-    pub est_latency: Duration,
 }
 
 /// The city's pre-resolved handles into its metrics registry: hot paths
@@ -1176,108 +1163,6 @@ impl F2cCity {
         d.min(members.len() - d) as u32
     }
 
-    fn matching(
-        store: &crate::store::TieredStore,
-        ty: SensorType,
-        from_s: u64,
-        until_s: u64,
-    ) -> Vec<DataRecord> {
-        store
-            .range(from_s, until_s)
-            .filter(|r| r.sensor_type() == ty)
-            .cloned()
-            .collect()
-    }
-
-    /// §IV.C data fetch: serves `(ty, [from_s, until_s))` to a consumer at
-    /// `section`. Checks the local fog-1 store first; otherwise gathers
-    /// the candidate sources that hold the data (same-district neighbors,
-    /// the fog-2 parent, the cloud), asks the cost model for the cheapest,
-    /// and meters the transfer on the network.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Unplaceable`] when no tier holds the requested data;
-    /// network errors if the chosen transfer fails.
-    pub fn fetch(
-        &mut self,
-        section: usize,
-        ty: SensorType,
-        from_s: u64,
-        until_s: u64,
-        now_s: u64,
-    ) -> Result<FetchOutcome> {
-        // 1. Local.
-        let local = Self::matching(self.fog1[section].store(), ty, from_s, until_s);
-        if !local.is_empty() {
-            let bytes: u64 = local.iter().map(DataRecord::wire_len).sum();
-            return Ok(FetchOutcome {
-                est_latency: self.cost.cost(AccessOption::Local, bytes),
-                records: local,
-                source: DataSource::Local,
-            });
-        }
-        // 2. Candidates elsewhere.
-        let district = self.city.district_of(section);
-        let mut candidates: Vec<(AccessOption, DataSource, Vec<DataRecord>)> = Vec::new();
-        for &neighbor in self.city.fog1_in_district(district) {
-            if neighbor == section {
-                continue;
-            }
-            let found = Self::matching(self.fog1[neighbor].store(), ty, from_s, until_s);
-            if !found.is_empty() {
-                let hops = self.ring_hops(section, neighbor);
-                candidates.push((
-                    AccessOption::Neighbor { hops },
-                    DataSource::Neighbor(neighbor),
-                    found,
-                ));
-            }
-        }
-        let parent = Self::matching(self.fog2[district].store(), ty, from_s, until_s);
-        if !parent.is_empty() {
-            candidates.push((AccessOption::Parent, DataSource::Parent, parent));
-        }
-        let cloud = Self::matching(self.cloud.store(), ty, from_s, until_s);
-        if !cloud.is_empty() {
-            candidates.push((AccessOption::Cloud, DataSource::Cloud, cloud));
-        }
-        let (option, source, records) = candidates
-            .into_iter()
-            .min_by_key(|(opt, _, recs)| {
-                let bytes: u64 = recs.iter().map(DataRecord::wire_len).sum();
-                self.cost.cost(*opt, bytes).as_micros()
-            })
-            .ok_or_else(|| Error::Unplaceable {
-                reason: format!("no tier holds {ty} data in [{from_s}, {until_s})"),
-            })?;
-        // 3. Meter the transfer.
-        let bytes: u64 = records.iter().map(DataRecord::wire_len).sum();
-        let requester = self.city.fog1_nodes()[section];
-        let source_node = match source {
-            DataSource::Local => unreachable!("local handled above"),
-            DataSource::WarmSketch(_) => {
-                unreachable!("record fetches never read the sketch plane")
-            }
-            DataSource::Neighbor(n) => self.city.fog1_nodes()[n],
-            DataSource::Parent => self.city.fog2_nodes()[district],
-            DataSource::RemoteFog2(d) => self.city.fog2_nodes()[d],
-            DataSource::Cloud => self.city.cloud(),
-        };
-        self.city.network_mut().request_response(
-            requester,
-            source_node,
-            200,
-            bytes,
-            SimTime::from_secs(now_s),
-        )?;
-        Ok(FetchOutcome {
-            est_latency: self.cost.cost(option, bytes),
-            records,
-            source,
-        })
-    }
-
     /// Total bytes metered on the network so far.
     pub fn network_bytes(&self) -> u64 {
         self.city.network().meter().total_bytes()
@@ -1592,7 +1477,8 @@ impl HealShard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scc_sensors::{ReadingGenerator, SensorId, Value};
+    use scc_dlc::DataRecord;
+    use scc_sensors::{ReadingGenerator, SensorId, SensorType, Value};
 
     fn waves_into(city: &mut F2cCity, section: usize, ty: SensorType, waves: u64) {
         let mut gen = ReadingGenerator::for_population(ty, 10, section as u64 + 1);
@@ -1600,93 +1486,6 @@ mod tests {
             city.ingest(section, gen.wave(w * 900), w * 900 + 1)
                 .unwrap();
         }
-    }
-
-    #[test]
-    fn local_data_is_served_locally() {
-        let mut city = F2cCity::barcelona().unwrap();
-        waves_into(&mut city, 5, SensorType::Weather, 4);
-        let before = city.network_bytes();
-        let out = city
-            .fetch(5, SensorType::Weather, 0, 10_000, 4_000)
-            .unwrap();
-        assert_eq!(out.source, DataSource::Local);
-        assert!(!out.records.is_empty());
-        assert_eq!(
-            city.network_bytes(),
-            before,
-            "local reads never hit the network"
-        );
-    }
-
-    #[test]
-    fn neighbor_beats_parent_when_close() {
-        let mut city = F2cCity::barcelona().unwrap();
-        // Section 0 and 1 are in Ciutat Vella (district 0), 1 ring hop.
-        waves_into(&mut city, 1, SensorType::ParkingSpot, 4);
-        let out = city
-            .fetch(0, SensorType::ParkingSpot, 0, 10_000, 4_000)
-            .unwrap();
-        assert_eq!(out.source, DataSource::Neighbor(1));
-        assert!(city.network_bytes() > 0, "neighbor fetch is metered");
-    }
-
-    #[test]
-    fn parent_serves_after_fog1_flush_when_no_neighbor_has_it() {
-        let mut city = F2cCity::barcelona().unwrap();
-        // Ingest at section 10 (district 2); consumer in district 0.
-        waves_into(&mut city, 10, SensorType::Traffic, 4);
-        city.flush_all(4_000).unwrap();
-        // Data now also at fog2 of district 2 — but the requester is in
-        // district 0, whose neighbors/parent have nothing... except the
-        // cloud has nothing yet either (fog2 flush shipped it!). After
-        // flush_all, the cloud holds it too; district-0 requester gets it
-        // from the cloud.
-        let out = city
-            .fetch(0, SensorType::Traffic, 0, 10_000, 5_000)
-            .unwrap();
-        assert_eq!(out.source, DataSource::Cloud);
-
-        // A requester in district 2 itself prefers its own fog-2 parent
-        // (section 10's local store still holds the data; pick a different
-        // section of district 2 whose neighbors include 10).
-        let d2 = city.city.fog1_in_district(2);
-        let far = *d2.iter().find(|&&s| s != 10).unwrap();
-        let out = city
-            .fetch(far, SensorType::Traffic, 0, 10_000, 5_000)
-            .unwrap();
-        // Either the neighbor (section 10) or the parent wins, never the
-        // cloud — both are strictly cheaper.
-        assert_ne!(out.source, DataSource::Cloud);
-    }
-
-    #[test]
-    fn aged_data_climbs_the_residency_ladder() {
-        let mut city = F2cCity::barcelona().unwrap();
-        waves_into(&mut city, 3, SensorType::NoiseAmbient, 2);
-        city.flush_all(2_000).unwrap();
-        // Two days in: fog-1 retention (1 day) has evicted the section
-        // copy, but fog-2 keeps a week — recent data is served by the
-        // parent, per §IV.B.
-        city.flush_all(2 * 86_400).unwrap();
-        let out = city
-            .fetch(3, SensorType::NoiseAmbient, 0, 10_000, 2 * 86_400)
-            .unwrap();
-        assert_eq!(out.source, DataSource::Parent);
-        // Ten days in: fog-2 retention (7 days) has expired too — the data
-        // is historical and lives only at the cloud.
-        city.flush_all(10 * 86_400).unwrap();
-        let out = city
-            .fetch(3, SensorType::NoiseAmbient, 0, 10_000, 10 * 86_400)
-            .unwrap();
-        assert_eq!(out.source, DataSource::Cloud);
-    }
-
-    #[test]
-    fn missing_data_is_an_error() {
-        let mut city = F2cCity::barcelona().unwrap();
-        let err = city.fetch(0, SensorType::GasMeter, 0, 100, 50).unwrap_err();
-        assert!(matches!(err, Error::Unplaceable { .. }));
     }
 
     /// The flush wave as it was before each receiving node stored its
@@ -1914,27 +1713,6 @@ mod tests {
         assert_eq!(city.ingest(0, vec![odd], 3_101).unwrap().stored, 1);
         city.flush_all(4_000).unwrap();
         assert_eq!(city.flush_batches(), (4, 2));
-    }
-
-    #[test]
-    fn fetch_latency_ordering_matches_the_cost_model() {
-        let mut city = F2cCity::barcelona().unwrap();
-        waves_into(&mut city, 7, SensorType::AirQuality, 2);
-        let local = city
-            .fetch(7, SensorType::AirQuality, 0, 10_000, 2_000)
-            .unwrap();
-        // Same district, different section: neighbor access.
-        let d = city.city.district_of(7);
-        let other = *city
-            .city
-            .fog1_in_district(d)
-            .iter()
-            .find(|&&s| s != 7)
-            .unwrap();
-        let neighbor = city
-            .fetch(other, SensorType::AirQuality, 0, 10_000, 2_000)
-            .unwrap();
-        assert!(local.est_latency < neighbor.est_latency);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! * [`runtime`] — the event-driven simulation that cross-validates the
 //!   analytic model over synthetic Sentilo data on the Barcelona topology,
 //! * [`baseline`] — the centralized cloud architecture (Fig. 3),
-//! * [`hierarchy`] — the assembled city ([`hierarchy::F2cCity`]) with the
-//!   §IV.C cost-model-driven data fetch and the fan-out metering used by
-//!   scatter-gather serving,
+//! * [`hierarchy`] — the assembled city ([`hierarchy::F2cCity`]): the
+//!   write path, and the single-source and fan-out metering of the reads
+//!   the query engine's §IV.C planner routes,
 //! * [`placement`] / [`cost`] — service placement and the access cost
 //!   model (§IV.C): local / neighbor / parent / sibling-fog-2 / cloud
 //!   single sources, plus scatter-gather pricing (max over concurrent
@@ -54,18 +54,16 @@ pub mod policy;
 pub mod report;
 pub mod request;
 pub mod runtime;
-pub mod service;
 pub mod shard;
 pub mod store;
 pub mod traffic;
 
 pub use error::{Error, Result};
-pub use hierarchy::{DataSource, F2cCity, FanoutLeg, FetchOutcome, HealReport};
+pub use hierarchy::{DataSource, F2cCity, FanoutLeg, HealReport};
 pub use incident::{ChaosSite, Incident, IncidentKind, IncidentTimeline};
 pub use layer::Layer;
 pub use node::{F2cNode, FlushBatch, IngestOutcome, SKETCH_BUCKET_S, SKETCH_RETENTION_S};
 pub use policy::{FlushPolicy, RetentionPolicy};
-pub use service::CityService;
 pub use shard::{run_shards, ObsScratch, Parallelism, ShipmentRecord};
 pub use store::TieredStore;
 pub use traffic::TrafficModel;

@@ -82,8 +82,10 @@ pub struct Fig7Row {
     /// describes (§V.B: compression "after using data aggregation").
     pub after_dedup_and_compression: u64,
     /// Compression applied to the raw volume (no dedup) — the pipeline
-    /// Fig. 7 actually plots for garbage/parking/urban; reported for
-    /// comparability (see DESIGN.md, "known inconsistencies").
+    /// Fig. 7 actually plots for garbage/parking/urban. The paper's text
+    /// compresses after dedup, but those three bars (0.07, 0.07 and
+    /// 1.03 GB) only match compression of the raw volume, so both
+    /// pipelines are reported.
     pub compressed_raw: u64,
 }
 

@@ -13,9 +13,10 @@
 //! Data flows (Fig. 1): acquired data is *real-time* when consumed
 //! immediately, *archivable* when routed to preservation, *historical* when
 //! read back from the archive for processing, and *higher-value* when
-//! processing results are preserved again. [`flow::DataFlow`] implements
-//! this routing; [`age::AgeClass`] implements the age characterization of
-//! §II ("we characterize data according to its age").
+//! processing results are preserved again. In the F2C mapping the tiers
+//! themselves route the flows (`f2c-core`'s flush waves and retention);
+//! [`age::AgeClass`] implements the age characterization of §II ("we
+//! characterize data according to its age").
 //!
 //! Phases are [`phase::Phase`] objects composed into [`pipeline::Pipeline`]s;
 //! the `f2c-core` crate maps pipelines onto fog/cloud nodes per Fig. 5.
@@ -37,10 +38,8 @@
 
 pub mod acquisition;
 pub mod age;
-pub mod cosa;
 pub mod descriptor;
 mod error;
-pub mod flow;
 pub mod phase;
 pub mod pipeline;
 pub mod preservation;

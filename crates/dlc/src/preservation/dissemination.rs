@@ -16,7 +16,7 @@ pub enum AccessRole {
     /// Anonymous open-data consumer.
     Public,
     /// An authenticated city service.
-    CityService,
+    Service,
     /// Platform administration.
     Administrator,
 }
@@ -28,7 +28,7 @@ impl AccessRole {
             (self, level),
             (_, PrivacyLevel::Public)
                 | (
-                    AccessRole::CityService | AccessRole::Administrator,
+                    AccessRole::Service | AccessRole::Administrator,
                     PrivacyLevel::Restricted,
                 )
                 | (AccessRole::Administrator, PrivacyLevel::Private)
@@ -176,7 +176,7 @@ mod tests {
         let s = store();
         let portal = OpenDataPortal::new();
         let hits = portal
-            .query(&s, AccessRole::CityService, QueryFilter::default())
+            .query(&s, AccessRole::Service, QueryFilter::default())
             .unwrap();
         assert_eq!(hits.len(), 2);
     }
@@ -258,8 +258,8 @@ mod tests {
         assert!(AccessRole::Public.may_read(PrivacyLevel::Public));
         assert!(!AccessRole::Public.may_read(PrivacyLevel::Restricted));
         assert!(!AccessRole::Public.may_read(PrivacyLevel::Private));
-        assert!(AccessRole::CityService.may_read(PrivacyLevel::Restricted));
-        assert!(!AccessRole::CityService.may_read(PrivacyLevel::Private));
+        assert!(AccessRole::Service.may_read(PrivacyLevel::Restricted));
+        assert!(!AccessRole::Service.may_read(PrivacyLevel::Private));
         assert!(AccessRole::Administrator.may_read(PrivacyLevel::Private));
     }
 }

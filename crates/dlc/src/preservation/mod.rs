@@ -5,9 +5,7 @@
 mod archive;
 mod classification;
 mod dissemination;
-mod removal;
 
 pub use archive::{ArchivePhase, ArchiveStore};
 pub use classification::{ClassificationPhase, Lineage};
 pub use dissemination::{AccessRole, OpenDataPortal, QueryFilter};
-pub use removal::{purge_expired, RemovalPolicy, RemovalReport};

@@ -1,11 +1,9 @@
 //! Property-based tests on DLC invariants: quality monotonicity, archive
-//! query algebra, flow routing totality, removal safety.
+//! query algebra, eviction accounting, classification order.
 
 use proptest::prelude::*;
-use scc_dlc::age::AgePolicy;
-use scc_dlc::flow::{DataFlow, FlowConfig};
 use scc_dlc::phase::{Phase, PhaseContext};
-use scc_dlc::preservation::{purge_expired, ArchiveStore, ClassificationPhase, RemovalPolicy};
+use scc_dlc::preservation::{ArchiveStore, ClassificationPhase};
 use scc_dlc::quality::QualityPolicy;
 use scc_dlc::DataRecord;
 use scc_sensors::{Reading, SensorId, SensorType, Value};
@@ -107,33 +105,6 @@ proptest! {
     }
 
     #[test]
-    fn flow_routing_loses_nothing(
-        times in proptest::collection::vec(0u64..200_000, 0..100),
-        now in 0u64..200_000,
-        preserve_rt in any::<bool>(),
-    ) {
-        let flow = DataFlow::new(FlowConfig {
-            preserve_real_time: preserve_rt,
-            age_policy: AgePolicy::paper_default(),
-        });
-        let batch: Vec<DataRecord> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| record(i as u32, t, 0))
-            .collect();
-        let routed = flow.route(batch.clone(), now);
-        // Every record appears on at least one path; none is invented.
-        let rt = routed.real_time.len();
-        let ar = routed.archivable.len();
-        if preserve_rt {
-            prop_assert_eq!(ar, batch.len());
-            prop_assert_eq!(rt + ar, batch.len() + rt);
-        } else {
-            prop_assert_eq!(rt + ar, batch.len());
-        }
-    }
-
-    #[test]
     fn classification_sort_is_stable_under_permutation(
         times in proptest::collection::vec(0u64..1_000, 1..50),
     ) {
@@ -174,27 +145,5 @@ proptest! {
                 prop_assert!(key(&w[0]) <= key(&w[1]));
             }
         }
-    }
-
-    #[test]
-    fn removal_never_destroys_young_data(
-        ages in proptest::collection::vec(0u64..100 * 86_400, 0..100),
-        now in 0u64..200 * 86_400,
-    ) {
-        let mut store = ArchiveStore::new();
-        for (i, &a) in ages.iter().enumerate() {
-            let created = now.saturating_sub(a);
-            let mut rec = record(i as u32, created, 0);
-            rec.descriptor_mut().set_privacy(scc_dlc::PrivacyLevel::Private);
-            store.insert(rec);
-        }
-        let policy = RemovalPolicy::paper_default();
-        let report = purge_expired(&mut store, &policy, now);
-        prop_assert_eq!(report.examined as usize, ages.len());
-        // Everything younger than the private bound survives.
-        for r in store.iter() {
-            prop_assert!(now.saturating_sub(r.descriptor().created_s()) <= 30 * 86_400);
-        }
-        prop_assert_eq!(report.removed + store.len() as u64, ages.len() as u64);
     }
 }

@@ -808,12 +808,6 @@ impl QueryEngine {
         Ok(shipped)
     }
 
-    /// Releases one `class` slot a single-source store execution held at
-    /// `layer`.
-    pub fn release(&mut self, layer: Layer, class: ServiceClass) {
-        self.release_held(HeldSlots::single(layer, class));
-    }
-
     /// Releases every slot a response held (call when the simulated
     /// response completes; see [`QueryResponse::held`]).
     pub fn release_held(&mut self, held: HeldSlots) {
@@ -2115,7 +2109,7 @@ mod tests {
         }
         assert_eq!(e.stats().shed_total(), 1);
         assert_eq!(e.stats().class(ServiceClass::Dashboard).shed, 1);
-        e.release(Layer::Fog1, ServiceClass::Dashboard);
+        e.release_held(first.held);
         answered(e.serve(&q2, 4_000).unwrap());
     }
 

@@ -895,6 +895,9 @@ mod tests {
         let district = city.district_of(5);
         let parent = single(plan(&city, &q(5, Scope::District(district), 0, 3_000)).unwrap());
         let sibling = single(plan(&city, &q(70, Scope::District(district), 0, 3_000)).unwrap());
+        let neighbor = single(plan(&city, &q(6, Scope::Section(5), 0, 3_000)).unwrap());
+        assert_eq!(neighbor.source, DataSource::Neighbor(5));
+        assert!(local.est_cost < neighbor.est_cost);
         assert!(local.est_cost < parent.est_cost);
         assert!(parent.est_cost < sibling.est_cost);
         assert!(sibling.est_cost < city.cost_model().cost(AccessOption::Cloud, 1_024));

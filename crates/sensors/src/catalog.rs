@@ -12,7 +12,7 @@ use crate::{Category, Error, Result, SensorType};
 /// `daily_bytes_per_sensor` is authoritative (Table I's right-hand block);
 /// the implied transactions/day is derived and may be fractional — the
 /// paper's noise type 1 reports 22 B/transaction but 768 B/day, i.e. ≈34.9
-/// transactions/day (see DESIGN.md, "known inconsistencies").
+/// transactions/day, which no whole number of transactions produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TypeSpec {
     ty: SensorType,

@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let service = portal.query(
         cloud.store().archive(),
-        AccessRole::CityService,
+        AccessRole::Service,
         QueryFilter::default(),
     )?;
     println!(

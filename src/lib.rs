@@ -6,8 +6,9 @@
 //! * [`sensors`] — the Sentilo-like sensor substrate (Table I catalog),
 //! * [`citysim`] — the discrete-event network simulator,
 //! * [`compress`] — the from-scratch deflate-style codec,
-//! * [`aggregate`] — aggregation filters, sketches and protocols, plus
-//!   the sketch plane's mergeable partials and per-node ledgers,
+//! * [`aggregate`] — redundant-data elimination, decomposable functions
+//!   and HyperLogLog, plus the sketch plane's mergeable partials and
+//!   per-node ledgers,
 //! * [`dlc`] — the SCC-DLC life-cycle model,
 //! * [`core`] — the F2C data-management architecture itself,
 //! * [`qos`] — per-service QoS classes, quotas and deadline budgets,
@@ -15,8 +16,9 @@
 //! * [`obs`] — the observability plane: sim-time tracing, the unified
 //!   metrics registry, the `BENCH_*.json` export and the perf-budget gate.
 //!
-//! See the repository README for the quickstart and DESIGN.md /
-//! EXPERIMENTS.md for the reproduction index.
+//! See the repository README for the quickstart and the experiment
+//! binaries that regenerate the paper's tables and figures, and
+//! `docs/ARCHITECTURE.md` for the crate map.
 //!
 //! # Example
 //!

@@ -1,16 +1,8 @@
-//! Integration over the assembled city: `F2cCity` + services +
-//! participatory sensing + life-cycle end (removal), across all crates.
+//! Integration over the assembled city: participatory sensing through
+//! `F2cCity`'s write path, across all crates.
 
-use f2c_smartcity::citysim::barcelona::LatencyProfile;
-use f2c_smartcity::citysim::time::Duration;
-use f2c_smartcity::core::hierarchy::DataSource;
-use f2c_smartcity::core::placement::ServiceSpec;
-use f2c_smartcity::core::service::CityService;
 use f2c_smartcity::core::F2cCity;
-use f2c_smartcity::dlc::cosa::scc_instantiation;
-use f2c_smartcity::dlc::preservation::{purge_expired, RemovalPolicy};
 use f2c_smartcity::sensors::sources::ParticipatorySource;
-use f2c_smartcity::sensors::{ReadingGenerator, SensorType};
 
 #[test]
 fn participatory_readings_flow_through_the_hierarchy() {
@@ -40,85 +32,4 @@ fn participatory_readings_flow_through_the_hierarchy() {
     assert!(fog1_bytes > 0);
     assert_eq!(fog1_bytes, fog2_bytes);
     assert_eq!(city.cloud().store().len() as u64, stored);
-}
-
-#[test]
-fn a_placed_service_reads_roaming_data_via_the_cost_model() {
-    let mut city = F2cCity::barcelona().unwrap();
-    // Fixed infrastructure data in section 30.
-    let mut gen = ReadingGenerator::for_population(SensorType::AirQuality, 15, 2);
-    for w in 0..3u64 {
-        city.ingest(30, gen.wave(w * 900), w * 900 + 1).unwrap();
-    }
-    let mut svc = CityService::place(
-        "air-dashboard",
-        ServiceSpec::realtime_critical(Duration::from_millis(50)),
-        &LatencyProfile::default(),
-        Duration::from_millis(1),
-    )
-    .unwrap();
-    // A consumer in section 30 reads locally...
-    let local = svc
-        .execute(&mut city, 30, SensorType::AirQuality, 0, 10_000, 2_000)
-        .unwrap();
-    assert_eq!(local.source, DataSource::Local);
-    // ...a consumer elsewhere in the same district fetches via the ring.
-    let d = (0..73)
-        .find(|&s| s != 30 && city.fog1(s).district() == city.fog1(30).district())
-        .unwrap();
-    let remote = svc
-        .execute(&mut city, d, SensorType::AirQuality, 0, 10_000, 2_000)
-        .unwrap();
-    assert_eq!(remote.source, DataSource::Neighbor(30));
-    assert!(remote.latency > local.latency);
-}
-
-#[test]
-fn the_life_cycle_ends_with_policy_driven_removal() {
-    let mut city = F2cCity::barcelona().unwrap();
-    let mut meters = ReadingGenerator::for_population(SensorType::GasMeter, 20, 5);
-    let mut weather = ReadingGenerator::for_population(SensorType::Weather, 20, 6);
-    city.ingest(0, meters.wave(0), 1).unwrap();
-    city.ingest(0, weather.wave(0), 1).unwrap();
-    city.flush_all(1_000).unwrap();
-    let cloud_before = city.cloud().store().len();
-    assert!(cloud_before > 0);
-
-    // Three years on, restricted energy data must be destroyed while the
-    // public weather data stays. (We purge a snapshot of the cloud archive;
-    // the node API exposes the archive read-only by design, so the purge
-    // operates on the cloned store as a policy audit.)
-    let mut snapshot = city.cloud().store().archive().clone();
-    let report = purge_expired(
-        &mut snapshot,
-        &RemovalPolicy::paper_default(),
-        3 * 365 * 86_400,
-    );
-    assert!(report.removed > 0);
-    assert!(snapshot.len() < cloud_before);
-    for rec in snapshot.iter() {
-        assert_ne!(
-            rec.sensor_type(),
-            SensorType::GasMeter,
-            "restricted meter data must be gone"
-        );
-    }
-}
-
-#[test]
-fn the_scc_dlc_instantiation_is_comprehensive() {
-    // The architecture the city runs is the verified SCC instantiation of
-    // the COSA-DLC model: all 6 Vs covered, all three blocks populated.
-    let scc = scc_instantiation();
-    assert!(scc.is_comprehensive());
-}
-
-#[test]
-fn failed_neighbor_fetch_surfaces_as_an_error_not_a_wrong_answer() {
-    let mut city = F2cCity::barcelona().unwrap();
-    let err = city
-        .fetch(0, SensorType::Temperature, 0, 1_000, 500)
-        .unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("no tier holds"), "got: {msg}");
 }

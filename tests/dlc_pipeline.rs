@@ -3,7 +3,7 @@
 //! once (the paper's design invariant).
 
 use f2c_smartcity::dlc::acquisition::AcquisitionBlock;
-use f2c_smartcity::dlc::flow::{DataFlow, FlowConfig};
+use f2c_smartcity::dlc::age::AgePolicy;
 use f2c_smartcity::dlc::phase::{Phase, PhaseContext};
 use f2c_smartcity::dlc::preservation::{ArchivePhase, ClassificationPhase};
 use f2c_smartcity::dlc::processing::{AnalysisPhase, ProcessPhase};
@@ -13,7 +13,6 @@ use f2c_smartcity::sensors::{ReadingGenerator, SensorType};
 #[test]
 fn acquisition_to_processing_to_preservation() {
     let mut acquisition = AcquisitionBlock::new("Barcelona", 1, 5);
-    let flow = DataFlow::new(FlowConfig::default());
 
     let mut processing = Pipeline::new(Block::Processing);
     processing
@@ -36,11 +35,10 @@ fn acquisition_to_processing_to_preservation() {
         let t = wave * 900;
         let ctx = PhaseContext::at(t + 1);
         let acquired = acquisition.ingest(gen.wave(t), &ctx);
-        let routed = flow.route(acquired, t + 1);
-        processed_total += processing.run(routed.real_time, &ctx).len();
-        preserved_total += preservation.run(routed.archivable, &ctx).len();
+        processed_total += processing.run(acquired.clone(), &ctx).len();
+        preserved_total += preservation.run(acquired, &ctx).len();
     }
-    // Fresh records took both paths (non-exclusive flows of Fig. 1).
+    // Fresh records take both paths (non-exclusive flows of Fig. 1).
     assert!(processed_total > 0);
     assert_eq!(processed_total, preserved_total);
 }
@@ -68,24 +66,17 @@ fn quality_is_checked_exactly_once_in_acquisition() {
 
 #[test]
 fn age_classes_route_to_the_layers_of_section_iv_b() {
-    let flow = DataFlow::new(FlowConfig::default());
     let mut acquisition = AcquisitionBlock::new("Barcelona", 2, 9);
     let mut gen = ReadingGenerator::for_population(SensorType::BicycleFlow, 5, 1);
     let records = acquisition.ingest(gen.wave(1_000), &PhaseContext::at(1_000));
-
-    // At collection time the records are real-time.
+    assert!(!records.is_empty());
+    let policy = AgePolicy::paper_default();
     for rec in &records {
-        assert_eq!(
-            rec.age_class(1_100, &f2c_smartcity::dlc::age::AgePolicy::paper_default()),
-            AgeClass::RealTime
-        );
+        // At collection time the records are real-time (fog 1)...
+        assert_eq!(rec.age_class(1_100, &policy), AgeClass::RealTime);
+        // ...and a day later they are historical (the cloud).
+        assert_eq!(rec.age_class(1_000 + 90_000, &policy), AgeClass::Historical);
     }
-    let routed = flow.route(records.clone(), 1_100);
-    assert_eq!(routed.real_time.len(), records.len());
-
-    // A day later the same records are historical: preservation only.
-    let routed = flow.route(records, 1_000 + 90_000);
-    assert!(routed.real_time.is_empty());
 }
 
 #[test]

@@ -95,7 +95,7 @@ fn portal_roles_gate_cloud_data_by_category() {
     let service_all = portal
         .query(
             cloud.store().archive(),
-            AccessRole::CityService,
+            AccessRole::Service,
             QueryFilter::default(),
         )
         .unwrap();
