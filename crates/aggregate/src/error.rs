@@ -9,7 +9,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub enum Error {
     /// A zero-length window (a sketch ledger's bucket width) was requested.
     EmptyWindow,
-    /// A sketch was configured with zero width/depth/registers.
+    /// A sketch was configured with a parameter outside its range.
     DegenerateSketch {
         /// Which parameter was zero.
         parameter: &'static str,
@@ -19,10 +19,6 @@ pub enum Error {
         /// Which check refused it (magic, layout, or CRC).
         reason: &'static str,
     },
-    /// A protocol was run over an empty node set.
-    NoParticipants,
-    /// A gossip/flood round count of zero was requested.
-    ZeroRounds,
 }
 
 impl fmt::Display for Error {
@@ -35,8 +31,6 @@ impl fmt::Display for Error {
             Error::CorruptPartial { reason } => {
                 write!(f, "shipped partial failed integrity check: {reason}")
             }
-            Error::NoParticipants => write!(f, "protocol needs at least one participant"),
-            Error::ZeroRounds => write!(f, "round count must be positive"),
         }
     }
 }

@@ -4,20 +4,18 @@
 //! (communication: structured/unstructured/hybrid; computation:
 //! decomposable/complex/counting) and then evaluates two concrete
 //! techniques at fog layer 1: **redundant-data elimination** and
-//! compression. This crate implements the first, the mergeable
+//! compression. This crate implements the first, and the mergeable
 //! aggregate states the query engine's sketch plane ships up the
-//! hierarchy, and a slice of the surveyed taxonomy:
+//! hierarchy:
 //!
 //! * [`dedup`] — redundant-data elimination (the paper's technique #1),
 //! * [`functions`] — decomposable aggregate functions with mergeable
 //!   partial states (the "hierarchic/averaging" computation class),
-//! * [`sketch`] — count-min, q-digest and HyperLogLog (the "sketches",
-//!   "digests" and "randomized counting" classes), plus the sketch
-//!   plane's mergeable [`sketch::AggPartial`] (CRC-checked wire form),
-//!   the dense [`sketch::AggAcc`] a request folds into, and the per-node
-//!   [`sketch::SketchLedger`] of bucketed, compaction-surviving partials,
-//! * [`protocol`] — tree (structured/hierarchical), gossip push-sum
-//!   (unstructured), and flooding (unstructured) protocols.
+//! * [`sketch`] — HyperLogLog (the "randomized counting" class), the
+//!   sketch plane's mergeable [`sketch::AggPartial`] (CRC-checked wire
+//!   form), the dense [`sketch::AggAcc`] a request folds into, and the
+//!   per-node [`sketch::SketchLedger`] of bucketed, compaction-surviving
+//!   partials.
 //!
 //! # Quickstart
 //!
@@ -44,7 +42,6 @@
 pub mod dedup;
 mod error;
 pub mod functions;
-pub mod protocol;
 pub mod sketch;
 
 pub use dedup::{DedupStats, RedundancyFilter};

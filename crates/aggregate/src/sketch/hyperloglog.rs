@@ -376,7 +376,7 @@ fn merge_sparse(mine: &mut Vec<(u16, u8)>, theirs: &[(u16, u8)], precision: u32)
     true
 }
 
-/// Hash seed for HLL (ASCII "HLL" — distinct from the count-min row seeds).
+/// Hash seed for HLL (ASCII "HLL").
 const HLL_SEED: u64 = 0x48_4C_4C;
 
 #[cfg(test)]

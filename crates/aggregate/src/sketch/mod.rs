@@ -1,11 +1,11 @@
-//! Sublinear-memory sketches — the "sketches" and "randomized counting"
-//! classes of the paper's computation taxonomy (§V.A, \[20\]) — and the
-//! **sketch plane** built on them.
+//! A sublinear-memory sketch — HyperLogLog, the "randomized counting"
+//! class of the paper's computation taxonomy (§V.A, \[20\]) — and the
+//! **sketch plane** built on it.
 //!
-//! Fog nodes have bounded memory; sketches let them answer frequency and
-//! cardinality questions about city-scale streams (how many distinct
-//! vehicles passed, how often each parking zone toggles) in constant space
-//! and merge those answers up the F2C hierarchy.
+//! Fog nodes have bounded memory; a distinct-count sketch lets them
+//! answer cardinality questions about city-scale streams (how many
+//! distinct vehicles passed) in constant space and merge those answers
+//! up the F2C hierarchy.
 //!
 //! The sketch plane is that merge made systemic: [`AggPartial`] bundles
 //! the mergeable states one aggregate answer needs (moments, extremes,
@@ -41,20 +41,16 @@
 //! ```
 
 mod acc;
-mod countmin;
 mod hyperloglog;
 mod ledger;
 mod partial;
-mod qdigest;
 
 pub use acc::{AggAcc, AggState};
-pub use countmin::CountMinSketch;
 pub use hyperloglog::{HyperLogLog, Registers};
 pub use ledger::{SketchKey, SketchLedger};
 pub use partial::{AggPartial, PARTIAL_HLL_PRECISION};
-pub use qdigest::QDigest;
 
-/// 64-bit FNV-1a hash used by the sketches (dependency-free, well mixed
+/// 64-bit FNV-1a hash used by HyperLogLog (dependency-free, well mixed
 /// after the final avalanche step).
 pub(crate) fn hash64(data: &[u8], seed: u64) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);

@@ -1,13 +1,12 @@
 //! Property-based tests on the aggregation library's mathematical
-//! invariants: sketch error bounds, decomposability laws, protocol
-//! conservation — and the sparse-first HyperLogLog held, step by step,
-//! to the dense model in `reference/`.
+//! invariants: decomposability laws, the dedup filter's output — and the
+//! sparse-first HyperLogLog held, step by step, to the dense model in
+//! `reference/`.
 
 mod reference;
 
 use f2c_aggregate::functions::{fold, Decomposable, MinMax, Moments, SumCount};
-use f2c_aggregate::protocol::{flood_max, push_sum, AggregationTree};
-use f2c_aggregate::sketch::{AggPartial, CountMinSketch, HyperLogLog, QDigest, Registers};
+use f2c_aggregate::sketch::{AggPartial, HyperLogLog, Registers};
 use f2c_aggregate::RedundancyFilter;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -66,41 +65,6 @@ fn check_against_model(hll: &HyperLogLog, model: &DenseHll) -> Result<(), TestCa
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn countmin_never_underestimates(
-        keys in proptest::collection::vec(0u32..500, 1..2000),
-        width in 16usize..512,
-        depth in 1usize..6,
-    ) {
-        let mut cm = CountMinSketch::new(width, depth).unwrap();
-        let mut truth = std::collections::HashMap::new();
-        for k in &keys {
-            cm.add(&k.to_le_bytes());
-            *truth.entry(*k).or_insert(0u64) += 1;
-        }
-        for (k, count) in truth {
-            prop_assert!(cm.estimate(&k.to_le_bytes()) >= count);
-        }
-        prop_assert_eq!(cm.items(), keys.len() as u64);
-    }
-
-    #[test]
-    fn countmin_merge_commutes(
-        a_keys in proptest::collection::vec(0u32..100, 0..300),
-        b_keys in proptest::collection::vec(0u32..100, 0..300),
-    ) {
-        let build = |keys: &[u32]| {
-            let mut cm = CountMinSketch::new(64, 3).unwrap();
-            for k in keys { cm.add(&k.to_le_bytes()); }
-            cm
-        };
-        let mut ab = build(&a_keys);
-        ab.merge(&build(&b_keys));
-        let mut ba = build(&b_keys);
-        ba.merge(&build(&a_keys));
-        prop_assert_eq!(ab, ba);
-    }
 
     #[test]
     fn hll_merge_is_idempotent_and_commutative(
@@ -215,30 +179,6 @@ proptest! {
     }
 
     #[test]
-    fn qdigest_quantiles_are_monotone(
-        values in proptest::collection::vec(0u64..1024, 1..500),
-    ) {
-        let mut d = QDigest::new(1024, 16).unwrap();
-        for &v in &values { d.add(v); }
-        let mut prev = 0u64;
-        for i in 0..=10 {
-            let q = d.quantile(i as f64 / 10.0).unwrap();
-            prop_assert!(q >= prev, "quantiles must be monotone");
-            prev = q;
-        }
-        prop_assert!(prev <= 1023);
-    }
-
-    #[test]
-    fn qdigest_count_is_exact_under_compression(
-        values in proptest::collection::vec(0u64..256, 0..3000),
-    ) {
-        let mut d = QDigest::new(256, 4).unwrap(); // aggressive compression
-        for &v in &values { d.add(v); }
-        prop_assert_eq!(d.count(), values.len() as u64);
-    }
-
-    #[test]
     fn decomposable_types_obey_merge_associativity(
         xs in proptest::collection::vec(-1e5f64..1e5, 0..60),
         ys in proptest::collection::vec(-1e5f64..1e5, 0..60),
@@ -268,60 +208,6 @@ proptest! {
         prop_assert_eq!(l, r);
         let (l, r) = assoc::<Moments>(&xs, &ys, &zs);
         prop_assert_eq!(l.count, r.count);
-    }
-
-    #[test]
-    fn tree_aggregation_is_population_exact(
-        sizes in proptest::collection::vec(1usize..5, 1..20),
-    ) {
-        // A 2-level tree: root + one child per entry, child i has a local
-        // count of sizes[i].
-        let n = sizes.len() + 1;
-        let parents: Vec<Option<usize>> =
-            std::iter::once(None).chain((1..n).map(|_| Some(0))).collect();
-        let tree = AggregationTree::from_parents(&parents).unwrap();
-        let locals: Vec<SumCount> = std::iter::once(SumCount::empty())
-            .chain(sizes.iter().map(|&s| fold(vec![1.0; s])))
-            .collect();
-        let root = tree.aggregate(&locals);
-        prop_assert_eq!(root.count, sizes.iter().map(|&s| s as u64).sum::<u64>());
-    }
-
-    #[test]
-    fn push_sum_conserves_the_mean(
-        values in proptest::collection::vec(-100.0f64..100.0, 2..30),
-        seed in any::<u64>(),
-    ) {
-        let n = values.len();
-        let neighbors: Vec<Vec<usize>> = (0..n)
-            .map(|i| (0..n).filter(|&j| j != i).collect())
-            .collect();
-        let out = push_sum(&values, &neighbors, 100, seed).unwrap();
-        let mean = values.iter().sum::<f64>() / n as f64;
-        for e in &out.estimates {
-            prop_assert!((e - mean).abs() < 1e-3, "estimate {e} vs mean {mean}");
-        }
-    }
-
-    #[test]
-    fn flood_max_never_invents_values(
-        values in proptest::collection::vec(-1e6f64..1e6, 1..40),
-    ) {
-        let n = values.len();
-        let neighbors: Vec<Vec<usize>> = (0..n)
-            .map(|i| {
-                let mut v = Vec::new();
-                if i > 0 { v.push(i - 1); }
-                if i + 1 < n { v.push(i + 1); }
-                v
-            })
-            .collect();
-        let out = flood_max(&values, &neighbors, n + 2).unwrap();
-        let true_max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(out.converged);
-        for v in &out.values {
-            prop_assert_eq!(*v, true_max);
-        }
     }
 
     #[test]

@@ -74,6 +74,13 @@ impl HealReport {
     pub fn clean(&self) -> bool {
         self.blocked == 0 && self.impossible == 0
     }
+
+    /// Adds another receiver's round to this report.
+    fn add(&mut self, other: HealReport) {
+        self.healed += other.healed;
+        self.blocked += other.blocked;
+        self.impossible += other.impossible;
+    }
 }
 
 /// The city's pre-resolved handles into its metrics registry: hot paths
@@ -849,9 +856,9 @@ impl F2cCity {
     pub fn flush_all(&mut self, now_s: u64) -> Result<(u64, u64)> {
         self.flush_epoch += 1;
         self.metrics.inc(self.ids.flush_waves);
-        let now_us = now_s * 1_000_000;
         let epoch = self.flush_epoch;
         let threads = self.parallelism;
+        let capture = self.capture_shipments;
         // Phase A: one shard per district, owning the district's fog-1
         // slice and its fog-2 node.
         let city = &self.city;
@@ -862,164 +869,68 @@ impl F2cCity {
         for (d, fog2) in self.fog2.iter_mut().enumerate() {
             let (head, tail) = rest.split_at_mut(DISTRICTS[d].1);
             rest = tail;
-            let mut obs = ObsScratch::new();
-            let ids = CityMetricIds::register(&mut obs.reg);
             shards.push(FlushShard {
-                district: d,
                 base,
                 fog1: head,
-                fog2,
-                obs,
-                ids,
-                bytes: 0,
-                capture: self.capture_shipments,
-                err: None,
+                receiver: Receiver::new(Hop::Fog2(d), fog2),
+                landed: Ok(0),
             });
             base += DISTRICTS[d].1;
         }
         run_shards(threads, &mut shards, |_, shard| {
-            shard.run(city, catalog, epoch, now_s);
+            // Each child takes its turn when the receiver reaches it, so
+            // a failure leaves the children after it unflushed.
+            let (base, hop) = (shard.base, shard.receiver.hop);
+            let turns = shard.fog1.iter_mut().enumerate().map(|(k, child)| {
+                let turn = Shipment::take(city, hop, base + k, child, catalog, epoch, now_s);
+                (base + k, turn)
+            });
+            shard.landed = shard.receiver.land(city, capture, now_s, turns);
         });
         // Drop the node borrows, then absorb in district order.
-        let results: Vec<(ObsScratch, u64, Option<Error>)> = shards
+        let results: Vec<(ObsScratch, Result<u64>)> = shards
             .into_iter()
-            .map(|s| (s.obs, s.bytes, s.err))
+            .map(|s| (s.receiver.obs, s.landed))
             .collect();
-        let mut fog1_bytes = 0;
-        let mut first_err: Option<Error> = None;
-        for (mut obs, bytes, err) in results {
+        let mut fog1_bytes: Result<u64> = Ok(0);
+        for (mut obs, landed) in results {
             self.absorb_scratch(&mut obs);
-            fog1_bytes += bytes;
-            if first_err.is_none() {
-                first_err = err;
-            }
+            fog1_bytes = fog1_bytes.and_then(|sum| landed.map(|bytes| sum + bytes));
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        let fog1_bytes = fog1_bytes?;
         // Phase B: gate + flush + corruption coin per district in
-        // parallel; the cloud-side fold runs at the coordinator, in
+        // parallel; the cloud lands the turns at the coordinator, in
         // district order.
         let city = &self.city;
         let catalog = &self.catalog;
-        let mut cloud_shards: Vec<CloudShard<'_>> = self
-            .fog2
-            .iter_mut()
-            .enumerate()
-            .map(|(d, fog2)| CloudShard {
-                district: d,
+        let mut cloud_shards: Vec<(&mut F2cNode, Option<Shipment>)> =
+            self.fog2.iter_mut().map(|fog2| (fog2, None)).collect();
+        run_shards(threads, &mut cloud_shards, |d, (fog2, turn)| {
+            *turn = Some(Shipment::take(
+                city,
+                Hop::Cloud,
+                d,
                 fog2,
-                prep: None,
-            })
-            .collect();
-        run_shards(threads, &mut cloud_shards, |_, shard| {
-            shard.run(city, catalog, epoch, now_s);
+                catalog,
+                epoch,
+                now_s,
+            ));
         });
-        let preps: Vec<CloudPrep> = cloud_shards
+        let turns: Vec<(usize, Shipment)> = cloud_shards
             .into_iter()
-            .map(|s| s.prep.expect("cloud shard ran"))
+            .map(|(_, turn)| turn.expect("cloud shard ran"))
+            .enumerate()
             .collect();
-        let cloud_site = Site::cloud();
-        let cloud_wave = self.tracer.open(cloud_site, "flush-wave", now_us);
-        let mut cloud_wave_end_us = now_us;
-        let mut cloud_shipped = 0u64;
-        let mut fog2_bytes = 0;
-        // The districts' shipments are verified in turn and stored as one
-        // wave; a failure stores those verified before it.
-        let mut verified = Vec::with_capacity(preps.len());
-        let mut failed: Option<Error> = None;
-        for (d, prep) in preps.into_iter().enumerate() {
-            let (batch, corrupted) = match prep {
-                CloudPrep::Skip(kind) => {
-                    self.record_incident(now_s, ChaosSite::Fog2(d), kind);
-                    continue;
-                }
-                CloudPrep::Failed(e) => {
-                    failed = Some(e);
-                    break;
-                }
-                CloudPrep::Ship { batch, corrupted } => (batch, corrupted),
-            };
-            if let Some(key) = corrupted {
-                self.record_incident(
-                    now_s,
-                    ChaosSite::Cloud,
-                    IncidentKind::SketchCorrupted { key },
-                );
-                self.record_incident(now_s, ChaosSite::Cloud, IncidentKind::HolePunched { key });
-            }
-            self.metrics
-                .add(self.ids.sketch_flush_bytes[1], batch.sketch_bytes());
-            self.metrics
-                .add(self.ids.raw_flush_bytes[1], batch.acct_bytes);
-            // Holes relayed from below punch again at the cloud.
-            for &key in &batch.holes {
-                self.record_incident(now_s, ChaosSite::Cloud, IncidentKind::HolePunched { key });
-            }
-            let fold = self.tracer.open(cloud_site, "sketch-fold", now_us);
-            self.cloud
-                .receive_sketches(&batch.sketches, &batch.seals, &batch.holes);
-            self.tracer
-                .close_with(fold, now_us, batch.sketches.len() as u64);
-            if batch.records.is_empty() {
-                continue;
-            }
-            fog2_bytes += batch.acct_bytes;
-            let from = self.city.fog2_nodes()[d];
-            let to = self.city.cloud();
-            let hop = self.tracer.open(cloud_site, "flush-hop", now_us);
-            let sent = self.city.network_mut().send(
-                from,
-                to,
-                batch.uplink_bytes(),
-                SimTime::from_secs(now_s),
-            );
-            let arrival_us = match &sent {
-                Ok(delivery) => delivery.arrival.as_micros(),
-                Err(_) => now_us,
-            };
-            self.tracer.close_with(hop, arrival_us, batch.acct_bytes);
-            if let Err(e) = sent {
-                failed = Some(e.into());
-                break;
-            }
-            cloud_wave_end_us = cloud_wave_end_us.max(arrival_us);
-            cloud_shipped += 1;
-            self.metrics
-                .add(self.ids.uplink_flush_bytes[1], batch.uplink_bytes());
-            if let Some(mode) = self.ids.batch_mode(&batch) {
-                self.metrics.inc(mode);
-            }
-            if self.capture_shipments {
-                if let Some(payload) = batch.payload.clone() {
-                    self.shipment_log.push(ShipmentRecord {
-                        hop: 2,
-                        origin: d as u16,
-                        at_s: now_s,
-                        payload,
-                        wire: wire::encode_batch(&batch.records),
-                    });
-                }
-            }
-            if let Err(e) =
-                self.cloud
-                    .verify_flush(d as u16, batch.payload.as_deref(), &batch.records)
-            {
-                failed = Some(e);
-                break;
-            }
-            verified.push(batch.records);
-        }
-        self.cloud.receive_wave(verified, now_s);
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        self.tracer
-            .close_with(cloud_wave, cloud_wave_end_us, cloud_shipped);
+        let mut cloud = Receiver::new(Hop::Cloud, &mut self.cloud);
+        let landed = cloud.land(&self.city, capture, now_s, turns);
+        let mut obs = cloud.obs;
+        self.absorb_scratch(&mut obs);
+        let fog2_bytes = landed?;
         // The cloud never flushes (no parent), so the wave runs its
         // sketch-horizon compaction here — otherwise its ledger and hole
         // set would grow for the lifetime of the deployment.
-        let compact = self.tracer.open(cloud_site, "sketch-compact", now_us);
+        let now_us = now_s * 1_000_000;
+        let compact = self.tracer.open(Site::cloud(), "sketch-compact", now_us);
         self.cloud.compact_sketches(now_s);
         self.tracer.close(compact, now_us);
         self.anti_entropy(now_s);
@@ -1048,108 +959,46 @@ impl F2cCity {
     /// [`F2cCity::flush_all`] runs a round after every wave; with no
     /// holes it is a no-op.
     pub fn anti_entropy(&mut self, now_s: u64) -> HealReport {
-        let at = SimTime::from_secs(now_s);
-        let now_us = now_s * 1_000_000;
-        let mut report = HealReport::default();
         // Phase 1, one shard per district: each fog-2 heals from the
         // fog-1 shippers below it. The shard only reads the fog-1 tier
         // (shared snapshot) and mutates its own fog-2 node; relay links
         // are district-local, so the scratch loss-coin draws are exactly
-        // the sequential ones.
+        // the sequential ones. Fog 1 queues no relays, so the keys a
+        // shard heals need no drop.
         let threads = self.parallelism;
         let city = &self.city;
         let fog1: &[F2cNode] = &self.fog1;
-        let mut shards: Vec<HealShard<'_>> = self
+        let mut shards: Vec<(Receiver<'_>, HealReport)> = self
             .fog2
             .iter_mut()
             .enumerate()
-            .map(|(d, fog2)| {
-                let mut obs = ObsScratch::new();
-                let ids = CityMetricIds::register(&mut obs.reg);
-                HealShard {
-                    district: d,
-                    fog2,
-                    obs,
-                    ids,
-                    report: HealReport::default(),
-                }
-            })
+            .map(|(d, fog2)| (Receiver::new(Hop::Fog2(d), fog2), HealReport::default()))
             .collect();
-        run_shards(threads, &mut shards, |_, shard| {
-            shard.run(city, fog1, now_s);
+        run_shards(threads, &mut shards, |_, (receiver, report)| {
+            *report = receiver.heal(city, fog1, now_s).0;
         });
-        let results: Vec<(ObsScratch, HealReport)> =
-            shards.into_iter().map(|s| (s.obs, s.report)).collect();
+        let results: Vec<(ObsScratch, HealReport)> = shards
+            .into_iter()
+            .map(|(receiver, report)| (receiver.obs, report))
+            .collect();
+        let mut report = HealReport::default();
         for (mut obs, shard_report) in results {
             self.absorb_scratch(&mut obs);
-            report.healed += shard_report.healed;
-            report.blocked += shard_report.blocked;
-            report.impossible += shard_report.impossible;
+            report.add(shard_report);
         }
-        let cloud_holes = self.cloud.sketches().holes_sorted();
-        if cloud_holes.is_empty() {
-            return report;
-        }
-        let to = self.city.cloud();
-        if self.city.network().failures().node_is_down(to, at) {
-            report.blocked += cloud_holes.len() as u64;
-            self.metrics
-                .add(self.ids.heal_blocked, cloud_holes.len() as u64);
-            return report;
-        }
-        let round = self.tracer.open(Site::cloud(), "heal-round", now_us);
-        let healed_before = report.healed;
-        for key in cloud_holes {
+        // Phase 2: the cloud heals from the fog-2 tier.
+        let mut cloud = Receiver::new(Hop::Cloud, &mut self.cloud);
+        let (cloud_report, healed) = cloud.heal(&self.city, &self.fog2, now_s);
+        let mut obs = cloud.obs;
+        self.absorb_scratch(&mut obs);
+        for key in healed {
+            // The heal shipped the district's full current fold, which
+            // subsumes any increment still queued for upward relay —
+            // relaying it afterwards would double-count.
             let d = self.city.district_of(key.section as usize);
-            let from = self.city.fog2_nodes()[d];
-            let site = ChaosSite::Cloud;
-            if self.fog2[d].sketches().is_hole(&key) {
-                // Healing from a still-holed source would launder the
-                // hole into silently wrong data; wait for phase 1.
-                report.blocked += 1;
-                self.metrics.inc(self.ids.heal_blocked);
-                self.record_incident(now_s, site, IncidentKind::HealBlocked { key });
-                continue;
-            }
-            let Some((partial, _)) = self.fog2[d].sketches().entry(&key) else {
-                report.impossible += 1;
-                self.metrics.inc(self.ids.heal_impossible);
-                self.record_incident(now_s, site, IncidentKind::HealImpossible { key });
-                continue;
-            };
-            let encoded = partial.encode();
-            let relay = self.tracer.open(Site::cloud(), "sketch-relay", now_us);
-            let shipped = self.city.network().path_is_up(from, to, at)
-                && self
-                    .city
-                    .network_mut()
-                    .send(from, to, encoded.len() as u64, at)
-                    .is_ok();
-            self.tracer.close_with(
-                relay,
-                now_us,
-                if shipped { encoded.len() as u64 } else { 0 },
-            );
-            if !shipped {
-                report.blocked += 1;
-                self.metrics.inc(self.ids.heal_blocked);
-                self.record_incident(now_s, site, IncidentKind::HealBlocked { key });
-                continue;
-            }
-            self.metrics
-                .add(self.ids.sketch_flush_bytes[1], encoded.len() as u64);
-            if self.cloud.heal_sketch(key, &encoded) {
-                // The heal shipped the district's full current fold, which
-                // subsumes any increment still queued for upward relay —
-                // relaying it afterwards would double-count.
-                self.fog2[d].drop_queued_relay(&key);
-                report.healed += 1;
-                self.metrics.inc(self.ids.heal_healed);
-                self.record_incident(now_s, site, IncidentKind::HoleHealed { key });
-            }
+            self.fog2[d].drop_queued_relay(&key);
         }
-        self.tracer
-            .close_with(round, now_us, report.healed - healed_before);
+        report.add(cloud_report);
         report
     }
 
@@ -1169,12 +1018,72 @@ impl F2cCity {
     }
 }
 
+/// The receiving end of a tier crossing: what the landing and heal
+/// routines need to know about a hop, so both hops run one code path.
+#[derive(Debug, Clone, Copy)]
+enum Hop {
+    /// Fog 1 → the fog-2 node of a district (by index); the child
+    /// streams are its sections.
+    Fog2(usize),
+    /// Fog 2 → the cloud; the child streams are the districts.
+    Cloud,
+}
+
+impl Hop {
+    /// Index into the per-hop counter pairs (`0` = fog-1 → fog-2).
+    fn index(self) -> usize {
+        match self {
+            Hop::Fog2(_) => 0,
+            Hop::Cloud => 1,
+        }
+    }
+
+    /// The receiver's trace site.
+    fn site(self) -> Site {
+        match self {
+            Hop::Fog2(d) => Site::new("fog2", d as u32),
+            Hop::Cloud => Site::cloud(),
+        }
+    }
+
+    /// The receiver's chaos site.
+    fn chaos_site(self) -> ChaosSite {
+        match self {
+            Hop::Fog2(d) => ChaosSite::Fog2(d),
+            Hop::Cloud => ChaosSite::Cloud,
+        }
+    }
+
+    /// The receiver's network node.
+    fn node(self, city: &BarcelonaTopology) -> NodeId {
+        match self {
+            Hop::Fog2(d) => city.fog2_nodes()[d],
+            Hop::Cloud => city.cloud(),
+        }
+    }
+
+    /// The network node and chaos site of child stream `origin`.
+    fn child(self, city: &BarcelonaTopology, origin: usize) -> (NodeId, ChaosSite) {
+        match self {
+            Hop::Fog2(_) => (city.fog1_nodes()[origin], ChaosSite::Fog1(origin)),
+            Hop::Cloud => (city.fog2_nodes()[origin], ChaosSite::Fog2(origin)),
+        }
+    }
+
+    /// The child stream that shipped `key`'s bucket upward.
+    fn origin_of(self, city: &BarcelonaTopology, key: &SketchKey) -> usize {
+        match self {
+            Hop::Fog2(_) => key.section as usize,
+            Hop::Cloud => city.district_of(key.section as usize),
+        }
+    }
+}
+
 /// Gate one flush hop through the chaos plane. `Some(kind)` means the
 /// wave must not ship this turn: the child's `flush()` is never called,
 /// so its records stay *pending* in its store and the completeness
 /// frontiers above it honestly lag — deferral degrades availability,
-/// never correctness. A free function (not a method) so shards can gate
-/// while the city's node vectors are mutably split.
+/// never correctness.
 fn flush_gate(
     net: &Network,
     from: NodeId,
@@ -1203,10 +1112,52 @@ fn flush_gate(
     None
 }
 
+/// One child's turn in a flush wave, as its receiver lands it.
+enum Shipment {
+    /// The chaos gate deferred the child's wave.
+    Deferred(IncidentKind),
+    /// The child's flush itself failed.
+    Failed(Error),
+    /// The child's batch, plus the key the in-flight corruption coin
+    /// damaged, if any.
+    Shipped {
+        batch: FlushBatch,
+        corrupted: Option<SketchKey>,
+    },
+}
+
+impl Shipment {
+    /// Takes child stream `origin`'s turn on `hop`: the chaos gate, then
+    /// the child's flush and the in-flight corruption coin. Reads no
+    /// receiver state, so the cloud's turns run in parallel shards.
+    fn take(
+        city: &BarcelonaTopology,
+        hop: Hop,
+        origin: usize,
+        child: &mut F2cNode,
+        catalog: &Catalog,
+        epoch: u64,
+        now_s: u64,
+    ) -> Self {
+        let net = city.network();
+        let (from, _) = hop.child(city, origin);
+        if let Some(kind) = flush_gate(net, from, hop.node(city), epoch, now_s) {
+            return Shipment::Deferred(kind);
+        }
+        match child.flush(now_s, catalog) {
+            Ok(mut batch) => {
+                let corrupted = corrupt_in_flight(net, &mut batch, from, epoch);
+                Shipment::Shipped { batch, corrupted }
+            }
+            Err(e) => Shipment::Failed(e),
+        }
+    }
+}
+
 /// Draws the in-flight corruption coin for one shipped batch and, on a
 /// hit, flips a byte in one encoded partial and returns its key. The
 /// receiver's CRC check will refuse it and punch a coverage hole; the
-/// caller records both effects at the *receiving* site.
+/// receiver records both effects at its own site.
 fn corrupt_in_flight(
     net: &Network,
     batch: &mut FlushBatch,
@@ -1222,71 +1173,91 @@ fn corrupt_in_flight(
     Some(*key)
 }
 
-/// One district's phase-A flush shard: the district's fog-1 slice, its
-/// fog-2 node, and the scratch all observability is buffered in.
-struct FlushShard<'a> {
-    district: usize,
-    /// Global section index of `fog1[0]` (sections are
-    /// district-contiguous, so shard-local `k` is section `base + k`).
-    base: usize,
-    fog1: &'a mut [F2cNode],
-    fog2: &'a mut F2cNode,
+/// A receiving node — a district's fog 2 or the cloud — and the scratch
+/// its side of a hop buffers observability in until the coordinator
+/// absorbs it. Both hops land flush waves and heal holes through it.
+struct Receiver<'a> {
+    hop: Hop,
+    node: &'a mut F2cNode,
     obs: ObsScratch,
     ids: CityMetricIds,
-    bytes: u64,
-    /// Whether the city's shipment tap is on.
-    capture: bool,
-    err: Option<Error>,
 }
 
-impl FlushShard<'_> {
-    fn run(&mut self, city: &BarcelonaTopology, catalog: &Catalog, epoch: u64, now_s: u64) {
+impl<'a> Receiver<'a> {
+    fn new(hop: Hop, node: &'a mut F2cNode) -> Self {
+        let mut obs = ObsScratch::new();
+        let ids = CityMetricIds::register(&mut obs.reg);
+        Self {
+            hop,
+            node,
+            obs,
+            ids,
+        }
+    }
+
+    /// Lands one flush wave: the children's turns in order, each folded,
+    /// shipped, tapped and verified, then every verified shipment stored
+    /// as one wave. A failure ends the wave; the shipments verified
+    /// before it are still stored. Returns the accounting bytes of the
+    /// shipments that carried records.
+    fn land(
+        &mut self,
+        city: &BarcelonaTopology,
+        capture: bool,
+        now_s: u64,
+        turns: impl IntoIterator<Item = (usize, Shipment)>,
+    ) -> Result<u64> {
+        let at = SimTime::from_secs(now_s);
         let now_us = now_s * 1_000_000;
         let net = city.network();
-        let site = Site::new("fog2", self.district as u32);
+        let to = self.hop.node(city);
+        let (site, here, h) = (self.hop.site(), self.hop.chaos_site(), self.hop.index());
+        let turns = turns.into_iter();
+        let mut verified = Vec::with_capacity(turns.size_hint().0);
+        let mut failed = None;
+        let mut bytes = 0;
         // One wave span per receiving node; member hops nest under it
         // and the wave closes at its slowest hop's arrival.
         let wave = self.obs.tracer.open(site, "flush-wave", now_us);
         let mut wave_end_us = now_us;
         let mut shipped = 0u64;
-        // The children's shipments are verified in turn and stored as one
-        // wave; a failure stores those verified before it.
-        let mut verified = Vec::with_capacity(self.fog1.len());
-        for k in 0..self.fog1.len() {
-            let i = self.base + k;
-            let from = city.fog1_nodes()[i];
-            let to = city.parent_of(i);
-            if let Some(kind) = flush_gate(net, from, to, epoch, now_s) {
-                self.obs.record_incident(now_s, ChaosSite::Fog1(i), kind);
-                continue;
-            }
-            let mut batch = match self.fog1[k].flush(now_s, catalog) {
-                Ok(batch) => batch,
-                Err(e) => {
-                    self.err = Some(e);
+        for (origin, turn) in turns {
+            let (from, child) = self.hop.child(city, origin);
+            let (batch, corrupted) = match turn {
+                Shipment::Deferred(kind) => {
+                    self.obs.record_incident(now_s, child, kind);
+                    continue;
+                }
+                Shipment::Failed(e) => {
+                    failed = Some(e);
                     break;
                 }
+                Shipment::Shipped { batch, corrupted } => (batch, corrupted),
             };
-            if let Some(key) = corrupt_in_flight(net, &mut batch, from, epoch) {
-                let at_site = ChaosSite::Fog2(self.district);
+            if let Some(key) = corrupted {
                 self.obs
-                    .record_incident(now_s, at_site, IncidentKind::SketchCorrupted { key });
+                    .record_incident(now_s, here, IncidentKind::SketchCorrupted { key });
                 self.obs
-                    .record_incident(now_s, at_site, IncidentKind::HolePunched { key });
+                    .record_incident(now_s, here, IncidentKind::HolePunched { key });
             }
             // The sketch shipment (pre-folded partials + seal frontiers)
-            // always reaches the parent — an idle section still seals.
+            // always reaches the receiver — an idle section still seals.
             // Its bytes ride the flush envelope and are accounted on the
             // sketch channel, not against the Table-I ground truth the
             // traffic cross-validation reproduces.
             self.obs
                 .reg
-                .add(self.ids.sketch_flush_bytes[0], batch.sketch_bytes());
+                .add(self.ids.sketch_flush_bytes[h], batch.sketch_bytes());
             self.obs
                 .reg
-                .add(self.ids.raw_flush_bytes[0], batch.acct_bytes);
+                .add(self.ids.raw_flush_bytes[h], batch.acct_bytes);
+            // Holes relayed from below punch again here.
+            for &key in &batch.holes {
+                self.obs
+                    .record_incident(now_s, here, IncidentKind::HolePunched { key });
+            }
             let fold = self.obs.tracer.open(site, "sketch-fold", now_us);
-            self.fog2
+            self.node
                 .receive_sketches(&batch.sketches, &batch.seals, &batch.holes);
             self.obs
                 .tracer
@@ -1294,15 +1265,9 @@ impl FlushShard<'_> {
             if batch.records.is_empty() {
                 continue;
             }
-            self.bytes += batch.acct_bytes;
+            bytes += batch.acct_bytes;
             let hop = self.obs.tracer.open(site, "flush-hop", now_us);
-            let sent = net.send_scratch(
-                &mut self.obs.net,
-                from,
-                to,
-                batch.uplink_bytes(),
-                SimTime::from_secs(now_s),
-            );
+            let sent = net.send_scratch(&mut self.obs.net, from, to, batch.uplink_bytes(), at);
             let arrival_us = match &sent {
                 Ok(delivery) => delivery.arrival.as_micros(),
                 Err(_) => now_us,
@@ -1311,22 +1276,22 @@ impl FlushShard<'_> {
                 .tracer
                 .close_with(hop, arrival_us, batch.acct_bytes);
             if let Err(e) = sent {
-                self.err = Some(e.into());
+                failed = Some(e.into());
                 break;
             }
             wave_end_us = wave_end_us.max(arrival_us);
             shipped += 1;
             self.obs
                 .reg
-                .add(self.ids.uplink_flush_bytes[0], batch.uplink_bytes());
+                .add(self.ids.uplink_flush_bytes[h], batch.uplink_bytes());
             if let Some(mode) = self.ids.batch_mode(&batch) {
                 self.obs.reg.inc(mode);
             }
-            if self.capture {
+            if capture {
                 if let Some(payload) = batch.payload.clone() {
                     self.obs.shipments.push(ShipmentRecord {
-                        hop: 1,
-                        origin: i as u16,
+                        hop: h as u8 + 1,
+                        origin: origin as u16,
                         at_s: now_s,
                         payload,
                         wire: wire::encode_batch(&batch.records),
@@ -1337,111 +1302,70 @@ impl FlushShard<'_> {
             // decoder and proves it equals the shipped records — the
             // decode-equality check runs live, on every hop.
             if let Err(e) =
-                self.fog2
-                    .verify_flush(i as u16, batch.payload.as_deref(), &batch.records)
+                self.node
+                    .verify_flush(origin as u16, batch.payload.as_deref(), &batch.records)
             {
-                self.err = Some(e);
+                failed = Some(e);
                 break;
             }
             verified.push(batch.records);
         }
-        self.fog2.receive_wave(verified, now_s);
+        self.node.receive_wave(verified, now_s);
         self.obs.tracer.close_with(wave, wave_end_us, shipped);
+        failed.map_or(Ok(bytes), Err)
     }
-}
 
-/// What one district's phase-B shard prepared for the coordinator.
-enum CloudPrep {
-    /// The chaos gate deferred the district's wave.
-    Skip(IncidentKind),
-    /// The batch to fold and ship at the coordinator, plus the key the
-    /// in-flight corruption coin damaged, if any.
-    Ship {
-        batch: FlushBatch,
-        corrupted: Option<SketchKey>,
-    },
-    /// The flush itself failed.
-    Failed(Error),
-}
-
-/// One district's phase-B shard: gates, flushes and draws the
-/// corruption coin in parallel; everything cloud-side happens at the
-/// coordinator, in district order.
-struct CloudShard<'a> {
-    district: usize,
-    fog2: &'a mut F2cNode,
-    prep: Option<CloudPrep>,
-}
-
-impl CloudShard<'_> {
-    fn run(&mut self, city: &BarcelonaTopology, catalog: &Catalog, epoch: u64, now_s: u64) {
-        let net = city.network();
-        let from = city.fog2_nodes()[self.district];
-        let to = city.cloud();
-        self.prep = Some(
-            if let Some(kind) = flush_gate(net, from, to, epoch, now_s) {
-                CloudPrep::Skip(kind)
-            } else {
-                match self.fog2.flush(now_s, catalog) {
-                    Ok(mut batch) => {
-                        let corrupted = corrupt_in_flight(net, &mut batch, from, epoch);
-                        CloudPrep::Ship { batch, corrupted }
-                    }
-                    Err(e) => CloudPrep::Failed(e),
-                }
-            },
-        );
-    }
-}
-
-/// One district's anti-entropy phase-1 shard: its fog-2 node heals from
-/// the (shared, immutable) fog-1 tier below it.
-struct HealShard<'a> {
-    district: usize,
-    fog2: &'a mut F2cNode,
-    obs: ObsScratch,
-    ids: CityMetricIds,
-    report: HealReport,
-}
-
-impl HealShard<'_> {
-    fn run(&mut self, city: &BarcelonaTopology, fog1: &[F2cNode], now_s: u64) {
+    /// One anti-entropy round at this receiver: every coverage hole is
+    /// re-shipped from its child stream's ledger entry in `sources` (the
+    /// fog-1 tier below fog 2, the fog-2 tier below the cloud). Returns
+    /// the round's report and the keys it healed.
+    fn heal(
+        &mut self,
+        city: &BarcelonaTopology,
+        sources: &[F2cNode],
+        now_s: u64,
+    ) -> (HealReport, Vec<SketchKey>) {
         let at = SimTime::from_secs(now_s);
         let now_us = now_s * 1_000_000;
-        let d = self.district;
         let net = city.network();
-        let holes = self.fog2.sketches().holes_sorted();
+        let mut report = HealReport::default();
+        let mut healed = Vec::new();
+        let holes = self.node.sketches().holes_sorted();
         if holes.is_empty() {
-            return;
+            return (report, healed);
         }
-        let to = city.fog2_nodes()[d];
+        let to = self.hop.node(city);
         if net.failures().node_is_down(to, at) {
             // A crashed node runs no heal round; its holes carry.
-            self.report.blocked += holes.len() as u64;
-            self.obs.reg.add(self.ids.heal_blocked, holes.len() as u64);
-            return;
+            report.blocked = holes.len() as u64;
+            self.obs.reg.add(self.ids.heal_blocked, report.blocked);
+            return (report, healed);
         }
-        let round = self
-            .obs
-            .tracer
-            .open(Site::new("fog2", d as u32), "heal-round", now_us);
-        let healed_before = self.report.healed;
+        let (site, here, h) = (self.hop.site(), self.hop.chaos_site(), self.hop.index());
+        let round = self.obs.tracer.open(site, "heal-round", now_us);
         for key in holes {
-            let section = key.section as usize;
-            let from = city.fog1_nodes()[section];
-            let site = ChaosSite::Fog2(d);
-            let Some((partial, _)) = fog1[section].sketches().entry(&key) else {
-                self.report.impossible += 1;
+            let origin = self.hop.origin_of(city, &key);
+            let (from, _) = self.hop.child(city, origin);
+            let source = sources[origin].sketches();
+            if source.is_hole(&key) {
+                // Healing from a still-holed source would launder the
+                // hole into silently wrong data; wait for the source's
+                // own heal. (Fog 1 never holds a hole.)
+                report.blocked += 1;
+                self.obs.reg.inc(self.ids.heal_blocked);
+                self.obs
+                    .record_incident(now_s, here, IncidentKind::HealBlocked { key });
+                continue;
+            }
+            let Some((partial, _)) = source.entry(&key) else {
+                report.impossible += 1;
                 self.obs.reg.inc(self.ids.heal_impossible);
                 self.obs
-                    .record_incident(now_s, site, IncidentKind::HealImpossible { key });
+                    .record_incident(now_s, here, IncidentKind::HealImpossible { key });
                 continue;
             };
             let encoded = partial.encode();
-            let relay = self
-                .obs
-                .tracer
-                .open(Site::new("fog2", d as u32), "sketch-relay", now_us);
+            let relay = self.obs.tracer.open(site, "sketch-relay", now_us);
             let shipped = net.path_is_up(from, to, at)
                 && net
                     .send_scratch(&mut self.obs.net, from, to, encoded.len() as u64, at)
@@ -1452,26 +1376,37 @@ impl HealShard<'_> {
                 if shipped { encoded.len() as u64 } else { 0 },
             );
             if !shipped {
-                self.report.blocked += 1;
+                report.blocked += 1;
                 self.obs.reg.inc(self.ids.heal_blocked);
                 self.obs
-                    .record_incident(now_s, site, IncidentKind::HealBlocked { key });
+                    .record_incident(now_s, here, IncidentKind::HealBlocked { key });
                 continue;
             }
             self.obs
                 .reg
-                .add(self.ids.sketch_flush_bytes[0], encoded.len() as u64);
-            if self.fog2.heal_sketch(key, &encoded) {
-                self.report.healed += 1;
+                .add(self.ids.sketch_flush_bytes[h], encoded.len() as u64);
+            if self.node.heal_sketch(key, &encoded) {
+                report.healed += 1;
                 self.obs.reg.inc(self.ids.heal_healed);
                 self.obs
-                    .record_incident(now_s, site, IncidentKind::HoleHealed { key });
+                    .record_incident(now_s, here, IncidentKind::HoleHealed { key });
+                healed.push(key);
             }
         }
-        self.obs
-            .tracer
-            .close_with(round, now_us, self.report.healed - healed_before);
+        self.obs.tracer.close_with(round, now_us, report.healed);
+        (report, healed)
     }
+}
+
+/// One district's phase-A flush shard: the district's fog-1 slice and
+/// its fog-2 receiver.
+struct FlushShard<'a> {
+    /// Global section index of `fog1[0]` (sections are
+    /// district-contiguous, so shard-local `k` is section `base + k`).
+    base: usize,
+    fog1: &'a mut [F2cNode],
+    receiver: Receiver<'a>,
+    landed: Result<u64>,
 }
 
 #[cfg(test)]
@@ -1512,7 +1447,7 @@ mod tests {
                     first_err.get_or_insert(e);
                     break;
                 }
-                fog2.receive(batch.records, now_s);
+                fog2.receive_wave([batch.records], now_s);
             }
         }
         if let Some(e) = first_err {
@@ -1531,7 +1466,7 @@ mod tests {
             }
             city.cloud
                 .verify_flush(d as u16, batch.payload.as_deref(), &batch.records)?;
-            city.cloud.receive(batch.records, now_s);
+            city.cloud.receive_wave([batch.records], now_s);
         }
         Ok(())
     }
@@ -1679,6 +1614,66 @@ mod tests {
             sections_since(&wave.fog2[3], 1_000),
             (18..21).collect::<Vec<u16>>()
         );
+    }
+
+    /// One anti-entropy round, rendered: its report, each incident it
+    /// recorded (`site kind`), then the spans it closed.
+    fn heal_round(city: &mut F2cCity, now_s: u64) -> String {
+        let mark = city.tracer.mark();
+        let seen = city.timeline.len();
+        let mut out = format!("{:?}\n", city.anti_entropy(now_s));
+        for incident in city.timeline.iter().skip(seen) {
+            out += &format!("{} {}\n", incident.site, incident.kind.label());
+        }
+        out + &city.tracer.spans_since(&mark)
+    }
+
+    #[test]
+    fn a_cloud_heal_waits_while_the_cloud_is_down_or_its_source_is_holed() {
+        let mut city = F2cCity::barcelona().unwrap();
+        waves_into(&mut city, 0, SensorType::Weather, 3);
+        city.flush_all(2_700).unwrap();
+        let key = *city.fog1(0).sketches().keys().min().unwrap();
+        // A hole at the cloud alone, while the cloud is down: the round
+        // carries it without a span or an incident.
+        city.cloud.receive_sketches(&[], &[], &[key]);
+        city.inject_node_outage(ChaosSite::Cloud, 3_000, 4_000);
+        assert_eq!(
+            heal_round(&mut city, 3_500),
+            "HealReport { healed: 0, blocked: 1, impossible: 0 }\n"
+        );
+        // The same hole at fog 2, whose source section is down: fog 2
+        // cannot heal, and the cloud must not heal from a holed fog 2.
+        city.fog2[0].receive_sketches(&[], &[], &[key]);
+        city.inject_node_outage(ChaosSite::Fog1(0), 4_000, 5_000);
+        assert_eq!(
+            heal_round(&mut city, 4_500),
+            "HealReport { healed: 0, blocked: 2, impossible: 0 }\n\
+             fog2/d0 heal-blocked\n\
+             cloud heal-blocked\n\
+             cloud/0 heal-round 4500000000..4500000000 d=0 a=0\n\
+             fog2/0 sketch-relay 4500000000..4500000000 d=1 a=0\n\
+             fog2/0 heal-round 4500000000..4500000000 d=0 a=0\n"
+        );
+        // A late increment queued at fog 2 for the holed bucket; then
+        // both up: fog 2 heals from fog 1, the cloud from fog 2.
+        let (partial, _) = city.fog1[0].sketches().entry(&key).unwrap();
+        city.fog2[0].receive_sketches(&[(key, partial.encode())], &[], &[]);
+        assert_eq!(
+            heal_round(&mut city, 5_500),
+            "HealReport { healed: 2, blocked: 0, impossible: 0 }\n\
+             fog2/d0 hole-healed\n\
+             cloud hole-healed\n\
+             cloud/0 sketch-relay 5500000000..5500000000 d=1 a=83\n\
+             cloud/0 heal-round 5500000000..5500000000 d=0 a=1\n\
+             fog2/0 sketch-relay 5500000000..5500000000 d=1 a=83\n\
+             fog2/0 heal-round 5500000000..5500000000 d=0 a=1\n"
+        );
+        // The cloud's heal shipped fog 2's whole fold, so the queued
+        // increment is dropped, not relayed on top of it.
+        city.flush_all(6_300).unwrap();
+        let count = |node: &F2cNode| node.sketches().entry(&key).unwrap().0.count();
+        assert_eq!(count(&city.cloud), count(&city.fog1[0]));
     }
 
     #[test]

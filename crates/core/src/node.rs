@@ -404,12 +404,6 @@ impl F2cNode {
         })
     }
 
-    /// Receives a batch shipped from a child node — the one-shipment case
-    /// of [`F2cNode::receive_wave`].
-    pub fn receive(&mut self, records: Vec<DataRecord>, now_s: u64) {
-        self.receive_wave([records], now_s);
-    }
-
     /// Receives one flush wave: the verified shipments of this node's
     /// children, in shipment order, stored as one merge into the local
     /// run and queued for the next hop as they arrived. At the cloud each
@@ -679,12 +673,15 @@ mod tests {
         }
         let batch = f1.flush(86_400, &catalog).unwrap();
         let n = batch.records.len();
-        cloud.receive(batch.records, 86_400);
+        cloud
+            .verify_flush(0, batch.payload.as_deref(), &batch.records)
+            .unwrap();
+        cloud.receive_wave([batch.records], 86_400);
         assert_eq!(cloud.store().len(), n);
         assert_eq!(cloud.layer(), Layer::Cloud);
         // Cloud never evicts.
         let mut cloud2 = F2cNode::cloud();
-        cloud2.receive(Vec::new(), 0);
+        cloud2.receive_wave([Vec::new()], 0);
         assert!(cloud2.store().is_empty());
     }
 
@@ -735,7 +732,9 @@ mod tests {
         let batch = f1.flush(1_800, &catalog).unwrap();
         let shipped = batch.sketches.len();
         assert_eq!(f2.receive_sketches(&batch.sketches, &batch.seals, &[]), 0);
-        f2.receive(batch.records.clone(), 1_800);
+        f2.verify_flush(0, batch.payload.as_deref(), &batch.records)
+            .unwrap();
+        f2.receive_wave([batch.records.clone()], 1_800);
         assert_eq!(f2.sketches().sealed_through(0), 1_800);
         // Fog-2's ledger now answers without scanning: its folded count
         // equals the raw records it received.

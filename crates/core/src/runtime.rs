@@ -561,7 +561,9 @@ fn flush_fog1(
     let to = city.parent_of(i);
     city.network_mut()
         .send(from, to, shipped, SimTime::from_secs(now_s))?;
-    fog2_nodes[district].receive(batch.records, now_s);
+    let parent = &mut fog2_nodes[district];
+    parent.verify_flush(i as u16, batch.payload.as_deref(), &batch.records)?;
+    parent.receive_wave([batch.records], now_s);
     Ok(())
 }
 
@@ -584,7 +586,8 @@ fn flush_fog2(
     let to = city.cloud();
     city.network_mut()
         .send(from, to, batch.uplink_bytes(), SimTime::from_secs(now_s))?;
-    cloud.receive(batch.records, now_s);
+    cloud.verify_flush(d as u16, batch.payload.as_deref(), &batch.records)?;
+    cloud.receive_wave([batch.records], now_s);
     Ok(())
 }
 

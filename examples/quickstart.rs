@@ -46,9 +46,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         batch.wire_bytes(),
         batch.compressed_bytes()
     );
-    fog2.receive(batch.records, 7200);
+    // Each receiver decodes the shipped payload with its mirror decoder
+    // for the child stream (fog 2: the section; cloud: the district) and
+    // checks it against the records before storing them.
+    fog2.verify_flush(21, batch.payload.as_deref(), &batch.records)?;
+    fog2.receive_wave([batch.records], 7200);
     let batch = fog2.flush(7200, &catalog)?;
-    cloud.receive(batch.records, 7200);
+    cloud.verify_flush(3, batch.payload.as_deref(), &batch.records)?;
+    cloud.receive_wave([batch.records], 7200);
     println!(
         "cloud now preserves {} records permanently",
         cloud.store().len()

@@ -38,9 +38,14 @@ fn readings_survive_the_full_hierarchy() {
     }
     let b1 = fog1.flush(7200, &catalog).unwrap();
     assert_eq!(b1.records.len() as u64, stored_total);
-    fog2.receive(b1.records, 7200);
+    fog2.verify_flush(0, b1.payload.as_deref(), &b1.records)
+        .unwrap();
+    fog2.receive_wave([b1.records], 7200);
     let b2 = fog2.flush(7200, &catalog).unwrap();
-    cloud.receive(b2.records, 7200);
+    cloud
+        .verify_flush(0, b2.payload.as_deref(), &b2.records)
+        .unwrap();
+    cloud.receive_wave([b2.records], 7200);
 
     assert_eq!(cloud.store().len() as u64, stored_total);
     // Every record at the cloud is fully described and quality-tagged.
@@ -64,9 +69,14 @@ fn portal_roles_gate_cloud_data_by_category() {
         fog1.ingest_wave(meters.wave(t), t + 1, &catalog).unwrap();
     }
     let b = fog1.flush(6000, &catalog).unwrap();
-    fog2.receive(b.records, 6000);
+    fog2.verify_flush(0, b.payload.as_deref(), &b.records)
+        .unwrap();
+    fog2.receive_wave([b.records], 6000);
     let b = fog2.flush(6000, &catalog).unwrap();
-    cloud.receive(b.records, 6000);
+    cloud
+        .verify_flush(0, b.payload.as_deref(), &b.records)
+        .unwrap();
+    cloud.receive_wave([b.records], 6000);
 
     let portal = OpenDataPortal::new();
     let public_all = portal

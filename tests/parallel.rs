@@ -39,6 +39,46 @@ fn assert_byte_identical(a: &[u8], b: &[u8], label: &str) {
     );
 }
 
+/// 64-bit FNV-1a over an artifact stream.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins a fixture's single-thread artifact stream to its golden hash.
+/// The thread-count sweeps compare the city only with itself, so a
+/// change that reorders spans, incidents or shipments at every thread
+/// count alike passes them; this catches it.
+fn assert_golden(artifacts: &[u8], golden: u64, fixture: &str) {
+    let got = fnv1a(artifacts);
+    assert_eq!(
+        got, golden,
+        "{fixture}: artifact hash {got:#018x}, golden {golden:#018x}. Regenerate the \
+         golden constant only when a change intends to move the artifacts, and say so \
+         in CHANGES.md."
+    );
+}
+
+/// FNV-1a of the fault-free fixture's artifacts at one thread.
+const GOLDEN_WORKLOAD: u64 = 0x2fea_3604_0cd0_4c9a;
+
+/// FNV-1a of the storm fixture's artifacts at one thread: partials
+/// corrupted in flight and healed at both hops. Its cloud outage falls
+/// on waves with no cloud hole, so a blocked cloud heal is held by
+/// `hierarchy`'s unit tests instead.
+const GOLDEN_STORM: u64 = 0x70b5_1f37_12ae_3128;
+
+/// Whether the artifact stream's incident lines hold `kind` at a site
+/// whose name starts with `site`.
+fn has_incident(artifacts: &[u8], site: &str, kind: &str) -> bool {
+    String::from_utf8_lossy(artifacts).lines().any(|line| {
+        line.starts_with("incident ")
+            && line.contains(&format!(" site={site}"))
+            && line.ends_with(&format!(" kind={kind}"))
+    })
+}
+
 /// Renders every artifact of a finished run into one byte stream:
 /// transcript, report accounting, per-node store and sketch-ledger
 /// fingerprints, the cloud archive's full wire text, the metric
@@ -217,6 +257,7 @@ fn sharded_workload_is_thread_count_invariant() {
         "artifact stream suspiciously small ({} bytes)",
         baseline.len()
     );
+    assert_golden(&baseline, GOLDEN_WORKLOAD, "sharded workload");
     for threads in [2usize, 4, 8] {
         let other = shard_replica(&config, threads, false);
         assert_byte_identical(
@@ -243,6 +284,19 @@ fn sharded_storm_is_thread_count_invariant() {
         ..WorkloadConfig::default()
     };
     let baseline = shard_replica(&config, 1, true);
+    assert_golden(&baseline, GOLDEN_STORM, "sharded storm");
+    // What the golden hash holds: corruption and heals at both hops.
+    for (site, kind) in [
+        ("fog2/", "sketch-corrupted"),
+        ("cloud", "sketch-corrupted"),
+        ("fog2/", "hole-healed"),
+        ("cloud", "hole-healed"),
+    ] {
+        assert!(
+            has_incident(&baseline, site, kind),
+            "the storm fixture no longer covers {kind} at {site}"
+        );
+    }
     let other = shard_replica(&config, 4, true);
     assert_byte_identical(&baseline, &other, "sharded storm, threads=1 vs threads=4");
 }
