@@ -28,7 +28,9 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::collections::hash_map::Entry as Slot;
 use std::collections::{HashMap, HashSet};
+use std::num::NonZeroU64;
 
 use scc_sensors::SensorType;
 
@@ -53,6 +55,13 @@ struct Entry {
     partial: AggPartial,
     /// Owner-local flush epoch that last folded into this bucket.
     epoch: u64,
+}
+
+impl Entry {
+    fn merge(&mut self, partial: &AggPartial, epoch: u64) {
+        self.partial.merge(partial);
+        self.epoch = self.epoch.max(epoch);
+    }
 }
 
 /// Epoch-keyed store of bucket partials with seal and eviction
@@ -106,18 +115,23 @@ impl SketchLedger {
     ///
     /// [`Error::EmptyWindow`] on a zero bucket width.
     pub fn new(bucket_s: u64) -> Result<Self> {
-        if bucket_s == 0 {
-            return Err(Error::EmptyWindow);
-        }
-        Ok(Self {
-            bucket_s,
+        NonZeroU64::new(bucket_s)
+            .map(Self::with_bucket)
+            .ok_or(Error::EmptyWindow)
+    }
+
+    /// An empty ledger bucketing at `bucket_s`-second boundaries, for a
+    /// width known to be non-zero.
+    pub fn with_bucket(bucket_s: NonZeroU64) -> Self {
+        Self {
+            bucket_s: bucket_s.get(),
             entries: HashMap::new(),
             sealed: HashMap::new(),
             holes: HashSet::new(),
             evicted_before_s: 0,
             folds: 0,
             crc_failures: 0,
-        })
+        }
     }
 
     /// The bucket width in seconds.
@@ -151,43 +165,62 @@ impl SketchLedger {
     }
 
     /// Merges `partial` into the bucket at `key`, stamping it with the
-    /// owner's flush `epoch`.
+    /// owner's flush `epoch`; a vacant bucket takes a copy.
     pub fn fold(&mut self, key: SketchKey, partial: &AggPartial, epoch: u64) {
-        debug_assert_eq!(key.bucket_start_s % self.bucket_s, 0, "unaligned key");
-        self.folds += 1;
-        match self.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.partial.merge(partial);
-                entry.epoch = entry.epoch.max(epoch);
-            }
-            None => {
-                self.entries.insert(
-                    key,
-                    Entry {
-                        partial: partial.clone(),
-                        epoch,
-                    },
-                );
+        match self.slot(key) {
+            Slot::Occupied(entry) => entry.into_mut().merge(partial, epoch),
+            Slot::Vacant(slot) => {
+                slot.insert(Entry {
+                    partial: partial.clone(),
+                    epoch,
+                });
             }
         }
     }
 
+    /// [`SketchLedger::fold`] of a partial the caller is done with: a
+    /// vacant bucket takes it as it is.
+    pub fn fold_owned(&mut self, key: SketchKey, partial: AggPartial, epoch: u64) {
+        match self.slot(key) {
+            Slot::Occupied(entry) => entry.into_mut().merge(&partial, epoch),
+            Slot::Vacant(slot) => {
+                slot.insert(Entry { partial, epoch });
+            }
+        }
+    }
+
+    /// Counts one fold and looks `key` up once.
+    fn slot(&mut self, key: SketchKey) -> Slot<'_, SketchKey, Entry> {
+        debug_assert_eq!(key.bucket_start_s % self.bucket_s, 0, "unaligned key");
+        self.folds += 1;
+        self.entries.entry(key)
+    }
+
     /// Decodes one shipped partial (verifying its CRC) and folds it in.
-    /// Returns the decoded partial so receivers can relay it upward
-    /// without a second decode.
     ///
     /// # Errors
     ///
-    /// [`Error::CorruptPartial`] — the shipment is refused: nothing is
-    /// merged, the failure is counted in
-    /// [`SketchLedger::crc_failures`], and a coverage hole is punched
-    /// at `key` so the bucket can never be falsely proved complete.
-    pub fn fold_encoded(&mut self, key: SketchKey, bytes: &[u8], epoch: u64) -> Result<AggPartial> {
+    /// As [`SketchLedger::decode_shipped`]; a refused shipment merges
+    /// nothing.
+    pub fn fold_encoded(&mut self, key: SketchKey, bytes: &[u8], epoch: u64) -> Result<()> {
+        let partial = self.decode_shipped(key, bytes)?;
+        self.fold_owned(key, partial, epoch);
+        Ok(())
+    }
+
+    /// Decodes one partial shipped for `key`, verifying its CRC, without
+    /// folding it: a receiver that also relays the partial folds a copy
+    /// and relays the original, with one decode.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::CorruptPartial`] — the shipment is refused: the failure
+    /// is counted in [`SketchLedger::crc_failures`], and a coverage hole
+    /// is punched at `key` so the bucket can never be falsely proved
+    /// complete.
+    pub fn decode_shipped(&mut self, key: SketchKey, bytes: &[u8]) -> Result<AggPartial> {
         match AggPartial::decode(bytes) {
-            Ok(partial) => {
-                self.fold(key, &partial, epoch);
-                Ok(partial)
-            }
+            Ok(partial) => Ok(partial),
             Err(e) => {
                 self.crc_failures += 1;
                 // The folded increments are lost for good: the bucket is
@@ -407,6 +440,86 @@ mod tests {
         assert_eq!(p.minmax().max, Some(5.0));
         assert_eq!(epoch, 4);
         assert_eq!(ledger.folds(), 2);
+    }
+
+    /// A partial absorbed from empty, as a fog-1 flush builds one, from
+    /// sensor-style magnitudes (hundredths, counters, zero, negatives).
+    fn absorbed(obs: &[(i64, u64)]) -> AggPartial {
+        let mut p = AggPartial::empty();
+        for &(hundredths, key) in obs {
+            p.absorb(hundredths as f64 / 100.0, key);
+        }
+        p
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn a_moved_partial_is_one_merged_into_an_empty_one(
+            obs in proptest::collection::vec((-300i64..300, 0u64..2_000), 0..600),
+        ) {
+            // The relay's vacant entry once merged the partial into
+            // `AggPartial::empty()`; it now takes the partial itself.
+            let p = absorbed(&obs);
+            let wire = AggPartial::decode(&p.encode()).unwrap();
+            let mut merged = AggPartial::empty();
+            merged.merge(&wire);
+            proptest::prop_assert_eq!(merged.encode(), wire.encode());
+        }
+
+        #[test]
+        fn folding_owned_partials_stores_what_folding_copies_did(
+            folds in proptest::collection::vec(
+                (0u16..3, 0u64..3, proptest::collection::vec((-300i64..300, 0u64..50), 0..40)),
+                0..20,
+            ),
+        ) {
+            // The fold as it was: a lookup, then a merge or a cloned
+            // insert.
+            let mut model: HashMap<SketchKey, AggPartial> = HashMap::new();
+            let mut ledger = SketchLedger::new(900).unwrap();
+            for (section, bucket, obs) in &folds {
+                let k = key(*section, 900 * bucket);
+                let p = absorbed(obs);
+                match model.get_mut(&k) {
+                    Some(entry) => entry.merge(&p),
+                    None => {
+                        model.insert(k, p.clone());
+                    }
+                }
+                ledger.fold_owned(k, p, 1);
+            }
+            proptest::prop_assert_eq!(ledger.len(), model.len());
+            for (k, p) in &model {
+                let (stored, _) = ledger.entry(k).unwrap();
+                proptest::prop_assert_eq!(stored.encode(), p.encode());
+            }
+        }
+    }
+
+    #[test]
+    fn only_a_negative_zero_sum_would_tell_a_move_from_a_merge() {
+        // The one partial `empty().merge(&p)` does not return bit for
+        // bit: a sum of -0.0, which +0.0 + -0.0 turns into +0.0.
+        let mut wire = absorbed(&[]).encode();
+        // The sum follows the magic, precision, extremes flag and count.
+        wire[14..22].copy_from_slice(&(-0.0f64).to_bits().to_le_bytes());
+        let body = wire.len() - 4;
+        let crc = f2c_compress::crc32::checksum(&wire[..body]);
+        wire[body..].copy_from_slice(&crc.to_le_bytes());
+        let negative = AggPartial::decode(&wire).unwrap();
+        assert!(negative.moments().sum.is_sign_negative());
+        let mut merged = AggPartial::empty();
+        merged.merge(&negative);
+        assert_ne!(merged.encode(), negative.encode());
+        // No absorb reaches it: a sum starts at +0.0, and in
+        // round-to-nearest a sum is -0.0 only when both addends are.
+        for obs in [
+            &[(0, 1)][..],
+            &[(5, 1), (-5, 2)],
+            &[(-1, 1), (1, 1), (0, 3)],
+        ] {
+            assert!(absorbed(obs).moments().sum.is_sign_positive(), "{obs:?}");
+        }
     }
 
     #[test]

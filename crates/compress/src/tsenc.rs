@@ -6,9 +6,10 @@
 //! values follow one of five narrow models. This module splits a batch
 //! into columns and encodes each with the cheapest of six integer
 //! [`Technique`]s, chosen by a per-column cost probe and tagged in the
-//! column's frame header. The probe is size-only — it computes each
-//! technique's exact body length from varint lengths, builds no
-//! candidate, and writes the winner once:
+//! column's frame header. The probe is size-only — one pass over the
+//! column computes every technique's exact body length from varint
+//! lengths (the dictionary's from its own probe), builds no candidate,
+//! and writes the winner once:
 //!
 //! | tag | technique        | wins when …                                |
 //! |-----|------------------|--------------------------------------------|
@@ -225,62 +226,40 @@ fn varint_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros()).div_ceil(7) as usize
 }
 
-/// Where a technique's varints go: into the stream, or into a byte
-/// count. Every technique is written once against this, so the length a
-/// probe computes and the body written later cannot disagree.
-trait VarintSink {
-    fn put(&mut self, v: u64);
-}
-
-impl VarintSink for Vec<u8> {
-    fn put(&mut self, v: u64) {
-        put_varint(self, v);
-    }
-}
-
-/// The size-only sink: the bytes a body would take, without the body.
-struct ByteCount(usize);
-
-impl VarintSink for ByteCount {
-    fn put(&mut self, v: u64) {
-        self.0 += varint_len(v);
-    }
-}
-
-fn emit_raw(values: &[u64], sink: &mut impl VarintSink) {
+fn emit_raw(values: &[u64], out: &mut Vec<u8>) {
     for &v in values {
-        sink.put(v);
+        put_varint(out, v);
     }
 }
 
-fn emit_delta(values: &[u64], sink: &mut impl VarintSink) {
+fn emit_delta(values: &[u64], out: &mut Vec<u8>) {
     let Some(&first) = values.first() else {
         return;
     };
-    sink.put(first);
+    put_varint(out, first);
     for w in values.windows(2) {
-        sink.put(zigzag(w[1].wrapping_sub(w[0]) as i64));
+        put_varint(out, zigzag(w[1].wrapping_sub(w[0]) as i64));
     }
 }
 
-fn emit_dod(values: &[u64], sink: &mut impl VarintSink) {
+fn emit_dod(values: &[u64], out: &mut Vec<u8>) {
     let Some(&first) = values.first() else {
         return;
     };
-    sink.put(first);
+    put_varint(out, first);
     if values.len() == 1 {
         return;
     }
     let mut prev_delta = values[1].wrapping_sub(values[0]) as i64;
-    sink.put(zigzag(prev_delta));
+    put_varint(out, zigzag(prev_delta));
     for w in values[1..].windows(2) {
         let delta = w[1].wrapping_sub(w[0]) as i64;
-        sink.put(zigzag(delta.wrapping_sub(prev_delta)));
+        put_varint(out, zigzag(delta.wrapping_sub(prev_delta)));
         prev_delta = delta;
     }
 }
 
-fn emit_rle(values: &[u64], sink: &mut impl VarintSink) {
+fn emit_rle(values: &[u64], out: &mut Vec<u8>) {
     let Some(&first) = values.first() else {
         return;
     };
@@ -290,24 +269,62 @@ fn emit_rle(values: &[u64], sink: &mut impl VarintSink) {
         if v == current {
             run += 1;
         } else {
-            sink.put(current);
-            sink.put(run);
+            put_varint(out, current);
+            put_varint(out, run);
             current = v;
             run = 1;
         }
     }
-    sink.put(current);
-    sink.put(run);
+    put_varint(out, current);
+    put_varint(out, run);
 }
 
-fn emit_xor(values: &[u64], sink: &mut impl VarintSink) {
+fn emit_xor(values: &[u64], out: &mut Vec<u8>) {
     let Some(&first) = values.first() else {
         return;
     };
-    sink.put(first);
+    put_varint(out, first);
     for w in values.windows(2) {
-        sink.put(w[0] ^ w[1]);
+        put_varint(out, w[0] ^ w[1]);
     }
+}
+
+/// The exact body length of every technique but `Dict` over `values`,
+/// indexed by [`Technique::tag`], from one pass over the column and
+/// varint lengths alone. `Dict`'s slot stays 0: its length needs the
+/// column's dictionary, which [`DictProbe::probe`] builds.
+fn body_lens(values: &[u64]) -> [usize; Technique::ALL.len()] {
+    let mut lens = [0; Technique::ALL.len()];
+    let Some((&first, rest)) = values.split_first() else {
+        return lens;
+    };
+    let head = varint_len(first);
+    let (mut raw, mut delta, mut dod, mut xor, mut rle) = (head, head, head, head, 0);
+    // Against a zero previous delta, the first delta-of-delta is the
+    // first delta itself, which is what the body's second varint holds.
+    let (mut prev, mut prev_delta, mut run) = (first, 0i64, 1u64);
+    for &v in rest {
+        let d = v.wrapping_sub(prev) as i64;
+        raw += varint_len(v);
+        delta += varint_len(zigzag(d));
+        dod += varint_len(zigzag(d.wrapping_sub(prev_delta)));
+        xor += varint_len(prev ^ v);
+        if v == prev {
+            run += 1;
+        } else {
+            rle += varint_len(prev) + varint_len(run);
+            run = 1;
+        }
+        prev = v;
+        prev_delta = d;
+    }
+    rle += varint_len(prev) + varint_len(run);
+    lens[Technique::Raw.tag() as usize] = raw;
+    lens[Technique::Delta.tag() as usize] = delta;
+    lens[Technique::DeltaOfDelta.tag() as usize] = dod;
+    lens[Technique::Rle.tag() as usize] = rle;
+    lens[Technique::Xor.tag() as usize] = xor;
+    lens
 }
 
 /// The dictionary technique's working state: the local dictionary of
@@ -354,23 +371,23 @@ impl DictProbe {
     }
 
     /// The body of the (completely) probed column.
-    fn emit(&self, sink: &mut impl VarintSink) {
-        sink.put(self.distinct.len() as u64);
-        emit_raw(&self.distinct, sink);
-        emit_raw(&self.codes, sink);
+    fn emit(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.distinct.len() as u64);
+        emit_raw(&self.distinct, out);
+        emit_raw(&self.codes, out);
     }
 }
 
-/// `technique`'s body over `values`, into either sink; for `Dict`,
-/// `dict` must hold the completed probe of `values`.
-fn emit_body(technique: Technique, values: &[u64], dict: &DictProbe, sink: &mut impl VarintSink) {
+/// Writes `technique`'s body over `values`; for `Dict`, `dict` must hold
+/// the completed probe of `values`.
+fn emit_body(technique: Technique, values: &[u64], dict: &DictProbe, out: &mut Vec<u8>) {
     match technique {
-        Technique::Raw => emit_raw(values, sink),
-        Technique::Delta => emit_delta(values, sink),
-        Technique::DeltaOfDelta => emit_dod(values, sink),
-        Technique::Rle => emit_rle(values, sink),
-        Technique::Dict => dict.emit(sink),
-        Technique::Xor => emit_xor(values, sink),
+        Technique::Raw => emit_raw(values, out),
+        Technique::Delta => emit_delta(values, out),
+        Technique::DeltaOfDelta => emit_dod(values, out),
+        Technique::Rle => emit_rle(values, out),
+        Technique::Dict => dict.emit(out),
+        Technique::Xor => emit_xor(values, out),
     }
 }
 
@@ -379,12 +396,10 @@ fn emit_body(technique: Technique, values: &[u64], dict: &DictProbe, sink: &mut 
 /// [`write_frame`] and may stop early against `limit` (see
 /// [`DictProbe::probe`]); every other technique is exact regardless.
 fn body_len(technique: Technique, values: &[u64], dict: &mut DictProbe, limit: usize) -> usize {
-    if technique == Technique::Dict {
-        return dict.probe(values, limit);
+    match technique {
+        Technique::Dict => dict.probe(values, limit),
+        _ => body_lens(values)[technique.tag() as usize],
     }
-    let mut count = ByteCount(0);
-    emit_body(technique, values, dict, &mut count);
-    count.0
 }
 
 /// Writes one column frame whose body length is already known.
@@ -424,14 +439,20 @@ pub fn encode_column(values: &[u64], out: &mut Vec<u8>) -> Technique {
     probe_column(values, &mut DictProbe::default(), out)
 }
 
-/// [`encode_column`] over caller-owned dictionary-probe scratch.
+/// [`encode_column`] over caller-owned dictionary-probe scratch. One
+/// pass sizes every technique but `Dict`; `Dict` is then probed against
+/// the best of those before it in probe order.
 fn probe_column(values: &[u64], dict: &mut DictProbe, out: &mut Vec<u8>) -> Technique {
+    let lens = body_lens(values);
     let mut best = Technique::Raw;
-    let mut best_len = body_len(best, values, dict, usize::MAX);
+    let mut best_len = lens[best.tag() as usize];
     for &technique in &Technique::ALL[1..] {
         // `Dict` is probed once, so a win leaves its dictionary intact
         // for `write_frame` whatever is probed after it.
-        let len = body_len(technique, values, dict, best_len);
+        let len = match technique {
+            Technique::Dict => dict.probe(values, best_len),
+            _ => lens[technique.tag() as usize],
+        };
         if len < best_len {
             best = technique;
             best_len = len;
@@ -450,6 +471,22 @@ fn probe_column(values: &[u64], dict: &mut DictProbe, out: &mut Vec<u8>) -> Tech
 /// unknown tag, a frame length that disagrees with its own body, runs
 /// that do not sum to the count, or out-of-range dictionary indices.
 pub fn decode_column(data: &[u8], pos: &mut usize, expect: u64) -> Result<(Technique, Vec<u64>)> {
+    let mut values = Vec::new();
+    let technique = decode_column_into(data, pos, expect, &mut values)?;
+    Ok((technique, values))
+}
+
+/// [`decode_column`] into caller-owned `values` (cleared first), so a
+/// warm stream decoder decodes without allocating. A count the frame
+/// only declares is never a reason to allocate: every reserve is bounded
+/// by the frame's body bytes, and `Rle` grows by validated runs alone.
+fn decode_column_into(
+    data: &[u8],
+    pos: &mut usize,
+    expect: u64,
+    values: &mut Vec<u64>,
+) -> Result<Technique> {
+    values.clear();
     if expect > MAX_COLUMN_INTS {
         return Err(Error::SizeLimitExceeded {
             declared: expect,
@@ -478,100 +515,103 @@ pub fn decode_column(data: &[u8], pos: &mut usize, expect: u64) -> Result<(Techn
     // is caught either by the in-body EOF or by the exact-consumption
     // check at the end.
     let at = |p: usize| base + p;
-    let values = match technique {
+    let next = |p: &mut usize| get_varint(body, p).map_err(|e| rebase(e, base));
+    // Every varint takes at least one body byte.
+    let bounded = |count: usize| count.min(body.len() + 1);
+    match technique {
         Technique::Raw => {
-            let mut values = Vec::with_capacity(expect.min(body.len() + 1));
+            values.reserve(bounded(expect));
             for _ in 0..expect {
-                values.push(get_varint(body, &mut p).map_err(|e| rebase(e, base))?);
+                values.push(next(&mut p)?);
             }
-            values
         }
         Technique::Delta => {
-            let mut values = Vec::with_capacity(expect.min(body.len() + 1));
+            values.reserve(bounded(expect));
             if expect > 0 {
-                let mut current = get_varint(body, &mut p).map_err(|e| rebase(e, base))?;
+                let mut current = next(&mut p)?;
                 values.push(current);
                 for _ in 1..expect {
-                    let d = unzigzag(get_varint(body, &mut p).map_err(|e| rebase(e, base))?);
+                    let d = unzigzag(next(&mut p)?);
                     current = current.wrapping_add(d as u64);
                     values.push(current);
                 }
             }
-            values
         }
         Technique::DeltaOfDelta => {
-            let mut values = Vec::with_capacity(expect.min(body.len() + 1));
+            values.reserve(bounded(expect));
             if expect > 0 {
-                let mut current = get_varint(body, &mut p).map_err(|e| rebase(e, base))?;
+                let mut current = next(&mut p)?;
                 values.push(current);
                 if expect > 1 {
-                    let mut delta =
-                        unzigzag(get_varint(body, &mut p).map_err(|e| rebase(e, base))?);
+                    let mut delta = unzigzag(next(&mut p)?);
                     current = current.wrapping_add(delta as u64);
                     values.push(current);
                     for _ in 2..expect {
-                        let dd = unzigzag(get_varint(body, &mut p).map_err(|e| rebase(e, base))?);
+                        let dd = unzigzag(next(&mut p)?);
                         delta = delta.wrapping_add(dd);
                         current = current.wrapping_add(delta as u64);
                         values.push(current);
                     }
                 }
             }
-            values
         }
         Technique::Rle => {
-            let mut values = Vec::with_capacity(expect.min(MAX_COLUMN_INTS as usize));
+            // No reserve: a run is two varints for any length, so only a
+            // validated run says how far the column grows.
             while values.len() < expect {
-                let v = get_varint(body, &mut p).map_err(|e| rebase(e, base))?;
-                let run = get_varint(body, &mut p).map_err(|e| rebase(e, base))?;
+                let v = next(&mut p)?;
+                let run = next(&mut p)?;
                 if run == 0 || run > (expect - values.len()) as u64 {
                     return Err(Error::Malformed {
                         reason: "RLE runs do not sum to the column count",
                         offset: at(p),
                     });
                 }
-                for _ in 0..run {
-                    values.push(v);
-                }
+                values.resize(values.len() + run as usize, v);
             }
-            values
         }
         Technique::Dict => {
-            let n_distinct = get_varint(body, &mut p).map_err(|e| rebase(e, base))?;
+            let n_distinct = next(&mut p)?;
             if n_distinct > expect as u64 {
                 return Err(Error::Malformed {
                     reason: "column dictionary larger than the column",
                     offset: at(p),
                 });
             }
-            let mut distinct = Vec::with_capacity(n_distinct as usize);
+            // The dictionary sits in front of the values it resolves and
+            // leaves once they are all resolved.
+            let n_distinct = n_distinct as usize;
+            values.reserve(bounded(n_distinct) + bounded(expect));
             for _ in 0..n_distinct {
-                distinct.push(get_varint(body, &mut p).map_err(|e| rebase(e, base))?);
+                values.push(next(&mut p)?);
             }
-            let mut values = Vec::with_capacity(expect.min(body.len() + 1));
             for _ in 0..expect {
-                let code = get_varint(body, &mut p).map_err(|e| rebase(e, base))?;
-                let v = *distinct.get(code as usize).ok_or(Error::Malformed {
-                    reason: "column dictionary index out of range",
-                    offset: at(p),
-                })?;
+                let code = next(&mut p)?;
+                let v = usize::try_from(code)
+                    .ok()
+                    .filter(|&code| code < n_distinct)
+                    .and_then(|code| values.get(code))
+                    .copied()
+                    .ok_or(Error::Malformed {
+                        reason: "column dictionary index out of range",
+                        offset: at(p),
+                    })?;
                 values.push(v);
             }
-            values
+            values.drain(..n_distinct);
         }
         Technique::Xor => {
-            let mut values = Vec::with_capacity(expect.min(body.len() + 1));
+            values.reserve(bounded(expect));
             if expect > 0 {
-                let mut current = get_varint(body, &mut p).map_err(|e| rebase(e, base))?;
+                let mut current = next(&mut p)?;
                 values.push(current);
                 for _ in 1..expect {
-                    current ^= get_varint(body, &mut p).map_err(|e| rebase(e, base))?;
+                    current ^= next(&mut p)?;
                     values.push(current);
                 }
             }
-            values
         }
-    };
+    }
     if p != body.len() {
         return Err(Error::Malformed {
             reason: "column frame length disagrees with its body",
@@ -579,7 +619,7 @@ pub fn decode_column(data: &[u8], pos: &mut usize, expect: u64) -> Result<(Techn
         });
     }
     *pos = body_end;
-    Ok((technique, values))
+    Ok(technique)
 }
 
 /// Shifts an in-body error offset into the enclosing stream.
@@ -973,6 +1013,50 @@ impl StreamEncoder {
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
     dict: SensorDict,
+    columns: DecodedColumns,
+}
+
+/// Stream offset of the body: after the magic and the mode byte.
+const BODY_OFFSET: usize = MAGIC.len() + 1;
+
+/// A stream's body, by mode.
+enum Body<'a> {
+    Columnar(&'a [u8]),
+    Fallback(&'a [u8]),
+}
+
+/// Checks a stream's envelope — magic, length, CRC, mode — and returns
+/// its body.
+fn open(data: &[u8]) -> Result<Body<'_>> {
+    if data.len() < MAGIC.len() {
+        return Err(Error::UnexpectedEof { offset: data.len() });
+    }
+    if data[..MAGIC.len()] != MAGIC {
+        let mut found = [0u8; 4];
+        found.copy_from_slice(&data[..4]);
+        return Err(Error::BadMagic { found });
+    }
+    if data.len() < FALLBACK_OVERHEAD {
+        return Err(Error::UnexpectedEof { offset: data.len() });
+    }
+    let crc_start = data.len() - 4;
+    let trailer = data[crc_start..]
+        .try_into()
+        .map_err(|_| Error::UnexpectedEof { offset: data.len() })?;
+    let expected = u32::from_le_bytes(trailer);
+    let actual = crc32::checksum(&data[MAGIC.len()..crc_start]);
+    if expected != actual {
+        return Err(Error::ChecksumMismatch { expected, actual });
+    }
+    let body = &data[BODY_OFFSET..crc_start];
+    match data[MAGIC.len()] {
+        MODE_COLUMNAR => Ok(Body::Columnar(body)),
+        MODE_FALLBACK => Ok(Body::Fallback(body)),
+        _ => Err(Error::Malformed {
+            reason: "unknown stream mode",
+            offset: MAGIC.len(),
+        }),
+    }
 }
 
 impl StreamDecoder {
@@ -998,42 +1082,88 @@ impl StreamDecoder {
     /// [`Error::Malformed`]; never panics, never allocates past the
     /// declared (validated) counts.
     pub fn decode_batch(&mut self, data: &[u8]) -> Result<Vec<Reading>> {
-        if data.len() < MAGIC.len() {
-            return Err(Error::UnexpectedEof { offset: data.len() });
-        }
-        if data[..MAGIC.len()] != MAGIC {
-            let mut found = [0u8; 4];
-            found.copy_from_slice(&data[..4]);
-            return Err(Error::BadMagic { found });
-        }
-        if data.len() < FALLBACK_OVERHEAD {
-            return Err(Error::UnexpectedEof { offset: data.len() });
-        }
-        let crc_start = data.len() - 4;
-        let trailer = data[crc_start..]
-            .try_into()
-            .map_err(|_| Error::UnexpectedEof { offset: data.len() })?;
-        let expected = u32::from_le_bytes(trailer);
-        let actual = crc32::checksum(&data[MAGIC.len()..crc_start]);
-        if expected != actual {
-            return Err(Error::ChecksumMismatch { expected, actual });
-        }
-        let mode = data[MAGIC.len()];
-        let body = &data[MAGIC.len() + 1..crc_start];
-        match mode {
-            MODE_FALLBACK => verbatim_decode(&deflate::decompress(body)?),
-            MODE_COLUMNAR => self.decode_columnar(body, MAGIC.len() + 1),
-            _ => Err(Error::Malformed {
-                reason: "unknown stream mode",
-                offset: MAGIC.len(),
-            }),
+        match open(data)? {
+            Body::Fallback(body) => verbatim_decode(&deflate::decompress(body)?),
+            Body::Columnar(body) => {
+                self.columns.decode(&self.dict, body)?;
+                let readings = self.columns.readings()?;
+                self.commit();
+                Ok(readings)
+            }
         }
     }
 
-    fn decode_columnar(&mut self, body: &[u8], base: usize) -> Result<Vec<Reading>> {
+    /// Checks one batch against `batch`, the records shipped beside it,
+    /// without building readings: `Ok(true)` exactly when
+    /// [`StreamDecoder::decode_batch`] would return readings equal to
+    /// `batch`'s. Every validation runs before any comparison, so the
+    /// errors are `decode_batch`'s, and the dictionary commits exactly
+    /// when `decode_batch` would — on a successful decode, whether or not
+    /// the records match.
+    ///
+    /// # Errors
+    ///
+    /// As [`StreamDecoder::decode_batch`].
+    pub fn verify_batch<R: AsRef<Reading>>(&mut self, data: &[u8], batch: &[R]) -> Result<bool> {
+        match open(data)? {
+            Body::Fallback(body) => {
+                let readings = verbatim_decode(&deflate::decompress(body)?)?;
+                Ok(readings.len() == batch.len()
+                    && readings.iter().zip(batch).all(|(r, b)| r == b.as_ref()))
+            }
+            Body::Columnar(body) => {
+                self.columns.decode(&self.dict, body)?;
+                let matches = self.columns.matches(batch)?;
+                self.commit();
+                Ok(matches)
+            }
+        }
+    }
+
+    /// Commits the decoded batch's additions, exactly as the encoder did.
+    fn commit(&mut self) {
+        for &id in &self.columns.staged {
+            self.dict.push(id);
+        }
+    }
+}
+
+/// One columnar batch decoded column by column into vectors the decoder
+/// owns and reuses across batches. Both finishes read it:
+/// [`StreamDecoder::decode_batch`] assembles readings from it, and
+/// [`StreamDecoder::verify_batch`] compares records with it in place.
+#[derive(Debug, Default)]
+struct DecodedColumns {
+    /// Sensors the batch adds to the dictionary, first-appearance order;
+    /// committed only once the whole batch has decoded.
+    staged: Vec<SensorId>,
+    staged_set: HashSet<SensorId>,
+    codes: Vec<u64>,
+    /// The codes resolved, one sensor per record.
+    sensors: Vec<SensorId>,
+    timestamps: Vec<u64>,
+    /// One value column per sensor type, laid out as the encoder's
+    /// [`ColumnScratch`] lays it out, each checked against its model.
+    values: [Vec<u64>; SensorType::ALL.len()],
+    /// The flattened zigzag fields of each composite type.
+    fields: [Vec<u64>; SensorType::ALL.len()],
+    /// Stream offset of the body's end.
+    end: usize,
+}
+
+impl DecodedColumns {
+    /// Decodes and validates every column of `body` against the
+    /// committed dictionary `dict`, leaving `dict` as it was.
+    fn decode(&mut self, dict: &SensorDict, body: &[u8]) -> Result<()> {
+        let base = BODY_OFFSET;
         let err = |reason: &'static str, pos: usize| Error::Malformed {
             reason,
             offset: base + pos,
+        };
+        let column = |pos: &mut usize, expect: u64, values: &mut Vec<u64>| -> Result<()> {
+            decode_column_into(body, pos, expect, values)
+                .map(drop)
+                .map_err(|e| rebase(e, base))
         };
         let mut pos = 0usize;
         let n = get_varint(body, &mut pos).map_err(|e| rebase(e, base))?;
@@ -1051,8 +1181,10 @@ impl StreamDecoder {
         // bounds both reserves; the re-add check is a set probe, which
         // keeps decode time linear in the payload whatever it declares.
         let reserve = (n_staged as usize).min(body.len() / 2);
-        let mut staged: Vec<SensorId> = Vec::with_capacity(reserve);
-        let mut staged_set: HashSet<SensorId> = HashSet::with_capacity(reserve);
+        self.staged.clear();
+        self.staged_set.clear();
+        self.staged.reserve(reserve);
+        self.staged_set.reserve(reserve);
         for _ in 0..n_staged {
             let ty_off = pos;
             let code = *body
@@ -1064,116 +1196,150 @@ impl StreamDecoder {
             let index =
                 u32::try_from(index_raw).map_err(|_| err("sensor index exceeds 32 bits", pos))?;
             let id = SensorId::new(ty, index);
-            if self.dict.code_of(id).is_some() || !staged_set.insert(id) {
+            if dict.code_of(id).is_some() || !self.staged_set.insert(id) {
                 return Err(err("dictionary re-adds a known sensor", ty_off));
             }
-            staged.push(id);
+            self.staged.push(id);
         }
-        let committed = self.dict.len() as u64;
-        let sensor_of = |code: u64| -> Option<SensorId> {
-            if code < committed {
-                self.dict.sensor_of(code)
-            } else {
-                staged.get((code - committed) as usize).copied()
-            }
-        };
-        let (_, codes) = decode_column(body, &mut pos, n).map_err(|e| rebase(e, base))?;
-        let mut sensors: Vec<SensorId> = Vec::with_capacity(codes.len());
-        for &code in &codes {
-            sensors.push(sensor_of(code).ok_or(err("sensor code out of range", pos))?);
-        }
-        let (_, timestamps) = decode_column(body, &mut pos, n).map_err(|e| rebase(e, base))?;
-        // Per-type value columns, in SensorType::ALL order, addressed by
-        // the type's ordinal.
+        let committed = dict.len() as u64;
+        column(&mut pos, n, &mut self.codes)?;
+        self.sensors.clear();
+        self.sensors.reserve(self.codes.len());
+        // Records per sensor type: the length of each type's columns.
         let mut counts = [0u64; SensorType::ALL.len()];
-        for sensor in &sensors {
+        for &code in &self.codes {
+            let sensor = if code < committed {
+                dict.sensor_of(code)
+            } else {
+                self.staged.get((code - committed) as usize).copied()
+            }
+            .ok_or(err("sensor code out of range", pos))?;
             counts[sensor.sensor_type().ordinal()] += 1;
+            self.sensors.push(sensor);
         }
-        let mut per_type: [std::vec::IntoIter<Value>; SensorType::ALL.len()] =
-            std::array::from_fn(|_| Vec::new().into_iter());
+        column(&mut pos, n, &mut self.timestamps)?;
         for ty in SensorType::ALL {
-            let count = counts[ty.ordinal()];
-            if count == 0 {
+            let t = ty.ordinal();
+            let values = &mut self.values[t];
+            values.clear();
+            self.fields[t].clear();
+            if counts[t] == 0 {
                 continue;
             }
-            let values: Vec<Value> = match value_model(ty) {
-                ValueModel::Scalar => {
-                    let (_, col) =
-                        decode_column(body, &mut pos, count).map_err(|e| rebase(e, base))?;
-                    col.into_iter()
-                        .map(|v| Value::Scalar(unzigzag(v)))
-                        .collect()
-                }
-                ValueModel::Counter => {
-                    let (_, col) =
-                        decode_column(body, &mut pos, count).map_err(|e| rebase(e, base))?;
-                    col.into_iter().map(Value::Counter).collect()
-                }
+            column(&mut pos, counts[t], values)?;
+            match value_model(ty) {
+                ValueModel::Scalar | ValueModel::Counter => {}
                 ValueModel::Flag => {
-                    let (_, col) =
-                        decode_column(body, &mut pos, count).map_err(|e| rebase(e, base))?;
-                    let mut out = Vec::with_capacity(col.len());
-                    for v in col {
-                        match v {
-                            0 => out.push(Value::Flag(false)),
-                            1 => out.push(Value::Flag(true)),
-                            _ => return Err(err("flag value out of range", pos)),
-                        }
+                    if values.iter().any(|&v| v > 1) {
+                        return Err(err("flag value out of range", pos));
                     }
-                    out
                 }
                 ValueModel::Level => {
-                    let (_, col) =
-                        decode_column(body, &mut pos, count).map_err(|e| rebase(e, base))?;
-                    let mut out = Vec::with_capacity(col.len());
-                    for v in col {
-                        let l =
-                            u8::try_from(v).map_err(|_| err("level value out of range", pos))?;
-                        out.push(Value::Level(l));
+                    if values.iter().any(|&v| v > u64::from(u8::MAX)) {
+                        return Err(err("level value out of range", pos));
                     }
-                    out
                 }
                 ValueModel::Composite => {
-                    let (_, counts) =
-                        decode_column(body, &mut pos, count).map_err(|e| rebase(e, base))?;
                     let mut total = 0u64;
-                    for &c in &counts {
+                    for &c in values.iter() {
                         if c > MAX_COMPOSITE_FIELDS {
                             return Err(err("composite wider than the columnar limit", pos));
                         }
                         total += c;
                     }
-                    let (_, fields) =
-                        decode_column(body, &mut pos, total).map_err(|e| rebase(e, base))?;
-                    let mut out = Vec::with_capacity(counts.len());
-                    let mut cursor = 0usize;
-                    for c in counts {
-                        let next = cursor + c as usize;
-                        out.push(Value::Composite(
-                            fields[cursor..next].iter().map(|&f| unzigzag(f)).collect(),
-                        ));
-                        cursor = next;
-                    }
-                    out
+                    column(&mut pos, total, &mut self.fields[t])?;
                 }
-            };
-            per_type[ty.ordinal()] = values.into_iter();
+            }
         }
         if pos != body.len() {
             return Err(err("trailing bytes after the last column", pos));
         }
-        let mut readings: Vec<Reading> = Vec::with_capacity(sensors.len());
-        for (sensor, ts) in sensors.iter().zip(&timestamps) {
-            let value = per_type[sensor.sensor_type().ordinal()]
-                .next()
-                .ok_or(err("value column shorter than its records", pos))?;
-            readings.push(Reading::new(*sensor, *ts, value));
+        self.end = base + pos;
+        Ok(())
+    }
+
+    /// Walks the decoded records in order, handing `visit` each one's
+    /// sensor, timestamp, value-column entry (a composite's field count)
+    /// and composite fields (empty for every other model). Stops at, and
+    /// returns `false` for, the first `false` `visit` returns.
+    fn walk(&self, mut visit: impl FnMut(SensorId, u64, u64, &[u64]) -> bool) -> Result<bool> {
+        let short = || Error::Malformed {
+            reason: "value column shorter than its records",
+            offset: self.end,
+        };
+        let mut next = [0usize; SensorType::ALL.len()];
+        let mut next_field = [0usize; SensorType::ALL.len()];
+        for (&sensor, &ts) in self.sensors.iter().zip(&self.timestamps) {
+            let ty = sensor.sensor_type();
+            let t = ty.ordinal();
+            let v = *self.values[t].get(next[t]).ok_or_else(short)?;
+            next[t] += 1;
+            let fields: &[u64] = if value_model(ty) == ValueModel::Composite {
+                let from = next_field[t];
+                next_field[t] = from + v as usize;
+                self.fields[t].get(from..next_field[t]).ok_or_else(short)?
+            } else {
+                &[]
+            };
+            if !visit(sensor, ts, v, fields) {
+                return Ok(false);
+            }
         }
-        // Success: commit the additions, exactly as the encoder did.
-        for id in staged {
-            self.dict.push(id);
-        }
+        Ok(true)
+    }
+
+    /// The decoded batch as readings.
+    fn readings(&self) -> Result<Vec<Reading>> {
+        let mut readings = Vec::with_capacity(self.sensors.len());
+        self.walk(|sensor, ts, v, fields| {
+            let value = model_value(value_model(sensor.sensor_type()), v, fields);
+            readings.push(Reading::new(sensor, ts, value));
+            true
+        })?;
         Ok(readings)
+    }
+
+    /// Whether the decoded batch is `batch`, record for record.
+    fn matches<R: AsRef<Reading>>(&self, batch: &[R]) -> Result<bool> {
+        if batch.len() != self.sensors.len() {
+            return Ok(false);
+        }
+        let mut records = batch.iter().map(AsRef::as_ref);
+        self.walk(|sensor, ts, v, fields| {
+            records.next().is_some_and(|r| {
+                r.sensor() == sensor
+                    && r.timestamp_s() == ts
+                    && value_matches(value_model(sensor.sensor_type()), r.value(), v, fields)
+            })
+        })
+    }
+}
+
+/// The value a decoded column entry `v` stands for under `model` (for a
+/// composite, `v` is the field count and `fields` the zigzag fields).
+/// The entry has passed its model's range check.
+fn model_value(model: ValueModel, v: u64, fields: &[u64]) -> Value {
+    match model {
+        ValueModel::Scalar => Value::Scalar(unzigzag(v)),
+        ValueModel::Counter => Value::Counter(v),
+        ValueModel::Flag => Value::Flag(v == 1),
+        ValueModel::Level => Value::Level(v as u8),
+        ValueModel::Composite => Value::Composite(fields.iter().map(|&f| unzigzag(f)).collect()),
+    }
+}
+
+/// Whether `value` equals [`model_value`]`(model, v, fields)`, decided
+/// by encoding `value` rather than decoding the entry.
+fn value_matches(model: ValueModel, value: &Value, v: u64, fields: &[u64]) -> bool {
+    match (model, value) {
+        (ValueModel::Scalar, Value::Scalar(x)) => zigzag(*x) == v,
+        (ValueModel::Counter, Value::Counter(c)) => *c == v,
+        (ValueModel::Flag, Value::Flag(b)) => u64::from(*b) == v,
+        (ValueModel::Level, Value::Level(l)) => u64::from(*l) == v,
+        (ValueModel::Composite, Value::Composite(fs)) => {
+            fs.len() == fields.len() && fs.iter().zip(fields).all(|(&f, &z)| zigzag(f) == z)
+        }
+        _ => false,
     }
 }
 
@@ -1290,6 +1456,76 @@ mod tests {
         }
     }
 
+    /// The probe as it was: one sizing pass per technique, in probe
+    /// order, each length the bytes of that technique's body, `Dict`
+    /// probed against the best so far. Returns the choice and every
+    /// length (`Dict`'s as probed).
+    fn five_pass_probe(values: &[u64]) -> (Technique, [usize; 6]) {
+        let mut dict = DictProbe::default();
+        let mut lens = [0; 6];
+        let mut best = Technique::Raw;
+        let mut best_len = usize::MAX;
+        for technique in Technique::ALL {
+            let len = if technique == Technique::Dict {
+                dict.probe(values, best_len)
+            } else {
+                let mut body = Vec::new();
+                emit_body(technique, values, &dict, &mut body);
+                body.len()
+            };
+            lens[technique.tag() as usize] = len;
+            if len < best_len {
+                best = technique;
+                best_len = len;
+            }
+        }
+        (best, lens)
+    }
+
+    fn assert_one_pass_probe_matches_five(values: &[u64]) {
+        let (model_choice, model_lens) = five_pass_probe(values);
+        let mut lens = body_lens(values);
+        // `Dict` as `probe_column` probes it: against the best of the
+        // techniques before it.
+        let bound = lens[..Technique::Dict.tag() as usize]
+            .iter()
+            .copied()
+            .min()
+            .unwrap();
+        lens[Technique::Dict.tag() as usize] = DictProbe::default().probe(values, bound);
+        assert_eq!(lens, model_lens, "lengths over {values:?}");
+        let mut frame = Vec::new();
+        assert_eq!(
+            encode_column(values, &mut frame),
+            model_choice,
+            "{values:?}"
+        );
+        let mut model_frame = Vec::new();
+        encode_column_as(model_choice, values, &mut model_frame);
+        assert_eq!(frame, model_frame, "frame over {values:?}");
+    }
+
+    #[test]
+    fn one_pass_probe_matches_five_passes_on_edge_columns() {
+        let wrapping: Vec<u64> = vec![u64::MAX, 0, u64::MAX - 1, 1, u64::MAX, 0];
+        let edges: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![0],
+            vec![u64::MAX],
+            vec![7, 7],
+            vec![0, u64::MAX],
+            vec![u64::MAX, 0],
+            vec![u64::MAX; 50],
+            vec![3; 500],
+            wrapping,
+            (0..300u64).map(|i| u64::MAX - 900 * i).collect(),
+            (0..300u64).map(|i| 1_000_000 + 900 * i + i % 3).collect(),
+        ];
+        for values in &edges {
+            assert_one_pass_probe_matches_five(values);
+        }
+    }
+
     #[test]
     fn size_only_costs_match_bodies_on_edge_columns() {
         assert_costs_match_bodies(&[]);
@@ -1308,6 +1544,26 @@ mod tests {
         ) {
             assert_costs_match_bodies(&wide);
             assert_costs_match_bodies(&narrow);
+        }
+
+        #[test]
+        fn one_pass_probe_matches_five_passes_on_arbitrary_columns(
+            wide in proptest::collection::vec(any::<u64>(), 0..200),
+            narrow in proptest::collection::vec(0u64..6, 0..200),
+            start in any::<u64>(),
+            steps in proptest::collection::vec(-3i64..4, 0..200),
+        ) {
+            assert_one_pass_probe_matches_five(&wide);
+            assert_one_pass_probe_matches_five(&narrow);
+            // A drifting cadence that may wrap past either end.
+            let drift: Vec<u64> = steps
+                .iter()
+                .scan(start, |v, &s| {
+                    *v = v.wrapping_add((900 + s) as u64);
+                    Some(*v)
+                })
+                .collect();
+            assert_one_pass_probe_matches_five(&drift);
         }
 
         #[test]

@@ -2,13 +2,55 @@
 //! bit-flipped and length-lying streams must return `Err` — never
 //! panic, never allocate past the validated counts — and a failed
 //! decode must leave the stream decoder's dictionary untouched so a
-//! clean re-delivery still applies.
+//! clean re-delivery still applies. Every stream goes through both
+//! entry points, `decode_batch` and `verify_batch`, which must return
+//! the same `Err` and leave the same dictionary behind.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use f2c_compress::tsenc::{
     self, put_varint, StreamDecoder, StreamEncoder, MAX_RECORDS, MODE_COLUMNAR, MODE_FALLBACK,
 };
 use f2c_compress::{crc32, deflate, Error};
 use scc_sensors::{Reading, SensorId, SensorType, Value};
+
+thread_local! {
+    /// The largest single allocation this thread has asked for.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+struct LargestAlloc;
+
+fn note(bytes: usize) {
+    // `try_with`: allocations during thread teardown find the slot gone.
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(bytes)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the record is a plain thread-local
+// integer and touches no memory the allocator hands out.
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's `layout` obligations pass through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LargestAlloc = LargestAlloc;
 
 /// Seals `mode | body` into a full stream with valid magic and CRC, so
 /// the crafted lie reaches the body parsers instead of being caught by
@@ -35,13 +77,51 @@ fn sample_batch() -> Vec<Reading> {
         .collect()
 }
 
+/// Feeds `stream` to `decoder` through `decode_batch` and to `verifier`
+/// through `verify_batch` against `batch`, and holds the two to each
+/// other: the same `Err`, or a verdict that is the decoded readings
+/// compared with `batch`; the same dictionary afterwards either way.
+/// Returns `decode_batch`'s outcome.
+fn through_both(
+    decoder: &mut StreamDecoder,
+    verifier: &mut StreamDecoder,
+    stream: &[u8],
+    batch: &[Reading],
+) -> Result<Vec<Reading>, Error> {
+    let decoded = decoder.decode_batch(stream);
+    let verified = verifier.verify_batch(stream, batch);
+    match (&decoded, &verified) {
+        (Ok(readings), Ok(matches)) => assert_eq!(*matches, readings == batch),
+        (Err(a), Err(b)) => assert_eq!(a, b, "the entry points refuse differently"),
+        _ => panic!("the entry points disagree: {decoded:?} vs {verified:?}"),
+    }
+    assert_eq!(decoder.dict_len(), verifier.dict_len());
+    decoded
+}
+
+/// [`through_both`] on fresh decoders, against `batch`.
+fn decode_both(stream: &[u8], batch: &[Reading]) -> Result<Vec<Reading>, Error> {
+    through_both(
+        &mut StreamDecoder::new(),
+        &mut StreamDecoder::new(),
+        stream,
+        batch,
+    )
+}
+
+/// [`decode_both`] against an empty batch, for streams that must fail.
+fn decode(stream: &[u8]) -> Result<Vec<Reading>, Error> {
+    decode_both(stream, &[])
+}
+
 #[test]
 fn every_truncation_of_a_valid_stream_fails_cleanly() {
     for readings in [sample_batch(), Vec::new()] {
         let encoded = tsenc::encode_once(&readings).unwrap();
+        assert_eq!(decode_both(&encoded, &readings), Ok(readings.clone()));
         for len in 0..encoded.len() {
             assert!(
-                tsenc::decode_once(&encoded[..len]).is_err(),
+                decode_both(&encoded[..len], &readings).is_err(),
                 "prefix of {len}/{} bytes decoded",
                 encoded.len()
             );
@@ -51,13 +131,14 @@ fn every_truncation_of_a_valid_stream_fails_cleanly() {
 
 #[test]
 fn every_bitflip_of_a_valid_stream_fails_cleanly() {
-    let encoded = tsenc::encode_once(&sample_batch()).unwrap();
+    let batch = sample_batch();
+    let encoded = tsenc::encode_once(&batch).unwrap();
     for i in 0..encoded.len() {
         for bit in 0..8 {
             let mut bad = encoded.clone();
             bad[i] ^= 1u8 << bit;
             assert!(
-                tsenc::decode_once(&bad).is_err(),
+                decode_both(&bad, &batch).is_err(),
                 "flip of bit {bit} at byte {i} decoded"
             );
         }
@@ -71,7 +152,7 @@ fn record_count_lies_are_rejected_without_allocation() {
     put_varint(&mut body, MAX_RECORDS + 1);
     put_varint(&mut body, 0);
     assert!(matches!(
-        tsenc::decode_once(&seal(MODE_COLUMNAR, &body)),
+        decode(&seal(MODE_COLUMNAR, &body)),
         Err(Error::SizeLimitExceeded { .. })
     ));
 
@@ -80,7 +161,62 @@ fn record_count_lies_are_rejected_without_allocation() {
     let mut body = Vec::new();
     put_varint(&mut body, MAX_RECORDS);
     put_varint(&mut body, 0);
-    assert!(tsenc::decode_once(&seal(MODE_COLUMNAR, &body)).is_err());
+    assert!(decode(&seal(MODE_COLUMNAR, &body)).is_err());
+}
+
+/// The largest single allocation `f` makes on this thread, with its
+/// outcome.
+fn largest_alloc_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|m| m.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
+
+#[test]
+fn declared_column_counts_allocate_nothing_the_body_cannot_hold() {
+    // 18 bytes: MAX_RECORDS records, no additions, and a codes frame
+    // holding one Rle run of one record. The decoder once reserved the
+    // whole declared column (32 MiB) before reading the run.
+    let mut rle = Vec::new();
+    put_varint(&mut rle, MAX_RECORDS);
+    put_varint(&mut rle, 0);
+    rle.push(3); // Technique::Rle
+    put_varint(&mut rle, 2);
+    put_varint(&mut rle, 0); // value
+    put_varint(&mut rle, 1); // run
+    let rle = seal(MODE_COLUMNAR, &rle);
+    assert_eq!(rle.len(), 18);
+
+    // 20 bytes: a Dict codes frame that declares 4 M distinct values and
+    // holds none. The decoder once reserved all of them up front.
+    let mut dict = Vec::new();
+    put_varint(&mut dict, MAX_RECORDS);
+    put_varint(&mut dict, 0);
+    dict.push(4); // Technique::Dict
+    put_varint(&mut dict, 4);
+    put_varint(&mut dict, MAX_RECORDS); // n_distinct
+    let dict = seal(MODE_COLUMNAR, &dict);
+    assert_eq!(dict.len(), 20);
+
+    for (what, stream) in [("rle", &rle), ("dict", &dict)] {
+        let (decoded, largest) = largest_alloc_in(|| StreamDecoder::new().decode_batch(stream));
+        assert!(
+            matches!(decoded, Err(Error::UnexpectedEof { .. })),
+            "{what}: {decoded:?}"
+        );
+        assert!(
+            largest <= 1024,
+            "{what}: decode allocated {largest} B at once"
+        );
+        let no_records: &[Reading] = &[];
+        let (verified, largest) =
+            largest_alloc_in(|| StreamDecoder::new().verify_batch(stream, no_records));
+        assert_eq!(verified.map(|_| ()), decoded.map(|_| ()), "{what}");
+        assert!(
+            largest <= 1024,
+            "{what}: verify allocated {largest} B at once"
+        );
+    }
 }
 
 #[test]
@@ -90,7 +226,7 @@ fn dictionary_lies_are_rejected() {
     put_varint(&mut body, 1);
     put_varint(&mut body, 2);
     assert!(matches!(
-        tsenc::decode_once(&seal(MODE_COLUMNAR, &body)),
+        decode(&seal(MODE_COLUMNAR, &body)),
         Err(Error::Malformed { .. })
     ));
 
@@ -101,7 +237,7 @@ fn dictionary_lies_are_rejected() {
     body.push(200); // only 21 types exist
     put_varint(&mut body, 0);
     assert!(matches!(
-        tsenc::decode_once(&seal(MODE_COLUMNAR, &body)),
+        decode(&seal(MODE_COLUMNAR, &body)),
         Err(Error::Malformed { .. })
     ));
 
@@ -113,7 +249,7 @@ fn dictionary_lies_are_rejected() {
     body.push(0); // codes column: Raw
     put_varint(&mut body, 1);
     put_varint(&mut body, 5); // code 5 of an empty dictionary
-    assert!(tsenc::decode_once(&seal(MODE_COLUMNAR, &body)).is_err());
+    assert!(decode(&seal(MODE_COLUMNAR, &body)).is_err());
 }
 
 #[test]
@@ -127,7 +263,7 @@ fn column_frame_length_lies_are_rejected() {
     body.push(0); // codes column: Raw
     put_varint(&mut body, 1 << 40); // lying frame length
     assert!(matches!(
-        tsenc::decode_once(&seal(MODE_COLUMNAR, &body)),
+        decode(&seal(MODE_COLUMNAR, &body)),
         Err(Error::UnexpectedEof { .. })
     ));
 
@@ -142,7 +278,7 @@ fn column_frame_length_lies_are_rejected() {
     put_varint(&mut stream_body, 0); // …one consumed (code 0)
     stream_body.extend_from_slice(&[0, 0]); // slack the frame lies about
     assert!(matches!(
-        tsenc::decode_once(&seal(MODE_COLUMNAR, &stream_body)),
+        decode(&seal(MODE_COLUMNAR, &stream_body)),
         Err(Error::Malformed { .. })
     ));
 }
@@ -162,7 +298,7 @@ fn rle_runs_that_overshoot_the_column_are_rejected() {
     put_varint(&mut body, rle.len() as u64);
     body.extend_from_slice(&rle);
     assert!(matches!(
-        tsenc::decode_once(&seal(MODE_COLUMNAR, &body)),
+        decode(&seal(MODE_COLUMNAR, &body)),
         Err(Error::Malformed { .. })
     ));
 }
@@ -170,7 +306,7 @@ fn rle_runs_that_overshoot_the_column_are_rejected() {
 #[test]
 fn unknown_mode_and_technique_tags_are_rejected() {
     assert!(matches!(
-        tsenc::decode_once(&seal(7, &[])),
+        decode(&seal(7, &[])),
         Err(Error::Malformed { .. })
     ));
 
@@ -182,7 +318,7 @@ fn unknown_mode_and_technique_tags_are_rejected() {
     body.push(9); // no such technique
     put_varint(&mut body, 0);
     assert!(matches!(
-        tsenc::decode_once(&seal(MODE_COLUMNAR, &body)),
+        decode(&seal(MODE_COLUMNAR, &body)),
         Err(Error::Malformed { .. })
     ));
 }
@@ -190,14 +326,14 @@ fn unknown_mode_and_technique_tags_are_rejected() {
 #[test]
 fn fallback_bodies_are_validated_end_to_end() {
     // Garbage that is not a deflate stream.
-    assert!(tsenc::decode_once(&seal(MODE_FALLBACK, &[0xde, 0xad, 0xbe, 0xef])).is_err());
+    assert!(decode(&seal(MODE_FALLBACK, &[0xde, 0xad, 0xbe, 0xef])).is_err());
 
     // A genuine deflate stream whose verbatim payload lies about its
     // record count.
     let mut verbatim = Vec::new();
     put_varint(&mut verbatim, 100); // declares 100 records, carries none
     let packed = deflate::compress(&verbatim).unwrap();
-    assert!(tsenc::decode_once(&seal(MODE_FALLBACK, &packed)).is_err());
+    assert!(decode(&seal(MODE_FALLBACK, &packed)).is_err());
 
     // A genuine deflate stream with trailing bytes after the last
     // record.
@@ -206,7 +342,7 @@ fn fallback_bodies_are_validated_end_to_end() {
     verbatim.extend_from_slice(b"junk");
     let packed = deflate::compress(&verbatim).unwrap();
     assert!(matches!(
-        tsenc::decode_once(&seal(MODE_FALLBACK, &packed)),
+        decode(&seal(MODE_FALLBACK, &packed)),
         Err(Error::Malformed { .. })
     ));
 }
@@ -233,7 +369,7 @@ fn value_range_lies_are_rejected() {
     put_varint(&mut body, flag.len() as u64);
     body.extend_from_slice(&flag);
     assert!(matches!(
-        tsenc::decode_once(&seal(MODE_COLUMNAR, &body)),
+        decode(&seal(MODE_COLUMNAR, &body)),
         Err(Error::Malformed { .. })
     ));
 }
@@ -241,10 +377,13 @@ fn value_range_lies_are_rejected() {
 #[test]
 fn failed_decodes_leave_the_stream_dictionary_untouched() {
     let mut enc = StreamEncoder::new();
-    let mut dec = StreamDecoder::new();
+    let (mut dec, mut ver) = (StreamDecoder::new(), StreamDecoder::new());
     let first = sample_batch();
     let payload_a = enc.encode_batch(&first).unwrap();
-    assert_eq!(dec.decode_batch(&payload_a).unwrap(), first);
+    assert_eq!(
+        through_both(&mut dec, &mut ver, &payload_a, &first),
+        Ok(first.clone())
+    );
     let committed = dec.dict_len();
     assert!(committed > 0);
 
@@ -259,12 +398,15 @@ fn failed_decodes_leave_the_stream_dictionary_untouched() {
     for i in 0..payload_b.len() {
         let mut bad = payload_b.clone();
         bad[i] ^= 0xFF;
-        assert!(dec.decode_batch(&bad).is_err());
+        assert!(through_both(&mut dec, &mut ver, &bad, &second).is_err());
         assert_eq!(dec.dict_len(), committed, "corrupt byte {i} moved the dict");
     }
 
     // The clean re-delivery still applies and advances both sides.
-    assert_eq!(dec.decode_batch(&payload_b).unwrap(), second);
+    assert_eq!(
+        through_both(&mut dec, &mut ver, &payload_b, &second),
+        Ok(second)
+    );
     assert_eq!(dec.dict_len(), enc.dict_len());
 }
 
@@ -288,13 +430,13 @@ fn declared_dictionary_additions_cost_linear_time() {
     let distinct = seal(MODE_COLUMNAR, &additions(ADDITIONS - 1));
     let started = std::time::Instant::now();
     assert!(matches!(
-        tsenc::decode_once(&distinct),
+        decode(&distinct),
         Err(Error::UnexpectedEof { .. })
     ));
     let elapsed = started.elapsed();
     assert!(
-        elapsed < std::time::Duration::from_secs(1),
-        "decode time must follow payload bytes, took {elapsed:?}"
+        elapsed < std::time::Duration::from_secs(2),
+        "decode time must follow payload bytes, took {elapsed:?} for both entry points"
     );
 
     // The last addition repeats the first staged one: still refused, at
@@ -302,7 +444,7 @@ fn declared_dictionary_additions_cost_linear_time() {
     let body = additions(0);
     let repeat_at = 5 + body.len() - 2;
     assert_eq!(
-        tsenc::decode_once(&seal(MODE_COLUMNAR, &body)),
+        decode(&seal(MODE_COLUMNAR, &body)),
         Err(Error::Malformed {
             reason: "dictionary re-adds a known sensor",
             offset: repeat_at,

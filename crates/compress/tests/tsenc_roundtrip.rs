@@ -145,6 +145,79 @@ proptest! {
     }
 
     #[test]
+    fn verify_batch_is_decode_batch_plus_a_compare(
+        raws in proptest::collection::vec(raw_reading(), 1..120),
+        irregular in any::<bool>(),
+        pick in any::<usize>(),
+        change in 0usize..5,
+    ) {
+        // Regular batches ship columnar and are compared in place;
+        // irregular ones ride the fallback and are decoded and compared.
+        let batch = if irregular { possibly_irregular(&raws) } else { regular(&raws) };
+        let payload = tsenc::encode_once(&batch).unwrap();
+        let mut decoder = StreamDecoder::new();
+        prop_assert_eq!(decoder.decode_batch(&payload).unwrap(), batch.clone());
+        let mut verifier = StreamDecoder::new();
+        prop_assert_eq!(verifier.verify_batch(&payload, &batch), Ok(true));
+        prop_assert_eq!(verifier.dict_len(), decoder.dict_len());
+
+        // One change to the records shipped beside the payload.
+        let mut changed = batch.clone();
+        let i = pick % changed.len();
+        let r = &changed[i];
+        let (sensor, ts, value) = (r.sensor(), r.timestamp_s(), r.value().clone());
+        let with = |sensor: SensorId, ts: u64, value: Value| Reading::new(sensor, ts, value);
+        match change {
+            0 => {
+                let other = SensorId::new(sensor.sensor_type(), sensor.index() ^ 1);
+                changed[i] = with(other, ts, value);
+            }
+            1 => changed[i] = with(sensor, ts.wrapping_add(1), value),
+            2 => {
+                let value = match value {
+                    Value::Scalar(v) => Value::Scalar(v.wrapping_add(1)),
+                    Value::Counter(c) => Value::Counter(c.wrapping_add(1)),
+                    Value::Flag(b) => Value::Flag(!b),
+                    Value::Level(l) => Value::Level(l.wrapping_add(1)),
+                    Value::Composite(mut fs) => {
+                        fs.push(0);
+                        Value::Composite(fs)
+                    }
+                };
+                changed[i] = with(sensor, ts, value);
+            }
+            3 => {
+                // A composite field: the first composite record's first
+                // field, or a field added to a record that had none.
+                let at = changed
+                    .iter()
+                    .position(|r| matches!(r.value(), Value::Composite(fs) if !fs.is_empty()));
+                let (j, fields) = match at.map(|j| (j, changed[j].value().clone())) {
+                    Some((j, Value::Composite(mut fs))) => {
+                        fs[0] = fs[0].wrapping_add(1);
+                        (j, fs)
+                    }
+                    _ => (i, vec![1]),
+                };
+                let r = &changed[j];
+                changed[j] = with(r.sensor(), r.timestamp_s(), Value::Composite(fields));
+            }
+            _ => {
+                if pick % 2 == 0 {
+                    changed.pop();
+                } else {
+                    changed.push(changed[i].clone());
+                }
+            }
+        }
+        prop_assert!(changed != batch, "the change must change the batch");
+        let mut verifier = StreamDecoder::new();
+        prop_assert_eq!(verifier.verify_batch(&payload, &changed), Ok(false));
+        // A mismatch is still a successful decode: the dictionary commits.
+        prop_assert_eq!(verifier.dict_len(), decoder.dict_len());
+    }
+
+    #[test]
     fn skewed_regular_cadence_stays_columnar_and_roundtrips(
         n in 16usize..128,
         base in 0u64..1_000_000,

@@ -13,7 +13,11 @@
 //! outlive raw retention by design — that is what lets the query planner
 //! answer aggregate windows fog 1 has already evicted.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::collections::btree_map::Entry as Slot;
 use std::collections::{BTreeMap, BTreeSet};
+use std::num::NonZeroU64;
 
 use f2c_aggregate::sketch::{AggPartial, SketchKey, SketchLedger};
 use f2c_compress::tsenc;
@@ -45,6 +49,12 @@ pub struct IngestOutcome {
 /// query engine's default bucket so flush-shipped partials line up with
 /// serving-time bucket keys).
 pub const SKETCH_BUCKET_S: u64 = 900;
+
+/// [`SKETCH_BUCKET_S`], checked non-zero when the program is compiled.
+const SKETCH_BUCKET: NonZeroU64 = match NonZeroU64::new(SKETCH_BUCKET_S) {
+    Some(bucket) => bucket,
+    None => panic!("the sketch bucket width is zero"),
+};
 
 /// How long fog-tier ledgers keep bucket partials after the records they
 /// summarize were created. Far past raw retention (1 day at fog 1, 7 at
@@ -187,7 +197,7 @@ impl F2cNode {
             classification: None,
             store: TieredStore::new(retention),
             flush_policy,
-            sketches: SketchLedger::new(SKETCH_BUCKET_S).expect("constant bucket width"),
+            sketches: SketchLedger::with_bucket(SKETCH_BUCKET),
             sketch_relay: BTreeMap::new(),
             seal_relay: BTreeMap::new(),
             hole_relay: BTreeSet::new(),
@@ -216,7 +226,7 @@ impl F2cNode {
             classification: None,
             store: TieredStore::new(retention),
             flush_policy: flush_policy.validated()?,
-            sketches: SketchLedger::new(SKETCH_BUCKET_S).expect("constant bucket width"),
+            sketches: SketchLedger::with_bucket(SKETCH_BUCKET),
             sketch_relay: BTreeMap::new(),
             seal_relay: BTreeMap::new(),
             hole_relay: BTreeSet::new(),
@@ -237,7 +247,7 @@ impl F2cNode {
             classification: Some(ClassificationPhase::new()),
             store: TieredStore::permanent(),
             flush_policy: FlushPolicy::plain(86_400),
-            sketches: SketchLedger::new(SKETCH_BUCKET_S).expect("constant bucket width"),
+            sketches: SketchLedger::with_bucket(SKETCH_BUCKET),
             sketch_relay: BTreeMap::new(),
             seal_relay: BTreeMap::new(),
             hole_relay: BTreeSet::new(),
@@ -301,23 +311,34 @@ impl F2cNode {
     ) -> u64 {
         let mut refused = 0;
         for (key, bytes) in sketches {
-            // One decode: the ledger verifies the CRC, folds, and hands
-            // the partial back for the relay; a corrupt shipment is
-            // counted (and holed) there and merged nowhere.
-            match self.sketches.fold_encoded(*key, bytes, self.flush_seq) {
-                Ok(partial) => {
-                    if self.layer == Layer::Fog2 {
-                        self.sketch_relay
-                            .entry(*key)
-                            .or_insert_with(AggPartial::empty)
-                            .merge(&partial);
-                    }
+            // One decode: the ledger verifies the CRC; a corrupt shipment
+            // is counted (and holed) there and merged nowhere.
+            let Ok(partial) = self.sketches.decode_shipped(*key, bytes) else {
+                refused += 1;
+                if self.layer == Layer::Fog2 {
+                    self.hole_relay.insert(*key);
                 }
-                Err(_) => {
-                    refused += 1;
-                    if self.layer == Layer::Fog2 {
-                        self.hole_relay.insert(*key);
-                    }
+                continue;
+            };
+            if self.layer != Layer::Fog2 {
+                // Nothing relays from here: the ledger takes the partial.
+                self.sketches.fold_owned(*key, partial, self.flush_seq);
+                continue;
+            }
+            self.sketches.fold(*key, &partial, self.flush_seq);
+            match self.sketch_relay.entry(*key) {
+                Slot::Occupied(relayed) => relayed.into_mut().merge(&partial),
+                // Taking the partial is merging it into an empty one, bit
+                // for bit: an empty sum is +0.0, and +0.0 + x is x for
+                // every x but -0.0, a sum no partial absorbed from
+                // `Moments::empty()` can reach (in round-to-nearest a sum
+                // is -0.0 only when both addends are). Extremes merged
+                // into empty ones come back as they were, since a min is
+                // at most its max and no magnitude is -0.0, and so do
+                // registers (`a_moved_partial_is_one_merged_into_an_empty_one`
+                // in the ledger's tests).
+                Slot::Vacant(slot) => {
+                    slot.insert(partial);
                 }
             }
         }
@@ -428,10 +449,10 @@ impl F2cNode {
     /// it joins the wave [`F2cNode::receive_wave`] stores.
     ///
     /// When the shipment carries an encoded payload, the stream's
-    /// mirror decoder decodes it and verifies the result against the
-    /// plainly-shipped records, reading-for-reading — every flush is a
-    /// live decode-equality proof, and the decoder's dictionary
-    /// advances in lock-step with the child's encoder.
+    /// mirror decoder decodes its columns and verifies them against the
+    /// plainly-shipped records, reading-for-reading and in place — every
+    /// flush is a live decode-equality proof, and the decoder's
+    /// dictionary advances in lock-step with the child's encoder.
     ///
     /// # Errors
     ///
@@ -445,13 +466,7 @@ impl F2cNode {
     ) -> Result<()> {
         if let Some(bytes) = payload {
             let decoder = self.decoders.entry(origin).or_default();
-            let decoded = decoder.decode_batch(bytes)?;
-            let matches = decoded.len() == records.len()
-                && decoded
-                    .iter()
-                    .zip(records)
-                    .all(|(reading, record)| reading == record.reading());
-            if !matches {
+            if !decoder.verify_batch(bytes, records)? {
                 return Err(Error::CodecMismatch { origin });
             }
         }
@@ -481,19 +496,9 @@ impl F2cNode {
         let (folded, seals, holes) = match self.layer {
             Layer::Fog1 => {
                 let own = self.section.unwrap_or(0);
-                let mut folded: BTreeMap<SketchKey, AggPartial> = BTreeMap::new();
-                for rec in &records {
-                    let created = rec.descriptor().created_s();
-                    let key = SketchKey {
-                        section: rec.descriptor().section().unwrap_or(own),
-                        ty: rec.sensor_type(),
-                        bucket_start_s: self.sketches.bucket_start(created),
-                    };
-                    folded.entry(key).or_default().absorb(
-                        rec.reading().value().magnitude(),
-                        rec.reading().sensor().seed_material(),
-                    );
-                }
+                let folded = fold_runs(&records, own, &self.sketches);
+                // Copied, not moved, into the ledger: a copy is sized to
+                // its registers, and the ledger keeps it for a month.
                 for (key, partial) in &folded {
                     self.sketches.fold(*key, partial, self.flush_seq);
                 }
@@ -548,6 +553,48 @@ impl F2cNode {
             holes,
         })
     }
+}
+
+/// The ledger bucket `rec` folds into at a fog-1 node of section `own`.
+fn sketch_key(rec: &DataRecord, own: u16, ledger: &SketchLedger) -> SketchKey {
+    SketchKey {
+        section: rec.descriptor().section().unwrap_or(own),
+        ty: rec.sensor_type(),
+        bucket_start_s: ledger.bucket_start(rec.descriptor().created_s()),
+    }
+}
+
+/// Folds a fog-1 batch into per-`(section, type, bucket)` partials. A
+/// batch is runs of records that share a key, so the current run's
+/// partial is held outside the map: one remove and one insert per run
+/// instead of a probe per record. Each key still absorbs its records in
+/// batch order, so every partial is the per-record fold's, bit for bit.
+fn fold_runs(
+    records: &[DataRecord],
+    own: u16,
+    ledger: &SketchLedger,
+) -> BTreeMap<SketchKey, AggPartial> {
+    let mut folded = BTreeMap::new();
+    let mut run: Option<(SketchKey, AggPartial)> = None;
+    for rec in records {
+        let key = sketch_key(rec, own, ledger);
+        if run.as_ref().is_none_or(|(at, _)| *at != key) {
+            if let Some((at, partial)) = run.take() {
+                folded.insert(at, partial);
+            }
+            run = Some((key, folded.remove(&key).unwrap_or_default()));
+        }
+        if let Some((_, partial)) = &mut run {
+            partial.absorb(
+                rec.reading().value().magnitude(),
+                rec.reading().sensor().seed_material(),
+            );
+        }
+    }
+    if let Some((at, partial)) = run {
+        folded.insert(at, partial);
+    }
+    folded
 }
 
 /// Table-I accounting size of a batch of readings of these types. A wave
@@ -815,6 +862,65 @@ mod tests {
         // Far past the sketch horizon the ledger compacts too.
         node.flush(40 * 86_400, &catalog).unwrap();
         assert!(!node.sketches().covers(0, 0, 900));
+    }
+
+    /// The fog-1 fold as it was: one map probe per record.
+    fn fold_per_record(
+        records: &[DataRecord],
+        own: u16,
+        ledger: &SketchLedger,
+    ) -> BTreeMap<SketchKey, AggPartial> {
+        let mut folded: BTreeMap<SketchKey, AggPartial> = BTreeMap::new();
+        for rec in records {
+            folded
+                .entry(sketch_key(rec, own, ledger))
+                .or_default()
+                .absorb(
+                    rec.reading().value().magnitude(),
+                    rec.reading().sensor().seed_material(),
+                );
+        }
+        folded
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn folding_runs_ships_what_folding_records_did(
+            // Runs of records sharing a key, as a flush batch holds them,
+            // with keys that come back after other runs: (section or the
+            // node's own, type, sensor, second, value, run length).
+            runs in proptest::collection::vec(
+                (0u16..4, 0usize..3, 0u32..6, 0u64..2_700, -900i64..900, 1usize..30),
+                0..40,
+            ),
+        ) {
+            let ledger = SketchLedger::with_bucket(SKETCH_BUCKET);
+            let city: std::sync::Arc<str> = "Barcelona".into();
+            let types = [SensorType::Temperature, SensorType::Traffic, SensorType::Weather];
+            let mut records = Vec::new();
+            for &(section, ty, idx, t, v, len) in &runs {
+                for i in 0..len {
+                    let value = match types[ty] {
+                        SensorType::Traffic => scc_sensors::Value::Counter(v.unsigned_abs() + i as u64),
+                        SensorType::Weather => scc_sensors::Value::Composite(vec![v, i as i64]),
+                        _ => scc_sensors::Value::Scalar(v - i as i64),
+                    };
+                    let sensor = scc_sensors::SensorId::new(types[ty], idx + i as u32 % 3);
+                    let mut rec = DataRecord::from_reading(Reading::new(sensor, t, value));
+                    if section > 0 {
+                        rec.descriptor_mut().set_location(city.clone(), 0, section);
+                    }
+                    records.push(rec);
+                }
+            }
+            let ours = fold_runs(&records, 0, &ledger);
+            let model = fold_per_record(&records, 0, &ledger);
+            proptest::prop_assert_eq!(ours.len(), model.len());
+            for ((key, partial), (model_key, model_partial)) in ours.iter().zip(&model) {
+                proptest::prop_assert_eq!(key, model_key);
+                proptest::prop_assert_eq!(partial.encode(), model_partial.encode());
+            }
+        }
     }
 
     #[test]

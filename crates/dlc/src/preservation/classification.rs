@@ -5,7 +5,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use scc_sensors::wire::{self, Sink};
-use scc_sensors::{IdMap, SensorId};
+use scc_sensors::{Category, IdMap, SensorId, SensorType};
 
 use crate::phase::{Block, Phase, PhaseContext};
 use crate::record::DataRecord;
@@ -68,6 +68,16 @@ impl ClassificationPhase {
     }
 }
 
+/// The canonical order: creation time, category, type, sensor.
+fn classification_key(r: &DataRecord) -> (u64, Category, SensorType, SensorId) {
+    (
+        r.descriptor().created_s(),
+        r.sensor_type().category(),
+        r.sensor_type(),
+        r.reading().sensor(),
+    )
+}
+
 impl Phase for ClassificationPhase {
     fn name(&self) -> &'static str {
         "data-classification"
@@ -78,16 +88,12 @@ impl Phase for ClassificationPhase {
     }
 
     fn run(&mut self, mut batch: Vec<DataRecord>, _ctx: &PhaseContext) -> Vec<DataRecord> {
-        // Stable, with the key computed once per record: the sort moves
-        // small keys, and each 104-byte record moves once.
-        batch.sort_by_cached_key(|r| {
-            (
-                r.descriptor().created_s(),
-                r.sensor_type().category(),
-                r.sensor_type(),
-                r.reading().sensor(),
-            )
-        });
+        // A shipment is already in this order or is the concatenation of
+        // shipments that are (fog 2 relays its children's, each
+        // classified by this key below it), so a stable sort that finds
+        // and merges presorted runs is a few linear merges here. Any
+        // stable sort by this one key gives the same order.
+        batch.sort_by_key(classification_key);
         for rec in &batch {
             let entry = self
                 .lineage
@@ -106,7 +112,7 @@ impl Phase for ClassificationPhase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scc_sensors::{Reading, SensorType, Value};
+    use scc_sensors::{Reading, Value};
 
     fn rec(ty: SensorType, idx: u32, t: u64, v: u64) -> DataRecord {
         DataRecord::from_reading(Reading::new(SensorId::new(ty, idx), t, Value::Counter(v)))
@@ -219,6 +225,79 @@ mod tests {
                         );
                     }
                 }
+            }
+            for ty in SensorType::ALL {
+                for idx in 0..3 {
+                    let id = SensorId::new(ty, idx);
+                    proptest::prop_assert_eq!(
+                        phase.lineage_of(id),
+                        model.lineage.get(&id).copied()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The phase as it was before it merged presorted runs: the same key,
+    /// computed once per record by `sort_by_cached_key` (a key vector, a
+    /// comparison sort and a permutation).
+    #[derive(Default)]
+    struct CachedKeyPhase {
+        lineage: std::collections::HashMap<SensorId, Lineage>,
+    }
+
+    impl CachedKeyPhase {
+        fn run(&mut self, mut batch: Vec<DataRecord>) -> Vec<DataRecord> {
+            batch.sort_by_cached_key(classification_key);
+            for rec in &batch {
+                let entry = self
+                    .lineage
+                    .entry(rec.reading().sensor())
+                    .or_insert(Lineage {
+                        version: 0,
+                        digest: 0,
+                    });
+                entry.version += 1;
+                entry.digest = ClassificationPhase::chain(entry.digest, rec);
+            }
+            batch
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn merging_presorted_runs_classifies_what_the_cached_key_sort_did(
+            // Shipments, each the concatenation of runs already in
+            // classification order (a fog-2 shipment of its children's),
+            // over a few seconds and sensors: heavy ties on the whole key
+            // between records whose values differ, so stability shows.
+            shipments in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec((0usize..21, 0u32..3, 0u64..4, 0u64..4), 0..25),
+                    0..8,
+                ),
+                1..5,
+            ),
+            unsorted_tail in proptest::collection::vec((0usize..21, 0u32..3, 0u64..4, 0u64..4), 0..6),
+        ) {
+            let mut phase = ClassificationPhase::new();
+            let mut model = CachedKeyPhase::default();
+            let record = |&(ty, idx, t, v): &(usize, u32, u64, u64)| {
+                rec(SensorType::ALL[ty], idx, 900 * t, v)
+            };
+            for (i, runs) in shipments.iter().enumerate() {
+                let mut shipment: Vec<DataRecord> = Vec::new();
+                for run in runs {
+                    let mut run: Vec<DataRecord> = run.iter().map(record).collect();
+                    run.sort_by_cached_key(classification_key);
+                    shipment.extend(run);
+                }
+                if i == 0 {
+                    // One shipment that is not runs at all.
+                    shipment.extend(unsorted_tail.iter().map(record));
+                }
+                let ours = phase.run(shipment.clone(), &PhaseContext::at(0));
+                proptest::prop_assert_eq!(ours, model.run(shipment));
             }
             for ty in SensorType::ALL {
                 for idx in 0..3 {

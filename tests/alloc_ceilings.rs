@@ -134,7 +134,13 @@ const SETTLED_SCATTER_CEILING: u64 = 8;
 // two, and a lone shipment merges into the run without a list of heads)
 // and 138 for the flush wave (27 885; 27 850
 // before). The ceilings keep about a sixth of headroom over those counts.
-const FLUSH_PER_100_STORED_CEILING: u64 = 160;
+// Re-measured when a flush hop came to handle each record in one pass:
+// 80 for the flush wave (16 175; 27 927 the commit before) — a receiver
+// checks a payload against the shipped records column by column, in
+// vectors its stream decoder reuses, instead of building a reading, and
+// a composite's field vector, per record; the cloud's ledger and fog 2's
+// relay take the partials they decode instead of copying them.
+const FLUSH_PER_100_STORED_CEILING: u64 = 93;
 const INGEST_PER_100_STORED_CEILING: u64 = 80;
 const ENCODE_PER_READING_CEILING: u64 = 2;
 
