@@ -67,8 +67,8 @@ fn main() {
     };
     let sa = simulate(steady_any).expect("steady anytime run");
     let so = simulate(steady_off).expect("steady off-peak run");
-    let share_anytime = sa.window_share(7_200, 25_200);
-    let share_offpeak = so.window_share(7_200, 25_200);
+    let share_anytime = sa.network.window_share(7_200, 25_200);
+    let share_offpeak = so.network.window_share(7_200, 25_200);
     println!(
         "  steady-state window share [02:00-07:00): anytime {:.0}%, off-peak {:.0}%",
         share_anytime * 100.0,

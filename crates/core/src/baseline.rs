@@ -2,14 +2,18 @@
 //! network, cloud, application — where every sensed byte crosses the WAN
 //! to the cloud unreduced, and all processing happens there.
 //!
-//! The baseline shares the sensor substrate and topology with the F2C
-//! runtime so the comparison isolates the architecture, not the workload.
+//! The baseline shares the sensor substrate (the runtime's
+//! [`section_generators`] split) and topology with the F2C runtime so the
+//! comparison isolates the architecture, not the workload.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use citysim::barcelona::{BarcelonaTopology, LatencyProfile};
 use citysim::time::SimTime;
-use scc_sensors::{Catalog, Category, ReadingGenerator, SensorType};
+use scc_sensors::{Catalog, Category};
 use std::collections::BTreeMap;
 
+use crate::runtime::section_generators;
 use crate::{Error, Result};
 
 /// Baseline parameters.
@@ -94,28 +98,7 @@ pub fn simulate_baseline(config: BaselineConfig) -> Result<BaselineReport> {
         report.per_category.insert(c, 0);
     }
 
-    // Per-section per-type populations, as in the F2C runtime.
-    let mut generators: Vec<BTreeMap<SensorType, ReadingGenerator>> =
-        (0..73).map(|_| BTreeMap::new()).collect();
-    for spec in scaled.iter() {
-        let n = spec.sensors();
-        let base = n / 73;
-        let extra = (n % 73) as usize;
-        for (section, per_section) in generators.iter_mut().enumerate() {
-            let count = base + u64::from(section < extra);
-            if count > 0 {
-                per_section.insert(
-                    spec.sensor_type(),
-                    ReadingGenerator::for_population(
-                        spec.sensor_type(),
-                        count as u32,
-                        config.seed ^ ((section as u64) << 32),
-                    ),
-                );
-            }
-        }
-    }
-
+    let mut generators = section_generators(&scaled, config.seed);
     for spec in scaled.iter() {
         let ty = spec.sensor_type();
         let interval = spec.tx_interval_secs() / config.frequency_factor;
@@ -133,10 +116,7 @@ pub fn simulate_baseline(config: BaselineConfig) -> Result<BaselineReport> {
                 let bytes = readings.len() as u64 * spec.tx_bytes();
                 report.generated_readings += readings.len() as u64;
                 report.cloud_ingress_acct_bytes += bytes;
-                *report
-                    .per_category
-                    .get_mut(&ty.category())
-                    .expect("prefilled") += bytes;
+                *report.per_category.entry(ty.category()).or_default() += bytes;
                 let from = city.fog1_nodes()[section];
                 let to = city.cloud();
                 city.network_mut().send(from, to, bytes, now)?;

@@ -301,6 +301,11 @@ impl F2cCity {
         &self.cost
     }
 
+    /// The simulated topology and its network (with the per-link meter).
+    pub fn topology(&self) -> &BarcelonaTopology {
+        &self.city
+    }
+
     /// Installs a chaos-plane failure plan on the simulated network
     /// (node crash windows, link outages, flush-shipment loss and
     /// corruption coins).
@@ -415,7 +420,7 @@ impl F2cCity {
     /// values that justified it) plus a flight-recorder dump of each
     /// site's most recent spans; the matching
     /// [`IncidentKind::AlertResolved`] lands when the fast window
-    /// clears. [`F2cCity::flush_all`] calls this after every wave, so
+    /// clears. [`F2cCity::flush_due`] calls this after every wave, so
     /// every driver evaluates on the flush schedule — alerts are
     /// byte-identical artifacts at any thread count.
     pub fn evaluate_alerts(&mut self, now_s: u64) {
@@ -534,7 +539,7 @@ impl F2cCity {
         d.min(n - d) as u32
     }
 
-    /// Monotone counter bumped by every [`F2cCity::flush_all`]. Result
+    /// Monotone counter bumped by every [`F2cCity::flush_due`]. Result
     /// caches key their entries on it: archives above fog 1 only change
     /// when a flush ships data upward, so an unchanged epoch certifies
     /// that a cached answer is still current.
@@ -827,11 +832,22 @@ impl F2cCity {
         Ok(outcomes)
     }
 
-    /// Flushes every fog-1 node to its parent and every fog-2 node to the
-    /// cloud, shipping over the metered network, then runs one
-    /// [`F2cCity::anti_entropy`] round so coverage holes punched by this
-    /// wave (or carried from earlier ones) start healing immediately.
-    /// Returns the accounting bytes shipped at each tier.
+    /// [`F2cCity::flush_due`] of both tiers, whatever the nodes' flush
+    /// periods: how the warm-up, the query loop and the benchmark flush.
+    ///
+    /// # Errors
+    ///
+    /// Network or compression failures (first in district order).
+    pub fn flush_all(&mut self, now_s: u64) -> Result<(u64, u64)> {
+        self.flush_due(now_s, true, true)
+    }
+
+    /// Flushes the due tiers over the metered network — every fog-1 node
+    /// to its parent when `fog1` is set, every fog-2 node to the cloud
+    /// when `fog2` is — then runs one [`F2cCity::anti_entropy`] round so
+    /// coverage holes punched by this wave (or carried from earlier ones)
+    /// start healing immediately. Returns the accounting bytes shipped at
+    /// each tier.
     ///
     /// Every hop first passes the chaos gate: a crashed child skips its
     /// turn, an unreachable parent or a lost shipment defers the whole
@@ -853,79 +869,84 @@ impl F2cCity {
     /// # Errors
     ///
     /// Network or compression failures (first in district order).
-    pub fn flush_all(&mut self, now_s: u64) -> Result<(u64, u64)> {
+    pub fn flush_due(&mut self, now_s: u64, fog1: bool, fog2: bool) -> Result<(u64, u64)> {
         self.flush_epoch += 1;
         self.metrics.inc(self.ids.flush_waves);
         let epoch = self.flush_epoch;
         let threads = self.parallelism;
         let capture = self.capture_shipments;
-        // Phase A: one shard per district, owning the district's fog-1
-        // slice and its fog-2 node.
-        let city = &self.city;
-        let catalog = &self.catalog;
-        let mut rest: &mut [F2cNode] = &mut self.fog1;
-        let mut shards: Vec<FlushShard<'_>> = Vec::with_capacity(self.fog2.len());
-        let mut base = 0usize;
-        for (d, fog2) in self.fog2.iter_mut().enumerate() {
-            let (head, tail) = rest.split_at_mut(DISTRICTS[d].1);
-            rest = tail;
-            shards.push(FlushShard {
-                base,
-                fog1: head,
-                receiver: Receiver::new(Hop::Fog2(d), fog2),
-                landed: Ok(0),
+        let (mut fog1_bytes, mut fog2_bytes) = (0, 0);
+        if fog1 {
+            // Phase A: one shard per district, owning the district's fog-1
+            // slice and its fog-2 node.
+            let city = &self.city;
+            let catalog = &self.catalog;
+            let mut rest: &mut [F2cNode] = &mut self.fog1;
+            let mut shards: Vec<FlushShard<'_>> = Vec::with_capacity(self.fog2.len());
+            let mut base = 0usize;
+            for (d, fog2) in self.fog2.iter_mut().enumerate() {
+                let (head, tail) = rest.split_at_mut(DISTRICTS[d].1);
+                rest = tail;
+                shards.push(FlushShard {
+                    base,
+                    fog1: head,
+                    receiver: Receiver::new(Hop::Fog2(d), fog2),
+                    landed: Ok(0),
+                });
+                base += DISTRICTS[d].1;
+            }
+            run_shards(threads, &mut shards, |_, shard| {
+                // Each child takes its turn when the receiver reaches it, so
+                // a failure leaves the children after it unflushed.
+                let (base, hop) = (shard.base, shard.receiver.hop);
+                let turns = shard.fog1.iter_mut().enumerate().map(|(k, child)| {
+                    let turn = Shipment::take(city, hop, base + k, child, catalog, epoch, now_s);
+                    (base + k, turn)
+                });
+                shard.landed = shard.receiver.land(city, capture, now_s, turns);
             });
-            base += DISTRICTS[d].1;
+            // Drop the node borrows, then absorb in district order.
+            let results: Vec<(ObsScratch, Result<u64>)> = shards
+                .into_iter()
+                .map(|s| (s.receiver.obs, s.landed))
+                .collect();
+            let mut landed_bytes: Result<u64> = Ok(0);
+            for (mut obs, landed) in results {
+                self.absorb_scratch(&mut obs);
+                landed_bytes = landed_bytes.and_then(|sum| landed.map(|bytes| sum + bytes));
+            }
+            fog1_bytes = landed_bytes?;
         }
-        run_shards(threads, &mut shards, |_, shard| {
-            // Each child takes its turn when the receiver reaches it, so
-            // a failure leaves the children after it unflushed.
-            let (base, hop) = (shard.base, shard.receiver.hop);
-            let turns = shard.fog1.iter_mut().enumerate().map(|(k, child)| {
-                let turn = Shipment::take(city, hop, base + k, child, catalog, epoch, now_s);
-                (base + k, turn)
+        if fog2 {
+            // Phase B: gate + flush + corruption coin per district in
+            // parallel; the cloud lands the turns at the coordinator, in
+            // district order.
+            let city = &self.city;
+            let catalog = &self.catalog;
+            let mut cloud_shards: Vec<(&mut F2cNode, Option<Shipment>)> =
+                self.fog2.iter_mut().map(|fog2| (fog2, None)).collect();
+            run_shards(threads, &mut cloud_shards, |d, (fog2, turn)| {
+                *turn = Some(Shipment::take(
+                    city,
+                    Hop::Cloud,
+                    d,
+                    fog2,
+                    catalog,
+                    epoch,
+                    now_s,
+                ));
             });
-            shard.landed = shard.receiver.land(city, capture, now_s, turns);
-        });
-        // Drop the node borrows, then absorb in district order.
-        let results: Vec<(ObsScratch, Result<u64>)> = shards
-            .into_iter()
-            .map(|s| (s.receiver.obs, s.landed))
-            .collect();
-        let mut fog1_bytes: Result<u64> = Ok(0);
-        for (mut obs, landed) in results {
+            let turns: Vec<(usize, Shipment)> = cloud_shards
+                .into_iter()
+                .map(|(_, turn)| turn.expect("cloud shard ran"))
+                .enumerate()
+                .collect();
+            let mut cloud = Receiver::new(Hop::Cloud, &mut self.cloud);
+            let landed = cloud.land(&self.city, capture, now_s, turns);
+            let mut obs = cloud.obs;
             self.absorb_scratch(&mut obs);
-            fog1_bytes = fog1_bytes.and_then(|sum| landed.map(|bytes| sum + bytes));
+            fog2_bytes = landed?;
         }
-        let fog1_bytes = fog1_bytes?;
-        // Phase B: gate + flush + corruption coin per district in
-        // parallel; the cloud lands the turns at the coordinator, in
-        // district order.
-        let city = &self.city;
-        let catalog = &self.catalog;
-        let mut cloud_shards: Vec<(&mut F2cNode, Option<Shipment>)> =
-            self.fog2.iter_mut().map(|fog2| (fog2, None)).collect();
-        run_shards(threads, &mut cloud_shards, |d, (fog2, turn)| {
-            *turn = Some(Shipment::take(
-                city,
-                Hop::Cloud,
-                d,
-                fog2,
-                catalog,
-                epoch,
-                now_s,
-            ));
-        });
-        let turns: Vec<(usize, Shipment)> = cloud_shards
-            .into_iter()
-            .map(|(_, turn)| turn.expect("cloud shard ran"))
-            .enumerate()
-            .collect();
-        let mut cloud = Receiver::new(Hop::Cloud, &mut self.cloud);
-        let landed = cloud.land(&self.city, capture, now_s, turns);
-        let mut obs = cloud.obs;
-        self.absorb_scratch(&mut obs);
-        let fog2_bytes = landed?;
         // The cloud never flushes (no parent), so the wave runs its
         // sketch-horizon compaction here — otherwise its ledger and hole
         // set would grow for the lifetime of the deployment.
@@ -956,7 +977,7 @@ impl F2cCity {
     /// the bucket away can only retire with the watermark. Re-shipments
     /// are metered on the network and on the sketch channel.
     ///
-    /// [`F2cCity::flush_all`] runs a round after every wave; with no
+    /// [`F2cCity::flush_due`] runs a round after every wave; with no
     /// holes it is a no-op.
     pub fn anti_entropy(&mut self, now_s: u64) -> HealReport {
         // Phase 1, one shard per district: each fog-2 heals from the
@@ -1687,6 +1708,43 @@ mod tests {
         assert_eq!(city.cloud().store().len(), {
             city.fog1(0).store().len() + city.fog1(40).store().len()
         });
+    }
+
+    #[test]
+    fn flush_due_of_both_tiers_is_flush_all_and_of_one_ships_only_it() -> Result<()> {
+        fn stores(city: &F2cCity) -> Vec<Vec<&DataRecord>> {
+            let nodes = city.fog1.iter().chain(&city.fog2).chain([&city.cloud]);
+            nodes.map(stored).collect()
+        }
+        let [mut all, mut due] = [F2cCity::barcelona()?, F2cCity::barcelona()?];
+        for city in [&mut all, &mut due] {
+            round(city, 100, None);
+            round(city, 500, None);
+        }
+        assert_eq!(all.flush_all(900)?, due.flush_due(900, true, true)?);
+        assert_eq!(stores(&all), stores(&due));
+        let snapshot = |city: &F2cCity| format!("{:?}", city.metrics.snapshot());
+        assert_eq!(snapshot(&all), snapshot(&due));
+        assert_eq!(all.tracer.encode(), due.tracer.encode());
+        // [fog-1 pending, fog-2 pending, cloud stored]
+        let queued = |city: &F2cCity| {
+            let pending = |nodes: &[F2cNode]| nodes.iter().map(|n| n.store().pending_len()).sum();
+            [
+                pending(&city.fog1),
+                pending(&city.fog2),
+                city.cloud.store().len(),
+            ]
+        };
+        round(&mut due, 1_000, None);
+        let [n, _, cloud] = queued(&due);
+        // A fog-1-only wave queues the new records at fog 2, and a later
+        // fog-2-only wave ships that queue to the cloud.
+        let (shipped, _) = due.flush_due(1_800, true, false)?;
+        assert_eq!(queued(&due), [0, n, cloud]);
+        assert_eq!(due.flush_due(2_700, false, true)?, (0, shipped));
+        assert_eq!(queued(&due), [0, 0, cloud + n]);
+        assert!(n > 0 && due.flush_epoch() == 3);
+        Ok(())
     }
 
     #[test]

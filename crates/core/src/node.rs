@@ -303,7 +303,7 @@ impl F2cNode {
     /// correctness. Fog-2 nodes queue partials, seals *and* holes for
     /// upward relay on their next flush. Returns how many partials were
     /// refused as corrupt.
-    pub fn receive_sketches(
+    pub(crate) fn receive_sketches(
         &mut self,
         sketches: &[(SketchKey, Vec<u8>)],
         seals: &[(u16, u64)],
@@ -366,7 +366,7 @@ impl F2cNode {
     /// actually cleared; a heal below the compaction watermark or a
     /// corrupt re-shipment leaves the ledger untouched and returns
     /// `false`.
-    pub fn heal_sketch(&mut self, key: SketchKey, bytes: &[u8]) -> bool {
+    pub(crate) fn heal_sketch(&mut self, key: SketchKey, bytes: &[u8]) -> bool {
         self.sketches
             .heal_encoded(key, bytes, self.flush_seq)
             .unwrap_or(false)
@@ -377,17 +377,17 @@ impl F2cNode {
     /// this node's full current fold upward: the queued increment is
     /// subsumed by it, and relaying it afterwards would double-count at
     /// the parent.
-    pub fn drop_queued_relay(&mut self, key: &SketchKey) {
+    pub(crate) fn drop_queued_relay(&mut self, key: &SketchKey) {
         self.sketch_relay.remove(key);
     }
 
     /// Applies the sketch-horizon compaction that [`F2cNode::flush`]
     /// runs for fog nodes. The cloud never flushes (it has no parent),
     /// so without this its ledger — and its coverage-hole set — would
-    /// grow without bound; [`crate::F2cCity::flush_all`] calls it on
+    /// grow without bound; [`crate::F2cCity::flush_due`] calls it on
     /// the cloud every wave. Returns how many bucket entries were
     /// dropped; holes below the watermark retire with them.
-    pub fn compact_sketches(&mut self, now_s: u64) -> usize {
+    pub(crate) fn compact_sketches(&mut self, now_s: u64) -> usize {
         self.sketches
             .evict_older_than(now_s.saturating_sub(SKETCH_RETENTION_S))
     }
@@ -430,7 +430,7 @@ impl F2cNode {
     /// run and queued for the next hop as they arrived. At the cloud each
     /// shipment additionally passes classification (versioning/lineage),
     /// shipment by shipment, before the permanent archive, per §IV.B.
-    pub fn receive_wave(
+    pub(crate) fn receive_wave(
         &mut self,
         shipments: impl IntoIterator<Item = Vec<DataRecord>>,
         now_s: u64,
@@ -458,7 +458,7 @@ impl F2cNode {
     ///
     /// Decode failures ([`Error::Compression`]) or a decoded batch that
     /// disagrees with the shipped records ([`Error::CodecMismatch`]).
-    pub fn verify_flush(
+    pub(crate) fn verify_flush(
         &mut self,
         origin: u16,
         payload: Option<&[u8]>,

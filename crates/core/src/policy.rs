@@ -13,7 +13,10 @@ const DAY_S: u64 = 86_400;
 /// When and how a node ships data to its parent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlushPolicy {
-    /// Seconds between flushes.
+    /// Seconds between flushes. `runtime::simulate` schedules each
+    /// tier's flushes by it (through [`FlushPolicy::next_flush_at`]);
+    /// the live city's `flush_all` ships every tier on each call and does
+    /// not read it.
     pub period_s: u64,
     /// Apply redundant-data elimination before shipping (fog 1).
     pub aggregate: bool,
@@ -21,7 +24,8 @@ pub struct FlushPolicy {
     pub compress: bool,
     /// If set, flushes are deferred into this daily window
     /// `[start_s, end_s)` (seconds since midnight) — the off-peak
-    /// scheduling optimization of §IV.D.
+    /// scheduling optimization of §IV.D. Read, like `period_s`, by
+    /// `runtime::simulate`'s schedule only.
     pub off_peak_window: Option<(u64, u64)>,
 }
 

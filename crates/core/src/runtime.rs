@@ -1,18 +1,22 @@
-//! The event-driven F2C simulation: synthetic Sentilo waves flow into 73
-//! fog-1 nodes, climb to 10 fog-2 nodes and then the cloud, with
-//! aggregation and compression applied per the flush policies. Its traffic
-//! accounting cross-validates the analytic [`crate::traffic::TrafficModel`]
-//! at a configurable population scale.
+//! The event-driven F2C simulation: synthetic Sentilo waves flow into an
+//! assembled [`F2cCity`] — 73 fog-1 nodes, 10 fog-2 nodes and the cloud —
+//! whose tiers flush on their policies' schedules, with aggregation and
+//! compression applied per the flush policies. Its traffic accounting
+//! cross-validates the analytic [`crate::traffic::TrafficModel`] at a
+//! configurable population scale.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeMap;
 
-use citysim::barcelona::{BarcelonaTopology, LatencyProfile, DISTRICTS};
+use citysim::barcelona::LatencyProfile;
 use citysim::event::EventQueue;
+use citysim::net::TrafficMeter;
 use citysim::time::SimTime;
 use scc_sensors::{wire, Catalog, Category, Reading, ReadingGenerator, SensorType};
 
 use crate::hierarchy::F2cCity;
-use crate::node::F2cNode;
+use crate::node::IngestOutcome;
 use crate::policy::{FlushPolicy, RetentionPolicy};
 use crate::{Error, Result};
 
@@ -52,7 +56,9 @@ impl SimConfig {
         }
     }
 
-    fn validated(self) -> Result<Self> {
+    /// Checks the scale and horizon; [`F2cCity::new`] checks the
+    /// policies.
+    fn validate(&self) -> Result<()> {
         if self.scale == 0 {
             return Err(Error::BadConfig {
                 field: "scale",
@@ -65,13 +71,7 @@ impl SimConfig {
                 reason: "must be positive",
             });
         }
-        let fog1_flush = self.fog1_flush.validated()?;
-        let fog2_flush = self.fog2_flush.validated()?;
-        Ok(Self {
-            fog1_flush,
-            fog2_flush,
-            ..self
-        })
+        Ok(())
     }
 }
 
@@ -105,7 +105,8 @@ pub struct SimReport {
     pub fog1_uplink_acct_bytes: u64,
     /// Accounting bytes shipped fog2→cloud.
     pub fog2_uplink_acct_bytes: u64,
-    /// Wire bytes of fog-1 uplink batches (before compression).
+    /// Wire bytes of fog-1 uplink batches (before compression; 0 when
+    /// not compressing, since only encoded shipments are tapped).
     pub fog1_uplink_wire_bytes: u64,
     /// Compressed bytes of fog-1 uplink batches (0 when not compressing).
     pub fog1_uplink_compressed_bytes: u64,
@@ -117,8 +118,9 @@ pub struct SimReport {
     pub network_fog2_cloud_bytes: u64,
     /// Records resting at the cloud after the final drain.
     pub cloud_records: u64,
-    /// Bytes metered per simulated hour across all links.
-    pub hourly_network_bytes: BTreeMap<u64, u64>,
+    /// The city's network meter at the end of the run: bytes per link,
+    /// per node and per simulated hour.
+    pub network: TrafficMeter,
 }
 
 impl SimReport {
@@ -144,38 +146,12 @@ impl SimReport {
     pub fn scaled_up(&self, bytes: u64) -> u64 {
         bytes * self.scale
     }
-
-    /// Fraction of metered network bytes that moved inside the daily
-    /// time-of-day window `[start_s, end_s)`.
-    pub fn window_share(&self, start_s: u64, end_s: u64) -> f64 {
-        let total: u64 = self.hourly_network_bytes.values().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let inside: u64 = self
-            .hourly_network_bytes
-            .iter()
-            .filter(|(hour, _)| {
-                let tod = (*hour % 24) * 3600;
-                tod >= start_s && tod < end_s
-            })
-            .map(|(_, b)| *b)
-            .sum();
-        inside as f64 / total as f64
-    }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    /// All sensors of this type report (wave `k`).
-    Wave(SensorType),
-    /// Fog-1 node `i` flushes to its parent.
-    FlushFog1(usize),
-    /// Fog-2 node `d` flushes to the cloud.
-    FlushFog2(usize),
-}
-
-/// Runs the F2C architecture over one simulated horizon.
+/// Runs the F2C architecture over one simulated horizon: one [`F2cCity`]
+/// built with the configured policies, each tier flushed on its own
+/// policy's schedule (period and off-peak window), read back through the
+/// city's flush counters, shipment tap and network meter.
 ///
 /// # Errors
 ///
@@ -195,168 +171,93 @@ enum Event {
 /// # Ok::<(), f2c_core::Error>(())
 /// ```
 pub fn simulate(config: SimConfig) -> Result<SimReport> {
-    let config = config.validated()?;
-    let catalog = Catalog::barcelona();
-    let scaled = catalog.scaled_down(config.scale);
-    let mut city = BarcelonaTopology::build(&config.profile);
+    config.validate()?;
+    let mut city = F2cCity::new(
+        &config.profile,
+        config.fog1_flush,
+        config.fog2_flush,
+        RetentionPolicy::keep(86_400),
+    )?;
+    city.set_capture_shipments(true);
+    let scaled = city.catalog().scaled_down(config.scale);
 
-    // --- nodes ----------------------------------------------------------
-    let mut fog1_nodes: Vec<F2cNode> = Vec::with_capacity(73);
-    {
-        let mut section_global = 0u16;
-        for (d, (_, sections)) in DISTRICTS.iter().enumerate() {
-            for _ in 0..*sections {
-                fog1_nodes.push(F2cNode::fog1(
-                    d as u16,
-                    section_global,
-                    config.fog1_flush,
-                    RetentionPolicy::keep(86_400),
-                )?);
-                section_global += 1;
-            }
-        }
-    }
-    let mut fog2_nodes: Vec<F2cNode> = (0..DISTRICTS.len())
-        .map(|d| {
-            F2cNode::fog2(
-                d as u16,
-                config.fog2_flush,
-                RetentionPolicy::keep(7 * 86_400),
-            )
-        })
-        .collect::<Result<_>>()?;
-    let mut cloud = F2cNode::cloud();
-
-    // --- sensor assignment: split each type's population over sections ---
-    let mut generators = section_generators(&scaled, config.seed);
-
-    // --- event schedule ---------------------------------------------------
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    for spec in scaled.iter() {
-        let interval = spec.tx_interval_secs();
-        let mut t = interval;
-        while t <= config.horizon_s as f64 {
-            queue.schedule_at(
-                SimTime::from_micros((t * 1e6) as u64),
-                Event::Wave(spec.sensor_type()),
-            );
-            t += interval;
-        }
-    }
-    for i in 0..fog1_nodes.len() {
-        let mut t = config.fog1_flush.next_flush_at(0);
+    // Each tier's flush instants. Ticks of both tiers on one second are
+    // one wave, so the flush epoch counts instants, not tiers.
+    let mut flushes: BTreeMap<u64, [bool; 2]> = BTreeMap::new();
+    for (tier, policy) in [config.fog1_flush, config.fog2_flush].iter().enumerate() {
+        let mut t = policy.next_flush_at(0);
         while t <= config.horizon_s {
-            queue.schedule_at(SimTime::from_secs(t), Event::FlushFog1(i));
-            t = config.fog1_flush.next_flush_at(t);
-        }
-    }
-    for d in 0..fog2_nodes.len() {
-        let mut t = config.fog2_flush.next_flush_at(0);
-        while t <= config.horizon_s {
-            queue.schedule_at(SimTime::from_secs(t), Event::FlushFog2(d));
-            t = config.fog2_flush.next_flush_at(t);
+            flushes.entry(t).or_default()[tier] = true;
+            t = policy.next_flush_at(t);
         }
     }
 
-    // --- run ---------------------------------------------------------------
     let mut report = SimReport {
         scale: config.scale,
         horizon_s: config.horizon_s,
+        per_category: Category::ALL
+            .iter()
+            .map(|&c| (c, CategoryTraffic::default()))
+            .collect(),
         ..SimReport::default()
     };
-    for c in Category::ALL {
-        report.per_category.insert(c, CategoryTraffic::default());
-    }
-
-    while let Some((at, event)) = queue.pop() {
-        let now_s = at.as_secs();
-        match event {
-            Event::Wave(ty) => {
-                let category = ty.category();
-                for (section, per_section) in generators.iter_mut().enumerate() {
-                    if let Some(gen) = per_section.get_mut(&ty) {
-                        let readings = gen.wave(now_s);
-                        let outcome = fog1_nodes[section].ingest_wave(readings, now_s, &catalog)?;
-                        report.generated_readings += outcome.offered;
-                        report.stored_after_dedup += outcome.stored;
-                        report.raw_acct_bytes += outcome.raw_bytes;
-                        let ct = report.per_category.get_mut(&category).expect("prefilled");
-                        ct.raw += outcome.raw_bytes;
-                        ct.after_dedup += outcome.kept_bytes;
-                    }
-                }
-            }
-            Event::FlushFog1(i) => {
-                flush_fog1(
-                    i,
-                    now_s,
-                    &catalog,
-                    &config,
-                    &mut fog1_nodes,
-                    &mut fog2_nodes,
-                    &mut city,
-                    &mut report,
-                )?;
-            }
-            Event::FlushFog2(d) => {
-                flush_fog2(
-                    d,
-                    now_s,
-                    &catalog,
-                    &mut fog2_nodes,
-                    &mut cloud,
-                    &mut city,
-                    &mut report,
-                )?;
-            }
-        }
-    }
-
+    drive(
+        &mut city,
+        &scaled,
+        config.seed,
+        config.horizon_s,
+        &flushes,
+        |ty, outcome| {
+            report.generated_readings += outcome.offered;
+            report.stored_after_dedup += outcome.stored;
+            report.raw_acct_bytes += outcome.raw_bytes;
+            let ct = report.per_category.entry(ty.category()).or_default();
+            ct.raw += outcome.raw_bytes;
+            ct.after_dedup += outcome.kept_bytes;
+        },
+    )?;
     // Final drain so conservation holds end-to-end.
     if config.drain_at_end {
-        for i in 0..fog1_nodes.len() {
-            flush_fog1(
-                i,
-                config.horizon_s,
-                &catalog,
-                &config,
-                &mut fog1_nodes,
-                &mut fog2_nodes,
-                &mut city,
-                &mut report,
-            )?;
-        }
-        for d in 0..fog2_nodes.len() {
-            flush_fog2(
-                d,
-                config.horizon_s,
-                &catalog,
-                &mut fog2_nodes,
-                &mut cloud,
-                &mut city,
-                &mut report,
-            )?;
-        }
+        city.flush_due(config.horizon_s, true, true)?;
     }
 
-    report.cloud_records = cloud.store().len() as u64;
+    (report.fog1_uplink_acct_bytes, report.fog2_uplink_acct_bytes) = city.raw_flush_bytes();
+    for shipment in city.take_shipment_log() {
+        if shipment.hop != 1 {
+            continue;
+        }
+        report.fog1_uplink_wire_bytes += shipment.wire.len() as u64;
+        report.fog1_uplink_compressed_bytes += shipment.payload.len() as u64;
+        let mut by_cat: BTreeMap<Category, Vec<Reading>> = BTreeMap::new();
+        for reading in wire::parse_batch(&shipment.wire)? {
+            by_cat
+                .entry(reading.sensor_type().category())
+                .or_default()
+                .push(reading);
+        }
+        for (cat, readings) in by_cat {
+            let encoded = wire::encode_batch(&readings);
+            let ct = report.per_category.entry(cat).or_default();
+            ct.wire += encoded.len() as u64;
+            ct.compressed += f2c_compress::compress(&encoded)?.len() as u64;
+        }
+    }
+    report.cloud_records = city.cloud().store().len() as u64;
 
     // Read the meters: fog1→fog2 links vs fog2→cloud links.
-    let net = city.network();
-    let cloud_node = city.cloud();
+    let topology = city.topology();
+    let net = topology.network();
     let mut fog2_cloud = 0u64;
-    for d in 0..city.fog2_nodes().len() {
-        let f2 = city.fog2_nodes()[d];
+    for &f2 in topology.fog2_nodes() {
         for &(peer, link) in net.topology().neighbors(f2) {
-            let t = net.meter().link_traffic(link);
-            if peer == cloud_node {
-                fog2_cloud += t.bytes;
+            if peer == topology.cloud() {
+                fog2_cloud += net.meter().link_traffic(link).bytes;
             }
         }
     }
     report.network_fog2_cloud_bytes = fog2_cloud;
     report.network_fog1_fog2_bytes = net.meter().total_bytes() - fog2_cloud;
-    report.hourly_network_bytes = net.meter().hourly_bytes().clone();
+    report.network = net.meter().clone();
     Ok(report)
 }
 
@@ -375,8 +276,8 @@ fn spread_hash(ty: SensorType, section: usize) -> u64 {
 /// Splits each catalog type's population across the 73 sections and
 /// builds one deterministic generator per (section, type) share —
 /// `generators[section][type]`. Shared by [`simulate`], the warm-up in
-/// [`populate_city`], and the query workload's background ingest, so all
-/// three agree on which sensors live where.
+/// [`populate_city`], the centralized baseline and the query workload's
+/// background ingest, so all of them agree on which sensors live where.
 ///
 /// The `n % 73` remainder sensors land on the sections that rank first
 /// under a per-type deterministic hash, *not* on sections `0..extra`:
@@ -464,130 +365,75 @@ pub fn populate_city(
         });
     }
     let scaled = city.catalog().scaled_down(scale);
-    let mut generators = section_generators(&scaled, seed);
+    let flushes: BTreeMap<u64, [bool; 2]> = (1..=horizon_s / flush_period_s)
+        .map(|k| (k * flush_period_s, [true; 2]))
+        .collect();
+    let (mut offered, mut stored) = (0, 0);
+    drive(city, &scaled, seed, horizon_s, &flushes, |_, ingest| {
+        offered += ingest.offered;
+        stored += ingest.stored;
+    })?;
+    city.flush_all(horizon_s)?;
+    Ok(PopulateOutcome {
+        offered,
+        stored,
+        flushes: flushes.len() as u64 + 1,
+    })
+}
 
+/// Drives `city` over `horizon_s` of simulated time: every type of
+/// `scaled` reports at its Table-I transmission interval, section by
+/// section through [`F2cCity::ingest`], and at each instant of `flushes`
+/// the city runs [`F2cCity::flush_due`] for the tiers flagged there
+/// (`[fog 1, fog 2]`). Waves are scheduled before flushes, so a wave and
+/// a flush at the same instant ingest first. `on_ingest` sees each
+/// section's outcome with its sensor type.
+fn drive(
+    city: &mut F2cCity,
+    scaled: &Catalog,
+    seed: u64,
+    horizon_s: u64,
+    flushes: &BTreeMap<u64, [bool; 2]>,
+    mut on_ingest: impl FnMut(SensorType, IngestOutcome),
+) -> Result<()> {
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Warmup {
+    enum Event {
         Wave(SensorType),
-        Flush,
+        Flush([bool; 2]),
     }
-    let mut queue: EventQueue<Warmup> = EventQueue::new();
+    let mut generators = section_generators(scaled, seed);
+    let mut queue: EventQueue<Event> = EventQueue::new();
     for spec in scaled.iter() {
         let interval = spec.tx_interval_secs();
         let mut t = interval;
         while t <= horizon_s as f64 {
             queue.schedule_at(
                 SimTime::from_micros((t * 1e6) as u64),
-                Warmup::Wave(spec.sensor_type()),
+                Event::Wave(spec.sensor_type()),
             );
             t += interval;
         }
     }
-    let mut t = flush_period_s;
-    while t <= horizon_s {
-        queue.schedule_at(SimTime::from_secs(t), Warmup::Flush);
-        t += flush_period_s;
+    for (&at_s, &tiers) in flushes {
+        queue.schedule_at(SimTime::from_secs(at_s), Event::Flush(tiers));
     }
 
-    let mut outcome = PopulateOutcome::default();
     while let Some((at, event)) = queue.pop() {
         let now_s = at.as_secs();
         match event {
-            Warmup::Wave(ty) => {
+            Event::Wave(ty) => {
                 for (section, per_section) in generators.iter_mut().enumerate() {
                     if let Some(gen) = per_section.get_mut(&ty) {
                         let readings = gen.wave(now_s);
-                        let ingest = city.ingest(section, readings, now_s)?;
-                        outcome.offered += ingest.offered;
-                        outcome.stored += ingest.stored;
+                        on_ingest(ty, city.ingest(section, readings, now_s)?);
                     }
                 }
             }
-            Warmup::Flush => {
-                city.flush_all(now_s)?;
-                outcome.flushes += 1;
+            Event::Flush([fog1, fog2]) => {
+                city.flush_due(now_s, fog1, fog2)?;
             }
         }
     }
-    city.flush_all(horizon_s)?;
-    outcome.flushes += 1;
-    Ok(outcome)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn flush_fog1(
-    i: usize,
-    now_s: u64,
-    catalog: &Catalog,
-    config: &SimConfig,
-    fog1_nodes: &mut [F2cNode],
-    fog2_nodes: &mut [F2cNode],
-    city: &mut BarcelonaTopology,
-    report: &mut SimReport,
-) -> Result<()> {
-    let batch = fog1_nodes[i].flush(now_s, catalog)?;
-    // The sketch shipment reaches the parent even for empty batches
-    // (idle sections still seal) — same invariant as F2cCity::flush_all.
-    let district = city.district_of(i);
-    fog2_nodes[district].receive_sketches(&batch.sketches, &batch.seals, &batch.holes);
-    if batch.records.is_empty() {
-        return Ok(());
-    }
-    report.fog1_uplink_acct_bytes += batch.acct_bytes;
-    report.fog1_uplink_wire_bytes += batch.wire_bytes();
-    if let Some(c) = batch.compressed_bytes() {
-        report.fog1_uplink_compressed_bytes += c;
-    }
-    // Per-category wire/compressed accounting.
-    let mut by_cat: BTreeMap<Category, Vec<Reading>> = BTreeMap::new();
-    for rec in &batch.records {
-        by_cat
-            .entry(rec.sensor_type().category())
-            .or_default()
-            .push(rec.reading().clone());
-    }
-    for (cat, readings) in by_cat {
-        let encoded = wire::encode_batch(&readings);
-        let ct = report.per_category.get_mut(&cat).expect("prefilled");
-        ct.wire += encoded.len() as u64;
-        if config.fog1_flush.compress {
-            ct.compressed += f2c_compress::compress(&encoded)?.len() as u64;
-        }
-    }
-    // Ship over the network: what crosses the wire is the compressed batch
-    // when compression is on, the accounting bytes otherwise.
-    let shipped = batch.uplink_bytes();
-    let from = city.fog1_nodes()[i];
-    let to = city.parent_of(i);
-    city.network_mut()
-        .send(from, to, shipped, SimTime::from_secs(now_s))?;
-    let parent = &mut fog2_nodes[district];
-    parent.verify_flush(i as u16, batch.payload.as_deref(), &batch.records)?;
-    parent.receive_wave([batch.records], now_s);
-    Ok(())
-}
-
-fn flush_fog2(
-    d: usize,
-    now_s: u64,
-    catalog: &Catalog,
-    fog2_nodes: &mut [F2cNode],
-    cloud: &mut F2cNode,
-    city: &mut BarcelonaTopology,
-    report: &mut SimReport,
-) -> Result<()> {
-    let batch = fog2_nodes[d].flush(now_s, catalog)?;
-    cloud.receive_sketches(&batch.sketches, &batch.seals, &batch.holes);
-    if batch.records.is_empty() {
-        return Ok(());
-    }
-    report.fog2_uplink_acct_bytes += batch.acct_bytes;
-    let from = city.fog2_nodes()[d];
-    let to = city.cloud();
-    city.network_mut()
-        .send(from, to, batch.uplink_bytes(), SimTime::from_secs(now_s))?;
-    cloud.verify_flush(d as u16, batch.payload.as_deref(), &batch.records)?;
-    cloud.receive_wave([batch.records], now_s);
     Ok(())
 }
 
@@ -621,6 +467,7 @@ pub fn flush_period_ablation(periods_s: &[u64], scale: u64) -> Result<Vec<(u64, 
 mod tests {
     use super::*;
     use crate::traffic::TrafficModel;
+    use citysim::barcelona::DISTRICTS;
 
     fn small_config() -> SimConfig {
         // 1/2500 scale (~400 sensors). Smaller populations leave many

@@ -27,7 +27,7 @@
 //! use f2c_smartcity::sensors::{Catalog, ReadingGenerator, SensorType};
 //!
 //! let catalog = Catalog::barcelona();                 // Table I, verbatim
-//! let mut fog1 = F2cNode::fog1(3, 21, FlushPolicy::paper_fog1(),
+//! let mut fog1 = F2cNode::fog1(3, 18, FlushPolicy::paper_fog1(),   // Les Corts
 //!                              RetentionPolicy::keep(86_400))?;
 //! let mut sensors = ReadingGenerator::for_population(SensorType::Temperature, 50, 42);
 //! let outcome = fog1.ingest_wave(sensors.wave(0), 1, &catalog)?;

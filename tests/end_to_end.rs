@@ -1,55 +1,36 @@
 //! End-to-end integration: raw sensor waves → fog-1 acquisition → fog-2 →
 //! cloud preservation → open-data dissemination, across all crates.
 
-use f2c_smartcity::core::{F2cNode, FlushPolicy, RetentionPolicy};
+use f2c_smartcity::core::{F2cCity, F2cNode, FlushPolicy, RetentionPolicy};
 use f2c_smartcity::dlc::preservation::{AccessRole, OpenDataPortal, QueryFilter};
 use f2c_smartcity::sensors::{Catalog, Category, ReadingGenerator, SensorType};
 
-/// A helper hierarchy: one fog-1, one fog-2, one cloud.
-fn chain() -> (F2cNode, F2cNode, F2cNode) {
-    let fog1 = F2cNode::fog1(
+/// A lone fog-1 node with the paper's policies.
+fn fog1() -> F2cNode {
+    F2cNode::fog1(
         0,
         0,
         FlushPolicy::paper_fog1(),
         RetentionPolicy::keep(86_400),
     )
-    .unwrap();
-    let fog2 = F2cNode::fog2(
-        0,
-        FlushPolicy::plain(3600),
-        RetentionPolicy::keep(7 * 86_400),
-    )
-    .unwrap();
-    let cloud = F2cNode::cloud();
-    (fog1, fog2, cloud)
+    .unwrap()
 }
 
 #[test]
 fn readings_survive_the_full_hierarchy() {
-    let catalog = Catalog::barcelona();
-    let (mut fog1, mut fog2, mut cloud) = chain();
+    let mut city = F2cCity::barcelona().unwrap();
     let mut gen = ReadingGenerator::for_population(SensorType::Weather, 40, 5);
 
     let mut stored_total = 0u64;
     for wave in 0..24u64 {
         let t = wave * 300;
-        let out = fog1.ingest_wave(gen.wave(t), t + 1, &catalog).unwrap();
-        stored_total += out.stored;
+        stored_total += city.ingest(0, gen.wave(t), t + 1).unwrap().stored;
     }
-    let b1 = fog1.flush(7200, &catalog).unwrap();
-    assert_eq!(b1.records.len() as u64, stored_total);
-    fog2.verify_flush(0, b1.payload.as_deref(), &b1.records)
-        .unwrap();
-    fog2.receive_wave([b1.records], 7200);
-    let b2 = fog2.flush(7200, &catalog).unwrap();
-    cloud
-        .verify_flush(0, b2.payload.as_deref(), &b2.records)
-        .unwrap();
-    cloud.receive_wave([b2.records], 7200);
-
-    assert_eq!(cloud.store().len() as u64, stored_total);
+    city.flush_all(7200).unwrap();
+    assert_eq!(city.fog2(0).store().len() as u64, stored_total);
+    assert_eq!(city.cloud().store().len() as u64, stored_total);
     // Every record at the cloud is fully described and quality-tagged.
-    for rec in cloud.store().archive().iter() {
+    for rec in city.cloud().store().archive().iter() {
         assert!(rec.descriptor().is_fully_described());
         assert!(rec.quality().expect("assessed at fog 1").passed());
     }
@@ -57,34 +38,22 @@ fn readings_survive_the_full_hierarchy() {
 
 #[test]
 fn portal_roles_gate_cloud_data_by_category() {
-    let catalog = Catalog::barcelona();
-    let (mut fog1, mut fog2, mut cloud) = chain();
+    let mut city = F2cCity::barcelona().unwrap();
 
     // Mixed workload: public weather + restricted energy.
     let mut weather = ReadingGenerator::for_population(SensorType::Weather, 10, 1);
     let mut meters = ReadingGenerator::for_population(SensorType::ElectricityMeter, 10, 2);
     for wave in 0..6u64 {
         let t = wave * 900;
-        fog1.ingest_wave(weather.wave(t), t + 1, &catalog).unwrap();
-        fog1.ingest_wave(meters.wave(t), t + 1, &catalog).unwrap();
+        city.ingest(0, weather.wave(t), t + 1).unwrap();
+        city.ingest(0, meters.wave(t), t + 1).unwrap();
     }
-    let b = fog1.flush(6000, &catalog).unwrap();
-    fog2.verify_flush(0, b.payload.as_deref(), &b.records)
-        .unwrap();
-    fog2.receive_wave([b.records], 6000);
-    let b = fog2.flush(6000, &catalog).unwrap();
-    cloud
-        .verify_flush(0, b.payload.as_deref(), &b.records)
-        .unwrap();
-    cloud.receive_wave([b.records], 6000);
+    city.flush_all(6000).unwrap();
+    let archive = city.cloud().store().archive();
 
     let portal = OpenDataPortal::new();
     let public_all = portal
-        .query(
-            cloud.store().archive(),
-            AccessRole::Public,
-            QueryFilter::default(),
-        )
+        .query(archive, AccessRole::Public, QueryFilter::default())
         .unwrap();
     assert!(public_all
         .iter()
@@ -92,7 +61,7 @@ fn portal_roles_gate_cloud_data_by_category() {
 
     // Energy explicitly requested by the public is denied, not empty.
     let denied = portal.query(
-        cloud.store().archive(),
+        archive,
         AccessRole::Public,
         QueryFilter {
             category: Some(Category::Energy),
@@ -103,11 +72,7 @@ fn portal_roles_gate_cloud_data_by_category() {
 
     // A city service reads both.
     let service_all = portal
-        .query(
-            cloud.store().archive(),
-            AccessRole::Service,
-            QueryFilter::default(),
-        )
+        .query(archive, AccessRole::Service, QueryFilter::default())
         .unwrap();
     assert!(service_all.len() > public_all.len());
 }
@@ -115,7 +80,7 @@ fn portal_roles_gate_cloud_data_by_category() {
 #[test]
 fn fog1_retention_keeps_realtime_data_local_after_flush() {
     let catalog = Catalog::barcelona();
-    let (mut fog1, _, _) = chain();
+    let mut fog1 = fog1();
     let mut gen = ReadingGenerator::for_population(SensorType::ParkingSpot, 20, 3);
     for wave in 0..4u64 {
         let t = wave * 900;
@@ -134,7 +99,7 @@ fn fog1_retention_keeps_realtime_data_local_after_flush() {
 #[test]
 fn compression_reduces_what_crosses_the_uplink() {
     let catalog = Catalog::barcelona();
-    let (mut fog1, _, _) = chain();
+    let mut fog1 = fog1();
     let mut gen = ReadingGenerator::for_population(SensorType::NoiseTrafficZone, 300, 4);
     for wave in 0..10u64 {
         let t = wave * 60;
