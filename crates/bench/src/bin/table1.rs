@@ -68,7 +68,7 @@ fn main() {
     // baseline with zero tolerance — any drift is a model regression.
     let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_table1.json".to_string());
     let mut doc = Json::obj();
-    doc.set("schema_version", export::num(export::SCHEMA_VERSION));
+    doc.set("schema_version", export::num(export::TABLE1_SCHEMA_VERSION));
     doc.set("bench", Json::Str("table1".to_string()));
     let mut totals_j = Json::obj();
     totals_j.set("sensors", export::num(totals.sensors));

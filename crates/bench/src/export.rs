@@ -12,9 +12,11 @@
 
 use f2c_obs::{BudgetRule, HistogramSummary, Json, Snapshot, Tracer};
 
-/// Version stamp for every `BENCH_*.json` document. Bump on any breaking
-/// change to the document layout; [`f2c_obs::check_budget`] fails closed
-/// on a mismatch rather than gating across incompatible schemas.
+/// Version stamp for the `BENCH_queries.json` layout (up to v3 it also
+/// stamped `BENCH_table1.json`, which keeps [`TABLE1_SCHEMA_VERSION`]).
+/// Bump on any breaking change to the document layout;
+/// [`f2c_obs::check_budget`] fails closed on a mismatch rather than
+/// gating across incompatible schemas.
 ///
 /// v2: per-phase `dropped` counts, the diagnosis-plane sections
 /// (`explains`, `exemplars`, `alerts`, `chaos.alerts`) and the
@@ -24,7 +26,14 @@ use f2c_obs::{BudgetRule, HistogramSummary, Json, Snapshot, Tracer};
 /// carried once the tsenc codec encodes both hops) and
 /// `flush.bytes_per_record` is redefined over it — uplink bytes per
 /// cloud-stored record — so the codec's win is the gated quantity.
-pub const SCHEMA_VERSION: u64 = 3;
+///
+/// v4: the per-phase `dropped` counts are gone — each phase's summary
+/// now covers every span of that phase, ring-evicted ones included, so
+/// `phases.query.count` equals the requests served.
+pub const SCHEMA_VERSION: u64 = 4;
+
+/// Version stamp for the `BENCH_table1.json` layout, unchanged since v3.
+pub const TABLE1_SCHEMA_VERSION: u64 = 3;
 
 /// A `u64` as a JSON number (every exporter value fits in 2^53).
 pub fn num(v: u64) -> Json {
@@ -69,27 +78,13 @@ pub fn snapshot_json(snap: &Snapshot) -> Json {
 }
 
 /// Per-phase span-duration summaries pooled across every site the tracer
-/// saw: `{"flush-hop": {count, p50_us, p99_us, …, dropped}, "query": …}`.
-///
-/// `dropped` counts the spans of that phase the ring buffers evicted to
-/// make room — the exact complement of what the summary was computed
-/// over, so a phase whose percentiles look suspiciously calm can be
-/// checked against how much of its history fell off the ring. A phase
-/// that lost *every* span still appears, with only a `dropped` count.
+/// saw: `{"flush-hop": {count, p50_us, p99_us, …}, "query": …}`. Each
+/// summary covers every span of its phase the tracer completed, whether
+/// or not the span is still in its site's ring.
 pub fn phases_json(tracer: &Tracer) -> Json {
     let mut out = Json::obj();
-    let dropped = tracer.dropped_by_phase();
     for (name, hist) in tracer.phase_histograms() {
-        let mut phase = summary_json(&HistogramSummary::of(&hist));
-        phase.set("dropped", num(dropped.get(name).copied().unwrap_or(0)));
-        out.set(name, phase);
-    }
-    for (name, n) in &dropped {
-        if out.path(name).is_none() {
-            let mut phase = Json::obj();
-            phase.set("dropped", num(*n));
-            out.set(name, phase);
-        }
+        out.set(name, summary_json(&HistogramSummary::of(&hist)));
     }
     out
 }

@@ -6,13 +6,16 @@
 //! landed there together with its rendered span tree — so the tail
 //! bucket's exemplar is a plan→admit→execute→leg breakdown, not a number.
 //!
-//! The combine rule is keep-max latency (ties broken on trace bytes,
-//! smallest wins), which is associative and commutative: per-shard
-//! stores absorbed at barriers in canonical shard order export the same
-//! bytes at any thread count, same discipline as the rest of the
-//! observability plane.
+//! The combine rule is keep-max latency, ties broken on the query's
+//! explain-reservoir hash (smallest wins) and then on trace bytes
+//! (smallest wins). It is a total order, so it is associative and
+//! commutative: per-shard stores absorbed at barriers in canonical shard
+//! order export the same bytes at any thread count, same discipline as
+//! the rest of the observability plane.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::cmp::Reverse;
 
 use citysim::metrics::{bucket_index, bucket_upper_micros, NUM_BUCKETS};
 
@@ -23,6 +26,8 @@ use crate::json::Json;
 pub struct Exemplar {
     /// The observation's latency, microseconds.
     pub latency_us: u64,
+    /// The query's explain-reservoir key: the first latency tie-break.
+    pub hash: u64,
     /// Rendered span tree of the exemplar query, byte-stable.
     pub trace: String,
 }
@@ -51,22 +56,23 @@ impl ExemplarStore {
         }
     }
 
-    /// Whether an observation at `latency_us` would displace (or fill)
-    /// its bucket's slot. Callers use this to skip rendering the span
-    /// tree for the overwhelming majority of queries that are not their
-    /// bucket's slowest.
+    /// Whether an observation at `latency_us` with query hash `hash`
+    /// would displace (or fill) its bucket's slot. Callers use this to
+    /// skip rendering the span tree for the overwhelming majority of
+    /// queries that are not their bucket's slowest.
     ///
     /// An observation made into a scratch store must clear the gate of
     /// the store it will be [`absorb`](Self::absorb)ed into as well: a
     /// scratch drained after every observation is always empty and admits
     /// everything.
     ///
-    /// Equal latencies answer `true`: the tie breaks on trace bytes,
-    /// which only exist after rendering.
-    pub fn would_admit(&self, latency_us: u64) -> bool {
+    /// Exact except on a full tie: equal latency and equal hash answer
+    /// `true`, because the last tie-break is on trace bytes, which only
+    /// exist after rendering.
+    pub fn would_admit(&self, latency_us: u64, hash: u64) -> bool {
         match &self.slots[bucket_index(latency_us)] {
             None => true,
-            Some(e) => latency_us >= e.latency_us,
+            Some(e) => (Reverse(latency_us), hash) <= (Reverse(e.latency_us), e.hash),
         }
     }
 
@@ -75,25 +81,26 @@ impl ExemplarStore {
     /// [`Self::would_admit`] already ruled it out and nothing was
     /// rendered — counted, not built. A rendered observation is retained
     /// if it is its bucket's slowest (keep-max latency; on ties, smallest
-    /// trace bytes).
-    pub fn observe(&mut self, latency_us: u64, trace: Option<String>) {
+    /// hash, then smallest trace bytes).
+    pub fn observe(&mut self, latency_us: u64, hash: u64, trace: Option<String>) {
         self.seen += 1;
         if let Some(trace) = trace {
-            self.observe_rendered(latency_us, trace);
+            self.observe_rendered(Exemplar {
+                latency_us,
+                hash,
+                trace,
+            });
         }
     }
 
-    fn observe_rendered(&mut self, latency_us: u64, trace: String) {
-        let slot = bucket_index(latency_us);
-        let admit = match &self.slots[slot] {
-            None => true,
-            Some(e) => {
-                latency_us > e.latency_us
-                    || (latency_us == e.latency_us && trace.as_str() < e.trace.as_str())
-            }
-        };
-        if admit {
-            self.slots[slot] = Some(Exemplar { latency_us, trace });
+    fn observe_rendered(&mut self, offered: Exemplar) {
+        let slot = bucket_index(offered.latency_us);
+        let rank = |e: &Exemplar| (Reverse(e.latency_us), e.hash);
+        if self.slots[slot]
+            .as_ref()
+            .is_none_or(|kept| (rank(&offered), &offered.trace) < (rank(kept), &kept.trace))
+        {
+            self.slots[slot] = Some(offered);
             self.occupied |= 1 << slot;
         }
     }
@@ -122,7 +129,7 @@ impl ExemplarStore {
             let slot = held.trailing_zeros() as usize;
             held &= held - 1;
             if let Some(e) = other.slots.get_mut(slot).and_then(Option::take) {
-                self.observe_rendered(e.latency_us, e.trace);
+                self.observe_rendered(e);
             }
         }
     }
@@ -162,9 +169,9 @@ mod tests {
     fn keeps_the_slowest_per_bucket() {
         let mut s = ExemplarStore::new();
         // 1100 and 1400 share the [1024, 1536) bucket; 100 lives elsewhere.
-        s.observe(1_100, Some("fast".to_string()));
-        s.observe(1_400, Some("slow".to_string()));
-        s.observe(100, Some("other".to_string()));
+        s.observe(1_100, 0, Some("fast".to_string()));
+        s.observe(1_400, 9, Some("slow".to_string()));
+        s.observe(100, 1, Some("other".to_string()));
         assert_eq!(s.seen(), 3);
         assert_eq!(s.kept(), 2);
         assert_eq!(s.exemplar_for(1_100).unwrap().trace, "slow");
@@ -174,13 +181,19 @@ mod tests {
     #[test]
     fn would_admit_gates_rendering() {
         let mut s = ExemplarStore::new();
-        s.observe(1_400, Some("slowest".to_string()));
-        assert!(!s.would_admit(1_100));
+        s.observe(1_400, 7, Some("slowest".to_string()));
+        assert!(!s.would_admit(1_100, 0), "faster loses whatever its hash");
         assert!(
-            s.would_admit(1_400),
-            "equal latency must render to tie-break"
+            s.would_admit(1_500, u64::MAX),
+            "slower wins whatever its hash"
         );
-        s.observe(1_100, None);
+        assert!(!s.would_admit(1_400, 8), "equal latency, bigger hash loses");
+        assert!(s.would_admit(1_400, 6), "equal latency, smaller hash wins");
+        assert!(
+            s.would_admit(1_400, 7),
+            "a full tie must render to tie-break on trace bytes"
+        );
+        s.observe(1_100, 0, None);
         assert_eq!(s.seen(), 2, "a skipped observation is still counted");
         assert_eq!(s.kept(), 1);
         assert_eq!(s.exemplar_for(1_400).unwrap().trace, "slowest");
@@ -191,44 +204,59 @@ mod tests {
         // Same discipline as the explain reservoir: a scratch drained
         // into the destination after every observation gates nothing by
         // itself; gating on both skips losers and exports the same bytes.
-        let obs: [(u64, &str); 6] = [
-            (1_100, "a"),
-            (1_400, "c"),
-            (1_200, "d"),
-            (1_400, "b"),
-            (30, "e"),
-            (20, "f"),
+        let obs: [(u64, u64, &str); 7] = [
+            (1_100, 5, "a"),
+            (1_400, 5, "c"),
+            (1_200, 1, "d"),
+            (1_400, 9, "b"),
+            (1_400, 5, "a"),
+            (30, 2, "e"),
+            (20, 3, "f"),
         ];
         let mut ungated = ExemplarStore::new();
         let mut city = ExemplarStore::new();
         let mut scratch = ExemplarStore::new();
-        let mut rendered = 0;
-        for (us, t) in obs {
-            ungated.observe(us, Some(t.to_string()));
-            assert!(scratch.would_admit(us), "a drained scratch gates nothing");
-            let admit = city.would_admit(us);
-            rendered += usize::from(admit);
-            scratch.observe(us, admit.then(|| t.to_string()));
+        let mut rendered = Vec::new();
+        for (us, hash, t) in obs {
+            ungated.observe(us, hash, Some(t.to_string()));
+            assert!(
+                scratch.would_admit(us, hash),
+                "a drained scratch gates nothing"
+            );
+            let admit = city.would_admit(us, hash);
+            rendered.push(admit);
+            scratch.observe(us, hash, admit.then(|| t.to_string()));
             city.absorb(&mut scratch);
         }
         assert_eq!(city.export().to_pretty(), ungated.export().to_pretty());
         assert_eq!(city.seen(), obs.len() as u64);
-        assert!(rendered < obs.len(), "the destination gate skipped losers");
+        assert!(!rendered[2], "a faster query is skipped");
+        assert!(!rendered[3], "a latency tie with a bigger hash is skipped");
+        assert!(rendered[4], "a full tie renders");
+        let kept = city.exemplar_for(1_400).unwrap();
+        assert_eq!((kept.hash, kept.trace.as_str()), (5, "a"));
     }
 
     #[test]
     fn absorb_is_order_insensitive() {
-        let obs: [(u64, &str); 4] = [(900, "a"), (1_400, "b"), (1_400, "c"), (30, "d")];
+        let obs: [(u64, u64, &str); 5] = [
+            (900, 1, "a"),
+            (1_400, 4, "b"),
+            (1_400, 3, "c"),
+            (1_400, 3, "e"),
+            (30, 0, "d"),
+        ];
         let mut whole = ExemplarStore::new();
-        for (us, t) in obs {
-            whole.observe(us, Some(t.to_string()));
+        for (us, hash, t) in obs {
+            whole.observe(us, hash, Some(t.to_string()));
         }
+        assert_eq!(whole.exemplar_for(1_400).unwrap().trace, "c");
         for split_at in 0..obs.len() {
             let mut left = ExemplarStore::new();
             let mut right = ExemplarStore::new();
-            for (i, (us, t)) in obs.iter().enumerate() {
+            for (i, (us, hash, t)) in obs.iter().enumerate() {
                 let dst = if i < split_at { &mut left } else { &mut right };
-                dst.observe(*us, Some(t.to_string()));
+                dst.observe(*us, *hash, Some(t.to_string()));
             }
             let mut merged = ExemplarStore::new();
             merged.absorb(&mut right);
@@ -247,7 +275,7 @@ mod tests {
         let mut city = ExemplarStore::new();
         let mut scratch = ExemplarStore::new();
         for (round, us) in [(0, 100), (1, 100_000), (2, u64::MAX)] {
-            scratch.observe(us, Some(format!("round {round}")));
+            scratch.observe(us, round, Some(format!("round {round}")));
             assert_eq!(scratch.kept(), 1);
             city.absorb(&mut scratch);
             assert_eq!(scratch.kept(), 0);

@@ -9,7 +9,8 @@
 //! structural — a span opened while another is open becomes its child
 //! (depth + 1), and a close must name the *innermost* open span; anything
 //! else is counted as malformed rather than silently reshuffled, so the
-//! well-formedness property is checkable (and property-tested).
+//! well-formedness property is checkable (and property-tested). An
+//! evicted span's duration stays in its tracer's per-phase histograms.
 //!
 //! Cost model: `open`, `close` and [`Tracer::mark`] are O(1) in the number
 //! of sites (one log lookup, no allocation once the ring is full);
@@ -114,27 +115,28 @@ pub struct TraceLog {
     open: Vec<OpenSpan>,
     next_seq: u64,
     dropped: u64,
-    /// Ring evictions per evicted phase name: a short list (a run names
-    /// about a dozen phases), one entry per name, in first-eviction order.
-    dropped_by_phase: Vec<(&'static str, u64)>,
     malformed: u64,
     /// Whether the owning tracer's dirty list already names this log.
     listed: bool,
 }
 
-/// Adds `n` evictions of `phase` to a per-phase drop list. Phase names
-/// are literals, so the same phase almost always arrives as the same
-/// pointer and matches without a byte compare; the string compare behind
-/// it keeps one entry per *name* whatever the linker did with the
-/// literals.
-fn count_dropped(list: &mut Vec<(&'static str, u64)>, phase: &'static str, n: u64) {
-    match list
-        .iter_mut()
-        .find(|(name, _)| std::ptr::eq(*name, phase) || *name == phase)
-    {
-        Some((_, count)) => *count += n,
-        None => list.push((phase, n)),
-    }
+/// Per-phase histograms of evicted spans' durations (see `Tracer`).
+type Evicted = Vec<(&'static str, Histogram)>;
+
+/// The histogram of `phase` in a per-phase list, added empty on first
+/// use. Phase names are literals, so the same phase almost always arrives
+/// as the same pointer and matches without a byte compare; the string
+/// compare behind it keeps one entry per *name* whatever the linker did
+/// with the literals.
+fn phase_entry<'a>(list: &'a mut Evicted, phase: &'static str) -> &'a mut Histogram {
+    let found = list
+        .iter()
+        .position(|(n, _)| std::ptr::eq(*n, phase) || *n == phase);
+    let at = found.unwrap_or_else(|| {
+        list.push((phase, Histogram::default()));
+        list.len() - 1
+    });
+    &mut list[at].1
 }
 
 impl TraceLog {
@@ -147,19 +149,8 @@ impl TraceLog {
             open: Vec::new(),
             next_seq: 0,
             dropped: 0,
-            dropped_by_phase: Vec::new(),
             malformed: 0,
             listed: false,
-        }
-    }
-
-    fn evict_for_room(&mut self) {
-        if self.done.len() < self.capacity {
-            return;
-        }
-        if let Some((_, evicted)) = self.done.pop_front() {
-            self.dropped += 1;
-            count_dropped(&mut self.dropped_by_phase, evicted.name, 1);
         }
     }
 
@@ -175,7 +166,7 @@ impl TraceLog {
         seq
     }
 
-    fn close(&mut self, seq: u64, at_us: u64, attr: u64, ord: u64) -> bool {
+    fn close(&mut self, seq: u64, at_us: u64, attr: u64, ord: u64, evicted: &mut Evicted) -> bool {
         match self.open.pop_if(|top| top.seq == seq) {
             Some(top) => {
                 let span = Span {
@@ -185,7 +176,7 @@ impl TraceLog {
                     depth: top.depth,
                     attr,
                 };
-                self.push_completed(ord, span);
+                self.push_completed(ord, span, evicted);
                 true
             }
             None => {
@@ -199,12 +190,17 @@ impl TraceLog {
         }
     }
 
-    /// Appends an already-completed span, honoring the ring bound. This
-    /// is the merge path: a shard's scratch log drains into the global
-    /// one span by span, so eviction and drop accounting behave exactly
-    /// as if the span had been closed here.
-    fn push_completed(&mut self, ord: u64, span: Span) {
-        self.evict_for_room();
+    /// Appends an already-completed span, honoring the ring bound; an
+    /// evicted span's duration goes to `evicted`. This is also the merge
+    /// path: a shard's scratch log drains into the global one span by
+    /// span, so eviction behaves exactly as if the span had closed here.
+    fn push_completed(&mut self, ord: u64, span: Span, evicted: &mut Evicted) {
+        if self.done.len() == self.capacity {
+            if let Some((_, old)) = self.done.pop_front() {
+                self.dropped += 1;
+                phase_entry(evicted, old.name).record(old.duration());
+            }
+        }
         self.done.push_back((ord, span));
     }
 
@@ -221,13 +217,6 @@ impl TraceLog {
     /// Completed spans evicted by the ring bound.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Ring evictions broken down by the evicted span's phase name.
-    /// `phase_histograms()` only sees retained spans, so a saturated ring
-    /// would silently skew a phase's p99 — this map names who got lost.
-    pub fn dropped_by_phase(&self) -> BTreeMap<&'static str, u64> {
-        self.dropped_by_phase.iter().copied().collect()
     }
 
     /// Structurally invalid closes observed (0 in a well-formed log).
@@ -278,6 +267,10 @@ pub struct Tracer {
     /// The slots touched since this tracer was last drained by
     /// [`Tracer::absorb`], each named once (`TraceLog::listed`).
     dirty: Vec<u32>,
+    /// The durations of the spans every ring evicted, per phase name:
+    /// a short list (a run names about a dozen phases), one entry per
+    /// name, in first-eviction order.
+    evicted: Evicted,
 }
 
 impl Default for Tracer {
@@ -287,10 +280,11 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// Default per-site ring capacity. Big enough that a flush wave over
-    /// all 73 sections plus a heal round fits without eviction; small
-    /// enough that a million-query run stays bounded.
-    pub const DEFAULT_CAPACITY: usize = 2_048;
+    /// Default per-site ring capacity, sized for the rings' readers:
+    /// `flight_record(8)`, and `spans_since` over one query's spans at a
+    /// site (five at its origin, six if it also runs a leg there; one
+    /// `scatter-leg` elsewhere). Durations never depend on the rings.
+    pub const DEFAULT_CAPACITY: usize = 8;
 
     /// A tracer with the default per-site capacity.
     pub fn new() -> Self {
@@ -306,6 +300,7 @@ impl Tracer {
             by_key: BTreeMap::new(),
             next_ord: 0,
             dirty: Vec::new(),
+            evicted: Vec::new(),
         }
     }
 
@@ -336,18 +331,18 @@ impl Tracer {
     }
 
     /// The log in `slot` (one `slot_of` or `add_site` returned), entered
-    /// in the dirty list unless already there.
-    fn listed_log(&mut self, slot: u32) -> &mut TraceLog {
+    /// in the dirty list unless already there, beside the evicted spans.
+    fn listed_log(&mut self, slot: u32) -> (&mut TraceLog, &mut Evicted) {
         let (_, log) = &mut self.logs[slot as usize];
         if !log.listed {
             log.listed = true;
             self.dirty.push(slot);
         }
-        log
+        (log, &mut self.evicted)
     }
 
     /// The log of `site`, created on first use and listed as dirty.
-    fn touch(&mut self, site: Site) -> &mut TraceLog {
+    fn touch(&mut self, site: Site) -> (&mut TraceLog, &mut Evicted) {
         let slot = match self.slot_of(site) {
             Some(slot) => slot,
             None => self.add_site(site),
@@ -365,7 +360,7 @@ impl Tracer {
     /// Opens a span at `site` at simulated instant `at_us`; it nests under
     /// any span already open there.
     pub fn open(&mut self, site: Site, name: &'static str, at_us: u64) -> SpanToken {
-        let seq = self.touch(site).open(name, at_us);
+        let seq = self.touch(site).0.open(name, at_us);
         SpanToken { site, seq }
     }
 
@@ -382,7 +377,8 @@ impl Tracer {
         };
         let ord = self.next_ord;
         self.next_ord += 1;
-        self.listed_log(slot).close(token.seq, at_us, attr, ord)
+        let (log, evicted) = self.listed_log(slot);
+        log.close(token.seq, at_us, attr, ord, evicted)
     }
 
     /// The log of one site, if it ever opened a span.
@@ -406,8 +402,9 @@ impl Tracer {
         self.logs.iter().map(|(_, l)| l.malformed).sum()
     }
 
-    /// Moves every completed span (and ring/malformed accounting) of
-    /// `other` into `self`, preserving each site's span order. Only the
+    /// Moves every completed span (and ring/malformed accounting, and the
+    /// evicted spans' histograms) of `other` into `self`, preserving each
+    /// site's span order. Only the
     /// sites `other` touched since it was last drained are visited (in
     /// any order: a site's log depends on no other's), so draining a
     /// scratch after one request costs what that request traced. Open
@@ -424,27 +421,16 @@ impl Tracer {
             log.listed = false;
             let first_ord = self.next_ord;
             self.next_ord += log.done.len() as u64;
-            let dst = self.touch(*site);
+            let (dst, evicted) = self.touch(*site);
             for (ord, (_, span)) in (first_ord..).zip(log.done.drain(..)) {
-                dst.push_completed(ord, span);
+                dst.push_completed(ord, span, evicted);
             }
             dst.dropped += std::mem::take(&mut log.dropped);
-            for (phase, n) in log.dropped_by_phase.drain(..) {
-                count_dropped(&mut dst.dropped_by_phase, phase, n);
-            }
             dst.malformed += std::mem::take(&mut log.malformed);
         }
-    }
-
-    /// Ring evictions across all sites, by the evicted span's phase name.
-    pub fn dropped_by_phase(&self) -> BTreeMap<&'static str, u64> {
-        let mut out: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for (_, log) in &self.logs {
-            for &(phase, n) in &log.dropped_by_phase {
-                *out.entry(phase).or_default() += n;
-            }
+        for (phase, hist) in other.evicted.drain(..) {
+            phase_entry(&mut self.evicted, phase).merge(&hist);
         }
-        out
     }
 
     /// The current position in this tracer's completion order, for
@@ -503,10 +489,14 @@ impl Tracer {
         out
     }
 
-    /// Per-phase duration histograms over every retained span, name-keyed.
-    /// This is where the export's per-phase p50/p99 come from.
+    /// Per-phase duration histograms, name-keyed, over every span kept or
+    /// evicted since the last drain — complete at any ring size. This is
+    /// where the export's per-phase p50/p99 come from.
     pub fn phase_histograms(&self) -> BTreeMap<&'static str, Histogram> {
         let mut out: BTreeMap<&'static str, Histogram> = BTreeMap::new();
+        for &(name, ref hist) in &self.evicted {
+            out.entry(name).or_default().merge(hist);
+        }
         for (_, log) in self.ordered() {
             for span in log.completed() {
                 out.entry(span.name).or_default().record(span.duration());
@@ -626,10 +616,13 @@ mod tests {
             let s = t.open(S, "new", 10);
             t.close(s, 11);
         }
-        let by_phase = t.dropped_by_phase();
-        assert_eq!(by_phase.get("old"), Some(&2));
-        assert_eq!(by_phase.get("new"), Some(&1));
+        // Each phase's histogram counts its evicted spans with the kept.
+        let phases = t.phase_histograms();
+        assert_eq!(phases["old"].count(), 2);
+        assert_eq!(phases["old"].mean(), Duration::from_micros(1));
+        assert_eq!(phases["new"].count(), 3);
         assert_eq!(t.log(S).unwrap().dropped(), 3);
+        assert_eq!(t.span_count(), 2);
     }
 
     #[test]
@@ -639,10 +632,12 @@ mod tests {
             let s = scratch.open(S, "shard-work", 0);
             scratch.close(s, 1);
         }
+        assert_eq!(scratch.phase_histograms()["shard-work"].count(), 3);
         let mut global = Tracer::new();
         global.absorb(&mut scratch);
-        assert_eq!(global.dropped_by_phase().get("shard-work"), Some(&2));
-        assert!(scratch.log(S).unwrap().dropped_by_phase().is_empty());
+        assert_eq!(global.phase_histograms()["shard-work"].count(), 3);
+        assert_eq!(global.log(S).unwrap().dropped(), 2);
+        assert!(scratch.phase_histograms().is_empty());
     }
 
     #[test]
@@ -837,15 +832,25 @@ mod tests {
             let s = t.open(S, name, 0);
             t.close(s, 1);
         }
-        let by_phase = t.log(S).unwrap().dropped_by_phase();
-        assert_eq!(by_phase.into_iter().collect::<Vec<_>>(), [("tick", 3)]);
+        assert_eq!(t.evicted.len(), 1);
+        assert_eq!(t.evicted[0].1.count(), 3);
+        let phases = t.phase_histograms();
+        assert_eq!(
+            phases
+                .iter()
+                .map(|(n, h)| (*n, h.count()))
+                .collect::<Vec<_>>(),
+            [("tick", 4)]
+        );
     }
 
     /// The tracer as it was before completion ordinals and the dirty
     /// list, kept as the reference model: `mark` snapshots every log,
     /// `absorb` walks every log, `spans_since` recovers each suffix from
-    /// `(len, dropped)` arithmetic. Tokens are shared with the real
-    /// tracer — both number a site's opens from 0.
+    /// `(len, dropped)` arithmetic, and every completed span is also kept
+    /// in one unbounded list that the phase histograms are built from.
+    /// Tokens are shared with the real tracer — both number a site's
+    /// opens from 0.
     mod model {
         use super::*;
 
@@ -855,7 +860,6 @@ mod tests {
             open: Vec<OpenSpan>,
             next_seq: u64,
             dropped: u64,
-            dropped_by_phase: BTreeMap<&'static str, u64>,
             malformed: u64,
         }
 
@@ -866,14 +870,16 @@ mod tests {
         pub struct Tracer {
             capacity: usize,
             logs: BTreeMap<Site, Log>,
+            /// Every span completed or absorbed since the last drain,
+            /// never evicted.
+            all: Vec<Span>,
         }
 
         impl Log {
             fn push_completed(&mut self, capacity: usize, span: Span) {
                 if self.done.len() == capacity {
-                    let evicted = self.done.pop_front().unwrap();
+                    self.done.pop_front();
                     self.dropped += 1;
-                    *self.dropped_by_phase.entry(evicted.name).or_default() += 1;
                 }
                 self.done.push_back(span);
             }
@@ -884,6 +890,7 @@ mod tests {
                 Self {
                     capacity,
                     logs: BTreeMap::new(),
+                    all: Vec::new(),
                 }
             }
 
@@ -913,6 +920,7 @@ mod tests {
                             attr,
                         };
                         log.push_completed(self.capacity, span);
+                        self.all.push(span);
                         true
                     }
                     _ => {
@@ -930,11 +938,9 @@ mod tests {
                         dst.push_completed(self.capacity, span);
                     }
                     dst.dropped += std::mem::take(&mut log.dropped);
-                    for (phase, n) in std::mem::take(&mut log.dropped_by_phase) {
-                        *dst.dropped_by_phase.entry(phase).or_default() += n;
-                    }
                     dst.malformed += std::mem::take(&mut log.malformed);
                 }
+                self.all.append(&mut other.all);
             }
 
             pub fn mark(&self) -> Mark {
@@ -977,10 +983,6 @@ mod tests {
                 self.logs.keys().copied()
             }
 
-            pub fn log_dropped_by_phase(&self, site: Site) -> Option<BTreeMap<&'static str, u64>> {
-                self.logs.get(&site).map(|l| l.dropped_by_phase.clone())
-            }
-
             pub fn flight_record(&self, per_site: usize) -> String {
                 let mut out = String::new();
                 for (site, log) in &self.logs {
@@ -996,12 +998,15 @@ mod tests {
                 out
             }
 
-            pub fn dropped_by_phase(&self) -> BTreeMap<&'static str, u64> {
-                let mut out: BTreeMap<&'static str, u64> = BTreeMap::new();
-                for log in self.logs.values() {
-                    for (&phase, &n) in &log.dropped_by_phase {
-                        *out.entry(phase).or_default() += n;
-                    }
+            /// Ring evictions since this tracer was last drained.
+            pub fn dropped(&self) -> u64 {
+                self.logs.values().map(|l| l.dropped).sum()
+            }
+
+            pub fn phase_histograms(&self) -> BTreeMap<&'static str, Histogram> {
+                let mut out: BTreeMap<&'static str, Histogram> = BTreeMap::new();
+                for span in &self.all {
+                    out.entry(span.name).or_default().record(span.duration());
                 }
                 out
             }
@@ -1093,7 +1098,7 @@ mod tests {
         /// positions (`a_mark_on_a_destination_is_exact_…` pins the
         /// real tracer there).
         fn absorb(&mut self, other: &mut Pair) {
-            if !other.model.dropped_by_phase().is_empty() {
+            if other.model.dropped() > 0 {
                 self.marks.clear();
             }
             other.marks.clear();
@@ -1107,17 +1112,12 @@ mod tests {
                 String::from_utf8(self.real.encode()),
                 String::from_utf8(self.model.encode())
             );
-            prop_assert_eq!(self.real.dropped_by_phase(), self.model.dropped_by_phase());
+            // Complete at any ring size: every span ever completed here.
+            prop_assert_eq!(self.real.phase_histograms(), self.model.phase_histograms());
             prop_assert_eq!(
                 self.real.sites().collect::<Vec<_>>(),
                 self.model.sites().collect::<Vec<_>>()
             );
-            for site in self.real.sites() {
-                prop_assert_eq!(
-                    self.real.log(site).map(TraceLog::dropped_by_phase),
-                    self.model.log_dropped_by_phase(site)
-                );
-            }
             prop_assert_eq!(self.real.flight_record(2), self.model.flight_record(2));
             prop_assert_eq!(self.real.malformed(), self.model.malformed());
             prop_assert_eq!(self.real.span_count(), self.model.span_count());

@@ -3,7 +3,10 @@
 //! every child interval contained in a completed parent one depth up —
 //! while out-of-order closes are quarantined in the `malformed` counter
 //! without corrupting the rest of the log, and the byte-stable transcript
-//! is a pure function of the program.
+//! is a pure function of the program. Nesting and purity are checked on
+//! rings that keep every span of a program; every open is accounted
+//! against the phase histograms' counts, complete at any ring size, on
+//! those rings and on rings small enough that the programs overflow them.
 
 use f2c_obs::{Site, Span, SpanToken, Tracer};
 use proptest::prelude::*;
@@ -19,11 +22,25 @@ const NAMES: [&str; 4] = ["flush-wave", "flush-hop", "query", "heal-round"];
 /// site holding at least two — deliberately violating LIFO.
 type RawOp = (u8, u8, u8, u16, u16);
 
-/// Replays `ops` against a fresh tracer. `disciplined` skips the
-/// LIFO-violating steps. Returns the tracer, the number of violations
-/// actually executed, and the number of spans opened.
-fn replay(ops: &[RawOp], disciplined: bool) -> (Tracer, u64, usize) {
-    let mut tracer = Tracer::new();
+/// A per-site ring capacity that keeps every span of a program (a
+/// program opens fewer than 200).
+const WHOLE: usize = 256;
+
+/// A per-site ring capacity the programs overflow (they open up to ~100
+/// spans per site).
+const RING: usize = 8;
+
+/// Spans counted by the tracer's phase histograms, evicted ones included.
+fn histogram_count(tracer: &Tracer) -> u64 {
+    tracer.phase_histograms().values().map(|h| h.count()).sum()
+}
+
+/// Replays `ops` against a fresh tracer keeping `capacity` spans per
+/// site. `disciplined` skips the LIFO-violating steps. Returns the
+/// tracer, the number of violations actually executed, and the number
+/// of spans opened.
+fn replay(ops: &[RawOp], disciplined: bool, capacity: usize) -> (Tracer, u64, usize) {
+    let mut tracer = Tracer::with_capacity(capacity);
     let mut clock = 0u64;
     let mut stacks: [Vec<SpanToken>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     let mut violations = 0u64;
@@ -97,15 +114,24 @@ proptest! {
             1..200,
         ),
     ) {
-        let (tracer, violations, opened) = replay(&ops, true);
+        let (tracer, violations, opened) = replay(&ops, true, WHOLE);
         prop_assert_eq!(violations, 0);
         prop_assert_eq!(tracer.malformed(), 0, "LIFO usage must never be malformed");
-        prop_assert_eq!(tracer.span_count(), opened, "every open must complete");
+        prop_assert_eq!(tracer.span_count(), opened, "the rings keep every span");
         for site in tracer.sites().collect::<Vec<_>>() {
             let log = tracer.log(site).expect("listed site has a log");
             prop_assert_eq!(log.open_count(), 0, "drained log still holds opens");
             let spans: Vec<Span> = log.completed().copied().collect();
             assert_wellformed_forest(&spans)?;
+        }
+        for capacity in [WHOLE, RING] {
+            let (tracer, _, _) = replay(&ops, true, capacity);
+            prop_assert_eq!(
+                histogram_count(&tracer),
+                opened as u64,
+                "every open must complete (ring of {})",
+                capacity
+            );
         }
     }
 
@@ -116,25 +142,25 @@ proptest! {
             1..200,
         ),
     ) {
-        let (tracer, violations, opened) = replay(&ops, false);
-        prop_assert_eq!(
-            tracer.malformed(), violations,
-            "each out-of-order close must count exactly once"
-        );
-        // Every open still resolves somewhere: as a kept span or as a
-        // quarantined malformed close — nothing leaks or double-counts.
-        prop_assert_eq!(
-            tracer.span_count() as u64 + tracer.malformed(),
-            opened as u64
-        );
-        for site in tracer.sites().collect::<Vec<_>>() {
+        for capacity in [WHOLE, RING] {
+            let (tracer, violations, opened) = replay(&ops, false, capacity);
             prop_assert_eq!(
-                tracer.log(site).expect("listed site has a log").open_count(),
-                0
+                tracer.malformed(), violations,
+                "each out-of-order close must count exactly once"
             );
+            // Every open still resolves somewhere: as a completed span or
+            // as a quarantined malformed close — nothing leaks or
+            // double-counts.
+            prop_assert_eq!(histogram_count(&tracer) + tracer.malformed(), opened as u64);
+            for site in tracer.sites().collect::<Vec<_>>() {
+                prop_assert_eq!(
+                    tracer.log(site).expect("listed site has a log").open_count(),
+                    0
+                );
+            }
+            // The transcript still encodes, whatever the abuse.
+            prop_assert!(!tracer.encode().is_empty() || opened == 0);
         }
-        // The transcript still encodes, whatever the abuse.
-        prop_assert!(!tracer.encode().is_empty() || opened == 0);
     }
 
     #[test]
@@ -144,8 +170,8 @@ proptest! {
             1..200,
         ),
     ) {
-        let (a, _, _) = replay(&ops, false);
-        let (b, _, _) = replay(&ops, false);
+        let (a, _, _) = replay(&ops, false, WHOLE);
+        let (b, _, _) = replay(&ops, false, WHOLE);
         prop_assert_eq!(a.encode(), b.encode(), "replays must be byte-identical");
     }
 }

@@ -899,9 +899,10 @@ impl ServeCore {
         query.validated()?;
         let site = Site::new("fog1", query.origin as u32);
         let now_us = now_s.saturating_mul(1_000_000);
+        let qhash = Self::explain_hash(query, now_s);
         let mark = self.obs.tracer_mut().mark();
         let span = self.obs.tracer_mut().open(site, "query", now_us);
-        let result = self.serve_inner(city, query, site, now_us, now_s);
+        let result = self.serve_inner(city, query, qhash, site, now_us, now_s);
         let (end_us, attr) = match &result {
             Ok(Outcome::Answered(resp)) => {
                 (now_us + resp.est_latency.as_micros(), resp.response_bytes)
@@ -917,18 +918,19 @@ impl ServeCore {
             // after every serve leaves it empty, so the city's retained
             // slot (fixed between barriers) is consulted too.
             let latency_us = resp.est_latency.as_micros();
-            let admit = self.obs.exemplars_mut().would_admit(latency_us)
-                && city.exemplars().would_admit(latency_us);
+            let admit = self.obs.exemplars_mut().would_admit(latency_us, qhash)
+                && city.exemplars().would_admit(latency_us, qhash);
             let trace = admit.then(|| self.obs.tracer_mut().spans_since(&mark));
-            self.obs.exemplars_mut().observe(latency_us, trace);
+            self.obs.exemplars_mut().observe(latency_us, qhash, trace);
         }
         result
     }
 
     /// The deterministic identity of one `(query, instant)` planning
-    /// decision, for explain-reservoir sampling. Hashing the full query
-    /// content plus the serve time means two shards offering the same
-    /// decision produce the same key — absorption stays order-free.
+    /// decision, for explain-reservoir sampling and exemplar ties.
+    /// Hashing the full query content plus the serve time means two
+    /// shards offering the same decision produce the same key —
+    /// absorption stays order-free.
     ///
     /// The key is FNV-1a over the bytes of `{query:?}@{now_s}`, and every
     /// exported explain depends on it, so those bytes are reproduced
@@ -983,6 +985,7 @@ impl ServeCore {
         &mut self,
         city: &F2cCity,
         query: &Query,
+        qhash: u64,
         site: Site,
         now_us: u64,
         now_s: u64,
@@ -1031,7 +1034,6 @@ impl ServeCore {
         // "Can win" means against the scratch *and* the city's retained
         // set: the record ends up in the city's store, and a scratch that
         // its owner drains after every serve is empty and admits all.
-        let qhash = Self::explain_hash(query, now_s);
         let explain =
             self.obs.explains_mut().would_admit(qhash) && city.explains().would_admit(qhash);
         let planned = if explain {

@@ -666,10 +666,12 @@ mod tests {
         // order only at barriers, so a request meets *both* gates — its
         // core's undrained scratch and the city's retained set. The
         // oracle explains every planned query and reduces by hand:
-        // keep-min `(hash, bytes)` per slot, keep-max latency per bucket.
+        // keep-min `(hash, bytes)` per slot, keep-max latency per bucket
+        // with ties to the smaller hash.
         use crate::model::Query;
         use crate::planner::plan_explained;
         use f2c_obs::{ExplainStore, Json};
+        use std::cmp::Reverse;
         use std::collections::BTreeMap;
 
         let mut city = F2cCity::barcelona().unwrap();
@@ -693,7 +695,8 @@ mod tests {
         let mix = crate::workload::Mix::default();
         let mut rng = SmallRng::seed_from_u64(2017);
         let mut explains: BTreeMap<u64, (u64, String)> = BTreeMap::new();
-        let mut slowest: BTreeMap<usize, u64> = BTreeMap::new();
+        // Per bucket, the smallest `(Reverse(latency), hash)` answered.
+        let mut slowest: BTreeMap<usize, (Reverse<u64>, u64)> = BTreeMap::new();
         let (mut planned, mut answered) = (0u64, 0u64);
         for i in 0..1_500u64 {
             let now_s = 3_600 + i / 10;
@@ -709,10 +712,11 @@ mod tests {
                     core.ledger.release(resp.held.class(), resp.held.slots());
                     answered += 1;
                     let latency_us = resp.est_latency.as_micros();
-                    let kept = slowest
-                        .entry(citysim::metrics::bucket_index(latency_us))
-                        .or_default();
-                    *kept = (*kept).max(latency_us);
+                    let offered = (Reverse(latency_us), decision_hash(&query, now_s));
+                    let bucket = citysim::metrics::bucket_index(latency_us);
+                    if slowest.get(&bucket).is_none_or(|kept| offered < *kept) {
+                        slowest.insert(bucket, offered);
+                    }
                     resp.via != ServedVia::EdgeCache
                 }
                 Ok(Outcome::Shed { .. }) => true,
@@ -750,9 +754,13 @@ mod tests {
 
         assert_eq!(city.exemplars().seen(), answered);
         assert_eq!(city.exemplars().kept(), slowest.len());
-        for (bucket, latency_us) in slowest {
+        for (bucket, (Reverse(latency_us), hash)) in slowest {
             let kept = city.exemplars().exemplar_for(latency_us).unwrap();
-            assert_eq!(kept.latency_us, latency_us, "bucket {bucket}");
+            assert_eq!(
+                (kept.latency_us, kept.hash),
+                (latency_us, hash),
+                "bucket {bucket}"
+            );
         }
     }
 }

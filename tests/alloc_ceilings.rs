@@ -38,7 +38,7 @@ use f2c_smartcity::compress::tsenc::StreamEncoder;
 use f2c_smartcity::core::runtime::{populate_city, section_generators};
 use f2c_smartcity::core::{DataSource, F2cCity, Parallelism};
 use f2c_smartcity::dlc::{DataRecord, Descriptor, QualityReport};
-use f2c_smartcity::obs::{ExplainStore, Json, Tracer};
+use f2c_smartcity::obs::{ExplainStore, Json};
 use f2c_smartcity::query::{
     EngineConfig, Outcome, Query, QueryEngine, QueryKind, Scope, Selector, ServedVia, ServiceClass,
     TimeWindow,
@@ -90,6 +90,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const REPEATS: u64 = 64;
+
+/// Serves before the measured ones. The span rings fill within 8 serves
+/// now, but the ceilings below were measured after 2 048 (the rings' old
+/// size), so the warm-up keeps that count: every cache, map and buffer
+/// is measured in the same warm state as when the ceilings were set.
+const WARM_UP: u64 = 2_048;
 
 // Measured when the ceilings were set: 0, 1 and 50 (the commit before
 // measured 2, 3 with one site traced and 9, 10, 59 with all 84). Twice
@@ -161,8 +167,9 @@ fn allocs_in(f: impl FnOnce()) -> u64 {
 
 /// Fills every slot of the city's EXPLAIN reservoir with the smallest
 /// hash that maps to it, and every exemplar bucket with the largest
-/// latency it can hold: no later request can win a slot, so none has a
-/// reason to build a transcript or render its span tree.
+/// latency it can hold at the smallest hash: no later request can win a
+/// slot, so none has a reason to build a transcript or render its span
+/// tree.
 fn saturate_reservoirs(city: &mut F2cCity) {
     for slot in 0..ExplainStore::DEFAULT_SLOTS as u64 {
         city.explains_mut().offer(slot, Some(Json::Null));
@@ -170,16 +177,16 @@ fn saturate_reservoirs(city: &mut F2cCity) {
     for bucket in 0..NUM_BUCKETS {
         let slowest = bucket_upper_micros(bucket).saturating_sub(1);
         if bucket_index(slowest) == bucket {
-            city.exemplars_mut().observe(slowest, Some(String::new()));
+            city.exemplars_mut()
+                .observe(slowest, 0, Some(String::new()));
         }
     }
 }
 
 /// Heap allocations per `serve_sync` call, averaged over [`REPEATS`]
-/// calls after a warm-up that lets every buffer, ring and map reach its
-/// steady size — one call per slot of the requester's span ring, which
-/// otherwise doubles somewhere inside the measured calls. `query(i)` is
-/// the `i`-th request; `check` sees every outcome.
+/// calls after [`WARM_UP`] calls that let every buffer, ring and map
+/// reach its steady size. `query(i)` is the `i`-th request; `check` sees
+/// every outcome.
 fn allocs_per_serve(
     engine: &mut QueryEngine,
     now_s: u64,
@@ -191,7 +198,6 @@ fn allocs_per_serve(
             Outcome::Answered(resp) => check(&resp.via),
             shed @ Outcome::Shed { .. } => panic!("fault-free serve was shed: {shed:?}"),
         };
-    const WARM_UP: u64 = Tracer::DEFAULT_CAPACITY as u64;
     for i in 0..WARM_UP {
         serve(engine, i);
     }
