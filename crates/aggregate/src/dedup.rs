@@ -4,10 +4,8 @@
 //! eliminating them may easily reduce such amount of data".
 //!
 //! [`RedundancyFilter`] remembers each sensor's last admitted value and
-//! suppresses exact repetitions. An optional *maximum suppression age*
-//! bounds how long a value can be suppressed before being re-admitted as a
-//! heartbeat (so downstream consumers can distinguish "unchanged" from
-//! "dead sensor") — disabled by default, matching the paper's accounting.
+//! suppresses exact repetitions, however long they last — the paper's
+//! accounting.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -22,25 +20,6 @@ pub struct DedupStats {
     pub admitted: u64,
     /// Readings suppressed as redundant.
     pub suppressed: u64,
-    /// Suppressed readings re-admitted due to the heartbeat age bound.
-    pub heartbeats: u64,
-}
-
-impl DedupStats {
-    /// Fraction of offered readings that were suppressed.
-    pub fn suppression_rate(&self) -> f64 {
-        if self.seen == 0 {
-            0.0
-        } else {
-            self.suppressed as f64 / self.seen as f64
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct LastSeen {
-    value: Value,
-    admitted_at: u64,
 }
 
 /// Per-sensor exact-repetition suppressor.
@@ -61,55 +40,27 @@ struct LastSeen {
 pub struct RedundancyFilter {
     /// Keyed by the ids of the sensors this node serves; probed once per
     /// offered reading and never iterated.
-    last: IdMap<SensorId, LastSeen>,
-    max_suppress_secs: Option<u64>,
+    last: IdMap<SensorId, Value>,
     stats: DedupStats,
 }
 
 impl RedundancyFilter {
-    /// A filter with no heartbeat bound (pure elimination, as in the paper).
+    /// An empty filter (pure elimination, as in the paper).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A filter that re-admits an unchanged value once `max_secs` have
-    /// passed since the last admission for that sensor.
-    pub fn with_heartbeat(max_secs: u64) -> Self {
-        Self {
-            last: IdMap::default(),
-            max_suppress_secs: Some(max_secs),
-            stats: DedupStats::default(),
-        }
     }
 
     /// Decides whether `reading` must be forwarded; updates filter state.
     pub fn admit(&mut self, reading: &Reading) -> bool {
         self.stats.seen += 1;
-        let now = reading.timestamp_s();
         match self.last.get_mut(&reading.sensor()) {
-            Some(entry) if entry.value == *reading.value() => {
-                let expired = self
-                    .max_suppress_secs
-                    .is_some_and(|max| now.saturating_sub(entry.admitted_at) >= max);
-                if !expired {
-                    self.stats.suppressed += 1;
-                    return false;
-                }
-                entry.admitted_at = now;
-                self.stats.heartbeats += 1;
+            Some(last) if last == reading.value() => {
+                self.stats.suppressed += 1;
+                return false;
             }
-            Some(entry) => {
-                entry.value.clone_from(reading.value());
-                entry.admitted_at = now;
-            }
+            Some(last) => last.clone_from(reading.value()),
             None => {
-                self.last.insert(
-                    reading.sensor(),
-                    LastSeen {
-                        value: reading.value().clone(),
-                        admitted_at: now,
-                    },
-                );
+                self.last.insert(reading.sensor(), reading.value().clone());
             }
         }
         self.stats.admitted += 1;
@@ -124,16 +75,6 @@ impl RedundancyFilter {
     /// Counters accumulated so far.
     pub fn stats(&self) -> DedupStats {
         self.stats
-    }
-
-    /// Number of sensors the filter currently tracks.
-    pub fn tracked_sensors(&self) -> usize {
-        self.last.len()
-    }
-
-    /// Clears per-sensor memory (stats are kept).
-    pub fn reset_memory(&mut self) {
-        self.last.clear();
     }
 }
 
@@ -165,17 +106,6 @@ mod tests {
             assert!(!f.admit(&reading(0, t * 900, 5.0)));
         }
         assert_eq!(f.stats().suppressed, 999);
-    }
-
-    #[test]
-    fn heartbeat_bound_readmits_stale_values() {
-        let mut f = RedundancyFilter::with_heartbeat(3600);
-        f.admit(&reading(0, 0, 5.0));
-        assert!(!f.admit(&reading(0, 900, 5.0)));
-        assert!(!f.admit(&reading(0, 1800, 5.0)));
-        assert!(f.admit(&reading(0, 3600, 5.0))); // heartbeat
-        assert!(!f.admit(&reading(0, 4500, 5.0))); // suppression restarts
-        assert_eq!(f.stats().heartbeats, 1);
     }
 
     #[test]
@@ -218,7 +148,8 @@ mod tests {
                     f.admit(&r);
                 }
             }
-            let rate = f.stats().suppression_rate();
+            let s = f.stats();
+            let rate = s.suppressed as f64 / s.seen as f64;
             assert!(
                 (rate - expected).abs() < 0.04,
                 "{ty}: suppression {rate:.3}, expected ~{expected}"
@@ -228,46 +159,34 @@ mod tests {
 
     #[test]
     fn stats_are_consistent() {
-        let mut f = RedundancyFilter::with_heartbeat(100);
+        let mut f = RedundancyFilter::new();
         for t in 0..50 {
-            f.admit(&reading(0, t * 30, 1.0));
+            f.admit(&reading((t % 2) as u32, t * 30, 1.0));
         }
         let s = f.stats();
         assert_eq!(s.seen, 50);
         assert_eq!(s.admitted + s.suppressed, s.seen);
-        assert!(s.heartbeats > 0 && s.heartbeats <= s.admitted);
+        assert_eq!(s.admitted, 2, "one first reading per sensor");
     }
 
     /// The filter as it was over a SipHash `HashMap`: get, compare,
     /// re-insert on change. The reference the `IdMap` form is held to.
     #[derive(Default)]
     struct HashMapFilter {
-        last: std::collections::HashMap<SensorId, (Value, u64)>,
-        max_suppress_secs: Option<u64>,
+        last: std::collections::HashMap<SensorId, Value>,
         stats: DedupStats,
     }
 
     impl HashMapFilter {
         fn admit(&mut self, reading: &Reading) -> bool {
             self.stats.seen += 1;
-            let now = reading.timestamp_s();
-            match self.last.get_mut(&reading.sensor()) {
-                Some((value, admitted_at)) if value == reading.value() => {
-                    let expired = self
-                        .max_suppress_secs
-                        .is_some_and(|max| now.saturating_sub(*admitted_at) >= max);
-                    if expired {
-                        *admitted_at = now;
-                        self.stats.admitted += 1;
-                        self.stats.heartbeats += 1;
-                    } else {
-                        self.stats.suppressed += 1;
-                    }
-                    expired
+            match self.last.get(&reading.sensor()) {
+                Some(value) if value == reading.value() => {
+                    self.stats.suppressed += 1;
+                    false
                 }
                 _ => {
-                    self.last
-                        .insert(reading.sensor(), (reading.value().clone(), now));
+                    self.last.insert(reading.sensor(), reading.value().clone());
                     self.stats.admitted += 1;
                     true
                 }
@@ -279,20 +198,11 @@ mod tests {
         #[test]
         fn id_map_filter_gives_the_hash_map_filters_verdicts(
             // (type, index, time step, value): few sensors and few values,
-            // so repeats, changes and heartbeats all interleave.
+            // so repeats and changes interleave.
             offers in proptest::collection::vec((0usize..3, 0u32..6, 0u64..400, 0u64..3), 0..300),
-            bounded in proptest::prelude::any::<bool>(),
-            max_secs in 1u64..2_000,
         ) {
-            let heartbeat = bounded.then_some(max_secs);
-            let mut filter = match heartbeat {
-                Some(max) => RedundancyFilter::with_heartbeat(max),
-                None => RedundancyFilter::new(),
-            };
-            let mut model = HashMapFilter {
-                max_suppress_secs: heartbeat,
-                ..HashMapFilter::default()
-            };
+            let mut filter = RedundancyFilter::new();
+            let mut model = HashMapFilter::default();
             let mut now = 0;
             for (ty, index, step, value) in offers {
                 now += step;
@@ -301,17 +211,7 @@ mod tests {
                 proptest::prop_assert_eq!(filter.admit(&r), model.admit(&r));
                 proptest::prop_assert_eq!(filter.stats(), model.stats);
             }
-            proptest::prop_assert_eq!(filter.tracked_sensors(), model.last.len());
+            proptest::prop_assert_eq!(filter.last.len(), model.last.len());
         }
-    }
-
-    #[test]
-    fn reset_memory_keeps_stats_but_forgets_values() {
-        let mut f = RedundancyFilter::new();
-        f.admit(&reading(0, 0, 1.0));
-        f.reset_memory();
-        assert_eq!(f.tracked_sensors(), 0);
-        assert!(f.admit(&reading(0, 60, 1.0))); // re-admitted after reset
-        assert_eq!(f.stats().seen, 2);
     }
 }

@@ -32,38 +32,6 @@ pub fn fold<S: Decomposable>(values: impl IntoIterator<Item = f64>) -> S {
     s
 }
 
-/// Sum and count (the base for averages).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SumCount {
-    /// Running sum.
-    pub sum: f64,
-    /// Number of absorbed values.
-    pub count: u64,
-}
-
-impl SumCount {
-    /// The mean, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-}
-
-impl Decomposable for SumCount {
-    fn empty() -> Self {
-        Self::default()
-    }
-
-    fn absorb(&mut self, value: f64) {
-        self.sum += value;
-        self.count += 1;
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.sum += other.sum;
-        self.count += other.count;
-    }
-}
-
 /// Minimum and maximum.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinMax {
@@ -120,11 +88,6 @@ impl Moments {
         self.mean()
             .map(|m| (self.sum_sq / self.count as f64 - m * m).max(0.0))
     }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
 }
 
 impl Decomposable for Moments {
@@ -150,13 +113,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sumcount_mean() {
-        let s: SumCount = fold([1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.mean(), Some(2.5));
-        assert_eq!(SumCount::empty().mean(), None);
-    }
-
-    #[test]
     fn minmax_tracks_extremes() {
         let s: MinMax = fold([3.0, -1.0, 7.5]);
         assert_eq!(s.min, Some(-1.0));
@@ -169,7 +125,6 @@ mod tests {
         let m: Moments = fold(xs);
         assert_eq!(m.mean(), Some(5.0));
         assert_eq!(m.variance(), Some(4.0));
-        assert_eq!(m.std_dev(), Some(2.0));
     }
 
     #[test]
@@ -189,9 +144,9 @@ mod tests {
 
     #[test]
     fn empty_is_merge_identity() {
-        let mut s: SumCount = fold([1.0, 2.0]);
+        let mut s: Moments = fold([1.0, 2.0]);
         let before = s;
-        s.merge(&SumCount::empty());
+        s.merge(&Moments::empty());
         assert_eq!(s, before);
         let mut e = MinMax::empty();
         let partial: MinMax = fold([5.0]);

@@ -39,6 +39,8 @@
 //! assert!((kept as f64 / total as f64 - 0.5).abs() < 0.05);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod dedup;
 mod error;
 pub mod functions;

@@ -205,7 +205,7 @@ impl HyperLogLog {
     }
 
     /// Number of registers.
-    pub fn register_count(&self) -> usize {
+    pub(crate) fn register_count(&self) -> usize {
         1 << self.precision
     }
 

@@ -247,11 +247,6 @@ impl SketchLedger {
         }
     }
 
-    /// The current coverage holes (arbitrary order).
-    pub fn holes(&self) -> impl Iterator<Item = &SketchKey> {
-        self.holes.iter()
-    }
-
     /// The current coverage holes in key order — the deterministic
     /// iteration anti-entropy walks.
     pub fn holes_sorted(&self) -> Vec<SketchKey> {
@@ -603,7 +598,7 @@ mod tests {
         assert!(ledger.covers(5, 0, 0), "other sections are unaffected");
         // Compaction past the hole retires it with the watermark.
         ledger.evict_older_than(1_800);
-        assert_eq!(ledger.holes().count(), 0);
+        assert_eq!(ledger.holes_sorted().len(), 0);
         assert!(ledger.covers(4, 1_800, 2_700));
     }
 
@@ -619,7 +614,7 @@ mod tests {
             assert!(ledger.fold_encoded(key(3, 900), &bad, 1).is_err());
             ledger.mark_hole(key(3, 900));
         }
-        assert_eq!(ledger.holes().count(), 1);
+        assert_eq!(ledger.holes_sorted().len(), 1);
         assert_eq!(ledger.crc_failures(), 5, "every refusal is counted");
         assert!(!ledger.covers(3, 900, 1_800));
         assert!(ledger.covers(3, 0, 900), "neighbors still prove");
@@ -627,12 +622,20 @@ mod tests {
         // compaction already blocks coverage there, so stale relays
         // cannot regrow the set.
         ledger.evict_older_than(1_800);
-        assert_eq!(ledger.holes().count(), 0);
+        assert_eq!(ledger.holes_sorted().len(), 0);
         ledger.mark_hole(key(3, 0));
         ledger.mark_hole(key(3, 900));
-        assert_eq!(ledger.holes().count(), 0, "below-watermark relays drop");
+        assert_eq!(
+            ledger.holes_sorted().len(),
+            0,
+            "below-watermark relays drop"
+        );
         ledger.mark_hole(key(3, 1_800));
-        assert_eq!(ledger.holes().count(), 1, "resident buckets still hole");
+        assert_eq!(
+            ledger.holes_sorted().len(),
+            1,
+            "resident buckets still hole"
+        );
     }
 
     #[test]

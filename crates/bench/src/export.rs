@@ -42,7 +42,7 @@ pub fn num(v: u64) -> Json {
 
 /// A [`HistogramSummary`] as a JSON object, all durations in simulated
 /// microseconds.
-pub fn summary_json(s: &HistogramSummary) -> Json {
+pub(crate) fn summary_json(s: &HistogramSummary) -> Json {
     let mut out = Json::obj();
     out.set("count", num(s.count));
     out.set("min_us", num(s.min_us));

@@ -7,6 +7,8 @@
 //! *measured* compression ratios that replace the paper's PKWARE-Zip
 //! number with this repo's own codec on the same data shape.
 
+#![warn(unreachable_pub)]
+
 pub mod export;
 
 use std::collections::BTreeMap;

@@ -4,11 +4,8 @@
 //! architecture hauls every byte over cellular to a remote data center; the
 //! F2C architecture keeps the first hop on short-range links.
 //!
-//! Each technology carries typical first-hop latency, bandwidth, and a
-//! transmit-energy cost — the parameters behind the latency profiles and
+//! Each technology carries a transmit-energy cost, the parameter behind
 //! the per-day radio-energy comparison.
-
-use crate::time::Duration;
 
 /// A sensor access-network technology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,42 +23,11 @@ pub enum AccessTechnology {
 }
 
 impl AccessTechnology {
-    /// All technologies.
-    pub const ALL: [AccessTechnology; 5] = [
-        AccessTechnology::Ethernet,
-        AccessTechnology::Wifi,
-        AccessTechnology::Cellular3g,
-        AccessTechnology::Cellular4g,
-        AccessTechnology::Lpwan,
-    ];
-
-    /// Typical first-hop latency.
-    pub fn latency(self) -> Duration {
-        match self {
-            AccessTechnology::Ethernet => Duration::from_micros(500),
-            AccessTechnology::Wifi => Duration::from_millis(2),
-            AccessTechnology::Cellular3g => Duration::from_millis(100),
-            AccessTechnology::Cellular4g => Duration::from_millis(40),
-            AccessTechnology::Lpwan => Duration::from_millis(1_000),
-        }
-    }
-
-    /// Typical uplink bandwidth, bits per second.
-    pub fn bandwidth_bps(self) -> u64 {
-        match self {
-            AccessTechnology::Ethernet => 100_000_000,
-            AccessTechnology::Wifi => 20_000_000,
-            AccessTechnology::Cellular3g => 384_000,
-            AccessTechnology::Cellular4g => 10_000_000,
-            AccessTechnology::Lpwan => 5_000,
-        }
-    }
-
     /// Transmit energy per byte, microjoules. Order-of-magnitude values
     /// from the WSN literature: cellular radios cost ~100× more per byte
     /// than short-range links, which is why §IV.D's reduced transmission
     /// length also reduces device energy.
-    pub fn energy_uj_per_byte(self) -> u64 {
+    pub(crate) fn energy_uj_per_byte(self) -> u64 {
         match self {
             AccessTechnology::Ethernet => 1,
             AccessTechnology::Wifi => 5,
@@ -75,19 +41,6 @@ impl AccessTechnology {
     pub fn transmit_energy_j(self, bytes: u64) -> f64 {
         (bytes * self.energy_uj_per_byte()) as f64 / 1e6
     }
-
-    /// Time to push `bytes` through the access hop (latency +
-    /// serialization).
-    pub fn transfer_time(self, bytes: u64) -> Duration {
-        let micros = (u128::from(bytes) * 8 * 1_000_000 / u128::from(self.bandwidth_bps())) as u64;
-        self.latency() + Duration::from_micros(micros)
-    }
-}
-
-/// Daily radio energy (joules) for a deployment where every sensor sends
-/// `daily_bytes` over `tech` — the device-side cost of an architecture.
-pub fn fleet_daily_energy_j(tech: AccessTechnology, daily_bytes: u64) -> f64 {
-    tech.transmit_energy_j(daily_bytes)
 }
 
 #[cfg(test)]
@@ -105,29 +58,12 @@ mod tests {
     }
 
     #[test]
-    fn latency_ordering_is_sane() {
-        assert!(AccessTechnology::Ethernet.latency() < AccessTechnology::Wifi.latency());
-        assert!(AccessTechnology::Wifi.latency() < AccessTechnology::Cellular4g.latency());
-        assert!(AccessTechnology::Cellular4g.latency() < AccessTechnology::Cellular3g.latency());
-        assert!(AccessTechnology::Cellular3g.latency() < AccessTechnology::Lpwan.latency());
-    }
-
-    #[test]
-    fn transfer_time_includes_serialization() {
-        // 1 kB over LPWAN at 5 kbit/s: 1.6 s of air time + 1 s latency.
-        let t = AccessTechnology::Lpwan.transfer_time(1_000);
-        assert!(t >= Duration::from_millis(2_500), "got {t}");
-        // The same payload over Ethernet is sub-millisecond.
-        assert!(AccessTechnology::Ethernet.transfer_time(1_000) < Duration::from_millis(1));
-    }
-
-    #[test]
     fn f2c_saves_radio_energy_citywide() {
         // Centralized: the full 8.58 GB/day leaves the devices over 3G.
         // F2C: the same bytes only cross a WiFi hop to the fog node.
         let daily = 8_583_503_168u64;
-        let centralized = fleet_daily_energy_j(AccessTechnology::Cellular3g, daily);
-        let f2c = fleet_daily_energy_j(AccessTechnology::Wifi, daily);
+        let centralized = AccessTechnology::Cellular3g.transmit_energy_j(daily);
+        let f2c = AccessTechnology::Wifi.transmit_energy_j(daily);
         assert!(
             centralized / f2c > 50.0,
             "3G fleet energy {centralized:.0} J vs WiFi {f2c:.0} J"

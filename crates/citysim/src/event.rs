@@ -62,21 +62,6 @@ impl<E: Eq> EventQueue<E> {
         }
     }
 
-    /// The queue's current clock (time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
@@ -113,15 +98,6 @@ impl<E: Eq> EventQueue<E> {
         self.now = entry.at;
         Some((entry.at, entry.event))
     }
-
-    /// Pops the next event only if it is due at or before `deadline`.
-    pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? <= deadline {
-            self.pop()
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -152,10 +128,11 @@ mod tests {
     #[test]
     fn clock_advances_with_pops() {
         let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_secs(5), ());
-        assert_eq!(q.now(), SimTime::ZERO);
+        q.schedule_at(SimTime::from_secs(5), 1);
         q.pop();
-        assert_eq!(q.now(), SimTime::from_secs(5));
+        // A zero delay now lands at the popped event's time, not at zero.
+        q.schedule_in(Duration::ZERO, 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
     }
 
     #[test]
@@ -168,17 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_before_respects_deadline() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_secs(10), 'x');
-        assert_eq!(q.pop_before(SimTime::from_secs(5)), None);
-        assert_eq!(
-            q.pop_before(SimTime::from_secs(10)),
-            Some((SimTime::from_secs(10), 'x'))
-        );
-    }
-
-    #[test]
     fn interleaved_scheduling_and_popping() {
         let mut q = EventQueue::new();
         q.schedule_in(Duration::from_secs(1), 1);
@@ -188,15 +154,5 @@ mod tests {
         q.schedule_in(Duration::from_secs(1), 2);
         let (t2, _) = q.pop().unwrap();
         assert_eq!(t2, SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn len_and_is_empty_track_contents() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule_in(Duration::ZERO, ());
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
     }
 }

@@ -29,7 +29,9 @@
 //! assert_eq!(delivery.hops, 2); // fog1 -> fog2 -> cloud
 //! ```
 
-pub mod access;
+#![warn(unreachable_pub)]
+
+pub(crate) mod access;
 pub mod barcelona;
 mod error;
 pub mod event;
@@ -40,6 +42,6 @@ pub mod time;
 pub use access::AccessTechnology;
 pub use error::{Error, Result};
 pub use event::EventQueue;
-pub use metrics::{Counter, Histogram};
-pub use net::{Delivery, Link, NetScratch, Network, NodeId, Topology};
+pub use metrics::Histogram;
+pub use net::{Link, NetScratch, Network, NodeId, Topology};
 pub use time::{Duration, SimTime};

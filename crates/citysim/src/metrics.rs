@@ -1,46 +1,13 @@
 //! Counters and latency histograms.
 //!
 //! The experiments report traffic volumes (bytes moved per link per day) and
-//! latency distributions (fog vs cloud access). [`Counter`] and
-//! [`Histogram`] are the accumulation primitives; both are plain values so
-//! simulations stay single-threaded-deterministic.
+//! latency distributions (fog vs cloud access). [`Histogram`] is the
+//! accumulation primitive; it is a plain value so simulations stay
+//! single-threaded-deterministic.
 
 use std::fmt;
 
 use crate::time::Duration;
-
-/// A monotonically increasing u64 counter with a name.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta`.
-    pub fn add(&mut self, delta: u64) {
-        self.value += delta;
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Resets to zero and returns the previous value.
-    pub fn take(&mut self) -> u64 {
-        std::mem::take(&mut self.value)
-    }
-}
 
 /// A log-bucketed duration histogram (2 buckets per octave, 1 µs .. ~1.2 h).
 ///
@@ -228,16 +195,6 @@ impl fmt::Display for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.add(5);
-        c.incr();
-        assert_eq!(c.get(), 6);
-        assert_eq!(c.take(), 6);
-        assert_eq!(c.get(), 0);
-    }
 
     #[test]
     fn empty_histogram_is_safe() {

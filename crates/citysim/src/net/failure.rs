@@ -182,7 +182,7 @@ impl FailurePlan {
     }
 
     /// Whether `link` is inside an outage window at `at`.
-    pub fn is_down(&self, link: LinkId, at: SimTime) -> bool {
+    pub(crate) fn is_down(&self, link: LinkId, at: SimTime) -> bool {
         in_any(self.outages.get(link.index()), at)
     }
 
@@ -195,7 +195,7 @@ impl FailurePlan {
     /// `(seed, link, per-link message sequence)`, so the verdict for the
     /// n-th message of a link is fixed per seed no matter how sends on
     /// other links interleave.
-    pub fn drops(&mut self, link: LinkId) -> bool {
+    pub(crate) fn drops(&mut self, link: LinkId) -> bool {
         let n = entry(&mut self.seq, link);
         let seq = *n;
         *n += 1;
@@ -206,7 +206,7 @@ impl FailurePlan {
     /// the pure function behind [`FailurePlan::drops`]. Sharded senders
     /// draw against an explicit sequence (base + their local count) so a
     /// read-only phase can toss coins without mutating the plan.
-    pub fn loss_verdict(&self, link: LinkId, seq: u64) -> bool {
+    pub(crate) fn loss_verdict(&self, link: LinkId, seq: u64) -> bool {
         match self.loss.get(link.index()) {
             Some(&p) if p > 0.0 => coin(
                 keyed(self.seed, DOMAIN_LINK_LOSS, link.index() as u64, seq),
@@ -217,13 +217,13 @@ impl FailurePlan {
     }
 
     /// The next unused loss-coin sequence number of `link`.
-    pub fn loss_seq(&self, link: LinkId) -> u64 {
+    pub(crate) fn loss_seq(&self, link: LinkId) -> u64 {
         self.seq.get(link.index()).copied().unwrap_or(0)
     }
 
     /// Advances `link`'s loss-coin sequence by `n` draws — how a shard's
     /// buffered sends are folded back into the plan at a barrier.
-    pub fn advance_loss_seq(&mut self, link: LinkId, n: u64) {
+    pub(crate) fn advance_loss_seq(&mut self, link: LinkId, n: u64) {
         if n > 0 {
             *entry(&mut self.seq, link) += n;
         }
@@ -266,16 +266,6 @@ impl FailurePlan {
                 ),
                 self.payload_corruption,
             )
-    }
-
-    /// Whether the plan injects any failures at all.
-    pub fn is_trivial(&self) -> bool {
-        self.outages.iter().all(Vec::is_empty)
-            && self.node_outages.is_empty()
-            && self.loss.iter().all(|&p| p == 0.0)
-            && self.shipment_loss == 0.0
-            && self.shipment_corruption == 0.0
-            && self.payload_corruption == 0.0
     }
 }
 
@@ -366,7 +356,6 @@ mod tests {
             !p.node_is_down(b, SimTime::from_secs(150)),
             "only a is down"
         );
-        assert!(!p.is_trivial());
     }
 
     #[test]
@@ -450,9 +439,7 @@ mod tests {
         let a = t.add_node("a");
         let b = t.add_node("b");
         let mut p = FailurePlan::with_seed(5);
-        assert!(p.is_trivial());
         p.set_payload_corruption(0.3);
-        assert!(!p.is_trivial());
         for epoch in 0..50u64 {
             assert_eq!(p.payload_corrupted(a, epoch), p.payload_corrupted(a, epoch));
         }
@@ -477,7 +464,7 @@ mod tests {
         let mut p = FailurePlan::none();
         p.set_loss(l, 0.9);
         p.set_loss(l, 0.0);
-        assert!(p.is_trivial());
+        assert!(p.loss.iter().all(|&q| q == 0.0));
         assert!(!p.drops(l));
     }
 

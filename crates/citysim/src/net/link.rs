@@ -35,13 +35,8 @@ impl Link {
     }
 
     /// One-way propagation latency.
-    pub fn latency(&self) -> Duration {
+    pub(crate) fn latency(&self) -> Duration {
         self.latency
-    }
-
-    /// Bandwidth in bits per second.
-    pub fn bandwidth_bps(&self) -> u64 {
-        self.bandwidth_bps
     }
 
     /// Time to push `bytes` onto the wire (serialization delay).

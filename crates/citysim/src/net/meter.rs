@@ -1,10 +1,10 @@
-//! Per-link and per-node traffic accounting, with an hourly time series
+//! Per-link traffic accounting, with an hourly time series
 //! for peak/off-peak analysis (§IV.D: "use the network in periods when the
 //! traffic load is low").
 
 use std::collections::BTreeMap;
 
-use super::{LinkId, NodeId, Topology};
+use super::{LinkId, Topology};
 use crate::time::SimTime;
 
 /// Traffic counters for one link.
@@ -16,39 +16,28 @@ pub struct LinkTraffic {
     pub messages: u64,
 }
 
-/// Byte/message accounting for every link and node of a topology.
-///
-/// The experiments read these meters to produce the paper's traffic tables:
-/// "bytes received at fog layer 2 per day" is the sum of `node_ingress`
-/// over the fog-2 nodes, and so on.
+/// Byte/message accounting for every link of a topology.
 #[derive(Debug, Clone, Default)]
 pub struct TrafficMeter {
     per_link: Vec<LinkTraffic>,
-    node_ingress: Vec<u64>,
-    node_egress: Vec<u64>,
     /// Bytes per simulated hour (hour index since start).
     hourly: BTreeMap<u64, u64>,
 }
 
 impl TrafficMeter {
     /// Creates meters sized for `topo`.
-    pub fn for_topology(topo: &Topology) -> Self {
+    pub(crate) fn for_topology(topo: &Topology) -> Self {
         Self {
             per_link: vec![LinkTraffic::default(); topo.link_count()],
-            node_ingress: vec![0; topo.node_count()],
-            node_egress: vec![0; topo.node_count()],
             hourly: BTreeMap::new(),
         }
     }
 
-    /// Records `bytes` moving across `link` from `src` towards `dst` at
-    /// simulated time `at`.
-    pub fn record(&mut self, link: LinkId, src: NodeId, dst: NodeId, bytes: u64, at: SimTime) {
+    /// Records `bytes` moving across `link` at simulated time `at`.
+    pub(crate) fn record(&mut self, link: LinkId, bytes: u64, at: SimTime) {
         let t = &mut self.per_link[link.index()];
         t.bytes += bytes;
         t.messages += 1;
-        self.node_egress[src.index()] += bytes;
-        self.node_ingress[dst.index()] += bytes;
         *self.hourly.entry(at.as_secs() / 3600).or_insert(0) += bytes;
     }
 
@@ -81,24 +70,9 @@ impl TrafficMeter {
         self.per_link[link.index()]
     }
 
-    /// Bytes that arrived at `node`.
-    pub fn node_ingress(&self, node: NodeId) -> u64 {
-        self.node_ingress[node.index()]
-    }
-
-    /// Bytes that left `node`.
-    pub fn node_egress(&self, node: NodeId) -> u64 {
-        self.node_egress[node.index()]
-    }
-
     /// Total bytes across all links (each hop counted once).
     pub fn total_bytes(&self) -> u64 {
         self.per_link.iter().map(|t| t.bytes).sum()
-    }
-
-    /// Total messages across all links.
-    pub fn total_messages(&self) -> u64 {
-        self.per_link.iter().map(|t| t.messages).sum()
     }
 }
 
@@ -117,16 +91,11 @@ mod tests {
             .add_link(a, b, Link::new(Duration::from_millis(1), 1_000_000))
             .unwrap();
         let mut m = TrafficMeter::for_topology(&topo);
-        m.record(l, a, b, 100, SimTime::ZERO);
-        m.record(l, b, a, 50, SimTime::from_secs(7_200));
+        m.record(l, 100, SimTime::ZERO);
+        m.record(l, 50, SimTime::from_secs(7_200));
         assert_eq!(m.link_traffic(l).bytes, 150);
         assert_eq!(m.link_traffic(l).messages, 2);
-        assert_eq!(m.node_egress(a), 100);
-        assert_eq!(m.node_ingress(a), 50);
-        assert_eq!(m.node_egress(b), 50);
-        assert_eq!(m.node_ingress(b), 100);
         assert_eq!(m.total_bytes(), 150);
-        assert_eq!(m.total_messages(), 2);
         // Hourly buckets: 100 B in hour 0, 50 B in hour 2.
         assert_eq!(m.hourly_bytes().get(&0), Some(&100));
         assert_eq!(m.hourly_bytes().get(&2), Some(&50));
@@ -143,10 +112,10 @@ mod tests {
             .unwrap();
         let mut m = TrafficMeter::for_topology(&topo);
         // Day 1, 03:00 and day 2, 03:30: both inside a [02:00, 05:00) window.
-        m.record(l, a, b, 10, SimTime::from_secs(3 * 3600));
-        m.record(l, a, b, 30, SimTime::from_secs(86_400 + 3 * 3600 + 1800));
+        m.record(l, 10, SimTime::from_secs(3 * 3600));
+        m.record(l, 30, SimTime::from_secs(86_400 + 3 * 3600 + 1800));
         // Day 1, 12:00: outside.
-        m.record(l, a, b, 60, SimTime::from_secs(12 * 3600));
+        m.record(l, 60, SimTime::from_secs(12 * 3600));
         assert!((m.window_share(2 * 3600, 5 * 3600) - 0.4).abs() < 1e-12);
         assert_eq!(m.window_share(0, 0), 0.0);
     }

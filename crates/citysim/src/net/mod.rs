@@ -18,8 +18,9 @@ mod topology;
 
 pub use failure::FailurePlan;
 pub use link::Link;
-pub use meter::{LinkTraffic, TrafficMeter};
-pub use topology::{LinkId, NodeId, Topology};
+pub use meter::TrafficMeter;
+pub(crate) use topology::LinkId;
+pub use topology::{NodeId, Topology};
 
 use self::topology::RouteTable;
 use crate::time::{Duration, SimTime};
@@ -48,8 +49,8 @@ fn entry<T: Clone + Default>(table: &mut Vec<T>, link: LinkId) -> &mut T {
 /// send order.
 #[derive(Debug, Default)]
 pub struct NetScratch {
-    /// Metering events in send order: `(link, src, dst, bytes, at)`.
-    events: Vec<(LinkId, NodeId, NodeId, u64, SimTime)>,
+    /// Metering events in send order: `(link, bytes, at)`.
+    events: Vec<(LinkId, u64, SimTime)>,
     /// By link index, `(base sequence at first use, draws made here)`;
     /// zero draws means the link is untouched and its base is stale.
     seq: Vec<(u64, u64)>,
@@ -61,11 +62,6 @@ impl NetScratch {
     /// An empty scratch.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Whether nothing has been buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.touched.is_empty()
     }
 
     /// Buffered metering events.
@@ -193,11 +189,6 @@ impl Network {
         &self.meter
     }
 
-    /// Resets all traffic meters to zero.
-    pub fn reset_meter(&mut self) {
-        self.meter = TrafficMeter::for_topology(&self.topo);
-    }
-
     /// Sends `bytes` from `from` to `to` at time `now`.
     ///
     /// The transfer is store-and-forward: each hop adds its propagation
@@ -222,7 +213,7 @@ impl Network {
             }
             // The message reaches the link before the loss coin is tossed,
             // so meter it first: lost traffic still loaded the network.
-            self.meter.record(link_id, a, b, bytes, at);
+            self.meter.record(link_id, bytes, at);
             if self.failures.drops(link_id) {
                 return Err(Error::MessageLost { a, b });
             }
@@ -261,7 +252,7 @@ impl Network {
             if self.failures.is_down(link_id, at) {
                 return Err(Error::LinkDown { a, b, at });
             }
-            scratch.events.push((link_id, a, b, bytes, at));
+            scratch.events.push((link_id, bytes, at));
             let seq = scratch.next_seq(link_id, &self.failures);
             if self.failures.loss_verdict(link_id, seq) {
                 return Err(Error::MessageLost { a, b });
@@ -305,8 +296,8 @@ impl Network {
     /// visited in does not matter). Called at barriers in canonical shard
     /// order, so the merged meter and sequences are schedule-independent.
     pub fn absorb_scratch(&mut self, scratch: &mut NetScratch) {
-        for (link, a, b, bytes, at) in scratch.events.drain(..) {
-            self.meter.record(link, a, b, bytes, at);
+        for (link, bytes, at) in scratch.events.drain(..) {
+            self.meter.record(link, bytes, at);
         }
         for link in scratch.touched.drain(..) {
             let (_, drawn) = std::mem::take(entry(&mut scratch.seq, link));
@@ -400,13 +391,9 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn reset_meter_zeroes_counts() {
-        let (mut net, a, b, _) = line3();
-        net.send(a, b, 100, SimTime::ZERO).unwrap();
-        assert!(net.meter().total_bytes() > 0);
-        net.reset_meter();
-        assert_eq!(net.meter().total_bytes(), 0);
+    /// Whether a scratch has nothing buffered.
+    fn drained(scratch: &NetScratch) -> bool {
+        scratch.events.is_empty() && scratch.touched.is_empty()
     }
 
     #[test]
@@ -419,13 +406,13 @@ mod tests {
         assert_eq!(net.failures.loss_seq(second), 3);
         assert_eq!(net.failures.loss_seq(first), 0);
         let mut scratch = NetScratch::new();
-        assert!(scratch.is_empty());
+        assert!(drained(&scratch));
         net.send_scratch(&mut scratch, a, c, 10, SimTime::ZERO)
             .unwrap();
-        assert!(!scratch.is_empty());
+        assert!(!drained(&scratch));
         assert_eq!(scratch.seq, [(0, 1), (3, 1)], "base is the plan's counter");
         net.absorb_scratch(&mut scratch);
-        assert!(scratch.is_empty());
+        assert!(drained(&scratch));
         assert_eq!(scratch.seq, [(0, 0), (0, 0)], "drained entries reset");
         assert_eq!(net.failures.loss_seq(first), 1);
         assert_eq!(net.failures.loss_seq(second), 4);
@@ -528,7 +515,7 @@ mod tests {
                     7 | 8 => {
                         net.absorb_scratch(&mut scratch[which]);
                         model.absorb(which);
-                        prop_assert!(scratch[which].is_empty());
+                        prop_assert!(drained(&scratch[which]));
                     }
                     _ => {
                         let link = links[from.min(links.len() - 1)];
@@ -543,7 +530,7 @@ mod tests {
                     );
                 }
                 for (real, model) in scratch.iter().zip(&model.scratch) {
-                    prop_assert_eq!(real.is_empty(), model.is_empty() && real.events.is_empty());
+                    prop_assert_eq!(drained(real), model.is_empty() && real.events.is_empty());
                 }
             }
         }

@@ -36,7 +36,7 @@ pub struct LinkId(u32);
 
 impl LinkId {
     /// The raw index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -119,13 +119,8 @@ impl Topology {
     }
 
     /// Number of links.
-    pub fn link_count(&self) -> usize {
+    pub(crate) fn link_count(&self) -> usize {
         self.links.len()
-    }
-
-    /// The label given to `node`.
-    pub fn label(&self, node: NodeId) -> &str {
-        &self.labels[node.index()]
     }
 
     /// The link behind an id.
@@ -133,7 +128,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if the id is stale (ids are only minted by `add_link`).
-    pub fn link(&self, id: LinkId) -> &Link {
+    pub(crate) fn link(&self, id: LinkId) -> &Link {
         &self.links[id.index()].link
     }
 
@@ -348,8 +343,7 @@ mod tests {
     #[test]
     fn labels_and_counts() {
         let mut t = Topology::new();
-        let a = t.add_node("fog-1/section-07");
-        assert_eq!(t.label(a), "fog-1/section-07");
+        t.add_node("fog-1/section-07");
         assert_eq!(t.node_count(), 1);
         assert_eq!(t.link_count(), 0);
     }

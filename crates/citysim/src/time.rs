@@ -35,41 +35,19 @@ impl Duration {
         }
     }
 
-    /// From fractional seconds (rounds to the nearest microsecond).
-    ///
-    /// # Panics
-    ///
-    /// Panics on negative or non-finite input.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "duration must be finite and non-negative, got {secs}"
-        );
-        Self {
-            micros: (secs * 1e6).round() as u64,
-        }
-    }
-
     /// Microseconds in this duration.
     pub const fn as_micros(self) -> u64 {
         self.micros
     }
 
     /// Milliseconds, as a float.
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.micros as f64 / 1e3
     }
 
     /// Seconds, as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.micros as f64 / 1e6
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: Duration) -> Duration {
-        Duration {
-            micros: self.micros.saturating_sub(other.micros),
-        }
     }
 }
 
@@ -133,7 +111,7 @@ impl SimTime {
     }
 
     /// Seconds since start, fractional.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.micros as f64 / 1e6
     }
 
@@ -181,7 +159,6 @@ mod tests {
     fn conversions_are_consistent() {
         assert_eq!(Duration::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(Duration::from_millis(3).as_micros(), 3_000);
-        assert_eq!(Duration::from_secs_f64(0.0015).as_micros(), 1_500);
         assert!((Duration::from_micros(1_500).as_millis_f64() - 1.5).abs() < 1e-12);
     }
 
@@ -202,12 +179,6 @@ mod tests {
         assert_eq!(Duration::from_micros(7).to_string(), "7us");
         assert_eq!(Duration::from_millis(7).to_string(), "7.000ms");
         assert_eq!(Duration::from_secs(7).to_string(), "7.000s");
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn negative_duration_panics() {
-        let _ = Duration::from_secs_f64(-1.0);
     }
 
     #[test]

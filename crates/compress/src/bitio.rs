@@ -36,7 +36,7 @@ impl BitWriter {
     }
 
     /// Creates a writer with `capacity` bytes preallocated.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Self {
             buf: Vec::with_capacity(capacity),
             acc: 0,
@@ -63,34 +63,24 @@ impl BitWriter {
     }
 
     /// Appends a whole byte (8 bits).
-    pub fn write_byte(&mut self, byte: u8) {
+    pub(crate) fn write_byte(&mut self, byte: u8) {
         self.write_bits(u64::from(byte), 8);
     }
 
     /// Appends a `u32` as 32 LSB-first bits (i.e. little-endian).
-    pub fn write_u32(&mut self, value: u32) {
+    pub(crate) fn write_u32(&mut self, value: u32) {
         self.write_bits(u64::from(value & 0xFFFF), 16);
         self.write_bits(u64::from(value >> 16), 16);
     }
 
     /// Appends a `u64` little-endian.
-    pub fn write_u64(&mut self, value: u64) {
+    pub(crate) fn write_u64(&mut self, value: u64) {
         self.write_u32((value & 0xFFFF_FFFF) as u32);
         self.write_u32((value >> 32) as u32);
     }
 
-    /// Number of complete bytes written so far (excluding buffered bits).
-    pub fn byte_len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Total number of bits written so far.
-    pub fn bit_len(&self) -> u64 {
-        self.buf.len() as u64 * 8 + u64::from(self.nbits)
-    }
-
     /// Pads with zero bits to the next byte boundary.
-    pub fn align_to_byte(&mut self) {
+    pub(crate) fn align_to_byte(&mut self) {
         if self.nbits > 0 {
             let pad = 8 - self.nbits;
             self.write_bits(0, pad);
@@ -160,34 +150,22 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads a single bit.
-    pub fn read_bit(&mut self) -> Result<u8> {
+    pub(crate) fn read_bit(&mut self) -> Result<u8> {
         Ok(self.read_bits(1)? as u8)
     }
 
     /// Reads a little-endian `u32`.
-    pub fn read_u32(&mut self) -> Result<u32> {
+    pub(crate) fn read_u32(&mut self) -> Result<u32> {
         let lo = self.read_bits(16)?;
         let hi = self.read_bits(16)?;
         Ok((lo | (hi << 16)) as u32)
     }
 
     /// Reads a little-endian `u64`.
-    pub fn read_u64(&mut self) -> Result<u64> {
+    pub(crate) fn read_u64(&mut self) -> Result<u64> {
         let lo = u64::from(self.read_u32()?);
         let hi = u64::from(self.read_u32()?);
         Ok(lo | (hi << 32))
-    }
-
-    /// Discards buffered bits up to the next byte boundary.
-    pub fn align_to_byte(&mut self) {
-        let drop = self.nbits % 8;
-        self.acc >>= drop;
-        self.nbits -= drop;
-    }
-
-    /// Number of bits still available.
-    pub fn remaining_bits(&self) -> u64 {
-        u64::from(self.nbits) + (self.data.len() - self.pos) as u64 * 8
     }
 }
 
@@ -242,33 +220,6 @@ mod tests {
         w.write_byte(0xAB);
         let bytes = w.into_bytes();
         assert_eq!(bytes, vec![0x01, 0xAB]);
-    }
-
-    #[test]
-    fn reader_align_discards_partial_byte() {
-        let mut r = BitReader::new(&[0b1010_1010, 0xCC]);
-        assert_eq!(r.read_bits(3).unwrap(), 0b010);
-        r.align_to_byte();
-        assert_eq!(r.read_bits(8).unwrap(), 0xCC);
-    }
-
-    #[test]
-    fn bit_len_counts_partial_bits() {
-        let mut w = BitWriter::new();
-        assert_eq!(w.bit_len(), 0);
-        w.write_bits(0b11, 2);
-        assert_eq!(w.bit_len(), 2);
-        w.write_byte(0);
-        assert_eq!(w.bit_len(), 10);
-        assert_eq!(w.byte_len(), 1);
-    }
-
-    #[test]
-    fn remaining_bits_tracks_consumption() {
-        let mut r = BitReader::new(&[0, 0, 0]);
-        assert_eq!(r.remaining_bits(), 24);
-        r.read_bits(5).unwrap();
-        assert_eq!(r.remaining_bits(), 19);
     }
 
     #[test]

@@ -39,7 +39,7 @@ const NUM_LITLEN: usize = 286;
 const NUM_DIST: usize = 30;
 
 /// Default safety limit for declared decompressed sizes (1 GiB).
-pub const DEFAULT_SIZE_LIMIT: u64 = 1 << 30;
+pub(crate) const DEFAULT_SIZE_LIMIT: u64 = 1 << 30;
 
 /// Base match length for each length code 257..=285.
 const LEN_BASE: [u16; 29] = [
@@ -228,7 +228,7 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>> {
 /// * [`Error::ChecksumMismatch`] if the payload was corrupted,
 /// * [`Error::InvalidSymbol`] / [`Error::InvalidBackReference`] on corrupt
 ///   coded bodies.
-pub fn decompress_with_limit(input: &[u8], limit: u64) -> Result<Vec<u8>> {
+pub(crate) fn decompress_with_limit(input: &[u8], limit: u64) -> Result<Vec<u8>> {
     if input.len() < 4 {
         return Err(Error::UnexpectedEof {
             offset: input.len(),

@@ -11,7 +11,7 @@ use crate::bitio::{BitReader, BitWriter};
 use crate::{Error, Result};
 
 /// Maximum code length supported by [`code_lengths`] and the stream format.
-pub const MAX_CODE_LEN: u8 = 15;
+pub(crate) const MAX_CODE_LEN: u8 = 15;
 
 /// Computes optimal length-limited code lengths for `freqs`.
 ///
@@ -20,7 +20,7 @@ pub const MAX_CODE_LEN: u8 = 15;
 ///
 /// # Panics
 ///
-/// Panics if `limit` is 0, exceeds [`MAX_CODE_LEN`], or cannot accommodate
+/// Panics if `limit` is 0, exceeds `MAX_CODE_LEN`, or cannot accommodate
 /// the number of distinct symbols (`count > 2^limit`).
 ///
 /// # Examples
@@ -139,7 +139,7 @@ fn reverse_bits(code: u32, len: u8) -> u32 {
 
 /// Canonical Huffman encoder: writes codes to a [`BitWriter`].
 #[derive(Debug, Clone)]
-pub struct Encoder {
+pub(crate) struct Encoder {
     /// Wire-order (bit-reversed) code per symbol.
     wire: Vec<u32>,
     lens: Vec<u8>,
@@ -148,7 +148,7 @@ pub struct Encoder {
 impl Encoder {
     /// Builds an encoder from a code-length array (as produced by
     /// [`code_lengths`]).
-    pub fn from_lengths(lens: &[u8]) -> Self {
+    pub(crate) fn from_lengths(lens: &[u8]) -> Self {
         let codes = canonical_codes(lens);
         let wire = codes
             .iter()
@@ -167,21 +167,16 @@ impl Encoder {
     ///
     /// Panics if `symbol` has no code (length 0) — encoding a symbol that
     /// was absent from the frequency table is a programming error.
-    pub fn encode(&self, w: &mut BitWriter, symbol: usize) {
+    pub(crate) fn encode(&self, w: &mut BitWriter, symbol: usize) {
         let len = self.lens[symbol];
         assert!(len > 0, "symbol {symbol} has no assigned code");
         w.write_bits(u64::from(self.wire[symbol]), u32::from(len));
-    }
-
-    /// Code length (bits) of `symbol`, 0 if absent.
-    pub fn length_of(&self, symbol: usize) -> u8 {
-        self.lens[symbol]
     }
 }
 
 /// Canonical Huffman decoder built from the same length array.
 #[derive(Debug, Clone)]
-pub struct Decoder {
+pub(crate) struct Decoder {
     /// `first_code[len]` = canonical code value of the first symbol of that
     /// length (MSB-first).
     first_code: Vec<u32>,
@@ -196,7 +191,7 @@ pub struct Decoder {
 
 impl Decoder {
     /// Builds a decoder from a code-length array.
-    pub fn from_lengths(lens: &[u8]) -> Self {
+    pub(crate) fn from_lengths(lens: &[u8]) -> Self {
         let max_len = lens.iter().copied().max().unwrap_or(0);
         let mut count = vec![0u32; max_len as usize + 1];
         for &l in lens {
@@ -231,18 +226,13 @@ impl Decoder {
         }
     }
 
-    /// Whether the decoder has any symbols at all.
-    pub fn is_empty(&self) -> bool {
-        self.symbols.is_empty()
-    }
-
     /// Decodes one symbol from `r`.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidSymbol`] if no code matches within the length limit;
     /// [`Error::UnexpectedEof`] if the stream runs out mid-code.
-    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u16> {
+    pub(crate) fn decode(&self, r: &mut BitReader<'_>) -> Result<u16> {
         let mut code = 0u32;
         for len in 1..=self.max_len as usize {
             code = (code << 1) | u32::from(r.read_bit()?);
@@ -293,8 +283,6 @@ mod tests {
     #[test]
     fn empty_alphabet_is_all_zero() {
         assert_eq!(code_lengths(&[0, 0, 0], 15), vec![0, 0, 0]);
-        let d = Decoder::from_lengths(&[0, 0, 0]);
-        assert!(d.is_empty());
     }
 
     #[test]

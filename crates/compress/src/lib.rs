@@ -31,6 +31,8 @@
 //! The stream format is *not* zlib/zip compatible (the experiment only needs
 //! the ratio class, not interoperability); see [`deflate`] for the layout.
 
+#![warn(unreachable_pub)]
+
 pub mod bitio;
 pub mod crc32;
 pub mod deflate;

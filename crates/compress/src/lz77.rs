@@ -3,18 +3,18 @@
 //!
 //! The tokenizer turns a byte slice into a stream of [`Token`]s — literals
 //! and `(length, distance)` back-references into a sliding window of the
-//! previous [`WINDOW_SIZE`] bytes. The [`deflate`](crate::deflate) module
+//! previous `WINDOW_SIZE` bytes. The [`deflate`](crate::deflate) module
 //! entropy-codes that stream; [`reconstruct`] inverts it (and is what the
 //! decoder uses).
 
 use crate::{Error, Result};
 
 /// Sliding-window size: matches may reach at most this far back.
-pub const WINDOW_SIZE: usize = 32 * 1024;
+pub(crate) const WINDOW_SIZE: usize = 32 * 1024;
 /// Shortest back-reference worth emitting.
-pub const MIN_MATCH: usize = 3;
+pub(crate) const MIN_MATCH: usize = 3;
 /// Longest representable back-reference.
-pub const MAX_MATCH: usize = 258;
+pub(crate) const MAX_MATCH: usize = 258;
 
 const HASH_BITS: u32 = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
@@ -47,7 +47,7 @@ pub struct SearchParams {
 
 impl SearchParams {
     /// Fast: short chains, greedy.
-    pub const FAST: SearchParams = SearchParams {
+    pub(crate) const FAST: SearchParams = SearchParams {
         max_chain: 16,
         lazy: false,
         good_enough: 32,
@@ -59,7 +59,7 @@ impl SearchParams {
         good_enough: 128,
     };
     /// Best ratio: long chains, lazy.
-    pub const BEST: SearchParams = SearchParams {
+    pub(crate) const BEST: SearchParams = SearchParams {
         max_chain: 1024,
         lazy: true,
         good_enough: MAX_MATCH,

@@ -20,7 +20,7 @@
 //! | 4   | `Dict`           | few distinct but large values              |
 //! | 5   | `Xor`            | consecutive values share high bits         |
 //!
-//! Sensor identities are coded against a [`SensorDict`] that **persists
+//! Sensor identities are coded against a `SensorDict` that **persists
 //! across consecutive batches of the same stream**: the first batch pays
 //! for each sensor's `(type, index)` once, every later batch codes the
 //! sensor as a small dense integer. [`StreamEncoder`] and
@@ -94,11 +94,11 @@ pub const MAX_RECORDS: u64 = 1 << 22;
 
 /// Hard ceiling on integers in one column (composite field columns can
 /// exceed the record count, but never this).
-pub const MAX_COLUMN_INTS: u64 = 1 << 22;
+pub(crate) const MAX_COLUMN_INTS: u64 = 1 << 22;
 
 /// Largest composite value the columnar planes accept; bigger fields
 /// force the DEFLATE fallback (and are refused by the columnar decoder).
-pub const MAX_COMPOSITE_FIELDS: u64 = 1 << 10;
+pub(crate) const MAX_COMPOSITE_FIELDS: u64 = 1 << 10;
 
 // ---------------------------------------------------------------------------
 // Primitives: varints and zigzag.
@@ -118,7 +118,7 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Reads an LEB128 varint at `*pos`, advancing it.
-pub fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64> {
+pub(crate) fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64> {
     let mut value = 0u64;
     let mut shift = 0u32;
     loop {
@@ -148,12 +148,12 @@ pub fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64> {
 
 /// Zigzag-maps a signed value to an unsigned one (small magnitudes stay
 /// small regardless of sign).
-pub fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(u: u64) -> i64 {
+pub(crate) fn unzigzag(u: u64) -> i64 {
     ((u >> 1) as i64) ^ -((u & 1) as i64)
 }
 
@@ -191,7 +191,7 @@ impl Technique {
     ];
 
     /// The frame-header tag.
-    pub fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             Technique::Raw => 0,
             Technique::Delta => 1,
@@ -203,20 +203,8 @@ impl Technique {
     }
 
     /// The technique for a frame-header tag.
-    pub fn from_tag(tag: u8) -> Option<Technique> {
+    pub(crate) fn from_tag(tag: u8) -> Option<Technique> {
         Technique::ALL.into_iter().find(|t| t.tag() == tag)
-    }
-
-    /// Short label for diagnostics and docs.
-    pub fn label(self) -> &'static str {
-        match self {
-            Technique::Raw => "raw",
-            Technique::Delta => "delta",
-            Technique::DeltaOfDelta => "delta-of-delta",
-            Technique::Rle => "rle",
-            Technique::Dict => "dict",
-            Technique::Xor => "xor",
-        }
     }
 }
 
@@ -651,29 +639,24 @@ fn rebase(e: Error, base: usize) -> Error {
 /// holds ids this program generated ([`BuildIdHasher`]); the decoder's is
 /// filled from payload bytes and keeps the standard keyed hasher.
 #[derive(Debug, Clone, Default)]
-pub struct SensorDict<S = RandomState> {
+pub(crate) struct SensorDict<S = RandomState> {
     ids: Vec<SensorId>,
     index: HashMap<SensorId, u64, S>,
 }
 
 impl<S: BuildHasher> SensorDict<S> {
     /// Committed entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ids.len()
     }
 
-    /// Whether the dictionary is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
     /// The code of `id`, if committed.
-    pub fn code_of(&self, id: SensorId) -> Option<u64> {
+    pub(crate) fn code_of(&self, id: SensorId) -> Option<u64> {
         self.index.get(&id).copied()
     }
 
     /// The sensor committed under `code`.
-    pub fn sensor_of(&self, code: u64) -> Option<SensorId> {
+    pub(crate) fn sensor_of(&self, code: u64) -> Option<SensorId> {
         usize::try_from(code)
             .ok()
             .and_then(|i| self.ids.get(i))

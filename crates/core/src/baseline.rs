@@ -60,13 +60,6 @@ pub struct BaselineReport {
     pub per_category: BTreeMap<Category, u64>,
 }
 
-impl BaselineReport {
-    /// Scales a measured byte count back to full deployment size.
-    pub fn scaled_up(&self, bytes: u64) -> u64 {
-        bytes * self.scale
-    }
-}
-
 /// Runs the centralized architecture: every wave's bytes travel
 /// section→district→cloud with no reduction.
 ///
@@ -159,7 +152,7 @@ mod tests {
         c.scale = 2_000;
         let report = simulate_baseline(c).unwrap();
         let expected = TrafficModel::paper().table1_totals().daily_fog1;
-        let measured = report.scaled_up(report.cloud_ingress_acct_bytes) as f64;
+        let measured = (report.cloud_ingress_acct_bytes * report.scale) as f64;
         let err = (measured - expected as f64).abs() / expected as f64;
         assert!(err < 0.12, "baseline off by {:.1}%", err * 100.0);
     }

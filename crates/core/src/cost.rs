@@ -60,13 +60,13 @@ pub enum FanoutPath {
 
 /// Modeled cost of merging one leg's partial result at the gather node
 /// (fold of an `AggPartial`, or one heap round of the k-way merge).
-pub const MERGE_PER_LEG_US: u64 = 300;
+pub(crate) const MERGE_PER_LEG_US: u64 = 300;
 
 /// Modeled admission overhead per fan-out leg: every leg occupies an
 /// in-flight slot at its layer, and the gather node pays dispatch +
 /// completion bookkeeping for it. This is what lets a single cloud read
 /// win against very wide fan-outs.
-pub const LEG_ADMISSION_US: u64 = 500;
+pub(crate) const LEG_ADMISSION_US: u64 = 500;
 
 /// Cost model: request/response latency plus serialization of the payload
 /// on the bottleneck link, per candidate source.
@@ -113,16 +113,6 @@ impl AccessCostModel {
         let rtt = Duration::from_micros(one_way.as_micros() * 2);
         let link = citysim::Link::new(Duration::ZERO, bandwidth.max(1));
         rtt + link.transfer_time(bytes)
-    }
-
-    /// The cheapest of the given options for `bytes`.
-    ///
-    /// Returns `None` when `options` is empty.
-    pub fn cheapest(&self, options: &[AccessOption], bytes: u64) -> Option<AccessOption> {
-        options
-            .iter()
-            .copied()
-            .min_by_key(|&o| self.cost(o, bytes).as_micros())
     }
 
     /// Estimated completion time of one fan-out leg shipping `bytes` of
@@ -240,13 +230,9 @@ mod tests {
     #[test]
     fn cheapest_picks_minimum() {
         let m = model();
-        let options = [
-            AccessOption::Cloud,
-            AccessOption::Neighbor { hops: 2 },
-            AccessOption::Parent,
-        ];
-        assert_eq!(m.cheapest(&options, 1_000), Some(AccessOption::Parent));
-        assert_eq!(m.cheapest(&[], 1_000), None);
+        let parent = m.cost(AccessOption::Parent, 1_000);
+        assert!(parent < m.cost(AccessOption::Cloud, 1_000));
+        assert!(parent < m.cost(AccessOption::Neighbor { hops: 2 }, 1_000));
     }
 
     #[test]
@@ -254,15 +240,10 @@ mod tests {
         // All fog links share bandwidth in the default profile, so size
         // penalizes every option equally and ordering is stable.
         let m = model();
-        let small = m.cheapest(
-            &[AccessOption::Neighbor { hops: 1 }, AccessOption::Parent],
-            100,
-        );
-        let large = m.cheapest(
-            &[AccessOption::Neighbor { hops: 1 }, AccessOption::Parent],
-            100_000_000,
-        );
-        assert_eq!(small, large);
+        let neighbor_wins = |bytes| {
+            m.cost(AccessOption::Neighbor { hops: 1 }, bytes) < m.cost(AccessOption::Parent, bytes)
+        };
+        assert_eq!(neighbor_wins(100), neighbor_wins(100_000_000));
     }
 
     #[test]

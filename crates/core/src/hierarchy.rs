@@ -57,7 +57,7 @@ pub enum FanoutLeg {
 /// Outcome of one anti-entropy round: what happened to every coverage
 /// hole the fog-2 and cloud ledgers carried into it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HealReport {
+pub(crate) struct HealReport {
     /// Holes closed by a targeted re-shipment of the shipper's
     /// authoritative partial.
     pub healed: u64,
@@ -70,11 +70,6 @@ pub struct HealReport {
 }
 
 impl HealReport {
-    /// Whether every hole seen this round was healed.
-    pub fn clean(&self) -> bool {
-        self.blocked == 0 && self.impossible == 0
-    }
-
     /// Adds another receiver's round to this report.
     fn add(&mut self, other: HealReport) {
         self.healed += other.healed;
@@ -189,7 +184,7 @@ impl F2cCity {
     /// # Errors
     ///
     /// Propagates policy validation errors.
-    pub fn new(
+    pub(crate) fn new(
         profile: &LatencyProfile,
         fog1_flush: FlushPolicy,
         fog2_flush: FlushPolicy,
@@ -240,7 +235,7 @@ impl F2cCity {
     /// policy (10-minute detection window, 1-hour confirmation window,
     /// fire at 10x budget burn). Fault-free runs can never fire — the bad
     /// series stays at zero.
-    pub const AVAILABILITY_SLO: SloSpec = SloSpec {
+    pub(crate) const AVAILABILITY_SLO: SloSpec = SloSpec {
         name: "availability",
         objective_ppm: 999_000,
         fast_window_s: 600,
@@ -302,7 +297,7 @@ impl F2cCity {
     }
 
     /// The simulated topology and its network (with the per-link meter).
-    pub fn topology(&self) -> &BarcelonaTopology {
+    pub(crate) fn topology(&self) -> &BarcelonaTopology {
         &self.city
     }
 
@@ -311,11 +306,6 @@ impl F2cCity {
     /// corruption coins).
     pub fn set_failures(&mut self, plan: FailurePlan) {
         self.city.network_mut().set_failures(plan);
-    }
-
-    /// Read access to the installed failure plan.
-    pub fn failures(&self) -> &FailurePlan {
-        self.city.network().failures()
     }
 
     /// Adds a crash window for a site's node to the installed failure
@@ -340,7 +330,7 @@ impl F2cCity {
     /// flush, sketch *and* query planes. Every incident also lands on the
     /// registry as an `incidents{kind=…}` counter, so the exported
     /// snapshot carries the timeline summary for free.
-    pub fn record_incident(&mut self, at_s: u64, site: ChaosSite, kind: IncidentKind) {
+    pub(crate) fn record_incident(&mut self, at_s: u64, site: ChaosSite, kind: IncidentKind) {
         let id = self
             .metrics
             .counter("incidents", Labels::new().kind(kind.label()));
@@ -362,11 +352,6 @@ impl F2cCity {
     /// The sim-time tracer: per-node ring-buffered span logs.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Mutable access to the tracer, for co-located instrumentation.
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
     }
 
     /// The retained planner EXPLAIN transcripts.
@@ -423,7 +408,7 @@ impl F2cCity {
     /// clears. [`F2cCity::flush_due`] calls this after every wave, so
     /// every driver evaluates on the flush schedule — alerts are
     /// byte-identical artifacts at any thread count.
-    pub fn evaluate_alerts(&mut self, now_s: u64) {
+    pub(crate) fn evaluate_alerts(&mut self, now_s: u64) {
         let q = Labels::new().service("query");
         let good = self.metrics.counter_named("query_answered", q).unwrap_or(0);
         let bad = self
@@ -539,7 +524,7 @@ impl F2cCity {
         d.min(n - d) as u32
     }
 
-    /// Monotone counter bumped by every [`F2cCity::flush_due`]. Result
+    /// Monotone counter bumped by every `F2cCity::flush_due`. Result
     /// caches key their entries on it: archives above fog 1 only change
     /// when a flush ships data upward, so an unchanged epoch certifies
     /// that a cached answer is still current.
@@ -734,105 +719,7 @@ impl F2cCity {
         self.fog1[section].ingest_wave(readings, now_s, &self.catalog)
     }
 
-    /// Ingests one wave at *every* section, sharded by district on
-    /// [`F2cCity::parallelism`] workers. `make(section, &mut
-    /// gens[section])` produces the section's readings (generator state
-    /// stays with the caller, one slot per section); a crashed node
-    /// loses its wave exactly as [`F2cCity::ingest`] does. Per-shard
-    /// scratches absorb in district order and sections are
-    /// district-contiguous, so incidents land in section order — one
-    /// byte stream at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first node error in section order.
-    pub fn ingest_all<G, F>(
-        &mut self,
-        gens: &mut [G],
-        make: F,
-        now_s: u64,
-    ) -> Result<Vec<IngestOutcome>>
-    where
-        G: Send,
-        F: Fn(usize, &mut G) -> Vec<Reading> + Sync,
-    {
-        assert_eq!(gens.len(), self.fog1.len(), "one generator per section");
-        struct IngestShard<'a, G> {
-            base: usize,
-            fog1: &'a mut [F2cNode],
-            gens: &'a mut [G],
-            obs: ObsScratch,
-            out: Vec<IngestOutcome>,
-            err: Option<Error>,
-        }
-        let threads = self.parallelism;
-        let city = &self.city;
-        let catalog = &self.catalog;
-        let mut fog1_rest: &mut [F2cNode] = &mut self.fog1;
-        let mut gens_rest: &mut [G] = gens;
-        let mut shards: Vec<IngestShard<'_, G>> = Vec::with_capacity(self.fog2.len());
-        let mut base = 0usize;
-        for &(_, n) in DISTRICTS.iter().take(self.fog2.len()) {
-            let (f_head, f_tail) = fog1_rest.split_at_mut(n);
-            fog1_rest = f_tail;
-            let (g_head, g_tail) = gens_rest.split_at_mut(n);
-            gens_rest = g_tail;
-            shards.push(IngestShard {
-                base,
-                fog1: f_head,
-                gens: g_head,
-                obs: ObsScratch::new(),
-                out: Vec::with_capacity(n),
-                err: None,
-            });
-            base += n;
-        }
-        run_shards(threads, &mut shards, |_, shard| {
-            let at = SimTime::from_secs(now_s);
-            for k in 0..shard.fog1.len() {
-                let section = shard.base + k;
-                let readings = make(section, &mut shard.gens[k]);
-                let node = city.fog1_nodes()[section];
-                if city.network().failures().node_is_down(node, at) {
-                    let offered = readings.len() as u64;
-                    shard.obs.record_incident(
-                        now_s,
-                        ChaosSite::Fog1(section),
-                        IncidentKind::IngestLost { readings: offered },
-                    );
-                    shard.out.push(IngestOutcome {
-                        offered,
-                        ..IngestOutcome::default()
-                    });
-                    continue;
-                }
-                match shard.fog1[k].ingest_wave(readings, now_s, catalog) {
-                    Ok(outcome) => shard.out.push(outcome),
-                    Err(e) => {
-                        shard.err = Some(e);
-                        break;
-                    }
-                }
-            }
-        });
-        let results: Vec<(ObsScratch, Vec<IngestOutcome>, Option<Error>)> =
-            shards.into_iter().map(|s| (s.obs, s.out, s.err)).collect();
-        let mut outcomes = Vec::with_capacity(self.fog1.len());
-        let mut first_err = None;
-        for (mut obs, out, err) in results {
-            self.absorb_scratch(&mut obs);
-            outcomes.extend(out);
-            if first_err.is_none() {
-                first_err = err;
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(outcomes)
-    }
-
-    /// [`F2cCity::flush_due`] of both tiers, whatever the nodes' flush
+    /// `F2cCity::flush_due` of both tiers, whatever the nodes' flush
     /// periods: how the warm-up, the query loop and the benchmark flush.
     ///
     /// # Errors
@@ -869,7 +756,7 @@ impl F2cCity {
     /// # Errors
     ///
     /// Network or compression failures (first in district order).
-    pub fn flush_due(&mut self, now_s: u64, fog1: bool, fog2: bool) -> Result<(u64, u64)> {
+    pub(crate) fn flush_due(&mut self, now_s: u64, fog1: bool, fog2: bool) -> Result<(u64, u64)> {
         self.flush_epoch += 1;
         self.metrics.inc(self.ids.flush_waves);
         let epoch = self.flush_epoch;
@@ -979,7 +866,7 @@ impl F2cCity {
     ///
     /// [`F2cCity::flush_due`] runs a round after every wave; with no
     /// holes it is a no-op.
-    pub fn anti_entropy(&mut self, now_s: u64) -> HealReport {
+    pub(crate) fn anti_entropy(&mut self, now_s: u64) -> HealReport {
         // Phase 1, one shard per district: each fog-2 heals from the
         // fog-1 shippers below it. The shard only reads the fog-1 tier
         // (shared snapshot) and mutates its own fog-2 node; relay links
@@ -1641,7 +1528,7 @@ mod tests {
     /// recorded (`site kind`), then the spans it closed.
     fn heal_round(city: &mut F2cCity, now_s: u64) -> String {
         let mark = city.tracer.mark();
-        let seen = city.timeline.len();
+        let seen = city.timeline.iter().count();
         let mut out = format!("{:?}\n", city.anti_entropy(now_s));
         for incident in city.timeline.iter().skip(seen) {
             out += &format!("{} {}\n", incident.site, incident.kind.label());

@@ -141,18 +141,6 @@ impl IncidentKind {
             IncidentKind::AlertResolved { .. } => "alert-resolved",
         }
     }
-
-    /// The sketch bucket the incident concerns, when it concerns one.
-    pub fn key(&self) -> Option<SketchKey> {
-        match self {
-            IncidentKind::SketchCorrupted { key }
-            | IncidentKind::HolePunched { key }
-            | IncidentKind::HoleHealed { key }
-            | IncidentKind::HealBlocked { key }
-            | IncidentKind::HealImpossible { key } => Some(*key),
-            _ => None,
-        }
-    }
 }
 
 /// One recorded fault or downstream effect.
@@ -176,12 +164,12 @@ pub struct IncidentTimeline {
 
 impl IncidentTimeline {
     /// An empty timeline.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends one incident.
-    pub fn record(&mut self, at_s: u64, site: ChaosSite, kind: IncidentKind) {
+    pub(crate) fn record(&mut self, at_s: u64, site: ChaosSite, kind: IncidentKind) {
         self.events.push(Incident { at_s, site, kind });
     }
 
@@ -189,18 +177,8 @@ impl IncidentTimeline {
     /// order. Shard scratches absorb in canonical shard order at
     /// barriers, so the merged timeline is replay-stable at any thread
     /// count.
-    pub fn absorb(&mut self, other: &mut IncidentTimeline) {
+    pub(crate) fn absorb(&mut self, other: &mut IncidentTimeline) {
         self.events.append(&mut other.events);
-    }
-
-    /// Number of recorded incidents.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// All incidents, oldest first.
@@ -211,13 +189,6 @@ impl IncidentTimeline {
     /// The incidents recorded at one node, oldest first.
     pub fn at_site(&self, site: ChaosSite) -> impl Iterator<Item = &Incident> {
         self.events.iter().filter(move |i| i.site == site)
-    }
-
-    /// The incidents inside `[from_s, until_s)`, oldest first.
-    pub fn in_window(&self, from_s: u64, until_s: u64) -> impl Iterator<Item = &Incident> {
-        self.events
-            .iter()
-            .filter(move |i| i.at_s >= from_s && i.at_s < until_s)
     }
 
     /// Incident counts per kind label, label-ordered.
@@ -268,9 +239,8 @@ mod tests {
             IncidentKind::HolePunched { key: key(0) },
         );
         t.record(1_800, ChaosSite::Fog2(0), IncidentKind::NodeDown);
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.iter().count(), 3);
         assert_eq!(t.at_site(ChaosSite::Fog2(0)).count(), 2);
-        assert_eq!(t.in_window(0, 900).count(), 1);
         assert_eq!(t.summary()["node-down"], 2);
         assert_eq!(t.summary()["hole-punched"], 1);
     }
@@ -293,10 +263,8 @@ mod tests {
     #[test]
     fn labels_and_keys_round_trip() {
         assert_eq!(IncidentKind::NodeDown.label(), "node-down");
-        assert_eq!(IncidentKind::NodeDown.key(), None);
         let k = IncidentKind::HoleHealed { key: key(900) };
         assert_eq!(k.label(), "hole-healed");
-        assert_eq!(k.key(), Some(key(900)));
         assert_eq!(format!("{}", ChaosSite::Fog1(7)), "fog1/s7");
         assert_eq!(format!("{}", ChaosSite::Fog2(2)), "fog2/d2");
         assert_eq!(format!("{}", ChaosSite::Cloud), "cloud");

@@ -32,29 +32,14 @@ impl Layer {
         }
     }
 
-    /// The layer one step up, or `None` at the cloud.
-    pub fn parent(self) -> Option<Layer> {
-        match self {
-            Layer::Fog1 => Some(Layer::Fog2),
-            Layer::Fog2 => Some(Layer::Cloud),
-            Layer::Cloud => None,
-        }
-    }
-
     /// Relative compute capability (cloud ≫ fog 2 > fog 1), in abstract
     /// "compute units" used by the placement engine.
-    pub fn compute_capacity(self) -> u64 {
+    pub(crate) fn compute_capacity(self) -> u64 {
         match self {
             Layer::Fog1 => 10,
             Layer::Fog2 => 100,
             Layer::Cloud => u64::MAX,
         }
-    }
-
-    /// Whether data at this layer is typically within the paper's
-    /// "real-time" reach of the generating sensors.
-    pub fn is_fog(self) -> bool {
-        self != Layer::Cloud
     }
 }
 
@@ -74,13 +59,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parents_climb_to_cloud() {
-        assert_eq!(Layer::Fog1.parent(), Some(Layer::Fog2));
-        assert_eq!(Layer::Fog2.parent(), Some(Layer::Cloud));
-        assert_eq!(Layer::Cloud.parent(), None);
-    }
-
-    #[test]
     fn indices_are_dense_and_match_all_order() {
         for (i, layer) in Layer::ALL.into_iter().enumerate() {
             assert_eq!(layer.index(), i);
@@ -97,12 +75,5 @@ mod tests {
     fn capacity_grows_upward() {
         assert!(Layer::Fog1.compute_capacity() < Layer::Fog2.compute_capacity());
         assert!(Layer::Fog2.compute_capacity() < Layer::Cloud.compute_capacity());
-    }
-
-    #[test]
-    fn fog_predicate() {
-        assert!(Layer::Fog1.is_fog());
-        assert!(Layer::Fog2.is_fog());
-        assert!(!Layer::Cloud.is_fog());
     }
 }

@@ -2,7 +2,7 @@
 //! its layer. Fog-1 nodes run the acquisition block over their section's
 //! sensors and keep a short-retention tier; fog-2 nodes combine their
 //! children's flushes in a medium tier; the cloud runs preservation
-//! (classification + permanent archive + dissemination).
+//! (classification + permanent archive).
 //!
 //! Every node also rides the **sketch plane**: a fog-1 flush folds its
 //! batch into per-`(section, type, bucket)` [`AggPartial`]s and ships the
@@ -60,7 +60,7 @@ const SKETCH_BUCKET: NonZeroU64 = match NonZeroU64::new(SKETCH_BUCKET_S) {
 /// summarize were created. Far past raw retention (1 day at fog 1, 7 at
 /// fog 2): partials are constant-size, so warm sketches stay answerable
 /// for a month while the raw archives stay small.
-pub const SKETCH_RETENTION_S: u64 = 30 * 86_400;
+pub(crate) const SKETCH_RETENTION_S: u64 = 30 * 86_400;
 
 /// One upward shipment. It carries what ships plus the one tally that
 /// cannot be read back off it — the Table-I accounting bytes, which need
@@ -113,12 +113,12 @@ impl FlushBatch {
 
     /// Total wire bytes of the encoded partials (the sketch channel's
     /// cost, reported next to `acct_bytes` by the benches).
-    pub fn sketch_bytes(&self) -> u64 {
+    pub(crate) fn sketch_bytes(&self) -> u64 {
         self.sketches.iter().map(|(_, b)| b.len() as u64).sum()
     }
 
     /// An empty batch.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             records: Vec::new(),
             acct_bytes: 0,
@@ -135,7 +135,6 @@ impl FlushBatch {
 pub struct F2cNode {
     label: String,
     layer: Layer,
-    district: u16,
     section: Option<u16>,
     acquisition: Option<AcquisitionBlock>,
     classification: Option<ClassificationPhase>,
@@ -191,7 +190,6 @@ impl F2cNode {
         Ok(Self {
             label: format!("fog1/d{district}/s{section}"),
             layer: Layer::Fog1,
-            district,
             section: Some(section),
             acquisition: Some(acquisition),
             classification: None,
@@ -212,7 +210,7 @@ impl F2cNode {
     /// # Errors
     ///
     /// Propagates policy validation errors.
-    pub fn fog2(
+    pub(crate) fn fog2(
         district: u16,
         flush_policy: FlushPolicy,
         retention: RetentionPolicy,
@@ -220,7 +218,6 @@ impl F2cNode {
         Ok(Self {
             label: format!("fog2/d{district}"),
             layer: Layer::Fog2,
-            district,
             section: None,
             acquisition: None,
             classification: None,
@@ -237,11 +234,10 @@ impl F2cNode {
     }
 
     /// The cloud node: permanent storage, classification on receive.
-    pub fn cloud() -> Self {
+    pub(crate) fn cloud() -> Self {
         Self {
             label: "cloud".to_owned(),
             layer: Layer::Cloud,
-            district: 0,
             section: None,
             acquisition: None,
             classification: Some(ClassificationPhase::new()),
@@ -260,26 +256,6 @@ impl F2cNode {
     /// The node's label.
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// The node's layer.
-    pub fn layer(&self) -> Layer {
-        self.layer
-    }
-
-    /// District index.
-    pub fn district(&self) -> u16 {
-        self.district
-    }
-
-    /// Section index (fog-1 only).
-    pub fn section(&self) -> Option<u16> {
-        self.section
-    }
-
-    /// The flush policy.
-    pub fn flush_policy(&self) -> &FlushPolicy {
-        &self.flush_policy
     }
 
     /// The local store.
@@ -725,7 +701,7 @@ mod tests {
             .unwrap();
         cloud.receive_wave([batch.records], 86_400);
         assert_eq!(cloud.store().len(), n);
-        assert_eq!(cloud.layer(), Layer::Cloud);
+        assert_eq!(cloud.layer, Layer::Cloud);
         // Cloud never evicts.
         let mut cloud2 = F2cNode::cloud();
         cloud2.receive_wave([Vec::new()], 0);
@@ -927,8 +903,8 @@ mod tests {
     fn labels_and_accessors() {
         let node = fog1();
         assert_eq!(node.label(), "fog1/d0/s0");
-        assert_eq!(node.layer(), Layer::Fog1);
-        assert_eq!(node.section(), Some(0));
-        assert!(node.flush_policy().aggregate);
+        assert_eq!(node.layer, Layer::Fog1);
+        assert_eq!(node.section, Some(0));
+        assert!(node.flush_policy.aggregate);
     }
 }

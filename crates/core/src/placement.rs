@@ -26,7 +26,7 @@ pub enum AreaSpan {
 
 impl AreaSpan {
     /// The lowest layer whose store covers this span.
-    pub fn lowest_layer(self) -> Layer {
+    pub(crate) fn lowest_layer(self) -> Layer {
         match self {
             AreaSpan::Section => Layer::Fog1,
             AreaSpan::District => Layer::Fog2,
@@ -39,7 +39,7 @@ impl AreaSpan {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceSpec {
     /// Compute demand in the abstract units of
-    /// [`Layer::compute_capacity`].
+    /// `Layer::compute_capacity`.
     pub compute_units: u64,
     /// Geographic span of the input data.
     pub data_span: AreaSpan,
@@ -101,7 +101,7 @@ impl PlacementEngine {
 
     /// Where data of `age` lives in the hierarchy (§IV.B residency):
     /// real-time at fog 1, recent at fog 2, historical at the cloud.
-    pub fn data_home(age: AgeClass) -> Layer {
+    pub(crate) fn data_home(age: AgeClass) -> Layer {
         match age {
             AgeClass::RealTime => Layer::Fog1,
             AgeClass::Recent => Layer::Fog2,
@@ -111,7 +111,7 @@ impl PlacementEngine {
 
     /// Access latency for a service running at `layer` touching data that
     /// lives at [`Self::data_home`]`(age)`.
-    pub fn access_latency(&self, layer: Layer, age: AgeClass, bytes: u64) -> Duration {
+    pub(crate) fn access_latency(&self, layer: Layer, age: AgeClass, bytes: u64) -> Duration {
         let home = Self::data_home(age);
         // Same layer: local store. Otherwise the access crosses the
         // hierarchy between the two layers.

@@ -14,7 +14,7 @@ const DAY_S: u64 = 86_400;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlushPolicy {
     /// Seconds between flushes. `runtime::simulate` schedules each
-    /// tier's flushes by it (through [`FlushPolicy::next_flush_at`]);
+    /// tier's flushes by it (through `FlushPolicy::next_flush_at`);
     /// the live city's `flush_all` ships every tier on each call and does
     /// not read it.
     pub period_s: u64,
@@ -46,7 +46,7 @@ impl FlushPolicy {
     /// rides the same time-series codec as the first hop — the
     /// fog-2 → cloud uplink is the widest-fan-in link in the hierarchy,
     /// so encoding it pays at least as much as at fog 1.
-    pub fn paper_fog2() -> Self {
+    pub(crate) fn paper_fog2() -> Self {
         Self {
             period_s: 3600,
             aggregate: false,
@@ -71,7 +71,7 @@ impl FlushPolicy {
     ///
     /// * [`Error::ZeroFlushPeriod`] on a zero period,
     /// * [`Error::BadOffPeakWindow`] if the window is empty or exceeds a day.
-    pub fn validated(self) -> Result<Self> {
+    pub(crate) fn validated(self) -> Result<Self> {
         if self.period_s == 0 {
             return Err(Error::ZeroFlushPeriod);
         }
@@ -88,7 +88,7 @@ impl FlushPolicy {
 
     /// The next instant at or after `now_s` when a flush may run: the next
     /// period boundary, deferred into the off-peak window if one is set.
-    pub fn next_flush_at(&self, now_s: u64) -> u64 {
+    pub(crate) fn next_flush_at(&self, now_s: u64) -> u64 {
         let next_period = now_s + self.period_s - now_s % self.period_s;
         match self.off_peak_window {
             None => next_period,
@@ -126,14 +126,9 @@ impl RetentionPolicy {
         }
     }
 
-    /// Keep everything forever.
-    pub fn permanent() -> Self {
-        Self { keep_s: None }
-    }
-
     /// The oldest creation time worth keeping at time `now_s`, or `None`
     /// when everything is kept.
-    pub fn eviction_deadline(&self, now_s: u64) -> Option<u64> {
+    pub(crate) fn eviction_deadline(&self, now_s: u64) -> Option<u64> {
         self.keep_s.map(|k| now_s.saturating_sub(k))
     }
 }
@@ -185,6 +180,9 @@ mod tests {
             Some(6_400)
         );
         assert_eq!(RetentionPolicy::keep(3600).eviction_deadline(100), Some(0));
-        assert_eq!(RetentionPolicy::permanent().eviction_deadline(10_000), None);
+        assert_eq!(
+            RetentionPolicy { keep_s: None }.eviction_deadline(10_000),
+            None
+        );
     }
 }

@@ -35,11 +35,6 @@ impl AccessSimulator {
         }
     }
 
-    /// The wrapped topology.
-    pub fn city(&self) -> &BarcelonaTopology {
-        &self.city
-    }
-
     /// F2C real-time read: consumer and datum are both at the section's
     /// fog-1 node, so the access is one edge RTT plus local transfer.
     pub fn realtime_read_f2c(&mut self, _section: usize, bytes: u64) -> AccessOutcome {

@@ -82,9 +82,12 @@ pub struct CategoryTraffic {
     pub raw: u64,
     /// Bytes surviving fog-1 aggregation (accounting sizes).
     pub after_dedup: u64,
-    /// Wire-encoded size of the shipped batches.
+    /// Wire-encoded size of the fog-1 batches shipped encoded (0 when
+    /// fog 1 does not compress: only encoded shipments are tapped, as for
+    /// [`SimReport::fog1_uplink_wire_bytes`]).
     pub wire: u64,
-    /// Compressed size of the shipped batches.
+    /// Compressed size of the fog-1 batches shipped encoded (0 when fog 1
+    /// does not compress).
     pub compressed: u64,
 }
 

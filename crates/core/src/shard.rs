@@ -226,7 +226,7 @@ mod tests {
         let mut s = ObsScratch::new();
         s.record_incident(100, ChaosSite::Cloud, IncidentKind::NodeDown);
         s.record_incident(101, ChaosSite::Fog2(3), IncidentKind::NodeDown);
-        assert_eq!(s.timeline.len(), 2);
+        assert_eq!(s.timeline.iter().count(), 2);
         assert_eq!(
             s.reg
                 .counter_named("incidents", Labels::new().kind("node-down")),

@@ -77,7 +77,7 @@ impl TieredStore {
     }
 
     /// Inserts a batch, in any creation-time order — the one-shipment
-    /// case of [`TieredStore::insert_runs`].
+    /// case of `TieredStore::insert_runs`.
     pub fn insert_batch(&mut self, records: Vec<DataRecord>) {
         self.insert_runs([records]);
     }
@@ -86,7 +86,7 @@ impl TieredStore {
     /// order, as one merge into the archive's run
     /// ([`ArchiveStore::insert_runs`]). The shipments queue for the next
     /// hop as they arrived: in the order given, each in its own order.
-    pub fn insert_runs(&mut self, runs: impl IntoIterator<Item = Vec<DataRecord>>) {
+    pub(crate) fn insert_runs(&mut self, runs: impl IntoIterator<Item = Vec<DataRecord>>) {
         let mut pending = (!self.is_root).then_some(&mut self.pending);
         let queued = runs.into_iter().inspect(|run| {
             if let Some(pending) = pending.as_mut() {
@@ -112,7 +112,7 @@ impl TieredStore {
         self.archive.len()
     }
 
-    /// Whether the store is empty.
+    /// Whether the store holds no records.
     pub fn is_empty(&self) -> bool {
         self.archive.is_empty()
     }
@@ -127,7 +127,7 @@ impl TieredStore {
         self.archive.wire_bytes()
     }
 
-    /// Read access to the archive (queries, dissemination).
+    /// Read access to the archive (queries).
     pub fn archive(&self) -> &ArchiveStore {
         &self.archive
     }
@@ -138,11 +138,6 @@ impl TieredStore {
     /// the matching slice.
     pub fn range(&self, from_s: u64, until_s: u64) -> impl DoubleEndedIterator<Item = &DataRecord> {
         self.archive.range(from_s, until_s)
-    }
-
-    /// The retention policy, or `None` for a permanent root store.
-    pub fn retention(&self) -> Option<RetentionPolicy> {
-        self.retention
     }
 
     /// The completeness watermark: the store still holds *every* record it
@@ -206,7 +201,7 @@ mod tests {
 
     #[test]
     fn flush_batches_partition_the_stream() {
-        let mut s = TieredStore::new(RetentionPolicy::permanent());
+        let mut s = TieredStore::new(RetentionPolicy { keep_s: None });
         for t in 0..5 {
             s.insert(rec(t * 100));
         }
@@ -251,7 +246,7 @@ mod tests {
     fn late_data_still_ships() {
         // A record created long ago but arriving now ships on the next
         // flush — arrival-based queues cannot lose stragglers.
-        let mut s = TieredStore::new(RetentionPolicy::permanent());
+        let mut s = TieredStore::new(RetentionPolicy { keep_s: None });
         s.insert(rec(1000));
         s.take_flush_batch(2000);
         s.insert(rec(500)); // late arrival, created before the last flush
@@ -262,7 +257,7 @@ mod tests {
 
     #[test]
     fn pending_len_tracks_queue() {
-        let mut s = TieredStore::new(RetentionPolicy::permanent());
+        let mut s = TieredStore::new(RetentionPolicy { keep_s: None });
         s.insert(rec(1));
         s.insert(rec(2));
         assert_eq!(s.pending_len(), 2);
@@ -292,7 +287,7 @@ mod tests {
 
     #[test]
     fn range_reads_do_not_disturb_pending() {
-        let mut s = TieredStore::new(RetentionPolicy::permanent());
+        let mut s = TieredStore::new(RetentionPolicy { keep_s: None });
         for t in 0..5 {
             s.insert(rec(t * 100));
         }

@@ -126,7 +126,7 @@ impl TrafficModel {
     /// # Panics
     ///
     /// Panics unless `0 < compression_ratio <= 1`.
-    pub fn new(catalog: Catalog, compression_ratio: f64) -> Self {
+    pub(crate) fn new(catalog: Catalog, compression_ratio: f64) -> Self {
         assert!(
             compression_ratio > 0.0 && compression_ratio <= 1.0,
             "compression ratio must be in (0, 1], got {compression_ratio}"
@@ -147,11 +147,6 @@ impl TrafficModel {
     /// The configured compression ratio.
     pub fn compression_ratio(&self) -> f64 {
         self.compression_ratio
-    }
-
-    /// The underlying catalog.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
     }
 
     fn row_for(spec: &TypeSpec) -> Table1Row {
@@ -180,19 +175,6 @@ impl TrafficModel {
             .filter_map(|ty| self.catalog.spec(*ty))
             .map(Self::row_for)
             .collect()
-    }
-
-    /// Table I rows for one category.
-    pub fn table1_rows_in(&self, category: Category) -> Vec<Table1Row> {
-        self.table1_rows()
-            .into_iter()
-            .filter(|r| r.ty.category() == category)
-            .collect()
-    }
-
-    /// Category subtotal (the "Total number" rows of Table I).
-    pub fn table1_category_totals(&self, category: Category) -> Table1Totals {
-        Self::sum_rows(&self.table1_rows_in(category))
     }
 
     /// Grand totals (the last row of Table I).
@@ -410,35 +392,45 @@ mod tests {
         }
     }
 
+    /// Category subtotal (the "Total number" rows of Table I).
+    fn category_totals(m: &TrafficModel, category: Category) -> Table1Totals {
+        let rows: Vec<Table1Row> = m
+            .table1_rows()
+            .into_iter()
+            .filter(|r| r.ty.category() == category)
+            .collect();
+        TrafficModel::sum_rows(&rows)
+    }
+
     #[test]
     fn category_totals_match_the_paper() {
         let m = TrafficModel::paper();
-        let energy = m.table1_category_totals(Category::Energy);
+        let energy = category_totals(&m, Category::Energy);
         assert_eq!(energy.sensors, 495_019);
         assert_eq!(energy.wave_cloud_model, 26_448_158);
         assert_eq!(energy.wave_fog2, 13_224_079);
         assert_eq!(energy.daily_fog1, 2_539_023_168);
         assert_eq!(energy.daily_fog2, 1_269_511_584);
 
-        let noise = m.table1_category_totals(Category::Noise);
+        let noise = category_totals(&m, Category::Noise);
         assert_eq!(noise.wave_cloud_model, 660_000);
         assert_eq!(noise.wave_fog2, 165_000);
         assert_eq!(noise.daily_fog1, 641_280_000);
         assert_eq!(noise.daily_fog2, 160_320_000);
 
-        let garbage = m.table1_category_totals(Category::Garbage);
+        let garbage = category_totals(&m, Category::Garbage);
         assert_eq!(garbage.wave_cloud_model, 10_000_000);
         assert_eq!(garbage.wave_fog2, 3_000_000);
         assert_eq!(garbage.daily_fog1, 360_000_000);
         assert_eq!(garbage.daily_fog2, 108_000_000);
 
-        let parking = m.table1_category_totals(Category::Parking);
+        let parking = category_totals(&m, Category::Parking);
         assert_eq!(parking.wave_cloud_model, 3_200_000);
         assert_eq!(parking.wave_fog2, 1_920_000);
         assert_eq!(parking.daily_fog1, 320_000_000);
         assert_eq!(parking.daily_fog2, 192_000_000);
 
-        let urban = m.table1_category_totals(Category::Urban);
+        let urban = category_totals(&m, Category::Urban);
         assert_eq!(urban.wave_cloud_model, 14_080_000);
         assert_eq!(urban.wave_fog2, 9_856_000);
         assert_eq!(urban.daily_fog1, 4_723_200_000);

@@ -7,16 +7,16 @@ use crate::record::DataRecord;
 
 /// Stamps collection time on incoming records.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CollectionPhase;
+pub(crate) struct CollectionPhase;
 
 impl CollectionPhase {
     /// Creates the phase.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self
     }
 
     /// Stamps one record with the collection time.
-    pub fn stamp(&self, rec: &mut DataRecord, ctx: &PhaseContext) {
+    pub(crate) fn stamp(&self, rec: &mut DataRecord, ctx: &PhaseContext) {
         rec.descriptor_mut().stamp_collected(ctx.now_s);
     }
 }

@@ -11,7 +11,7 @@ use crate::record::DataRecord;
 
 /// Fills location/authoring/privacy tags for every record.
 #[derive(Debug, Clone)]
-pub struct DescriptionPhase {
+pub(crate) struct DescriptionPhase {
     /// Made once here; every tagged record shares it.
     city: Arc<str>,
     district: u16,
@@ -20,7 +20,7 @@ pub struct DescriptionPhase {
 
 impl DescriptionPhase {
     /// Tags for a fog node covering `section` of `district` in `city`.
-    pub fn new(city: &str, district: u16, section: u16) -> Self {
+    pub(crate) fn new(city: &str, district: u16, section: u16) -> Self {
         Self {
             city: Arc::from(city),
             district,
@@ -31,7 +31,7 @@ impl DescriptionPhase {
     /// Default privacy classification per category: meter data can reveal
     /// household occupancy, so energy is restricted; the other Sentilo
     /// categories are municipal open data.
-    pub fn privacy_for(category: Category) -> PrivacyLevel {
+    pub(crate) fn privacy_for(category: Category) -> PrivacyLevel {
         match category {
             Category::Energy => PrivacyLevel::Restricted,
             _ => PrivacyLevel::Public,
@@ -39,7 +39,7 @@ impl DescriptionPhase {
     }
 
     /// Tags one record with location, authoring and privacy.
-    pub fn describe(&self, rec: &mut DataRecord) {
+    pub(crate) fn describe(&self, rec: &mut DataRecord) {
         let category = rec.sensor_type().category();
         let d = rec.descriptor_mut();
         d.set_location(Arc::clone(&self.city), self.district, self.section);

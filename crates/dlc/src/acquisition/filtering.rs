@@ -10,36 +10,23 @@ use crate::record::DataRecord;
 
 /// Drops records whose reading repeats the sensor's previous value.
 #[derive(Debug, Default)]
-pub struct FilteringPhase {
+pub(crate) struct FilteringPhase {
     filter: RedundancyFilter,
 }
 
 impl FilteringPhase {
     /// The paper's configuration: pure redundant-data elimination.
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         Self {
             filter: RedundancyFilter::new(),
-        }
-    }
-
-    /// A variant that re-admits unchanged values every `heartbeat_s`
-    /// seconds so silence stays distinguishable from constancy.
-    pub fn with_heartbeat(heartbeat_s: u64) -> Self {
-        Self {
-            filter: RedundancyFilter::with_heartbeat(heartbeat_s),
         }
     }
 
     /// Decides whether `reading` is forwarded: a repeat of the sensor's
     /// previous value is not. Runs on the reading, before it is wrapped
     /// in a record.
-    pub fn admit(&mut self, reading: &Reading) -> bool {
+    pub(crate) fn admit(&mut self, reading: &Reading) -> bool {
         self.filter.admit(reading)
-    }
-
-    /// Accumulated dedup statistics.
-    pub fn stats(&self) -> f2c_aggregate::DedupStats {
-        self.filter.stats()
     }
 }
 
@@ -81,7 +68,7 @@ mod tests {
             &PhaseContext::at(200),
         );
         assert_eq!(out.len(), 2);
-        assert_eq!(phase.stats().suppressed, 2);
+        assert_eq!(phase.filter.stats().suppressed, 2);
     }
 
     #[test]
@@ -90,13 +77,5 @@ mod tests {
         phase.run(vec![rec(0, 5.0)], &PhaseContext::at(0));
         let out = phase.run(vec![rec(60, 5.0)], &PhaseContext::at(60));
         assert!(out.is_empty(), "repeat in a later batch must be caught");
-    }
-
-    #[test]
-    fn heartbeat_variant_readmits() {
-        let mut phase = FilteringPhase::with_heartbeat(100);
-        phase.run(vec![rec(0, 5.0)], &PhaseContext::at(0));
-        let out = phase.run(vec![rec(150, 5.0)], &PhaseContext::at(150));
-        assert_eq!(out.len(), 1);
     }
 }

@@ -8,12 +8,12 @@ mod description;
 mod filtering;
 mod quality_phase;
 
-pub use collection::CollectionPhase;
-pub use description::DescriptionPhase;
-pub use filtering::FilteringPhase;
-pub use quality_phase::QualityPhase;
+pub(crate) use collection::CollectionPhase;
+pub(crate) use description::DescriptionPhase;
+pub(crate) use filtering::FilteringPhase;
+pub(crate) use quality_phase::QualityPhase;
 
-use crate::phase::{Phase, PhaseContext, PhaseStats};
+use crate::phase::PhaseContext;
 use crate::record::DataRecord;
 use scc_sensors::Reading;
 
@@ -24,7 +24,8 @@ use scc_sensors::Reading;
 /// visits each offered reading once: a repeat is dropped while it is
 /// still a [`Reading`], and every kept one is wrapped, stamped, assessed
 /// and tagged in one pass, into a vector sized to the wave. Each step is
-/// the phase's own per-record method, the one its [`Phase::run`] calls.
+/// the phase's own per-record method, the one its
+/// [`Phase::run`](crate::phase::Phase::run) calls.
 ///
 /// # Examples
 ///
@@ -47,9 +48,6 @@ pub struct AcquisitionBlock {
     filtering: Option<FilteringPhase>,
     quality: QualityPhase,
     description: DescriptionPhase,
-    /// Per phase, in block order; the filtering slot stays unread when
-    /// the block has no filtering phase.
-    stats: [PhaseStats; 4],
 }
 
 impl AcquisitionBlock {
@@ -71,23 +69,19 @@ impl AcquisitionBlock {
             filtering: None,
             quality: QualityPhase::dropping_failures(),
             description: DescriptionPhase::new(city, district, section),
-            stats: [PhaseStats::default(); 4],
         }
     }
 
     /// Ingests raw readings: filter → wrap → collect → quality → describe,
     /// one reading at a time.
     pub fn ingest(&mut self, readings: Vec<Reading>, ctx: &PhaseContext) -> Vec<DataRecord> {
-        let offered = readings.len();
-        let mut admitted = 0;
-        let mut out = Vec::with_capacity(offered);
+        let mut out = Vec::with_capacity(readings.len());
         for reading in readings {
             if let Some(filtering) = &mut self.filtering {
                 if !filtering.admit(&reading) {
                     continue;
                 }
             }
-            admitted += 1;
             let mut rec = DataRecord::from_reading(reading);
             self.collection.stamp(&mut rec, ctx);
             if self.quality.check(&mut rec, ctx) {
@@ -95,25 +89,6 @@ impl AcquisitionBlock {
                 out.push(rec);
             }
         }
-        let [collection, filtering, quality, description] = &mut self.stats;
-        collection.record_run(offered, offered);
-        if self.filtering.is_some() {
-            filtering.record_run(offered, admitted);
-        }
-        quality.record_run(admitted, out.len());
-        description.record_run(out.len(), out.len());
-        out
-    }
-
-    /// Per-phase throughput statistics, in block order.
-    pub fn stats(&self) -> Vec<(&'static str, PhaseStats)> {
-        let [collection, filtering, quality, description] = self.stats;
-        let mut out = vec![(self.collection.name(), collection)];
-        if let Some(phase) = &self.filtering {
-            out.push((phase.name(), filtering));
-        }
-        out.push((self.quality.name(), quality));
-        out.push((self.description.name(), description));
         out
     }
 }
@@ -121,7 +96,9 @@ impl AcquisitionBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phase::Phase;
     use scc_sensors::{ReadingGenerator, SensorId, SensorType, Value};
+    use std::collections::BTreeMap;
 
     #[test]
     fn block_reduces_redundant_traffic_and_tags_everything() {
@@ -146,40 +123,16 @@ mod tests {
         assert!((rate - 0.75).abs() < 0.05, "reduction {rate:.3}");
     }
 
-    #[test]
-    fn stats_cover_all_four_phases() {
-        let mut block = AcquisitionBlock::new("Barcelona", 0, 0);
-        let mut gen = ReadingGenerator::for_population(SensorType::ParkingSpot, 5, 1);
-        block.ingest(gen.wave(0), &PhaseContext::at(0));
-        let names: Vec<&str> = block.stats().iter().map(|(n, _)| *n).collect();
-        assert_eq!(
-            names,
-            vec![
-                "data-collection",
-                "data-filtering",
-                "data-quality",
-                "data-description"
-            ]
-        );
-        let unfiltered = AcquisitionBlock::without_filtering("Barcelona", 0, 0);
-        let names: Vec<&str> = unfiltered.stats().iter().map(|(n, _)| *n).collect();
-        assert_eq!(
-            names,
-            vec!["data-collection", "data-quality", "data-description"]
-        );
-    }
-
     /// The block as it was: every reading wrapped first, then each phase's
-    /// `Phase::run` over the whole wave in turn, counted the way
-    /// `Pipeline::run` counts. The reference the single visit is held to;
-    /// its phases are the same types, held where their own counters can
-    /// be read.
+    /// `Phase::run` over the whole wave in turn. The reference the single
+    /// visit is held to; its phases are the same types.
     struct Model {
         collection: CollectionPhase,
         filtering: Option<FilteringPhase>,
         quality: QualityPhase,
         description: DescriptionPhase,
-        stats: Vec<(&'static str, PhaseStats)>,
+        /// Records each phase dropped, by phase name.
+        dropped: BTreeMap<&'static str, usize>,
     }
 
     impl Model {
@@ -189,7 +142,7 @@ mod tests {
                 filtering: filtering.then(FilteringPhase::paper_default),
                 quality: QualityPhase::dropping_failures(),
                 description: DescriptionPhase::new("Barcelona", 4, 33),
-                stats: Vec::new(),
+                dropped: BTreeMap::new(),
             }
         }
 
@@ -202,12 +155,10 @@ mod tests {
             }
             phases.push(&mut self.quality);
             phases.push(&mut self.description);
-            self.stats.resize(phases.len(), ("", PhaseStats::default()));
-            for (phase, (name, stats)) in phases.into_iter().zip(&mut self.stats) {
+            for phase in phases {
                 let before = batch.len();
                 batch = phase.run(batch, ctx);
-                *name = phase.name();
-                stats.record_run(before, batch.len());
+                *self.dropped.entry(phase.name()).or_default() += before - batch.len();
             }
             batch
         }
@@ -271,27 +222,18 @@ mod tests {
                 let out = block.ingest(readings.clone(), &ctx);
                 assert_eq!(out, model.ingest(readings, &ctx), "wave {step}");
                 kept += out.len();
-                assert_eq!(block.stats(), model.stats, "wave {step}");
-                assert_eq!(block.quality.dropped(), model.quality.dropped());
-                assert_eq!(
-                    block.filtering.as_ref().map(FilteringPhase::stats),
-                    model.filtering.as_ref().map(FilteringPhase::stats)
-                );
             }
             // The waves exercised every path: something dropped as a
             // repeat (when filtering), something dropped on quality,
             // something kept.
             assert!(kept > 0);
-            assert!(block.quality.dropped() > 0);
-            if let Some(phase) = &block.filtering {
-                assert!(phase.stats().suppressed > 0);
+            assert!(model.dropped["data-quality"] > 0);
+            if filtering {
+                assert!(model.dropped["data-filtering"] > 0);
             }
         }
-        // An empty wave still counts one run per phase.
+        // An empty wave yields nothing.
         let mut block = AcquisitionBlock::new("Barcelona", 0, 0);
-        let mut model = Model::new(true);
-        block.ingest(Vec::new(), &PhaseContext::at(0));
-        model.ingest(Vec::new(), &PhaseContext::at(0));
-        assert_eq!(block.stats(), model.stats);
+        assert!(block.ingest(Vec::new(), &PhaseContext::at(0)).is_empty());
     }
 }

@@ -8,48 +8,22 @@ use crate::record::DataRecord;
 
 /// Quality assessment phase.
 #[derive(Debug, Clone, Default)]
-pub struct QualityPhase {
+pub(crate) struct QualityPhase {
     policy: QualityPolicy,
-    drop_failures: bool,
-    dropped: u64,
 }
 
 impl QualityPhase {
     /// Assess and *drop* records that fail (the paper's design: downstream
     /// blocks receive only quality-checked data).
-    pub fn dropping_failures() -> Self {
+    pub(crate) fn dropping_failures() -> Self {
         Self {
             policy: QualityPolicy::paper_default(),
-            drop_failures: true,
-            dropped: 0,
         }
-    }
-
-    /// Assess but keep failures (tagged with their reports) — useful for
-    /// audit pipelines.
-    pub fn tagging_only() -> Self {
-        Self {
-            policy: QualityPolicy::paper_default(),
-            drop_failures: false,
-            dropped: 0,
-        }
-    }
-
-    /// Overrides the policy.
-    pub fn with_policy(mut self, policy: QualityPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Records dropped so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Assesses one record and attaches the report; returns whether the
-    /// record stays (it passed, or failures are kept). A dropped record
-    /// is counted here.
-    pub fn check(&mut self, rec: &mut DataRecord, ctx: &PhaseContext) -> bool {
+    /// record passed and stays.
+    pub(crate) fn check(&mut self, rec: &mut DataRecord, ctx: &PhaseContext) -> bool {
         let collected = rec.descriptor().collected_s().unwrap_or(ctx.now_s);
         let report = self.policy.assess(
             rec.sensor_type(),
@@ -57,11 +31,8 @@ impl QualityPhase {
             rec.descriptor().created_s(),
             collected,
         );
-        let keep = report.passed() || !self.drop_failures;
+        let keep = report.passed();
         rec.set_quality(report);
-        if !keep {
-            self.dropped += 1;
-        }
         keep
     }
 }
@@ -105,7 +76,6 @@ mod tests {
         let out = phase.run(vec![rec(100, 21.0)], &PhaseContext::at(110));
         assert_eq!(out.len(), 1);
         assert!(out[0].quality().unwrap().passed());
-        assert_eq!(phase.dropped(), 0);
     }
 
     #[test]
@@ -114,15 +84,6 @@ mod tests {
         // Out of range AND stale (created 0, assessed at 10000).
         let out = phase.run(vec![rec(0, 500.0)], &PhaseContext::at(10_000));
         assert!(out.is_empty());
-        assert_eq!(phase.dropped(), 1);
-    }
-
-    #[test]
-    fn tagging_only_keeps_failures() {
-        let mut phase = QualityPhase::tagging_only();
-        let out = phase.run(vec![rec(0, 500.0)], &PhaseContext::at(10_000));
-        assert_eq!(out.len(), 1);
-        assert!(!out[0].quality().unwrap().passed());
     }
 
     #[test]

@@ -45,8 +45,6 @@ pub struct Descriptor {
     created_s: u64,
     /// Meaningful when `stamps & COLLECTED`; 0 otherwise.
     collected_s: u64,
-    /// Meaningful when `stamps & MODIFIED`; 0 otherwise.
-    modified_s: u64,
     city: Option<Arc<str>>,
     /// Meaningful when `city` is set; 0 otherwise.
     district: u16,
@@ -59,16 +57,13 @@ pub struct Descriptor {
 
 /// `stamps` bit: the collection time is set.
 const COLLECTED: u8 = 1;
-/// `stamps` bit: a modification time is set.
-const MODIFIED: u8 = 2;
 
 impl Descriptor {
     /// A descriptor knowing only the creation time (sensor timestamp).
-    pub fn created_at(created_s: u64) -> Self {
+    pub(crate) fn created_at(created_s: u64) -> Self {
         Self {
             created_s,
             collected_s: 0,
-            modified_s: 0,
             city: None,
             district: 0,
             section: 0,
@@ -84,17 +79,13 @@ impl Descriptor {
     }
 
     /// Collection time (when a fog node ingested the record).
-    pub fn collected_s(&self) -> Option<u64> {
+    pub(crate) fn collected_s(&self) -> Option<u64> {
         (self.stamps & COLLECTED != 0).then_some(self.collected_s)
     }
 
-    /// Last modification time (set by processing phases).
-    pub fn modified_s(&self) -> Option<u64> {
-        (self.stamps & MODIFIED != 0).then_some(self.modified_s)
-    }
-
-    /// City name.
-    pub fn city(&self) -> Option<&str> {
+    /// City name. Written for provenance; only tests read it back.
+    #[cfg(test)]
+    pub(crate) fn city(&self) -> Option<&str> {
         self.city.as_deref()
     }
 
@@ -108,26 +99,23 @@ impl Descriptor {
         self.city.as_ref().map(|_| self.section)
     }
 
-    /// Authoring entity (provider).
-    pub fn authoring(&self) -> Option<&str> {
+    /// Authoring entity (provider). Written for provenance; only tests
+    /// read it back.
+    #[cfg(test)]
+    pub(crate) fn authoring(&self) -> Option<&str> {
         self.authoring.map(Category::provider)
     }
 
-    /// Privacy classification.
-    pub fn privacy(&self) -> Option<PrivacyLevel> {
+    /// Privacy classification. Only tests read it back.
+    #[cfg(test)]
+    pub(crate) fn privacy(&self) -> Option<PrivacyLevel> {
         self.privacy
     }
 
     /// Stamps the collection time.
-    pub fn stamp_collected(&mut self, at_s: u64) {
+    pub(crate) fn stamp_collected(&mut self, at_s: u64) {
         self.collected_s = at_s;
         self.stamps |= COLLECTED;
-    }
-
-    /// Stamps a modification time.
-    pub fn stamp_modified(&mut self, at_s: u64) {
-        self.modified_s = at_s;
-        self.stamps |= MODIFIED;
     }
 
     /// Sets the location tags. The city name is shared, not copied: a
@@ -139,12 +127,12 @@ impl Descriptor {
     }
 
     /// Sets the authoring tag to `category`'s provider.
-    pub fn set_authoring(&mut self, category: Category) {
+    pub(crate) fn set_authoring(&mut self, category: Category) {
         self.authoring = Some(category);
     }
 
     /// Sets the privacy tag.
-    pub fn set_privacy(&mut self, level: PrivacyLevel) {
+    pub(crate) fn set_privacy(&mut self, level: PrivacyLevel) {
         self.privacy = Some(level);
     }
 
@@ -164,7 +152,6 @@ impl fmt::Debug for Descriptor {
         f.debug_struct("Descriptor")
             .field("created_s", &self.created_s)
             .field("collected_s", &self.collected_s())
-            .field("modified_s", &self.modified_s())
             .field("city", &self.city)
             .field("district", &self.district())
             .field("section", &self.section())
@@ -209,14 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn modification_stamp_is_independent() {
-        let mut d = Descriptor::created_at(0);
-        d.stamp_modified(50);
-        assert_eq!(d.modified_s(), Some(50));
-        assert_eq!(d.collected_s(), None);
-    }
-
-    #[test]
     fn descriptor_is_48_bytes() {
         assert!(std::mem::size_of::<Descriptor>() <= 48);
     }
@@ -227,7 +206,6 @@ mod tests {
     struct Model {
         created_s: u64,
         collected_s: Option<u64>,
-        modified_s: Option<u64>,
         city: Option<Arc<str>>,
         district: Option<u16>,
         section: Option<u16>,
@@ -240,7 +218,6 @@ mod tests {
             Self {
                 created_s,
                 collected_s: None,
-                modified_s: None,
                 city: None,
                 district: None,
                 section: None,
@@ -263,16 +240,12 @@ mod tests {
                     d.stamp_collected(at_s);
                 }
                 1 => {
-                    self.modified_s = Some(at_s);
-                    d.stamp_modified(at_s);
-                }
-                2 => {
                     let city: Arc<str> = ["Barcelona", "Girona"][at_s as usize % 2].into();
                     self.city = Some(Arc::clone(&city));
                     (self.district, self.section) = (Some(district), Some(section));
                     d.set_location(city, district, section);
                 }
-                3 => {
+                2 => {
                     self.authoring = Some(category);
                     d.set_authoring(category);
                 }
@@ -286,7 +259,6 @@ mod tests {
         fn agrees(&self, d: &Descriptor) -> bool {
             d.created_s() == self.created_s
                 && d.collected_s() == self.collected_s
-                && d.modified_s() == self.modified_s
                 && d.city() == self.city.as_deref()
                 && d.district() == self.district
                 && d.section() == self.section
@@ -317,11 +289,11 @@ mod tests {
         fn compact_tags_read_like_the_options_they_replaced(
             created in proptest::prelude::any::<u64>(),
             ops in proptest::collection::vec(
-                (0u8..5, proptest::prelude::any::<u64>(), proptest::prelude::any::<u16>(), proptest::prelude::any::<u16>()),
+                (0u8..4, proptest::prelude::any::<u64>(), proptest::prelude::any::<u16>(), proptest::prelude::any::<u16>()),
                 0..12,
             ),
             others in proptest::collection::vec(
-                (0u8..5, proptest::prelude::any::<u64>(), proptest::prelude::any::<u16>(), proptest::prelude::any::<u16>()),
+                (0u8..4, proptest::prelude::any::<u64>(), proptest::prelude::any::<u16>(), proptest::prelude::any::<u16>()),
                 0..12,
             ),
         ) {

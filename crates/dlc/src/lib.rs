@@ -5,10 +5,12 @@
 //!
 //! * **Data acquisition** — [`acquisition`]: collection, filtering
 //!   (aggregation), quality, description;
-//! * **Data processing** — [`processing`]: process (transformation) and
-//!   analysis;
-//! * **Data preservation** — [`preservation`]: classification, archive,
-//!   dissemination.
+//! * **Data processing** — process (transformation) and analysis. Here
+//!   the query plane (`f2c-query`) processes the data it serves; this
+//!   crate implements no processing phase;
+//! * **Data preservation** — [`preservation`]: classification and
+//!   archive (the paper's third phase, dissemination, is the query
+//!   plane's too).
 //!
 //! Data flows (Fig. 1): acquired data is *real-time* when consumed
 //! immediately, *archivable* when routed to preservation, *historical* when
@@ -18,8 +20,8 @@
 //! [`age::AgeClass`] implements the age characterization of §II ("we
 //! characterize data according to its age").
 //!
-//! Phases are [`phase::Phase`] objects composed into [`pipeline::Pipeline`]s;
-//! the `f2c-core` crate maps pipelines onto fog/cloud nodes per Fig. 5.
+//! Phases are [`phase::Phase`] objects; the `f2c-core` crate maps them onto
+//! fog/cloud nodes per Fig. 5.
 //!
 //! # Quickstart
 //!
@@ -36,21 +38,20 @@
 //! assert!(out.iter().all(|r| r.descriptor().section() == Some(7)));
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod acquisition;
-pub mod age;
-pub mod descriptor;
+pub(crate) mod age;
+pub(crate) mod descriptor;
 mod error;
 pub mod phase;
-pub mod pipeline;
 pub mod preservation;
-pub mod processing;
 pub mod quality;
-pub mod record;
+pub(crate) mod record;
 
 pub use age::AgeClass;
 pub use descriptor::{Descriptor, PrivacyLevel};
-pub use error::{Error, Result};
-pub use phase::{Block, Phase, PhaseContext, PhaseStats};
-pub use pipeline::Pipeline;
+pub(crate) use error::{Error, Result};
+pub use phase::{Block, Phase, PhaseContext};
 pub use quality::{QualityPolicy, QualityReport};
 pub use record::DataRecord;

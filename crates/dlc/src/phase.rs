@@ -12,13 +12,14 @@ pub enum Block {
     Acquisition,
     /// Data processing: process, analysis.
     Processing,
-    /// Data preservation: classification, archive, dissemination.
+    /// Data preservation: classification, archive (dissemination, in the
+    /// paper).
     Preservation,
 }
 
 impl Block {
     /// Stable display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Block::Acquisition => "acquisition",
             Block::Processing => "processing",
@@ -47,42 +48,12 @@ impl PhaseContext {
     }
 }
 
-/// Per-phase throughput counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseStats {
-    /// Records offered to the phase.
-    pub records_in: u64,
-    /// Records emitted by the phase.
-    pub records_out: u64,
-    /// Invocations.
-    pub runs: u64,
-}
-
-impl PhaseStats {
-    /// Records the outcome of one run.
-    pub fn record_run(&mut self, records_in: usize, records_out: usize) {
-        self.records_in += records_in as u64;
-        self.records_out += records_out as u64;
-        self.runs += 1;
-    }
-
-    /// Fraction of records dropped across all runs.
-    pub fn drop_rate(&self) -> f64 {
-        if self.records_in == 0 {
-            0.0
-        } else {
-            1.0 - self.records_out as f64 / self.records_in as f64
-        }
-    }
-}
-
 /// One life-cycle phase.
 ///
-/// Implementations live in [`crate::acquisition`], [`crate::processing`]
-/// and [`crate::preservation`]; [`crate::pipeline::Pipeline`] composes them
-/// and enforces that a pipeline never mixes blocks.
+/// Implementations live in [`crate::acquisition`] and
+/// [`crate::preservation`].
 ///
-/// `Send + Sync` so nodes embedding pipelines can be owned by district
+/// `Send + Sync` so nodes embedding phases can be owned by district
 /// shards on worker threads (phases hold plain configuration and
 /// counters, never shared handles).
 pub trait Phase: Send + Sync {
@@ -105,21 +76,5 @@ mod tests {
         assert_eq!(Block::Acquisition.name(), "acquisition");
         assert_eq!(Block::Processing.to_string(), "processing");
         assert_eq!(Block::Preservation.name(), "preservation");
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut s = PhaseStats::default();
-        s.record_run(10, 6);
-        s.record_run(10, 8);
-        assert_eq!(s.records_in, 20);
-        assert_eq!(s.records_out, 14);
-        assert_eq!(s.runs, 2);
-        assert!((s.drop_rate() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_drop_nothing() {
-        assert_eq!(PhaseStats::default().drop_rate(), 0.0);
     }
 }

@@ -6,9 +6,8 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use scc_sensors::{Category, SensorType};
+use scc_sensors::SensorType;
 
-use crate::phase::{Block, Phase, PhaseContext};
 use crate::record::DataRecord;
 use crate::{Error, Result};
 
@@ -213,7 +212,7 @@ impl ArchiveStore {
     ///
     /// # Errors
     ///
-    /// [`Error::InvertedRange`] if `until_s < from_s`.
+    /// `Error::InvertedRange` if `until_s < from_s`.
     pub fn query_range(&self, from_s: u64, until_s: u64) -> Result<Vec<&DataRecord>> {
         if until_s < from_s {
             return Err(Error::InvertedRange { from_s, until_s });
@@ -230,14 +229,6 @@ impl ArchiveStore {
         let from = self.rank(from_s);
         let until = self.rank(until_s).max(from);
         self.records[from..until].iter()
-    }
-
-    /// All records of one category, oldest first.
-    pub fn query_category(&self, category: Category) -> Vec<&DataRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.sensor_type().category() == category)
-            .collect()
     }
 
     /// Removes and returns every record created strictly before
@@ -280,44 +271,6 @@ impl ArchiveStore {
 /// The run's sort key.
 fn created_s(record: &DataRecord) -> u64 {
     record.descriptor().created_s()
-}
-
-/// Pass-through phase that archives every record it sees.
-#[derive(Debug, Clone, Default)]
-pub struct ArchivePhase {
-    store: ArchiveStore,
-}
-
-impl ArchivePhase {
-    /// Creates the phase with an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &ArchiveStore {
-        &self.store
-    }
-
-    /// Mutable store access (eviction, migration).
-    pub fn store_mut(&mut self) -> &mut ArchiveStore {
-        &mut self.store
-    }
-}
-
-impl Phase for ArchivePhase {
-    fn name(&self) -> &'static str {
-        "data-archive"
-    }
-
-    fn block(&self) -> Block {
-        Block::Preservation
-    }
-
-    fn run(&mut self, batch: Vec<DataRecord>, _ctx: &PhaseContext) -> Vec<DataRecord> {
-        self.store.insert_batch(batch.clone());
-        batch
-    }
 }
 
 #[cfg(test)]
@@ -609,17 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn category_query_filters() {
-        let mut s = ArchiveStore::new();
-        s.insert(rec(SensorType::Traffic, 0, 1));
-        s.insert(rec(SensorType::ElectricityMeter, 0, 2));
-        s.insert(rec(SensorType::BicycleFlow, 0, 3));
-        assert_eq!(s.query_category(Category::Urban).len(), 2);
-        assert_eq!(s.query_category(Category::Energy).len(), 1);
-        assert_eq!(s.query_category(Category::Noise).len(), 0);
-    }
-
-    #[test]
     fn drain_empties_everything() {
         let mut s = ArchiveStore::new();
         s.insert(rec(SensorType::Weather, 0, 5));
@@ -628,17 +570,5 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.wire_bytes(), 0);
         assert_eq!(s.earliest_s(), None);
-    }
-
-    #[test]
-    fn archive_phase_is_pass_through_with_side_effect() {
-        let mut phase = ArchivePhase::new();
-        let batch = vec![
-            rec(SensorType::Weather, 0, 1),
-            rec(SensorType::Weather, 1, 2),
-        ];
-        let out = phase.run(batch.clone(), &PhaseContext::at(10));
-        assert_eq!(out, batch);
-        assert_eq!(phase.store().len(), 2);
     }
 }

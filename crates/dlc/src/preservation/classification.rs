@@ -12,7 +12,7 @@ use crate::record::DataRecord;
 
 /// Version and provenance chain for one sensor's record stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Lineage {
+pub(crate) struct Lineage {
     /// Number of records classified for this sensor so far.
     pub version: u64,
     /// Hash chained over every classified record (provenance digest).
@@ -52,11 +52,6 @@ impl ClassificationPhase {
     /// Creates the phase.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Current lineage for a sensor, if any record was classified.
-    pub fn lineage_of(&self, sensor: SensorId) -> Option<Lineage> {
-        self.lineage.get(&sensor).copied()
     }
 
     fn chain(digest: u64, rec: &DataRecord) -> u64 {
@@ -113,6 +108,11 @@ impl Phase for ClassificationPhase {
 mod tests {
     use super::*;
     use scc_sensors::{Reading, Value};
+
+    /// Current lineage for a sensor, if any record was classified.
+    fn lineage_of(phase: &ClassificationPhase, sensor: SensorId) -> Option<Lineage> {
+        phase.lineage.get(&sensor).copied()
+    }
 
     fn rec(ty: SensorType, idx: u32, t: u64, v: u64) -> DataRecord {
         DataRecord::from_reading(Reading::new(SensorId::new(ty, idx), t, Value::Counter(v)))
@@ -230,7 +230,7 @@ mod tests {
                 for idx in 0..3 {
                     let id = SensorId::new(ty, idx);
                     proptest::prop_assert_eq!(
-                        phase.lineage_of(id),
+                        lineage_of(&phase, id),
                         model.lineage.get(&id).copied()
                     );
                 }
@@ -303,7 +303,7 @@ mod tests {
                 for idx in 0..3 {
                     let id = SensorId::new(ty, idx);
                     proptest::prop_assert_eq!(
-                        phase.lineage_of(id),
+                        lineage_of(&phase, id),
                         model.lineage.get(&id).copied()
                     );
                 }
@@ -323,16 +323,15 @@ mod tests {
             ],
             &PhaseContext::at(0),
         );
-        assert_eq!(phase.lineage_of(id_a).unwrap().version, 2);
+        assert_eq!(lineage_of(&phase, id_a).unwrap().version, 2);
         assert_eq!(
-            phase
-                .lineage_of(SensorId::new(SensorType::Traffic, 2))
+            lineage_of(&phase, SensorId::new(SensorType::Traffic, 2))
                 .unwrap()
                 .version,
             1
         );
         assert_eq!(
-            phase.lineage_of(SensorId::new(SensorType::Traffic, 9)),
+            lineage_of(&phase, SensorId::new(SensorType::Traffic, 9)),
             None
         );
     }
@@ -359,7 +358,7 @@ mod tests {
         );
         let id = SensorId::new(SensorType::Traffic, 1);
         // Chaining is incremental: batch split must not change the digest.
-        assert_eq!(a.lineage_of(id), b.lineage_of(id));
+        assert_eq!(lineage_of(&a, id), lineage_of(&b, id));
 
         // Different content -> different digest.
         let mut c = ClassificationPhase::new();
@@ -371,8 +370,8 @@ mod tests {
             &PhaseContext::at(0),
         );
         assert_ne!(
-            a.lineage_of(id).unwrap().digest,
-            c.lineage_of(id).unwrap().digest
+            lineage_of(&a, id).unwrap().digest,
+            lineage_of(&c, id).unwrap().digest
         );
     }
 }

@@ -10,10 +10,8 @@
 
 use std::fmt;
 
-use scc_sensors::{Category, SensorType, Value};
+use scc_sensors::{SensorType, Value};
 use serde::{Deserialize, Serialize};
-
-use crate::{Error, Result};
 
 /// One detected quality violation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -49,7 +47,7 @@ pub struct QualityReport {
 
 impl QualityReport {
     /// A report with no violations (score 1.0).
-    pub fn perfect() -> Self {
+    pub(crate) fn perfect() -> Self {
         Self {
             score: 1.0,
             violations: [Violation::OutOfRange; MAX_VIOLATIONS],
@@ -114,7 +112,7 @@ impl QualityPolicy {
     ///
     /// These encode physical sanity (temperatures in °C, noise in dB(A),
     /// levels in %, counters non-negative) rather than Sentilo specifics.
-    pub fn bounds_for(ty: SensorType) -> (f64, f64) {
+    pub(crate) fn bounds_for(ty: SensorType) -> (f64, f64) {
         use SensorType::*;
         match ty {
             Temperature
@@ -134,7 +132,7 @@ impl QualityPolicy {
     }
 
     /// Expected composite channel count, if the type is composite.
-    pub fn composite_arity(ty: SensorType) -> Option<usize> {
+    pub(crate) fn composite_arity(ty: SensorType) -> Option<usize> {
         use SensorType::*;
         match ty {
             NetworkAnalyzer => Some(11),
@@ -142,17 +140,6 @@ impl QualityPolicy {
             Weather => Some(5),
             _ => None,
         }
-    }
-
-    /// Validates policy invariants (builder-style use).
-    pub fn validated(self) -> Result<Self> {
-        if !(0.0..=1.0).contains(&self.penalty) {
-            return Err(Error::InvertedBounds {
-                min: 0.0,
-                max: self.penalty,
-            });
-        }
-        Ok(self)
     }
 
     /// Assesses one reading collected at `collected_s`.
@@ -188,15 +175,6 @@ impl Default for QualityPolicy {
     fn default() -> Self {
         Self::paper_default()
     }
-}
-
-/// Convenience: the category a violation report would block from open-data
-/// publication (used by dissemination tests).
-pub fn is_publishable(category: Category, report: &QualityReport) -> bool {
-    // All Sentilo categories are open data; publication only requires
-    // passing quality.
-    let _ = category;
-    report.passed()
 }
 
 #[cfg(test)]
@@ -260,16 +238,6 @@ mod tests {
         for v in [Value::Flag(false), Value::Flag(true)] {
             assert!(p.assess(SensorType::ParkingSpot, &v, 0, 0).passed());
         }
-    }
-
-    #[test]
-    fn validated_rejects_silly_penalty() {
-        let p = QualityPolicy {
-            max_staleness_s: 10,
-            penalty: 3.0,
-        };
-        assert!(p.validated().is_err());
-        assert!(QualityPolicy::paper_default().validated().is_ok());
     }
 
     #[test]

@@ -5,7 +5,6 @@
 use scc_sensors::{Reading, SensorType};
 use serde::{Deserialize, Serialize};
 
-use crate::age::{AgeClass, AgePolicy};
 use crate::descriptor::Descriptor;
 use crate::quality::QualityReport;
 
@@ -71,13 +70,8 @@ impl DataRecord {
     }
 
     /// Records a quality assessment.
-    pub fn set_quality(&mut self, report: QualityReport) {
+    pub(crate) fn set_quality(&mut self, report: QualityReport) {
         self.quality = Some(report);
-    }
-
-    /// Age class at `now_s` under `policy`, based on creation time.
-    pub fn age_class(&self, now_s: u64, policy: &AgePolicy) -> AgeClass {
-        policy.classify(now_s.saturating_sub(self.descriptor.created_s()))
     }
 
     /// Approximate wire size of this record in bytes (its Sentilo text
@@ -114,15 +108,6 @@ mod tests {
         let rec = record(1234);
         assert_eq!(rec.descriptor().created_s(), 1234);
         assert_eq!(rec.reading().timestamp_s(), 1234);
-    }
-
-    #[test]
-    fn age_class_uses_policy() {
-        let rec = record(0);
-        let p = AgePolicy::paper_default();
-        assert_eq!(rec.age_class(10, &p), AgeClass::RealTime);
-        assert_eq!(rec.age_class(10_000, &p), AgeClass::Recent);
-        assert_eq!(rec.age_class(100_000, &p), AgeClass::Historical);
     }
 
     #[test]

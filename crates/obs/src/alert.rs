@@ -95,11 +95,6 @@ impl BurnRateMonitor {
         }
     }
 
-    /// The monitored spec.
-    pub fn spec(&self) -> &SloSpec {
-        &self.spec
-    }
-
     /// Whether the alert is currently firing.
     pub fn firing(&self) -> bool {
         self.firing

@@ -46,7 +46,7 @@ impl ExplainStore {
     }
 
     /// A store with `slots` reservoir slots.
-    pub fn with_slots(slots: usize) -> Self {
+    pub(crate) fn with_slots(slots: usize) -> Self {
         Self {
             slots: vec![None; slots.max(1)],
             kept: 0,

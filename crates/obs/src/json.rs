@@ -9,6 +9,7 @@
 //! Numbers are `f64`; every integer the exporter emits fits in the 2^53
 //! exact range and round-trips. Integral values print without a fraction so
 //! the emitted files diff cleanly.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::fmt;
 
@@ -171,11 +172,10 @@ impl Json {
     ///
     /// [`JsonError`] with a byte offset on malformed input.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(JsonError {
                 at: pos,
                 what: "trailing content after document",
@@ -218,6 +218,10 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deep arrays and objects may nest. The committed documents nest 6
+/// levels; a hostile one must get a [`JsonError`], not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -233,8 +237,15 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8, what: &'static str) -> Result
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
+    if depth > MAX_DEPTH && matches!(bytes.get(*pos), Some(b'{' | b'[')) {
+        return Err(JsonError {
+            at: *pos,
+            what: "nesting too deep",
+        });
+    }
     match bytes.get(*pos) {
         None => Err(JsonError {
             at: *pos,
@@ -250,10 +261,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':', "expected ':' after object key")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -280,7 +291,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -297,11 +308,11 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 }
             }
         }
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(text, pos),
     }
 }
 
@@ -322,28 +333,57 @@ fn parse_literal(
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Advances past a run of ASCII digits; returns how many there were.
+fn skip_digits(bytes: &[u8], pos: &mut usize) -> usize {
     let start = *pos;
+    while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+        *pos += 1;
+    }
+    *pos - start
+}
+
+/// RFC 8259's grammar, `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`:
+/// no leading `+`, no leading zeros, no bare `.` or exponent.
+fn parse_number(text: &str, pos: &mut usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
+    let start = *pos;
+    let invalid = JsonError {
+        at: start,
+        what: "invalid number",
+    };
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while matches!(
-        bytes.get(*pos),
-        Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    ) {
-        *pos += 1;
+    let int_start = *pos;
+    match skip_digits(bytes, pos) {
+        0 => return Err(invalid),
+        1 => {}
+        _ if bytes[int_start] == b'0' => return Err(invalid),
+        _ => {}
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| JsonError {
-        at: start,
-        what: "invalid number",
-    })?;
-    text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
-        at: start,
-        what: "invalid number",
-    })
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if skip_digits(bytes, pos) == 0 {
+            return Err(invalid);
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if skip_digits(bytes, pos) == 0 {
+            return Err(invalid);
+        }
+    }
+    text[start..*pos]
+        .parse::<f64>()
+        .map(Json::Num)
+        .map_err(|_| invalid)
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"', "expected string")?;
     let mut out = String::new();
     loop {
@@ -370,18 +410,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes.get(*pos + 1..*pos + 5).ok_or(JsonError {
-                            at: *pos,
-                            what: "truncated \\u escape",
-                        })?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| JsonError {
+                        let invalid = JsonError {
                             at: *pos,
                             what: "invalid \\u escape",
-                        })?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| JsonError {
-                            at: *pos,
-                            what: "invalid \\u escape",
-                        })?;
+                        };
+                        let hex = text.get(*pos + 1..*pos + 5).ok_or(invalid)?;
+                        // `from_str_radix` alone would take a leading `+`.
+                        if !hex.bytes().all(|h| h.is_ascii_hexdigit()) {
+                            return Err(invalid);
+                        }
+                        let code = u32::from_str_radix(hex, 16).map_err(|_| invalid)?;
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
@@ -394,14 +432,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| JsonError {
+            Some(&b) if b < 0x20 => {
+                return Err(JsonError {
                     at: *pos,
-                    what: "invalid UTF-8",
-                })?;
-                let c = rest.chars().next().expect("non-empty");
+                    what: "unescaped control character in string",
+                })
+            }
+            Some(_) => {
+                // One UTF-8 scalar. Every step so far ended on a scalar
+                // boundary, so the slice is O(1) and never fails on a &str.
+                let c = text
+                    .get(*pos..)
+                    .and_then(|rest| rest.chars().next())
+                    .ok_or(JsonError {
+                        at: *pos,
+                        what: "invalid UTF-8",
+                    })?;
                 out.push(c);
                 *pos += c.len_utf8();
             }
@@ -469,6 +515,28 @@ mod tests {
         assert!(Json::parse("{} extra").is_err());
         assert!(Json::parse("nul").is_err());
         assert_eq!(Json::parse("  [ ]  ").unwrap(), Json::Arr(vec![]));
+    }
+
+    #[test]
+    fn rejects_what_rfc_8259_forbids() {
+        for bad in [
+            "\"\\u+041\"",
+            "\"\\u004\"",
+            "+1",
+            "01",
+            "-01",
+            "1.",
+            ".5",
+            "-",
+            "1e",
+            "1e+",
+            "\"a\u{1}b\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} parsed");
+        }
+        assert_eq!(Json::parse("\"\\u0041\"").unwrap(), Json::Str("A".into()));
+        assert_eq!(Json::parse("-0.5e+2").unwrap(), Json::Num(-50.0));
+        assert_eq!(Json::parse("0").unwrap(), Json::Num(0.0));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct Labels {
 
 impl Labels {
     /// The unlabeled set.
-    pub const NONE: Labels = Labels {
+    pub(crate) const NONE: Labels = Labels {
         layer: "",
         class: "",
         service: "",
@@ -63,7 +63,7 @@ impl Labels {
     }
 
     /// Whether no dimension is set.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         *self == Self::NONE
     }
 }

@@ -5,26 +5,26 @@
 //! in one machine-readable place, not scattered across per-crate structs.
 //! This crate is that place:
 //!
-//! * [`registry`] — the unified [`MetricsRegistry`]: named counters, gauges
+//! * `registry` — the unified [`MetricsRegistry`]: named counters, gauges
 //!   and duration histograms with a static label set ([`Labels`]: layer,
 //!   class, service, fault kind). The city, the query engine, the QoS ledger
 //!   and the sketch plane all publish into one registry; the old hand-rolled
 //!   stat structs survive only as typed *views* over it.
-//! * [`trace`] — deterministic sim-time tracing: plain-value [`Span`]s
+//! * `trace` — deterministic sim-time tracing: plain-value [`Span`]s
 //!   opened/closed on the event clock (no wall time, no globals, no thread
 //!   locals), nested parent/child per site, kept in a ring-buffered
-//!   [`TraceLog`] per node, with a byte-stable transcript encoding so three
+//!   `TraceLog` per node, with a byte-stable transcript encoding so three
 //!   replicas of a seeded run produce identical traces.
 //! * [`json`] — a dependency-free JSON value (the vendored serde is a no-op
 //!   shim), writer and parser, for the `BENCH_*.json` export pipeline.
-//! * [`budget`] — the perf-budget gate: diff a fresh bench snapshot against
+//! * `budget` — the perf-budget gate: diff a fresh bench snapshot against
 //!   a committed baseline and fail on regressions beyond per-metric
 //!   tolerances.
-//! * [`explain`] — deterministic min-hash reservoir retention for planner
+//! * `explain` — deterministic min-hash reservoir retention for planner
 //!   EXPLAIN transcripts ([`ExplainStore`]).
-//! * [`exemplar`] — per-latency-bucket trace exemplars: the slowest query
+//! * `exemplar` — per-latency-bucket trace exemplars: the slowest query
 //!   in each histogram bucket keeps its span tree ([`ExemplarStore`]).
-//! * [`alert`] — multi-window SLO burn-rate alerting on the event clock
+//! * `alert` — multi-window SLO burn-rate alerting on the event clock
 //!   ([`BurnRateMonitor`]), the diagnosis plane's "notice it during the
 //!   run" rung.
 //!
@@ -52,20 +52,22 @@
 //! assert_eq!(tracer.span_count(), 1);
 //! ```
 
-pub mod alert;
-pub mod budget;
-pub mod exemplar;
-pub mod explain;
-pub mod json;
-pub mod labels;
-pub mod registry;
-pub mod trace;
+#![warn(unreachable_pub)]
 
-pub use alert::{AlertEvent, AlertTransition, BurnRateMonitor, SloSpec};
+pub(crate) mod alert;
+pub(crate) mod budget;
+pub(crate) mod exemplar;
+pub(crate) mod explain;
+pub mod json;
+pub(crate) mod labels;
+pub(crate) mod registry;
+pub(crate) mod trace;
+
+pub use alert::{AlertTransition, BurnRateMonitor, SloSpec};
 pub use budget::{check_budget, BudgetRule, Violation};
-pub use exemplar::{Exemplar, ExemplarStore};
+pub use exemplar::ExemplarStore;
 pub use explain::ExplainStore;
-pub use json::{Json, JsonError};
+pub use json::Json;
 pub use labels::Labels;
-pub use registry::{CounterId, GaugeId, HistogramId, HistogramSummary, MetricsRegistry, Snapshot};
-pub use trace::{Site, Span, SpanToken, TraceLog, Tracer, TracerMark};
+pub use registry::{CounterId, HistogramSummary, MetricsRegistry, Snapshot};
+pub use trace::{Site, Span, SpanToken, Tracer};

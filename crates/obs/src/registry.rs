@@ -128,11 +128,6 @@ impl MetricsRegistry {
         self.gauges[id.0].1 = value;
     }
 
-    /// Current gauge value.
-    pub fn gauge_value(&self, id: GaugeId) -> i64 {
-        self.gauges[id.0].1
-    }
-
     /// Records one duration sample into a histogram.
     pub fn observe(&mut self, id: HistogramId, d: Duration) {
         self.histograms[id.0].1.record(d);
@@ -144,35 +139,12 @@ impl MetricsRegistry {
         self.histograms[id.0].1.merge(other);
     }
 
-    /// Read access to a registered histogram.
-    pub fn histogram_ref(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0].1
-    }
-
     /// Looks up a counter's value by key, if registered.
     pub fn counter_named(&self, name: &'static str, labels: Labels) -> Option<u64> {
         match self.index.get(&(name, labels)) {
             Some(Slot::Counter(i)) => Some(self.counters[*i].1),
             _ => None,
         }
-    }
-
-    /// Looks up a histogram by key, if registered.
-    pub fn histogram_named(&self, name: &'static str, labels: Labels) -> Option<&Histogram> {
-        match self.index.get(&(name, labels)) {
-            Some(Slot::Histogram(i)) => Some(&self.histograms[*i].1),
-            _ => None,
-        }
-    }
-
-    /// Number of registered series across all kinds.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
     }
 
     /// Drains every counter of `other` into `self` by `(name, labels)`
@@ -207,30 +179,6 @@ impl MetricsRegistry {
             let id = self.histogram(name, labels);
             self.histograms[id.0].1.merge(&other.histograms[i].1);
             other.histograms[i].1 = Histogram::new();
-        }
-    }
-
-    /// Merges another registry into this one: counters add, histograms
-    /// merge, gauges take the other's value — all by key, registering
-    /// missing series. Order-insensitive for counters and histograms, so
-    /// per-shard registries folded in canonical shard order yield the
-    /// same totals any schedule would.
-    pub fn merge_from(&mut self, other: &MetricsRegistry) {
-        for &((name, labels), value) in &other.counters {
-            if value != 0 {
-                let id = self.counter(name, labels);
-                self.counters[id.0].1 += value;
-            }
-        }
-        for &((name, labels), value) in &other.gauges {
-            let id = self.gauge(name, labels);
-            self.gauges[id.0].1 = value;
-        }
-        for &((name, labels), ref hist) in &other.histograms {
-            if hist.count() > 0 {
-                let id = self.histogram(name, labels);
-                self.histograms[id.0].1.merge(hist);
-            }
         }
     }
 
@@ -314,15 +262,6 @@ impl Snapshot {
             .ok()
             .map(|i| self.counters[i].1)
     }
-
-    /// Looks up a histogram summary by its canonical key (binary search
-    /// over the key-ordered vector, like [`Snapshot::counter`]).
-    pub fn histogram(&self, key: &str) -> Option<&HistogramSummary> {
-        self.histograms
-            .binary_search_by(|(k, _)| k.as_str().cmp(key))
-            .ok()
-            .map(|i| &self.histograms[i].1)
-    }
 }
 
 #[cfg(test)]
@@ -341,7 +280,7 @@ mod tests {
         r.add(b, 2);
         assert_eq!(r.counter_value(a), 3);
         assert_eq!(r.counter_value(c), 0);
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.index.len(), 2);
     }
 
     #[test]
@@ -358,7 +297,7 @@ mod tests {
         let g = r.gauge("in_flight", Labels::new().layer("cloud"));
         r.set(g, 7);
         r.set(g, 3);
-        assert_eq!(r.gauge_value(g), 3);
+        assert_eq!(r.gauges[g.0].1, 3);
     }
 
     #[test]
@@ -369,13 +308,7 @@ mod tests {
         let mut node_local = Histogram::new();
         node_local.record(Duration::from_millis(8));
         r.merge_histogram(h, &node_local);
-        assert_eq!(r.histogram_ref(h).count(), 2);
-        assert_eq!(
-            r.histogram_named("latency", Labels::new().class("realtime"))
-                .unwrap()
-                .count(),
-            2
-        );
+        assert_eq!(r.histograms[h.0].1.count(), 2);
     }
 
     #[test]
@@ -394,8 +327,9 @@ mod tests {
         assert_eq!(snap.counters[1].0, "z_last");
         assert_eq!(snap.counter("a_first"), Some(5));
         assert_eq!(snap.gauges, vec![("mid{layer=fog1}".to_string(), -2)]);
-        assert_eq!(snap.histogram("lat").unwrap().count, 1);
-        assert_eq!(snap.histogram("absent"), None);
+        assert_eq!(snap.histograms.len(), 1);
+        assert_eq!(snap.histograms[0].0, "lat");
+        assert_eq!(snap.histograms[0].1.count, 1);
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub struct Span {
 
 impl Span {
     /// The span's simulated duration.
-    pub fn duration(&self) -> Duration {
+    pub(crate) fn duration(&self) -> Duration {
         Duration::from_micros(self.end_us.saturating_sub(self.start_us))
     }
 }
@@ -142,7 +142,7 @@ fn phase_entry<'a>(list: &'a mut Evicted, phase: &'static str) -> &'a mut Histog
 impl TraceLog {
     /// An empty log keeping at most `capacity` completed spans (oldest
     /// evicted first).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
             done: VecDeque::new(),
@@ -214,11 +214,6 @@ impl TraceLog {
         self.open.len()
     }
 
-    /// Completed spans evicted by the ring bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Structurally invalid closes observed (0 in a well-formed log).
     pub fn malformed(&self) -> u64 {
         self.malformed
@@ -249,7 +244,7 @@ fn dense_key(site: Site) -> Option<(usize, usize)> {
     Some((tier, site.index as usize))
 }
 
-/// The per-run tracer: one [`TraceLog`] per [`Site`], encoded key-ordered
+/// The per-run tracer: one `TraceLog` per [`Site`], encoded key-ordered
 /// so the transcript is byte-stable across replicas.
 #[derive(Debug, Clone)]
 pub struct Tracer {
@@ -284,7 +279,7 @@ impl Tracer {
     /// `flight_record(8)`, and `spans_since` over one query's spans at a
     /// site (five at its origin, six if it also runs a leg there; one
     /// `scatter-leg` elsewhere). Durations never depend on the rings.
-    pub const DEFAULT_CAPACITY: usize = 8;
+    pub(crate) const DEFAULT_CAPACITY: usize = 8;
 
     /// A tracer with the default per-site capacity.
     pub fn new() -> Self {
@@ -598,7 +593,7 @@ mod tests {
             t.close(s, i * 10 + 1);
         }
         let log = t.log(S).unwrap();
-        assert_eq!(log.dropped(), 3);
+        assert_eq!(log.dropped, 3);
         let kept: Vec<u64> = log.completed().map(|s| s.start_us).collect();
         assert_eq!(kept, vec![30, 40]);
     }
@@ -621,7 +616,7 @@ mod tests {
         assert_eq!(phases["old"].count(), 2);
         assert_eq!(phases["old"].mean(), Duration::from_micros(1));
         assert_eq!(phases["new"].count(), 3);
-        assert_eq!(t.log(S).unwrap().dropped(), 3);
+        assert_eq!(t.log(S).unwrap().dropped, 3);
         assert_eq!(t.span_count(), 2);
     }
 
@@ -636,7 +631,7 @@ mod tests {
         let mut global = Tracer::new();
         global.absorb(&mut scratch);
         assert_eq!(global.phase_histograms()["shard-work"].count(), 3);
-        assert_eq!(global.log(S).unwrap().dropped(), 2);
+        assert_eq!(global.log(S).unwrap().dropped, 2);
         assert!(scratch.phase_histograms().is_empty());
     }
 
@@ -863,11 +858,11 @@ mod tests {
             malformed: u64,
         }
 
-        pub struct Mark {
+        pub(crate) struct Mark {
             per_site: BTreeMap<Site, (usize, u64)>,
         }
 
-        pub struct Tracer {
+        pub(crate) struct Tracer {
             capacity: usize,
             logs: BTreeMap<Site, Log>,
             /// Every span completed or absorbed since the last drain,
@@ -886,7 +881,7 @@ mod tests {
         }
 
         impl Tracer {
-            pub fn with_capacity(capacity: usize) -> Self {
+            pub(crate) fn with_capacity(capacity: usize) -> Self {
                 Self {
                     capacity,
                     logs: BTreeMap::new(),
@@ -894,7 +889,7 @@ mod tests {
                 }
             }
 
-            pub fn open(&mut self, site: Site, name: &'static str, at_us: u64) {
+            pub(crate) fn open(&mut self, site: Site, name: &'static str, at_us: u64) {
                 let log = self.logs.entry(site).or_default();
                 log.open.push(OpenSpan {
                     seq: log.next_seq,
@@ -905,7 +900,7 @@ mod tests {
                 log.next_seq += 1;
             }
 
-            pub fn close_with(&mut self, token: SpanToken, at_us: u64, attr: u64) -> bool {
+            pub(crate) fn close_with(&mut self, token: SpanToken, at_us: u64, attr: u64) -> bool {
                 let Some(log) = self.logs.get_mut(&token.site) else {
                     return false;
                 };
@@ -931,7 +926,7 @@ mod tests {
                 }
             }
 
-            pub fn absorb(&mut self, other: &mut Tracer) {
+            pub(crate) fn absorb(&mut self, other: &mut Tracer) {
                 for (site, log) in &mut other.logs {
                     let dst = self.logs.entry(*site).or_default();
                     while let Some(span) = log.done.pop_front() {
@@ -943,7 +938,7 @@ mod tests {
                 self.all.append(&mut other.all);
             }
 
-            pub fn mark(&self) -> Mark {
+            pub(crate) fn mark(&self) -> Mark {
                 Mark {
                     per_site: self
                         .logs
@@ -953,7 +948,7 @@ mod tests {
                 }
             }
 
-            pub fn spans_since(&self, mark: &Mark) -> String {
+            pub(crate) fn spans_since(&self, mark: &Mark) -> String {
                 let mut out = String::new();
                 for (site, log) in &self.logs {
                     let (mark_len, mark_dropped) =
@@ -971,19 +966,19 @@ mod tests {
                 out
             }
 
-            pub fn span_count(&self) -> usize {
+            pub(crate) fn span_count(&self) -> usize {
                 self.logs.values().map(|l| l.done.len()).sum()
             }
 
-            pub fn malformed(&self) -> u64 {
+            pub(crate) fn malformed(&self) -> u64 {
                 self.logs.values().map(|l| l.malformed).sum()
             }
 
-            pub fn sites(&self) -> impl Iterator<Item = Site> + '_ {
+            pub(crate) fn sites(&self) -> impl Iterator<Item = Site> + '_ {
                 self.logs.keys().copied()
             }
 
-            pub fn flight_record(&self, per_site: usize) -> String {
+            pub(crate) fn flight_record(&self, per_site: usize) -> String {
                 let mut out = String::new();
                 for (site, log) in &self.logs {
                     let skip = log.done.len().saturating_sub(per_site);
@@ -999,11 +994,11 @@ mod tests {
             }
 
             /// Ring evictions since this tracer was last drained.
-            pub fn dropped(&self) -> u64 {
+            pub(crate) fn dropped(&self) -> u64 {
                 self.logs.values().map(|l| l.dropped).sum()
             }
 
-            pub fn phase_histograms(&self) -> BTreeMap<&'static str, Histogram> {
+            pub(crate) fn phase_histograms(&self) -> BTreeMap<&'static str, Histogram> {
                 let mut out: BTreeMap<&'static str, Histogram> = BTreeMap::new();
                 for span in &self.all {
                     out.entry(span.name).or_default().record(span.duration());
@@ -1011,7 +1006,7 @@ mod tests {
                 out
             }
 
-            pub fn encode(&self) -> Vec<u8> {
+            pub(crate) fn encode(&self) -> Vec<u8> {
                 let mut out = String::new();
                 for (site, log) in &self.logs {
                     let _ = writeln!(

@@ -267,7 +267,10 @@ mod tests {
         per_class[ServiceClass::Dashboard.index()].borrow_pct = 50;
         per_class[ServiceClass::Analytics.index()].guarantee_pct = [10; 3];
         per_class[ServiceClass::Analytics.index()].borrow_pct = 10;
-        QosPolicy::new(per_class)
+        QosPolicy {
+            per_class,
+            ..QosPolicy::default()
+        }
     }
 
     fn ledger() -> ClassLedger {
@@ -358,7 +361,13 @@ mod tests {
         // 4 × 60% = 240% reserved: only the two highest-priority classes
         // fit their full share in a 10-slot layer.
         per_class[ServiceClass::Analytics.index()].guarantee_pct = [60; 3];
-        let l = ClassLedger::new([10, 10, 10], &QosPolicy::new(per_class));
+        let l = ClassLedger::new(
+            [10, 10, 10],
+            &QosPolicy {
+                per_class,
+                ..QosPolicy::default()
+            },
+        );
         assert_eq!(l.guarantee(Layer::Fog1, ServiceClass::RealTime), 6);
         assert_eq!(l.guarantee(Layer::Fog1, ServiceClass::Dashboard), 4);
         assert_eq!(l.guarantee(Layer::Fog1, ServiceClass::CityWide), 0);
@@ -395,7 +404,10 @@ mod tests {
     fn refused_sketch_charge_stays_due() {
         // Divisor 1: every sketch read pays. Saturate analytics' quota;
         // the refused paying turn must not convert into a free ride.
-        let policy = small_policy().with_sketch_divisor(1);
+        let policy = QosPolicy {
+            sketch_divisor: 1,
+            ..small_policy()
+        };
         let mut l = ClassLedger::new([10, 10, 10], &policy);
         assert!(l.try_acquire(ServiceClass::Analytics, fog1(2)).is_ok());
         assert_eq!(
@@ -416,7 +428,10 @@ mod tests {
 
     #[test]
     fn exempt_sketch_policy_never_charges() {
-        let policy = small_policy().with_sketch_divisor(0);
+        let policy = QosPolicy {
+            sketch_divisor: 0,
+            ..small_policy()
+        };
         let mut l = ClassLedger::new([1, 1, 1], &policy);
         for _ in 0..50 {
             assert_eq!(

@@ -6,8 +6,8 @@ use std::fmt;
 /// A consumer service class: live per-section reads, refreshing district
 /// dashboards, long-window analytics, and city-wide situation panels.
 ///
-/// Classes carry a fixed **priority** (see [`ServiceClass::priority`] —
-/// deliberately not `Ord`, so rankings are always explicit): under
+/// Classes carry a fixed **priority**, the order of [`ServiceClass::ALL`]
+/// (deliberately not `Ord`, so rankings are always explicit): under
 /// admission pressure the engine sheds the lowest-priority classes
 /// first, and a class's *guaranteed* quota can never be consumed by
 /// another class's borrowed slots — a cloud-bound analytics burst
@@ -49,18 +49,6 @@ impl ServiceClass {
         }
     }
 
-    /// Admission priority — higher sheds later. Real-time control reads
-    /// outrank dashboards, which outrank city-wide panels, which outrank
-    /// bulk analytics.
-    pub fn priority(self) -> u8 {
-        match self {
-            ServiceClass::RealTime => 3,
-            ServiceClass::Dashboard => 2,
-            ServiceClass::CityWide => 1,
-            ServiceClass::Analytics => 0,
-        }
-    }
-
     /// Short label for tables and transcripts.
     pub fn label(self) -> &'static str {
         match self {
@@ -94,9 +82,6 @@ mod tests {
 
     #[test]
     fn all_is_ordered_by_descending_priority() {
-        for pair in ServiceClass::ALL.windows(2) {
-            assert!(pair[0].priority() > pair[1].priority());
-        }
         assert_eq!(ServiceClass::ALL[0], ServiceClass::RealTime);
         assert_eq!(
             ServiceClass::ALL[CLASS_COUNT - 1],

@@ -18,7 +18,7 @@
 //!   with priority so the lowest-priority class sheds first;
 //!   single-source warm-sketch reads (merges of pre-folded partials, no
 //!   archive scan) admit at a policy-reduced cost — one charged slot
-//!   per [`QosPolicy::sketch_divisor`] reads
+//!   per `QosPolicy::sketch_divisor` reads
 //!   ([`ClassLedger::try_acquire_sketch`]; fan-out legs always hold one
 //!   slot each so multi-slot acquisitions stay atomic),
 //! * [`ShedCause`] — why a rejected query was rejected: quota pressure
@@ -45,10 +45,12 @@
 //! assert_eq!(ledger.layer_total(Layer::Fog2), 0);
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod admission;
 mod class;
 mod policy;
 
 pub use admission::{ClassLedger, ShedCause};
 pub use class::{ServiceClass, CLASS_COUNT};
-pub use policy::{ClassPolicy, QosPolicy, DEFAULT_SKETCH_DIVISOR};
+pub use policy::{ClassPolicy, QosPolicy};

@@ -17,10 +17,8 @@
 //! be rerouted to a pricier fallback only while that fallback still fits
 //! the budget.
 
-use citysim::time::Duration;
-use f2c_core::Layer;
-
 use crate::class::{ServiceClass, CLASS_COUNT};
+use citysim::time::Duration;
 
 /// Admission and latency policy for one service class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,59 +42,33 @@ pub struct ClassPolicy {
 /// A warm-sketch answer merges a handful of constant-size pre-folded
 /// partials — roughly a quarter of the work of the archive scan a raw
 /// slot models — so by default four sketch reads cost one slot.
-pub const DEFAULT_SKETCH_DIVISOR: u32 = 4;
+pub(crate) const DEFAULT_SKETCH_DIVISOR: u32 = 4;
 
 /// The full per-class policy table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QosPolicy {
-    per_class: [ClassPolicy; CLASS_COUNT],
-    sketch_divisor: u32,
+    /// One entry per class, indexed by [`ServiceClass::index`].
+    pub(crate) per_class: [ClassPolicy; CLASS_COUNT],
+    /// Every `sketch_divisor`-th warm-sketch read of a class charges one
+    /// slot (`1` = as much as a raw scan, `0` = admission-exempt).
+    pub(crate) sketch_divisor: u32,
 }
 
 impl QosPolicy {
-    /// A policy from one entry per class, indexed by
-    /// [`ServiceClass::index`], admitting warm-sketch reads at the
-    /// default reduced cost ([`DEFAULT_SKETCH_DIVISOR`]).
-    pub fn new(per_class: [ClassPolicy; CLASS_COUNT]) -> Self {
-        Self {
-            per_class,
-            sketch_divisor: DEFAULT_SKETCH_DIVISOR,
-        }
-    }
-
-    /// Sets the warm-sketch admission divisor: every `divisor`-th
-    /// sketch read of a class charges one slot at the serving layer
-    /// (`1` = sketch reads cost as much as raw scans, `0` = sketch
-    /// reads are admission-exempt like cache hits).
-    pub fn with_sketch_divisor(mut self, divisor: u32) -> Self {
-        self.sketch_divisor = divisor;
-        self
-    }
-
-    /// The warm-sketch admission divisor (see
-    /// [`QosPolicy::with_sketch_divisor`]).
-    pub fn sketch_divisor(&self) -> u32 {
+    /// The warm-sketch admission divisor: every `divisor`-th sketch read
+    /// of a class charges one slot at the serving layer.
+    pub(crate) fn sketch_divisor(&self) -> u32 {
         self.sketch_divisor
     }
 
     /// The policy of one class.
-    pub fn class(&self, class: ServiceClass) -> &ClassPolicy {
+    pub(crate) fn class(&self, class: ServiceClass) -> &ClassPolicy {
         &self.per_class[class.index()]
     }
 
     /// The deadline budget of one class.
     pub fn deadline(&self, class: ServiceClass) -> Duration {
         self.per_class[class.index()].deadline
-    }
-
-    /// Sum of guaranteed shares at `layer`, in percent. Policies whose
-    /// guarantees sum past 100% are trimmed in priority order when a
-    /// ledger is built (see [`crate::ClassLedger::new`]).
-    pub fn guarantee_total_pct(&self, layer: Layer) -> u32 {
-        self.per_class
-            .iter()
-            .map(|p| u32::from(p.guarantee_pct[layer.index()]))
-            .sum()
     }
 }
 
@@ -148,12 +120,17 @@ impl Default for QosPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use f2c_core::Layer;
 
     #[test]
     fn default_guarantees_leave_headroom_at_every_layer() {
         let policy = QosPolicy::default();
         for layer in Layer::ALL {
-            let total = policy.guarantee_total_pct(layer);
+            let total: u32 = policy
+                .per_class
+                .iter()
+                .map(|p| u32::from(p.guarantee_pct[layer.index()]))
+                .sum();
             assert!(total <= 100, "{layer}: {total}% reserved");
             assert!(total >= 55, "{layer}: guarantees should be substantial");
         }

@@ -62,10 +62,6 @@ impl<K: Copy + Eq + Hash, V> BoundedFifo<K, V> {
         }
     }
 
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
     /// The value at `key` if `valid` accepts it, in one probe; a value
     /// it rejects is dropped. The order slot of a dropped entry stays
     /// behind; eviction/compaction skips it via the sequence check.
@@ -159,16 +155,6 @@ impl ResultCache {
         }
     }
 
-    /// Number of resident entries (some may be stale until touched).
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.inner.len() == 0
-    }
-
     /// Returns the cached answer if it is still valid at `now_s` under
     /// `epoch`; drops it otherwise.
     pub fn get(&mut self, key: &CacheKey, now_s: u64, epoch: u64) -> Option<QueryAnswer> {
@@ -194,7 +180,7 @@ impl ResultCache {
 
 /// Which node a cached partial was computed at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NodeKey {
+pub(crate) enum NodeKey {
     /// A fog-1 node by section.
     Fog1(u16),
     /// A fog-2 node by district.
@@ -207,7 +193,7 @@ pub enum NodeKey {
 /// one selection — what an aggregate leg probes once before walking its
 /// window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SeriesKey {
+pub(crate) struct SeriesKey {
     /// Where the partials were folded.
     pub node: NodeKey,
     /// Data selection they cover.
@@ -219,16 +205,7 @@ pub struct SeriesKey {
 /// A series of a [`PartialCache`], as [`PartialCache::series`] names it.
 /// Stays valid for the cache's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeriesId(u32);
-
-/// Cache identity of one aggregation bucket at one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PartialKey {
-    /// The series the bucket belongs to.
-    pub series: SeriesKey,
-    /// Bucket start (a multiple of the bucket width).
-    pub bucket_start_s: u64,
-}
+pub(crate) struct SeriesId(u32);
 
 #[derive(Debug, Clone)]
 struct Bucket {
@@ -254,7 +231,7 @@ struct Bucket {
 /// topology: a node is asked for its own shard or a scope it contains
 /// (73 + 83 + 84 `(node, scope)` pairs) under one of 26 selectors.
 #[derive(Debug, Clone)]
-pub struct PartialCache {
+pub(crate) struct PartialCache {
     /// Keys are built by this program from queries it planned: an
     /// [`IdMap`], never iterated.
     ids: IdMap<SeriesKey, SeriesId>,
@@ -274,7 +251,7 @@ fn locate(run: &[Bucket], start_s: u64) -> std::result::Result<usize, usize> {
 
 impl PartialCache {
     /// An empty cache holding at most `capacity` bucket partials.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             ids: IdMap::default(),
             series: Vec::new(),
@@ -285,18 +262,8 @@ impl PartialCache {
         }
     }
 
-    /// Number of resident partials.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The series of `key`, opened empty on first sight.
-    pub fn series(&mut self, key: SeriesKey) -> SeriesId {
+    pub(crate) fn series(&mut self, key: SeriesKey) -> SeriesId {
         match self.ids.entry(key) {
             MapEntry::Occupied(slot) => *slot.get(),
             MapEntry::Vacant(slot) => {
@@ -310,7 +277,7 @@ impl PartialCache {
     /// Merges the series' cached partial for the bucket at
     /// `bucket_start_s` into `acc` if one is valid under `epoch`;
     /// reports whether it was a hit. A stale one is dropped.
-    pub fn merge_at<A: AggState>(
+    pub(crate) fn merge_at<A: AggState>(
         &mut self,
         series: SeriesId,
         bucket_start_s: u64,
@@ -336,7 +303,7 @@ impl PartialCache {
     /// Stores a freshly folded partial for the series' bucket at
     /// `bucket_start_s`, evicting the oldest-inserted bucket of any
     /// series when full.
-    pub fn put_at(
+    pub(crate) fn put_at(
         &mut self,
         series: SeriesId,
         bucket_start_s: u64,
@@ -386,18 +353,6 @@ impl PartialCache {
             });
         }
     }
-
-    /// [`PartialCache::merge_at`] for one bucket named in full.
-    pub fn merge_into<A: AggState>(&mut self, key: &PartialKey, epoch: u64, acc: &mut A) -> bool {
-        let series = self.series(key.series);
-        self.merge_at(series, key.bucket_start_s, epoch, acc)
-    }
-
-    /// [`PartialCache::put_at`] for one bucket named in full.
-    pub fn put(&mut self, key: PartialKey, partial: AggPartial, epoch: u64) {
-        let series = self.series(key.series);
-        self.put_at(series, key.bucket_start_s, partial, epoch);
-    }
 }
 
 #[cfg(test)]
@@ -435,7 +390,7 @@ mod tests {
         assert!(c.get(&key(0, 100), 1_060, 1).is_none(), "TTL expired");
         c.put(key(0, 100), answer(5), 1_000, 1);
         assert!(c.get(&key(0, 100), 1_001, 2).is_none(), "flush epoch moved");
-        assert!(c.is_empty(), "stale entries are dropped on read");
+        assert_eq!(c.inner.map.len(), 0, "stale entries are dropped on read");
     }
 
     #[test]
@@ -444,7 +399,7 @@ mod tests {
         for i in 0..5u64 {
             c.put(key(i, i + 1), answer(i), 0, 1);
         }
-        assert_eq!(c.len(), 3);
+        assert_eq!(c.inner.map.len(), 3);
         assert!(c.get(&key(0, 1), 0, 1).is_none(), "oldest evicted");
         assert!(c.get(&key(4, 5), 0, 1).is_some(), "newest kept");
     }
@@ -456,7 +411,11 @@ mod tests {
             c.put(key(0, 1), answer(1), 0, 1);
         }
         c.put(key(1, 2), answer(2), 0, 1);
-        assert_eq!(c.len(), 2, "repeated puts of one key occupy one slot");
+        assert_eq!(
+            c.inner.map.len(),
+            2,
+            "repeated puts of one key occupy one slot"
+        );
         assert_eq!(c.inner.order_len(), 2);
     }
 
@@ -470,7 +429,7 @@ mod tests {
             assert!(c.get(&key(0, 1), 0, epoch).is_none());
             c.put(key(0, 1), answer(epoch), 0, epoch);
         }
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.inner.map.len(), 1);
         assert!(
             c.inner.order_len() <= 8,
             "order queue leaked: {} slots for 1 live entry",
@@ -493,7 +452,7 @@ mod tests {
         c.put(key(0, 1), answer(1), 0, 2);
         c.put(key(1, 2), answer(2), 0, 2);
         c.put(key(2, 3), answer(3), 0, 2); // evicts the oldest live slot
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.inner.map.len(), 2);
         assert!(
             c.get(&key(2, 3), 0, 2).is_some(),
             "newest insert must survive"
@@ -536,7 +495,7 @@ mod tests {
         pc.put(k, AggPartial::empty(), 1);
         assert!(pc.merge_into(&k, 1, &mut acc), "hit");
         assert!(!pc.merge_into(&k, 2, &mut acc), "epoch invalidates");
-        assert!(pc.is_empty());
+        assert_eq!(pc.len, 0);
     }
 
     /// The old form of [`PartialCache`], kept as the reference model:
@@ -559,7 +518,28 @@ mod tests {
         }
     }
 
+    /// Cache identity of one aggregation bucket at one node.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    struct PartialKey {
+        /// The series the bucket belongs to.
+        series: SeriesKey,
+        /// Bucket start (a multiple of the bucket width).
+        bucket_start_s: u64,
+    }
+
     impl PartialCache {
+        /// [`PartialCache::merge_at`] for one bucket named in full.
+        fn merge_into<A: AggState>(&mut self, key: &PartialKey, epoch: u64, acc: &mut A) -> bool {
+            let series = self.series(key.series);
+            self.merge_at(series, key.bucket_start_s, epoch, acc)
+        }
+
+        /// [`PartialCache::put_at`] for one bucket named in full.
+        fn put(&mut self, key: PartialKey, partial: AggPartial, epoch: u64) {
+            let series = self.series(key.series);
+            self.put_at(series, key.bucket_start_s, partial, epoch);
+        }
+
         /// The epoch of the resident bucket at `key`, stale or not.
         fn resident_epoch(&self, key: &PartialKey) -> Option<u64> {
             let run = &self.series[self.ids.get(&key.series)?.0 as usize];
@@ -607,7 +587,7 @@ mod tests {
                         flat.put(key, part, epoch);
                     }
                 }
-                prop_assert_eq!(series.len(), flat.0.len());
+                prop_assert_eq!(series.len, flat.0.map.len());
                 prop_assert_eq!(series.order.len(), flat.0.order_len());
                 prop_assert!(series.order.len() <= 2 * capacity);
             }

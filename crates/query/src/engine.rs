@@ -220,7 +220,7 @@ pub enum Completeness {
 
 impl Completeness {
     /// Whether every planned source contributed.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         matches!(self, Completeness::Complete)
     }
 }
@@ -237,7 +237,7 @@ pub struct HeldSlots {
 
 impl HeldSlots {
     /// No slots held (cache hits).
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self {
             class: ServiceClass::RealTime,
             slots: [0; 3],
@@ -245,7 +245,7 @@ impl HeldSlots {
     }
 
     /// One `class` slot at `layer` (single-source store executions).
-    pub fn single(layer: Layer, class: ServiceClass) -> Self {
+    pub(crate) fn single(layer: Layer, class: ServiceClass) -> Self {
         let mut slots = [0; 3];
         slots[layer.index()] = 1;
         Self { class, slots }
@@ -254,7 +254,7 @@ impl HeldSlots {
     /// Exactly the given per-layer slots for `class` — what a
     /// reduced-cost warm-sketch admission actually charged (often
     /// nothing; see [`f2c_qos::ClassLedger::try_acquire_sketch`]).
-    pub fn from_slots(class: ServiceClass, slots: [u32; 3]) -> Self {
+    pub(crate) fn from_slots(class: ServiceClass, slots: [u32; 3]) -> Self {
         Self { class, slots }
     }
 
@@ -267,23 +267,18 @@ impl HeldSlots {
         }
     }
 
-    /// Slots held at `layer`.
-    pub fn at(&self, layer: Layer) -> u32 {
-        self.slots[layer.index()]
-    }
-
     /// The class whose quota the slots charge.
-    pub fn class(&self) -> ServiceClass {
+    pub(crate) fn class(&self) -> ServiceClass {
         self.class
     }
 
     /// The raw per-layer slot counts (fog 1, fog 2, cloud).
-    pub fn slots(&self) -> [u32; 3] {
+    pub(crate) fn slots(&self) -> [u32; 3] {
         self.slots
     }
 
     /// Whether nothing is held.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.slots.iter().all(|&c| c == 0)
     }
 
@@ -312,7 +307,7 @@ pub struct QueryResponse {
     /// Response payload size.
     pub response_bytes: u64,
     /// The per-layer slots this request occupies until
-    /// [`QueryEngine::release_held`] (store executions only; cache hits
+    /// `QueryEngine::release_held` (store executions only; cache hits
     /// hold nothing).
     pub held: HeldSlots,
     /// Whether every planned source contributed, or faults degraded the
@@ -384,7 +379,7 @@ impl ClassStats {
 
     /// Counter-wise difference against an earlier snapshot (how a
     /// workload run scopes lifetime engine counters to itself).
-    pub fn delta_since(&self, earlier: &Self) -> Self {
+    pub(crate) fn delta_since(&self, earlier: &Self) -> Self {
         Self {
             requests: self.requests - earlier.requests,
             answered: self.answered - earlier.answered,
@@ -461,23 +456,9 @@ impl EngineStats {
         self.shed.iter().sum()
     }
 
-    /// The counters of one service class.
-    pub fn class(&self, class: ServiceClass) -> &ClassStats {
-        &self.per_class[class.index()]
-    }
-
     /// Total deadline sheds across classes.
     pub fn deadline_shed_total(&self) -> u64 {
         self.per_class.iter().map(|c| c.deadline_shed).sum()
-    }
-
-    /// Fraction of answered queries served from a result cache.
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.answered == 0 {
-            0.0
-        } else {
-            (self.edge_hits + self.source_hits) as f64 / self.answered as f64
-        }
     }
 }
 
@@ -693,7 +674,7 @@ impl QueryEngine {
 
     /// Serving counters so far — the typed view over the engine's series
     /// in the city's unified metrics registry (one source of truth; this
-    /// just reads it back in [`EngineStats`] shape).
+    /// just reads it back in `EngineStats` shape).
     pub fn stats(&self) -> EngineStats {
         let m = self.city.metrics();
         let v = |id: CounterId| m.counter_value(id);
@@ -761,17 +742,6 @@ impl QueryEngine {
         self.core.last_flush_s
     }
 
-    /// In-flight store executions at `layer`, all classes.
-    pub fn in_flight(&self, layer: Layer) -> u32 {
-        self.core.ledger.layer_total(layer)
-    }
-
-    /// The class-aware admission ledger (per-class in-flight counts,
-    /// guarantees and borrow caps).
-    pub fn ledger(&self) -> &ClassLedger {
-        &self.core.ledger
-    }
-
     /// Ingests a sensor wave at a section's fog-1 node. The write path
     /// runs through the engine so the cache frontier invariant is
     /// *enforced*, not assumed: a reading backdated behind any already
@@ -810,7 +780,7 @@ impl QueryEngine {
 
     /// Releases every slot a response held (call when the simulated
     /// response completes; see [`QueryResponse::held`]).
-    pub fn release_held(&mut self, held: HeldSlots) {
+    pub(crate) fn release_held(&mut self, held: HeldSlots) {
         self.core.ledger.release(held.class(), held.slots());
     }
 
@@ -821,18 +791,18 @@ impl QueryEngine {
     /// # Errors
     ///
     /// As `ServeCore::serve`.
-    pub fn serve(&mut self, query: &Query, now_s: u64) -> Result<Outcome> {
+    pub(crate) fn serve(&mut self, query: &Query, now_s: u64) -> Result<Outcome> {
         let result = self.core.serve(&self.city, query, now_s);
         self.city.absorb_scratch(&mut self.core.obs);
         result
     }
 
-    /// [`QueryEngine::serve`] for synchronous callers: any held slots
+    /// `QueryEngine::serve` for synchronous callers: any held slots
     /// are released immediately (no simulated completion event).
     ///
     /// # Errors
     ///
-    /// As [`QueryEngine::serve`].
+    /// As `QueryEngine::serve`.
     pub fn serve_sync(&mut self, query: &Query, now_s: u64) -> Result<Outcome> {
         let outcome = self.serve(query, now_s)?;
         if let Outcome::Answered(resp) = &outcome {
@@ -2110,7 +2080,7 @@ mod tests {
             other => panic!("expected shed, got {other:?}"),
         }
         assert_eq!(e.stats().shed_total(), 1);
-        assert_eq!(e.stats().class(ServiceClass::Dashboard).shed, 1);
+        assert_eq!(e.stats().per_class[ServiceClass::Dashboard.index()].shed, 1);
         e.release_held(first.held);
         answered(e.serve(&q2, 4_000).unwrap());
     }
@@ -2339,7 +2309,7 @@ mod tests {
             other => panic!("expected a fog-2 shed, got {other:?}"),
         }
         assert_eq!(e.stats().shed[Layer::Fog2.index()], 1);
-        assert_eq!(e.stats().class(ServiceClass::CityWide).shed, 1);
+        assert_eq!(e.stats().per_class[ServiceClass::CityWide.index()].shed, 1);
     }
 
     #[test]
@@ -2364,7 +2334,7 @@ mod tests {
             HeldSlots::single(Layer::Cloud, ServiceClass::CityWide)
         );
         let stats = e.stats();
-        let cs = stats.class(ServiceClass::CityWide);
+        let cs = stats.per_class[ServiceClass::CityWide.index()];
         assert_eq!(cs.rerouted, 1);
         assert_eq!(cs.shed, 0);
         assert_eq!(e.stats().shed_total(), 0, "a reroute is not a shed");
@@ -2395,7 +2365,7 @@ mod tests {
         }
         for layer in Layer::ALL {
             assert_eq!(
-                e.in_flight(layer),
+                e.core.ledger.layer_total(layer),
                 0,
                 "a shed fan-out must not leak slots at {layer}"
             );
@@ -2426,7 +2396,10 @@ mod tests {
         };
         answered(e.serve(&analytics(1_800), 6_000).unwrap());
         answered(e.serve(&analytics(2_700), 6_000).unwrap());
-        assert_eq!(e.ledger().borrowed(Layer::Fog1, ServiceClass::Analytics), 2);
+        assert_eq!(
+            e.core.ledger.borrowed(Layer::Fog1, ServiceClass::Analytics),
+            2
+        );
         match e.serve(&analytics(3_600), 6_000).unwrap() {
             Outcome::Shed { layer, class, .. } => {
                 assert_eq!(layer, Layer::Fog1);
@@ -2444,8 +2417,8 @@ mod tests {
             kind: QueryKind::Point,
         };
         answered(e.serve(&rt, 6_000).unwrap());
-        assert_eq!(e.stats().class(ServiceClass::RealTime).shed, 0);
-        assert_eq!(e.stats().class(ServiceClass::Analytics).shed, 1);
+        assert_eq!(e.stats().per_class[ServiceClass::RealTime.index()].shed, 0);
+        assert_eq!(e.stats().per_class[ServiceClass::Analytics.index()].shed, 1);
     }
 
     #[test]
@@ -2477,9 +2450,12 @@ mod tests {
             }
             other => panic!("expected a deadline shed, got {other:?}"),
         }
-        assert_eq!(e.stats().class(ServiceClass::RealTime).deadline_shed, 1);
+        assert_eq!(
+            e.stats().per_class[ServiceClass::RealTime.index()].deadline_shed,
+            1
+        );
         assert_eq!(e.stats().shed_total(), 0, "no capacity was charged");
-        assert_eq!(e.in_flight(Layer::Cloud), 0);
+        assert_eq!(e.core.ledger.layer_total(Layer::Cloud), 0);
         // The analytics budget tolerates the WAN trip: same window, same
         // source, answered.
         let bulk = Query {
@@ -2487,7 +2463,10 @@ mod tests {
             ..rt
         };
         answered(e.serve_sync(&bulk, now).unwrap());
-        assert_eq!(e.stats().class(ServiceClass::Analytics).slo_met, 1);
+        assert_eq!(
+            e.stats().per_class[ServiceClass::Analytics.index()].slo_met,
+            1
+        );
     }
 
     #[test]
@@ -2576,7 +2555,11 @@ mod tests {
         e.ingest(5, gen.wave(now), now).unwrap();
         let live = aggregate_query(5, Scope::Section(5), now - 10, now + 10);
         let held = answered(e.serve(&live, now).unwrap()).held;
-        assert_eq!(e.in_flight(Layer::Fog1), 1, "the slot is taken");
+        assert_eq!(
+            e.core.ledger.layer_total(Layer::Fog1),
+            1,
+            "the slot is taken"
+        );
         // Three sketch reads ride free (divisor 4)...
         let evicted = aggregate_query(5, Scope::Section(5), 0, 3_600);
         for i in 0..3 {

@@ -20,7 +20,7 @@
 //! * [`scatter`] — merging fan-out partials at the requester's fog-2:
 //!   [`AggPartial`] folds for aggregates, k-way ordered merge with dedup
 //!   for range reads, canonical-rank races for points,
-//! * [`engine`] — the executor behind tiered result caches (edge +
+//! * `engine` — the executor behind tiered result caches (edge +
 //!   source/gather, TTL- and flush-epoch-invalidated) and **class-aware
 //!   admission control** (the [`f2c_qos`] ledger: per-class guaranteed
 //!   quotas + bounded borrowing per layer, deadline budgets enforced at
@@ -77,8 +77,10 @@
 //! # Ok::<(), f2c_query::Error>(())
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod cache;
-pub mod engine;
+pub(crate) mod engine;
 mod error;
 pub mod model;
 pub mod parallel;
@@ -86,17 +88,12 @@ pub mod planner;
 pub mod scatter;
 pub mod workload;
 
-pub use engine::{
-    ClassStats, Completeness, EngineConfig, EngineStats, HeldSlots, LayerCaps, Outcome,
-    QueryEngine, QueryResponse, ServedVia,
-};
+pub use engine::{EngineConfig, LayerCaps, Outcome, QueryEngine, QueryResponse, ServedVia};
 pub use error::{Error, Result};
 pub use f2c_qos::{ClassLedger, ClassPolicy, QosPolicy, ShedCause};
 pub use model::{
-    absorb_record, finalize, AggAcc, AggPartial, AggState, AggregateResult, PointSample, Query,
-    QueryAnswer, QueryKind, Scope, Selector, TimeWindow,
+    absorb_record, finalize, AggAcc, AggPartial, AggState, PointSample, Query, QueryAnswer,
+    QueryKind, Scope, Selector, TimeWindow,
 };
-pub use planner::{plan, Choice, QueryPlan, Route, ScatterLeg, ScatterPlan};
-pub use workload::{
-    DiurnalCurve, FlashCrowd, Mix, ServiceClass, WorkloadConfig, WorkloadReport, MAX_FLASH_CROWDS,
-};
+pub use planner::{plan, Choice};
+pub use workload::{DiurnalCurve, FlashCrowd, Mix, ServiceClass, WorkloadConfig, WorkloadReport};

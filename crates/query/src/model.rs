@@ -26,7 +26,7 @@ pub enum Selector {
 
 impl Selector {
     /// Whether a record's type matches this selector.
-    pub fn matches(&self, ty: SensorType) -> bool {
+    pub(crate) fn matches(&self, ty: SensorType) -> bool {
         match self {
             Selector::Type(t) => *t == ty,
             Selector::Category(c) => ty.category() == *c,
@@ -64,13 +64,8 @@ impl TimeWindow {
     }
 
     /// Whether `t` falls inside the window.
-    pub fn contains(&self, t: u64) -> bool {
+    pub(crate) fn contains(&self, t: u64) -> bool {
         self.from_s <= t && t < self.until_s
-    }
-
-    /// Window length in seconds.
-    pub fn len_s(&self) -> u64 {
-        self.until_s.saturating_sub(self.from_s)
     }
 }
 
@@ -237,7 +232,7 @@ pub enum QueryAnswer {
 impl QueryAnswer {
     /// Approximate response payload size, for transfer-cost estimates:
     /// records at wire size, scalars at a fixed small envelope.
-    pub fn response_bytes(&self) -> u64 {
+    pub(crate) fn response_bytes(&self) -> u64 {
         match self {
             QueryAnswer::Point(_) => 64,
             QueryAnswer::Records(recs) => recs.iter().map(DataRecord::wire_len).sum(),

@@ -133,7 +133,7 @@ pub enum Choice {
 
 impl Choice {
     /// This plan's cost estimate at the nominal payload.
-    pub fn est_cost(&self) -> Duration {
+    pub(crate) fn est_cost(&self) -> Duration {
         match self {
             Choice::Single(p) => p.est_cost,
             Choice::Scatter(p) => p.est_cost,
@@ -142,7 +142,7 @@ impl Choice {
 
     /// The layer whose admission quota this plan charges first: the
     /// single source's layer, or the *gather* fog-2 of a fan-out.
-    pub fn charged_layer(&self) -> Layer {
+    pub(crate) fn charged_layer(&self) -> Layer {
         match self {
             Choice::Single(p) => p.layer,
             Choice::Scatter(_) => Layer::Fog2,

@@ -52,7 +52,7 @@ pub fn merge_aggregates(legs: Vec<AggPartial>) -> QueryAnswer {
 /// Merges the per-leg latest observations: the city-wide latest is the
 /// maximum of the shard winners under the canonical `(created, sensor)`
 /// rank every complete source agrees on.
-pub fn merge_points(legs: impl IntoIterator<Item = Option<PointSample>>) -> QueryAnswer {
+pub(crate) fn merge_points(legs: impl IntoIterator<Item = Option<PointSample>>) -> QueryAnswer {
     QueryAnswer::Point(
         legs.into_iter()
             .flatten()

@@ -111,7 +111,7 @@ impl DiurnalCurve {
     }
 
     /// Request intensity at `t_s`, per mille of nominal (≥ 1).
-    pub fn intensity_milli(&self, t_s: u64) -> u64 {
+    pub(crate) fn intensity_milli(&self, t_s: u64) -> u64 {
         let period = self.period_s.max(2);
         let x = (t_s + period - self.peak_at_s % period) % period;
         // Distance from the nearest peak, 0..=period/2.
@@ -148,7 +148,7 @@ impl FlashCrowd {
 
 /// Maximum flash crowds per workload (a fixed-size array keeps
 /// [`WorkloadConfig`] `Copy`).
-pub const MAX_FLASH_CROWDS: usize = 4;
+pub(crate) const MAX_FLASH_CROWDS: usize = 4;
 
 /// Workload shape: everything the closed loop needs, seed included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,7 +172,7 @@ pub struct WorkloadConfig {
     /// Day-shaped think-time scaling (`None` keeps the flat load of the
     /// steady closed loop).
     pub diurnal: Option<DiurnalCurve>,
-    /// Up to [`MAX_FLASH_CROWDS`] seeded per-class bursts.
+    /// Up to `MAX_FLASH_CROWDS` seeded per-class bursts.
     pub flash_crowds: [Option<FlashCrowd>; MAX_FLASH_CROWDS],
     /// Keep the full per-request transcript in the report (the rolling
     /// hash is always computed).

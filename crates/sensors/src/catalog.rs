@@ -23,7 +23,7 @@ pub struct TypeSpec {
 
 impl TypeSpec {
     /// Creates a spec; all fields must be positive.
-    pub fn new(
+    pub(crate) fn new(
         ty: SensorType,
         sensors: u64,
         tx_bytes: u64,
@@ -75,7 +75,7 @@ impl TypeSpec {
     }
 
     /// Implied transactions per sensor per day (possibly fractional).
-    pub fn tx_per_day(&self) -> f64 {
+    pub(crate) fn tx_per_day(&self) -> f64 {
         self.daily_bytes_per_sensor as f64 / self.tx_bytes as f64
     }
 
@@ -154,11 +154,6 @@ impl Catalog {
         b.build()
     }
 
-    /// Starts building a custom catalog.
-    pub fn builder() -> CatalogBuilder {
-        CatalogBuilder::new()
-    }
-
     /// Spec for one sensor type, if present.
     pub fn spec(&self, ty: SensorType) -> Option<&TypeSpec> {
         self.specs.get(&ty)
@@ -176,29 +171,14 @@ impl Catalog {
             .filter(move |s| s.category() == category)
     }
 
-    /// Number of sensor types present.
-    pub fn type_count(&self) -> usize {
-        self.specs.len()
-    }
-
     /// Total deployed sensors.
     pub fn total_sensors(&self) -> u64 {
         self.specs.values().map(TypeSpec::sensors).sum()
     }
 
-    /// Total bytes of one transaction wave (every sensor sends once).
-    pub fn total_wave_bytes(&self) -> u64 {
-        self.specs.values().map(TypeSpec::wave_bytes).sum()
-    }
-
     /// Total bytes generated per day, across all sensors.
     pub fn total_daily_bytes(&self) -> u64 {
         self.specs.values().map(TypeSpec::daily_bytes).sum()
-    }
-
-    /// Sensors in `category`.
-    pub fn sensors_in(&self, category: Category) -> u64 {
-        self.specs_in(category).map(TypeSpec::sensors).sum()
     }
 
     /// Daily bytes generated by `category`.
@@ -240,13 +220,13 @@ impl<'a> IntoIterator for &'a Catalog {
 
 /// Builder for custom catalogs ([`Catalog::barcelona`] covers the paper's).
 #[derive(Debug, Clone, Default)]
-pub struct CatalogBuilder {
+pub(crate) struct CatalogBuilder {
     specs: BTreeMap<SensorType, TypeSpec>,
 }
 
 impl CatalogBuilder {
     /// Creates an empty builder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -255,7 +235,7 @@ impl CatalogBuilder {
     /// # Errors
     ///
     /// [`Error::DuplicateType`] if the type is already present.
-    pub fn with_spec(mut self, spec: TypeSpec) -> Result<Self> {
+    pub(crate) fn with_spec(mut self, spec: TypeSpec) -> Result<Self> {
         if self.specs.contains_key(&spec.sensor_type()) {
             return Err(Error::DuplicateType {
                 name: spec.sensor_type().to_string(),
@@ -266,7 +246,7 @@ impl CatalogBuilder {
     }
 
     /// Finishes the catalog.
-    pub fn build(self) -> Catalog {
+    pub(crate) fn build(self) -> Catalog {
         Catalog { specs: self.specs }
     }
 }
@@ -278,9 +258,9 @@ mod tests {
     #[test]
     fn barcelona_grand_totals_match_table_1() {
         let c = Catalog::barcelona();
-        assert_eq!(c.type_count(), 21);
+        assert_eq!(c.iter().count(), 21);
         assert_eq!(c.total_sensors(), 1_005_019);
-        assert_eq!(c.total_wave_bytes(), 54_388_158);
+        assert_eq!(c.iter().map(TypeSpec::wave_bytes).sum::<u64>(), 54_388_158);
         assert_eq!(c.total_daily_bytes(), 8_583_503_168);
     }
 
@@ -288,11 +268,36 @@ mod tests {
     fn barcelona_category_totals_match_table_1() {
         let c = Catalog::barcelona();
         // Sensors per category.
-        assert_eq!(c.sensors_in(Category::Energy), 495_019);
-        assert_eq!(c.sensors_in(Category::Noise), 30_000);
-        assert_eq!(c.sensors_in(Category::Garbage), 200_000);
-        assert_eq!(c.sensors_in(Category::Parking), 80_000);
-        assert_eq!(c.sensors_in(Category::Urban), 200_000);
+        assert_eq!(
+            c.specs_in(Category::Energy)
+                .map(TypeSpec::sensors)
+                .sum::<u64>(),
+            495_019
+        );
+        assert_eq!(
+            c.specs_in(Category::Noise)
+                .map(TypeSpec::sensors)
+                .sum::<u64>(),
+            30_000
+        );
+        assert_eq!(
+            c.specs_in(Category::Garbage)
+                .map(TypeSpec::sensors)
+                .sum::<u64>(),
+            200_000
+        );
+        assert_eq!(
+            c.specs_in(Category::Parking)
+                .map(TypeSpec::sensors)
+                .sum::<u64>(),
+            80_000
+        );
+        assert_eq!(
+            c.specs_in(Category::Urban)
+                .map(TypeSpec::sensors)
+                .sum::<u64>(),
+            200_000
+        );
         // Daily bytes per category.
         assert_eq!(c.daily_bytes_in(Category::Energy), 2_539_023_168);
         assert_eq!(c.daily_bytes_in(Category::Noise), 641_280_000);

@@ -35,7 +35,7 @@ impl Category {
     ];
 
     /// Percentage of observations that are redundant (Table I).
-    pub fn redundancy_percent(self) -> u8 {
+    pub(crate) fn redundancy_percent(self) -> u8 {
         match self {
             Category::Energy => 50,
             Category::Noise => 75,
@@ -43,11 +43,6 @@ impl Category {
             Category::Parking => 40,
             Category::Urban => 30,
         }
-    }
-
-    /// Fraction of observations that *survive* redundant-data elimination.
-    pub fn keep_fraction(self) -> f64 {
-        f64::from(100 - u32::from(self.redundancy_percent())) / 100.0
     }
 
     /// Applies the category's redundancy reduction to a byte count, using
@@ -107,14 +102,6 @@ mod tests {
         assert_eq!(Category::Parking.reduce_bytes(3_200_000), 1_920_000);
         // Urban air quality 5,760,000 -> 4,032,000.
         assert_eq!(Category::Urban.reduce_bytes(5_760_000), 4_032_000);
-    }
-
-    #[test]
-    fn keep_fraction_complements_redundancy() {
-        for c in Category::ALL {
-            let sum = c.keep_fraction() + f64::from(c.redundancy_percent()) / 100.0;
-            assert!((sum - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]

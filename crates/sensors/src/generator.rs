@@ -230,7 +230,7 @@ impl SensorStream {
     /// # Panics
     ///
     /// Panics if `redundancy` is not in `[0, 1)`.
-    pub fn with_redundancy(id: SensorId, root_seed: u64, redundancy: f64) -> Self {
+    pub(crate) fn with_redundancy(id: SensorId, root_seed: u64, redundancy: f64) -> Self {
         assert!(
             (0.0..1.0).contains(&redundancy),
             "redundancy must be in [0,1), got {redundancy}"
@@ -244,16 +244,6 @@ impl SensorStream {
             model,
             last: None,
         }
-    }
-
-    /// The stream's sensor id.
-    pub fn id(&self) -> SensorId {
-        self.id
-    }
-
-    /// The configured repeat probability.
-    pub fn redundancy(&self) -> f64 {
-        self.redundancy
     }
 
     /// Produces the observation at `timestamp_s`.
@@ -295,19 +285,6 @@ impl ReadingGenerator {
         Self { streams }
     }
 
-    /// Same, with an explicit redundancy override.
-    pub fn for_population_with_redundancy(
-        ty: SensorType,
-        count: u32,
-        root_seed: u64,
-        redundancy: f64,
-    ) -> Self {
-        let streams = (0..count)
-            .map(|i| SensorStream::with_redundancy(SensorId::new(ty, i), root_seed, redundancy))
-            .collect();
-        Self { streams }
-    }
-
     /// Number of sensors in the population.
     pub fn population(&self) -> usize {
         self.streams.len()
@@ -344,7 +321,7 @@ impl TimeCorrelatedStream {
     /// # Panics
     ///
     /// Panics unless `tau_s` is positive and finite.
-    pub fn new(id: SensorId, root_seed: u64, tau_s: f64) -> Self {
+    pub(crate) fn new(id: SensorId, root_seed: u64, tau_s: f64) -> Self {
         assert!(
             tau_s.is_finite() && tau_s > 0.0,
             "tau must be positive, got {tau_s}"
@@ -367,11 +344,6 @@ impl TimeCorrelatedStream {
         let redundancy = f64::from(id.sensor_type().category().redundancy_percent()) / 100.0;
         let tau = -reference_interval_s / redundancy.ln();
         Self::new(id, root_seed, tau)
-    }
-
-    /// The phenomenon's mean lifetime.
-    pub fn tau_s(&self) -> f64 {
-        self.tau_s
     }
 
     /// Produces the observation at `timestamp_s` (timestamps must be
@@ -482,7 +454,8 @@ mod tests {
         let mut s = SensorStream::with_redundancy(id, 5, 0.0);
         for t in 0..2000 {
             let r = s.next_reading(t);
-            let v = r.value().as_f64().expect("noise is scalar");
+            assert!(matches!(r.value(), Value::Scalar(_)), "noise is scalar");
+            let v = r.value().magnitude();
             assert!((25.0..=115.0).contains(&v), "out of bounds: {v}");
         }
     }

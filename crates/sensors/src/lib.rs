@@ -13,7 +13,7 @@
 //! * [`Catalog`] / [`TypeSpec`] — deployment descriptions ([`Catalog::barcelona`]
 //!   is Table I),
 //! * [`Reading`] / [`Value`] — one observation,
-//! * [`generator`] — per-sensor value models with tunable redundancy,
+//! * `generator` — per-sensor value models with tunable redundancy,
 //! * [`idhash`] — the hasher for tables keyed by program-generated ids,
 //! * [`wire`] — Sentilo-style text encoding of observations.
 //!
@@ -31,20 +31,21 @@
 //! assert_eq!(spec.tx_bytes(), 22);
 //! ```
 
-pub mod catalog;
-pub mod category;
+#![warn(unreachable_pub)]
+
+pub(crate) mod catalog;
+pub(crate) mod category;
 mod error;
-pub mod generator;
+pub(crate) mod generator;
 pub mod idhash;
-pub mod ids;
-pub mod reading;
+pub(crate) mod ids;
+pub(crate) mod reading;
 pub mod rngutil;
-pub mod sensor_type;
-pub mod sources;
-pub mod value;
+pub(crate) mod sensor_type;
+pub(crate) mod value;
 pub mod wire;
 
-pub use catalog::{Catalog, CatalogBuilder, TypeSpec};
+pub use catalog::{Catalog, TypeSpec};
 pub use category::Category;
 pub use error::{Error, Result};
 pub use generator::{ReadingGenerator, SensorStream, TimeCorrelatedStream};

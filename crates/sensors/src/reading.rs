@@ -50,11 +50,6 @@ impl Reading {
     pub fn is_redundant_with(&self, other: &Reading) -> bool {
         self.sensor == other.sensor && self.value == other.value
     }
-
-    /// Age of this reading at time `now_s`, saturating at zero.
-    pub fn age_at(&self, now_s: u64) -> u64 {
-        now_s.saturating_sub(self.timestamp_s)
-    }
 }
 
 /// Lets a consumer of readings take `&[Reading]` and `&[R]` for any
@@ -95,12 +90,5 @@ mod tests {
             Value::Flag(true),
         );
         assert!(!a.is_redundant_with(&b));
-    }
-
-    #[test]
-    fn age_saturates() {
-        let r = Reading::new(id(), 500, Value::Counter(1));
-        assert_eq!(r.age_at(800), 300);
-        assert_eq!(r.age_at(100), 0);
     }
 }

@@ -117,7 +117,7 @@ impl SensorType {
     }
 
     /// Short machine-readable slug (used by [`crate::wire`]).
-    pub fn slug(self) -> &'static str {
+    pub(crate) fn slug(self) -> &'static str {
         use SensorType::*;
         match self {
             ElectricityMeter => "elec",
@@ -145,7 +145,7 @@ impl SensorType {
     }
 
     /// Parses a slug produced by [`SensorType::slug`].
-    pub fn from_slug(slug: &str) -> Option<SensorType> {
+    pub(crate) fn from_slug(slug: &str) -> Option<SensorType> {
         SensorType::ALL.iter().copied().find(|t| t.slug() == slug)
     }
 }

@@ -36,14 +36,6 @@ impl Value {
         Value::Scalar((v * 100.0).round() as i64)
     }
 
-    /// The scalar as a float, if this is a `Scalar`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Scalar(raw) => Some(*raw as f64 / 100.0),
-            _ => None,
-        }
-    }
-
     /// A single numeric magnitude for analysis phases: scalars and levels
     /// map to their value, counters to their count, flags to 0/1, and
     /// composites to their first field (by convention, the primary channel).
@@ -60,7 +52,7 @@ impl Value {
 
 impl Value {
     /// Writes the value's wire digits — also what `Display` prints.
-    pub fn write_wire(&self, out: &mut impl Sink) {
+    pub(crate) fn write_wire(&self, out: &mut impl Sink) {
         match self {
             Value::Scalar(raw) => put_hundredths(out, *raw),
             Value::Counter(c) => put_decimal(out, *c),
@@ -156,8 +148,8 @@ mod tests {
     #[test]
     fn fixed_point_roundtrip() {
         let v = Value::from_f64(21.57);
-        assert_eq!(v.as_f64(), Some(21.57));
         assert_eq!(v, Value::Scalar(2157));
+        assert_eq!(v.magnitude(), 21.57);
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl Sink for String {
 }
 
 /// Writes `v` in decimal: digits into a stack buffer, one `put`.
-pub fn put_decimal(out: &mut impl Sink, mut v: u64) {
+pub(crate) fn put_decimal(out: &mut impl Sink, mut v: u64) {
     // u64::MAX has 20 digits.
     let mut buf = [0u8; 20];
     let mut at = buf.len();

@@ -1,9 +1,8 @@
 //! End-to-end integration: raw sensor waves → fog-1 acquisition → fog-2 →
-//! cloud preservation → open-data dissemination, across all crates.
+//! cloud preservation, across all crates.
 
 use f2c_smartcity::core::{F2cCity, F2cNode, FlushPolicy, RetentionPolicy};
-use f2c_smartcity::dlc::preservation::{AccessRole, OpenDataPortal, QueryFilter};
-use f2c_smartcity::sensors::{Catalog, Category, ReadingGenerator, SensorType};
+use f2c_smartcity::sensors::{Catalog, ReadingGenerator, SensorType};
 
 /// A lone fog-1 node with the paper's policies.
 fn fog1() -> F2cNode {
@@ -37,47 +36,6 @@ fn readings_survive_the_full_hierarchy() {
 }
 
 #[test]
-fn portal_roles_gate_cloud_data_by_category() {
-    let mut city = F2cCity::barcelona().unwrap();
-
-    // Mixed workload: public weather + restricted energy.
-    let mut weather = ReadingGenerator::for_population(SensorType::Weather, 10, 1);
-    let mut meters = ReadingGenerator::for_population(SensorType::ElectricityMeter, 10, 2);
-    for wave in 0..6u64 {
-        let t = wave * 900;
-        city.ingest(0, weather.wave(t), t + 1).unwrap();
-        city.ingest(0, meters.wave(t), t + 1).unwrap();
-    }
-    city.flush_all(6000).unwrap();
-    let archive = city.cloud().store().archive();
-
-    let portal = OpenDataPortal::new();
-    let public_all = portal
-        .query(archive, AccessRole::Public, QueryFilter::default())
-        .unwrap();
-    assert!(public_all
-        .iter()
-        .all(|r| r.sensor_type() == SensorType::Weather));
-
-    // Energy explicitly requested by the public is denied, not empty.
-    let denied = portal.query(
-        archive,
-        AccessRole::Public,
-        QueryFilter {
-            category: Some(Category::Energy),
-            range_s: None,
-        },
-    );
-    assert!(denied.is_err());
-
-    // A city service reads both.
-    let service_all = portal
-        .query(archive, AccessRole::Service, QueryFilter::default())
-        .unwrap();
-    assert!(service_all.len() > public_all.len());
-}
-
-#[test]
 fn fog1_retention_keeps_realtime_data_local_after_flush() {
     let catalog = Catalog::barcelona();
     let mut fog1 = fog1();
@@ -93,7 +51,7 @@ fn fog1_retention_keeps_realtime_data_local_after_flush() {
     assert_eq!(fog1.store().len(), stored_before);
     // A day later, retention has evicted everything.
     let _ = fog1.flush(2 * 86_400, &catalog).unwrap();
-    assert_eq!(fog1.store().len(), 0);
+    assert!(fog1.store().is_empty());
 }
 
 #[test]
