@@ -11,17 +11,6 @@
 
 use scc_sensors::{IdMap, Reading, SensorId, Value};
 
-/// Counters describing what a filter did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DedupStats {
-    /// Readings offered to the filter.
-    pub seen: u64,
-    /// Readings admitted (forwarded upward).
-    pub admitted: u64,
-    /// Readings suppressed as redundant.
-    pub suppressed: u64,
-}
-
 /// Per-sensor exact-repetition suppressor.
 ///
 /// # Examples
@@ -41,7 +30,6 @@ pub struct RedundancyFilter {
     /// Keyed by the ids of the sensors this node serves; probed once per
     /// offered reading and never iterated.
     last: IdMap<SensorId, Value>,
-    stats: DedupStats,
 }
 
 impl RedundancyFilter {
@@ -52,29 +40,19 @@ impl RedundancyFilter {
 
     /// Decides whether `reading` must be forwarded; updates filter state.
     pub fn admit(&mut self, reading: &Reading) -> bool {
-        self.stats.seen += 1;
         match self.last.get_mut(&reading.sensor()) {
-            Some(last) if last == reading.value() => {
-                self.stats.suppressed += 1;
-                return false;
-            }
+            Some(last) if last == reading.value() => return false,
             Some(last) => last.clone_from(reading.value()),
             None => {
                 self.last.insert(reading.sensor(), reading.value().clone());
             }
         }
-        self.stats.admitted += 1;
         true
     }
 
     /// Filters a batch, returning only the admitted readings.
     pub fn filter_batch(&mut self, readings: Vec<Reading>) -> Vec<Reading> {
         readings.into_iter().filter(|r| self.admit(r)).collect()
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> DedupStats {
-        self.stats
     }
 }
 
@@ -105,7 +83,6 @@ mod tests {
         for t in 1..1000 {
             assert!(!f.admit(&reading(0, t * 900, 5.0)));
         }
-        assert_eq!(f.stats().suppressed, 999);
     }
 
     #[test]
@@ -143,13 +120,14 @@ mod tests {
         ] {
             let mut gen = ReadingGenerator::for_population(ty, 100, 9);
             let mut f = RedundancyFilter::new();
+            let (mut seen, mut suppressed) = (0u64, 0u64);
             for w in 0..100u64 {
                 for r in gen.wave(w * 60) {
-                    f.admit(&r);
+                    seen += 1;
+                    suppressed += u64::from(!f.admit(&r));
                 }
             }
-            let s = f.stats();
-            let rate = s.suppressed as f64 / s.seen as f64;
+            let rate = suppressed as f64 / seen as f64;
             assert!(
                 (rate - expected).abs() < 0.04,
                 "{ty}: suppression {rate:.3}, expected ~{expected}"
@@ -157,37 +135,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stats_are_consistent() {
-        let mut f = RedundancyFilter::new();
-        for t in 0..50 {
-            f.admit(&reading((t % 2) as u32, t * 30, 1.0));
-        }
-        let s = f.stats();
-        assert_eq!(s.seen, 50);
-        assert_eq!(s.admitted + s.suppressed, s.seen);
-        assert_eq!(s.admitted, 2, "one first reading per sensor");
-    }
-
     /// The filter as it was over a SipHash `HashMap`: get, compare,
     /// re-insert on change. The reference the `IdMap` form is held to.
     #[derive(Default)]
     struct HashMapFilter {
         last: std::collections::HashMap<SensorId, Value>,
-        stats: DedupStats,
     }
 
     impl HashMapFilter {
         fn admit(&mut self, reading: &Reading) -> bool {
-            self.stats.seen += 1;
             match self.last.get(&reading.sensor()) {
-                Some(value) if value == reading.value() => {
-                    self.stats.suppressed += 1;
-                    false
-                }
+                Some(value) if value == reading.value() => false,
                 _ => {
                     self.last.insert(reading.sensor(), reading.value().clone());
-                    self.stats.admitted += 1;
                     true
                 }
             }
@@ -209,7 +169,6 @@ mod tests {
                 let id = SensorId::new(SensorType::ALL[ty * 7], index);
                 let r = Reading::new(id, now, Value::Counter(value));
                 proptest::prop_assert_eq!(filter.admit(&r), model.admit(&r));
-                proptest::prop_assert_eq!(filter.stats(), model.stats);
             }
             proptest::prop_assert_eq!(filter.last.len(), model.last.len());
         }

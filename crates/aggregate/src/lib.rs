@@ -46,5 +46,5 @@ mod error;
 pub mod functions;
 pub mod sketch;
 
-pub use dedup::{DedupStats, RedundancyFilter};
+pub use dedup::RedundancyFilter;
 pub use error::{Error, Result};

@@ -18,15 +18,16 @@
 use std::time::Instant;
 
 use citysim::net::FailurePlan;
+use citysim::Histogram;
 use f2c_bench::export;
 use f2c_core::runtime::populate_city;
 use f2c_core::{ChaosSite, F2cCity, Layer, Parallelism};
-use f2c_obs::Json;
+use f2c_obs::{Json, Labels, MetricsRegistry};
 use f2c_query::parallel;
 use f2c_query::workload::{DiurnalCurve, FlashCrowd, Mix, ServiceClass, WorkloadConfig};
 use f2c_query::{
-    EngineConfig, LayerCaps, Outcome, Query, QueryEngine, QueryKind, Scope, Selector, TimeWindow,
-    WorkloadReport,
+    layer_label, EngineConfig, LayerCaps, Outcome, Query, QueryEngine, QueryKind, Scope, Selector,
+    TimeWindow, WorkloadReport,
 };
 use scc_sensors::Category;
 
@@ -44,7 +45,16 @@ fn requested_load() -> u64 {
         .unwrap_or(DEFAULT_REQUESTS)
 }
 
-fn print_class_table(report: &WorkloadReport) {
+/// The `query_latency_us{service=query,…}` series `labels` narrows to:
+/// a workload run registers every one in its city's registry.
+fn latency(metrics: &MetricsRegistry, labels: impl Fn(Labels) -> Labels) -> &Histogram {
+    let labels = labels(Labels::new().service("query"));
+    metrics
+        .histogram_named("query_latency_us", labels)
+        .expect("a workload run registers every latency series")
+}
+
+fn print_class_table(report: &WorkloadReport, metrics: &MetricsRegistry) {
     println!(
         "\n{:<10} {:>8} {:>9} {:>6} {:>8} {:>8} {:>7} {:>6} {:>12} {:>12}",
         "class", "issued", "answered", "shed", "dl-shed", "reroute", "shed%", "SLO%", "p50", "p99"
@@ -55,7 +65,7 @@ fn print_class_table(report: &WorkloadReport) {
         if stats.requests == 0 {
             continue;
         }
-        let h = report.class_hist(class);
+        let h = latency(metrics, |q| q.class(class.label()));
         println!(
             "{:<10} {:>8} {:>9} {:>6} {:>8} {:>8} {:>6.2}% {:>5.1}% {:>12} {:>12}",
             class.label(),
@@ -166,8 +176,9 @@ fn main() {
         "layer", "served", "p50 latency", "p99 latency"
     );
     println!("{}", "-".repeat(52));
+    let metrics = engine.city().metrics();
     for layer in Layer::ALL {
-        let h = report.layer_hist(layer);
+        let h = latency(metrics, |q| q.layer(layer_label(layer)));
         if h.count() == 0 {
             continue;
         }
@@ -180,7 +191,7 @@ fn main() {
         );
     }
 
-    let scatter = &report.scatter_latency;
+    let scatter = latency(metrics, |q| q.kind("scatter"));
     if scatter.count() > 0 {
         println!(
             "{:<12} {:>9} {:>14} {:>14}",
@@ -191,28 +202,27 @@ fn main() {
         );
     }
 
-    print_class_table(&report);
+    print_class_table(&report, metrics);
 
-    let stats = engine.stats();
+    let stats = &report.stats;
     println!(
         "\nanswered {} | edge hits {} | source hits {} | store served {} \
          | cache hit rate {:.1}%",
         report.answered,
-        report.edge_hits,
-        report.source_hits,
-        report.store_served,
+        stats.edge_hits,
+        stats.source_hits,
+        stats.store_served,
         report.cache_hit_rate() * 100.0
     );
     println!(
         "scatter-gather: {} served over {} legs ({:.1} legs/query) | \
          contested routes: fan-out {} / cloud {} ({:.1}% fan-out wins)",
-        report.scatter_served,
-        report.scatter_legs,
-        report.scatter_legs as f64 / report.scatter_served.max(1) as f64,
-        report.scatter_wins,
-        report.cloud_wins,
-        100.0 * report.scatter_wins as f64
-            / (report.scatter_wins + report.cloud_wins).max(1) as f64
+        stats.scatter_served,
+        stats.scatter_legs,
+        stats.scatter_legs as f64 / stats.scatter_served.max(1) as f64,
+        stats.scatter_wins,
+        stats.cloud_wins,
+        100.0 * stats.scatter_wins as f64 / (stats.scatter_wins + stats.cloud_wins).max(1) as f64
     );
     println!(
         "shed: fog1 {} / fog2 {} / cloud {} (capacity {}) | deadline {} \
@@ -222,7 +232,7 @@ fn main() {
         stats.shed[2],
         stats.shed_total(),
         stats.deadline_shed_total(),
-        report.unanswerable
+        stats.unanswerable
     );
     println!(
         "scans: {} records visited | partial cache: {} hits / {} fills",
@@ -232,13 +242,13 @@ fn main() {
     // during the run, how many were assembled from flush-shipped
     // pre-folded partials instead of scanned (both counters are
     // run-scoped deltas).
-    let cold_buckets = report.prefold_hits + report.partial_fills;
+    let cold_buckets = stats.prefold_hits + stats.partial_fills;
     println!(
         "sketch plane: {} buckets prefolded from flush-shipped partials \
          / {} scanned ({:.1}% sketch hit rate on cold buckets)",
-        report.prefold_hits,
-        report.partial_fills,
-        100.0 * report.prefold_hits as f64 / cold_buckets.max(1) as f64
+        stats.prefold_hits,
+        stats.partial_fills,
+        100.0 * stats.prefold_hits as f64 / cold_buckets.max(1) as f64
     );
     // Sketch plane, write side: the sketch channel's cost next to the
     // raw stream it summarizes.
@@ -267,7 +277,7 @@ fn main() {
         "the encoded uplink must ship, and ship under the accounting bytes"
     );
     assert!(
-        report.prefold_hits > 0,
+        stats.prefold_hits > 0,
         "settled buckets must assemble from the flush-shipped ledger"
     );
     assert!(
@@ -285,11 +295,11 @@ fn main() {
         "dashboards must produce real cache traffic"
     );
     assert!(
-        report.scatter_served > 0 && report.scatter_latency.count() == report.scatter_served,
+        stats.scatter_served > 0 && scatter.count() == stats.scatter_served,
         "the city-wide mix must exercise scatter-gather with recorded latencies"
     );
     assert!(
-        report.scatter_wins > 0,
+        stats.scatter_wins > 0,
         "settled city windows must put the fog-2 fan-out ahead of the cloud read"
     );
     assert_eq!(
@@ -391,7 +401,7 @@ fn main() {
         crowd_report.issued,
         t.elapsed()
     );
-    print_class_table(&crowd_report);
+    print_class_table(&crowd_report, crowd_engine.city().metrics());
     let analytics = crowd_report.class_stats(ServiceClass::Analytics);
     let realtime = crowd_report.class_stats(ServiceClass::RealTime);
     println!(
@@ -552,10 +562,9 @@ fn main() {
         Outcome::Answered(resp) => resp,
         other => panic!("sketch-leg fan-out must answer, got {other:?}"),
     };
-    let delta_served = engine.stats().sketch_served - before.sketch_served;
-    let delta_hits = engine.stats().sketch_hits - before.sketch_hits;
-    let delta_legs = engine.stats().sketch_legs - before.sketch_legs;
-    let delta_wins = engine.stats().scatter_wins - before.scatter_wins;
+    let delta = engine.stats().zip(&before, |after, before| after - before);
+    let (delta_served, delta_hits) = (delta.sketch_served, delta.sketch_hits);
+    let (delta_legs, delta_wins) = (delta.sketch_legs, delta.scatter_wins);
     println!(
         "probed {checked} sections + 1 district over the evicted window \
          [{from}, {until})"
@@ -668,17 +677,17 @@ fn main() {
     println!(
         "\ndegraded serving: {} fault sheds | {} fan-out legs shed | \
          {} partial answers | {} answered through the storm",
-        chaos_report.fault_shed,
-        chaos_report.legs_shed,
-        chaos_report.degraded,
+        chaos_report.stats.fault_shed,
+        chaos_report.stats.legs_shed,
+        chaos_report.stats.degraded,
         chaos_report.answered
     );
     assert!(
-        chaos_report.fault_shed > 0,
+        chaos_report.stats.fault_shed > 0,
         "crash windows must surface as fault sheds"
     );
     assert!(
-        chaos_report.legs_shed > 0 && chaos_report.degraded > 0,
+        chaos_report.stats.legs_shed > 0 && chaos_report.stats.degraded > 0,
         "the district crash must shed fan-out legs into partial answers"
     );
     assert!(
@@ -811,7 +820,7 @@ fn main() {
         "healing must resolve every availability alert"
     );
     assert!(
-        chaos_report.fault_shed > 0
+        chaos_report.stats.fault_shed > 0
             && summary.get("alert-fired").copied().unwrap_or(0) >= 1
             && summary.get("alert-resolved").copied().unwrap_or(0) >= 1,
         "alert transitions must land on the incident timeline next to the \
@@ -844,19 +853,19 @@ fn main() {
         Json::Num(report.answered as f64 / report.issued.max(1) as f64),
     );
     workload_j.set("cache_hit_rate", Json::Num(report.cache_hit_rate()));
-    workload_j.set("unanswerable", export::num(report.unanswerable));
+    workload_j.set("unanswerable", export::num(stats.unanswerable));
     workload_j.set("shed_fog1", export::num(stats.shed[0]));
     workload_j.set("shed_fog2", export::num(stats.shed[1]));
     workload_j.set("shed_cloud", export::num(stats.shed[2]));
     workload_j.set("shed_total", export::num(stats.shed_total()));
     workload_j.set("deadline_shed", export::num(stats.deadline_shed_total()));
-    workload_j.set("scatter_served", export::num(report.scatter_served));
-    workload_j.set("scatter_legs", export::num(report.scatter_legs));
-    workload_j.set("scatter_wins", export::num(report.scatter_wins));
-    workload_j.set("cloud_wins", export::num(report.cloud_wins));
+    workload_j.set("scatter_served", export::num(stats.scatter_served));
+    workload_j.set("scatter_legs", export::num(stats.scatter_legs));
+    workload_j.set("scatter_wins", export::num(stats.scatter_wins));
+    workload_j.set("cloud_wins", export::num(stats.cloud_wins));
     workload_j.set("records_scanned", export::num(stats.records_scanned));
-    workload_j.set("prefold_hits", export::num(report.prefold_hits));
-    workload_j.set("partial_fills", export::num(report.partial_fills));
+    workload_j.set("prefold_hits", export::num(stats.prefold_hits));
+    workload_j.set("partial_fills", export::num(stats.partial_fills));
     doc.set("workload", workload_j);
 
     let cloud_records = engine.city().cloud().store().len() as u64;
@@ -968,9 +977,9 @@ fn main() {
     heal_j.set("blocked", export::num(heal("blocked")));
     heal_j.set("impossible", export::num(heal("impossible")));
     let mut chaos_j = Json::obj();
-    chaos_j.set("fault_shed", export::num(chaos_report.fault_shed));
-    chaos_j.set("legs_shed", export::num(chaos_report.legs_shed));
-    chaos_j.set("degraded", export::num(chaos_report.degraded));
+    chaos_j.set("fault_shed", export::num(chaos_report.stats.fault_shed));
+    chaos_j.set("legs_shed", export::num(chaos_report.stats.legs_shed));
+    chaos_j.set("degraded", export::num(chaos_report.stats.degraded));
     chaos_j.set("answered", export::num(chaos_report.answered));
     chaos_j.set("incidents", incidents_json);
     chaos_j.set("heal", heal_j);

@@ -69,5 +69,5 @@ pub use exemplar::ExemplarStore;
 pub use explain::ExplainStore;
 pub use json::Json;
 pub use labels::Labels;
-pub use registry::{CounterId, HistogramSummary, MetricsRegistry, Snapshot};
+pub use registry::{CounterId, HistogramId, HistogramSummary, MetricsRegistry, Snapshot};
 pub use trace::{Site, Span, SpanToken, Tracer};

@@ -133,16 +133,18 @@ impl MetricsRegistry {
         self.histograms[id.0].1.record(d);
     }
 
-    /// Merges a per-node / per-run histogram into a registered series at
-    /// report time (this is what [`Histogram::merge`] exists for).
-    pub fn merge_histogram(&mut self, id: HistogramId, other: &Histogram) {
-        self.histograms[id.0].1.merge(other);
-    }
-
     /// Looks up a counter's value by key, if registered.
     pub fn counter_named(&self, name: &'static str, labels: Labels) -> Option<u64> {
         match self.index.get(&(name, labels)) {
             Some(Slot::Counter(i)) => Some(self.counters[*i].1),
+            _ => None,
+        }
+    }
+
+    /// Looks up a histogram by key, if registered.
+    pub fn histogram_named(&self, name: &'static str, labels: Labels) -> Option<&Histogram> {
+        match self.index.get(&(name, labels)) {
+            Some(Slot::Histogram(i)) => Some(&self.histograms[*i].1),
             _ => None,
         }
     }
@@ -302,13 +304,20 @@ mod tests {
 
     #[test]
     fn histograms_observe_and_merge() {
+        let labels = Labels::new().class("realtime");
         let mut r = MetricsRegistry::new();
-        let h = r.histogram("latency", Labels::new().class("realtime"));
+        let h = r.histogram("latency", labels);
         r.observe(h, Duration::from_millis(2));
-        let mut node_local = Histogram::new();
-        node_local.record(Duration::from_millis(8));
-        r.merge_histogram(h, &node_local);
-        assert_eq!(r.histograms[h.0].1.count(), 2);
+        let mut shard = MetricsRegistry::new();
+        let s = shard.histogram("latency", labels);
+        shard.observe(s, Duration::from_millis(8));
+        r.absorb_histograms(&mut shard);
+        let merged = r.histogram_named("latency", labels);
+        assert_eq!(merged.map(Histogram::count), Some(2));
+        assert_eq!(merged.map(Histogram::max), Some(Duration::from_millis(8)));
+        let drained = shard.histogram_named("latency", labels);
+        assert_eq!(drained.map(Histogram::count), Some(0));
+        assert!(r.histogram_named("latency", Labels::NONE).is_none());
     }
 
     #[test]

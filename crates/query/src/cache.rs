@@ -15,9 +15,6 @@
 //! for buckets that end at or before the instant they were computed (the
 //! engine bumps its epoch if a backdated ingest breaks that assumption).
 
-// Lint ratchet: every aggregate request probes these tables.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::VecDeque;
 use std::hash::Hash;

@@ -336,26 +336,46 @@ pub enum Outcome {
 }
 
 /// Per-service-class serving counters, indexed by
-/// [`ServiceClass::index`] inside [`EngineStats::per_class`].
+/// [`ServiceClass::index`] inside [`EngineStats::per_class`]. Generic
+/// over the cell like [`EngineStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassStats {
+pub struct ClassStats<T = u64> {
     /// Queries of this class offered to [`QueryEngine::serve`].
-    pub requests: u64,
+    pub requests: T,
     /// Queries answered (any path).
-    pub answered: u64,
+    pub answered: T,
     /// Queries shed by quota pressure ([`ShedCause::Capacity`]).
-    pub shed: u64,
+    pub shed: T,
     /// Queries shed at plan time because no provably-complete route fit
     /// the class deadline budget ([`ShedCause::Deadline`]).
-    pub deadline_shed: u64,
+    pub deadline_shed: T,
     /// Queries whose planned route was saturated but which were served
     /// by the in-budget fallback route instead of shedding.
-    pub rerouted: u64,
+    pub rerouted: T,
     /// Queries shed because an injected fault made every viable route
     /// unserveable ([`ShedCause::Fault`]).
-    pub fault_shed: u64,
+    pub fault_shed: T,
     /// Answered queries whose estimated latency met the class deadline.
-    pub slo_met: u64,
+    pub slo_met: T,
+}
+
+impl<T: Copy> ClassStats<T> {
+    /// [`EngineStats::zip`] over one class's cells.
+    fn zip<U: Copy, V>(
+        &self,
+        other: &ClassStats<U>,
+        f: &mut impl FnMut(T, U) -> V,
+    ) -> ClassStats<V> {
+        ClassStats {
+            requests: f(self.requests, other.requests),
+            answered: f(self.answered, other.answered),
+            shed: f(self.shed, other.shed),
+            deadline_shed: f(self.deadline_shed, other.deadline_shed),
+            rerouted: f(self.rerouted, other.rerouted),
+            fault_shed: f(self.fault_shed, other.fault_shed),
+            slo_met: f(self.slo_met, other.slo_met),
+        }
+    }
 }
 
 impl ClassStats {
@@ -376,152 +396,112 @@ impl ClassStats {
             self.slo_met as f64 / self.answered as f64
         }
     }
+}
 
-    /// Counter-wise difference against an earlier snapshot (how a
-    /// workload run scopes lifetime engine counters to itself).
-    pub(crate) fn delta_since(&self, earlier: &Self) -> Self {
-        Self {
-            requests: self.requests - earlier.requests,
-            answered: self.answered - earlier.answered,
-            shed: self.shed - earlier.shed,
-            deadline_shed: self.deadline_shed - earlier.deadline_shed,
-            rerouted: self.rerouted - earlier.rerouted,
-            fault_shed: self.fault_shed - earlier.fault_shed,
-            slo_met: self.slo_met - earlier.slo_met,
+/// Serving counters, generic over the cell: `EngineStats<CounterId>`
+/// names each series in a [`MetricsRegistry`] (registered once, in
+/// `EngineStats::register`), and `EngineStats` (`u64` cells) holds their
+/// values — [`QueryEngine::stats`] reads one from the other, and a run
+/// scopes lifetime values to itself with [`EngineStats::zip`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats<T = u64> {
+    /// Queries offered to [`QueryEngine::serve`].
+    pub requests: T,
+    /// Queries answered (any path).
+    pub answered: T,
+    /// Edge result-cache hits.
+    pub edge_hits: T,
+    /// Source result-cache hits.
+    pub source_hits: T,
+    /// Queries executed against a store.
+    pub store_served: T,
+    /// Queries no layer could answer completely.
+    pub unanswerable: T,
+    /// Capacity sheds per layer (fog 1, fog 2, cloud).
+    pub shed: [T; 3],
+    /// Per-service-class counters (requests, sheds, SLO attainment),
+    /// indexed by [`ServiceClass::index`].
+    pub per_class: [ClassStats<T>; CLASS_COUNT],
+    /// Archive records visited by scans.
+    pub records_scanned: T,
+    /// Bucket partials served from cache.
+    pub partial_hits: T,
+    /// Bucket partials folded and cached.
+    pub partial_fills: T,
+    /// Buckets assembled from the node's **sketch ledger** (flush-shipped
+    /// pre-folded partials) instead of scanning the archive — the write
+    /// path's decomposability payoff showing up at serving time.
+    pub prefold_hits: T,
+    /// Queries answered from a fog-1 node's warm sketches after the raw
+    /// window was evicted ([`f2c_core::DataSource::WarmSketch`]).
+    pub sketch_served: T,
+    /// Ledger partials merged by warm-sketch serving (single-source and
+    /// scatter legs).
+    pub sketch_hits: T,
+    /// Scatter-gather legs executed from warm sketches instead of raw
+    /// shards.
+    pub sketch_legs: T,
+    /// Queries served by scatter-gather fan-out.
+    pub scatter_served: T,
+    /// Fan-out legs executed across all scatter-gather queries.
+    pub scatter_legs: T,
+    /// Contested routes (fan-out and cloud both provably complete) the
+    /// fan-out won.
+    pub scatter_wins: T,
+    /// Contested routes the single-source cloud read won.
+    pub cloud_wins: T,
+    /// Queries shed because an injected fault left no viable route
+    /// (origin crashed, every source unreachable, or a transfer lost).
+    pub fault_shed: T,
+    /// Scatter-gather legs dropped from fan-outs because their node was
+    /// crashed or unreachable.
+    pub legs_shed: T,
+    /// Answered queries degraded to [`Completeness::Partial`].
+    pub degraded: T,
+}
+
+impl<T: Copy> EngineStats<T> {
+    /// Pairs every cell with its counterpart in `other` through `f` —
+    /// e.g. `after.zip(&before, |a, b| a - b)` is a run's delta.
+    pub fn zip<U: Copy, V>(
+        &self,
+        other: &EngineStats<U>,
+        mut f: impl FnMut(T, U) -> V,
+    ) -> EngineStats<V> {
+        EngineStats {
+            requests: f(self.requests, other.requests),
+            answered: f(self.answered, other.answered),
+            edge_hits: f(self.edge_hits, other.edge_hits),
+            source_hits: f(self.source_hits, other.source_hits),
+            store_served: f(self.store_served, other.store_served),
+            unanswerable: f(self.unanswerable, other.unanswerable),
+            shed: std::array::from_fn(|i| f(self.shed[i], other.shed[i])),
+            per_class: std::array::from_fn(|i| self.per_class[i].zip(&other.per_class[i], &mut f)),
+            records_scanned: f(self.records_scanned, other.records_scanned),
+            partial_hits: f(self.partial_hits, other.partial_hits),
+            partial_fills: f(self.partial_fills, other.partial_fills),
+            prefold_hits: f(self.prefold_hits, other.prefold_hits),
+            sketch_served: f(self.sketch_served, other.sketch_served),
+            sketch_hits: f(self.sketch_hits, other.sketch_hits),
+            sketch_legs: f(self.sketch_legs, other.sketch_legs),
+            scatter_served: f(self.scatter_served, other.scatter_served),
+            scatter_legs: f(self.scatter_legs, other.scatter_legs),
+            scatter_wins: f(self.scatter_wins, other.scatter_wins),
+            cloud_wins: f(self.cloud_wins, other.cloud_wins),
+            fault_shed: f(self.fault_shed, other.fault_shed),
+            legs_shed: f(self.legs_shed, other.legs_shed),
+            degraded: f(self.degraded, other.degraded),
         }
     }
 }
 
-/// Serving counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Queries offered to [`QueryEngine::serve`].
-    pub requests: u64,
-    /// Queries answered (any path).
-    pub answered: u64,
-    /// Edge result-cache hits.
-    pub edge_hits: u64,
-    /// Source result-cache hits.
-    pub source_hits: u64,
-    /// Queries executed against a store.
-    pub store_served: u64,
-    /// Queries no layer could answer completely.
-    pub unanswerable: u64,
-    /// Capacity sheds per layer (fog 1, fog 2, cloud).
-    pub shed: [u64; 3],
-    /// Per-service-class counters (requests, sheds, SLO attainment),
-    /// indexed by [`ServiceClass::index`].
-    pub per_class: [ClassStats; CLASS_COUNT],
-    /// Archive records visited by scans.
-    pub records_scanned: u64,
-    /// Bucket partials served from cache.
-    pub partial_hits: u64,
-    /// Bucket partials folded and cached.
-    pub partial_fills: u64,
-    /// Buckets assembled from the node's **sketch ledger** (flush-shipped
-    /// pre-folded partials) instead of scanning the archive — the write
-    /// path's decomposability payoff showing up at serving time.
-    pub prefold_hits: u64,
-    /// Queries answered from a fog-1 node's warm sketches after the raw
-    /// window was evicted ([`f2c_core::DataSource::WarmSketch`]).
-    pub sketch_served: u64,
-    /// Ledger partials merged by warm-sketch serving (single-source and
-    /// scatter legs).
-    pub sketch_hits: u64,
-    /// Scatter-gather legs executed from warm sketches instead of raw
-    /// shards.
-    pub sketch_legs: u64,
-    /// Queries served by scatter-gather fan-out.
-    pub scatter_served: u64,
-    /// Fan-out legs executed across all scatter-gather queries.
-    pub scatter_legs: u64,
-    /// Contested routes (fan-out and cloud both provably complete) the
-    /// fan-out won.
-    pub scatter_wins: u64,
-    /// Contested routes the single-source cloud read won.
-    pub cloud_wins: u64,
-    /// Queries shed because an injected fault left no viable route
-    /// (origin crashed, every source unreachable, or a transfer lost).
-    pub fault_shed: u64,
-    /// Scatter-gather legs dropped from fan-outs because their node was
-    /// crashed or unreachable.
-    pub legs_shed: u64,
-    /// Answered queries degraded to [`Completeness::Partial`].
-    pub degraded: u64,
-}
-
-impl EngineStats {
-    /// Total capacity sheds across layers.
-    pub fn shed_total(&self) -> u64 {
-        self.shed.iter().sum()
-    }
-
-    /// Total deadline sheds across classes.
-    pub fn deadline_shed_total(&self) -> u64 {
-        self.per_class.iter().map(|c| c.deadline_shed).sum()
-    }
-}
-
-/// Static layer label for metric label sets (`layer=fog1`, …).
-pub(crate) fn layer_label(layer: Layer) -> &'static str {
-    match layer {
-        Layer::Fog1 => "fog1",
-        Layer::Fog2 => "fog2",
-        Layer::Cloud => "cloud",
-    }
-}
-
-/// Pre-resolved ids of one service class's counter series.
-#[derive(Debug, Clone, Copy)]
-struct ClassIds {
-    requests: CounterId,
-    answered: CounterId,
-    shed: CounterId,
-    deadline_shed: CounterId,
-    rerouted: CounterId,
-    fault_shed: CounterId,
-    slo_met: CounterId,
-}
-
-/// Pre-resolved ids of every engine series in the city's unified
-/// [`MetricsRegistry`]. The engine registers these once at construction
-/// and publishes through them on the hot path (an array index, not a
-/// map lookup); [`QueryEngine::stats`] reads them back as the typed
-/// [`EngineStats`] view.
-#[derive(Debug, Clone, Copy)]
-struct EngineMetricIds {
-    requests: CounterId,
-    answered: CounterId,
-    edge_hits: CounterId,
-    source_hits: CounterId,
-    store_served: CounterId,
-    unanswerable: CounterId,
-    shed: [CounterId; 3],
-    records_scanned: CounterId,
-    partial_hits: CounterId,
-    partial_fills: CounterId,
-    prefold_hits: CounterId,
-    sketch_served: CounterId,
-    sketch_hits: CounterId,
-    sketch_legs: CounterId,
-    scatter_served: CounterId,
-    scatter_legs: CounterId,
-    scatter_wins: CounterId,
-    cloud_wins: CounterId,
-    fault_shed: CounterId,
-    legs_shed: CounterId,
-    degraded: CounterId,
-    per_class: [ClassIds; CLASS_COUNT],
-}
-
-impl EngineMetricIds {
+impl EngineStats<CounterId> {
+    /// Registers (or finds) every engine series in `reg`.
     fn register(reg: &mut MetricsRegistry) -> Self {
         let q = Labels::new().service("query");
-        let shed = Layer::ALL
-            .map(|layer| reg.counter("query_shed", q.layer(layer_label(layer)).kind("capacity")));
         let per_class = ServiceClass::ALL.map(|class| {
             let lc = q.class(class.label());
-            ClassIds {
+            ClassStats {
                 requests: reg.counter("query_class_requests", lc),
                 answered: reg.counter("query_class_answered", lc),
                 shed: reg.counter("query_class_shed", lc.kind("capacity")),
@@ -538,7 +518,10 @@ impl EngineMetricIds {
             source_hits: reg.counter("query_cache_hits", q.kind("source")),
             store_served: reg.counter("query_store_served", q),
             unanswerable: reg.counter("query_unanswerable", q),
-            shed,
+            shed: Layer::ALL.map(|layer| {
+                reg.counter("query_shed", q.layer(layer_label(layer)).kind("capacity"))
+            }),
+            per_class,
             records_scanned: reg.counter("query_records_scanned", q),
             partial_hits: reg.counter("query_partials", q.kind("hit")),
             partial_fills: reg.counter("query_partials", q.kind("fill")),
@@ -553,8 +536,28 @@ impl EngineMetricIds {
             fault_shed: reg.counter("query_fault_shed", q),
             legs_shed: reg.counter("query_legs_shed", q),
             degraded: reg.counter("query_degraded", q),
-            per_class,
         }
+    }
+}
+
+impl EngineStats {
+    /// Total capacity sheds across layers.
+    pub fn shed_total(&self) -> u64 {
+        self.shed.iter().sum()
+    }
+
+    /// Total deadline sheds across classes.
+    pub fn deadline_shed_total(&self) -> u64 {
+        self.per_class.iter().map(|c| c.deadline_shed).sum()
+    }
+}
+
+/// Static layer label for metric label sets (`layer=fog1`, …).
+pub fn layer_label(layer: Layer) -> &'static str {
+    match layer {
+        Layer::Fog1 => "fog1",
+        Layer::Fog2 => "fog2",
+        Layer::Cloud => "cloud",
     }
 }
 
@@ -621,7 +624,7 @@ pub(crate) struct ServeCore {
     /// Local invalidations (backdated ingests) added on top of the
     /// hierarchy's flush epoch.
     pub(crate) extra_epochs: u64,
-    ids: EngineMetricIds,
+    ids: EngineStats<CounterId>,
     /// Buffered observability, absorbed by the owner at barriers.
     pub(crate) obs: ObsScratch,
 }
@@ -636,7 +639,7 @@ pub struct QueryEngine {
     core: ServeCore,
     /// The engine's series ids in the *city's* registry (the scratch
     /// deltas absorb into these); [`QueryEngine::stats`] reads them.
-    city_ids: EngineMetricIds,
+    city_ids: EngineStats<CounterId>,
 }
 
 impl QueryEngine {
@@ -645,7 +648,7 @@ impl QueryEngine {
     /// [`MetricsRegistry`] (registered here, accumulated from the
     /// serving core's scratch after every serve).
     pub fn new(mut city: F2cCity, cfg: EngineConfig) -> Self {
-        let city_ids = EngineMetricIds::register(city.metrics_mut());
+        let city_ids = EngineStats::register(city.metrics_mut());
         let core = ServeCore::new(cfg, city.section_count(), city.district_count());
         Self {
             city,
@@ -672,49 +675,13 @@ impl QueryEngine {
         (&mut self.core, &mut self.city)
     }
 
-    /// Serving counters so far — the typed view over the engine's series
-    /// in the city's unified metrics registry (one source of truth; this
-    /// just reads it back in `EngineStats` shape).
+    /// Serving counters so far — the values of the engine's series in
+    /// the city's unified metrics registry (the one store; this reads
+    /// it).
     pub fn stats(&self) -> EngineStats {
         let m = self.city.metrics();
-        let v = |id: CounterId| m.counter_value(id);
-        let ids = &self.city_ids;
-        let mut per_class = [ClassStats::default(); CLASS_COUNT];
-        for (cs, cid) in per_class.iter_mut().zip(ids.per_class.iter()) {
-            *cs = ClassStats {
-                requests: v(cid.requests),
-                answered: v(cid.answered),
-                shed: v(cid.shed),
-                deadline_shed: v(cid.deadline_shed),
-                rerouted: v(cid.rerouted),
-                fault_shed: v(cid.fault_shed),
-                slo_met: v(cid.slo_met),
-            };
-        }
-        EngineStats {
-            requests: v(ids.requests),
-            answered: v(ids.answered),
-            edge_hits: v(ids.edge_hits),
-            source_hits: v(ids.source_hits),
-            store_served: v(ids.store_served),
-            unanswerable: v(ids.unanswerable),
-            shed: ids.shed.map(v),
-            per_class,
-            records_scanned: v(ids.records_scanned),
-            partial_hits: v(ids.partial_hits),
-            partial_fills: v(ids.partial_fills),
-            prefold_hits: v(ids.prefold_hits),
-            sketch_served: v(ids.sketch_served),
-            sketch_hits: v(ids.sketch_hits),
-            sketch_legs: v(ids.sketch_legs),
-            scatter_served: v(ids.scatter_served),
-            scatter_legs: v(ids.scatter_legs),
-            scatter_wins: v(ids.scatter_wins),
-            cloud_wins: v(ids.cloud_wins),
-            fault_shed: v(ids.fault_shed),
-            legs_shed: v(ids.legs_shed),
-            degraded: v(ids.degraded),
-        }
+        self.city_ids
+            .zip(&self.city_ids, |id, _| m.counter_value(id))
     }
 
     /// Publishes point-in-time gauges (per-layer in-flight admissions
@@ -821,7 +788,7 @@ impl ServeCore {
     pub(crate) fn new(cfg: EngineConfig, section_count: usize, district_count: usize) -> Self {
         let cache = || ResultCache::new(cfg.result_ttl_s, cfg.result_capacity);
         let mut obs = ObsScratch::new();
-        let ids = EngineMetricIds::register(obs.metrics_mut());
+        let ids = EngineStats::register(obs.metrics_mut());
         Self {
             edge: (0..section_count).map(|_| cache()).collect(),
             src_fog1: (0..section_count).map(|_| cache()).collect(),

@@ -78,6 +78,7 @@
 //! ```
 
 #![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
 pub(crate) mod engine;
@@ -88,7 +89,9 @@ pub mod planner;
 pub mod scatter;
 pub mod workload;
 
-pub use engine::{EngineConfig, LayerCaps, Outcome, QueryEngine, QueryResponse, ServedVia};
+pub use engine::{
+    layer_label, EngineConfig, LayerCaps, Outcome, QueryEngine, QueryResponse, ServedVia,
+};
 pub use error::{Error, Result};
 pub use f2c_qos::{ClassLedger, ClassPolicy, QosPolicy, ShedCause};
 pub use model::{

@@ -33,22 +33,24 @@
 //!   stay admissible. A shard only ever acquires and releases against
 //!   its own slice, so there is no cross-shard acquire or rollback —
 //!   and no ordering dependence.
-//! * **Histogram merge order** — per-shard latency histograms merge
-//!   into the report (and the city registry) in district order, never
-//!   in completion order.
+//! * **Latency histograms** — each shard observes its answered
+//!   requests' latencies into its own scratch registry, absorbed into
+//!   the city's `query_latency_us{…}` series at every barrier in
+//!   district order like every other observable. Histogram merges are
+//!   commutative, so the series equal one merge at the end of the run.
 
 use std::fmt::Write as _;
 
 use citysim::event::EventQueue;
 use citysim::time::{Duration, SimTime};
-use citysim::Histogram;
 use f2c_core::runtime::section_generators;
-use f2c_core::{run_shards, F2cCity};
+use f2c_core::{run_shards, F2cCity, Layer};
+use f2c_obs::{HistogramId, Labels, MetricsRegistry};
 use f2c_qos::{ShedCause, CLASS_COUNT};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::engine::{ClassStats, LayerCaps, Outcome, QueryEngine, ServeCore, ServedVia};
+use crate::engine::{layer_label, LayerCaps, Outcome, QueryEngine, ServeCore, ServedVia};
 use crate::workload::{
     fnv1a, gen_query_at, think, validate, DiurnalCurve, FlashCrowd, ServiceClass, User,
     WorkloadConfig, WorkloadReport, FNV_OFFSET,
@@ -124,6 +126,29 @@ fn next_think(
     Duration::from_micros((scaled / u64::from(user.think_divisor)).max(1))
 }
 
+/// The run's latency series, `query_latency_us{…}`: per serving layer,
+/// per service class, and over scatter-gather executions.
+#[derive(Debug, Clone, Copy)]
+struct LatencyIds {
+    layer: [HistogramId; 3],
+    class: [HistogramId; CLASS_COUNT],
+    scatter: HistogramId,
+}
+
+impl LatencyIds {
+    /// Registers (or finds) every series in `reg`.
+    fn register(reg: &mut MetricsRegistry) -> Self {
+        let q = Labels::new().service("query");
+        Self {
+            layer: Layer::ALL
+                .map(|layer| reg.histogram("query_latency_us", q.layer(layer_label(layer)))),
+            class: ServiceClass::ALL
+                .map(|class| reg.histogram("query_latency_us", q.class(class.label()))),
+            scatter: reg.histogram("query_latency_us", q.kind("scatter")),
+        }
+    }
+}
+
 /// One district shard: everything it needs to advance between barriers
 /// without touching another shard or mutating the city.
 struct Shard {
@@ -137,13 +162,9 @@ struct Shard {
     /// round-robin across shards with steady users).
     quota: u64,
     issued: u64,
-    answered: u64,
-    shed: u64,
-    unanswerable: u64,
     shed_during_flash: [u64; CLASS_COUNT],
-    hists: [Histogram; 3],
-    class_hists: [Histogram; CLASS_COUNT],
-    scatter_latency: Histogram,
+    /// The latency series in `core`'s scratch registry.
+    latency: LatencyIds,
     sim_end_s: u64,
     transcript: Vec<u8>,
     transcript_hash: u64,
@@ -201,11 +222,11 @@ impl Shard {
                     self.line.clear();
                     let next_at = match self.core.serve(city, &query, now_s) {
                         Ok(Outcome::Answered(resp)) => {
-                            self.answered += 1;
-                            self.hists[resp.layer.index()].record(resp.est_latency);
-                            self.class_hists[class.index()].record(resp.est_latency);
+                            let m = self.core.obs.metrics_mut();
+                            m.observe(self.latency.layer[resp.layer.index()], resp.est_latency);
+                            m.observe(self.latency.class[class.index()], resp.est_latency);
                             if matches!(resp.via, ServedVia::Scatter { .. }) {
-                                self.scatter_latency.record(resp.est_latency);
+                                m.observe(self.latency.scatter, resp.est_latency);
                             }
                             let done = at + resp.est_latency;
                             if !resp.held.is_empty() {
@@ -225,7 +246,6 @@ impl Shard {
                             class: shed_class,
                             cause,
                         }) => {
-                            self.shed += 1;
                             if in_flash && cause == ShedCause::Capacity {
                                 self.shed_during_flash[shed_class.index()] += 1;
                             }
@@ -255,7 +275,6 @@ impl Shard {
                             }
                         }
                         Err(Error::Unanswerable { .. }) => {
-                            self.unanswerable += 1;
                             let _ = write!(self.line, "{issued};{class:?};U;;0");
                             at + next_think(&user, now_s, config.diurnal, &mut self.rng)
                         }
@@ -324,6 +343,9 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
         .map(|d| city.sections_in_district(d).len())
         .collect();
     let slices = partition_caps(engine_core.cfg.caps, &counts);
+    // Registered up front, so a class nobody answered still exports its
+    // (empty) series.
+    LatencyIds::register(city.metrics_mut());
 
     let mut shards: Vec<Shard> = (0..districts)
         .map(|d| {
@@ -331,6 +353,7 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
             cfg.caps = slices[d];
             let mut core = ServeCore::new(cfg, section_count, districts);
             core.last_flush_s = config.start_s;
+            let latency = LatencyIds::register(core.obs.metrics_mut());
             Shard {
                 sections: city.sections_in_district(d).to_vec(),
                 core,
@@ -343,13 +366,8 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
                 queue: EventQueue::new(),
                 quota: 0,
                 issued: 0,
-                answered: 0,
-                shed: 0,
-                unanswerable: 0,
                 shed_during_flash: [0; CLASS_COUNT],
-                hists: [Histogram::new(), Histogram::new(), Histogram::new()],
-                class_hists: Default::default(),
-                scatter_latency: Histogram::new(),
+                latency,
                 sim_end_s: config.start_s,
                 transcript: Vec::new(),
                 transcript_hash: FNV_OFFSET,
@@ -498,31 +516,15 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
 
     // Fold the shard reports in district order.
     let mut issued = 0u64;
-    let mut answered = 0u64;
-    let mut shed = 0u64;
-    let mut unanswerable = 0u64;
     let mut shed_during_flash = [0u64; CLASS_COUNT];
-    let mut hists = [Histogram::new(), Histogram::new(), Histogram::new()];
-    let mut class_hists: [Histogram; CLASS_COUNT] = Default::default();
-    let mut scatter_latency = Histogram::new();
     let mut sim_end_s = config.start_s;
     let mut transcript = Vec::new();
     let mut transcript_hash = FNV_OFFSET;
     for shard in &shards {
         issued += shard.issued;
-        answered += shard.answered;
-        shed += shard.shed;
-        unanswerable += shard.unanswerable;
-        for (hist, shard_hist) in hists.iter_mut().zip(&shard.hists) {
-            hist.merge(shard_hist);
-        }
-        for (hist, shard_hist) in class_hists.iter_mut().zip(&shard.class_hists) {
-            hist.merge(shard_hist);
-        }
         for (total, &n) in shed_during_flash.iter_mut().zip(&shard.shed_during_flash) {
             *total += n;
         }
-        scatter_latency.merge(&shard.scatter_latency);
         sim_end_s = sim_end_s.max(shard.sim_end_s);
         fnv1a(&mut transcript_hash, &shard.transcript_hash.to_le_bytes());
         if config.record_transcript {
@@ -530,59 +532,16 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
         }
     }
 
-    // Publish the merged latency distributions into the city's unified
-    // registry (merged, not moved — the typed report keeps its own
-    // copies), and sync the point-in-time gauges, so a bench export after
-    // the run sees the same series the report prints.
-    {
-        let m = city.metrics_mut();
-        let q = f2c_obs::Labels::new().service("query");
-        for layer in f2c_core::Layer::ALL {
-            let id = m.histogram(
-                "query_latency_us",
-                q.layer(crate::engine::layer_label(layer)),
-            );
-            m.merge_histogram(id, &hists[layer.index()]);
-        }
-        for class in ServiceClass::ALL {
-            let id = m.histogram("query_latency_us", q.class(class.label()));
-            m.merge_histogram(id, &class_hists[class.index()]);
-        }
-        let id = m.histogram("query_latency_us", q.kind("scatter"));
-        m.merge_histogram(id, &scatter_latency);
-    }
+    // Sync the point-in-time gauges, so a bench export after the run
+    // sees them as the run left them.
     engine.sync_gauges();
 
-    let stats = engine.stats();
-    let mut per_class = [ClassStats::default(); CLASS_COUNT];
-    for class in ServiceClass::ALL {
-        let i = class.index();
-        per_class[i] = stats.per_class[i].delta_since(&stats0.per_class[i]);
-    }
+    let stats = engine.stats().zip(&stats0, |after, before| after - before);
     Ok(WorkloadReport {
         issued,
-        answered,
-        shed,
-        unanswerable,
-        edge_hits: stats.edge_hits - stats0.edge_hits,
-        source_hits: stats.source_hits - stats0.source_hits,
-        store_served: stats.store_served - stats0.store_served,
-        scatter_served: stats.scatter_served - stats0.scatter_served,
-        scatter_legs: stats.scatter_legs - stats0.scatter_legs,
-        scatter_wins: stats.scatter_wins - stats0.scatter_wins,
-        cloud_wins: stats.cloud_wins - stats0.cloud_wins,
-        prefold_hits: stats.prefold_hits - stats0.prefold_hits,
-        partial_fills: stats.partial_fills - stats0.partial_fills,
-        sketch_served: stats.sketch_served - stats0.sketch_served,
-        sketch_legs: stats.sketch_legs - stats0.sketch_legs,
-        fault_shed: stats.fault_shed - stats0.fault_shed,
-        legs_shed: stats.legs_shed - stats0.legs_shed,
-        degraded: stats.degraded - stats0.degraded,
-        latency_by_layer: hists,
-        latency_by_class: class_hists,
-        per_class,
+        answered: stats.answered,
+        stats,
         shed_during_flash,
-        scatter_latency,
         sim_end_s,
         transcript_hash,
         transcript,
@@ -648,10 +607,6 @@ mod tests {
         };
         let report = run_once(1);
         assert_eq!(report.issued, 400);
-        assert_eq!(
-            report.answered + report.shed + report.unanswerable,
-            report.issued
-        );
         assert!(report.answered > 0, "a warm city must answer something");
         // Same seed, same thread count → byte-identical replay.
         let replay = run_once(1);

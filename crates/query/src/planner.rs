@@ -174,18 +174,20 @@ impl Route {
 }
 
 /// The planner's decision transcript, collected only when a caller asks
-/// for an EXPLAIN: completeness-proof verdicts in evaluation order, plus
-/// every candidate the ranking saw.
+/// for an EXPLAIN (`enabled`): completeness-proof verdicts in evaluation
+/// order, plus every candidate the ranking saw. A disabled capture stays
+/// empty and never allocates.
 #[derive(Debug, Default)]
 struct Capture {
+    enabled: bool,
     proofs: Vec<String>,
     candidates: Vec<Json>,
 }
 
 /// Pushes a proof line, building the string only when capturing.
-fn note(cap: &mut Option<Capture>, build: impl FnOnce() -> String) {
-    if let Some(c) = cap.as_mut() {
-        c.proofs.push(build());
+fn note(cap: &mut Capture, build: impl FnOnce() -> String) {
+    if cap.enabled {
+        cap.proofs.push(build());
     }
 }
 
@@ -252,9 +254,11 @@ fn scatter_candidate_json(plan: &ScatterPlan) -> Json {
 ///
 /// Exactly [`plan`]'s errors — an unanswerable query has no transcript.
 pub fn plan_explained(city: &F2cCity, query: &Query) -> Result<(Route, Json)> {
-    let mut cap = Some(Capture::default());
+    let mut cap = Capture {
+        enabled: true,
+        ..Capture::default()
+    };
     let route = plan_captured(city, query, &mut cap)?;
-    let cap = cap.expect("capture survives planning");
     let mut doc = Json::obj();
     let mut q = Json::obj();
     q.set("origin", Json::Num(query.origin as f64));
@@ -378,7 +382,7 @@ fn district_legs(
     w: TimeWindow,
     kind: QueryKind,
     legs: &mut Vec<ScatterLeg>,
-    cap: &mut Option<Capture>,
+    cap: &mut Capture,
 ) -> bool {
     let hops = city.fog2_ring_hops(d, gather);
     if fog2_complete(city, d, w) {
@@ -472,10 +476,10 @@ fn scatter_plan(city: &F2cCity, legs: Vec<ScatterLeg>, gather: usize) -> Scatter
 /// reaches past what the hierarchy has flushed upward so far *and* some
 /// fog-1 shard has already aged out).
 pub fn plan(city: &F2cCity, query: &Query) -> Result<Route> {
-    plan_captured(city, query, &mut None)
+    plan_captured(city, query, &mut Capture::default())
 }
 
-fn plan_captured(city: &F2cCity, query: &Query, cap: &mut Option<Capture>) -> Result<Route> {
+fn plan_captured(city: &F2cCity, query: &Query, cap: &mut Capture) -> Result<Route> {
     query.validated()?;
     let w = query.window;
     let origin_district = city.district_of(query.origin);
@@ -670,8 +674,8 @@ fn plan_captured(city: &F2cCity, query: &Query, cap: &mut Option<Capture>) -> Re
         .into_iter()
         .map(|(option, source, layer)| {
             let est_cost = cost.cost(option, NOMINAL_PAYLOAD_BYTES);
-            if let Some(c) = cap.as_mut() {
-                c.candidates
+            if cap.enabled {
+                cap.candidates
                     .push(single_candidate_json(option, source, est_cost));
             }
             QueryPlan {
@@ -682,8 +686,8 @@ fn plan_captured(city: &F2cCity, query: &Query, cap: &mut Option<Capture>) -> Re
             }
         })
         .min_by_key(|p| p.est_cost.as_micros());
-    if let (Some(c), Some(s)) = (cap.as_mut(), &scatter) {
-        c.candidates.push(scatter_candidate_json(s));
+    if let Some(s) = scatter.as_ref().filter(|_| cap.enabled) {
+        cap.candidates.push(scatter_candidate_json(s));
     }
 
     // Fan-out-vs-cloud contest: only recorded when both shapes are

@@ -1,7 +1,10 @@
 //! What a deterministic closed-loop query workload *is*: its shape
 //! ([`WorkloadConfig`]), its per-class query and think-time generators,
-//! and what a run reports ([`WorkloadReport`]). The loop that drives it
-//! is [`crate::parallel::run`] — the only closed loop in the workspace.
+//! and what a run reports ([`WorkloadReport`]: the run's delta of the
+//! engine's registry counters, plus what no counter expresses — its
+//! latency histograms stay in the city's registry). The loop that
+//! drives it is [`crate::parallel::run`] — the only closed loop in the
+//! workspace.
 //!
 //! A fixed population of simulated users (each assigned a service class)
 //! drives the engine through the event-driven clock: every user issues a
@@ -25,8 +28,7 @@
 //!   while the real-time guarantee stays untouched.
 
 use citysim::time::Duration;
-use citysim::Histogram;
-use f2c_core::{F2cCity, Layer};
+use f2c_core::F2cCity;
 use f2c_qos::CLASS_COUNT;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -34,7 +36,7 @@ use scc_sensors::{Category, SensorType};
 
 pub use f2c_qos::ServiceClass;
 
-use crate::engine::ClassStats;
+use crate::engine::{ClassStats, EngineStats};
 use crate::model::{Query, QueryKind, Scope, Selector, TimeWindow};
 use crate::{Error, Result};
 
@@ -197,67 +199,23 @@ impl Default for WorkloadConfig {
     }
 }
 
-/// What a workload run measured.
+/// What a workload run measured. The serving counters are the run's
+/// slice of the engine's series in the city registry; the latency
+/// histograms live only there, as `query_latency_us{…}`.
 #[derive(Debug, Clone)]
 pub struct WorkloadReport {
     /// Requests issued.
     pub issued: u64,
-    /// Requests answered (cache or store).
+    /// Requests answered (cache or store): `stats.answered`.
     pub answered: u64,
-    /// Requests shed by admission control (either cause).
-    pub shed: u64,
-    /// Requests no layer could answer completely.
-    pub unanswerable: u64,
-    /// Edge result-cache hits during the run.
-    pub edge_hits: u64,
-    /// Source result-cache hits during the run.
-    pub source_hits: u64,
-    /// Store executions during the run.
-    pub store_served: u64,
-    /// Scatter-gather executions during the run.
-    pub scatter_served: u64,
-    /// Fan-out legs executed during the run.
-    pub scatter_legs: u64,
-    /// Contested fan-out-vs-cloud routes the fan-out won during the run.
-    pub scatter_wins: u64,
-    /// Contested fan-out-vs-cloud routes the cloud won during the run.
-    pub cloud_wins: u64,
-    /// Closed buckets assembled from flush-shipped pre-folded partials
-    /// (the sketch ledger) instead of archive scans during the run.
-    pub prefold_hits: u64,
-    /// Closed buckets that had to be scanned and cached during the run
-    /// (no cached partial, no ledger coverage).
-    pub partial_fills: u64,
-    /// Queries answered from warm sketches after raw eviction during
-    /// the run.
-    pub sketch_served: u64,
-    /// Scatter legs executed from warm sketches during the run.
-    pub sketch_legs: u64,
-    /// Requests shed because an injected fault left no viable route
-    /// during the run.
-    pub fault_shed: u64,
-    /// Fan-out legs shed by injected faults during the run.
-    pub legs_shed: u64,
-    /// Answered requests degraded to partial completeness (surviving
-    /// legs only) during the run.
-    pub degraded: u64,
-    /// Estimated-latency histograms per serving layer (fog 1, fog 2,
-    /// cloud).
-    pub latency_by_layer: [Histogram; 3],
-    /// Estimated-latency histograms per service class, indexed by
-    /// [`ServiceClass::index`].
-    pub latency_by_class: [Histogram; CLASS_COUNT],
-    /// Per-class engine-counter deltas for this run (requests issued,
-    /// answered, sheds by cause, reroutes, SLO attainment), indexed by
-    /// [`ServiceClass::index`].
-    pub per_class: [ClassStats; CLASS_COUNT],
+    /// The engine's counters over this run: their values after the run
+    /// minus their values after its settling flush.
+    pub stats: EngineStats,
     /// Capacity sheds per class that occurred while any flash crowd was
     /// active — the "same instant" evidence that a burst sheds its own
     /// class, not the guaranteed ones. Indexed by
     /// [`ServiceClass::index`].
     pub shed_during_flash: [u64; CLASS_COUNT],
-    /// Estimated-latency histogram of scatter-gather-served requests.
-    pub scatter_latency: Histogram,
     /// Simulated instant of the last processed request.
     pub sim_end_s: u64,
     /// Order-exact FNV-1a hash over every request's transcript line.
@@ -267,19 +225,9 @@ pub struct WorkloadReport {
 }
 
 impl WorkloadReport {
-    /// The latency histogram of one serving layer.
-    pub fn layer_hist(&self, layer: Layer) -> &Histogram {
-        &self.latency_by_layer[layer.index()]
-    }
-
-    /// The latency histogram of one service class.
-    pub fn class_hist(&self, class: ServiceClass) -> &Histogram {
-        &self.latency_by_class[class.index()]
-    }
-
     /// The counters of one service class during this run.
     pub fn class_stats(&self, class: ServiceClass) -> &ClassStats {
-        &self.per_class[class.index()]
+        &self.stats.per_class[class.index()]
     }
 
     /// This run's in-flash capacity sheds of one service class.
@@ -292,7 +240,7 @@ impl WorkloadReport {
         if self.answered == 0 {
             0.0
         } else {
-            (self.edge_hits + self.source_hits) as f64 / self.answered as f64
+            (self.stats.edge_hits + self.stats.source_hits) as f64 / self.answered as f64
         }
     }
 }
@@ -451,9 +399,23 @@ pub(crate) fn validate(config: &WorkloadConfig) -> Result<Vec<FlashCrowd>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineConfig, LayerCaps, QueryEngine};
+    use crate::engine::{layer_label, EngineConfig, LayerCaps, QueryEngine};
     use crate::parallel::run;
+    use citysim::Histogram;
     use f2c_core::runtime::populate_city;
+    use f2c_core::Layer;
+    use f2c_obs::Labels;
+
+    /// Samples in the `query_latency_us{service=query,…}` series
+    /// `labels` narrows to, in the engine's city registry.
+    fn latency_count(engine: &QueryEngine, labels: impl Fn(Labels) -> Labels) -> u64 {
+        let labels = labels(Labels::new().service("query"));
+        let series = engine
+            .city()
+            .metrics()
+            .histogram_named("query_latency_us", labels);
+        series.map_or(0, Histogram::count)
+    }
 
     fn warm_engine() -> QueryEngine {
         let mut city = F2cCity::barcelona().unwrap();
@@ -476,26 +438,25 @@ mod tests {
         let mut engine = warm_engine();
         let report = run(&mut engine, &small_config()).unwrap();
         assert_eq!(report.issued, 800);
-        assert_eq!(
-            report.answered + report.shed + report.unanswerable,
-            report.issued,
-            "every request has exactly one outcome"
-        );
         assert!(report.answered > 0, "a warm city answers most requests");
-        assert!(
-            report.latency_by_layer.iter().any(|h| h.count() > 0),
-            "latencies were recorded"
-        );
+        let by_layer: u64 = Layer::ALL
+            .map(|layer| latency_count(&engine, |q| q.layer(layer_label(layer))))
+            .iter()
+            .sum();
+        assert_eq!(by_layer, report.answered, "per-layer latencies recorded");
         assert_eq!(
             report.transcript.iter().filter(|&&b| b == b'\n').count() as u64,
             report.issued,
             "one transcript line per request"
         );
-        let by_class: u64 = report.per_class.iter().map(|c| c.requests).sum();
+        let by_class: u64 = report.stats.per_class.iter().map(|c| c.requests).sum();
         assert_eq!(by_class, report.issued, "per-class request counts add up");
-        let answered_by_class: u64 = report.per_class.iter().map(|c| c.answered).sum();
+        let answered_by_class: u64 = report.stats.per_class.iter().map(|c| c.answered).sum();
         assert_eq!(answered_by_class, report.answered);
-        let recorded: u64 = report.latency_by_class.iter().map(Histogram::count).sum();
+        let recorded: u64 = ServiceClass::ALL
+            .map(|class| latency_count(&engine, |q| q.class(class.label())))
+            .iter()
+            .sum();
         assert_eq!(recorded, report.answered, "per-class latencies recorded");
     }
 
@@ -504,7 +465,7 @@ mod tests {
         let mut engine = warm_engine();
         let report = run(&mut engine, &small_config()).unwrap();
         assert!(
-            report.edge_hits + report.source_hits > 0,
+            report.stats.edge_hits + report.stats.source_hits > 0,
             "dashboards repeat over settled windows: {report:?}"
         );
     }
@@ -520,20 +481,21 @@ mod tests {
             city: 50,
         };
         let report = run(&mut engine, &config).unwrap();
+        let stats = &report.stats;
         assert!(
-            report.scatter_served > 0,
+            stats.scatter_served > 0,
             "city-wide queries must fan out: {report:?}"
         );
         assert!(
-            report.scatter_legs >= report.scatter_served,
+            stats.scatter_legs >= stats.scatter_served,
             "every scatter execution has at least one leg"
         );
         assert!(
-            report.scatter_latency.count() == report.scatter_served,
+            latency_count(&engine, |q| q.kind("scatter")) == stats.scatter_served,
             "scatter latencies are recorded per execution"
         );
         assert!(
-            report.scatter_wins + report.cloud_wins > 0,
+            stats.scatter_wins + stats.cloud_wins > 0,
             "settled city windows put the fan-out and the cloud in contest"
         );
     }
@@ -556,7 +518,10 @@ mod tests {
         };
         let a = run_once();
         let b = run_once();
-        assert!(a.scatter_served > 0, "fan-out must actually run: {a:?}");
+        assert!(
+            a.stats.scatter_served > 0,
+            "fan-out must actually run: {a:?}"
+        );
         assert_eq!(a.transcript, b.transcript, "fan-out replay diverged");
         assert_eq!(a.transcript_hash, b.transcript_hash);
     }

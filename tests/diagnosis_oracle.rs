@@ -328,11 +328,11 @@ fn sharded_run(threads: usize) -> (String, String) {
         }
     }
     assert_eq!(by_hand.answered, report.answered);
+    let shed = report.stats.shed_total() + report.stats.deadline_shed_total();
     assert!(
-        report.shed > 0 && report.edge_hits > 100,
-        "shed {} edge {}",
-        report.shed,
-        report.edge_hits
+        shed > 0 && report.stats.edge_hits > 100,
+        "shed {shed} edge {}",
+        report.stats.edge_hits
     );
 
     let city = engine.city();

@@ -16,6 +16,7 @@ use f2c_smartcity::core::runtime::populate_city;
 use f2c_smartcity::core::{ChaosSite, F2cCity, Parallelism};
 use f2c_smartcity::query::{
     parallel, DiurnalCurve, EngineConfig, FlashCrowd, QueryEngine, ServiceClass, WorkloadConfig,
+    WorkloadReport,
 };
 use f2c_smartcity::sensors::wire;
 
@@ -196,6 +197,35 @@ fn shaped(mut config: WorkloadConfig, diurnal: bool, flash: bool) -> WorkloadCon
     config
 }
 
+/// Asserts that the engine's counters put every issued request in
+/// exactly one outcome: answered, shed (capacity, deadline or fault) or
+/// unanswerable — in total and per class. No counter tallies a class's
+/// unanswerable requests, so those come from the transcript's `U` lines
+/// (`n;Class;U;;0`).
+fn assert_outcomes_partition(report: &WorkloadReport) {
+    let s = &report.stats;
+    assert_eq!(report.issued, s.requests, "every issued request is counted");
+    assert_eq!(
+        s.requests,
+        s.answered + s.shed_total() + s.deadline_shed_total() + s.fault_shed + s.unanswerable,
+        "every request has exactly one outcome: {s:?}"
+    );
+    let transcript = String::from_utf8_lossy(&report.transcript);
+    for class in ServiceClass::ALL {
+        let name = format!("{class:?}");
+        let unanswerable = transcript
+            .lines()
+            .filter(|line| line.split(';').skip(1).take(2).eq([name.as_str(), "U"]))
+            .count() as u64;
+        let c = report.class_stats(class);
+        assert_eq!(
+            c.requests,
+            c.answered + c.shed + c.deadline_shed + c.fault_shed + unanswerable,
+            "every {class:?} request has exactly one outcome: {c:?}"
+        );
+    }
+}
+
 /// One sharded-workload replica at `threads` worker threads: warm a
 /// seeded city, optionally install a fault storm, drive the sharded
 /// closed loop, and return every run artifact as one byte stream.
@@ -220,12 +250,14 @@ fn shard_replica(config: &WorkloadConfig, threads: usize, storm: bool) -> Vec<u8
     let mut cfg = *config;
     cfg.record_transcript = true;
     let report = parallel::run(&mut engine, &cfg).expect("sharded workload runs");
+    assert_outcomes_partition(&report);
+    let s = &report.stats;
     let summary = format!(
         "report issued={} answered={} shed={} unanswerable={} hash={:016x} end={}\n",
         report.issued,
         report.answered,
-        report.shed,
-        report.unanswerable,
+        s.shed_total() + s.deadline_shed_total() + s.fault_shed,
+        s.unanswerable,
         report.transcript_hash,
         report.sim_end_s,
     );
