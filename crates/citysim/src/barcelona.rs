@@ -84,6 +84,10 @@ impl BarcelonaTopology {
 
         for (d_idx, (district, sections)) in DISTRICTS.iter().enumerate() {
             let f2 = topo.add_node(format!("fog2/{district}"));
+            #[allow(
+                clippy::expect_used,
+                reason = "f2 was just added: it is not the cloud and has no link yet"
+            )]
             topo.add_link(
                 f2,
                 cloud,
@@ -95,6 +99,10 @@ impl BarcelonaTopology {
             let mut district_fog1 = Vec::with_capacity(*sections);
             for s in 0..*sections {
                 let f1 = topo.add_node(format!("fog1/{district}/section-{s}"));
+                #[allow(
+                    clippy::expect_used,
+                    reason = "f1 was just added: it is not f2 and has no link yet"
+                )]
                 topo.add_link(
                     f1,
                     f2,
@@ -115,6 +123,11 @@ impl BarcelonaTopology {
                     if district_fog1.len() == 2 && w == 1 {
                         break;
                     }
+                    #[allow(
+                        clippy::expect_used,
+                        reason = "a ring over the district's distinct fog-1 nodes joins each \
+                                  pair once, and they were otherwise joined only to f2"
+                    )]
                     topo.add_link(
                         a,
                         b,
@@ -131,6 +144,11 @@ impl BarcelonaTopology {
         for d in 0..fog2.len() {
             let a = fog2[d];
             let b = fog2[(d + 1) % fog2.len()];
+            #[allow(
+                clippy::expect_used,
+                reason = "a ring over ten distinct fog-2 nodes joins each pair once, \
+                          and they were otherwise joined only to the cloud and fog 1"
+            )]
             topo.add_link(
                 a,
                 b,

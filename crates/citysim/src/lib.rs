@@ -30,6 +30,7 @@
 //! ```
 
 #![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub(crate) mod access;
 pub mod barcelona;

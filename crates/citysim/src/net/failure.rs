@@ -18,8 +18,6 @@
 //! indexed by it, grown on first write. A [`NodeId`] can be forged
 //! (`NodeId::from_raw`), so node crash windows stay a map.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::collections::HashMap;
 
 use super::{entry, LinkId, NodeId};

@@ -41,11 +41,21 @@ impl Link {
 
     /// Time to push `bytes` onto the wire (serialization delay).
     pub fn transfer_time(&self, bytes: u64) -> Duration {
-        // micros = bytes * 8 / (bps / 1e6) = bytes * 8e6 / bps
-        let micros = (u128::from(bytes) * 8 * 1_000_000) / u128::from(self.bandwidth_bps);
-        Duration::from_micros(micros as u64)
+        // micros = bytes * 8 / (bps / 1e6) = bytes * 8e6 / bps, in `u64`
+        // for every payload under ≈ 2.3 TB and in `u128` past that.
+        let micros = match bytes.checked_mul(BIT_MICROS) {
+            Some(product) => product / self.bandwidth_bps,
+            None => {
+                let wide = u128::from(bytes) * u128::from(BIT_MICROS);
+                (wide / u128::from(self.bandwidth_bps)) as u64
+            }
+        };
+        Duration::from_micros(micros)
     }
 }
+
+/// Bits per byte times microseconds per second.
+const BIT_MICROS: u64 = 8 * 1_000_000;
 
 #[cfg(test)]
 mod tests {
@@ -70,6 +80,29 @@ mod tests {
         // 8.5 GB over 1 kbit/s: enormous but must not overflow.
         let t = l.transfer_time(8_583_503_168);
         assert!(t.as_secs_f64() > 6e7);
+    }
+
+    /// The `u128` formula the `u64` path must agree with.
+    fn wide(l: &Link, bytes: u64) -> Duration {
+        let micros = u128::from(bytes) * 8_000_000 / u128::from(l.bandwidth_bps);
+        Duration::from_micros(micros as u64)
+    }
+
+    #[test]
+    fn the_u64_path_ends_where_the_product_overflows() {
+        let fits = u64::MAX / BIT_MICROS;
+        assert!(fits.checked_mul(BIT_MICROS).is_some());
+        assert!((fits + 1).checked_mul(BIT_MICROS).is_none());
+        for bps in [1, 1_000, 7_999_999, 8_000_000, 1_000_000_007, u64::MAX] {
+            let l = Link::new(Duration::ZERO, bps);
+            for bytes in [fits - 1, fits, fits + 1, fits + 2] {
+                assert_eq!(
+                    l.transfer_time(bytes),
+                    wide(&l, bytes),
+                    "{bytes} B at {bps} bit/s"
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,11 @@ pub struct LinkTraffic {
     pub messages: u64,
 }
 
+/// The hour index since start that simulated time `at` falls in.
+pub(crate) fn hour_of(at: SimTime) -> u64 {
+    at.as_secs() / 3600
+}
+
 /// Byte/message accounting for every link of a topology.
 #[derive(Debug, Clone, Default)]
 pub struct TrafficMeter {
@@ -33,12 +38,24 @@ impl TrafficMeter {
         }
     }
 
-    /// Records `bytes` moving across `link` at simulated time `at`.
+    /// Records one message of `bytes` moving across `link` at simulated
+    /// time `at`.
     pub(crate) fn record(&mut self, link: LinkId, bytes: u64, at: SimTime) {
+        self.add_link(link, bytes, 1);
+        self.add_hour(hour_of(at), bytes);
+    }
+
+    /// Adds `messages` messages totalling `bytes` to `link`'s counters.
+    pub(crate) fn add_link(&mut self, link: LinkId, bytes: u64, messages: u64) {
         let t = &mut self.per_link[link.index()];
         t.bytes += bytes;
-        t.messages += 1;
-        *self.hourly.entry(at.as_secs() / 3600).or_insert(0) += bytes;
+        t.messages += messages;
+    }
+
+    /// Adds `bytes` to simulated hour `hour`, which then appears in
+    /// [`TrafficMeter::hourly_bytes`] even when `bytes` is zero.
+    pub(crate) fn add_hour(&mut self, hour: u64, bytes: u64) {
+        *self.hourly.entry(hour).or_insert(0) += bytes;
     }
 
     /// Bytes per simulated hour (hour index since start → bytes).

@@ -2,14 +2,13 @@
 //!
 //! * [`Topology`] — an undirected graph of labelled nodes and
 //!   latency/bandwidth links, with Dijkstra routing,
-//! * [`TrafficMeter`] — per-link and per-node byte/message accounting (the
-//!   raw data behind every traffic table in the experiments),
+//! * [`TrafficMeter`] — per-link byte/message accounting and bytes per
+//!   simulated hour (the raw data behind every traffic table in the
+//!   experiments),
 //! * [`FailurePlan`] — deterministic link outages and packet loss,
 //! * [`Network`] — the combination: `send` looks the route up in a table
 //!   built once from the topology, checks failures, accumulates latency +
 //!   serialization delay, and meters every traversed link.
-
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod failure;
 mod link;
@@ -42,20 +41,41 @@ fn entry<T: Clone + Default>(table: &mut Vec<T>, link: LinkId) -> &mut T {
 /// A sharded runtime serves queries and ships flush hops against a
 /// shared `&Network`; everything a send would normally mutate — traffic
 /// meters and per-link loss-coin sequences — lands here instead, and
-/// [`Network::absorb_scratch`] replays it at the next barrier in the
+/// [`Network::absorb_scratch`] adds it in at the next barrier in the
 /// coordinator's canonical shard order. Per-link sequences are drawn as
 /// `base + local count`, where `base` is the plan's counter at first use,
 /// so a shard's verdicts are a pure function of the plan plus its own
 /// send order.
+///
+/// Everything the meter keeps is a sum, so the scratch keeps sums too:
+/// per link the bytes and the draws (a metered hop tosses exactly one
+/// coin, so the draws are the link's messages), and the bytes per
+/// simulated hour. A drain costs the links and hours the buffered sends
+/// crossed, not one update per hop.
 #[derive(Debug, Default)]
 pub struct NetScratch {
-    /// Metering events in send order: `(link, bytes, at)`.
-    events: Vec<(LinkId, u64, SimTime)>,
-    /// By link index, `(base sequence at first use, draws made here)`;
-    /// zero draws means the link is untouched and its base is stale.
-    seq: Vec<(u64, u64)>,
+    /// By link index; zero draws means the link is untouched and its
+    /// base is stale.
+    links: Vec<LinkSums>,
     /// The links drawn on since the last drain, each named once.
     touched: Vec<LinkId>,
+    /// `(hour, bytes)` since the last drain, one entry per simulated
+    /// hour the buffered sends fell in. Usually one or two: the
+    /// sequential engine drains after every request and a shard at
+    /// every flush or ingest barrier, though a shard with neither runs
+    /// many hours between drains.
+    hourly: Vec<(u64, u64)>,
+}
+
+/// One link's sends buffered in a [`NetScratch`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct LinkSums {
+    /// The plan's loss-coin counter at this scratch's first draw.
+    base: u64,
+    /// Coins drawn (messages metered) here since.
+    draws: u64,
+    /// Bytes metered here since.
+    bytes: u64,
 }
 
 impl NetScratch {
@@ -64,22 +84,32 @@ impl NetScratch {
         Self::default()
     }
 
-    /// Buffered metering events.
-    pub fn event_count(&self) -> usize {
-        self.events.len()
+    /// Buffered hop messages, summed over links.
+    pub fn message_count(&self) -> u64 {
+        self.touched
+            .iter()
+            .map(|&link| self.links[link.index()].draws)
+            .sum()
     }
 
-    /// The sequence number of the next loss coin on `link`: the plan's
-    /// counter as of this scratch's first draw there, plus the draws made
-    /// here since.
-    fn next_seq(&mut self, link: LinkId, plan: &FailurePlan) -> u64 {
-        let (base, drawn) = entry(&mut self.seq, link);
-        if *drawn == 0 {
-            *base = plan.loss_seq(link);
+    /// Meters `bytes` on `link` at `at` and returns the sequence number
+    /// of the loss coin this hop tosses: the plan's counter as of this
+    /// scratch's first draw there, plus the draws made here since.
+    fn meter(&mut self, link: LinkId, bytes: u64, at: SimTime, plan: &FailurePlan) -> u64 {
+        let sums = entry(&mut self.links, link);
+        if sums.draws == 0 {
+            sums.base = plan.loss_seq(link);
             self.touched.push(link);
         }
-        *drawn += 1;
-        *base + *drawn - 1
+        sums.draws += 1;
+        sums.bytes += bytes;
+        let seq = sums.base + sums.draws - 1;
+        let hour = meter::hour_of(at);
+        match self.hourly.iter_mut().rev().find(|(h, _)| *h == hour) {
+            Some((_, sum)) => *sum += bytes,
+            None => self.hourly.push((hour, bytes)),
+        }
+        seq
     }
 }
 
@@ -252,8 +282,7 @@ impl Network {
             if self.failures.is_down(link_id, at) {
                 return Err(Error::LinkDown { a, b, at });
             }
-            scratch.events.push((link_id, bytes, at));
-            let seq = scratch.next_seq(link_id, &self.failures);
+            let seq = scratch.meter(link_id, bytes, at, &self.failures);
             if self.failures.loss_verdict(link_id, seq) {
                 return Err(Error::MessageLost { a, b });
             }
@@ -290,18 +319,20 @@ impl Network {
         })
     }
 
-    /// Folds a shard's buffered sends back into the network: meter events
-    /// replay in their send order and each link's loss-coin counter jumps
-    /// by the draws made (per-link counters, so the order links are
-    /// visited in does not matter). Called at barriers in canonical shard
-    /// order, so the merged meter and sequences are schedule-independent.
+    /// Folds a shard's buffered sends back into the network: each link's
+    /// bytes and messages, and each hour's bytes, add to the meter, and
+    /// each link's loss-coin counter jumps by the draws made. Sums and
+    /// per-link counters, so the order links and hours are visited in
+    /// does not matter. Called at barriers in canonical shard order, so
+    /// the merged meter and sequences are schedule-independent.
     pub fn absorb_scratch(&mut self, scratch: &mut NetScratch) {
-        for (link, bytes, at) in scratch.events.drain(..) {
-            self.meter.record(link, bytes, at);
-        }
         for link in scratch.touched.drain(..) {
-            let (_, drawn) = std::mem::take(entry(&mut scratch.seq, link));
-            self.failures.advance_loss_seq(link, drawn);
+            let sums = std::mem::take(entry(&mut scratch.links, link));
+            self.meter.add_link(link, sums.bytes, sums.draws);
+            self.failures.advance_loss_seq(link, sums.draws);
+        }
+        for (hour, bytes) in scratch.hourly.drain(..) {
+            self.meter.add_hour(hour, bytes);
         }
     }
 
@@ -393,7 +424,7 @@ mod tests {
 
     /// Whether a scratch has nothing buffered.
     fn drained(scratch: &NetScratch) -> bool {
-        scratch.events.is_empty() && scratch.touched.is_empty()
+        scratch.touched.is_empty() && scratch.hourly.is_empty()
     }
 
     #[test]
@@ -410,57 +441,101 @@ mod tests {
         net.send_scratch(&mut scratch, a, c, 10, SimTime::ZERO)
             .unwrap();
         assert!(!drained(&scratch));
-        assert_eq!(scratch.seq, [(0, 1), (3, 1)], "base is the plan's counter");
+        assert_eq!(scratch.message_count(), 2);
+        let sums = |base, draws, bytes| LinkSums { base, draws, bytes };
+        assert_eq!(
+            scratch.links,
+            [sums(0, 1, 10), sums(3, 1, 10)],
+            "base is the plan's counter"
+        );
         net.absorb_scratch(&mut scratch);
         assert!(drained(&scratch));
-        assert_eq!(scratch.seq, [(0, 0), (0, 0)], "drained entries reset");
+        assert_eq!(scratch.message_count(), 0);
+        assert_eq!(
+            scratch.links,
+            [LinkSums::default(); 2],
+            "drained entries reset"
+        );
         assert_eq!(net.failures.loss_seq(first), 1);
         assert_eq!(net.failures.loss_seq(second), 4);
     }
 
-    /// The per-link sequences as they were kept before the dense tables:
-    /// SipHash maps keyed by `LinkId`, the scratch drained in link order.
-    #[derive(Default)]
+    /// The scratch as it was kept before it held sums: SipHash maps of
+    /// `(base, draws)` keyed by `LinkId`, drained in link order, beside a
+    /// log of every metered hop `(link, bytes, at)` replayed through
+    /// [`TrafficMeter::record`] — the call [`Network::send`] makes per hop.
     struct SeqModel {
         plan: HashMap<LinkId, u64>,
         scratch: [HashMap<LinkId, (u64, u64)>; 2],
+        log: [Vec<(LinkId, u64, SimTime)>; 2],
+        meter: TrafficMeter,
     }
 
     impl SeqModel {
+        fn new(net: &Network) -> Self {
+            Self {
+                plan: HashMap::new(),
+                scratch: Default::default(),
+                log: Default::default(),
+                meter: TrafficMeter::for_topology(net.topology()),
+            }
+        }
+
         /// The verdicts `send_scratch` must reach along `path`: one coin
-        /// per hop until the first loss.
-        fn send_scratch(&mut self, which: usize, path: &[LinkId], plan: &FailurePlan) -> bool {
+        /// per hop until the first loss, every hop tossing one metered.
+        fn send_scratch(
+            &mut self,
+            which: usize,
+            path: &[LinkId],
+            bytes: u64,
+            now: SimTime,
+            net: &Network,
+        ) -> bool {
+            let mut at = now;
             for &link in path {
+                self.log[which].push((link, bytes, at));
                 let base = self.plan.get(&link).copied().unwrap_or(0);
                 let entry = self.scratch[which].entry(link).or_insert((base, 0));
                 let seq = entry.0 + entry.1;
                 entry.1 += 1;
-                if plan.loss_verdict(link, seq) {
+                if net.failures().loss_verdict(link, seq) {
                     return false;
                 }
+                at += hop_time(net, link, bytes);
             }
             true
         }
 
-        fn send(&mut self, path: &[LinkId], plan: &FailurePlan) -> bool {
+        fn send(&mut self, path: &[LinkId], bytes: u64, now: SimTime, net: &Network) -> bool {
+            let mut at = now;
             for &link in path {
+                self.meter.record(link, bytes, at);
                 let n = self.plan.entry(link).or_insert(0);
                 let seq = *n;
                 *n += 1;
-                if plan.loss_verdict(link, seq) {
+                if net.failures().loss_verdict(link, seq) {
                     return false;
                 }
+                at += hop_time(net, link, bytes);
             }
             true
         }
 
         fn absorb(&mut self, which: usize) {
+            for (link, bytes, at) in self.log[which].drain(..) {
+                self.meter.record(link, bytes, at);
+            }
             let mut seqs: Vec<(LinkId, (u64, u64))> = self.scratch[which].drain().collect();
             seqs.sort_by_key(|(link, _)| link.index());
             for (link, (_, drawn)) in seqs {
                 *self.plan.entry(link).or_insert(0) += drawn;
             }
         }
+    }
+
+    fn hop_time(net: &Network, link: LinkId, bytes: u64) -> Duration {
+        let link = net.topology().link(link);
+        link.latency() + link.transfer_time(bytes)
     }
 
     /// A six-node line with every link lossy, so every hop tosses a coin
@@ -487,30 +562,39 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// One step is `(kind, scratch, from, to, n)`: a buffered send, a
-        /// direct send (which draws through `FailurePlan::drops`), a
-        /// drain of one scratch, or a bare `advance_loss_seq`. Two
-        /// scratches interleave, as two shards' do between barriers.
+        /// One step is `(kind, scratch, from, to, n, at)`: a buffered
+        /// send, a direct send (which draws through `FailurePlan::drops`),
+        /// a drain of one scratch, or a bare `advance_loss_seq`. Two
+        /// scratches interleave, as two shards' do between barriers. Sends
+        /// start within 20 ms of an hour boundary and cross it hop by hop,
+        /// and lost messages still meter the hops they reached, so the
+        /// meter's link sums and hourly series must equal the model's
+        /// hop-by-hop replay after every step.
         #[test]
         fn dense_loss_sequences_equal_the_hash_map_model(
-            ops in proptest::collection::vec((0u8..10, 0usize..2, 0usize..6, 0usize..6, 0u64..4), 1..120),
+            ops in proptest::collection::vec(
+                (0u8..10, 0usize..2, 0usize..6, 0usize..6, 0u64..4, 0u64..40),
+                1..120,
+            ),
         ) {
             use proptest::prelude::*;
             let (mut net, nodes, links) = lossy_line();
             let mut scratch = [NetScratch::new(), NetScratch::new()];
-            let mut model = SeqModel::default();
-            for &(kind, which, from, to, n) in &ops {
+            let mut model = SeqModel::new(&net);
+            for &(kind, which, from, to, n, at_ms) in &ops {
                 let path = net.path(nodes[from], nodes[to]).unwrap().to_vec();
+                let bytes = [0, 64, 1_000, 4_000][n as usize];
+                let now = SimTime::from_micros(3_600_000_000 - 20_000 + at_ms * 1_000);
                 match kind {
                     0..=4 => {
                         let sent = net
-                            .send_scratch(&mut scratch[which], nodes[from], nodes[to], 64, SimTime::ZERO)
+                            .send_scratch(&mut scratch[which], nodes[from], nodes[to], bytes, now)
                             .is_ok();
-                        prop_assert_eq!(sent, model.send_scratch(which, &path, net.failures()));
+                        prop_assert_eq!(sent, model.send_scratch(which, &path, bytes, now, &net));
                     }
                     5 | 6 => {
-                        let sent = net.send(nodes[from], nodes[to], 64, SimTime::ZERO).is_ok();
-                        prop_assert_eq!(sent, model.send(&path, &net.failures));
+                        let sent = net.send(nodes[from], nodes[to], bytes, now).is_ok();
+                        prop_assert_eq!(sent, model.send(&path, bytes, now, &net));
                     }
                     7 | 8 => {
                         net.absorb_scratch(&mut scratch[which]);
@@ -528,9 +612,12 @@ mod tests {
                         net.failures().loss_seq(link),
                         model.plan.get(&link).copied().unwrap_or(0)
                     );
+                    prop_assert_eq!(net.meter().link_traffic(link), model.meter.link_traffic(link));
                 }
-                for (real, model) in scratch.iter().zip(&model.scratch) {
-                    prop_assert_eq!(drained(real), model.is_empty() && real.events.is_empty());
+                prop_assert_eq!(net.meter().hourly_bytes(), model.meter.hourly_bytes());
+                for ((real, model), log) in scratch.iter().zip(&model.scratch).zip(&model.log) {
+                    prop_assert_eq!(drained(real), model.is_empty() && log.is_empty());
+                    prop_assert_eq!(real.message_count(), log.len() as u64);
                 }
             }
         }

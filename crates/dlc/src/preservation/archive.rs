@@ -194,17 +194,38 @@ impl ArchiveStore {
 
     /// How many stored records were created strictly before `t_s` — the
     /// position in the run where creation time `t_s` starts. The count of
-    /// a window `[a, b)` is `rank(b) - rank(a)`.
+    /// a window `[a, b)` is `rank(b) - rank(a)`. A time past the newest
+    /// record (an open window's end) is the whole run, without a search.
     pub fn rank(&self, t_s: u64) -> usize {
+        if self.times.last().is_none_or(|&newest| newest < t_s) {
+            return self.times.len();
+        }
         self.times.partition_point(|&t| t < t_s)
     }
 
+    /// The records created at exactly `t_s`, with their position in the
+    /// run ([`ArchiveStore::rank`] of `t_s`), arrival order.
+    pub fn created_at(&self, t_s: u64) -> (usize, &[DataRecord]) {
+        let start = self.rank(t_s);
+        let run = self.times[start..]
+            .iter()
+            .take_while(|&&t| t == t_s)
+            .count();
+        (start, &self.records[start..start + run])
+    }
+
     /// The latest creation time in `[from_s, until_s)` at which a record
-    /// of type `ty` is stored.
+    /// of type `ty` is stored; the type's newest time, without a search,
+    /// when `until_s` is past it.
     pub fn latest_of_type(&self, ty: SensorType, from_s: u64, until_s: u64) -> Option<u64> {
         let column = &self.type_times[ty.ordinal()];
-        let before = column.partition_point(|&t| t < until_s);
-        let latest = *column.get(before.checked_sub(1)?)?;
+        let latest = match column.last() {
+            Some(&newest) if newest < until_s => newest,
+            _ => {
+                let before = column.partition_point(|&t| t < until_s);
+                *column.get(before.checked_sub(1)?)?
+            }
+        };
         (latest >= from_s).then_some(latest)
     }
 
@@ -543,6 +564,65 @@ mod tests {
                 if evict_at < 400 && w % 2 == 1 {
                     merged.discard_older_than(evict_at);
                     sequential.discard_older_than(evict_at);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// `rank`, `created_at` and `latest_of_type`, with their
+        /// shortcuts past the newest entry, against plain
+        /// `partition_point` over the time column and a walk of the
+        /// records. Runs of up to 40 records share a second;
+        /// every probe from below the oldest entry to past the newest
+        /// (each stored second, each gap, `u64::MAX`) is asked.
+        #[test]
+        fn search_primitives_equal_partition_point(
+            // Per run: (gap to the previous run's second, length, type pick).
+            runs in proptest::collection::vec((0u64..4, 1usize..40, 0usize..3), 0..24),
+        ) {
+            const TYPES: [SensorType; 3] =
+                [SensorType::Traffic, SensorType::Weather, SensorType::BicycleFlow];
+            let mut s = ArchiveStore::new();
+            let (mut t, mut idx) = (50u64, 0u32);
+            let mut batch = Vec::new();
+            for &(gap, len, ty) in &runs {
+                t += gap;
+                for i in 0..len {
+                    idx += 1;
+                    // A run mixes types so each type column has gaps too.
+                    batch.push(rec(TYPES[(ty + i % 2) % 3], idx, t));
+                }
+            }
+            s.insert_batch(batch);
+            let newest = s.latest_s().unwrap_or(0);
+            let probes = (0..=newest + 2).chain([u64::MAX - 1, u64::MAX]);
+            for probe in probes {
+                let want = s.times.partition_point(|&t| t < probe);
+                proptest::prop_assert_eq!(s.rank(probe), want, "rank({})", probe);
+                let (start, at) = s.created_at(probe);
+                proptest::prop_assert_eq!(start, want);
+                let walked: Vec<u32> = s
+                    .iter()
+                    .filter(|r| created_s(r) == probe)
+                    .map(|r| r.reading().sensor().index())
+                    .collect();
+                let got: Vec<u32> = at.iter().map(|r| r.reading().sensor().index()).collect();
+                proptest::prop_assert_eq!(got, walked, "created_at({})", probe);
+                for ty in TYPES {
+                    for from in [0, probe.saturating_sub(5), probe.saturating_sub(1), probe] {
+                        let want = s
+                            .iter()
+                            .filter(|r| r.sensor_type() == ty)
+                            .map(created_s)
+                            .filter(|t| (from..probe).contains(t))
+                            .max();
+                        proptest::prop_assert_eq!(
+                            s.latest_of_type(ty, from, probe),
+                            want,
+                            "latest_of_type({:?}, {}, {})", ty, from, probe
+                        );
+                    }
                 }
             }
         }

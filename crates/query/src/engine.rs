@@ -1605,6 +1605,11 @@ const AGG_PARTIAL_WIRE_BYTES: u64 = 1_152;
 /// when nothing matches. It prices the read (`scan_cost_per_record_us`),
 /// so it comes from ranks in the time column rather than from the few
 /// records actually touched.
+///
+/// A live probe's window is `[now − 1800, now + 1)`: its end lies past
+/// the newest record, so the end rank and the type lookups take their
+/// past-the-newest shortcuts; the window start and `T*` are each ranked
+/// once.
 fn scan_point(store: &TieredStore, query: &Query) -> (Option<PointSample>, u64) {
     let archive = store.archive();
     let w = query.window;
@@ -1612,15 +1617,17 @@ fn scan_point(store: &TieredStore, query: &Query) -> (Option<PointSample>, u64) 
     let end = archive.rank(w.until_s).max(first);
     let mut before_s = w.until_s;
     while let Some(at_s) = latest_report(archive, query.selector, w.from_s, before_s) {
+        let (start, at) = archive.created_at(at_s);
+        // The largest identity wins; among repeats of one sensor, the
+        // latest arrival.
         let mut best: Option<(u64, &DataRecord)> = None;
-        for rec in archive.range(at_s, at_s + 1).rev() {
+        for rec in at {
             let seed = rec.reading().sensor().seed_material();
-            if query.matches(rec) && best.is_none_or(|(s, _)| seed > s) {
+            if query.matches(rec) && best.is_none_or(|(s, _)| seed >= s) {
                 best = Some((seed, rec));
             }
         }
         if let Some((_, rec)) = best {
-            let start = archive.rank(at_s);
             let visited = end - start + usize::from(start > first);
             let point = PointSample {
                 created_s: at_s,
@@ -2831,9 +2838,17 @@ mod tests {
         fn scan_point_equals_the_walk_it_replaced(
             // (type pick, sensor index, creation second, section)
             records in proptest::collection::vec((0usize..5, 0u32..3, 0u64..24, 0u16..4), 0..80),
+            // Records at the newest second, 24, after the rest: many
+            // sensors, and repeats of one sensor, tie at `T*`.
+            burst in proptest::collection::vec((0usize..5, 0u32..3, 0u16..4), 0..40),
             evict_before in 0u64..12,
-            // (selector pick, scope pick, from, length or inversion)
-            queries in proptest::collection::vec((0usize..7, 0usize..8, 0u64..26, 0u64..30), 1..24),
+            // (selector pick, scope pick, from, length or inversion,
+            // open): an open window is `[newest + 1 - length, newest + 1)`,
+            // a live probe's shape.
+            queries in proptest::collection::vec(
+                (0usize..7, 0usize..8, 0u64..26, 0u64..30, 0u8..3),
+                1..24,
+            ),
         ) {
             const TYPES: [SensorType; 5] = [
                 SensorType::Traffic,
@@ -2853,8 +2868,17 @@ mod tests {
                 store.insert(rec);
             }
             store.insert_batch(arrivals.collect());
+            let nth = records.len() as u64..;
+            store.insert_batch(
+                burst
+                    .iter()
+                    .zip(nth)
+                    .map(|(&(ty, idx, section), nth)| located(TYPES[ty], idx, 24, section, nth))
+                    .collect(),
+            );
             store.evict_expired(100 + evict_before);
-            for &(selector, scope, from, len) in &queries {
+            let past_newest = store.archive().latest_s().map_or(0, |t| t + 1);
+            for &(selector, scope, from, len, open) in &queries {
                 let selector = match selector {
                     5 => Selector::Category(Category::Urban),
                     6 => Selector::Category(Category::Energy),
@@ -2867,7 +2891,13 @@ mod tests {
                     _ => Scope::City,
                 };
                 // Lengths past 26 invert the window instead.
-                let until = if len > 26 { from.saturating_sub(len - 26) } else { from + len };
+                let (from, until) = if open == 0 {
+                    (past_newest.saturating_sub(len), past_newest)
+                } else if len > 26 {
+                    (from, from.saturating_sub(len - 26))
+                } else {
+                    (from, from + len)
+                };
                 let q = point_query(selector, scope, from, until);
                 proptest::prop_assert_eq!(
                     scan_point(&store, &q),

@@ -111,7 +111,7 @@ fn outages_fail_the_fixed_path_hop_by_hop_and_never_reroute() {
         "{sent:?}"
     );
     // The first hop carried the message before the second refused it.
-    assert_eq!(scratch.event_count(), 1);
+    assert_eq!(scratch.message_count(), 1);
     city.network_mut().absorb_scratch(&mut scratch);
     let meter = city.network().meter();
     assert_eq!(meter.link_traffic(first).bytes, 700);
