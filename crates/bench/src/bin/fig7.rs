@@ -5,10 +5,11 @@
 //!
 //! Run with `cargo run --release -p f2c-bench --bin fig7`.
 
-use f2c_bench::measure_compression_ratios;
+use f2c_bench::{export, measure_compression_ratios};
 use f2c_core::report::{gb, render_fig7};
 use f2c_core::runtime::{simulate, SimConfig};
-use f2c_core::traffic::TrafficModel;
+use f2c_core::traffic::{Fig7Row, TrafficModel};
+use f2c_obs::Json;
 
 fn main() {
     // (a) Analytic, paper's Zip ratio.
@@ -64,35 +65,29 @@ fn main() {
     }
     println!("\nAll per-category raw volumes within 15% of Table I. SHAPE OK");
 
-    // Diffable JSON artifact (analytic rows, both ratios). Hand-rendered:
-    // the build environment vendors serde as a derive-only shim, and the
-    // payload is flat enough that a formatter dependency buys nothing.
-    let rows_json = |rows: &[f2c_core::traffic::Fig7Row]| -> String {
-        rows.iter()
-            .map(|r| {
-                format!(
-                    "    {{\"category\": \"{}\", \"raw\": {}, \"after_dedup\": {}, \
-                     \"after_dedup_and_compression\": {}, \"compressed_raw\": {}}}",
-                    r.category,
-                    r.raw,
-                    r.after_dedup,
-                    r.after_dedup_and_compression,
-                    r.compressed_raw
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n")
+    // Diffable JSON artifact (analytic rows, both ratios).
+    let rows_json = |rows: &[Fig7Row]| {
+        let row_json = |r: &Fig7Row| {
+            let mut row = Json::obj();
+            row.set("category", Json::Str(r.category.to_string()));
+            row.set("raw", export::num(r.raw));
+            row.set("after_dedup", export::num(r.after_dedup));
+            row.set(
+                "after_dedup_and_compression",
+                export::num(r.after_dedup_and_compression),
+            );
+            row.set("compressed_raw", export::num(r.compressed_raw));
+            row
+        };
+        Json::Arr(rows.iter().map(row_json).collect())
     };
-    let artifact = format!(
-        "{{\n  \"experiment\": \"E2-fig7\",\n  \"paper_ratio\": {},\n  \
-         \"measured_ratio\": {},\n  \"rows_paper_ratio\": [\n{}\n  ],\n  \
-         \"rows_measured_ratio\": [\n{}\n  ]\n}}\n",
-        paper.compression_ratio(),
-        measured.overall,
-        rows_json(&paper.fig7_rows()),
-        rows_json(&ours.fig7_rows()),
-    );
+    let mut artifact = Json::obj();
+    artifact.set("experiment", Json::Str("E2-fig7".to_string()));
+    artifact.set("paper_ratio", Json::Num(paper.compression_ratio()));
+    artifact.set("measured_ratio", Json::Num(measured.overall));
+    artifact.set("rows_paper_ratio", rows_json(&paper.fig7_rows()));
+    artifact.set("rows_measured_ratio", rows_json(&ours.fig7_rows()));
     let path = "fig7.json";
-    std::fs::write(path, artifact).expect("artifact writable");
+    std::fs::write(path, artifact.to_pretty()).expect("artifact writable");
     println!("wrote {path}");
 }

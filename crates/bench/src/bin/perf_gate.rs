@@ -2,39 +2,28 @@
 //!
 //! Usage: `perf_gate <baseline.json> <current.json>`
 //!
-//! Parses both documents, picks the rule set named by their `bench`
-//! member (`queries` → [`export::budget_rules`], `table1` →
-//! [`export::table1_budget_rules`]), diffs every gated metric under its
-//! tolerance, prints an attributable line per violation and exits
-//! nonzero if any bound broke. The simulation is deterministic, so an
-//! unchanged tree reproduces the baseline exactly; a failure here means
-//! the change regressed a budgeted metric and must either be fixed or
-//! ship with a regenerated baseline.
+//! Parses both documents, looks up the [`export::ARTIFACTS`] row named by
+//! the current document's `bench` member and runs its
+//! [`export::Artifact::gate`]: the baseline must be of the same bench,
+//! every gated metric stays within its tolerance, and the row's
+//! must-be-zero paths read 0 whatever the baseline says (the `queries`
+//! row's `alerts.fired`: a fault-free run that fires an SLO alert is a
+//! defect no regenerated baseline may grandfather in). It prints one
+//! line per violation and exits nonzero if any. The runs are
+//! deterministic, so an unchanged tree reproduces the baseline exactly;
+//! a failure means the change regressed a budgeted metric and must be
+//! fixed or ship with a regenerated baseline.
 //!
-//! Beyond the baseline diff, one absolute invariant is enforced on the
-//! `queries` document regardless of what the baseline says: the
-//! fault-free main run must fire **zero** SLO burn-rate alerts. A fire
-//! there means either the workload degraded for real or the monitor
-//! broke — neither may be grandfathered in by regenerating the baseline.
-//!
-//! Regenerate baselines with:
-//! `E7_REQUESTS=50000 BENCH_OUT=bench/baseline.json \
-//!  cargo run --release -p f2c-bench --bin queries`
-//! `BENCH_OUT=bench/baseline_table1.json \
-//!  cargo run --release -p f2c-bench --bin table1`
+//! `docs/REPRODUCTION.md` says how to regenerate a baseline.
 
 use std::process::ExitCode;
 
 use f2c_bench::export;
-use f2c_obs::{check_budget, Json};
+use f2c_obs::Json;
 
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     Json::parse(&text).map_err(|e| format!("cannot parse {path}: {e:?}"))
-}
-
-fn bench_name(doc: &Json) -> Option<&str> {
-    doc.path("bench").and_then(Json::as_str)
 }
 
 fn run() -> Result<Vec<String>, String> {
@@ -44,46 +33,22 @@ fn run() -> Result<Vec<String>, String> {
     };
     let baseline = load(&baseline_path)?;
     let current = load(&current_path)?;
-    let bench = bench_name(&current)
-        .ok_or_else(|| format!("{current_path} carries no `bench` member"))?
-        .to_string();
-    if bench_name(&baseline) != Some(bench.as_str()) {
-        return Err(format!(
-            "bench mismatch: {} is `{:?}`, {} is `{bench}` — gating across \
-             different experiments gates nothing",
-            baseline_path,
-            bench_name(&baseline),
-            current_path
-        ));
-    }
-    let rules = export::budget_rules_for(Some(&bench))
-        .ok_or_else(|| format!("no budget rule set for bench `{bench}`"))?;
-    let mut violations: Vec<String> = check_budget(&baseline, &current, rules)
+    let bench = current
+        .get("bench")
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("{current_path} carries no `bench` member"))?;
+    let artifact = export::ARTIFACTS
         .iter()
-        .map(|v| v.to_string())
-        .collect();
+        .find(|a| a.bench == bench)
+        .ok_or_else(|| format!("no gated document is named `{bench}`"))?;
+    let violations = artifact.gate(&baseline, &current);
     println!(
         "perf gate: {} metrics gated for bench `{bench}` ({} vs {})",
-        rules.len(),
+        artifact.rules.len(),
         baseline_path,
         current_path
     );
-    if bench == "queries" {
-        // Absolute, baseline-independent: a fault-free smoke run that
-        // burns SLO budget is a defect, not a drift.
-        match current.path("alerts.fired").and_then(Json::as_u64) {
-            Some(0) => {}
-            Some(n) => violations.push(format!(
-                "alerts.fired: {n} alert(s) fired during the fault-free main \
-                 run (must be 0 — a fire here is a real degradation or a \
-                 broken monitor, never baseline drift)"
-            )),
-            None => violations.push(
-                "alerts.fired: missing from the current document (the \
-                 fault-free run must export its alert tally)"
-                    .to_string(),
-            ),
-        }
+    if current.get("parallel").is_some() {
         // Ungated info lines: the sharded runtime is byte-identical at any
         // thread count, so parallelism can never move a gated metric — but
         // the thread count and wall time explain throughput differences

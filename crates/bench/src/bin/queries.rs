@@ -11,38 +11,58 @@
 //! load) proving faults degrade availability, never correctness, and
 //! that sketch anti-entropy heals every punched hole after the storm.
 //!
+//! `main` runs the named scenarios below in order, and the order is part
+//! of the result: the export (the `export::QUERIES` row) snapshots the
+//! main engine after the warm-vs-cold and warm-sketch probes served on it.
+//!
 //! Run with `cargo run --release -p f2c-bench --bin queries`.
 //! Set `E7_REQUESTS` (e.g. `E7_REQUESTS=50000`) to shrink the main run
 //! for CI smoke coverage.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use citysim::net::FailurePlan;
 use citysim::Histogram;
-use f2c_bench::export;
+use f2c_bench::export::{self, QUERIES};
 use f2c_core::runtime::populate_city;
 use f2c_core::{ChaosSite, F2cCity, Layer, Parallelism};
 use f2c_obs::{Json, Labels, MetricsRegistry};
 use f2c_query::parallel;
 use f2c_query::workload::{DiurnalCurve, FlashCrowd, Mix, ServiceClass, WorkloadConfig};
 use f2c_query::{
-    layer_label, EngineConfig, LayerCaps, Outcome, Query, QueryEngine, QueryKind, Scope, Selector,
-    TimeWindow, WorkloadReport,
+    layer_label, EngineConfig, LayerCaps, Outcome, Query, QueryAnswer, QueryEngine, QueryKind,
+    QueryResponse, Scope, Selector, TimeWindow, WorkloadReport,
 };
 use scc_sensors::Category;
 
 const WARMUP_SCALE: u64 = 2_000;
 const WARMUP_HORIZON_S: u64 = 4 * 3_600;
 const DEFAULT_REQUESTS: u64 = 1_000_000;
+/// The ingest scale and horizon of every side scenario's warm-up.
+const SIDE_SCALE: u64 = 20_000;
+const SIDE_START_S: u64 = 3_600;
 
-fn requested_load() -> u64 {
-    std::env::var("E7_REQUESTS")
-        .ok()
-        .map(|s| {
-            s.parse()
-                .expect("E7_REQUESTS must be a positive request count")
-        })
-        .unwrap_or(DEFAULT_REQUESTS)
+/// The request mix of the main run and the chaos storm.
+const STEADY_MIX: Mix = Mix {
+    dashboard: 40,
+    analytics: 10,
+    realtime: 40,
+    city: 10,
+};
+
+fn main() {
+    let requests = std::env::var("E7_REQUESTS").map_or(DEFAULT_REQUESTS, |s| {
+        s.parse()
+            .expect("E7_REQUESTS must be a positive request count")
+    });
+    println!("== E7: closed-loop query serving over the F2C hierarchy ==\n");
+    let mut run = main_run(warm_up(), requests);
+    let parallel_j = thread_self_check(&run);
+    flash_crowd(run.threads);
+    let now = warm_vs_cold(&mut run);
+    warm_sketches(&mut run, now);
+    let chaos_j = chaos(run.threads);
+    export(run, requests, parallel_j, chaos_j);
 }
 
 /// The `query_latency_us{service=query,…}` series `labels` narrows to:
@@ -52,6 +72,16 @@ fn latency(metrics: &MetricsRegistry, labels: impl Fn(Labels) -> Labels) -> &His
     metrics
         .histogram_named("query_latency_us", labels)
         .expect("a workload run registers every latency series")
+}
+
+/// One row of the per-layer latency table.
+fn print_latency_row(name: &str, h: &Histogram) {
+    println!(
+        "{name:<12} {:>9} {:>14} {:>14}",
+        h.count(),
+        h.quantile(0.5).to_string(),
+        h.quantile(0.99).to_string()
+    );
 }
 
 fn print_class_table(report: &WorkloadReport, metrics: &MetricsRegistry) {
@@ -82,11 +112,73 @@ fn print_class_table(report: &WorkloadReport, metrics: &MetricsRegistry) {
     }
 }
 
-fn main() {
-    let requests = requested_load();
-    println!("== E7: closed-loop query serving over the F2C hierarchy ==\n");
+/// A fresh deployment on `threads` worker threads, warmed by an hour of
+/// ingest at 1/20 000 scale: where every side scenario starts.
+fn warm_city(threads: Parallelism) -> F2cCity {
+    let mut city = F2cCity::barcelona().expect("city builds");
+    city.set_parallelism(threads);
+    populate_city(&mut city, SIDE_SCALE, 2017, SIDE_START_S, 900).expect("warm-up runs");
+    city
+}
 
-    // --- warm-up: event-driven ingest day slice ------------------------
+/// A side scenario's closed loop: `requests` from `users`, starting where
+/// [`warm_city`]'s ingest stops and ingesting at its scale.
+fn side_load(requests: u64, users: u32) -> WorkloadConfig {
+    WorkloadConfig {
+        seed: 2017,
+        requests,
+        users,
+        start_s: SIDE_START_S,
+        ingest_scale: SIDE_SCALE,
+        ..WorkloadConfig::default()
+    }
+}
+
+/// An engine with these fog-1 / fog-2 / cloud admission caps.
+fn capped(fog1: u32, fog2: u32, cloud: u32) -> EngineConfig {
+    let caps = LayerCaps { fog1, fog2, cloud };
+    EngineConfig {
+        caps,
+        ..EngineConfig::default()
+    }
+}
+
+/// Serves `query` at `at`; the probe must be answered.
+fn answered(engine: &mut QueryEngine, query: &Query, at: u64) -> QueryResponse {
+    match engine.serve_sync(query, at).expect("probe serves") {
+        Outcome::Answered(resp) => resp,
+        other => panic!("{query:?} at {at} must answer, got {other:?}"),
+    }
+}
+
+/// Serves the aggregate `probe` at `at` and, right after, the same
+/// window as a range read, which has no sketch shortcut and so reads the
+/// raw archive: the aggregate must count exactly the records returned.
+fn cross_check(engine: &mut QueryEngine, probe: Query, at: u64) -> (QueryResponse, QueryResponse) {
+    let raw_probe = Query {
+        class: ServiceClass::Analytics,
+        kind: QueryKind::Range,
+        ..probe
+    };
+    let agg = answered(engine, &probe, at);
+    let raw = answered(engine, &raw_probe, at + 1);
+    let (counted, read) = (count_of(&agg.answer), count_of(&raw.answer));
+    assert_eq!(counted, read, "{probe:?} miscounts the raw archive");
+    (agg, raw)
+}
+
+/// How many records an answer covers: an aggregate's count, a range
+/// read's records, a point read's zero or one sample.
+fn count_of(answer: &QueryAnswer) -> u64 {
+    match answer {
+        QueryAnswer::Aggregate(a) => a.count,
+        QueryAnswer::Records(records) => records.len() as u64,
+        QueryAnswer::Point(sample) => u64::from(sample.is_some()),
+    }
+}
+
+/// Warm-up: an event-driven ingest slice of the day.
+fn warm_up() -> F2cCity {
     let t = Instant::now();
     let mut city = F2cCity::barcelona().expect("barcelona deployment builds");
     let warm =
@@ -100,8 +192,22 @@ fn main() {
         warm.flushes,
         t.elapsed()
     );
+    city
+}
 
-    // --- serving: the closed-loop main run ------------------------------
+/// The main run's engine, and what the later scenarios and the export
+/// read of the run: its flush bytes are taken before the probes flush.
+struct MainRun {
+    engine: QueryEngine,
+    report: WorkloadReport,
+    threads: Parallelism,
+    wall: Duration,
+    raw_bytes: u64,
+    sketch_bytes: u64,
+}
+
+/// The closed-loop main run on the warmed city.
+fn main_run(mut city: F2cCity, requests: u64) -> MainRun {
     // Fog-2 capacity must absorb fan-out pressure: one city-wide
     // scatter-gather holds a slot per district leg, and the QoS policy
     // carves every cap into per-class guarantees plus borrowable
@@ -112,14 +218,7 @@ fn main() {
     // fans out over all 73 fog-1 nodes, which exceeds the city-wide
     // fog-1 allowance — the quota refuses the mega-fan-out instead of
     // letting it crowd the edge layer real-time reads run on.
-    let cfg = EngineConfig {
-        caps: LayerCaps {
-            fog1: 256,
-            fog2: 64,
-            cloud: 2,
-        },
-        ..EngineConfig::default()
-    };
+    let cfg = capped(256, 64, 2);
     // The main run rides the district-sharded runtime at the PARALLELISM
     // knob (default: available cores). The run is byte-identical at any
     // thread count — the self-check below proves it on this build — so
@@ -131,12 +230,7 @@ fn main() {
         seed: 2017,
         requests,
         users: 600,
-        mix: Mix {
-            dashboard: 40,
-            analytics: 10,
-            realtime: 40,
-            city: 10,
-        },
+        mix: STEADY_MIX,
         start_s: WARMUP_HORIZON_S,
         flush_period_s: 900,
         ingest_period_s: 300,
@@ -149,8 +243,7 @@ fn main() {
             peak_milli: 1_800,
             peak_at_s: 0,
         }),
-        flash_crowds: [None; 4],
-        record_transcript: false,
+        ..WorkloadConfig::default()
     };
     let t = Instant::now();
     let report = parallel::run(&mut engine, &config).expect("workload runs");
@@ -179,31 +272,30 @@ fn main() {
     let metrics = engine.city().metrics();
     for layer in Layer::ALL {
         let h = latency(metrics, |q| q.layer(layer_label(layer)));
-        if h.count() == 0 {
-            continue;
+        if h.count() > 0 {
+            print_latency_row(&layer.to_string(), h);
         }
-        println!(
-            "{:<12} {:>9} {:>14} {:>14}",
-            format!("{layer}"),
-            h.count(),
-            h.quantile(0.5).to_string(),
-            h.quantile(0.99).to_string()
-        );
     }
-
     let scatter = latency(metrics, |q| q.kind("scatter"));
     if scatter.count() > 0 {
-        println!(
-            "{:<12} {:>9} {:>14} {:>14}",
-            "scatter",
-            scatter.count(),
-            scatter.quantile(0.5).to_string(),
-            scatter.quantile(0.99).to_string()
-        );
+        print_latency_row("scatter", scatter);
     }
-
     print_class_table(&report, metrics);
 
+    let (raw_bytes, sketch_bytes) = main_run_summary(&engine, &report, requests);
+    MainRun {
+        engine,
+        report,
+        threads,
+        wall,
+        raw_bytes,
+        sketch_bytes,
+    }
+}
+
+/// The main run's serving, scatter, shed, scan and shipping lines and
+/// their SHAPE checks; returns the raw and sketch flush bytes.
+fn main_run_summary(engine: &QueryEngine, report: &WorkloadReport, requests: u64) -> (u64, u64) {
     let stats = &report.stats;
     println!(
         "\nanswered {} | edge hits {} | source hits {} | store served {} \
@@ -294,6 +386,7 @@ fn main() {
         report.cache_hit_rate() > 0.10,
         "dashboards must produce real cache traffic"
     );
+    let scatter = latency(engine.city().metrics(), |q| q.kind("scatter"));
     assert!(
         stats.scatter_served > 0 && scatter.count() == stats.scatter_served,
         "the city-wide mix must exercise scatter-gather with recorded latencies"
@@ -307,33 +400,29 @@ fn main() {
         0,
         "the steady mix must never shed a real-time read"
     );
+    (raw, sk)
+}
 
-    // --- parallel conformance: threads cannot change a single byte ------
-    // Two fresh replicas of a smaller closed loop, one on a single
-    // worker thread and one on four, must produce byte-identical
-    // transcripts (the full-artifact oracle lives in tests/parallel.rs;
-    // this proves it on the release build CI actually benches). The
-    // 1-CPU CI runner cannot observe wall-clock speedup, so the export
-    // below carries threads + wall time as ungated info fields instead
-    // of asserting a ratio.
+/// Parallel conformance: thread count cannot change a single byte. Two
+/// fresh replicas of a smaller closed loop, on one worker thread and on
+/// four, must produce byte-identical transcripts (the full-artifact
+/// oracle lives in tests/parallel.rs; this proves it on the release build
+/// CI benches). Returns the `parallel` section, whose threads and wall
+/// time are ungated info: a 1-CPU CI runner cannot observe a speed-up.
+fn thread_self_check(run: &MainRun) -> Json {
     println!("\n== parallel conformance: thread count must not change bytes ==");
     let self_check = |threads: usize| {
-        let mut sc_city = F2cCity::barcelona().expect("city builds");
-        sc_city.set_parallelism(Parallelism::new(threads));
-        populate_city(&mut sc_city, 20_000, 2017, 3_600, 900).expect("warm-up runs");
-        let mut sc_engine = QueryEngine::new(sc_city, EngineConfig::default());
-        let sc_config = WorkloadConfig {
-            seed: 2017,
-            requests: 10_000,
-            users: 48,
-            start_s: 3_600,
+        let mut engine = QueryEngine::new(
+            warm_city(Parallelism::new(threads)),
+            EngineConfig::default(),
+        );
+        let config = WorkloadConfig {
             flush_period_s: 300,
             ingest_period_s: 300,
-            ingest_scale: 20_000,
             record_transcript: true,
-            ..WorkloadConfig::default()
+            ..side_load(10_000, 48)
         };
-        let r = parallel::run(&mut sc_engine, &sc_config).expect("self-check runs");
+        let r = parallel::run(&mut engine, &config).expect("self-check runs");
         (r.transcript, r.transcript_hash)
     };
     let t = Instant::now();
@@ -353,7 +442,24 @@ fn main() {
         t.elapsed()
     );
 
-    // --- flash crowd: the QoS promise under a deliberate overload -------
+    let mut parallel_j = export::counts_json([
+        ("threads", run.threads.get() as u64),
+        ("wall_ms", run.wall.as_millis() as u64),
+    ]);
+    parallel_j.set(
+        "req_per_s_wall",
+        Json::Num(run.report.issued as f64 / run.wall.as_secs_f64()),
+    );
+    parallel_j.set(
+        "selfcheck_hash",
+        Json::Str(format!("{selfcheck_hash:#018x}")),
+    );
+    parallel_j.set("selfcheck_match", export::num(1));
+    parallel_j
+}
+
+/// Flash crowd: the QoS promise under a deliberate overload.
+fn flash_crowd(threads: Parallelism) {
     // A fresh, tightly-capped engine (result caches disabled so the
     // burst's aggregates cannot hide behind cache hits, which bypass
     // admission) takes a 300-user analytics stampede. The analytics
@@ -367,27 +473,13 @@ fn main() {
     // for replicate per shard (a fan-out needs one per leg), so the city
     // as a whole admits up to ten times those caps.
     println!("\n== flash crowd: analytics stampede vs the real-time guarantee ==");
-    let mut crowd_city = F2cCity::barcelona().expect("city builds");
-    populate_city(&mut crowd_city, 20_000, 2017, 3_600, 900).expect("warm-up runs");
     let crowd_cfg = EngineConfig {
         result_ttl_s: 0,
-        caps: LayerCaps {
-            fog1: 64,
-            fog2: 8,
-            cloud: 4,
-        },
-        ..EngineConfig::default()
+        ..capped(64, 8, 4)
     };
-    let mut crowd_engine = QueryEngine::new(crowd_city, crowd_cfg);
-    let mut crowd_config = WorkloadConfig {
-        seed: 2017,
-        requests: 30_000,
-        users: 64,
-        start_s: 3_600,
-        ingest_scale: 20_000,
-        ..WorkloadConfig::default()
-    };
-    crowd_config.flash_crowds[0] = Some(FlashCrowd {
+    let mut engine = QueryEngine::new(warm_city(threads), crowd_cfg);
+    let mut config = side_load(30_000, 64);
+    config.flash_crowds[0] = Some(FlashCrowd {
         class: ServiceClass::Analytics,
         start_s: 3_660,
         duration_s: 120,
@@ -395,26 +487,26 @@ fn main() {
         think_divisor: 32,
     });
     let t = Instant::now();
-    let crowd_report = parallel::run(&mut crowd_engine, &crowd_config).expect("burst runs");
+    let report = parallel::run(&mut engine, &config).expect("burst runs");
     println!(
         "burst workload: {} requests in {:.2?}",
-        crowd_report.issued,
+        report.issued,
         t.elapsed()
     );
-    print_class_table(&crowd_report, crowd_engine.city().metrics());
-    let analytics = crowd_report.class_stats(ServiceClass::Analytics);
-    let realtime = crowd_report.class_stats(ServiceClass::RealTime);
+    print_class_table(&report, engine.city().metrics());
+    let analytics = report.class_stats(ServiceClass::Analytics);
+    let realtime = report.class_stats(ServiceClass::RealTime);
     println!(
         "\nduring the burst window: analytics shed {} of {} issued \
          ({:.1}% shed rate) while real-time shed {} of {}",
-        crowd_report.flash_shed(ServiceClass::Analytics),
+        report.flash_shed(ServiceClass::Analytics),
         analytics.requests,
         analytics.shed_rate() * 100.0,
         realtime.shed,
         realtime.requests,
     );
     assert!(
-        crowd_report.flash_shed(ServiceClass::Analytics) > 0,
+        report.flash_shed(ServiceClass::Analytics) > 0,
         "the stampede must overrun the analytics quota"
     );
     assert_eq!(
@@ -426,47 +518,37 @@ fn main() {
         "real-time reads keep flowing during the burst"
     );
     println!("-> analytics sheds, the real-time guarantee holds. SHAPE OK");
+}
 
-    // --- warm vs cold: the cache pays for itself ------------------------
+/// Warm vs cold: the result cache pays for itself. Returns the settling
+/// flush instant.
+fn warm_vs_cold(run: &mut MainRun) -> u64 {
     // The probe aggregates a whole category over a district, so the
     // hash-spread scaled-down population guarantees a non-trivial record
     // set. The probe's window must be *closed* (end at or before the
     // serve instant) to be result-cacheable, so it ends at the settling
     // flush.
-    let now = report.sim_end_s + 900;
+    let engine = &mut run.engine;
+    let now = run.report.sim_end_s + 900;
     engine.flush_all(now).expect("flush to invalidate caches");
-    let district = engine.city().district_of(3);
     let probe = Query {
         origin: 3,
         class: ServiceClass::Dashboard,
         selector: Selector::Category(Category::Energy),
-        scope: Scope::District(district),
+        scope: Scope::District(engine.city().district_of(3)),
         window: TimeWindow::new(0, engine.last_flush_s()),
         kind: QueryKind::Aggregate,
     };
-    let serve = |engine: &mut QueryEngine, at: u64| {
+    let mut serve = |at: u64| {
         let t = Instant::now();
-        let outcome = engine.serve_sync(&probe, at).expect("probe serves");
-        let wall = t.elapsed();
-        match outcome {
-            Outcome::Answered(resp) => (resp, wall),
-            Outcome::Shed {
-                layer,
-                class,
-                cause,
-            } => {
-                panic!("probe ({class}) shed at {layer}: {cause:?}")
-            }
-        }
+        let resp = answered(engine, &probe, at);
+        (resp, t.elapsed())
     };
-    let (cold, cold_wall) = serve(&mut engine, now + 1);
-    let (hot, hot_wall) = serve(&mut engine, now + 2);
+    let (cold, cold_wall) = serve(now + 1);
+    let (hot, hot_wall) = serve(now + 2);
     println!(
         "\nwarm vs cold ({} records aggregated):",
-        match &cold.answer {
-            f2c_query::QueryAnswer::Aggregate(a) => a.count,
-            _ => 0,
-        }
+        count_of(&cold.answer)
     );
     println!(
         "  cold path : {:>12} simulated, {:>10.2?} wall  ({:?})",
@@ -488,8 +570,11 @@ fn main() {
         "  -> {:.1}x cheaper simulated latency on the warm path. SHAPE OK",
         cold.est_latency.as_secs_f64() / hot.est_latency.as_secs_f64().max(1e-12)
     );
+    now
+}
 
-    // --- warm sketches: answering after eviction -------------------------
+/// Warm sketches: answering after eviction, ten days past `now`.
+fn warm_sketches(run: &mut MainRun, now: u64) {
     // Age the deployment ten days: fog-1 (1-day) and fog-2 (7-day) raw
     // retention evict the whole serving window, so before the sketch
     // plane every historical aggregate below rode the ~70 ms WAN trip —
@@ -498,10 +583,11 @@ fn main() {
     // answer locally from warm sketches, and a district fan-out of
     // warm-sketch legs beats the cloud read in the route contest.
     println!("\n== warm sketches: serving evicted windows from the sketch plane ==");
+    let engine = &mut run.engine;
     let day10 = now + 10 * 86_400;
     engine.flush_all(day10).expect("aging flush runs");
     let from = WARMUP_HORIZON_S;
-    let until = ((report.sim_end_s / 900) * 900).max(from + 900);
+    let until = ((run.report.sim_end_s / 900) * 900).max(from + 900);
     let before = engine.stats();
     let mut checked = 0u64;
     for section in (0..73).step_by(7) {
@@ -513,34 +599,8 @@ fn main() {
             window: TimeWindow::new(from, until),
             kind: QueryKind::Aggregate,
         };
-        let warm = match engine.serve_sync(&warm_probe, day10 + 1).expect("serves") {
-            Outcome::Answered(resp) => resp,
-            other => panic!("warm-sketch probe must answer, got {other:?}"),
-        };
-        let agg = match &warm.answer {
-            f2c_query::QueryAnswer::Aggregate(a) => *a,
-            other => panic!("expected an aggregate, got {other:?}"),
-        };
-        // Cross-check against the cloud's raw records (a range read has
-        // no sketch shortcut, so it must climb to the permanent tier).
-        let raw_probe = Query {
-            class: ServiceClass::Analytics,
-            kind: QueryKind::Range,
-            ..warm_probe
-        };
-        let raw = match engine.serve_sync(&raw_probe, day10 + 2).expect("serves") {
-            Outcome::Answered(resp) => resp,
-            other => panic!("cloud cross-check must answer, got {other:?}"),
-        };
-        let records = match &raw.answer {
-            f2c_query::QueryAnswer::Records(recs) => recs,
-            other => panic!("expected records, got {other:?}"),
-        };
-        assert_eq!(
-            agg.count,
-            records.len() as u64,
-            "warm-sketch count must equal the cloud's raw record count (section {section})"
-        );
+        // The range read climbs to the cloud, the permanent tier.
+        let (warm, raw) = cross_check(engine, warm_probe, day10 + 1);
         assert!(
             warm.est_latency < raw.est_latency,
             "the local sketch merge must undercut the WAN read"
@@ -555,13 +615,7 @@ fn main() {
         window: TimeWindow::new(from, until),
         kind: QueryKind::Aggregate,
     };
-    let fanout = match engine
-        .serve_sync(&district_probe, day10 + 3)
-        .expect("serves")
-    {
-        Outcome::Answered(resp) => resp,
-        other => panic!("sketch-leg fan-out must answer, got {other:?}"),
-    };
+    let fanout = answered(engine, &district_probe, day10 + 3);
     let delta = engine.stats().zip(&before, |after, before| after - before);
     let (delta_served, delta_hits) = (delta.sketch_served, delta.sketch_hits);
     let (delta_legs, delta_wins) = (delta.sketch_legs, delta.scatter_wins);
@@ -591,8 +645,113 @@ fn main() {
         "-> evicted windows answer from warm sketches, within the real-time \
          budget, exactly matching the cloud's archive. SHAPE OK"
     );
+}
 
-    // --- chaos: faults degrade availability, never correctness ----------
+/// Chaos: faults degrade availability, never correctness. Returns the
+/// `chaos` section.
+fn chaos(threads: Parallelism) -> Json {
+    let (mut engine, report) = chaos_storm(threads);
+
+    // The incident table renders from the same export object the perf
+    // gate consumes — what CI gates is exactly what the operator reads.
+    let summary = engine.city().timeline().summary();
+    let incidents_json = export::counts_json(summary.iter().map(|(k, v)| (*k, *v)));
+    println!("\n{:<18} {:>8}", "incident", "count");
+    println!("{}", "-".repeat(28));
+    for (label, count) in incidents_json.members() {
+        println!("{:<18} {:>8}", label, count.as_u64().unwrap_or(0));
+    }
+    println!(
+        "\ndegraded serving: {} fault sheds | {} fan-out legs shed | \
+         {} partial answers | {} answered through the storm",
+        report.stats.fault_shed, report.stats.legs_shed, report.stats.degraded, report.answered
+    );
+    assert!(
+        report.stats.fault_shed > 0,
+        "crash windows must surface as fault sheds"
+    );
+    assert!(
+        report.stats.legs_shed > 0 && report.stats.degraded > 0,
+        "the district crash must shed fan-out legs into partial answers"
+    );
+    assert!(
+        report.answered > report.issued / 2,
+        "the city must keep answering through the storm"
+    );
+    let tally = |label: &str| summary.get(label).copied().unwrap_or(0);
+    assert!(
+        tally("hole-punched") > 0 && tally("hole-healed") > 0,
+        "corruption coins must punch sketch holes and anti-entropy must heal them"
+    );
+    check_healed(&mut engine, report.sim_end_s);
+
+    // Diagnosis plane, storm side: the injected faults shed real-time
+    // answers, so the availability burn-rate must cross the fast+slow
+    // thresholds *during* the storm (fired), then fall back under once
+    // the outage windows close and healthy serving resumes (resolved).
+    // Every transition is also an incident on the shared timeline, so
+    // the alert is attributed alongside the crash/loss events that
+    // caused it rather than floating in a separate system.
+    let monitor = engine.city().burn_monitor();
+    println!("\n== diagnosis: SLO burn-rate alerting through the storm ==");
+    for event in monitor.events() {
+        let transition = if event.fired {
+            "alert-fired"
+        } else {
+            "alert-resolved"
+        };
+        let spans = event.flight_record.lines().count();
+        println!(
+            "  t={:>6}s {transition:<14} fast {:>8} milli-burn | slow {:>8} milli-burn{}",
+            event.at_s,
+            event.fast_burn_milli,
+            event.slow_burn_milli,
+            if spans == 0 {
+                String::new()
+            } else {
+                format!(" | flight recorder: {spans} span(s)")
+            }
+        );
+    }
+    assert!(
+        monitor.fired_count() >= 1,
+        "the storm must fire the availability alert"
+    );
+    assert!(
+        monitor.resolved_count() >= 1 && !monitor.firing(),
+        "healing must resolve every availability alert"
+    );
+    assert!(
+        report.stats.fault_shed > 0 && tally("alert-fired") >= 1 && tally("alert-resolved") >= 1,
+        "alert transitions must land on the incident timeline next to the \
+         faults that caused them"
+    );
+    println!(
+        "-> fired {} time(s) on injected faults, resolved {} time(s) after \
+         healing, zero false positives fault-free. SHAPE OK",
+        monitor.fired_count(),
+        monitor.resolved_count()
+    );
+
+    let snap = engine.city().metrics().snapshot();
+    let heal = |kind: &str| {
+        snap.counter(&format!("heal_outcomes{{service=sketch,kind={kind}}}"))
+            .unwrap_or(0)
+    };
+    let heal_j = export::counts_json(["healed", "blocked", "impossible"].map(|k| (k, heal(k))));
+    let mut chaos_j = Json::obj();
+    chaos_j.set("fault_shed", export::num(report.stats.fault_shed));
+    chaos_j.set("legs_shed", export::num(report.stats.legs_shed));
+    chaos_j.set("degraded", export::num(report.stats.degraded));
+    chaos_j.set("answered", export::num(report.answered));
+    chaos_j.set("incidents", incidents_json);
+    chaos_j.set("heal", heal_j);
+    chaos_j.set("alerts", monitor.export());
+    chaos_j
+}
+
+/// The seeded fault storm under live load, then two healing flush waves.
+fn chaos_storm(threads: Parallelism) -> (QueryEngine, WorkloadReport) {
     // A seeded fault schedule — a fog-1 crash, a whole-district fog-2
     // crash, a short cloud blackout, plus per-epoch flush-shipment loss
     // and sketch-corruption coins — runs under live closed-loop load.
@@ -603,126 +762,63 @@ fn main() {
     // anti-entropy must leave every ledger hole-free, and settled
     // aggregates must equal the raw archive's record counts exactly.
     println!("\n== chaos: fault injection, degraded serving, anti-entropy healing ==");
-    let mut chaos_city = F2cCity::barcelona().expect("city builds");
-    populate_city(&mut chaos_city, 20_000, 2017, 3_600, 900).expect("warm-up runs");
+    let mut city = warm_city(threads);
     let mut plan = FailurePlan::with_seed(2017);
     plan.set_shipment_loss(0.10);
     plan.set_shipment_corruption(0.08);
-    chaos_city.set_failures(plan);
+    city.set_failures(plan);
     // Crash windows sized against the ~15 min simulated storm: each
     // overlaps a 300 s flush epoch so deferrals, shed legs and punched
     // holes all occur while consumers are still asking.
-    chaos_city.inject_node_outage(ChaosSite::Fog1(5), 3_650, 3_980);
-    chaos_city.inject_node_outage(ChaosSite::Fog2(2), 4_050, 4_350);
-    chaos_city.inject_node_outage(ChaosSite::Cloud, 4_150, 4_250);
-    let chaos_cfg = EngineConfig {
-        caps: LayerCaps {
-            fog1: 256,
-            fog2: 64,
-            cloud: 8,
-        },
-        ..EngineConfig::default()
-    };
-    let mut chaos_engine = QueryEngine::new(chaos_city, chaos_cfg);
+    city.inject_node_outage(ChaosSite::Fog1(5), 3_650, 3_980);
+    city.inject_node_outage(ChaosSite::Fog2(2), 4_050, 4_350);
+    city.inject_node_outage(ChaosSite::Cloud, 4_150, 4_250);
+    let mut engine = QueryEngine::new(city, capped(256, 64, 8));
     // Sized so the storm spans past 4_500 s: the 900 s sketch bucket
     // opened at the workload's start must *close* inside the storm, or
     // no flush wave ships partials for the corruption coin to damage.
-    let chaos_config = WorkloadConfig {
-        seed: 2017,
-        requests: 90_000,
-        users: 200,
-        mix: Mix {
-            dashboard: 40,
-            analytics: 10,
-            realtime: 40,
-            city: 10,
-        },
-        start_s: 3_600,
+    let config = WorkloadConfig {
+        mix: STEADY_MIX,
         flush_period_s: 300,
         ingest_period_s: 300,
-        ingest_scale: 20_000,
-        ..WorkloadConfig::default()
+        ..side_load(90_000, 200)
     };
     let t = Instant::now();
-    let chaos_report =
-        parallel::run(&mut chaos_engine, &chaos_config).expect("faults degrade, never error");
+    let report = parallel::run(&mut engine, &config).expect("faults degrade, never error");
     println!(
         "storm workload: {} requests over {} simulated seconds in {:.2?}",
-        chaos_report.issued,
-        chaos_report.sim_end_s - chaos_config.start_s,
+        report.issued,
+        report.sim_end_s - config.start_s,
         t.elapsed()
     );
 
     // The storm is over: clear the plan and let two healthy flush waves
     // (each ending in an anti-entropy round) ship the deferred batches
     // and re-ship authoritative partials over every punched hole.
-    let storm_end = chaos_report.sim_end_s;
-    chaos_engine.city_mut().set_failures(FailurePlan::none());
-    chaos_engine
-        .flush_all(storm_end + 300)
-        .expect("healing flush");
-    chaos_engine
-        .flush_all(storm_end + 600)
-        .expect("healing flush");
+    let storm_end = report.sim_end_s;
+    engine.city_mut().set_failures(FailurePlan::none());
+    engine.flush_all(storm_end + 300).expect("healing flush");
+    engine.flush_all(storm_end + 600).expect("healing flush");
+    (engine, report)
+}
 
-    // The incident table renders from the same export object the perf
-    // gate consumes — what CI gates is exactly what the operator reads.
-    let summary = chaos_engine.city().timeline().summary();
-    let incidents_json = export::counts_json(summary.iter().map(|(k, v)| (*k, *v)));
-    println!("\n{:<18} {:>8}", "incident", "count");
-    println!("{}", "-".repeat(28));
-    for (label, count) in incidents_json.members() {
-        println!("{:<18} {:>8}", label, count.as_u64().unwrap_or(0));
-    }
-    println!(
-        "\ndegraded serving: {} fault sheds | {} fan-out legs shed | \
-         {} partial answers | {} answered through the storm",
-        chaos_report.stats.fault_shed,
-        chaos_report.stats.legs_shed,
-        chaos_report.stats.degraded,
-        chaos_report.answered
-    );
-    assert!(
-        chaos_report.stats.fault_shed > 0,
-        "crash windows must surface as fault sheds"
-    );
-    assert!(
-        chaos_report.stats.legs_shed > 0 && chaos_report.stats.degraded > 0,
-        "the district crash must shed fan-out legs into partial answers"
-    );
-    assert!(
-        chaos_report.answered > chaos_report.issued / 2,
-        "the city must keep answering through the storm"
-    );
-    assert!(
-        summary.get("hole-punched").copied().unwrap_or(0) > 0
-            && summary.get("hole-healed").copied().unwrap_or(0) > 0,
-        "corruption coins must punch sketch holes and anti-entropy must heal them"
-    );
-
-    // Hole-free ledgers after healing, at every upper tier, both in the
-    // ledgers themselves and in the timeline's punch/heal pairing.
-    let city = chaos_engine.city();
-    for d in 0..city.district_count() {
+/// After healing: hole-free ledgers at every upper tier, and settled
+/// aggregates equal to the raw archive.
+fn check_healed(engine: &mut QueryEngine, storm_end: u64) {
+    // Hole-free ledgers, both in the ledgers themselves and in the
+    // timeline's punch/heal pairing.
+    let city = engine.city();
+    let fog2 = (0..city.district_count()).map(|d| (ChaosSite::Fog2(d), city.fog2(d)));
+    for (site, node) in fog2.chain([(ChaosSite::Cloud, city.cloud())]) {
         assert!(
-            city.fog2(d).sketches().holes_sorted().is_empty(),
-            "fog-2 district {d} ledger must be hole-free after anti-entropy"
+            node.sketches().holes_sorted().is_empty(),
+            "{site:?} ledger must be hole-free after anti-entropy"
         );
         assert!(
-            city.timeline()
-                .unhealed_holes(ChaosSite::Fog2(d))
-                .is_empty(),
-            "timeline must pair every fog-2 d{d} punch with a heal"
+            city.timeline().unhealed_holes(site).is_empty(),
+            "timeline must pair every {site:?} punch with a heal"
         );
     }
-    assert!(
-        city.cloud().sketches().holes_sorted().is_empty(),
-        "cloud ledger must be hole-free after anti-entropy"
-    );
-    assert!(
-        city.timeline().unhealed_holes(ChaosSite::Cloud).is_empty(),
-        "timeline must pair every cloud punch with a heal"
-    );
 
     // Zero correctness divergence: settled aggregates (which ride the
     // healed sketch plane when they can) must equal the raw archive's
@@ -730,121 +826,83 @@ fn main() {
     // district.
     let settle = (storm_end / 900) * 900;
     let heal_now = storm_end + 601;
-    let crashed_district = chaos_engine.city().district_of(5);
-    let probes = [
-        (5usize, Scope::Section(5)),
-        (5, Scope::District(crashed_district)),
-    ];
-    for (origin, scope) in probes {
-        let agg_probe = Query {
-            origin,
+    let crashed_district = city.district_of(5);
+    for scope in [Scope::Section(5), Scope::District(crashed_district)] {
+        let probe = Query {
+            origin: 5,
             class: ServiceClass::Dashboard,
             selector: Selector::Category(Category::Urban),
             scope,
             window: TimeWindow::new(3_600, settle),
             kind: QueryKind::Aggregate,
         };
-        let raw_probe = Query {
-            class: ServiceClass::Analytics,
-            kind: QueryKind::Range,
-            ..agg_probe
-        };
-        let agg = match chaos_engine
-            .serve_sync(&agg_probe, heal_now)
-            .expect("serves")
-        {
-            Outcome::Answered(resp) => resp,
-            other => panic!("healed aggregate must answer, got {other:?}"),
-        };
-        let raw = match chaos_engine
-            .serve_sync(&raw_probe, heal_now + 1)
-            .expect("serves")
-        {
-            Outcome::Answered(resp) => resp,
-            other => panic!("raw cross-check must answer, got {other:?}"),
-        };
-        let count = match &agg.answer {
-            f2c_query::QueryAnswer::Aggregate(a) => a.count,
-            other => panic!("expected an aggregate, got {other:?}"),
-        };
-        let records = match &raw.answer {
-            f2c_query::QueryAnswer::Records(recs) => recs.len() as u64,
-            other => panic!("expected records, got {other:?}"),
-        };
-        assert_eq!(
-            count, records,
-            "healed aggregate must equal the raw archive count ({scope:?})"
-        );
+        cross_check(engine, probe, heal_now);
     }
     println!(
         "-> the storm shed load and punched holes; healing left every ledger \
          hole-free and every settled aggregate equal to the raw archive. SHAPE OK"
     );
+}
 
-    // Diagnosis plane, storm side: the injected faults shed real-time
-    // answers, so the availability burn-rate must cross the fast+slow
-    // thresholds *during* the storm (fired), then fall back under once
-    // the outage windows close and healthy serving resumes (resolved).
-    // Every transition is also an incident on the shared timeline, so
-    // the alert is attributed alongside the crash/loss events that
-    // caused it rather than floating in a separate system.
-    let chaos_monitor = chaos_engine.city().burn_monitor();
-    println!("\n== diagnosis: SLO burn-rate alerting through the storm ==");
-    for event in chaos_monitor.events() {
-        println!(
-            "  t={:>6}s {:<14} fast {:>8} milli-burn | slow {:>8} milli-burn{}",
-            event.at_s,
-            if event.fired {
-                "alert-fired"
-            } else {
-                "alert-resolved"
-            },
-            event.fast_burn_milli,
-            event.slow_burn_milli,
-            if event.flight_record.is_empty() {
-                String::new()
-            } else {
-                format!(
-                    " | flight recorder: {} span(s)",
-                    event.flight_record.lines().count()
-                )
-            }
-        );
+/// Diagnosis plane, fault-free side: the explain reservoir and the
+/// per-bucket trace exemplars must have filled, and the burn-rate monitor
+/// must never have fired — there were no faults to burn SLO budget on, so
+/// a fire is a broken monitor or a real regression (the row's
+/// must-be-zero check holds it absolutely). Adds the `explains`,
+/// `exemplars` and `alerts` sections to `doc`.
+fn diagnosis(engine: &QueryEngine, doc: &mut Json) {
+    let explains = engine.city().explains();
+    let exemplars = engine.city().exemplars();
+    let monitor = engine.city().burn_monitor();
+    println!(
+        "\ndiagnosis plane: {} explains kept of {} planned | {} exemplar \
+         bucket(s) holding their slowest trace | {} alert(s) fired \
+         (fault-free: must be 0)",
+        explains.kept(),
+        explains.seen(),
+        exemplars.kept(),
+        monitor.fired_count()
+    );
+    let explains_j = explains.export();
+    let choice = match explains_j.path("records") {
+        Some(Json::Arr(records)) => records.first().and_then(|rec| rec.path("choice")),
+        _ => None,
+    };
+    if let Some(choice) = choice.and_then(Json::as_str) {
+        println!("  sample explain choice: {choice} (full transcripts in the export)");
     }
     assert!(
-        chaos_monitor.fired_count() >= 1,
-        "the storm must fire the availability alert"
+        explains.kept() > 0 && exemplars.kept() > 0,
+        "the diagnosis stores must capture the main run"
     );
-    assert!(
-        chaos_monitor.resolved_count() >= 1 && !chaos_monitor.firing(),
-        "healing must resolve every availability alert"
+    assert_eq!(
+        monitor.fired_count(),
+        0,
+        "the fault-free main run must never fire an SLO alert"
     );
-    assert!(
-        chaos_report.stats.fault_shed > 0
-            && summary.get("alert-fired").copied().unwrap_or(0) >= 1
-            && summary.get("alert-resolved").copied().unwrap_or(0) >= 1,
-        "alert transitions must land on the incident timeline next to the \
-         faults that caused them"
-    );
+    let (batches_columnar, batches_fallback) = engine.city().flush_batches();
     println!(
-        "-> fired {} time(s) on injected faults, resolved {} time(s) after \
-         healing, zero false positives fault-free. SHAPE OK",
-        chaos_monitor.fired_count(),
-        chaos_monitor.resolved_count()
+        "flush codec modes: {batches_columnar} columnar / {batches_fallback} \
+         fallback payload(s) shipped (fault-free: fallback must be 0)"
     );
+    assert!(
+        batches_columnar > 0 && batches_fallback == 0,
+        "fault-free generator traffic must ship columnar, never the DEFLATE \
+         fallback ({batches_columnar} columnar / {batches_fallback} fallback)"
+    );
+    doc.set("explains", explains_j);
+    doc.set("exemplars", exemplars.export());
+    doc.set("alerts", monitor.export());
+}
 
-    // --- export: the observability snapshot feeding the CI perf gate ----
-    // One schema-versioned document: the main run's workload shape, flush
-    // shipping costs, per-phase trace summaries and the full registry
-    // snapshot, plus the chaos scenario's incident table and heal
-    // outcomes. CI smoke-runs this bench (E7_REQUESTS=50000) and
-    // `perf_gate` diffs the document against `bench/baseline.json`.
-    let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_queries.json".to_string());
-    let mut doc = Json::obj();
-    doc.set("schema_version", export::num(export::SCHEMA_VERSION));
-    doc.set("bench", Json::Str("queries".to_string()));
-    doc.set("requests", export::num(requests));
-
+/// Export: one schema-versioned document of the main run's workload
+/// shape, flush shipping costs, per-phase trace summaries, registry
+/// snapshot and diagnosis plane, plus the chaos storm's section. CI
+/// smoke-runs this bench (`E7_REQUESTS=50000`) and `perf_gate` diffs the
+/// document against the row's baseline.
+fn export(mut run: MainRun, requests: u64, parallel_j: Json, chaos_j: Json) {
+    let report = &run.report;
+    let stats = &report.stats;
     let mut workload_j = Json::obj();
     workload_j.set("issued", export::num(report.issued));
     workload_j.set("answered", export::num(report.answered));
@@ -866,10 +924,11 @@ fn main() {
     workload_j.set("records_scanned", export::num(stats.records_scanned));
     workload_j.set("prefold_hits", export::num(stats.prefold_hits));
     workload_j.set("partial_fills", export::num(stats.partial_fills));
-    doc.set("workload", workload_j);
 
-    let cloud_records = engine.city().cloud().store().len() as u64;
-    let (up1, up2) = engine.city().uplink_flush_bytes();
+    let city = run.engine.city();
+    let (raw, sk) = (run.raw_bytes, run.sketch_bytes);
+    let cloud_records = city.cloud().store().len() as u64;
+    let (up1, up2) = city.uplink_flush_bytes();
     let uplink = up1 + up2;
     let mut flush_j = Json::obj();
     flush_j.set("raw_bytes", export::num(raw));
@@ -886,111 +945,30 @@ fn main() {
     // Ungated info: shipped payloads by `tsenc` stream mode. The codec
     // picks the mode from the batch's shape alone, so this is where the
     // premise "generator traffic is always regular" is verified.
-    let (batches_columnar, batches_fallback) = engine.city().flush_batches();
+    let (batches_columnar, batches_fallback) = city.flush_batches();
     flush_j.set("batches_columnar", export::num(batches_columnar));
     flush_j.set("batches_fallback", export::num(batches_fallback));
+
+    let mut doc = QUERIES.doc();
+    doc.set("requests", export::num(requests));
+    doc.set("workload", workload_j);
     doc.set("flush", flush_j);
-
-    // Parallel-runtime info fields: the thread count the main run rode,
-    // its wall time, and the self-check's agreed transcript hash. These
-    // are deliberately *ungated* — wall time is machine noise and the
-    // thread count is environment policy; byte-identity means neither
-    // can move a gated metric.
-    let mut parallel_j = Json::obj();
-    parallel_j.set("threads", export::num(threads.get() as u64));
-    parallel_j.set("wall_ms", export::num(wall.as_millis() as u64));
-    parallel_j.set(
-        "req_per_s_wall",
-        Json::Num(report.issued as f64 / wall.as_secs_f64()),
-    );
-    parallel_j.set(
-        "selfcheck_hash",
-        Json::Str(format!("{selfcheck_hash:#018x}")),
-    );
-    parallel_j.set("selfcheck_match", export::num(1));
     doc.set("parallel", parallel_j);
-
-    engine.sync_gauges();
-    doc.set("phases", export::phases_json(engine.city().tracer()));
+    run.engine.sync_gauges();
+    doc.set("phases", export::phases_json(run.engine.city().tracer()));
     doc.set(
         "registry",
-        export::snapshot_json(&engine.city().metrics().snapshot()),
+        export::snapshot_json(&run.engine.city().metrics().snapshot()),
     );
-
-    // Diagnosis plane, fault-free side: the explain reservoir and the
-    // per-bucket trace exemplars must have filled, and the burn-rate
-    // monitor must never have fired — there were no faults to burn SLO
-    // budget on, so a fire here is a broken monitor or a real
-    // regression (perf_gate enforces the same invariant absolutely).
-    let explains = engine.city().explains();
-    let exemplars = engine.city().exemplars();
-    let monitor = engine.city().burn_monitor();
-    println!(
-        "\ndiagnosis plane: {} explains kept of {} planned | {} exemplar \
-         bucket(s) holding their slowest trace | {} alert(s) fired \
-         (fault-free: must be 0)",
-        explains.kept(),
-        explains.seen(),
-        exemplars.kept(),
-        monitor.fired_count()
-    );
-    let explains_j = explains.export();
-    if let Some(Json::Arr(records)) = explains_j.path("records") {
-        if let Some(choice) = records
-            .first()
-            .and_then(|rec| rec.path("choice"))
-            .and_then(Json::as_str)
-        {
-            println!("  sample explain choice: {choice} (full transcripts in the export)");
-        }
-    }
-    assert!(
-        explains.kept() > 0 && exemplars.kept() > 0,
-        "the diagnosis stores must capture the main run"
-    );
-    assert_eq!(
-        monitor.fired_count(),
-        0,
-        "the fault-free main run must never fire an SLO alert"
-    );
-    println!(
-        "flush codec modes: {batches_columnar} columnar / {batches_fallback} \
-         fallback payload(s) shipped (fault-free: fallback must be 0)"
-    );
-    assert!(
-        batches_columnar > 0 && batches_fallback == 0,
-        "fault-free generator traffic must ship columnar, never the DEFLATE \
-         fallback ({batches_columnar} columnar / {batches_fallback} fallback)"
-    );
-    doc.set("explains", explains_j);
-    doc.set("exemplars", exemplars.export());
-    doc.set("alerts", monitor.export());
-
-    let chaos_snap = chaos_engine.city().metrics().snapshot();
-    let heal = |kind: &str| {
-        chaos_snap
-            .counter(&format!("heal_outcomes{{service=sketch,kind={kind}}}"))
-            .unwrap_or(0)
-    };
-    let mut heal_j = Json::obj();
-    heal_j.set("healed", export::num(heal("healed")));
-    heal_j.set("blocked", export::num(heal("blocked")));
-    heal_j.set("impossible", export::num(heal("impossible")));
-    let mut chaos_j = Json::obj();
-    chaos_j.set("fault_shed", export::num(chaos_report.stats.fault_shed));
-    chaos_j.set("legs_shed", export::num(chaos_report.stats.legs_shed));
-    chaos_j.set("degraded", export::num(chaos_report.stats.degraded));
-    chaos_j.set("answered", export::num(chaos_report.answered));
-    chaos_j.set("incidents", incidents_json);
-    chaos_j.set("heal", heal_j);
-    chaos_j.set("alerts", chaos_engine.city().burn_monitor().export());
+    diagnosis(&run.engine, &mut doc);
     doc.set("chaos", chaos_j);
 
-    std::fs::write(&out_path, doc.to_pretty()).expect("bench export writes");
+    let out_path = QUERIES.write(&doc).expect("bench export writes");
     println!(
         "\nexported observability snapshot -> {out_path} ({} gated metrics; \
          diff with `cargo run -p f2c-bench --bin perf_gate -- \
-         bench/baseline.json {out_path}`)",
-        export::budget_rules().len()
+         {} {out_path}`)",
+        QUERIES.rules.len(),
+        QUERIES.baseline
     );
 }

@@ -2,15 +2,14 @@
 //! aggregation model) and the §II "≈8 GB/day" estimate.
 //!
 //! Run with `cargo run --release -p f2c-bench --bin table1`.
-//! Exports a schema-versioned `BENCH_table1.json` (override with
-//! `BENCH_OUT`) that CI diffs against `bench/baseline_table1.json` —
-//! the checkpoints are closed-form arithmetic, so the gate tolerates
-//! zero drift.
+//! Exports the schema-versioned `BENCH_table1.json` of the
+//! `export::TABLE1` row (override with `BENCH_OUT`), which CI diffs
+//! against `bench/baseline_table1.json` — the checkpoints are
+//! closed-form arithmetic, so the gate tolerates zero drift.
 
 use f2c_bench::export;
 use f2c_core::report::{render_table1, thousands};
 use f2c_core::traffic::TrafficModel;
-use f2c_obs::Json;
 
 fn main() {
     let model = TrafficModel::paper();
@@ -64,28 +63,24 @@ fn main() {
     assert!(all_ok, "Table I regeneration diverged from the paper");
 
     // Export the checkpoint set as the second gated bench document. The
-    // values are closed-form, so `table1_budget_rules` holds them to the
+    // values are closed-form, so the `table1` row holds them to the
     // baseline with zero tolerance — any drift is a model regression.
-    let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_table1.json".to_string());
-    let mut doc = Json::obj();
-    doc.set("schema_version", export::num(export::TABLE1_SCHEMA_VERSION));
-    doc.set("bench", Json::Str("table1".to_string()));
-    let mut totals_j = Json::obj();
-    totals_j.set("sensors", export::num(totals.sensors));
-    totals_j.set("wave_cloud_model", export::num(totals.wave_cloud_model));
-    totals_j.set("wave_fog2", export::num(totals.wave_fog2));
-    totals_j.set("daily_fog1", export::num(totals.daily_fog1));
-    totals_j.set("daily_cloud_f2c", export::num(totals.daily_cloud_f2c));
-    totals_j.set(
-        "daily_dedup_savings",
-        export::num(model.daily_dedup_savings()),
-    );
+    let mut doc = export::TABLE1.doc();
+    let totals_j = export::counts_json([
+        ("sensors", totals.sensors),
+        ("wave_cloud_model", totals.wave_cloud_model),
+        ("wave_fog2", totals.wave_fog2),
+        ("daily_fog1", totals.daily_fog1),
+        ("daily_cloud_f2c", totals.daily_cloud_f2c),
+        ("daily_dedup_savings", model.daily_dedup_savings()),
+    ]);
     doc.set("totals", totals_j);
-    std::fs::write(&out_path, doc.to_pretty()).expect("bench export writes");
+    let out_path = export::TABLE1.write(&doc).expect("bench export writes");
     println!(
         "\nexported Table-I checkpoints -> {out_path} ({} gated metrics; \
          diff with `cargo run -p f2c-bench --bin perf_gate -- \
-         bench/baseline_table1.json {out_path}`)",
-        export::table1_budget_rules().len()
+         {} {out_path}`)",
+        export::TABLE1.rules.len(),
+        export::TABLE1.baseline
     );
 }

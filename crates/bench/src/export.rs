@@ -1,22 +1,34 @@
-//! The `BENCH_*.json` export pipeline and the perf-budget rule set.
-//!
-//! The `queries` experiment serializes its registry snapshot, per-phase
-//! trace summaries and chaos incident table into one schema-versioned
-//! document; CI re-runs the bench at smoke scale and the `perf_gate`
-//! binary diffs the fresh document against the committed
-//! `bench/baseline.json` under [`budget_rules`]. The simulation is
-//! deterministic, so on an unchanged tree every gated value matches the
-//! baseline exactly — the tolerances exist to absorb *intentional*
-//! behavior changes, and anything beyond them ships with a regenerated
-//! baseline or not at all.
+//! The gated `BENCH_*.json` documents, one [`Artifact`] row each in
+//! [`ARTIFACTS`], and the JSON builders their bins share. The runs are
+//! deterministic, so an unchanged tree matches each committed baseline
+//! exactly: tolerances absorb *intentional* changes, and anything beyond
+//! them ships with a regenerated baseline. `docs/REPRODUCTION.md` lists
+//! every bench bin, gated or not.
 
-use f2c_obs::{BudgetRule, HistogramSummary, Json, Snapshot, Tracer};
+use f2c_obs::{check_budget, BudgetRule, HistogramSummary, Json, Snapshot, Tracer};
 
-/// Version stamp for the `BENCH_queries.json` layout (up to v3 it also
-/// stamped `BENCH_table1.json`, which keeps [`TABLE1_SCHEMA_VERSION`]).
-/// Bump on any breaking change to the document layout;
-/// [`f2c_obs::check_budget`] fails closed on a mismatch rather than
-/// gating across incompatible schemas.
+/// One gated bench document.
+pub struct Artifact {
+    /// The bin that writes the document, and its `bench` member.
+    pub bench: &'static str,
+    /// Layout version: bump on any breaking change, since
+    /// [`check_budget`] fails closed across versions.
+    pub(crate) schema_version: u64,
+    /// The file [`Artifact::write`] writes unless `BENCH_OUT` is set.
+    pub(crate) out_file: &'static str,
+    /// The committed baseline, relative to the workspace root.
+    pub baseline: &'static str,
+    /// The gated metric set.
+    pub rules: &'static [BudgetRule],
+    /// Paths that must read 0 whatever the baseline says: a defect no
+    /// regenerated baseline may grandfather in.
+    pub(crate) must_be_zero: &'static [&'static str],
+}
+
+/// The E7 serving document, `BENCH_queries.json`.
+///
+/// Schema history (up to v3 the version also stamped
+/// `BENCH_table1.json`, which stays at v3):
 ///
 /// v2: per-phase `dropped` counts, the diagnosis-plane sections
 /// (`explains`, `exemplars`, `alerts`, `chaos.alerts`) and the
@@ -30,10 +42,124 @@ use f2c_obs::{BudgetRule, HistogramSummary, Json, Snapshot, Tracer};
 /// v4: the per-phase `dropped` counts are gone — each phase's summary
 /// now covers every span of that phase, ring-evicted ones included, so
 /// `phases.query.count` equals the requests served.
-pub const SCHEMA_VERSION: u64 = 4;
+pub const QUERIES: Artifact = Artifact {
+    bench: "queries",
+    schema_version: 4,
+    out_file: "BENCH_queries.json",
+    baseline: "bench/baseline.json",
+    // Latency phases and byte costs are ceilings (a fall is an
+    // improvement); answer/cache/heal rates are bands (a collapse either
+    // way means the workload stopped exercising what it measures).
+    rules: &[
+        // The run must stay the same experiment.
+        BudgetRule::band("workload.issued", 0.01, 1.0),
+        BudgetRule::band("workload.answer_rate", 0.02, 0.005),
+        BudgetRule::band("workload.cache_hit_rate", 0.15, 0.01),
+        BudgetRule::ceiling("workload.shed_total", 0.25, 32.0),
+        BudgetRule::ceiling("workload.unanswerable", 0.25, 8.0),
+        // Pure functions of the seed, and what a scan is priced by: an
+        // index may make a read cheaper to run, never cheaper to model.
+        BudgetRule::band("workload.records_scanned", 0.0, 0.0),
+        BudgetRule::band(
+            "registry.counters.query_records_scanned{service=query}",
+            0.0,
+            0.0,
+        ),
+        // Simulated-time latency budgets, per traced phase.
+        BudgetRule::ceiling("phases.query.p99_us", 0.35, 250.0),
+        BudgetRule::ceiling("phases.query-execute.p99_us", 0.35, 250.0),
+        BudgetRule::ceiling("phases.query-deliver.p99_us", 0.35, 250.0),
+        BudgetRule::ceiling("phases.flush-hop.p99_us", 0.35, 250.0),
+        BudgetRule::ceiling("phases.scatter-leg.p99_us", 0.35, 250.0),
+        // Shipping cost: bytes per stored record and the sketch channel's
+        // share of the raw stream it summarizes.
+        BudgetRule::ceiling("flush.bytes_per_record", 0.20, 4.0),
+        BudgetRule::ceiling("flush.sketch_ratio", 0.25, 0.005),
+        // The chaos scenario must keep degrading *and* healing.
+        BudgetRule::ceiling("chaos.fault_shed", 0.50, 50.0),
+        BudgetRule::band("chaos.incidents.hole-healed", 0.50, 4.0),
+        BudgetRule::band("chaos.heal.healed", 0.50, 4.0),
+        // Diagnosis plane: the fault-free main run must never burn SLO
+        // budget (`must_be_zero` below holds it absolutely), while the
+        // storm must both fire and resolve.
+        BudgetRule::band("alerts.fired", 0.0, 0.0),
+        BudgetRule::band("chaos.alerts.fired", 0.0, 2.0),
+        BudgetRule::band("chaos.alerts.resolved", 0.0, 2.0),
+        // The explain reservoir and exemplar slots must keep filling.
+        BudgetRule::band("explains.kept", 0.25, 4.0),
+        BudgetRule::band("exemplars.kept", 0.25, 8.0),
+    ],
+    // The fault-free main run must fire no SLO burn-rate alert: a fire
+    // there is a real degradation or a broken monitor, never drift.
+    must_be_zero: &["alerts.fired"],
+};
 
-/// Version stamp for the `BENCH_table1.json` layout, unchanged since v3.
-pub const TABLE1_SCHEMA_VERSION: u64 = 3;
+/// The Table I checkpoints, `BENCH_table1.json`, unchanged since v3.
+pub const TABLE1: Artifact = Artifact {
+    bench: "table1",
+    schema_version: 3,
+    out_file: "BENCH_table1.json",
+    baseline: "bench/baseline_table1.json",
+    // Closed-form arithmetic over the paper's sensor inventory: no
+    // simulation, so every checkpoint matches the baseline exactly.
+    rules: &[
+        BudgetRule::band("totals.sensors", 0.0, 0.0),
+        BudgetRule::band("totals.wave_cloud_model", 0.0, 0.0),
+        BudgetRule::band("totals.wave_fog2", 0.0, 0.0),
+        BudgetRule::band("totals.daily_fog1", 0.0, 0.0),
+        BudgetRule::band("totals.daily_cloud_f2c", 0.0, 0.0),
+        BudgetRule::band("totals.daily_dedup_savings", 0.0, 0.0),
+    ],
+    must_be_zero: &[],
+};
+
+/// Every gated document, one row each.
+pub const ARTIFACTS: &[Artifact] = &[QUERIES, TABLE1];
+
+impl Artifact {
+    /// An empty document stamped with this row's `schema_version` and
+    /// `bench`.
+    pub fn doc(&self) -> Json {
+        let mut doc = Json::obj();
+        doc.set("schema_version", num(self.schema_version));
+        doc.set("bench", Json::Str(self.bench.to_string()));
+        doc
+    }
+
+    /// Writes `doc` to `BENCH_OUT`, or to `out_file` when that is unset,
+    /// and returns the path written.
+    pub fn write(&self, doc: &Json) -> std::io::Result<String> {
+        let path = std::env::var("BENCH_OUT").unwrap_or_else(|_| self.out_file.to_string());
+        std::fs::write(&path, doc.to_pretty())?;
+        Ok(path)
+    }
+
+    /// Every way `current` breaks this row, one line each (empty: the
+    /// gate passes): a baseline of another bench, which would compare
+    /// nothing; the baseline diff under [`Artifact::rules`]; each
+    /// `must_be_zero` path that is missing or nonzero.
+    pub fn gate(&self, baseline: &Json, current: &Json) -> Vec<String> {
+        let mut violations = Vec::new();
+        if baseline.get("bench").and_then(Json::as_str) != Some(self.bench) {
+            violations.push(format!(
+                "bench: the baseline is not a `{}` document",
+                self.bench
+            ));
+        }
+        let diff = check_budget(baseline, current, self.rules);
+        violations.extend(diff.iter().map(ToString::to_string));
+        for path in self.must_be_zero {
+            let value = current.path(path).and_then(Json::as_u64);
+            if value != Some(0) {
+                let read = value.map_or_else(|| "missing".to_string(), |n| n.to_string());
+                violations.push(format!(
+                    "{path}: {read}, must be 0 whatever the baseline says"
+                ));
+            }
+        }
+        violations
+    }
+}
 
 /// A `u64` as a JSON number (every exporter value fits in 2^53).
 pub fn num(v: u64) -> Json {
@@ -89,7 +215,7 @@ pub fn phases_json(tracer: &Tracer) -> Json {
     out
 }
 
-/// A label→count table (the incident timeline summary) as a JSON object.
+/// A label→count table as a JSON object, in iteration order.
 pub fn counts_json<'a>(counts: impl IntoIterator<Item = (&'a str, u64)>) -> Json {
     let mut out = Json::obj();
     for (label, count) in counts {
@@ -98,89 +224,17 @@ pub fn counts_json<'a>(counts: impl IntoIterator<Item = (&'a str, u64)>) -> Json
     out
 }
 
-/// The gated metric set for `BENCH_queries.json`.
-///
-/// Latency phases and byte costs are ceilings (a fall is an improvement);
-/// answer/cache/heal rates are bands (a collapse in either direction means
-/// the workload stopped exercising the machinery it claims to measure).
-pub fn budget_rules() -> &'static [BudgetRule] {
-    const RULES: &[BudgetRule] = &[
-        // The run must stay the same experiment.
-        BudgetRule::band("workload.issued", 0.01, 1.0),
-        BudgetRule::band("workload.answer_rate", 0.02, 0.005),
-        BudgetRule::band("workload.cache_hit_rate", 0.15, 0.01),
-        BudgetRule::ceiling("workload.shed_total", 0.25, 32.0),
-        BudgetRule::ceiling("workload.unanswerable", 0.25, 8.0),
-        // Pure functions of the seed, and what a scan is priced by: an
-        // index may make a read cheaper to run, never cheaper to model.
-        BudgetRule::band("workload.records_scanned", 0.0, 0.0),
-        BudgetRule::band(
-            "registry.counters.query_records_scanned{service=query}",
-            0.0,
-            0.0,
-        ),
-        // Simulated-time latency budgets, per traced phase.
-        BudgetRule::ceiling("phases.query.p99_us", 0.35, 250.0),
-        BudgetRule::ceiling("phases.query-execute.p99_us", 0.35, 250.0),
-        BudgetRule::ceiling("phases.query-deliver.p99_us", 0.35, 250.0),
-        BudgetRule::ceiling("phases.flush-hop.p99_us", 0.35, 250.0),
-        BudgetRule::ceiling("phases.scatter-leg.p99_us", 0.35, 250.0),
-        // Shipping cost: bytes per stored record and the sketch channel's
-        // share of the raw stream it summarizes.
-        BudgetRule::ceiling("flush.bytes_per_record", 0.20, 4.0),
-        BudgetRule::ceiling("flush.sketch_ratio", 0.25, 0.005),
-        // The chaos scenario must keep degrading *and* healing.
-        BudgetRule::ceiling("chaos.fault_shed", 0.50, 50.0),
-        BudgetRule::band("chaos.incidents.hole-healed", 0.50, 4.0),
-        BudgetRule::band("chaos.heal.healed", 0.50, 4.0),
-        // Diagnosis plane: the fault-free main run must never burn SLO
-        // budget (a fire here is a planted fault or a broken monitor —
-        // perf_gate additionally hard-fails on it regardless of
-        // baseline drift), while the storm must both fire and resolve.
-        BudgetRule::band("alerts.fired", 0.0, 0.0),
-        BudgetRule::band("chaos.alerts.fired", 0.0, 2.0),
-        BudgetRule::band("chaos.alerts.resolved", 0.0, 2.0),
-        // The explain reservoir and exemplar slots must keep filling.
-        BudgetRule::band("explains.kept", 0.25, 4.0),
-        BudgetRule::band("exemplars.kept", 0.25, 8.0),
-    ];
-    RULES
-}
-
-/// The gated metric set for `BENCH_table1.json`.
-///
-/// Table I is closed-form arithmetic over the paper's sensor inventory —
-/// no simulation, no tolerance: every checkpoint must match the committed
-/// baseline (which matches the paper) exactly.
-pub fn table1_budget_rules() -> &'static [BudgetRule] {
-    const RULES: &[BudgetRule] = &[
-        BudgetRule::band("totals.sensors", 0.0, 0.0),
-        BudgetRule::band("totals.wave_cloud_model", 0.0, 0.0),
-        BudgetRule::band("totals.wave_fog2", 0.0, 0.0),
-        BudgetRule::band("totals.daily_fog1", 0.0, 0.0),
-        BudgetRule::band("totals.daily_cloud_f2c", 0.0, 0.0),
-        BudgetRule::band("totals.daily_dedup_savings", 0.0, 0.0),
-    ];
-    RULES
-}
-
-/// The rule set for a document, keyed on its `bench` member
-/// (`"queries"` → [`budget_rules`], `"table1"` →
-/// [`table1_budget_rules`]). Unknown or missing names gate nothing —
-/// the caller should treat that as an error rather than a pass.
-pub fn budget_rules_for(bench: Option<&str>) -> Option<&'static [BudgetRule]> {
-    match bench {
-        Some("queries") => Some(budget_rules()),
-        Some("table1") => Some(table1_budget_rules()),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use citysim::time::Duration;
-    use f2c_obs::{check_budget, Labels, MetricsRegistry, Site};
+    use f2c_obs::{Labels, MetricsRegistry, Site};
+
+    /// A file at the workspace root, where the baselines and docs live.
+    fn read_at_root(relative: &str) -> String {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+        std::fs::read_to_string(format!("{root}{relative}")).expect(relative)
+    }
 
     fn sample_doc() -> Json {
         let mut reg = MetricsRegistry::new();
@@ -195,8 +249,7 @@ mod tests {
         let span = tracer.open(Site::new("fog1", 0), "query", 1_000);
         tracer.close(span, 1_900);
 
-        let mut doc = Json::obj();
-        doc.set("schema_version", num(SCHEMA_VERSION));
+        let mut doc = QUERIES.doc();
         doc.set("registry", snapshot_json(&reg.snapshot()));
         doc.set("phases", phases_json(&tracer));
         doc.set("incidents", counts_json([("hole-punched", 2u64)]));
@@ -205,28 +258,19 @@ mod tests {
 
     #[test]
     fn export_round_trips_through_the_parser() {
-        let doc = sample_doc();
-        let parsed = Json::parse(&doc.to_pretty()).expect("parses");
-        assert_eq!(
-            parsed
-                .path("registry.counters.queries_served{layer=fog1}")
-                .and_then(Json::as_u64),
-            Some(7)
-        );
-        assert_eq!(
-            parsed
-                .path("registry.gauges.in_flight{layer=fog2}")
-                .and_then(Json::as_f64),
-            Some(-3.0)
-        );
-        assert_eq!(
-            parsed.path("phases.query.p50_us").and_then(Json::as_u64),
-            Some(900)
-        );
-        assert_eq!(
-            parsed.path("incidents.hole-punched").and_then(Json::as_u64),
-            Some(2)
-        );
+        let parsed = Json::parse(&sample_doc().to_pretty()).expect("parses");
+        for (path, expected) in [
+            ("registry.counters.queries_served{layer=fog1}", 7.0),
+            ("registry.gauges.in_flight{layer=fog2}", -3.0),
+            ("phases.query.p50_us", 900.0),
+            ("incidents.hole-punched", 2.0),
+        ] {
+            assert_eq!(
+                parsed.path(path).and_then(Json::as_f64),
+                Some(expected),
+                "{path}"
+            );
+        }
     }
 
     #[test]
@@ -234,11 +278,59 @@ mod tests {
         // The rule set may gate paths the sample doc lacks — restrict to
         // the shared subset to prove identical documents always pass.
         let doc = sample_doc();
-        let rules: Vec<BudgetRule> = budget_rules()
+        let rules: Vec<BudgetRule> = QUERIES
+            .rules
             .iter()
             .filter(|r| doc.path(r.path).is_some())
             .copied()
             .collect();
         assert!(check_budget(&doc, &doc.clone(), &rules).is_empty());
+    }
+
+    #[test]
+    fn every_committed_baseline_is_its_rows_document_and_passes_its_gate() {
+        for row in ARTIFACTS {
+            let doc = Json::parse(&read_at_root(row.baseline)).expect(row.baseline);
+            assert_eq!(doc.get("bench").and_then(Json::as_str), Some(row.bench));
+            let version = doc.get("schema_version").and_then(Json::as_u64);
+            assert_eq!(version, Some(row.schema_version), "{}", row.baseline);
+            assert_eq!(
+                row.gate(&doc, &doc),
+                Vec::<String>::new(),
+                "{}",
+                row.baseline
+            );
+        }
+    }
+
+    #[test]
+    fn a_fired_or_missing_alert_fails_the_gate_whatever_the_baseline_says() {
+        let baseline = Json::parse(&read_at_root(QUERIES.baseline)).expect("parses");
+        let mut fired = baseline.get("alerts").expect("alerts section").clone();
+        fired.set("fired", num(1));
+        // Each document is gated against itself, so the baseline diff
+        // reads the same on both sides: the one extra line is the
+        // baseline-independent check.
+        for alerts in [fired, Json::obj()] {
+            let mut doc = baseline.clone();
+            doc.set("alerts", alerts);
+            let violations = QUERIES.gate(&doc, &doc);
+            let diff = check_budget(&doc, &doc, QUERIES.rules).len();
+            assert_eq!(violations.len(), diff + 1, "{violations:?}");
+            assert!(violations[diff].starts_with("alerts.fired: "));
+        }
+    }
+
+    #[test]
+    fn the_reproduction_ledger_names_every_gated_document() {
+        let ledger = read_at_root("docs/REPRODUCTION.md");
+        for row in ARTIFACTS {
+            assert!(
+                ledger.contains(&format!("`{}`", row.bench)),
+                "{}",
+                row.bench
+            );
+            assert!(ledger.contains(row.baseline), "{}", row.baseline);
+        }
     }
 }

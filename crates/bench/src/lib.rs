@@ -8,12 +8,13 @@
 //! number with this repo's own codec on the same data shape.
 
 #![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod export;
 
 use std::collections::BTreeMap;
 
-use scc_sensors::{wire, Catalog, Category, ReadingGenerator, SensorType};
+use scc_sensors::{wire, Catalog, Category, ReadingGenerator};
 
 use f2c_aggregate::RedundancyFilter;
 
@@ -52,9 +53,8 @@ pub fn measure_compression_ratios(seed: u64, population: u32, waves: u64) -> Mea
     let mut total_out = 0u64;
     for category in Category::ALL {
         let mut encoded = Vec::new();
-        for ty in SensorType::ALL.iter().filter(|t| t.category() == category) {
-            let spec = catalog.spec(*ty).expect("barcelona catalog is complete");
-            let mut gen = ReadingGenerator::for_population(*ty, population, seed);
+        for spec in catalog.specs_in(category) {
+            let mut gen = ReadingGenerator::for_population(spec.sensor_type(), population, seed);
             let mut dedup = RedundancyFilter::new();
             let interval = spec.tx_interval_secs().max(1.0) as u64;
             for w in 0..waves {
@@ -62,7 +62,11 @@ pub fn measure_compression_ratios(seed: u64, population: u32, waves: u64) -> Mea
                 encoded.extend_from_slice(&wire::encode_batch(&kept));
             }
         }
-        let packed = f2c_compress::compress(&encoded).expect("compression is infallible here");
+        #[allow(
+            clippy::expect_used,
+            reason = "`compress_with` returns `Ok` on every path"
+        )]
+        let packed = f2c_compress::compress(&encoded).expect("compression is infallible");
         per_category.insert(category, packed.len() as f64 / encoded.len().max(1) as f64);
         total_in += encoded.len() as u64;
         total_out += packed.len() as u64;

@@ -2,7 +2,7 @@
 //! collection time (the fog node's clock), making staleness measurable by
 //! the quality phase downstream.
 
-use crate::phase::{Block, Phase, PhaseContext};
+use crate::phase::{Phase, PhaseContext};
 use crate::record::DataRecord;
 
 /// Stamps collection time on incoming records.
@@ -24,10 +24,6 @@ impl CollectionPhase {
 impl Phase for CollectionPhase {
     fn name(&self) -> &'static str {
         "data-collection"
-    }
-
-    fn block(&self) -> Block {
-        Block::Acquisition
     }
 
     fn run(&mut self, mut batch: Vec<DataRecord>, ctx: &PhaseContext) -> Vec<DataRecord> {

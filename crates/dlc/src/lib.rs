@@ -52,6 +52,6 @@ pub(crate) mod record;
 pub use age::AgeClass;
 pub use descriptor::{Descriptor, PrivacyLevel};
 pub(crate) use error::{Error, Result};
-pub use phase::{Block, Phase, PhaseContext};
+pub use phase::{Phase, PhaseContext};
 pub use quality::{QualityPolicy, QualityReport};
 pub use record::DataRecord;

@@ -7,7 +7,7 @@
 use scc_sensors::wire::{self, Sink};
 use scc_sensors::{Category, IdMap, SensorId, SensorType};
 
-use crate::phase::{Block, Phase, PhaseContext};
+use crate::phase::{Phase, PhaseContext};
 use crate::record::DataRecord;
 
 /// Version and provenance chain for one sensor's record stream.
@@ -76,10 +76,6 @@ fn classification_key(r: &DataRecord) -> (u64, Category, SensorType, SensorId) {
 impl Phase for ClassificationPhase {
     fn name(&self) -> &'static str {
         "data-classification"
-    }
-
-    fn block(&self) -> Block {
-        Block::Preservation
     }
 
     fn run(&mut self, mut batch: Vec<DataRecord>, _ctx: &PhaseContext) -> Vec<DataRecord> {
