@@ -7,8 +7,6 @@
 //! suppresses exact repetitions, however long they last — the paper's
 //! accounting.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use scc_sensors::{IdMap, Reading, SensorId, Value};
 
 /// Per-sensor exact-repetition suppressor.

@@ -40,6 +40,7 @@
 //! ```
 
 #![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod dedup;
 mod error;

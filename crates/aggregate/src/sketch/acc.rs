@@ -18,7 +18,6 @@
 //! keep their bits. Registers are a max and need no grouping.
 
 // Lint ratchet: the serving path folds every aggregate through this file.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use super::hyperloglog::{estimate_from, exact_rank, pow2_neg, slot_rank};
 use super::{AggPartial, Registers, PARTIAL_HLL_PRECISION};

@@ -5,7 +5,6 @@
 //! saw a handful of sensors costs a handful of entries, not `2^p` bytes.
 
 // Lint ratchet: this module parses register blocks it did not write.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use super::hash64;
 use crate::{Error, Result};

@@ -26,8 +26,6 @@
 //! exactly when the window end lies at or before the seal frontier
 //! *and* the owner has nothing pending below it (the planner's check).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::collections::hash_map::Entry as Slot;
 use std::collections::{HashMap, HashSet};
 use std::num::NonZeroU64;

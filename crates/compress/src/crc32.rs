@@ -7,8 +7,6 @@
 //! it on each hop, so [`Hasher::update`] consumes eight bytes per step
 //! (slicing-by-8) instead of one.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 /// Reflected CRC-32 polynomial (IEEE 802.3).
 const POLY: u32 = 0xEDB8_8320;
 

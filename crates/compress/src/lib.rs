@@ -32,6 +32,7 @@
 //! the ratio class, not interoperability); see [`deflate`] for the layout.
 
 #![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bitio;
 pub mod crc32;

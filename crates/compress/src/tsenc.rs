@@ -26,8 +26,10 @@
 //! sensor as a small dense integer. [`StreamEncoder`] and
 //! [`StreamDecoder`] carry that state; their dictionaries advance in
 //! lock-step because every committed addition is carried in the batch
-//! that introduced it (and a batch that falls back to DEFLATE commits
-//! nothing on either side).
+//! that introduced it, a batch that falls back to DEFLATE commits
+//! nothing on either side, and a sender that ships over a lossy link
+//! stages a batch's additions ([`StreamEncoder::stage_batch`]) and
+//! commits them only when the receiver has verified the batch.
 //!
 //! When regularity breaks — a value variant that contradicts its type's
 //! model, or composites beyond the columnar limits — the encoder falls
@@ -56,8 +58,6 @@
 //! count is validated against the declared record count, so truncated,
 //! bit-flipped and length-lying streams fail with an [`Error`] instead
 //! of panicking or over-allocating.
-
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
@@ -631,9 +631,9 @@ fn rebase(e: Error, base: usize) -> Error {
 /// Maps sensors to dense codes, in first-appearance order across the
 /// lifetime of a stream. The encoder and decoder each hold one; both
 /// commit a batch's additions only when the batch ships columnar, so the
-/// two sides stay in lock-step as long as batches are applied exactly
-/// once, in order — which is why the chaos plane *defers* a corrupted
-/// shipment instead of dropping it (see `f2c-core`'s flush gate).
+/// two sides stay in lock-step as long as each side commits exactly the
+/// batches the other does, in order: the decoder a batch it verified,
+/// the encoder a batch the receiver acknowledged.
 ///
 /// The hasher follows who filled the table: the encoder's dictionary
 /// holds ids this program generated ([`BuildIdHasher`]); the decoder's is
@@ -840,8 +840,8 @@ fn verbatim_decode(data: &[u8]) -> Result<Vec<Reading>> {
 
 /// Stateful batch encoder for one flush stream (one sender → one
 /// receiver). Feed it consecutive batches of the stream in shipping
-/// order; the matching [`StreamDecoder`] must see the produced payloads
-/// exactly once, in the same order.
+/// order; the matching [`StreamDecoder`] must verify or decode exactly
+/// the payloads this side committed, once each, in the same order.
 #[derive(Debug, Default)]
 pub struct StreamEncoder {
     dict: SensorDict<BuildIdHasher>,
@@ -860,8 +860,8 @@ struct ColumnScratch {
     values: [Vec<u64>; SensorType::ALL.len()],
     /// The flattened zigzag fields of each composite type.
     fields: [Vec<u64>; SensorType::ALL.len()],
-    /// Sensors this batch adds to the dictionary, first-appearance
-    /// order; committed only if the batch ships columnar.
+    /// Sensors the staged batch adds to the dictionary,
+    /// first-appearance order; empty unless it ships columnar.
     staged: Vec<SensorId>,
     staged_index: IdMap<SensorId, u64>,
     probe: DictProbe,
@@ -950,11 +950,27 @@ impl StreamEncoder {
         self.dict.len()
     }
 
-    /// Encodes one batch. A regular batch — every value in its type's
-    /// model, composites within the columnar limits — ships
-    /// [`MODE_COLUMNAR`] and commits its dictionary additions; an
+    /// Encodes one batch and commits its dictionary additions:
+    /// [`StreamEncoder::stage_batch`], then [`StreamEncoder::commit`].
+    /// For a receiver that sees every payload.
+    ///
+    /// # Errors
+    ///
+    /// As [`StreamEncoder::stage_batch`].
+    pub fn encode_batch<R: AsRef<Reading>>(&mut self, readings: &[R]) -> Result<Vec<u8>> {
+        let payload = self.stage_batch(readings)?;
+        self.commit();
+        Ok(payload)
+    }
+
+    /// Encodes one batch, holding its dictionary additions staged until
+    /// [`StreamEncoder::commit`] (the receiver verified the payload) or
+    /// [`StreamEncoder::discard`] (it refused it, or it never arrived);
+    /// the next staged batch also drops them. A regular batch — every
+    /// value in its type's model, composites within the columnar limits
+    /// — ships [`MODE_COLUMNAR`] and stages the sensors it adds; an
     /// irregular one ships [`MODE_FALLBACK`], DEFLATE over the verbatim
-    /// records, and commits nothing, so the decoder stays in step either
+    /// records, and stages nothing, so the decoder stays in step either
     /// way. The mode is decided by the batch's shape alone: DEFLATE runs
     /// only when its bytes are shipped. The batch is anything that lends
     /// readings — `&[Reading]`, or the records that wrap them — so a
@@ -964,7 +980,7 @@ impl StreamEncoder {
     ///
     /// [`Error::SizeLimitExceeded`] on a batch beyond [`MAX_RECORDS`];
     /// DEFLATE errors from the fallback path.
-    pub fn encode_batch<R: AsRef<Reading>>(&mut self, readings: &[R]) -> Result<Vec<u8>> {
+    pub fn stage_batch<R: AsRef<Reading>>(&mut self, readings: &[R]) -> Result<Vec<u8>> {
         if readings.len() as u64 > MAX_RECORDS {
             return Err(Error::SizeLimitExceeded {
                 declared: readings.len() as u64,
@@ -978,10 +994,8 @@ impl StreamEncoder {
         if self.columns.transpose(&self.dict, readings) {
             out.push(MODE_COLUMNAR);
             self.columns.write_body(&mut out);
-            for &id in &self.columns.staged {
-                self.dict.push(id);
-            }
         } else {
+            self.discard();
             out.push(MODE_FALLBACK);
             out.extend_from_slice(&deflate::compress(&verbatim_encode(readings))?);
         }
@@ -989,10 +1003,26 @@ impl StreamEncoder {
         out.extend_from_slice(&crc.to_le_bytes());
         Ok(out)
     }
+
+    /// Commits the staged batch's dictionary additions; a no-op when
+    /// nothing is staged.
+    pub fn commit(&mut self) {
+        for id in self.columns.staged.drain(..) {
+            self.dict.push(id);
+        }
+    }
+
+    /// Drops the staged batch's dictionary additions, leaving the
+    /// dictionary as the last committed batch left it.
+    pub fn discard(&mut self) {
+        self.columns.staged.clear();
+    }
 }
 
 /// Stateful batch decoder mirroring [`StreamEncoder`]: feed it each
-/// payload of the stream exactly once, in shipping order.
+/// payload that arrives, in shipping order. A payload it refuses (an
+/// error, or a mismatch in [`StreamDecoder::verify_batch`]) commits
+/// nothing, so its sender re-ships the records in a later batch.
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
     dict: SensorDict,
@@ -1080,9 +1110,9 @@ impl StreamDecoder {
     /// without building readings: `Ok(true)` exactly when
     /// [`StreamDecoder::decode_batch`] would return readings equal to
     /// `batch`'s. Every validation runs before any comparison, so the
-    /// errors are `decode_batch`'s, and the dictionary commits exactly
-    /// when `decode_batch` would — on a successful decode, whether or not
-    /// the records match.
+    /// errors are `decode_batch`'s. The dictionary commits only on a
+    /// match: a receiver refuses a mismatching batch, so its sender
+    /// never commits it either.
     ///
     /// # Errors
     ///
@@ -1097,7 +1127,9 @@ impl StreamDecoder {
             Body::Columnar(body) => {
                 self.columns.decode(&self.dict, body)?;
                 let matches = self.columns.matches(batch)?;
-                self.commit();
+                if matches {
+                    self.commit();
+                }
                 Ok(matches)
             }
         }

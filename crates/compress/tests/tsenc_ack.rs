@@ -1,0 +1,115 @@
+//! The flush stream under an ACK/NACK schedule: a sender stages each
+//! batch's dictionary additions and commits them only when the receiver
+//! acknowledges the payload. A batch lost on the way or refused by the
+//! receiver's CRC check is re-shipped merged with the next one, and the
+//! two dictionaries never drift apart.
+
+use f2c_compress::tsenc::{StreamDecoder, StreamEncoder, MODE_COLUMNAR};
+use f2c_compress::Error;
+use proptest::prelude::*;
+use scc_sensors::{Reading, SensorId, SensorType, Value};
+
+/// `count` Traffic counters from sensor `first` on, at second `t`; an
+/// `odd` wave adds a parking spot reporting a scalar, which contradicts
+/// its type's model and forces the DEFLATE fallback.
+fn wave(first: u32, count: u32, t: u64, odd: bool) -> Vec<Reading> {
+    let mut readings: Vec<Reading> = (first..first + count)
+        .map(|i| {
+            Reading::new(
+                SensorId::new(SensorType::Traffic, i),
+                t,
+                Value::Counter(u64::from(i) * 7 + t),
+            )
+        })
+        .collect();
+    if odd {
+        readings.push(Reading::new(
+            SensorId::new(SensorType::ParkingSpot, first),
+            t,
+            Value::Scalar(-1),
+        ));
+    }
+    readings
+}
+
+/// How the receiver answers one shipment.
+#[derive(Debug, Clone, Copy)]
+enum Answer {
+    /// The payload arrives and verifies: ACK.
+    Ack,
+    /// The payload never arrives: NACK.
+    Lost,
+    /// The payload arrives with a byte flipped; the CRC refuses it: NACK.
+    Damaged,
+}
+
+fn answer() -> impl Strategy<Value = Answer> {
+    proptest::sample::select(vec![Answer::Ack, Answer::Lost, Answer::Damaged])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn only_acknowledged_batches_advance_either_dictionary(
+        steps in proptest::collection::vec((0u32..40, 1u32..12, any::<bool>(), answer()), 1..24),
+    ) {
+        let mut encoder = StreamEncoder::new();
+        let mut decoder = StreamDecoder::new();
+        // The sender's queue: what it has not yet had acknowledged.
+        let mut pending: Vec<Reading> = Vec::new();
+        for (step, &(first, count, odd, answer)) in steps.iter().enumerate() {
+            pending.extend(wave(first, count, 900 * step as u64, odd));
+            let mut payload = encoder.stage_batch(&pending).unwrap();
+            match answer {
+                Answer::Ack => {
+                    prop_assert_eq!(&decoder.decode_batch(&payload).unwrap(), &pending);
+                    encoder.commit();
+                    pending.clear();
+                }
+                Answer::Lost => encoder.discard(),
+                Answer::Damaged => {
+                    let mid = payload.len() / 2;
+                    payload[mid] ^= 0xFF;
+                    let refused = decoder.verify_batch(&payload, &pending);
+                    prop_assert!(
+                        matches!(refused, Err(Error::ChecksumMismatch { .. })),
+                        "{:?}", refused
+                    );
+                    encoder.discard();
+                }
+            }
+            prop_assert_eq!(encoder.dict_len(), decoder.dict_len(), "after step {}", step);
+        }
+    }
+}
+
+#[test]
+fn a_mismatching_batch_commits_nothing() {
+    let mut encoder = StreamEncoder::new();
+    let mut decoder = StreamDecoder::new();
+    let batch = wave(0, 10, 900, false);
+    let payload = encoder.encode_batch(&batch).unwrap();
+    assert_eq!(payload[4], MODE_COLUMNAR);
+    let mut other = batch.clone();
+    other[3] = Reading::new(other[3].sensor(), 900, Value::Counter(1));
+    assert!(!decoder.verify_batch(&payload, &other).unwrap());
+    assert_eq!(decoder.dict_len(), 0, "a refused batch adds no sensor");
+    assert!(decoder.verify_batch(&payload, &batch).unwrap());
+    assert_eq!(decoder.dict_len(), encoder.dict_len());
+}
+
+#[test]
+fn a_discarded_batch_is_staged_again_byte_for_byte() {
+    let mut encoder = StreamEncoder::new();
+    let first = wave(0, 10, 900, false);
+    let refused = encoder.stage_batch(&first).unwrap();
+    encoder.discard();
+    assert_eq!(encoder.dict_len(), 0);
+    assert_eq!(encoder.stage_batch(&first).unwrap(), refused);
+    encoder.commit();
+    assert_eq!(encoder.dict_len(), 10);
+    // Committing twice commits once.
+    encoder.commit();
+    assert_eq!(encoder.dict_len(), 10);
+}

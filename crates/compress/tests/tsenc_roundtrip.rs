@@ -213,8 +213,8 @@ proptest! {
         prop_assert!(changed != batch, "the change must change the batch");
         let mut verifier = StreamDecoder::new();
         prop_assert_eq!(verifier.verify_batch(&payload, &changed), Ok(false));
-        // A mismatch is still a successful decode: the dictionary commits.
-        prop_assert_eq!(verifier.dict_len(), decoder.dict_len());
+        // A mismatch is refused: the dictionary commits nothing.
+        prop_assert_eq!(verifier.dict_len(), 0);
     }
 
     #[test]

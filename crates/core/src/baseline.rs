@@ -6,8 +6,6 @@
 //! [`section_generators`] split) and topology with the F2C runtime so the
 //! comparison isolates the architecture, not the workload.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use citysim::barcelona::{BarcelonaTopology, LatencyProfile};
 use citysim::time::SimTime;
 use scc_sensors::{Catalog, Category};

@@ -51,17 +51,17 @@ pub enum IncidentKind {
         readings: u64,
     },
     /// The flush wave could not ship: the parent was down or the uplink
-    /// path crossed an outage. The batch stays queued below.
+    /// path crossed an outage (at the gate, or mid-transfer: a NACK).
+    /// The batch stays queued below.
     FlushBlocked,
-    /// The flush wave was lost in transit (sender-detected): the batch
-    /// stays queued below and re-ships next wave.
+    /// The shipment was lost in transit — the gate's shipment coin, or
+    /// a message dropped on an uplink link (a NACK). The batch stays
+    /// queued below and re-ships with the next one.
     ShipmentLost,
-    /// The flush wave's encoded record payload would be corrupted in
-    /// transit (link-layer detected): the sender retains the wave, just
-    /// as for a loss. Deferral is load-bearing here — the flush codec's
-    /// cross-batch dictionary advances only on delivered shipments, so
-    /// refusing-and-retrying keeps encoder and decoder in lock-step
-    /// where applying a damaged stream would desynchronize them.
+    /// The shipment's encoded record payload arrived damaged: its CRC
+    /// failed at the receiver, which NACKed it. Nothing of the shipment
+    /// landed; the sender took the batch back, and neither side's codec
+    /// dictionary advanced, so the re-shipment decodes in lock-step.
     ShipmentCorrupted,
     /// One encoded bucket partial arrived corrupted and was refused by
     /// the receiver's CRC check.

@@ -13,8 +13,6 @@
 //! outlive raw retention by design — that is what lets the query planner
 //! answer aggregate windows fog 1 has already evicted.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::collections::btree_map::Entry as Slot;
 use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroU64;
@@ -116,18 +114,6 @@ impl FlushBatch {
     pub(crate) fn sketch_bytes(&self) -> u64 {
         self.sketches.iter().map(|(_, b)| b.len() as u64).sum()
     }
-
-    /// An empty batch.
-    pub(crate) fn empty() -> Self {
-        Self {
-            records: Vec::new(),
-            acct_bytes: 0,
-            payload: None,
-            sketches: Vec::new(),
-            seals: Vec::new(),
-            holes: Vec::new(),
-        }
-    }
 }
 
 /// One node of the F2C hierarchy.
@@ -143,16 +129,19 @@ pub struct F2cNode {
     /// The node's slice of the sketch plane: bucketed aggregate partials
     /// that survive raw-record eviction.
     sketches: SketchLedger,
-    /// Fog-2 only: decoded partials received since the last flush,
-    /// merged per key, awaiting upward relay (BTreeMap so the relayed
-    /// order is deterministic).
+    /// Fog-2 only: decoded partials received since the last committed
+    /// flush, merged per key, awaiting upward relay (BTreeMap so the
+    /// relayed order is deterministic).
     sketch_relay: BTreeMap<SketchKey, AggPartial>,
-    /// Fog-2 only: seal frontiers received since the last flush,
-    /// awaiting upward relay.
+    /// Fog-2 only: seal frontiers received since the last committed
+    /// flush, awaiting upward relay.
     seal_relay: BTreeMap<u16, u64>,
     /// Fog-2 only: coverage holes (local refusals + relayed ones)
     /// awaiting upward relay (BTreeSet for deterministic order).
     hole_relay: BTreeSet<SketchKey>,
+    /// Fog-1 only: the partials of the flush in flight, folded into the
+    /// ledger when the parent acknowledges the batch.
+    unacked: BTreeMap<SketchKey, AggPartial>,
     /// Node-local flush sequence number, stamped on ledger folds for
     /// observability (which flush last touched a bucket). Staleness
     /// *proofs* never read it — they use the seal and pending frontiers.
@@ -160,12 +149,12 @@ pub struct F2cNode {
     /// The upward flush stream's codec state (used when the policy
     /// compresses): a sensor dictionary that persists across
     /// consecutive flushes, so steady-state batches code each sensor as
-    /// a small dense integer. Advances only when a batch actually
-    /// ships — a deferred wave (chaos gate) never touches it, which is
-    /// what keeps it in lock-step with the parent's mirror decoder.
+    /// a small dense integer. A flush stages its additions, and they
+    /// commit only when the parent acknowledges the batch — exactly
+    /// when the parent's mirror decoder commits them.
     codec: tsenc::StreamEncoder,
     /// Per-child mirror decoders (fog-2: keyed by child section; cloud:
-    /// keyed by district), advancing exactly once per received payload.
+    /// keyed by district), advancing once per verified payload.
     decoders: BTreeMap<u16, tsenc::StreamDecoder>,
 }
 
@@ -199,6 +188,7 @@ impl F2cNode {
             sketch_relay: BTreeMap::new(),
             seal_relay: BTreeMap::new(),
             hole_relay: BTreeSet::new(),
+            unacked: BTreeMap::new(),
             flush_seq: 0,
             codec: tsenc::StreamEncoder::new(),
             decoders: BTreeMap::new(),
@@ -227,6 +217,7 @@ impl F2cNode {
             sketch_relay: BTreeMap::new(),
             seal_relay: BTreeMap::new(),
             hole_relay: BTreeSet::new(),
+            unacked: BTreeMap::new(),
             flush_seq: 0,
             codec: tsenc::StreamEncoder::new(),
             decoders: BTreeMap::new(),
@@ -247,6 +238,7 @@ impl F2cNode {
             sketch_relay: BTreeMap::new(),
             seal_relay: BTreeMap::new(),
             hole_relay: BTreeSet::new(),
+            unacked: BTreeMap::new(),
             flush_seq: 0,
             codec: tsenc::StreamEncoder::new(),
             decoders: BTreeMap::new(),
@@ -357,7 +349,7 @@ impl F2cNode {
         self.sketch_relay.remove(key);
     }
 
-    /// Applies the sketch-horizon compaction that [`F2cNode::flush`]
+    /// The sketch-horizon compaction that [`F2cNode::commit_flush`]
     /// runs for fog nodes. The cloud never flushes (it has no parent),
     /// so without this its ledger — and its coverage-hole set — would
     /// grow without bound; [`crate::F2cCity::flush_due`] calls it on
@@ -427,13 +419,15 @@ impl F2cNode {
     /// When the shipment carries an encoded payload, the stream's
     /// mirror decoder decodes its columns and verifies them against the
     /// plainly-shipped records, reading-for-reading and in place — every
-    /// flush is a live decode-equality proof, and the decoder's
-    /// dictionary advances in lock-step with the child's encoder.
+    /// flush is a live decode-equality proof. The decoder's dictionary
+    /// advances only on `Ok`, which is when the receiver ACKs and the
+    /// child's encoder commits the same additions.
     ///
     /// # Errors
     ///
-    /// Decode failures ([`Error::Compression`]) or a decoded batch that
-    /// disagrees with the shipped records ([`Error::CodecMismatch`]).
+    /// Decode failures ([`Error::Compression`]; a payload damaged in
+    /// flight fails its CRC) or a decoded batch that disagrees with the
+    /// shipped records ([`Error::CodecMismatch`]).
     pub(crate) fn verify_flush(
         &mut self,
         origin: u16,
@@ -450,76 +444,58 @@ impl F2cNode {
     }
 
     /// Takes the records due for upward shipping at `now_s` and packages
-    /// them as a [`FlushBatch`] (compressing if the policy says so), then
-    /// applies retention eviction — to the raw archive *and*, on the
-    /// much longer sketch horizon, to the ledger.
+    /// them as a [`FlushBatch`] (compressing if the policy says so). The
+    /// take changes no committed state: the parent answers the batch,
+    /// and the node then commits it ([`F2cNode::commit_flush`]) or, on a
+    /// refusal, takes it back. Nothing else may touch the node in
+    /// between.
     ///
     /// The batch also carries the sketch plane's shipment: a fog-1 node
-    /// folds the batch into per-`(section, type, bucket)` partials
-    /// (merged into its own ledger, then wire-encoded for the parent)
-    /// and seals its section through `now_s`; a fog-2 node relays the
-    /// partials and seals received from its children since the previous
-    /// flush. An empty batch still ships its seals, so idle sections
-    /// keep their parents' frontiers moving.
+    /// folds the batch into per-`(section, type, bucket)` partials and
+    /// seals its section through `now_s`; a fog-2 node relays the
+    /// partials, seals and holes received from its children since its
+    /// last committed flush. An empty batch still ships its seals, so
+    /// idle sections keep their parents' frontiers moving.
     ///
     /// # Errors
     ///
-    /// Propagates compression failures.
+    /// Propagates compression failures; the node is then as it was.
     pub fn flush(&mut self, now_s: u64, catalog: &Catalog) -> Result<FlushBatch> {
         let records = self.store.take_flush_batch(now_s);
-        self.store.evict_expired(now_s);
-        self.flush_seq += 1;
-        let (folded, seals, holes) = match self.layer {
-            Layer::Fog1 => {
-                let own = self.section.unwrap_or(0);
-                let folded = fold_runs(&records, own, &self.sketches);
-                // Copied, not moved, into the ledger: a copy is sized to
-                // its registers, and the ledger keeps it for a month.
-                for (key, partial) in &folded {
-                    self.sketches.fold(*key, partial, self.flush_seq);
-                }
-                self.sketches.seal(own, now_s);
-                // Fog 1 folds locally: its own shipments cannot have
-                // been refused, so it never originates holes.
-                (folded, vec![(own, now_s)], Vec::new())
-            }
-            Layer::Fog2 => (
-                std::mem::take(&mut self.sketch_relay),
-                std::mem::take(&mut self.seal_relay).into_iter().collect(),
-                std::mem::take(&mut self.hole_relay).into_iter().collect(),
-            ),
-            // The cloud has no parent; nothing to ship.
-            Layer::Cloud => (BTreeMap::new(), Vec::new(), Vec::new()),
-        };
-        if self.layer != Layer::Cloud {
-            self.sketches
-                .evict_older_than(now_s.saturating_sub(SKETCH_RETENTION_S));
-        }
-        let sketches: Vec<(SketchKey, Vec<u8>)> = folded
-            .into_iter()
-            .map(|(key, partial)| (key, partial.encode()))
-            .collect();
-        if records.is_empty() {
-            return Ok(FlushBatch {
-                sketches,
-                seals,
-                holes,
-                ..FlushBatch::empty()
-            });
-        }
-        let acct_bytes = acct_bytes_of(records.iter().map(DataRecord::sensor_type), catalog);
         // The shipped payload rides the columnar time-series codec, not
-        // byte-oriented DEFLATE of the wire text: the stream encoder's
+        // byte-oriented DEFLATE of the wire text. The stream encoder's
         // sensor dictionary persists across this node's flushes, so the
-        // parent's mirror decoder must see every payload exactly once,
-        // in order — guaranteed because a deferred wave never reaches
-        // this point (the chaos gate runs before `flush()`). The codec
-        // reads the readings where they sit, inside the records.
-        let payload = if self.flush_policy.compress {
-            Some(self.codec.encode_batch(&records)?)
+        // batch's additions stay staged until the parent's mirror
+        // decoder has verified the payload. The codec reads the readings
+        // where they sit, inside the records.
+        let payload = if self.flush_policy.compress && !records.is_empty() {
+            match self.codec.stage_batch(&records) {
+                Ok(payload) => Some(payload),
+                Err(e) => {
+                    self.store.restore_flush_batch(records);
+                    return Err(e.into());
+                }
+            }
         } else {
             None
         };
+        let (sketches, seals, holes) = match self.layer {
+            Layer::Fog1 => {
+                let own = self.section.unwrap_or(0);
+                self.unacked = fold_runs(&records, own, &self.sketches);
+                // Fog 1 folds locally: its own shipments cannot have
+                // been refused, so it never originates holes.
+                (encode_all(&self.unacked), vec![(own, now_s)], Vec::new())
+            }
+            Layer::Fog2 => (
+                encode_all(&self.sketch_relay),
+                self.seal_relay.iter().map(|(&s, &t)| (s, t)).collect(),
+                self.hole_relay.iter().copied().collect(),
+            ),
+            // The cloud has no parent; nothing to ship.
+            Layer::Cloud => (Vec::new(), Vec::new(), Vec::new()),
+        };
+        let acct_bytes = acct_bytes_of(records.iter().map(DataRecord::sensor_type), catalog);
         Ok(FlushBatch {
             records,
             acct_bytes,
@@ -529,6 +505,54 @@ impl F2cNode {
             holes,
         })
     }
+
+    /// The parent acknowledged the batch [`F2cNode::flush`] took at
+    /// `now_s`: commits it. A fog-1 node folds the batch's partials into
+    /// its ledger and seals its section through `now_s`; a fog-2 node
+    /// drains the relays it shipped; the codec commits the batch's
+    /// dictionary additions. Retention eviction then runs — on the raw
+    /// archive and, on the much longer sketch horizon, on the ledger.
+    pub fn commit_flush(&mut self, now_s: u64) {
+        self.flush_seq += 1;
+        self.codec.commit();
+        match self.layer {
+            Layer::Fog1 => {
+                // Copied, not moved, into the ledger: a copy is sized to
+                // its registers, and the ledger keeps it for a month.
+                for (key, partial) in std::mem::take(&mut self.unacked) {
+                    self.sketches.fold(key, &partial, self.flush_seq);
+                }
+                self.sketches.seal(self.section.unwrap_or(0), now_s);
+            }
+            Layer::Fog2 => {
+                self.sketch_relay.clear();
+                self.seal_relay.clear();
+                self.hole_relay.clear();
+            }
+            Layer::Cloud => {}
+        }
+        self.store.evict_expired(now_s);
+        self.compact_sketches(now_s);
+    }
+
+    /// The parent refused the batch [`F2cNode::flush`] took, or it never
+    /// arrived: its `records` return to the front of the pending queue,
+    /// the fog-1 partials and the codec's staged additions are dropped,
+    /// and fog 2's relays, never drained, ship again. The node is as it
+    /// was before the take.
+    pub(crate) fn rollback_flush(&mut self, records: Vec<DataRecord>) {
+        self.store.restore_flush_batch(records);
+        self.unacked.clear();
+        self.codec.discard();
+    }
+}
+
+/// Wire-encodes each partial of a shipment, in key order.
+fn encode_all(partials: &BTreeMap<SketchKey, AggPartial>) -> Vec<(SketchKey, Vec<u8>)> {
+    partials
+        .iter()
+        .map(|(key, partial)| (*key, partial.encode()))
+        .collect()
 }
 
 /// The ledger bucket `rec` folds into at a fog-1 node of section `own`.
@@ -718,6 +742,7 @@ mod tests {
                 .unwrap();
         }
         let batch = node.flush(2_700, &catalog).unwrap();
+        node.commit_flush(2_700);
         assert!(!batch.sketches.is_empty(), "partials ride the batch");
         assert!(batch.sketch_bytes() > 0);
         assert_eq!(batch.seals, vec![(0, 2_700)], "own section seals");
@@ -732,6 +757,7 @@ mod tests {
         assert!(node.sketches().covers(0, 0, 2_700));
         // An idle follow-up flush still advances the seal frontier.
         let idle = node.flush(3_600, &catalog).unwrap();
+        node.commit_flush(3_600);
         assert!(idle.records.is_empty() && idle.sketches.is_empty());
         assert_eq!(idle.seals, vec![(0, 3_600)]);
         assert_eq!(node.sketches().sealed_through(0), 3_600);
@@ -829,15 +855,57 @@ mod tests {
         let mut node = fog1();
         let mut gen = ReadingGenerator::for_population(SensorType::Temperature, 30, 11);
         node.ingest_wave(gen.wave(0), 1, &catalog).unwrap();
-        node.flush(900, &catalog).unwrap();
-        // Two days on: raw retention (1 day) has evicted the records,
-        // the ledger still covers the window.
-        node.flush(2 * 86_400, &catalog).unwrap();
-        assert!(node.store().evicted_before_s() > 900, "raw is gone");
-        assert!(node.sketches().covers(0, 0, 900), "the sketch survives");
-        // Far past the sketch horizon the ledger compacts too.
-        node.flush(40 * 86_400, &catalog).unwrap();
-        assert!(!node.sketches().covers(0, 0, 900));
+        for now_s in [900, 2 * 86_400, 40 * 86_400] {
+            node.flush(now_s, &catalog).unwrap();
+            node.commit_flush(now_s);
+            match now_s {
+                // Two days on: raw retention (1 day) has evicted the
+                // records, the ledger still covers the window.
+                172_800 => {
+                    assert!(node.store().evicted_before_s() > 900, "raw is gone");
+                    assert!(node.sketches().covers(0, 0, 900), "the sketch survives");
+                }
+                // Far past the sketch horizon the ledger compacts too.
+                3_456_000 => assert!(!node.sketches().covers(0, 0, 900)),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_refused_flush_leaves_the_node_as_it_was() {
+        let catalog = Catalog::barcelona();
+        let mut node = fog1();
+        let mut gen = ReadingGenerator::for_population(SensorType::Traffic, 40, 9);
+        for w in 0..3u64 {
+            node.ingest_wave(gen.wave(w * 900), w * 900 + 1, &catalog)
+                .unwrap();
+        }
+        let refused = node.flush(2_700, &catalog).unwrap();
+        let records = refused.records.clone();
+        node.rollback_flush(refused.records);
+        assert_eq!(node.store().pending_len(), records.len());
+        assert!(node.sketches().is_empty(), "nothing folded");
+        assert_eq!(node.sketches().sealed_through(0), 0, "nothing sealed");
+        // The take is repeatable bit for bit: the codec's dictionary
+        // did not advance past the refused payload.
+        let again = node.flush(2_700, &catalog).unwrap();
+        assert_eq!(again.records, records);
+        assert_eq!(again.payload, refused.payload);
+        assert_eq!(again.sketches, refused.sketches);
+        assert_eq!(again.seals, refused.seals);
+        node.commit_flush(2_700);
+        assert!(node.sketches().covers(0, 0, 2_700));
+        assert_eq!(node.store().pending_len(), 0);
+        // Committed, the stream moves on in step with a mirror decoder
+        // that verified the same payloads.
+        let mut decoder = tsenc::StreamDecoder::new();
+        node.ingest_wave(gen.wave(2_700), 2_701, &catalog).unwrap();
+        let next = node.flush(3_600, &catalog).unwrap();
+        for batch in [&again, &next] {
+            let payload = batch.payload.as_deref().unwrap();
+            assert!(decoder.verify_batch(payload, &batch.records).unwrap());
+        }
     }
 
     /// The fog-1 fold as it was: one map probe per record.

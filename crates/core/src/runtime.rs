@@ -5,8 +5,6 @@
 //! cross-validates the analytic [`crate::traffic::TrafficModel`] at a
 //! configurable population scale.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::collections::BTreeMap;
 
 use citysim::barcelona::LatencyProfile;

@@ -1,8 +1,6 @@
 //! The data acquisition block (Fig. 2): collection → filtering → quality →
 //! description. Runs at fog layer 1 in the F2C mapping (Fig. 5, §IV.A).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 mod collection;
 mod description;
 mod filtering;

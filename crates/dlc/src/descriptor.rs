@@ -4,8 +4,6 @@
 //! location positioning (city, country, GPS coordinates), authoring,
 //! privacy, and so on."
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::fmt;
 use std::sync::Arc;
 

@@ -39,6 +39,7 @@
 //! ```
 
 #![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod acquisition;
 pub(crate) mod age;

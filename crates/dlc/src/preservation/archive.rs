@@ -4,8 +4,6 @@
 //! time-based eviction that implements the paper's "reversed memory
 //! hierarchy" upward migration (§IV.B).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use scc_sensors::SensorType;
 
 use crate::record::DataRecord;

@@ -2,8 +2,6 @@
 //! eventually implementing the appropriate techniques for data versioning,
 //! data lineage or data provenance" (§IV.B).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use scc_sensors::wire::{self, Sink};
 use scc_sensors::{Category, IdMap, SensorId, SensorType};
 

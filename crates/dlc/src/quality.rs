@@ -6,8 +6,6 @@
 //! explicitly notes processing and preservation need no quality phase
 //! because everything reaching them was already checked.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::fmt;
 
 use scc_sensors::{SensorType, Value};

@@ -1,7 +1,5 @@
 //! The unit of data flowing through the life cycle.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use scc_sensors::{Reading, SensorType};
 use serde::{Deserialize, Serialize};
 

@@ -13,8 +13,6 @@
 //! order export the same bytes at any thread count, same discipline as
 //! the rest of the observability plane.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::cmp::Reverse;
 
 use citysim::metrics::{bucket_index, bucket_upper_micros, NUM_BUCKETS};

@@ -13,8 +13,6 @@
 //! Records are [`Json`] values — the store is generic over what an
 //! explain says; the query crate decides the schema.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::json::Json;
 
 /// One retained explain record.

@@ -9,7 +9,6 @@
 //! Numbers are `f64`; every integer the exporter emits fits in the 2^53
 //! exact range and round-trips. Integral values print without a fraction so
 //! the emitted files diff cleanly.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::fmt;
 

@@ -28,8 +28,6 @@
 //! 4-billion-entry table. That map is otherwise only walked by the
 //! key-ordered readers (`encode`, `sites`, `flight_record`).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 

@@ -738,11 +738,11 @@ impl QueryEngine {
     ///
     /// # Errors
     ///
-    /// Propagates network/compression errors.
+    /// As [`F2cCity::flush_all`]: the wave has run to its end either way.
     pub fn flush_all(&mut self, now_s: u64) -> Result<(u64, u64)> {
-        let shipped = self.city.flush_all(now_s)?;
+        let shipped = self.city.flush_all(now_s);
         self.core.last_flush_s = now_s;
-        Ok(shipped)
+        Ok(shipped?)
     }
 
     /// Releases every slot a response held (call when the simulated

@@ -523,8 +523,7 @@ fn plan_captured(city: &F2cCity, query: &Query, cap: &mut Capture) -> Result<Rou
             if target_holds {
                 if target == query.origin {
                     singles.push((AccessOption::Local, DataSource::Local, Layer::Fog1));
-                } else if td == origin_district {
-                    let hops = city.ring_hops(query.origin, target);
+                } else if let Some(hops) = city.ring_hops(query.origin, target) {
                     singles.push((
                         AccessOption::Neighbor { hops },
                         DataSource::Neighbor(target),
@@ -572,12 +571,11 @@ fn plan_captured(city: &F2cCity, query: &Query, cap: &mut Capture) -> Result<Rou
                 // its warm sketch still covers: merge pre-folded bucket
                 // partials locally (or over the district ring) instead
                 // of climbing to fog 2 / the cloud.
-                let option = if target == query.origin {
-                    AccessOption::LocalSketch
-                } else {
-                    AccessOption::Neighbor {
-                        hops: city.ring_hops(query.origin, target),
-                    }
+                let option = match city.ring_hops(query.origin, target) {
+                    Some(hops) if hops > 0 => AccessOption::Neighbor { hops },
+                    // The requester's own ledger (the district check
+                    // above rules out a target off its ring).
+                    _ => AccessOption::LocalSketch,
                 };
                 singles.push((option, DataSource::WarmSketch(target), Layer::Fog1));
             }

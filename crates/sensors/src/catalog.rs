@@ -145,13 +145,15 @@ impl Catalog {
             (Traffic, 40_000, 44, 63_360),
             (Weather, 40_000, 120, 34_560),
         ];
-        let mut b = CatalogBuilder::new();
-        for (ty, sensors, tx, daily) in rows {
-            b = b
-                .with_spec(TypeSpec::new(ty, sensors, tx, daily).expect("table row valid"))
-                .expect("no duplicates in table");
-        }
-        b.build()
+        // Every row is positive and names its type once, so the fold
+        // never fails: the Table-I tests below would see an empty
+        // catalog if an edit broke either.
+        rows.into_iter()
+            .try_fold(CatalogBuilder::new(), |b, (ty, sensors, tx, daily)| {
+                b.with_spec(TypeSpec::new(ty, sensors, tx, daily)?)
+            })
+            .map(CatalogBuilder::build)
+            .unwrap_or_default()
     }
 
     /// Spec for one sensor type, if present.

@@ -1,7 +1,5 @@
 //! Observation values.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::fmt::{self, Write as _};
 
 use serde::{Deserialize, Serialize};

@@ -11,8 +11,6 @@
 //! PROVIDER.type-slug.index;timestamp;value
 //! ```
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::{Error, Reading, Result, SensorId, SensorType, Value};
 
 /// Where a wire line's bytes go: a buffer, a byte count, a running hash.

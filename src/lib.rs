@@ -34,6 +34,7 @@
 //! assert_eq!(outcome.offered, 50);
 //! let batch = fog1.flush(900, &catalog)?;             // aggregated + compressed
 //! assert!(batch.compressed_bytes().is_some());
+//! fog1.commit_flush(900);                             // the parent ACKed it
 //! # Ok::<(), f2c_smartcity::core::Error>(())
 //! ```
 

@@ -1,15 +1,19 @@
 //! Chaos-plane integration: injected faults (node crash windows,
-//! flush-shipment loss, sketch corruption) degrade the hierarchy by
-//! *availability only* — deferred flush waves, lost edge ingest, punched
-//! coverage holes — and sketch anti-entropy heals every hole once the
-//! fault clears. The oracle throughout: a chaos city fed the surviving
-//! stream converges to byte-equal state with a fault-free control city
-//! fed the same stream, and every degradation is attributable to an
-//! injected fault through the incident timeline.
+//! flush-shipment loss at the gate, message loss on the uplinks, payload
+//! and sketch corruption) degrade the hierarchy by *availability only*
+//! — deferred turns, NACKed shipments that re-ship later, lost edge
+//! ingest, punched coverage holes — and sketch anti-entropy heals every
+//! hole once the fault clears. A shipment lands whole or not at all: it
+//! commits at both ends exactly when the receiver ACKs it. The oracle
+//! throughout: a chaos city fed the surviving stream converges to
+//! byte-equal state with a fault-free control city fed the same stream,
+//! and every degradation is attributable to an injected fault through
+//! the incident timeline.
 
+use f2c_smartcity::citysim::barcelona::{BarcelonaTopology, LatencyProfile};
 use f2c_smartcity::citysim::net::FailurePlan;
 use f2c_smartcity::core::{ChaosSite, F2cCity, IncidentKind, Parallelism};
-use f2c_smartcity::sensors::{Reading, ReadingGenerator, SensorType};
+use f2c_smartcity::sensors::{Reading, ReadingGenerator, SensorId, SensorType};
 
 /// One deterministic sensor wave for a section at an instant.
 fn wave(section: usize, t: u64) -> Vec<Reading> {
@@ -26,6 +30,148 @@ fn ingest_waves(city: &mut F2cCity, waves: &[(usize, u64)], lost: &[(usize, u64)
         }
         city.ingest(section, wave(section, t), t).expect("ingests");
     }
+}
+
+/// Sets message-loss probability `p` on every link of the flush uplinks
+/// of `senders`: a fog-1 site's path to its fog 2, a fog-2 site's path
+/// to the cloud.
+fn set_uplink_loss(plan: &mut FailurePlan, senders: impl IntoIterator<Item = ChaosSite>, p: f64) {
+    let topo = BarcelonaTopology::build(&LatencyProfile::default());
+    for sender in senders {
+        let (from, to) = match sender {
+            ChaosSite::Fog1(s) => (topo.fog1_nodes()[s], topo.parent_of(s)),
+            ChaosSite::Fog2(d) => (topo.fog2_nodes()[d], topo.cloud()),
+            ChaosSite::Cloud => continue,
+        };
+        for &link in topo.network().path(from, to).expect("uplinks route") {
+            plan.set_loss(link, p);
+        }
+    }
+}
+
+/// Every flush sender: the 73 fog-1 sites and the 10 fog-2 sites.
+fn every_sender() -> impl Iterator<Item = ChaosSite> {
+    (0..73)
+        .map(ChaosSite::Fog1)
+        .chain((0..10).map(ChaosSite::Fog2))
+}
+
+/// The cloud archive as a sorted `(section, sensor, timestamp)` list:
+/// two archives holding the same readings compare equal.
+fn cloud_readings(city: &F2cCity) -> Vec<(Option<u16>, SensorId, u64)> {
+    let mut out: Vec<_> = city
+        .cloud()
+        .store()
+        .archive()
+        .iter()
+        .map(|r| {
+            let reading = r.reading();
+            (
+                r.descriptor().section(),
+                reading.sensor(),
+                reading.timestamp_s(),
+            )
+        })
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+/// `sender`'s uplink loses every message during the 900 s wave only. A
+/// chaos city and a fault-free control get the same Traffic wave into
+/// every section before each of four flush waves, and every wave must
+/// run `Ok`. After the lossy wave the chaos cloud holds exactly the
+/// control's readings outside the sections `lossy` names; after each
+/// healthy wave it holds exactly the control's.
+fn one_lossy_wave(sender: ChaosSite, lossy: impl Fn(usize) -> bool) {
+    let mut chaos = F2cCity::barcelona().unwrap();
+    let mut control = F2cCity::barcelona().unwrap();
+    for (k, t) in [900u64, 1_800, 2_700, 3_600].into_iter().enumerate() {
+        let mut plan = FailurePlan::with_seed(7);
+        if k == 0 {
+            set_uplink_loss(&mut plan, [sender], 1.0);
+        }
+        chaos.set_failures(plan);
+        for city in [&mut chaos, &mut control] {
+            for section in 0..73 {
+                city.ingest(section, wave(section, t - 800), t - 800)
+                    .unwrap();
+            }
+            city.flush_all(t).unwrap();
+        }
+        let want: Vec<_> = cloud_readings(&control)
+            .into_iter()
+            .filter(|(section, _, _)| k > 0 || !lossy(usize::from(section.unwrap())))
+            .collect();
+        assert!(!want.is_empty());
+        assert_eq!(cloud_readings(&chaos), want, "after the wave at {t} s");
+    }
+    let lost = chaos
+        .timeline()
+        .iter()
+        .filter(|i| i.kind == IncidentKind::ShipmentLost)
+        .count();
+    assert_eq!(lost, 1, "one NACK, against {sender}");
+    assert!(chaos.cloud().sketches().holes_sorted().is_empty());
+}
+
+#[test]
+fn a_shipment_lost_on_a_fog1_uplink_re_ships_and_its_siblings_land() {
+    one_lossy_wave(ChaosSite::Fog1(0), |section| section == 0);
+}
+
+#[test]
+fn a_shipment_lost_on_a_fog2_uplink_re_ships_and_the_other_districts_land() {
+    let district0 = F2cCity::barcelona()
+        .unwrap()
+        .sections_in_district(0)
+        .to_vec();
+    one_lossy_wave(ChaosSite::Fog2(0), |section| district0.contains(&section));
+}
+
+#[test]
+fn a_day_of_uplink_loss_delays_records_and_loses_none() {
+    // 5 Traffic sensors per section, a wave every 900 s for a day,
+    // with 20 % loss on every link of every flush uplink.
+    let small = |section: usize, t: u64| {
+        ReadingGenerator::for_population(SensorType::Traffic, 5, section as u64 * 1_000 + t).wave(t)
+    };
+    let mut chaos = F2cCity::barcelona().unwrap();
+    let mut control = F2cCity::barcelona().unwrap();
+    let mut plan = FailurePlan::with_seed(2_017);
+    set_uplink_loss(&mut plan, every_sender(), 0.2);
+    chaos.set_failures(plan);
+    for t in (1..=97u64).map(|k| k * 900) {
+        if t == 97 * 900 {
+            chaos.set_failures(FailurePlan::none());
+        }
+        for city in [&mut chaos, &mut control] {
+            for section in 0..73 {
+                city.ingest(section, small(section, t - 450), t - 450)
+                    .unwrap();
+            }
+            city.flush_all(t).unwrap();
+        }
+        if t == 900 * 48 {
+            // Mid-storm the loss shows: the cloud lags the control.
+            assert!(cloud_readings(&chaos).len() < cloud_readings(&control).len());
+        }
+    }
+    let lost = chaos
+        .timeline()
+        .iter()
+        .filter(|i| i.kind == IncidentKind::ShipmentLost)
+        .count();
+    assert!(lost > 100, "the storm NACKed only {lost} shipments");
+    assert_eq!(cloud_readings(&chaos), cloud_readings(&control));
+    for d in 0..chaos.district_count() {
+        assert!(chaos.fog2(d).sketches().holes_sorted().is_empty());
+    }
+    assert!(chaos.cloud().sketches().holes_sorted().is_empty());
+    assert_eq!(
+        chaos.cloud().sketches().len(),
+        control.cloud().sketches().len()
+    );
 }
 
 #[test]
@@ -144,12 +290,11 @@ fn corruption_punches_holes_and_anti_entropy_heals_them_in_the_same_wave() {
 }
 
 #[test]
-fn corrupted_payload_defers_the_wave_and_loses_nothing() {
-    // A payload-corruption verdict is link-layer detected, so the sender
-    // defers the whole wave *before* the batch is taken — the flush
-    // codec's cross-batch dictionary must never advance past a shipment
-    // the receiver never applied. Once the fault clears, the deferred
-    // records catch up byte-exactly.
+fn corrupted_payload_is_refused_by_its_crc_and_loses_nothing() {
+    // A payload damaged in flight fails the receiver's CRC check, the
+    // receiver NACKs it, and its sender takes the batch back: the
+    // flush codec's cross-batch dictionary commits on neither side.
+    // Once the fault clears, the refused records catch up byte-exactly.
     let waves: Vec<(usize, u64)> = vec![(0, 100), (0, 500), (5, 100), (12, 300)];
 
     let mut chaos = F2cCity::barcelona().unwrap();
@@ -159,21 +304,23 @@ fn corrupted_payload_defers_the_wave_and_loses_nothing() {
     ingest_waves(&mut chaos, &waves, &[]);
     chaos.flush_all(900).unwrap();
 
-    // A certain coin defers every loaded hop; nothing reaches the cloud.
+    // A certain coin damages every loaded shipment; nothing reaches
+    // the cloud.
     assert_eq!(
         chaos.cloud().store().len(),
         0,
-        "deferred waves must not ship"
+        "refused shipments must not land"
     );
-    let corrupted = chaos
+    let refused: Vec<_> = chaos
         .timeline()
-        .summary()
-        .get("shipment-corrupted")
-        .copied()
-        .unwrap_or(0);
-    assert!(
-        corrupted > 0,
-        "a certain corruption coin must record ShipmentCorrupted incidents"
+        .iter()
+        .filter(|i| i.kind == IncidentKind::ShipmentCorrupted)
+        .map(|i| i.site)
+        .collect();
+    assert_eq!(
+        refused,
+        [ChaosSite::Fog1(0), ChaosSite::Fog1(5), ChaosSite::Fog1(12)],
+        "each loaded fog-1 shipment is refused by its parent's CRC check"
     );
     for incident in chaos.timeline().iter() {
         assert_ne!(
@@ -191,9 +338,9 @@ fn corrupted_payload_defers_the_wave_and_loses_nothing() {
     control.flush_all(900).unwrap();
     control.flush_all(1_800).unwrap();
     assert_eq!(
-        chaos.cloud().store().len(),
-        control.cloud().store().len(),
-        "a deferred wave must catch up with zero record loss"
+        cloud_readings(&chaos),
+        cloud_readings(&control),
+        "a refused shipment must catch up with zero record loss"
     );
     assert_eq!(
         chaos.cloud().sketches().len(),
@@ -305,10 +452,12 @@ mod oracle {
     /// which ones a crashed edge lost), and run the three storm-epoch
     /// flush waves. The plan stays installed so attribution checks can
     /// still interrogate it.
+    #[allow(clippy::too_many_arguments)]
     fn storm_city(
         threads: usize,
         seed: u64,
         loss_milli: u32,
+        uplink_loss_milli: u32,
         corrupt_milli: u32,
         payload_milli: u32,
         outages: &[(u8, u64, u64)],
@@ -318,6 +467,11 @@ mod oracle {
         chaos.set_parallelism(Parallelism::new(threads));
         let mut plan = FailurePlan::with_seed(seed);
         plan.set_shipment_loss(f64::from(loss_milli) / 1_000.0);
+        set_uplink_loss(
+            &mut plan,
+            every_sender(),
+            f64::from(uplink_loss_milli) / 1_000.0,
+        );
         plan.set_shipment_corruption(f64::from(corrupt_milli) / 1_000.0);
         plan.set_payload_corruption(f64::from(payload_milli) / 1_000.0);
         chaos.set_failures(plan);
@@ -363,11 +517,13 @@ mod oracle {
         /// was actually active at that instant.
         #[test]
         fn chaos_degrades_availability_never_correctness(
-            // A fault schedule: a seed for the shipment coins, loss and
+            // A fault schedule: a seed for the shipment coins, loss
+            // (at the gate, and per message on every flush uplink) and
             // corruption probabilities in milli-units, and up to three
             // crash windows inside the 3-epoch storm `[0, 2_700)`.
             seed in any::<u64>(),
             loss_milli in 0u32..=300,
+            uplink_loss_milli in 0u32..=300,
             corrupt_milli in 0u32..=300,
             payload_milli in 0u32..=300,
             outages in proptest::collection::vec(
@@ -385,10 +541,13 @@ mod oracle {
             // losses, the incident timeline, and (after healing below)
             // the archive and ledgers. Chaos and the sharded runtime
             // must compose without perturbing each other.
-            let (mut chaos, lost) =
-                storm_city(4, seed, loss_milli, corrupt_milli, payload_milli, &outages, &waves);
-            let (mut chaos_seq, lost_seq) =
-                storm_city(1, seed, loss_milli, corrupt_milli, payload_milli, &outages, &waves);
+            let fault = (seed, loss_milli, uplink_loss_milli, corrupt_milli, payload_milli);
+            let storm = |threads| {
+                let (seed, loss, uplink_loss, corrupt, payload) = fault;
+                storm_city(threads, seed, loss, uplink_loss, corrupt, payload, &outages, &waves)
+            };
+            let (mut chaos, lost) = storm(4);
+            let (mut chaos_seq, lost_seq) = storm(1);
             prop_assert_eq!(&lost, &lost_seq);
             prop_assert_eq!(timeline_text(&chaos), timeline_text(&chaos_seq));
 
@@ -399,8 +558,10 @@ mod oracle {
                     IncidentKind::NodeDown | IncidentKind::IngestLost { .. } => {
                         prop_assert!(chaos.site_is_down(incident.site, incident.at_s));
                     }
+                    // The gate's shipment coin, or a message lost on an
+                    // uplink link.
                     IncidentKind::ShipmentLost => {
-                        prop_assert!(loss_milli > 0);
+                        prop_assert!(loss_milli > 0 || uplink_loss_milli > 0);
                     }
                     IncidentKind::SketchCorrupted { .. } => {
                         prop_assert!(corrupt_milli > 0);

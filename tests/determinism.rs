@@ -51,6 +51,7 @@ fn replica(seed: u64) -> Vec<u8> {
         }
         if (wave + 1) % 4 == 0 {
             let batch = fog1.flush(now_s + 2, &catalog).expect("flush succeeds");
+            fog1.commit_flush(now_s + 2);
             for record in &batch.records {
                 transcript.extend_from_slice(wire::encode(record.reading()).as_bytes());
                 transcript.push(b'\n');

@@ -46,11 +46,13 @@ fn fog1_retention_keeps_realtime_data_local_after_flush() {
     }
     let stored_before = fog1.store().len();
     let batch = fog1.flush(3600, &catalog).unwrap();
+    fog1.commit_flush(3600);
     assert!(!batch.records.is_empty());
     // Flushing ships copies; local data stays for real-time reads.
     assert_eq!(fog1.store().len(), stored_before);
     // A day later, retention has evicted everything.
     let _ = fog1.flush(2 * 86_400, &catalog).unwrap();
+    fog1.commit_flush(2 * 86_400);
     assert!(fog1.store().is_empty());
 }
 
