@@ -880,16 +880,6 @@ fn diagnosis(engine: &QueryEngine, doc: &mut Json) {
         0,
         "the fault-free main run must never fire an SLO alert"
     );
-    let (batches_columnar, batches_fallback) = engine.city().flush_batches();
-    println!(
-        "flush codec modes: {batches_columnar} columnar / {batches_fallback} \
-         fallback payload(s) shipped (fault-free: fallback must be 0)"
-    );
-    assert!(
-        batches_columnar > 0 && batches_fallback == 0,
-        "fault-free generator traffic must ship columnar, never the DEFLATE \
-         fallback ({batches_columnar} columnar / {batches_fallback} fallback)"
-    );
     doc.set("explains", explains_j);
     doc.set("exemplars", exemplars.export());
     doc.set("alerts", monitor.export());
@@ -942,12 +932,8 @@ fn export(mut run: MainRun, requests: u64, parallel_j: Json, chaos_j: Json) {
         "bytes_per_record",
         Json::Num(uplink as f64 / cloud_records.max(1) as f64),
     );
-    // Ungated info: shipped payloads by `tsenc` stream mode. The codec
-    // picks the mode from the batch's shape alone, so this is where the
-    // premise "generator traffic is always regular" is verified.
-    let (batches_columnar, batches_fallback) = city.flush_batches();
-    flush_j.set("batches_columnar", export::num(batches_columnar));
-    flush_j.set("batches_fallback", export::num(batches_fallback));
+    // Ungated info: encoded payloads shipped, both hops together.
+    flush_j.set("batches", export::num(city.flush_batches()));
 
     let mut doc = QUERIES.doc();
     doc.set("requests", export::num(requests));

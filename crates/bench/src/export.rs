@@ -42,9 +42,16 @@ pub struct Artifact {
 /// v4: the per-phase `dropped` counts are gone — each phase's summary
 /// now covers every span of that phase, ring-evicted ones included, so
 /// `phases.query.count` equals the requests served.
+///
+/// v5: the flush codec has one stream mode, so `flush.batches_columnar`
+/// becomes `flush.batches` (and its series `flush_batches{service=flush}`),
+/// the fallback's `flush.batches_fallback` and series are gone, and the
+/// registry gains `ingest_shape_refused{service=ingest}`, the readings
+/// acquisition refused because their value contradicts their type's
+/// shape.
 pub const QUERIES: Artifact = Artifact {
     bench: "queries",
-    schema_version: 4,
+    schema_version: 5,
     out_file: "BENCH_queries.json",
     baseline: "bench/baseline.json",
     // Latency phases and byte costs are ceilings (a fall is an
@@ -90,8 +97,13 @@ pub const QUERIES: Artifact = Artifact {
         BudgetRule::band("exemplars.kept", 0.25, 8.0),
     ],
     // The fault-free main run must fire no SLO burn-rate alert: a fire
-    // there is a real degradation or a broken monitor, never drift.
-    must_be_zero: &["alerts.fired"],
+    // there is a real degradation or a broken monitor, never drift. And
+    // the generators emit only what their types' shapes admit, so
+    // acquisition must refuse none of it.
+    must_be_zero: &[
+        "alerts.fired",
+        "registry.counters.ingest_shape_refused{service=ingest}",
+    ],
 };
 
 /// The Table I checkpoints, `BENCH_table1.json`, unchanged since v3.

@@ -59,6 +59,16 @@ pub enum Error {
         /// Byte offset (in the encoded stream) of the inconsistency.
         offset: usize,
     },
+    /// A `tsenc` batch holds a reading its columns cannot carry: a value
+    /// of another variant than its sensor type's shape, or a composite
+    /// beyond the columnar limits. Acquisition refuses such a reading
+    /// where it enters, so this is a caller's bug; nothing was staged.
+    UnshippableRecord {
+        /// Position of the reading in the batch.
+        record: usize,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for Error {
@@ -88,6 +98,9 @@ impl fmt::Display for Error {
             ),
             Error::Malformed { reason, offset } => {
                 write!(f, "malformed stream at byte {offset}: {reason}")
+            }
+            Error::UnshippableRecord { record, reason } => {
+                write!(f, "batch record {record} cannot ship: {reason}")
             }
         }
     }
@@ -121,6 +134,10 @@ mod tests {
             Error::Malformed {
                 reason: "probe",
                 offset: 12,
+            },
+            Error::UnshippableRecord {
+                record: 3,
+                reason: "probe",
             },
         ];
         for v in variants {

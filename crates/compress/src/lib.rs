@@ -13,8 +13,8 @@
 //! * [`deflate`] — the combined LZ77+Huffman stream codec,
 //! * [`tsenc`] — the columnar time-series codec the flush path ships
 //!   with: per-column technique probing (raw / delta / delta-of-delta /
-//!   RLE / dict / XOR), a cross-batch sensor dictionary, and a tagged
-//!   DEFLATE fallback for irregular batches.
+//!   RLE / dict / XOR) over value columns laid out by sensor type, and
+//!   a cross-batch sensor dictionary.
 //!
 //! # Quickstart
 //!

@@ -3,7 +3,7 @@
 //! The flush path ships batches of sensor readings whose regularity a
 //! byte-oriented codec cannot see: timestamps advance in near-constant
 //! periods, sensor ids repeat wave after wave, and each sensor type's
-//! values follow one of five narrow models. This module splits a batch
+//! values keep to one narrow [`Shape`]. This module splits a batch
 //! into columns and encodes each with the cheapest of six integer
 //! [`Technique`]s, chosen by a per-column cost probe and tagged in the
 //! column's frame header. The probe is size-only — one pass over the
@@ -26,30 +26,29 @@
 //! sensor as a small dense integer. [`StreamEncoder`] and
 //! [`StreamDecoder`] carry that state; their dictionaries advance in
 //! lock-step because every committed addition is carried in the batch
-//! that introduced it, a batch that falls back to DEFLATE commits
-//! nothing on either side, and a sender that ships over a lossy link
-//! stages a batch's additions ([`StreamEncoder::stage_batch`]) and
-//! commits them only when the receiver has verified the batch.
+//! that introduced it, and a sender that ships over a lossy link stages
+//! a batch's additions ([`StreamEncoder::stage_batch`]) and commits them
+//! only when the receiver has verified the batch.
 //!
-//! When regularity breaks — a value variant that contradicts its type's
-//! model, or composites beyond the columnar limits — the encoder falls
-//! back to DEFLATE over a verbatim record serialization and tags the
-//! stream `MODE_FALLBACK`; the envelope overhead of that escape hatch is
-//! [`FALLBACK_OVERHEAD`] bytes. The batch's shape alone decides the
-//! mode: a regular batch always ships columnar, so DEFLATE runs only
-//! when its bytes are shipped. Every column can fall back to raw
-//! varints, which bounds a columnar payload by the verbatim record
-//! bytes plus one frame per column; that it also beats DEFLATE on real
-//! flush traffic is held by a test oracle over captured shipments
+//! The value planes are laid out by each type's [`Shape`]: a batch
+//! holding a value of another variant, or a composite beyond the
+//! columnar limits, is refused with [`Error::UnshippableRecord`] and
+//! stages nothing. Acquisition refuses such a reading where it enters,
+//! so live traffic never meets that error. Every column can fall back to
+//! raw varints, which bounds a payload by the verbatim record bytes plus
+//! one frame per column; that it also beats the byte-oriented codec on
+//! real flush traffic is held by a test oracle over captured shipments
 //! (`tests/flush_codec.rs`), not re-proved per batch.
 //!
 //! # Stream envelope
 //!
 //! ```text
-//! "TSF1" | mode u8 | body … | crc32(mode‖body) LE u32
+//! "TSF1" | mode u8 = 0 | body … | crc32(mode‖body) LE u32
 //! ```
 //!
-//! Columnar body: `varint n_records`, the dictionary-additions block
+//! The envelope is [`ENVELOPE_LEN`] bytes; the mode byte is always
+//! [`MODE_COLUMNAR`], and a decoder refuses any other. The body:
+//! `varint n_records`, the dictionary-additions block
 //! (`varint n_new`, then `(type_code u8, varint index)` per new sensor
 //! in first-appearance order), then framed columns — sensor codes,
 //! timestamps, and per-type value columns in `SensorType::ALL` order
@@ -64,30 +63,19 @@ use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
 
 use scc_sensors::idhash::BuildIdHasher;
-use scc_sensors::{IdMap, Reading, SensorId, SensorType, Value};
+use scc_sensors::{IdMap, Reading, SensorId, SensorType, Shape, Value};
 
 use crate::crc32;
-use crate::deflate;
 use crate::error::{Error, Result};
 
 /// Stream magic: "TSF1" (time-series flush, format 1).
 pub const MAGIC: [u8; 4] = *b"TSF1";
 
-/// Mode byte: columnar body follows.
+/// Mode byte: columnar body follows (the only mode).
 pub const MODE_COLUMNAR: u8 = 0;
-/// Mode byte: DEFLATE-compressed verbatim body follows.
-pub const MODE_FALLBACK: u8 = 1;
-
-/// The mode byte of an encoded stream, read without decoding it (`None`
-/// when the stream is too short to carry one).
-pub fn stream_mode(stream: &[u8]) -> Option<u8> {
-    stream.get(MAGIC.len()).copied()
-}
 
 /// Fixed envelope cost of a stream: magic (4) + mode (1) + CRC-32 (4).
-/// This is the most a fallback-tagged stream can lose to raw DEFLATE of
-/// the same payload.
-pub const FALLBACK_OVERHEAD: usize = 9;
+pub const ENVELOPE_LEN: usize = 9;
 
 /// Hard ceiling on records per batch — decoding never allocates past it.
 pub const MAX_RECORDS: u64 = 1 << 22;
@@ -96,8 +84,8 @@ pub const MAX_RECORDS: u64 = 1 << 22;
 /// exceed the record count, but never this).
 pub(crate) const MAX_COLUMN_INTS: u64 = 1 << 22;
 
-/// Largest composite value the columnar planes accept; bigger fields
-/// force the DEFLATE fallback (and are refused by the columnar decoder).
+/// Largest composite value the columnar planes accept; the encoder
+/// refuses a batch with a wider one, and the decoder a stream.
 pub(crate) const MAX_COMPOSITE_FIELDS: u64 = 1 << 10;
 
 // ---------------------------------------------------------------------------
@@ -629,9 +617,8 @@ fn rebase(e: Error, base: usize) -> Error {
 // ---------------------------------------------------------------------------
 
 /// Maps sensors to dense codes, in first-appearance order across the
-/// lifetime of a stream. The encoder and decoder each hold one; both
-/// commit a batch's additions only when the batch ships columnar, so the
-/// two sides stay in lock-step as long as each side commits exactly the
+/// lifetime of a stream. The encoder and decoder each hold one, and the
+/// two stay in lock-step as long as each side commits exactly the
 /// batches the other does, in order: the decoder a batch it verified,
 /// the encoder a batch the receiver acknowledged.
 ///
@@ -674,34 +661,8 @@ impl<S: BuildHasher> SensorDict<S> {
 }
 
 // ---------------------------------------------------------------------------
-// Value models.
+// Sensor type codes.
 // ---------------------------------------------------------------------------
-
-/// Which value shape a sensor type ships (mirrors the wire grammar in
-/// `scc_sensors::wire`): the columnar planes are laid out per model, so
-/// a batch whose values contradict their types' models is irregular and
-/// rides the DEFLATE fallback instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ValueModel {
-    Scalar,
-    Counter,
-    Flag,
-    Level,
-    Composite,
-}
-
-fn value_model(ty: SensorType) -> ValueModel {
-    use SensorType::*;
-    match ty {
-        ParkingSpot => ValueModel::Flag,
-        ElectricityMeter | GasMeter | BicycleFlow | PeopleFlow | Traffic => ValueModel::Counter,
-        ContainerGlass | ContainerOrganic | ContainerPaper | ContainerPlastic | ContainerRefuse => {
-            ValueModel::Level
-        }
-        NetworkAnalyzer | AirQuality | Weather => ValueModel::Composite,
-        _ => ValueModel::Scalar,
-    }
-}
 
 fn type_code(ty: SensorType) -> u8 {
     ty.ordinal() as u8
@@ -709,129 +670,6 @@ fn type_code(ty: SensorType) -> u8 {
 
 fn type_from_code(code: u8) -> Option<SensorType> {
     SensorType::ALL.get(code as usize).copied()
-}
-
-// ---------------------------------------------------------------------------
-// Verbatim serialization (the DEFLATE fallback's payload).
-// ---------------------------------------------------------------------------
-
-const VTAG_SCALAR: u8 = 0;
-const VTAG_COUNTER: u8 = 1;
-const VTAG_FLAG: u8 = 2;
-const VTAG_LEVEL: u8 = 3;
-const VTAG_COMPOSITE: u8 = 4;
-
-fn verbatim_encode<R: AsRef<Reading>>(readings: &[R]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(readings.len() * 8 + 4);
-    put_varint(&mut out, readings.len() as u64);
-    for r in readings {
-        let r = r.as_ref();
-        out.push(type_code(r.sensor_type()));
-        put_varint(&mut out, u64::from(r.sensor().index()));
-        put_varint(&mut out, r.timestamp_s());
-        match r.value() {
-            Value::Scalar(v) => {
-                out.push(VTAG_SCALAR);
-                put_varint(&mut out, zigzag(*v));
-            }
-            Value::Counter(c) => {
-                out.push(VTAG_COUNTER);
-                put_varint(&mut out, *c);
-            }
-            Value::Flag(b) => {
-                out.push(VTAG_FLAG);
-                out.push(u8::from(*b));
-            }
-            Value::Level(l) => {
-                out.push(VTAG_LEVEL);
-                out.push(*l);
-            }
-            Value::Composite(fields) => {
-                out.push(VTAG_COMPOSITE);
-                put_varint(&mut out, fields.len() as u64);
-                for &f in fields {
-                    put_varint(&mut out, zigzag(f));
-                }
-            }
-        }
-    }
-    out
-}
-
-fn verbatim_decode(data: &[u8]) -> Result<Vec<Reading>> {
-    let mut pos = 0usize;
-    let n = get_varint(data, &mut pos)?;
-    if n > MAX_RECORDS {
-        return Err(Error::SizeLimitExceeded {
-            declared: n,
-            limit: MAX_RECORDS,
-        });
-    }
-    let mut readings = Vec::with_capacity((n as usize).min(data.len() / 4 + 1));
-    let byte = |data: &[u8], pos: &mut usize| -> Result<u8> {
-        let b = *data
-            .get(*pos)
-            .ok_or(Error::UnexpectedEof { offset: *pos })?;
-        *pos += 1;
-        Ok(b)
-    };
-    for _ in 0..n {
-        let ty_off = pos;
-        let ty = type_from_code(byte(data, &mut pos)?).ok_or(Error::Malformed {
-            reason: "unknown sensor type code",
-            offset: ty_off,
-        })?;
-        let index_raw = get_varint(data, &mut pos)?;
-        let index = u32::try_from(index_raw).map_err(|_| Error::Malformed {
-            reason: "sensor index exceeds 32 bits",
-            offset: pos,
-        })?;
-        let ts = get_varint(data, &mut pos)?;
-        let tag_off = pos;
-        let value = match byte(data, &mut pos)? {
-            VTAG_SCALAR => Value::Scalar(unzigzag(get_varint(data, &mut pos)?)),
-            VTAG_COUNTER => Value::Counter(get_varint(data, &mut pos)?),
-            VTAG_FLAG => match byte(data, &mut pos)? {
-                0 => Value::Flag(false),
-                1 => Value::Flag(true),
-                _ => {
-                    return Err(Error::Malformed {
-                        reason: "flag value out of range",
-                        offset: pos - 1,
-                    })
-                }
-            },
-            VTAG_LEVEL => Value::Level(byte(data, &mut pos)?),
-            VTAG_COMPOSITE => {
-                let len = get_varint(data, &mut pos)?;
-                if len > MAX_COLUMN_INTS {
-                    return Err(Error::SizeLimitExceeded {
-                        declared: len,
-                        limit: MAX_COLUMN_INTS,
-                    });
-                }
-                let mut fields = Vec::with_capacity((len as usize).min(data.len() - pos + 1));
-                for _ in 0..len {
-                    fields.push(unzigzag(get_varint(data, &mut pos)?));
-                }
-                Value::Composite(fields)
-            }
-            _ => {
-                return Err(Error::Malformed {
-                    reason: "unknown value tag",
-                    offset: tag_off,
-                })
-            }
-        };
-        readings.push(Reading::new(SensorId::new(ty, index), ts, value));
-    }
-    if pos != data.len() {
-        return Err(Error::Malformed {
-            reason: "trailing bytes after the last record",
-            offset: pos,
-        });
-    }
-    Ok(readings)
 }
 
 // ---------------------------------------------------------------------------
@@ -861,7 +699,7 @@ struct ColumnScratch {
     /// The flattened zigzag fields of each composite type.
     fields: [Vec<u64>; SensorType::ALL.len()],
     /// Sensors the staged batch adds to the dictionary,
-    /// first-appearance order; empty unless it ships columnar.
+    /// first-appearance order.
     staged: Vec<SensorId>,
     staged_index: IdMap<SensorId, u64>,
     probe: DictProbe,
@@ -869,14 +707,18 @@ struct ColumnScratch {
 
 impl ColumnScratch {
     /// Transposes `readings` into the columns in one pass, staging the
-    /// sensors `dict` has not committed. Returns `false` when the batch
-    /// is irregular: a value variant contradicting its type's model, or
-    /// composites beyond the columnar limits.
+    /// sensors `dict` has not committed.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnshippableRecord`] for the first reading whose value is
+    /// of another variant than its type's [`Shape`], or whose composite
+    /// exceeds the columnar limits; the columns are then partial.
     fn transpose<R: AsRef<Reading>>(
         &mut self,
         dict: &SensorDict<BuildIdHasher>,
         readings: &[R],
-    ) -> bool {
+    ) -> Result<()> {
         self.codes.clear();
         self.timestamps.clear();
         self.values.iter_mut().for_each(Vec::clear);
@@ -884,23 +726,28 @@ impl ColumnScratch {
         self.staged.clear();
         self.staged_index.clear();
         let committed = dict.len() as u64;
-        for r in readings {
+        for (record, r) in readings.iter().enumerate() {
             let r = r.as_ref();
             let id = r.sensor();
             let t = id.sensor_type().ordinal();
             let column = &mut self.values[t];
-            match (value_model(id.sensor_type()), r.value()) {
-                (ValueModel::Scalar, Value::Scalar(v)) => column.push(zigzag(*v)),
-                (ValueModel::Counter, Value::Counter(c)) => column.push(*c),
-                (ValueModel::Flag, Value::Flag(b)) => column.push(u64::from(*b)),
-                (ValueModel::Level, Value::Level(l)) => column.push(u64::from(*l)),
-                (ValueModel::Composite, Value::Composite(fs))
-                    if fs.len() as u64 <= MAX_COMPOSITE_FIELDS =>
-                {
+            let refuse = |reason| Err(Error::UnshippableRecord { record, reason });
+            match (id.sensor_type().shape(), r.value()) {
+                (Shape::Scalar, Value::Scalar(v)) => column.push(zigzag(*v)),
+                (Shape::Counter, Value::Counter(c)) => column.push(*c),
+                (Shape::Flag, Value::Flag(b)) => column.push(u64::from(*b)),
+                (Shape::Level, Value::Level(l)) => column.push(u64::from(*l)),
+                (Shape::Composite { .. }, Value::Composite(fs)) => {
+                    let fields = &mut self.fields[t];
+                    if fs.len() as u64 > MAX_COMPOSITE_FIELDS
+                        || (fields.len() + fs.len()) as u64 > MAX_COLUMN_INTS
+                    {
+                        return refuse("composite beyond the columnar limits");
+                    }
                     column.push(fs.len() as u64);
-                    self.fields[t].extend(fs.iter().map(|&f| zigzag(f)));
+                    fields.extend(fs.iter().map(|&f| zigzag(f)));
                 }
-                _ => return false,
+                _ => return refuse("value variant contradicts its sensor type's shape"),
             }
             let code = dict.code_of(id).unwrap_or_else(|| {
                 *self.staged_index.entry(id).or_insert_with(|| {
@@ -911,9 +758,7 @@ impl ColumnScratch {
             self.codes.push(code);
             self.timestamps.push(r.timestamp_s());
         }
-        self.fields
-            .iter()
-            .all(|fields| fields.len() as u64 <= MAX_COLUMN_INTS)
+        Ok(())
     }
 
     /// Writes the columnar body of the transposed batch.
@@ -932,7 +777,7 @@ impl ColumnScratch {
                 continue;
             }
             probe_column(&self.values[t], &mut self.probe, out);
-            if value_model(ty) == ValueModel::Composite {
+            if let Shape::Composite { .. } = ty.shape() {
                 probe_column(&self.fields[t], &mut self.probe, out);
             }
         }
@@ -966,20 +811,17 @@ impl StreamEncoder {
     /// Encodes one batch, holding its dictionary additions staged until
     /// [`StreamEncoder::commit`] (the receiver verified the payload) or
     /// [`StreamEncoder::discard`] (it refused it, or it never arrived);
-    /// the next staged batch also drops them. A regular batch — every
-    /// value in its type's model, composites within the columnar limits
-    /// — ships [`MODE_COLUMNAR`] and stages the sensors it adds; an
-    /// irregular one ships [`MODE_FALLBACK`], DEFLATE over the verbatim
-    /// records, and stages nothing, so the decoder stays in step either
-    /// way. The mode is decided by the batch's shape alone: DEFLATE runs
-    /// only when its bytes are shipped. The batch is anything that lends
-    /// readings — `&[Reading]`, or the records that wrap them — so a
-    /// sender never copies its batch to encode it.
+    /// the next staged batch also drops them. The batch is anything that
+    /// lends readings — `&[Reading]`, or the records that wrap them — so
+    /// a sender never copies its batch to encode it.
     ///
     /// # Errors
     ///
     /// [`Error::SizeLimitExceeded`] on a batch beyond [`MAX_RECORDS`];
-    /// DEFLATE errors from the fallback path.
+    /// [`Error::UnshippableRecord`] on a value of another variant than
+    /// its type's [`Shape`], or a composite beyond the columnar limits;
+    /// then nothing is staged, and a `commit` leaves the dictionary as
+    /// the last committed batch left it.
     pub fn stage_batch<R: AsRef<Reading>>(&mut self, readings: &[R]) -> Result<Vec<u8>> {
         if readings.len() as u64 > MAX_RECORDS {
             return Err(Error::SizeLimitExceeded {
@@ -987,18 +829,16 @@ impl StreamEncoder {
                 limit: MAX_RECORDS,
             });
         }
+        if let Err(refused) = self.columns.transpose(&self.dict, readings) {
+            self.discard();
+            return Err(refused);
+        }
         // A reserve, not a bound: warm flush traffic runs at three to
         // five bytes a record.
-        let mut out = Vec::with_capacity(FALLBACK_OVERHEAD + 16 + 4 * readings.len());
+        let mut out = Vec::with_capacity(ENVELOPE_LEN + 16 + 4 * readings.len());
         out.extend_from_slice(&MAGIC);
-        if self.columns.transpose(&self.dict, readings) {
-            out.push(MODE_COLUMNAR);
-            self.columns.write_body(&mut out);
-        } else {
-            self.discard();
-            out.push(MODE_FALLBACK);
-            out.extend_from_slice(&deflate::compress(&verbatim_encode(readings))?);
-        }
+        out.push(MODE_COLUMNAR);
+        self.columns.write_body(&mut out);
         let crc = crc32::checksum(&out[MAGIC.len()..]);
         out.extend_from_slice(&crc.to_le_bytes());
         Ok(out)
@@ -1032,15 +872,9 @@ pub struct StreamDecoder {
 /// Stream offset of the body: after the magic and the mode byte.
 const BODY_OFFSET: usize = MAGIC.len() + 1;
 
-/// A stream's body, by mode.
-enum Body<'a> {
-    Columnar(&'a [u8]),
-    Fallback(&'a [u8]),
-}
-
 /// Checks a stream's envelope — magic, length, CRC, mode — and returns
 /// its body.
-fn open(data: &[u8]) -> Result<Body<'_>> {
+fn open(data: &[u8]) -> Result<&[u8]> {
     if data.len() < MAGIC.len() {
         return Err(Error::UnexpectedEof { offset: data.len() });
     }
@@ -1049,7 +883,7 @@ fn open(data: &[u8]) -> Result<Body<'_>> {
         found.copy_from_slice(&data[..4]);
         return Err(Error::BadMagic { found });
     }
-    if data.len() < FALLBACK_OVERHEAD {
+    if data.len() < ENVELOPE_LEN {
         return Err(Error::UnexpectedEof { offset: data.len() });
     }
     let crc_start = data.len() - 4;
@@ -1061,15 +895,13 @@ fn open(data: &[u8]) -> Result<Body<'_>> {
     if expected != actual {
         return Err(Error::ChecksumMismatch { expected, actual });
     }
-    let body = &data[BODY_OFFSET..crc_start];
-    match data[MAGIC.len()] {
-        MODE_COLUMNAR => Ok(Body::Columnar(body)),
-        MODE_FALLBACK => Ok(Body::Fallback(body)),
-        _ => Err(Error::Malformed {
+    if data[MAGIC.len()] != MODE_COLUMNAR {
+        return Err(Error::Malformed {
             reason: "unknown stream mode",
             offset: MAGIC.len(),
-        }),
+        });
     }
+    Ok(&data[BODY_OFFSET..crc_start])
 }
 
 impl StreamDecoder {
@@ -1084,9 +916,9 @@ impl StreamDecoder {
     }
 
     /// Decodes one batch. The dictionary advances only on a successful
-    /// columnar decode — a stream that errors leaves the decoder state
-    /// untouched, so the caller can refuse the shipment and await a
-    /// clean re-delivery.
+    /// decode — a stream that errors leaves the decoder state untouched,
+    /// so the caller can refuse the shipment and await a clean
+    /// re-delivery.
     ///
     /// # Errors
     ///
@@ -1095,15 +927,10 @@ impl StreamDecoder {
     /// [`Error::Malformed`]; never panics, never allocates past the
     /// declared (validated) counts.
     pub fn decode_batch(&mut self, data: &[u8]) -> Result<Vec<Reading>> {
-        match open(data)? {
-            Body::Fallback(body) => verbatim_decode(&deflate::decompress(body)?),
-            Body::Columnar(body) => {
-                self.columns.decode(&self.dict, body)?;
-                let readings = self.columns.readings()?;
-                self.commit();
-                Ok(readings)
-            }
-        }
+        self.columns.decode(&self.dict, open(data)?)?;
+        let readings = self.columns.readings()?;
+        self.commit();
+        Ok(readings)
     }
 
     /// Checks one batch against `batch`, the records shipped beside it,
@@ -1118,21 +945,12 @@ impl StreamDecoder {
     ///
     /// As [`StreamDecoder::decode_batch`].
     pub fn verify_batch<R: AsRef<Reading>>(&mut self, data: &[u8], batch: &[R]) -> Result<bool> {
-        match open(data)? {
-            Body::Fallback(body) => {
-                let readings = verbatim_decode(&deflate::decompress(body)?)?;
-                Ok(readings.len() == batch.len()
-                    && readings.iter().zip(batch).all(|(r, b)| r == b.as_ref()))
-            }
-            Body::Columnar(body) => {
-                self.columns.decode(&self.dict, body)?;
-                let matches = self.columns.matches(batch)?;
-                if matches {
-                    self.commit();
-                }
-                Ok(matches)
-            }
+        self.columns.decode(&self.dict, open(data)?)?;
+        let matches = self.columns.matches(batch)?;
+        if matches {
+            self.commit();
         }
+        Ok(matches)
     }
 
     /// Commits the decoded batch's additions, exactly as the encoder did.
@@ -1143,7 +961,7 @@ impl StreamDecoder {
     }
 }
 
-/// One columnar batch decoded column by column into vectors the decoder
+/// One batch decoded column by column into vectors the decoder
 /// owns and reuses across batches. Both finishes read it:
 /// [`StreamDecoder::decode_batch`] assembles readings from it, and
 /// [`StreamDecoder::verify_batch`] compares records with it in place.
@@ -1158,7 +976,7 @@ struct DecodedColumns {
     sensors: Vec<SensorId>,
     timestamps: Vec<u64>,
     /// One value column per sensor type, laid out as the encoder's
-    /// [`ColumnScratch`] lays it out, each checked against its model.
+    /// [`ColumnScratch`] lays it out, each checked against its shape.
     values: [Vec<u64>; SensorType::ALL.len()],
     /// The flattened zigzag fields of each composite type.
     fields: [Vec<u64>; SensorType::ALL.len()],
@@ -1242,19 +1060,19 @@ impl DecodedColumns {
                 continue;
             }
             column(&mut pos, counts[t], values)?;
-            match value_model(ty) {
-                ValueModel::Scalar | ValueModel::Counter => {}
-                ValueModel::Flag => {
+            match ty.shape() {
+                Shape::Scalar | Shape::Counter => {}
+                Shape::Flag => {
                     if values.iter().any(|&v| v > 1) {
                         return Err(err("flag value out of range", pos));
                     }
                 }
-                ValueModel::Level => {
+                Shape::Level => {
                     if values.iter().any(|&v| v > u64::from(u8::MAX)) {
                         return Err(err("level value out of range", pos));
                     }
                 }
-                ValueModel::Composite => {
+                Shape::Composite { .. } => {
                     let mut total = 0u64;
                     for &c in values.iter() {
                         if c > MAX_COMPOSITE_FIELDS {
@@ -1275,7 +1093,7 @@ impl DecodedColumns {
 
     /// Walks the decoded records in order, handing `visit` each one's
     /// sensor, timestamp, value-column entry (a composite's field count)
-    /// and composite fields (empty for every other model). Stops at, and
+    /// and composite fields (empty for every other shape). Stops at, and
     /// returns `false` for, the first `false` `visit` returns.
     fn walk(&self, mut visit: impl FnMut(SensorId, u64, u64, &[u64]) -> bool) -> Result<bool> {
         let short = || Error::Malformed {
@@ -1289,7 +1107,7 @@ impl DecodedColumns {
             let t = ty.ordinal();
             let v = *self.values[t].get(next[t]).ok_or_else(short)?;
             next[t] += 1;
-            let fields: &[u64] = if value_model(ty) == ValueModel::Composite {
+            let fields: &[u64] = if let Shape::Composite { .. } = ty.shape() {
                 let from = next_field[t];
                 next_field[t] = from + v as usize;
                 self.fields[t].get(from..next_field[t]).ok_or_else(short)?
@@ -1307,7 +1125,7 @@ impl DecodedColumns {
     fn readings(&self) -> Result<Vec<Reading>> {
         let mut readings = Vec::with_capacity(self.sensors.len());
         self.walk(|sensor, ts, v, fields| {
-            let value = model_value(value_model(sensor.sensor_type()), v, fields);
+            let value = shape_value(sensor.sensor_type().shape(), v, fields);
             readings.push(Reading::new(sensor, ts, value));
             true
         })?;
@@ -1324,34 +1142,34 @@ impl DecodedColumns {
             records.next().is_some_and(|r| {
                 r.sensor() == sensor
                     && r.timestamp_s() == ts
-                    && value_matches(value_model(sensor.sensor_type()), r.value(), v, fields)
+                    && value_matches(sensor.sensor_type().shape(), r.value(), v, fields)
             })
         })
     }
 }
 
-/// The value a decoded column entry `v` stands for under `model` (for a
+/// The value a decoded column entry `v` stands for under `shape` (for a
 /// composite, `v` is the field count and `fields` the zigzag fields).
-/// The entry has passed its model's range check.
-fn model_value(model: ValueModel, v: u64, fields: &[u64]) -> Value {
-    match model {
-        ValueModel::Scalar => Value::Scalar(unzigzag(v)),
-        ValueModel::Counter => Value::Counter(v),
-        ValueModel::Flag => Value::Flag(v == 1),
-        ValueModel::Level => Value::Level(v as u8),
-        ValueModel::Composite => Value::Composite(fields.iter().map(|&f| unzigzag(f)).collect()),
+/// The entry has passed its shape's range check.
+fn shape_value(shape: Shape, v: u64, fields: &[u64]) -> Value {
+    match shape {
+        Shape::Scalar => Value::Scalar(unzigzag(v)),
+        Shape::Counter => Value::Counter(v),
+        Shape::Flag => Value::Flag(v == 1),
+        Shape::Level => Value::Level(v as u8),
+        Shape::Composite { .. } => Value::Composite(fields.iter().map(|&f| unzigzag(f)).collect()),
     }
 }
 
-/// Whether `value` equals [`model_value`]`(model, v, fields)`, decided
+/// Whether `value` equals [`shape_value`]`(shape, v, fields)`, decided
 /// by encoding `value` rather than decoding the entry.
-fn value_matches(model: ValueModel, value: &Value, v: u64, fields: &[u64]) -> bool {
-    match (model, value) {
-        (ValueModel::Scalar, Value::Scalar(x)) => zigzag(*x) == v,
-        (ValueModel::Counter, Value::Counter(c)) => *c == v,
-        (ValueModel::Flag, Value::Flag(b)) => u64::from(*b) == v,
-        (ValueModel::Level, Value::Level(l)) => u64::from(*l) == v,
-        (ValueModel::Composite, Value::Composite(fs)) => {
+fn value_matches(shape: Shape, value: &Value, v: u64, fields: &[u64]) -> bool {
+    match (shape, value) {
+        (Shape::Scalar, Value::Scalar(x)) => zigzag(*x) == v,
+        (Shape::Counter, Value::Counter(c)) => *c == v,
+        (Shape::Flag, Value::Flag(b)) => u64::from(*b) == v,
+        (Shape::Level, Value::Level(l)) => u64::from(*l) == v,
+        (Shape::Composite { .. }, Value::Composite(fs)) => {
             fs.len() == fields.len() && fs.iter().zip(fields).all(|(&f, &z)| zigzag(f) == z)
         }
         _ => false,
@@ -1646,29 +1464,80 @@ mod tests {
         assert_eq!(dec.dict_len(), 40);
     }
 
+    /// An irregular value, one its type's shape does not admit, no
+    /// longer rides a DEFLATE fallback: the batch is refused and the
+    /// first such record is named.
     #[test]
     fn irregular_values_ride_the_fallback() {
-        // A parking spot shipping a scalar contradicts its model.
-        let odd = vec![Reading::new(
-            SensorId::new(SensorType::ParkingSpot, 1),
+        // A parking spot shipping a scalar contradicts its shape; the
+        // batch's first record is fine and the second is named.
+        let mut enc = StreamEncoder::new();
+        let odd = vec![
+            Reading::new(
+                SensorId::new(SensorType::ParkingSpot, 0),
+                900,
+                Value::Flag(true),
+            ),
+            Reading::new(
+                SensorId::new(SensorType::ParkingSpot, 1),
+                900,
+                Value::Scalar(200),
+            ),
+        ];
+        assert!(matches!(
+            enc.encode_batch(&odd),
+            Err(Error::UnshippableRecord { record: 1, .. })
+        ));
+        assert_eq!(enc.dict_len(), 0);
+        // A composite past the columnar limit is refused the same way.
+        let wide = vec![Reading::new(
+            SensorId::new(SensorType::Weather, 0),
             900,
-            Value::Scalar(200),
+            Value::Composite(vec![0; MAX_COMPOSITE_FIELDS as usize + 1]),
         )];
-        let packed = encode_once(&odd).unwrap();
-        assert_eq!(packed[4], MODE_FALLBACK);
-        assert_eq!(decode_once(&packed).unwrap(), odd);
+        assert!(matches!(
+            enc.encode_batch(&wide),
+            Err(Error::UnshippableRecord { record: 0, .. })
+        ));
+        assert_eq!(enc.dict_len(), 0);
     }
 
+    /// The refusal that took the fallback's place commits no dictionary
+    /// state: a `commit` after it keeps `dict_len`, and the next batch
+    /// decodes against a decoder that saw only the committed ones.
     #[test]
     fn fallback_commits_no_dictionary_state() {
         let mut enc = StreamEncoder::new();
-        let odd = vec![Reading::new(
-            SensorId::new(SensorType::ParkingSpot, 1),
-            900,
-            Value::Scalar(200),
-        )];
-        enc.encode_batch(&odd).unwrap();
-        assert_eq!(enc.dict_len(), 0);
+        let mut dec = StreamDecoder::new();
+        let first = vec![scalar(0, 900, 20.0)];
+        assert_eq!(
+            dec.decode_batch(&enc.encode_batch(&first).unwrap()),
+            Ok(first.clone())
+        );
+        assert_eq!(enc.dict_len(), 1);
+        let odd = vec![
+            scalar(1, 1800, 21.0),
+            Reading::new(
+                SensorId::new(SensorType::ParkingSpot, 1),
+                1800,
+                Value::Scalar(200),
+            ),
+        ];
+        assert!(enc.stage_batch(&odd).is_err());
+        enc.commit();
+        assert_eq!(enc.dict_len(), 1);
+        let next = vec![scalar(0, 2700, 20.5), scalar(2, 2700, 22.0)];
+        assert_eq!(
+            dec.decode_batch(&enc.encode_batch(&next).unwrap()),
+            Ok(next)
+        );
+        assert_eq!((enc.dict_len(), dec.dict_len()), (2, 2));
+        let mut fresh = StreamEncoder::new();
+        assert!(fresh.stage_batch(&odd).is_err());
+        fresh.commit();
+        assert_eq!(fresh.dict_len(), 0);
+        let packed = fresh.encode_batch(&first).unwrap();
+        assert_eq!(StreamDecoder::new().decode_batch(&packed), Ok(first));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The flush stream under an ACK/NACK schedule: a sender stages each
 //! batch's dictionary additions and commits them only when the receiver
 //! acknowledges the payload. A batch lost on the way or refused by the
-//! receiver's CRC check is re-shipped merged with the next one, and the
-//! two dictionaries never drift apart.
+//! receiver's CRC check is re-shipped merged with the next one, a batch
+//! the encoder refuses stages nothing, and the two dictionaries never
+//! drift apart.
 
 use f2c_compress::tsenc::{StreamDecoder, StreamEncoder, MODE_COLUMNAR};
 use f2c_compress::Error;
@@ -11,7 +12,7 @@ use scc_sensors::{Reading, SensorId, SensorType, Value};
 
 /// `count` Traffic counters from sensor `first` on, at second `t`; an
 /// `odd` wave adds a parking spot reporting a scalar, which contradicts
-/// its type's model and forces the DEFLATE fallback.
+/// its type's shape, so the encoder refuses the batch.
 fn wave(first: u32, count: u32, t: u64, odd: bool) -> Vec<Reading> {
     let mut readings: Vec<Reading> = (first..first + count)
         .map(|i| {
@@ -59,7 +60,25 @@ proptest! {
         // The sender's queue: what it has not yet had acknowledged.
         let mut pending: Vec<Reading> = Vec::new();
         for (step, &(first, count, odd, answer)) in steps.iter().enumerate() {
-            pending.extend(wave(first, count, 900 * step as u64, odd));
+            let batch = wave(first, count, 900 * step as u64, odd);
+            if odd {
+                // The odd record is the last; nothing is staged, so a
+                // commit now commits nothing.
+                let before = encoder.dict_len();
+                let refused = encoder.stage_batch(&[pending.as_slice(), &batch].concat());
+                prop_assert!(
+                    matches!(
+                        refused,
+                        Err(Error::UnshippableRecord { record, .. })
+                            if record == pending.len() + batch.len() - 1
+                    ),
+                    "{:?}", refused
+                );
+                encoder.commit();
+                prop_assert_eq!(encoder.dict_len(), before);
+                continue;
+            }
+            pending.extend(batch);
             let mut payload = encoder.stage_batch(&pending).unwrap();
             match answer {
                 Answer::Ack => {
@@ -97,6 +116,36 @@ fn a_mismatching_batch_commits_nothing() {
     assert_eq!(decoder.dict_len(), 0, "a refused batch adds no sensor");
     assert!(decoder.verify_batch(&payload, &batch).unwrap());
     assert_eq!(decoder.dict_len(), encoder.dict_len());
+}
+
+#[test]
+fn a_refused_batch_leaves_the_encoder_as_it_was() {
+    let mut encoder = StreamEncoder::new();
+    // Five new sensors ahead of the odd record would have been staged.
+    let odd = wave(0, 5, 900, true);
+    assert!(matches!(
+        encoder.stage_batch(&odd),
+        Err(Error::UnshippableRecord { record: 5, .. })
+    ));
+    encoder.commit();
+    assert_eq!(encoder.dict_len(), 0);
+    // The next batch codes its sensors as if the refused one never was.
+    let next = wave(0, 10, 1_800, false);
+    let mut fresh = StreamDecoder::new();
+    assert_eq!(
+        fresh.decode_batch(&encoder.encode_batch(&next).unwrap()),
+        Ok(next)
+    );
+    // Mid-stream, over committed sensors, the same.
+    assert!(encoder.stage_batch(&wave(20, 3, 2_700, true)).is_err());
+    encoder.commit();
+    assert_eq!(encoder.dict_len(), 10);
+    let after = wave(5, 10, 3_600, false);
+    assert_eq!(
+        fresh.decode_batch(&encoder.encode_batch(&after).unwrap()),
+        Ok(after)
+    );
+    assert_eq!((encoder.dict_len(), fresh.dict_len()), (15, 15));
 }
 
 #[test]

@@ -1,13 +1,13 @@
 //! `tsenc` known-answer vectors: frozen hex fixtures for each column
-//! technique and for full streams (columnar, dictionary-persistent,
-//! fallback). The codec is deterministic, so any byte of drift in these
-//! fixtures is a wire-format break — bump the stream magic before
-//! changing them.
+//! technique and for full streams (empty, single- and multi-type,
+//! dictionary-persistent), plus the refusal of an irregular batch. The
+//! codec is deterministic, so any byte of drift in these fixtures is a
+//! wire-format break — bump the stream magic before changing them.
 
 use f2c_compress::tsenc::{
     self, decode_column, encode_column_as, StreamDecoder, StreamEncoder, Technique, MODE_COLUMNAR,
-    MODE_FALLBACK,
 };
+use f2c_compress::Error;
 use scc_sensors::{Reading, SensorId, SensorType, Value};
 
 fn hex(bytes: &[u8]) -> String {
@@ -174,9 +174,9 @@ fn dictionary_persistent_stream_matches_known_answers() {
     assert_eq!(dec.dict_len(), 2);
 }
 
-/// An irregular batch (a counter-model sensor shipping a flag) rides
-/// the DEFLATE fallback; the deflate stack is deterministic, so the
-/// fallback bytes freeze too.
+/// An irregular batch (a counter-shaped sensor shipping a flag) once
+/// rode the DEFLATE fallback; its known answer is now a refusal naming
+/// the record, and the frozen fallback bytes decode to an unknown mode.
 #[test]
 fn irregular_batch_fallback_matches_known_answer() {
     let readings = vec![Reading::new(
@@ -184,9 +184,20 @@ fn irregular_batch_fallback_matches_known_answer() {
         900,
         Value::Flag(true),
     )];
-    let expected = "5453463101465a4331070000000000000002c11c9c00011300840702017606e9fe";
-    let encoded = tsenc::encode_once(&readings).unwrap();
-    assert_eq!(hex(&encoded), expected);
-    assert_eq!(encoded[4], MODE_FALLBACK);
-    assert_eq!(tsenc::decode_once(&unhex(expected)).unwrap(), readings);
+    let refused = Err(Error::UnshippableRecord {
+        record: 0,
+        reason: "value variant contradicts its sensor type's shape",
+    });
+    assert_eq!(tsenc::encode_once(&readings), refused);
+    let mut enc = StreamEncoder::new();
+    assert_eq!(enc.stage_batch(&readings), refused);
+    assert_eq!(enc.dict_len(), 0);
+    let retired = "5453463101465a4331070000000000000002c11c9c00011300840702017606e9fe";
+    assert_eq!(
+        tsenc::decode_once(&unhex(retired)),
+        Err(Error::Malformed {
+            reason: "unknown stream mode",
+            offset: 4,
+        })
+    );
 }

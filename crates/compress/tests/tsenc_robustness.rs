@@ -10,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use f2c_compress::tsenc::{
-    self, put_varint, StreamDecoder, StreamEncoder, MAX_RECORDS, MODE_COLUMNAR, MODE_FALLBACK,
+    self, put_varint, StreamDecoder, StreamEncoder, MAX_RECORDS, MODE_COLUMNAR,
 };
 use f2c_compress::{crc32, deflate, Error};
 use scc_sensors::{Reading, SensorId, SensorType, Value};
@@ -323,28 +323,42 @@ fn unknown_mode_and_technique_tags_are_rejected() {
     ));
 }
 
+/// A stream tagged mode 1, the retired DEFLATE-over-verbatim fallback
+/// body, is refused by its mode byte whatever it carries, with a valid
+/// CRC.
 #[test]
 fn fallback_bodies_are_validated_end_to_end() {
-    // Garbage that is not a deflate stream.
-    assert!(decode(&seal(MODE_FALLBACK, &[0xde, 0xad, 0xbe, 0xef])).is_err());
+    let mode_one = |stream: &[u8]| {
+        assert_eq!(
+            decode(stream),
+            Err(Error::Malformed {
+                reason: "unknown stream mode",
+                offset: 4,
+            })
+        );
+    };
+    // The frozen vector the encoder once wrote for a Traffic counter
+    // reporting a flag.
+    let retired = "5453463101465a4331070000000000000002c11c9c00011300840702017606e9fe";
+    let retired: Vec<u8> = (0..retired.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&retired[i..i + 2], 16).unwrap())
+        .collect();
+    mode_one(&retired);
 
-    // A genuine deflate stream whose verbatim payload lies about its
-    // record count.
+    // Garbage, genuine DEFLATE bodies, and a body that is valid columnar.
+    mode_one(&seal(1, &[0xde, 0xad, 0xbe, 0xef]));
     let mut verbatim = Vec::new();
     put_varint(&mut verbatim, 100); // declares 100 records, carries none
-    let packed = deflate::compress(&verbatim).unwrap();
-    assert!(decode(&seal(MODE_FALLBACK, &packed)).is_err());
+    mode_one(&seal(1, &deflate::compress(&verbatim).unwrap()));
+    let valid = tsenc::encode_once(&sample_batch()).unwrap();
+    mode_one(&seal(1, &valid[5..valid.len() - 4]));
 
-    // A genuine deflate stream with trailing bytes after the last
-    // record.
-    let mut verbatim = Vec::new();
-    put_varint(&mut verbatim, 0);
-    verbatim.extend_from_slice(b"junk");
-    let packed = deflate::compress(&verbatim).unwrap();
-    assert!(matches!(
-        decode(&seal(MODE_FALLBACK, &packed)),
-        Err(Error::Malformed { .. })
-    ));
+    // A refused stream leaves the dictionary for a clean re-delivery.
+    let mut decoder = StreamDecoder::new();
+    assert!(decoder.decode_batch(&retired).is_err());
+    assert_eq!(decoder.dict_len(), 0);
+    assert_eq!(decoder.decode_batch(&valid), Ok(sample_batch()));
 }
 
 #[test]

@@ -1,32 +1,38 @@
 //! Property-based oracle for the `tsenc` flush codec: every batch the
 //! encoder accepts must decode back record-for-record — per technique,
 //! per column, and through the composed stream codec with its
-//! cross-batch dictionary state. Decoding must never panic on garbage.
+//! cross-batch dictionary state — and every batch it refuses must name
+//! its first odd record. Decoding must never panic on garbage.
 
 use f2c_compress::tsenc::{
     self, decode_column, encode_column, encode_column_as, StreamDecoder, StreamEncoder, Technique,
     MODE_COLUMNAR,
 };
+use f2c_compress::Error;
 use proptest::prelude::*;
-use scc_sensors::{Reading, SensorId, SensorType, Value};
+use scc_sensors::{Reading, SensorId, SensorType, Shape, Value};
 
 /// Raw entropy for one reading: `(type index, sensor index, timestamp,
 /// value entropy, composite fields)`.
 type RawReading = (usize, u32, u64, u64, Vec<i64>);
 
-/// A value obeying `ty`'s wire model (mirrors `scc_sensors::wire`), so
-/// the batch stays regular (columnar-eligible).
+/// A value of `ty`'s shape's variant, so the batch stays regular. The
+/// codec does not check a composite's arity, so `fields` may be any
+/// length.
 fn value_for(ty: SensorType, raw: u64, fields: &[i64]) -> Value {
-    use SensorType::*;
-    match ty {
-        ParkingSpot => Value::Flag(raw & 1 == 1),
-        ElectricityMeter | GasMeter | BicycleFlow | PeopleFlow | Traffic => Value::Counter(raw),
-        ContainerGlass | ContainerOrganic | ContainerPaper | ContainerPlastic | ContainerRefuse => {
-            Value::Level(raw as u8)
-        }
-        NetworkAnalyzer | AirQuality | Weather => Value::Composite(fields.to_vec()),
-        _ => Value::Scalar(raw as i64),
+    match ty.shape() {
+        Shape::Flag => Value::Flag(raw & 1 == 1),
+        Shape::Counter => Value::Counter(raw),
+        Shape::Level => Value::Level(raw as u8),
+        Shape::Composite { .. } => Value::Composite(fields.to_vec()),
+        Shape::Scalar => Value::Scalar(raw as i64),
     }
+}
+
+/// Whether `reading`'s value is of its type's shape's variant.
+fn regular_value(reading: &Reading) -> bool {
+    std::mem::discriminant(reading.value())
+        == std::mem::discriminant(&value_for(reading.sensor_type(), 0, &[]))
 }
 
 fn regular(raws: &[RawReading]) -> Vec<Reading> {
@@ -38,9 +44,9 @@ fn regular(raws: &[RawReading]) -> Vec<Reading> {
         .collect()
 }
 
-/// Readings whose values may contradict their types' models (forcing
-/// the DEFLATE fallback for some batches): the value is drawn from a
-/// possibly different type's model.
+/// Readings whose values may contradict their types' shapes (so the
+/// encoder refuses some batches): the value is drawn from a possibly
+/// different type's shape.
 fn possibly_irregular(raws: &[RawReading]) -> Vec<Reading> {
     raws.iter()
         .map(|(t, idx, ts, raw, fields)| {
@@ -113,12 +119,22 @@ proptest! {
     }
 
     #[test]
-    fn irregular_batches_still_roundtrip_via_fallback(
+    fn irregular_batches_are_refused_at_their_first_odd_record(
         raws in proptest::collection::vec(raw_reading(), 0..120),
     ) {
         let readings = possibly_irregular(&raws);
-        let encoded = tsenc::encode_once(&readings).unwrap();
-        prop_assert_eq!(tsenc::decode_once(&encoded).unwrap(), readings);
+        let first_odd = readings.iter().position(|r| !regular_value(r));
+        let mut enc = StreamEncoder::new();
+        match (enc.encode_batch(&readings), first_odd) {
+            (Ok(encoded), None) => {
+                prop_assert_eq!(tsenc::decode_once(&encoded).unwrap(), readings);
+            }
+            (Err(Error::UnshippableRecord { record, .. }), Some(odd)) => {
+                prop_assert_eq!(record, odd);
+                prop_assert_eq!(enc.dict_len(), 0, "a refused batch stages nothing");
+            }
+            (outcome, odd) => prop_assert!(false, "{:?} with first odd record {:?}", outcome, odd),
+        }
     }
 
     #[test]
@@ -147,13 +163,10 @@ proptest! {
     #[test]
     fn verify_batch_is_decode_batch_plus_a_compare(
         raws in proptest::collection::vec(raw_reading(), 1..120),
-        irregular in any::<bool>(),
         pick in any::<usize>(),
         change in 0usize..5,
     ) {
-        // Regular batches ship columnar and are compared in place;
-        // irregular ones ride the fallback and are decoded and compared.
-        let batch = if irregular { possibly_irregular(&raws) } else { regular(&raws) };
+        let batch = regular(&raws);
         let payload = tsenc::encode_once(&batch).unwrap();
         let mut decoder = StreamDecoder::new();
         prop_assert_eq!(decoder.decode_batch(&payload).unwrap(), batch.clone());
@@ -248,9 +261,8 @@ proptest! {
     ) {
         // Uniform random counters at random instants over many sensors:
         // regular, but with nothing for a column technique to find. The
-        // mode follows the batch's shape, not a size contest with
-        // DEFLATE, so the stream stays columnar and both dictionaries
-        // take every sensor.
+        // stream still ships columnar and both dictionaries take every
+        // sensor.
         let readings: Vec<Reading> = raws
             .iter()
             .map(|&(idx, ts, count)| {
@@ -265,7 +277,7 @@ proptest! {
         let (first, second) = readings.split_at(cut.min(readings.len()));
         for batch in [first, second] {
             let payload = enc.encode_batch(batch).unwrap();
-            prop_assert_eq!(tsenc::stream_mode(&payload), Some(MODE_COLUMNAR));
+            prop_assert_eq!(payload[4], MODE_COLUMNAR);
             prop_assert_eq!(dec.decode_batch(&payload).unwrap(), batch.to_vec());
             prop_assert_eq!(enc.dict_len(), dec.dict_len());
         }

@@ -9,7 +9,6 @@ use citysim::net::FailurePlan;
 use citysim::time::SimTime;
 use citysim::{NetScratch, Network, NodeId};
 use f2c_aggregate::sketch::SketchKey;
-use f2c_compress::tsenc;
 use f2c_obs::{
     AlertTransition, BurnRateMonitor, CounterId, ExemplarStore, ExplainStore, Labels,
     MetricsRegistry, Site, SloSpec, Tracer,
@@ -92,9 +91,11 @@ struct CityMetricIds {
     /// `tsenc` payload when the policy compresses, accounting bytes
     /// otherwise. The `flush.bytes_per_record` budget gates on these.
     uplink_flush_bytes: [CounterId; 2],
-    /// Encoded payloads shipped, both hops together, by `tsenc` stream
-    /// mode: `[columnar, fallback]`, indexed by the mode byte.
-    flush_batches: [CounterId; 2],
+    /// Encoded payloads shipped, both hops together.
+    flush_batches: CounterId,
+    /// Offered readings whose value their type's shape does not admit:
+    /// refused at acquisition, never stored.
+    shape_refused: CounterId,
     /// Flush waves run.
     flush_waves: CounterId,
     /// Anti-entropy outcomes: holes healed / carried / unhealable.
@@ -120,22 +121,13 @@ impl CityMetricIds {
                 metrics.counter("flush_uplink_bytes", flush.layer("fog1")),
                 metrics.counter("flush_uplink_bytes", flush.layer("fog2")),
             ],
-            flush_batches: [
-                metrics.counter("flush_batches", flush.kind("columnar")),
-                metrics.counter("flush_batches", flush.kind("fallback")),
-            ],
+            flush_batches: metrics.counter("flush_batches", flush),
+            shape_refused: metrics.counter("ingest_shape_refused", Labels::new().service("ingest")),
             flush_waves: metrics.counter("flush_waves", flush),
             heal_healed: metrics.counter("heal_outcomes", sketch.kind("healed")),
             heal_blocked: metrics.counter("heal_outcomes", sketch.kind("blocked")),
             heal_impossible: metrics.counter("heal_outcomes", sketch.kind("impossible")),
         }
-    }
-
-    /// The `flush_batches` series `batch` counts under: read off its
-    /// payload's mode byte (`None` when the policy ships no payload).
-    fn batch_mode(&self, batch: &FlushBatch) -> Option<CounterId> {
-        let mode = tsenc::stream_mode(batch.payload.as_deref()?)?;
-        self.flush_batches.get(usize::from(mode)).copied()
     }
 }
 
@@ -566,15 +558,9 @@ impl F2cCity {
         )
     }
 
-    /// Encoded flush payloads shipped so far, both hops together, by
-    /// `tsenc` stream mode: `(columnar, fallback)`. The codec picks the
-    /// mode from the batch's shape, so fault-free generator traffic —
-    /// every value in its type's model — must never count a fallback.
-    pub fn flush_batches(&self) -> (u64, u64) {
-        (
-            self.metrics.counter_value(self.ids.flush_batches[0]),
-            self.metrics.counter_value(self.ids.flush_batches[1]),
-        )
+    /// Encoded flush payloads shipped so far, both hops together.
+    pub fn flush_batches(&self) -> u64 {
+        self.metrics.counter_value(self.ids.flush_batches)
     }
 
     /// Meters one consumer request/response on the simulated network:
@@ -690,7 +676,10 @@ impl F2cCity {
         self.shipment_log.append(&mut scratch.shipments);
     }
 
-    /// Ingests one wave of readings at a section's fog-1 node.
+    /// Ingests one wave of readings at a section's fog-1 node. A reading
+    /// whose value its type's [`Shape`](scc_sensors::Shape) does not
+    /// admit is refused by acquisition and counted under
+    /// `ingest_shape_refused{service=ingest}`.
     ///
     /// # Errors
     ///
@@ -716,6 +705,11 @@ impl F2cCity {
                 ..IngestOutcome::default()
             });
         }
+        let refused = readings
+            .iter()
+            .filter(|r| !r.sensor_type().shape().admits(r.value()))
+            .count();
+        self.metrics.add(self.ids.shape_refused, refused as u64);
         self.fog1[section].ingest_wave(readings, now_s, &self.catalog)
     }
 
@@ -1254,8 +1248,8 @@ impl<'a> Receiver<'a> {
             self.obs
                 .reg
                 .add(self.ids.uplink_flush_bytes[h], batch.uplink_bytes());
-            if let Some(mode) = self.ids.batch_mode(&batch) {
-                self.obs.reg.inc(mode);
+            if batch.payload.is_some() {
+                self.obs.reg.inc(self.ids.flush_batches);
             }
             if capture {
                 if let Some(payload) = batch.payload.clone() {
@@ -1372,6 +1366,7 @@ struct FlushShard<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use f2c_compress::tsenc;
     use scc_dlc::DataRecord;
     use scc_sensors::{ReadingGenerator, SensorId, SensorType, Value};
 
@@ -1508,24 +1503,41 @@ mod tests {
     }
 
     #[test]
-    fn flush_batches_count_shipped_payloads_by_stream_mode() {
+    fn a_misshaped_reading_is_refused_at_ingest_and_counted() {
         let mut city = F2cCity::barcelona().unwrap();
-        waves_into(&mut city, 0, SensorType::Weather, 3);
-        waves_into(&mut city, 40, SensorType::Weather, 3);
-        assert_ne!(city.district_of(0), city.district_of(40));
-        city.flush_all(3_000).unwrap();
-        // Two fog-1 shipments, then one per district's fog-2.
-        assert_eq!(city.flush_batches(), (4, 0));
+        city.set_capture_shipments(true);
+        let refused = |city: &F2cCity| {
+            city.metrics()
+                .counter_named("ingest_shape_refused", Labels::new().service("ingest"))
+        };
+        assert_eq!(refused(&city), Some(0));
         // A traffic counter reporting a flag contradicts its type's
-        // model: the batch is irregular on both hops.
+        // shape: refused before it is stored, and counted.
         let odd = Reading::new(
             SensorId::new(SensorType::Traffic, 0),
             3_100,
             Value::Flag(true),
         );
-        assert_eq!(city.ingest(0, vec![odd], 3_101).unwrap().stored, 1);
+        let outcome = city.ingest(0, vec![odd], 3_101).unwrap();
+        assert_eq!((outcome.offered, outcome.stored), (1, 0));
+        assert_eq!(refused(&city), Some(1));
+        // Beside it, traffic of every shape ships and decodes.
+        waves_into(&mut city, 0, SensorType::Weather, 3);
+        waves_into(&mut city, 40, SensorType::Traffic, 3);
+        assert_ne!(city.district_of(0), city.district_of(40));
         city.flush_all(4_000).unwrap();
-        assert_eq!(city.flush_batches(), (4, 2));
+        // Two fog-1 shipments, then one per district's fog-2.
+        assert_eq!(city.flush_batches(), 4);
+        let mut decoders = std::collections::BTreeMap::new();
+        for shipment in city.shipment_log() {
+            let decoder = decoders
+                .entry((shipment.hop, shipment.origin))
+                .or_insert_with(tsenc::StreamDecoder::new);
+            let decoded = decoder.decode_batch(&shipment.payload).unwrap();
+            assert_eq!(decoded, wire::parse_batch(&shipment.wire).unwrap());
+        }
+        assert_eq!(city.shipment_log().len(), 4);
+        assert_eq!(refused(&city), Some(1));
     }
 
     #[test]

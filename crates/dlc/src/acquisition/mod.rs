@@ -16,7 +16,9 @@ use crate::record::DataRecord;
 use scc_sensors::Reading;
 
 /// The full acquisition block as one convenient unit: wraps raw readings
-/// into records and runs them through the four acquisition phases.
+/// into records and runs them through the four acquisition phases. A
+/// reading whose value its type's [`Shape`](scc_sensors::Shape) does not
+/// admit is refused at the quality phase.
 ///
 /// The phases are held as themselves, not as a list of boxes, and a wave
 /// visits each offered reading once: a repeat is dropped while it is
@@ -33,11 +35,17 @@ use scc_sensors::Reading;
 /// use scc_sensors::{Reading, SensorId, SensorType, Value};
 ///
 /// let mut block = AcquisitionBlock::new("Barcelona", 3, 21);
-/// let r = Reading::new(SensorId::new(SensorType::Weather, 0), 10, Value::from_f64(19.0));
+/// // A weather station reports five fields (19.00 °C first).
+/// let value = Value::Composite(vec![1_900, 6_500, 0, 310, 12]);
+/// let r = Reading::new(SensorId::new(SensorType::Weather, 0), 10, value);
 /// let out = block.ingest(vec![r], &PhaseContext::at(12));
 /// assert_eq!(out.len(), 1);
 /// assert!(out[0].descriptor().is_fully_described());
 /// assert!(out[0].quality().unwrap().passed());
+///
+/// // A lone scalar is no weather reading: refused, never stored.
+/// let r = Reading::new(SensorId::new(SensorType::Weather, 1), 10, Value::from_f64(19.0));
+/// assert!(block.ingest(vec![r], &PhaseContext::at(12)).is_empty());
 /// ```
 #[derive(Debug)]
 pub struct AcquisitionBlock {

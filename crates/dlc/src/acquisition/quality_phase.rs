@@ -1,6 +1,7 @@
-//! Data quality: assesses every record against the [`QualityPolicy`] and
-//! (optionally) drops failures, "assessing and guaranteeing higher data
-//! quality" at fog layer 1 (§IV.A).
+//! Data quality: refuses every record whose value contradicts its sensor
+//! type's [`Shape`](scc_sensors::Shape), assesses the rest against the
+//! [`QualityPolicy`] and drops failures, "assessing and guaranteeing
+//! higher data quality" at fog layer 1 (§IV.A).
 
 use crate::phase::{Phase, PhaseContext};
 use crate::quality::QualityPolicy;
@@ -22,8 +23,13 @@ impl QualityPhase {
     }
 
     /// Assesses one record and attaches the report; returns whether the
-    /// record passed and stays.
+    /// record passed and stays. A value its type's shape does not admit
+    /// (another variant, or a composite of another field count) is
+    /// refused unscored: no later phase, store or codec ever sees one.
     pub(crate) fn check(&mut self, rec: &mut DataRecord, ctx: &PhaseContext) -> bool {
+        if !rec.sensor_type().shape().admits(rec.reading().value()) {
+            return false;
+        }
         let collected = rec.descriptor().collected_s().unwrap_or(ctx.now_s);
         let report = self.policy.assess(
             rec.sensor_type(),
@@ -80,6 +86,32 @@ mod tests {
         // Out of range AND stale (created 0, assessed at 10000).
         let out = phase.run(vec![rec(0, 500.0)], &PhaseContext::at(10_000));
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn misshaped_values_are_refused_before_scoring() {
+        let mut phase = QualityPhase::dropping_failures();
+        let mut check = |ty: SensorType, value: Value| {
+            let mut rec = DataRecord::from_reading(Reading::new(SensorId::new(ty, 0), 0, value));
+            (
+                phase.check(&mut rec, &PhaseContext::at(0)),
+                rec.quality().cloned(),
+            )
+        };
+        // Weather reports five fields; a traffic counter is no scalar.
+        assert_eq!(
+            check(SensorType::Weather, Value::Composite(vec![100, 200])),
+            (false, None)
+        );
+        assert_eq!(
+            check(SensorType::Traffic, Value::from_f64(3.0)),
+            (false, None)
+        );
+        let (kept, report) = check(
+            SensorType::Weather,
+            Value::Composite(vec![100, 200, 300, 400, 500]),
+        );
+        assert!(kept && report.is_some_and(|r| r.violations().is_empty()));
     }
 
     #[test]

@@ -21,13 +21,11 @@ pub enum Violation {
     Stale,
     /// The reading's timestamp lies in the future of the collection time.
     FutureTimestamp,
-    /// A composite value with the wrong number of channels.
-    MalformedComposite,
 }
 
-/// Most violations one assessment can detect: range, arity, and one of
+/// Most violations one assessment can detect: range, and one of
 /// future/stale.
-const MAX_VIOLATIONS: usize = 3;
+const MAX_VIOLATIONS: usize = 2;
 
 /// Result of assessing one reading.
 ///
@@ -129,18 +127,9 @@ impl QualityPolicy {
         }
     }
 
-    /// Expected composite channel count, if the type is composite.
-    pub(crate) fn composite_arity(ty: SensorType) -> Option<usize> {
-        use SensorType::*;
-        match ty {
-            NetworkAnalyzer => Some(11),
-            AirQuality => Some(6),
-            Weather => Some(5),
-            _ => None,
-        }
-    }
-
-    /// Assesses one reading collected at `collected_s`.
+    /// Assesses one reading collected at `collected_s`. The value's shape
+    /// is not scored: acquisition refuses a reading its type's
+    /// [`Shape`](scc_sensors::Shape) does not admit before assessing it.
     pub fn assess(
         &self,
         ty: SensorType,
@@ -153,11 +142,6 @@ impl QualityPolicy {
         let mag = value.magnitude();
         if !(lo..=hi).contains(&mag) {
             report.push(Violation::OutOfRange);
-        }
-        if let Value::Composite(fields) = value {
-            if Self::composite_arity(ty).is_some_and(|n| n != fields.len()) {
-                report.push(Violation::MalformedComposite);
-            }
         }
         if created_s > collected_s {
             report.push(Violation::FutureTimestamp);
@@ -220,17 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn composite_arity_checked() {
-        let p = QualityPolicy::paper_default();
-        let bad = Value::Composite(vec![100, 200]); // weather expects 5
-        let r = p.assess(SensorType::Weather, &bad, 0, 0);
-        assert!(r.violations().contains(&Violation::MalformedComposite));
-        let good = Value::Composite(vec![100, 200, 300, 400, 500]);
-        let r = p.assess(SensorType::Weather, &good, 0, 0);
-        assert!(!r.violations().contains(&Violation::MalformedComposite));
-    }
-
-    #[test]
     fn parking_flags_are_in_range() {
         let p = QualityPolicy::paper_default();
         for v in [Value::Flag(false), Value::Flag(true)] {
@@ -262,11 +235,6 @@ mod tests {
         if !(lo..=hi).contains(&value.magnitude()) {
             violations.push(Violation::OutOfRange);
         }
-        if let Value::Composite(fields) = value {
-            if QualityPolicy::composite_arity(ty).is_some_and(|n| n != fields.len()) {
-                violations.push(Violation::MalformedComposite);
-            }
-        }
         if created_s > collected_s {
             violations.push(Violation::FutureTimestamp);
         } else if collected_s - created_s > p.max_staleness_s {
@@ -294,8 +262,8 @@ mod tests {
                 penalty: 1.0,
             },
         ];
-        // In range or not × well-formed, malformed or scalar × fresh,
-        // stale, future, at the edges of the `u64` range.
+        // In range or not × composite or scalar × fresh, stale, future,
+        // at the edges of the `u64` range.
         let values = [
             Value::Composite(vec![100, 200, 300, 400, 500]),
             Value::Composite(vec![100, 200]),
@@ -333,9 +301,9 @@ mod tests {
                 }
             }
         }
-        // Every subset the rules can produce: 2 (range) × 2 (arity) × 3
-        // (timing) combinations, up to all three at once.
-        assert_eq!(kinds.len(), 12);
+        // Every subset the rules can produce: 2 (range) × 3 (timing)
+        // combinations, up to both at once.
+        assert_eq!(kinds.len(), 6);
         assert!(kinds.iter().any(|v| v.len() == MAX_VIOLATIONS));
     }
 

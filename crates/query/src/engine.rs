@@ -2151,7 +2151,7 @@ mod tests {
         let late = Reading::new(
             SensorId::new(SensorType::Traffic, 900),
             1_000,
-            Value::from_f64(3.0),
+            Value::Counter(3),
         );
         e.ingest(5, vec![late], 4_100).unwrap();
         let warm = answered(e.serve_sync(&q, 4_200).unwrap());
@@ -2485,7 +2485,7 @@ mod tests {
         let late = Reading::new(
             SensorId::new(SensorType::Traffic, 901),
             1_000,
-            Value::from_f64(2.0),
+            Value::Counter(2),
         );
         let now = 10 * 86_400 + 100;
         e.ingest(5, vec![late], now).unwrap();

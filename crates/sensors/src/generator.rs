@@ -12,25 +12,27 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::rngutil::derive_rng;
-use crate::{Reading, SensorId, SensorType, Value};
+use crate::{Category, Reading, SensorId, SensorType, Shape, Value};
 
-/// Internal per-sensor value evolution model.
+/// One sensor's evolving value. Its variant — and a composite's field
+/// count — follows the type's [`Shape`]; what stays per type here is
+/// where each walk starts and the band it keeps to.
 #[derive(Debug, Clone)]
-enum ValueModel {
-    /// Bounded random walk with fixed-point output (temperature, noise…).
+enum Model {
+    /// Bounded random walk with fixed-point output ([`Shape::Scalar`]).
     RandomWalk {
         value: f64,
         min: f64,
         max: f64,
         step: f64,
     },
-    /// Monotonically increasing counter (meters, flow totals).
+    /// Monotonically increasing counter ([`Shape::Counter`]).
     Counter { value: u64, max_increment: u64 },
-    /// Binary occupancy (parking).
+    /// Binary occupancy ([`Shape::Flag`]).
     Occupancy { occupied: bool },
-    /// Container fill level 0–100 %, emptied when full.
+    /// Fill level 0–100 %, emptied when full ([`Shape::Level`]).
     Fill { level: u8, max_increment: u8 },
-    /// Multi-channel measurement (network analyzer, air quality, weather).
+    /// One bounded walk per field ([`Shape::Composite`]).
     Composite {
         values: Vec<f64>,
         min: f64,
@@ -39,59 +41,50 @@ enum ValueModel {
     },
 }
 
-impl ValueModel {
+impl Model {
     fn for_type(ty: SensorType, rng: &mut SmallRng) -> Self {
-        use SensorType::*;
-        match ty {
-            Temperature
-            | ExternalAmbientConditions
-            | InternalAmbientConditions
-            | SolarThermalInstallation => ValueModel::RandomWalk {
-                value: rng.gen_range(5.0..30.0),
-                min: -10.0,
-                max: 55.0,
-                step: 0.5,
-            },
-            NoiseAmbient | NoiseTrafficZone | NoiseLeisureZone => ValueModel::RandomWalk {
-                value: rng.gen_range(35.0..80.0),
-                min: 25.0,
-                max: 115.0,
-                step: 2.0,
-            },
-            ElectricityMeter | GasMeter => ValueModel::Counter {
+        match ty.shape() {
+            Shape::Scalar => {
+                let (start, min, max, step) = match ty.category() {
+                    Category::Noise => (35.0..80.0, 25.0, 115.0, 2.0),
+                    _ => (5.0..30.0, -10.0, 55.0, 0.5),
+                };
+                Model::RandomWalk {
+                    value: rng.gen_range(start),
+                    min,
+                    max,
+                    step,
+                }
+            }
+            // Meters are read mid-life; flow counts start from zero.
+            Shape::Counter if ty.category() == Category::Energy => Model::Counter {
                 value: rng.gen_range(0..50_000),
                 max_increment: 40,
             },
-            BicycleFlow | PeopleFlow | Traffic => ValueModel::Counter {
+            Shape::Counter => Model::Counter {
                 value: 0,
                 max_increment: 120,
             },
-            ParkingSpot => ValueModel::Occupancy {
+            Shape::Flag => Model::Occupancy {
                 occupied: rng.gen_bool(0.5),
             },
-            ContainerGlass | ContainerOrganic | ContainerPaper | ContainerPlastic
-            | ContainerRefuse => ValueModel::Fill {
+            Shape::Level => Model::Fill {
                 level: rng.gen_range(0..60),
                 max_increment: 7,
             },
-            NetworkAnalyzer => ValueModel::Composite {
-                values: (0..11).map(|_| rng.gen_range(210.0..240.0)).collect(),
-                min: 0.0,
-                max: 500.0,
-                step: 3.0,
-            },
-            AirQuality => ValueModel::Composite {
-                values: (0..6).map(|_| rng.gen_range(5.0..80.0)).collect(),
-                min: 0.0,
-                max: 500.0,
-                step: 4.0,
-            },
-            Weather => ValueModel::Composite {
-                values: (0..5).map(|_| rng.gen_range(0.0..30.0)).collect(),
-                min: -20.0,
-                max: 120.0,
-                step: 1.5,
-            },
+            Shape::Composite { arity } => {
+                let (start, min, max, step) = match ty {
+                    SensorType::NetworkAnalyzer => (210.0..240.0, 0.0, 500.0, 3.0),
+                    SensorType::AirQuality => (5.0..80.0, 0.0, 500.0, 4.0),
+                    _ => (0.0..30.0, -20.0, 120.0, 1.5),
+                };
+                Model::Composite {
+                    values: (0..arity).map(|_| rng.gen_range(start.clone())).collect(),
+                    min,
+                    max,
+                    step,
+                }
+            }
         }
     }
 
@@ -111,7 +104,7 @@ impl ValueModel {
 
     fn step_once(&mut self, rng: &mut SmallRng) -> Value {
         match self {
-            ValueModel::RandomWalk {
+            Model::RandomWalk {
                 value,
                 min,
                 max,
@@ -121,18 +114,18 @@ impl ValueModel {
                 *value = value.clamp(*min, *max);
                 Value::from_f64(*value)
             }
-            ValueModel::Counter {
+            Model::Counter {
                 value,
                 max_increment,
             } => {
                 *value += rng.gen_range(1..=*max_increment);
                 Value::Counter(*value)
             }
-            ValueModel::Occupancy { occupied } => {
+            Model::Occupancy { occupied } => {
                 *occupied = !*occupied;
                 Value::Flag(*occupied)
             }
-            ValueModel::Fill {
+            Model::Fill {
                 level,
                 max_increment,
             } => {
@@ -141,7 +134,7 @@ impl ValueModel {
                 *level = if next >= 100 { 0 } else { next as u8 };
                 Value::Level(*level)
             }
-            ValueModel::Composite {
+            Model::Composite {
                 values,
                 min,
                 max,
@@ -158,7 +151,7 @@ impl ValueModel {
 
     fn force_distinct(&mut self, previous: Option<&Value>) -> Value {
         match self {
-            ValueModel::RandomWalk {
+            Model::RandomWalk {
                 value, min, max, ..
             } => {
                 *value = if (*value - *min).abs() < 1.0 {
@@ -170,19 +163,19 @@ impl ValueModel {
                 debug_assert!(previous != Some(&v));
                 v
             }
-            ValueModel::Counter { value, .. } => {
+            Model::Counter { value, .. } => {
                 *value += 1;
                 Value::Counter(*value)
             }
-            ValueModel::Occupancy { occupied } => {
+            Model::Occupancy { occupied } => {
                 // step_once always flips, so this is unreachable in practice.
                 Value::Flag(*occupied)
             }
-            ValueModel::Fill { level, .. } => {
+            Model::Fill { level, .. } => {
                 *level = if *level == 0 { 1 } else { 0 };
                 Value::Level(*level)
             }
-            ValueModel::Composite { values, max, .. } => {
+            Model::Composite { values, max, .. } => {
                 if let Some(first) = values.first_mut() {
                     *first = if (*first - *max).abs() < 0.01 {
                         *max - 1.0
@@ -213,7 +206,7 @@ pub struct SensorStream {
     id: SensorId,
     rng: SmallRng,
     redundancy: f64,
-    model: ValueModel,
+    model: Model,
     last: Option<Value>,
 }
 
@@ -236,7 +229,7 @@ impl SensorStream {
             "redundancy must be in [0,1), got {redundancy}"
         );
         let mut rng = derive_rng(root_seed, id.seed_material());
-        let model = ValueModel::for_type(id.sensor_type(), &mut rng);
+        let model = Model::for_type(id.sensor_type(), &mut rng);
         Self {
             id,
             rng,
@@ -310,7 +303,7 @@ impl ReadingGenerator {
 pub struct TimeCorrelatedStream {
     id: SensorId,
     rng: SmallRng,
-    model: ValueModel,
+    model: Model,
     tau_s: f64,
     last: Option<(u64, Value)>,
 }
@@ -327,7 +320,7 @@ impl TimeCorrelatedStream {
             "tau must be positive, got {tau_s}"
         );
         let mut rng = derive_rng(root_seed, id.seed_material() ^ 0x7C0D);
-        let model = ValueModel::for_type(id.sensor_type(), &mut rng);
+        let model = Model::for_type(id.sensor_type(), &mut rng);
         Self {
             id,
             rng,
@@ -370,7 +363,6 @@ impl TimeCorrelatedStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Category;
 
     fn measured_redundancy(ty: SensorType, waves: usize, pop: u32) -> f64 {
         let mut g = ReadingGenerator::for_population(ty, pop, 1234);

@@ -12,8 +12,9 @@
 //! * [`Category`] / [`SensorType`] — the 5 categories and 21 sensor types,
 //! * [`Catalog`] / [`TypeSpec`] — deployment descriptions ([`Catalog::barcelona`]
 //!   is Table I),
+//! * [`Shape`] — the value shape each type reports ([`SensorType::shape`]),
 //! * [`Reading`] / [`Value`] — one observation,
-//! * `generator` — per-sensor value models with tunable redundancy,
+//! * `generator` — per-sensor value walks with tunable redundancy,
 //! * [`idhash`] — the hasher for tables keyed by program-generated ids,
 //! * [`wire`] — Sentilo-style text encoding of observations.
 //!
@@ -53,5 +54,5 @@ pub use generator::{ReadingGenerator, SensorStream, TimeCorrelatedStream};
 pub use idhash::IdMap;
 pub use ids::SensorId;
 pub use reading::Reading;
-pub use sensor_type::SensorType;
+pub use sensor_type::{SensorType, Shape};
 pub use value::Value;

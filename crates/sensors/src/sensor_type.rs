@@ -4,7 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::Category;
+use crate::{Category, Value};
 
 /// One of the 21 sensor types the Sentilo platform exposes (Table I).
 ///
@@ -13,7 +13,7 @@ use crate::Category;
 /// by deployment zone. Each type knows its [`Category`] and a short
 /// machine-readable slug used in wire encodings.
 // Deliberately exhaustive: the 21 types are a closed set fixed by Table I,
-// and downstream crates (quality bounds, value models) match on all of them.
+// and downstream crates (quality bounds, value shapes) match on all of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum SensorType {
     // --- Energy monitoring -------------------------------------------------
@@ -116,6 +116,30 @@ impl SensorType {
         }
     }
 
+    /// The value shape every reading of this type carries. The one table
+    /// of it: the generators build by it, the wire grammar parses by it,
+    /// acquisition refuses a reading it does not [admit](Shape::admits),
+    /// and the flush codec lays its value columns out by it.
+    pub const fn shape(self) -> Shape {
+        use SensorType::*;
+        match self {
+            Temperature
+            | ExternalAmbientConditions
+            | InternalAmbientConditions
+            | SolarThermalInstallation
+            | NoiseAmbient
+            | NoiseTrafficZone
+            | NoiseLeisureZone => Shape::Scalar,
+            ElectricityMeter | GasMeter | BicycleFlow | PeopleFlow | Traffic => Shape::Counter,
+            ParkingSpot => Shape::Flag,
+            ContainerGlass | ContainerOrganic | ContainerPaper | ContainerPlastic
+            | ContainerRefuse => Shape::Level,
+            NetworkAnalyzer => Shape::Composite { arity: 11 },
+            AirQuality => Shape::Composite { arity: 6 },
+            Weather => Shape::Composite { arity: 5 },
+        }
+    }
+
     /// Short machine-readable slug (used by [`crate::wire`]).
     pub(crate) fn slug(self) -> &'static str {
         use SensorType::*;
@@ -147,6 +171,42 @@ impl SensorType {
     /// Parses a slug produced by [`SensorType::slug`].
     pub(crate) fn from_slug(slug: &str) -> Option<SensorType> {
         SensorType::ALL.iter().copied().find(|t| t.slug() == slug)
+    }
+}
+
+/// Which [`Value`] variant a sensor type reports — for a composite, with
+/// how many fields ([`SensorType::shape`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Shape {
+    /// [`Value::Scalar`]: temperatures, noise levels.
+    Scalar,
+    /// [`Value::Counter`]: meters and flow counts.
+    Counter,
+    /// [`Value::Flag`]: parking occupancy.
+    Flag,
+    /// [`Value::Level`]: container fill.
+    Level,
+    /// [`Value::Composite`] with exactly `arity` fields: multi-channel
+    /// stations.
+    Composite {
+        /// Fields per reading.
+        arity: usize,
+    },
+}
+
+impl Shape {
+    /// Whether `value` has this shape: the same variant and, for a
+    /// composite, exactly `arity` fields. Ranges are not shape: a level
+    /// of 250 % is admitted here and scored out of range by quality.
+    pub fn admits(self, value: &Value) -> bool {
+        match (self, value) {
+            (Shape::Scalar, Value::Scalar(_))
+            | (Shape::Counter, Value::Counter(_))
+            | (Shape::Flag, Value::Flag(_))
+            | (Shape::Level, Value::Level(_)) => true,
+            (Shape::Composite { arity }, Value::Composite(fields)) => fields.len() == arity,
+            _ => false,
+        }
     }
 }
 
@@ -212,6 +272,48 @@ mod tests {
             assert_eq!(SensorType::from_slug(t.slug()), Some(t));
         }
         assert_eq!(SensorType::from_slug("nope"), None);
+    }
+
+    /// One value of every variant, composites at every arity a type uses
+    /// and one no type uses.
+    fn every_variant() -> Vec<Value> {
+        let mut values = vec![
+            Value::Scalar(-1),
+            Value::Counter(7),
+            Value::Flag(true),
+            Value::Level(40),
+        ];
+        values.extend([0, 2, 5, 6, 11].map(|n| Value::Composite(vec![100; n])));
+        values
+    }
+
+    #[test]
+    fn shape_admits_exactly_what_the_type_generates() {
+        for ty in SensorType::ALL {
+            let generated = crate::ReadingGenerator::for_population(ty, 3, 5)
+                .wave(900)
+                .remove(0)
+                .value()
+                .clone();
+            assert!(ty.shape().admits(&generated), "{ty}: {generated:?}");
+            let admitted: Vec<Value> = every_variant()
+                .into_iter()
+                .filter(|v| ty.shape().admits(v))
+                .collect();
+            // Exactly one of the table's values: the variant the
+            // generator emits, at the arity it emits.
+            assert_eq!(admitted.len(), 1, "{ty}: {admitted:?}");
+            assert_eq!(
+                std::mem::discriminant(&admitted[0]),
+                std::mem::discriminant(&generated),
+                "{ty}"
+            );
+            if let (Value::Composite(a), Value::Composite(g)) = (&admitted[0], &generated) {
+                assert_eq!(a.len(), g.len(), "{ty}");
+            }
+        }
+        assert_eq!(SensorType::Weather.shape(), Shape::Composite { arity: 5 });
+        assert!(!Shape::Composite { arity: 5 }.admits(&Value::Composite(vec![1, 2])));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! PROVIDER.type-slug.index;timestamp;value
 //! ```
 
-use crate::{Error, Reading, Result, SensorId, SensorType, Value};
+use crate::{Error, Reading, Result, SensorId, SensorType, Shape, Value};
 
 /// Where a wire line's bytes go: a buffer, a byte count, a running hash.
 /// A line is written once against this, so the text [`encode`] builds,
@@ -119,9 +119,8 @@ pub fn encode_batch<R: AsRef<Reading>>(readings: &[R]) -> Vec<u8> {
 
 /// Parses one wire line back into a [`Reading`].
 ///
-/// The value grammar is disambiguated by the sensor type (flags for parking,
-/// counters for meters/flows, levels for containers, composites for
-/// multi-channel stations, scalars otherwise).
+/// The value grammar is the sensor type's [`Shape`]: a flag, a counter, a
+/// level, a scalar, or a composite of exactly the type's field count.
 ///
 /// # Errors
 ///
@@ -165,37 +164,33 @@ pub fn parse_batch(data: &[u8]) -> Result<Vec<Reading>> {
     text.lines().map(parse).collect()
 }
 
+/// The value `s` spells for a reading of `ty`, read by the type's
+/// [`Shape`]; `None` unless the shape admits it (a composite with another
+/// type's field count included).
 fn parse_value(ty: SensorType, s: &str) -> Option<Value> {
-    use SensorType::*;
-    match ty {
-        ParkingSpot => match s {
-            "0" => Some(Value::Flag(false)),
-            "1" => Some(Value::Flag(true)),
-            _ => None,
+    let shape = ty.shape();
+    let value = match shape {
+        Shape::Flag => match s {
+            "0" => Value::Flag(false),
+            "1" => Value::Flag(true),
+            _ => return None,
         },
-        ElectricityMeter | GasMeter | BicycleFlow | PeopleFlow | Traffic => {
-            s.parse::<u64>().ok().map(Value::Counter)
+        Shape::Counter => Value::Counter(s.parse().ok()?),
+        Shape::Level => {
+            let l: u8 = s.strip_suffix('%')?.parse().ok()?;
+            (l <= 100).then_some(Value::Level(l))?
         }
-        ContainerGlass | ContainerOrganic | ContainerPaper | ContainerPlastic | ContainerRefuse => {
-            let level = s.strip_suffix('%')?;
-            let l: u8 = level.parse().ok()?;
-            (l <= 100).then_some(Value::Level(l))
-        }
-        NetworkAnalyzer | AirQuality | Weather => {
-            let fields: Option<Vec<i64>> = s
-                .split('|')
+        Shape::Composite { .. } => Value::Composite(
+            s.split('|')
                 .map(|f| {
                     let v: f64 = f.parse().ok()?;
                     Some((v * 100.0).round() as i64)
                 })
-                .collect();
-            fields.map(Value::Composite)
-        }
-        _ => {
-            let v: f64 = s.parse().ok()?;
-            Some(Value::from_f64(v))
-        }
-    }
+                .collect::<Option<_>>()?,
+        ),
+        Shape::Scalar => Value::from_f64(s.parse().ok()?),
+    };
+    shape.admits(&value).then_some(value)
 }
 
 #[cfg(test)]
@@ -242,6 +237,8 @@ mod tests {
             "PARKING.parking.1;0;2",
             "GARBAGE.cont-glass.1;0;150%",
             "GARBAGE.cont-glass.1;0;73",
+            "URBANLAB.weather.3;900;1.00|2.00",
+            "ENERGY.netan.3;900;1.00",
         ] {
             assert!(parse(line).is_err(), "should reject {line:?}");
         }

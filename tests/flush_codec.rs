@@ -3,8 +3,8 @@
 //! sharded load) and hold the corpus to three oracles — an independent
 //! stream decoder reproduces every batch record-for-record, the `tsenc`
 //! payload never costs more than DEFLATE over the verbatim wire text
-//! plus the fallback framing, and the corpus-wide uplink total lands
-//! the compression win the bench gates on.
+//! plus the stream envelope, and the corpus-wide uplink total lands the
+//! compression win the bench gates on.
 
 use std::collections::BTreeMap;
 
@@ -65,7 +65,7 @@ fn check_corpus(seed: u64, corpus: &[ShipmentRecord]) {
     let mut decoders: BTreeMap<(u8, u16), tsenc::StreamDecoder> = BTreeMap::new();
     let mut encoders: BTreeMap<(u8, u16), tsenc::StreamEncoder> = BTreeMap::new();
     let mut uplink = 0u64;
-    let mut verbatim_deflate = 0u64;
+    let mut deflated = 0u64;
     let mut records = 0u64;
     for (i, shipment) in corpus.iter().enumerate() {
         let expected = wire::parse_batch(&shipment.wire).expect("captured wire text parses");
@@ -88,20 +88,20 @@ fn check_corpus(seed: u64, corpus: &[ShipmentRecord]) {
             "seed {seed} shipment {i}: encoding readings differs from encoding records"
         );
 
-        // Oracle 2: the codec never loses to its own fallback — DEFLATE
-        // over the verbatim wire batch, plus the stream framing.
+        // Oracle 2: the codec never loses to DEFLATE over the verbatim
+        // wire batch inside the same envelope.
         let packed = deflate::compress(&shipment.wire).expect("wire text deflates");
         assert!(
-            shipment.payload.len() <= packed.len() + tsenc::FALLBACK_OVERHEAD,
+            shipment.payload.len() <= packed.len() + tsenc::ENVELOPE_LEN,
             "seed {seed} shipment {i} (hop {} origin {}): tsenc {} B > deflate {} B + {} B framing",
             shipment.hop,
             shipment.origin,
             shipment.payload.len(),
             packed.len(),
-            tsenc::FALLBACK_OVERHEAD,
+            tsenc::ENVELOPE_LEN,
         );
         uplink += shipment.payload.len() as u64;
-        verbatim_deflate += packed.len() as u64;
+        deflated += packed.len() as u64;
         records += expected.len() as u64;
     }
 
@@ -111,8 +111,8 @@ fn check_corpus(seed: u64, corpus: &[ShipmentRecord]) {
     // principles.
     assert!(records > 0, "seed {seed}: corpus carried no records");
     assert!(
-        (uplink as f64) < 0.75 * verbatim_deflate as f64,
-        "seed {seed}: corpus uplink {uplink} B is not meaningfully below deflate {verbatim_deflate} B"
+        (uplink as f64) < 0.75 * deflated as f64,
+        "seed {seed}: corpus uplink {uplink} B is not meaningfully below deflate {deflated} B"
     );
 }
 
@@ -132,11 +132,13 @@ fn shipment_corpus_is_seed_deterministic_and_thread_invariant() {
 }
 
 #[test]
-fn irregular_batches_fall_back_identically_from_records_and_readings() {
+fn irregular_batches_are_refused_identically_from_records_and_readings() {
+    use f2c_smartcity::compress::Error;
     use f2c_smartcity::dlc::DataRecord;
     use f2c_smartcity::sensors::{Reading, SensorId, SensorType, Value};
-    // A parking spot shipping a scalar contradicts its type's model, so
-    // the whole batch rides the DEFLATE fallback — from either form.
+    // A parking spot shipping a scalar contradicts its type's shape, so
+    // the encoder refuses the batch and names that record — from either
+    // form, staging nothing.
     let readings: Vec<Reading> = (0..50u32)
         .map(|i| {
             let value = if i == 31 {
@@ -152,17 +154,12 @@ fn irregular_batches_fall_back_identically_from_records_and_readings() {
         .cloned()
         .map(DataRecord::from_reading)
         .collect();
-    let from_readings = tsenc::encode_once(&readings).expect("readings encode");
-    let from_records = tsenc::StreamEncoder::new()
-        .encode_batch(&records)
-        .expect("records encode");
-    assert_eq!(
-        tsenc::stream_mode(&from_records),
-        Some(tsenc::MODE_FALLBACK)
-    );
-    assert_eq!(from_records, from_readings);
-    assert_eq!(
-        tsenc::decode_once(&from_records).expect("decodes"),
-        readings
-    );
+    let mut encoder = tsenc::StreamEncoder::new();
+    let from_records = encoder.encode_batch(&records);
+    assert!(matches!(
+        from_records,
+        Err(Error::UnshippableRecord { record: 31, .. })
+    ));
+    assert_eq!(encoder.dict_len(), 0);
+    assert_eq!(tsenc::encode_once(&readings), from_records);
 }

@@ -42,8 +42,8 @@ proptest! {
         raw in any::<u64>(),
         fields in proptest::collection::vec(any::<i64>(), 0..9),
     ) {
-        // Every value model under every type: the line grammar does not
-        // care whether the two agree, and neither may the counter.
+        // Every value variant under every type: encoding does not check
+        // the type's shape, and neither may the counter.
         let value = match model {
             0 => Value::Scalar(raw as i64),
             1 => Value::Counter(raw),
