@@ -13,22 +13,19 @@ use f2c_core::runtime::{flush_period_ablation, simulate, SimConfig};
 fn main() {
     // (a) Flush period: longer periods accumulate bigger (better-
     //     compressing) batches but delay upstream freshness.
-    println!("== E6a: fog-1 flush period vs per-flush uplink bytes ==\n");
-    println!("{:>12} {:>22}", "period (s)", "avg bytes per flush");
-    let rows =
-        flush_period_ablation(&[300, 900, 1800, 3600], 10_000).expect("ablation simulations run");
+    println!("== E6a: fog-1 flush period vs shipped payload per section flush ==\n");
+    println!("{:>12} {:>26}", "period (s)", "mean payload bytes/flush");
+    let rows = flush_period_ablation(&[300, 900, 1800, 3600], 1).expect("ablation simulations run");
     let mut prev = 0u64;
     for (period, bytes) in &rows {
-        println!("{:>12} {:>22}", period, thousands(*bytes));
+        println!("{:>12} {:>26}", period, thousands(*bytes));
         assert!(*bytes >= prev, "longer period must not shrink batches");
         prev = *bytes;
     }
 
     // (b) Off-peak scheduling: the same bytes ship, but inside the window.
     println!("\n== E6b: off-peak flush scheduling ==\n");
-    let mut on_peak = SimConfig::paper_scaled();
-    on_peak.scale = 10_000;
-    on_peak.horizon_s = 86_400;
+    let on_peak = SimConfig::paper();
     let mut off_peak = on_peak.clone();
     off_peak.fog1_flush = FlushPolicy {
         off_peak_window: Some((7_200, 21_600)), // 02:00–06:00
@@ -52,8 +49,7 @@ fn main() {
     );
     // Steady-state window share, without the end-of-horizon drain and with
     // both tiers deferring into the window (two simulated days).
-    let mut steady_any = SimConfig::paper_scaled();
-    steady_any.scale = 10_000;
+    let mut steady_any = SimConfig::paper();
     steady_any.horizon_s = 2 * 86_400;
     steady_any.drain_at_end = false;
     let mut steady_off = steady_any.clone();
@@ -84,8 +80,7 @@ fn main() {
     //     *centralized* WAN bill, while under F2C the extra readings are
     //     mostly redundant repeats that dedup absorbs at fog 1.
     println!("\n== E6c: collection-frequency increase ==\n");
-    let mut base_cfg = BaselineConfig::paper_scaled();
-    base_cfg.scale = 10_000;
+    let mut base_cfg = BaselineConfig::paper();
     base_cfg.horizon_s = 6 * 3600;
     let base1 = simulate_baseline(base_cfg.clone()).expect("baseline x1");
     base_cfg.frequency_factor = 2.0;

@@ -1,15 +1,23 @@
 //! Experiment E2: regenerates **Fig. 7 (a)–(e)** — per-category daily
 //! volume raw → after redundant-data elimination → after compression —
-//! twice: once with the paper's Zip ratio, once with the measured
-//! `f2c-compress` ratio, and cross-validates against the event simulation.
+//! twice analytically: once with the paper's Zip ratio, once with the
+//! measured `f2c-compress` ratio; then from the event simulation, whose
+//! compressed column is the `tsenc` payloads the fog-1 tier ships.
 //!
 //! Run with `cargo run --release -p f2c-bench --bin fig7`.
+//! Exports the schema-versioned `BENCH_fig7.json` of the `export::FIG7`
+//! row (override with `BENCH_OUT`), which CI diffs against
+//! `bench/baseline_fig7.json`: the simulation is a pure function of its
+//! seed, so the gate tolerates zero drift.
 
 use f2c_bench::{export, measure_compression_ratios};
-use f2c_core::report::{gb, render_fig7};
+use f2c_core::report::render_fig7;
 use f2c_core::runtime::{simulate, SimConfig};
-use f2c_core::traffic::{Fig7Row, TrafficModel};
+use f2c_core::traffic::TrafficModel;
 use f2c_obs::Json;
+
+/// The sample the table prints and the document gates.
+const SECTIONS: usize = 4;
 
 fn main() {
     // (a) Analytic, paper's Zip ratio.
@@ -29,65 +37,84 @@ fn main() {
     );
     println!("{}", render_fig7(&ours.fig7_rows()));
 
-    // (c) Event-driven simulation at 1/1000 scale, scaled back up.
-    println!("== E2: Fig. 7 — event simulation (scale 1/1000, scaled back) ==\n");
-    let report = simulate(SimConfig::paper_scaled()).expect("simulation runs");
+    // (c) Event-driven simulation: sampled sections at full population,
+    //     so every flush batch is the size the full city ships.
     println!(
-        "{:<22} {:>12} {:>14} {:>18}",
-        "Category", "Raw", "After dedup", "Compressed (wire)"
+        "== E2: Fig. 7 — event simulation ({SECTIONS} sampled sections, full population) ==\n"
     );
-    println!("{}", "-".repeat(70));
+    let sampled_day = |sections| {
+        simulate(SimConfig {
+            sections,
+            ..SimConfig::paper()
+        })
+    };
+    let report = sampled_day(SECTIONS).expect("simulation runs");
+    println!(
+        "{:<22} {:>12} {:>14} {:>28}",
+        "Category", "Raw", "After dedup", "Compressed (tsenc, shipped)"
+    );
+    println!("{}", "-".repeat(79));
+    // Three decimals: garbage ships about 5 MB a day.
+    let gb = |bytes: u64| format!("{:.3} GB", bytes as f64 / 1e9);
     for (category, t) in &report.per_category {
-        println!(
-            "{:<22} {:>12} {:>14} {:>18}",
-            category.to_string(),
-            gb(report.scaled_up(t.raw)),
-            gb(report.scaled_up(t.after_dedup)),
-            gb(report.scaled_up(t.compressed)),
-        );
+        let (raw, dedup, compressed) = (gb(t.raw), gb(t.after_dedup), gb(t.compressed));
+        println!("{category:<22} {raw:>12} {dedup:>14} {compressed:>28}");
     }
     println!(
-        "\nsim dedup rate {:.1}% | sim compression ratio {:.3} | {} readings simulated",
+        "\nsim dedup rate {:.1}% | {} readings simulated",
         report.dedup_rate() * 100.0,
-        report.compression_ratio(),
         report.generated_readings
     );
 
-    // Shape assertions: who wins and by what class of factor.
+    // Shape assertions: raw volumes reproduce Table I, compression never
+    // inflates a category, and the compressed column does not depend on
+    // how many sections are sampled. The gated document holds the same
+    // seed-pure values.
+    let half = sampled_day(SECTIONS / 2).expect("simulation runs");
+    let mut categories = Json::obj();
     for row in paper.fig7_rows() {
-        let sim = &report.per_category[&row.category];
-        let raw_err = (report.scaled_up(sim.raw) as f64 - row.raw as f64).abs() / row.raw as f64;
+        let t = report.per_category[&row.category];
+        let raw_err = (t.raw as f64 / row.raw as f64 - 1.0).abs();
+        let drift =
+            (half.per_category[&row.category].compressed as f64 / t.compressed as f64 - 1.0).abs();
         assert!(
-            raw_err < 0.15,
-            "{}: raw diverged {raw_err:.2}",
-            row.category
+            raw_err < 0.01 && t.compressed <= t.after_dedup && drift < 0.03,
+            "{}: {t:?} against Table I raw {}; compressed moves {drift:.3} from {} sections",
+            row.category,
+            row.raw,
+            SECTIONS / 2
+        );
+        categories.set(
+            &format!("{:?}", row.category).to_lowercase(),
+            export::counts_json([
+                ("raw", t.raw),
+                ("after_dedup", t.after_dedup),
+                ("compressed", t.compressed),
+            ]),
         );
     }
-    println!("\nAll per-category raw volumes within 15% of Table I. SHAPE OK");
+    println!(
+        "\nEvery simulated raw volume within 1% of Table I, every compressed volume at most \
+         its after-dedup volume and within 3% of {} sections'. SHAPE OK",
+        SECTIONS / 2
+    );
 
-    // Diffable JSON artifact (analytic rows, both ratios).
-    let rows_json = |rows: &[Fig7Row]| {
-        let row_json = |r: &Fig7Row| {
-            let mut row = Json::obj();
-            row.set("category", Json::Str(r.category.to_string()));
-            row.set("raw", export::num(r.raw));
-            row.set("after_dedup", export::num(r.after_dedup));
-            row.set(
-                "after_dedup_and_compression",
-                export::num(r.after_dedup_and_compression),
-            );
-            row.set("compressed_raw", export::num(r.compressed_raw));
-            row
-        };
-        Json::Arr(rows.iter().map(row_json).collect())
-    };
-    let mut artifact = Json::obj();
-    artifact.set("experiment", Json::Str("E2-fig7".to_string()));
-    artifact.set("paper_ratio", Json::Num(paper.compression_ratio()));
-    artifact.set("measured_ratio", Json::Num(measured.overall));
-    artifact.set("rows_paper_ratio", rows_json(&paper.fig7_rows()));
-    artifact.set("rows_measured_ratio", rows_json(&ours.fig7_rows()));
-    let path = "fig7.json";
-    std::fs::write(path, artifact.to_pretty()).expect("artifact writable");
-    println!("wrote {path}");
+    let mut doc = export::FIG7.doc();
+    doc.set(
+        "sample",
+        export::counts_json([
+            ("sections", SECTIONS as u64),
+            ("horizon_s", report.horizon_s),
+            ("readings", report.generated_readings),
+            ("stored", report.stored_after_dedup),
+        ]),
+    );
+    doc.set("categories", categories);
+    let out_path = export::FIG7.write(&doc).expect("bench export writes");
+    println!(
+        "\nexported the Fig. 7 simulation -> {out_path} ({} gated metrics; diff with \
+         `cargo run -p f2c-bench --bin perf_gate -- {} {out_path}`)",
+        export::FIG7.rules.len(),
+        export::FIG7.baseline
+    );
 }

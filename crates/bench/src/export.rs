@@ -125,8 +125,39 @@ pub const TABLE1: Artifact = Artifact {
     must_be_zero: &[],
 };
 
+/// The Fig. 7 event simulation, `BENCH_fig7.json`: a full day on four
+/// sampled sections at full population, scaled to the full city.
+pub const FIG7: Artifact = Artifact {
+    bench: "fig7",
+    schema_version: 1,
+    out_file: "BENCH_fig7.json",
+    baseline: "bench/baseline_fig7.json",
+    // The simulation is a pure function of its seed at every thread
+    // count, so every value matches the baseline exactly.
+    rules: &[
+        BudgetRule::band("sample.readings", 0.0, 0.0),
+        BudgetRule::band("sample.stored", 0.0, 0.0),
+        BudgetRule::band("categories.energy.raw", 0.0, 0.0),
+        BudgetRule::band("categories.energy.after_dedup", 0.0, 0.0),
+        BudgetRule::band("categories.energy.compressed", 0.0, 0.0),
+        BudgetRule::band("categories.noise.raw", 0.0, 0.0),
+        BudgetRule::band("categories.noise.after_dedup", 0.0, 0.0),
+        BudgetRule::band("categories.noise.compressed", 0.0, 0.0),
+        BudgetRule::band("categories.garbage.raw", 0.0, 0.0),
+        BudgetRule::band("categories.garbage.after_dedup", 0.0, 0.0),
+        BudgetRule::band("categories.garbage.compressed", 0.0, 0.0),
+        BudgetRule::band("categories.parking.raw", 0.0, 0.0),
+        BudgetRule::band("categories.parking.after_dedup", 0.0, 0.0),
+        BudgetRule::band("categories.parking.compressed", 0.0, 0.0),
+        BudgetRule::band("categories.urban.raw", 0.0, 0.0),
+        BudgetRule::band("categories.urban.after_dedup", 0.0, 0.0),
+        BudgetRule::band("categories.urban.compressed", 0.0, 0.0),
+    ],
+    must_be_zero: &[],
+};
+
 /// Every gated document, one row each.
-pub const ARTIFACTS: &[Artifact] = &[QUERIES, TABLE1];
+pub const ARTIFACTS: &[Artifact] = &[QUERIES, TABLE1, FIG7];
 
 impl Artifact {
     /// An empty document stamped with this row's `schema_version` and

@@ -933,6 +933,12 @@ impl StreamDecoder {
         Ok(readings)
     }
 
+    /// Bytes of `ty`'s value and field frames in the last batch decoded
+    /// (0 if it held no `ty`); the rest of a payload is shared by its types.
+    pub fn type_frame_bytes(&self, ty: SensorType) -> usize {
+        self.columns.frame_bytes[ty.ordinal()]
+    }
+
     /// Checks one batch against `batch`, the records shipped beside it,
     /// without building readings: `Ok(true)` exactly when
     /// [`StreamDecoder::decode_batch`] would return readings equal to
@@ -980,6 +986,8 @@ struct DecodedColumns {
     values: [Vec<u64>; SensorType::ALL.len()],
     /// The flattened zigzag fields of each composite type.
     fields: [Vec<u64>; SensorType::ALL.len()],
+    /// Bytes of each type's value and field frames.
+    frame_bytes: [usize; SensorType::ALL.len()],
     /// Stream offset of the body's end.
     end: usize,
 }
@@ -1056,9 +1064,11 @@ impl DecodedColumns {
             let values = &mut self.values[t];
             values.clear();
             self.fields[t].clear();
+            self.frame_bytes[t] = 0;
             if counts[t] == 0 {
                 continue;
             }
+            let frames_start = pos;
             column(&mut pos, counts[t], values)?;
             match ty.shape() {
                 Shape::Scalar | Shape::Counter => {}
@@ -1083,6 +1093,7 @@ impl DecodedColumns {
                     column(&mut pos, total, &mut self.fields[t])?;
                 }
             }
+            self.frame_bytes[t] = pos - frames_start;
         }
         if pos != body.len() {
             return Err(err("trailing bytes after the last column", pos));
@@ -1604,5 +1615,60 @@ mod tests {
         let packed = encode_once(&batch).unwrap();
         assert_eq!(packed[4], MODE_COLUMNAR);
         assert_eq!(decode_once(&packed).unwrap(), batch);
+    }
+
+    #[test]
+    fn type_frames_and_shared_bytes_make_up_the_payload() {
+        let batch: Vec<Reading> = (0..10u32)
+            .flat_map(|i| {
+                [
+                    scalar(i, 900 + u64::from(i), f64::from(i) * 0.5),
+                    Reading::new(
+                        SensorId::new(SensorType::Traffic, i),
+                        900,
+                        Value::Counter(u64::from(i) * 17),
+                    ),
+                    Reading::new(
+                        SensorId::new(SensorType::Weather, i),
+                        902,
+                        Value::Composite(vec![2100 + i64::from(i), -50, 10_132]),
+                    ),
+                ]
+            })
+            .collect();
+        let mut encoder = StreamEncoder::new();
+        let mut decoder = StreamDecoder::new();
+        let packed = encoder.encode_batch(&batch).unwrap();
+        decoder.decode_batch(&packed).unwrap();
+        let present = [
+            SensorType::Temperature,
+            SensorType::Traffic,
+            SensorType::Weather,
+        ];
+        for ty in SensorType::ALL {
+            assert_eq!(
+                decoder.type_frame_bytes(ty) > 0,
+                present.contains(&ty),
+                "{ty:?}"
+            );
+        }
+        // Shared: the envelope, the record count, the dictionary block
+        // and the code and timestamp frames.
+        let body = &packed[BODY_OFFSET..packed.len() - 4];
+        let mut pos = 0;
+        let n = get_varint(body, &mut pos).unwrap();
+        for _ in 0..get_varint(body, &mut pos).unwrap() {
+            pos += 1;
+            get_varint(body, &mut pos).unwrap();
+        }
+        decode_column(body, &mut pos, n).unwrap();
+        decode_column(body, &mut pos, n).unwrap();
+        let typed: usize = present.iter().map(|&ty| decoder.type_frame_bytes(ty)).sum();
+        assert_eq!(typed + ENVELOPE_LEN + pos, packed.len());
+        // The next batch of the stream holds no weather reading.
+        let next = encoder.encode_batch(&batch[..2]).unwrap();
+        decoder.decode_batch(&next).unwrap();
+        assert!(decoder.type_frame_bytes(SensorType::Traffic) > 0);
+        assert_eq!(decoder.type_frame_bytes(SensorType::Weather), 0);
     }
 }

@@ -2,23 +2,24 @@
 //! network, cloud, application — where every sensed byte crosses the WAN
 //! to the cloud unreduced, and all processing happens there.
 //!
-//! The baseline shares the sensor substrate (the runtime's
-//! [`section_generators`] split) and topology with the F2C runtime so the
+//! The baseline shares the sensor substrate (the runtime's sampled
+//! sections at full population) and topology with the F2C runtime so the
 //! comparison isolates the architecture, not the workload.
 
 use citysim::barcelona::{BarcelonaTopology, LatencyProfile};
 use citysim::time::SimTime;
-use scc_sensors::{Catalog, Category};
+use scc_sensors::{Catalog, Category, SensorType};
 use std::collections::BTreeMap;
 
-use crate::runtime::section_generators;
+use crate::runtime::Sample;
 use crate::{Error, Result};
 
 /// Baseline parameters.
 #[derive(Debug, Clone)]
 pub struct BaselineConfig {
-    /// Divide every sensor population by this factor (≥ 1).
-    pub scale: u64,
+    /// How many sections run, at full population (1..=73), sampled as
+    /// [`crate::runtime::SimConfig::sections`] samples them.
+    pub sections: usize,
     /// RNG seed.
     pub seed: u64,
     /// Simulated horizon in seconds.
@@ -31,10 +32,10 @@ pub struct BaselineConfig {
 }
 
 impl BaselineConfig {
-    /// The Table I workload at 1/1000 scale.
-    pub fn paper_scaled() -> Self {
+    /// The Table I workload on one sampled section.
+    pub fn paper() -> Self {
         Self {
-            scale: 1000,
+            sections: 1,
             seed: 2017,
             horizon_s: 86_400,
             profile: LatencyProfile::default(),
@@ -43,18 +44,17 @@ impl BaselineConfig {
     }
 }
 
-/// What the baseline run measured.
+/// What the baseline run measured. `per_category` estimates the full
+/// city; every other field is measured on the sampled sections.
 #[derive(Debug, Clone, Default)]
 pub struct BaselineReport {
-    /// Population scale.
-    pub scale: u64,
     /// Readings generated.
     pub generated_readings: u64,
     /// Accounting bytes arriving at the cloud (everything, unreduced).
     pub cloud_ingress_acct_bytes: u64,
     /// Bytes metered across all network links (each hop counted).
     pub network_bytes: u64,
-    /// Per-category cloud ingress.
+    /// Full-city cloud ingress per category.
     pub per_category: BTreeMap<Category, u64>,
 }
 
@@ -65,12 +65,6 @@ pub struct BaselineReport {
 ///
 /// Configuration and network errors.
 pub fn simulate_baseline(config: BaselineConfig) -> Result<BaselineReport> {
-    if config.scale == 0 {
-        return Err(Error::BadConfig {
-            field: "scale",
-            reason: "must be >= 1",
-        });
-    }
     if config.frequency_factor <= 0.0 {
         return Err(Error::BadConfig {
             field: "frequency_factor",
@@ -78,25 +72,18 @@ pub fn simulate_baseline(config: BaselineConfig) -> Result<BaselineReport> {
         });
     }
     let catalog = Catalog::barcelona();
-    let scaled = catalog.scaled_down(config.scale);
+    let mut sample = Sample::new(&catalog, config.sections, config.seed)?;
     let mut city = BarcelonaTopology::build(&config.profile);
 
-    let mut report = BaselineReport {
-        scale: config.scale,
-        ..BaselineReport::default()
-    };
-    for c in Category::ALL {
-        report.per_category.insert(c, 0);
-    }
-
-    let mut generators = section_generators(&scaled, config.seed);
-    for spec in scaled.iter() {
+    let mut report = BaselineReport::default();
+    let mut per_type: BTreeMap<SensorType, u64> = BTreeMap::new();
+    for spec in catalog.iter() {
         let ty = spec.sensor_type();
         let interval = spec.tx_interval_secs() / config.frequency_factor;
         let mut t = interval;
         while t <= config.horizon_s as f64 {
             let now = SimTime::from_micros((t * 1e6) as u64);
-            for (section, per_section) in generators.iter_mut().enumerate() {
+            for (section, per_section) in sample.generators.iter_mut().enumerate() {
                 let Some(gen) = per_section.get_mut(&ty) else {
                     continue;
                 };
@@ -107,13 +94,17 @@ pub fn simulate_baseline(config: BaselineConfig) -> Result<BaselineReport> {
                 let bytes = readings.len() as u64 * spec.tx_bytes();
                 report.generated_readings += readings.len() as u64;
                 report.cloud_ingress_acct_bytes += bytes;
-                *report.per_category.entry(ty.category()).or_default() += bytes;
+                *per_type.entry(ty).or_default() += bytes;
                 let from = city.fog1_nodes()[section];
                 let to = city.cloud();
                 city.network_mut().send(from, to, bytes, now)?;
             }
             t += interval;
         }
+    }
+    for (ty, bytes) in per_type {
+        *report.per_category.entry(ty.category()).or_default() +=
+            sample.full_city(ty, bytes as f64);
     }
 
     report.network_bytes = city.network().meter().total_bytes();
@@ -127,8 +118,7 @@ mod tests {
     use crate::traffic::TrafficModel;
 
     fn small() -> BaselineConfig {
-        let mut c = BaselineConfig::paper_scaled();
-        c.scale = 5_000;
+        let mut c = BaselineConfig::paper();
         c.horizon_s = 4 * 3600;
         c
     }
@@ -137,30 +127,29 @@ mod tests {
     fn cloud_receives_everything_unreduced() {
         let report = simulate_baseline(small()).unwrap();
         assert!(report.generated_readings > 0);
-        // Ingress equals generation exactly: no aggregation anywhere.
-        let per_cat_sum: u64 = report.per_category.values().sum();
-        assert_eq!(per_cat_sum, report.cloud_ingress_acct_bytes);
         // Every byte crossed two hops (fog1->fog2->cloud routing).
         assert_eq!(report.network_bytes, 2 * report.cloud_ingress_acct_bytes);
+        // The full-city estimate is the sampled section's ingress times
+        // about 73 sections.
+        let full_city: u64 = report.per_category.values().sum();
+        let sections = full_city as f64 / report.cloud_ingress_acct_bytes as f64;
+        assert!((72.0..74.0).contains(&sections), "{sections:.2} sections");
     }
 
     #[test]
     fn baseline_matches_table1_cloud_column_at_scale() {
-        let mut c = BaselineConfig::paper_scaled();
-        c.scale = 2_000;
-        let report = simulate_baseline(c).unwrap();
+        let report = simulate_baseline(BaselineConfig::paper()).unwrap();
         let expected = TrafficModel::paper().table1_totals().daily_fog1;
-        let measured = (report.cloud_ingress_acct_bytes * report.scale) as f64;
-        let err = (measured - expected as f64).abs() / expected as f64;
-        assert!(err < 0.12, "baseline off by {:.1}%", err * 100.0);
+        let measured: u64 = report.per_category.values().sum();
+        let err = (measured as f64 - expected as f64).abs() / expected as f64;
+        assert!(err < 0.01, "baseline off by {:.2}%", err * 100.0);
     }
 
     #[test]
     fn f2c_beats_baseline_on_wan_traffic() {
-        // The paper's headline comparison, at matched scale and horizon.
+        // The paper's headline comparison, at matched sample and horizon.
         let baseline = simulate_baseline(small()).unwrap();
-        let mut f2c_config = SimConfig::paper_scaled();
-        f2c_config.scale = 5_000;
+        let mut f2c_config = SimConfig::paper();
         f2c_config.horizon_s = 4 * 3600;
         let f2c = simulate(f2c_config).unwrap();
         assert!(
@@ -190,9 +179,17 @@ mod tests {
 
     #[test]
     fn degenerate_configs_rejected() {
-        let mut c = small();
-        c.scale = 0;
-        assert!(simulate_baseline(c).is_err());
+        for sections in [0, 74] {
+            let mut c = small();
+            c.sections = sections;
+            assert!(matches!(
+                simulate_baseline(c),
+                Err(Error::BadConfig {
+                    field: "sections",
+                    ..
+                })
+            ));
+        }
         let mut c = small();
         c.frequency_factor = 0.0;
         assert!(simulate_baseline(c).is_err());

@@ -32,8 +32,6 @@ pub enum Error {
     Network(citysim::Error),
     /// An underlying compression error surfaced during flushing.
     Compression(f2c_compress::Error),
-    /// A wire-text batch (the shipment tap's `wire`) failed to parse.
-    Wire(scc_sensors::Error),
     /// A flush payload decoded cleanly but disagreed with the records
     /// it shipped alongside — the receiver-side decode-equality proof
     /// failed for the child stream `origin`.
@@ -59,7 +57,6 @@ impl fmt::Display for Error {
             }
             Error::Network(e) => write!(f, "network error: {e}"),
             Error::Compression(e) => write!(f, "compression error: {e}"),
-            Error::Wire(e) => write!(f, "wire batch error: {e}"),
             Error::CodecMismatch { origin } => write!(
                 f,
                 "flush payload from child stream {origin} decodes to different records"
@@ -73,7 +70,6 @@ impl std::error::Error for Error {
         match self {
             Error::Network(e) => Some(e),
             Error::Compression(e) => Some(e),
-            Error::Wire(e) => Some(e),
             _ => None,
         }
     }
@@ -88,11 +84,5 @@ impl From<citysim::Error> for Error {
 impl From<f2c_compress::Error> for Error {
     fn from(e: f2c_compress::Error) -> Self {
         Error::Compression(e)
-    }
-}
-
-impl From<scc_sensors::Error> for Error {
-    fn from(e: scc_sensors::Error) -> Self {
-        Error::Wire(e)
     }
 }

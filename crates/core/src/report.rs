@@ -18,7 +18,7 @@ pub fn thousands(n: u64) -> String {
 }
 
 /// Formats bytes as decimal gigabytes with 2 decimals (Fig. 7 style).
-pub fn gb(bytes: u64) -> String {
+pub(crate) fn gb(bytes: u64) -> String {
     format!("{:.2} GB", bytes as f64 / 1e9)
 }
 

@@ -1,17 +1,19 @@
 //! The event-driven F2C simulation: synthetic Sentilo waves flow into an
 //! assembled [`F2cCity`] — 73 fog-1 nodes, 10 fog-2 nodes and the cloud —
 //! whose tiers flush on their policies' schedules, with aggregation and
-//! compression applied per the flush policies. Its traffic accounting
-//! cross-validates the analytic [`crate::traffic::TrafficModel`] at a
-//! configurable population scale.
+//! compression applied per the flush policies. It runs a sample of
+//! sections at full population, so every flush batch is the size the
+//! full city ships, and its per-category traffic estimates the full city
+//! to cross-validate the analytic [`crate::traffic::TrafficModel`].
 
 use std::collections::BTreeMap;
 
-use citysim::barcelona::LatencyProfile;
+use citysim::barcelona::{LatencyProfile, DISTRICTS};
 use citysim::event::EventQueue;
 use citysim::net::TrafficMeter;
 use citysim::time::SimTime;
-use scc_sensors::{wire, Catalog, Category, Reading, ReadingGenerator, SensorType};
+use f2c_compress::tsenc::StreamDecoder;
+use scc_sensors::{Catalog, Category, ReadingGenerator, SensorType};
 
 use crate::hierarchy::F2cCity;
 use crate::node::IngestOutcome;
@@ -21,8 +23,9 @@ use crate::{Error, Result};
 /// Simulation parameters.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Divide every sensor population by this factor (≥ 1).
-    pub scale: u64,
+    /// How many sections run at full population (1..=73), taken district
+    /// by district in turn.
+    pub sections: usize,
     /// RNG seed for the generators.
     pub seed: u64,
     /// Simulated horizon in seconds (one day reproduces the paper).
@@ -40,11 +43,11 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The paper's configuration at 1/1000 population scale: one day,
+    /// The paper's configuration on one sampled section: one day,
     /// 15-minute aggregated+compressed fog-1 flushes, hourly fog-2 flushes.
-    pub fn paper_scaled() -> Self {
+    pub fn paper() -> Self {
         Self {
-            scale: 1000,
+            sections: 1,
             seed: 2017,
             horizon_s: 86_400,
             fog1_flush: FlushPolicy::paper_fog1(),
@@ -53,47 +56,25 @@ impl SimConfig {
             drain_at_end: true,
         }
     }
-
-    /// Checks the scale and horizon; [`F2cCity::new`] checks the
-    /// policies.
-    fn validate(&self) -> Result<()> {
-        if self.scale == 0 {
-            return Err(Error::BadConfig {
-                field: "scale",
-                reason: "must be >= 1",
-            });
-        }
-        if self.horizon_s == 0 {
-            return Err(Error::BadConfig {
-                field: "horizon_s",
-                reason: "must be positive",
-            });
-        }
-        Ok(())
-    }
 }
 
-/// Per-category traffic accounting (Table-I byte convention).
+/// One category's full-city daily traffic, estimated from the sampled
+/// sections (Table-I byte convention for raw and after-dedup).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CategoryTraffic {
     /// Raw bytes generated by sensors.
     pub raw: u64,
     /// Bytes surviving fog-1 aggregation (accounting sizes).
     pub after_dedup: u64,
-    /// Wire-encoded size of the fog-1 batches shipped encoded (0 when
-    /// fog 1 does not compress: only encoded shipments are tapped, as for
-    /// [`SimReport::fog1_uplink_wire_bytes`]).
-    pub wire: u64,
-    /// Compressed size of the fog-1 batches shipped encoded (0 when fog 1
-    /// does not compress).
+    /// `tsenc` payload bytes shipped fog 1 → fog 2 (0 when fog 1 does
+    /// not compress).
     pub compressed: u64,
 }
 
-/// What one simulated run measured.
+/// What one simulated run measured. `per_category` estimates the full
+/// city; every other field is measured on the sampled sections.
 #[derive(Debug, Clone, Default)]
 pub struct SimReport {
-    /// Population scale of the run.
-    pub scale: u64,
     /// Simulated horizon.
     pub horizon_s: u64,
     /// Readings generated at the sensors.
@@ -106,12 +87,12 @@ pub struct SimReport {
     pub fog1_uplink_acct_bytes: u64,
     /// Accounting bytes shipped fog2→cloud.
     pub fog2_uplink_acct_bytes: u64,
-    /// Wire bytes of fog-1 uplink batches (before compression; 0 when
-    /// not compressing, since only encoded shipments are tapped).
-    pub fog1_uplink_wire_bytes: u64,
-    /// Compressed bytes of fog-1 uplink batches (0 when not compressing).
+    /// `tsenc` payload bytes of fog-1 uplink batches (0 when not
+    /// compressing).
     pub fog1_uplink_compressed_bytes: u64,
-    /// Per-category breakdown.
+    /// Encoded fog-1 uplink batches shipped.
+    pub fog1_shipments: u64,
+    /// Full-city estimate per category.
     pub per_category: BTreeMap<Category, CategoryTraffic>,
     /// Bytes metered on fog1→fog2 links (what actually crossed the wire).
     pub network_fog1_fog2_bytes: u64,
@@ -133,46 +114,130 @@ impl SimReport {
             1.0 - self.stored_after_dedup as f64 / self.generated_readings as f64
         }
     }
+}
 
-    /// Measured compression ratio on the shipped batches.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.fog1_uplink_wire_bytes == 0 || self.fog1_uplink_compressed_bytes == 0 {
-            1.0
-        } else {
-            self.fog1_uplink_compressed_bytes as f64 / self.fog1_uplink_wire_bytes as f64
+/// The sections a run simulates, at full population: the first
+/// `sections` of a district round-robin order (each district's first
+/// section, then each one's second, …). Every section holds ⌊n/73⌋ or
+/// ⌈n/73⌉ sensors of each type, so one section already carries what a
+/// flush batch of the full city carries.
+pub(crate) struct Sample {
+    /// `generators[section][type]`; a section outside the sample is empty.
+    pub(crate) generators: Vec<BTreeMap<SensorType, ReadingGenerator>>,
+    /// Per type: full-city population over sampled population.
+    factor: BTreeMap<SensorType, f64>,
+}
+
+impl Sample {
+    /// Samples `sections` of `catalog`'s full population.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::BadConfig`] unless `sections` is in `1..=73`.
+    pub(crate) fn new(catalog: &Catalog, sections: usize, seed: u64) -> Result<Self> {
+        if !(1..=73).contains(&sections) {
+            return Err(Error::BadConfig {
+                field: "sections",
+                reason: "must be in 1..=73",
+            });
         }
+        // (rank in its district, section): sections are district-
+        // contiguous, so this sorts each rank's sections by district.
+        let mut order: Vec<(usize, usize)> =
+            DISTRICTS.iter().flat_map(|&(_, n)| 0..n).zip(0..).collect();
+        order.sort_unstable();
+        let mut generators: Vec<_> = (0..73).map(|_| BTreeMap::new()).collect();
+        for &(_, s) in &order[..sections] {
+            generators[s] = generators_in(catalog, s, seed);
+        }
+        let factor = catalog
+            .iter()
+            .map(|spec| {
+                let ty = spec.sensor_type();
+                let sampled: usize = generators
+                    .iter()
+                    .filter_map(|g| g.get(&ty).map(ReadingGenerator::population))
+                    .sum();
+                (ty, spec.sensors() as f64 / sampled as f64)
+            })
+            .collect();
+        Ok(Self { generators, factor })
     }
 
-    /// Scales a measured byte count back to full deployment size.
-    pub fn scaled_up(&self, bytes: u64) -> u64 {
-        bytes * self.scale
+    /// The full-city estimate of `sampled` bytes of type `ty`.
+    pub(crate) fn full_city(&self, ty: SensorType, sampled: f64) -> u64 {
+        (sampled * self.factor[&ty]).round() as u64
+    }
+}
+
+/// Reads the fog-1 payloads each flush wave shipped, one decoder per
+/// section: each type is charged its own value and field frames, and the
+/// payload's shared bytes by record count.
+#[derive(Default)]
+struct PayloadTap {
+    decoders: BTreeMap<u16, StreamDecoder>,
+    /// Sampled payload bytes charged to each type.
+    per_type: BTreeMap<SensorType, f64>,
+    bytes: u64,
+    shipments: u64,
+}
+
+impl PayloadTap {
+    /// Drains `city`'s shipment log.
+    fn read(&mut self, city: &mut F2cCity) -> Result<()> {
+        for shipment in city.take_shipment_log() {
+            if shipment.hop != 1 {
+                continue;
+            }
+            self.shipments += 1;
+            self.bytes += shipment.payload.len() as u64;
+            let decoder = self.decoders.entry(shipment.origin).or_default();
+            let readings = decoder.decode_batch(&shipment.payload)?;
+            let mut records: BTreeMap<SensorType, usize> = BTreeMap::new();
+            for reading in &readings {
+                *records.entry(reading.sensor_type()).or_default() += 1;
+            }
+            let typed: usize = records.keys().map(|&ty| decoder.type_frame_bytes(ty)).sum();
+            let shared = (shipment.payload.len() - typed) as f64 / readings.len() as f64;
+            for (ty, n) in records {
+                *self.per_type.entry(ty).or_default() +=
+                    decoder.type_frame_bytes(ty) as f64 + shared * n as f64;
+            }
+        }
+        Ok(())
     }
 }
 
 /// Runs the F2C architecture over one simulated horizon: one [`F2cCity`]
-/// built with the configured policies, each tier flushed on its own
-/// policy's schedule (period and off-peak window), read back through the
-/// city's flush counters, shipment tap and network meter.
+/// built with the configured policies, its sampled sections ingesting at
+/// full population, each tier flushed on its own policy's schedule
+/// (period and off-peak window), read back through the city's flush
+/// counters, shipment tap and network meter.
 ///
 /// # Errors
 ///
-/// Configuration and network errors.
+/// [`Error::BadConfig`] on a sample outside `1..=73` sections or a zero
+/// horizon; network errors.
 ///
 /// # Examples
 ///
 /// ```
 /// use f2c_core::runtime::{simulate, SimConfig};
 ///
-/// let mut config = SimConfig::paper_scaled();
-/// config.scale = 20_000;     // tiny population: fast doctest
-/// config.horizon_s = 7_200;  // two hours
+/// let mut config = SimConfig::paper(); // one section at full population
+/// config.horizon_s = 1_800;            // half an hour: fast doctest
 /// let report = simulate(config)?;
 /// assert!(report.generated_readings > 0);
-/// assert!(report.cloud_records as f64 >= 0.9 * report.stored_after_dedup as f64);
+/// assert_eq!(report.cloud_records, report.stored_after_dedup);
 /// # Ok::<(), f2c_core::Error>(())
 /// ```
 pub fn simulate(config: SimConfig) -> Result<SimReport> {
-    config.validate()?;
+    if config.horizon_s == 0 {
+        return Err(Error::BadConfig {
+            field: "horizon_s",
+            reason: "must be positive",
+        });
+    }
     let mut city = F2cCity::new(
         &config.profile,
         config.fog1_flush,
@@ -180,7 +245,7 @@ pub fn simulate(config: SimConfig) -> Result<SimReport> {
         RetentionPolicy::keep(86_400),
     )?;
     city.set_capture_shipments(true);
-    let scaled = city.catalog().scaled_down(config.scale);
+    let mut sample = Sample::new(city.catalog(), config.sections, config.seed)?;
 
     // Each tier's flush instants. Ticks of both tiers on one second are
     // one wave, so the flush epoch counts instants, not tiers.
@@ -194,54 +259,41 @@ pub fn simulate(config: SimConfig) -> Result<SimReport> {
     }
 
     let mut report = SimReport {
-        scale: config.scale,
         horizon_s: config.horizon_s,
-        per_category: Category::ALL
-            .iter()
-            .map(|&c| (c, CategoryTraffic::default()))
-            .collect(),
         ..SimReport::default()
     };
+    // Sampled (raw, after-dedup) bytes per type.
+    let mut per_type: BTreeMap<SensorType, (u64, u64)> = BTreeMap::new();
+    // Drained after every flush, so the shipment log never holds a day.
+    let mut tap = PayloadTap::default();
     drive(
         &mut city,
-        &scaled,
-        config.seed,
+        &mut sample.generators,
         config.horizon_s,
         &flushes,
         |ty, outcome| {
             report.generated_readings += outcome.offered;
             report.stored_after_dedup += outcome.stored;
             report.raw_acct_bytes += outcome.raw_bytes;
-            let ct = report.per_category.entry(ty.category()).or_default();
-            ct.raw += outcome.raw_bytes;
-            ct.after_dedup += outcome.kept_bytes;
+            let t = per_type.entry(ty).or_default();
+            t.0 += outcome.raw_bytes;
+            t.1 += outcome.kept_bytes;
         },
+        |city| tap.read(city),
     )?;
     // Final drain so conservation holds end-to-end.
     if config.drain_at_end {
         city.flush_due(config.horizon_s, true, true)?;
+        tap.read(&mut city)?;
     }
 
     (report.fog1_uplink_acct_bytes, report.fog2_uplink_acct_bytes) = city.raw_flush_bytes();
-    for shipment in city.take_shipment_log() {
-        if shipment.hop != 1 {
-            continue;
-        }
-        report.fog1_uplink_wire_bytes += shipment.wire.len() as u64;
-        report.fog1_uplink_compressed_bytes += shipment.payload.len() as u64;
-        let mut by_cat: BTreeMap<Category, Vec<Reading>> = BTreeMap::new();
-        for reading in wire::parse_batch(&shipment.wire)? {
-            by_cat
-                .entry(reading.sensor_type().category())
-                .or_default()
-                .push(reading);
-        }
-        for (cat, readings) in by_cat {
-            let encoded = wire::encode_batch(&readings);
-            let ct = report.per_category.entry(cat).or_default();
-            ct.wire += encoded.len() as u64;
-            ct.compressed += f2c_compress::compress(&encoded)?.len() as u64;
-        }
+    (report.fog1_uplink_compressed_bytes, report.fog1_shipments) = (tap.bytes, tap.shipments);
+    for (ty, (raw, after_dedup)) in per_type {
+        let c = report.per_category.entry(ty.category()).or_default();
+        c.raw += sample.full_city(ty, raw as f64);
+        c.after_dedup += sample.full_city(ty, after_dedup as f64);
+        c.compressed += sample.full_city(ty, tap.per_type.get(&ty).copied().unwrap_or(0.0));
     }
     report.cloud_records = city.cloud().store().len() as u64;
 
@@ -276,9 +328,11 @@ fn spread_hash(ty: SensorType, section: usize) -> u64 {
 
 /// Splits each catalog type's population across the 73 sections and
 /// builds one deterministic generator per (section, type) share —
-/// `generators[section][type]`. Shared by [`simulate`], the warm-up in
-/// [`populate_city`], the centralized baseline and the query workload's
-/// background ingest, so all of them agree on which sensors live where.
+/// `generators[section][type]`. Shared by the warm-up in
+/// [`populate_city`] and the query workload's background ingest; the
+/// sampled sections of [`simulate`] and the centralized baseline are
+/// built section by section from the same split, so all of them agree on
+/// which sensors live where.
 ///
 /// The `n % 73` remainder sensors land on the sections that rank first
 /// under a per-type deterministic hash, *not* on sections `0..extra`:
@@ -291,30 +345,31 @@ pub fn section_generators(
     catalog: &Catalog,
     seed: u64,
 ) -> Vec<BTreeMap<SensorType, ReadingGenerator>> {
-    let mut generators: Vec<BTreeMap<SensorType, ReadingGenerator>> =
-        (0..73).map(|_| BTreeMap::new()).collect();
+    (0..73)
+        .map(|section| generators_in(catalog, section, seed))
+        .collect()
+}
+
+/// `section`'s share of [`section_generators`].
+fn generators_in(
+    catalog: &Catalog,
+    section: usize,
+    seed: u64,
+) -> BTreeMap<SensorType, ReadingGenerator> {
+    let mut generators = BTreeMap::new();
     for spec in catalog.iter() {
-        let n = spec.sensors();
-        let base = n / 73;
-        let extra = (n % 73) as usize;
-        let mut ranked: Vec<usize> = (0..73).collect();
-        ranked.sort_by_key(|&s| spread_hash(spec.sensor_type(), s));
-        let mut gets_extra = [false; 73];
-        for &s in &ranked[..extra] {
-            gets_extra[s] = true;
-        }
-        for (section, per_section) in generators.iter_mut().enumerate() {
-            let count = base + u64::from(gets_extra[section]);
-            if count > 0 {
-                per_section.insert(
-                    spec.sensor_type(),
-                    ReadingGenerator::for_population(
-                        spec.sensor_type(),
-                        count as u32,
-                        seed ^ ((section as u64) << 32),
-                    ),
-                );
-            }
+        let ty = spec.sensor_type();
+        // The section's place in the type's hash order, ties by index.
+        let key = |s: usize| (spread_hash(ty, s), s);
+        let mine = key(section);
+        let rank = (0..73).filter(|&s| key(s) < mine).count() as u64;
+        let count = spec.sensors() / 73 + u64::from(rank < spec.sensors() % 73);
+        if count > 0 {
+            let root_seed = seed ^ ((section as u64) << 32);
+            generators.insert(
+                ty,
+                ReadingGenerator::for_population(ty, count as u32, root_seed),
+            );
         }
     }
     generators
@@ -365,15 +420,16 @@ pub fn populate_city(
             reason: "must be positive",
         });
     }
-    let scaled = city.catalog().scaled_down(scale);
+    let mut gens = section_generators(&city.catalog().scaled_down(scale), seed);
     let flushes: BTreeMap<u64, [bool; 2]> = (1..=horizon_s / flush_period_s)
         .map(|k| (k * flush_period_s, [true; 2]))
         .collect();
     let (mut offered, mut stored) = (0, 0);
-    drive(city, &scaled, seed, horizon_s, &flushes, |_, ingest| {
+    let on_ingest = |_, ingest: IngestOutcome| {
         offered += ingest.offered;
         stored += ingest.stored;
-    })?;
+    };
+    drive(city, &mut gens, horizon_s, &flushes, on_ingest, |_| Ok(()))?;
     city.flush_all(horizon_s)?;
     Ok(PopulateOutcome {
         offered,
@@ -382,29 +438,29 @@ pub fn populate_city(
     })
 }
 
-/// Drives `city` over `horizon_s` of simulated time: every type of
-/// `scaled` reports at its Table-I transmission interval, section by
-/// section through [`F2cCity::ingest`], and at each instant of `flushes`
-/// the city runs [`F2cCity::flush_due`] for the tiers flagged there
-/// (`[fog 1, fog 2]`). Waves are scheduled before flushes, so a wave and
-/// a flush at the same instant ingest first. `on_ingest` sees each
-/// section's outcome with its sensor type.
+/// Drives `city` over `horizon_s` of simulated time: every type reports
+/// at its Table-I transmission interval, through each section's generator
+/// of it in `generators` and [`F2cCity::ingest`], and at each instant of
+/// `flushes` the city runs [`F2cCity::flush_due`] for the tiers flagged
+/// there (`[fog 1, fog 2]`). Waves are scheduled before flushes, so a
+/// wave and a flush at the same instant ingest first. `on_ingest` sees
+/// each section's outcome with its sensor type, `on_flush` the city after
+/// each flush.
 fn drive(
     city: &mut F2cCity,
-    scaled: &Catalog,
-    seed: u64,
+    generators: &mut [BTreeMap<SensorType, ReadingGenerator>],
     horizon_s: u64,
     flushes: &BTreeMap<u64, [bool; 2]>,
     mut on_ingest: impl FnMut(SensorType, IngestOutcome),
+    mut on_flush: impl FnMut(&mut F2cCity) -> Result<()>,
 ) -> Result<()> {
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Event {
         Wave(SensorType),
         Flush([bool; 2]),
     }
-    let mut generators = section_generators(scaled, seed);
     let mut queue: EventQueue<Event> = EventQueue::new();
-    for spec in scaled.iter() {
+    for spec in city.catalog().iter() {
         let interval = spec.tx_interval_secs();
         let mut t = interval;
         while t <= horizon_s as f64 {
@@ -432,34 +488,35 @@ fn drive(
             }
             Event::Flush([fog1, fog2]) => {
                 city.flush_due(now_s, fog1, fog2)?;
+                on_flush(city)?;
             }
         }
     }
     Ok(())
 }
 
-/// Runs the paper's ablation: the same day with a different fog-1 flush
-/// period, returning `(period_s, peak flush bytes on one uplink)` — used
-/// by the E6 experiment to show how the flush period trades peak traffic
-/// for data freshness upstream.
-pub fn flush_period_ablation(periods_s: &[u64], scale: u64) -> Result<Vec<(u64, u64)>> {
+/// Runs the paper's ablation: the same six hours with a different fog-1
+/// flush period, returning `(period_s, mean payload bytes per flush)` —
+/// the mean `tsenc` payload one sampled section ships per fog-1 flush —
+/// used by the E6 experiment to show how the flush period trades batch
+/// size for data freshness upstream.
+///
+/// # Errors
+///
+/// As [`simulate`].
+pub fn flush_period_ablation(periods_s: &[u64], sections: usize) -> Result<Vec<(u64, u64)>> {
     let mut out = Vec::with_capacity(periods_s.len());
     for &period in periods_s {
-        let mut config = SimConfig::paper_scaled();
-        config.scale = scale;
+        let mut config = SimConfig::paper();
+        config.sections = sections;
         config.horizon_s = 6 * 3600;
         config.fog1_flush = FlushPolicy {
             period_s: period,
             ..FlushPolicy::paper_fog1()
         };
         let report = simulate(config)?;
-        // Peak per-flush bytes ≈ uplink bytes / number of flushes.
-        let flushes = (6 * 3600 / period).max(1) * 73;
-        let avg_per_flush = report
-            .fog1_uplink_compressed_bytes
-            .max(report.fog1_uplink_acct_bytes)
-            / flushes;
-        out.push((period, avg_per_flush));
+        let shipments = report.fog1_shipments.max(1);
+        out.push((period, report.fog1_uplink_compressed_bytes / shipments));
     }
     Ok(out)
 }
@@ -468,23 +525,21 @@ pub fn flush_period_ablation(periods_s: &[u64], scale: u64) -> Result<Vec<(u64, 
 mod tests {
     use super::*;
     use crate::traffic::TrafficModel;
-    use citysim::barcelona::DISTRICTS;
+    use std::sync::OnceLock;
 
-    fn small_config() -> SimConfig {
-        // 1/2500 scale (~400 sensors). Smaller populations leave many
-        // sections with one sensor now that the remainder split covers
-        // every district, and single-reading flush batches are too small
-        // to compress — representative batches need a few sensors per
-        // section.
-        let mut c = SimConfig::paper_scaled();
-        c.scale = 2_500;
-        c.horizon_s = 4 * 3600;
-        c
+    /// One section, four hours: the run the accounting tests share.
+    fn small_report() -> &'static SimReport {
+        static REPORT: OnceLock<SimReport> = OnceLock::new();
+        REPORT.get_or_init(|| {
+            let mut c = SimConfig::paper();
+            c.horizon_s = 4 * 3600;
+            simulate(c).unwrap()
+        })
     }
 
     #[test]
     fn conservation_no_record_lost_between_layers() {
-        let report = simulate(small_config()).unwrap();
+        let report = small_report();
         assert_eq!(
             report.cloud_records, report.stored_after_dedup,
             "every deduped record must reach the cloud after the final drain"
@@ -493,39 +548,44 @@ mod tests {
 
     #[test]
     fn dedup_rate_is_in_the_papers_band() {
-        let report = simulate(small_config()).unwrap();
         // Mixed-category rate: between urban's 30% and noise's 75%.
-        let rate = report.dedup_rate();
+        let rate = small_report().dedup_rate();
         assert!((0.3..0.75).contains(&rate), "dedup rate {rate:.3}");
     }
 
     #[test]
     fn uplink_sees_fewer_bytes_than_raw() {
-        let report = simulate(small_config()).unwrap();
+        let report = small_report();
         assert!(report.fog1_uplink_acct_bytes < report.raw_acct_bytes);
-        assert!(report.fog1_uplink_compressed_bytes < report.fog1_uplink_wire_bytes);
+        assert!(report.fog1_uplink_compressed_bytes < report.fog1_uplink_acct_bytes);
         assert_eq!(report.fog1_uplink_acct_bytes, report.fog2_uplink_acct_bytes);
+        for (category, t) in &report.per_category {
+            assert!(
+                0 < t.compressed && t.compressed <= t.after_dedup,
+                "{category}: compressed {} vs after dedup {}",
+                t.compressed,
+                t.after_dedup
+            );
+        }
     }
 
     #[test]
     fn simulation_cross_validates_the_analytic_model() {
-        // A full scaled day: per-category dedup output must match Table I
-        // within sampling tolerance.
-        let mut config = SimConfig::paper_scaled();
-        config.scale = 2_000;
-        let report = simulate(config).unwrap();
+        // A full sampled day: per-category raw and dedup output must
+        // match Table I within sampling tolerance.
+        let report = simulate(SimConfig::paper()).unwrap();
         let model = TrafficModel::paper();
         for row in model.fig7_rows() {
             let measured = report.per_category[&row.category];
-            let scaled_raw = report.scaled_up(measured.raw) as f64;
-            let scaled_dedup = report.scaled_up(measured.after_dedup) as f64;
-            let raw_err = (scaled_raw - row.raw as f64).abs() / row.raw as f64;
-            let dedup_err = (scaled_dedup - row.after_dedup as f64).abs() / row.after_dedup as f64;
+            let raw_err = (measured.raw as f64 - row.raw as f64).abs() / row.raw as f64;
+            let dedup_err = (measured.after_dedup as f64 - row.after_dedup as f64).abs()
+                / row.after_dedup as f64;
             assert!(
-                raw_err < 0.12,
-                "{}: raw off by {:.1}% (sim {scaled_raw:.3e} vs model {})",
+                raw_err < 0.01,
+                "{}: raw off by {:.2}% (sim {} vs model {})",
                 row.category,
                 raw_err * 100.0,
+                measured.raw,
                 row.raw,
             );
             assert!(
@@ -539,8 +599,8 @@ mod tests {
 
     #[test]
     fn network_meters_agree_with_uplink_accounting() {
-        let report = simulate(small_config()).unwrap();
-        // Compression on: the fog1->fog2 wire carries the compressed bytes.
+        let report = small_report();
+        // Compression on: the fog1->fog2 wire carries the payload bytes.
         assert_eq!(
             report.network_fog1_fog2_bytes, report.fog1_uplink_compressed_bytes,
             "metered fog1->fog2 bytes match compressed shipments"
@@ -550,12 +610,47 @@ mod tests {
 
     #[test]
     fn bad_configs_rejected() {
-        let mut c = SimConfig::paper_scaled();
-        c.scale = 0;
-        assert!(simulate(c).is_err());
-        let mut c = SimConfig::paper_scaled();
+        for sections in [0, 74] {
+            let mut c = SimConfig::paper();
+            c.sections = sections;
+            assert!(matches!(
+                simulate(c),
+                Err(Error::BadConfig {
+                    field: "sections",
+                    ..
+                })
+            ));
+        }
+        let mut c = SimConfig::paper();
         c.horizon_s = 0;
         assert!(simulate(c).is_err());
+    }
+
+    #[test]
+    fn the_sample_walks_the_districts_round_robin() {
+        // A 1/100 catalog still puts sensors of some type in every section.
+        let small = Catalog::barcelona().scaled_down(100);
+        let sampled = |sections| {
+            let sample = Sample::new(&small, sections, 7).unwrap();
+            let kept: Vec<usize> = (0..73)
+                .filter(|&s| !sample.generators[s].is_empty())
+                .collect();
+            (kept, sample)
+        };
+        // District firsts: 0, 4, 10, 18, 21, 27, 32, 43, 56, 63.
+        assert_eq!(sampled(1).0, [0]);
+        assert_eq!(sampled(3).0, [0, 4, 10]);
+        assert_eq!(sampled(11).0, [0, 1, 4, 10, 18, 21, 27, 32, 43, 56, 63]);
+        let (kept, all) = sampled(73);
+        assert_eq!(kept.len(), 73);
+        assert!(all.factor.values().all(|&f| f == 1.0));
+        // One section of the full city holds every type at about 1/73 of
+        // its population.
+        let one = Sample::new(&Catalog::barcelona(), 1, 7).unwrap();
+        assert_eq!(one.factor.len(), 21);
+        for (ty, &f) in &one.factor {
+            assert!((72.0..74.0).contains(&f), "{ty:?}: factor {f}");
+        }
     }
 
     #[test]
@@ -620,9 +715,9 @@ mod tests {
 
     #[test]
     fn flush_period_ablation_trades_period_for_batch_size() {
-        let rows = flush_period_ablation(&[900, 3600], 20_000).unwrap();
+        let rows = flush_period_ablation(&[900, 3600], 1).unwrap();
         assert_eq!(rows.len(), 2);
-        // Longer periods accumulate bigger batches per flush.
+        // Longer periods accumulate bigger payloads per flush.
         assert!(rows[1].1 > rows[0].1);
     }
 }

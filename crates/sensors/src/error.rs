@@ -1,7 +1,7 @@
 use std::fmt;
 
 /// Result alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, Error>;
+pub(crate) type Result<T> = std::result::Result<T, Error>;
 
 /// Errors from catalog construction and wire parsing.
 #[derive(Debug, Clone, PartialEq)]

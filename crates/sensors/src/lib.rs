@@ -49,7 +49,8 @@ pub mod wire;
 
 pub use catalog::{Catalog, TypeSpec};
 pub use category::Category;
-pub use error::{Error, Result};
+pub use error::Error;
+pub(crate) use error::Result;
 pub use generator::{ReadingGenerator, SensorStream, TimeCorrelatedStream};
 pub use idhash::IdMap;
 pub use ids::SensorId;

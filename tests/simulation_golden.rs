@@ -4,6 +4,8 @@
 //! how the simulation runs — which hierarchy it drives, how it schedules
 //! waves and flushes, how it reads the meters — must leave these
 //! renderings byte for byte where they were, at every `PARALLELISM`.
+//! The runs here are short and sample one section; the full day behind
+//! Fig. 7 is pinned by `bench/baseline_fig7.json`.
 
 use f2c_smartcity::core::policy::FlushPolicy;
 use f2c_smartcity::core::runtime::{flush_period_ablation, simulate, SimConfig, SimReport};
@@ -31,18 +33,17 @@ fn assert_golden(rendering: &str, golden: u64, fixture: &str) {
 fn render(report: &SimReport) -> String {
     let mut out = String::new();
     for (name, value) in [
-        ("scale", report.scale),
         ("horizon_s", report.horizon_s),
         ("generated_readings", report.generated_readings),
         ("stored_after_dedup", report.stored_after_dedup),
         ("raw_acct_bytes", report.raw_acct_bytes),
         ("fog1_uplink_acct_bytes", report.fog1_uplink_acct_bytes),
         ("fog2_uplink_acct_bytes", report.fog2_uplink_acct_bytes),
-        ("fog1_uplink_wire_bytes", report.fog1_uplink_wire_bytes),
         (
             "fog1_uplink_compressed_bytes",
             report.fog1_uplink_compressed_bytes,
         ),
+        ("fog1_shipments", report.fog1_shipments),
         ("network_fog1_fog2_bytes", report.network_fog1_fog2_bytes),
         ("network_fog2_cloud_bytes", report.network_fog2_cloud_bytes),
         ("cloud_records", report.cloud_records),
@@ -51,8 +52,8 @@ fn render(report: &SimReport) -> String {
     }
     for (category, t) in &report.per_category {
         out += &format!(
-            "{category:?} raw={} after_dedup={} wire={} compressed={}\n",
-            t.raw, t.after_dedup, t.wire, t.compressed
+            "{category:?} raw={} after_dedup={} compressed={}\n",
+            t.raw, t.after_dedup, t.compressed
         );
     }
     for (hour, bytes) in report.network.hourly_bytes() {
@@ -61,27 +62,28 @@ fn render(report: &SimReport) -> String {
     out
 }
 
-/// The paper's day at 1/1000 scale (the Fig. 7 run).
-const GOLDEN_PAPER_DAY: u64 = 0x02bb_d036_def8_4631;
+/// The first six hours of the paper's day on one sampled section.
+const GOLDEN_PAPER_DAY: u64 = 0xdc03_7514_63e0_1c10;
 
-/// The E6b steady-state pair: two days, no drain, anytime flushes and
-/// both tiers deferred into their off-peak windows.
-const GOLDEN_STEADY_PAIR: u64 = 0x422f_c968_7db3_a017;
+/// The E6b steady-state pair, over the first eight hours: no drain,
+/// anytime flushes and both tiers deferred into their off-peak windows.
+const GOLDEN_STEADY_PAIR: u64 = 0xf598_1734_80ce_57a5;
 
-/// The E6a flush-period sweep.
-const GOLDEN_PERIOD_ABLATION: u64 = 0x5749_7419_e99a_b918;
+/// The E6a flush-period sweep on one sampled section.
+const GOLDEN_PERIOD_ABLATION: u64 = 0x8f18_d835_c066_d215;
 
 #[test]
 fn the_paper_day_is_pinned() {
-    let report = simulate(SimConfig::paper_scaled()).unwrap();
+    let mut config = SimConfig::paper();
+    config.horizon_s = 6 * 3600;
+    let report = simulate(config).unwrap();
     assert_golden(&render(&report), GOLDEN_PAPER_DAY, "paper day");
 }
 
 #[test]
 fn the_steady_off_peak_pair_is_pinned() {
-    let mut anytime = SimConfig::paper_scaled();
-    anytime.scale = 10_000;
-    anytime.horizon_s = 2 * 86_400;
+    let mut anytime = SimConfig::paper();
+    anytime.horizon_s = 8 * 3600;
     anytime.drain_at_end = false;
     let mut off_peak = anytime.clone();
     off_peak.fog1_flush = FlushPolicy {
@@ -98,7 +100,7 @@ fn the_steady_off_peak_pair_is_pinned() {
 
 #[test]
 fn the_flush_period_ablation_is_pinned() {
-    let rows = flush_period_ablation(&[300, 900, 1800, 3600], 10_000).unwrap();
+    let rows = flush_period_ablation(&[300, 900, 1800, 3600], 1).unwrap();
     assert_golden(
         &format!("{rows:?}"),
         GOLDEN_PERIOD_ABLATION,

@@ -2,26 +2,40 @@
 //! analytic Table I model, and the F2C architecture must beat the
 //! centralized baseline by the paper's factors.
 
+use std::sync::OnceLock;
+
 use f2c_smartcity::core::baseline::{simulate_baseline, BaselineConfig};
-use f2c_smartcity::core::runtime::{simulate, SimConfig};
+use f2c_smartcity::core::runtime::{simulate, SimConfig, SimReport};
 use f2c_smartcity::core::traffic::TrafficModel;
 
-fn f2c_small() -> SimConfig {
-    let mut c = SimConfig::paper_scaled();
-    c.scale = 4_000;
+/// Six hours on the first `sections` sampled sections.
+fn six_hours(sections: usize) -> SimReport {
+    let mut c = SimConfig::paper();
+    c.sections = sections;
     c.horizon_s = 6 * 3600;
-    c
+    simulate(c).unwrap()
+}
+
+/// Six hours on one section: the run the tests below share.
+fn f2c_small() -> &'static SimReport {
+    static REPORT: OnceLock<SimReport> = OnceLock::new();
+    REPORT.get_or_init(|| six_hours(1))
 }
 
 #[test]
 fn sim_and_model_agree_on_totals() {
-    let report = simulate(f2c_small()).unwrap();
+    let report = f2c_small();
     let model = TrafficModel::paper();
     let totals = model.table1_totals();
-    // Scale the 6-hour run to a day and back up by population.
+    // Scale the 6-hour full-city estimate to a day.
     let day_factor = 86_400.0 / report.horizon_s as f64;
-    let raw = report.scaled_up(report.raw_acct_bytes) as f64 * day_factor;
-    let dedup = report.scaled_up(report.fog1_uplink_acct_bytes) as f64 * day_factor;
+    let raw = report.per_category.values().map(|t| t.raw).sum::<u64>() as f64 * day_factor;
+    let dedup = report
+        .per_category
+        .values()
+        .map(|t| t.after_dedup)
+        .sum::<u64>() as f64
+        * day_factor;
     let raw_err = (raw - totals.daily_fog1 as f64).abs() / totals.daily_fog1 as f64;
     let dedup_err = (dedup - totals.daily_fog2 as f64).abs() / totals.daily_fog2 as f64;
     assert!(raw_err < 0.12, "raw {:.1}% off", raw_err * 100.0);
@@ -32,9 +46,8 @@ fn sim_and_model_agree_on_totals() {
 fn f2c_to_baseline_ratio_matches_table1() {
     // Table I predicts F2C ships 5.036/8.583 ≈ 58.7% of the baseline's
     // bytes to the cloud.
-    let f2c = simulate(f2c_small()).unwrap();
-    let mut bc = BaselineConfig::paper_scaled();
-    bc.scale = 4_000;
+    let f2c = f2c_small();
+    let mut bc = BaselineConfig::paper();
     bc.horizon_s = 6 * 3600;
     let baseline = simulate_baseline(bc).unwrap();
     let measured = f2c.fog2_uplink_acct_bytes as f64 / baseline.cloud_ingress_acct_bytes as f64;
@@ -52,9 +65,7 @@ fn per_category_dedup_rates_match_table1() {
     // horizons bias the keep rate upward (garbage at 50 tx/day over 6 h
     // would carry ≈ +0.06 bias plus small-population noise — right at the
     // tolerance). Over 24 h the bias falls below +0.015.
-    let mut config = f2c_small();
-    config.horizon_s = 86_400;
-    let report = simulate(config).unwrap();
+    let report = simulate(SimConfig::paper()).unwrap();
     for row in TrafficModel::paper().fig7_rows() {
         let t = report.per_category[&row.category];
         if t.raw == 0 {
@@ -76,26 +87,27 @@ fn per_category_dedup_rates_match_table1() {
 }
 
 #[test]
-fn compression_ratio_improves_with_batch_size() {
-    // Scaled-down simulations ship tiny flush batches, which compress
-    // poorly (per-stream headers, cold Huffman tables). The ratio must
-    // improve monotonically as populations (hence batches) grow — at full
-    // scale (~1.2 MB per flush) it reaches the paper's zip class, which
-    // `f2c-bench`'s E3 harness measures directly on full-size batches.
-    let ratio_at = |scale: u64| {
-        let mut c = SimConfig::paper_scaled();
-        c.scale = scale;
-        c.horizon_s = 2 * 3600;
-        simulate(c).unwrap().compression_ratio()
-    };
-    let small = ratio_at(4_000);
-    let large = ratio_at(400);
-    assert!(
-        large < small,
-        "bigger batches must compress better ({large:.3} vs {small:.3})"
-    );
-    assert!(
-        large < 0.55,
-        "scale-400 batches should be below 0.55, got {large:.3}"
-    );
+fn compressed_bytes_do_not_depend_on_the_sample_size() {
+    // Every section holds about 1/73 of each type's sensors, so one
+    // section's flush batches are already the full city's: sampling two
+    // sections estimates the same shipped bytes. A population scaled
+    // down instead would ship smaller batches whose fixed costs grow
+    // with the scale-back.
+    let one = f2c_small();
+    let two = six_hours(2);
+    for (category, t) in &two.per_category {
+        let single = one.per_category[category].compressed;
+        let drift = (t.compressed as f64 - single as f64).abs() / t.compressed as f64;
+        assert!(
+            drift < 0.03,
+            "{category}: compressed {single} on one section vs {} on two",
+            t.compressed
+        );
+        assert!(
+            t.compressed <= t.after_dedup,
+            "{category}: compressed {} above after dedup {}",
+            t.compressed,
+            t.after_dedup
+        );
+    }
 }
