@@ -7,7 +7,7 @@
 //! suppresses exact repetitions, however long they last — the paper's
 //! accounting.
 
-use scc_sensors::{IdMap, Reading, SensorId, Value};
+use scc_sensors::{heap, IdMap, Reading, SensorId, Value};
 
 /// Per-sensor exact-repetition suppressor.
 ///
@@ -26,7 +26,7 @@ use scc_sensors::{IdMap, Reading, SensorId, Value};
 #[derive(Debug, Clone, Default)]
 pub struct RedundancyFilter {
     /// Keyed by the ids of the sensors this node serves; probed once per
-    /// offered reading and never iterated.
+    /// offered reading and iterated only to be priced.
     last: IdMap<SensorId, Value>,
 }
 
@@ -46,6 +46,13 @@ impl RedundancyFilter {
             }
         }
         true
+    }
+
+    /// Heap bytes at rest: the table of last values (it only grows) and
+    /// the composite ones' field vectors.
+    pub fn heap_bytes(&self) -> u64 {
+        heap::table_bytes::<(SensorId, Value)>(self.last.capacity())
+            + self.last.values().map(Value::heap_bytes).sum::<u64>()
     }
 
     /// Filters a batch, returning only the admitted readings.

@@ -208,6 +208,14 @@ impl HyperLogLog {
         1 << self.precision
     }
 
+    /// Heap bytes of the register block at its capacity.
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        match &self.registers {
+            Registers::Sparse(entries) => scc_sensors::heap::vec_bytes(entries),
+            Registers::Dense(registers) => scc_sensors::heap::vec_bytes(registers),
+        }
+    }
+
     /// The sketch's precision.
     pub fn precision(&self) -> u32 {
         self.precision

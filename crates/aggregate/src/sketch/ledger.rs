@@ -30,7 +30,7 @@ use std::collections::hash_map::Entry as Slot;
 use std::collections::{HashMap, HashSet};
 use std::num::NonZeroU64;
 
-use scc_sensors::SensorType;
+use scc_sensors::{heap, SensorType};
 
 use super::{AggPartial, AggState};
 use crate::{Error, Result};
@@ -150,6 +150,21 @@ impl SketchLedger {
     /// Whether the ledger holds no partials.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Heap bytes at rest: the entry table and each partial's
+    /// registers, the seal frontiers and the holes. Entries and holes
+    /// are removed by compaction and heals, so those tables are priced
+    /// from their lengths (see [`heap::table_bytes`]).
+    pub fn heap_bytes(&self) -> u64 {
+        heap::table_bytes::<(SketchKey, Entry)>(self.entries.len())
+            + self
+                .entries
+                .values()
+                .map(|e| e.partial.heap_bytes())
+                .sum::<u64>()
+            + heap::table_bytes::<(u16, u64)>(self.sealed.capacity())
+            + heap::table_bytes::<SketchKey>(self.holes.len())
     }
 
     /// Total partials folded in (local folds + decoded shipments).

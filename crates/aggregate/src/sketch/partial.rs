@@ -113,6 +113,12 @@ impl AggPartial {
         &self.minmax
     }
 
+    /// Heap bytes of the distinct sketch's registers; the moments and
+    /// extremes are held inline.
+    pub fn heap_bytes(&self) -> u64 {
+        self.distinct.heap_bytes()
+    }
+
     /// The distinct sketch's register block.
     pub(super) fn registers(&self) -> &Registers {
         self.distinct.registers()

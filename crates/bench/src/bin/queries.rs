@@ -935,10 +935,30 @@ fn export(mut run: MainRun, requests: u64, parallel_j: Json, chaos_j: Json) {
     // Ungated info: encoded payloads shipped, both hops together.
     flush_j.set("batches", export::num(city.flush_batches()));
 
+    // Bytes at rest per tier (v6), priced from lengths and capacities,
+    // and their sum over every record copy the tiers archive.
+    let (fog1, fog2, cloud) = city.heap_bytes();
+    let copies = (0..city.section_count())
+        .map(|s| city.fog1(s).store().len())
+        .chain((0..city.district_count()).map(|d| city.fog2(d).store().len()))
+        .sum::<usize>()
+        + city.cloud().store().len();
+    let mut mem_j = Json::obj();
+    for (tier, bytes) in [("fog1", fog1), ("fog2", fog2), ("cloud", cloud)] {
+        let mut tier_j = Json::obj();
+        tier_j.set("bytes", export::num(bytes));
+        mem_j.set(tier, tier_j);
+    }
+    mem_j.set(
+        "bytes_per_stored_record",
+        Json::Num((fog1 + fog2 + cloud) as f64 / copies.max(1) as f64),
+    );
+
     let mut doc = QUERIES.doc();
     doc.set("requests", export::num(requests));
     doc.set("workload", workload_j);
     doc.set("flush", flush_j);
+    doc.set("mem", mem_j);
     doc.set("parallel", parallel_j);
     run.engine.sync_gauges();
     doc.set("phases", export::phases_json(run.engine.city().tracer()));

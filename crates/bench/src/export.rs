@@ -49,9 +49,15 @@ pub struct Artifact {
 /// registry gains `ingest_shape_refused{service=ingest}`, the readings
 /// acquisition refused because their value contradicts their type's
 /// shape.
+///
+/// v6: a `mem` section prices the main city's bytes at rest per tier —
+/// `mem.{fog1,fog2,cloud}.bytes` (`F2cCity::heap_bytes`, from lengths
+/// and capacities) and `mem.bytes_per_stored_record`, their sum over
+/// every record copy the three tiers archive. All four are pure
+/// functions of the seed, gated at zero tolerance.
 pub const QUERIES: Artifact = Artifact {
     bench: "queries",
-    schema_version: 5,
+    schema_version: 6,
     out_file: "BENCH_queries.json",
     baseline: "bench/baseline.json",
     // Latency phases and byte costs are ceilings (a fall is an
@@ -82,6 +88,12 @@ pub const QUERIES: Artifact = Artifact {
         // share of the raw stream it summarizes.
         BudgetRule::ceiling("flush.bytes_per_record", 0.20, 4.0),
         BudgetRule::ceiling("flush.sketch_ratio", 0.25, 0.005),
+        // Bytes at rest: what each tier holds, priced from lengths and
+        // capacities, so any move is a change to what is stored.
+        BudgetRule::band("mem.fog1.bytes", 0.0, 0.0),
+        BudgetRule::band("mem.fog2.bytes", 0.0, 0.0),
+        BudgetRule::band("mem.cloud.bytes", 0.0, 0.0),
+        BudgetRule::band("mem.bytes_per_stored_record", 0.0, 0.0),
         // The chaos scenario must keep degrading *and* healing.
         BudgetRule::ceiling("chaos.fault_shed", 0.50, 50.0),
         BudgetRule::band("chaos.incidents.hole-healed", 0.50, 4.0),

@@ -63,7 +63,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
 
 use scc_sensors::idhash::BuildIdHasher;
-use scc_sensors::{IdMap, Reading, SensorId, SensorType, Shape, Value};
+use scc_sensors::{heap, IdMap, Reading, SensorId, SensorType, Shape, Value};
 
 use crate::crc32;
 use crate::error::{Error, Result};
@@ -317,6 +317,14 @@ struct DictProbe {
 }
 
 impl DictProbe {
+    /// Heap bytes of the probe's table and vectors, kept between
+    /// batches (the table is only cleared).
+    fn heap_bytes(&self) -> u64 {
+        heap::table_bytes::<(u64, u64)>(self.index.capacity())
+            + heap::vec_bytes(&self.distinct)
+            + heap::vec_bytes(&self.codes)
+    }
+
     /// Builds the local dictionary of `values` and returns the length of
     /// its body — exact whenever that is below `limit`. Otherwise the
     /// probe stops as soon as its running lower bound (the bytes so far
@@ -632,6 +640,11 @@ pub(crate) struct SensorDict<S = RandomState> {
 }
 
 impl<S: BuildHasher> SensorDict<S> {
+    /// Heap bytes of the codes and their index (it only grows).
+    fn heap_bytes(&self) -> u64 {
+        heap::vec_bytes(&self.ids) + heap::table_bytes::<(SensorId, u64)>(self.index.capacity())
+    }
+
     /// Committed entries.
     pub(crate) fn len(&self) -> usize {
         self.ids.len()
@@ -706,6 +719,18 @@ struct ColumnScratch {
 }
 
 impl ColumnScratch {
+    /// Heap bytes of the columns at the capacities the largest batch so
+    /// far grew them to.
+    fn heap_bytes(&self) -> u64 {
+        heap::vec_bytes(&self.codes)
+            + heap::vec_bytes(&self.timestamps)
+            + self.values.iter().map(heap::vec_bytes).sum::<u64>()
+            + self.fields.iter().map(heap::vec_bytes).sum::<u64>()
+            + heap::vec_bytes(&self.staged)
+            + heap::table_bytes::<(SensorId, u64)>(self.staged_index.capacity())
+            + self.probe.heap_bytes()
+    }
+
     /// Transposes `readings` into the columns in one pass, staging the
     /// sensors `dict` has not committed.
     ///
@@ -788,6 +813,12 @@ impl StreamEncoder {
     /// A fresh stream with an empty dictionary.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Heap bytes at rest: the dictionary and the column scratch a warm
+    /// stream reuses.
+    pub fn heap_bytes(&self) -> u64 {
+        self.dict.heap_bytes() + self.columns.heap_bytes()
     }
 
     /// Committed dictionary entries so far.
@@ -910,6 +941,12 @@ impl StreamDecoder {
         Self::default()
     }
 
+    /// Heap bytes at rest: the dictionary and the decode scratch a warm
+    /// stream reuses.
+    pub fn heap_bytes(&self) -> u64 {
+        self.dict.heap_bytes() + self.columns.heap_bytes()
+    }
+
     /// Committed dictionary entries so far.
     pub fn dict_len(&self) -> usize {
         self.dict.len()
@@ -993,6 +1030,18 @@ struct DecodedColumns {
 }
 
 impl DecodedColumns {
+    /// Heap bytes of the columns at the capacities the largest batch so
+    /// far grew them to (the staged set is only cleared).
+    fn heap_bytes(&self) -> u64 {
+        heap::vec_bytes(&self.staged)
+            + heap::table_bytes::<SensorId>(self.staged_set.capacity())
+            + heap::vec_bytes(&self.codes)
+            + heap::vec_bytes(&self.sensors)
+            + heap::vec_bytes(&self.timestamps)
+            + self.values.iter().map(heap::vec_bytes).sum::<u64>()
+            + self.fields.iter().map(heap::vec_bytes).sum::<u64>()
+    }
+
     /// Decodes and validates every column of `body` against the
     /// committed dictionary `dict`, leaving `dict` as it was.
     fn decode(&mut self, dict: &SensorDict, body: &[u8]) -> Result<()> {

@@ -563,6 +563,15 @@ impl F2cCity {
         self.metrics.counter_value(self.ids.flush_batches)
     }
 
+    /// Heap bytes at rest per tier: `(fog 1, fog 2, cloud)`, each the sum
+    /// of its nodes' [`F2cNode::heap_bytes`]. A pure function of the
+    /// run, not of the allocator or the worker-thread count; the
+    /// observability planes are not priced.
+    pub fn heap_bytes(&self) -> (u64, u64, u64) {
+        let tier = |nodes: &[F2cNode]| nodes.iter().map(F2cNode::heap_bytes).sum::<u64>();
+        (tier(&self.fog1), tier(&self.fog2), self.cloud.heap_bytes())
+    }
+
     /// Meters one consumer request/response on the simulated network:
     /// `request_bytes` from `section`'s fog-1 node to the `source`, and
     /// `response_bytes` back. Local serves never touch the network. The

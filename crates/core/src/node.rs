@@ -23,7 +23,7 @@ use scc_dlc::acquisition::AcquisitionBlock;
 use scc_dlc::phase::{Phase, PhaseContext};
 use scc_dlc::preservation::ClassificationPhase;
 use scc_dlc::DataRecord;
-use scc_sensors::{Catalog, Reading, SensorType};
+use scc_sensors::{heap, Catalog, Reading, SensorType};
 
 use crate::layer::Layer;
 use crate::policy::{FlushPolicy, RetentionPolicy};
@@ -248,6 +248,41 @@ impl F2cNode {
     /// The node's label.
     pub fn label(&self) -> &str {
         &self.label
+    }
+
+    /// Heap bytes at rest on this node: the store (archive and pending
+    /// queue), the sketch ledger, the relays and unacknowledged partials
+    /// with their registers, the flush codec and the per-child decoders,
+    /// and the acquisition filter's or the classification lineage's
+    /// per-sensor tables. Priced from lengths and capacities
+    /// ([`scc_sensors::heap`]), so a run prices the same at any
+    /// worker-thread count.
+    pub fn heap_bytes(&self) -> u64 {
+        let partials = |map: &BTreeMap<SketchKey, AggPartial>| {
+            heap::btree_bytes::<SketchKey, AggPartial>(map.len())
+                + map.values().map(AggPartial::heap_bytes).sum::<u64>()
+        };
+        self.store.heap_bytes()
+            + self.sketches.heap_bytes()
+            + partials(&self.sketch_relay)
+            + heap::btree_bytes::<u16, u64>(self.seal_relay.len())
+            + heap::btree_bytes::<SketchKey, ()>(self.hole_relay.len())
+            + partials(&self.unacked)
+            + self.codec.heap_bytes()
+            + heap::btree_bytes::<u16, tsenc::StreamDecoder>(self.decoders.len())
+            + self
+                .decoders
+                .values()
+                .map(tsenc::StreamDecoder::heap_bytes)
+                .sum::<u64>()
+            + self
+                .acquisition
+                .as_ref()
+                .map_or(0, AcquisitionBlock::heap_bytes)
+            + self
+                .classification
+                .as_ref()
+                .map_or(0, ClassificationPhase::heap_bytes)
     }
 
     /// The local store.

@@ -22,6 +22,11 @@ impl FilteringPhase {
         }
     }
 
+    /// Heap bytes at rest: the redundancy filter's last values.
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        self.filter.heap_bytes()
+    }
+
     /// Decides whether `reading` is forwarded: a repeat of the sensor's
     /// previous value is not. Runs on the reading, before it is wrapped
     /// in a record.

@@ -78,6 +78,14 @@ impl AcquisitionBlock {
         }
     }
 
+    /// Heap bytes at rest: the filtering phase's last value per sensor;
+    /// the other phases hold no heap.
+    pub fn heap_bytes(&self) -> u64 {
+        self.filtering
+            .as_ref()
+            .map_or(0, FilteringPhase::heap_bytes)
+    }
+
     /// Ingests raw readings: filter → wrap → collect → quality → describe,
     /// one reading at a time.
     pub fn ingest(&mut self, readings: Vec<Reading>, ctx: &PhaseContext) -> Vec<DataRecord> {

@@ -4,7 +4,7 @@
 //! time-based eviction that implements the paper's "reversed memory
 //! hierarchy" upward migration (§IV.B).
 
-use scc_sensors::SensorType;
+use scc_sensors::{heap, SensorType};
 
 use crate::record::DataRecord;
 use crate::{Error, Result};
@@ -178,6 +178,16 @@ impl ArchiveStore {
     /// store on demand (nothing on the insert or eviction path reads it).
     pub fn wire_bytes(&self) -> u64 {
         self.records.iter().map(DataRecord::wire_len).sum()
+    }
+
+    /// Heap bytes at rest: the run and the time column at their
+    /// capacities (a drained front keeps its room), each type's time
+    /// column, and the composite records' field vectors.
+    pub fn heap_bytes(&self) -> u64 {
+        heap::vec_bytes(&self.records)
+            + heap::vec_bytes(&self.times)
+            + self.type_times.iter().map(heap::vec_bytes).sum::<u64>()
+            + self.records.iter().map(DataRecord::heap_bytes).sum::<u64>()
     }
 
     /// Creation time of the oldest stored record.

@@ -3,7 +3,7 @@
 //! data lineage or data provenance" (§IV.B).
 
 use scc_sensors::wire::{self, Sink};
-use scc_sensors::{Category, IdMap, SensorId, SensorType};
+use scc_sensors::{heap, Category, IdMap, SensorId, SensorType};
 
 use crate::phase::{Phase, PhaseContext};
 use crate::record::DataRecord;
@@ -50,6 +50,12 @@ impl ClassificationPhase {
     /// Creates the phase.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Heap bytes at rest: one lineage entry per sensor ever classified
+    /// (the table only grows).
+    pub fn heap_bytes(&self) -> u64 {
+        heap::table_bytes::<(SensorId, Lineage)>(self.lineage.capacity())
     }
 
     fn chain(digest: u64, rec: &DataRecord) -> u64 {

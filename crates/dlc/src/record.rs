@@ -72,6 +72,12 @@ impl DataRecord {
         self.quality = Some(report);
     }
 
+    /// Heap bytes the record owns beyond its own size: a composite
+    /// reading's field vector, nothing otherwise.
+    pub fn heap_bytes(&self) -> u64 {
+        self.reading.value().heap_bytes()
+    }
+
     /// Approximate wire size of this record in bytes (its Sentilo text
     /// encoding) — used for traffic accounting of record batches.
     pub fn wire_len(&self) -> u64 {

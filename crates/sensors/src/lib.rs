@@ -16,6 +16,7 @@
 //! * [`Reading`] / [`Value`] — one observation,
 //! * `generator` — per-sensor value walks with tunable redundancy,
 //! * [`idhash`] — the hasher for tables keyed by program-generated ids,
+//! * [`heap`] — heap bytes priced from lengths and capacities,
 //! * [`wire`] — Sentilo-style text encoding of observations.
 //!
 //! # Quickstart
@@ -39,6 +40,7 @@ pub(crate) mod catalog;
 pub(crate) mod category;
 mod error;
 pub(crate) mod generator;
+pub mod heap;
 pub mod idhash;
 pub(crate) mod ids;
 pub(crate) mod reading;

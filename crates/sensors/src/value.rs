@@ -49,6 +49,15 @@ impl Value {
 }
 
 impl Value {
+    /// Heap bytes the value owns beyond its own size: a composite's
+    /// field vector, nothing otherwise.
+    pub fn heap_bytes(&self) -> u64 {
+        match self {
+            Value::Composite(fields) => crate::heap::vec_bytes(fields),
+            _ => 0,
+        }
+    }
+
     /// Writes the value's wire digits — also what `Display` prints.
     pub(crate) fn write_wire(&self, out: &mut impl Sink) {
         match self {

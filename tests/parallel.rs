@@ -228,8 +228,13 @@ fn assert_outcomes_partition(report: &WorkloadReport) {
 
 /// One sharded-workload replica at `threads` worker threads: warm a
 /// seeded city, optionally install a fault storm, drive the sharded
-/// closed loop, and return every run artifact as one byte stream.
-fn shard_replica(config: &WorkloadConfig, threads: usize, storm: bool) -> Vec<u8> {
+/// closed loop, and return every run artifact as one byte stream, with
+/// the memory ledger's per-tier bytes at the end.
+fn shard_replica(
+    config: &WorkloadConfig,
+    threads: usize,
+    storm: bool,
+) -> (Vec<u8>, (u64, u64, u64)) {
     let mut city = F2cCity::barcelona().expect("city builds");
     city.set_parallelism(Parallelism::new(threads));
     city.set_capture_shipments(true);
@@ -261,7 +266,10 @@ fn shard_replica(config: &WorkloadConfig, threads: usize, storm: bool) -> Vec<u8
         report.transcript_hash,
         report.sim_end_s,
     );
-    run_artifacts(&engine, &report.transcript, &summary)
+    (
+        run_artifacts(&engine, &report.transcript, &summary),
+        engine.city().heap_bytes(),
+    )
 }
 
 #[test]
@@ -283,7 +291,7 @@ fn sharded_workload_is_thread_count_invariant() {
         true,
         true,
     );
-    let baseline = shard_replica(&config, 1, false);
+    let (baseline, heap) = shard_replica(&config, 1, false);
     assert!(
         baseline.len() > 10_000,
         "artifact stream suspiciously small ({} bytes)",
@@ -291,11 +299,15 @@ fn sharded_workload_is_thread_count_invariant() {
     );
     assert_golden(&baseline, GOLDEN_WORKLOAD, "sharded workload");
     for threads in [2usize, 4, 8] {
-        let other = shard_replica(&config, threads, false);
+        let (other, other_heap) = shard_replica(&config, threads, false);
         assert_byte_identical(
             &baseline,
             &other,
             &format!("sharded workload, threads=1 vs threads={threads}"),
+        );
+        assert_eq!(
+            heap, other_heap,
+            "memory ledger, threads=1 vs threads={threads}"
         );
     }
 }
@@ -315,7 +327,7 @@ fn sharded_storm_is_thread_count_invariant() {
         ingest_scale: 5_000,
         ..WorkloadConfig::default()
     };
-    let baseline = shard_replica(&config, 1, true);
+    let (baseline, heap) = shard_replica(&config, 1, true);
     assert_golden(&baseline, GOLDEN_STORM, "sharded storm");
     // What the golden hash holds: corruption and heals at both hops.
     for (site, kind) in [
@@ -329,8 +341,10 @@ fn sharded_storm_is_thread_count_invariant() {
             "the storm fixture no longer covers {kind} at {site}"
         );
     }
-    let other = shard_replica(&config, 4, true);
+    let (other, other_heap) = shard_replica(&config, 4, true);
     assert_byte_identical(&baseline, &other, "sharded storm, threads=1 vs threads=4");
+    // Heals remove holes: the ledger still prices the same.
+    assert_eq!(heap, other_heap, "memory ledger, threads=1 vs threads=4");
 }
 
 mod properties {
@@ -369,8 +383,8 @@ mod properties {
                 diurnal,
                 flash,
             );
-            let baseline = shard_replica(&config, 1, false);
-            let other = shard_replica(&config, threads, false);
+            let (baseline, _) = shard_replica(&config, 1, false);
+            let (other, _) = shard_replica(&config, threads, false);
             prop_assert_eq!(
                 baseline.len(),
                 other.len(),
