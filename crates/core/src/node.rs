@@ -974,7 +974,6 @@ mod tests {
             ),
         ) {
             let ledger = SketchLedger::with_bucket(SKETCH_BUCKET);
-            let city: std::sync::Arc<str> = "Barcelona".into();
             let types = [SensorType::Temperature, SensorType::Traffic, SensorType::Weather];
             let mut records = Vec::new();
             for &(section, ty, idx, t, v, len) in &runs {
@@ -987,7 +986,7 @@ mod tests {
                     let sensor = scc_sensors::SensorId::new(types[ty], idx + i as u32 % 3);
                     let mut rec = DataRecord::from_reading(Reading::new(sensor, t, value));
                     if section > 0 {
-                        rec.descriptor_mut().set_location(city.clone(), 0, section);
+                        rec.descriptor_mut().set_location(0, section);
                     }
                     records.push(rec);
                 }

@@ -1,8 +1,6 @@
 //! Data description: tags records with location, authoring and privacy
 //! according to the city business model (§IV.A).
 
-use std::sync::Arc;
-
 use scc_sensors::Category;
 
 use crate::descriptor::PrivacyLevel;
@@ -12,8 +10,9 @@ use crate::record::DataRecord;
 /// Fills location/authoring/privacy tags for every record.
 #[derive(Debug, Clone)]
 pub(crate) struct DescriptionPhase {
-    /// Made once here; every tagged record shares it.
-    city: Arc<str>,
+    /// The city every record this phase tags is located in, held once
+    /// here rather than in each record.
+    city: Box<str>,
     district: u16,
     section: u16,
 }
@@ -22,10 +21,15 @@ impl DescriptionPhase {
     /// Tags for a fog node covering `section` of `district` in `city`.
     pub(crate) fn new(city: &str, district: u16, section: u16) -> Self {
         Self {
-            city: Arc::from(city),
+            city: city.into(),
             district,
             section,
         }
+    }
+
+    /// The city the tagged records are located in.
+    pub(crate) fn city(&self) -> &str {
+        &self.city
     }
 
     /// Default privacy classification per category: meter data can reveal
@@ -42,7 +46,7 @@ impl DescriptionPhase {
     pub(crate) fn describe(&self, rec: &mut DataRecord) {
         let category = rec.sensor_type().category();
         let d = rec.descriptor_mut();
-        d.set_location(Arc::clone(&self.city), self.district, self.section);
+        d.set_location(self.district, self.section);
         d.set_authoring(category);
         d.set_privacy(Self::privacy_for(category));
     }
@@ -75,33 +79,12 @@ mod tests {
         ));
         let mut phase = DescriptionPhase::new("Barcelona", 4, 33);
         let out = phase.run(vec![rec], &PhaseContext::at(0));
+        assert_eq!(phase.city(), "Barcelona");
         let d = out[0].descriptor();
-        assert_eq!(d.city(), Some("Barcelona"));
         assert_eq!(d.district(), Some(4));
         assert_eq!(d.section(), Some(33));
         assert_eq!(d.authoring(), Some("ENERGY"));
         assert_eq!(d.privacy(), Some(PrivacyLevel::Restricted));
-    }
-
-    #[test]
-    fn every_tagged_record_and_every_clone_shares_one_city_name() {
-        let recs: Vec<DataRecord> = (0..3)
-            .map(|i| {
-                DataRecord::from_reading(Reading::new(
-                    SensorId::new(SensorType::Weather, i),
-                    0,
-                    Value::from_f64(18.0),
-                ))
-            })
-            .collect();
-        let mut phase = DescriptionPhase::new("Barcelona", 4, 33);
-        let out = phase.run(recs, &PhaseContext::at(0));
-        let name = |rec: &DataRecord| rec.descriptor().city().unwrap().as_ptr();
-        assert!(out.iter().all(|rec| name(rec) == name(&out[0])));
-        assert_eq!(name(&out[0].clone()), name(&out[0]));
-        // A later batch from the same phase still shares it.
-        let later = phase.run(vec![out[0].clone()], &PhaseContext::at(1));
-        assert_eq!(name(&later[0]), name(&out[0]));
     }
 
     #[test]

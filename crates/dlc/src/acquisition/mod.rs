@@ -35,6 +35,7 @@ use scc_sensors::Reading;
 /// use scc_sensors::{Reading, SensorId, SensorType, Value};
 ///
 /// let mut block = AcquisitionBlock::new("Barcelona", 3, 21);
+/// assert_eq!(block.city(), "Barcelona");
 /// // A weather station reports five fields (19.00 °C first).
 /// let value = Value::Composite(vec![1_900, 6_500, 0, 310, 12]);
 /// let r = Reading::new(SensorId::new(SensorType::Weather, 0), 10, value);
@@ -76,6 +77,12 @@ impl AcquisitionBlock {
             quality: QualityPhase::dropping_failures(),
             description: DescriptionPhase::new(city, district, section),
         }
+    }
+
+    /// The city whose records the block tags: every record it emits is
+    /// located in it, so the name is held here once, not per record.
+    pub fn city(&self) -> &str {
+        self.description.city()
     }
 
     /// Heap bytes at rest: the filtering phase's last value per sensor;

@@ -5,7 +5,6 @@
 //! privacy, and so on."
 
 use std::fmt;
-use std::sync::Arc;
 
 use scc_sensors::Category;
 use serde::{Deserialize, Serialize};
@@ -28,25 +27,26 @@ pub enum PrivacyLevel {
 /// that skipped the description phase is visibly untagged rather than
 /// silently defaulted.
 ///
-/// A record is copied at every tier it reaches, so the tags are shared,
-/// never copied: the city name is one `Arc<str>` per tagging phase and
-/// the authoring entity is the Sentilo provider of a [`Category`], held
-/// as the category. Cloning a descriptor allocates nothing.
+/// A record is copied at every tier it reaches, so the tags are plain
+/// data: the descriptor is `Copy`, 24 bytes, and a copy is a memcpy with
+/// no reference count. The city name is not held per record — one
+/// tagging phase serves one city and holds its name once — and the
+/// authoring entity is the Sentilo provider of a [`Category`], held as
+/// the category.
 ///
-/// The tags are held at their final size, 48 bytes: the two optional
-/// instants are plain `u64`s behind a stamp bitset, and district and
-/// section are plain `u16`s present exactly when the city is
-/// ([`Descriptor::set_location`] is their only setter). An absent field
-/// is held at 0, so the derived `==` still means "same tags".
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// The two optional instants are plain `u64`s and district and section
+/// plain `u16`s, each behind a bit of the stamp bitset
+/// ([`Descriptor::set_location`] sets district and section together).
+/// An absent field is held at 0, so the derived `==` still means "same
+/// tags".
+#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Descriptor {
     created_s: u64,
     /// Meaningful when `stamps & COLLECTED`; 0 otherwise.
     collected_s: u64,
-    city: Option<Arc<str>>,
-    /// Meaningful when `city` is set; 0 otherwise.
+    /// Meaningful when `stamps & LOCATED`; 0 otherwise.
     district: u16,
-    /// Meaningful when `city` is set; 0 otherwise.
+    /// Meaningful when `stamps & LOCATED`; 0 otherwise.
     section: u16,
     authoring: Option<Category>,
     privacy: Option<PrivacyLevel>,
@@ -55,6 +55,8 @@ pub struct Descriptor {
 
 /// `stamps` bit: the collection time is set.
 const COLLECTED: u8 = 1;
+/// `stamps` bit: the district and section are set.
+const LOCATED: u8 = 2;
 
 impl Descriptor {
     /// A descriptor knowing only the creation time (sensor timestamp).
@@ -62,7 +64,6 @@ impl Descriptor {
         Self {
             created_s,
             collected_s: 0,
-            city: None,
             district: 0,
             section: 0,
             authoring: None,
@@ -81,20 +82,14 @@ impl Descriptor {
         (self.stamps & COLLECTED != 0).then_some(self.collected_s)
     }
 
-    /// City name. Written for provenance; only tests read it back.
-    #[cfg(test)]
-    pub(crate) fn city(&self) -> Option<&str> {
-        self.city.as_deref()
-    }
-
     /// District index.
     pub fn district(&self) -> Option<u16> {
-        self.city.as_ref().map(|_| self.district)
+        (self.stamps & LOCATED != 0).then_some(self.district)
     }
 
     /// Section (fog-1 area) index.
     pub fn section(&self) -> Option<u16> {
-        self.city.as_ref().map(|_| self.section)
+        (self.stamps & LOCATED != 0).then_some(self.section)
     }
 
     /// Authoring entity (provider). Written for provenance; only tests
@@ -116,12 +111,12 @@ impl Descriptor {
         self.stamps |= COLLECTED;
     }
 
-    /// Sets the location tags. The city name is shared, not copied: a
-    /// tagging phase hands every record a clone of one `Arc`.
-    pub fn set_location(&mut self, city: Arc<str>, district: u16, section: u16) {
-        self.city = Some(city);
+    /// Sets the location tags: the district and the section within the
+    /// city the tagging phase serves.
+    pub fn set_location(&mut self, district: u16, section: u16) {
         self.district = district;
         self.section = section;
+        self.stamps |= LOCATED;
     }
 
     /// Sets the authoring tag to `category`'s provider.
@@ -138,7 +133,7 @@ impl Descriptor {
     /// phase is responsible for.
     pub fn is_fully_described(&self) -> bool {
         self.stamps & COLLECTED != 0
-            && self.city.is_some()
+            && self.stamps & LOCATED != 0
             && self.authoring.is_some()
             && self.privacy.is_some()
     }
@@ -150,7 +145,6 @@ impl fmt::Debug for Descriptor {
         f.debug_struct("Descriptor")
             .field("created_s", &self.created_s)
             .field("collected_s", &self.collected_s())
-            .field("city", &self.city)
             .field("district", &self.district())
             .field("section", &self.section())
             .field("authoring", &self.authoring)
@@ -175,12 +169,11 @@ mod tests {
     fn full_tagging_roundtrip() {
         let mut d = Descriptor::created_at(100);
         d.stamp_collected(105);
-        d.set_location("Barcelona".into(), 3, 21);
+        d.set_location(3, 21);
         d.set_authoring(Category::Energy);
         d.set_privacy(PrivacyLevel::Public);
         assert!(d.is_fully_described());
         assert_eq!(d.collected_s(), Some(105));
-        assert_eq!(d.city(), Some("Barcelona"));
         assert_eq!(d.district(), Some(3));
         assert_eq!(d.section(), Some(21));
         assert_eq!(d.authoring(), Some("ENERGY"));
@@ -194,8 +187,8 @@ mod tests {
     }
 
     #[test]
-    fn descriptor_is_48_bytes() {
-        assert!(std::mem::size_of::<Descriptor>() <= 48);
+    fn descriptor_is_24_bytes() {
+        assert!(std::mem::size_of::<Descriptor>() <= 24);
     }
 
     /// The descriptor as it was: every tag its own `Option`. The reference
@@ -204,7 +197,6 @@ mod tests {
     struct Model {
         created_s: u64,
         collected_s: Option<u64>,
-        city: Option<Arc<str>>,
         district: Option<u16>,
         section: Option<u16>,
         authoring: Option<Category>,
@@ -216,7 +208,6 @@ mod tests {
             Self {
                 created_s,
                 collected_s: None,
-                city: None,
                 district: None,
                 section: None,
                 authoring: None,
@@ -238,10 +229,8 @@ mod tests {
                     d.stamp_collected(at_s);
                 }
                 1 => {
-                    let city: Arc<str> = ["Barcelona", "Girona"][at_s as usize % 2].into();
-                    self.city = Some(Arc::clone(&city));
                     (self.district, self.section) = (Some(district), Some(section));
-                    d.set_location(city, district, section);
+                    d.set_location(district, section);
                 }
                 2 => {
                     self.authoring = Some(category);
@@ -257,14 +246,12 @@ mod tests {
         fn agrees(&self, d: &Descriptor) -> bool {
             d.created_s() == self.created_s
                 && d.collected_s() == self.collected_s
-                && d.city() == self.city.as_deref()
                 && d.district() == self.district
                 && d.section() == self.section
                 && d.authoring() == self.authoring.map(Category::provider)
                 && d.privacy() == self.privacy
                 && d.is_fully_described()
                     == (self.collected_s.is_some()
-                        && self.city.is_some()
                         && self.district.is_some()
                         && self.section.is_some()
                         && self.authoring.is_some()
@@ -311,7 +298,8 @@ mod tests {
                 other.apply(&mut e, op);
                 proptest::prop_assert!(other.agrees(&e));
                 proptest::prop_assert_eq!(d == e, model == other);
-                proptest::prop_assert!(d.clone() == d);
+                let copy = d;
+                proptest::prop_assert!(model.agrees(&copy));
             }
         }
     }

@@ -83,11 +83,13 @@ impl Phase for ClassificationPhase {
     }
 
     fn run(&mut self, mut batch: Vec<DataRecord>, _ctx: &PhaseContext) -> Vec<DataRecord> {
-        // A shipment is already in this order or is the concatenation of
-        // shipments that are (fog 2 relays its children's, each
-        // classified by this key below it), so a stable sort that finds
-        // and merges presorted runs is a few linear merges here. Any
-        // stable sort by this one key gives the same order.
+        // Only the cloud classifies: nothing below it sorts by this key.
+        // A fog-2 shipment is its children's shipments in the order they
+        // landed, each in ingest order, so it is a concatenation of
+        // runs, each ordered by creation time but not by category, type
+        // and sensor within an instant. The stable sort really merges
+        // here; it is not a check of an order already made. Any stable
+        // sort by this one key gives the same order.
         batch.sort_by_key(classification_key);
         for rec in &batch {
             let entry = self

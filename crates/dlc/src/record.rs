@@ -9,8 +9,8 @@ use crate::quality::QualityReport;
 /// One observation plus everything the life cycle has learned about it.
 ///
 /// A record is copied into every tier it reaches, so its size is the
-/// archive's unit of memory: 104 bytes — a 40-byte reading, 48 bytes of
-/// tags and a 16-byte optional quality report.
+/// archive's unit of memory: 80 bytes — a 40-byte reading, 24 bytes of
+/// `Copy` tags and a 16-byte optional quality report.
 ///
 /// # Examples
 ///
