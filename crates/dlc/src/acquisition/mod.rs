@@ -85,12 +85,14 @@ impl AcquisitionBlock {
         self.description.city()
     }
 
-    /// Heap bytes at rest: the filtering phase's last value per sensor;
-    /// the other phases hold no heap.
+    /// Heap bytes at rest: the city's name and the filtering phase's
+    /// last value per sensor; the other phases hold no heap.
     pub fn heap_bytes(&self) -> u64 {
-        self.filtering
-            .as_ref()
-            .map_or(0, FilteringPhase::heap_bytes)
+        self.city().len() as u64
+            + self
+                .filtering
+                .as_ref()
+                .map_or(0, FilteringPhase::heap_bytes)
     }
 
     /// Ingests raw readings: filter → wrap → collect → quality → describe,

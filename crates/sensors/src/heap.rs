@@ -46,23 +46,32 @@ pub fn table_bytes<T>(slots: usize) -> u64 {
 const BTREE_NODE_ENTRIES: usize = 11;
 
 /// Bytes of a standard `BTreeMap<K, V>` of `len` entries (`V = ()` for a
-/// set), priced as full leaves: exact up to one leaf's eleven entries,
-/// the size every relay and per-child table here stays within, and a
-/// floor beyond.
+/// set), priced as full leaves under one level of internal nodes: exact
+/// up to two levels filled in key order — eleven entries make one leaf,
+/// the thirteen children of the largest district two leaves and a root
+/// — and a floor beyond.
 pub fn btree_bytes<K, V>(len: usize) -> u64 {
     // A leaf: parent pointer, parent index and length, then the keys
-    // and the values.
+    // and the values; an internal node adds one child pointer more than
+    // it has entries.
     let leaf = (size_of::<usize>()
         + 2 * size_of::<u16>()
         + BTREE_NODE_ENTRIES * (size_of::<K>() + size_of::<V>()))
     .next_multiple_of(size_of::<usize>());
-    (len.div_ceil(BTREE_NODE_ENTRIES) * leaf) as u64
+    let internal = leaf + (BTREE_NODE_ENTRIES + 1) * size_of::<usize>();
+    let leaves = len.div_ceil(BTREE_NODE_ENTRIES);
+    let parents = if leaves > 1 {
+        leaves.div_ceil(BTREE_NODE_ENTRIES + 1)
+    } else {
+        0
+    };
+    (leaves * leaf + parents * internal) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{BTreeMap, HashMap};
+    use std::collections::HashMap;
 
     #[test]
     fn a_vector_is_priced_by_its_capacity() {
@@ -91,11 +100,12 @@ mod tests {
     }
 
     #[test]
-    fn a_btree_is_priced_by_full_leaves() {
-        let map: BTreeMap<u16, u64> = (0..11).map(|k| (k, 0)).collect();
+    fn a_btree_is_priced_by_full_leaves_and_their_parents() {
         // 8 + 2 + 2 + 11 × (2 + 8) = 122 bytes, rounded up to 128.
-        assert_eq!(btree_bytes::<u16, u64>(map.len()), 128);
-        assert_eq!(btree_bytes::<u16, u64>(12), 2 * 128);
+        assert_eq!(btree_bytes::<u16, u64>(11), 128);
+        // Twelve entries split the leaf in two under a root that also
+        // holds twelve child pointers.
+        assert_eq!(btree_bytes::<u16, u64>(12), 2 * 128 + (128 + 96));
         assert_eq!(btree_bytes::<u16, u64>(0), 0);
     }
 }

@@ -3,12 +3,12 @@
 //! byte-counting `#[global_allocator]` and holds that price to the heap
 //! a populated city really keeps live: the benchmark's `city-write`
 //! city (scale 50, four simulated hours, a flush every 900 s) must
-//! price within 15 % of the bytes its populate left allocated.
+//! price within 1 % of the bytes its populate left allocated.
 //!
-//! The gap is what the ledger does not price: the observability planes
-//! (span rings, registry series, the incident timeline), the network's
-//! traffic meters, and the per-node labels. `-- --nocapture` prints both
-//! sides and each tier.
+//! The nodes price exactly; the gap, about 12 kB of 162 MB, is what
+//! the ledger does not price: the tracer's span logs (9.8 kB), the
+//! network's traffic meters (2.2 kB) and the diagnosis reservoirs.
+//! `-- --nocapture` prints both sides and each tier.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -83,7 +83,7 @@ fn priced(city: &F2cCity) -> i64 {
 }
 
 #[test]
-fn the_ledger_prices_a_populated_city_within_15_percent_of_its_live_heap() {
+fn the_ledger_prices_a_populated_city_within_1_percent_of_its_live_heap() {
     let mut city = F2cCity::barcelona().expect("the paper's city builds");
     let (live_before, priced_before) = (live(), priced(&city));
     let outcome = populate_city(&mut city, 50, 2017, 4 * 3_600, 900).expect("populates");
@@ -102,7 +102,7 @@ fn the_ledger_prices_a_populated_city_within_15_percent_of_its_live_heap() {
     );
     let gap = (grown - ledger).abs() as f64 / grown as f64;
     assert!(
-        gap <= 0.15,
+        gap <= 0.01,
         "ledger {ledger} B vs live {grown} B: {:.1} % apart",
         100.0 * gap
     );
