@@ -564,8 +564,10 @@ impl F2cCity {
     }
 
     /// Heap bytes at rest per tier: `(fog 1, fog 2, cloud)`, each the sum
-    /// of its nodes' [`F2cNode::heap_bytes`]. A pure function of the
-    /// run, not of the allocator or the worker-thread count; the
+    /// over its nodes of the store, the sketch ledger, the relays, the
+    /// flush codec and decoders and the per-sensor tables, priced from
+    /// lengths and capacities ([`scc_sensors::heap`]). A pure function
+    /// of the run, not of the allocator or the worker-thread count; the
     /// observability planes are not priced.
     pub fn heap_bytes(&self) -> (u64, u64, u64) {
         let tier = |nodes: &[F2cNode]| nodes.iter().map(F2cNode::heap_bytes).sum::<u64>();

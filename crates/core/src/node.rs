@@ -257,7 +257,7 @@ impl F2cNode {
     /// per-sensor tables. Priced from lengths and capacities
     /// ([`scc_sensors::heap`]), so a run prices the same at any
     /// worker-thread count.
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         let partials = |map: &BTreeMap<SketchKey, AggPartial>| {
             heap::btree_bytes::<SketchKey, AggPartial>(map.len())
                 + map.values().map(AggPartial::heap_bytes).sum::<u64>()
