@@ -140,11 +140,11 @@ impl TieredStore {
     }
 
     /// Iterates locally held records created in `[from_s, until_s)`,
-    /// oldest first, without cloning. The query executor and the
-    /// hierarchy's fetch path scan through this instead of materializing
-    /// the matching slice.
+    /// oldest first, without cloning: the archive's chunk slices
+    /// ([`ArchiveStore::range`]) flattened. The query executor walks the
+    /// slices themselves.
     pub fn range(&self, from_s: u64, until_s: u64) -> impl DoubleEndedIterator<Item = &DataRecord> {
-        self.archive.range(from_s, until_s)
+        self.archive.range(from_s, until_s).flatten()
     }
 
     /// The completeness watermark: the store still holds *every* record it

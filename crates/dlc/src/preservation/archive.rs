@@ -6,17 +6,26 @@
 
 use scc_sensors::{heap, SensorType};
 
+use super::run::{created_s, Run};
 use crate::record::DataRecord;
 use crate::{Error, Result};
 
+/// Records per chunk of the run: 1 024 × 80 B is 80 KiB, under glibc's
+/// default 128 KiB mmap threshold, so chunks come from and go back to
+/// the heap rather than the kernel.
+const CHUNK_RECORDS: usize = 1_024;
+
 /// A time-indexed record store.
 ///
-/// The records sit in one run sorted by creation time, arrival order
-/// among equals, beside a dense column of those creation times: a range,
-/// a count or an eviction is two binary searches over packed `u64`s and a
-/// slice of the run. Per sensor type the store also keeps the sorted
-/// distinct creation times at which that type reported, so "when did type
-/// X last report in this window" is a binary search, not a walk.
+/// The records sit in a run sorted by creation time, arrival order among
+/// equals, held as chunks of 1 024 records: the run grows without moving
+/// a stored record, and eviction frees the chunks it empties. Beside it
+/// a dense column holds those creation times, so a range, a count or an
+/// eviction is two binary searches over packed `u64`s, and a range reads
+/// as the chunk slices that cover its positions. Per sensor type the
+/// store also keeps the sorted distinct creation times at which that
+/// type reported, so "when did type X last report in this window" is a
+/// binary search, not a walk.
 ///
 /// # Examples
 ///
@@ -40,8 +49,8 @@ use crate::{Error, Result};
 #[derive(Debug, Clone, Default)]
 pub struct ArchiveStore {
     /// The run: ordered by creation time, arrival order among equals.
-    records: Vec<DataRecord>,
-    /// `times[i]` is the creation time of `records[i]`.
+    run: Run<CHUNK_RECORDS>,
+    /// `times[i]` is the creation time of the run's `i`-th record.
     times: Vec<u64>,
     /// Indexed by [`SensorType::ordinal`]: the ascending distinct creation
     /// times of the stored records of that type.
@@ -58,16 +67,14 @@ impl ArchiveStore {
     /// placed after its equals by shifting the newer tail; late arrivals
     /// in bulk belong in [`ArchiveStore::insert_batch`].
     pub fn insert(&mut self, record: DataRecord) {
-        let created = record.descriptor().created_s();
+        let created = created_s(&record);
         self.note_type_time(record.sensor_type(), created);
-        if self.times.last().is_none_or(|&newest| newest <= created) {
-            self.times.push(created);
-            self.records.push(record);
-        } else {
-            let at = self.times.partition_point(|&t| t <= created);
-            self.times.insert(at, created);
-            self.records.insert(at, record);
-        }
+        let at = match self.times.last() {
+            Some(&newest) if newest > created => self.times.partition_point(|&t| t <= created),
+            _ => self.times.len(),
+        };
+        self.times.insert(at, created);
+        self.run.insert(at, record);
     }
 
     /// Inserts a batch, in any order — the one-run case of
@@ -86,10 +93,11 @@ impl ArchiveStore {
     ///
     /// A shipment out of order is first stably sorted on its own. The
     /// shipments are then merged by `(creation time, shipment index)`
-    /// straight onto the end of the run — reserved once, every record
-    /// moved once — and only if that merged run starts before the newest
-    /// stored record is the overlapped tail stably sorted back. Stable
-    /// sorts compose, so this is the run sequential batches would leave.
+    /// straight onto the end of the run — each block of records moved
+    /// once into the last chunk — and only if that merged run starts
+    /// before the newest stored record is the overlapped tail stably
+    /// sorted back. Stable sorts compose, so this is the run sequential
+    /// batches would leave.
     pub fn insert_runs(&mut self, runs: impl IntoIterator<Item = Vec<DataRecord>>) -> Option<u64> {
         let mut runs = runs
             .into_iter()
@@ -104,9 +112,8 @@ impl ArchiveStore {
         let mut first = runs.next()?;
         let mut rest: Vec<std::vec::IntoIter<DataRecord>> = runs.collect();
         let total = first.len() + rest.iter().map(ExactSizeIterator::len).sum::<usize>();
-        let held = self.records.len();
+        let held = self.times.len();
         let newest_held = self.times.last().copied();
-        self.records.reserve(total);
         self.times.reserve(total);
         // Instant by instant: the oldest time at any head, then every
         // shipment's records at that time, in shipment order.
@@ -129,23 +136,15 @@ impl ArchiveStore {
                     n += 1;
                 }
                 self.times.extend(std::iter::repeat_n(t, n));
-                if n == head.len() {
-                    // The rest of a run moves as one block, the common
-                    // case of an ingest wave (one run, one instant).
-                    self.records.extend(std::mem::take(head));
-                } else {
-                    self.records.extend(head.by_ref().take(n));
-                }
+                self.run.extend(head, n);
             }
         }
         let oldest = self.times[held];
         if newest_held.is_some_and(|newest| newest > oldest) {
             let settled = self.times[..held].partition_point(|&t| t <= oldest);
-            let tail = &mut self.records[settled..];
-            tail.sort_by_key(created_s);
-            for (slot, record) in self.times[settled..].iter_mut().zip(tail.iter()) {
-                *slot = created_s(record);
-            }
+            self.run.sort_tail(settled);
+            // The sorted run's keys are the sorted keys.
+            self.times[settled..].sort_unstable();
         }
         Some(oldest)
     }
@@ -166,28 +165,29 @@ impl ArchiveStore {
 
     /// Number of stored records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.times.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.times.is_empty()
     }
 
     /// Total wire-encoded size of the stored records, summed over the
     /// store on demand (nothing on the insert or eviction path reads it).
     pub fn wire_bytes(&self) -> u64 {
-        self.records.iter().map(DataRecord::wire_len).sum()
+        self.iter().map(DataRecord::wire_len).sum()
     }
 
-    /// Heap bytes at rest: the run and the time column at their
-    /// capacities (a drained front keeps its room), each type's time
-    /// column, and the composite records' field vectors.
+    /// Heap bytes at rest: the run's chunks at their capacities (an
+    /// evicted chunk is freed, a partly drained one keeps its room), the
+    /// time column at its capacity, each type's time column, and the
+    /// composite records' field vectors.
     pub fn heap_bytes(&self) -> u64 {
-        heap::vec_bytes(&self.records)
+        self.run.heap_bytes()
             + heap::vec_bytes(&self.times)
             + self.type_times.iter().map(heap::vec_bytes).sum::<u64>()
-            + self.records.iter().map(DataRecord::heap_bytes).sum::<u64>()
+            + self.iter().map(DataRecord::heap_bytes).sum::<u64>()
     }
 
     /// Creation time of the oldest stored record.
@@ -211,15 +211,16 @@ impl ArchiveStore {
         self.times.partition_point(|&t| t < t_s)
     }
 
-    /// The records created at exactly `t_s`, with their position in the
-    /// run ([`ArchiveStore::rank`] of `t_s`), arrival order.
-    pub fn created_at(&self, t_s: u64) -> (usize, &[DataRecord]) {
+    /// The records created at exactly `t_s`, in arrival order, as the
+    /// chunk slices that hold them, with their position in the run
+    /// ([`ArchiveStore::rank`] of `t_s`).
+    pub fn created_at(&self, t_s: u64) -> (usize, impl Iterator<Item = &[DataRecord]>) {
         let start = self.rank(t_s);
         let run = self.times[start..]
             .iter()
             .take_while(|&&t| t == t_s)
             .count();
-        (start, &self.records[start..start + run])
+        (start, self.run.slices(start, start + run))
     }
 
     /// The latest creation time in `[from_s, until_s)` at which a record
@@ -246,35 +247,47 @@ impl ArchiveStore {
         if until_s < from_s {
             return Err(Error::InvertedRange { from_s, until_s });
         }
-        Ok(self.range(from_s, until_s).collect())
+        Ok(self.range(from_s, until_s).flatten().collect())
     }
 
-    /// Iterates records created in `[from_s, until_s)`, oldest first,
-    /// without materializing them. An inverted range yields nothing.
+    /// The records created in `[from_s, until_s)`, oldest first, as the
+    /// chunk slices that hold them, without materializing them. An
+    /// inverted range yields nothing.
     ///
     /// This is the scan primitive for the query layer: consumers filter
-    /// and fold in place instead of cloning the archive slice.
-    pub fn range(&self, from_s: u64, until_s: u64) -> impl DoubleEndedIterator<Item = &DataRecord> {
+    /// and fold each contiguous slice in place instead of cloning the
+    /// archive's records.
+    pub fn range(
+        &self,
+        from_s: u64,
+        until_s: u64,
+    ) -> impl DoubleEndedIterator<Item = &[DataRecord]> {
         let from = self.rank(from_s);
         let until = self.rank(until_s).max(from);
-        self.records[from..until].iter()
+        self.run.slices(from, until)
     }
 
     /// Removes and returns every record created strictly before
     /// `deadline_s`, oldest first — the upward-migration primitive.
     pub fn evict_older_than(&mut self, deadline_s: u64) -> Vec<DataRecord> {
-        self.evict_front(deadline_s).collect()
+        let expired = self.trim_columns(deadline_s);
+        let mut evicted = Vec::with_capacity(expired);
+        self.run.remove_front(expired, Some(&mut evicted));
+        evicted
     }
 
     /// Drops every record created strictly before `deadline_s` without
-    /// materializing them; returns how many went.
+    /// materializing them, freeing the chunks they filled; returns how
+    /// many went.
     pub fn discard_older_than(&mut self, deadline_s: u64) -> usize {
-        self.evict_front(deadline_s).len()
+        let expired = self.trim_columns(deadline_s);
+        self.run.remove_front(expired, None);
+        expired
     }
 
-    /// The front of the run created strictly before `deadline_s`, as a
-    /// drain; the time and type columns are trimmed to match up front.
-    fn evict_front(&mut self, deadline_s: u64) -> std::vec::Drain<'_, DataRecord> {
+    /// Trims the time and type columns of every entry created strictly
+    /// before `deadline_s`; returns how many records the run must lose.
+    fn trim_columns(&mut self, deadline_s: u64) -> usize {
         let expired = self.rank(deadline_s);
         if expired > 0 {
             self.times.drain(..expired);
@@ -283,23 +296,18 @@ impl ArchiveStore {
                 column.drain(..gone);
             }
         }
-        self.records.drain(..expired)
+        expired
     }
 
     /// Removes everything, returning it oldest first.
     pub fn drain(&mut self) -> Vec<DataRecord> {
-        std::mem::take(self).records
+        std::mem::take(self).run.into_vec()
     }
 
     /// Iterates stored records oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &DataRecord> {
-        self.records.iter()
+        self.run.iter()
     }
-}
-
-/// The run's sort key.
-fn created_s(record: &DataRecord) -> u64 {
-    record.descriptor().created_s()
 }
 
 #[cfg(test)]
@@ -334,13 +342,14 @@ mod tests {
         }
         let fwd: Vec<u64> = s
             .range(100, 301)
+            .flatten()
             .map(|r| r.descriptor().created_s())
             .collect();
         assert_eq!(fwd, [100, 200, 300]);
-        let newest = s.range(0, 1_000).next_back().unwrap();
+        let newest = s.range(0, 1_000).flatten().next_back().unwrap();
         assert_eq!(newest.descriptor().created_s(), 300);
         // Inverted ranges are empty rather than panicking.
-        assert_eq!(s.range(300, 100).count(), 0);
+        assert_eq!(s.range(300, 100).flatten().count(), 0);
     }
 
     #[test]
@@ -483,6 +492,7 @@ mod tests {
         );
         let times: Vec<u64> = s
             .range(0, u64::MAX)
+            .flatten()
             .map(|r| r.descriptor().created_s())
             .collect();
         assert_eq!(
@@ -504,7 +514,7 @@ mod tests {
         /// — the overlapped tail stably sorted back. The reference
         /// `insert_runs` is held to, one shipment after another.
         fn insert_batch_by_tail_sort(&mut self, batch: Vec<DataRecord>) {
-            let held = self.records.len();
+            let held = self.len();
             let mut newest = self.times.last().copied().unwrap_or(0);
             let (mut oldest, mut in_order) = (u64::MAX, true);
             for record in &batch {
@@ -515,16 +525,17 @@ mod tests {
                 self.note_type_time(record.sensor_type(), created);
                 self.times.push(created);
             }
-            self.records.extend(batch);
+            self.run.extend(&mut batch.into_iter(), usize::MAX);
             if in_order {
                 return;
             }
             let settled = self.times[..held].partition_point(|&t| t <= oldest);
-            let tail = &mut self.records[settled..];
-            tail.sort_by_key(created_s);
-            for (slot, record) in self.times[settled..].iter_mut().zip(tail.iter()) {
+            let mut all = std::mem::take(&mut self.run).into_vec();
+            all[settled..].sort_by_key(created_s);
+            for (slot, record) in self.times[settled..].iter_mut().zip(&all[settled..]) {
                 *slot = created_s(record);
             }
+            self.run.extend(&mut all.into_iter(), usize::MAX);
         }
     }
 
@@ -566,7 +577,7 @@ mod tests {
                     sequential.insert_batch_by_tail_sort(run);
                 }
                 proptest::prop_assert_eq!(merged.insert_runs(runs), want);
-                proptest::prop_assert!(merged.records == sequential.records);
+                proptest::prop_assert!(merged.iter().eq(sequential.iter()));
                 proptest::prop_assert_eq!(&merged.times, &sequential.times);
                 proptest::prop_assert_eq!(&merged.type_times, &sequential.type_times);
                 if evict_at < 400 && w % 2 == 1 {
@@ -615,7 +626,7 @@ mod tests {
                     .filter(|r| created_s(r) == probe)
                     .map(|r| r.reading().sensor().index())
                     .collect();
-                let got: Vec<u32> = at.iter().map(|r| r.reading().sensor().index()).collect();
+                let got: Vec<u32> = at.flatten().map(|r| r.reading().sensor().index()).collect();
                 proptest::prop_assert_eq!(got, walked, "created_at({})", probe);
                 for ty in TYPES {
                     for from in [0, probe.saturating_sub(5), probe.saturating_sub(1), probe] {
@@ -634,6 +645,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_instant_that_straddles_a_chunk_boundary_reads_whole() {
+        // 1 000 records at second 100, then 100 at second 200 — positions
+        // 1 000..1 100, across the first chunk's end — then one at 300.
+        let mut s = ArchiveStore::new();
+        s.insert_batch(
+            (0..1_000)
+                .map(|i| rec(SensorType::Traffic, i, 100))
+                .collect(),
+        );
+        let types = [SensorType::Weather, SensorType::BicycleFlow];
+        s.insert_batch(
+            (0..100)
+                .map(|i| rec(types[i as usize % 2], 1_000 + i, 200))
+                .collect(),
+        );
+        s.insert(rec(SensorType::Traffic, 2_000, 300));
+        assert_eq!(
+            (s.rank(200), s.rank(201), s.rank(301)),
+            (1_000, 1_100, 1_101)
+        );
+        let (start, at) = s.created_at(200);
+        let slices: Vec<&[DataRecord]> = at.collect();
+        assert_eq!(start, 1_000);
+        assert_eq!(
+            slices.iter().map(|s| s.len()).collect::<Vec<_>>(),
+            [CHUNK_RECORDS - 1_000, 1_100 - CHUNK_RECORDS]
+        );
+        let ids: Vec<u32> = slices
+            .iter()
+            .copied()
+            .flatten()
+            .map(|r| r.reading().sensor().index())
+            .collect();
+        assert_eq!(ids, (1_000..1_100).collect::<Vec<u32>>(), "arrival order");
+        assert_eq!(s.latest_of_type(SensorType::Weather, 0, 300), Some(200));
+        assert_eq!(s.latest_of_type(SensorType::BicycleFlow, 0, 200), None);
+        assert_eq!(s.latest_of_type(SensorType::Traffic, 101, 1_000), Some(300));
+        assert_eq!(s.range(100, 201).flatten().count(), 1_100);
     }
 
     #[test]

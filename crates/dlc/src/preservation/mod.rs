@@ -4,6 +4,7 @@
 
 mod archive;
 mod classification;
+mod run;
 
 pub use archive::ArchiveStore;
 pub use classification::ClassificationPhase;

@@ -107,13 +107,17 @@ fn check(store: &ArchiveStore, model: &Model, a: u64, b: u64) -> Result<(), Test
     for (from_s, until_s) in [(a, b), (b, a), (a, u64::MAX), (0, b), (u64::MAX, u64::MAX)] {
         let want = model.range(from_s, until_s);
         prop_assert_eq!(
-            store.range(from_s, until_s).collect::<Vec<_>>(),
+            store.range(from_s, until_s).flatten().collect::<Vec<_>>(),
             want.clone()
         );
         let mut backwards = want.clone();
         backwards.reverse();
         prop_assert_eq!(
-            store.range(from_s, until_s).rev().collect::<Vec<_>>(),
+            store
+                .range(from_s, until_s)
+                .flatten()
+                .rev()
+                .collect::<Vec<_>>(),
             backwards
         );
         prop_assert_eq!(

@@ -1621,7 +1621,7 @@ fn scan_point(store: &TieredStore, query: &Query) -> (Option<PointSample>, u64) 
         // The largest identity wins; among repeats of one sensor, the
         // latest arrival.
         let mut best: Option<(u64, &DataRecord)> = None;
-        for rec in at {
+        for rec in at.flatten() {
             let seed = rec.reading().sensor().seed_material();
             if query.matches(rec) && best.is_none_or(|(s, _)| seed >= s) {
                 best = Some((seed, rec));
@@ -1668,10 +1668,12 @@ fn scan_range(store: &TieredStore, query: &Query) -> (Vec<DataRecord>, u64) {
     let w = query.window;
     let mut visited = 0u64;
     let mut out = Vec::new();
-    for rec in store.range(w.from_s, w.until_s) {
-        visited += 1;
-        if query.matches(rec) {
-            out.push(rec.clone());
+    for records in store.archive().range(w.from_s, w.until_s) {
+        visited += records.len() as u64;
+        for rec in records {
+            if query.matches(rec) {
+                out.push(rec.clone());
+            }
         }
     }
     (out, visited)
@@ -1907,10 +1909,12 @@ fn fold_segment<A: AggState>(
         return 0;
     }
     let mut visited = 0u64;
-    for rec in store.range(from_s, until_s) {
-        visited += 1;
-        if query.matches(rec) {
-            absorb_record(acc, rec);
+    for records in store.archive().range(from_s, until_s) {
+        visited += records.len() as u64;
+        for rec in records {
+            if query.matches(rec) {
+                absorb_record(acc, rec);
+            }
         }
     }
     visited
@@ -2827,6 +2831,65 @@ mod tests {
             );
             assert_eq!(seen, visited, "{q:?}");
             assert_eq!((point, seen), scan_point_by_walk(&store, &q), "{q:?}");
+        }
+    }
+
+    #[test]
+    fn a_point_read_at_an_instant_across_a_chunk_boundary_equals_the_walk() {
+        use SensorType::{Traffic, Weather};
+        // The archive's first chunk holds 1 024 records: 1 000 at second
+        // 10, then 100 at second 11 (positions 1 000..1 100) whose largest
+        // Traffic identity sits past the boundary, and the largest
+        // Weather one before it.
+        let mut store = TieredStore::permanent();
+        let mut batch: Vec<DataRecord> = (0..1_000)
+            .map(|i| located(Traffic, i, 10, (i % 4) as u16, 0))
+            .collect();
+        batch.extend((0..100).map(|i| {
+            let (ty, idx) = if i < 12 {
+                (Weather, 50 - i)
+            } else {
+                (Traffic, i)
+            };
+            located(ty, idx, 11, (i % 4) as u16, u64::from(i))
+        }));
+        store.insert_batch(batch);
+        let (start, at) = store.archive().created_at(11);
+        assert_eq!(
+            (start, at.count()),
+            (1_000, 2),
+            "second 11 spans two chunks"
+        );
+        let q = point_query;
+        for (query, want) in [
+            (
+                q(Selector::Type(Traffic), Scope::City, 0, 100),
+                Some((11, 99)),
+            ),
+            (
+                q(Selector::Type(Traffic), Scope::Section(2), 0, 100),
+                Some((11, 98)),
+            ),
+            (
+                q(Selector::Type(Weather), Scope::City, 0, 100),
+                Some((11, 50)),
+            ),
+            (
+                q(Selector::Type(Traffic), Scope::City, 0, 11),
+                Some((10, 999)),
+            ),
+        ] {
+            let (point, seen) = scan_point(&store, &query);
+            assert_eq!(
+                point.map(|p| (p.created_s, p.sensor.index())),
+                want,
+                "{query:?}"
+            );
+            assert_eq!(
+                (point, seen),
+                scan_point_by_walk(&store, &query),
+                "{query:?}"
+            );
         }
     }
 

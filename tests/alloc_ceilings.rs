@@ -29,7 +29,10 @@
 //! assertion down to 104 bytes, when a record came to be built once, at
 //! its final size. The size is pinned at 80 bytes, and a plain record's
 //! clone at no allocation, since the tags became `Copy`: the city name
-//! left the record for the tagging phase, which holds it once.
+//! left the record for the tagging phase, which holds it once. Since the
+//! archive's run became a deque of 1 024-record chunks, a growing run
+//! must allocate each chunk once and never move a full one, and an
+//! eviction must free the chunks it empties.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -40,25 +43,41 @@ use f2c_smartcity::compress::tsenc::StreamEncoder;
 use f2c_smartcity::core::runtime::{populate_city, section_generators};
 use f2c_smartcity::core::{DataSource, F2cCity, Parallelism};
 use f2c_smartcity::dlc::acquisition::AcquisitionBlock;
+use f2c_smartcity::dlc::preservation::ArchiveStore;
 use f2c_smartcity::dlc::{DataRecord, Descriptor, PhaseContext, QualityReport};
 use f2c_smartcity::obs::{ExplainStore, Json};
 use f2c_smartcity::query::{
     EngineConfig, Outcome, Query, QueryEngine, QueryKind, Scope, Selector, ServedVia, ServiceClass,
     TimeWindow,
 };
-use f2c_smartcity::sensors::{Category, ReadingGenerator, SensorType};
+use f2c_smartcity::sensors::{Category, Reading, ReadingGenerator, SensorId, SensorType, Value};
 
 thread_local! {
     /// Allocations made by this thread (the test harness runs other
     /// threads; they must not leak into a measurement).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// This thread's allocations and reallocations to a full archive
+    /// chunk's size, and its reallocations of a block of that size.
+    static CHUNK_SIZED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
+
+/// Bytes of a full archive chunk: 1 024 records.
+const CHUNK_BYTES: usize = 1_024 * std::mem::size_of::<DataRecord>();
 
 struct CountingAlloc;
 
-fn count() {
+/// Counts one allocation of `size` bytes, a reallocation when it moves
+/// a block of `from` bytes.
+fn count(size: usize, from: Option<usize>) {
     // `try_with`: allocations during thread teardown find the slot gone.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = CHUNK_SIZED.try_with(|n| {
+        let (to, away) = n.get();
+        n.set((
+            to + u64::from(size == CHUNK_BYTES),
+            away + u64::from(from == Some(CHUNK_BYTES)),
+        ));
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -66,7 +85,7 @@ fn count() {
 // integer and touches no memory the allocator hands out.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size(), None);
         // SAFETY: the caller's `layout` obligations pass through unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -77,13 +96,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size(), None);
         // SAFETY: as `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size, Some(layout.size()));
         // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -149,6 +168,9 @@ const SETTLED_SCATTER_CEILING: u64 = 8;
 // vectors its stream decoder reuses, instead of building a reading, and
 // a composite's field vector, per record; the cloud's ledger and fog 2's
 // relay take the partials they decode instead of copying them.
+// Re-measured when the archive's run became chunked: 69 and 80, as
+// before — a late tail inside the last chunk sorts in place, so only a
+// tail that crosses chunks gathers into a scratch vector.
 const FLUSH_PER_100_STORED_CEILING: u64 = 93;
 const INGEST_PER_100_STORED_CEILING: u64 = 80;
 const ENCODE_PER_READING_CEILING: u64 = 2;
@@ -465,4 +487,33 @@ fn a_descriptor_is_copy_and_cloning_a_plain_record_allocates_nothing() {
         }
     });
     assert_eq!(allocs, 0);
+}
+
+#[test]
+fn an_archive_allocates_each_chunk_once_and_eviction_frees_whole_chunks() {
+    // 62 waves of 100 records at one second each — the ingest shape:
+    // 6 200 records fill six chunks and open a seventh. The first chunk
+    // reaches its full size by doubling, every later one is allocated
+    // at it, and none moves.
+    let mut store = ArchiveStore::new();
+    let (to_before, away_before) = CHUNK_SIZED.with(Cell::get);
+    for wave in 0..62 {
+        store.insert_batch(
+            (0..100)
+                .map(|i| {
+                    let sensor = SensorId::new(SensorType::Traffic, i);
+                    DataRecord::from_reading(Reading::new(sensor, wave, Value::Counter(0)))
+                })
+                .collect(),
+        );
+    }
+    let (to, away) = CHUNK_SIZED.with(Cell::get);
+    assert_eq!(store.len(), 6_200);
+    assert_eq!(to - to_before, 7, "one chunk-sized block per chunk");
+    assert_eq!(away - away_before, 0, "a full chunk was reallocated");
+    // Waves 0..=30 are 3 100 records: the first three chunks (3 072)
+    // are freed whole, the fourth only drained.
+    let priced = store.heap_bytes();
+    assert_eq!(store.discard_older_than(31), 3_100);
+    assert_eq!(priced - store.heap_bytes(), 3 * CHUNK_BYTES as u64);
 }

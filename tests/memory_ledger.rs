@@ -5,7 +5,7 @@
 //! city (scale 50, four simulated hours, a flush every 900 s) must
 //! price within 1 % of the bytes its populate left allocated.
 //!
-//! The nodes price exactly; the gap, about 12 kB of 162 MB, is what
+//! The nodes price exactly; the gap, about 12 kB of 129 MB, is what
 //! the ledger does not price: the tracer's span logs (9.8 kB), the
 //! network's traffic meters (2.2 kB) and the diagnosis reservoirs.
 //! `-- --nocapture` prints both sides and each tier.
