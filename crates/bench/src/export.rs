@@ -55,6 +55,13 @@ pub struct Artifact {
 /// and capacities) and `mem.bytes_per_stored_record`, their sum over
 /// every record copy the three tiers archive. All four are pure
 /// functions of the seed, gated at zero tolerance.
+///
+/// Since v6, additively (so the version holds): the registry gains
+/// `ingest_quality_violations{service=ingest,kind=…}` for `out_of_range`,
+/// `stale` and `future_timestamp`, the readings acquisition dropped on
+/// quality, under each violation they showed. The quality report no
+/// longer rides on each stored record, so this is where the quality
+/// phase's verdicts are read. CI's `cmp` of the document holds them.
 pub const QUERIES: Artifact = Artifact {
     bench: "queries",
     schema_version: 6,

@@ -13,6 +13,7 @@ use f2c_obs::{
     AlertTransition, BurnRateMonitor, CounterId, ExemplarStore, ExplainStore, Labels,
     MetricsRegistry, Site, SloSpec, Tracer,
 };
+use scc_dlc::quality::Violation;
 use scc_sensors::{wire, Catalog, Reading};
 
 use crate::cost::AccessCostModel;
@@ -96,6 +97,9 @@ struct CityMetricIds {
     /// Offered readings whose value their type's shape does not admit:
     /// refused at acquisition, never stored.
     shape_refused: CounterId,
+    /// Offered readings that failed the quality assessment, under each
+    /// violation they showed, in [`Violation::ALL`] order.
+    quality_violations: [CounterId; Violation::ALL.len()],
     /// Flush waves run.
     flush_waves: CounterId,
     /// Anti-entropy outcomes: holes healed / carried / unhealable.
@@ -108,6 +112,7 @@ impl CityMetricIds {
     fn register(metrics: &mut MetricsRegistry) -> Self {
         let flush = Labels::new().service("flush");
         let sketch = Labels::new().service("sketch");
+        let ingest = Labels::new().service("ingest");
         Self {
             raw_flush_bytes: [
                 metrics.counter("flush_raw_bytes", flush.layer("fog1")),
@@ -122,7 +127,10 @@ impl CityMetricIds {
                 metrics.counter("flush_uplink_bytes", flush.layer("fog2")),
             ],
             flush_batches: metrics.counter("flush_batches", flush),
-            shape_refused: metrics.counter("ingest_shape_refused", Labels::new().service("ingest")),
+            shape_refused: metrics.counter("ingest_shape_refused", ingest),
+            quality_violations: Violation::ALL.map(|kind| {
+                metrics.counter("ingest_quality_violations", ingest.kind(kind.label()))
+            }),
             flush_waves: metrics.counter("flush_waves", flush),
             heal_healed: metrics.counter("heal_outcomes", sketch.kind("healed")),
             heal_blocked: metrics.counter("heal_outcomes", sketch.kind("blocked")),
@@ -690,7 +698,10 @@ impl F2cCity {
     /// Ingests one wave of readings at a section's fog-1 node. A reading
     /// whose value its type's [`Shape`](scc_sensors::Shape) does not
     /// admit is refused by acquisition and counted under
-    /// `ingest_shape_refused{service=ingest}`.
+    /// `ingest_shape_refused{service=ingest}`; one that fails the quality
+    /// assessment is dropped and counted under
+    /// `ingest_quality_violations{service=ingest,kind=…}` for each
+    /// violation it showed.
     ///
     /// # Errors
     ///
@@ -716,12 +727,13 @@ impl F2cCity {
                 ..IngestOutcome::default()
             });
         }
-        let refused = readings
-            .iter()
-            .filter(|r| !r.sensor_type().shape().admits(r.value()))
-            .count();
-        self.metrics.add(self.ids.shape_refused, refused as u64);
-        self.fog1[section].ingest_wave(readings, now_s, &self.catalog)
+        let outcome = self.fog1[section].ingest_wave(readings, now_s, &self.catalog)?;
+        let (ids, refused) = (self.ids, outcome.refused);
+        self.metrics.add(ids.shape_refused, refused.misshaped);
+        for (id, n) in ids.quality_violations.into_iter().zip(refused.violations) {
+            self.metrics.add(id, n);
+        }
+        Ok(outcome)
     }
 
     /// `F2cCity::flush_due` of both tiers, whatever the nodes' flush
@@ -1549,6 +1561,38 @@ mod tests {
         }
         assert_eq!(city.shipment_log().len(), 4);
         assert_eq!(refused(&city), Some(1));
+    }
+
+    #[test]
+    fn a_quality_failure_is_dropped_at_ingest_and_counted_per_violation() {
+        let mut city = F2cCity::barcelona().unwrap();
+        let violations = |city: &F2cCity| {
+            Violation::ALL.map(|kind| {
+                let labels = Labels::new().service("ingest").kind(kind.label());
+                city.metrics()
+                    .counter_named("ingest_quality_violations", labels)
+            })
+        };
+        assert_eq!(violations(&city), [Some(0); 3]);
+        // 900 °C is out of range; created two hours before collection it
+        // is stale too, and created after collection it is from the
+        // future. Two violations fail; one alone passes.
+        let temperature = |index, at_s| {
+            Reading::new(
+                SensorId::new(SensorType::Temperature, index),
+                at_s,
+                Value::from_f64(900.0),
+            )
+        };
+        let wave = vec![
+            temperature(0, 0),
+            temperature(1, 7_500),
+            temperature(2, 7_200),
+        ];
+        let outcome = city.ingest(3, wave, 7_201).unwrap();
+        assert_eq!((outcome.offered, outcome.stored), (3, 1));
+        assert_eq!(outcome.refused.misshaped, 0);
+        assert_eq!(violations(&city), [Some(2), Some(1), Some(1)]);
     }
 
     #[test]

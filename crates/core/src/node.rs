@@ -22,6 +22,7 @@ use f2c_compress::tsenc;
 use scc_dlc::acquisition::AcquisitionBlock;
 use scc_dlc::phase::{Phase, PhaseContext};
 use scc_dlc::preservation::ClassificationPhase;
+use scc_dlc::quality::QualityTally;
 use scc_dlc::DataRecord;
 use scc_sensors::{heap, Catalog, Reading, SensorType};
 
@@ -41,6 +42,8 @@ pub struct IngestOutcome {
     pub raw_bytes: u64,
     /// Table-I accounting bytes of the stored records.
     pub kept_bytes: u64,
+    /// What the quality phase refused.
+    pub refused: QualityTally,
 }
 
 /// Aggregation bucket width of every node's sketch ledger (matches the
@@ -425,6 +428,7 @@ impl F2cNode {
             stored,
             raw_bytes,
             kept_bytes,
+            refused: acquisition.refused(),
         })
     }
 
@@ -986,7 +990,7 @@ mod tests {
                     let sensor = scc_sensors::SensorId::new(types[ty], idx + i as u32 % 3);
                     let mut rec = DataRecord::from_reading(Reading::new(sensor, t, value));
                     if section > 0 {
-                        rec.descriptor_mut().set_location(0, section);
+                        rec.set_location(0, section);
                     }
                     records.push(rec);
                 }

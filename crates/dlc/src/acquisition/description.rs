@@ -1,13 +1,12 @@
 //! Data description: tags records with location, authoring and privacy
 //! according to the city business model (§IV.A).
 
-use scc_sensors::Category;
-
-use crate::descriptor::PrivacyLevel;
 use crate::phase::{Phase, PhaseContext};
 use crate::record::DataRecord;
 
-/// Fills location/authoring/privacy tags for every record.
+/// Locates every record in this node's district and section. The other
+/// tags need no per-record copy: authoring and privacy follow the sensor
+/// type's category, and the city is held here once.
 #[derive(Debug, Clone)]
 pub(crate) struct DescriptionPhase {
     /// The city every record this phase tags is located in, held once
@@ -34,21 +33,20 @@ impl DescriptionPhase {
 
     /// Default privacy classification per category: meter data can reveal
     /// household occupancy, so energy is restricted; the other Sentilo
-    /// categories are municipal open data.
-    pub(crate) fn privacy_for(category: Category) -> PrivacyLevel {
+    /// categories are municipal open data. A function of the category, so
+    /// no record carries it; only tests read it.
+    #[cfg(test)]
+    pub(crate) fn privacy_for(category: scc_sensors::Category) -> crate::descriptor::PrivacyLevel {
+        use crate::descriptor::PrivacyLevel;
         match category {
-            Category::Energy => PrivacyLevel::Restricted,
+            scc_sensors::Category::Energy => PrivacyLevel::Restricted,
             _ => PrivacyLevel::Public,
         }
     }
 
-    /// Tags one record with location, authoring and privacy.
+    /// Writes the record's location.
     pub(crate) fn describe(&self, rec: &mut DataRecord) {
-        let category = rec.sensor_type().category();
-        let d = rec.descriptor_mut();
-        d.set_location(self.district, self.section);
-        d.set_authoring(category);
-        d.set_privacy(Self::privacy_for(category));
+        rec.set_location(self.district, self.section);
     }
 }
 
@@ -68,6 +66,7 @@ impl Phase for DescriptionPhase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::descriptor::PrivacyLevel;
     use scc_sensors::{Reading, SensorId, SensorType, Value};
 
     #[test]
@@ -83,8 +82,12 @@ mod tests {
         let d = out[0].descriptor();
         assert_eq!(d.district(), Some(4));
         assert_eq!(d.section(), Some(33));
-        assert_eq!(d.authoring(), Some("ENERGY"));
-        assert_eq!(d.privacy(), Some(PrivacyLevel::Restricted));
+        let category = out[0].sensor_type().category();
+        assert_eq!(category.provider(), "ENERGY");
+        assert_eq!(
+            DescriptionPhase::privacy_for(category),
+            PrivacyLevel::Restricted
+        );
     }
 
     #[test]

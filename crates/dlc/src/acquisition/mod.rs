@@ -1,31 +1,33 @@
 //! The data acquisition block (Fig. 2): collection → filtering → quality →
 //! description. Runs at fog layer 1 in the F2C mapping (Fig. 5, §IV.A).
 
-mod collection;
 mod description;
 mod filtering;
 mod quality_phase;
 
-pub(crate) use collection::CollectionPhase;
 pub(crate) use description::DescriptionPhase;
 pub(crate) use filtering::FilteringPhase;
 pub(crate) use quality_phase::QualityPhase;
 
 use crate::phase::PhaseContext;
+use crate::quality::QualityTally;
 use crate::record::DataRecord;
 use scc_sensors::Reading;
 
-/// The full acquisition block as one convenient unit: wraps raw readings
-/// into records and runs them through the four acquisition phases. A
-/// reading whose value its type's [`Shape`](scc_sensors::Shape) does not
-/// admit is refused at the quality phase.
+/// The full acquisition block as one convenient unit: collects raw
+/// readings at the context's clock and runs them through filtering,
+/// quality and description. A reading whose value its type's
+/// [`Shape`](scc_sensors::Shape) does not admit is refused at the quality
+/// phase.
 ///
 /// The phases are held as themselves, not as a list of boxes, and a wave
-/// visits each offered reading once: a repeat is dropped while it is
-/// still a [`Reading`], and every kept one is wrapped, stamped, assessed
-/// and tagged in one pass, into a vector sized to the wave. Each step is
-/// the phase's own per-record method, the one its
-/// [`Phase::run`](crate::phase::Phase::run) calls.
+/// visits each offered reading once: a repeat or a quality failure is
+/// dropped while it is still a [`Reading`], and every kept one is
+/// wrapped and located in one pass, into a vector sized to the wave.
+/// Each step is the phase's own per-reading method, the one its
+/// [`Phase::run`](crate::phase::Phase::run) calls. Collection is the
+/// clock itself: the quality phase measures staleness against
+/// `ctx.now_s`, and nothing else reads a collection time.
 ///
 /// # Examples
 ///
@@ -41,16 +43,22 @@ use scc_sensors::Reading;
 /// let r = Reading::new(SensorId::new(SensorType::Weather, 0), 10, value);
 /// let out = block.ingest(vec![r], &PhaseContext::at(12));
 /// assert_eq!(out.len(), 1);
-/// assert!(out[0].descriptor().is_fully_described());
-/// assert!(out[0].quality().unwrap().passed());
+/// assert_eq!(out[0].descriptor().section(), Some(21));
 ///
 /// // A lone scalar is no weather reading: refused, never stored.
 /// let r = Reading::new(SensorId::new(SensorType::Weather, 1), 10, Value::from_f64(19.0));
 /// assert!(block.ingest(vec![r], &PhaseContext::at(12)).is_empty());
+/// assert_eq!(block.refused().misshaped, 1);
+///
+/// // Out of range and two hours old at collection: dropped, and tallied
+/// // under both violations (out of range, stale, future).
+/// let value = Value::Composite(vec![90_000, 6_500, 0, 310, 12]);
+/// let r = Reading::new(SensorId::new(SensorType::Weather, 2), 10, value);
+/// assert!(block.ingest(vec![r], &PhaseContext::at(7_210)).is_empty());
+/// assert_eq!(block.refused().violations, [1, 1, 0]);
 /// ```
 #[derive(Debug)]
 pub struct AcquisitionBlock {
-    collection: CollectionPhase,
     /// `None` in the centralized-baseline configuration.
     filtering: Option<FilteringPhase>,
     quality: QualityPhase,
@@ -72,7 +80,6 @@ impl AcquisitionBlock {
     /// configuration, where no aggregation happens before the cloud.
     pub fn without_filtering(city: &str, district: u16, section: u16) -> Self {
         Self {
-            collection: CollectionPhase::new(),
             filtering: None,
             quality: QualityPhase::dropping_failures(),
             description: DescriptionPhase::new(city, district, section),
@@ -85,6 +92,12 @@ impl AcquisitionBlock {
         self.description.city()
     }
 
+    /// What the quality phase refused in the last wave
+    /// [`AcquisitionBlock::ingest`] took.
+    pub fn refused(&self) -> QualityTally {
+        self.quality.refused
+    }
+
     /// Heap bytes at rest: the city's name and the filtering phase's
     /// last value per sensor; the other phases hold no heap.
     pub fn heap_bytes(&self) -> u64 {
@@ -95,9 +108,10 @@ impl AcquisitionBlock {
                 .map_or(0, FilteringPhase::heap_bytes)
     }
 
-    /// Ingests raw readings: filter → wrap → collect → quality → describe,
-    /// one reading at a time.
+    /// Ingests raw readings collected at `ctx.now_s`: filter → quality →
+    /// wrap → describe, one reading at a time.
     pub fn ingest(&mut self, readings: Vec<Reading>, ctx: &PhaseContext) -> Vec<DataRecord> {
+        self.quality.refused = QualityTally::default();
         let mut out = Vec::with_capacity(readings.len());
         for reading in readings {
             if let Some(filtering) = &mut self.filtering {
@@ -105,9 +119,8 @@ impl AcquisitionBlock {
                     continue;
                 }
             }
-            let mut rec = DataRecord::from_reading(reading);
-            self.collection.stamp(&mut rec, ctx);
-            if self.quality.check(&mut rec, ctx) {
+            if self.quality.check(&reading, ctx) {
+                let mut rec = DataRecord::from_reading(reading);
                 self.description.describe(&mut rec);
                 out.push(rec);
             }
@@ -135,10 +148,8 @@ mod tests {
             let out = block.ingest(wave, &PhaseContext::at(w * 60 + 1));
             kept += out.len() as u64;
             for rec in &out {
-                assert!(rec.descriptor().is_fully_described());
                 assert_eq!(rec.descriptor().district(), Some(2));
                 assert_eq!(rec.descriptor().section(), Some(17));
-                assert!(rec.quality().is_some());
             }
         }
         // Noise redundancy is 75% (Table I).
@@ -146,11 +157,11 @@ mod tests {
         assert!((rate - 0.75).abs() < 0.05, "reduction {rate:.3}");
     }
 
-    /// The block as it was: every reading wrapped first, then each phase's
-    /// `Phase::run` over the whole wave in turn. The reference the single
-    /// visit is held to; its phases are the same types.
+    /// The block as the paper's four-phase pipeline: every reading
+    /// wrapped first, then each phase's `Phase::run` over the whole wave
+    /// in turn, collection being the context's clock. The reference the
+    /// single visit is held to; its phases are the same types.
     struct Model {
-        collection: CollectionPhase,
         filtering: Option<FilteringPhase>,
         quality: QualityPhase,
         description: DescriptionPhase,
@@ -161,7 +172,6 @@ mod tests {
     impl Model {
         fn new(filtering: bool) -> Self {
             Self {
-                collection: CollectionPhase::new(),
                 filtering: filtering.then(FilteringPhase::paper_default),
                 quality: QualityPhase::dropping_failures(),
                 description: DescriptionPhase::new("Barcelona", 4, 33),
@@ -172,7 +182,7 @@ mod tests {
         fn ingest(&mut self, readings: Vec<Reading>, ctx: &PhaseContext) -> Vec<DataRecord> {
             let mut batch: Vec<DataRecord> =
                 readings.into_iter().map(DataRecord::from_reading).collect();
-            let mut phases: Vec<&mut dyn Phase> = vec![&mut self.collection];
+            let mut phases: Vec<&mut dyn Phase> = Vec::new();
             if let Some(filtering) = &mut self.filtering {
                 phases.push(filtering);
             }
@@ -244,6 +254,7 @@ mod tests {
                 let readings = wave(ty, 40, t, step as u64 / 2);
                 let out = block.ingest(readings.clone(), &ctx);
                 assert_eq!(out, model.ingest(readings, &ctx), "wave {step}");
+                assert_eq!(block.refused(), model.quality.refused, "wave {step}");
                 kept += out.len();
             }
             // The waves exercised every path: something dropped as a

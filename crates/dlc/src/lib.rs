@@ -34,8 +34,14 @@
 //! let mut block = AcquisitionBlock::new("Barcelona", 1, 7);
 //! let mut gen = ReadingGenerator::for_population(SensorType::Temperature, 20, 42);
 //! let out = block.ingest(gen.wave(0), &PhaseContext::at(0));
-//! assert!(!out.is_empty());
-//! assert!(out.iter().all(|r| r.descriptor().section() == Some(7)));
+//! // Every reading is fresh and in range: the quality phase refused none.
+//! assert_eq!(out.len(), 20);
+//! assert_eq!(block.refused(), Default::default());
+//! // A stored record is its reading and its location; the descriptor
+//! // is computed from the two.
+//! let d = out[0].descriptor();
+//! assert_eq!((d.district(), d.section()), (Some(1), Some(7)));
+//! assert_eq!(d.created_s(), out[0].reading().timestamp_s());
 //! ```
 
 #![warn(unreachable_pub)]
@@ -54,5 +60,4 @@ pub use age::AgeClass;
 pub use descriptor::{Descriptor, PrivacyLevel};
 pub(crate) use error::{Error, Result};
 pub use phase::{Phase, PhaseContext};
-pub use quality::{QualityPolicy, QualityReport};
 pub use record::DataRecord;

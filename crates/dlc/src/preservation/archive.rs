@@ -10,7 +10,7 @@ use super::run::{created_s, Run};
 use crate::record::DataRecord;
 use crate::{Error, Result};
 
-/// Records per chunk of the run: 1 024 × 80 B is 80 KiB, under glibc's
+/// Records per chunk of the run: 1 024 × 48 B is 48 KiB, under glibc's
 /// default 128 KiB mmap threshold, so chunks come from and go back to
 /// the heap rather than the kernel.
 const CHUNK_RECORDS: usize = 1_024;

@@ -23,17 +23,33 @@ pub enum Violation {
     FutureTimestamp,
 }
 
+impl Violation {
+    /// Every kind, in declaration order.
+    pub const ALL: [Violation; 3] = [
+        Violation::OutOfRange,
+        Violation::Stale,
+        Violation::FutureTimestamp,
+    ];
+
+    /// The kind's metrics label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Violation::OutOfRange => "out_of_range",
+            Violation::Stale => "stale",
+            Violation::FutureTimestamp => "future_timestamp",
+        }
+    }
+}
+
 /// Most violations one assessment can detect: range, and one of
 /// future/stale.
 const MAX_VIOLATIONS: usize = 2;
 
 /// Result of assessing one reading.
 ///
-/// The violations sit inline with a count — every stored record carries
-/// its report, and a report with a heap list would carry an empty `Vec`
-/// for almost every one. Slots past the count are held at
-/// [`Violation::OutOfRange`], so the derived `==` still means "same
-/// score, same violations".
+/// The violations sit inline with a count, so an assessment allocates
+/// nothing. Slots past the count are held at [`Violation::OutOfRange`],
+/// so the derived `==` still means "same score, same violations".
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct QualityReport {
     score: f64,
@@ -83,6 +99,18 @@ impl fmt::Debug for QualityReport {
             .field("violations", &self.violations())
             .finish()
     }
+}
+
+/// The readings the quality phase refused in one wave.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QualityTally {
+    /// Refused unscored: the value contradicts its type's
+    /// [`Shape`](scc_sensors::Shape).
+    pub misshaped: u64,
+    /// Failed the assessment, counted under each violation found (a
+    /// failure under the default policy shows two), in [`Violation::ALL`]
+    /// order.
+    pub violations: [u64; Violation::ALL.len()],
 }
 
 /// Plausibility bounds and staleness limits per sensor type.
@@ -246,7 +274,6 @@ mod tests {
 
     #[test]
     fn inline_report_matches_the_vec_built_one_for_every_rule_combination() {
-        assert!(std::mem::size_of::<Option<QualityReport>>() <= 16);
         let policies = [
             QualityPolicy::paper_default(),
             QualityPolicy {
@@ -305,6 +332,18 @@ mod tests {
         // combinations, up to both at once.
         assert_eq!(kinds.len(), 6);
         assert!(kinds.iter().any(|v| v.len() == MAX_VIOLATIONS));
+    }
+
+    #[test]
+    fn violation_labels_follow_the_declaration_order() {
+        assert_eq!(
+            Violation::ALL.map(Violation::label),
+            ["out_of_range", "stale", "future_timestamp"]
+        );
+        assert!(Violation::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, &v)| v as usize == i));
     }
 
     #[test]

@@ -3,14 +3,14 @@
 use scc_sensors::{Reading, SensorType};
 use serde::{Deserialize, Serialize};
 
-use crate::descriptor::Descriptor;
-use crate::quality::QualityReport;
+use crate::descriptor::{Descriptor, Location};
 
-/// One observation plus everything the life cycle has learned about it.
+/// One observation and where it was acquired.
 ///
 /// A record is copied into every tier it reaches, so its size is the
-/// archive's unit of memory: 80 bytes — a 40-byte reading, 24 bytes of
-/// `Copy` tags and a 16-byte optional quality report.
+/// archive's unit of memory: 48 bytes — a 40-byte reading and the
+/// district and section the description phase located it in. Every other
+/// tag is derived on read ([`DataRecord::descriptor`]).
 ///
 /// # Examples
 ///
@@ -19,26 +19,24 @@ use crate::quality::QualityReport;
 /// use scc_sensors::{Reading, SensorId, SensorType, Value};
 ///
 /// let r = Reading::new(SensorId::new(SensorType::Weather, 1), 60, Value::from_f64(18.0));
-/// let rec = DataRecord::from_reading(r);
+/// let mut rec = DataRecord::from_reading(r);
 /// assert_eq!(rec.descriptor().created_s(), 60);
-/// assert!(rec.quality().is_none()); // not yet assessed
+/// assert_eq!(rec.descriptor().section(), None); // not yet described
+/// rec.set_location(3, 21);
+/// assert_eq!(rec.descriptor().district(), Some(3));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DataRecord {
     reading: Reading,
-    descriptor: Descriptor,
-    quality: Option<QualityReport>,
+    location: Option<Location>,
 }
 
 impl DataRecord {
-    /// Wraps a raw reading; the descriptor starts with only the creation
-    /// time (the reading's timestamp).
+    /// Wraps a raw reading, not yet located.
     pub fn from_reading(reading: Reading) -> Self {
-        let descriptor = Descriptor::created_at(reading.timestamp_s());
         Self {
             reading,
-            descriptor,
-            quality: None,
+            location: None,
         }
     }
 
@@ -52,24 +50,19 @@ impl DataRecord {
         self.reading.sensor_type()
     }
 
-    /// The descriptor tags.
-    pub fn descriptor(&self) -> &Descriptor {
-        &self.descriptor
+    /// The description tags, computed from the record.
+    #[inline]
+    pub fn descriptor(&self) -> Descriptor {
+        Descriptor {
+            created_s: self.reading.timestamp_s(),
+            location: self.location,
+        }
     }
 
-    /// Mutable descriptor access (used by phases).
-    pub fn descriptor_mut(&mut self) -> &mut Descriptor {
-        &mut self.descriptor
-    }
-
-    /// The quality assessment, if the quality phase ran.
-    pub fn quality(&self) -> Option<&QualityReport> {
-        self.quality.as_ref()
-    }
-
-    /// Records a quality assessment.
-    pub(crate) fn set_quality(&mut self, report: QualityReport) {
-        self.quality = Some(report);
+    /// Locates the record in `section` of `district` of the city the
+    /// description phase serves.
+    pub fn set_location(&mut self, district: u16, section: u16) {
+        self.location = Some(Location { district, section });
     }
 
     /// Heap bytes the record owns beyond its own size: a composite
@@ -96,7 +89,6 @@ impl AsRef<Reading> for DataRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quality::QualityReport;
     use scc_sensors::{SensorId, Value};
 
     fn record(t: u64) -> DataRecord {
@@ -112,13 +104,6 @@ mod tests {
         let rec = record(1234);
         assert_eq!(rec.descriptor().created_s(), 1234);
         assert_eq!(rec.reading().timestamp_s(), 1234);
-    }
-
-    #[test]
-    fn quality_is_settable_once_assessed() {
-        let mut rec = record(0);
-        rec.set_quality(QualityReport::perfect());
-        assert!(rec.quality().unwrap().passed());
     }
 
     #[test]

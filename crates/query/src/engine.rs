@@ -2759,7 +2759,7 @@ mod tests {
             scc_sensors::Value::Counter(value),
         );
         let mut rec = DataRecord::from_reading(reading);
-        rec.descriptor_mut().set_location(section / 2, section);
+        rec.set_location(section / 2, section);
         rec
     }
 

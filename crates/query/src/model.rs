@@ -249,7 +249,7 @@ mod tests {
     fn rec(ty: SensorType, idx: u32, t: u64, v: f64) -> DataRecord {
         let mut r =
             DataRecord::from_reading(Reading::new(SensorId::new(ty, idx), t, Value::from_f64(v)));
-        r.descriptor_mut().set_location(3, 21);
+        r.set_location(3, 21);
         r
     }
 

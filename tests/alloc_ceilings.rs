@@ -27,9 +27,10 @@
 //! (city, provider) became shared instead of two heap strings per copy;
 //! the write-path ceilings went per 100 stored readings, and the size
 //! assertion down to 104 bytes, when a record came to be built once, at
-//! its final size. The size is pinned at 80 bytes, and a plain record's
-//! clone at no allocation, since the tags became `Copy`: the city name
-//! left the record for the tagging phase, which holds it once. Since the
+//! its final size. The size is pinned at 48 bytes, and a plain record's
+//! clone at no allocation, since a record became its reading and its
+//! location: every other tag is computed from the two, and the city name
+//! is held once by the tagging phase. Since the
 //! archive's run became a deque of 1 024-record chunks, a growing run
 //! must allocate each chunk once and never move a full one, and an
 //! eviction must free the chunks it empties.
@@ -44,7 +45,7 @@ use f2c_smartcity::core::runtime::{populate_city, section_generators};
 use f2c_smartcity::core::{DataSource, F2cCity, Parallelism};
 use f2c_smartcity::dlc::acquisition::AcquisitionBlock;
 use f2c_smartcity::dlc::preservation::ArchiveStore;
-use f2c_smartcity::dlc::{DataRecord, Descriptor, PhaseContext, QualityReport};
+use f2c_smartcity::dlc::{DataRecord, Descriptor, PhaseContext};
 use f2c_smartcity::obs::{ExplainStore, Json};
 use f2c_smartcity::query::{
     EngineConfig, Outcome, Query, QueryEngine, QueryKind, Scope, Selector, ServedVia, ServiceClass,
@@ -178,11 +179,11 @@ const ENCODE_PER_READING_CEILING: u64 = 2;
 // A record is copied into every tier it reaches and a scan strides over
 // them: 176 bytes while the tags were strings, 144 while the optional
 // tags were `Option`s and the quality report held a `Vec`, 104 (later 96)
-// while each record held the city's name, 80 since — a 40-byte reading,
-// 24 bytes of tags, a 16-byte optional report.
-const _: () = assert!(std::mem::size_of::<DataRecord>() == 80);
-const _: () = assert!(std::mem::size_of::<Descriptor>() <= 24);
-const _: () = assert!(std::mem::size_of::<Option<QualityReport>>() <= 16);
+// while each record held the city's name, 80 while it held 24 bytes of
+// tags and a 16-byte optional report, 48 since — a 40-byte reading and
+// an optional district and section. The descriptor is a view computed
+// on read, and the quality report never leaves acquisition.
+const _: () = assert!(std::mem::size_of::<DataRecord>() == 48);
 
 /// Heap allocations this thread makes while `f` runs.
 fn allocs_in(f: impl FnOnce()) -> u64 {
@@ -472,15 +473,15 @@ fn assert_copy<T: Copy>() {}
 
 #[test]
 fn a_descriptor_is_copy_and_cloning_a_plain_record_allocates_nothing() {
-    // A tier hop clones every record it stores: with `Copy` tags, a
-    // record without composite fields clones as a memcpy, with no heap
-    // allocation and no reference count.
+    // A tier hop clones every record it stores: a record without
+    // composite fields clones as a memcpy, with no heap allocation and
+    // no reference count.
     assert_copy::<Descriptor>();
     let mut block = AcquisitionBlock::new("Barcelona", 3, 21);
     let mut gen = ReadingGenerator::for_population(SensorType::Traffic, 50, 7);
     let records = block.ingest(gen.wave(0), &PhaseContext::at(1));
     assert!(!records.is_empty());
-    assert!(records.iter().all(|r| r.descriptor().is_fully_described()));
+    assert!(records.iter().all(|r| r.descriptor().section() == Some(21)));
     let allocs = allocs_in(|| {
         for record in &records {
             std::hint::black_box(record.clone());

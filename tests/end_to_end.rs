@@ -18,20 +18,40 @@ fn fog1() -> F2cNode {
 #[test]
 fn readings_survive_the_full_hierarchy() {
     let mut city = F2cCity::barcelona().unwrap();
-    let mut gen = ReadingGenerator::for_population(SensorType::Weather, 40, 5);
+    // Two sections of different districts, each with its own sensor type,
+    // so a cloud record's type names the fog 1 that ingested it.
+    let sources = [(0, SensorType::Weather), (40, SensorType::Traffic)];
+    assert_ne!(city.district_of(0), city.district_of(40));
+    let mut gens: Vec<_> = sources
+        .iter()
+        .map(|&(_, ty)| ReadingGenerator::for_population(ty, 40, 5))
+        .collect();
 
-    let mut stored_total = 0u64;
+    let mut stored = [0u64; 2];
     for wave in 0..24u64 {
         let t = wave * 300;
-        stored_total += city.ingest(0, gen.wave(t), t + 1).unwrap().stored;
+        for (i, &(section, _)) in sources.iter().enumerate() {
+            stored[i] += city.ingest(section, gens[i].wave(t), t + 1).unwrap().stored;
+        }
     }
     city.flush_all(7200).unwrap();
-    assert_eq!(city.fog2(0).store().len() as u64, stored_total);
-    assert_eq!(city.cloud().store().len() as u64, stored_total);
-    // Every record at the cloud is fully described and quality-tagged.
+    for (i, &(section, _)) in sources.iter().enumerate() {
+        let fog2 = city.fog2(city.district_of(section));
+        assert_eq!(fog2.store().len() as u64, stored[i]);
+    }
+    assert_eq!(city.cloud().store().len() as u64, stored[0] + stored[1]);
+    // Every record at the cloud still carries the location its fog 1
+    // gave it, three tiers up.
     for rec in city.cloud().store().archive().iter() {
-        assert!(rec.descriptor().is_fully_described());
-        assert!(rec.quality().expect("assessed at fog 1").passed());
+        let section = sources
+            .iter()
+            .find(|&&(_, ty)| ty == rec.sensor_type())
+            .map(|&(section, _)| section)
+            .expect("only the two sources reach the cloud");
+        let d = rec.descriptor();
+        assert_eq!(d.section(), Some(section as u16));
+        assert_eq!(d.district(), Some(city.district_of(section) as u16));
+        assert_eq!(d.created_s(), rec.reading().timestamp_s());
     }
 }
 

@@ -62,13 +62,13 @@ fn assert_golden(artifacts: &[u8], golden: u64, fixture: &str) {
 }
 
 /// FNV-1a of the fault-free fixture's artifacts at one thread.
-const GOLDEN_WORKLOAD: u64 = 0xaced_bdd3_c842_7c57;
+const GOLDEN_WORKLOAD: u64 = 0xec73_ea20_b384_215f;
 
 /// FNV-1a of the storm fixture's artifacts at one thread: partials
 /// corrupted in flight and healed at both hops. Its cloud outage falls
 /// on waves with no cloud hole, so a blocked cloud heal is held by
 /// `hierarchy`'s unit tests instead.
-const GOLDEN_STORM: u64 = 0xda6d_f2d1_5bde_918e;
+const GOLDEN_STORM: u64 = 0xf62c_1de4_7b93_24e8;
 
 /// Whether the artifact stream's incident lines hold `kind` at a site
 /// whose name starts with `site`.
