@@ -204,6 +204,8 @@ struct MainRun {
     wall: Duration,
     raw_bytes: u64,
     sketch_bytes: u64,
+    /// Bytes at rest, priced as the main run left the city.
+    mem: Json,
 }
 
 /// The closed-loop main run on the warmed city.
@@ -283,6 +285,7 @@ fn main_run(mut city: F2cCity, requests: u64) -> MainRun {
     print_class_table(&report, metrics);
 
     let (raw_bytes, sketch_bytes) = main_run_summary(&engine, &report, requests);
+    let mem = mem_json(engine.city());
     MainRun {
         engine,
         report,
@@ -290,7 +293,35 @@ fn main_run(mut city: F2cCity, requests: u64) -> MainRun {
         wall,
         raw_bytes,
         sketch_bytes,
+        mem,
     }
+}
+
+/// Bytes at rest per tier (v6): each tier's total, its stores' part
+/// (v7) and the total over every record copy the tiers archive. Priced
+/// where the main run ends, while every tier holds records; the
+/// scenarios after it age fog 1 and fog 2 past their retention.
+fn mem_json(city: &F2cCity) -> Json {
+    let (fog1, fog2, cloud) = city.heap_bytes();
+    let sections = (0..city.section_count()).map(|s| city.fog1(s));
+    let districts = (0..city.district_count()).map(|d| city.fog2(d));
+    let tiers: [(&str, u64, Vec<_>); 3] = [
+        ("fog1", fog1, sections.map(|n| n.store()).collect()),
+        ("fog2", fog2, districts.map(|n| n.store()).collect()),
+        ("cloud", cloud, vec![city.cloud().store()]),
+    ];
+    let mut mem_j = Json::obj();
+    for (tier, bytes, stores) in &tiers {
+        let mut tier_j = Json::obj();
+        tier_j.set("bytes", export::num(*bytes));
+        let store_bytes = stores.iter().map(|s| s.heap_bytes()).sum();
+        tier_j.set("store_bytes", export::num(store_bytes));
+        mem_j.set(tier, tier_j);
+    }
+    let copies: usize = tiers.iter().flat_map(|t| &t.2).map(|s| s.len()).sum();
+    let per_copy = (fog1 + fog2 + cloud) as f64 / copies.max(1) as f64;
+    mem_j.set("bytes_per_stored_record", Json::Num(per_copy));
+    mem_j
 }
 
 /// The main run's serving, scatter, shed, scan and shipping lines and
@@ -935,30 +966,11 @@ fn export(mut run: MainRun, requests: u64, parallel_j: Json, chaos_j: Json) {
     // Ungated info: encoded payloads shipped, both hops together.
     flush_j.set("batches", export::num(city.flush_batches()));
 
-    // Bytes at rest per tier (v6), priced from lengths and capacities,
-    // and their sum over every record copy the tiers archive.
-    let (fog1, fog2, cloud) = city.heap_bytes();
-    let copies = (0..city.section_count())
-        .map(|s| city.fog1(s).store().len())
-        .chain((0..city.district_count()).map(|d| city.fog2(d).store().len()))
-        .sum::<usize>()
-        + city.cloud().store().len();
-    let mut mem_j = Json::obj();
-    for (tier, bytes) in [("fog1", fog1), ("fog2", fog2), ("cloud", cloud)] {
-        let mut tier_j = Json::obj();
-        tier_j.set("bytes", export::num(bytes));
-        mem_j.set(tier, tier_j);
-    }
-    mem_j.set(
-        "bytes_per_stored_record",
-        Json::Num((fog1 + fog2 + cloud) as f64 / copies.max(1) as f64),
-    );
-
     let mut doc = QUERIES.doc();
     doc.set("requests", export::num(requests));
     doc.set("workload", workload_j);
     doc.set("flush", flush_j);
-    doc.set("mem", mem_j);
+    doc.set("mem", run.mem);
     doc.set("parallel", parallel_j);
     run.engine.sync_gauges();
     doc.set("phases", export::phases_json(run.engine.city().tracer()));

@@ -62,9 +62,13 @@ pub struct Artifact {
 /// quality, under each violation they showed. The quality report no
 /// longer rides on each stored record, so this is where the quality
 /// phase's verdicts are read. CI's `cmp` of the document holds them.
+///
+/// v7: `mem` is priced where the main run ends, not ten simulated days
+/// later, when fog 1 and fog 2 held no records; each tier gains
+/// `mem.<tier>.store_bytes`, its stores' part, gated exactly.
 pub const QUERIES: Artifact = Artifact {
     bench: "queries",
-    schema_version: 6,
+    schema_version: 7,
     out_file: "BENCH_queries.json",
     baseline: "bench/baseline.json",
     // Latency phases and byte costs are ceilings (a fall is an
@@ -100,6 +104,9 @@ pub const QUERIES: Artifact = Artifact {
         BudgetRule::band("mem.fog1.bytes", 0.0, 0.0),
         BudgetRule::band("mem.fog2.bytes", 0.0, 0.0),
         BudgetRule::band("mem.cloud.bytes", 0.0, 0.0),
+        BudgetRule::band("mem.fog1.store_bytes", 0.0, 0.0),
+        BudgetRule::band("mem.fog2.store_bytes", 0.0, 0.0),
+        BudgetRule::band("mem.cloud.store_bytes", 0.0, 0.0),
         BudgetRule::band("mem.bytes_per_stored_record", 0.0, 0.0),
         // The chaos scenario must keep degrading *and* healing.
         BudgetRule::ceiling("chaos.fault_shed", 0.50, 50.0),

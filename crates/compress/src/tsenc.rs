@@ -58,6 +58,7 @@
 //! bit-flipped and length-lying streams fail with an [`Error`] instead
 //! of panicking or over-allocating.
 
+use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
@@ -304,7 +305,7 @@ fn body_lens(values: &[u64]) -> [usize; Technique::ALL.len()] {
 }
 
 /// The dictionary technique's working state: the local dictionary of
-/// the column last probed. Kept between columns so a warm encoder
+/// the column last probed. Kept between columns so a warm thread
 /// probes without allocating.
 #[derive(Debug, Default)]
 struct DictProbe {
@@ -317,14 +318,6 @@ struct DictProbe {
 }
 
 impl DictProbe {
-    /// Heap bytes of the probe's table and vectors, kept between
-    /// batches (the table is only cleared).
-    fn heap_bytes(&self) -> u64 {
-        heap::table_bytes::<(u64, u64)>(self.index.capacity())
-            + heap::vec_bytes(&self.distinct)
-            + heap::vec_bytes(&self.codes)
-    }
-
     /// Builds the local dictionary of `values` and returns the length of
     /// its body — exact whenever that is below `limit`. Otherwise the
     /// probe stops as soon as its running lower bound (the bytes so far
@@ -693,15 +686,31 @@ fn type_from_code(code: u8) -> Option<SensorType> {
 /// receiver). Feed it consecutive batches of the stream in shipping
 /// order; the matching [`StreamDecoder`] must verify or decode exactly
 /// the payloads this side committed, once each, in the same order.
+///
+/// A stream keeps only what outlives a batch: its dictionary, and the
+/// additions a staged batch waits to commit. The columns a batch is
+/// transposed into belong to the encoding thread, which reuses them for
+/// every stream it encodes.
 #[derive(Debug, Default)]
 pub struct StreamEncoder {
     dict: SensorDict<BuildIdHasher>,
-    columns: ColumnScratch,
+    /// Sensors the staged batch adds to the dictionary, first-appearance
+    /// order: held from [`StreamEncoder::stage_batch`] to
+    /// [`StreamEncoder::commit`] or [`StreamEncoder::discard`].
+    staged: Vec<SensorId>,
 }
 
-/// The transposed batch: column vectors the encoder owns and reuses
-/// across batches, so a warm stream encodes into them without
-/// allocating.
+thread_local! {
+    /// The encoding thread's columns, shared by every stream it encodes.
+    static COLUMNS: RefCell<ColumnScratch> = RefCell::default();
+    /// The decoding thread's columns, shared by every stream it decodes.
+    static DECODED: RefCell<DecodedColumns> = RefCell::default();
+}
+
+/// The transposed batch: column vectors a thread reuses across every
+/// batch of every stream it encodes, so a warm thread encodes without
+/// allocating. Nothing in them outlives the batch, so no stream keeps
+/// them at rest: they are working memory, like a batch in flight.
 #[derive(Debug, Default)]
 struct ColumnScratch {
     codes: Vec<u64>,
@@ -711,28 +720,14 @@ struct ColumnScratch {
     values: [Vec<u64>; SensorType::ALL.len()],
     /// The flattened zigzag fields of each composite type.
     fields: [Vec<u64>; SensorType::ALL.len()],
-    /// Sensors the staged batch adds to the dictionary,
-    /// first-appearance order.
-    staged: Vec<SensorId>,
+    /// The code each of the batch's additions was given.
     staged_index: IdMap<SensorId, u64>,
     probe: DictProbe,
 }
 
 impl ColumnScratch {
-    /// Heap bytes of the columns at the capacities the largest batch so
-    /// far grew them to.
-    fn heap_bytes(&self) -> u64 {
-        heap::vec_bytes(&self.codes)
-            + heap::vec_bytes(&self.timestamps)
-            + self.values.iter().map(heap::vec_bytes).sum::<u64>()
-            + self.fields.iter().map(heap::vec_bytes).sum::<u64>()
-            + heap::vec_bytes(&self.staged)
-            + heap::table_bytes::<(SensorId, u64)>(self.staged_index.capacity())
-            + self.probe.heap_bytes()
-    }
-
-    /// Transposes `readings` into the columns in one pass, staging the
-    /// sensors `dict` has not committed.
+    /// Transposes `readings` into the columns in one pass, staging in
+    /// `staged` the sensors `dict` has not committed.
     ///
     /// # Errors
     ///
@@ -742,13 +737,14 @@ impl ColumnScratch {
     fn transpose<R: AsRef<Reading>>(
         &mut self,
         dict: &SensorDict<BuildIdHasher>,
+        staged: &mut Vec<SensorId>,
         readings: &[R],
     ) -> Result<()> {
         self.codes.clear();
         self.timestamps.clear();
         self.values.iter_mut().for_each(Vec::clear);
         self.fields.iter_mut().for_each(Vec::clear);
-        self.staged.clear();
+        staged.clear();
         self.staged_index.clear();
         let committed = dict.len() as u64;
         for (record, r) in readings.iter().enumerate() {
@@ -776,8 +772,8 @@ impl ColumnScratch {
             }
             let code = dict.code_of(id).unwrap_or_else(|| {
                 *self.staged_index.entry(id).or_insert_with(|| {
-                    self.staged.push(id);
-                    committed + self.staged.len() as u64 - 1
+                    staged.push(id);
+                    committed + staged.len() as u64 - 1
                 })
             });
             self.codes.push(code);
@@ -786,11 +782,12 @@ impl ColumnScratch {
         Ok(())
     }
 
-    /// Writes the columnar body of the transposed batch.
-    fn write_body(&mut self, out: &mut Vec<u8>) {
+    /// Writes the columnar body of the transposed batch, whose
+    /// dictionary additions are `staged`.
+    fn write_body(&mut self, staged: &[SensorId], out: &mut Vec<u8>) {
         put_varint(out, self.codes.len() as u64);
-        put_varint(out, self.staged.len() as u64);
-        for id in &self.staged {
+        put_varint(out, staged.len() as u64);
+        for id in staged {
             out.push(type_code(id.sensor_type()));
             put_varint(out, u64::from(id.index()));
         }
@@ -815,10 +812,10 @@ impl StreamEncoder {
         Self::default()
     }
 
-    /// Heap bytes at rest: the dictionary and the column scratch a warm
-    /// stream reuses.
+    /// Heap bytes at rest: the dictionary and the staged additions'
+    /// vector.
     pub fn heap_bytes(&self) -> u64 {
-        self.dict.heap_bytes() + self.columns.heap_bytes()
+        self.dict.heap_bytes() + heap::vec_bytes(&self.staged)
     }
 
     /// Committed dictionary entries so far.
@@ -860,25 +857,27 @@ impl StreamEncoder {
                 limit: MAX_RECORDS,
             });
         }
-        if let Err(refused) = self.columns.transpose(&self.dict, readings) {
-            self.discard();
-            return Err(refused);
-        }
-        // A reserve, not a bound: warm flush traffic runs at three to
-        // five bytes a record.
-        let mut out = Vec::with_capacity(ENVELOPE_LEN + 16 + 4 * readings.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(MODE_COLUMNAR);
-        self.columns.write_body(&mut out);
-        let crc = crc32::checksum(&out[MAGIC.len()..]);
-        out.extend_from_slice(&crc.to_le_bytes());
-        Ok(out)
+        COLUMNS.with_borrow_mut(|columns| {
+            if let Err(refused) = columns.transpose(&self.dict, &mut self.staged, readings) {
+                self.discard();
+                return Err(refused);
+            }
+            // A reserve, not a bound: warm flush traffic runs at three to
+            // five bytes a record.
+            let mut out = Vec::with_capacity(ENVELOPE_LEN + 16 + 4 * readings.len());
+            out.extend_from_slice(&MAGIC);
+            out.push(MODE_COLUMNAR);
+            columns.write_body(&self.staged, &mut out);
+            let crc = crc32::checksum(&out[MAGIC.len()..]);
+            out.extend_from_slice(&crc.to_le_bytes());
+            Ok(out)
+        })
     }
 
     /// Commits the staged batch's dictionary additions; a no-op when
     /// nothing is staged.
     pub fn commit(&mut self) {
-        for id in self.columns.staged.drain(..) {
+        for id in self.staged.drain(..) {
             self.dict.push(id);
         }
     }
@@ -886,7 +885,7 @@ impl StreamEncoder {
     /// Drops the staged batch's dictionary additions, leaving the
     /// dictionary as the last committed batch left it.
     pub fn discard(&mut self) {
-        self.columns.staged.clear();
+        self.staged.clear();
     }
 }
 
@@ -894,10 +893,15 @@ impl StreamEncoder {
 /// payload that arrives, in shipping order. A payload it refuses (an
 /// error, or a mismatch in [`StreamDecoder::verify_batch`]) commits
 /// nothing, so its sender re-ships the records in a later batch.
+///
+/// A stream keeps its dictionary and the last batch's frame sizes; the
+/// columns a batch decodes into belong to the decoding thread, which
+/// reuses them for every stream it decodes.
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
     dict: SensorDict,
-    columns: DecodedColumns,
+    /// Bytes of each type's value and field frames in the last batch.
+    frame_bytes: [usize; SensorType::ALL.len()],
 }
 
 /// Stream offset of the body: after the magic and the mode byte.
@@ -941,10 +945,9 @@ impl StreamDecoder {
         Self::default()
     }
 
-    /// Heap bytes at rest: the dictionary and the decode scratch a warm
-    /// stream reuses.
+    /// Heap bytes at rest: the dictionary.
     pub fn heap_bytes(&self) -> u64 {
-        self.dict.heap_bytes() + self.columns.heap_bytes()
+        self.dict.heap_bytes()
     }
 
     /// Committed dictionary entries so far.
@@ -964,16 +967,18 @@ impl StreamDecoder {
     /// [`Error::Malformed`]; never panics, never allocates past the
     /// declared (validated) counts.
     pub fn decode_batch(&mut self, data: &[u8]) -> Result<Vec<Reading>> {
-        self.columns.decode(&self.dict, open(data)?)?;
-        let readings = self.columns.readings()?;
-        self.commit();
-        Ok(readings)
+        DECODED.with_borrow_mut(|columns| {
+            columns.decode(&self.dict, open(data)?, &mut self.frame_bytes)?;
+            let readings = columns.readings()?;
+            self.commit(columns);
+            Ok(readings)
+        })
     }
 
     /// Bytes of `ty`'s value and field frames in the last batch decoded
     /// (0 if it held no `ty`); the rest of a payload is shared by its types.
     pub fn type_frame_bytes(&self, ty: SensorType) -> usize {
-        self.columns.frame_bytes[ty.ordinal()]
+        self.frame_bytes[ty.ordinal()]
     }
 
     /// Checks one batch against `batch`, the records shipped beside it,
@@ -988,26 +993,30 @@ impl StreamDecoder {
     ///
     /// As [`StreamDecoder::decode_batch`].
     pub fn verify_batch<R: AsRef<Reading>>(&mut self, data: &[u8], batch: &[R]) -> Result<bool> {
-        self.columns.decode(&self.dict, open(data)?)?;
-        let matches = self.columns.matches(batch)?;
-        if matches {
-            self.commit();
-        }
-        Ok(matches)
+        DECODED.with_borrow_mut(|columns| {
+            columns.decode(&self.dict, open(data)?, &mut self.frame_bytes)?;
+            let matches = columns.matches(batch)?;
+            if matches {
+                self.commit(columns);
+            }
+            Ok(matches)
+        })
     }
 
     /// Commits the decoded batch's additions, exactly as the encoder did.
-    fn commit(&mut self) {
-        for &id in &self.columns.staged {
+    fn commit(&mut self, columns: &DecodedColumns) {
+        for &id in &columns.staged {
             self.dict.push(id);
         }
     }
 }
 
-/// One batch decoded column by column into vectors the decoder
-/// owns and reuses across batches. Both finishes read it:
-/// [`StreamDecoder::decode_batch`] assembles readings from it, and
-/// [`StreamDecoder::verify_batch`] compares records with it in place.
+/// One batch decoded column by column into vectors a thread reuses
+/// across every batch of every stream it decodes; like
+/// [`ColumnScratch`], working memory no stream keeps at rest. Both
+/// finishes read it: [`StreamDecoder::decode_batch`] assembles readings
+/// from it, and [`StreamDecoder::verify_batch`] compares records with it
+/// in place.
 #[derive(Debug, Default)]
 struct DecodedColumns {
     /// Sensors the batch adds to the dictionary, first-appearance order;
@@ -1023,28 +1032,20 @@ struct DecodedColumns {
     values: [Vec<u64>; SensorType::ALL.len()],
     /// The flattened zigzag fields of each composite type.
     fields: [Vec<u64>; SensorType::ALL.len()],
-    /// Bytes of each type's value and field frames.
-    frame_bytes: [usize; SensorType::ALL.len()],
     /// Stream offset of the body's end.
     end: usize,
 }
 
 impl DecodedColumns {
-    /// Heap bytes of the columns at the capacities the largest batch so
-    /// far grew them to (the staged set is only cleared).
-    fn heap_bytes(&self) -> u64 {
-        heap::vec_bytes(&self.staged)
-            + heap::table_bytes::<SensorId>(self.staged_set.capacity())
-            + heap::vec_bytes(&self.codes)
-            + heap::vec_bytes(&self.sensors)
-            + heap::vec_bytes(&self.timestamps)
-            + self.values.iter().map(heap::vec_bytes).sum::<u64>()
-            + self.fields.iter().map(heap::vec_bytes).sum::<u64>()
-    }
-
     /// Decodes and validates every column of `body` against the
-    /// committed dictionary `dict`, leaving `dict` as it was.
-    fn decode(&mut self, dict: &SensorDict, body: &[u8]) -> Result<()> {
+    /// committed dictionary `dict`, leaving `dict` as it was, and writes
+    /// the bytes of each type's value and field frames to `frame_bytes`.
+    fn decode(
+        &mut self,
+        dict: &SensorDict,
+        body: &[u8],
+        frame_bytes: &mut [usize; SensorType::ALL.len()],
+    ) -> Result<()> {
         let base = BODY_OFFSET;
         let err = |reason: &'static str, pos: usize| Error::Malformed {
             reason,
@@ -1113,7 +1114,7 @@ impl DecodedColumns {
             let values = &mut self.values[t];
             values.clear();
             self.fields[t].clear();
-            self.frame_bytes[t] = 0;
+            frame_bytes[t] = 0;
             if counts[t] == 0 {
                 continue;
             }
@@ -1142,7 +1143,7 @@ impl DecodedColumns {
                     column(&mut pos, total, &mut self.fields[t])?;
                 }
             }
-            self.frame_bytes[t] = pos - frames_start;
+            frame_bytes[t] = pos - frames_start;
         }
         if pos != body.len() {
             return Err(err("trailing bytes after the last column", pos));
@@ -1719,5 +1720,189 @@ mod tests {
         decoder.decode_batch(&next).unwrap();
         assert!(decoder.type_frame_bytes(SensorType::Traffic) > 0);
         assert_eq!(decoder.type_frame_bytes(SensorType::Weather), 0);
+    }
+
+    /// What becomes of one staged batch of a stream.
+    #[derive(Debug, Clone, Copy)]
+    enum Fate {
+        /// The receiver verified it: both ends commit.
+        Commit,
+        /// It was lost: the sender discards, the receiver never sees it.
+        Discard,
+        /// It holds a value its type's shape contradicts: refused.
+        Refuse,
+    }
+
+    /// Batch `step` of stream `stream`: every batch mixes three shapes,
+    /// meets new sensors and repeats, and a refused one ends on a
+    /// parking spot that reports a scalar.
+    fn stream_batch(stream: usize, step: usize, salt: u64, fate: Fate) -> Vec<Reading> {
+        let t = 900 * (step as u64 + 1);
+        let n = 3 + salt % 9;
+        let mut batch: Vec<Reading> = (0..n)
+            .map(|i| {
+                let idx = (stream * 100) as u32 + ((salt / 7 + i * 3) % 14) as u32;
+                match (salt + i) % 3 {
+                    0 => scalar(idx, t, f64::from(idx) + (salt % 5) as f64),
+                    1 => Reading::new(
+                        SensorId::new(SensorType::Traffic, idx),
+                        t + i,
+                        Value::Counter(salt % 1_000 + i),
+                    ),
+                    _ => Reading::new(
+                        SensorId::new(SensorType::Weather, idx),
+                        t,
+                        Value::Composite(vec![2_100 + (salt % 50) as i64, -50, i as i64]),
+                    ),
+                }
+            })
+            .collect();
+        if let Fate::Refuse = fate {
+            batch.push(Reading::new(
+                SensorId::new(SensorType::ParkingSpot, 7),
+                t,
+                Value::Scalar(1),
+            ));
+        }
+        batch
+    }
+
+    /// Everything one stream's encoder and decoder produced, in order:
+    /// each staged payload (or refusal), and after each finished step
+    /// both dictionaries' sizes and every type's frame bytes.
+    #[derive(Debug, Default, PartialEq)]
+    struct Trace {
+        payloads: Vec<Result<Vec<u8>>>,
+        after: Vec<(usize, usize, Vec<usize>)>,
+    }
+
+    /// One stream: its encoder and decoder, the steps left, and the
+    /// batch staged and not yet finished.
+    struct Pair {
+        enc: StreamEncoder,
+        dec: StreamDecoder,
+        script: std::vec::IntoIter<(Fate, u64)>,
+        step: usize,
+        staged: Option<(Fate, Vec<Reading>, Result<Vec<u8>>)>,
+        trace: Trace,
+    }
+
+    impl Pair {
+        fn new(script: Vec<(Fate, u64)>) -> Self {
+            Self {
+                enc: StreamEncoder::new(),
+                dec: StreamDecoder::new(),
+                script: script.into_iter(),
+                step: 0,
+                staged: None,
+                trace: Trace::default(),
+            }
+        }
+
+        /// The stream's next half-step — stage its next batch, or finish
+        /// the staged one; `false` once the script is done.
+        fn advance(&mut self, stream: usize) -> bool {
+            if let Some((fate, batch, payload)) = self.staged.take() {
+                match (fate, &payload) {
+                    (Fate::Commit, Ok(bytes)) => {
+                        self.enc.commit();
+                        // Both receiver finishes, alternately.
+                        if self.step.is_multiple_of(2) {
+                            assert_eq!(self.dec.verify_batch(bytes, &batch), Ok(true));
+                        } else {
+                            assert_eq!(self.dec.decode_batch(bytes), Ok(batch));
+                        }
+                    }
+                    // A commit after a refusal commits nothing.
+                    (_, Err(_)) => self.enc.commit(),
+                    _ => self.enc.discard(),
+                }
+                let frames = SensorType::ALL.map(|ty| self.dec.type_frame_bytes(ty));
+                self.trace
+                    .after
+                    .push((self.enc.dict_len(), self.dec.dict_len(), frames.to_vec()));
+                self.trace.payloads.push(payload);
+                self.step += 1;
+                return true;
+            }
+            let Some((fate, salt)) = self.script.next() else {
+                return false;
+            };
+            let batch = stream_batch(stream, self.step, salt, fate);
+            let payload = self.enc.stage_batch(&batch);
+            assert_eq!(payload.is_err(), matches!(fate, Fate::Refuse));
+            self.staged = Some((fate, batch, payload));
+            true
+        }
+    }
+
+    /// Runs the three streams' scripts on this thread, stream `picks[i]`
+    /// taking the `i`-th half-step, then the rest round-robin.
+    fn interleave(scripts: &[Vec<(Fate, u64)>; 3], picks: &[usize]) -> Vec<Trace> {
+        let mut pairs: Vec<Pair> = scripts.iter().cloned().map(Pair::new).collect();
+        for &pick in picks {
+            pairs[pick % 3].advance(pick % 3);
+        }
+        while pairs
+            .iter_mut()
+            .enumerate()
+            .fold(false, |more, (s, pair)| pair.advance(s) | more)
+        {}
+        pairs.into_iter().map(|pair| pair.trace).collect()
+    }
+
+    /// Each stream alone on a fresh thread, whose scratch no other
+    /// stream has touched.
+    fn alone(scripts: &[Vec<(Fate, u64)>; 3]) -> Vec<Trace> {
+        (0..3)
+            .map(|s| {
+                let script = scripts[s].clone();
+                std::thread::spawn(move || {
+                    let mut pair = Pair::new(script);
+                    while pair.advance(s) {}
+                    pair.trace
+                })
+                .join()
+                .unwrap()
+            })
+            .collect()
+    }
+
+    /// The scratch is the thread's, the staged additions the stream's:
+    /// stream 0 stages new sensors, stream 2 is refused and stream 1
+    /// stages and discards its own before stream 0 commits, and every
+    /// stream's payloads, dictionaries and frame bytes are the ones it
+    /// produces alone.
+    #[test]
+    fn streams_sharing_a_thread_encode_as_they_do_alone() {
+        let scripts = [
+            vec![(Fate::Commit, 11), (Fate::Commit, 40), (Fate::Commit, 3)],
+            vec![(Fate::Discard, 25), (Fate::Commit, 8), (Fate::Commit, 61)],
+            vec![(Fate::Refuse, 5), (Fate::Commit, 19), (Fate::Discard, 2)],
+        ];
+        // 0 stages; 2 stages (refused); 1 stages, discards; 2 finishes;
+        // 0 commits — then the rest, round-robin.
+        let picks = [0, 2, 1, 1, 2, 0];
+        assert_eq!(interleave(&scripts, &picks), alone(&scripts));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn streams_interleaved_at_random_cuts_encode_as_they_do_alone(
+            script in proptest::collection::vec((0u8..6, any::<u64>()), 9..18),
+            picks in proptest::collection::vec(0usize..3, 0..40),
+        ) {
+            let fate = |f: u8| match f {
+                0 => Fate::Discard,
+                1 => Fate::Refuse,
+                _ => Fate::Commit,
+            };
+            let mut scripts: [Vec<(Fate, u64)>; 3] = Default::default();
+            for (i, &(f, salt)) in script.iter().enumerate() {
+                scripts[i % 3].push((fate(f), salt));
+            }
+            prop_assert_eq!(interleave(&scripts, &picks), alone(&scripts));
+        }
     }
 }

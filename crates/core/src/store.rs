@@ -123,7 +123,7 @@ impl TieredStore {
     /// Heap bytes at rest: the archive's, and the pending queue's at its
     /// capacity with its composite records' field vectors — a pending
     /// record is a second copy of an archived one.
-    pub(crate) fn heap_bytes(&self) -> u64 {
+    pub fn heap_bytes(&self) -> u64 {
         self.archive.heap_bytes()
             + scc_sensors::heap::vec_bytes(&self.pending)
             + self.pending.iter().map(DataRecord::heap_bytes).sum::<u64>()

@@ -1,7 +1,6 @@
 //! Data description: tags records with location, authoring and privacy
 //! according to the city business model (§IV.A).
 
-use crate::phase::{Phase, PhaseContext};
 use crate::record::DataRecord;
 
 /// Locates every record in this node's district and section. The other
@@ -31,35 +30,9 @@ impl DescriptionPhase {
         &self.city
     }
 
-    /// Default privacy classification per category: meter data can reveal
-    /// household occupancy, so energy is restricted; the other Sentilo
-    /// categories are municipal open data. A function of the category, so
-    /// no record carries it; only tests read it.
-    #[cfg(test)]
-    pub(crate) fn privacy_for(category: scc_sensors::Category) -> crate::descriptor::PrivacyLevel {
-        use crate::descriptor::PrivacyLevel;
-        match category {
-            scc_sensors::Category::Energy => PrivacyLevel::Restricted,
-            _ => PrivacyLevel::Public,
-        }
-    }
-
     /// Writes the record's location.
     pub(crate) fn describe(&self, rec: &mut DataRecord) {
         rec.set_location(self.district, self.section);
-    }
-}
-
-impl Phase for DescriptionPhase {
-    fn name(&self) -> &'static str {
-        "data-description"
-    }
-
-    fn run(&mut self, mut batch: Vec<DataRecord>, _ctx: &PhaseContext) -> Vec<DataRecord> {
-        for rec in &mut batch {
-            self.describe(rec);
-        }
-        batch
     }
 }
 
@@ -67,7 +40,36 @@ impl Phase for DescriptionPhase {
 mod tests {
     use super::*;
     use crate::descriptor::PrivacyLevel;
-    use scc_sensors::{Reading, SensorId, SensorType, Value};
+    use crate::phase::{Phase, PhaseContext};
+    use scc_sensors::{Category, Reading, SensorId, SensorType, Value};
+
+    impl DescriptionPhase {
+        /// Default privacy classification per category: meter data can
+        /// reveal household occupancy, so energy is restricted; the other
+        /// Sentilo categories are municipal open data. A function of the
+        /// category, so no record carries it.
+        fn privacy_for(category: Category) -> PrivacyLevel {
+            match category {
+                Category::Energy => PrivacyLevel::Restricted,
+                _ => PrivacyLevel::Public,
+            }
+        }
+    }
+
+    /// The phase over a whole wave: the reference pipeline's step
+    /// (`acquisition::tests::Model`).
+    impl Phase for DescriptionPhase {
+        fn name(&self) -> &'static str {
+            "data-description"
+        }
+
+        fn run(&mut self, mut batch: Vec<DataRecord>, _ctx: &PhaseContext) -> Vec<DataRecord> {
+            for rec in &mut batch {
+                self.describe(rec);
+            }
+            batch
+        }
+    }
 
     #[test]
     fn tags_location_authoring_privacy() {

@@ -5,9 +5,6 @@
 use f2c_aggregate::RedundancyFilter;
 use scc_sensors::Reading;
 
-use crate::phase::{Phase, PhaseContext};
-use crate::record::DataRecord;
-
 /// Drops records whose reading repeats the sensor's previous value.
 #[derive(Debug, Default)]
 pub(crate) struct FilteringPhase {
@@ -35,23 +32,27 @@ impl FilteringPhase {
     }
 }
 
-impl Phase for FilteringPhase {
-    fn name(&self) -> &'static str {
-        "data-filtering"
-    }
-
-    fn run(&mut self, batch: Vec<DataRecord>, _ctx: &PhaseContext) -> Vec<DataRecord> {
-        batch
-            .into_iter()
-            .filter(|rec| self.admit(rec.reading()))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scc_sensors::{Reading, SensorId, SensorType, Value};
+    use crate::phase::{Phase, PhaseContext};
+    use crate::record::DataRecord;
+    use scc_sensors::{SensorId, SensorType, Value};
+
+    /// The phase over a whole batch: the reference pipeline's step
+    /// (`acquisition::tests::Model`).
+    impl Phase for FilteringPhase {
+        fn name(&self) -> &'static str {
+            "data-filtering"
+        }
+
+        fn run(&mut self, batch: Vec<DataRecord>, _ctx: &PhaseContext) -> Vec<DataRecord> {
+            batch
+                .into_iter()
+                .filter(|rec| self.admit(rec.reading()))
+                .collect()
+        }
+    }
 
     fn rec(t: u64, v: f64) -> DataRecord {
         DataRecord::from_reading(Reading::new(

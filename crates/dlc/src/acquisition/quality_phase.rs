@@ -5,9 +5,8 @@
 
 use scc_sensors::Reading;
 
-use crate::phase::{Phase, PhaseContext};
+use crate::phase::PhaseContext;
 use crate::quality::{QualityPolicy, QualityTally};
-use crate::record::DataRecord;
 
 /// Quality assessment phase.
 #[derive(Debug, Clone, Default)]
@@ -53,22 +52,26 @@ impl QualityPhase {
     }
 }
 
-impl Phase for QualityPhase {
-    fn name(&self) -> &'static str {
-        "data-quality"
-    }
-
-    fn run(&mut self, mut batch: Vec<DataRecord>, ctx: &PhaseContext) -> Vec<DataRecord> {
-        self.refused = QualityTally::default();
-        batch.retain(|rec| self.check(rec.reading(), ctx));
-        batch
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phase::Phase;
+    use crate::record::DataRecord;
     use scc_sensors::{SensorId, SensorType, Value};
+
+    /// The phase over a whole wave: the reference pipeline's step
+    /// (`acquisition::tests::Model`).
+    impl Phase for QualityPhase {
+        fn name(&self) -> &'static str {
+            "data-quality"
+        }
+
+        fn run(&mut self, mut batch: Vec<DataRecord>, ctx: &PhaseContext) -> Vec<DataRecord> {
+            self.refused = QualityTally::default();
+            batch.retain(|rec| self.check(rec.reading(), ctx));
+            batch
+        }
+    }
 
     fn reading(created: u64, v: f64) -> Reading {
         Reading::new(

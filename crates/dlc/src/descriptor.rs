@@ -6,9 +6,10 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Privacy classification attached by the description phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum PrivacyLevel {
+/// Privacy class per sensor category; no record holds one (tests only).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum PrivacyLevel {
     /// Publishable through open-data interfaces.
     Public,
     /// Restricted to city services.

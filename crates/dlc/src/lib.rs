@@ -57,7 +57,7 @@ pub mod quality;
 pub(crate) mod record;
 
 pub use age::AgeClass;
-pub use descriptor::{Descriptor, PrivacyLevel};
+pub use descriptor::Descriptor;
 pub(crate) use error::{Error, Result};
 pub use phase::{Phase, PhaseContext};
 pub use record::DataRecord;

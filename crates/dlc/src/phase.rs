@@ -19,8 +19,8 @@ impl PhaseContext {
 
 /// One life-cycle phase.
 ///
-/// Implementations live in [`crate::acquisition`] and
-/// [`crate::preservation`].
+/// The cloud's classification ([`crate::preservation`]) runs as one; the
+/// acquisition phases' impls are the tests' reference pipeline.
 ///
 /// `Send + Sync` so nodes embedding phases can be owned by district
 /// shards on worker threads (phases hold plain configuration and

@@ -12,20 +12,22 @@ use crate::{Error, Result};
 
 /// Records per chunk of the run: 1 024 × 48 B is 48 KiB, under glibc's
 /// default 128 KiB mmap threshold, so chunks come from and go back to
-/// the heap rather than the kernel.
+/// the heap rather than the kernel. It also bounds a time search's
+/// second step: one chunk, at most ten probes.
 const CHUNK_RECORDS: usize = 1_024;
 
 /// A time-indexed record store.
 ///
 /// The records sit in a run sorted by creation time, arrival order among
 /// equals, held as chunks of 1 024 records: the run grows without moving
-/// a stored record, and eviction frees the chunks it empties. Beside it
-/// a dense column holds those creation times, so a range, a count or an
-/// eviction is two binary searches over packed `u64`s, and a range reads
-/// as the chunk slices that cover its positions. Per sensor type the
-/// store also keeps the sorted distinct creation times at which that
-/// type reported, so "when did type X last report in this window" is a
-/// binary search, not a walk.
+/// a stored record, and eviction frees the chunks it empties. The run is
+/// its own time index: a creation time's position is one search over
+/// the chunks' first records and one inside a chunk, so a range, a count
+/// or an eviction is two such searches, and a range reads as the chunk
+/// slices that cover its positions. Per sensor type the store also keeps
+/// the sorted distinct creation times at which that type reported, so
+/// "when did type X last report in this window" is a binary search, not
+/// a walk.
 ///
 /// # Examples
 ///
@@ -50,8 +52,6 @@ const CHUNK_RECORDS: usize = 1_024;
 pub struct ArchiveStore {
     /// The run: ordered by creation time, arrival order among equals.
     run: Run<CHUNK_RECORDS>,
-    /// `times[i]` is the creation time of the run's `i`-th record.
-    times: Vec<u64>,
     /// Indexed by [`SensorType::ordinal`]: the ascending distinct creation
     /// times of the stored records of that type.
     type_times: [Vec<u64>; SensorType::ALL.len()],
@@ -69,12 +69,7 @@ impl ArchiveStore {
     pub fn insert(&mut self, record: DataRecord) {
         let created = created_s(&record);
         self.note_type_time(record.sensor_type(), created);
-        let at = match self.times.last() {
-            Some(&newest) if newest > created => self.times.partition_point(|&t| t <= created),
-            _ => self.times.len(),
-        };
-        self.times.insert(at, created);
-        self.run.insert(at, record);
+        self.run.insert(self.rank_after(created), record);
     }
 
     /// Inserts a batch, in any order — the one-run case of
@@ -96,8 +91,9 @@ impl ArchiveStore {
     /// straight onto the end of the run — each block of records moved
     /// once into the last chunk — and only if that merged run starts
     /// before the newest stored record is the overlapped tail stably
-    /// sorted back. Stable sorts compose, so this is the run sequential
-    /// batches would leave.
+    /// sorted back; where that tail starts is searched before the merge,
+    /// while the run is still sorted. Stable sorts compose, so this is
+    /// the run sequential batches would leave.
     pub fn insert_runs(&mut self, runs: impl IntoIterator<Item = Vec<DataRecord>>) -> Option<u64> {
         let mut runs = runs
             .into_iter()
@@ -111,10 +107,13 @@ impl ArchiveStore {
         // The first shipment is held apart, so a lone one needs no list.
         let mut first = runs.next()?;
         let mut rest: Vec<std::vec::IntoIter<DataRecord>> = runs.collect();
-        let total = first.len() + rest.iter().map(ExactSizeIterator::len).sum::<usize>();
-        let held = self.times.len();
-        let newest_held = self.times.last().copied();
-        self.times.reserve(total);
+        let oldest = std::iter::once(&first)
+            .chain(&rest)
+            .filter_map(|head| head.as_slice().first())
+            .map(created_s)
+            .min()?;
+        // Where the tail to sort back starts, while the run is sorted.
+        let (held, settled) = (self.len(), self.rank_after(oldest));
         // Instant by instant: the oldest time at any head, then every
         // shipment's records at that time, in shipment order.
         let mut noted = None;
@@ -135,16 +134,11 @@ impl ArchiveStore {
                     }
                     n += 1;
                 }
-                self.times.extend(std::iter::repeat_n(t, n));
                 self.run.extend(head, n);
             }
         }
-        let oldest = self.times[held];
-        if newest_held.is_some_and(|newest| newest > oldest) {
-            let settled = self.times[..held].partition_point(|&t| t <= oldest);
+        if settled < held {
             self.run.sort_tail(settled);
-            // The sorted run's keys are the sorted keys.
-            self.times[settled..].sort_unstable();
         }
         Some(oldest)
     }
@@ -165,12 +159,12 @@ impl ArchiveStore {
 
     /// Number of stored records.
     pub fn len(&self) -> usize {
-        self.times.len()
+        self.run.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
+        self.run.first().is_none()
     }
 
     /// Total wire-encoded size of the stored records, summed over the
@@ -180,24 +174,22 @@ impl ArchiveStore {
     }
 
     /// Heap bytes at rest: the run's chunks at their capacities (an
-    /// evicted chunk is freed, a partly drained one keeps its room), the
-    /// time column at its capacity, each type's time column, and the
-    /// composite records' field vectors.
+    /// evicted chunk is freed, a partly drained one keeps its room), each
+    /// type's time column, and the composite records' field vectors.
     pub fn heap_bytes(&self) -> u64 {
         self.run.heap_bytes()
-            + heap::vec_bytes(&self.times)
             + self.type_times.iter().map(heap::vec_bytes).sum::<u64>()
             + self.iter().map(DataRecord::heap_bytes).sum::<u64>()
     }
 
     /// Creation time of the oldest stored record.
     pub fn earliest_s(&self) -> Option<u64> {
-        self.times.first().copied()
+        self.run.first().map(created_s)
     }
 
     /// Creation time of the newest stored record.
     pub fn latest_s(&self) -> Option<u64> {
-        self.times.last().copied()
+        self.run.last().map(created_s)
     }
 
     /// How many stored records were created strictly before `t_s` — the
@@ -205,10 +197,19 @@ impl ArchiveStore {
     /// a window `[a, b)` is `rank(b) - rank(a)`. A time past the newest
     /// record (an open window's end) is the whole run, without a search.
     pub fn rank(&self, t_s: u64) -> usize {
-        if self.times.last().is_none_or(|&newest| newest < t_s) {
-            return self.times.len();
+        if self.latest_s().is_none_or(|newest| newest < t_s) {
+            return self.run.len();
         }
-        self.times.partition_point(|&t| t < t_s)
+        self.run.partition_point(|r| created_s(r) < t_s)
+    }
+
+    /// How many stored records were created at or before `t_s`: where a
+    /// record created at `t_s` goes after its equals. A second search
+    /// (not a walk over the instant's records), or none when `t_s` is
+    /// the newest.
+    fn rank_after(&self, t_s: u64) -> usize {
+        t_s.checked_add(1)
+            .map_or(self.len(), |next| self.rank(next))
     }
 
     /// The records created at exactly `t_s`, in arrival order, as the
@@ -216,11 +217,7 @@ impl ArchiveStore {
     /// ([`ArchiveStore::rank`] of `t_s`).
     pub fn created_at(&self, t_s: u64) -> (usize, impl Iterator<Item = &[DataRecord]>) {
         let start = self.rank(t_s);
-        let run = self.times[start..]
-            .iter()
-            .take_while(|&&t| t == t_s)
-            .count();
-        (start, self.run.slices(start, start + run))
+        (start, self.run.slices(start, self.rank_after(t_s)))
     }
 
     /// The latest creation time in `[from_s, until_s)` at which a record
@@ -285,12 +282,11 @@ impl ArchiveStore {
         expired
     }
 
-    /// Trims the time and type columns of every entry created strictly
-    /// before `deadline_s`; returns how many records the run must lose.
+    /// Trims the type columns of every entry created strictly before
+    /// `deadline_s`; returns how many records the run must lose.
     fn trim_columns(&mut self, deadline_s: u64) -> usize {
         let expired = self.rank(deadline_s);
         if expired > 0 {
-            self.times.drain(..expired);
             for column in &mut self.type_times {
                 let gone = column.partition_point(|&t| t < deadline_s);
                 column.drain(..gone);
@@ -498,7 +494,7 @@ mod tests {
         assert_eq!(
             times,
             [100, 200, 200, 250, 250, 300, 400],
-            "time column re-synced"
+            "the tail sorted back"
         );
         assert_eq!(s.latest_of_type(SensorType::Weather, 0, 250), Some(200));
         assert_eq!(s.latest_of_type(SensorType::Weather, 201, 250), None);
@@ -515,7 +511,7 @@ mod tests {
         /// `insert_runs` is held to, one shipment after another.
         fn insert_batch_by_tail_sort(&mut self, batch: Vec<DataRecord>) {
             let held = self.len();
-            let mut newest = self.times.last().copied().unwrap_or(0);
+            let mut newest = self.latest_s().unwrap_or(0);
             let (mut oldest, mut in_order) = (u64::MAX, true);
             for record in &batch {
                 let created = created_s(record);
@@ -523,18 +519,14 @@ mod tests {
                 newest = created;
                 oldest = oldest.min(created);
                 self.note_type_time(record.sensor_type(), created);
-                self.times.push(created);
             }
             self.run.extend(&mut batch.into_iter(), usize::MAX);
             if in_order {
                 return;
             }
-            let settled = self.times[..held].partition_point(|&t| t <= oldest);
             let mut all = std::mem::take(&mut self.run).into_vec();
+            let settled = all[..held].partition_point(|r| created_s(r) <= oldest);
             all[settled..].sort_by_key(created_s);
-            for (slot, record) in self.times[settled..].iter_mut().zip(&all[settled..]) {
-                *slot = created_s(record);
-            }
             self.run.extend(&mut all.into_iter(), usize::MAX);
         }
     }
@@ -578,8 +570,21 @@ mod tests {
                 }
                 proptest::prop_assert_eq!(merged.insert_runs(runs), want);
                 proptest::prop_assert!(merged.iter().eq(sequential.iter()));
-                proptest::prop_assert_eq!(&merged.times, &sequential.times);
                 proptest::prop_assert_eq!(&merged.type_times, &sequential.type_times);
+                // The run is its own time index: what it answers is what
+                // a walk of its records reads.
+                let times: Vec<u64> = merged.iter().map(created_s).collect();
+                proptest::prop_assert!(times.is_sorted());
+                proptest::prop_assert_eq!(merged.len(), times.len());
+                proptest::prop_assert_eq!(merged.earliest_s(), times.first().copied());
+                proptest::prop_assert_eq!(merged.latest_s(), times.last().copied());
+                for probe in (0..=times.last().map_or(0, |&t| t + 1)).step_by(7) {
+                    let want = times.iter().filter(|&&t| t < probe).count();
+                    proptest::prop_assert_eq!(merged.rank(probe), want, "rank({})", probe);
+                    let at = times.iter().filter(|&&t| t == probe).count();
+                    let (start, got) = merged.created_at(probe);
+                    proptest::prop_assert_eq!((start, got.flatten().count()), (want, at));
+                }
                 if evict_at < 400 && w % 2 == 1 {
                     merged.discard_older_than(evict_at);
                     sequential.discard_older_than(evict_at);
@@ -589,14 +594,18 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `rank`, `created_at` and `latest_of_type`, with their
-        /// shortcuts past the newest entry, against plain
-        /// `partition_point` over the time column and a walk of the
-        /// records. Runs of up to 40 records share a second;
-        /// every probe from below the oldest entry to past the newest
-        /// (each stored second, each gap, `u64::MAX`) is asked.
+        /// `rank`, `created_at`, `len`, `earliest_s`, `latest_s` and
+        /// `latest_of_type`, with their shortcuts past the newest entry,
+        /// against one walk of the records. A pad of up to 1 500 older
+        /// records, partly evicted, puts chunk boundaries (and a drained
+        /// first chunk) anywhere among runs of up to 40 records that
+        /// share a second; every probe from below the oldest entry to
+        /// past the newest (each stored second, each gap, `u64::MAX`) is
+        /// asked.
         #[test]
         fn search_primitives_equal_partition_point(
+            pad in 0usize..1_500,
+            evict_at in 0u64..50,
             // Per run: (gap to the previous run's second, length, type pick).
             runs in proptest::collection::vec((0u64..4, 1usize..40, 0usize..3), 0..24),
         ) {
@@ -604,7 +613,8 @@ mod tests {
                 [SensorType::Traffic, SensorType::Weather, SensorType::BicycleFlow];
             let mut s = ArchiveStore::new();
             let (mut t, mut idx) = (50u64, 0u32);
-            let mut batch = Vec::new();
+            let mut batch: Vec<DataRecord> =
+                (0..pad).map(|i| rec(TYPES[i % 3], 0, (i * 50 / pad) as u64)).collect();
             for &(gap, len, ty) in &runs {
                 t += gap;
                 for i in 0..len {
@@ -614,27 +624,32 @@ mod tests {
                 }
             }
             s.insert_batch(batch);
+            s.discard_older_than(evict_at);
+            let walk: Vec<(u64, SensorType, u32)> = s
+                .iter()
+                .map(|r| (created_s(r), r.sensor_type(), r.reading().sensor().index()))
+                .collect();
+            proptest::prop_assert_eq!(s.len(), walk.len());
+            proptest::prop_assert_eq!(s.is_empty(), walk.is_empty());
+            proptest::prop_assert_eq!(s.earliest_s(), walk.first().map(|w| w.0));
+            proptest::prop_assert_eq!(s.latest_s(), walk.last().map(|w| w.0));
             let newest = s.latest_s().unwrap_or(0);
             let probes = (0..=newest + 2).chain([u64::MAX - 1, u64::MAX]);
             for probe in probes {
-                let want = s.times.partition_point(|&t| t < probe);
+                let want = walk.iter().filter(|w| w.0 < probe).count();
                 proptest::prop_assert_eq!(s.rank(probe), want, "rank({})", probe);
                 let (start, at) = s.created_at(probe);
                 proptest::prop_assert_eq!(start, want);
-                let walked: Vec<u32> = s
-                    .iter()
-                    .filter(|r| created_s(r) == probe)
-                    .map(|r| r.reading().sensor().index())
-                    .collect();
+                let walked: Vec<u32> =
+                    walk.iter().filter(|w| w.0 == probe).map(|w| w.2).collect();
                 let got: Vec<u32> = at.flatten().map(|r| r.reading().sensor().index()).collect();
                 proptest::prop_assert_eq!(got, walked, "created_at({})", probe);
                 for ty in TYPES {
                     for from in [0, probe.saturating_sub(5), probe.saturating_sub(1), probe] {
-                        let want = s
+                        let want = walk
                             .iter()
-                            .filter(|r| r.sensor_type() == ty)
-                            .map(created_s)
-                            .filter(|t| (from..probe).contains(t))
+                            .filter(|w| w.1 == ty && (from..probe).contains(&w.0))
+                            .map(|w| w.0)
                             .max();
                         proptest::prop_assert_eq!(
                             s.latest_of_type(ty, from, probe),

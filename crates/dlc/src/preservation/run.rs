@@ -66,6 +66,38 @@ impl<const CHUNK: usize> Run<CHUNK> {
         }
     }
 
+    /// The oldest record.
+    pub(crate) fn first(&self) -> Option<&DataRecord> {
+        self.head.front().unwrap_or(&self.last).first()
+    }
+
+    /// The newest record.
+    pub(crate) fn last(&self) -> Option<&DataRecord> {
+        self.last.last()
+    }
+
+    /// The first position whose record fails `pred`, as
+    /// [`slice::partition_point`] over the whole run: the records that
+    /// pass must come first. One search over the chunks' first records
+    /// finds the chunk where they stop, and one search inside it the
+    /// position.
+    pub(crate) fn partition_point(&self, mut pred: impl FnMut(&DataRecord) -> bool) -> usize {
+        let mut passed = self
+            .head
+            .partition_point(|chunk| chunk.first().is_some_and(&mut pred));
+        if passed == self.head.len() && self.last.first().is_some_and(&mut pred) {
+            passed += 1;
+        }
+        let Some(c) = passed.checked_sub(1) else {
+            return 0;
+        };
+        let start = match c {
+            0 => 0,
+            _ => self.head.front().map_or(0, Vec::len) + (c - 1) * CHUNK,
+        };
+        start + self.chunk(c).map_or(0, |chunk| chunk.partition_point(pred))
+    }
+
     /// The chunk slices that hold positions `[from, until)`, in order,
     /// none of them empty; an inverted range yields none.
     pub(crate) fn slices(
@@ -271,6 +303,27 @@ mod tests {
         }
         prop_assert_eq!(run.len(), model.len());
         prop_assert!(run.iter().eq(model.iter()));
+        prop_assert_eq!(run.first(), model.first());
+        prop_assert_eq!(run.last(), model.last());
+        // Every prefix is a partition, sorted or not: the search finds
+        // each one's end.
+        let mut prefix = std::collections::HashSet::new();
+        for p in 0..=model.len() {
+            let got = run.partition_point(|r| prefix.contains(&r.reading().sensor().index()));
+            prop_assert_eq!(got, p, "prefix {}", p);
+            if let Some(r) = model.get(p) {
+                prefix.insert(r.reading().sensor().index());
+            }
+        }
+        // At every probe second that partitions the records (all of
+        // them, once the run is sorted), the time search is the model's.
+        for t in 0..=8 {
+            let before = |r: &DataRecord| created_s(r) < t;
+            let want = model.iter().take_while(|r| before(r)).count();
+            if model[want..].iter().all(|r| !before(r)) {
+                prop_assert_eq!(run.partition_point(before), want, "second {}", t);
+            }
+        }
         // Only the first and the last chunk may hold room: at most three
         // records' worth each.
         let deque = (run.head.capacity() * size_of::<Vec<DataRecord>>()) as u64;
@@ -324,7 +377,9 @@ mod tests {
                         run.insert(a, record);
                     }
                     3 | 4 => {
-                        let from = a % (model.len() + 1);
+                        // Op 4 sorts the whole run, so the time searches
+                        // meet sorted runs of every layout.
+                        let from = if op == 3 { a % (model.len() + 1) } else { 0 };
                         model[from..].sort_by_key(created_s);
                         run.sort_tail(from);
                     }

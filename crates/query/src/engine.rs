@@ -1603,7 +1603,7 @@ const AGG_PARTIAL_WIRE_BYTES: u64 = 1_152;
 /// counted: every record created at or after `T*`, plus the first older
 /// one that ends the walk if the window holds any — or the whole window
 /// when nothing matches. It prices the read (`scan_cost_per_record_us`),
-/// so it comes from ranks in the time column rather than from the few
+/// so it comes from the archive's ranks rather than from the few
 /// records actually touched.
 ///
 /// A live probe's window is `[now − 1800, now + 1)`: its end lies past

@@ -5,9 +5,13 @@
 //! city (scale 50, four simulated hours, a flush every 900 s) must
 //! price within 1 % of the bytes its populate left allocated.
 //!
-//! The nodes price exactly; the gap, about 12 kB of 129 MB, is what
-//! the ledger does not price: the tracer's span logs (9.8 kB), the
-//! network's traffic meters (2.2 kB) and the diagnosis reservoirs.
+//! The nodes price exactly; the gap, about 287 kB of 77.3 MB, is what
+//! the ledger does not price. Most of it is the flush codec's column
+//! scratch on the thread that ran the populate: `tsenc` keeps one set of
+//! encode and decode columns per thread, sized to the largest batch that
+//! thread has handled, as working memory no stream holds at rest. The
+//! rest, about 12 kB, is the tracer's span logs (9.8 kB), the network's
+//! traffic meters (2.2 kB) and the diagnosis reservoirs.
 //! `-- --nocapture` prints both sides and each tier.
 
 use std::alloc::{GlobalAlloc, Layout, System};
