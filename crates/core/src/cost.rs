@@ -182,6 +182,8 @@ impl AccessCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use citysim::barcelona::BarcelonaTopology;
+    use citysim::time::SimTime;
 
     fn model() -> AccessCostModel {
         AccessCostModel::new(LatencyProfile::default())
@@ -312,5 +314,105 @@ mod tests {
             m.cost(AccessOption::Neighbor { hops: 0 }, 0),
             m.cost(AccessOption::Neighbor { hops: 1 }, 0)
         );
+    }
+
+    /// The planner's prices against the network they price: every
+    /// `AccessOption` from each of the 73 sections and every `FanoutPath`
+    /// to each gather district, at 0 B, 1 KB, 100 KB and 10 MB, on an idle
+    /// `BarcelonaTopology`. The request carries no bytes, as the model
+    /// counts none. Every default link runs at 1 Gbps, so a reply costs
+    /// one serialization `ser` per link it crosses, and:
+    ///
+    /// * a one-link route (`Parent`, `Neighbor { hops: 1 }`, a one-hop
+    ///   sibling leg, `MemberFog1 { hops: 0 }`) is priced exactly;
+    /// * a route of `n` links is priced at its latency but serialized once
+    ///   at the bottleneck, where the network stores and forwards at every
+    ///   hop: the network reads `(n - 1) × ser` more. That term is at most
+    ///   `5 × ser`, a member leg five fog-2 hops out on the ring of ten;
+    ///   for `Cloud` at 10 MB it is 150 000 µs modelled against 230 000 µs;
+    /// * a `Neighbor` whose ring walk is longer than the climb through the
+    ///   parent (`hops × 3 ms > 2 × 5 ms`) is priced on the ring while the
+    ///   network routes through the parent;
+    /// * `Local` and `LocalSketch` price the sensor's own access link,
+    ///   which the graph does not hold: the network's self-read is free.
+    #[test]
+    fn prices_match_the_idle_network_up_to_store_and_forward() {
+        let mut topo = BarcelonaTopology::build(&LatencyProfile::default());
+        let p = *topo.profile();
+        let m = AccessCostModel::new(p);
+        let bps = [
+            p.fog1_to_fog2.1,
+            p.fog2_to_cloud.1,
+            p.fog1_neighbor.1,
+            p.fog2_sibling.1,
+        ];
+        assert_eq!(bps, [1_000_000_000; 4]);
+        let us = |d: Duration| d.as_micros() as i64;
+        let (ring, up) = (us(p.fog1_neighbor.0), us(p.fog1_to_fog2.0));
+        let (fog1, fog2, cloud) = (
+            topo.fog1_nodes().to_vec(),
+            topo.fog2_nodes().to_vec(),
+            topo.cloud(),
+        );
+        let members: Vec<Vec<usize>> = (0..fog2.len())
+            .map(|d| topo.fog1_in_district(d).to_vec())
+            .collect();
+        let ring_hops = |a: usize, b: usize, n: usize| a.abs_diff(b).min(n - a.abs_diff(b)) as u32;
+        for bytes in [0, 1_000, 100_000, 10_000_000] {
+            let ser = us(citysim::Link::new(Duration::ZERO, 1_000_000_000).transfer_time(bytes));
+            let mut net = |from, to| {
+                let reply = topo
+                    .network_mut()
+                    .request_response(from, to, 0, bytes, SimTime::ZERO);
+                us(reply.unwrap().arrival.since(SimTime::ZERO))
+            };
+            for (d, ring_of) in members.iter().enumerate() {
+                for (at, &s) in ring_of.iter().enumerate() {
+                    let here = fog1[s];
+                    let cost = |option| us(m.cost(option, bytes));
+                    assert_eq!(net(here, fog2[d]), cost(AccessOption::Parent));
+                    assert_eq!(net(here, cloud) - cost(AccessOption::Cloud), ser);
+                    for local in [AccessOption::Local, AccessOption::LocalSketch] {
+                        assert_eq!(net(here, here), 0);
+                        assert_eq!(cost(local), 2 * us(p.sensor_to_fog1) + ser);
+                    }
+                    for (to, &t) in ring_of.iter().enumerate().filter(|&(to, _)| to != at) {
+                        let hops = ring_hops(at, to, ring_of.len());
+                        let h = i64::from(hops);
+                        let gap = if h * ring < 2 * up {
+                            (h - 1) * ser
+                        } else {
+                            2 * (2 * up - h * ring) + ser
+                        };
+                        let priced = cost(AccessOption::Neighbor { hops });
+                        assert_eq!(net(here, fog1[t]) - priced, gap, "{s} -> {t} {bytes}");
+                    }
+                    for (e, &sibling) in fog2.iter().enumerate().filter(|&(e, _)| e != d) {
+                        let hops = ring_hops(d, e, fog2.len());
+                        let priced = cost(AccessOption::SiblingFog2 { hops });
+                        assert_eq!(net(here, sibling) - priced, i64::from(hops) * ser);
+                    }
+                    for (g, &gather) in fog2.iter().enumerate() {
+                        let hops = ring_hops(d, g, fog2.len());
+                        assert!(hops <= 5);
+                        let priced = us(m.leg_cost(FanoutPath::MemberFog1 { hops }, bytes));
+                        assert_eq!(net(gather, here) - priced, i64::from(hops) * ser);
+                    }
+                }
+            }
+            for (g, &gather) in fog2.iter().enumerate() {
+                let local = us(m.leg_cost(FanoutPath::GatherLocal, bytes));
+                assert_eq!(net(gather, gather), local);
+                for (e, &sibling) in fog2.iter().enumerate().filter(|&(e, _)| e != g) {
+                    let hops = ring_hops(g, e, fog2.len());
+                    let priced = us(m.leg_cost(FanoutPath::SiblingFog2 { hops }, bytes));
+                    assert_eq!(net(gather, sibling) - priced, i64::from(hops - 1) * ser);
+                }
+            }
+        }
+        let net = topo.network_mut();
+        let reply = net.request_response(fog1[0], cloud, 0, 10_000_000, SimTime::ZERO);
+        assert_eq!(us(m.cost(AccessOption::Cloud, 10_000_000)), 150_000);
+        assert_eq!(us(reply.unwrap().arrival.since(SimTime::ZERO)), 230_000);
     }
 }

@@ -4,24 +4,25 @@
 //! engine's §IV.C planner routes to a neighbor fog node, a fog-2 node or
 //! the cloud.
 
+mod wave;
+
 use citysim::barcelona::{BarcelonaTopology, LatencyProfile, DISTRICTS};
 use citysim::net::FailurePlan;
 use citysim::time::SimTime;
-use citysim::{NetScratch, Network, NodeId};
-use f2c_aggregate::sketch::SketchKey;
+use citysim::{NetScratch, NodeId};
 use f2c_obs::{
     AlertTransition, BurnRateMonitor, CounterId, ExemplarStore, ExplainStore, Labels,
-    MetricsRegistry, Site, SloSpec, Tracer,
+    MetricsRegistry, SloSpec, Tracer,
 };
 use scc_dlc::quality::Violation;
-use scc_sensors::{wire, Catalog, Reading};
+use scc_sensors::{Catalog, Reading};
 
 use crate::cost::AccessCostModel;
 use crate::incident::{ChaosSite, IncidentKind, IncidentTimeline};
-use crate::node::{F2cNode, FlushBatch, IngestOutcome};
+use crate::node::{F2cNode, IngestOutcome};
 use crate::policy::{FlushPolicy, RetentionPolicy};
-use crate::shard::{run_shards, ObsScratch, Parallelism, ShipmentRecord};
-use crate::{Error, Result};
+use crate::shard::{ObsScratch, Parallelism, ShipmentRecord};
+use crate::Result;
 
 /// Where a fetch was ultimately served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -736,210 +737,6 @@ impl F2cCity {
         Ok(outcome)
     }
 
-    /// `F2cCity::flush_due` of both tiers, whatever the nodes' flush
-    /// periods: how the warm-up, the query loop and the benchmark flush.
-    ///
-    /// # Errors
-    ///
-    /// A failure that is no injected fault — a batch over the encoder's
-    /// size limit, or an undamaged payload that fails verification —
-    /// first in district order, once the wave has run to its end.
-    pub fn flush_all(&mut self, now_s: u64) -> Result<(u64, u64)> {
-        self.flush_due(now_s, true, true)
-    }
-
-    /// Flushes the due tiers over the metered network — every fog-1 node
-    /// to its parent when `fog1` is set, every fog-2 node to the cloud
-    /// when `fog2` is — then compacts the cloud's ledger, runs one
-    /// [`F2cCity::anti_entropy`] round so coverage holes punched by this
-    /// wave (or carried from earlier ones) start healing immediately,
-    /// and evaluates the alerts. Returns the accounting bytes landed at
-    /// each tier.
-    ///
-    /// Every hop first passes the chaos gate: a crashed child, an
-    /// unreachable parent or a lost shipment defers the child's turn
-    /// (its batch is never taken). A taken batch may then be damaged in
-    /// flight: one encoded partial, which the receiver's CRC refuses
-    /// and holes, or the record payload. A shipment lands whole or not
-    /// at all: the receiver ACKs it once it has arrived and its payload
-    /// verified, and only then do the sender and the receiver commit
-    /// it. A lost message or a refused payload is a NACK, and the
-    /// sender takes the batch back to re-ship it merged with the next
-    /// one. Every deferral and NACK is an incident against its child
-    /// on the timeline, never an error for the wave.
-    ///
-    /// The wave runs sharded by district on [`F2cCity::parallelism`]
-    /// workers: phase A (fog-1 → fog-2) is fully district-local and each
-    /// shard buffers its metering, spans and incidents in an
-    /// [`ObsScratch`]; phase B gates, takes and damages each district's
-    /// batch in parallel, then the cloud lands them and answers each
-    /// sender at the coordinator. Both phases merge in canonical
-    /// district order, and sections are district-contiguous, so the
-    /// byte streams (traces, incidents, meter, snapshots) are those of
-    /// a plain section-order loop at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// A failure that is no injected fault — a batch over the encoder's
-    /// size limit, or an undamaged payload that fails verification —
-    /// first in district order. The failing shipment is rolled back and
-    /// the rest of the wave still runs.
-    pub(crate) fn flush_due(&mut self, now_s: u64, fog1: bool, fog2: bool) -> Result<(u64, u64)> {
-        self.flush_epoch += 1;
-        self.metrics.inc(self.ids.flush_waves);
-        let epoch = self.flush_epoch;
-        let threads = self.parallelism;
-        let capture = self.capture_shipments;
-        let (mut fog1_bytes, mut fog2_bytes) = (0, 0);
-        let mut failed = None;
-        if fog1 {
-            // Phase A: one shard per district, owning the district's fog-1
-            // slice and its fog-2 node.
-            let city = &self.city;
-            let catalog = &self.catalog;
-            let mut rest: &mut [F2cNode] = &mut self.fog1;
-            let mut shards: Vec<FlushShard<'_>> = Vec::with_capacity(self.fog2.len());
-            let mut base = 0usize;
-            for (d, fog2) in self.fog2.iter_mut().enumerate() {
-                let (head, tail) = rest.split_at_mut(DISTRICTS[d].1);
-                rest = tail;
-                shards.push(FlushShard {
-                    base,
-                    fog1: head,
-                    receiver: Receiver::new(Hop::Fog2(d), fog2),
-                    landed: Ok(0),
-                });
-                base += DISTRICTS[d].1;
-            }
-            run_shards(threads, &mut shards, |_, shard| {
-                let (base, hop) = (shard.base, shard.receiver.hop);
-                let turns = shard.fog1.iter_mut().enumerate().map(|(k, child)| {
-                    let turn = Shipment::take(city, hop, base + k, child, catalog, epoch, now_s);
-                    (base + k, child, turn)
-                });
-                shard.landed = shard.receiver.land(city, capture, now_s, turns);
-            });
-            // Drop the node borrows, then absorb in district order.
-            let results: Vec<(ObsScratch, Result<u64>)> = shards
-                .into_iter()
-                .map(|s| (s.receiver.obs, s.landed))
-                .collect();
-            for (mut obs, landed) in results {
-                self.absorb_scratch(&mut obs);
-                fog1_bytes += landed.unwrap_or_else(|e| {
-                    failed.get_or_insert(e);
-                    0
-                });
-            }
-        }
-        if fog2 {
-            // Phase B: gate + take + in-flight damage per district in
-            // parallel; the cloud lands the turns at the coordinator, in
-            // district order, and answers each fog-2 sender.
-            let city = &self.city;
-            let catalog = &self.catalog;
-            let mut cloud_shards: Vec<(&mut F2cNode, Option<Result<Shipment>>)> =
-                self.fog2.iter_mut().map(|fog2| (fog2, None)).collect();
-            run_shards(threads, &mut cloud_shards, |d, (fog2, turn)| {
-                *turn = Some(Shipment::take(
-                    city,
-                    Hop::Cloud,
-                    d,
-                    fog2,
-                    catalog,
-                    epoch,
-                    now_s,
-                ));
-            });
-            let turns = cloud_shards
-                .into_iter()
-                .enumerate()
-                .filter_map(|(d, (fog2, turn))| Some((d, fog2, turn?)));
-            let mut cloud = Receiver::new(Hop::Cloud, &mut self.cloud);
-            let landed = cloud.land(&self.city, capture, now_s, turns);
-            let mut obs = cloud.obs;
-            self.absorb_scratch(&mut obs);
-            fog2_bytes = landed.unwrap_or_else(|e| {
-                failed.get_or_insert(e);
-                0
-            });
-        }
-        // The cloud never flushes (no parent), so the wave runs its
-        // sketch-horizon compaction here — otherwise its ledger and hole
-        // set would grow for the lifetime of the deployment.
-        let now_us = now_s * 1_000_000;
-        let compact = self.tracer.open(Site::cloud(), "sketch-compact", now_us);
-        self.cloud.compact_sketches(now_s);
-        self.tracer.close(compact, now_us);
-        self.anti_entropy(now_s);
-        // Every flush instant is also an alert evaluation instant, so
-        // the burn-rate monitor sees one schedule under every driver.
-        self.evaluate_alerts(now_s);
-        failed.map_or(Ok((fog1_bytes, fog2_bytes)), Err)
-    }
-
-    /// One anti-entropy round: every coverage hole in the fog-2 and
-    /// cloud ledgers — the seal-frontier diff made concrete: buckets the
-    /// seal advanced past without a surviving fold — is healed by a
-    /// targeted re-shipment of the shipper's authoritative ledger entry.
-    ///
-    /// Phase 1 heals each fog-2 from the fog-1 shippers below it; phase
-    /// 2 heals the cloud from the fog-2 tier, so a district healed in
-    /// phase 1 can serve as a source in the same round. A heal
-    /// *replaces* the receiver's entry (the shipper's ledger is the full
-    /// fold for its section, merging a fragment would double-count) and
-    /// drops any relay still queued for the key (the full fold subsumes
-    /// it). Holes whose source is crashed, unreachable, or itself still
-    /// holed carry to the next round; holes whose source has compacted
-    /// the bucket away can only retire with the watermark. Re-shipments
-    /// are metered on the network and on the sketch channel.
-    ///
-    /// [`F2cCity::flush_due`] runs a round after every wave; with no
-    /// holes it is a no-op.
-    pub(crate) fn anti_entropy(&mut self, now_s: u64) -> HealReport {
-        // Phase 1, one shard per district: each fog-2 heals from the
-        // fog-1 shippers below it. The shard only reads the fog-1 tier
-        // (shared snapshot) and mutates its own fog-2 node; relay links
-        // are district-local, so the scratch loss-coin draws are exactly
-        // the sequential ones. Fog 1 queues no relays, so the keys a
-        // shard heals need no drop.
-        let threads = self.parallelism;
-        let city = &self.city;
-        let fog1: &[F2cNode] = &self.fog1;
-        let mut shards: Vec<(Receiver<'_>, HealReport)> = self
-            .fog2
-            .iter_mut()
-            .enumerate()
-            .map(|(d, fog2)| (Receiver::new(Hop::Fog2(d), fog2), HealReport::default()))
-            .collect();
-        run_shards(threads, &mut shards, |_, (receiver, report)| {
-            *report = receiver.heal(city, fog1, now_s).0;
-        });
-        let results: Vec<(ObsScratch, HealReport)> = shards
-            .into_iter()
-            .map(|(receiver, report)| (receiver.obs, report))
-            .collect();
-        let mut report = HealReport::default();
-        for (mut obs, shard_report) in results {
-            self.absorb_scratch(&mut obs);
-            report.add(shard_report);
-        }
-        // Phase 2: the cloud heals from the fog-2 tier.
-        let mut cloud = Receiver::new(Hop::Cloud, &mut self.cloud);
-        let (cloud_report, healed) = cloud.heal(&self.city, &self.fog2, now_s);
-        let mut obs = cloud.obs;
-        self.absorb_scratch(&mut obs);
-        for key in healed {
-            // The heal shipped the district's full current fold, which
-            // subsumes any increment still queued for upward relay —
-            // relaying it afterwards would double-count.
-            let d = self.city.district_of(key.section as usize);
-            self.fog2[d].drop_queued_relay(&key);
-        }
-        report.add(cloud_report);
-        report
-    }
-
     /// Ring distance between two sections of the same district; `None`
     /// when `b` lies in another district (fog-1 rings are per district).
     pub fn ring_hops(&self, a: usize, b: usize) -> Option<u32> {
@@ -955,443 +752,13 @@ impl F2cCity {
     }
 }
 
-/// The receiving end of a tier crossing: what the landing and heal
-/// routines need to know about a hop, so both hops run one code path.
-#[derive(Debug, Clone, Copy)]
-enum Hop {
-    /// Fog 1 → the fog-2 node of a district (by index); the child
-    /// streams are its sections.
-    Fog2(usize),
-    /// Fog 2 → the cloud; the child streams are the districts.
-    Cloud,
-}
-
-impl Hop {
-    /// Index into the per-hop counter pairs (`0` = fog-1 → fog-2).
-    fn index(self) -> usize {
-        match self {
-            Hop::Fog2(_) => 0,
-            Hop::Cloud => 1,
-        }
-    }
-
-    /// The receiver's trace site.
-    fn site(self) -> Site {
-        match self {
-            Hop::Fog2(d) => Site::new("fog2", d as u32),
-            Hop::Cloud => Site::cloud(),
-        }
-    }
-
-    /// The receiver's chaos site.
-    fn chaos_site(self) -> ChaosSite {
-        match self {
-            Hop::Fog2(d) => ChaosSite::Fog2(d),
-            Hop::Cloud => ChaosSite::Cloud,
-        }
-    }
-
-    /// The receiver's network node.
-    fn node(self, city: &BarcelonaTopology) -> NodeId {
-        match self {
-            Hop::Fog2(d) => city.fog2_nodes()[d],
-            Hop::Cloud => city.cloud(),
-        }
-    }
-
-    /// The network node and chaos site of child stream `origin`.
-    fn child(self, city: &BarcelonaTopology, origin: usize) -> (NodeId, ChaosSite) {
-        match self {
-            Hop::Fog2(_) => (city.fog1_nodes()[origin], ChaosSite::Fog1(origin)),
-            Hop::Cloud => (city.fog2_nodes()[origin], ChaosSite::Fog2(origin)),
-        }
-    }
-
-    /// The child stream that shipped `key`'s bucket upward.
-    fn origin_of(self, city: &BarcelonaTopology, key: &SketchKey) -> usize {
-        match self {
-            Hop::Fog2(_) => key.section as usize,
-            Hop::Cloud => city.district_of(key.section as usize),
-        }
-    }
-}
-
-/// Gate one flush hop through the chaos plane. `Some(kind)` means the
-/// child's turn is deferred: its `flush()` is never called, so its
-/// records stay *pending* in its store and the completeness frontiers
-/// above it honestly lag — deferral degrades availability, never
-/// correctness.
-fn flush_gate(
-    net: &Network,
-    from: NodeId,
-    to: NodeId,
-    epoch: u64,
-    now_s: u64,
-) -> Option<IncidentKind> {
-    let at = SimTime::from_secs(now_s);
-    let failures = net.failures();
-    if failures.node_is_down(from, at) {
-        return Some(IncidentKind::NodeDown);
-    }
-    if !net.path_is_up(from, to, at) {
-        return Some(IncidentKind::FlushBlocked);
-    }
-    failures
-        .shipment_lost(from, epoch)
-        .then_some(IncidentKind::ShipmentLost)
-}
-
-/// One child's turn in a flush wave, as its receiver lands it.
-enum Shipment {
-    /// The chaos gate deferred the child's wave.
-    Deferred(IncidentKind),
-    /// The child's batch, plus the key of the partial the in-flight
-    /// corruption coin damaged, if any.
-    Shipped {
-        batch: FlushBatch,
-        corrupted: Option<SketchKey>,
-    },
-}
-
-impl Shipment {
-    /// Takes child stream `origin`'s turn on `hop`: the chaos gate, then
-    /// the child's flush and the in-flight corruption coins. Reads no
-    /// receiver state, so the cloud's turns run in parallel shards.
-    ///
-    /// # Errors
-    ///
-    /// The child's flush failed; it took nothing.
-    fn take(
-        city: &BarcelonaTopology,
-        hop: Hop,
-        origin: usize,
-        child: &mut F2cNode,
-        catalog: &Catalog,
-        epoch: u64,
-        now_s: u64,
-    ) -> Result<Self> {
-        let net = city.network();
-        let (from, _) = hop.child(city, origin);
-        if let Some(kind) = flush_gate(net, from, hop.node(city), epoch, now_s) {
-            return Ok(Shipment::Deferred(kind));
-        }
-        let mut batch = child.flush(now_s, catalog)?;
-        let corrupted = corrupt_in_flight(net, &mut batch, from, epoch);
-        Ok(Shipment::Shipped { batch, corrupted })
-    }
-}
-
-/// Draws the in-flight corruption coins for one taken batch. The
-/// payload coin flips a byte of the record payload, which the
-/// receiver's CRC refuses, so the shipment is NACKed. The sketch coin
-/// flips a byte of one encoded partial and returns its key; the
-/// receiver refuses that partial alone and punches a coverage hole.
-fn corrupt_in_flight(
-    net: &Network,
-    batch: &mut FlushBatch,
-    sender: NodeId,
-    epoch: u64,
-) -> Option<SketchKey> {
-    let failures = net.failures();
-    if failures.payload_corrupted(sender, epoch) {
-        if let Some(payload) = &mut batch.payload {
-            flip_byte(payload);
-        }
-    }
-    let idx = failures.corrupted_sketch(sender, epoch, batch.sketches.len())?;
-    let (key, bytes) = batch.sketches.get_mut(idx)?;
-    flip_byte(bytes);
-    Some(*key)
-}
-
-/// Damages a wire encoding in flight: flips its middle byte. A `tsenc`
-/// payload's middle byte lies inside its CRC-covered span, and CRC-32
-/// catches every single-byte error, so the damage never decodes.
-fn flip_byte(bytes: &mut [u8]) {
-    if let Some(byte) = bytes.get_mut(bytes.len() / 2) {
-        *byte ^= 0xFF;
-    }
-}
-
-/// The incident a NACK records against its sender, when the receiver
-/// refused the shipment because of an injected fault: a message lost
-/// on a link, a link that went down mid-transfer, or a payload whose
-/// CRC failed. `None` for every other failure, which is the wave's
-/// error.
-fn injected_fault(e: &Error) -> Option<IncidentKind> {
-    match e {
-        Error::Network(citysim::Error::MessageLost { .. }) => Some(IncidentKind::ShipmentLost),
-        Error::Network(citysim::Error::LinkDown { .. }) => Some(IncidentKind::FlushBlocked),
-        Error::Compression(f2c_compress::Error::ChecksumMismatch { .. }) => {
-            Some(IncidentKind::ShipmentCorrupted)
-        }
-        _ => None,
-    }
-}
-
-/// A receiving node — a district's fog 2 or the cloud — and the scratch
-/// its side of a hop buffers observability in until the coordinator
-/// absorbs it. Both hops land flush waves and heal holes through it.
-struct Receiver<'a> {
-    hop: Hop,
-    node: &'a mut F2cNode,
-    obs: ObsScratch,
-    ids: CityMetricIds,
-}
-
-impl<'a> Receiver<'a> {
-    fn new(hop: Hop, node: &'a mut F2cNode) -> Self {
-        let mut obs = ObsScratch::new();
-        let ids = CityMetricIds::register(&mut obs.reg);
-        Self {
-            hop,
-            node,
-            obs,
-            ids,
-        }
-    }
-
-    /// Lands one flush wave: the children's turns in order, every turn
-    /// to the end. A shipment with records first crosses the uplink and
-    /// has its payload verified: if both succeed the receiver ACKs it,
-    /// and it lands whole — partials, seals and holes folded, counted,
-    /// tapped — and its sender commits. Otherwise the receiver NACKs it,
-    /// nothing of it lands, and its sender takes it back. A shipment
-    /// without records crosses no link and always lands. The landed
-    /// records are stored as one wave. Returns the accounting bytes of
-    /// the landed shipments that carried records.
-    ///
-    /// # Errors
-    ///
-    /// The first turn that failed for a reason other than an injected
-    /// fault (see [`injected_fault`]), after every turn has run.
-    fn land<'n>(
-        &mut self,
-        city: &BarcelonaTopology,
-        capture: bool,
-        now_s: u64,
-        turns: impl IntoIterator<Item = (usize, &'n mut F2cNode, Result<Shipment>)>,
-    ) -> Result<u64> {
-        let at = SimTime::from_secs(now_s);
-        let now_us = now_s * 1_000_000;
-        let net = city.network();
-        let to = self.hop.node(city);
-        let (site, here, h) = (self.hop.site(), self.hop.chaos_site(), self.hop.index());
-        let turns = turns.into_iter();
-        let mut landed = Vec::with_capacity(turns.size_hint().0);
-        let mut failed = None;
-        let mut bytes = 0;
-        // One wave span per receiving node; member hops nest under it
-        // and the wave closes at its slowest hop's arrival.
-        let wave = self.obs.tracer.open(site, "flush-wave", now_us);
-        let mut wave_end_us = now_us;
-        let mut shipped = 0u64;
-        for (origin, sender, turn) in turns {
-            let (from, child) = self.hop.child(city, origin);
-            let (batch, corrupted) = match turn {
-                Ok(Shipment::Shipped { batch, corrupted }) => (batch, corrupted),
-                Ok(Shipment::Deferred(kind)) => {
-                    self.obs.record_incident(now_s, child, kind);
-                    continue;
-                }
-                Err(e) => {
-                    failed.get_or_insert(e);
-                    continue;
-                }
-            };
-            let arrival_us = if batch.records.is_empty() {
-                None
-            } else {
-                // The receiver decodes the payload with its per-child
-                // mirror decoder and proves it equals the shipped
-                // records — the decode-equality check runs live, on
-                // every hop, and decides the ACK.
-                let answer = net
-                    .send_scratch(&mut self.obs.net, from, to, batch.uplink_bytes(), at)
-                    .map_err(Error::from)
-                    .and_then(|delivery| {
-                        let payload = batch.payload.as_deref();
-                        self.node
-                            .verify_flush(origin as u16, payload, &batch.records)
-                            .map(|()| delivery.arrival.as_micros())
-                    });
-                match answer {
-                    Ok(arrival_us) => Some(arrival_us),
-                    Err(e) => {
-                        match injected_fault(&e) {
-                            Some(kind) => self.obs.record_incident(now_s, child, kind),
-                            None => {
-                                failed.get_or_insert(e);
-                            }
-                        }
-                        sender.rollback_flush(batch.records);
-                        continue;
-                    }
-                }
-            };
-            if let Some(key) = corrupted {
-                self.obs
-                    .record_incident(now_s, here, IncidentKind::SketchCorrupted { key });
-                self.obs
-                    .record_incident(now_s, here, IncidentKind::HolePunched { key });
-            }
-            // The sketch shipment (pre-folded partials + seal frontiers)
-            // lands with the records — an idle section still seals. Its
-            // bytes ride the flush envelope and are accounted on the
-            // sketch channel, not against the Table-I ground truth the
-            // traffic cross-validation reproduces.
-            self.obs
-                .reg
-                .add(self.ids.sketch_flush_bytes[h], batch.sketch_bytes());
-            self.obs
-                .reg
-                .add(self.ids.raw_flush_bytes[h], batch.acct_bytes);
-            // Holes relayed from below punch again here.
-            for &key in &batch.holes {
-                self.obs
-                    .record_incident(now_s, here, IncidentKind::HolePunched { key });
-            }
-            let fold = self.obs.tracer.open(site, "sketch-fold", now_us);
-            self.node
-                .receive_sketches(&batch.sketches, &batch.seals, &batch.holes);
-            self.obs
-                .tracer
-                .close_with(fold, now_us, batch.sketches.len() as u64);
-            sender.commit_flush(now_s);
-            let Some(arrival_us) = arrival_us else {
-                continue;
-            };
-            bytes += batch.acct_bytes;
-            let hop = self.obs.tracer.open(site, "flush-hop", now_us);
-            self.obs
-                .tracer
-                .close_with(hop, arrival_us, batch.acct_bytes);
-            wave_end_us = wave_end_us.max(arrival_us);
-            shipped += 1;
-            self.obs
-                .reg
-                .add(self.ids.uplink_flush_bytes[h], batch.uplink_bytes());
-            if batch.payload.is_some() {
-                self.obs.reg.inc(self.ids.flush_batches);
-            }
-            if capture {
-                if let Some(payload) = batch.payload.clone() {
-                    self.obs.shipments.push(ShipmentRecord {
-                        hop: h as u8 + 1,
-                        origin: origin as u16,
-                        at_s: now_s,
-                        payload,
-                        wire: wire::encode_batch(&batch.records),
-                    });
-                }
-            }
-            landed.push(batch.records);
-        }
-        self.node.receive_wave(landed, now_s);
-        self.obs.tracer.close_with(wave, wave_end_us, shipped);
-        failed.map_or(Ok(bytes), Err)
-    }
-
-    /// One anti-entropy round at this receiver: every coverage hole is
-    /// re-shipped from its child stream's ledger entry in `sources` (the
-    /// fog-1 tier below fog 2, the fog-2 tier below the cloud). Returns
-    /// the round's report and the keys it healed.
-    fn heal(
-        &mut self,
-        city: &BarcelonaTopology,
-        sources: &[F2cNode],
-        now_s: u64,
-    ) -> (HealReport, Vec<SketchKey>) {
-        let at = SimTime::from_secs(now_s);
-        let now_us = now_s * 1_000_000;
-        let net = city.network();
-        let mut report = HealReport::default();
-        let mut healed = Vec::new();
-        let holes = self.node.sketches().holes_sorted();
-        if holes.is_empty() {
-            return (report, healed);
-        }
-        let to = self.hop.node(city);
-        if net.failures().node_is_down(to, at) {
-            // A crashed node runs no heal round; its holes carry.
-            report.blocked = holes.len() as u64;
-            self.obs.reg.add(self.ids.heal_blocked, report.blocked);
-            return (report, healed);
-        }
-        let (site, here, h) = (self.hop.site(), self.hop.chaos_site(), self.hop.index());
-        let round = self.obs.tracer.open(site, "heal-round", now_us);
-        for key in holes {
-            let origin = self.hop.origin_of(city, &key);
-            let (from, _) = self.hop.child(city, origin);
-            let source = sources[origin].sketches();
-            if source.is_hole(&key) {
-                // Healing from a still-holed source would launder the
-                // hole into silently wrong data; wait for the source's
-                // own heal. (Fog 1 never holds a hole.)
-                report.blocked += 1;
-                self.obs.reg.inc(self.ids.heal_blocked);
-                self.obs
-                    .record_incident(now_s, here, IncidentKind::HealBlocked { key });
-                continue;
-            }
-            let Some((partial, _)) = source.entry(&key) else {
-                report.impossible += 1;
-                self.obs.reg.inc(self.ids.heal_impossible);
-                self.obs
-                    .record_incident(now_s, here, IncidentKind::HealImpossible { key });
-                continue;
-            };
-            let encoded = partial.encode();
-            let relay = self.obs.tracer.open(site, "sketch-relay", now_us);
-            let shipped = net.path_is_up(from, to, at)
-                && net
-                    .send_scratch(&mut self.obs.net, from, to, encoded.len() as u64, at)
-                    .is_ok();
-            self.obs.tracer.close_with(
-                relay,
-                now_us,
-                if shipped { encoded.len() as u64 } else { 0 },
-            );
-            if !shipped {
-                report.blocked += 1;
-                self.obs.reg.inc(self.ids.heal_blocked);
-                self.obs
-                    .record_incident(now_s, here, IncidentKind::HealBlocked { key });
-                continue;
-            }
-            self.obs
-                .reg
-                .add(self.ids.sketch_flush_bytes[h], encoded.len() as u64);
-            if self.node.heal_sketch(key, &encoded) {
-                report.healed += 1;
-                self.obs.reg.inc(self.ids.heal_healed);
-                self.obs
-                    .record_incident(now_s, here, IncidentKind::HoleHealed { key });
-                healed.push(key);
-            }
-        }
-        self.obs.tracer.close_with(round, now_us, report.healed);
-        (report, healed)
-    }
-}
-
-/// One district's phase-A flush shard: the district's fog-1 slice and
-/// its fog-2 receiver.
-struct FlushShard<'a> {
-    /// Global section index of `fog1[0]` (sections are
-    /// district-contiguous, so shard-local `k` is section `base + k`).
-    base: usize,
-    fog1: &'a mut [F2cNode],
-    receiver: Receiver<'a>,
-    landed: Result<u64>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Error;
     use f2c_compress::tsenc;
     use scc_dlc::DataRecord;
-    use scc_sensors::{ReadingGenerator, SensorId, SensorType, Value};
+    use scc_sensors::{wire, ReadingGenerator, SensorId, SensorType, Value};
 
     fn waves_into(city: &mut F2cCity, section: usize, ty: SensorType, waves: u64) {
         let mut gen = ReadingGenerator::for_population(ty, 10, section as u64 + 1);

@@ -90,7 +90,9 @@ pub mod scatter;
 pub mod workload;
 
 pub use engine::{
-    layer_label, EngineConfig, LayerCaps, Outcome, QueryEngine, QueryResponse, ServedVia,
+    response::{EngineConfig, LayerCaps, Outcome, QueryResponse, ServedVia},
+    stats::layer_label,
+    QueryEngine,
 };
 pub use error::{Error, Result};
 pub use f2c_qos::{ClassLedger, ClassPolicy, QosPolicy, ShedCause};

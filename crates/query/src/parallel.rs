@@ -50,7 +50,8 @@ use f2c_qos::{ShedCause, CLASS_COUNT};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::engine::{layer_label, LayerCaps, Outcome, QueryEngine, ServeCore, ServedVia};
+use crate::engine::response::{LayerCaps, Outcome, ServedVia};
+use crate::engine::{stats::layer_label, QueryEngine, ServeCore};
 use crate::workload::{
     fnv1a, gen_query_at, think, validate, DiurnalCurve, FlashCrowd, ServiceClass, User,
     WorkloadConfig, WorkloadReport, FNV_OFFSET,
@@ -109,7 +110,7 @@ enum Ev {
     Tick(u32),
     /// A simulated response completed: release its admission slots
     /// (always against this shard's own ledger slice).
-    Release(crate::engine::HeldSlots),
+    Release(crate::engine::response::HeldSlots),
 }
 
 /// A user's next think time: class nominal, scaled by the diurnal
@@ -551,7 +552,7 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
+    use crate::engine::response::EngineConfig;
     use f2c_core::runtime::populate_city;
     use f2c_core::{F2cCity, Parallelism};
 

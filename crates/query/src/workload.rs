@@ -36,7 +36,7 @@ use scc_sensors::{Category, SensorType};
 
 pub use f2c_qos::ServiceClass;
 
-use crate::engine::{ClassStats, EngineStats};
+use crate::engine::stats::{ClassStats, EngineStats};
 use crate::model::{Query, QueryKind, Scope, Selector, TimeWindow};
 use crate::{Error, Result};
 
@@ -399,7 +399,8 @@ pub(crate) fn validate(config: &WorkloadConfig) -> Result<Vec<FlashCrowd>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{layer_label, EngineConfig, LayerCaps, QueryEngine};
+    use crate::engine::response::{EngineConfig, LayerCaps};
+    use crate::engine::{stats::layer_label, QueryEngine};
     use crate::parallel::run;
     use citysim::Histogram;
     use f2c_core::runtime::populate_city;
