@@ -3,51 +3,74 @@
 //! transfer through the same path" effect), plus fault-tolerance under an
 //! injected WAN outage.
 //!
+//! Reads are priced by the planner's `AccessCostModel`, which equals the
+//! idle network on every route; the network itself carries only the
+//! centralized upload and the outage.
+//!
 //! Run with `cargo run --release -p f2c-bench --bin latency`.
+//! Exports the schema-versioned `BENCH_latency.json` of the
+//! `export::LATENCY` row (override with `BENCH_OUT`), which CI diffs
+//! against `bench/baseline_latency.json`: every value is a pure function
+//! of the link profile, so the gate tolerates zero drift.
 
 use citysim::barcelona::{BarcelonaTopology, LatencyProfile};
 use citysim::time::SimTime;
 use citysim::Histogram;
-use f2c_core::request::AccessSimulator;
+use f2c_bench::export;
+use f2c_core::cost::{AccessCostModel, AccessOption, REQUEST_BYTES};
+use f2c_obs::Json;
 
 fn main() {
     println!("== E4: real-time access latency, F2C vs centralized ==\n");
-    let mut sim = AccessSimulator::new(BarcelonaTopology::build(&LatencyProfile::default()));
+    let mut city = BarcelonaTopology::build(&LatencyProfile::default());
+    let model = AccessCostModel::new(*city.profile());
+    let cloud = city.cloud();
 
     println!(
         "{:>10} {:>16} {:>18} {:>10}",
         "bytes", "F2C (fog-1)", "centralized", "speedup"
     );
     println!("{}", "-".repeat(60));
+    let mut reads = Json::obj();
     for bytes in [100u64, 1_000, 10_000, 100_000, 1_000_000] {
-        let mut fog = Histogram::new();
-        let mut cloud = Histogram::new();
-        for section in 0..73 {
-            fog.record(sim.realtime_read_f2c(section, bytes).latency);
-            cloud.record(
-                sim.realtime_read_centralized(section, bytes)
-                    .expect("no failures injected")
-                    .latency,
-            );
+        let fog = model.cost(AccessOption::Local, bytes);
+        let mut centralized = Histogram::new();
+        for section in 0..city.fog1_nodes().len() {
+            // The datum is uploaded to the cloud first; the consumer then
+            // reads it back over the same path and its access link.
+            let fog1 = city.fog1_nodes()[section];
+            let up = city
+                .network_mut()
+                .send(fog1, cloud, bytes, SimTime::ZERO)
+                .expect("no failures injected");
+            let read = model.cost(AccessOption::Cloud, bytes) + fog;
+            centralized.record(up.arrival.since(SimTime::ZERO) + read);
         }
-        let speedup = cloud.mean().as_secs_f64() / fog.mean().as_secs_f64();
+        let speedup = centralized.mean().as_secs_f64() / fog.as_secs_f64();
         println!(
             "{:>10} {:>16} {:>18} {:>9.1}x",
             bytes,
-            fog.mean().to_string(),
-            cloud.mean().to_string(),
+            fog.to_string(),
+            centralized.mean().to_string(),
             speedup
         );
         assert!(
             speedup > 5.0,
             "fog must dominate ({speedup:.1}x at {bytes}B)"
         );
+        reads.set(
+            &bytes.to_string(),
+            export::counts_json([
+                ("f2c_us", fog.as_micros()),
+                ("centralized_us", centralized.mean().as_micros()),
+            ]),
+        );
     }
 
     println!("\n== E4b: age-tiered access (local / fog-2 / cloud) ==\n");
-    let local = sim.realtime_read_f2c(0, 10_000).latency;
-    let recent = sim.recent_read_f2c(0, 10_000).unwrap().latency;
-    let historical = sim.historical_read_f2c(0, 10_000).unwrap().latency;
+    let local = model.cost(AccessOption::Local, 10_000);
+    let recent = model.cost(AccessOption::Parent, 10_000);
+    let historical = model.cost(AccessOption::Cloud, 10_000);
     println!("  real-time at fog-1 : {local}");
     println!("  recent at fog-2    : {recent}");
     println!("  historical (cloud) : {historical}");
@@ -56,7 +79,6 @@ fn main() {
     println!("\n== E4c: fault tolerance — WAN outage, edge keeps serving ==\n");
     let mut city = BarcelonaTopology::build(&LatencyProfile::default());
     // Take down every fog2->cloud link for the first hour.
-    let cloud = city.cloud();
     let mut wan_links = Vec::new();
     for &f2 in city.fog2_nodes() {
         for &(peer, link) in city.network().topology().neighbors(f2) {
@@ -70,17 +92,25 @@ fn main() {
         failures.add_outage(link, SimTime::ZERO, SimTime::from_secs(3600));
     }
     city.network_mut().set_failures(failures);
-    let mut sim = AccessSimulator::new(city);
-    let local_ok = sim.realtime_read_f2c(0, 1_000);
-    let cloud_err = sim.realtime_read_centralized(0, 1_000);
+    let (mut fog2_served, mut centralized_served) = (0u64, 0u64);
+    let mut cloud_err = None;
+    for section in 0..city.fog1_nodes().len() {
+        let (fog1, parent) = (city.fog1_nodes()[section], city.parent_of(section));
+        let net = city.network_mut();
+        let read = net.request_response(fog1, parent, REQUEST_BYTES, 1_000, SimTime::ZERO);
+        fog2_served += u64::from(read.is_ok());
+        match net.send(fog1, cloud, 1_000, SimTime::ZERO) {
+            Ok(_) => centralized_served += 1,
+            Err(e) => cloud_err = Some(e.to_string()),
+        }
+    }
     println!(
         "  fog-1 real-time read during WAN outage: OK  ({})",
-        local_ok.latency
+        model.cost(AccessOption::Local, 1_000)
     );
-    println!(
-        "  centralized read during WAN outage:     {:?}",
-        cloud_err.err().map(|e| e.to_string())
-    );
+    println!("  fog-2 reads during WAN outage:          {fog2_served} of 73 sections served");
+    println!("  centralized read during WAN outage:     {cloud_err:?}");
+    assert!(fog2_served == 73 && centralized_served == 0);
     println!("\nFog-local reads survive the outage; centralized reads do not. SHAPE OK");
 
     println!("\n== E4d: device radio energy, centralized (3G) vs F2C (WiFi first hop) ==\n");
@@ -100,4 +130,36 @@ fn main() {
         centralized / f2c
     );
     assert!(centralized / f2c > 50.0);
+
+    let mut doc = export::LATENCY.doc();
+    doc.set("reads", reads);
+    doc.set(
+        "tiers",
+        export::counts_json([
+            ("local_us", local.as_micros()),
+            ("recent_us", recent.as_micros()),
+            ("historical_us", historical.as_micros()),
+        ]),
+    );
+    doc.set(
+        "outage",
+        export::counts_json([
+            ("fog2_served", fog2_served),
+            ("centralized_served", centralized_served),
+        ]),
+    );
+    doc.set(
+        "energy",
+        export::counts_json([
+            ("centralized_j", centralized.round() as u64),
+            ("f2c_j", f2c.round() as u64),
+        ]),
+    );
+    let out_path = export::LATENCY.write(&doc).expect("bench export writes");
+    println!(
+        "\nexported the E4 latencies -> {out_path} ({} gated metrics; diff with \
+         `cargo run -p f2c-bench --bin perf_gate -- {} {out_path}`)",
+        export::LATENCY.rules.len(),
+        export::LATENCY.baseline
+    );
 }

@@ -182,8 +182,40 @@ pub const FIG7: Artifact = Artifact {
     must_be_zero: &[],
 };
 
+/// The E4 read latencies, `BENCH_latency.json`: fog-local against
+/// centralized reads per payload size, the age tiers, the WAN outage and
+/// the device radio energy.
+pub const LATENCY: Artifact = Artifact {
+    bench: "latency",
+    schema_version: 1,
+    out_file: "BENCH_latency.json",
+    baseline: "bench/baseline_latency.json",
+    // Priced by the cost model on a fixed profile, with no seed at all:
+    // any move is a change to the model.
+    rules: &[
+        BudgetRule::band("reads.100.f2c_us", 0.0, 0.0),
+        BudgetRule::band("reads.100.centralized_us", 0.0, 0.0),
+        BudgetRule::band("reads.1000.f2c_us", 0.0, 0.0),
+        BudgetRule::band("reads.1000.centralized_us", 0.0, 0.0),
+        BudgetRule::band("reads.10000.f2c_us", 0.0, 0.0),
+        BudgetRule::band("reads.10000.centralized_us", 0.0, 0.0),
+        BudgetRule::band("reads.100000.f2c_us", 0.0, 0.0),
+        BudgetRule::band("reads.100000.centralized_us", 0.0, 0.0),
+        BudgetRule::band("reads.1000000.f2c_us", 0.0, 0.0),
+        BudgetRule::band("reads.1000000.centralized_us", 0.0, 0.0),
+        BudgetRule::band("tiers.local_us", 0.0, 0.0),
+        BudgetRule::band("tiers.recent_us", 0.0, 0.0),
+        BudgetRule::band("tiers.historical_us", 0.0, 0.0),
+        BudgetRule::band("outage.fog2_served", 0.0, 0.0),
+        BudgetRule::band("outage.centralized_served", 0.0, 0.0),
+        BudgetRule::band("energy.centralized_j", 0.0, 0.0),
+        BudgetRule::band("energy.f2c_j", 0.0, 0.0),
+    ],
+    must_be_zero: &["outage.centralized_served"],
+};
+
 /// Every gated document, one row each.
-pub const ARTIFACTS: &[Artifact] = &[QUERIES, TABLE1, FIG7];
+pub const ARTIFACTS: &[Artifact] = &[QUERIES, TABLE1, FIG7, LATENCY];
 
 impl Artifact {
     /// An empty document stamped with this row's `schema_version` and

@@ -58,18 +58,32 @@ pub enum FanoutPath {
     },
 }
 
-/// Modeled cost of merging one leg's partial result at the gather node
-/// (fold of an `AggPartial`, or one heap round of the k-way merge).
+/// Bytes of one read request: the envelope every priced route carries
+/// out before its answer comes back, and what the engine meters for it.
+pub const REQUEST_BYTES: u64 = 200;
+
+/// Bandwidth of a consumer's access link to its fog-1 node. The profile
+/// gives that link's latency only, because the graph does not hold it.
+const ACCESS_BPS: u64 = 1_000_000_000;
+
+/// Modelled, not measured: the gather node's cost of merging one leg's
+/// partial result (fold of an `AggPartial`, or one heap round of the
+/// k-way merge).
 pub(crate) const MERGE_PER_LEG_US: u64 = 300;
 
-/// Modeled admission overhead per fan-out leg: every leg occupies an
-/// in-flight slot at its layer, and the gather node pays dispatch +
-/// completion bookkeeping for it. This is what lets a single cloud read
-/// win against very wide fan-outs.
+/// Modelled, not measured: the admission overhead per fan-out leg.
+/// Every leg occupies an in-flight slot at its layer, and the gather
+/// node pays dispatch + completion bookkeeping for it. This is what lets
+/// a single cloud read win against very wide fan-outs.
 pub(crate) const LEG_ADMISSION_US: u64 = 500;
 
-/// Cost model: request/response latency plus serialization of the payload
-/// on the bottleneck link, per candidate source.
+/// One link class of the profile, `(latency, bandwidth bps)`.
+type LinkClass = (Duration, u64);
+
+/// Cost model: the round trip the idle network takes for a read. A
+/// route is at most two runs of equal links, `(class, links)`. Each link
+/// is crossed by the request out and the answer back, store-and-forward,
+/// so it costs `2 × latency + ser(request) + ser(answer)`.
 #[derive(Debug, Clone, Copy)]
 pub struct AccessCostModel {
     profile: LatencyProfile,
@@ -83,62 +97,41 @@ impl AccessCostModel {
 
     /// Estimated completion time for fetching `bytes` via `option`.
     pub fn cost(&self, option: AccessOption, bytes: u64) -> Duration {
-        let (one_way, bandwidth) = match option {
+        let p = &self.profile;
+        match option {
             AccessOption::Local | AccessOption::LocalSketch => {
-                (self.profile.sensor_to_fog1, 1_000_000_000)
+                price(&[((p.sensor_to_fog1, ACCESS_BPS), 1)], bytes)
             }
             AccessOption::Neighbor { hops } => {
-                let (lat, bw) = self.profile.fog1_neighbor;
-                (
-                    Duration::from_micros(lat.as_micros() * u64::from(hops.max(1))),
-                    bw,
-                )
+                // The ring while it is shorter than the climb through
+                // the parent: the network routes by latency.
+                let hops = hops.max(1);
+                let ring = p.fog1_neighbor.0.as_micros() * u64::from(hops);
+                if ring < 2 * p.fog1_to_fog2.0.as_micros() {
+                    price(&[(p.fog1_neighbor, hops)], bytes)
+                } else {
+                    price(&[(p.fog1_to_fog2, 2)], bytes)
+                }
             }
-            AccessOption::Parent => self.profile.fog1_to_fog2,
+            AccessOption::Parent => price(&[(p.fog1_to_fog2, 1)], bytes),
             AccessOption::SiblingFog2 { hops } => {
-                let (l1, bw1) = self.profile.fog1_to_fog2;
-                let (l2, bw2) = self.profile.fog2_sibling;
-                (
-                    l1 + Duration::from_micros(l2.as_micros() * u64::from(hops.max(1))),
-                    bw1.min(bw2),
-                )
+                price(&[(p.fog1_to_fog2, 1), (p.fog2_sibling, hops.max(1))], bytes)
             }
-            AccessOption::Cloud => {
-                let (l1, bw1) = self.profile.fog1_to_fog2;
-                let (l2, bw2) = self.profile.fog2_to_cloud;
-                (l1 + l2, bw1.min(bw2))
-            }
-        };
-        // Request there + response back + payload serialization.
-        let rtt = Duration::from_micros(one_way.as_micros() * 2);
-        let link = citysim::Link::new(Duration::ZERO, bandwidth.max(1));
-        rtt + link.transfer_time(bytes)
+            AccessOption::Cloud => price(&[(p.fog1_to_fog2, 1), (p.fog2_to_cloud, 1)], bytes),
+        }
     }
 
     /// Estimated completion time of one fan-out leg shipping `bytes` of
     /// partial result to the gather fog-2 node.
     pub fn leg_cost(&self, path: FanoutPath, bytes: u64) -> Duration {
-        let (one_way, bandwidth) = match path {
-            FanoutPath::GatherLocal => return Duration::ZERO,
-            FanoutPath::SiblingFog2 { hops } => {
-                let (lat, bw) = self.profile.fog2_sibling;
-                (
-                    Duration::from_micros(lat.as_micros() * u64::from(hops.max(1))),
-                    bw,
-                )
-            }
+        let p = &self.profile;
+        match path {
+            FanoutPath::GatherLocal => Duration::ZERO,
+            FanoutPath::SiblingFog2 { hops } => price(&[(p.fog2_sibling, hops.max(1))], bytes),
             FanoutPath::MemberFog1 { hops } => {
-                let (l1, bw1) = self.profile.fog1_to_fog2;
-                let (l2, bw2) = self.profile.fog2_sibling;
-                (
-                    l1 + Duration::from_micros(l2.as_micros() * u64::from(hops)),
-                    bw1.min(bw2),
-                )
+                price(&[(p.fog1_to_fog2, 1), (p.fog2_sibling, hops)], bytes)
             }
-        };
-        let rtt = Duration::from_micros(one_way.as_micros() * 2);
-        let link = citysim::Link::new(Duration::ZERO, bandwidth.max(1));
-        rtt + link.transfer_time(bytes)
+        }
     }
 
     /// Estimated completion time of a scatter-gather plan: the legs run
@@ -177,6 +170,20 @@ impl AccessCostModel {
         }
         64
     }
+}
+
+/// The round trip of a [`REQUEST_BYTES`] request and a `bytes` answer
+/// over `route`.
+fn price(route: &[(LinkClass, u32)], bytes: u64) -> Duration {
+    let micros = route
+        .iter()
+        .map(|&((latency, bps), links)| {
+            let link = citysim::Link::new(latency, bps.max(1));
+            let ser = link.transfer_time(REQUEST_BYTES) + link.transfer_time(bytes);
+            (2 * latency.as_micros() + ser.as_micros()) * u64::from(links)
+        })
+        .sum();
+    Duration::from_micros(micros)
 }
 
 #[cfg(test)]
@@ -319,36 +326,16 @@ mod tests {
     /// The planner's prices against the network they price: every
     /// `AccessOption` from each of the 73 sections and every `FanoutPath`
     /// to each gather district, at 0 B, 1 KB, 100 KB and 10 MB, on an idle
-    /// `BarcelonaTopology`. The request carries no bytes, as the model
-    /// counts none. Every default link runs at 1 Gbps, so a reply costs
-    /// one serialization `ser` per link it crosses, and:
-    ///
-    /// * a one-link route (`Parent`, `Neighbor { hops: 1 }`, a one-hop
-    ///   sibling leg, `MemberFog1 { hops: 0 }`) is priced exactly;
-    /// * a route of `n` links is priced at its latency but serialized once
-    ///   at the bottleneck, where the network stores and forwards at every
-    ///   hop: the network reads `(n - 1) × ser` more. That term is at most
-    ///   `5 × ser`, a member leg five fog-2 hops out on the ring of ten;
-    ///   for `Cloud` at 10 MB it is 150 000 µs modelled against 230 000 µs;
-    /// * a `Neighbor` whose ring walk is longer than the climb through the
-    ///   parent (`hops × 3 ms > 2 × 5 ms`) is priced on the ring while the
-    ///   network routes through the parent;
-    /// * `Local` and `LocalSketch` price the sensor's own access link,
-    ///   which the graph does not hold: the network's self-read is free.
+    /// `BarcelonaTopology`, with a [`REQUEST_BYTES`] request. Every route
+    /// the network takes is priced exactly. `Local` and `LocalSketch` keep
+    /// a stated price: they cross the consumer's access link, which the
+    /// graph does not hold, so the network's self-read is free.
     #[test]
-    fn prices_match_the_idle_network_up_to_store_and_forward() {
+    fn prices_match_the_idle_network() {
         let mut topo = BarcelonaTopology::build(&LatencyProfile::default());
         let p = *topo.profile();
         let m = AccessCostModel::new(p);
-        let bps = [
-            p.fog1_to_fog2.1,
-            p.fog2_to_cloud.1,
-            p.fog1_neighbor.1,
-            p.fog2_sibling.1,
-        ];
-        assert_eq!(bps, [1_000_000_000; 4]);
-        let us = |d: Duration| d.as_micros() as i64;
-        let (ring, up) = (us(p.fog1_neighbor.0), us(p.fog1_to_fog2.0));
+        let us = |d: Duration| d.as_micros();
         let (fog1, fog2, cloud) = (
             topo.fog1_nodes().to_vec(),
             topo.fog2_nodes().to_vec(),
@@ -359,11 +346,16 @@ mod tests {
             .collect();
         let ring_hops = |a: usize, b: usize, n: usize| a.abs_diff(b).min(n - a.abs_diff(b)) as u32;
         for bytes in [0, 1_000, 100_000, 10_000_000] {
-            let ser = us(citysim::Link::new(Duration::ZERO, 1_000_000_000).transfer_time(bytes));
+            let access = citysim::Link::new(Duration::ZERO, ACCESS_BPS);
+            let ser = |b| us(access.transfer_time(b));
             let mut net = |from, to| {
-                let reply = topo
-                    .network_mut()
-                    .request_response(from, to, 0, bytes, SimTime::ZERO);
+                let reply = topo.network_mut().request_response(
+                    from,
+                    to,
+                    REQUEST_BYTES,
+                    bytes,
+                    SimTime::ZERO,
+                );
                 us(reply.unwrap().arrival.since(SimTime::ZERO))
             };
             for (d, ring_of) in members.iter().enumerate() {
@@ -371,32 +363,26 @@ mod tests {
                     let here = fog1[s];
                     let cost = |option| us(m.cost(option, bytes));
                     assert_eq!(net(here, fog2[d]), cost(AccessOption::Parent));
-                    assert_eq!(net(here, cloud) - cost(AccessOption::Cloud), ser);
+                    assert_eq!(net(here, cloud), cost(AccessOption::Cloud));
                     for local in [AccessOption::Local, AccessOption::LocalSketch] {
                         assert_eq!(net(here, here), 0);
-                        assert_eq!(cost(local), 2 * us(p.sensor_to_fog1) + ser);
+                        let edge_rtt = 2 * us(p.sensor_to_fog1);
+                        assert_eq!(cost(local), edge_rtt + ser(REQUEST_BYTES) + ser(bytes));
                     }
                     for (to, &t) in ring_of.iter().enumerate().filter(|&(to, _)| to != at) {
                         let hops = ring_hops(at, to, ring_of.len());
-                        let h = i64::from(hops);
-                        let gap = if h * ring < 2 * up {
-                            (h - 1) * ser
-                        } else {
-                            2 * (2 * up - h * ring) + ser
-                        };
                         let priced = cost(AccessOption::Neighbor { hops });
-                        assert_eq!(net(here, fog1[t]) - priced, gap, "{s} -> {t} {bytes}");
+                        assert_eq!(net(here, fog1[t]), priced, "{s} -> {t} {bytes}");
                     }
                     for (e, &sibling) in fog2.iter().enumerate().filter(|&(e, _)| e != d) {
                         let hops = ring_hops(d, e, fog2.len());
                         let priced = cost(AccessOption::SiblingFog2 { hops });
-                        assert_eq!(net(here, sibling) - priced, i64::from(hops) * ser);
+                        assert_eq!(net(here, sibling), priced);
                     }
                     for (g, &gather) in fog2.iter().enumerate() {
                         let hops = ring_hops(d, g, fog2.len());
-                        assert!(hops <= 5);
                         let priced = us(m.leg_cost(FanoutPath::MemberFog1 { hops }, bytes));
-                        assert_eq!(net(gather, here) - priced, i64::from(hops) * ser);
+                        assert_eq!(net(gather, here), priced);
                     }
                 }
             }
@@ -406,13 +392,15 @@ mod tests {
                 for (e, &sibling) in fog2.iter().enumerate().filter(|&(e, _)| e != g) {
                     let hops = ring_hops(g, e, fog2.len());
                     let priced = us(m.leg_cost(FanoutPath::SiblingFog2 { hops }, bytes));
-                    assert_eq!(net(gather, sibling) - priced, i64::from(hops - 1) * ser);
+                    assert_eq!(net(gather, sibling), priced);
                 }
             }
         }
+        // A 10 MB cloud read stores and forwards at both hops and
+        // carries its request: 150 000 µs priced at the bottleneck alone.
         let net = topo.network_mut();
-        let reply = net.request_response(fog1[0], cloud, 0, 10_000_000, SimTime::ZERO);
-        assert_eq!(us(m.cost(AccessOption::Cloud, 10_000_000)), 150_000);
-        assert_eq!(us(reply.unwrap().arrival.since(SimTime::ZERO)), 230_000);
+        let reply = net.request_response(fog1[0], cloud, REQUEST_BYTES, 10_000_000, SimTime::ZERO);
+        assert_eq!(us(m.cost(AccessOption::Cloud, 10_000_000)), 230_002);
+        assert_eq!(us(reply.unwrap().arrival.since(SimTime::ZERO)), 230_002);
     }
 }

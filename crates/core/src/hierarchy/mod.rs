@@ -17,7 +17,7 @@ use f2c_obs::{
 use scc_dlc::quality::Violation;
 use scc_sensors::{Catalog, Reading};
 
-use crate::cost::AccessCostModel;
+use crate::cost::{AccessCostModel, REQUEST_BYTES};
 use crate::incident::{ChaosSite, IncidentKind, IncidentTimeline};
 use crate::node::{F2cNode, IngestOutcome};
 use crate::policy::{FlushPolicy, RetentionPolicy};
@@ -584,7 +584,7 @@ impl F2cCity {
     }
 
     /// Meters one consumer request/response on the simulated network:
-    /// `request_bytes` from `section`'s fog-1 node to the `source`, and
+    /// [`REQUEST_BYTES`] from `section`'s fog-1 node to the `source`, and
     /// `response_bytes` back. Local serves never touch the network. The
     /// traffic and the loss-coin draws are buffered in the caller's
     /// [`NetScratch`] until it is absorbed ([`F2cCity::absorb_scratch`]);
@@ -599,7 +599,6 @@ impl F2cCity {
         net: &mut NetScratch,
         section: usize,
         source: DataSource,
-        request_bytes: u64,
         response_bytes: u64,
         now_s: u64,
     ) -> Result<()> {
@@ -619,7 +618,7 @@ impl F2cCity {
             net,
             requester,
             source_node,
-            request_bytes,
+            REQUEST_BYTES,
             response_bytes,
             SimTime::from_secs(now_s),
         )?;
@@ -627,7 +626,7 @@ impl F2cCity {
     }
 
     /// Meters one scatter-gather execution on the simulated network: a
-    /// `request_bytes` fan-out from the gather node (the requester's
+    /// [`REQUEST_BYTES`] fan-out from the gather node (the requester's
     /// fog-2) to every leg with each leg's partial result shipped back,
     /// then the merged `response_bytes` delivered over the last
     /// fog-2 → fog-1 hop. Legs colocated with the gather node are free.
@@ -641,7 +640,6 @@ impl F2cCity {
         net: &mut NetScratch,
         section: usize,
         legs: &[(FanoutLeg, u64)],
-        request_bytes: u64,
         response_bytes: u64,
         now_s: u64,
     ) -> Result<()> {
@@ -660,7 +658,7 @@ impl F2cCity {
                 net,
                 gather,
                 node,
-                request_bytes,
+                REQUEST_BYTES,
                 leg_bytes,
                 at,
             )?;
@@ -670,7 +668,7 @@ impl F2cCity {
             net,
             requester,
             gather,
-            request_bytes,
+            REQUEST_BYTES,
             response_bytes,
             at,
         )?;
@@ -972,11 +970,11 @@ mod tests {
 
         let before = city.network_bytes();
         let mut obs = ObsScratch::new();
-        city.meter_query_scratch(obs.net_mut(), 0, DataSource::Local, 200, 10_000, 2_000)
+        city.meter_query_scratch(obs.net_mut(), 0, DataSource::Local, 10_000, 2_000)
             .unwrap();
         city.absorb_scratch(&mut obs);
         assert_eq!(city.network_bytes(), before, "local serves are free");
-        city.meter_query_scratch(obs.net_mut(), 0, DataSource::Parent, 200, 10_000, 2_000)
+        city.meter_query_scratch(obs.net_mut(), 0, DataSource::Parent, 10_000, 2_000)
             .unwrap();
         city.absorb_scratch(&mut obs);
         assert!(city.network_bytes() > before, "parent serves are metered");
@@ -1043,7 +1041,6 @@ mod tests {
                 (FanoutLeg::Fog2(5), 1_000),
                 (FanoutLeg::Fog1(10), 1_000),
             ],
-            200,
             2_000,
             100,
         )
@@ -1052,16 +1049,16 @@ mod tests {
         let fanout = city.network_bytes() - before;
         // Two remote legs (request + partial back, multi-hop) plus the
         // final fog-2 -> fog-1 delivery; the colocated leg costs nothing.
-        assert!(fanout > 2 * (200 + 1_000) + 200 + 2_000);
+        assert!(fanout > 2 * (REQUEST_BYTES + 1_000) + REQUEST_BYTES + 2_000);
 
         let before = city.network_bytes();
         let legs = [(FanoutLeg::Fog2(0), 1_000)];
-        city.meter_fanout_scratch(obs.net_mut(), 0, &legs, 200, 2_000, 100)
+        city.meter_fanout_scratch(obs.net_mut(), 0, &legs, 2_000, 100)
             .unwrap();
         city.absorb_scratch(&mut obs);
         assert_eq!(
             city.network_bytes() - before,
-            200 + 2_000,
+            REQUEST_BYTES + 2_000,
             "a gather-local leg meters only the last-hop delivery"
         );
     }
@@ -1071,7 +1068,7 @@ mod tests {
         let mut city = F2cCity::barcelona().unwrap();
         let before = city.network_bytes();
         let mut obs = ObsScratch::new();
-        city.meter_query_scratch(obs.net_mut(), 0, DataSource::RemoteFog2(5), 200, 1_000, 100)
+        city.meter_query_scratch(obs.net_mut(), 0, DataSource::RemoteFog2(5), 1_000, 100)
             .unwrap();
         city.absorb_scratch(&mut obs);
         assert!(city.network_bytes() > before);

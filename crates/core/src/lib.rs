@@ -20,14 +20,12 @@
 //!   the query engine's §IV.C planner routes,
 //! * [`placement`] / [`cost`] — service placement and the access cost
 //!   model (§IV.C): local / neighbor / parent / sibling-fog-2 / cloud
-//!   single sources, plus scatter-gather pricing (max over concurrent
-//!   fan-out legs + per-leg merge/admission overhead + last-hop
-//!   delivery),
+//!   single sources, each priced on the route the idle network takes
+//!   (the §IV.D fog-local and centralized reads too), plus scatter-gather
+//!   pricing (max over concurrent fan-out legs + per-leg merge/admission
+//!   overhead + last-hop delivery),
 //! * `incident` — the chaos plane's queryable per-node incident
 //!   timeline (injected faults and their downstream effects),
-//! * [`request`] — data-access latency: fog-local vs cloud round trips,
-//!   including the centralized "two transfers through the same path" effect
-//!   (§IV.D),
 //! * [`report`] — table formatting for the experiment harnesses.
 //!
 //! # Quickstart
@@ -55,7 +53,6 @@ pub mod node;
 pub mod placement;
 pub mod policy;
 pub mod report;
-pub mod request;
 pub mod runtime;
 pub(crate) mod shard;
 pub(crate) mod store;

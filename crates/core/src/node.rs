@@ -46,9 +46,9 @@ pub struct IngestOutcome {
     pub refused: QualityTally,
 }
 
-/// Aggregation bucket width of every node's sketch ledger (matches the
-/// query engine's default bucket so flush-shipped partials line up with
-/// serving-time bucket keys).
+/// Aggregation bucket width of every node's sketch ledger, and of the
+/// query engine's cached bucket partials, so flush-shipped partials line
+/// up with serving-time bucket keys.
 pub const SKETCH_BUCKET_S: u64 = 900;
 
 /// [`SKETCH_BUCKET_S`], checked non-zero when the program is compiled.

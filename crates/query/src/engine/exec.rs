@@ -4,7 +4,7 @@
 use std::ops::Range;
 
 use f2c_aggregate::sketch::SketchLedger;
-use f2c_core::{F2cCity, TieredStore};
+use f2c_core::{F2cCity, TieredStore, SKETCH_BUCKET_S};
 use scc_dlc::preservation::ArchiveStore;
 use scc_dlc::DataRecord;
 use scc_sensors::SensorType;
@@ -21,48 +21,36 @@ use crate::model::{
 /// the window at which a selected type reported; only the records *at*
 /// `T*` are examined (stepping to the next older candidate when none of
 /// them is in scope — a fog-2 store holds more sections than a section
-/// query asks for).
-///
-/// `visited` is what a newest-first walk of the window would have
-/// counted: every record created at or after `T*`, plus the first older
-/// one that ends the walk if the window holds any — or the whole window
-/// when nothing matches. It prices the read (`scan_cost_per_record_us`),
-/// so it comes from the archive's ranks rather than from the few
-/// records actually touched.
-///
-/// A live probe's window is `[now − 1800, now + 1)`: its end lies past
-/// the newest record, so the end rank and the type lookups take their
-/// past-the-newest shortcuts; the window start and `T*` are each ranked
-/// once.
+/// query asks for). Returns the point and the records examined, which
+/// price the read.
 pub(super) fn scan_point(store: &TieredStore, query: &Query) -> (Option<PointSample>, u64) {
     let archive = store.archive();
     let w = query.window;
-    let first = archive.rank(w.from_s);
-    let end = archive.rank(w.until_s).max(first);
+    let mut visited = 0u64;
     let mut before_s = w.until_s;
     while let Some(at_s) = latest_report(archive, query.selector, w.from_s, before_s) {
-        let (start, at) = archive.created_at(at_s);
+        let (_, at) = archive.created_at(at_s);
         // The largest identity wins; among repeats of one sensor, the
         // latest arrival.
         let mut best: Option<(u64, &DataRecord)> = None;
         for rec in at.flatten() {
+            visited += 1;
             let seed = rec.reading().sensor().seed_material();
             if query.matches(rec) && best.is_none_or(|(s, _)| seed >= s) {
                 best = Some((seed, rec));
             }
         }
         if let Some((_, rec)) = best {
-            let visited = end - start + usize::from(start > first);
             let point = PointSample {
                 created_s: at_s,
                 sensor: rec.reading().sensor(),
                 value: rec.reading().value().magnitude(),
             };
-            return (Some(point), visited as u64);
+            return (Some(point), visited);
         }
         before_s = at_s;
     }
-    (None, (end - first) as u64)
+    (None, visited)
 }
 
 /// The newest second in `[from_s, before_s)` at which any type the
@@ -146,33 +134,23 @@ struct PrefoldCtx<'a> {
 }
 
 impl<'a> PrefoldCtx<'a> {
-    /// The context for `query` at `node`, or `None` when the ledger's
-    /// bucketing differs from the engine's and prefolding is off.
-    fn new(
-        city: &'a F2cCity,
-        store: &TieredStore,
-        node: NodeKey,
-        query: &Query,
-        bucket_s: u64,
-    ) -> Option<Self> {
+    /// The context for `query` at `node`.
+    fn new(city: &'a F2cCity, store: &TieredStore, node: NodeKey, query: &Query) -> Self {
         let ledger = match node {
             NodeKey::Fog1(s) => city.fog1(s as usize).sketches(),
             NodeKey::Fog2(d) => city.fog2(d as usize).sketches(),
             NodeKey::Cloud => city.cloud().sketches(),
         };
-        if ledger.bucket_s() != bucket_s {
-            return None;
-        }
         let settled_until_s = if matches!(node, NodeKey::Fog1(_)) {
             store.pending_earliest_s().unwrap_or(u64::MAX)
         } else {
             u64::MAX
         };
-        Some(Self {
+        Self {
             ledger,
             sections: scope_sections(city, query, node),
             settled_until_s,
-        })
+        }
     }
 
     /// Assembles one closed bucket from the ledger — the flush-shipped
@@ -259,10 +237,9 @@ pub(super) fn fold_aggregate(
     tally: &mut FoldTally,
     epoch: u64,
     now_s: u64,
-    bucket_s: u64,
 ) -> u64 {
     let w = query.window;
-    let bucket_s = bucket_s.max(1);
+    let bucket_s = SKETCH_BUCKET_S;
     let mut visited = 0u64;
     let first_full = w.from_s.next_multiple_of(bucket_s);
     let last_full = (w.until_s / bucket_s) * bucket_s;
@@ -270,7 +247,7 @@ pub(super) fn fold_aggregate(
         // No full bucket inside the window: one direct fold.
         return fold_segment(store, query, w.from_s, w.until_s, acc);
     }
-    let prefold = PrefoldCtx::new(city, store, node, query, bucket_s);
+    let prefold = PrefoldCtx::new(city, store, node, query);
     // One table probe for the whole leg; its buckets are then found by
     // their start.
     let series = partials.series(SeriesKey {
@@ -292,10 +269,7 @@ pub(super) fn fold_aggregate(
             // (even an empty one).
             if partials.merge_at(series, bucket, epoch, acc) {
                 tally.partial_hits += 1;
-            } else if let Some(part) = prefold
-                .as_ref()
-                .and_then(|ctx| ctx.bucket(query, bucket, bucket_end))
-            {
+            } else if let Some(part) = prefold.bucket(query, bucket, bucket_end) {
                 // The flush already folded this bucket: merge the
                 // shipped partials instead of re-scanning, and cache
                 // the assembly for the next query.

@@ -7,7 +7,7 @@ use f2c_obs::Site;
 use scc_dlc::DataRecord;
 
 use super::exec::{fold_aggregate, merge_warm_sketch, scan_point, scan_range};
-use super::{Completeness, FoldTally, Ran, ServeCore, ServedVia};
+use super::{Completeness, FoldTally, Ran, ServeCore, ServedVia, SCAN_COST_PER_RECORD_US};
 use crate::cache::NodeKey;
 use crate::model::{finalize, Query, QueryAnswer, QueryKind};
 use crate::planner::ScatterPlan;
@@ -123,7 +123,6 @@ impl ServeCore {
                             &mut tally,
                             epoch,
                             now_s,
-                            self.cfg.bucket_s,
                         )
                     };
                     // The leg's scalars join the gather's total in leg
@@ -133,7 +132,7 @@ impl ServeCore {
                 }
             };
             let leg_time = city.cost_model().leg_cost(leg.path, leg_bytes)
-                + Duration::from_micros(self.cfg.scan_cost_per_record_us * visited);
+                + Duration::from_micros(SCAN_COST_PER_RECORD_US * visited);
             slowest = slowest.max(leg_time);
             // One span per executed leg, at the leg's own site, closed at
             // its modeled completion with the shipped bytes as attribute.
@@ -164,14 +163,8 @@ impl ServeCore {
             .metrics_mut()
             .add(self.ids.records_scanned, visited_total);
         let bytes = answer.response_bytes();
-        let metered = city.meter_fanout_scratch(
-            self.obs.net_mut(),
-            query.origin,
-            &reports,
-            self.cfg.request_bytes,
-            bytes,
-            now_s,
-        );
+        let metered =
+            city.meter_fanout_scratch(self.obs.net_mut(), query.origin, &reports, bytes, now_s);
         reports.clear();
         (self.live, self.reports, self.points) = (legs, reports, points);
         metered.ok()?;
@@ -201,6 +194,7 @@ impl ServeCore {
     }
 }
 
-/// Modeled wire size of one shipped [`AggPartial`](crate::model::AggPartial):
-/// moments + extremes envelope plus the 1024-register HyperLogLog sketch.
+/// Modelled, not measured: the wire size of one shipped
+/// [`AggPartial`](crate::model::AggPartial), a moments + extremes
+/// envelope plus the 1024-register HyperLogLog sketch.
 const AGG_PARTIAL_WIRE_BYTES: u64 = 1_152;

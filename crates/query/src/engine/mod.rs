@@ -56,6 +56,13 @@ use exec::{execute_point, execute_range, fold_aggregate, merge_warm_sketch};
 use response::{Completeness, EngineConfig, HeldSlots, Outcome, QueryResponse, ServedVia};
 use stats::{layer_label, EngineStats};
 
+/// Modelled, not measured: the cost of examining one archived record
+/// during a scan.
+const SCAN_COST_PER_RECORD_US: u64 = 2;
+
+/// Capacity of the shared bucket-partial cache.
+const PARTIAL_CAPACITY: usize = 16_384;
+
 /// What one [`fold_aggregate`] call did with its closed buckets. A local
 /// tally (instead of a registry borrow) keeps the fold free to borrow
 /// the city's stores; the caller publishes it afterwards.
@@ -289,7 +296,7 @@ impl ServeCore {
             src_fog1: (0..section_count).map(|_| cache()).collect(),
             src_fog2: (0..district_count).map(|_| cache()).collect(),
             src_cloud: cache(),
-            partials: PartialCache::new(cfg.partial_capacity),
+            partials: PartialCache::new(PARTIAL_CAPACITY),
             acc: AggAcc::new(),
             live: Vec::new(),
             reports: Vec::new(),
@@ -575,14 +582,7 @@ impl ServeCore {
             self.obs.metrics_mut().inc(self.ids.source_hits);
             let bytes = answer.response_bytes();
             if city
-                .meter_query_scratch(
-                    self.obs.net_mut(),
-                    origin,
-                    source,
-                    self.cfg.request_bytes,
-                    bytes,
-                    now_s,
-                )
+                .meter_query_scratch(self.obs.net_mut(), origin, source, bytes, now_s)
                 .is_err()
             {
                 // The transfer was lost in flight (loss coin): degrade
@@ -728,7 +728,7 @@ impl ServeCore {
         let now_us = now_s.saturating_mul(1_000_000);
         let exec = self.obs.tracer_mut().open(site, "query-execute", now_us);
         let (answer, visited) = self.execute(city, query, plan, now_s, epoch);
-        let scan = Duration::from_micros(self.cfg.scan_cost_per_record_us * visited);
+        let scan = Duration::from_micros(SCAN_COST_PER_RECORD_US * visited);
         self.obs
             .tracer_mut()
             .close_with(exec, now_us + scan.as_micros(), visited);
@@ -736,15 +736,8 @@ impl ServeCore {
             .metrics_mut()
             .add(self.ids.records_scanned, visited);
         let bytes = answer.response_bytes();
-        city.meter_query_scratch(
-            self.obs.net_mut(),
-            query.origin,
-            plan.source,
-            self.cfg.request_bytes,
-            bytes,
-            now_s,
-        )
-        .ok()?;
+        city.meter_query_scratch(self.obs.net_mut(), query.origin, plan.source, bytes, now_s)
+            .ok()?;
         Some(Ran {
             answer,
             via: ServedVia::Store(plan.source),
@@ -827,7 +820,6 @@ impl ServeCore {
                     &mut tally,
                     epoch,
                     now_s,
-                    self.cfg.bucket_s,
                 );
                 self.acc.end_leg();
                 self.apply_fold_tally(tally);

@@ -35,19 +35,11 @@ pub struct EngineConfig {
     pub result_ttl_s: u64,
     /// Capacity of each per-node result cache.
     pub result_capacity: usize,
-    /// Capacity of the shared bucket-partial cache.
-    pub partial_capacity: usize,
     /// Admission caps.
     pub caps: LayerCaps,
     /// Per-class quotas, priorities and deadline budgets carving up the
     /// layer caps.
     pub qos: QosPolicy,
-    /// Modeled cost of visiting one archived record during a scan.
-    pub scan_cost_per_record_us: u64,
-    /// Request envelope size for network metering.
-    pub request_bytes: u64,
-    /// Aggregation bucket width (seconds).
-    pub bucket_s: u64,
     /// Largest answer payload worth caching: bulky range answers are
     /// cheaper to re-scan than to hold in dozens of per-node caches.
     pub max_cache_entry_bytes: u64,
@@ -58,12 +50,8 @@ impl Default for EngineConfig {
         Self {
             result_ttl_s: 120,
             result_capacity: 512,
-            partial_capacity: 16_384,
             caps: LayerCaps::default(),
             qos: QosPolicy::default(),
-            scan_cost_per_record_us: 2,
-            request_bytes: 200,
-            bucket_s: 900,
             max_cache_entry_bytes: 64 * 1024,
         }
     }

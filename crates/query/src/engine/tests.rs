@@ -799,34 +799,80 @@ fn explain_hash_streams_the_bytes_the_formatted_string_had() {
     assert_eq!(seen.len(), decisions, "distinct decisions, distinct keys");
 }
 
-/// The newest-first walk `scan_point` replaced, kept as its oracle:
-/// the answer and the `visited` count it produced are the contract
-/// (`visited` prices the read, so it reaches `est_latency`).
+/// A real-time point read five and six ring hops across Nou Barris
+/// (13 sections), in a window still pending at the target, so neither
+/// fog 2 nor the cloud holds it. The network climbs through the parent
+/// (2 × 5 ms each way) rather than walk 15–18 ms of ring, so the read
+/// is priced and served as a neighbor read inside the 25 ms budget, not
+/// deadline-shed.
+#[test]
+fn a_far_ring_read_is_priced_through_the_parent_and_served_in_budget() {
+    let mut city = F2cCity::barcelona().unwrap();
+    let ring = city.sections_in_district(7).to_vec();
+    assert_eq!(ring.len(), 13);
+    let origin = ring[0];
+    let far = [(ring[5], 5), (ring[6], 6)];
+    for (target, _) in far {
+        let mut gen = ReadingGenerator::for_population(SensorType::Traffic, 10, target as u64);
+        city.ingest(target, gen.wave(30), 31).unwrap();
+    }
+    let mut e = QueryEngine::new(city, EngineConfig::default());
+    let budget = e.core.cfg.qos.deadline(ServiceClass::RealTime);
+    assert_eq!(budget, Duration::from_millis(25));
+    for (target, hops) in far {
+        assert_eq!(e.city().ring_hops(origin, target), Some(hops));
+        let query = Query {
+            origin,
+            class: ServiceClass::RealTime,
+            selector: Selector::Type(SensorType::Traffic),
+            scope: Scope::Section(target),
+            window: TimeWindow::new(0, 60),
+            kind: QueryKind::Point,
+        };
+        let route = planner::plan(e.city(), &query).unwrap();
+        let Choice::Single(plan) = route.choice else {
+            panic!("{route:?}");
+        };
+        assert_eq!(plan.option, AccessOption::Neighbor { hops });
+        let resp = answered(e.serve_sync(&query, 60).unwrap());
+        assert_eq!(resp.via, ServedVia::Store(DataSource::Neighbor(target)));
+        assert!(resp.est_latency <= budget, "{}", resp.est_latency);
+    }
+}
+
+/// `scan_point`'s oracle: a newest-first walk over the window's records,
+/// grouped by creation second. A second holding a selected type is
+/// examined whole (every record there counts), and the first that holds
+/// a match answers.
 fn scan_point_by_walk(store: &TieredStore, query: &Query) -> (Option<PointSample>, u64) {
     let w = query.window;
+    let records: Vec<&DataRecord> = store.range(w.from_s, w.until_s).collect();
+    let created = |rec: &DataRecord| rec.descriptor().created_s();
     let mut visited = 0u64;
-    let mut best: Option<(u64, u64, PointSample)> = None;
-    for rec in store.range(w.from_s, w.until_s).rev() {
-        visited += 1;
-        let created = rec.descriptor().created_s();
-        if best.is_some_and(|(best_created, _, _)| created < best_created) {
-            break;
+    for at in records.chunk_by(|a, b| created(a) == created(b)).rev() {
+        if !at
+            .iter()
+            .any(|rec| query.selector.matches(rec.sensor_type()))
+        {
+            continue;
         }
-        if query.matches(rec) {
-            let sensor = rec.reading().sensor();
-            let rank = (created, sensor.seed_material());
-            if best.is_none_or(|(c, s, _)| rank > (c, s)) {
-                let value = rec.reading().value().magnitude();
-                let point = PointSample {
-                    created_s: created,
-                    sensor,
-                    value,
-                };
-                best = Some((created, sensor.seed_material(), point));
-            }
+        visited += at.len() as u64;
+        // The largest identity wins; among repeats of one sensor, the
+        // latest arrival.
+        let best = at
+            .iter()
+            .filter(|rec| query.matches(rec))
+            .max_by_key(|rec| rec.reading().sensor().seed_material());
+        if let Some(rec) = best {
+            let point = PointSample {
+                created_s: created(rec),
+                sensor: rec.reading().sensor(),
+                value: rec.reading().value().magnitude(),
+            };
+            return (Some(point), visited);
         }
     }
-    (best.map(|(_, _, p)| p), visited)
+    (None, visited)
 }
 
 /// A record of `ty` from sensor `idx`, created at `t` in `section`
@@ -875,27 +921,24 @@ fn point_reads_by_rank_count_what_the_walk_counted() {
     let urban = Selector::Category(Category::Urban);
     let q = point_query;
     let cases = [
-        // A type absent from the window: `None`, the whole window.
-        (
-            q(Selector::Type(ParkingSpot), Scope::City, 0, 100),
-            None,
-            107,
-        ),
-        (q(weather, Scope::City, 11, 100), None, 94),
+        // A type absent from the window: `None`, and nothing examined.
+        (q(Selector::Type(ParkingSpot), Scope::City, 0, 100), None, 0),
+        (q(weather, Scope::City, 11, 100), None, 0),
         // Ties at `T*` across sensors: the larger identity wins; the
-        // ten records at 19 plus the one older that ends the walk.
-        (q(traffic, Scope::City, 0, 100), Some((19, 9)), 11),
-        // A match only at the window's oldest second: nothing older
-        // is left to end the walk, so no `+ 1`.
-        (q(weather, Scope::City, 10, 100), Some((10, 0)), 107),
+        // ten records at 19 are examined.
+        (q(traffic, Scope::City, 0, 100), Some((19, 9)), 10),
+        // A match only at the window's oldest second: the thirteen
+        // records there.
+        (q(weather, Scope::City, 10, 100), Some((10, 0)), 13),
         (q(weather, Scope::City, 0, 11), Some((10, 0)), 13),
         // Section 3 stopped reporting Traffic after 12: every newer
-        // second holds Traffic, none of it in scope — step older.
-        (q(traffic, Scope::Section(3), 0, 100), Some((12, 6)), 83),
+        // second holds Traffic, none of it in scope — step older,
+        // examining seconds 19..=13 (70 records) and then 12.
+        (q(traffic, Scope::Section(3), 0, 100), Some((12, 6)), 82),
         (q(traffic, Scope::Section(3), 13, 100), None, 70),
-        (q(traffic, Scope::District(1), 0, 100), Some((19, 7)), 11),
+        (q(traffic, Scope::District(1), 0, 100), Some((19, 7)), 10),
         // A category spans types; the newest of any of them is `T*`.
-        (q(urban, Scope::Section(3), 0, 100), Some((19, 3)), 11),
+        (q(urban, Scope::Section(3), 0, 100), Some((19, 3)), 10),
         // Empty and inverted windows.
         (q(traffic, Scope::City, 15, 15), None, 0),
         (q(traffic, Scope::City, 18, 12), None, 0),

@@ -73,8 +73,10 @@ use crate::model::{Query, QueryKind, Scope, TimeWindow};
 use crate::{Error, Result};
 
 /// Payload size used to rank candidate sources before the answer size is
-/// known. All fog links share a bandwidth class in the default profile,
-/// so the ranking is insensitive to the exact figure.
+/// known. Prices serialize the answer once per link, so a route of more
+/// links falls behind one of fewer as answers grow; on the default
+/// profile the ranking at this size holds for answers up to ≈ 625 KB (a
+/// five-hop sibling fog-2 against the cloud).
 pub const NOMINAL_PAYLOAD_BYTES: u64 = 1_024;
 
 /// A single-source serving plan: where and how the query will be served.

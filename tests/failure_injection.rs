@@ -6,7 +6,7 @@ use f2c_smartcity::citysim::barcelona::{BarcelonaTopology, LatencyProfile};
 use f2c_smartcity::citysim::net::FailurePlan;
 use f2c_smartcity::citysim::time::SimTime;
 use f2c_smartcity::citysim::Error as NetError;
-use f2c_smartcity::core::request::AccessSimulator;
+use f2c_smartcity::core::cost::{AccessCostModel, AccessOption, REQUEST_BYTES};
 
 fn wan_outage_city(until_s: u64) -> BarcelonaTopology {
     let mut city = BarcelonaTopology::build(&LatencyProfile::default());
@@ -29,19 +29,54 @@ fn wan_outage_city(until_s: u64) -> BarcelonaTopology {
 
 #[test]
 fn fog_reads_survive_a_total_wan_outage() {
-    let mut sim = AccessSimulator::new(wan_outage_city(3600));
+    let mut city = wan_outage_city(3600);
     for section in [0usize, 20, 40, 72] {
-        let out = sim.realtime_read_f2c(section, 1_000);
-        assert!(out.latency.as_micros() > 0);
+        let (fog1, parent) = (city.fog1_nodes()[section], city.parent_of(section));
+        let read =
+            city.network_mut()
+                .request_response(fog1, parent, REQUEST_BYTES, 1_000, SimTime::ZERO);
+        assert!(read.unwrap().arrival > SimTime::ZERO);
     }
 }
 
 #[test]
 fn centralized_reads_fail_during_the_outage() {
-    let mut sim = AccessSimulator::new(wan_outage_city(3600));
-    let err = sim.realtime_read_centralized(0, 1_000).unwrap_err();
+    let mut city = wan_outage_city(3600);
+    let (fog1, cloud) = (city.fog1_nodes()[0], city.cloud());
+    // A centralized read starts with the datum's upload, which cannot
+    // leave the district.
+    let err = city
+        .network_mut()
+        .send(fog1, cloud, 1_000, SimTime::ZERO)
+        .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("down"), "unexpected error: {msg}");
+}
+
+/// §IV.D's "two times data transfer through the same path": a
+/// centralized real-time read uploads the datum to the cloud before the
+/// consumer at the section can fetch it back. It takes more than ten
+/// fog-local reads, and the payload crosses both WAN hops twice.
+#[test]
+fn a_centralized_read_pays_the_double_path_a_fog_read_skips() {
+    let mut city = BarcelonaTopology::build(&LatencyProfile::default());
+    let model = AccessCostModel::new(*city.profile());
+    let (fog1, cloud) = (city.fog1_nodes()[0], city.cloud());
+    let net = city.network_mut();
+    let up = net.send(fog1, cloud, 1_000, SimTime::ZERO).unwrap();
+    let read = net
+        .request_response(fog1, cloud, REQUEST_BYTES, 1_000, up.arrival)
+        .unwrap();
+    let fog = model.cost(AccessOption::Local, 1_000);
+    let centralized = read.arrival.since(SimTime::ZERO) + fog;
+    assert!(
+        centralized.as_micros() > 10 * fog.as_micros(),
+        "fog {fog} vs centralized {centralized}"
+    );
+    assert_eq!(
+        net.meter().total_bytes(),
+        2 * (1_000 + REQUEST_BYTES + 1_000)
+    );
 }
 
 #[test]
