@@ -552,7 +552,7 @@ impl<'a> Receiver<'a> {
             }
             landed.push(batch.records);
         }
-        self.node.receive_wave(landed, now_s);
+        self.node.receive_wave(landed);
         self.obs.tracer.close_with(wave, wave_end_us, shipped);
         failed.map_or(Ok(bytes), Err)
     }

@@ -20,8 +20,8 @@ use std::num::NonZeroU64;
 use f2c_aggregate::sketch::{AggPartial, SketchKey, SketchLedger};
 use f2c_compress::tsenc;
 use scc_dlc::acquisition::AcquisitionBlock;
-use scc_dlc::phase::{Phase, PhaseContext};
-use scc_dlc::preservation::ClassificationPhase;
+use scc_dlc::phase::PhaseContext;
+use scc_dlc::preservation;
 use scc_dlc::quality::QualityTally;
 use scc_dlc::DataRecord;
 use scc_sensors::{heap, Catalog, Reading, SensorType};
@@ -126,7 +126,6 @@ pub struct F2cNode {
     layer: Layer,
     section: Option<u16>,
     acquisition: Option<AcquisitionBlock>,
-    classification: Option<ClassificationPhase>,
     store: TieredStore,
     flush_policy: FlushPolicy,
     /// The node's slice of the sketch plane: bucketed aggregate partials
@@ -184,7 +183,6 @@ impl F2cNode {
             layer: Layer::Fog1,
             section: Some(section),
             acquisition: Some(acquisition),
-            classification: None,
             store: TieredStore::new(retention),
             flush_policy,
             sketches: SketchLedger::with_bucket(SKETCH_BUCKET),
@@ -213,7 +211,6 @@ impl F2cNode {
             layer: Layer::Fog2,
             section: None,
             acquisition: None,
-            classification: None,
             store: TieredStore::new(retention),
             flush_policy: flush_policy.validated()?,
             sketches: SketchLedger::with_bucket(SKETCH_BUCKET),
@@ -234,7 +231,6 @@ impl F2cNode {
             layer: Layer::Cloud,
             section: None,
             acquisition: None,
-            classification: Some(ClassificationPhase::new()),
             store: TieredStore::permanent(),
             flush_policy: FlushPolicy::plain(86_400),
             sketches: SketchLedger::with_bucket(SKETCH_BUCKET),
@@ -256,10 +252,9 @@ impl F2cNode {
     /// Heap bytes at rest on this node: the store (archive and pending
     /// queue), the sketch ledger, the relays and unacknowledged partials
     /// with their registers, the flush codec and the per-child decoders,
-    /// and the acquisition filter's or the classification lineage's
-    /// per-sensor tables. Priced from lengths and capacities
-    /// ([`scc_sensors::heap`]), so a run prices the same at any
-    /// worker-thread count.
+    /// and the acquisition filter's per-sensor table. Priced from lengths
+    /// and capacities ([`scc_sensors::heap`]), so a run prices the same at
+    /// any worker-thread count.
     pub(crate) fn heap_bytes(&self) -> u64 {
         let partials = |map: &BTreeMap<SketchKey, AggPartial>| {
             heap::btree_bytes::<SketchKey, AggPartial>(map.len())
@@ -282,10 +277,6 @@ impl F2cNode {
                 .acquisition
                 .as_ref()
                 .map_or(0, AcquisitionBlock::heap_bytes)
-            + self
-                .classification
-                .as_ref()
-                .map_or(0, ClassificationPhase::heap_bytes)
     }
 
     /// The local store.
@@ -435,19 +426,16 @@ impl F2cNode {
     /// Receives one flush wave: the verified shipments of this node's
     /// children, in shipment order, stored as one merge into the local
     /// run and queued for the next hop as they arrived. At the cloud each
-    /// shipment additionally passes classification (versioning/lineage),
-    /// shipment by shipment, before the permanent archive, per §IV.B.
-    pub(crate) fn receive_wave(
-        &mut self,
-        shipments: impl IntoIterator<Item = Vec<DataRecord>>,
-        now_s: u64,
-    ) {
-        let ctx = PhaseContext::at(now_s);
-        let classification = &mut self.classification;
+    /// shipment is first classified ([`preservation::classify`]), shipment
+    /// by shipment, before the permanent archive, per §IV.B.
+    pub(crate) fn receive_wave(&mut self, shipments: impl IntoIterator<Item = Vec<DataRecord>>) {
+        let classifies = self.layer == Layer::Cloud;
         self.store
-            .insert_runs(shipments.into_iter().map(|records| match classification {
-                Some(phase) => phase.run(records, &ctx),
-                None => records,
+            .insert_runs(shipments.into_iter().map(|mut records| {
+                if classifies {
+                    preservation::classify(&mut records);
+                }
+                records
             }));
     }
 
@@ -762,13 +750,76 @@ mod tests {
         cloud
             .verify_flush(0, batch.payload.as_deref(), &batch.records)
             .unwrap();
-        cloud.receive_wave([batch.records], 86_400);
+        cloud.receive_wave([batch.records]);
         assert_eq!(cloud.store().len(), n);
         assert_eq!(cloud.layer, Layer::Cloud);
         // Cloud never evicts.
         let mut cloud2 = F2cNode::cloud();
-        cloud2.receive_wave([Vec::new()], 0);
+        cloud2.receive_wave([Vec::new()]);
         assert!(cloud2.store().is_empty());
+    }
+
+    #[test]
+    fn only_the_cloud_classifies_what_it_lands() {
+        use scc_sensors::{SensorId, Value};
+        use SensorType::{ElectricityMeter as Meter, ParkingSpot as Spot, Weather};
+        let rec = |ty, idx, t, v| {
+            DataRecord::from_reading(Reading::new(SensorId::new(ty, idx), t, Value::Counter(v)))
+        };
+        // Two districts' shipments of one wave, interleaved in time, with
+        // ties at both instants across types and sensors, and one tie on
+        // the whole key (meter 2 at 0 s, values 2 and 4).
+        let wave = || {
+            [
+                vec![
+                    rec(Weather, 0, 900, 1),
+                    rec(Meter, 2, 0, 2),
+                    rec(Spot, 1, 900, 3),
+                    rec(Meter, 2, 0, 4),
+                    rec(Spot, 0, 900, 5),
+                ],
+                vec![
+                    rec(Spot, 0, 0, 6),
+                    rec(Meter, 1, 900, 7),
+                    rec(Weather, 0, 0, 8),
+                    rec(Meter, 0, 0, 9),
+                ],
+            ]
+        };
+        fn values<'a>(records: impl IntoIterator<Item = &'a DataRecord>) -> Vec<u64> {
+            records
+                .into_iter()
+                .map(|r| match r.reading().value() {
+                    Value::Counter(v) => *v,
+                    other => panic!("not a counter: {other:?}"),
+                })
+                .collect()
+        }
+        // The cloud: creation time, then shipment by shipment in arrival
+        // order, each in (category, type, sensor) order, whole-key ties
+        // in arrival order.
+        let mut cloud = F2cNode::cloud();
+        cloud.receive_wave(wave());
+        assert_eq!(
+            values(cloud.store().archive().iter()),
+            [2, 4, 9, 6, 8, 5, 3, 1, 7]
+        );
+        // Fog 2: creation time, then arrival order; its queue for the next
+        // hop is the shipments as they arrived.
+        let catalog = Catalog::barcelona();
+        let mut f2 = F2cNode::fog2(
+            0,
+            FlushPolicy::plain(3600),
+            RetentionPolicy::keep(7 * 86_400),
+        )
+        .unwrap();
+        f2.receive_wave(wave());
+        assert_eq!(
+            values(f2.store().archive().iter()),
+            [2, 4, 6, 8, 9, 1, 3, 5, 7]
+        );
+        let relay = f2.flush(3600, &catalog).unwrap();
+        assert_eq!(values(&relay.records), [1, 2, 3, 4, 5, 6, 7, 8, 9]);
     }
 
     #[test]
@@ -822,7 +873,7 @@ mod tests {
         assert_eq!(f2.receive_sketches(&batch.sketches, &batch.seals, &[]), 0);
         f2.verify_flush(0, batch.payload.as_deref(), &batch.records)
             .unwrap();
-        f2.receive_wave([batch.records.clone()], 1_800);
+        f2.receive_wave([batch.records.clone()]);
         assert_eq!(f2.sketches().sealed_through(0), 1_800);
         // Fog-2's ledger now answers without scanning: its folded count
         // equals the raw records it received.

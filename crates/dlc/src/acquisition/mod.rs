@@ -25,9 +25,9 @@ use scc_sensors::Reading;
 /// dropped while it is still a [`Reading`], and every kept one is
 /// wrapped and located in one pass, into a vector sized to the wave.
 /// Each step is the phase's own per-reading method, the one its
-/// test-only [`Phase::run`](crate::phase::Phase::run) calls. Collection is the
-/// clock itself: the quality phase measures staleness against
-/// `ctx.now_s`, and nothing else reads a collection time.
+/// test-only `Phase::run` calls. Collection is the clock itself: the
+/// quality phase measures staleness against `ctx.now_s`, and nothing
+/// else reads a collection time.
 ///
 /// # Examples
 ///

@@ -20,8 +20,10 @@
 //! [`age::AgeClass`] implements the age characterization of §II ("we
 //! characterize data according to its age").
 //!
-//! Phases are [`phase::Phase`] objects; the `f2c-core` crate maps them onto
-//! fog/cloud nodes per Fig. 5.
+//! The `f2c-core` crate maps the blocks onto fog/cloud nodes per Fig. 5:
+//! fog 1 runs [`acquisition::AcquisitionBlock::ingest`] over each wave,
+//! and the cloud runs [`preservation::classify`] on each shipment it
+//! lands before its permanent archive.
 //!
 //! # Quickstart
 //!
@@ -59,5 +61,5 @@ pub(crate) mod record;
 pub use age::AgeClass;
 pub use descriptor::Descriptor;
 pub(crate) use error::{Error, Result};
-pub use phase::{Phase, PhaseContext};
+pub use phase::PhaseContext;
 pub use record::DataRecord;

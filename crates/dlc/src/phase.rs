@@ -1,6 +1,8 @@
-//! The phase abstraction: every SCC-DLC phase consumes a batch of records
-//! and produces a (possibly smaller, possibly annotated) batch.
+//! The phase context every SCC-DLC step reads its clock from, and (in
+//! tests) the phase abstraction: a phase consumes a batch of records and
+//! produces a (possibly smaller, possibly annotated) batch.
 
+#[cfg(test)]
 use crate::record::DataRecord;
 
 /// Ambient information a phase may need.
@@ -17,15 +19,11 @@ impl PhaseContext {
     }
 }
 
-/// One life-cycle phase.
-///
-/// The cloud's classification ([`crate::preservation`]) runs as one; the
-/// acquisition phases' impls are the tests' reference pipeline.
-///
-/// `Send + Sync` so nodes embedding phases can be owned by district
-/// shards on worker threads (phases hold plain configuration and
-/// counters, never shared handles).
-pub trait Phase: Send + Sync {
+/// One life-cycle phase: the acquisition phases' impls are the tests'
+/// reference pipeline, which the single-visit
+/// [`crate::acquisition::AcquisitionBlock::ingest`] is held to.
+#[cfg(test)]
+pub(crate) trait Phase {
     /// Stable phase name (e.g. `"data-filtering"`).
     fn name(&self) -> &'static str;
 

@@ -7,4 +7,4 @@ mod classification;
 mod run;
 
 pub use archive::ArchiveStore;
-pub use classification::ClassificationPhase;
+pub use classification::classify;

@@ -2,8 +2,7 @@
 //! query algebra, eviction accounting, classification order.
 
 use proptest::prelude::*;
-use scc_dlc::phase::{Phase, PhaseContext};
-use scc_dlc::preservation::{ArchiveStore, ClassificationPhase};
+use scc_dlc::preservation::{classify, ArchiveStore};
 use scc_dlc::quality::QualityPolicy;
 use scc_dlc::DataRecord;
 use scc_sensors::{Reading, SensorId, SensorType, Value};
@@ -115,10 +114,10 @@ proptest! {
             .collect();
         let mut reversed = batch.clone();
         reversed.reverse();
-        let mut p1 = ClassificationPhase::new();
-        let mut p2 = ClassificationPhase::new();
-        let a = p1.run(batch.clone(), &PhaseContext::at(0));
-        let b = p2.run(reversed, &PhaseContext::at(0));
+        let mut a = batch.clone();
+        classify(&mut a);
+        let mut b = reversed;
+        classify(&mut b);
         // (1) Classification is a permutation: nothing lost or invented.
         let multiset = |recs: &[DataRecord]| {
             let mut keys: Vec<String> = recs
@@ -134,9 +133,9 @@ proptest! {
         // arbitrary relative order of identical keys).
         let key = |r: &DataRecord| {
             (
+                r.descriptor().created_s(),
                 r.sensor_type().category(),
                 r.sensor_type(),
-                r.descriptor().created_s(),
                 r.reading().sensor(),
             )
         };

@@ -13,11 +13,11 @@
 
 use crate::{Error, Reading, Result, SensorId, SensorType, Shape, Value};
 
-/// Where a wire line's bytes go: a buffer, a byte count, a running hash.
-/// A line is written once against this, so the text [`encode`] builds,
-/// the length [`encoded_len`] reports and the digest a lineage chain
-/// folds cannot disagree — and none of them goes through `core::fmt`.
-pub trait Sink {
+/// Where a wire line's bytes go: a buffer, a byte count, a formatter.
+/// A line is written once against this, so the text [`encode`] builds
+/// and the length [`encoded_len`] reports cannot disagree — and neither
+/// goes through `core::fmt`.
+pub(crate) trait Sink {
     /// Takes the next bytes of the line (always ASCII).
     fn put(&mut self, bytes: &[u8]);
 }
@@ -51,7 +51,7 @@ pub(crate) fn put_decimal(out: &mut impl Sink, mut v: u64) {
 }
 
 /// The one definition of a wire line, for any sink.
-pub fn write_line(out: &mut impl Sink, reading: &Reading) {
+pub(crate) fn write_line(out: &mut impl Sink, reading: &Reading) {
     let ty = reading.sensor_type();
     out.put(ty.category().provider().as_bytes());
     out.put(b".");
