@@ -11,11 +11,9 @@
 //! partial is a register *raise* per entry — no search, no shift, no
 //! allocation — and clearing or estimating costs what was touched.
 //!
-//! Scalars keep the grouping the answers were always computed in: records
-//! and bucket partials join the current **leg**, and [`AggAcc::end_leg`]
-//! adds the leg to the total — the same float additions in the same
-//! order as merging one `AggPartial` per leg, so `sum` and `variance`
-//! keep their bits. Registers are a max and need no grouping.
+//! Every field merges exactly — integer sums, a min, a max, a register
+//! max — so what the accumulator reads is the same bits as the partials
+//! it took merged in any order.
 
 // Lint ratchet: the serving path folds every aggregate through this file.
 
@@ -44,39 +42,13 @@ pub trait AggState {
     fn distinct_estimate(&self) -> u64;
 }
 
-impl AggState for AggPartial {
-    fn absorb(&mut self, magnitude: f64, sensor_key: u64) {
-        AggPartial::absorb(self, magnitude, sensor_key);
-    }
-
-    fn merge(&mut self, other: &AggPartial) {
-        AggPartial::merge(self, other);
-    }
-
-    fn moments(&self) -> &Moments {
-        AggPartial::moments(self)
-    }
-
-    fn minmax(&self) -> &MinMax {
-        AggPartial::minmax(self)
-    }
-
-    fn distinct_estimate(&self) -> u64 {
-        AggPartial::distinct_estimate(self)
-    }
-}
-
-/// The reusable dense accumulator of one aggregate request: the current
-/// leg's scalars, the total of the legs ended so far, one flat register
-/// file shared by all legs, and the indices of its occupied registers.
-///
-/// Reading ([`AggState::moments`], [`AggState::minmax`],
-/// [`AggState::distinct_estimate`]) sees the legs ended so far; a
-/// single-source fold is one leg.
+/// The reusable dense accumulator of one aggregate request: the scalars,
+/// one flat register file, and the indices of its occupied registers.
 ///
 /// # Examples
 ///
-/// Two legs folded into one accumulator read like their partials merged:
+/// Records and partials folded into one accumulator read like the
+/// partials merged:
 ///
 /// ```
 /// use f2c_aggregate::sketch::{AggAcc, AggPartial, AggState};
@@ -87,10 +59,8 @@ impl AggState for AggPartial {
 ///     a.absorb(i as f64, i % 9);
 ///     acc.absorb(i as f64, i % 9);
 /// }
-/// acc.end_leg();
 /// b.absorb(7.5, 100);
-/// acc.merge(&b); // a cached or ledger partial joins the second leg
-/// acc.end_leg();
+/// acc.merge(&b); // a cached or ledger partial
 /// a.merge(&b);
 /// assert_eq!(acc.moments(), a.moments());
 /// assert_eq!(acc.distinct_estimate(), a.distinct_estimate());
@@ -99,8 +69,6 @@ impl AggState for AggPartial {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AggAcc {
-    leg_moments: Moments,
-    leg_minmax: MinMax,
     moments: Moments,
     minmax: MinMax,
     registers: [u8; REGISTER_COUNT],
@@ -116,22 +84,12 @@ impl AggAcc {
     /// register file here, once, so no fold ever grows it.
     pub fn new() -> Self {
         Self {
-            leg_moments: Moments::empty(),
-            leg_minmax: MinMax::empty(),
             moments: Moments::empty(),
             minmax: MinMax::empty(),
             registers: [0; REGISTER_COUNT],
             occupied: Vec::with_capacity(REGISTER_COUNT),
             max_rank: 0,
         }
-    }
-
-    /// Ends the current leg: its scalars join the total, in leg order.
-    pub fn end_leg(&mut self) {
-        self.moments.merge(&self.leg_moments);
-        self.minmax.merge(&self.leg_minmax);
-        self.leg_moments = Moments::empty();
-        self.leg_minmax = MinMax::empty();
     }
 
     /// Back to empty, touching only the registers that were raised.
@@ -141,8 +99,6 @@ impl AggAcc {
         }
         self.occupied.clear();
         self.max_rank = 0;
-        self.leg_moments = Moments::empty();
-        self.leg_minmax = MinMax::empty();
         self.moments = Moments::empty();
         self.minmax = MinMax::empty();
     }
@@ -185,15 +141,15 @@ impl Default for AggAcc {
 
 impl AggState for AggAcc {
     fn absorb(&mut self, magnitude: f64, sensor_key: u64) {
-        self.leg_moments.absorb(magnitude);
-        self.leg_minmax.absorb(magnitude);
+        self.moments.absorb(magnitude);
+        self.minmax.absorb(magnitude);
         let (idx, rank) = slot_rank(&sensor_key.to_le_bytes(), PARTIAL_HLL_PRECISION);
         self.raise(idx, rank);
     }
 
     fn merge(&mut self, other: &AggPartial) {
-        self.leg_moments.merge(other.moments());
-        self.leg_minmax.merge(other.minmax());
+        self.moments.merge(other.moments());
+        self.minmax.merge(other.minmax());
         match other.registers() {
             Registers::Sparse(entries) => {
                 for &(idx, rank) in entries {
@@ -240,6 +196,11 @@ mod tests {
         proptest::collection::vec((0u8..8, any::<u64>(), 0u32..700, any::<bool>()), len)
     }
 
+    /// A magnitude in whole hundredths, as every reading is.
+    fn magnitude(rng: &mut SmallRng) -> f64 {
+        rng.gen_range(-30_000i64..1_000_000) as f64 / 100.0
+    }
+
     /// A partial only the wire can deliver: a few absorbed observations
     /// plus `n` crafted register entries — sparse below a third of the
     /// registers, dense above — with ranks up to 30, or with `high` up
@@ -247,7 +208,7 @@ mod tests {
     fn crafted(rng: &mut SmallRng, n: u32, high: bool) -> AggPartial {
         let mut p = AggPartial::empty();
         for _ in 0..rng.gen_range(0..5) {
-            p.absorb(rng.gen_range(-1.0e5..1.0e5), rng.gen_range(0..3_000));
+            p.absorb(magnitude(rng), rng.gen_range(0..3_000));
         }
         let cap = if high { 56 } else { 31 };
         let entries = (0..n)
@@ -258,18 +219,18 @@ mod tests {
         p
     }
 
-    /// Runs `steps` against the accumulator and against the old form —
-    /// one `AggPartial` per leg, merged in leg order — and holds every
-    /// read of the two to the same bits.
+    /// Runs `steps` against the accumulator and against one `AggPartial`
+    /// per leg, the legs merged in reverse, and holds every read of the
+    /// two to the same bits.
     fn run_against_model(acc: &mut AggAcc, steps: &[Step]) {
-        let mut total = AggPartial::empty();
-        let mut leg = AggPartial::empty();
+        let mut legs = vec![AggPartial::empty()];
         for &(kind, seed, n, high) in steps {
             let mut rng = SmallRng::seed_from_u64(seed);
+            let leg = legs.last_mut().unwrap();
             match kind {
                 0..=3 => {
                     for _ in 0..n % 40 {
-                        let (v, key) = (rng.gen_range(-300.0..1.0e4), rng.gen_range(0..3_000));
+                        let (v, key) = (magnitude(&mut rng), rng.gen_range(0..3_000));
                         acc.absorb(v, key);
                         leg.absorb(v, key);
                     }
@@ -281,22 +242,16 @@ mod tests {
                     AggState::merge(acc, &other);
                     leg.merge(&other);
                 }
-                _ => {
-                    acc.end_leg();
-                    total.merge(&leg);
-                    leg = AggPartial::empty();
-                }
+                _ => legs.push(AggPartial::empty()),
             }
         }
-        acc.end_leg();
-        total.merge(&leg);
+        let mut total = AggPartial::empty();
+        for leg in legs.iter().rev() {
+            total.merge(leg);
+        }
 
-        let (got, want) = (AggState::moments(acc), total.moments());
-        assert_eq!(got.count, want.count);
-        assert_eq!(got.sum.to_bits(), want.sum.to_bits());
-        assert_eq!(got.sum_sq.to_bits(), want.sum_sq.to_bits());
-        let bits = |m: &MinMax| (m.min.map(f64::to_bits), m.max.map(f64::to_bits));
-        assert_eq!(bits(AggState::minmax(acc)), bits(total.minmax()));
+        assert_eq!(AggState::moments(acc), total.moments());
+        assert_eq!(AggState::minmax(acc), total.minmax());
         let (got, want) = (acc.harmonic_sum(), total.sketch().harmonic_sum());
         assert_eq!((got.0.to_bits(), got.1), (want.0.to_bits(), want.1));
         assert_eq!(AggState::distinct_estimate(acc), total.distinct_estimate());
@@ -327,6 +282,67 @@ mod tests {
         }
     }
 
+    /// `items` in the order `seed` draws (Fisher–Yates).
+    fn permuted<T: Clone>(items: &[T], seed: u64) -> Vec<T> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut out = items.to_vec();
+        for i in (1..out.len()).rev() {
+            out.swap(i, rng.gen_range(0..=i));
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn any_merge_order_gives_the_same_bits(
+            legs in proptest::collection::vec(
+                proptest::collection::vec((any::<u64>(), 0u32..60, any::<bool>()), 0..8),
+                0..12,
+            ),
+            seed in any::<u64>(),
+        ) {
+            // Legs of bucket partials, as a scatter gathers them.
+            let legs: Vec<Vec<AggPartial>> = legs
+                .iter()
+                .map(|buckets| {
+                    let buckets = buckets.iter();
+                    buckets
+                        .map(|&(s, n, high)| crafted(&mut SmallRng::seed_from_u64(s), n, high))
+                        .collect()
+                })
+                .collect();
+            let reorder = |seed: u64| -> Vec<Vec<AggPartial>> {
+                let legs = permuted(&legs, seed);
+                (0u64..).zip(&legs).map(|(i, b)| permuted(b, seed ^ i)).collect()
+            };
+            let (ours, theirs) = (reorder(seed), reorder(!seed));
+            // Through the accumulator, bucket by bucket …
+            let mut acc = AggAcc::new();
+            for bucket in ours.iter().flatten() {
+                AggState::merge(&mut acc, bucket);
+            }
+            // … and through partials merged per leg, then across legs.
+            let mut total = AggPartial::empty();
+            for leg in &theirs {
+                let mut merged = AggPartial::empty();
+                for bucket in leg {
+                    merged.merge(bucket);
+                }
+                total.merge(&AggPartial::decode(&merged.encode()).unwrap());
+            }
+            let mut flat = AggPartial::empty();
+            for bucket in legs.iter().flatten() {
+                flat.merge(bucket);
+            }
+            prop_assert_eq!(total.encode(), flat.encode());
+            prop_assert_eq!(AggState::moments(&acc), flat.moments());
+            prop_assert_eq!(AggState::minmax(&acc), flat.minmax());
+            prop_assert_eq!(AggState::distinct_estimate(&acc), flat.distinct_estimate());
+            let bits = |m: &Moments| [m.sum(), m.mean(), m.variance()].map(|v| v.map(f64::to_bits));
+            prop_assert_eq!(bits(AggState::moments(&acc)), bits(total.moments()));
+        }
+    }
+
     #[test]
     fn a_high_rank_switches_to_the_index_order_sum() {
         // Ranks past `52 - p` make the harmonic sum order-dependent: the
@@ -343,7 +359,6 @@ mod tests {
             AggState::merge(&mut acc, &p);
             whole.merge(&p);
         }
-        acc.end_leg();
         assert!(acc.max_rank > exact_rank(PARTIAL_HLL_PRECISION));
         let (got, want) = (acc.harmonic_sum(), whole.sketch().harmonic_sum());
         assert_eq!((got.0.to_bits(), got.1), (want.0.to_bits(), want.1));

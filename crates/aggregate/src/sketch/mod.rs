@@ -17,7 +17,7 @@
 //! # Example: fold at fog 1, ship, merge at fog 2
 //!
 //! ```
-//! use f2c_aggregate::sketch::{AggPartial, SketchKey, SketchLedger};
+//! use f2c_aggregate::sketch::{AggPartial, AggState, SketchKey, SketchLedger};
 //! use scc_sensors::SensorType;
 //!
 //! // Fog 1 folds its flush batch into one bucket partial...

@@ -5,9 +5,9 @@
 //! aggregate answer needs: [`Moments`] (count/sum/sum-of-squares),
 //! [`MinMax`] extremes, and a [`HyperLogLog`] distinct-sensor sketch.
 //! Folding records into partials and merging partials commutes with a
-//! flat fold (exactly for count/min/max/distinct, within float rounding
-//! for sums), which is what lets fog-1 nodes pre-fold their flush
-//! batches and every tier above merge instead of re-scanning.
+//! flat fold exactly, for every field and in any order, which is what
+//! lets fog-1 nodes pre-fold their flush batches and every tier above
+//! merge instead of re-scanning.
 //!
 //! The wire form ([`AggPartial::encode`] / [`AggPartial::decode`]) is a
 //! fixed little-endian layout with a sparse-or-dense register encoding
@@ -21,7 +21,7 @@
 
 use crate::functions::{Decomposable, MinMax, Moments};
 use crate::sketch::hyperloglog::is_valid_precision;
-use crate::sketch::{HyperLogLog, Registers};
+use crate::sketch::{AggState, HyperLogLog, Registers};
 use crate::{Error, Result};
 
 /// HyperLogLog precision used by every [`AggPartial`] (1024 registers,
@@ -30,12 +30,12 @@ use crate::{Error, Result};
 pub const PARTIAL_HLL_PRECISION: u32 = 10;
 const _: () = assert!(is_valid_precision(PARTIAL_HLL_PRECISION));
 
-/// Wire magic of an encoded partial (`b"AGP1"`).
-const MAGIC: [u8; 4] = *b"AGP1";
+/// Wire magic of an encoded partial (`b"AGP2"`: integer sums).
+const MAGIC: [u8; 4] = *b"AGP2";
 
-/// Bytes before the register block: magic, precision, extremes flag,
-/// five 8-byte words (count, sum, sum of squares, min, max), mode.
-const HEADER_LEN: usize = 4 + 2 + 5 * 8 + 1;
+/// Bytes before the register block: magic, precision, count, sum,
+/// 16-byte sum of squares, min, max (zero when empty), mode.
+const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 16 + 8 + 8 + 1;
 
 /// A mergeable partial aggregation state over a slice of observations —
 /// moments + extremes + a distinct-sensor sketch, all of which merge
@@ -58,9 +58,7 @@ const HEADER_LEN: usize = 4 + 2 + 5 * 8 + 1;
 /// let shipped = AggPartial::decode(&a.encode())?; // CRC-checked hop
 /// let mut merged = shipped;
 /// merged.merge(&b);
-/// assert_eq!(merged.count(), flat.count());
-/// assert_eq!(merged.distinct_estimate(), flat.distinct_estimate());
-/// assert_eq!(merged.minmax().min, flat.minmax().min);
+/// assert_eq!(merged, flat);
 /// # Ok::<(), f2c_aggregate::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -89,9 +87,7 @@ impl AggPartial {
         self.distinct.add(&sensor_key.to_le_bytes());
     }
 
-    /// Merges another partial into this one. Order-insensitive for
-    /// count/min/max/distinct; floating sums may differ from a flat fold
-    /// by rounding only.
+    /// Merges another partial into this one; any order gives the same bits.
     pub fn merge(&mut self, other: &Self) {
         self.moments.merge(&other.moments);
         self.minmax.merge(&other.minmax);
@@ -101,16 +97,6 @@ impl AggPartial {
     /// Number of absorbed observations.
     pub fn count(&self) -> u64 {
         self.moments.count
-    }
-
-    /// The moments state (count, sum, sum of squares).
-    pub fn moments(&self) -> &Moments {
-        &self.moments
-    }
-
-    /// The extremes state.
-    pub fn minmax(&self) -> &MinMax {
-        &self.minmax
     }
 
     /// Heap bytes of the distinct sketch's registers; the moments and
@@ -137,16 +123,6 @@ impl AggPartial {
         self.distinct.merge(sketch);
     }
 
-    /// HyperLogLog estimate of distinct absorbed sensor keys (0 when
-    /// nothing was absorbed).
-    pub fn distinct_estimate(&self) -> u64 {
-        if self.moments.count == 0 {
-            0
-        } else {
-            self.distinct.estimate()
-        }
-    }
-
     /// Encodes the partial for shipping: magic, moments, extremes, the
     /// HyperLogLog registers (sparse when mostly empty, dense
     /// otherwise), and a trailing CRC-32 over everything before it.
@@ -159,12 +135,12 @@ impl AggPartial {
         let mut out = Vec::with_capacity(HEADER_LEN + block_len + 4);
         out.extend_from_slice(&MAGIC);
         out.push(PARTIAL_HLL_PRECISION as u8);
-        out.push(u8::from(self.minmax.min.is_some()));
         out.extend_from_slice(&self.moments.count.to_le_bytes());
-        out.extend_from_slice(&self.moments.sum.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.moments.sum_sq.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.minmax.min.unwrap_or(0.0).to_bits().to_le_bytes());
-        out.extend_from_slice(&self.minmax.max.unwrap_or(0.0).to_bits().to_le_bytes());
+        out.extend_from_slice(&self.moments.sum.to_le_bytes());
+        out.extend_from_slice(&self.moments.sum_sq);
+        let (min, max) = self.minmax.extremes().unwrap_or((0.0, 0.0));
+        out.extend_from_slice(&min.to_le_bytes());
+        out.extend_from_slice(&max.to_le_bytes());
         // Sparse beats dense while fewer than a third of the registers
         // are occupied (3 bytes per entry vs 1 byte per register) — the
         // rule the sketch already holds its registers by.
@@ -192,7 +168,8 @@ impl AggPartial {
     /// # Errors
     ///
     /// [`Error::CorruptPartial`] on a short buffer, bad magic, precision
-    /// mismatch, malformed register block, or checksum failure.
+    /// mismatch, moments or extremes no absorb produces, malformed
+    /// register block, or checksum failure.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let corrupt = |reason: &'static str| Error::CorruptPartial { reason };
         if bytes.len() < HEADER_LEN + 4 {
@@ -207,20 +184,25 @@ impl AggPartial {
         if take::<4>(&mut rest)? != MAGIC {
             return Err(corrupt("bad magic"));
         }
-        let [precision, extremes] = take(&mut rest)?;
+        let [precision] = take(&mut rest)?;
         if u32::from(precision) != PARTIAL_HLL_PRECISION {
             return Err(corrupt("precision mismatch"));
         }
-        let has_minmax = match extremes {
-            0 => false,
-            1 => true,
-            _ => return Err(corrupt("bad extremes flag")),
+        let moments = Moments {
+            count: u64::from_le_bytes(take(&mut rest)?),
+            sum: i64::from_le_bytes(take(&mut rest)?),
+            sum_sq: take(&mut rest)?,
         };
-        let count = u64::from_le_bytes(take(&mut rest)?);
-        let sum = f64::from_bits(u64::from_le_bytes(take(&mut rest)?));
-        let sum_sq = f64::from_bits(u64::from_le_bytes(take(&mut rest)?));
-        let min = f64::from_bits(u64::from_le_bytes(take(&mut rest)?));
-        let max = f64::from_bits(u64::from_le_bytes(take(&mut rest)?));
+        if !moments.reachable() {
+            return Err(corrupt("moments no absorb produces"));
+        }
+        let min = f64::from_le_bytes(take(&mut rest)?);
+        let max = f64::from_le_bytes(take(&mut rest)?);
+        let minmax = match moments.count {
+            0 if (min.to_bits(), max.to_bits()) == (0, 0) => MinMax::empty(),
+            1.. if min <= max && min.is_finite() && max.is_finite() => MinMax { min, max },
+            _ => return Err(corrupt("extremes no absorb produces")),
+        };
         let [mode] = take(&mut rest)?;
         let regs = rest;
         let distinct = match mode {
@@ -247,17 +229,36 @@ impl AggPartial {
             _ => return Err(corrupt("bad register mode")),
         };
         Ok(Self {
-            moments: Moments { sum, sum_sq, count },
-            minmax: if has_minmax {
-                MinMax {
-                    min: Some(min),
-                    max: Some(max),
-                }
-            } else {
-                MinMax::empty()
-            },
+            moments,
+            minmax,
             distinct,
         })
+    }
+}
+
+impl AggState for AggPartial {
+    fn absorb(&mut self, magnitude: f64, sensor_key: u64) {
+        AggPartial::absorb(self, magnitude, sensor_key);
+    }
+
+    fn merge(&mut self, other: &AggPartial) {
+        AggPartial::merge(self, other);
+    }
+
+    fn moments(&self) -> &Moments {
+        &self.moments
+    }
+
+    fn minmax(&self) -> &MinMax {
+        &self.minmax
+    }
+
+    fn distinct_estimate(&self) -> u64 {
+        if self.moments.count == 0 {
+            0
+        } else {
+            self.distinct.estimate()
+        }
     }
 }
 
@@ -365,7 +366,7 @@ mod tests {
         let p = AggPartial::empty();
         assert_eq!(p.count(), 0);
         assert_eq!(p.distinct_estimate(), 0);
-        assert_eq!(p.minmax().min, None);
+        assert_eq!(p.minmax().extremes(), None);
         assert_eq!(p.moments().mean(), None);
     }
 }

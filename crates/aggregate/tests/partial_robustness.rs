@@ -11,8 +11,8 @@ mod reference;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use f2c_aggregate::sketch::{AggPartial, PARTIAL_HLL_PRECISION};
-use reference::{header, seal, sparse_block, RefPartial};
+use f2c_aggregate::sketch::{AggPartial, AggState, PARTIAL_HLL_PRECISION};
+use reference::{seal, sparse_block, RefPartial, MODE_AT};
 
 thread_local! {
     /// Bytes this thread has asked the allocator for.
@@ -106,7 +106,7 @@ fn decode_checked(wire: &[u8], what: &str) -> Option<AggPartial> {
 /// The wire of `p` with its register block replaced by `block` (mode
 /// byte included), resealed.
 fn with_block(p: &AggPartial, block: &[u8]) -> Vec<u8> {
-    let mut body = header(p.moments(), p.minmax());
+    let mut body = p.encode()[..MODE_AT].to_vec();
     body.extend_from_slice(block);
     seal(body)
 }
@@ -157,7 +157,7 @@ fn every_bitflip_fails_cleanly_or_decodes_as_the_reference_does() {
 fn a_lying_sparse_count_is_refused() {
     let p = filled(8);
     let wire = p.encode();
-    let honest = &wire[46..wire.len() - 4];
+    let honest = &wire[MODE_AT..wire.len() - 4];
     assert_eq!(honest[..3], [1, 8, 0], "eight sparse entries");
     for lie in [0u16, 7, 9, 341, 342, u16::MAX] {
         let mut block = honest.to_vec();
@@ -190,7 +190,7 @@ fn out_of_range_indices_are_refused() {
 fn non_canonical_sparse_blocks_decode_as_last_write_wins() {
     let p = filled(8);
     let wire = p.encode();
-    let entries: Vec<(u16, u8)> = wire[49..wire.len() - 4]
+    let entries: Vec<(u16, u8)> = wire[MODE_AT + 3..wire.len() - 4]
         .chunks_exact(3)
         .map(|e| (u16::from_le_bytes([e[0], e[1]]), e[2]))
         .collect();
@@ -230,9 +230,9 @@ fn a_block_in_the_wrong_form_decodes_to_the_canonical_one() {
     // 342 occupied registers shipped as 342 sparse entries …
     let dense = filled(FIRST_DENSE);
     let wire = dense.encode();
-    assert_eq!(wire[46], 0, "342 occupied registers ship dense");
+    assert_eq!(wire[MODE_AT], 0, "342 occupied registers ship dense");
     let entries: Vec<(u16, u8)> = (0u16..)
-        .zip(&wire[47..47 + REGISTERS])
+        .zip(&wire[MODE_AT + 1..MODE_AT + 1 + REGISTERS])
         .filter(|&(_, &r)| r != 0)
         .map(|(i, &r)| (i, r))
         .collect();
@@ -246,9 +246,13 @@ fn a_block_in_the_wrong_form_decodes_to_the_canonical_one() {
     // … and 341 shipped as a dense block.
     let sparse = filled(FIRST_DENSE - 1);
     let wire = sparse.encode();
-    assert_eq!(wire[46..49], [1, 0x55, 0x01], "341 sparse entries");
+    assert_eq!(
+        wire[MODE_AT..MODE_AT + 3],
+        [1, 0x55, 0x01],
+        "341 sparse entries"
+    );
     let mut block = vec![0u8; 1 + REGISTERS];
-    for e in wire[49..wire.len() - 4].chunks_exact(3) {
+    for e in wire[MODE_AT + 3..wire.len() - 4].chunks_exact(3) {
         block[1 + usize::from(u16::from_le_bytes([e[0], e[1]]))] = e[2];
     }
     let undersized = with_block(&sparse, &block);
@@ -265,8 +269,81 @@ fn a_block_in_the_wrong_form_decodes_to_the_canonical_one() {
     assert!(decode_checked(&long, "long dense block").is_none());
 }
 
-/// Frozen wires of `filled(n)`, generated at the last commit that held
-/// registers dense. Any byte of drift is a wire-format break.
+/// `p`'s wire with its scalars replaced, resealed: `count` at 5, `sum`
+/// at 13, `sum_sq` at 21, `min` at 37, `max` at 45.
+fn with_scalars(p: &AggPartial, count: u64, sum: i64, sum_sq: i128, extremes: [f64; 2]) -> Vec<u8> {
+    let mut body = p.encode()[..p.encode().len() - 4].to_vec();
+    body[5..13].copy_from_slice(&count.to_le_bytes());
+    body[13..21].copy_from_slice(&sum.to_le_bytes());
+    body[21..37].copy_from_slice(&sum_sq.to_le_bytes());
+    body[37..45].copy_from_slice(&extremes[0].to_bits().to_le_bytes());
+    body[45..53].copy_from_slice(&extremes[1].to_bits().to_le_bytes());
+    seal(body)
+}
+
+#[test]
+fn scalars_no_absorb_produces_are_refused() {
+    // filled(8): -3 ..= 4, so 400 hundredths and 440 000 squared.
+    let p = filled(8);
+    assert_eq!(with_scalars(&p, 8, 400, 440_000, [-3.0, 4.0]), p.encode());
+    let refused = [
+        (0, 400, 0, [0.0, 0.0], "a sum without a count"),
+        (0, 0, 440_000, [0.0, 0.0], "squares without a count"),
+        (0, 0, 0, [-3.0, 4.0], "extremes without a count"),
+        (0, 0, 0, [-0.0, 0.0], "a negative zero without a count"),
+        (8, 400, -1, [-3.0, 4.0], "negative squares"),
+        (8, 400, 19_999, [-3.0, 4.0], "(Σx)² > n·Σx²"),
+        (8, 400, 440_000, [f64::NAN, 4.0], "a NaN min"),
+        (8, 400, 440_000, [-3.0, f64::NAN], "a NaN max"),
+        (8, 400, 440_000, [f64::NEG_INFINITY, 4.0], "an infinite min"),
+        (8, 400, 440_000, [-3.0, f64::INFINITY], "an infinite max"),
+        (8, 400, 440_000, [4.0, -3.0], "min > max"),
+    ];
+    for (count, sum, sum_sq, extremes, what) in refused {
+        let wire = with_scalars(&p, count, sum, sum_sq, extremes);
+        assert!(AggPartial::decode(&wire).is_err(), "{what}");
+        assert!(decode_checked(&wire, what).is_none(), "{what}");
+    }
+    // The overflowed state an absorb does produce decodes, and answers
+    // no sum: saturated squares, and sums past the 2^126 bound.
+    for (count, sum, sum_sq) in [(8, 0, i128::MAX), (u64::MAX, 5, 25), (2, -16, 1 << 125)] {
+        let wire = with_scalars(&p, count, sum, sum_sq, [-3.0, 4.0]);
+        let back = decode_checked(&wire, "overflowed").expect("an overflow decodes");
+        assert_eq!(back.moments().sum(), None);
+        assert_eq!(back.encode(), wire);
+    }
+}
+
+#[test]
+fn an_overflow_survives_the_wire() {
+    let mut p = filled(8);
+    p.absorb(1.0e17, 3);
+    let back = decode_checked(&p.encode(), "overflowed").expect("decodes");
+    assert_eq!(back, p);
+    assert_eq!(back.moments().sum(), None);
+    assert_eq!(back.moments().variance(), None);
+    assert_eq!(back.minmax().extremes(), Some((-3.0, 1.0e17)));
+}
+
+#[test]
+fn the_integer_free_wire_is_refused_by_its_magic() {
+    // `filled(8)` as `AGP1` shipped it, float sums and all.
+    let agp1 = unhex(
+        "414750310a0108000000000000000000000000001040000000000000464000000000000008c000000000000010400108\
+         000401030a02011c0204760201430301670305b20304f2030102edeb7f",
+    );
+    assert_eq!(agp1.len(), 77);
+    assert!(matches!(
+        AggPartial::decode(&agp1),
+        Err(f2c_aggregate::Error::CorruptPartial {
+            reason: "bad magic"
+        })
+    ));
+}
+
+/// Frozen wires of `filled(n)`: the register blocks as the last commit
+/// that held registers dense generated them, behind the `AGP2` header
+/// (integer sums). Any byte of drift is a wire-format break.
 const VECTORS: [(u64, &str); 5] = [
     (0, EMPTY),
     (8, EIGHT),
@@ -292,84 +369,84 @@ fn encode_matches_the_frozen_vectors() {
 }
 
 const EMPTY: &str = "\
-    414750310a00000000000000000000000000000000000000000000000000000000000000000000000000000000000100\
-    000acca23d";
+    414750320a00000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    0000000000010000bf63f93a";
 
 const EIGHT: &str = "\
-    414750310a0108000000000000000000000000001040000000000000464000000000000008c000000000000010400108\
-    000401030a02011c0204760201430301670305b20304f2030102edeb7f";
+    414750320a08000000000000009001000000000000c0b6060000000000000000000000000000000000000008c0000000\
+    00000010400108000401030a02011c0204760201430301670305b20304f2030136466515";
 
 const OCCUPIED_341: &str = "\
-    414750310a01a80100000000000000000000009093400000000000c6c24000000000000008c000000000000022400155\
-    010400030700020900020c00040f00011000021500021b00031c00022600032800012a00012b00022f00023100013200\
-    013300023700023800013900033c00014000014400014800044e00014f00055600015700015b00015d00046000026200\
-    026400016800026b00016c00036d00027000027100047300027400027e00018000018400028500018d00028f00019100\
-    019200029700029800019900029c00019d00059f0001a10002a70002a80001aa0002b00005b60003b70004c30002c400\
-    02c50001c60001c70003c80001c90001d00002d50003d60002d70004db0007dc0001dd0001e10003e30002e50002e800\
-    01ea0001ed0003f10005f30001f40001f70001fa00060301020401030601020701030a01051101021201031601011b01\
-    041e01012201012601062a01052c01012f01023001083501013601014101024201034301014901014c01014d01034e01\
-    015601025701025f01046001016201046501016a01036b01016c01016e01017101017901017c01018501018601018701\
-    048e01019201019301019601019a01029b0107a10102a70101a90102ab0102b10101b40101b50103b60102b70102be01\
-    01c10101c50103cb0101ce0101d10104d30101d80105d90107da0101e00102e30101e50103e70103ec0102ed0101ee01\
-    01ef0102f10101f20102f50102f90103fc0101ff01010202010902010a02010c02070d02010f02011002021202031502\
-    011602011802031902011a02021b02031c02041e02011f02022202022302032502022902023002023302033502023b02\
-    013c02024202034402014502014a02034c02015202015602015a02015d02025f02026102047002017102067202027502\
-    017602017702017902017b02017d02087e02058002038602038702048d02048f02029202039d02019e02029f0201a502\
-    05a60202a70203a90202aa0201ac0202b20203b30207ba0203c10201c20202c30202c40202c50201ca0205cc0201d502\
-    01d90201db0202e10201e30203e60201ea0201ec0204ee0201ef0201f50201f60202f70202f80207f90203fd0203fe02\
-    010003050303020503020603010a03030c03010f03011603011703011903021d03022203012303032403013003033603\
-    013b03033c03073e03024103024203044303014403014503074b03015203015803015a03015b03035f03026303016503\
-    016703056e03027303017603017903037b03037f03028103028203048603078803018e03059103039203019303029703\
-    039a03039b03039c03029d0303a30304a90301aa0301b10304b20304b70303b90303bb0301c10304c20301c40302ca03\
-    01cb0301cf0302d60301d70301da0303db0305df0301e10304e30307e50304e60301e70302e90301ee0301f00301f203\
-    01f30301f80302f90305fd0301fe0302955a1cb2";
+    414750320aa80100000000000010e9010000000000c0acba0500000000000000000000000000000000000008c0000000\
+    00000022400155010400030700020900020c00040f00011000021500021b00031c00022600032800012a00012b00022f\
+    00023100013200013300023700023800013900033c00014000014400014800044e00014f00055600015700015b00015d\
+    00046000026200026400016800026b00016c00036d00027000027100047300027400027e00018000018400028500018d\
+    00028f00019100019200029700029800019900029c00019d00059f0001a10002a70002a80001aa0002b00005b60003b7\
+    0004c30002c40002c50001c60001c70003c80001c90001d00002d50003d60002d70004db0007dc0001dd0001e10003e3\
+    0002e50002e80001ea0001ed0003f10005f30001f40001f70001fa00060301020401030601020701030a010511010212\
+    01031601011b01041e01012201012601062a01052c01012f01023001083501013601014101024201034301014901014c\
+    01014d01034e01015601025701025f01046001016201046501016a01036b01016c01016e01017101017901017c010185\
+    01018601018701048e01019201019301019601019a01029b0107a10102a70101a90102ab0102b10101b40101b50103b6\
+    0102b70102be0101c10101c50103cb0101ce0101d10104d30101d80105d90107da0101e00102e30101e50103e70103ec\
+    0102ed0101ee0101ef0102f10101f20102f50102f90103fc0101ff01010202010902010a02010c02070d02010f020110\
+    02021202031502011602011802031902011a02021b02031c02041e02011f020222020223020325020229020230020233\
+    02033502023b02013c02024202034402014502014a02034c02015202015602015a02015d02025f020261020470020171\
+    02067202027502017602017702017902017b02017d02087e02058002038602038702048d02048f02029202039d02019e\
+    02029f0201a50205a60202a70203a90202aa0201ac0202b20203b30207ba0203c10201c20202c30202c40202c50201ca\
+    0205cc0201d50201d90201db0202e10201e30203e60201ea0201ec0204ee0201ef0201f50201f60202f70202f80207f9\
+    0203fd0203fe02010003050303020503020603010a03030c03010f03011603011703011903021d030222030123030324\
+    03013003033603013b03033c03073e03024103024203044303014403014503074b03015203015803015a03015b03035f\
+    03026303016503016703056e03027303017603017903037b03037f03028103028203048603078803018e030591030392\
+    03019303029703039a03039b03039c03029d0303a30304a90301aa0301b10304b20304b70303b90303bb0301c10304c2\
+    0301c40302ca0301cb0301cf0302d60301d70301da0303db0305df0301e10304e30307e50304e60301e70302e90301ee\
+    0301f00301f20301f30301f80302f90305fd0301fe03021838628a";
 
 const OCCUPIED_342: &str = "\
-    414750310a01a9010000000000000000000000a493400000000080d2c24000000000000008c000000000000022400000\
-    000000030000020002000004000001020000000002000000000003020000000000000000000300010001020000000200\
-    010102000000020103000001000000010000000100000004000000000001050000000000000101000000010004000002\
-    000200010000000200000103020000020400020200000000000000000001000100000002010000000000000002000100\
-    010200000000020102000001050001000200000000000201000200000000000500000000000304000000000000000000\
-    000002020101030101000000000000020000000003020400000007010100000003000200020000010001000003000000\
-    050001010000010000060000000000000000020300020300000500000000000002030000000100000000040000010000\
-    000100000006000000050001000002080000000001010000000000000000000002030100000000000100000103010000\
-    000000000002020000000000000004010004000001000000000301010001000001000000000000000100000100000000\
-    000000000101040000000000000100000001010000010000000207000000000002000000000001000200020000000000\
-    010000010302020000000000000100000100000003000000000001000001000004000100000000050701000000000002\
-    000001000300030000000002010102000102000002000000030000010000010000010000000000000101000701000102\
-    000300000101000301020304000102000002030002000000020000000000000200000300020000000000010200000000\
-    000300010100000000030001000000000001000000010000000100000200020004000000000000000000000000000001\
-    060200000101010001000100080500030000000000030400000000000400020000030000000000000000000001020100\
-    000000000502030002010002000000000003070000000000000300000000000001020202010000000005000100000000\
-    000000000100000001000200000000000100030000010000000100040001010000000000010202070300000003010005\
-    000002000201000000030001000001000000000000010100020000000200000000010301000000000000000000000003\
-    000000000001000000000307000200000204010107000000000001000000000000010000000000010001030000000200\
-    000001000100050000000000000200000000010000010000030003000000020002040000000700010000000000050000\
-    030102000000030000030302030000000100040000000000010100000000000004040000000003000300010000000000\
-    040100020000000000010100000002000000000000010100000305000000010004000700040102000100000000010001\
-    000101000000000205000000010200e83bcc3f";
+    414750320aa90100000000000004eb010000000000507dbe0500000000000000000000000000000000000008c0000000\
+    000000224000000000000300000200020000040000010200000000020000000000030200000000000000000003000100\
+    010200000002000101020000000201030000010000000100000001000000040000000000010500000000000001010000\
+    000100040000020002000100000002000001030200000204000202000000000000000000010001000000020100000000\
+    000000020001000102000000000201020000010500010002000000000002010002000000000005000000000003040000\
+    000000000000000000020201010301010000000000000200000000030204000000070101000000030002000200000100\
+    010000030000000500010100000100000600000000000000000203000203000005000000000000020300000001000000\
+    000400000100000001000000060000000500010000020800000000010100000000000000000000020301000000000001\
+    000001030100000000000000020200000000000000040100040000010000000003010100010000010000000000000001\
+    000001000000000000000001010400000000000001000000010100000100000002070000000000020000000000010002\
+    000200000000000100000103020200000000000001000001000000030000000000010000010000040001000000000507\
+    010000000000020000010003000300000000020101020001020000020000000300000100000100000100000000000001\
+    010007010001020003000001010003010203040001020000020300020000000200000000000002000003000200000000\
+    000102000000000003000101000000000300010000000000010000000100000001000002000200040000000000000000\
+    000000000000010602000001010100010001000805000300000000000304000000000004000200000300000000000000\
+    000000010201000000000005020300020100020000000000030700000000000003000000000000010202020100000000\
+    050001000000000000000001000000010002000000000001000300000100000001000400010100000000000102020703\
+    000000030100050000020002010000000300010000010000000000000101000200000002000000000103010000000000\
+    000000000000030000000000010000000003070002000002040101070000000000010000000000000100000000000100\
+    010300000002000000010001000500000000000002000000000100000100000300030000000200020400000007000100\
+    000000000500000301020000000300000303020300000001000400000000000101000000000000040400000000030003\
+    000100000000000401000200000000000101000000020000000000000101000003050000000100040007000401020001\
+    000000000100010001010000000002050000000102009ae3eb82";
 
 const SATURATED: &str = "\
-    414750310a01a08601000000000000000000384f124100000000098c414100000000000008c000000000000022400007\
-    07060a060707060806070508090807060709070807080808090609080a070709070d0707090909060808090a06070908\
-    0a0808060707070b0b07070b08070d0707090d09090506090a0607060808060c0708080b070706050508080b07080706\
-    0b0b0407080808060b09070508080606070e0907080707060809060709070708060705060606060c0d0d0c0909060708\
-    0a09070b0b080807060806060a06070707080908070a0907090708060e0c0a0508070807090c08060b08090608080609\
-    070c07060d070807090a080709080f09070b0a070606080a070709070608070a090b060b070707060609090608070906\
-    0806080b0907070608090709070708080a07080805080a070708080b07080c070c0e0910060509080807070709070706\
-    08070a070a060a0a070607080707090808060708060708080709060a0a060a080709090d0a0a090807090c0707070807\
-    0609090607070707060b0909070908060b07060b05050d0808060709060c0807090a0a060910070a08060808070b0609\
-    0a070806080b060d0806060c0d06070c0908070606070c080906070607090907070f09080607070606070c0707090907\
-    06080a060c0708080806060a0a0806060b0b0a09060807080808050809070a09090809070c060707090c070606080908\
-    0d07070706070707090708050807060b090706080a0c07070807070809070a07080709090704070707060708080a0607\
-    06080606050a0606080707090708070b0a0a070707070707090807060a07070907090808090709060808090908070806\
-    07070a090d0806080a0806060b0607090707060a090907070a0809070905090f0a0807090d080908070a0f060607050a\
-    090707090807080d0a0508070807080606080a060d0807070807080707080707060506050708070705060707070c0a09\
-    070d08090706060a0a07060c070808080c050707060607060709070608080a070507080909080708090a080c06050907\
-    0509070b0b090c0607060806080a08070609070808090a060507070708090a090509080708070709070a08070a070908\
-    0509060808090708080b090a090a0807060808060605090b0805070907080507070806080806050a0608060806080907\
-    070b0808070c08060806080708080a060906070a0b0509080808050809070b0707070605050a08060805080708070708\
-    0809080a06090707070b06070608060907070807060909060705050c060606070709090808090708070807070a08050a\
-    07050e080a0507070807060d0a0a070707060a090606090808080908070706070a0808080c08070905090b0808090709\
-    0a07090908070606090908060608070a09100a0c0a070a071006090606080806060708090708050c07090a090708070a\
-    060a0e07090807080a080a07090706c08a3b8f";
+    414750320aa08601000000000078bcc90100000000203fdc5a05000000000000000000000000000000000008c0000000\
+    0000002240000707060a060707060806070508090807060709070807080808090609080a070709070d07070909090608\
+    08090a060709080a0808060707070b0b07070b08070d0707090d09090506090a0607060808060c0708080b0707060505\
+    08080b070807060b0b0407080808060b09070508080606070e0907080707060809060709070708060705060606060c0d\
+    0d0c09090607080a09070b0b080807060806060a06070707080908070a0907090708060e0c0a0508070807090c08060b\
+    08090608080609070c07060d070807090a080709080f09070b0a070606080a070709070608070a090b060b0707070606\
+    090906080709060806080b0907070608090709070708080a07080805080a070708080b07080c070c0e09100605090808\
+    0707070907070608070a070a060a0a070607080707090808060708060708080709060a0a060a080709090d0a0a090807\
+    090c07070708070609090607070707060b0909070908060b07060b05050d0808060709060c0807090a0a060910070a08\
+    060808070b06090a070806080b060d0806060c0d06070c0908070606070c080906070607090907070f09080607070606\
+    070c070709090706080a060c0708080806060a0a0806060b0b0a09060807080808050809070a09090809070c06070709\
+    0c0706060809080d07070706070707090708050807060b090706080a0c07070807070809070a07080709090704070707\
+    060708080a060706080606050a0606080707090708070b0a0a070707070707090807060a070709070908080907090608\
+    0809090807080607070a090d0806080a0806060b0607090707060a090907070a0809070905090f0a0807090d08090807\
+    0a0f060607050a090707090807080d0a0508070807080606080a060d0807070807080707080707060506050708070705\
+    060707070c0a09070d08090706060a0a07060c070808080c050707060607060709070608080a07050708090908070809\
+    0a080c060509070509070b0b090c0607060806080a08070609070808090a060507070708090a09050908070807070907\
+    0a08070a0709080509060808090708080b090a090a0807060808060605090b0805070907080507070806080806050a06\
+    08060806080907070b0808070c08060806080708080a060906070a0b0509080808050809070b0707070605050a080608\
+    050807080707080809080a06090707070b06070608060907070807060909060705050c06060607070909080809070807\
+    0807070a08050a07050e080a0507070807060d0a0a070707060a090606090808080908070706070a0808080c08070905\
+    090b08080907090a07090908070606090908060608070a09100a0c0a070a071006090606080806060708090708050c07\
+    090a090708070a060a0e07090807080a080a07090706f2cfc645";

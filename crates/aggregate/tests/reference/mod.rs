@@ -1,12 +1,12 @@
 //! The reference the sparse-first sketch is held to: the dense
-//! `Vec<u8>` + `powi` HyperLogLog and the partial wire codec as they
-//! were before registers went sparse-first, kept here so the tests can
-//! demand the same registers, the same estimate and the same bytes.
+//! `Vec<u8>` + `powi` HyperLogLog as it was before registers went
+//! sparse-first, and the partial wire codec re-derived from its layout,
+//! kept here so the tests can demand the same registers, the same
+//! estimate and the same bytes.
 //! Shared by `partial_robustness.rs` and `proptest_invariants.rs`; each
 //! uses part of it.
 #![allow(dead_code)]
 
-use f2c_aggregate::functions::{Decomposable, MinMax, Moments};
 use f2c_aggregate::sketch::{HyperLogLog, Registers};
 use f2c_compress::crc32;
 
@@ -87,40 +87,66 @@ impl DenseHll {
     }
 }
 
-const MAGIC: [u8; 4] = *b"AGP1";
+const MAGIC: [u8; 4] = *b"AGP2";
 const PRECISION: u32 = 10;
 
-/// A partial as the reference codec sees it.
+/// Bytes before the register block's mode byte: magic, precision,
+/// count, sum, 16-byte sum of squares, min, max.
+pub const MODE_AT: usize = 4 + 1 + 8 + 8 + 16 + 8 + 8;
+
+/// A partial as the reference codec sees it: the scalars as the wire
+/// carries them, in hundredths, and the dense registers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefPartial {
-    pub moments: Moments,
-    pub minmax: MinMax,
+    pub count: u64,
+    pub sum: i64,
+    pub sum_sq: i128,
+    /// `(min, max)`, `None` while empty.
+    pub extremes: Option<(f64, f64)>,
     pub distinct: DenseHll,
 }
 
 impl RefPartial {
     pub fn empty() -> Self {
         Self {
-            moments: Moments::empty(),
-            minmax: MinMax::empty(),
+            count: 0,
+            sum: 0,
+            sum_sq: 0,
+            extremes: None,
             distinct: DenseHll::new(PRECISION),
         }
     }
 
+    /// Absorbs a magnitude in whole hundredths into the scalars alone.
+    pub fn absorb_value(&mut self, magnitude: f64) {
+        let h = (magnitude * 100.0).round() as i64;
+        self.count += 1;
+        self.sum += h;
+        self.sum_sq += i128::from(h) * i128::from(h);
+        self.extremes = Some(match self.extremes {
+            None => (magnitude, magnitude),
+            Some((lo, hi)) => (lo.min(magnitude), hi.max(magnitude)),
+        });
+    }
+
     pub fn absorb(&mut self, magnitude: f64, sensor_key: u64) {
-        self.moments.absorb(magnitude);
-        self.minmax.absorb(magnitude);
+        self.absorb_value(magnitude);
         self.distinct.add(&sensor_key.to_le_bytes());
     }
 
     pub fn merge(&mut self, other: &Self) {
-        self.moments.merge(&other.moments);
-        self.minmax.merge(&other.minmax);
+        self.count += other.count;
+        self.sum += other.sum;
+        self.sum_sq += other.sum_sq;
+        self.extremes = match (self.extremes, other.extremes) {
+            (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
+            (one, None) | (None, one) => one,
+        };
         self.distinct.merge(&other.distinct);
     }
 
     pub fn distinct_estimate(&self) -> u64 {
-        if self.moments.count == 0 {
+        if self.count == 0 {
             0
         } else {
             self.distinct.estimate()
@@ -128,7 +154,15 @@ impl RefPartial {
     }
 
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = header(&self.moments, &self.minmax);
+        let (min, max) = self.extremes.unwrap_or((0.0, 0.0));
+        let mut out = Vec::new();
+        out.extend_from_slice(&MAGIC);
+        out.push(PRECISION as u8);
+        out.extend_from_slice(&self.count.to_le_bytes());
+        out.extend_from_slice(&self.sum.to_le_bytes());
+        out.extend_from_slice(&self.sum_sq.to_le_bytes());
+        out.extend_from_slice(&min.to_bits().to_le_bytes());
+        out.extend_from_slice(&max.to_bits().to_le_bytes());
         let registers = &self.distinct.registers;
         if self.distinct.is_sparse() {
             let entries: Vec<(u16, u8)> = registers
@@ -145,22 +179,48 @@ impl RefPartial {
         seal(out)
     }
 
-    /// `None` where the decoder refuses.
+    /// `None` where the decoder refuses: besides the layout, scalars no
+    /// fold of absorbs produces — sums or extremes without a count, a
+    /// negative sum of squares, `(Σx)² > n·Σx²` while `n·Σx² < 2^126`
+    /// (the bound under which the sum is exact), non-finite or crossed
+    /// extremes.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 4 + 2 + 5 * 8 + 1 + 4 {
+        if bytes.len() < MODE_AT + 1 + 4 {
             return None;
         }
         let (body, crc) = bytes.split_at(bytes.len() - 4);
         if crc32::checksum(body).to_le_bytes() != crc {
             return None;
         }
-        if body[0..4] != MAGIC || u32::from(body[4]) != PRECISION || body[5] > 1 {
+        if body[0..4] != MAGIC || u32::from(body[4]) != PRECISION {
             return None;
         }
-        let u64_at = |off: usize| u64::from_le_bytes(body[off..off + 8].try_into().unwrap());
+        let count = u64::from_le_bytes(body[5..13].try_into().unwrap());
+        let sum = i64::from_le_bytes(body[13..21].try_into().unwrap());
+        let sum_sq = i128::from_le_bytes(body[21..37].try_into().unwrap());
+        let min = f64::from_bits(u64::from_le_bytes(body[37..45].try_into().unwrap()));
+        let max = f64::from_bits(u64::from_le_bytes(body[45..53].try_into().unwrap()));
+        let extremes = if count == 0 {
+            if sum != 0 || sum_sq != 0 || min.to_bits() != 0 || max.to_bits() != 0 {
+                return None;
+            }
+            None
+        } else {
+            let exact = (count < u64::MAX)
+                .then(|| i128::from(count).checked_mul(sum_sq))
+                .flatten()
+                .filter(|&scaled| scaled < 1 << 126);
+            if sum_sq < 0 || exact.is_some_and(|scaled| i128::from(sum).pow(2) > scaled) {
+                return None;
+            }
+            if !min.is_finite() || !max.is_finite() || min > max {
+                return None;
+            }
+            Some((min, max))
+        };
         let mut distinct = DenseHll::new(PRECISION);
-        let regs = &body[47..];
-        match body[46] {
+        let regs = &body[MODE_AT + 1..];
+        match body[MODE_AT] {
             0 if regs.len() == distinct.registers.len() => {
                 distinct.registers.copy_from_slice(regs);
             }
@@ -178,36 +238,13 @@ impl RefPartial {
             _ => return None,
         }
         Some(Self {
-            moments: Moments {
-                count: u64_at(6),
-                sum: f64::from_bits(u64_at(14)),
-                sum_sq: f64::from_bits(u64_at(22)),
-            },
-            minmax: if body[5] == 1 {
-                MinMax {
-                    min: Some(f64::from_bits(u64_at(30))),
-                    max: Some(f64::from_bits(u64_at(38))),
-                }
-            } else {
-                MinMax::empty()
-            },
+            count,
+            sum,
+            sum_sq,
+            extremes,
             distinct,
         })
     }
-}
-
-/// Everything before the register block's mode byte.
-pub fn header(moments: &Moments, minmax: &MinMax) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.push(PRECISION as u8);
-    out.push(u8::from(minmax.min.is_some()));
-    out.extend_from_slice(&moments.count.to_le_bytes());
-    out.extend_from_slice(&moments.sum.to_bits().to_le_bytes());
-    out.extend_from_slice(&moments.sum_sq.to_bits().to_le_bytes());
-    out.extend_from_slice(&minmax.min.unwrap_or(0.0).to_bits().to_le_bytes());
-    out.extend_from_slice(&minmax.max.unwrap_or(0.0).to_bits().to_le_bytes());
-    out
 }
 
 /// A sparse register block — mode byte, count, entries — exactly as

@@ -828,9 +828,9 @@ mod tests {
             "HealReport { healed: 2, blocked: 0, impossible: 0 }\n\
              fog2/d0 hole-healed\n\
              cloud hole-healed\n\
-             cloud/0 sketch-relay 5500000000..5500000000 d=1 a=83\n\
+             cloud/0 sketch-relay 5500000000..5500000000 d=1 a=90\n\
              cloud/0 heal-round 5500000000..5500000000 d=0 a=1\n\
-             fog2/0 sketch-relay 5500000000..5500000000 d=1 a=83\n\
+             fog2/0 sketch-relay 5500000000..5500000000 d=1 a=90\n\
              fog2/0 heal-round 5500000000..5500000000 d=0 a=1\n"
         );
         // The cloud's heal shipped fog 2's whole fold, so the queued

@@ -325,15 +325,9 @@ impl F2cNode {
             self.sketches.fold(*key, &partial, self.flush_seq);
             match self.sketch_relay.entry(*key) {
                 Slot::Occupied(relayed) => relayed.into_mut().merge(&partial),
-                // Taking the partial is merging it into an empty one, bit
-                // for bit: an empty sum is +0.0, and +0.0 + x is x for
-                // every x but -0.0, a sum no partial absorbed from
-                // `Moments::empty()` can reach (in round-to-nearest a sum
-                // is -0.0 only when both addends are). Extremes merged
-                // into empty ones come back as they were, since a min is
-                // at most its max and no magnitude is -0.0, and so do
-                // registers (`a_moved_partial_is_one_merged_into_an_empty_one`
-                // in the ledger's tests).
+                // Taking the partial is merging it into an empty one
+                // (`a_moved_partial_is_one_merged_into_an_empty_one` in
+                // the ledger's tests).
                 Slot::Vacant(slot) => {
                     slot.insert(partial);
                 }

@@ -370,7 +370,7 @@ mod tests {
     fn answer(count: u64) -> QueryAnswer {
         QueryAnswer::Aggregate(AggregateResult {
             count,
-            sum: 0.0,
+            sum: Some(0.0),
             mean: None,
             min: None,
             max: None,

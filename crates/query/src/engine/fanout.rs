@@ -125,9 +125,6 @@ impl ServeCore {
                             now_s,
                         )
                     };
-                    // The leg's scalars join the gather's total in leg
-                    // order, as its shipped partial's would.
-                    self.acc.end_leg();
                     (AGG_PARTIAL_WIRE_BYTES, visited)
                 }
             };

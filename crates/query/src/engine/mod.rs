@@ -780,7 +780,6 @@ impl ServeCore {
                 // scan, no partial-cache traffic.
                 self.acc.clear();
                 let merged = merge_warm_sketch(city.fog1(s).sketches(), s, query, &mut self.acc);
-                self.acc.end_leg();
                 let m = self.obs.metrics_mut();
                 m.inc(self.ids.sketch_served);
                 m.add(self.ids.sketch_hits, merged);
@@ -821,7 +820,6 @@ impl ServeCore {
                     epoch,
                     now_s,
                 );
-                self.acc.end_leg();
                 self.apply_fold_tally(tally);
                 (QueryAnswer::Aggregate(finalize(&self.acc)), visited)
             }

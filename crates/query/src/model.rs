@@ -176,15 +176,15 @@ pub struct PointSample {
 pub struct AggregateResult {
     /// Matching observations.
     pub count: u64,
-    /// Sum of magnitudes.
-    pub sum: f64,
-    /// Mean magnitude (`None` when empty).
+    /// Sum of magnitudes (`None` when the sums overflowed).
+    pub sum: Option<f64>,
+    /// Mean magnitude (`None` when empty or when the sums overflowed).
     pub mean: Option<f64>,
     /// Smallest magnitude.
     pub min: Option<f64>,
     /// Largest magnitude.
     pub max: Option<f64>,
-    /// Population variance of the magnitudes.
+    /// Population variance (`None` when empty or when the sums overflowed).
     pub variance: Option<f64>,
     /// HyperLogLog estimate of distinct reporting sensors.
     pub distinct_sensors: u64,
@@ -206,13 +206,13 @@ pub fn absorb_record<A: AggState>(acc: &mut A, record: &DataRecord) {
 /// partial — into the answer bundle every aggregate query returns.
 pub fn finalize<A: AggState>(state: &A) -> AggregateResult {
     let moments = state.moments();
-    let minmax = state.minmax();
+    let (min, max) = state.minmax().extremes().unzip();
     AggregateResult {
         count: moments.count,
-        sum: moments.sum,
+        sum: moments.sum(),
         mean: moments.mean(),
-        min: minmax.min,
-        max: minmax.max,
+        min,
+        max,
         variance: moments.variance(),
         distinct_sensors: state.distinct_estimate(),
     }
@@ -343,11 +343,7 @@ mod tests {
             merged.merge(&part);
         }
         let (a, b) = (finalize(&flat), finalize(&merged));
-        assert_eq!(a.count, b.count);
-        assert_eq!(a.min, b.min);
-        assert_eq!(a.max, b.max);
-        assert_eq!(a.distinct_sensors, b.distinct_sensors, "HLL merges exactly");
-        assert!((a.sum - b.sum).abs() < 1e-9);
+        assert_eq!(a, b);
         assert_eq!(a.distinct_sensors, 7);
     }
 

@@ -3,11 +3,10 @@
 //! Every fan-out leg answers its shard independently; this module folds
 //! the per-leg partial results into the final answer:
 //!
-//! * **aggregates** — [`AggPartial`] merge, exact for count / extremes /
-//!   distinct sketches and within rounding for sums (the §V.A
-//!   decomposability across *nodes* rather than across time buckets);
-//!   the engine's own legs skip the partial and fold straight into the
-//!   accumulator this merge is built on,
+//! * **aggregates** — [`AggPartial`] merge, exact for every field (the
+//!   §V.A decomposability across *nodes* rather than across time
+//!   buckets); the engine's own legs skip the partial and fold straight
+//!   into the accumulator this merge is built on,
 //! * **points** — the per-leg winners race by the engine's canonical
 //!   `(created, sensor)` rank,
 //! * **ranges** — a k-way ordered merge over the per-leg record streams
@@ -44,7 +43,6 @@ pub fn merge_aggregates(legs: Vec<AggPartial>) -> QueryAnswer {
     let mut acc = AggAcc::new();
     for leg in &legs {
         acc.merge(leg);
-        acc.end_leg();
     }
     QueryAnswer::Aggregate(finalize(&acc))
 }
@@ -132,13 +130,7 @@ mod tests {
             })
             .collect();
         match merge_aggregates(legs) {
-            QueryAnswer::Aggregate(a) => {
-                let f = finalize(&flat);
-                assert_eq!(a.count, f.count);
-                assert_eq!(a.min, f.min);
-                assert_eq!(a.max, f.max);
-                assert_eq!(a.distinct_sensors, f.distinct_sensors);
-            }
+            QueryAnswer::Aggregate(a) => assert_eq!(a, finalize(&flat)),
             other => panic!("expected aggregate, got {other:?}"),
         }
     }
@@ -157,7 +149,7 @@ mod tests {
         #[test]
         fn aggregate_merge_keeps_every_bit_of_the_per_leg_partial_merge(
             legs in proptest::collection::vec(
-                proptest::collection::vec((-1.0e6..1.0e6f64, 0u64..4_000), 0..120),
+                proptest::collection::vec((-100_000_000i64..100_000_000, 0u64..4_000), 0..120),
                 0..24,
             ),
         ) {
@@ -165,8 +157,8 @@ mod tests {
                 .iter()
                 .map(|observations| {
                     let mut p = AggPartial::empty();
-                    for &(v, key) in observations {
-                        p.absorb(v, key);
+                    for &(hundredths, key) in observations {
+                        p.absorb(hundredths as f64 / 100.0, key);
                     }
                     p
                 })
@@ -177,7 +169,7 @@ mod tests {
             };
             let bits = |v: Option<f64>| v.map(f64::to_bits);
             proptest::prop_assert_eq!(got.count, want.count);
-            proptest::prop_assert_eq!(got.sum.to_bits(), want.sum.to_bits());
+            proptest::prop_assert_eq!(bits(got.sum), bits(want.sum));
             proptest::prop_assert_eq!(bits(got.mean), bits(want.mean));
             proptest::prop_assert_eq!(bits(got.variance), bits(want.variance));
             proptest::prop_assert_eq!(bits(got.min), bits(want.min));

@@ -83,21 +83,8 @@ fn oracle(records: &[DataRecord], query: &Query) -> QueryAnswer {
     }
 }
 
-fn approx(a: f64, b: f64) -> bool {
-    let scale = a.abs().max(b.abs()).max(1.0);
-    (a - b).abs() <= 1e-9 * scale
-}
-
-fn approx_opt(a: Option<f64>, b: Option<f64>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(a), Some(b)) => approx(a, b),
-        _ => false,
-    }
-}
-
 /// Asserts an engine answer equals the oracle's (records compared as
-/// projected multisets; floating aggregate sums within rounding).
+/// projected multisets; aggregates field for field, sums included).
 fn assert_answers_match(
     got: &QueryAnswer,
     want: &QueryAnswer,
@@ -117,22 +104,7 @@ fn assert_answers_match(
             prop_assert_eq!(gk, wk, "range mismatch for {:?}", query);
         }
         (QueryAnswer::Aggregate(g), QueryAnswer::Aggregate(w)) => {
-            prop_assert_eq!(g.count, w.count, "count mismatch for {:?}", query);
-            prop_assert_eq!(g.min, w.min, "min mismatch for {:?}", query);
-            prop_assert_eq!(g.max, w.max, "max mismatch for {:?}", query);
-            prop_assert_eq!(
-                g.distinct_sensors,
-                w.distinct_sensors,
-                "distinct mismatch for {:?}",
-                query
-            );
-            prop_assert!(
-                approx(g.sum, w.sum) && approx_opt(g.mean, w.mean),
-                "sum/mean mismatch for {:?}: {:?} vs {:?}",
-                query,
-                g,
-                w
-            );
+            prop_assert_eq!(g, w, "aggregate mismatch for {:?}", query);
         }
         _ => {
             return Err(TestCaseError::fail(format!(

@@ -62,13 +62,13 @@ fn assert_golden(artifacts: &[u8], golden: u64, fixture: &str) {
 }
 
 /// FNV-1a of the fault-free fixture's artifacts at one thread.
-const GOLDEN_WORKLOAD: u64 = 0x3b68_1b20_27b4_7956;
+const GOLDEN_WORKLOAD: u64 = 0xf8a8_7b76_0676_7150;
 
 /// FNV-1a of the storm fixture's artifacts at one thread: partials
 /// corrupted in flight and healed at both hops. Its cloud outage falls
 /// on waves with no cloud hole, so a blocked cloud heal is held by
 /// `hierarchy`'s unit tests instead.
-const GOLDEN_STORM: u64 = 0x648c_a49e_6caf_0b1b;
+const GOLDEN_STORM: u64 = 0xb7e9_a313_e2eb_ec6d;
 
 /// Whether the artifact stream's incident lines hold `kind` at a site
 /// whose name starts with `site`.
