@@ -5,8 +5,8 @@
 //! flush batch into per-`(section, type, bucket)` [`AggPartial`]s and
 //! ships the encoded partials upward alongside the raw records; fog-2
 //! and the cloud fold the incoming shipments into their own ledgers (a
-//! CRC failure is counted, never silently merged) instead of ever
-//! re-scanning raw records for aggregate state.
+//! CRC failure is counted and refuses its whole shipment, never silently
+//! merged) instead of ever re-scanning raw records for aggregate state.
 //!
 //! Two watermarks make ledger answers *provable*:
 //!
@@ -20,14 +20,16 @@
 //!   watermark — but with a much longer horizon, because bucket
 //!   partials are constant-size where raw records are not.
 //!
-//! Entries also remember the owner-local flush epoch that last touched
-//! them — observability only (which flush a bucket last absorbed).
-//! Staleness *proofs* never read it: a warm-sketch answer is offered
-//! exactly when the window end lies at or before the seal frontier
-//! *and* the owner has nothing pending below it (the planner's check).
+//! Entries also keep the owner-local flush epoch that last touched them.
+//! Nothing outside this file's tests reads it: the epoch stays because
+//! the benchmark's calls to [`SketchLedger::fold`] and
+//! [`SketchLedger::fold_encoded`] pass it. Staleness *proofs* never read
+//! it: a warm-sketch answer is offered exactly when the window end lies
+//! at or before the seal frontier *and* the owner has nothing pending
+//! below it (the planner's check).
 
 use std::collections::hash_map::Entry as Slot;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::num::NonZeroU64;
 
 use scc_sensors::{heap, SensorType};
@@ -96,11 +98,6 @@ pub struct SketchLedger {
     bucket_s: u64,
     entries: HashMap<SketchKey, Entry>,
     sealed: HashMap<u16, u64>,
-    /// Buckets whose shipped partial was refused (corrupt) — the folded
-    /// increments are lost, so these buckets can never again be proved
-    /// complete here, no matter what the seal frontier says. Holes
-    /// propagate upward with the relay and only leave via compaction.
-    holes: HashSet<SketchKey>,
     evicted_before_s: u64,
     folds: u64,
     crc_failures: u64,
@@ -125,7 +122,6 @@ impl SketchLedger {
             bucket_s: bucket_s.get(),
             entries: HashMap::new(),
             sealed: HashMap::new(),
-            holes: HashSet::new(),
             evicted_before_s: 0,
             folds: 0,
             crc_failures: 0,
@@ -153,9 +149,9 @@ impl SketchLedger {
     }
 
     /// Heap bytes at rest: the entry table and each partial's
-    /// registers, the seal frontiers and the holes. Entries and holes
-    /// are removed by compaction and heals, so those tables are priced
-    /// from their lengths (see [`heap::table_bytes`]).
+    /// registers, and the seal frontiers. Entries are removed by
+    /// compaction, so their table is priced from its length (see
+    /// [`heap::table_bytes`]).
     pub fn heap_bytes(&self) -> u64 {
         heap::table_bytes::<(SketchKey, Entry)>(self.entries.len())
             + self
@@ -164,7 +160,6 @@ impl SketchLedger {
                 .map(|e| e.partial.heap_bytes())
                 .sum::<u64>()
             + heap::table_bytes::<(u16, u64)>(self.sealed.capacity())
-            + heap::table_bytes::<SketchKey>(self.holes.len())
     }
 
     /// Total partials folded in (local folds + decoded shipments).
@@ -216,90 +211,21 @@ impl SketchLedger {
     /// As [`SketchLedger::decode_shipped`]; a refused shipment merges
     /// nothing.
     pub fn fold_encoded(&mut self, key: SketchKey, bytes: &[u8], epoch: u64) -> Result<()> {
-        let partial = self.decode_shipped(key, bytes)?;
+        let partial = self.decode_shipped(bytes)?;
         self.fold_owned(key, partial, epoch);
         Ok(())
     }
 
-    /// Decodes one partial shipped for `key`, verifying its CRC, without
-    /// folding it: a receiver that also relays the partial folds a copy
-    /// and relays the original, with one decode.
+    /// Decodes one shipped partial, verifying its CRC, without folding
+    /// it: a receiver decodes a whole shipment before it accepts any of
+    /// it, and a fog-2 receiver folds a copy and relays the original.
     ///
     /// # Errors
     ///
-    /// [`Error::CorruptPartial`] — the shipment is refused: the failure
-    /// is counted in [`SketchLedger::crc_failures`], and a coverage hole
-    /// is punched at `key` so the bucket can never be falsely proved
-    /// complete.
-    pub fn decode_shipped(&mut self, key: SketchKey, bytes: &[u8]) -> Result<AggPartial> {
-        match AggPartial::decode(bytes) {
-            Ok(partial) => Ok(partial),
-            Err(e) => {
-                self.crc_failures += 1;
-                // The folded increments are lost for good: the bucket is
-                // a permanent coverage hole, whatever the seal says.
-                self.mark_hole(key);
-                Err(e)
-            }
-        }
-    }
-
-    /// Punches a coverage hole at `key`: the bucket cannot be proved
-    /// complete here ([`SketchLedger::covers`] refuses windows
-    /// containing it), because a shipment for it was lost. Receivers
-    /// call this for holes relayed from below, so a hole propagates to
-    /// every tier whose ledger misses the data. Idempotent — repeated
-    /// corrupt relays of the same bucket punch the same single hole —
-    /// and a no-op behind the compaction watermark, where `covers`
-    /// already refuses everything (so a stale relay cannot regrow the
-    /// set past compaction). A hole leaves via compaction or via a
-    /// successful [`SketchLedger::heal_encoded`].
-    pub fn mark_hole(&mut self, key: SketchKey) {
-        if key.bucket_start_s + self.bucket_s > self.evicted_before_s {
-            self.holes.insert(key);
-        }
-    }
-
-    /// The current coverage holes in key order — the deterministic
-    /// iteration anti-entropy walks.
-    pub fn holes_sorted(&self) -> Vec<SketchKey> {
-        let mut out: Vec<SketchKey> = self.holes.iter().copied().collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Whether `key` is currently a coverage hole.
-    pub fn is_hole(&self, key: &SketchKey) -> bool {
-        self.holes.contains(key)
-    }
-
-    /// Anti-entropy heal: installs an **authoritative** re-shipped
-    /// partial at `key` — replacing whatever fragment survived, because
-    /// the shipper's ledger holds the bucket's full fold and a merge
-    /// would double-count the part that did arrive — and removes the
-    /// hole, restoring [`SketchLedger::covers`] for the bucket. Returns
-    /// `true` when the bucket was a hole and is now healed. Behind the
-    /// compaction watermark the heal is refused (coverage cannot be
-    /// resurrected past compaction).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::CorruptPartial`] when the re-shipped encoding fails its
-    /// CRC — counted like any refused shipment, and the hole stays.
-    pub fn heal_encoded(&mut self, key: SketchKey, bytes: &[u8], epoch: u64) -> Result<bool> {
-        if key.bucket_start_s + self.bucket_s <= self.evicted_before_s {
-            return Ok(false);
-        }
-        let partial = match AggPartial::decode(bytes) {
-            Ok(p) => p,
-            Err(e) => {
-                self.crc_failures += 1;
-                return Err(e);
-            }
-        };
-        self.folds += 1;
-        self.entries.insert(key, Entry { partial, epoch });
-        Ok(self.holes.remove(&key))
+    /// [`Error::CorruptPartial`], counted in
+    /// [`SketchLedger::crc_failures`]: the shipment is refused.
+    pub fn decode_shipped(&mut self, bytes: &[u8]) -> Result<AggPartial> {
+        AggPartial::decode(bytes).inspect_err(|_| self.crc_failures += 1)
     }
 
     /// Advances `section`'s seal frontier to at least `through_s`:
@@ -317,27 +243,15 @@ impl SketchLedger {
 
     /// Whether the ledger *provably* covers `[from_s, until_s)` for
     /// `section`: the window is bucket-aligned, nothing in it was
-    /// compacted away, the seal frontier reaches the window end, and no
-    /// bucket inside it is a coverage hole (a refused corrupt
-    /// shipment). (The owner's pending frontier is the caller's check —
-    /// the ledger cannot see unflushed arrivals.)
+    /// compacted away, and the seal frontier reaches the window end. A
+    /// shipment lands whole or not at all, so a seal never passes a
+    /// partial that was refused. (The owner's pending frontier is the
+    /// caller's check — the ledger cannot see unflushed arrivals.)
     pub fn covers(&self, section: u16, from_s: u64, until_s: u64) -> bool {
         from_s.is_multiple_of(self.bucket_s)
             && until_s.is_multiple_of(self.bucket_s)
             && from_s >= self.evicted_before_s
             && until_s <= self.sealed_through(section)
-            && !self.has_hole(section, from_s, until_s)
-    }
-
-    /// Whether any bucket of `section` inside `[from_s, until_s)` is a
-    /// coverage hole.
-    fn has_hole(&self, section: u16, from_s: u64, until_s: u64) -> bool {
-        if self.holes.is_empty() {
-            return false;
-        }
-        self.holes.iter().any(|h| {
-            h.section == section && h.bucket_start_s >= from_s && h.bucket_start_s < until_s
-        })
     }
 
     /// The bucket partial at `key`, with the epoch that last folded it.
@@ -391,10 +305,6 @@ impl SketchLedger {
             return 0;
         }
         self.evicted_before_s = self.evicted_before_s.max(boundary);
-        // A hole behind the watermark stops mattering: covers() already
-        // refuses everything there.
-        self.holes
-            .retain(|k| k.bucket_start_s + self.bucket_s > boundary);
         let before = self.entries.len();
         self.entries
             .retain(|k, _| k.bucket_start_s + self.bucket_s > boundary);
@@ -512,7 +422,11 @@ mod tests {
         let mut bad = wire.clone();
         bad[8] ^= 1;
         assert!(ledger.fold_encoded(key(0, 900), &bad, 1).is_err());
-        assert_eq!(ledger.crc_failures(), 1);
+        assert!(matches!(
+            ledger.decode_shipped(&bad),
+            Err(Error::CorruptPartial { .. })
+        ));
+        assert_eq!(ledger.crc_failures(), 2, "every refusal is counted");
         assert_eq!(ledger.len(), 1, "the corrupt shipment was not merged");
     }
 
@@ -566,102 +480,6 @@ mod tests {
         // The watermark never moves backwards.
         ledger.evict_older_than(500);
         assert_eq!(ledger.evicted_before_s(), 900);
-    }
-
-    #[test]
-    fn holes_block_coverage_and_compact_away() {
-        let mut ledger = SketchLedger::new(900).unwrap();
-        ledger.seal(4, 2_700);
-        assert!(ledger.covers(4, 0, 2_700));
-        ledger.mark_hole(key(4, 900));
-        assert!(!ledger.covers(4, 0, 2_700), "the hole breaks the window");
-        assert!(!ledger.covers(4, 900, 1_800), "the holed bucket itself");
-        assert!(
-            ledger.covers(4, 0, 900),
-            "windows before the hole still prove"
-        );
-        assert!(ledger.covers(4, 1_800, 2_700), "and after it");
-        assert!(ledger.covers(5, 0, 0), "other sections are unaffected");
-        // Compaction past the hole retires it with the watermark.
-        ledger.evict_older_than(1_800);
-        assert_eq!(ledger.holes_sorted().len(), 0);
-        assert!(ledger.covers(4, 1_800, 2_700));
-    }
-
-    #[test]
-    fn mark_hole_is_idempotent_under_repeated_corrupt_relays() {
-        let mut ledger = SketchLedger::new(900).unwrap();
-        ledger.seal(3, 3_600);
-        let wire = partial(&[(1.0, 4)]).encode();
-        let mut bad = wire.clone();
-        bad[6] ^= 0xFF;
-        // The same corrupt shipment relayed over and over: one hole.
-        for _ in 0..5 {
-            assert!(ledger.fold_encoded(key(3, 900), &bad, 1).is_err());
-            ledger.mark_hole(key(3, 900));
-        }
-        assert_eq!(ledger.holes_sorted().len(), 1);
-        assert_eq!(ledger.crc_failures(), 5, "every refusal is counted");
-        assert!(!ledger.covers(3, 900, 1_800));
-        assert!(ledger.covers(3, 0, 900), "neighbors still prove");
-        // A hole behind the compaction watermark is refused outright:
-        // compaction already blocks coverage there, so stale relays
-        // cannot regrow the set.
-        ledger.evict_older_than(1_800);
-        assert_eq!(ledger.holes_sorted().len(), 0);
-        ledger.mark_hole(key(3, 0));
-        ledger.mark_hole(key(3, 900));
-        assert_eq!(
-            ledger.holes_sorted().len(),
-            0,
-            "below-watermark relays drop"
-        );
-        ledger.mark_hole(key(3, 1_800));
-        assert_eq!(
-            ledger.holes_sorted().len(),
-            1,
-            "resident buckets still hole"
-        );
-    }
-
-    #[test]
-    fn heal_restores_coverage_with_the_authoritative_partial() {
-        let mut ledger = SketchLedger::new(900).unwrap();
-        ledger.seal(7, 1_800);
-        // A fragment of the bucket arrived before the corrupt shipment.
-        ledger.fold(key(7, 900), &partial(&[(1.0, 1)]), 1);
-        ledger.mark_hole(key(7, 900));
-        assert!(!ledger.covers(7, 900, 1_800));
-        // The shipper re-ships its full fold: 3 observations.
-        let full = partial(&[(1.0, 1), (2.0, 2), (3.0, 3)]);
-        let healed = ledger.heal_encoded(key(7, 900), &full.encode(), 2).unwrap();
-        assert!(healed);
-        assert!(ledger.covers(7, 900, 1_800), "coverage is restored");
-        let (p, epoch) = ledger.entry(&key(7, 900)).unwrap();
-        assert_eq!(p.count(), 3, "replaced, not merged — no double count");
-        assert_eq!(epoch, 2);
-        // Healing an intact bucket is a no-op on the hole set.
-        assert!(!ledger.heal_encoded(key(7, 900), &full.encode(), 3).unwrap());
-        // A corrupt re-ship is refused and the hole stays.
-        ledger.mark_hole(key(7, 0));
-        let mut bad = full.encode();
-        bad[4] ^= 1;
-        assert!(ledger.heal_encoded(key(7, 0), &bad, 3).is_err());
-        assert!(ledger.is_hole(&key(7, 0)));
-        // Behind the watermark the heal is refused without decoding.
-        ledger.evict_older_than(900);
-        assert!(!ledger.heal_encoded(key(7, 0), &full.encode(), 4).unwrap());
-        assert!(ledger.covers(7, 900, 1_800));
-    }
-
-    #[test]
-    fn holes_sorted_is_key_ordered() {
-        let mut ledger = SketchLedger::new(900).unwrap();
-        ledger.mark_hole(key(9, 1_800));
-        ledger.mark_hole(key(2, 900));
-        ledger.mark_hole(key(9, 0));
-        let sorted = ledger.holes_sorted();
-        assert_eq!(sorted, vec![key(2, 900), key(9, 0), key(9, 1_800)]);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! QoS promise (an analytics burst sheds analytics, never a real-time
 //! read); a warm-vs-cold serving microbenchmark; and a chaos scenario
 //! (seeded crash windows + flush-shipment loss/corruption under live
-//! load) proving faults degrade availability, never correctness, and
-//! that sketch anti-entropy heals every punched hole after the storm.
+//! load) proving faults degrade availability, never correctness: every
+//! damaged shipment is NACKed and re-ships, and after the storm settled
+//! aggregates equal the raw archive.
 //!
 //! `main` runs the named scenarios below in order, and the order is part
 //! of the result: the export (the `export::QUERIES` row) snapshots the
@@ -711,10 +712,10 @@ fn chaos(threads: Parallelism) -> Json {
     );
     let tally = |label: &str| summary.get(label).copied().unwrap_or(0);
     assert!(
-        tally("hole-punched") > 0 && tally("hole-healed") > 0,
-        "corruption coins must punch sketch holes and anti-entropy must heal them"
+        tally("shipment-corrupted") > 0,
+        "corruption coins must damage shipments for their receivers to NACK"
     );
-    check_healed(&mut engine, report.sim_end_s);
+    check_recovered(&mut engine, report.sim_end_s);
 
     // Diagnosis plane, storm side: the injected faults shed real-time
     // answers, so the availability burn-rate must cross the fast+slow
@@ -750,7 +751,7 @@ fn chaos(threads: Parallelism) -> Json {
     );
     assert!(
         monitor.resolved_count() >= 1 && !monitor.firing(),
-        "healing must resolve every availability alert"
+        "recovery must resolve every availability alert"
     );
     assert!(
         report.stats.fault_shed > 0 && tally("alert-fired") >= 1 && tally("alert-resolved") >= 1,
@@ -759,48 +760,41 @@ fn chaos(threads: Parallelism) -> Json {
     );
     println!(
         "-> fired {} time(s) on injected faults, resolved {} time(s) after \
-         healing, zero false positives fault-free. SHAPE OK",
+         recovery, zero false positives fault-free. SHAPE OK",
         monitor.fired_count(),
         monitor.resolved_count()
     );
 
-    let snap = engine.city().metrics().snapshot();
-    let heal = |kind: &str| {
-        snap.counter(&format!("heal_outcomes{{service=sketch,kind={kind}}}"))
-            .unwrap_or(0)
-    };
-    let heal_j = export::counts_json(["healed", "blocked", "impossible"].map(|k| (k, heal(k))));
     let mut chaos_j = Json::obj();
     chaos_j.set("fault_shed", export::num(report.stats.fault_shed));
     chaos_j.set("legs_shed", export::num(report.stats.legs_shed));
     chaos_j.set("degraded", export::num(report.stats.degraded));
     chaos_j.set("answered", export::num(report.answered));
     chaos_j.set("incidents", incidents_json);
-    chaos_j.set("heal", heal_j);
     chaos_j.set("alerts", monitor.export());
     chaos_j
 }
 
-/// The seeded fault storm under live load, then two healing flush waves.
+/// The seeded fault storm under live load, then two healthy flush waves.
 fn chaos_storm(threads: Parallelism) -> (QueryEngine, WorkloadReport) {
     // A seeded fault schedule — a fog-1 crash, a whole-district fog-2
     // crash, a short cloud blackout, plus per-epoch flush-shipment loss
     // and sketch-corruption coins — runs under live closed-loop load.
     // Every fault must surface as an availability effect (fault sheds,
-    // shed fan-out legs, partial answers, deferred flush waves, punched
-    // sketch holes) in the incident timeline; none may leak into an
-    // answered result. After the storm, healthy flush waves plus sketch
-    // anti-entropy must leave every ledger hole-free, and settled
-    // aggregates must equal the raw archive's record counts exactly.
-    println!("\n== chaos: fault injection, degraded serving, anti-entropy healing ==");
+    // shed fan-out legs, partial answers, deferred and NACKed flush
+    // waves) in the incident timeline; none may leak into an answered
+    // result. After the storm, healthy flush waves ship what was held
+    // back, and settled aggregates must equal the raw archive's record
+    // counts exactly.
+    println!("\n== chaos: fault injection, degraded serving, recovery ==");
     let mut city = warm_city(threads);
     let mut plan = FailurePlan::with_seed(2017);
     plan.set_shipment_loss(0.10);
     plan.set_shipment_corruption(0.08);
     city.set_failures(plan);
     // Crash windows sized against the ~15 min simulated storm: each
-    // overlaps a 300 s flush epoch so deferrals, shed legs and punched
-    // holes all occur while consumers are still asking.
+    // overlaps a 300 s flush epoch so deferrals, shed legs and NACKed
+    // shipments all occur while consumers are still asking.
     city.inject_node_outage(ChaosSite::Fog1(5), 3_650, 3_980);
     city.inject_node_outage(ChaosSite::Fog2(2), 4_050, 4_350);
     city.inject_node_outage(ChaosSite::Cloud, 4_150, 4_250);
@@ -824,39 +818,23 @@ fn chaos_storm(threads: Parallelism) -> (QueryEngine, WorkloadReport) {
     );
 
     // The storm is over: clear the plan and let two healthy flush waves
-    // (each ending in an anti-entropy round) ship the deferred batches
-    // and re-ship authoritative partials over every punched hole.
+    // ship the deferred and NACKed batches.
     let storm_end = report.sim_end_s;
     engine.city_mut().set_failures(FailurePlan::none());
-    engine.flush_all(storm_end + 300).expect("healing flush");
-    engine.flush_all(storm_end + 600).expect("healing flush");
+    engine.flush_all(storm_end + 300).expect("healthy flush");
+    engine.flush_all(storm_end + 600).expect("healthy flush");
     (engine, report)
 }
 
-/// After healing: hole-free ledgers at every upper tier, and settled
-/// aggregates equal to the raw archive.
-fn check_healed(engine: &mut QueryEngine, storm_end: u64) {
-    // Hole-free ledgers, both in the ledgers themselves and in the
-    // timeline's punch/heal pairing.
-    let city = engine.city();
-    let fog2 = (0..city.district_count()).map(|d| (ChaosSite::Fog2(d), city.fog2(d)));
-    for (site, node) in fog2.chain([(ChaosSite::Cloud, city.cloud())]) {
-        assert!(
-            node.sketches().holes_sorted().is_empty(),
-            "{site:?} ledger must be hole-free after anti-entropy"
-        );
-        assert!(
-            city.timeline().unhealed_holes(site).is_empty(),
-            "timeline must pair every {site:?} punch with a heal"
-        );
-    }
-
+/// After the storm: settled aggregates equal to the raw archive.
+fn check_recovered(engine: &mut QueryEngine, storm_end: u64) {
     // Zero correctness divergence: settled aggregates (which ride the
-    // healed sketch plane when they can) must equal the raw archive's
-    // record count, both at the crashed section and across the crashed
+    // sketch plane when they can) must equal the raw archive's record
+    // count, both at the crashed section and across the crashed
     // district.
+    let city = engine.city();
     let settle = (storm_end / 900) * 900;
-    let heal_now = storm_end + 601;
+    let now = storm_end + 601;
     let crashed_district = city.district_of(5);
     for scope in [Scope::Section(5), Scope::District(crashed_district)] {
         let probe = Query {
@@ -867,11 +845,11 @@ fn check_healed(engine: &mut QueryEngine, storm_end: u64) {
             window: TimeWindow::new(3_600, settle),
             kind: QueryKind::Aggregate,
         };
-        cross_check(engine, probe, heal_now);
+        cross_check(engine, probe, now);
     }
     println!(
-        "-> the storm shed load and punched holes; healing left every ledger \
-         hole-free and every settled aggregate equal to the raw archive. SHAPE OK"
+        "-> the storm shed load and NACKed damaged shipments; once it cleared, \
+         every settled aggregate equals the raw archive. SHAPE OK"
     );
 }
 

@@ -72,8 +72,9 @@ pub const QUERIES: Artifact = Artifact {
     out_file: "BENCH_queries.json",
     baseline: "bench/baseline.json",
     // Latency phases and byte costs are ceilings (a fall is an
-    // improvement); answer/cache/heal rates are bands (a collapse either
-    // way means the workload stopped exercising what it measures).
+    // improvement); answer/cache rates and incident counts are bands
+    // (a collapse either way means the workload stopped exercising
+    // what it measures).
     rules: &[
         // The run must stay the same experiment.
         BudgetRule::band("workload.issued", 0.01, 1.0),
@@ -108,10 +109,10 @@ pub const QUERIES: Artifact = Artifact {
         BudgetRule::band("mem.fog2.store_bytes", 0.0, 0.0),
         BudgetRule::band("mem.cloud.store_bytes", 0.0, 0.0),
         BudgetRule::band("mem.bytes_per_stored_record", 0.0, 0.0),
-        // The chaos scenario must keep degrading *and* healing.
+        // The chaos scenario must keep degrading: crash sheds, and
+        // damaged shipments that their receivers NACK.
         BudgetRule::ceiling("chaos.fault_shed", 0.50, 50.0),
-        BudgetRule::band("chaos.incidents.hole-healed", 0.50, 4.0),
-        BudgetRule::band("chaos.heal.healed", 0.50, 4.0),
+        BudgetRule::band("chaos.incidents.shipment-corrupted", 0.50, 4.0),
         // Diagnosis plane: the fault-free main run must never burn SLO
         // budget (`must_be_zero` below holds it absolutely), while the
         // storm must both fire and resolve.
@@ -353,7 +354,7 @@ mod tests {
         let mut doc = QUERIES.doc();
         doc.set("registry", snapshot_json(&reg.snapshot()));
         doc.set("phases", phases_json(&tracer));
-        doc.set("incidents", counts_json([("hole-punched", 2u64)]));
+        doc.set("incidents", counts_json([("shipment-corrupted", 2u64)]));
         doc
     }
 
@@ -364,7 +365,7 @@ mod tests {
             ("registry.counters.queries_served{layer=fog1}", 7.0),
             ("registry.gauges.in_flight{layer=fog2}", -3.0),
             ("phases.query.p50_us", 900.0),
-            ("incidents.hole-punched", 2.0),
+            ("incidents.shipment-corrupted", 2.0),
         ] {
             assert_eq!(
                 parsed.path(path).and_then(Json::as_f64),

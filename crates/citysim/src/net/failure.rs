@@ -82,7 +82,8 @@ pub struct FailurePlan {
     /// sender detects the failure and retries next flush).
     shipment_loss: f64,
     /// Probability one flush-wave sketch shipment arrives corrupted
-    /// (fails its CRC at the receiver and punches a coverage hole).
+    /// (one encoded partial fails its CRC at the receiver, which
+    /// refuses the whole shipment).
     shipment_corruption: f64,
     /// Probability one flush-wave *record payload* arrives with a byte
     /// flipped (its CRC fails at the receiver, which refuses it).
@@ -120,7 +121,7 @@ impl FailurePlan {
     }
 
     /// Schedules a crash window on `node` for `[from, until)`: while
-    /// down the node neither flushes, ingests, heals nor serves.
+    /// down the node neither flushes, ingests nor serves.
     ///
     /// # Panics
     ///
@@ -155,7 +156,9 @@ impl FailurePlan {
     }
 
     /// Sets the i.i.d. probability that a flush-wave sketch shipment
-    /// arrives corrupted (one encoded partial fails its CRC).
+    /// arrives corrupted: a byte of one encoded partial flips in
+    /// flight, the receiver's CRC check refuses the shipment, and the
+    /// sender keeps the batch to re-ship it.
     ///
     /// # Panics
     ///

@@ -32,6 +32,8 @@ pub enum Error {
     Network(citysim::Error),
     /// An underlying compression error surfaced during flushing.
     Compression(f2c_compress::Error),
+    /// A shipped sketch partial failed its integrity checks.
+    Sketch(f2c_aggregate::Error),
     /// A flush payload decoded cleanly but disagreed with the records
     /// it shipped alongside — the receiver-side decode-equality proof
     /// failed for the child stream `origin`.
@@ -57,6 +59,7 @@ impl fmt::Display for Error {
             }
             Error::Network(e) => write!(f, "network error: {e}"),
             Error::Compression(e) => write!(f, "compression error: {e}"),
+            Error::Sketch(e) => write!(f, "sketch error: {e}"),
             Error::CodecMismatch { origin } => write!(
                 f,
                 "flush payload from child stream {origin} decodes to different records"
@@ -70,6 +73,7 @@ impl std::error::Error for Error {
         match self {
             Error::Network(e) => Some(e),
             Error::Compression(e) => Some(e),
+            Error::Sketch(e) => Some(e),
             _ => None,
         }
     }
@@ -84,5 +88,11 @@ impl From<citysim::Error> for Error {
 impl From<f2c_compress::Error> for Error {
     fn from(e: f2c_compress::Error) -> Self {
         Error::Compression(e)
+    }
+}
+
+impl From<f2c_aggregate::Error> for Error {
+    fn from(e: f2c_aggregate::Error) -> Self {
+        Error::Sketch(e)
     }
 }

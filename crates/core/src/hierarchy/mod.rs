@@ -55,30 +55,6 @@ pub enum FanoutLeg {
     Fog2(usize),
 }
 
-/// Outcome of one anti-entropy round: what happened to every coverage
-/// hole the fog-2 and cloud ledgers carried into it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct HealReport {
-    /// Holes closed by a targeted re-shipment of the shipper's
-    /// authoritative partial.
-    pub healed: u64,
-    /// Holes carried to the next round: the healing node or its source
-    /// was crashed/unreachable, or the source is itself still holed.
-    pub blocked: u64,
-    /// Holes with no surviving source copy (the shipper compacted the
-    /// bucket away); they retire only with the compaction watermark.
-    pub impossible: u64,
-}
-
-impl HealReport {
-    /// Adds another receiver's round to this report.
-    fn add(&mut self, other: HealReport) {
-        self.healed += other.healed;
-        self.blocked += other.blocked;
-        self.impossible += other.impossible;
-    }
-}
-
 /// The city's pre-resolved handles into its metrics registry: hot paths
 /// publish through dense ids, never by name.
 #[derive(Debug, Clone, Copy)]
@@ -87,7 +63,7 @@ struct CityMetricIds {
     /// fog-2 → cloud).
     raw_flush_bytes: [CounterId; 2],
     /// Wire bytes of the pre-folded partials shipped per hop alongside
-    /// the raw batches (the sketch channel's cost), heals included.
+    /// the raw batches (the sketch channel's cost).
     sketch_flush_bytes: [CounterId; 2],
     /// Bytes actually metered on the uplink per hop — the encoded
     /// `tsenc` payload when the policy compresses, accounting bytes
@@ -103,10 +79,6 @@ struct CityMetricIds {
     quality_violations: [CounterId; Violation::ALL.len()],
     /// Flush waves run.
     flush_waves: CounterId,
-    /// Anti-entropy outcomes: holes healed / carried / unhealable.
-    heal_healed: CounterId,
-    heal_blocked: CounterId,
-    heal_impossible: CounterId,
 }
 
 impl CityMetricIds {
@@ -133,9 +105,6 @@ impl CityMetricIds {
                 metrics.counter("ingest_quality_violations", ingest.kind(kind.label()))
             }),
             flush_waves: metrics.counter("flush_waves", flush),
-            heal_healed: metrics.counter("heal_outcomes", sketch.kind("healed")),
-            heal_blocked: metrics.counter("heal_outcomes", sketch.kind("blocked")),
-            heal_impossible: metrics.counter("heal_outcomes", sketch.kind("impossible")),
         }
     }
 }
@@ -151,7 +120,7 @@ pub struct F2cCity {
     cost: AccessCostModel,
     flush_epoch: u64,
     /// The unified observability registry every plane publishes into
-    /// (flush accounting, heals, incidents, and — through the engine —
+    /// (flush accounting, incidents, and — through the engine —
     /// query serving).
     metrics: MetricsRegistry,
     ids: CityMetricIds,
@@ -167,8 +136,8 @@ pub struct F2cCity {
     /// The availability SLO's burn-rate monitor, evaluated at every
     /// flush instant on the event clock.
     monitor: BurnRateMonitor,
-    /// Worker threads for the sharded phases (flush waves, anti-entropy
-    /// phase 1, sharded ingest). Every observable is byte-identical at
+    /// Worker threads for the sharded phases (flush waves, sharded
+    /// ingest). Every observable is byte-identical at
     /// any setting; this knob only trades wall-clock.
     parallelism: Parallelism,
     /// Whether flush waves append every encoded shipment to
@@ -780,64 +749,65 @@ mod tests {
         node.store().archive().iter().collect()
     }
 
-    /// One anti-entropy round, rendered: its report, each incident it
-    /// recorded (`site kind`), then the spans it closed.
-    fn heal_round(city: &mut F2cCity, now_s: u64) -> String {
-        let mark = city.tracer.mark();
-        let seen = city.timeline.iter().count();
-        let mut out = format!("{:?}\n", city.anti_entropy(now_s));
-        for incident in city.timeline.iter().skip(seen) {
-            out += &format!("{} {}\n", incident.site, incident.kind.label());
-        }
-        out + &city.tracer.spans_since(&mark)
+    /// The timeline's incidents at `site`, as `kind` labels.
+    fn incidents_at(city: &F2cCity, site: ChaosSite) -> Vec<&'static str> {
+        city.timeline()
+            .at_site(site)
+            .map(|i| i.kind.label())
+            .collect()
     }
 
     #[test]
-    fn a_cloud_heal_waits_while_the_cloud_is_down_or_its_source_is_holed() {
+    fn a_nacked_relay_waits_at_fog2_while_the_cloud_is_down_and_ships_once() {
         let mut city = F2cCity::barcelona().unwrap();
         waves_into(&mut city, 0, SensorType::Weather, 3);
+        // The cloud is down for the first wave, and the second damages
+        // one partial of district 0's relay: fog 2 keeps it both times.
+        city.inject_node_outage(ChaosSite::Cloud, 2_000, 3_000);
         city.flush_all(2_700).unwrap();
-        let key = *city.fog1(0).sketches().keys().min().unwrap();
-        // A hole at the cloud alone, while the cloud is down: the round
-        // carries it without a span or an incident.
-        city.cloud.receive_sketches(&[], &[], &[key]);
-        city.inject_node_outage(ChaosSite::Cloud, 3_000, 4_000);
+        let mut plan = FailurePlan::with_seed(7);
+        plan.set_shipment_corruption(1.0);
+        city.set_failures(plan);
+        city.flush_all(3_600).unwrap();
         assert_eq!(
-            heal_round(&mut city, 3_500),
-            "HealReport { healed: 0, blocked: 1, impossible: 0 }\n"
+            incidents_at(&city, ChaosSite::Fog2(0)),
+            ["flush-blocked", "shipment-corrupted"]
         );
-        // The same hole at fog 2, whose source section is down: fog 2
-        // cannot heal, and the cloud must not heal from a holed fog 2.
-        city.fog2[0].receive_sketches(&[], &[], &[key]);
-        city.inject_node_outage(ChaosSite::Fog1(0), 4_000, 5_000);
+        assert!(city.cloud.sketches().is_empty());
+        // Healthy again, the relay ships once: every cloud bucket counts
+        // what fog 1 folded, no more.
+        city.set_failures(FailurePlan::none());
+        city.flush_all(4_500).unwrap();
+        let fog1 = city.fog1[0].sketches();
+        assert!(!fog1.is_empty());
+        assert_eq!(city.cloud.sketches().len(), fog1.len());
+        for key in fog1.keys() {
+            let count = |node: &F2cNode| node.sketches().entry(key).unwrap().0.count();
+            assert_eq!(count(&city.cloud), count(&city.fog1[0]));
+        }
+    }
+
+    #[test]
+    fn a_damaged_partial_and_payload_in_one_shipment_are_one_nack() {
+        let mut city = F2cCity::barcelona().unwrap();
+        waves_into(&mut city, 0, SensorType::Weather, 3);
+        let mut plan = FailurePlan::with_seed(7);
+        plan.set_shipment_corruption(1.0);
+        plan.set_payload_corruption(1.0);
+        city.set_failures(plan);
+        city.flush_all(2_700).unwrap();
         assert_eq!(
-            heal_round(&mut city, 4_500),
-            "HealReport { healed: 0, blocked: 2, impossible: 0 }\n\
-             fog2/d0 heal-blocked\n\
-             cloud heal-blocked\n\
-             cloud/0 heal-round 4500000000..4500000000 d=0 a=0\n\
-             fog2/0 sketch-relay 4500000000..4500000000 d=1 a=0\n\
-             fog2/0 heal-round 4500000000..4500000000 d=0 a=0\n"
+            incidents_at(&city, ChaosSite::Fog1(0)),
+            ["shipment-corrupted"]
         );
-        // A late increment queued at fog 2 for the holed bucket; then
-        // both up: fog 2 heals from fog 1, the cloud from fog 2.
-        let (partial, _) = city.fog1[0].sketches().entry(&key).unwrap();
-        city.fog2[0].receive_sketches(&[(key, partial.encode())], &[], &[]);
-        assert_eq!(
-            heal_round(&mut city, 5_500),
-            "HealReport { healed: 2, blocked: 0, impossible: 0 }\n\
-             fog2/d0 hole-healed\n\
-             cloud hole-healed\n\
-             cloud/0 sketch-relay 5500000000..5500000000 d=1 a=90\n\
-             cloud/0 heal-round 5500000000..5500000000 d=0 a=1\n\
-             fog2/0 sketch-relay 5500000000..5500000000 d=1 a=90\n\
-             fog2/0 heal-round 5500000000..5500000000 d=0 a=1\n"
-        );
-        // The cloud's heal shipped fog 2's whole fold, so the queued
-        // increment is dropped, not relayed on top of it.
-        city.flush_all(6_300).unwrap();
-        let count = |node: &F2cNode| node.sketches().entry(&key).unwrap().0.count();
-        assert_eq!(count(&city.cloud), count(&city.fog1[0]));
+        assert_eq!(city.timeline().iter().count(), 1);
+        // The partials are decoded first, so the damaged one refuses the
+        // shipment before its payload is read.
+        assert_eq!(city.fog2[0].sketches().crc_failures(), 1);
+        assert!(city.fog2[0].store().is_empty());
+        city.set_failures(FailurePlan::none());
+        city.flush_all(3_600).unwrap();
+        assert_eq!(city.cloud.store().len(), city.fog1[0].store().len());
     }
 
     #[test]

@@ -2,18 +2,15 @@
 //! downstream effects, recorded per node as it happens.
 //!
 //! The chaos plane's observability contract is that degradation is
-//! *attributable*: a deferred flush wave, a punched coverage hole, a
-//! shed fan-out leg or a fault reroute each lands one [`Incident`] on
-//! the city's [`IncidentTimeline`], stamped with the simulated instant
-//! and the node it happened at. Tests and the chaos bench query the
+//! *attributable*: a deferred flush wave, a refused shipment, a shed
+//! fan-out leg or a fault reroute each lands one [`Incident`] on the
+//! city's [`IncidentTimeline`], stamped with the simulated instant and
+//! the node it happened at. Tests and the chaos bench query the
 //! timeline to prove that every refused or degraded answer traces back
-//! to an injected fault — and that every hole punched by a corrupt
-//! shipment was eventually healed by anti-entropy.
+//! to an injected fault.
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-use f2c_aggregate::sketch::SketchKey;
 
 /// The node an incident happened at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -58,42 +55,12 @@ pub enum IncidentKind {
     /// a message dropped on an uplink link (a NACK). The batch stays
     /// queued below and re-ships with the next one.
     ShipmentLost,
-    /// The shipment's encoded record payload arrived damaged: its CRC
-    /// failed at the receiver, which NACKed it. Nothing of the shipment
-    /// landed; the sender took the batch back, and neither side's codec
-    /// dictionary advanced, so the re-shipment decodes in lock-step.
+    /// One of the shipment's encoded bucket partials, or its encoded
+    /// record payload, arrived damaged: its CRC failed at the receiver,
+    /// which NACKed the shipment. Nothing of it landed; the sender took
+    /// the batch back, and neither side's codec dictionary advanced, so
+    /// the re-shipment decodes in lock-step.
     ShipmentCorrupted,
-    /// One encoded bucket partial arrived corrupted and was refused by
-    /// the receiver's CRC check.
-    SketchCorrupted {
-        /// The damaged bucket.
-        key: SketchKey,
-    },
-    /// A coverage hole was punched (locally refused or relayed from
-    /// below): the bucket cannot be proved complete at this node until
-    /// healed.
-    HolePunched {
-        /// The holed bucket.
-        key: SketchKey,
-    },
-    /// Anti-entropy healed a hole: the shipper's authoritative partial
-    /// was re-shipped and installed.
-    HoleHealed {
-        /// The healed bucket.
-        key: SketchKey,
-    },
-    /// Anti-entropy found the heal source unreachable this round; the
-    /// hole is carried to the next round.
-    HealBlocked {
-        /// The still-holed bucket.
-        key: SketchKey,
-    },
-    /// Anti-entropy found no surviving copy (the shipper compacted the
-    /// bucket away): the hole can only retire with the watermark.
-    HealImpossible {
-        /// The unhealable bucket.
-        key: SketchKey,
-    },
     /// A scatter-gather leg was shed from a fan-out because its node
     /// was crashed or unreachable; the answer is annotated partial.
     LegShed,
@@ -129,11 +96,6 @@ impl IncidentKind {
             IncidentKind::FlushBlocked => "flush-blocked",
             IncidentKind::ShipmentLost => "shipment-lost",
             IncidentKind::ShipmentCorrupted => "shipment-corrupted",
-            IncidentKind::SketchCorrupted { .. } => "sketch-corrupted",
-            IncidentKind::HolePunched { .. } => "hole-punched",
-            IncidentKind::HoleHealed { .. } => "hole-healed",
-            IncidentKind::HealBlocked { .. } => "heal-blocked",
-            IncidentKind::HealImpossible { .. } => "heal-impossible",
             IncidentKind::LegShed => "leg-shed",
             IncidentKind::RouteFault => "route-fault",
             IncidentKind::Reroute => "reroute",
@@ -199,72 +161,29 @@ impl IncidentTimeline {
         }
         out
     }
-
-    /// The holes punched at `site` that were never healed there —
-    /// matching punch and heal events by bucket key. The healing
-    /// invariant asserts this is empty by end of run.
-    pub fn unhealed_holes(&self, site: ChaosSite) -> Vec<SketchKey> {
-        let mut open: Vec<SketchKey> = Vec::new();
-        for i in self.at_site(site) {
-            match i.kind {
-                IncidentKind::HolePunched { key } if !open.contains(&key) => open.push(key),
-                IncidentKind::HoleHealed { key } => open.retain(|&k| k != key),
-                _ => {}
-            }
-        }
-        open
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scc_sensors::SensorType;
-
-    fn key(bucket: u64) -> SketchKey {
-        SketchKey {
-            section: 1,
-            ty: SensorType::Traffic,
-            bucket_start_s: bucket,
-        }
-    }
 
     #[test]
     fn timeline_is_queryable_by_site_window_and_kind() {
         let mut t = IncidentTimeline::new();
         t.record(100, ChaosSite::Fog1(3), IncidentKind::NodeDown);
-        t.record(
-            900,
-            ChaosSite::Fog2(0),
-            IncidentKind::HolePunched { key: key(0) },
-        );
+        t.record(900, ChaosSite::Fog2(0), IncidentKind::ShipmentCorrupted);
         t.record(1_800, ChaosSite::Fog2(0), IncidentKind::NodeDown);
         assert_eq!(t.iter().count(), 3);
         assert_eq!(t.at_site(ChaosSite::Fog2(0)).count(), 2);
         assert_eq!(t.summary()["node-down"], 2);
-        assert_eq!(t.summary()["hole-punched"], 1);
-    }
-
-    #[test]
-    fn unhealed_holes_pair_punches_with_heals() {
-        let mut t = IncidentTimeline::new();
-        let site = ChaosSite::Fog2(4);
-        t.record(900, site, IncidentKind::HolePunched { key: key(0) });
-        t.record(900, site, IncidentKind::HolePunched { key: key(900) });
-        // A duplicate punch of the same bucket stays one open hole.
-        t.record(1_800, site, IncidentKind::HolePunched { key: key(0) });
-        t.record(2_700, site, IncidentKind::HoleHealed { key: key(0) });
-        assert_eq!(t.unhealed_holes(site), vec![key(900)]);
-        t.record(3_600, site, IncidentKind::HoleHealed { key: key(900) });
-        assert!(t.unhealed_holes(site).is_empty());
-        assert!(t.unhealed_holes(ChaosSite::Cloud).is_empty());
+        assert_eq!(t.summary()["shipment-corrupted"], 1);
     }
 
     #[test]
     fn labels_and_keys_round_trip() {
         assert_eq!(IncidentKind::NodeDown.label(), "node-down");
-        let k = IncidentKind::HoleHealed { key: key(900) };
-        assert_eq!(k.label(), "hole-healed");
+        let k = IncidentKind::IngestLost { readings: 900 };
+        assert_eq!(k.label(), "ingest-lost");
         assert_eq!(format!("{}", ChaosSite::Fog1(7)), "fog1/s7");
         assert_eq!(format!("{}", ChaosSite::Fog2(2)), "fog2/d2");
         assert_eq!(format!("{}", ChaosSite::Cloud), "cloud");

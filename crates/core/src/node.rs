@@ -12,9 +12,13 @@
 //! of ever re-scanning raw records for aggregate state. The ledgers
 //! outlive raw retention by design — that is what lets the query planner
 //! answer aggregate windows fog 1 has already evicted.
+//!
+//! A shipment is taken, then committed or rolled back whole: the receiver
+//! accepts it only when every partial decodes and the payload verifies,
+//! and a refused one returns to its sender to re-ship with the next.
 
 use std::collections::btree_map::Entry as Slot;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::num::NonZeroU64;
 
 use f2c_aggregate::sketch::{AggPartial, SketchKey, SketchLedger};
@@ -86,10 +90,6 @@ pub struct FlushBatch {
     /// shipped (and folded) by now. Carried even when no records are due
     /// so idle sections still seal.
     pub seals: Vec<(u16, u64)>,
-    /// Coverage holes relayed upward: buckets whose partial was refused
-    /// as corrupt somewhere below, so no tier above may ever prove them
-    /// complete from its ledger.
-    pub holes: Vec<SketchKey>,
 }
 
 impl FlushBatch {
@@ -138,9 +138,6 @@ pub struct F2cNode {
     /// Fog-2 only: seal frontiers received since the last committed
     /// flush, awaiting upward relay.
     seal_relay: BTreeMap<u16, u64>,
-    /// Fog-2 only: coverage holes (local refusals + relayed ones)
-    /// awaiting upward relay (BTreeSet for deterministic order).
-    hole_relay: BTreeSet<SketchKey>,
     /// Fog-1 only: the partials of the flush in flight, folded into the
     /// ledger when the parent acknowledges the batch.
     unacked: BTreeMap<SketchKey, AggPartial>,
@@ -188,7 +185,6 @@ impl F2cNode {
             sketches: SketchLedger::with_bucket(SKETCH_BUCKET),
             sketch_relay: BTreeMap::new(),
             seal_relay: BTreeMap::new(),
-            hole_relay: BTreeSet::new(),
             unacked: BTreeMap::new(),
             flush_seq: 0,
             codec: tsenc::StreamEncoder::new(),
@@ -216,7 +212,6 @@ impl F2cNode {
             sketches: SketchLedger::with_bucket(SKETCH_BUCKET),
             sketch_relay: BTreeMap::new(),
             seal_relay: BTreeMap::new(),
-            hole_relay: BTreeSet::new(),
             unacked: BTreeMap::new(),
             flush_seq: 0,
             codec: tsenc::StreamEncoder::new(),
@@ -236,7 +231,6 @@ impl F2cNode {
             sketches: SketchLedger::with_bucket(SKETCH_BUCKET),
             sketch_relay: BTreeMap::new(),
             seal_relay: BTreeMap::new(),
-            hole_relay: BTreeSet::new(),
             unacked: BTreeMap::new(),
             flush_seq: 0,
             codec: tsenc::StreamEncoder::new(),
@@ -264,7 +258,6 @@ impl F2cNode {
             + self.sketches.heap_bytes()
             + partials(&self.sketch_relay)
             + heap::btree_bytes::<u16, u64>(self.seal_relay.len())
-            + heap::btree_bytes::<SketchKey, ()>(self.hole_relay.len())
             + partials(&self.unacked)
             + self.codec.heap_bytes()
             + heap::btree_bytes::<u16, tsenc::StreamDecoder>(self.decoders.len())
@@ -290,40 +283,41 @@ impl F2cNode {
         &self.sketches
     }
 
-    /// Folds a shipment of encoded bucket partials (CRC-verified — a
-    /// corrupt one is counted in the ledger, punches a permanent
-    /// coverage hole at its bucket, and is never merged) and applies
-    /// the accompanying seal frontiers and relayed holes. The seal may
-    /// still advance past a refused bucket: the hole is what keeps
-    /// [`SketchLedger::covers`] honest there, so a lost shipment
-    /// degrades availability for exactly the damaged bucket — never
-    /// correctness. Fog-2 nodes queue partials, seals *and* holes for
-    /// upward relay on their next flush. Returns how many partials were
-    /// refused as corrupt.
-    pub(crate) fn receive_sketches(
+    /// Decodes a shipment's encoded bucket partials, verifying each
+    /// CRC, before the receiver accepts any of the shipment.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Sketch`] at the first partial that fails its integrity
+    /// checks, counted in the ledger's
+    /// [`SketchLedger::crc_failures`]: the whole shipment is refused.
+    pub(crate) fn decode_sketches(
         &mut self,
         sketches: &[(SketchKey, Vec<u8>)],
-        seals: &[(u16, u64)],
-        holes: &[SketchKey],
-    ) -> u64 {
-        let mut refused = 0;
+    ) -> Result<Vec<(SketchKey, AggPartial)>> {
+        let mut partials = Vec::with_capacity(sketches.len());
         for (key, bytes) in sketches {
-            // One decode: the ledger verifies the CRC; a corrupt shipment
-            // is counted (and holed) there and merged nowhere.
-            let Ok(partial) = self.sketches.decode_shipped(*key, bytes) else {
-                refused += 1;
-                if self.layer == Layer::Fog2 {
-                    self.hole_relay.insert(*key);
-                }
-                continue;
-            };
+            partials.push((*key, self.sketches.decode_shipped(bytes)?));
+        }
+        Ok(partials)
+    }
+
+    /// Folds an accepted shipment's decoded partials and applies its
+    /// seal frontiers. Fog-2 nodes also queue both for upward relay on
+    /// their next flush.
+    pub(crate) fn receive_sketches(
+        &mut self,
+        partials: Vec<(SketchKey, AggPartial)>,
+        seals: &[(u16, u64)],
+    ) {
+        for (key, partial) in partials {
             if self.layer != Layer::Fog2 {
                 // Nothing relays from here: the ledger takes the partial.
-                self.sketches.fold_owned(*key, partial, self.flush_seq);
+                self.sketches.fold_owned(key, partial, self.flush_seq);
                 continue;
             }
-            self.sketches.fold(*key, &partial, self.flush_seq);
-            match self.sketch_relay.entry(*key) {
+            self.sketches.fold(key, &partial, self.flush_seq);
+            match self.sketch_relay.entry(key) {
                 Slot::Occupied(relayed) => relayed.into_mut().merge(&partial),
                 // Taking the partial is merging it into an empty one
                 // (`a_moved_partial_is_one_merged_into_an_empty_one` in
@@ -333,12 +327,6 @@ impl F2cNode {
                 }
             }
         }
-        for &hole in holes {
-            self.sketches.mark_hole(hole);
-            if self.layer == Layer::Fog2 {
-                self.hole_relay.insert(hole);
-            }
-        }
         for &(section, through_s) in seals {
             self.sketches.seal(section, through_s);
             if self.layer == Layer::Fog2 {
@@ -346,38 +334,13 @@ impl F2cNode {
                 *slot = (*slot).max(through_s);
             }
         }
-        refused
-    }
-
-    /// Installs an authoritative re-shipped partial over a coverage hole
-    /// (the anti-entropy heal path): CRC-verified, *replaces* whatever
-    /// fragment the ledger holds for the bucket — the shipper's own
-    /// ledger entry is the full fold for its section, so merging would
-    /// double-count — and clears the hole. Returns whether a hole was
-    /// actually cleared; a heal below the compaction watermark or a
-    /// corrupt re-shipment leaves the ledger untouched and returns
-    /// `false`.
-    pub(crate) fn heal_sketch(&mut self, key: SketchKey, bytes: &[u8]) -> bool {
-        self.sketches
-            .heal_encoded(key, bytes, self.flush_seq)
-            .unwrap_or(false)
-    }
-
-    /// Drops any partial queued for upward relay at `key` (fog-2 only;
-    /// a no-op elsewhere). Called after an anti-entropy heal shipped
-    /// this node's full current fold upward: the queued increment is
-    /// subsumed by it, and relaying it afterwards would double-count at
-    /// the parent.
-    pub(crate) fn drop_queued_relay(&mut self, key: &SketchKey) {
-        self.sketch_relay.remove(key);
     }
 
     /// The sketch-horizon compaction that [`F2cNode::commit_flush`]
     /// runs for fog nodes. The cloud never flushes (it has no parent),
-    /// so without this its ledger — and its coverage-hole set — would
-    /// grow without bound; [`crate::F2cCity::flush_due`] calls it on
-    /// the cloud every wave. Returns how many bucket entries were
-    /// dropped; holes below the watermark retire with them.
+    /// so without this its ledger would grow without bound;
+    /// [`crate::F2cCity::flush_due`] calls it on the cloud every wave.
+    /// Returns how many bucket entries were dropped.
     pub(crate) fn compact_sketches(&mut self, now_s: u64) -> usize {
         self.sketches
             .evict_older_than(now_s.saturating_sub(SKETCH_RETENTION_S))
@@ -474,7 +437,7 @@ impl F2cNode {
     /// The batch also carries the sketch plane's shipment: a fog-1 node
     /// folds the batch into per-`(section, type, bucket)` partials and
     /// seals its section through `now_s`; a fog-2 node relays the
-    /// partials, seals and holes received from its children since its
+    /// partials and seals received from its children since its
     /// last committed flush. An empty batch still ships its seals, so
     /// idle sections keep their parents' frontiers moving.
     ///
@@ -500,21 +463,18 @@ impl F2cNode {
         } else {
             None
         };
-        let (sketches, seals, holes) = match self.layer {
+        let (sketches, seals) = match self.layer {
             Layer::Fog1 => {
                 let own = self.section.unwrap_or(0);
                 self.unacked = fold_runs(&records, own, &self.sketches);
-                // Fog 1 folds locally: its own shipments cannot have
-                // been refused, so it never originates holes.
-                (encode_all(&self.unacked), vec![(own, now_s)], Vec::new())
+                (encode_all(&self.unacked), vec![(own, now_s)])
             }
             Layer::Fog2 => (
                 encode_all(&self.sketch_relay),
                 self.seal_relay.iter().map(|(&s, &t)| (s, t)).collect(),
-                self.hole_relay.iter().copied().collect(),
             ),
             // The cloud has no parent; nothing to ship.
-            Layer::Cloud => (Vec::new(), Vec::new(), Vec::new()),
+            Layer::Cloud => (Vec::new(), Vec::new()),
         };
         let acct_bytes = acct_bytes_of(records.iter().map(DataRecord::sensor_type), catalog);
         Ok(FlushBatch {
@@ -523,7 +483,6 @@ impl F2cNode {
             payload,
             sketches,
             seals,
-            holes,
         })
     }
 
@@ -548,7 +507,6 @@ impl F2cNode {
             Layer::Fog2 => {
                 self.sketch_relay.clear();
                 self.seal_relay.clear();
-                self.hole_relay.clear();
             }
             Layer::Cloud => {}
         }
@@ -864,7 +822,8 @@ mod tests {
         }
         let batch = f1.flush(1_800, &catalog).unwrap();
         let shipped = batch.sketches.len();
-        assert_eq!(f2.receive_sketches(&batch.sketches, &batch.seals, &[]), 0);
+        let partials = f2.decode_sketches(&batch.sketches).unwrap();
+        f2.receive_sketches(partials, &batch.seals);
         f2.verify_flush(0, batch.payload.as_deref(), &batch.records)
             .unwrap();
         f2.receive_wave([batch.records.clone()]);
@@ -885,10 +844,8 @@ mod tests {
         assert_eq!(relay.sketches.len(), shipped);
         assert_eq!(relay.seals, vec![(0, 1_800)]);
         let mut cloud = F2cNode::cloud();
-        assert_eq!(
-            cloud.receive_sketches(&relay.sketches, &relay.seals, &[]),
-            0
-        );
+        let partials = cloud.decode_sketches(&relay.sketches).unwrap();
+        cloud.receive_sketches(partials, &relay.seals);
         assert_eq!(cloud.sketches().sealed_through(0), 1_800);
     }
 
@@ -897,40 +854,33 @@ mod tests {
         let catalog = Catalog::barcelona();
         let mut f1 = fog1();
         let mut gen = ReadingGenerator::for_population(SensorType::Temperature, 10, 3);
-        f1.ingest_wave(gen.wave(0), 1, &catalog).unwrap();
-        let mut batch = f1.flush(900, &catalog).unwrap();
-        let mid = batch.sketches[0].1.len() / 2;
-        batch.sketches[0].1[mid] ^= 0xFF;
+        for w in 0..2u64 {
+            f1.ingest_wave(gen.wave(w * 900), w * 900 + 1, &catalog)
+                .unwrap();
+        }
+        let mut batch = f1.flush(1_800, &catalog).unwrap();
+        assert_eq!(batch.sketches.len(), 2, "one partial per bucket");
+        let mid = batch.sketches[1].1.len() / 2;
+        batch.sketches[1].1[mid] ^= 0xFF;
         let mut f2 = F2cNode::fog2(
             0,
             FlushPolicy::plain(3600),
             RetentionPolicy::keep(7 * 86_400),
         )
         .unwrap();
-        let refused = f2.receive_sketches(&batch.sketches, &batch.seals, &[]);
-        assert_eq!(refused, 1, "exactly the corrupted shipment is refused");
-        assert_eq!(f2.sketches().len(), batch.sketches.len() - 1);
+        // One damaged partial refuses the shipment: the intact one
+        // before it is not folded either, and nothing queues to relay.
+        assert!(matches!(
+            f2.decode_sketches(&batch.sketches),
+            Err(Error::Sketch(f2c_aggregate::Error::CorruptPartial { .. }))
+        ));
         assert_eq!(f2.sketches().crc_failures(), 1);
-        // The seal still advanced, but the refused bucket is a coverage
-        // hole: the ledger must never "prove" the damaged window, and
-        // the hole relays to the cloud so no tier above proves it
-        // either.
-        let damaged = batch.sketches[0].0;
-        assert_eq!(f2.sketches().sealed_through(0), 900);
-        assert!(!f2.sketches().covers(
-            damaged.section,
-            damaged.bucket_start_s,
-            damaged.bucket_start_s + 900
-        ));
+        assert!(f2.sketches().is_empty());
         let relay = f2.flush(3_600, &catalog).unwrap();
-        assert_eq!(relay.holes, vec![damaged]);
-        let mut cloud = F2cNode::cloud();
-        cloud.receive_sketches(&relay.sketches, &relay.seals, &relay.holes);
-        assert!(!cloud.sketches().covers(
-            damaged.section,
-            damaged.bucket_start_s,
-            damaged.bucket_start_s + 900
-        ));
+        assert!(relay.sketches.is_empty() && relay.seals.is_empty());
+        // The undamaged re-shipment decodes whole.
+        batch.sketches[1].1[mid] ^= 0xFF;
+        assert_eq!(f2.decode_sketches(&batch.sketches).unwrap().len(), 2);
     }
 
     #[test]

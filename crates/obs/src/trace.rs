@@ -64,10 +64,10 @@ impl std::fmt::Display for Site {
 
 /// One completed span: a named interval of simulated time at one site,
 /// with its nesting depth and one free attribute (bytes shipped, legs
-/// gathered, holes healed — whatever the phase counts).
+/// gathered, partials folded — whatever the phase counts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
-    /// Phase name (static: `"flush-wave"`, `"query"`, `"heal-round"`, …).
+    /// Phase name (static: `"flush-wave"`, `"query"`, `"sketch-fold"`, …).
     pub name: &'static str,
     /// Open instant, simulated microseconds.
     pub start_us: u64,
@@ -1049,7 +1049,7 @@ mod tests {
         Site::new("fog2", 0),
     ];
     const OPEN_ONLY: usize = 11;
-    const NAMES: [&str; 3] = ["query", "flush-hop", "heal-round"];
+    const NAMES: [&str; 3] = ["query", "flush-hop", "sketch-fold"];
 
     /// The real tracer and the model side by side, fed the same calls.
     struct Pair {

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 const TIERS: [&str; 3] = ["fog1", "fog2", "cloud"];
-const NAMES: [&str; 4] = ["flush-wave", "flush-hop", "query", "heal-round"];
+const NAMES: [&str; 4] = ["flush-wave", "flush-hop", "query", "sketch-fold"];
 
 /// One program step, encoded as plain integers (the vendored proptest
 /// shim has no prop_oneof/prop_map): `kind < 4` opens a span at `site`,

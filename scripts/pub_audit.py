@@ -108,7 +108,7 @@ class Audit:
         self.tree = tree
         # (relative file, 1-based line) -> original line text
         self.narrowed = {}
-        # (relative file, 1-based line) -> its first consumer, same form
+        # (relative file, 1-based line) -> its consumer, same form
         self.restored = {}
         self.lines = {}
         self.original = {}
@@ -146,9 +146,13 @@ class Audit:
     def restore_from(self, output):
         """Restore every narrowed declaration a diagnostic points at.
 
+        Cargo builds crates in parallel, so the order of one round's
+        diagnostics varies from run to run. When several of them name the
+        same declaration, the least consumer location, by path and then
+        line, is the one kept, so the table is a function of the code.
+
         Returns (restored count, diagnostics that named nothing)."""
-        count, unexplained = 0, []
-        touched = set()
+        found, unexplained = {}, []
         for kind, message, locs, source in diagnostics(output):
             if kind == "warning" and "more private than" not in message:
                 continue
@@ -169,16 +173,17 @@ class Audit:
             if not hits and kind == "error":
                 unexplained.append("%s: %s at %s:%d" % (kind, message, *consumer))
             for key in hits:
-                self.restored[key] = consumer
-                touched.add(key[0])
-                count += 1
-        for rel in touched:
+                if key not in found or (str(consumer[0]), consumer[1]) < (
+                        str(found[key][0]), found[key][1]):
+                    found[key] = consumer
+        self.restored.update(found)
+        for rel in {rel for rel, _ in found}:
             lines = self.lines[rel]
             for (f, line), _ in self.restored.items():
                 if f == rel:
                     lines[line - 1] = self.narrowed[(f, line)]
             (self.tree / rel).write_text("\n".join(lines))
-        return count, unexplained
+        return len(found), unexplained
 
     def declarations(self, name, user, source):
         """Narrowed declarations of `name` in the crate of `user`.
@@ -212,9 +217,11 @@ class Audit:
         return consumer
 
     def describe(self, declared, where, at):
-        """A consumer location, labelled when it sits in the declaring crate:
-        a doctest, or a `pub` item whose signature exposes the declaration."""
-        loc = "`%s:%d`" % (where, at)
+        """A consumer's file, labelled when it sits in the declaring crate:
+        a doctest, or a `pub` item whose signature exposes the declaration.
+        The line is left out, so an edit that only moves the consumer's
+        lines leaves its row as it was."""
+        loc = "`%s`" % where
         inside = where.parts[:3] == declared.parts[:3] and "bin" not in where.parts
         if not inside or not (self.tree / where).is_file():
             return loc
@@ -230,9 +237,10 @@ class Audit:
             "# Public API audit",
             "",
             "Every `pub` item declared in a library crate (`crates/*/src`, binaries",
-            "excluded), with one consumer outside its crate: the location of the",
-            "first build-set diagnostic that named it once it was narrowed to",
-            "`pub(crate)` (re-export chains followed). A consumer inside the",
+            "excluded), with the file of one consumer outside its crate: once the",
+            "item was narrowed to `pub(crate)`, the least location (by path, then",
+            "line) among the diagnostics of the first build-set round that named",
+            "it (re-export chains followed). A consumer inside the",
             "declaring crate is one of its doctests, or a `pub` item whose",
             "signature exposes the declaration. Regenerate with",
             "`scripts/pub_audit.py --table docs/pub-audit.md`.",

@@ -2,18 +2,19 @@
 //! flush-shipment loss at the gate, message loss on the uplinks, payload
 //! and sketch corruption) degrade the hierarchy by *availability only*
 //! — deferred turns, NACKed shipments that re-ship later, lost edge
-//! ingest, punched coverage holes — and sketch anti-entropy heals every
-//! hole once the fault clears. A shipment lands whole or not at all: it
-//! commits at both ends exactly when the receiver ACKs it. The oracle
-//! throughout: a chaos city fed the surviving stream converges to
-//! byte-equal state with a fault-free control city fed the same stream,
-//! and every degradation is attributable to an injected fault through
-//! the incident timeline.
+//! ingest. A shipment lands whole or not at all: it commits at both ends
+//! exactly when the receiver ACKs it, and a damaged partial or payload
+//! is a NACK. The oracle throughout: a chaos city fed the surviving
+//! stream converges to byte-equal state with a fault-free control city
+//! fed the same stream, and every degradation is attributable to an
+//! injected fault through the incident timeline.
 
+use f2c_smartcity::aggregate::sketch::SketchKey;
 use f2c_smartcity::citysim::barcelona::{BarcelonaTopology, LatencyProfile};
 use f2c_smartcity::citysim::net::FailurePlan;
-use f2c_smartcity::core::{ChaosSite, F2cCity, IncidentKind, Parallelism};
-use f2c_smartcity::sensors::{Reading, ReadingGenerator, SensorId, SensorType};
+use f2c_smartcity::compress::tsenc::StreamDecoder;
+use f2c_smartcity::core::{ChaosSite, F2cCity, F2cNode, IncidentKind, Parallelism};
+use f2c_smartcity::sensors::{wire, Reading, ReadingGenerator, SensorId, SensorType};
 
 /// One deterministic sensor wave for a section at an instant.
 fn wave(section: usize, t: u64) -> Vec<Reading> {
@@ -77,6 +78,55 @@ fn cloud_readings(city: &F2cCity) -> Vec<(Option<u16>, SensorId, u64)> {
     out
 }
 
+/// A node's sketch ledger as its encoded partials in key order: two
+/// ledgers holding the same folds compare equal, byte for byte.
+fn ledger_bytes(node: &F2cNode) -> Vec<(SketchKey, Vec<u8>)> {
+    let ledger = node.sketches();
+    let mut out: Vec<_> = ledger
+        .keys()
+        .map(|key| (*key, ledger.entry(key).expect("resident key").0.encode()))
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+/// A node's store as the sorted `(section, wire text)` of its records:
+/// two stores holding the same records compare equal, whatever order
+/// they arrived in.
+fn store_lines(node: &F2cNode) -> Vec<(Option<u16>, String)> {
+    let mut out: Vec<_> = node
+        .store()
+        .archive()
+        .iter()
+        .map(|r| (r.descriptor().section(), wire::encode(r.reading())))
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+/// Every fog-2 node and the cloud, with their chaos sites.
+fn upper_tiers(city: &F2cCity) -> impl Iterator<Item = (ChaosSite, &F2cNode)> {
+    (0..city.district_count())
+        .map(|d| (ChaosSite::Fog2(d), city.fog2(d)))
+        .chain([(ChaosSite::Cloud, city.cloud())])
+}
+
+/// Asserts that every fog-2 node and the cloud hold the same records and
+/// the same ledger folds and seal frontiers in `chaos` as in `control`.
+fn assert_upper_tiers_equal(chaos: &F2cCity, control: &F2cCity) {
+    for ((site, got), (_, want)) in upper_tiers(chaos).zip(upper_tiers(control)) {
+        assert_eq!(store_lines(got), store_lines(want), "{site} store");
+        assert_eq!(ledger_bytes(got), ledger_bytes(want), "{site} ledger");
+        for section in 0..chaos.section_count() as u16 {
+            assert_eq!(
+                got.sketches().sealed_through(section),
+                want.sketches().sealed_through(section),
+                "{site} seal of section {section}"
+            );
+        }
+    }
+}
+
 /// `sender`'s uplink loses every message during the 900 s wave only. A
 /// chaos city and a fault-free control get the same Traffic wave into
 /// every section before each of four flush waves, and every wave must
@@ -112,7 +162,7 @@ fn one_lossy_wave(sender: ChaosSite, lossy: impl Fn(usize) -> bool) {
         .filter(|i| i.kind == IncidentKind::ShipmentLost)
         .count();
     assert_eq!(lost, 1, "one NACK, against {sender}");
-    assert!(chaos.cloud().sketches().holes_sorted().is_empty());
+    assert_upper_tiers_equal(&chaos, &control);
 }
 
 #[test]
@@ -164,14 +214,7 @@ fn a_day_of_uplink_loss_delays_records_and_loses_none() {
         .count();
     assert!(lost > 100, "the storm NACKed only {lost} shipments");
     assert_eq!(cloud_readings(&chaos), cloud_readings(&control));
-    for d in 0..chaos.district_count() {
-        assert!(chaos.fog2(d).sketches().holes_sorted().is_empty());
-    }
-    assert!(chaos.cloud().sketches().holes_sorted().is_empty());
-    assert_eq!(
-        chaos.cloud().sketches().len(),
-        control.cloud().sketches().len()
-    );
+    assert_upper_tiers_equal(&chaos, &control);
 }
 
 #[test]
@@ -235,58 +278,114 @@ fn crash_window_defers_the_flush_wave_then_catches_up_exactly() {
 }
 
 #[test]
-fn corruption_punches_holes_and_anti_entropy_heals_them_in_the_same_wave() {
+fn a_corrupt_partial_on_a_fog1_uplink_lands_nothing_and_re_ships_in_step() {
+    // The sketch coin damages one partial of every loaded fog-1
+    // shipment; the payloads arrive intact. Each fog 2 refuses the
+    // whole shipment before it verifies the payload, so its mirror
+    // decoder stays where the sender's encoder rolls back to.
     let waves: Vec<(usize, u64)> = vec![(0, 100), (0, 500), (12, 300)];
-
     let mut chaos = F2cCity::barcelona().unwrap();
+    chaos.set_capture_shipments(true);
     let mut plan = FailurePlan::with_seed(7);
     plan.set_shipment_corruption(1.0);
     chaos.set_failures(plan);
     ingest_waves(&mut chaos, &waves, &[]);
     chaos.flush_all(900).unwrap();
 
-    let summary = chaos.timeline().summary();
-    assert!(
-        summary.get("sketch-corrupted").copied().unwrap_or(0) > 0,
-        "a certain corruption coin must fire on shipped sketches"
+    let refused: Vec<_> = chaos.timeline().iter().map(|i| (i.site, i.kind)).collect();
+    assert_eq!(
+        refused,
+        [
+            (ChaosSite::Fog1(0), IncidentKind::ShipmentCorrupted),
+            (ChaosSite::Fog1(12), IncidentKind::ShipmentCorrupted),
+        ],
+        "one NACK per loaded fog-1 shipment, and nothing else"
     );
-    assert!(
-        summary.get("hole-punched").copied().unwrap_or(0) > 0
-            && summary.get("hole-healed").copied().unwrap_or(0) > 0,
-        "punched holes must heal in the same wave's anti-entropy round"
-    );
-    for d in 0..chaos.district_count() {
-        assert!(chaos.fog2(d).sketches().holes_sorted().is_empty());
-        assert!(chaos
-            .timeline()
-            .unhealed_holes(ChaosSite::Fog2(d))
-            .is_empty());
+    for (site, node) in upper_tiers(&chaos) {
+        assert!(node.store().is_empty(), "{site} stored a refused record");
+        assert!(
+            node.sketches().is_empty(),
+            "{site} folded a refused partial"
+        );
     }
-    assert!(chaos.cloud().sketches().holes_sorted().is_empty());
-    assert!(chaos.timeline().unhealed_holes(ChaosSite::Cloud).is_empty());
+    let crc_failures: u64 = (0..chaos.district_count())
+        .map(|d| chaos.fog2(d).sketches().crc_failures())
+        .sum();
+    assert_eq!(crc_failures, 2);
+    assert!(chaos.shipment_log().is_empty(), "no payload was accepted");
 
-    // The healed ledgers are *byte-identical* to a fault-free control's:
-    // healing replaces the damaged partial with the shipper's
-    // authoritative fold, never a lossy reconstruction.
+    // The fault clears. The re-shipment lands, and each payload decodes
+    // on a fresh decoder: neither end of the stream kept anything of the
+    // refused one.
+    chaos.set_failures(FailurePlan::none());
+    chaos.flush_all(1_800).unwrap();
+    let hop1: Vec<_> = chaos.shipment_log().iter().filter(|s| s.hop == 1).collect();
+    assert_eq!(hop1.len(), 2);
+    for shipment in hop1 {
+        let readings = StreamDecoder::new()
+            .decode_batch(&shipment.payload)
+            .unwrap();
+        assert_eq!(wire::encode_batch(&readings), shipment.wire);
+    }
     let mut control = F2cCity::barcelona().unwrap();
     ingest_waves(&mut control, &waves, &[]);
     control.flush_all(900).unwrap();
-    assert_eq!(
-        chaos.cloud().sketches().len(),
-        control.cloud().sketches().len()
-    );
-    for key in control.cloud().sketches().keys() {
-        let (want, _) = control.cloud().sketches().entry(key).unwrap();
-        let (got, _) = chaos
-            .cloud()
-            .sketches()
-            .entry(key)
-            .expect("healed ledger holds every control key");
-        assert_eq!(
-            got, want,
-            "healed partial must equal the authoritative fold"
-        );
+    control.flush_all(1_800).unwrap();
+    assert_upper_tiers_equal(&chaos, &control);
+}
+
+#[test]
+fn a_corrupt_partial_on_a_fog2_uplink_re_ships_its_relay_once() {
+    // The cloud is down for the first wave, so each loaded fog 2 holds
+    // its relay. The second wave damages one partial of each relay (the
+    // fog-1 shipments carry none, only seals), and the cloud NACKs it.
+    // The third wave ships each relay once.
+    let waves: Vec<(usize, u64)> = vec![(0, 100), (0, 500), (12, 300)];
+    let mut chaos = F2cCity::barcelona().unwrap();
+    chaos.set_failures(FailurePlan::with_seed(7));
+    chaos.inject_node_outage(ChaosSite::Cloud, 800, 1_000);
+    ingest_waves(&mut chaos, &waves, &[]);
+    chaos.flush_all(900).unwrap();
+    let mut plan = FailurePlan::with_seed(7);
+    plan.set_shipment_corruption(1.0);
+    chaos.set_failures(plan);
+    chaos.flush_all(1_800).unwrap();
+
+    let corrupted: Vec<_> = chaos
+        .timeline()
+        .iter()
+        .filter(|i| i.kind == IncidentKind::ShipmentCorrupted)
+        .map(|i| i.site)
+        .collect();
+    let districts = [0, 12].map(|s| ChaosSite::Fog2(chaos.district_of(s)));
+    assert_eq!(corrupted, districts, "one NACK per loaded fog-2 relay");
+    assert!(chaos.cloud().store().is_empty());
+    assert!(chaos.cloud().sketches().is_empty());
+    assert_eq!(chaos.cloud().sketches().crc_failures(), 2);
+
+    chaos.set_failures(FailurePlan::none());
+    chaos.flush_all(2_700).unwrap();
+    let mut control = F2cCity::barcelona().unwrap();
+    ingest_waves(&mut control, &waves, &[]);
+    for t in [900, 1_800, 2_700] {
+        control.flush_all(t).unwrap();
     }
+    // Shipped once: as many folds and sketch-channel bytes as the
+    // control's, and the same partials, bit for bit.
+    assert_eq!(
+        chaos.cloud().sketches().folds(),
+        control.cloud().sketches().folds()
+    );
+    let sketch_bytes = |city: &F2cCity| {
+        let snapshot = city.metrics().snapshot();
+        snapshot
+            .counters
+            .into_iter()
+            .filter(|(key, _)| key.starts_with("flush_sketch_bytes"))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(sketch_bytes(&chaos), sketch_bytes(&control));
+    assert_upper_tiers_equal(&chaos, &control);
 }
 
 #[test]
@@ -393,11 +492,7 @@ fn district_crash_blocks_children_and_recovery_converges() {
         control.flush_all(t).unwrap();
     }
     assert_eq!(chaos.cloud().store().len(), control.cloud().store().len());
-    assert_eq!(
-        chaos.cloud().sketches().len(),
-        control.cloud().sketches().len()
-    );
-    assert!(chaos.cloud().sketches().holes_sorted().is_empty());
+    assert_upper_tiers_equal(&chaos, &control);
 }
 
 #[test]
@@ -510,11 +605,11 @@ mod oracle {
 
         /// The tentpole oracle: under any seeded fault schedule the
         /// hierarchy degrades by availability only. After the storm
-        /// clears and healthy waves run, (a) every upper-tier ledger is
-        /// hole-free, (b) stores and ledgers are byte-equal to a
-        /// fault-free control fed the surviving stream, and (c) every
-        /// deferred hop on the timeline is attributable to a fault that
-        /// was actually active at that instant.
+        /// clears and healthy waves run, (a) fog-2 and cloud stores and
+        /// ledgers are byte-equal to a fault-free control fed the
+        /// surviving stream, and (b) every deferred or refused hop on
+        /// the timeline is attributable to a fault that was actually
+        /// active at that instant.
         #[test]
         fn chaos_degrades_availability_never_correctness(
             // A fault schedule: a seed for the shipment coins, loss
@@ -538,8 +633,8 @@ mod oracle {
 
             // The storm runs on four worker threads; a single-thread
             // replica of the same storm must agree on every outcome —
-            // losses, the incident timeline, and (after healing below)
-            // the archive and ledgers. Chaos and the sharded runtime
+            // losses, the incident timeline, and (after the healthy waves
+            // below) the archive and ledgers. Chaos and the sharded runtime
             // must compose without perturbing each other.
             let fault = (seed, loss_milli, uplink_loss_milli, corrupt_milli, payload_milli);
             let storm = |threads| {
@@ -551,7 +646,7 @@ mod oracle {
             prop_assert_eq!(&lost, &lost_seq);
             prop_assert_eq!(timeline_text(&chaos), timeline_text(&chaos_seq));
 
-            // (c) Attribution, checked while the plan is still installed:
+            // (b) Attribution, checked while the plan is still installed:
             // every deferral names a fault that was live at that instant.
             for incident in chaos.timeline().iter() {
                 match incident.kind {
@@ -563,19 +658,17 @@ mod oracle {
                     IncidentKind::ShipmentLost => {
                         prop_assert!(loss_milli > 0 || uplink_loss_milli > 0);
                     }
-                    IncidentKind::SketchCorrupted { .. } => {
-                        prop_assert!(corrupt_milli > 0);
-                    }
+                    // A damaged partial or payload.
                     IncidentKind::ShipmentCorrupted => {
-                        prop_assert!(payload_milli > 0);
+                        prop_assert!(corrupt_milli > 0 || payload_milli > 0);
                     }
                     _ => {}
                 }
             }
 
             // The storm clears; two healthy waves ship what was deferred
-            // and anti-entropy re-ships over every hole — on both
-            // replicas, which must heal to the same place.
+            // or refused — on both replicas, which must end in the same
+            // place.
             chaos.set_failures(FailurePlan::none());
             chaos.flush_all(3_600).unwrap();
             chaos.flush_all(4_500).unwrap();
@@ -589,27 +682,15 @@ mod oracle {
                 chaos_seq.cloud().sketches().len()
             );
 
-            // (a) hole-free everywhere above fog 1.
-            for d in 0..chaos.district_count() {
-                prop_assert!(chaos.fog2(d).sketches().holes_sorted().is_empty());
-            }
-            prop_assert!(chaos.cloud().sketches().holes_sorted().is_empty());
-
-            // (b) byte-equality with the fault-free control on the
-            // surviving stream: same archive, same folds.
+            // (a) byte-equality with the fault-free control on the
+            // surviving stream: same records, same folds, same seals,
+            // at fog 2 and in the cloud.
             let mut control = F2cCity::barcelona().unwrap();
             ingest_waves(&mut control, &waves, &lost);
             for t in [900, 1_800, 2_700, 3_600, 4_500] {
                 control.flush_all(t).unwrap();
             }
-            prop_assert_eq!(chaos.cloud().store().len(), control.cloud().store().len());
-            prop_assert_eq!(chaos.cloud().sketches().len(), control.cloud().sketches().len());
-            for key in control.cloud().sketches().keys() {
-                let (want, _) = control.cloud().sketches().entry(key).unwrap();
-                let got = chaos.cloud().sketches().entry(key);
-                prop_assert!(got.is_some());
-                prop_assert_eq!(got.unwrap().0, want);
-            }
+            assert_upper_tiers_equal(&chaos, &control);
         }
     }
 }

@@ -62,13 +62,12 @@ fn assert_golden(artifacts: &[u8], golden: u64, fixture: &str) {
 }
 
 /// FNV-1a of the fault-free fixture's artifacts at one thread.
-const GOLDEN_WORKLOAD: u64 = 0xf8a8_7b76_0676_7150;
+const GOLDEN_WORKLOAD: u64 = 0x0afb_e3c5_872d_96e2;
 
 /// FNV-1a of the storm fixture's artifacts at one thread: partials
-/// corrupted in flight and healed at both hops. Its cloud outage falls
-/// on waves with no cloud hole, so a blocked cloud heal is held by
-/// `hierarchy`'s unit tests instead.
-const GOLDEN_STORM: u64 = 0xb7e9_a313_e2eb_ec6d;
+/// corrupted in flight on both hops, and the shipments that carried
+/// them NACKed back to their senders.
+const GOLDEN_STORM: u64 = 0x1726_d9ca_fd9c_d31b;
 
 /// Whether the artifact stream's incident lines hold `kind` at a site
 /// whose name starts with `site`.
@@ -329,12 +328,11 @@ fn sharded_storm_is_thread_count_invariant() {
     };
     let (baseline, heap) = shard_replica(&config, 1, true);
     assert_golden(&baseline, GOLDEN_STORM, "sharded storm");
-    // What the golden hash holds: corruption and heals at both hops.
+    // What the golden hash holds: damaged shipments from both tiers of
+    // senders, each a NACK recorded against its sender.
     for (site, kind) in [
-        ("fog2/", "sketch-corrupted"),
-        ("cloud", "sketch-corrupted"),
-        ("fog2/", "hole-healed"),
-        ("cloud", "hole-healed"),
+        ("fog1/", "shipment-corrupted"),
+        ("fog2/", "shipment-corrupted"),
     ] {
         assert!(
             has_incident(&baseline, site, kind),
@@ -343,7 +341,6 @@ fn sharded_storm_is_thread_count_invariant() {
     }
     let (other, other_heap) = shard_replica(&config, 4, true);
     assert_byte_identical(&baseline, &other, "sharded storm, threads=1 vs threads=4");
-    // Heals remove holes: the ledger still prices the same.
     assert_eq!(heap, other_heap, "memory ledger, threads=1 vs threads=4");
 }
 
