@@ -69,6 +69,14 @@ pub enum Error {
         /// What is wrong with it.
         reason: &'static str,
     },
+    /// A `tsenc` batch names a section its receiver does not accept from
+    /// the sender: a fog-1 batch another section than the sender's own,
+    /// or a fog-2 batch a section outside the sender's district. The
+    /// stream is well formed, so this is a sender's bug, not damage.
+    ForeignSection {
+        /// The section the batch named.
+        section: u16,
+    },
 }
 
 impl fmt::Display for Error {
@@ -101,6 +109,12 @@ impl fmt::Display for Error {
             }
             Error::UnshippableRecord { record, reason } => {
                 write!(f, "batch record {record} cannot ship: {reason}")
+            }
+            Error::ForeignSection { section } => {
+                write!(
+                    f,
+                    "batch names section {section}, which its sender does not serve"
+                )
             }
         }
     }
@@ -139,6 +153,7 @@ mod tests {
                 record: 3,
                 reason: "probe",
             },
+            Error::ForeignSection { section: 9 },
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());

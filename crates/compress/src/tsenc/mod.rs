@@ -28,7 +28,14 @@
 //! lock-step because every committed addition is carried in the batch
 //! that introduced it, and a sender that ships over a lossy link stages
 //! a batch's additions ([`StreamEncoder::stage_batch`]) and commits them
-//! only when the receiver has verified the batch.
+//! only when the receiver has decoded the batch.
+//!
+//! A batch also ships where each record was acquired: one section column
+//! ([`Located::section`]), which a fog-1 batch fills with one run and a
+//! fog-2 batch with one run per child shipment. The receiver names the
+//! sections it accepts from the sender
+//! ([`StreamDecoder::decode_records`]) and refuses a batch that names
+//! another with [`Error::ForeignSection`], so it stores what it decodes.
 //!
 //! The value planes are laid out by each type's [`Shape`]: a batch
 //! holding a value of another variant, or a composite beyond the
@@ -43,7 +50,7 @@
 //! # Stream envelope
 //!
 //! ```text
-//! "TSF1" | mode u8 = 0 | body … | crc32(mode‖body) LE u32
+//! "TSF2" | mode u8 = 0 | body … | crc32(mode‖body) LE u32
 //! ```
 //!
 //! The envelope is [`ENVELOPE_LEN`] bytes; the mode byte is always
@@ -51,7 +58,7 @@
 //! `varint n_records`, the dictionary-additions block
 //! (`varint n_new`, then `(type_code u8, varint index)` per new sensor
 //! in first-appearance order), then framed columns — sensor codes,
-//! timestamps, and per-type value columns in `SensorType::ALL` order
+//! sections, timestamps, and per-type value columns in `SensorType::ALL` order
 //! (composites ship a field-count column and a flattened field column).
 //! Every column frame is `tag u8 | varint body_len | body`, and every
 //! count is validated against the declared record count, so truncated,
@@ -64,9 +71,10 @@ use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
+use std::ops::RangeInclusive;
 
 use scc_sensors::idhash::BuildIdHasher;
-use scc_sensors::{heap, IdMap, Reading, SensorId, SensorType, Shape, Value};
+use scc_sensors::{heap, IdMap, Located, Reading, SensorId, SensorType, Shape, Value};
 
 use crate::crc32;
 use crate::error::{Error, Result};
@@ -74,8 +82,9 @@ use column::{decode_column_into, get_varint, probe_column, rebase, unzigzag, zig
 
 pub use column::{decode_column, encode_column, encode_column_as, put_varint, Technique};
 
-/// Stream magic: "TSF1" (time-series flush, format 1).
-pub const MAGIC: [u8; 4] = *b"TSF1";
+/// Stream magic: "TSF2" (time-series flush, format 2: format 1 plus
+/// the section column).
+pub const MAGIC: [u8; 4] = *b"TSF2";
 
 /// Mode byte: columnar body follows (the only mode).
 pub const MODE_COLUMNAR: u8 = 0;
@@ -101,7 +110,7 @@ pub(crate) const MAX_COMPOSITE_FIELDS: u64 = 1 << 10;
 /// Maps sensors to dense codes, in first-appearance order across the
 /// lifetime of a stream. The encoder and decoder each hold one, and the
 /// two stay in lock-step as long as each side commits exactly the
-/// batches the other does, in order: the decoder a batch it verified,
+/// batches the other does, in order: the decoder a batch it decoded,
 /// the encoder a batch the receiver acknowledged.
 ///
 /// The hasher follows who filled the table: the encoder's dictionary
@@ -165,7 +174,7 @@ fn type_from_code(code: u8) -> Option<SensorType> {
 
 /// Stateful batch encoder for one flush stream (one sender → one
 /// receiver). Feed it consecutive batches of the stream in shipping
-/// order; the matching [`StreamDecoder`] must verify or decode exactly
+/// order; the matching [`StreamDecoder`] must decode exactly
 /// the payloads this side committed, once each, in the same order.
 ///
 /// A stream keeps only what outlives a batch: its dictionary, and the
@@ -195,6 +204,7 @@ thread_local! {
 #[derive(Debug, Default)]
 struct ColumnScratch {
     codes: Vec<u64>,
+    sections: Vec<u64>,
     timestamps: Vec<u64>,
     /// One value column per sensor type, in `SensorType::ALL` order
     /// (for a composite type: its records' field counts).
@@ -215,21 +225,22 @@ impl ColumnScratch {
     /// [`Error::UnshippableRecord`] for the first reading whose value is
     /// of another variant than its type's [`Shape`], or whose composite
     /// exceeds the columnar limits; the columns are then partial.
-    fn transpose<R: AsRef<Reading>>(
+    fn transpose<R: Located>(
         &mut self,
         dict: &SensorDict<BuildIdHasher>,
         staged: &mut Vec<SensorId>,
         readings: &[R],
     ) -> Result<()> {
         self.codes.clear();
+        self.sections.clear();
         self.timestamps.clear();
         self.values.iter_mut().for_each(Vec::clear);
         self.fields.iter_mut().for_each(Vec::clear);
         staged.clear();
         self.staged_index.clear();
         let committed = dict.len() as u64;
-        for (record, r) in readings.iter().enumerate() {
-            let r = r.as_ref();
+        for (record, located) in readings.iter().enumerate() {
+            let r = located.as_ref();
             let id = r.sensor();
             let t = id.sensor_type().ordinal();
             let column = &mut self.values[t];
@@ -258,6 +269,7 @@ impl ColumnScratch {
                 })
             });
             self.codes.push(code);
+            self.sections.push(u64::from(located.section()));
             self.timestamps.push(r.timestamp_s());
         }
         Ok(())
@@ -273,6 +285,7 @@ impl ColumnScratch {
             put_varint(out, u64::from(id.index()));
         }
         probe_column(&self.codes, &mut self.probe, out);
+        probe_column(&self.sections, &mut self.probe, out);
         probe_column(&self.timestamps, &mut self.probe, out);
         for ty in SensorType::ALL {
             let t = ty.ordinal();
@@ -311,18 +324,19 @@ impl StreamEncoder {
     /// # Errors
     ///
     /// As [`StreamEncoder::stage_batch`].
-    pub fn encode_batch<R: AsRef<Reading>>(&mut self, readings: &[R]) -> Result<Vec<u8>> {
+    pub fn encode_batch<R: Located>(&mut self, readings: &[R]) -> Result<Vec<u8>> {
         let payload = self.stage_batch(readings)?;
         self.commit();
         Ok(payload)
     }
 
     /// Encodes one batch, holding its dictionary additions staged until
-    /// [`StreamEncoder::commit`] (the receiver verified the payload) or
+    /// [`StreamEncoder::commit`] (the receiver decoded the payload) or
     /// [`StreamEncoder::discard`] (it refused it, or it never arrived);
     /// the next staged batch also drops them. The batch is anything that
-    /// lends readings — `&[Reading]`, or the records that wrap them — so
-    /// a sender never copies its batch to encode it.
+    /// lends readings and their sections ([`Located`]) — `&[Reading]`, or
+    /// the records that wrap them — so a sender never copies its batch to
+    /// encode it.
     ///
     /// # Errors
     ///
@@ -331,7 +345,7 @@ impl StreamEncoder {
     /// its type's [`Shape`], or a composite beyond the columnar limits;
     /// then nothing is staged, and a `commit` leaves the dictionary as
     /// the last committed batch left it.
-    pub fn stage_batch<R: AsRef<Reading>>(&mut self, readings: &[R]) -> Result<Vec<u8>> {
+    pub fn stage_batch<R: Located>(&mut self, readings: &[R]) -> Result<Vec<u8>> {
         if readings.len() as u64 > MAX_RECORDS {
             return Err(Error::SizeLimitExceeded {
                 declared: readings.len() as u64,
@@ -371,8 +385,7 @@ impl StreamEncoder {
 }
 
 /// Stateful batch decoder mirroring [`StreamEncoder`]: feed it each
-/// payload that arrives, in shipping order. A payload it refuses (an
-/// error, or a mismatch in [`StreamDecoder::verify_batch`]) commits
+/// payload that arrives, in shipping order. A payload it refuses commits
 /// nothing, so its sender re-ships the records in a later batch.
 ///
 /// A stream keeps its dictionary and the last batch's frame sizes; the
@@ -436,23 +449,42 @@ impl StreamDecoder {
         self.dict.len()
     }
 
-    /// Decodes one batch. The dictionary advances only on a successful
-    /// decode — a stream that errors leaves the decoder state untouched,
-    /// so the caller can refuse the shipment and await a clean
-    /// re-delivery.
+    /// Decodes one batch into readings, whatever sections it names:
+    /// [`StreamDecoder::decode_records`] over every section.
+    ///
+    /// # Errors
+    ///
+    /// As [`StreamDecoder::decode_records`], but never
+    /// [`Error::ForeignSection`].
+    pub fn decode_batch(&mut self, data: &[u8]) -> Result<Vec<Reading>> {
+        self.decode_records(data, 0..=u16::MAX, |reading, _| reading)
+    }
+
+    /// Decodes one batch into the records `record` builds from each
+    /// reading and its section, in shipping order. Every section must lie
+    /// in `sections`, the ones the receiver accepts from this sender. The
+    /// dictionary advances only on a successful decode — a stream that
+    /// errors leaves the decoder state untouched, so the caller can
+    /// refuse the shipment and await a clean re-delivery.
     ///
     /// # Errors
     ///
     /// [`Error::BadMagic`], [`Error::ChecksumMismatch`],
     /// [`Error::UnexpectedEof`], [`Error::SizeLimitExceeded`] or
-    /// [`Error::Malformed`]; never panics, never allocates past the
-    /// declared (validated) counts.
-    pub fn decode_batch(&mut self, data: &[u8]) -> Result<Vec<Reading>> {
+    /// [`Error::Malformed`] on a damaged or lying stream, and
+    /// [`Error::ForeignSection`] on a section outside `sections`; never
+    /// panics, never allocates past the declared (validated) counts.
+    pub fn decode_records<T>(
+        &mut self,
+        data: &[u8],
+        sections: RangeInclusive<u16>,
+        record: impl FnMut(Reading, u16) -> T,
+    ) -> Result<Vec<T>> {
         DECODED.with_borrow_mut(|columns| {
-            columns.decode(&self.dict, open(data)?, &mut self.frame_bytes)?;
-            let readings = columns.readings()?;
+            columns.decode(&self.dict, open(data)?, &sections, &mut self.frame_bytes)?;
+            let records = columns.records(record)?;
             self.commit(columns);
-            Ok(readings)
+            Ok(records)
         })
     }
 
@@ -460,28 +492,6 @@ impl StreamDecoder {
     /// (0 if it held no `ty`); the rest of a payload is shared by its types.
     pub fn type_frame_bytes(&self, ty: SensorType) -> usize {
         self.frame_bytes[ty.ordinal()]
-    }
-
-    /// Checks one batch against `batch`, the records shipped beside it,
-    /// without building readings: `Ok(true)` exactly when
-    /// [`StreamDecoder::decode_batch`] would return readings equal to
-    /// `batch`'s. Every validation runs before any comparison, so the
-    /// errors are `decode_batch`'s. The dictionary commits only on a
-    /// match: a receiver refuses a mismatching batch, so its sender
-    /// never commits it either.
-    ///
-    /// # Errors
-    ///
-    /// As [`StreamDecoder::decode_batch`].
-    pub fn verify_batch<R: AsRef<Reading>>(&mut self, data: &[u8], batch: &[R]) -> Result<bool> {
-        DECODED.with_borrow_mut(|columns| {
-            columns.decode(&self.dict, open(data)?, &mut self.frame_bytes)?;
-            let matches = columns.matches(batch)?;
-            if matches {
-                self.commit(columns);
-            }
-            Ok(matches)
-        })
     }
 
     /// Commits the decoded batch's additions, exactly as the encoder did.
@@ -494,10 +504,8 @@ impl StreamDecoder {
 
 /// One batch decoded column by column into vectors a thread reuses
 /// across every batch of every stream it decodes; like
-/// [`ColumnScratch`], working memory no stream keeps at rest. Both
-/// finishes read it: [`StreamDecoder::decode_batch`] assembles readings
-/// from it, and [`StreamDecoder::verify_batch`] compares records with it
-/// in place.
+/// [`ColumnScratch`], working memory no stream keeps at rest.
+/// [`StreamDecoder::decode_records`] assembles records from it.
 #[derive(Debug, Default)]
 struct DecodedColumns {
     /// Sensors the batch adds to the dictionary, first-appearance order;
@@ -507,6 +515,8 @@ struct DecodedColumns {
     codes: Vec<u64>,
     /// The codes resolved, one sensor per record.
     sensors: Vec<SensorId>,
+    /// One section per record, each checked against the accepted ones.
+    sections: Vec<u64>,
     timestamps: Vec<u64>,
     /// One value column per sensor type, laid out as the encoder's
     /// [`ColumnScratch`] lays it out, each checked against its shape.
@@ -519,12 +529,14 @@ struct DecodedColumns {
 
 impl DecodedColumns {
     /// Decodes and validates every column of `body` against the
-    /// committed dictionary `dict`, leaving `dict` as it was, and writes
-    /// the bytes of each type's value and field frames to `frame_bytes`.
+    /// committed dictionary `dict` and the accepted `sections`, leaving
+    /// `dict` as it was, and writes the bytes of each type's value and
+    /// field frames to `frame_bytes`.
     fn decode(
         &mut self,
         dict: &SensorDict,
         body: &[u8],
+        sections: &RangeInclusive<u16>,
         frame_bytes: &mut [usize; SensorType::ALL.len()],
     ) -> Result<()> {
         let base = BODY_OFFSET;
@@ -589,6 +601,14 @@ impl DecodedColumns {
             counts[sensor.sensor_type().ordinal()] += 1;
             self.sensors.push(sensor);
         }
+        column(&mut pos, n, &mut self.sections)?;
+        for &section in &self.sections {
+            let section =
+                u16::try_from(section).map_err(|_| err("section exceeds 16 bits", pos))?;
+            if !sections.contains(&section) {
+                return Err(Error::ForeignSection { section });
+            }
+        }
         column(&mut pos, n, &mut self.timestamps)?;
         for ty in SensorType::ALL {
             let t = ty.ordinal();
@@ -633,18 +653,18 @@ impl DecodedColumns {
         Ok(())
     }
 
-    /// Walks the decoded records in order, handing `visit` each one's
-    /// sensor, timestamp, value-column entry (a composite's field count)
-    /// and composite fields (empty for every other shape). Stops at, and
-    /// returns `false` for, the first `false` `visit` returns.
-    fn walk(&self, mut visit: impl FnMut(SensorId, u64, u64, &[u64]) -> bool) -> Result<bool> {
+    /// The decoded batch as the records `record` builds from each
+    /// reading and its section, in order.
+    fn records<T>(&self, mut record: impl FnMut(Reading, u16) -> T) -> Result<Vec<T>> {
         let short = || Error::Malformed {
             reason: "value column shorter than its records",
             offset: self.end,
         };
         let mut next = [0usize; SensorType::ALL.len()];
         let mut next_field = [0usize; SensorType::ALL.len()];
-        for (&sensor, &ts) in self.sensors.iter().zip(&self.timestamps) {
+        let mut records = Vec::with_capacity(self.sensors.len());
+        let located = self.sensors.iter().zip(&self.sections);
+        for ((&sensor, &section), &ts) in located.zip(&self.timestamps) {
             let ty = sensor.sensor_type();
             let t = ty.ordinal();
             let v = *self.values[t].get(next[t]).ok_or_else(short)?;
@@ -656,37 +676,11 @@ impl DecodedColumns {
             } else {
                 &[]
             };
-            if !visit(sensor, ts, v, fields) {
-                return Ok(false);
-            }
+            let value = shape_value(ty.shape(), v, fields);
+            // `decode` checked every section against 16 bits.
+            records.push(record(Reading::new(sensor, ts, value), section as u16));
         }
-        Ok(true)
-    }
-
-    /// The decoded batch as readings.
-    fn readings(&self) -> Result<Vec<Reading>> {
-        let mut readings = Vec::with_capacity(self.sensors.len());
-        self.walk(|sensor, ts, v, fields| {
-            let value = shape_value(sensor.sensor_type().shape(), v, fields);
-            readings.push(Reading::new(sensor, ts, value));
-            true
-        })?;
-        Ok(readings)
-    }
-
-    /// Whether the decoded batch is `batch`, record for record.
-    fn matches<R: AsRef<Reading>>(&self, batch: &[R]) -> Result<bool> {
-        if batch.len() != self.sensors.len() {
-            return Ok(false);
-        }
-        let mut records = batch.iter().map(AsRef::as_ref);
-        self.walk(|sensor, ts, v, fields| {
-            records.next().is_some_and(|r| {
-                r.sensor() == sensor
-                    && r.timestamp_s() == ts
-                    && value_matches(sensor.sensor_type().shape(), r.value(), v, fields)
-            })
-        })
+        Ok(records)
     }
 }
 
@@ -700,21 +694,6 @@ fn shape_value(shape: Shape, v: u64, fields: &[u64]) -> Value {
         Shape::Flag => Value::Flag(v == 1),
         Shape::Level => Value::Level(v as u8),
         Shape::Composite { .. } => Value::Composite(fields.iter().map(|&f| unzigzag(f)).collect()),
-    }
-}
-
-/// Whether `value` equals [`shape_value`]`(shape, v, fields)`, decided
-/// by encoding `value` rather than decoding the entry.
-fn value_matches(shape: Shape, value: &Value, v: u64, fields: &[u64]) -> bool {
-    match (shape, value) {
-        (Shape::Scalar, Value::Scalar(x)) => zigzag(*x) == v,
-        (Shape::Counter, Value::Counter(c)) => *c == v,
-        (Shape::Flag, Value::Flag(b)) => u64::from(*b) == v,
-        (Shape::Level, Value::Level(l)) => u64::from(*l) == v,
-        (Shape::Composite { .. }, Value::Composite(fs)) => {
-            fs.len() == fields.len() && fs.iter().zip(fields).all(|(&f, &z)| zigzag(f) == z)
-        }
-        _ => false,
     }
 }
 

@@ -1,9 +1,10 @@
 //! The flush stream under an ACK/NACK schedule: a sender stages each
 //! batch's dictionary additions and commits them only when the receiver
-//! acknowledges the payload. A batch lost on the way or refused by the
-//! receiver's CRC check is re-shipped merged with the next one, a batch
-//! the encoder refuses stages nothing, and the two dictionaries never
-//! drift apart.
+//! acknowledges the payload. A batch lost on the way, or refused by the
+//! receiver's decoder (a CRC that fails, a section the receiver does not
+//! accept from the sender), is re-shipped merged with the next one, a
+//! batch the encoder refuses stages nothing, and the two dictionaries
+//! never drift apart.
 
 use f2c_compress::tsenc::{StreamDecoder, StreamEncoder, MODE_COLUMNAR};
 use f2c_compress::Error;
@@ -36,16 +37,24 @@ fn wave(first: u32, count: u32, t: u64, odd: bool) -> Vec<Reading> {
 /// How the receiver answers one shipment.
 #[derive(Debug, Clone, Copy)]
 enum Answer {
-    /// The payload arrives and verifies: ACK.
+    /// The payload arrives and decodes: ACK.
     Ack,
     /// The payload never arrives: NACK.
     Lost,
     /// The payload arrives with a byte flipped; the CRC refuses it: NACK.
     Damaged,
+    /// The payload names a section the receiver does not accept from
+    /// this sender: NACK.
+    Foreign,
 }
 
 fn answer() -> impl Strategy<Value = Answer> {
-    proptest::sample::select(vec![Answer::Ack, Answer::Lost, Answer::Damaged])
+    proptest::sample::select(vec![
+        Answer::Ack,
+        Answer::Lost,
+        Answer::Damaged,
+        Answer::Foreign,
+    ])
 }
 
 proptest! {
@@ -90,11 +99,17 @@ proptest! {
                 Answer::Damaged => {
                     let mid = payload.len() / 2;
                     payload[mid] ^= 0xFF;
-                    let refused = decoder.verify_batch(&payload, &pending);
+                    let refused = decoder.decode_batch(&payload);
                     prop_assert!(
                         matches!(refused, Err(Error::ChecksumMismatch { .. })),
                         "{:?}", refused
                     );
+                    encoder.discard();
+                }
+                Answer::Foreign => {
+                    // Bare readings ship as section 0.
+                    let refused = decoder.decode_records(&payload, 1..=1, |r, _| r);
+                    prop_assert_eq!(refused, Err(Error::ForeignSection { section: 0 }));
                     encoder.discard();
                 }
             }
@@ -110,11 +125,14 @@ fn a_mismatching_batch_commits_nothing() {
     let batch = wave(0, 10, 900, false);
     let payload = encoder.encode_batch(&batch).unwrap();
     assert_eq!(payload[4], MODE_COLUMNAR);
-    let mut other = batch.clone();
-    other[3] = Reading::new(other[3].sensor(), 900, Value::Counter(1));
-    assert!(!decoder.verify_batch(&payload, &other).unwrap());
+    // The batch ships section 0; a receiver that accepts only section 1
+    // from this sender refuses it whole.
+    assert_eq!(
+        decoder.decode_records(&payload, 1..=1, |r, _| r),
+        Err(Error::ForeignSection { section: 0 })
+    );
     assert_eq!(decoder.dict_len(), 0, "a refused batch adds no sensor");
-    assert!(decoder.verify_batch(&payload, &batch).unwrap());
+    assert_eq!(decoder.decode_records(&payload, 0..=0, |r, _| r), Ok(batch));
     assert_eq!(decoder.dict_len(), encoder.dict_len());
 }
 

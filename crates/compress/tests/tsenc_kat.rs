@@ -1,14 +1,16 @@
 //! `tsenc` known-answer vectors: frozen hex fixtures for each column
 //! technique and for full streams (empty, single- and multi-type,
-//! dictionary-persistent), plus the refusal of an irregular batch. The
-//! codec is deterministic, so any byte of drift in these fixtures is a
-//! wire-format break — bump the stream magic before changing them.
+//! dictionary-persistent, two-section), plus the refusal of an irregular
+//! batch. The codec is deterministic, so any byte of drift in these
+//! fixtures is a wire-format break — bump the stream magic before
+//! changing them. `TSF2` added the section column; a `TSF1` stream is
+//! refused by its magic.
 
 use f2c_compress::tsenc::{
     self, decode_column, encode_column_as, StreamDecoder, StreamEncoder, Technique, MODE_COLUMNAR,
 };
 use f2c_compress::Error;
-use scc_sensors::{Reading, SensorId, SensorType, Value};
+use scc_sensors::{Located, Reading, SensorId, SensorType, Value};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -51,10 +53,11 @@ fn column_techniques_match_known_answers() {
     assert_eq!(hex(&buf), "030405040903");
 }
 
-/// The empty batch: magic, columnar mode, two zero varints, CRC.
+/// The empty batch: magic, columnar mode, two zero varints, three empty
+/// column frames, CRC.
 #[test]
 fn empty_batch_stream_matches_known_answer() {
-    let expected = "54534631000000000000007edf6c9d";
+    let expected = "54534632000000000000000000ae1409e6";
     let encoded = tsenc::encode_once(&[]).unwrap();
     assert_eq!(hex(&encoded), expected);
     assert_eq!(tsenc::decode_once(&unhex(expected)).unwrap(), vec![]);
@@ -68,7 +71,7 @@ fn single_record_stream_matches_known_answer() {
         900,
         Value::Counter(42),
     )];
-    let expected = "5453463100010113070001000002840700012aaf725584";
+    let expected = "5453463200010113070001000001000002840700012a32e500a4";
     let encoded = tsenc::encode_once(&readings).unwrap();
     assert_eq!(hex(&encoded), expected);
     assert_eq!(encoded[4], MODE_COLUMNAR);
@@ -121,8 +124,8 @@ fn multi_type_stream_matches_known_answer() {
             Value::Flag(false),
         ),
     ];
-    let expected = "54534631000805130013010f040a021400000800010203040001020306840705880e\
-                    0300013f000201000008b009f006b709fd060001030005cc214fbc0f9115909d";
+    let expected = "54534632000805130013010f040a02140000080001020304000102030200080306840705\
+                    880e0300013f000201000008b009f006b709fd060001030005cc214fbc0fcd2e84a5";
     let encoded = tsenc::encode_once(&readings).unwrap();
     assert_eq!(hex(&encoded), expected);
     assert_eq!(tsenc::decode_once(&unhex(expected)).unwrap(), readings);
@@ -158,8 +161,8 @@ fn dictionary_persistent_stream_matches_known_answers() {
             Value::Counter(211),
         ),
     ];
-    let expected_a = "5453463100020213001301000200010103840700000364c801144c4b01";
-    let expected_b = "54534631000200000200010103880e0000036bd301f9211662";
+    let expected_a = "545346320002021300130100020001000200000103840700000364c8012c2d2d35";
+    let expected_b = "5453463200020000020001000200000103880e0000036bd301cfd2da0b";
 
     let mut enc = StreamEncoder::new();
     let payload_a = enc.encode_batch(&batch_a).unwrap();
@@ -192,12 +195,63 @@ fn irregular_batch_fallback_matches_known_answer() {
     let mut enc = StreamEncoder::new();
     assert_eq!(enc.stage_batch(&readings), refused);
     assert_eq!(enc.dict_len(), 0);
-    let retired = "5453463101465a4331070000000000000002c11c9c00011300840702017606e9fe";
+    // The frozen fallback stream is `TSF1`: refused by its magic, and,
+    // relabeled `TSF2` (the CRC does not cover the magic), by its mode.
+    let retired = unhex("5453463101465a4331070000000000000002c11c9c00011300840702017606e9fe");
     assert_eq!(
-        tsenc::decode_once(&unhex(retired)),
+        tsenc::decode_once(&retired),
+        Err(Error::BadMagic { found: *b"TSF1" })
+    );
+    let mut relabeled = retired;
+    relabeled[..4].copy_from_slice(&tsenc::MAGIC);
+    assert_eq!(
+        tsenc::decode_once(&relabeled),
         Err(Error::Malformed {
             reason: "unknown stream mode",
             offset: 4,
         })
     );
+}
+
+/// A traffic reading and the section it ships from.
+#[derive(Debug, Clone, PartialEq)]
+struct Sited(Reading, u16);
+
+impl AsRef<Reading> for Sited {
+    fn as_ref(&self) -> &Reading {
+        &self.0
+    }
+}
+
+impl Located for Sited {
+    fn section(&self) -> u16 {
+        self.1
+    }
+}
+
+/// A fog-2 batch: two child shipments, sections 10 and 11, each one run
+/// of the section column, whose sensors share section-local ids. The
+/// receiver that accepts both sections decodes the batch; one that
+/// accepts only the first refuses it at the second.
+#[test]
+fn two_section_stream_matches_known_answer() {
+    let batch: Vec<Sited> = [(10, 0, 310), (10, 1, 440), (11, 0, 95), (11, 1, 120)]
+        .into_iter()
+        .map(|(section, index, count)| {
+            let id = SensorId::new(SensorType::Traffic, index);
+            Sited(Reading::new(id, 900, Value::Counter(count)), section)
+        })
+        .collect();
+    let expected =
+        "545346320004021300130100040001000100040a0a0b0b03038407040006b602b8035f78f55c79ea";
+    let encoded = StreamEncoder::new().encode_batch(&batch).unwrap();
+    assert_eq!(hex(&encoded), expected);
+    let decoded = StreamDecoder::new().decode_records(&unhex(expected), 10..=11, Sited);
+    assert_eq!(decoded, Ok(batch));
+    let mut decoder = StreamDecoder::new();
+    assert_eq!(
+        decoder.decode_records(&unhex(expected), 10..=10, Sited),
+        Err(Error::ForeignSection { section: 11 })
+    );
+    assert_eq!(decoder.dict_len(), 0);
 }

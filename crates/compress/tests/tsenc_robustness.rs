@@ -2,9 +2,7 @@
 //! bit-flipped and length-lying streams must return `Err` — never
 //! panic, never allocate past the validated counts — and a failed
 //! decode must leave the stream decoder's dictionary untouched so a
-//! clean re-delivery still applies. Every stream goes through both
-//! entry points, `decode_batch` and `verify_batch`, which must return
-//! the same `Err` and leave the same dictionary behind.
+//! clean re-delivery still applies.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -77,51 +75,19 @@ fn sample_batch() -> Vec<Reading> {
         .collect()
 }
 
-/// Feeds `stream` to `decoder` through `decode_batch` and to `verifier`
-/// through `verify_batch` against `batch`, and holds the two to each
-/// other: the same `Err`, or a verdict that is the decoded readings
-/// compared with `batch`; the same dictionary afterwards either way.
-/// Returns `decode_batch`'s outcome.
-fn through_both(
-    decoder: &mut StreamDecoder,
-    verifier: &mut StreamDecoder,
-    stream: &[u8],
-    batch: &[Reading],
-) -> Result<Vec<Reading>, Error> {
-    let decoded = decoder.decode_batch(stream);
-    let verified = verifier.verify_batch(stream, batch);
-    match (&decoded, &verified) {
-        (Ok(readings), Ok(matches)) => assert_eq!(*matches, readings == batch),
-        (Err(a), Err(b)) => assert_eq!(a, b, "the entry points refuse differently"),
-        _ => panic!("the entry points disagree: {decoded:?} vs {verified:?}"),
-    }
-    assert_eq!(decoder.dict_len(), verifier.dict_len());
-    decoded
-}
-
-/// [`through_both`] on fresh decoders, against `batch`.
-fn decode_both(stream: &[u8], batch: &[Reading]) -> Result<Vec<Reading>, Error> {
-    through_both(
-        &mut StreamDecoder::new(),
-        &mut StreamDecoder::new(),
-        stream,
-        batch,
-    )
-}
-
-/// [`decode_both`] against an empty batch, for streams that must fail.
+/// Decodes `stream` on a fresh decoder.
 fn decode(stream: &[u8]) -> Result<Vec<Reading>, Error> {
-    decode_both(stream, &[])
+    StreamDecoder::new().decode_batch(stream)
 }
 
 #[test]
 fn every_truncation_of_a_valid_stream_fails_cleanly() {
     for readings in [sample_batch(), Vec::new()] {
         let encoded = tsenc::encode_once(&readings).unwrap();
-        assert_eq!(decode_both(&encoded, &readings), Ok(readings.clone()));
+        assert_eq!(decode(&encoded), Ok(readings.clone()));
         for len in 0..encoded.len() {
             assert!(
-                decode_both(&encoded[..len], &readings).is_err(),
+                decode(&encoded[..len]).is_err(),
                 "prefix of {len}/{} bytes decoded",
                 encoded.len()
             );
@@ -138,7 +104,7 @@ fn every_bitflip_of_a_valid_stream_fails_cleanly() {
             let mut bad = encoded.clone();
             bad[i] ^= 1u8 << bit;
             assert!(
-                decode_both(&bad, &batch).is_err(),
+                decode(&bad).is_err(),
                 "flip of bit {bit} at byte {i} decoded"
             );
         }
@@ -208,14 +174,6 @@ fn declared_column_counts_allocate_nothing_the_body_cannot_hold() {
             largest <= 1024,
             "{what}: decode allocated {largest} B at once"
         );
-        let no_records: &[Reading] = &[];
-        let (verified, largest) =
-            largest_alloc_in(|| StreamDecoder::new().verify_batch(stream, no_records));
-        assert_eq!(verified.map(|_| ()), decoded.map(|_| ()), "{what}");
-        assert!(
-            largest <= 1024,
-            "{what}: verify allocated {largest} B at once"
-        );
     }
 }
 
@@ -284,6 +242,59 @@ fn column_frame_length_lies_are_rejected() {
 }
 
 #[test]
+fn section_column_lies_are_rejected() {
+    // One Traffic record, its sensor staged, its code 0; then `sections`.
+    let body = |sections: &[u8]| {
+        let mut body = Vec::new();
+        put_varint(&mut body, 1);
+        put_varint(&mut body, 1);
+        body.push(SensorType::Traffic.ordinal() as u8);
+        put_varint(&mut body, 0);
+        body.push(0); // codes: Raw [0]
+        put_varint(&mut body, 1);
+        put_varint(&mut body, 0);
+        body.extend_from_slice(sections);
+        seal(MODE_COLUMNAR, &body)
+    };
+    // A section frame claiming a body far past the end of the stream.
+    let mut past_the_end = vec![0];
+    put_varint(&mut past_the_end, 1 << 40);
+    assert!(matches!(
+        decode(&body(&past_the_end)),
+        Err(Error::UnexpectedEof { .. })
+    ));
+    // A frame declaring three bytes and consuming one (section 0).
+    assert!(matches!(
+        decode(&body(&[0, 3, 0, 0, 0])),
+        Err(Error::Malformed {
+            reason: "column frame length disagrees with its body",
+            ..
+        })
+    ));
+    // An Rle frame whose one run covers 200 sections of a one-record batch.
+    assert!(matches!(
+        decode(&body(&[3, 3, 0, 0xc8, 0x01])),
+        Err(Error::Malformed {
+            reason: "RLE runs do not sum to the column count",
+            ..
+        })
+    ));
+    // A section beyond 16 bits.
+    let mut wide = vec![0];
+    let mut section = Vec::new();
+    put_varint(&mut section, 1 << 16);
+    put_varint(&mut wide, section.len() as u64);
+    wide.extend_from_slice(&section);
+    assert!(matches!(
+        decode(&body(&wide)),
+        Err(Error::Malformed {
+            reason: "section exceeds 16 bits",
+            ..
+        })
+    ));
+}
+
+#[test]
 fn rle_runs_that_overshoot_the_column_are_rejected() {
     let mut body = Vec::new();
     put_varint(&mut body, 1); // one record
@@ -338,12 +349,15 @@ fn fallback_bodies_are_validated_end_to_end() {
         );
     };
     // The frozen vector the encoder once wrote for a Traffic counter
-    // reporting a flag.
+    // reporting a flag: a `TSF1` stream, refused by its magic, and by its
+    // mode once relabeled `TSF2` (the CRC does not cover the magic).
     let retired = "5453463101465a4331070000000000000002c11c9c00011300840702017606e9fe";
-    let retired: Vec<u8> = (0..retired.len())
+    let mut retired: Vec<u8> = (0..retired.len())
         .step_by(2)
         .map(|i| u8::from_str_radix(&retired[i..i + 2], 16).unwrap())
         .collect();
+    assert_eq!(decode(&retired), Err(Error::BadMagic { found: *b"TSF1" }));
+    retired[..4].copy_from_slice(&tsenc::MAGIC);
     mode_one(&retired);
 
     // Garbage, genuine DEFLATE bodies, and a body that is valid columnar.
@@ -372,6 +386,9 @@ fn value_range_lies_are_rejected() {
     body.push(0); // codes: Raw [0]
     put_varint(&mut body, 1);
     put_varint(&mut body, 0);
+    body.push(0); // sections: Raw [0]
+    put_varint(&mut body, 1);
+    put_varint(&mut body, 0);
     body.push(0); // timestamps: Raw [900]
     let mut ts = Vec::new();
     put_varint(&mut ts, 900);
@@ -391,13 +408,10 @@ fn value_range_lies_are_rejected() {
 #[test]
 fn failed_decodes_leave_the_stream_dictionary_untouched() {
     let mut enc = StreamEncoder::new();
-    let (mut dec, mut ver) = (StreamDecoder::new(), StreamDecoder::new());
+    let mut dec = StreamDecoder::new();
     let first = sample_batch();
     let payload_a = enc.encode_batch(&first).unwrap();
-    assert_eq!(
-        through_both(&mut dec, &mut ver, &payload_a, &first),
-        Ok(first.clone())
-    );
+    assert_eq!(dec.decode_batch(&payload_a), Ok(first));
     let committed = dec.dict_len();
     assert!(committed > 0);
 
@@ -412,15 +426,12 @@ fn failed_decodes_leave_the_stream_dictionary_untouched() {
     for i in 0..payload_b.len() {
         let mut bad = payload_b.clone();
         bad[i] ^= 0xFF;
-        assert!(through_both(&mut dec, &mut ver, &bad, &second).is_err());
+        assert!(dec.decode_batch(&bad).is_err());
         assert_eq!(dec.dict_len(), committed, "corrupt byte {i} moved the dict");
     }
 
     // The clean re-delivery still applies and advances both sides.
-    assert_eq!(
-        through_both(&mut dec, &mut ver, &payload_b, &second),
-        Ok(second)
-    );
+    assert_eq!(dec.decode_batch(&payload_b), Ok(second));
     assert_eq!(dec.dict_len(), enc.dict_len());
 }
 
@@ -450,7 +461,7 @@ fn declared_dictionary_additions_cost_linear_time() {
     let elapsed = started.elapsed();
     assert!(
         elapsed < std::time::Duration::from_secs(2),
-        "decode time must follow payload bytes, took {elapsed:?} for both entry points"
+        "decode time must follow payload bytes, took {elapsed:?}"
     );
 
     // The last addition repeats the first staged one: still refused, at

@@ -10,7 +10,7 @@ use f2c_compress::tsenc::{
 };
 use f2c_compress::Error;
 use proptest::prelude::*;
-use scc_sensors::{Reading, SensorId, SensorType, Shape, Value};
+use scc_sensors::{Located, Reading, SensorId, SensorType, Shape, Value};
 
 /// Raw entropy for one reading: `(type index, sensor index, timestamp,
 /// value entropy, composite fields)`.
@@ -59,6 +59,22 @@ fn possibly_irregular(raws: &[RawReading]) -> Vec<Reading> {
             )
         })
         .collect()
+}
+
+/// A reading and the section it ships from.
+#[derive(Debug, Clone, PartialEq)]
+struct Sited(Reading, u16);
+
+impl AsRef<Reading> for Sited {
+    fn as_ref(&self) -> &Reading {
+        &self.0
+    }
+}
+
+impl Located for Sited {
+    fn section(&self) -> u16 {
+        self.1
+    }
 }
 
 fn raw_reading() -> impl Strategy<Value = RawReading> {
@@ -161,73 +177,34 @@ proptest! {
     }
 
     #[test]
-    fn verify_batch_is_decode_batch_plus_a_compare(
+    fn decode_records_is_decode_batch_plus_sections(
         raws in proptest::collection::vec(raw_reading(), 1..120),
-        pick in any::<usize>(),
-        change in 0usize..5,
+        sections in proptest::collection::vec(0u16..6, 120),
     ) {
         let batch = regular(&raws);
-        let payload = tsenc::encode_once(&batch).unwrap();
+        let sited: Vec<Sited> = batch
+            .iter()
+            .zip(&sections)
+            .map(|(r, &section)| Sited(r.clone(), section))
+            .collect();
+        let payload = StreamEncoder::new().encode_batch(&sited).unwrap();
+        prop_assert_eq!(StreamDecoder::new().decode_batch(&payload).unwrap(), batch);
         let mut decoder = StreamDecoder::new();
-        prop_assert_eq!(decoder.decode_batch(&payload).unwrap(), batch.clone());
-        let mut verifier = StreamDecoder::new();
-        prop_assert_eq!(verifier.verify_batch(&payload, &batch), Ok(true));
-        prop_assert_eq!(verifier.dict_len(), decoder.dict_len());
+        let decoded = decoder.decode_records(&payload, 0..=u16::MAX, Sited).unwrap();
+        prop_assert_eq!(&decoded, &sited);
 
-        // One change to the records shipped beside the payload.
-        let mut changed = batch.clone();
-        let i = pick % changed.len();
-        let r = &changed[i];
-        let (sensor, ts, value) = (r.sensor(), r.timestamp_s(), r.value().clone());
-        let with = |sensor: SensorId, ts: u64, value: Value| Reading::new(sensor, ts, value);
-        match change {
-            0 => {
-                let other = SensorId::new(sensor.sensor_type(), sensor.index() ^ 1);
-                changed[i] = with(other, ts, value);
-            }
-            1 => changed[i] = with(sensor, ts.wrapping_add(1), value),
-            2 => {
-                let value = match value {
-                    Value::Scalar(v) => Value::Scalar(v.wrapping_add(1)),
-                    Value::Counter(c) => Value::Counter(c.wrapping_add(1)),
-                    Value::Flag(b) => Value::Flag(!b),
-                    Value::Level(l) => Value::Level(l.wrapping_add(1)),
-                    Value::Composite(mut fs) => {
-                        fs.push(0);
-                        Value::Composite(fs)
-                    }
-                };
-                changed[i] = with(sensor, ts, value);
-            }
-            3 => {
-                // A composite field: the first composite record's first
-                // field, or a field added to a record that had none.
-                let at = changed
-                    .iter()
-                    .position(|r| matches!(r.value(), Value::Composite(fs) if !fs.is_empty()));
-                let (j, fields) = match at.map(|j| (j, changed[j].value().clone())) {
-                    Some((j, Value::Composite(mut fs))) => {
-                        fs[0] = fs[0].wrapping_add(1);
-                        (j, fs)
-                    }
-                    _ => (i, vec![1]),
-                };
-                let r = &changed[j];
-                changed[j] = with(r.sensor(), r.timestamp_s(), Value::Composite(fields));
-            }
-            _ => {
-                if pick % 2 == 0 {
-                    changed.pop();
-                } else {
-                    changed.push(changed[i].clone());
-                }
-            }
-        }
-        prop_assert!(changed != batch, "the change must change the batch");
-        let mut verifier = StreamDecoder::new();
-        prop_assert_eq!(verifier.verify_batch(&payload, &changed), Ok(false));
-        // A mismatch is refused: the dictionary commits nothing.
-        prop_assert_eq!(verifier.dict_len(), 0);
+        // A receiver that accepts one section fewer refuses the batch at
+        // its first record from that section, and commits nothing.
+        let top = sited.iter().map(|s| s.1).max().unwrap();
+        let accepted = if top == 0 { 1..=u16::MAX } else { 0..=top - 1 };
+        let mut refuser = StreamDecoder::new();
+        prop_assert_eq!(
+            refuser.decode_records(&payload, accepted, Sited),
+            Err(Error::ForeignSection { section: top })
+        );
+        prop_assert_eq!(refuser.dict_len(), 0);
+        prop_assert_eq!(refuser.decode_records(&payload, 0..=top, Sited).unwrap(), decoded);
+        prop_assert_eq!(refuser.dict_len(), decoder.dict_len());
     }
 
     #[test]

@@ -34,13 +34,6 @@ pub enum Error {
     Compression(f2c_compress::Error),
     /// A shipped sketch partial failed its integrity checks.
     Sketch(f2c_aggregate::Error),
-    /// A flush payload decoded cleanly but disagreed with the records
-    /// it shipped alongside — the receiver-side decode-equality proof
-    /// failed for the child stream `origin`.
-    CodecMismatch {
-        /// The child stream (fog-2: child section; cloud: district).
-        origin: u16,
-    },
 }
 
 impl fmt::Display for Error {
@@ -60,10 +53,6 @@ impl fmt::Display for Error {
             Error::Network(e) => write!(f, "network error: {e}"),
             Error::Compression(e) => write!(f, "compression error: {e}"),
             Error::Sketch(e) => write!(f, "sketch error: {e}"),
-            Error::CodecMismatch { origin } => write!(
-                f,
-                "flush payload from child stream {origin} decodes to different records"
-            ),
         }
     }
 }

@@ -2,11 +2,13 @@
 //! and in-flight damage, and the receiver's landing, which ACKs a
 //! shipment whole or NACKs it back to its sender.
 
+use std::ops::RangeInclusive;
+
 use citysim::barcelona::{BarcelonaTopology, DISTRICTS};
 use citysim::time::SimTime;
 use citysim::{Network, NodeId};
 use f2c_obs::Site;
-use scc_sensors::{wire, Catalog};
+use scc_sensors::Catalog;
 
 use super::{CityMetricIds, F2cCity};
 use crate::incident::{ChaosSite, IncidentKind};
@@ -21,8 +23,9 @@ impl F2cCity {
     /// # Errors
     ///
     /// A failure that is no injected fault — a batch over the encoder's
-    /// size limit, or an undamaged payload that fails verification —
-    /// first in district order, once the wave has run to its end.
+    /// size limit, or an undamaged payload that names a section outside
+    /// its sender's — first in district order, once the wave has run to
+    /// its end.
     pub fn flush_all(&mut self, now_s: u64) -> Result<(u64, u64)> {
         self.flush_due(now_s, true, true)
     }
@@ -34,15 +37,16 @@ impl F2cCity {
     ///
     /// Every hop first passes the chaos gate: a crashed child, an
     /// unreachable parent or a lost shipment defers the child's turn
-    /// (its batch is never taken). A taken batch may then be damaged in
-    /// flight: one encoded partial, or the record payload. A shipment
-    /// lands whole or not at all: the receiver ACKs it once it has
-    /// arrived, every partial decoded and its payload verified, and
-    /// only then do the sender and the receiver commit it. A lost
-    /// message or a damaged partial or payload is a NACK, and the
-    /// sender takes the batch back to re-ship it merged with the next
-    /// one. Every deferral and NACK is an incident against its child
-    /// on the timeline, never an error for the wave.
+    /// (its batch is never encoded). An encoded batch may then be
+    /// damaged in flight: one encoded partial, or the record payload. A
+    /// shipment lands whole or not at all: the receiver ACKs it once it
+    /// has arrived and every partial and its payload decoded, and only
+    /// then do the sender and the receiver commit it; the receiver
+    /// stores the records it decoded. A lost message or a damaged
+    /// partial or payload is a NACK, and the records stay queued at the
+    /// sender to re-ship merged with the next batch. Every deferral and
+    /// NACK is an incident against its child on the timeline, never an
+    /// error for the wave.
     ///
     /// The wave runs sharded by district on [`F2cCity::parallelism`]
     /// workers: phase A (fog-1 → fog-2) is fully district-local and each
@@ -57,9 +61,9 @@ impl F2cCity {
     /// # Errors
     ///
     /// A failure that is no injected fault — a batch over the encoder's
-    /// size limit, or an undamaged payload that fails verification —
-    /// first in district order. The failing shipment is rolled back and
-    /// the rest of the wave still runs.
+    /// size limit, or an undamaged payload that names a section outside
+    /// its sender's — first in district order. The failing shipment is
+    /// rolled back and the rest of the wave still runs.
     pub(crate) fn flush_due(&mut self, now_s: u64, fog1: bool, fog2: bool) -> Result<(u64, u64)> {
         self.flush_epoch += 1;
         self.metrics.inc(self.ids.flush_waves);
@@ -197,6 +201,20 @@ impl Hop {
             Hop::Cloud => (city.fog2_nodes()[origin], ChaosSite::Fog2(origin)),
         }
     }
+
+    /// Where child stream `origin`'s records were acquired: its
+    /// district, and the sections it may name — a fog-1 child its own,
+    /// a fog-2 child its district's (sections are district-contiguous).
+    fn sender(self, origin: usize) -> (u16, RangeInclusive<u16>) {
+        match self {
+            Hop::Fog2(d) => (d as u16, origin as u16..=origin as u16),
+            Hop::Cloud => {
+                let first: usize = DISTRICTS[..origin].iter().map(|&(_, n)| n).sum();
+                let last = first + DISTRICTS[origin].1 - 1;
+                (origin as u16, first as u16..=last as u16)
+            }
+        }
+    }
 }
 
 /// Gate one flush hop through the chaos plane. `Some(kind)` means the
@@ -239,7 +257,7 @@ impl Shipment {
     ///
     /// # Errors
     ///
-    /// The child's flush failed; it took nothing.
+    /// The child's flush failed; it changed nothing.
     fn take(
         city: &BarcelonaTopology,
         hop: Hop,
@@ -260,7 +278,7 @@ impl Shipment {
     }
 }
 
-/// Draws the in-flight corruption coins for one taken batch: the
+/// Draws the in-flight corruption coins for one encoded batch: the
 /// payload coin flips a byte of the record payload, the sketch coin a
 /// byte of one encoded partial. Each fails its own CRC at the receiver,
 /// which NACKs the shipment.
@@ -330,10 +348,11 @@ impl<'a> Receiver<'a> {
     /// to the end. The receiver ACKs a shipment, with or without
     /// records, only when it crossed the uplink (a shipment without
     /// records crosses no link), every encoded partial decodes and the
-    /// payload verifies. An ACKed shipment lands whole — partials and
-    /// seals folded, counted, tapped — and its sender commits.
-    /// Otherwise the receiver NACKs it, nothing of it lands, and its
-    /// sender takes it back. The landed records are stored as one wave.
+    /// payload decodes ([`F2cNode::decode_flush`]). An ACKed shipment
+    /// lands whole — the decoded records stored, partials and seals
+    /// folded, counted, tapped — and its sender commits. Otherwise the
+    /// receiver NACKs it, nothing of it lands, and its sender rolls it
+    /// back. The landed records are stored as one wave.
     /// Returns the accounting bytes of the landed shipments that carried
     /// records.
     ///
@@ -375,25 +394,26 @@ impl<'a> Receiver<'a> {
                     continue;
                 }
             };
-            let crossed = if batch.records.is_empty() {
+            let crossed = if batch.payload.is_none() {
                 Ok(None)
             } else {
                 net.send_scratch(&mut self.obs.net, from, to, batch.uplink_bytes(), at)
                     .map(|delivery| Some(delivery.arrival.as_micros()))
                     .map_err(Error::from)
             };
-            // The partials decode before the payload verifies: a verified
-            // payload advances the per-child mirror decoder, so a refusal
-            // after it would leave the two ends of the stream out of step.
-            // The decode-equality check runs live, on every hop.
+            // The partials decode before the payload: a decoded payload
+            // advances the per-child mirror decoder, so a refusal after
+            // it would leave the two ends of the stream out of step.
             let answer = crossed.and_then(|arrival_us| {
                 let partials = self.node.decode_sketches(&batch.sketches)?;
+                let (district, sections) = self.hop.sender(origin);
                 let payload = batch.payload.as_deref();
-                self.node
-                    .verify_flush(origin as u16, payload, &batch.records)?;
-                Ok((arrival_us, partials))
+                let records = self
+                    .node
+                    .decode_flush(origin as u16, district, sections, payload)?;
+                Ok((arrival_us, partials, records))
             });
-            let (arrival_us, partials) = match answer {
+            let (arrival_us, partials, records) = match answer {
                 Ok(accepted) => accepted,
                 Err(e) => {
                     match injected_fault(&e) {
@@ -402,7 +422,7 @@ impl<'a> Receiver<'a> {
                             failed.get_or_insert(e);
                         }
                     }
-                    sender.rollback_flush(batch.records);
+                    sender.rollback_flush();
                     continue;
                 }
             };
@@ -436,21 +456,18 @@ impl<'a> Receiver<'a> {
             self.obs
                 .reg
                 .add(self.ids.uplink_flush_bytes[h], batch.uplink_bytes());
-            if batch.payload.is_some() {
-                self.obs.reg.inc(self.ids.flush_batches);
-            }
+            self.obs.reg.inc(self.ids.flush_batches);
             if capture {
-                if let Some(payload) = batch.payload.clone() {
+                if let Some(payload) = batch.payload {
                     self.obs.shipments.push(ShipmentRecord {
                         hop: h as u8 + 1,
                         origin: origin as u16,
                         at_s: now_s,
                         payload,
-                        wire: wire::encode_batch(&batch.records),
                     });
                 }
             }
-            landed.push(batch.records);
+            landed.push(records);
         }
         self.node.receive_wave(landed);
         self.obs.tracer.close_with(wave, wave_end_us, shipped);

@@ -6,20 +6,24 @@
 //!
 //! Every node also rides the **sketch plane**: a fog-1 flush folds its
 //! batch into per-`(section, type, bucket)` [`AggPartial`]s and ships the
-//! CRC-protected encodings upward *alongside* the raw records; fog-2 and
+//! CRC-protected encodings upward *alongside* the record payload; fog-2 and
 //! the cloud fold the incoming shipments into their own
 //! [`SketchLedger`]s (and fog-2 relays them on its next flush) instead
 //! of ever re-scanning raw records for aggregate state. The ledgers
 //! outlive raw retention by design — that is what lets the query planner
 //! answer aggregate windows fog 1 has already evicted.
 //!
-//! A shipment is taken, then committed or rolled back whole: the receiver
-//! accepts it only when every partial decodes and the payload verifies,
-//! and a refused one returns to its sender to re-ship with the next.
+//! A shipment is its payload: the receiver stores the records it decodes
+//! from the `tsenc` stream, never a copy of the sender's. A shipment is
+//! encoded from the pending queue in place, then committed or rolled
+//! back whole: the receiver accepts it only when every partial and the
+//! payload decode, and a refused one stays queued at its sender to
+//! re-ship with the next.
 
 use std::collections::btree_map::Entry as Slot;
 use std::collections::BTreeMap;
 use std::num::NonZeroU64;
+use std::ops::RangeInclusive;
 
 use f2c_aggregate::sketch::{AggPartial, SketchKey, SketchLedger};
 use f2c_compress::tsenc;
@@ -72,15 +76,12 @@ pub(crate) const SKETCH_RETENTION_S: u64 = 30 * 86_400;
 /// the catalog; every other size is a method over the fields.
 #[derive(Debug, Clone)]
 pub struct FlushBatch {
-    /// The shipped records.
-    pub records: Vec<DataRecord>,
     /// Table-I accounting bytes (Σ per-type transaction sizes): the
     /// ground truth every hop meters.
     pub acct_bytes: u64,
-    /// The encoded shipment itself (`f2c_compress::tsenc` stream),
-    /// present when the policy compresses. The receiver decodes it with
-    /// its per-child stream decoder and verifies it against `records` —
-    /// a live end-to-end proof of decode equality on every flush.
+    /// The shipped records: a `f2c_compress::tsenc` stream, absent when
+    /// nothing was pending. The receiver decodes it with its per-child
+    /// stream decoder and stores what it decodes.
     pub payload: Option<Vec<u8>>,
     /// Pre-folded bucket partials shipped alongside the records (wire
     /// encoded, CRC-protected), sorted by key for determinism.
@@ -93,23 +94,10 @@ pub struct FlushBatch {
 }
 
 impl FlushBatch {
-    /// Bytes that actually cross the uplink: the payload's length when
-    /// compression is on, accounting bytes otherwise (the paper's Table I
-    /// accounts transaction sizes, Fig. 7 adds compression).
+    /// Bytes that cross the uplink: the payload's length (the paper's
+    /// Table I accounts transaction sizes, Fig. 7 adds compression).
     pub fn uplink_bytes(&self) -> u64 {
-        self.compressed_bytes().unwrap_or(self.acct_bytes)
-    }
-
-    /// Compressed size of the shipped payload, when the policy
-    /// compresses.
-    pub fn compressed_bytes(&self) -> Option<u64> {
-        self.payload.as_ref().map(|p| p.len() as u64)
-    }
-
-    /// Wire-text size of the batch (Σ `DataRecord::wire_len`), sized on
-    /// demand: reports compare it to the compressed size, no hop reads it.
-    pub fn wire_bytes(&self) -> u64 {
-        self.records.iter().map(DataRecord::wire_len).sum()
+        self.payload.as_ref().map_or(0, |p| p.len() as u64)
     }
 
     /// Total wire bytes of the encoded partials (the sketch channel's
@@ -127,7 +115,6 @@ pub struct F2cNode {
     section: Option<u16>,
     acquisition: Option<AcquisitionBlock>,
     store: TieredStore,
-    flush_policy: FlushPolicy,
     /// The node's slice of the sketch plane: bucketed aggregate partials
     /// that survive raw-record eviction.
     sketches: SketchLedger,
@@ -145,15 +132,15 @@ pub struct F2cNode {
     /// observability (which flush last touched a bucket). Staleness
     /// *proofs* never read it — they use the seal and pending frontiers.
     flush_seq: u64,
-    /// The upward flush stream's codec state (used when the policy
-    /// compresses): a sensor dictionary that persists across
+    /// The upward flush stream's codec state: a sensor dictionary that
+    /// persists across
     /// consecutive flushes, so steady-state batches code each sensor as
     /// a small dense integer. A flush stages its additions, and they
     /// commit only when the parent acknowledges the batch — exactly
     /// when the parent's mirror decoder commits them.
     codec: tsenc::StreamEncoder,
     /// Per-child mirror decoders (fog-2: keyed by child section; cloud:
-    /// keyed by district), advancing once per verified payload.
+    /// keyed by district), advancing once per decoded payload.
     decoders: BTreeMap<u16, tsenc::StreamDecoder>,
 }
 
@@ -181,7 +168,6 @@ impl F2cNode {
             section: Some(section),
             acquisition: Some(acquisition),
             store: TieredStore::new(retention),
-            flush_policy,
             sketches: SketchLedger::with_bucket(SKETCH_BUCKET),
             sketch_relay: BTreeMap::new(),
             seal_relay: BTreeMap::new(),
@@ -202,13 +188,13 @@ impl F2cNode {
         flush_policy: FlushPolicy,
         retention: RetentionPolicy,
     ) -> Result<Self> {
+        flush_policy.validated()?;
         Ok(Self {
             label: format!("fog2/d{district}"),
             layer: Layer::Fog2,
             section: None,
             acquisition: None,
             store: TieredStore::new(retention),
-            flush_policy: flush_policy.validated()?,
             sketches: SketchLedger::with_bucket(SKETCH_BUCKET),
             sketch_relay: BTreeMap::new(),
             seal_relay: BTreeMap::new(),
@@ -227,7 +213,6 @@ impl F2cNode {
             section: None,
             acquisition: None,
             store: TieredStore::permanent(),
-            flush_policy: FlushPolicy::plain(86_400),
             sketches: SketchLedger::with_bucket(SKETCH_BUCKET),
             sketch_relay: BTreeMap::new(),
             seal_relay: BTreeMap::new(),
@@ -380,7 +365,7 @@ impl F2cNode {
         })
     }
 
-    /// Receives one flush wave: the verified shipments of this node's
+    /// Receives one flush wave: the decoded shipments of this node's
     /// children, in shipment order, stored as one merge into the local
     /// run and queued for the next hop as they arrived. At the cloud each
     /// shipment is first classified ([`preservation::classify`]), shipment
@@ -396,43 +381,48 @@ impl F2cNode {
             }));
     }
 
-    /// Verifies one flush shipment from the child stream `origin`
-    /// (fog-2: the child's section; cloud: the shipping district) before
-    /// it joins the wave [`F2cNode::receive_wave`] stores.
-    ///
-    /// When the shipment carries an encoded payload, the stream's
-    /// mirror decoder decodes its columns and verifies them against the
-    /// plainly-shipped records, reading-for-reading and in place — every
-    /// flush is a live decode-equality proof. The decoder's dictionary
-    /// advances only on `Ok`, which is when the receiver ACKs and the
-    /// child's encoder commits the same additions.
+    /// Decodes one flush shipment's payload from the child stream
+    /// `origin` (fog-2: the child's section; cloud: the shipping
+    /// district) into the records it carries, before they join the wave
+    /// [`F2cNode::receive_wave`] stores. Each record is located in
+    /// `district`, the sender's, and in the section the payload names,
+    /// which must be one of `sections`, the sender's. The stream's mirror
+    /// decoder advances only on `Ok`, which is when the receiver ACKs and
+    /// the child's encoder commits the same additions.
     ///
     /// # Errors
     ///
-    /// Decode failures ([`Error::Compression`]; a payload damaged in
-    /// flight fails its CRC) or a decoded batch that disagrees with the
-    /// shipped records ([`Error::CodecMismatch`]).
-    pub(crate) fn verify_flush(
+    /// Decode failures ([`Error::Compression`]): a payload damaged in
+    /// flight fails its CRC, and one that names a section outside
+    /// `sections` is refused as
+    /// [`f2c_compress::Error::ForeignSection`].
+    pub(crate) fn decode_flush(
         &mut self,
         origin: u16,
+        district: u16,
+        sections: RangeInclusive<u16>,
         payload: Option<&[u8]>,
-        records: &[DataRecord],
-    ) -> Result<()> {
-        if let Some(bytes) = payload {
-            let decoder = self.decoders.entry(origin).or_default();
-            if !decoder.verify_batch(bytes, records)? {
-                return Err(Error::CodecMismatch { origin });
-            }
-        }
-        Ok(())
+    ) -> Result<Vec<DataRecord>> {
+        let Some(bytes) = payload else {
+            return Ok(Vec::new());
+        };
+        let decoder = self.decoders.entry(origin).or_default();
+        let records = decoder.decode_records(bytes, sections, |reading, section| {
+            let mut record = DataRecord::from_reading(reading);
+            record.set_location(district, section);
+            record
+        })?;
+        Ok(records)
     }
 
-    /// Takes the records due for upward shipping at `now_s` and packages
-    /// them as a [`FlushBatch`] (compressing if the policy says so). The
-    /// take changes no committed state: the parent answers the batch,
-    /// and the node then commits it ([`F2cNode::commit_flush`]) or, on a
-    /// refusal, takes it back. Nothing else may touch the node in
-    /// between.
+    /// Packages the records pending for upward shipping at `now_s` as a
+    /// [`FlushBatch`], encoding and folding them where they sit in the
+    /// pending queue. The flush changes no committed state: the parent
+    /// answers the batch, and the node then commits it
+    /// ([`F2cNode::commit_flush`], which drains the queue) or, on a
+    /// refusal, rolls it back, and the records re-ship with the next
+    /// batch. Nothing else may touch the
+    /// node in between.
     ///
     /// The batch also carries the sketch plane's shipment: a fog-1 node
     /// folds the batch into per-`(section, type, bucket)` partials and
@@ -443,30 +433,23 @@ impl F2cNode {
     ///
     /// # Errors
     ///
-    /// Propagates compression failures; the node is then as it was.
+    /// Propagates encoding failures; the node is then as it was.
     pub fn flush(&mut self, now_s: u64, catalog: &Catalog) -> Result<FlushBatch> {
-        let records = self.store.take_flush_batch(now_s);
-        // The shipped payload rides the columnar time-series codec, not
+        let records = self.store.pending();
+        // The payload rides the columnar time-series codec, not
         // byte-oriented DEFLATE of the wire text. The stream encoder's
         // sensor dictionary persists across this node's flushes, so the
         // batch's additions stay staged until the parent's mirror
-        // decoder has verified the payload. The codec reads the readings
-        // where they sit, inside the records.
-        let payload = if self.flush_policy.compress && !records.is_empty() {
-            match self.codec.stage_batch(&records) {
-                Ok(payload) => Some(payload),
-                Err(e) => {
-                    self.store.restore_flush_batch(records);
-                    return Err(e.into());
-                }
-            }
-        } else {
+        // decoder has decoded the payload.
+        let payload = if records.is_empty() {
             None
+        } else {
+            Some(self.codec.stage_batch(records)?)
         };
         let (sketches, seals) = match self.layer {
             Layer::Fog1 => {
                 let own = self.section.unwrap_or(0);
-                self.unacked = fold_runs(&records, own, &self.sketches);
+                self.unacked = fold_runs(records, own, &self.sketches);
                 (encode_all(&self.unacked), vec![(own, now_s)])
             }
             Layer::Fog2 => (
@@ -478,7 +461,6 @@ impl F2cNode {
         };
         let acct_bytes = acct_bytes_of(records.iter().map(DataRecord::sensor_type), catalog);
         Ok(FlushBatch {
-            records,
             acct_bytes,
             payload,
             sketches,
@@ -486,14 +468,17 @@ impl F2cNode {
         })
     }
 
-    /// The parent acknowledged the batch [`F2cNode::flush`] took at
-    /// `now_s`: commits it. A fog-1 node folds the batch's partials into
-    /// its ledger and seals its section through `now_s`; a fog-2 node
-    /// drains the relays it shipped; the codec commits the batch's
-    /// dictionary additions. Retention eviction then runs — on the raw
-    /// archive and, on the much longer sketch horizon, on the ledger.
+    /// The parent acknowledged the batch [`F2cNode::flush`] encoded at
+    /// `now_s`: commits it. The pending queue drains
+    /// ([`TieredStore::take_flush_batch`]); a fog-1 node folds the
+    /// batch's partials into its ledger and seals its section through
+    /// `now_s`; a fog-2 node drains the relays it shipped; the codec
+    /// commits the batch's dictionary additions. Retention eviction then
+    /// runs — on the raw archive and, on the much longer sketch horizon,
+    /// on the ledger.
     pub fn commit_flush(&mut self, now_s: u64) {
         self.flush_seq += 1;
+        self.store.take_flush_batch(now_s);
         self.codec.commit();
         match self.layer {
             Layer::Fog1 => {
@@ -514,13 +499,11 @@ impl F2cNode {
         self.compact_sketches(now_s);
     }
 
-    /// The parent refused the batch [`F2cNode::flush`] took, or it never
-    /// arrived: its `records` return to the front of the pending queue,
-    /// the fog-1 partials and the codec's staged additions are dropped,
-    /// and fog 2's relays, never drained, ship again. The node is as it
-    /// was before the take.
-    pub(crate) fn rollback_flush(&mut self, records: Vec<DataRecord>) {
-        self.store.restore_flush_batch(records);
+    /// The parent refused the batch [`F2cNode::flush`] encoded, or it
+    /// never arrived: the records stay queued, the fog-1 partials and
+    /// the codec's staged additions are dropped, and fog 2's relays,
+    /// never drained, ship again. The node is as it was before the flush.
+    pub(crate) fn rollback_flush(&mut self) {
         self.unacked.clear();
         self.codec.discard();
     }
@@ -599,7 +582,7 @@ fn acct_bytes_of(types: impl Iterator<Item = SensorType>, catalog: &Catalog) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scc_sensors::ReadingGenerator;
+    use scc_sensors::{wire, ReadingGenerator};
 
     fn fog1() -> F2cNode {
         F2cNode::fog1(
@@ -672,18 +655,22 @@ mod tests {
                 .unwrap();
         }
         let batch = node.flush(3600, &catalog).unwrap();
-        assert!(!batch.records.is_empty());
+        let pending = node.store().pending_len();
+        assert!(pending > 0);
         assert_eq!(
             batch.acct_bytes,
-            batch.records.len() as u64 * 22,
+            pending as u64 * 22,
             "temperature rows are 22 B in Table I"
         );
-        let compressed = batch.compressed_bytes().expect("policy compresses");
-        assert!(compressed < batch.wire_bytes());
-        assert_eq!(batch.uplink_bytes(), compressed);
-        // Second flush at the same instant ships nothing.
+        let payload = batch.payload.as_deref().expect("pending records ship");
+        let shipped = tsenc::decode_once(payload).unwrap();
+        assert_eq!(shipped.len(), pending);
+        assert!(batch.uplink_bytes() < wire::encode_batch(&shipped).len() as u64);
+        assert_eq!(batch.uplink_bytes(), payload.len() as u64);
+        // Committed, a second flush at the same instant ships nothing.
+        node.commit_flush(3600);
         let again = node.flush(3600, &catalog).unwrap();
-        assert!(again.records.is_empty());
+        assert!(again.payload.is_none());
         assert_eq!(again.uplink_bytes(), 0);
     }
 
@@ -698,11 +685,12 @@ mod tests {
                 .unwrap();
         }
         let batch = f1.flush(86_400, &catalog).unwrap();
-        let n = batch.records.len();
-        cloud
-            .verify_flush(0, batch.payload.as_deref(), &batch.records)
+        let n = f1.store().pending_len();
+        let records = cloud
+            .decode_flush(0, 0, 0..=0, batch.payload.as_deref())
             .unwrap();
-        cloud.receive_wave([batch.records]);
+        assert_eq!(records.len(), n);
+        cloud.receive_wave([records]);
         assert_eq!(cloud.store().len(), n);
         assert_eq!(cloud.layer, Layer::Cloud);
         // Cloud never evicts.
@@ -738,10 +726,10 @@ mod tests {
                 ],
             ]
         };
-        fn values<'a>(records: impl IntoIterator<Item = &'a DataRecord>) -> Vec<u64> {
-            records
+        fn values<'a>(readings: impl IntoIterator<Item = &'a Reading>) -> Vec<u64> {
+            readings
                 .into_iter()
-                .map(|r| match r.reading().value() {
+                .map(|r| match r.value() {
                     Value::Counter(v) => *v,
                     other => panic!("not a counter: {other:?}"),
                 })
@@ -753,12 +741,11 @@ mod tests {
         let mut cloud = F2cNode::cloud();
         cloud.receive_wave(wave());
         assert_eq!(
-            values(cloud.store().archive().iter()),
+            values(cloud.store().archive().iter().map(DataRecord::reading)),
             [2, 4, 9, 6, 8, 5, 3, 1, 7]
         );
         // Fog 2: creation time, then arrival order; its queue for the next
         // hop is the shipments as they arrived.
-        let catalog = Catalog::barcelona();
         let mut f2 = F2cNode::fog2(
             0,
             FlushPolicy::plain(3600),
@@ -767,11 +754,13 @@ mod tests {
         .unwrap();
         f2.receive_wave(wave());
         assert_eq!(
-            values(f2.store().archive().iter()),
+            values(f2.store().archive().iter().map(DataRecord::reading)),
             [2, 4, 6, 8, 9, 1, 3, 5, 7]
         );
-        let relay = f2.flush(3600, &catalog).unwrap();
-        assert_eq!(values(&relay.records), [1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(
+            values(f2.store().pending().iter().map(DataRecord::reading)),
+            [1, 2, 3, 4, 5, 6, 7, 8, 9]
+        );
     }
 
     #[test]
@@ -784,6 +773,7 @@ mod tests {
                 .unwrap();
         }
         let batch = node.flush(2_700, &catalog).unwrap();
+        let pending = node.store().pending_len();
         node.commit_flush(2_700);
         assert!(!batch.sketches.is_empty(), "partials ride the batch");
         assert!(batch.sketch_bytes() > 0);
@@ -795,12 +785,12 @@ mod tests {
             .iter()
             .map(|(_, bytes)| AggPartial::decode(bytes).unwrap().count())
             .sum();
-        assert_eq!(shipped, batch.records.len() as u64);
+        assert_eq!(shipped, pending as u64);
         assert!(node.sketches().covers(0, 0, 2_700));
         // An idle follow-up flush still advances the seal frontier.
         let idle = node.flush(3_600, &catalog).unwrap();
         node.commit_flush(3_600);
-        assert!(idle.records.is_empty() && idle.sketches.is_empty());
+        assert!(idle.payload.is_none() && idle.sketches.is_empty());
         assert_eq!(idle.seals, vec![(0, 3_600)]);
         assert_eq!(node.sketches().sealed_through(0), 3_600);
     }
@@ -824,9 +814,11 @@ mod tests {
         let shipped = batch.sketches.len();
         let partials = f2.decode_sketches(&batch.sketches).unwrap();
         f2.receive_sketches(partials, &batch.seals);
-        f2.verify_flush(0, batch.payload.as_deref(), &batch.records)
+        let records = f2
+            .decode_flush(0, 0, 0..=0, batch.payload.as_deref())
             .unwrap();
-        f2.receive_wave([batch.records.clone()]);
+        let received = records.len() as u64;
+        f2.receive_wave([records]);
         assert_eq!(f2.sketches().sealed_through(0), 1_800);
         // Fog-2's ledger now answers without scanning: its folded count
         // equals the raw records it received.
@@ -837,7 +829,7 @@ mod tests {
             folded += p.count();
             acc.merge(p);
         }
-        assert_eq!(folded, batch.records.len() as u64);
+        assert_eq!(folded, received);
         // The next fog-2 flush relays the same partials (and seals) to
         // the cloud.
         let relay = f2.flush(3_600, &catalog).unwrap();
@@ -884,6 +876,36 @@ mod tests {
     }
 
     #[test]
+    fn a_payload_naming_another_section_is_refused_whole() {
+        // Fog 1 of section 0 ships section 0; a receiver that takes only
+        // section 1 from this child refuses the payload with a typed
+        // error, and its mirror decoder stays where it was.
+        let catalog = Catalog::barcelona();
+        let mut f1 = fog1();
+        let mut gen = ReadingGenerator::for_population(SensorType::Traffic, 20, 4);
+        f1.ingest_wave(gen.wave(0), 1, &catalog).unwrap();
+        let batch = f1.flush(900, &catalog).unwrap();
+        let mut f2 = F2cNode::fog2(
+            0,
+            FlushPolicy::plain(3600),
+            RetentionPolicy::keep(7 * 86_400),
+        )
+        .unwrap();
+        let payload = batch.payload.as_deref();
+        assert_eq!(
+            f2.decode_flush(0, 0, 1..=1, payload),
+            Err(Error::Compression(f2c_compress::Error::ForeignSection {
+                section: 0
+            }))
+        );
+        let records = f2.decode_flush(0, 0, 0..=0, payload).unwrap();
+        assert_eq!(records.len(), f1.store().pending_len());
+        assert!(records
+            .iter()
+            .all(|r| (r.descriptor().district(), r.descriptor().section()) == (Some(0), Some(0))));
+    }
+
+    #[test]
     fn sketch_ledger_outlives_raw_retention() {
         let catalog = Catalog::barcelona();
         let mut node = fog1();
@@ -916,15 +938,14 @@ mod tests {
                 .unwrap();
         }
         let refused = node.flush(2_700, &catalog).unwrap();
-        let records = refused.records.clone();
-        node.rollback_flush(refused.records);
-        assert_eq!(node.store().pending_len(), records.len());
+        let pending = node.store().pending_len();
+        node.rollback_flush();
+        assert_eq!(node.store().pending_len(), pending);
         assert!(node.sketches().is_empty(), "nothing folded");
         assert_eq!(node.sketches().sealed_through(0), 0, "nothing sealed");
-        // The take is repeatable bit for bit: the codec's dictionary
+        // The flush is repeatable bit for bit: the codec's dictionary
         // did not advance past the refused payload.
         let again = node.flush(2_700, &catalog).unwrap();
-        assert_eq!(again.records, records);
         assert_eq!(again.payload, refused.payload);
         assert_eq!(again.sketches, refused.sketches);
         assert_eq!(again.seals, refused.seals);
@@ -932,14 +953,25 @@ mod tests {
         assert!(node.sketches().covers(0, 0, 2_700));
         assert_eq!(node.store().pending_len(), 0);
         // Committed, the stream moves on in step with a mirror decoder
-        // that verified the same payloads.
+        // that decodes the same payloads to what the node stored.
         let mut decoder = tsenc::StreamDecoder::new();
         node.ingest_wave(gen.wave(2_700), 2_701, &catalog).unwrap();
         let next = node.flush(3_600, &catalog).unwrap();
+        let mut shipped = Vec::new();
         for batch in [&again, &next] {
             let payload = batch.payload.as_deref().unwrap();
-            assert!(decoder.verify_batch(payload, &batch.records).unwrap());
+            shipped.extend(decoder.decode_batch(payload).unwrap());
         }
+        let key = |r: &Reading| (r.timestamp_s(), r.sensor().index());
+        let mut stored: Vec<Reading> = node
+            .store()
+            .archive()
+            .iter()
+            .map(|r| r.reading().clone())
+            .collect();
+        shipped.sort_by_key(key);
+        stored.sort_by_key(key);
+        assert_eq!(shipped, stored);
     }
 
     /// The fog-1 fold as it was: one map probe per record.
@@ -1006,6 +1038,6 @@ mod tests {
         assert_eq!(node.label(), "fog1/d0/s0");
         assert_eq!(node.layer, Layer::Fog1);
         assert_eq!(node.section, Some(0));
-        assert!(node.flush_policy.aggregate);
+        assert!(node.acquisition.is_some());
     }
 }

@@ -10,7 +10,8 @@ use crate::{Error, Result};
 
 const DAY_S: u64 = 86_400;
 
-/// When and how a node ships data to its parent.
+/// When and how a node ships data to its parent. Every shipment rides
+/// the `tsenc` flush codec (§V.B): the payload is what crosses the link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlushPolicy {
     /// Seconds between flushes. `runtime::simulate` schedules each
@@ -20,8 +21,6 @@ pub struct FlushPolicy {
     pub period_s: u64,
     /// Apply redundant-data elimination before shipping (fog 1).
     pub aggregate: bool,
-    /// Compress the shipped batch (fog 1, §V.B).
-    pub compress: bool,
     /// If set, flushes are deferred into this daily window
     /// `[start_s, end_s)` (seconds since midnight) — the off-peak
     /// scheduling optimization of §IV.D. Read, like `period_s`, by
@@ -31,36 +30,21 @@ pub struct FlushPolicy {
 
 impl FlushPolicy {
     /// The paper's fog-1 policy in the traffic experiment: 15-minute
-    /// flushes with aggregation and compression.
+    /// flushes with aggregation.
     pub fn paper_fog1() -> Self {
         Self {
             period_s: 900,
             aggregate: true,
-            compress: true,
             off_peak_window: None,
         }
     }
 
-    /// The fog-2 relay policy of the default deployment: hourly flushes,
-    /// no re-aggregation (fog 1 already deduplicated), but the shipment
-    /// rides the same time-series codec as the first hop — the
-    /// fog-2 → cloud uplink is the widest-fan-in link in the hierarchy,
-    /// so encoding it pays at least as much as at fog 1.
-    pub(crate) fn paper_fog2() -> Self {
-        Self {
-            period_s: 3600,
-            aggregate: false,
-            compress: true,
-            off_peak_window: None,
-        }
-    }
-
-    /// A plain periodic policy without optimizations (fog 2 / baseline).
+    /// A plain periodic policy without aggregation: the fog-2 relay
+    /// (fog 1 already deduplicated) and the baseline.
     pub fn plain(period_s: u64) -> Self {
         Self {
             period_s,
             aggregate: false,
-            compress: false,
             off_peak_window: None,
         }
     }

@@ -1,7 +1,7 @@
 //! The event-driven F2C simulation: synthetic Sentilo waves flow into an
 //! assembled [`F2cCity`] — 73 fog-1 nodes, 10 fog-2 nodes and the cloud —
-//! whose tiers flush on their policies' schedules, with aggregation and
-//! compression applied per the flush policies. It runs a sample of
+//! whose tiers flush on their policies' schedules, with aggregation
+//! applied per the flush policies and every shipment `tsenc`-encoded. It runs a sample of
 //! sections at full population, so every flush batch is the size the
 //! full city ships, and its per-category traffic estimates the full city
 //! to cross-validate the analytic [`crate::traffic::TrafficModel`].
@@ -30,7 +30,7 @@ pub struct SimConfig {
     pub seed: u64,
     /// Simulated horizon in seconds (one day reproduces the paper).
     pub horizon_s: u64,
-    /// Fog-1 flush policy (aggregation/compression live here).
+    /// Fog-1 flush policy (aggregation lives here).
     pub fog1_flush: FlushPolicy,
     /// Fog-2 flush policy.
     pub fog2_flush: FlushPolicy,
@@ -44,7 +44,7 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// The paper's configuration on one sampled section: one day,
-    /// 15-minute aggregated+compressed fog-1 flushes, hourly fog-2 flushes.
+    /// 15-minute aggregated fog-1 flushes, hourly fog-2 flushes.
     pub fn paper() -> Self {
         Self {
             sections: 1,
@@ -66,8 +66,7 @@ pub struct CategoryTraffic {
     pub raw: u64,
     /// Bytes surviving fog-1 aggregation (accounting sizes).
     pub after_dedup: u64,
-    /// `tsenc` payload bytes shipped fog 1 → fog 2 (0 when fog 1 does
-    /// not compress).
+    /// `tsenc` payload bytes shipped fog 1 → fog 2.
     pub compressed: u64,
 }
 
@@ -87,8 +86,7 @@ pub struct SimReport {
     pub fog1_uplink_acct_bytes: u64,
     /// Accounting bytes shipped fog2→cloud.
     pub fog2_uplink_acct_bytes: u64,
-    /// `tsenc` payload bytes of fog-1 uplink batches (0 when not
-    /// compressing).
+    /// `tsenc` payload bytes of fog-1 uplink batches.
     pub fog1_uplink_compressed_bytes: u64,
     /// Encoded fog-1 uplink batches shipped.
     pub fog1_shipments: u64,

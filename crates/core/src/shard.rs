@@ -98,8 +98,8 @@ where
 }
 
 /// One encoded flush shipment as it crossed a hop, captured only when
-/// the city's shipment tap is on (differential corpus tests re-encode
-/// and re-decode these offline).
+/// the city's shipment tap is on (differential corpus tests re-decode
+/// and re-encode these offline).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShipmentRecord {
     /// Which hop shipped it: `1` = fog-1 → fog-2, `2` = fog-2 → cloud.
@@ -111,9 +111,6 @@ pub struct ShipmentRecord {
     pub at_s: u64,
     /// The encoded `tsenc` payload that crossed the link.
     pub payload: Vec<u8>,
-    /// The same records in verbatim wire-batch form, for the
-    /// DEFLATE-vs-tsenc differential bound.
-    pub wire: Vec<u8>,
 }
 
 /// One shard's buffered observability: everything a phase would normally

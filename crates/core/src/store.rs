@@ -120,6 +120,12 @@ impl TieredStore {
         self.pending.len()
     }
 
+    /// The records awaiting the next flush, in arrival order: what a
+    /// flush encodes in place before its parent answers.
+    pub(crate) fn pending(&self) -> &[DataRecord] {
+        &self.pending
+    }
+
     /// Heap bytes at rest: the archive's, and the pending queue's at its
     /// capacity with its composite records' field vectors — a pending
     /// record is a second copy of an archived one.
@@ -179,17 +185,6 @@ impl TieredStore {
     pub fn take_flush_batch(&mut self, _now_s: u64) -> Vec<DataRecord> {
         self.pending_earliest_s = None;
         std::mem::take(&mut self.pending)
-    }
-
-    /// Puts a flush batch the parent refused back at the front of the
-    /// pending queue, ahead of anything that arrived since it was taken,
-    /// so it re-ships first, merged with the next batch.
-    pub(crate) fn restore_flush_batch(&mut self, mut records: Vec<DataRecord>) {
-        if let Some(oldest) = records.iter().map(|r| r.descriptor().created_s()).min() {
-            self.note_pending(oldest);
-        }
-        records.append(&mut self.pending);
-        self.pending = records;
     }
 
     /// Evicts records past retention at `now_s`; returns the evicted count.
@@ -271,24 +266,6 @@ mod tests {
         let batch = s.take_flush_batch(3000);
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].descriptor().created_s(), 500);
-    }
-
-    #[test]
-    fn a_restored_batch_reships_first_with_its_frontier() {
-        let mut s = TieredStore::new(RetentionPolicy { keep_s: None });
-        s.insert(rec(700));
-        s.insert(rec(300));
-        let refused = s.take_flush_batch(800);
-        s.insert(rec(900));
-        s.restore_flush_batch(refused);
-        assert_eq!(s.pending_earliest_s(), Some(300));
-        let again: Vec<u64> = s
-            .take_flush_batch(1_000)
-            .iter()
-            .map(|r| r.descriptor().created_s())
-            .collect();
-        assert_eq!(again, [700, 300, 900]);
-        assert_eq!(s.len(), 3, "the archive never saw the round trip");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The unit of data flowing through the life cycle.
 
-use scc_sensors::{Reading, SensorType};
+use scc_sensors::{Located, Reading, SensorType};
 use serde::{Deserialize, Serialize};
 
 use crate::descriptor::{Descriptor, Location};
@@ -83,6 +83,14 @@ impl DataRecord {
 impl AsRef<Reading> for DataRecord {
     fn as_ref(&self) -> &Reading {
         &self.reading
+    }
+}
+
+/// A record ships with the section it was acquired in; one that skipped
+/// the description phase ships as section 0, like a bare reading.
+impl Located for DataRecord {
+    fn section(&self) -> u16 {
+        self.location.map_or(0, |l| l.section)
     }
 }
 

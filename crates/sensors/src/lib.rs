@@ -56,6 +56,6 @@ pub(crate) use error::Result;
 pub use generator::{ReadingGenerator, SensorStream, TimeCorrelatedStream};
 pub use idhash::IdMap;
 pub use ids::SensorId;
-pub use reading::Reading;
+pub use reading::{Located, Reading};
 pub use sensor_type::{SensorType, Shape};
 pub use value::Value;

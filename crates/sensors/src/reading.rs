@@ -60,6 +60,22 @@ impl AsRef<Reading> for Reading {
     }
 }
 
+/// A reading as the flush path ships it: the reading, and the section
+/// (fog-1 area) it was acquired in. A record type that wraps a reading
+/// and its location implements it, so the flush codec ships records as
+/// they are.
+pub trait Located: AsRef<Reading> {
+    /// The section the reading was acquired in.
+    fn section(&self) -> u16;
+}
+
+/// A bare reading, located nowhere, ships as section 0.
+impl Located for Reading {
+    fn section(&self) -> u16 {
+        0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -155,15 +155,6 @@ pub fn parse(line: &str) -> Result<Reading> {
     Ok(Reading::new(SensorId::new(ty, index), timestamp, value))
 }
 
-/// Parses every line of a batch produced by [`encode_batch`].
-pub fn parse_batch(data: &[u8]) -> Result<Vec<Reading>> {
-    let text = std::str::from_utf8(data).map_err(|_| Error::MalformedObservation {
-        line: String::from("<non-utf8>"),
-        reason: "batch is not UTF-8",
-    })?;
-    text.lines().map(parse).collect()
-}
-
 /// The value `s` spells for a reading of `ty`, read by the type's
 /// [`Shape`]; `None` unless the shape admits it (a composite with another
 /// type's field count included).
@@ -217,7 +208,8 @@ mod tests {
         let mut g = ReadingGenerator::for_population(SensorType::Weather, 20, 3);
         let wave = g.wave(0);
         let bytes = encode_batch(&wave);
-        let back = parse_batch(&bytes).unwrap();
+        let text = std::str::from_utf8(&bytes).unwrap();
+        let back: Vec<Reading> = text.lines().map(|line| parse(line).unwrap()).collect();
         assert_eq!(back, wave);
     }
 

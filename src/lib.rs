@@ -32,8 +32,8 @@
 //! let mut sensors = ReadingGenerator::for_population(SensorType::Temperature, 50, 42);
 //! let outcome = fog1.ingest_wave(sensors.wave(0), 1, &catalog)?;
 //! assert_eq!(outcome.offered, 50);
-//! let batch = fog1.flush(900, &catalog)?;             // aggregated + compressed
-//! assert!(batch.compressed_bytes().is_some());
+//! let batch = fog1.flush(900, &catalog)?;             // aggregated + encoded
+//! assert!(batch.payload.is_some());                   // the shipment is its payload
 //! fog1.commit_flush(900);                             // the parent ACKed it
 //! # Ok::<(), f2c_smartcity::core::Error>(())
 //! ```

@@ -315,17 +315,28 @@ fn a_corrupt_partial_on_a_fog1_uplink_lands_nothing_and_re_ships_in_step() {
     assert!(chaos.shipment_log().is_empty(), "no payload was accepted");
 
     // The fault clears. The re-shipment lands, and each payload decodes
-    // on a fresh decoder: neither end of the stream kept anything of the
-    // refused one.
+    // on a fresh decoder, to everything its section stored: neither end
+    // of the stream kept anything of the refused one.
     chaos.set_failures(FailurePlan::none());
     chaos.flush_all(1_800).unwrap();
     let hop1: Vec<_> = chaos.shipment_log().iter().filter(|s| s.hop == 1).collect();
     assert_eq!(hop1.len(), 2);
+    let key = |r: &Reading| {
+        (
+            r.timestamp_s(),
+            r.sensor().sensor_type(),
+            r.sensor().index(),
+        )
+    };
     for shipment in hop1 {
-        let readings = StreamDecoder::new()
+        let mut readings = StreamDecoder::new()
             .decode_batch(&shipment.payload)
             .unwrap();
-        assert_eq!(wire::encode_batch(&readings), shipment.wire);
+        let fog1 = chaos.fog1(usize::from(shipment.origin)).store().archive();
+        let mut stored: Vec<Reading> = fog1.iter().map(|r| r.reading().clone()).collect();
+        readings.sort_by_key(key);
+        stored.sort_by_key(key);
+        assert_eq!(wire::encode_batch(&readings), wire::encode_batch(&stored));
     }
     let mut control = F2cCity::barcelona().unwrap();
     ingest_waves(&mut control, &waves, &[]);

@@ -11,6 +11,7 @@
 
 use f2c_smartcity::citysim::net::FailurePlan;
 use f2c_smartcity::compress;
+use f2c_smartcity::compress::tsenc::StreamDecoder;
 use f2c_smartcity::core::runtime::populate_city;
 use f2c_smartcity::core::{ChaosSite, F2cCity, F2cNode, FlushPolicy, Parallelism, RetentionPolicy};
 use f2c_smartcity::query::parallel;
@@ -43,6 +44,7 @@ fn replica(seed: u64) -> Vec<u8> {
     .collect();
 
     let mut transcript = Vec::new();
+    let mut decoder = StreamDecoder::new();
     for wave in 0..24u64 {
         let now_s = wave * 900;
         for generator in &mut generators {
@@ -52,18 +54,18 @@ fn replica(seed: u64) -> Vec<u8> {
         if (wave + 1) % 4 == 0 {
             let batch = fog1.flush(now_s + 2, &catalog).expect("flush succeeds");
             fog1.commit_flush(now_s + 2);
-            for record in &batch.records {
-                transcript.extend_from_slice(wire::encode(record.reading()).as_bytes());
-                transcript.push(b'\n');
-            }
+            let payload = batch.payload.as_deref().expect("every hour ships records");
+            let readings = decoder.decode_batch(payload).expect("the payload decodes");
+            let text = wire::encode_batch(&readings);
+            transcript.extend_from_slice(&text);
             transcript.extend_from_slice(
                 format!(
-                    "flush t={} records={} acct={} wire={} compressed={:?}\n",
+                    "flush t={} records={} acct={} wire={} compressed={}\n",
                     now_s + 2,
-                    batch.records.len(),
+                    readings.len(),
                     batch.acct_bytes,
-                    batch.wire_bytes(),
-                    batch.compressed_bytes(),
+                    text.len(),
+                    payload.len(),
                 )
                 .as_bytes(),
             );

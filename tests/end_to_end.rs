@@ -1,8 +1,13 @@
 //! End-to-end integration: raw sensor waves → fog-1 acquisition → fog-2 →
 //! cloud preservation, across all crates.
 
-use f2c_smartcity::core::{F2cCity, F2cNode, FlushPolicy, RetentionPolicy};
-use f2c_smartcity::sensors::{Catalog, ReadingGenerator, SensorType};
+use std::cmp::Ordering;
+
+use f2c_smartcity::compress::tsenc;
+use f2c_smartcity::core::runtime::populate_city;
+use f2c_smartcity::core::{F2cCity, F2cNode, FlushPolicy, Parallelism, RetentionPolicy};
+use f2c_smartcity::dlc::DataRecord;
+use f2c_smartcity::sensors::{wire, Catalog, ReadingGenerator, SensorType};
 
 /// A lone fog-1 node with the paper's policies.
 fn fog1() -> F2cNode {
@@ -55,6 +60,55 @@ fn readings_survive_the_full_hierarchy() {
     }
 }
 
+/// `records` in one order that does not depend on which tier holds
+/// them: by location, creation time and sensor, then by value.
+fn sorted<'a>(records: impl IntoIterator<Item = &'a DataRecord>) -> Vec<DataRecord> {
+    let key = |r: &DataRecord| {
+        let d = r.descriptor();
+        let id = r.reading().sensor();
+        (
+            d.district(),
+            d.section(),
+            d.created_s(),
+            id.sensor_type(),
+            id.index(),
+        )
+    };
+    let mut out: Vec<DataRecord> = records.into_iter().cloned().collect();
+    out.sort_by(|a, b| match key(a).cmp(&key(b)) {
+        Ordering::Equal => wire::encode(a.reading()).cmp(&wire::encode(b.reading())),
+        unequal => unequal,
+    });
+    out
+}
+
+#[test]
+fn settled_upper_tiers_store_what_fog1_acquisition_stored() {
+    // Every tier above fog 1 stores the records it decoded, never a copy
+    // of its sender's: once a seeded warm-up has settled (its last wave
+    // ships both hops), fog 2 and the cloud each hold exactly what the
+    // fog-1 acquisition blocks stored, location included, at any
+    // worker-thread count. A receiver that mislocates a record fails
+    // here.
+    for threads in [1, 4] {
+        let mut city = F2cCity::barcelona().unwrap();
+        city.set_parallelism(Parallelism::new(threads));
+        let outcome = populate_city(&mut city, 20_000, 2017, 3_600, 900).unwrap();
+        let fog1 =
+            sorted((0..city.section_count()).flat_map(|s| city.fog1(s).store().archive().iter()));
+        assert_eq!(fog1.len() as u64, outcome.stored, "fog 1 evicted nothing");
+        assert!(fog1.iter().all(|r| r.descriptor().section().is_some()));
+        let fog2 =
+            sorted((0..city.district_count()).flat_map(|d| city.fog2(d).store().archive().iter()));
+        assert!(fog1 == fog2, "threads={threads}: fog 2 differs from fog 1");
+        let cloud = sorted(city.cloud().store().archive().iter());
+        assert!(
+            fog1 == cloud,
+            "threads={threads}: the cloud differs from fog 1"
+        );
+    }
+}
+
 #[test]
 fn fog1_retention_keeps_realtime_data_local_after_flush() {
     let catalog = Catalog::barcelona();
@@ -67,7 +121,7 @@ fn fog1_retention_keeps_realtime_data_local_after_flush() {
     let stored_before = fog1.store().len();
     let batch = fog1.flush(3600, &catalog).unwrap();
     fog1.commit_flush(3600);
-    assert!(!batch.records.is_empty());
+    assert!(batch.payload.is_some());
     // Flushing ships copies; local data stays for real-time reads.
     assert_eq!(fog1.store().len(), stored_before);
     // A day later, retention has evicted everything.
@@ -86,12 +140,13 @@ fn compression_reduces_what_crosses_the_uplink() {
         fog1.ingest_wave(gen.wave(t), t + 1, &catalog).unwrap();
     }
     let batch = fog1.flush(600, &catalog).unwrap();
-    let compressed = batch.compressed_bytes().expect("paper policy compresses");
+    let payload = batch.payload.as_deref().expect("pending records ship");
+    let text = wire::encode_batch(&tsenc::decode_once(payload).unwrap());
     assert!(
-        compressed * 2 < batch.wire_bytes(),
+        payload.len() * 2 < text.len(),
         "compression should at least halve Sentilo text ({} vs {})",
-        compressed,
-        batch.wire_bytes()
+        payload.len(),
+        text.len()
     );
-    assert_eq!(batch.uplink_bytes(), compressed);
+    assert_eq!(batch.uplink_bytes(), payload.len() as u64);
 }

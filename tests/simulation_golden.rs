@@ -63,14 +63,14 @@ fn render(report: &SimReport) -> String {
 }
 
 /// The first six hours of the paper's day on one sampled section.
-const GOLDEN_PAPER_DAY: u64 = 0xdc03_7514_63e0_1c10;
+const GOLDEN_PAPER_DAY: u64 = 0x72db_8b4c_8051_71ac;
 
 /// The E6b steady-state pair, over the first eight hours: no drain,
 /// anytime flushes and both tiers deferred into their off-peak windows.
-const GOLDEN_STEADY_PAIR: u64 = 0xf598_1734_80ce_57a5;
+const GOLDEN_STEADY_PAIR: u64 = 0x4aa7_c072_087d_add5;
 
 /// The E6a flush-period sweep on one sampled section.
-const GOLDEN_PERIOD_ABLATION: u64 = 0x8f18_d835_c066_d215;
+const GOLDEN_PERIOD_ABLATION: u64 = 0xdeca_3d74_5d50_081e;
 
 #[test]
 fn the_paper_day_is_pinned() {
